@@ -127,6 +127,16 @@ pub fn default_config() -> RuleConfig {
                 ],
             },
             OracleSpec {
+                module: "dkindex_pathexpr::oracle".into(),
+                oracle_for: "the budgeted arena walks (`pathexpr::eval`)".into(),
+                forbidden: evaluator_forbidden(),
+            },
+            OracleSpec {
+                module: "dkindex_core::eval_oracle".into(),
+                oracle_for: "the index→validate loop (`IndexEvaluator::evaluate_bounded`)".into(),
+                forbidden: evaluator_forbidden(),
+            },
+            OracleSpec {
                 module: "dkindex_core::one_index".into(),
                 oracle_for: "index-size/soundness comparisons (1-index baseline)".into(),
                 forbidden: baseline_forbidden(),
@@ -229,6 +239,23 @@ pub fn default_config() -> RuleConfig {
             architecture_doc: "ARCHITECTURE.md".into(),
         }),
     }
+}
+
+/// What the two evaluation oracles must not touch: telemetry, the
+/// evaluator itself, and every building block only the fast path uses.
+fn evaluator_forbidden() -> Vec<ForbiddenRef> {
+    let mut forbidden = vec![ForbiddenRef::new(
+        "dkindex_telemetry",
+        "the evaluator is instrumented; instrumenting the oracle too would hide observer effects",
+    )];
+    for name in [
+        "EvalArena", "Marks", "VisitBudget", "closure_steps_of", "evaluate_bounded_with",
+        "matches_ending_at_bounded_with", "IndexEvaluator",
+    ] {
+        let why = "the oracle would be checking the evaluator against itself";
+        forbidden.push(ForbiddenRef::new(name, why));
+    }
+    forbidden
 }
 
 fn baseline_forbidden() -> Vec<ForbiddenRef> {

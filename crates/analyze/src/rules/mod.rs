@@ -99,8 +99,9 @@ pub const RULES: &[RuleMeta] = &[
 #[derive(Clone, Debug)]
 pub struct ForbiddenRef {
     /// Path segments: `["dkindex_telemetry"]` or `["crate", "engine"]`.
-    /// Single lowercase segments match only in path position (`x::` / `::x`
-    /// / `use x`); single uppercase segments (type names) match anywhere.
+    /// Single lowercase segments match only in path or call position
+    /// (`x::` / `::x` / `use x` / `x(`); single uppercase segments (type
+    /// names) match anywhere.
     pub segs: Vec<String>,
     /// Why this reference breaks oracle purity, echoed in the finding.
     pub why: String,

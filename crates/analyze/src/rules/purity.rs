@@ -6,8 +6,9 @@
 //! The check walks the oracle module's tokens for forbidden references:
 //! multi-segment paths (`crate::engine`) as contiguous `a :: b` token
 //! runs, type names (`RefineEngine`) anywhere, and lowercase single
-//! segments (`dkindex_telemetry`) in path or `use` position only, so a
-//! local variable that happens to share the name does not fire the rule.
+//! segments (`dkindex_telemetry`, `closure_steps_of`) in path, `use` or
+//! call position only, so a local variable that happens to share the name
+//! does not fire the rule.
 
 use super::{Finding, ForbiddenRef, RuleConfig};
 use crate::lexer::TokKind;
@@ -51,7 +52,7 @@ fn first_reference(file: &SourceFile, fref: &ForbiddenRef) -> Option<u32> {
         } else {
             let seg = &fref.segs[0];
             toks[i].text == *seg
-                && (seg.starts_with(char::is_uppercase) || in_path_position(toks, i))
+                && (seg.starts_with(char::is_uppercase) || in_path_or_call_position(toks, i))
         };
         if hit {
             return Some(toks[i].line);
@@ -78,12 +79,14 @@ fn matches_path_run(toks: &[crate::lexer::Tok], i: usize, segs: &[String]) -> bo
     true
 }
 
-/// Is the identifier at `i` used as a path segment or import — adjacent to
-/// `::`, or directly after `use`?
-fn in_path_position(toks: &[crate::lexer::Tok], i: usize) -> bool {
-    let next_is_sep = toks.get(i + 1).is_some_and(|t| t.text == "::");
+/// Is the identifier at `i` used as a path segment, import or callee —
+/// adjacent to `::`, directly after `use`, or directly before `(`? The
+/// call form is what catches a fast-path function brought in through a
+/// `use a::{b, c}` group and a method such as `nfa.closure_steps_of(..)`.
+fn in_path_or_call_position(toks: &[crate::lexer::Tok], i: usize) -> bool {
+    let next_is_sep_or_call = toks.get(i + 1).is_some_and(|t| t.text == "::" || t.text == "(");
     let prev = i.checked_sub(1).and_then(|p| toks.get(p));
     let prev_is_sep = prev.map(|t| t.text.as_str()) == Some("::");
     let prev_is_use = prev.map(|t| t.text.as_str()) == Some("use");
-    next_is_sep || prev_is_sep || prev_is_use
+    next_is_sep_or_call || prev_is_sep || prev_is_use
 }

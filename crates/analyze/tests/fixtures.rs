@@ -300,6 +300,34 @@ fn tuner_and_mining_are_inside_the_repository_scopes() {
     }
 }
 
+/// The evaluation oracles (`dkindex_pathexpr::oracle`,
+/// `dkindex_core::eval_oracle`) are inside the **repository** oracle table:
+/// a fixture tree mirroring their exact module paths, where each "oracle"
+/// is secretly the fast path, fires `oracle-purity` once per forbidden
+/// reference under `default_config`. The comparison of evaluator against
+/// oracle only means something while the two share no walk, scratch, budget
+/// or telemetry; this test fails first if the table loses those rows.
+#[test]
+fn evaluation_oracles_are_fenced_from_the_evaluator() {
+    let findings = analyze_workspace_with(&fixture_root("evaloracle"), &default_config()).unwrap();
+    assert_eq!(findings.len(), 8, "one per forbidden name, no extras: {findings:?}");
+    let fired = |file: &str, name: &str| {
+        findings.iter().any(|f| {
+            f.rule == "oracle-purity"
+                && f.path.to_string_lossy().ends_with(file)
+                && f.message.contains(&format!("references `{name}`"))
+        })
+    };
+    let fast_path_parts = [
+        "dkindex_telemetry", "EvalArena", "Marks", "VisitBudget", "closure_steps_of",
+        "evaluate_bounded_with", "matches_ending_at_bounded_with",
+    ];
+    for name in fast_path_parts {
+        assert!(fired("oracle.rs", name), "{name} not flagged in oracle.rs: {findings:?}");
+    }
+    assert!(fired("eval_oracle.rs", "IndexEvaluator"), "{findings:?}");
+}
+
 /// A report written from one run is a complete baseline for the next:
 /// every finding's stable id round-trips through `ANALYZE.json`, and the
 /// ids stay put when line numbers drift (they hash `rule:path:message`,

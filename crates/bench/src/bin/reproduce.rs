@@ -56,15 +56,17 @@
 //! visit-count histograms) to the `--metrics` file, after verifying the
 //! recorder changes no observable result. It also runs the `dkindex-analyze`
 //! static pass over the workspace sources and writes the per-rule finding
-//! counts (all zeros on a clean tree) to the `--analyze` file; when the
-//! binary runs outside the source tree the analysis is skipped with a
-//! notice.
+//! counts (all zeros on a clean tree) to the `--analyze` file, and counts
+//! the workspace's `.rs` lines into the `loc` section of the `--out` file;
+//! when the binary runs outside the source tree both are skipped (the
+//! analysis with a notice).
 
 #![forbid(unsafe_code)]
 
 use dkindex_bench::crash;
 use dkindex_bench::datasets::{self, DEFAULT_NASA_SCALE, DEFAULT_XMARK_SCALE};
 use dkindex_bench::experiments::*;
+use dkindex_bench::loc;
 use dkindex_bench::net;
 use dkindex_bench::perf::{self, PerfConfig};
 use dkindex_bench::tuning;
@@ -502,6 +504,19 @@ fn run_bench_smoke(opts: &Options) {
         durability.acked_per_sec_wal_off,
     );
 
+    // Workspace size rides along with the timings (ROADMAP item 2); like the
+    // static pass below it needs the sources, so it is skipped outside them.
+    let loc = workspace_root().map(|root| match loc::count_loc(&root) {
+        Ok(loc) => loc,
+        Err(e) => {
+            eprintln!("error: counting lines under {}: {e}", root.display());
+            std::process::exit(2);
+        }
+    });
+    if let Some(loc) = &loc {
+        println!("workspace: {} lines of Rust", loc.total);
+    }
+
     let json = perf::to_json(
         "xmark",
         &cfg,
@@ -514,6 +529,7 @@ fn run_bench_smoke(opts: &Options) {
             durability: &durability,
             tuning: &tune_res,
         },
+        loc.as_ref(),
     );
     if let Err(e) = std::fs::write(&opts.out, &json) {
         eprintln!("error: writing {}: {e}", opts.out);

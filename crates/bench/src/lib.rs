@@ -13,6 +13,7 @@ pub mod crash;
 pub mod datasets;
 pub mod experiments;
 pub mod faults;
+pub mod loc;
 pub mod net;
 pub mod perf;
 pub mod report;

@@ -1,8 +1,8 @@
 //! Before/after performance benchmark for the scratch-arena query engine and
 //! the interned-signature refinement engine.
 //!
-//! "Before" is the retained reference implementation (allocator-per-query
-//! evaluation, vector-keyed signature refinement); "after" is the arena +
+//! "Before" is the retained reference implementation (the allocator-per-query
+//! [`eval_oracle`], vector-keyed signature refinement); "after" is the arena +
 //! memo evaluator and the [`RefineEngine`]. Both sides are checked for
 //! **byte-identical results** — same matches, same [`dkindex_core::QueryCost`] visit
 //! counts, same partitions — before any timing is reported, so the speedup
@@ -13,13 +13,13 @@
 
 use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
 use dkindex_core::{
-    apply_serial, evaluate_workload_parallel, snapshot_bytes, AdaptiveTuner, AkIndex, DkIndex,
-    DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig, ServeOp,
-    TunerConfig,
+    apply_serial, eval_oracle, evaluate_workload_parallel, snapshot_bytes, AdaptiveTuner, AkIndex,
+    DkIndex, DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig,
+    ServeOp, TunerConfig,
 };
 use dkindex_graph::DataGraph;
 use dkindex_partition::{k_bisimulation, RefineEngine};
-use dkindex_pathexpr::PathExpr;
+use dkindex_pathexpr::{LabelIndex, PathExpr};
 use dkindex_telemetry as telemetry;
 use dkindex_workload::generate_update_edges;
 use std::time::Instant;
@@ -128,8 +128,8 @@ pub fn bench_eval(
     let (baseline_ms, base_out) = time_best(cfg.repeats, || {
         let mut all: Vec<IndexEvalOutcome> = Vec::new();
         for index in indexes {
-            let evaluator = IndexEvaluator::new(index, data);
-            all.extend(queries.iter().map(|q| evaluator.evaluate_baseline(q)));
+            let labels = LabelIndex::build(index);
+            all.extend(queries.iter().map(|q| eval_oracle::evaluate(index, data, &labels, q)));
         }
         all
     });
@@ -534,7 +534,7 @@ impl TelemetryBenchResult {
 /// collect one instrumented pass for `METRICS.json`.
 ///
 /// The oracles are the retained PR 1 reference paths — [`dk_partition_reference`]
-/// and [`IndexEvaluator::evaluate_baseline`], run with the recorder off. The
+/// and [`eval_oracle::evaluate`], run with the recorder off. The
 /// fast paths ([`dk_partition_with_engine`], [`IndexEvaluator::evaluate_all`])
 /// are then run twice, recorder off and recorder on, and compared for
 /// byte-identical partitions, similarities, matches, and visit counts. The
@@ -559,8 +559,8 @@ pub fn bench_telemetry(
     indexes.push(DkIndex::build(data, reqs.clone()).index().clone());
     let mut oracle_out: Vec<IndexEvalOutcome> = Vec::new();
     for index in &indexes {
-        let evaluator = IndexEvaluator::new(index, data);
-        oracle_out.extend(queries.iter().map(|q| evaluator.evaluate_baseline(q)));
+        let labels = LabelIndex::build(index);
+        oracle_out.extend(queries.iter().map(|q| eval_oracle::evaluate(index, data, &labels, q)));
     }
 
     let fast_pass = |indexes: &[IndexGraph]| {
@@ -670,6 +670,7 @@ pub fn to_json(
     eval: &EvalBenchResult,
     builds: &[BuildBenchResult],
     sections: &ServingSections<'_>,
+    loc: Option<&crate::loc::LocReport>,
 ) -> String {
     let ServingSections {
         serve,
@@ -775,6 +776,10 @@ pub fn to_json(
     s.push_str(&crate::net::net_to_json(net));
     s.push_str(",\n");
     s.push_str(&crate::tuning::tuning_to_json(tuning));
+    if let Some(loc) = loc {
+        s.push_str(",\n");
+        s.push_str(&crate::loc::loc_to_json(loc));
+    }
     s.push('\n');
     s.push_str("}\n");
     s
@@ -862,7 +867,12 @@ mod tests {
             durability: &durability,
             tuning: &tuning,
         };
-        let json = to_json("xmark-test", &cfg, &eval, &builds, &sections);
+        let loc = crate::loc::LocReport {
+            crates: vec![("core".to_string(), 7)],
+            total: 9,
+        };
+        let json = to_json("xmark-test", &cfg, &eval, &builds, &sections, Some(&loc));
+        assert!(json.contains("\"workspace_total\": 9"), "{json}");
         assert!(json.contains("\"identical_outcomes\": true"));
         assert!(json.contains("\"identical_partition\": true"));
         assert!(json.contains("\"serve\""), "{json}");

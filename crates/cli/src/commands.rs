@@ -578,14 +578,10 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     };
     let (dk, g) = load_index_graceful(path)?;
     let expr = parse(expr_text).map_err(|e| CliError::Query(e.to_string()))?;
-    let mut evaluator = IndexEvaluator::new(dk.index(), &g);
-    let out = match parsed.budget {
-        // Bounded execution: a typed abort, never a partial answer.
-        Some(budget) => evaluator
-            .evaluate_bounded(&expr, budget)
-            .map_err(|e| CliError::Aborted(e.to_string()))?,
-        None => evaluator.evaluate(&expr),
-    };
+    // Bounded execution: a typed abort, never a partial answer.
+    let out = IndexEvaluator::new(dk.index(), &g)
+        .evaluate_bounded(&expr, parsed.budget.unwrap_or(u64::MAX))
+        .map_err(|e| CliError::Aborted(e.to_string()))?;
     let mut text = String::new();
     let _ = writeln!(
         text,

@@ -13,18 +13,20 @@
 //! index graph; `data_visits` counts activations during validation walks.
 //! Extent members of sound matches are not counted (per §6.1).
 //!
-//! Every [`IndexEvaluator::evaluate`] call feeds the `eval.*` telemetry
-//! metrics (queries, index/data visits, sound extents, validated queries,
-//! memo hits, per-query visit histogram and the `eval.query_ns` span);
-//! [`IndexEvaluator::evaluate_baseline`] is the retained §6.1 oracle and is
+//! [`IndexEvaluator::evaluate_bounded`] is the one index→validate loop;
+//! [`IndexEvaluator::evaluate`] is that loop with a budget nothing can
+//! exhaust. Every *completed* query feeds the `eval.*` telemetry metrics
+//! (queries, index/data visits, sound extents, validated queries, memo hits,
+//! per-query visit histogram); an aborted one bumps only
+//! `eval.aborted_queries`. The `eval.query_ns` span times both. The
+//! independent §6.1 oracle lives in [`crate::eval_oracle`] and is
 //! deliberately uninstrumented.
 
 use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
-    evaluate_baseline, evaluate_bounded_with, evaluate_with, matches_ending_at_baseline,
-    matches_ending_at_bounded_with, matches_ending_at_with, EvalArena, LabelIndex, Nfa, PathExpr,
+    evaluate_bounded_with, matches_ending_at_bounded_with, EvalArena, LabelIndex, Nfa, PathExpr,
     VisitBudget,
 };
 use std::collections::HashMap;
@@ -42,22 +44,6 @@ impl QueryCost {
     /// Total nodes visited (the paper's Y axis).
     pub fn total(&self) -> u64 {
         self.index_visits + self.data_visits
-    }
-}
-
-impl std::ops::Add for QueryCost {
-    type Output = QueryCost;
-    fn add(self, rhs: QueryCost) -> QueryCost {
-        QueryCost {
-            index_visits: self.index_visits + rhs.index_visits,
-            data_visits: self.data_visits + rhs.data_visits,
-        }
-    }
-}
-
-impl std::ops::AddAssign for QueryCost {
-    fn add_assign(&mut self, rhs: QueryCost) {
-        *self = *self + rhs;
     }
 }
 
@@ -129,95 +115,24 @@ impl<'a> IndexEvaluator<'a> {
     }
 
     /// Evaluate `expr` through the index, validating approximate matches
-    /// against the data graph.
+    /// against the data graph: [`evaluate_bounded`](Self::evaluate_bounded)
+    /// with a budget no query that fits in memory can exhaust.
     pub fn evaluate(&mut self, expr: &PathExpr) -> IndexEvalOutcome {
-        let span = telemetry::Span::start(&telemetry::metrics::EVAL_QUERY_NS);
-        let nfa = Nfa::compile(expr, self.index.labels());
-        let on_index = evaluate_with(self.index, &nfa, &self.index_labels, &mut self.arena);
-
-        // Path length in edges (paper's "length m" for l1...l_{m+1}); an
-        // unbounded expression (contains *) can never be certified sound.
-        let required = expr.max_word_len().map(|labels| labels.saturating_sub(1));
-
-        let mut matches: Vec<NodeId> = Vec::new();
-        let mut cost = QueryCost {
-            index_visits: on_index.visited,
-            data_visits: 0,
-        };
-        let mut validated = false;
-        // Compile against the data interner lazily — only if we validate.
-        let mut reversed: Option<Nfa> = None;
-        let mut query_id: Option<u32> = None;
-
-        for inode in on_index.matches {
-            let sound = match required {
-                Some(m) => self.index.similarity(inode) >= m,
-                None => false,
-            };
-            if sound {
-                telemetry::metrics::EVAL_SOUND_EXTENTS.incr();
-                matches.extend_from_slice(self.index.extent(inode));
-                continue;
-            }
-            validated = true;
-            let qid = *query_id.get_or_insert_with(|| {
-                let next = self.query_ids.len() as u32;
-                *self.query_ids.entry(expr.to_string()).or_insert(next)
-            });
-            if let Some((hits, visits)) = self.validation_memo.get(&(qid, inode)) {
-                // Replay: identical hits AND identical charged visits.
-                telemetry::metrics::EVAL_MEMO_HITS.incr();
-                cost.data_visits += visits;
-                matches.extend_from_slice(hits);
-                continue;
-            }
-            let rev = reversed
-                .get_or_insert_with(|| Nfa::compile(expr, self.data.labels()).reverse());
-            let mut hits: Vec<NodeId> = Vec::new();
-            let mut visits = 0u64;
-            for &candidate in self.index.extent(inode) {
-                let (hit, visited) =
-                    matches_ending_at_with(self.data, rev, candidate, &mut self.arena);
-                visits += visited;
-                if hit {
-                    hits.push(candidate);
-                }
-            }
-            cost.data_visits += visits;
-            matches.extend_from_slice(&hits);
-            self.validation_memo.insert((qid, inode), (hits, visits));
-        }
-        matches.sort_unstable();
-        matches.dedup();
-
-        telemetry::metrics::EVAL_QUERIES.incr();
-        telemetry::metrics::EVAL_INDEX_VISITS.add(cost.index_visits);
-        telemetry::metrics::EVAL_DATA_VISITS.add(cost.data_visits);
-        if validated {
-            telemetry::metrics::EVAL_VALIDATED_QUERIES.incr();
-        }
-        telemetry::metrics::EVAL_VISITS_PER_QUERY.record(cost.total());
-        drop(span);
-
-        IndexEvalOutcome {
-            matches,
-            cost,
-            validated,
-        }
+        self.evaluate_bounded(expr, u64::MAX)
+            .expect("a u64::MAX visit budget outlasts any query that fits in memory")
     }
 
-    /// [`evaluate`](Self::evaluate) under a visit budget shared across the
+    /// The index→validate loop, under a visit budget shared across the
     /// index-graph phase and every validation walk.
     ///
-    /// While the budget covers the query's cost, the outcome is identical to
-    /// the unbounded path (matches, cost *and* validated flag). Once the
-    /// budget runs out the query aborts with a typed [`QueryAborted`] —
+    /// While the budget covers the query's cost, the outcome (matches, cost
+    /// *and* validated flag) equals [`crate::eval_oracle::evaluate`]. Once
+    /// the budget runs out the query aborts with a typed [`QueryAborted`] —
     /// partial results are discarded, never returned, because a truncated
     /// match set would be silently wrong. Memoized validation verdicts
-    /// replay against the budget at their stored visit count, so bounded and
-    /// unbounded evaluation stay cost-identical; verdicts are stored only
-    /// for *completed* validations, so an aborted query never poisons the
-    /// memo.
+    /// replay against the budget at their stored visit count, so a replayed
+    /// query costs what the first run cost; verdicts are stored only for
+    /// *completed* validations, so an aborted query never poisons the memo.
     pub fn evaluate_bounded(
         &mut self,
         expr: &PathExpr,
@@ -246,6 +161,8 @@ impl<'a> IndexEvaluator<'a> {
             }
         };
 
+        // Path length in edges (paper's "length m" for l1...l_{m+1}); an
+        // unbounded expression (contains *) can never be certified sound.
         let required = expr.max_word_len().map(|labels| labels.saturating_sub(1));
 
         let mut matches: Vec<NodeId> = Vec::new();
@@ -254,6 +171,11 @@ impl<'a> IndexEvaluator<'a> {
             data_visits: 0,
         };
         let mut validated = false;
+        // Tallied locally and recorded with the rest of `eval.*` on
+        // completion, so an aborted query leaves no partial counts behind.
+        let mut sound_extents = 0u64;
+        let mut memo_hits = 0u64;
+        // Compile against the data interner lazily — only if we validate.
         let mut reversed: Option<Nfa> = None;
         let mut query_id: Option<u32> = None;
 
@@ -263,7 +185,7 @@ impl<'a> IndexEvaluator<'a> {
                 None => false,
             };
             if sound {
-                telemetry::metrics::EVAL_SOUND_EXTENTS.incr();
+                sound_extents += 1;
                 matches.extend_from_slice(self.index.extent(inode));
                 continue;
             }
@@ -273,10 +195,11 @@ impl<'a> IndexEvaluator<'a> {
                 *self.query_ids.entry(expr.to_string()).or_insert(next)
             });
             if let Some((hits, visits)) = self.validation_memo.get(&(qid, inode)) {
+                // Replay: identical hits AND identical charged visits.
                 if !remaining.try_charge_many(*visits) {
                     return Err(abort(cost));
                 }
-                telemetry::metrics::EVAL_MEMO_HITS.incr();
+                memo_hits += 1;
                 cost.data_visits += visits;
                 matches.extend_from_slice(hits);
                 continue;
@@ -315,6 +238,8 @@ impl<'a> IndexEvaluator<'a> {
         telemetry::metrics::EVAL_QUERIES.incr();
         telemetry::metrics::EVAL_INDEX_VISITS.add(cost.index_visits);
         telemetry::metrics::EVAL_DATA_VISITS.add(cost.data_visits);
+        telemetry::metrics::EVAL_SOUND_EXTENTS.add(sound_extents);
+        telemetry::metrics::EVAL_MEMO_HITS.add(memo_hits);
         if validated {
             telemetry::metrics::EVAL_VALIDATED_QUERIES.incr();
         }
@@ -326,53 +251,6 @@ impl<'a> IndexEvaluator<'a> {
             cost,
             validated,
         })
-    }
-
-    /// The pre-arena reference implementation: fresh allocations per query,
-    /// no memoization. Kept for equivalence property tests and the
-    /// before/after benchmark; `matches`, `cost` and `validated` must stay
-    /// byte-identical to [`evaluate`](Self::evaluate).
-    pub fn evaluate_baseline(&self, expr: &PathExpr) -> IndexEvalOutcome {
-        let nfa = Nfa::compile(expr, self.index.labels());
-        let on_index = evaluate_baseline(self.index, &nfa, &self.index_labels);
-
-        let required = expr.max_word_len().map(|labels| labels.saturating_sub(1));
-
-        let mut matches: Vec<NodeId> = Vec::new();
-        let mut cost = QueryCost {
-            index_visits: on_index.visited,
-            data_visits: 0,
-        };
-        let mut validated = false;
-        let mut reversed: Option<Nfa> = None;
-
-        for inode in on_index.matches {
-            let sound = match required {
-                Some(m) => self.index.similarity(inode) >= m,
-                None => false,
-            };
-            if sound {
-                matches.extend_from_slice(self.index.extent(inode));
-            } else {
-                validated = true;
-                let rev = reversed
-                    .get_or_insert_with(|| Nfa::compile(expr, self.data.labels()).reverse());
-                for &candidate in self.index.extent(inode) {
-                    let (hit, visited) = matches_ending_at_baseline(self.data, rev, candidate);
-                    cost.data_visits += visited;
-                    if hit {
-                        matches.push(candidate);
-                    }
-                }
-            }
-        }
-        matches.sort_unstable();
-        matches.dedup();
-        IndexEvalOutcome {
-            matches,
-            cost,
-            validated,
-        }
     }
 
     /// Evaluate a whole workload, returning per-query outcomes.
@@ -449,6 +327,7 @@ pub fn evaluate_workload_parallel(
 mod tests {
     use super::*;
     use crate::dk::construct::DkIndex;
+    use crate::eval_oracle;
     use crate::requirements::Requirements;
     use dkindex_graph::EdgeKind;
     use dkindex_pathexpr::parse;
@@ -598,11 +477,18 @@ mod tests {
         }
     }
 
+    /// The one index→validate loop against the oracle, at every budget:
+    /// each `limit` below the oracle's total cost aborts having charged
+    /// exactly `limit`, and `limit == cost` reproduces the oracle's outcome
+    /// (matches, both visit counts, validated flag). A second, long-lived
+    /// evaluator takes every abort too and must still answer exactly
+    /// afterwards: an aborted query never poisons the validation memo.
     #[test]
-    fn bounded_evaluation_with_ample_budget_matches_unbounded() {
+    fn budget_sweep_matches_the_oracle() {
         let data = movie_data();
         for k in [0, 2] {
             let dk = DkIndex::build(&data, Requirements::uniform(k));
+            let labels = LabelIndex::build(dk.index());
             for expr in [
                 "movie.title",
                 "director.movie.title",
@@ -611,37 +497,25 @@ mod tests {
                 "ghost.label",
             ] {
                 let e = parse(expr).unwrap();
-                let plain = IndexEvaluator::new(dk.index(), &data).evaluate(&e);
-                let bounded = IndexEvaluator::new(dk.index(), &data)
-                    .evaluate_bounded(&e, u64::MAX)
-                    .expect("ample budget never aborts");
-                assert_eq!(plain, bounded, "expr {expr} k {k}");
+                let want = eval_oracle::evaluate(dk.index(), &data, &labels, &e);
+                let total = want.cost.total();
+                let mut survivor = IndexEvaluator::new(dk.index(), &data);
+                for limit in 0..total {
+                    let aborted = IndexEvaluator::new(dk.index(), &data)
+                        .evaluate_bounded(&e, limit)
+                        .expect_err("a budget below the query's cost must abort");
+                    assert_eq!(aborted.budget, limit, "expr {expr} k {k}");
+                    assert_eq!(aborted.cost.total(), limit, "expr {expr} k {k}");
+                    survivor
+                        .evaluate_bounded(&e, limit)
+                        .expect_err("memo replays are charged, so the abort repeats");
+                }
+                let exact = IndexEvaluator::new(dk.index(), &data).evaluate_bounded(&e, total);
+                assert_eq!(exact.as_ref(), Ok(&want), "expr {expr} k {k}");
+                assert_eq!(survivor.evaluate_bounded(&e, total), exact, "expr {expr} k {k}");
+                assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
             }
         }
-    }
-
-    #[test]
-    fn bounded_evaluation_aborts_below_query_cost() {
-        let data = movie_data();
-        let dk = DkIndex::build(&data, Requirements::new()); // A(0): validates
-        let e = parse("director.movie.title").unwrap();
-        let full = IndexEvaluator::new(dk.index(), &data).evaluate(&e);
-        assert!(full.validated);
-        let total = full.cost.total();
-        assert!(total > 0);
-        // Every insufficient budget aborts with a typed error; the exact
-        // budget succeeds and reproduces the unbounded outcome.
-        for limit in [0, 1, total / 2, total - 1] {
-            let aborted = IndexEvaluator::new(dk.index(), &data)
-                .evaluate_bounded(&e, limit)
-                .expect_err("insufficient budget must abort");
-            assert_eq!(aborted.budget, limit);
-            assert!(aborted.cost.total() <= limit);
-        }
-        let ok = IndexEvaluator::new(dk.index(), &data)
-            .evaluate_bounded(&e, total)
-            .expect("exact budget suffices");
-        assert_eq!(ok, full);
     }
 
     #[test]

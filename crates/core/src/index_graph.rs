@@ -41,8 +41,6 @@ pub struct IndexGraph {
     interner: Arc<LabelInterner>,
     root: NodeId,
     edge_count: usize,
-    /// Bumped on every mutation; lets caches detect staleness.
-    version: u64,
 }
 
 impl IndexGraph {
@@ -70,7 +68,6 @@ impl IndexGraph {
             node_to_index,
             interner: g.labels_shared(),
             edge_count: 0,
-            version: 0,
         };
         for &(from, to, _) in g.edges() {
             let (fi, ti) = (index.index_of(from), index.index_of(to));
@@ -118,7 +115,6 @@ impl IndexGraph {
             node_to_index,
             interner: Arc::clone(&base.interner),
             edge_count: 0,
-            version: 0,
         };
         // Edges: project base's edges through the partition.
         for from in base.node_ids() {
@@ -163,7 +159,6 @@ impl IndexGraph {
             interner: Arc::new(interner),
             root: NodeId::from_index(0),
             edge_count: 0,
-            version: 0,
         }
     }
 
@@ -226,13 +221,11 @@ impl IndexGraph {
     }
 
     /// Set the local similarity of `inode`. Writing the value already stored
-    /// is a true no-op, so it neither bumps the version nor unshares the
-    /// block from older epochs.
+    /// is a true no-op, so it does not unshare the block from older epochs.
     #[inline]
     pub fn set_similarity(&mut self, inode: NodeId, k: usize) {
         if self.block(inode).similarity != k {
             self.block_mut(inode).similarity = k;
-            self.version += 1;
         }
     }
 
@@ -250,14 +243,6 @@ impl IndexGraph {
     /// the per-block probe behind the sharing regression tests.
     pub fn block_ptr_eq(&self, prev: &IndexGraph, inode: NodeId) -> bool {
         self.blocks.ptr_eq_at(&prev.blocks, inode.index())
-    }
-
-    /// Monotone mutation counter: two equal versions of the same index
-    /// guarantee identical structure and similarities, so cached query
-    /// results remain valid exactly while the version is unchanged.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Approximate resident size in bytes (adjacency + extents + tables);
@@ -290,7 +275,6 @@ impl IndexGraph {
         self.block_mut(from).children.push(to);
         self.block_mut(to).parents.push(from);
         self.edge_count += 1;
-        self.version += 1;
         true
     }
 
@@ -314,7 +298,6 @@ impl IndexGraph {
         // copy the block.
         if let Err(pos) = self.block(inode).extent.binary_search(&data_node) {
             self.block_mut(inode).extent.insert(pos, data_node);
-            self.version += 1;
         }
     }
 
@@ -330,7 +313,6 @@ impl IndexGraph {
             }
         }
         self.blocks.push(Block::new(label, extent, similarity));
-        self.version += 1;
         id
     }
 
@@ -372,7 +354,6 @@ impl IndexGraph {
             target_block.extent = kept;
             target_block.similarity = new_similarity;
         }
-        self.version += 1;
 
         let label = self.block(target).label;
         let new_node = self.push_node(label, moved_members, new_similarity);

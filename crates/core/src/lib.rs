@@ -53,6 +53,7 @@ pub mod crc32;
 pub mod dataguide;
 pub mod dk;
 pub mod eval;
+pub mod eval_oracle;
 pub mod fbindex;
 pub mod index_graph;
 pub mod index_stats;
@@ -61,7 +62,6 @@ pub mod label_split;
 pub mod load_monitor;
 pub mod mining;
 pub mod one_index;
-pub mod prepared;
 pub mod requirements;
 pub mod serve;
 pub mod serve_ops;
@@ -84,7 +84,6 @@ pub use label_split::label_split_index;
 pub use load_monitor::{LoadMonitor, LoadWindow};
 pub use mining::{mine_requirements, mine_requirements_weighted};
 pub use one_index::OneIndex;
-pub use prepared::{CachedEvaluator, PreparedQuery};
 pub use requirements::Requirements;
 pub use serve::{
     DkServer, DurableAck, Epoch, MaintenanceGate, ServeConfig, ServeError, ServeHandle, Submitter,

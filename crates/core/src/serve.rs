@@ -57,7 +57,7 @@
 //! `serve.publish_ns` span.
 
 use crate::dk::construct::DkIndex;
-use crate::eval::{IndexEvalOutcome, IndexEvaluator};
+use crate::eval::{IndexEvalOutcome, IndexEvaluator, QueryAborted};
 use crate::load_monitor::{LoadMonitor, LoadWindow};
 use crate::mining::mine_requirements_weighted;
 use crate::requirements::Requirements;
@@ -68,6 +68,7 @@ use dkindex_graph::DataGraph;
 use dkindex_pathexpr::PathExpr;
 use dkindex_telemetry as telemetry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -256,49 +257,21 @@ impl Epoch {
         &self.data
     }
 
-    /// Evaluate `query` against this epoch, consulting the per-epoch memo
-    /// first. Exact with respect to this epoch's data graph. A poisoned memo
-    /// lock is recovered: the memo only ever holds fully-inserted answers,
-    /// so the map stays valid even if another reader panicked mid-query.
+    /// The one memo probe / miss / insert sequence both entry points share.
+    /// A hit is one refcount bump; a miss runs `miss` on a fresh evaluator
+    /// for this epoch and memoizes only a *successful* outcome, paying
+    /// exactly one clone (the query key) — the outcome itself is never
+    /// deep-copied. A failed miss is neither memoized nor observed: it
+    /// answered nothing, so it is no evidence of served load.
     ///
-    /// The memo stores `Arc<IndexEvalOutcome>`, so a hit is one refcount
-    /// bump and the miss path pays exactly one clone (the query key for the
-    /// memo entry) — the outcome itself is never deep-copied.
-    pub fn evaluate(&self, query: &PathExpr) -> Arc<IndexEvalOutcome> {
-        telemetry::metrics::SERVE_QUERIES.incr();
-        if let Some(hit) = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(query)
-            .map(Arc::clone)
-        {
-            telemetry::metrics::SERVE_CACHE_HITS.incr();
-            self.observe(query, hit.validated, true);
-            return hit;
-        }
-        telemetry::metrics::SERVE_CACHE_MISSES.incr();
-        let out = Arc::new(IndexEvaluator::new(self.dk.index(), &self.data).evaluate(query));
-        self.observe(query, out.validated, false);
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(query.clone(), Arc::clone(&out));
-        out
-    }
-
-    /// Budget-bounded variant of [`Epoch::evaluate`] for per-request
-    /// admission control: a memo hit is served for free (the work was
-    /// already paid for under an earlier request's budget — replaying the
-    /// stored answer costs no graph visits), a miss runs
-    /// [`IndexEvaluator::evaluate_bounded`] under `budget` and only a
-    /// *successful* outcome is memoized, so an aborted probe can never
-    /// poison the cache with a partial answer.
-    pub fn evaluate_bounded(
+    /// A poisoned memo lock is recovered: the memo only ever holds
+    /// fully-inserted answers, so the map stays valid even if another
+    /// reader panicked mid-query.
+    fn memoized<E>(
         &self,
         query: &PathExpr,
-        budget: u64,
-    ) -> Result<Arc<IndexEvalOutcome>, crate::eval::QueryAborted> {
+        miss: impl FnOnce(&mut IndexEvaluator<'_>) -> Result<IndexEvalOutcome, E>,
+    ) -> Result<Arc<IndexEvalOutcome>, E> {
         telemetry::metrics::SERVE_QUERIES.incr();
         if let Some(hit) = self
             .memo
@@ -312,17 +285,36 @@ impl Epoch {
             return Ok(hit);
         }
         telemetry::metrics::SERVE_CACHE_MISSES.incr();
-        // An aborted probe is not recorded either: it answered nothing, so
-        // it is no evidence of served load (and its outcome is unknown).
-        let out = Arc::new(
-            IndexEvaluator::new(self.dk.index(), &self.data).evaluate_bounded(query, budget)?,
-        );
+        let out = Arc::new(miss(&mut IndexEvaluator::new(self.dk.index(), &self.data))?);
         self.observe(query, out.validated, false);
         self.memo
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(query.clone(), Arc::clone(&out));
         Ok(out)
+    }
+
+    /// Evaluate `query` against this epoch, consulting the per-epoch memo
+    /// first. Exact with respect to this epoch's data graph.
+    pub fn evaluate(&self, query: &PathExpr) -> Arc<IndexEvalOutcome> {
+        match self.memoized(query, |evaluator| Ok::<_, Infallible>(evaluator.evaluate(query))) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Budget-bounded variant of [`Epoch::evaluate`] for per-request
+    /// admission control: a memo hit is served for free (the work was
+    /// already paid for under an earlier request's budget — replaying the
+    /// stored answer costs no graph visits), a miss runs
+    /// [`IndexEvaluator::evaluate_bounded`] under `budget`, and an aborted
+    /// probe can never poison the cache with a partial answer.
+    pub fn evaluate_bounded(
+        &self,
+        query: &PathExpr,
+        budget: u64,
+    ) -> Result<Arc<IndexEvalOutcome>, QueryAborted> {
+        self.memoized(query, |evaluator| evaluator.evaluate_bounded(query, budget))
     }
 }
 

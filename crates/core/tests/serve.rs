@@ -204,7 +204,9 @@ fn racing_readers_always_see_a_consistent_epoch() {
 
 /// The per-epoch memo returns the identical outcome for a repeated query and
 /// is dropped wholesale on publish (fresh epoch → fresh memo), so an update
-/// can never leak a stale cached answer.
+/// can never leak a stale cached answer. Both entry points share it: an
+/// aborted bounded probe memoizes nothing, and a hit is free — it is served
+/// as the same `Arc` even under a budget of zero.
 #[test]
 fn epoch_memo_is_dropped_on_publish() {
     let (g, dk, _) = serve_fixture();
@@ -220,9 +222,12 @@ fn epoch_memo_is_dropped_on_publish() {
     let q = parse("l1.l2").unwrap();
 
     let e0 = server.handle().epoch();
+    for _ in 0..2 {
+        e0.evaluate_bounded(&q, 0).expect_err("no budget, no answer — and no memo entry");
+    }
     let first = e0.evaluate(&q);
-    let memoized = e0.evaluate(&q);
-    assert_eq!(first, memoized, "same epoch must replay the memoized outcome");
+    let memoized = e0.evaluate_bounded(&q, 0).expect("a memo hit costs no visits");
+    assert!(std::sync::Arc::ptr_eq(&first, &memoized), "same epoch must replay the memo");
 
     // A structural update that changes the answer of `q` on the new epoch.
     let l1 = evaluate_on_data(e0.data(), &parse("l1").unwrap()).0;

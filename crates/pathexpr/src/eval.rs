@@ -58,11 +58,10 @@ pub struct EvalOutcome {
     pub visited: u64,
 }
 
-/// Reusable scratch state for [`evaluate_with`] and
-/// [`matches_ending_at_with`]: epoch-stamped `(state, node)` activation
-/// marks, the matched set, the product-BFS queue, and the start-closure
-/// buffer. After warm-up, a batch of queries sharing one arena performs zero
-/// steady-state allocation.
+/// Reusable scratch state for [`evaluate_bounded_with`] and
+/// [`matches_ending_at_bounded_with`]: epoch-stamped `(state, node)` activation
+/// marks, the matched set and the product-BFS queue. After warm-up, a batch of
+/// queries sharing one arena performs zero steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     active: Marks,
@@ -76,181 +75,6 @@ impl EvalArena {
     pub fn new() -> Self {
         EvalArena::default()
     }
-}
-
-/// Evaluate `nfa` over `g` with partial-match semantics.
-///
-/// `label_index` must have been built from the same graph. Allocates scratch
-/// per call; batches should prefer [`evaluate_with`] and a shared arena.
-pub fn evaluate<G: LabeledGraph>(g: &G, nfa: &Nfa, label_index: &LabelIndex) -> EvalOutcome {
-    evaluate_with(g, nfa, label_index, &mut EvalArena::new())
-}
-
-/// [`evaluate`] with caller-owned scratch: identical matches and visit
-/// counts, no steady-state allocation across a batch of queries.
-pub fn evaluate_with<G: LabeledGraph>(
-    g: &G,
-    nfa: &Nfa,
-    label_index: &LabelIndex,
-    arena: &mut EvalArena,
-) -> EvalOutcome {
-    let states = nfa.state_count();
-    let nodes = g.node_count();
-
-    // active slot s * nodes + n: pair (s, n) already activated. `s` here is
-    // the post-consumption state *before* ε-closure; dedup on that pair
-    // bounds the work per node by the number of consuming transitions.
-    let EvalArena {
-        active,
-        matched,
-        matched_list,
-        queue,
-        ..
-    } = arena;
-    active.reset(states * nodes);
-    matched.reset(nodes);
-    matched_list.clear();
-    queue.clear();
-    let mut visited: u64 = 0;
-
-    let activate = |state: StateId,
-                        node: NodeId,
-                        active: &mut Marks,
-                        matched: &mut Marks,
-                        matched_list: &mut Vec<NodeId>,
-                        queue: &mut Vec<(StateId, NodeId)>,
-                        visited: &mut u64| {
-        if !active.mark(state.index() * nodes + node.index()) {
-            return;
-        }
-        *visited += 1;
-        if nfa.is_accepting(state) && matched.mark(node.index()) {
-            matched_list.push(node);
-        }
-        queue.push((state, node));
-    };
-
-    // Seed: consuming transitions reachable from the ε-closure of start.
-    // `closure_steps_of(start)` is that closure's transitions precomputed in
-    // ascending-state order — the same sequence the baseline's boolean-set
-    // scan visits.
-    for &(step, target) in nfa.closure_steps_of(nfa.start()) {
-        match step {
-            Step::Label(l) => {
-                for &n in label_index.nodes_with(l) {
-                    activate(target, n, active, matched, matched_list, queue, &mut visited);
-                }
-            }
-            Step::Any => {
-                for n in label_index.all_nodes() {
-                    activate(target, n, active, matched, matched_list, queue, &mut visited);
-                }
-            }
-        }
-    }
-
-    // Product BFS: from (q, n), extend the node path by one child. The
-    // flattened closure-steps slice yields the same (step, target) sequence
-    // as the nested closure × steps loop, so activation order — and with it
-    // the visit count — is unchanged.
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, node) = queue[head];
-        head += 1;
-        let children = g.children_of(node);
-        for &(step, target) in nfa.closure_steps_of(state) {
-            for &child in children {
-                if step.matches(g.label_of(child)) {
-                    activate(
-                        target,
-                        child,
-                        active,
-                        matched,
-                        matched_list,
-                        queue,
-                        &mut visited,
-                    );
-                }
-            }
-        }
-    }
-
-    telemetry::metrics::PATHEXPR_EVALUATIONS.incr();
-    telemetry::metrics::PATHEXPR_ACTIVATIONS.add(visited);
-    telemetry::metrics::PATHEXPR_VISITS_PER_EVAL.record(visited);
-
-    let mut matches = std::mem::take(matched_list);
-    matches.sort_unstable();
-    EvalOutcome { matches, visited }
-}
-
-/// Does some node path ending at `node` match a word of `nfa`'s language?
-/// Used by the validation process: `reversed` must be `nfa.reverse()`.
-///
-/// Walks backward along parent edges, consuming labels in reverse, and stops
-/// at the first witness. Returns the verdict and the number of
-/// `(state, node)` activations performed (charged as data-graph visits).
-pub fn matches_ending_at<G: LabeledGraph>(g: &G, reversed: &Nfa, node: NodeId) -> (bool, u64) {
-    matches_ending_at_with(g, reversed, node, &mut EvalArena::new())
-}
-
-/// [`matches_ending_at`] with caller-owned scratch: identical verdicts and
-/// visit counts, no steady-state allocation across a batch of candidates.
-pub fn matches_ending_at_with<G: LabeledGraph>(
-    g: &G,
-    reversed: &Nfa,
-    node: NodeId,
-    arena: &mut EvalArena,
-) -> (bool, u64) {
-    // Aggregate recording at every exit; the walk itself is untouched.
-    fn finish(hit: bool, visited: u64) -> (bool, u64) {
-        telemetry::metrics::PATHEXPR_VALIDATION_WALKS.incr();
-        telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(visited);
-        (hit, visited)
-    }
-
-    let states = reversed.state_count();
-    let nodes = g.node_count();
-
-    let EvalArena { active, queue, .. } = arena;
-    active.reset(states * nodes);
-    queue.clear();
-    let mut visited: u64 = 0;
-
-    // Seed: consume `node`'s own label from the reversed start, using the
-    // precomputed start-closure transitions (same sequence the baseline's
-    // boolean-set scan visits).
-    let node_label = g.label_of(node);
-    for &(step, target) in reversed.closure_steps_of(reversed.start()) {
-        if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
-            visited += 1;
-            if reversed.is_accepting(target) {
-                return finish(true, visited);
-            }
-            queue.push((target, node));
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, n) = queue[head];
-        head += 1;
-        let parents = g.parents_of(n);
-        for &(step, target) in reversed.closure_steps_of(state) {
-            for &parent in parents {
-                if step.matches(g.label_of(parent))
-                    && active.mark(target.index() * nodes + parent.index())
-                {
-                    visited += 1;
-                    if reversed.is_accepting(target) {
-                        return finish(true, visited);
-                    }
-                    queue.push((target, parent));
-                }
-            }
-        }
-    }
-    finish(false, visited)
 }
 
 /// A cap on `(state, node)` activations shared across the phases of one
@@ -271,8 +95,8 @@ impl VisitBudget {
         VisitBudget { remaining: limit }
     }
 
-    /// A budget that never exhausts (bounded evaluation then behaves
-    /// identically to the unbounded evaluators).
+    /// A budget no walk that fits in memory can exhaust — what the
+    /// unbudgeted wrappers [`evaluate`] and [`matches_ending_at`] pass.
     pub fn unlimited() -> Self {
         VisitBudget { remaining: u64::MAX }
     }
@@ -320,9 +144,46 @@ impl std::fmt::Display for BudgetExhausted {
 
 impl std::error::Error for BudgetExhausted {}
 
-/// [`evaluate_with`] under a [`VisitBudget`]: identical matches and visit
-/// counts while the budget holds, a typed [`BudgetExhausted`] once it
-/// doesn't. The budget is `&mut` so validation walks can share it.
+/// Evaluate `nfa` over `g` with partial-match semantics.
+///
+/// `label_index` must have been built from the same graph. Allocates scratch
+/// per call and never aborts; batches and budgeted callers use
+/// [`evaluate_bounded_with`] with a shared arena.
+pub fn evaluate<G: LabeledGraph>(g: &G, nfa: &Nfa, label_index: &LabelIndex) -> EvalOutcome {
+    evaluate_bounded_with(
+        g,
+        nfa,
+        label_index,
+        &mut EvalArena::new(),
+        &mut VisitBudget::unlimited(),
+    )
+    .expect("an unlimited visit budget outlasts any walk that fits in memory")
+}
+
+/// Does some node path ending at `node` match a word of `nfa`'s language?
+/// Used by the validation process: `reversed` must be `nfa.reverse()`.
+///
+/// Returns the verdict and the number of `(state, node)` activations
+/// performed (charged as data-graph visits). Allocates scratch per call and
+/// never aborts; see [`matches_ending_at_bounded_with`].
+pub fn matches_ending_at<G: LabeledGraph>(g: &G, reversed: &Nfa, node: NodeId) -> (bool, u64) {
+    matches_ending_at_bounded_with(
+        g,
+        reversed,
+        node,
+        &mut EvalArena::new(),
+        &mut VisitBudget::unlimited(),
+    )
+    .expect("an unlimited visit budget outlasts any walk that fits in memory")
+}
+
+/// The forward product BFS: evaluate `nfa` over `g` with caller-owned
+/// scratch under a [`VisitBudget`]. Returns the matches and visit count
+/// while the budget holds and a typed [`BudgetExhausted`] once it doesn't.
+/// The budget is `&mut` so validation walks can share it.
+///
+/// The `pathexpr.*` telemetry counts work done, so an aborted walk records
+/// its charged activations exactly like a completed one.
 pub fn evaluate_bounded_with<G: LabeledGraph>(
     g: &G,
     nfa: &Nfa,
@@ -333,12 +194,14 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     let states = nfa.state_count();
     let nodes = g.node_count();
 
+    // active slot s * nodes + n: pair (s, n) already activated. `s` here is
+    // the post-consumption state *before* ε-closure; dedup on that pair
+    // bounds the work per node by the number of consuming transitions.
     let EvalArena {
         active,
         matched,
         matched_list,
         queue,
-        ..
     } = arena;
     active.reset(states * nodes);
     matched.reset(nodes);
@@ -346,24 +209,15 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     queue.clear();
     let mut visited: u64 = 0;
 
-    // Same activation discipline as `evaluate_with`, plus the budget charge.
     // Returns false exactly when the budget ran out.
-    let activate = |state: StateId,
-                        node: NodeId,
-                        active: &mut Marks,
-                        matched: &mut Marks,
-                        matched_list: &mut Vec<NodeId>,
-                        queue: &mut Vec<(StateId, NodeId)>,
-                        visited: &mut u64,
-                        budget: &mut VisitBudget|
-     -> bool {
+    let mut activate = |state: StateId, node: NodeId, queue: &mut Vec<(StateId, NodeId)>| -> bool {
         if !active.mark(state.index() * nodes + node.index()) {
             return true;
         }
         if !budget.try_charge() {
             return false;
         }
-        *visited += 1;
+        visited += 1;
         if nfa.is_accepting(state) && matched.mark(node.index()) {
             matched_list.push(node);
         }
@@ -371,53 +225,69 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
         true
     };
 
-    for &(step, target) in nfa.closure_steps_of(nfa.start()) {
-        match step {
-            Step::Label(l) => {
-                for &n in label_index.nodes_with(l) {
-                    if !activate(target, n, active, matched, matched_list, queue, &mut visited, budget) {
-                        return Err(BudgetExhausted { visited });
+    let completed = 'walk: {
+        // Seed: consuming transitions reachable from the ε-closure of start.
+        // `closure_steps_of(start)` is that closure's transitions precomputed
+        // in ascending-state order — the same sequence the oracle's
+        // boolean-set scan visits.
+        for &(step, target) in nfa.closure_steps_of(nfa.start()) {
+            match step {
+                Step::Label(l) => {
+                    for &n in label_index.nodes_with(l) {
+                        if !activate(target, n, queue) {
+                            break 'walk false;
+                        }
                     }
                 }
-            }
-            Step::Any => {
-                for n in label_index.all_nodes() {
-                    if !activate(target, n, active, matched, matched_list, queue, &mut visited, budget) {
-                        return Err(BudgetExhausted { visited });
+                Step::Any => {
+                    for n in label_index.all_nodes() {
+                        if !activate(target, n, queue) {
+                            break 'walk false;
+                        }
                     }
                 }
             }
         }
-    }
 
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, node) = queue[head];
-        head += 1;
-        let children = g.children_of(node);
-        for &(step, target) in nfa.closure_steps_of(state) {
-            for &child in children {
-                if step.matches(g.label_of(child))
-                    && !activate(target, child, active, matched, matched_list, queue, &mut visited, budget)
-                {
-                    return Err(BudgetExhausted { visited });
+        // Product BFS: from (q, n), extend the node path by one child. The
+        // flattened closure-steps slice yields the same (step, target)
+        // sequence as the oracle's nested closure × steps loop, so activation
+        // order — and with it the visit count — is identical.
+        let mut head = 0;
+        while head < queue.len() {
+            let (state, node) = queue[head];
+            head += 1;
+            let children = g.children_of(node);
+            for &(step, target) in nfa.closure_steps_of(state) {
+                for &child in children {
+                    if step.matches(g.label_of(child)) && !activate(target, child, queue) {
+                        break 'walk false;
+                    }
                 }
             }
         }
-    }
+        true
+    };
 
     telemetry::metrics::PATHEXPR_EVALUATIONS.incr();
     telemetry::metrics::PATHEXPR_ACTIVATIONS.add(visited);
     telemetry::metrics::PATHEXPR_VISITS_PER_EVAL.record(visited);
 
+    if !completed {
+        return Err(BudgetExhausted { visited });
+    }
     let mut matches = std::mem::take(matched_list);
     matches.sort_unstable();
     Ok(EvalOutcome { matches, visited })
 }
 
-/// [`matches_ending_at_with`] under a [`VisitBudget`]: identical verdicts
-/// and visit counts while the budget holds, [`BudgetExhausted`] once it
-/// doesn't.
+/// The backward validation walk: [`matches_ending_at`] with caller-owned
+/// scratch under a [`VisitBudget`]. Walks along parent edges, consuming
+/// labels in reverse, and stops at the first witness; [`BudgetExhausted`]
+/// once the budget cannot cover the next activation.
+///
+/// Like the forward walk, an aborted walk records the activations it was
+/// charged for.
 pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     g: &G,
     reversed: &Nfa,
@@ -425,12 +295,6 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     arena: &mut EvalArena,
     budget: &mut VisitBudget,
 ) -> Result<(bool, u64), BudgetExhausted> {
-    fn finish(hit: bool, visited: u64) -> Result<(bool, u64), BudgetExhausted> {
-        telemetry::metrics::PATHEXPR_VALIDATION_WALKS.incr();
-        telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(visited);
-        Ok((hit, visited))
-    }
-
     let states = reversed.state_count();
     let nodes = g.node_count();
 
@@ -439,195 +303,63 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     queue.clear();
     let mut visited: u64 = 0;
 
-    let node_label = g.label_of(node);
-    for &(step, target) in reversed.closure_steps_of(reversed.start()) {
-        if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
-            if !budget.try_charge() {
-                return Err(BudgetExhausted { visited });
-            }
-            visited += 1;
-            if reversed.is_accepting(target) {
-                return finish(true, visited);
-            }
-            queue.push((target, node));
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, n) = queue[head];
-        head += 1;
-        let parents = g.parents_of(n);
-        for &(step, target) in reversed.closure_steps_of(state) {
-            for &parent in parents {
-                if step.matches(g.label_of(parent))
-                    && active.mark(target.index() * nodes + parent.index())
-                {
-                    if !budget.try_charge() {
-                        return Err(BudgetExhausted { visited });
-                    }
-                    visited += 1;
-                    if reversed.is_accepting(target) {
-                        return finish(true, visited);
-                    }
-                    queue.push((target, parent));
+    // `None` exactly when the budget ran out.
+    let verdict: Option<bool> = 'walk: {
+        // Seed: consume `node`'s own label from the reversed start, using
+        // the precomputed start-closure transitions (same sequence the
+        // oracle's boolean-set scan visits).
+        let node_label = g.label_of(node);
+        for &(step, target) in reversed.closure_steps_of(reversed.start()) {
+            if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
+                if !budget.try_charge() {
+                    break 'walk None;
                 }
-            }
-        }
-    }
-    finish(false, visited)
-}
-
-/// The pre-arena reference implementation of [`evaluate`]: allocates fresh
-/// scratch per call. Kept for the equivalence property tests and the
-/// before/after benchmark comparison; behaviour (matches *and* visit counts)
-/// must stay byte-identical to [`evaluate_with`].
-pub fn evaluate_baseline<G: LabeledGraph>(
-    g: &G,
-    nfa: &Nfa,
-    label_index: &LabelIndex,
-) -> EvalOutcome {
-    let states = nfa.state_count();
-    let nodes = g.node_count();
-    let closures = nfa.closures();
-
-    let mut active = vec![false; states * nodes];
-    let mut matched = vec![false; nodes];
-    let mut visited: u64 = 0;
-    let mut queue: Vec<(StateId, NodeId)> = Vec::new();
-
-    let accept = nfa.accept();
-    let activate = |state: StateId,
-                        node: NodeId,
-                        active: &mut Vec<bool>,
-                        matched: &mut Vec<bool>,
-                        queue: &mut Vec<(StateId, NodeId)>,
-                        visited: &mut u64| {
-        let slot = state.index() * nodes + node.index();
-        if active[slot] {
-            return;
-        }
-        active[slot] = true;
-        *visited += 1;
-        if closures[state.index()].contains(&accept) {
-            matched[node.index()] = true;
-        }
-        queue.push((state, node));
-    };
-
-    let mut start_set = vec![false; states];
-    start_set[nfa.start().index()] = true;
-    nfa.eps_close(&mut start_set);
-    for (s, &on) in start_set.iter().enumerate() {
-        if !on {
-            continue;
-        }
-        for &(step, target) in nfa.steps_of(StateId::from_index(s)) {
-            match step {
-                Step::Label(l) => {
-                    for &n in label_index.nodes_with(l) {
-                        activate(target, n, &mut active, &mut matched, &mut queue, &mut visited);
-                    }
-                }
-                Step::Any => {
-                    for n in label_index.all_nodes() {
-                        activate(target, n, &mut active, &mut matched, &mut queue, &mut visited);
-                    }
-                }
-            }
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, node) = queue[head];
-        head += 1;
-        for &q in &closures[state.index()] {
-            for &(step, target) in nfa.steps_of(q) {
-                for &child in g.children_of(node) {
-                    if step.matches(g.label_of(child)) {
-                        activate(
-                            target,
-                            child,
-                            &mut active,
-                            &mut matched,
-                            &mut queue,
-                            &mut visited,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    let matches = matched
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m)
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect();
-    EvalOutcome { matches, visited }
-}
-
-/// The pre-arena reference implementation of [`matches_ending_at`]
-/// (`HashSet`-based dedup, fresh allocations per call). Kept for equivalence
-/// tests and the before/after benchmark comparison.
-pub fn matches_ending_at_baseline<G: LabeledGraph>(
-    g: &G,
-    reversed: &Nfa,
-    node: NodeId,
-) -> (bool, u64) {
-    let states = reversed.state_count();
-    let closures = reversed.closures();
-    let accept = reversed.accept();
-
-    let mut active: std::collections::HashSet<(StateId, NodeId)> = std::collections::HashSet::new();
-    let mut queue: Vec<(StateId, NodeId)> = Vec::new();
-    let mut visited: u64 = 0;
-
-    let mut start_set = vec![false; states];
-    start_set[reversed.start().index()] = true;
-    reversed.eps_close(&mut start_set);
-    let node_label = g.label_of(node);
-    for (s, &on) in start_set.iter().enumerate() {
-        if !on {
-            continue;
-        }
-        for &(step, target) in reversed.steps_of(StateId::from_index(s)) {
-            if step.matches(node_label) && active.insert((target, node)) {
                 visited += 1;
-                if closures[target.index()].contains(&accept) {
-                    return (true, visited);
+                if reversed.is_accepting(target) {
+                    break 'walk Some(true);
                 }
                 queue.push((target, node));
             }
         }
-    }
 
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, n) = queue[head];
-        head += 1;
-        for &q in &closures[state.index()] {
-            for &(step, target) in reversed.steps_of(q) {
-                for &parent in g.parents_of(n) {
-                    if step.matches(g.label_of(parent)) && active.insert((target, parent)) {
+        let mut head = 0;
+        while head < queue.len() {
+            let (state, n) = queue[head];
+            head += 1;
+            let parents = g.parents_of(n);
+            for &(step, target) in reversed.closure_steps_of(state) {
+                for &parent in parents {
+                    if step.matches(g.label_of(parent))
+                        && active.mark(target.index() * nodes + parent.index())
+                    {
+                        if !budget.try_charge() {
+                            break 'walk None;
+                        }
                         visited += 1;
-                        if closures[target.index()].contains(&accept) {
-                            return (true, visited);
+                        if reversed.is_accepting(target) {
+                            break 'walk Some(true);
                         }
                         queue.push((target, parent));
                     }
                 }
             }
         }
+        Some(false)
+    };
+
+    telemetry::metrics::PATHEXPR_VALIDATION_WALKS.incr();
+    telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(visited);
+
+    match verdict {
+        Some(hit) => Ok((hit, visited)),
+        None => Err(BudgetExhausted { visited }),
     }
-    (false, visited)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::parse::parse;
     use dkindex_graph::{DataGraph, EdgeKind};
 
@@ -770,12 +502,35 @@ mod tests {
         assert!(hit); // a -> a -> a -> a through the self loop
     }
 
+    /// Run `walk` under every budget up to the oracle's `cost`: each limit
+    /// below it aborts having charged exactly the limit, the exact cost
+    /// returns the oracle's `want`, and nothing is ever left over.
+    fn sweep<T: PartialEq + std::fmt::Debug + Clone>(
+        what: &str,
+        cost: u64,
+        want: T,
+        mut walk: impl FnMut(&mut VisitBudget) -> Result<T, BudgetExhausted>,
+    ) {
+        for limit in 0..=cost {
+            let mut budget = VisitBudget::new(limit);
+            let expect = if limit < cost {
+                Err(BudgetExhausted { visited: limit })
+            } else {
+                Ok(want.clone())
+            };
+            assert_eq!(walk(&mut budget), expect, "{what} limit {limit}");
+            assert_eq!(budget.remaining(), 0, "{what} limit {limit}");
+        }
+    }
+
+    /// The one forward walk and the one backward walk against the oracle, at
+    /// every budget. One arena serves queries of very different state/node
+    /// footprints, so reuse is covered too.
     #[test]
-    fn arena_reuse_is_byte_identical_to_baseline() {
+    fn budget_sweep_matches_the_oracle_forward_and_backward() {
         let (g, _) = movie_graph();
         let idx = LabelIndex::build(&g);
         let mut arena = EvalArena::new();
-        // One arena across queries of very different state/node footprints.
         for expr in [
             "movie.title",
             "director.movie.title",
@@ -783,88 +538,27 @@ mod tests {
             "ghost.label",
             "ROOT.(_)?.director",
             "a.(b|c)",
+            "_*.title",
             "movie.title", // repeat after the arena has been stretched
             "title",
         ] {
             let e = parse(expr).unwrap();
             let nfa = Nfa::compile(&e, g.labels());
-            let base = evaluate_baseline(&g, &nfa, &idx);
-            let fast = evaluate_with(&g, &nfa, &idx, &mut arena);
-            assert_eq!(base, fast, "expr {expr}");
+            let want = oracle::evaluate(&g, &nfa, &idx);
+            assert_eq!(evaluate(&g, &nfa, &idx), want, "expr {expr}");
+            sweep(expr, want.visited, want, |budget| {
+                evaluate_bounded_with(&g, &nfa, &idx, &mut arena, budget)
+            });
 
             let rev = nfa.reverse();
             for node in g.node_ids() {
-                assert_eq!(
-                    matches_ending_at_baseline(&g, &rev, node),
-                    matches_ending_at_with(&g, &rev, node, &mut arena),
-                    "expr {expr} node {node:?}"
-                );
+                let want = oracle::matches_ending_at(&g, &rev, node);
+                assert_eq!(matches_ending_at(&g, &rev, node), want, "expr {expr} node {node:?}");
+                sweep(&format!("{expr} at {node:?}"), want.1, want, |budget| {
+                    matches_ending_at_bounded_with(&g, &rev, node, &mut arena, budget)
+                });
             }
         }
-    }
-
-    #[test]
-    fn bounded_eval_with_ample_budget_is_identical() {
-        let (g, _) = movie_graph();
-        let idx = LabelIndex::build(&g);
-        let mut arena = EvalArena::new();
-        for expr in ["movie.title", "director.movie.title", "_._.title", "title"] {
-            let e = parse(expr).unwrap();
-            let nfa = Nfa::compile(&e, g.labels());
-            let free = evaluate_with(&g, &nfa, &idx, &mut arena);
-            let mut budget = VisitBudget::unlimited();
-            let bounded = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget)
-                .expect("unlimited budget never aborts");
-            assert_eq!(free, bounded, "expr {expr}");
-
-            let rev = nfa.reverse();
-            for node in g.node_ids() {
-                let plain = matches_ending_at_with(&g, &rev, node, &mut arena);
-                let mut budget = VisitBudget::unlimited();
-                let bounded =
-                    matches_ending_at_bounded_with(&g, &rev, node, &mut arena, &mut budget)
-                        .expect("unlimited budget never aborts");
-                assert_eq!(plain, bounded, "expr {expr} node {node:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_eval_aborts_at_every_budget_below_cost() {
-        let (g, _) = movie_graph();
-        let idx = LabelIndex::build(&g);
-        let mut arena = EvalArena::new();
-        let e = parse("director.movie.title").unwrap();
-        let nfa = Nfa::compile(&e, g.labels());
-        let full = evaluate_with(&g, &nfa, &idx, &mut arena);
-        assert!(full.visited > 0);
-        for limit in 0..full.visited {
-            let mut budget = VisitBudget::new(limit);
-            let err = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget)
-                .expect_err("budget below the query's cost must abort");
-            assert_eq!(err.visited, limit, "abort charges exactly the budget");
-            assert_eq!(budget.remaining(), 0);
-        }
-        // Exactly the query's cost suffices.
-        let mut budget = VisitBudget::new(full.visited);
-        let out = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget).unwrap();
-        assert_eq!(out, full);
-        assert_eq!(budget.remaining(), 0);
-    }
-
-    #[test]
-    fn bounded_backward_walk_aborts_with_tiny_budget() {
-        let (g, n) = movie_graph();
-        let e = parse("director.movie.title").unwrap();
-        let nfa = Nfa::compile(&e, g.labels());
-        let rev = nfa.reverse();
-        let mut arena = EvalArena::new();
-        let (hit, visited) = matches_ending_at_with(&g, &rev, n[2], &mut arena);
-        assert!(hit);
-        assert!(visited > 0);
-        let mut budget = VisitBudget::new(visited - 1);
-        matches_ending_at_bounded_with(&g, &rev, n[2], &mut arena, &mut budget)
-            .expect_err("insufficient budget must abort");
     }
 
     #[test]

@@ -9,10 +9,18 @@
 //! * [`parse()`](crate::parse::parse) — text syntax, e.g. `movieDB.(_)?.movie.actor.name`.
 //! * [`Nfa`] — Thompson compilation against a label interner, reversible for
 //!   backward validation walks.
-//! * [`evaluate`] / [`matches_ending_at`] — partial-match evaluation over any
-//!   [`dkindex_graph::LabeledGraph`] with the paper's node-visit cost model.
-//! * [`EvalArena`] + [`evaluate_with`] / [`matches_ending_at_with`] —
-//!   allocation-free batch evaluation with reusable epoch-stamped scratch.
+//! * [`evaluate_bounded_with`] / [`matches_ending_at_bounded_with`] — the one
+//!   forward product BFS and the one backward validation walk over any
+//!   [`dkindex_graph::LabeledGraph`], with the paper's node-visit cost model,
+//!   caller-owned [`EvalArena`] scratch (no steady-state allocation across a
+//!   batch) and a shared [`VisitBudget`] that aborts with a typed
+//!   [`BudgetExhausted`].
+//! * [`evaluate`] / [`matches_ending_at`] — the same walks with fresh scratch
+//!   and an unlimited budget, for one-off callers.
+//! * [`oracle`] — the independent allocator-per-call reference walks every
+//!   result above is checked against. Only tests and benchmarks call it, and
+//!   it shares no scratch, budget, closure table or telemetry with the walks
+//!   it certifies.
 //!
 //! ## Example
 //!
@@ -40,13 +48,13 @@
 pub mod ast;
 pub mod eval;
 pub mod nfa;
+pub mod oracle;
 pub mod parse;
 pub mod twig;
 
 pub use ast::{LastLabels, PathExpr};
 pub use eval::{
-    evaluate, evaluate_baseline, evaluate_bounded_with, evaluate_with, matches_ending_at,
-    matches_ending_at_baseline, matches_ending_at_bounded_with, matches_ending_at_with,
+    evaluate, evaluate_bounded_with, matches_ending_at, matches_ending_at_bounded_with,
     BudgetExhausted, EvalArena, EvalOutcome, LabelIndex, VisitBudget,
 };
 pub use nfa::{Nfa, StateId, Step};

@@ -11,14 +11,18 @@ use crate::{Counter, Histogram, Unit};
 
 // ---- dkindex-pathexpr: NFA evaluation and validation walks --------------
 
-/// Forward NFA evaluations performed (`evaluate_with`).
+/// Forward NFA walks started (`evaluate_bounded_with`), budget aborts
+/// included: the `pathexpr.*` family counts work done, not queries answered.
 pub static PATHEXPR_EVALUATIONS: Counter = Counter::new("pathexpr.evaluations");
-/// Total `(state, node)` activations across forward evaluations — the
-/// paper's §6.1 "nodes visited" cost, summed.
+/// Total `(state, node)` activations across forward walks — the paper's
+/// §6.1 "nodes visited" cost, summed, including what aborted walks were
+/// charged before their budget ran out.
 pub static PATHEXPR_ACTIVATIONS: Counter = Counter::new("pathexpr.activations");
-/// Backward validation walks performed (`matches_ending_at_with`).
+/// Backward validation walks started (`matches_ending_at_bounded_with`),
+/// budget aborts included.
 pub static PATHEXPR_VALIDATION_WALKS: Counter = Counter::new("pathexpr.validation_walks");
-/// Total activations charged during backward validation walks.
+/// Total activations charged during backward validation walks, aborted
+/// ones included.
 pub static PATHEXPR_VALIDATION_ACTIVATIONS: Counter =
     Counter::new("pathexpr.validation_activations");
 /// Distribution of per-evaluation visit counts (forward evaluations).
@@ -45,7 +49,9 @@ pub static PARTITION_ROUND_NS: Histogram = Histogram::new("partition.round_ns", 
 
 // ---- dkindex-core: index-level query evaluation (§6.1) -------------------
 
-/// Queries evaluated through `IndexEvaluator::evaluate`.
+/// Queries completed by `IndexEvaluator::evaluate_bounded` (and `evaluate`,
+/// which calls it); the `eval.*` family counts answers, so an aborted query
+/// appears only in `eval.aborted_queries` (and the `eval.query_ns` timing).
 pub static EVAL_QUERIES: Counter = Counter::new("eval.queries");
 /// Index-graph activations charged across all queries.
 pub static EVAL_INDEX_VISITS: Counter = Counter::new("eval.index_visits");

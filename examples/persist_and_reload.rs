@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example persist_and_reload`
 
 use dkindex::core::store::{load_dk, save_dk};
-use dkindex::core::{CachedEvaluator, DkIndex};
+use dkindex::core::{DkIndex, IndexEvaluator};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
 
@@ -15,6 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = xmark_graph(&XmarkConfig::scale(0.002));
     let workload = generate_test_paths(&data, &WorkloadConfig::default());
     let dk = DkIndex::build(&data, workload.mine_requirements());
+    let before = IndexEvaluator::new(dk.index(), &data).evaluate_all(workload.queries());
 
     let mut container = Vec::new();
     save_dk(&dk, &data, &mut container)?;
@@ -27,23 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // "Process 2": reload (load_dk re-checks every index invariant against
-    // the loaded graph) and serve the workload through the cached evaluator.
+    // the loaded graph) and serve the same workload from the loaded pair.
     let (loaded, loaded_data) = load_dk(&mut container.as_slice())?;
     println!("reloaded: {}", dkindex::core::IndexStats::of(loaded.index(), &loaded_data));
 
-    let mut cache = CachedEvaluator::new(loaded.index());
-    let mut cold = 0u64;
-    let mut warm = 0u64;
-    for q in workload.queries() {
-        cold += cache.evaluate(loaded.index(), &loaded_data, q).cost.total();
-    }
-    for q in workload.queries() {
-        warm += cache.evaluate(loaded.index(), &loaded_data, q).cost.total();
-    }
-    let (hits, misses) = cache.stats();
+    let after =
+        IndexEvaluator::new(loaded.index(), &loaded_data).evaluate_all(workload.queries());
+    let visits: u64 = after.iter().map(|out| out.cost.total()).sum();
     println!(
-        "workload cost: cold {cold} node visits, warm {warm} (cache: {hits} hits / {misses} misses)"
+        "workload cost after reload: {visits} node visits over {} queries",
+        after.len()
     );
-    assert_eq!(warm, 0, "second pass must be fully cached");
+    assert_eq!(after, before, "a reloaded index answers exactly like the one saved");
     Ok(())
 }

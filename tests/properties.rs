@@ -2,12 +2,14 @@
 //! structural invariants of every summary, checked against the naive
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
-use dkindex::core::{evaluate_on_data, AkIndex, DkIndex, IndexEvaluator, Requirements};
+use dkindex::core::{
+    eval_oracle, evaluate_on_data, AkIndex, DkIndex, IndexEvaluator, Requirements,
+};
 #[allow(unused_imports)]
 use dkindex::partition::Partition;
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::partition::{k_bisimulation, KBisimTable};
-use dkindex::pathexpr::PathExpr;
+use dkindex::pathexpr::{LabelIndex, PathExpr};
 use proptest::prelude::*;
 
 /// A compact generator description proptest can shrink: a labeled tree given
@@ -365,11 +367,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The scratch-arena evaluator (reused arena + validation memo) returns
-    /// byte-identical matches AND costs to the allocator-per-query baseline,
-    /// including on repeated queries where the memo replays stored verdicts.
+    /// The evaluator (reused arena + validation memo) returns byte-identical
+    /// matches AND costs to the independent oracle, including on repeated
+    /// queries where the memo replays stored verdicts — and its bounded
+    /// entry, handed exactly the oracle's cost, returns the same outcome
+    /// while one visit less is a typed abort.
     #[test]
-    fn arena_evaluator_matches_baseline_byte_for_byte(
+    fn evaluator_matches_oracle_byte_for_byte(
         spec in graph_spec(),
         salt in any::<u64>(),
         req_label in 0u8..5,
@@ -381,14 +385,21 @@ proptest! {
         let dk = DkIndex::build(&g, reqs);
         let ak = AkIndex::build(&g, 2);
         for index in [dk.index(), ak.index()] {
+            let labels = LabelIndex::build(index);
             let mut evaluator = IndexEvaluator::new(index, &g);
             // Two passes: the second runs with a warm arena and a populated
             // validation memo, which must not change any outcome.
             for _pass in 0..2 {
                 for q in &queries {
-                    let arena_out = evaluator.evaluate(q);
-                    let baseline_out = evaluator.evaluate_baseline(q);
-                    prop_assert_eq!(&arena_out, &baseline_out, "arena != baseline on {}", q);
+                    let want = eval_oracle::evaluate(index, &g, &labels, q);
+                    prop_assert_eq!(&evaluator.evaluate(q), &want, "evaluator != oracle on {}", q);
+                    let total = want.cost.total();
+                    let exact = evaluator.evaluate_bounded(q, total);
+                    prop_assert_eq!(exact.as_ref(), Ok(&want), "exact budget on {}", q);
+                    if total > 0 {
+                        let short = evaluator.evaluate_bounded(q, total - 1);
+                        prop_assert!(short.is_err(), "budget {} answered {}", total - 1, q);
+                    }
                 }
             }
         }

@@ -3,21 +3,21 @@
 //!
 //! Every instrumented fast path is run three ways — recorder off, recorder
 //! on, and recorder off again — and compared against the retained PR 1
-//! reference oracles ([`pathexpr::evaluate_baseline`],
-//! [`partition::k_bisimulation`], `core::dk::dk_partition_reference`,
-//! [`core::IndexEvaluator::evaluate_baseline`]): same matches, same visit
-//! counts, same partition identity, byte for byte.
+//! reference oracles ([`pathexpr::oracle`], [`partition::k_bisimulation`],
+//! `core::dk::dk_partition_reference`, [`core::eval_oracle`]): same matches,
+//! same visit counts, same partition identity, byte for byte.
 //!
 //! The recorder is process-global, so every test takes [`lock`] before
 //! toggling it (the test harness runs tests on parallel threads).
 
 use dkindex::core::dk::{dk_partition_reference, dk_partition_with_engine};
-use dkindex::core::{DkIndex, IndexEvaluator};
+use dkindex::core::{eval_oracle, DkIndex, IndexEvaluator};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
 use dkindex::graph::{DataGraph, LabeledGraph};
 use dkindex::partition::{k_bisimulation, RefineEngine};
 use dkindex::pathexpr::{
-    evaluate, evaluate_baseline, matches_ending_at, matches_ending_at_baseline, LabelIndex, Nfa,
+    evaluate, evaluate_bounded_with, matches_ending_at, matches_ending_at_bounded_with, oracle,
+    EvalArena, LabelIndex, Nfa, VisitBudget,
 };
 use dkindex::telemetry;
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
@@ -65,15 +65,13 @@ fn pathexpr_evaluation_is_unchanged_by_recorder() {
     for q in workload.queries() {
         let nfa = Nfa::compile(q, g.labels());
         let fast = run_in_all_recorder_states(|| evaluate(&g, &nfa, &idx));
-        let oracle = evaluate_baseline(&g, &nfa, &idx);
-        assert_eq!(fast.matches, oracle.matches, "{q}");
-        assert_eq!(fast.visited, oracle.visited, "{q}");
+        assert_eq!(fast, oracle::evaluate(&g, &nfa, &idx), "{q}");
 
         // Validation walks: compare the instrumented reverse walk too.
         let reversed = nfa.reverse();
         for node in g.node_ids().take(40) {
             let fast = run_in_all_recorder_states(|| matches_ending_at(&g, &reversed, node));
-            assert_eq!(fast, matches_ending_at_baseline(&g, &reversed, node), "{q}");
+            assert_eq!(fast, oracle::matches_ending_at(&g, &reversed, node), "{q}");
         }
     }
 }
@@ -126,12 +124,9 @@ fn index_evaluation_is_unchanged_by_recorder() {
     let fast = run_in_all_recorder_states(|| {
         IndexEvaluator::new(dk.index(), &g).evaluate_all(workload.queries())
     });
-    let evaluator = IndexEvaluator::new(dk.index(), &g);
+    let labels = LabelIndex::build(dk.index());
     for (q, out) in workload.queries().iter().zip(&fast) {
-        let oracle = evaluator.evaluate_baseline(q);
-        assert_eq!(out.matches, oracle.matches, "{q}: matches");
-        assert_eq!(out.cost, oracle.cost, "{q}: visit counts");
-        assert_eq!(out.validated, oracle.validated, "{q}: validation");
+        assert_eq!(out, &eval_oracle::evaluate(dk.index(), &g, &labels, q), "{q}");
     }
 }
 
@@ -160,4 +155,37 @@ fn recorder_on_actually_records_the_oracle_checked_work() {
     assert!(snap.counter("partition.rounds").unwrap_or(0) > 0);
     assert_eq!(snap.counter("eval.queries"), Some(workload.len() as u64));
     assert!(snap.histogram("eval.visits_per_query").is_some());
+}
+
+/// Regression: the `pathexpr.*` counters count work done, so a walk that
+/// aborts on its budget still records the activations it was charged for.
+/// They used to vanish — the abort returned before the recording lines.
+#[test]
+fn aborted_walks_still_record_their_work() {
+    let _guard = lock();
+    let g = data();
+    let idx = LabelIndex::build(&g);
+    let nfa = Nfa::compile(&dkindex::pathexpr::parse("site._*.name").unwrap(), g.labels());
+    let reversed = nfa.reverse();
+    let full = oracle::evaluate(&g, &nfa, &idx);
+    let node = *full.matches.last().expect("the generated document has name nodes");
+    let (_, walk_cost) = oracle::matches_ending_at(&g, &reversed, node);
+    assert!(full.visited > 1 && walk_cost > 1);
+
+    let mut arena = EvalArena::new();
+    let mut forward_budget = VisitBudget::new(full.visited - 1);
+    let mut backward_budget = VisitBudget::new(walk_cost - 1);
+    telemetry::reset();
+    telemetry::enable();
+    let forward = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut forward_budget);
+    let backward =
+        matches_ending_at_bounded_with(&g, &reversed, node, &mut arena, &mut backward_budget);
+    telemetry::disable();
+    assert!(forward.is_err() && backward.is_err(), "both budgets are one visit short");
+
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("pathexpr.evaluations"), Some(1));
+    assert_eq!(snap.counter("pathexpr.activations"), Some(full.visited - 1));
+    assert_eq!(snap.counter("pathexpr.validation_walks"), Some(1));
+    assert_eq!(snap.counter("pathexpr.validation_activations"), Some(walk_cost - 1));
 }
