@@ -16,9 +16,10 @@
 //!   length-sweep         cost by query length per index (D2)
 //!   bench-smoke          before/after perf check (arena evaluator, refinement
 //!                        engine); writes BENCH_eval.json
-//!   verify-faults        fault-injection sweep: bit-flip every snapshot byte,
-//!                        truncate snapshot and WAL everywhere; exits nonzero
-//!                        on any panic or silently accepted corruption
+//!   verify-faults        fault-injection sweep: bit-flip every snapshot and
+//!                        WAL byte, truncate the snapshot everywhere; exits
+//!                        nonzero on any panic, silently accepted corruption,
+//!                        or strict/graceful reader disagreement
 //!   verify-churn         bounded sustained-churn run: large update batches
 //!                        under concurrent readers; exits nonzero if the final
 //!                        state diverges from the serial replay or a publish
@@ -29,7 +30,7 @@
 //!                        from the serial replay of the admitted updates, if
 //!                        any refusal was not a typed SHED frame, or if
 //!                        admission overshot the staleness threshold
-//!   verify-crash         crash-recovery torture gate for the v2 WAL: cut the
+//!   verify-crash         crash-recovery torture gate for the WAL: cut the
 //!                        log at every byte, fail every group commit's fsync,
 //!                        tear every batch write at every offset, and kill a
 //!                        live logged server at seeded random commits; exits
@@ -857,7 +858,7 @@ fn run_verify_tune(opts: &Options) {
 }
 
 fn run_verify_crash(opts: &Options) {
-    println!("\n=== Crash recovery: v2 WAL fail-points, torn writes, kill loop ===");
+    println!("\n=== Crash recovery: WAL fail-points, torn writes, kill loop ===");
     let reports = crash::run_all(opts.seed);
     let mut failed = false;
     for r in &reports {

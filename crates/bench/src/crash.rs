@@ -1,4 +1,4 @@
-//! Crash-recovery torture harness for the v2 group-commit WAL: inject
+//! Crash-recovery torture harness for the group-commit WAL: inject
 //! fsync failures and torn writes at every interesting point, simulate a
 //! crash at every surviving-file length, and assert the durable-ack
 //! contract of docs/PROTOCOL.md §8 — every acknowledged update replays
@@ -34,7 +34,7 @@
 
 use crate::faults::{probe, record, FaultReport, Probe};
 use dkindex_core::io_fail::{FailPlan, SharedDisk, SimDisk};
-use dkindex_core::wal::{self, WalRecord, WalTail, WalWriter};
+use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
     apply_serial, snapshot_bytes, DkIndex, DkServer, ServeConfig, ServeError, ServeOp,
 };
@@ -44,8 +44,8 @@ use std::time::Instant;
 
 /// Fold the update stream into mixed maintenance batches: cycling batch
 /// sizes, interleaved promotes, and a trailing promote-to-requirements
-/// pass, so the sweeps cover every v2 record tag that the serve layer
-/// actually logs.
+/// pass, so the sweeps cover every record tag that the serve layer actually
+/// logs.
 pub fn torture_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
     let mut batches: Vec<Vec<ServeOp>> = Vec::new();
     let mut batch: Vec<ServeOp> = Vec::new();
@@ -85,6 +85,19 @@ fn batch_oracle(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]) -> Bat
         counts.push(counts.last().copied().unwrap_or(0) + batch.len());
     }
     BatchOracle { states, counts }
+}
+
+/// The log a healthy disk holds after group-committing `batches`, plus the
+/// byte offsets where the committed prefix can end: after the header, then
+/// after each batch's commit fence.
+pub(crate) fn healthy_log(batches: &[Vec<ServeOp>]) -> io::Result<(Vec<u8>, Vec<usize>)> {
+    let mut writer = WalWriter::with_store(SimDisk::new(FailPlan::none()))?;
+    let mut fence_ends = vec![writer.store().cached().len()];
+    for batch in batches {
+        writer.append_batch(batch)?;
+        fence_ends.push(writer.store().cached().len());
+    }
+    Ok((writer.store().cached().to_vec(), fence_ends))
 }
 
 /// Contract for one surviving file: it must replay to the serial state of
@@ -139,26 +152,13 @@ fn check_view(
 /// the commit-fence boundaries.
 pub fn wal_tail_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]) -> FaultReport {
     let mut report = FaultReport::new("WAL v2 tail sweep");
-    let mut writer = match WalWriter::with_store(SimDisk::new(FailPlan::none())) {
-        Ok(w) => w,
+    let (log, clean_cuts) = match healthy_log(batches) {
+        Ok(written) => written,
         Err(e) => {
-            report
-                .violations
-                .push(format!("healthy disk refused the WAL header: {e}"));
+            report.violations.push(format!("healthy disk refused the log: {e}"));
             return report;
         }
     };
-    let mut clean_cuts = vec![writer.store().cached().len()];
-    for (i, batch) in batches.iter().enumerate() {
-        if let Err(e) = writer.append_batch(batch) {
-            report
-                .violations
-                .push(format!("healthy disk refused batch {i}: {e}"));
-            return report;
-        }
-        clean_cuts.push(writer.store().cached().len());
-    }
-    let log = writer.store().cached().to_vec();
     let oracle = batch_oracle(dk, data, batches);
 
     for cut in 0..=log.len() {
@@ -279,31 +279,14 @@ pub fn torn_write_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]
     let mut report = FaultReport::new("torn batch writes");
     let oracle = batch_oracle(dk, data, batches);
 
-    // Measure each batch's encoded write length on a healthy disk.
-    let mut lens = Vec::with_capacity(batches.len());
-    {
-        let mut writer = match WalWriter::with_store(SimDisk::new(FailPlan::none())) {
-            Ok(w) => w,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("healthy disk refused the WAL header: {e}"));
-                return report;
-            }
-        };
-        let mut prev = writer.store().cached().len();
-        for (i, batch) in batches.iter().enumerate() {
-            if let Err(e) = writer.append_batch(batch) {
-                report
-                    .violations
-                    .push(format!("healthy disk refused batch {i}: {e}"));
-                return report;
-            }
-            let now = writer.store().cached().len();
-            lens.push(now - prev);
-            prev = now;
+    // Each batch's encoded write length on a healthy disk.
+    let lens: Vec<usize> = match healthy_log(batches) {
+        Ok((_, fence_ends)) => fence_ends.windows(2).map(|w| w[1] - w[0]).collect(),
+        Err(e) => {
+            report.violations.push(format!("healthy disk refused the log: {e}"));
+            return report;
         }
-    }
+    };
 
     for (w_idx, &len) in lens.iter().enumerate() {
         for keep in 0..=len {
@@ -475,24 +458,18 @@ pub fn kill_loop(
                         records.len()
                     ));
                 }
-                for (i, rec) in records.iter().enumerate() {
-                    let Some(expected) = submitted.get(i).map(WalRecord::from_op) else {
-                        return Probe::Violation(format!(
-                            "{context}: record {i} recovered but only {} ops were submitted",
-                            submitted.len()
-                        ));
-                    };
-                    if *rec != expected {
-                        return Probe::Violation(format!(
-                            "{context}: record {i} does not match the op submitted at {i}"
-                        ));
-                    }
-                }
                 let Some(prefix) = submitted.get(..records.len()) else {
                     return Probe::Violation(format!(
-                        "{context}: recovered more records than were submitted"
+                        "{context}: {} records recovered but only {} ops were submitted",
+                        records.len(),
+                        submitted.len()
                     ));
                 };
+                if let Some(i) = records.iter().zip(prefix).position(|(rec, op)| rec != op) {
+                    return Probe::Violation(format!(
+                        "{context}: record {i} does not match the op submitted at {i}"
+                    ));
+                }
                 let mut d = dk.clone();
                 let mut g = data.clone();
                 if let Err(e) = wal::replay(&mut d, &mut g, &view) {

@@ -10,15 +10,15 @@
 //!   re-serializing byte-identically); graceful loads must return an index
 //!   that passes `check_invariants` or a typed [`SnapshotError`].
 //! * [`snapshot_truncation_sweep`] — cut the snapshot at every length.
-//! * [`wal_fault_sweep`] — cut the WAL at every byte boundary (the torn-tail
-//!   crash signature must replay the record prefix exactly) and flip one bit
-//!   in every byte (must decode as a typed [`wal::WalError`] or replay to a
-//!   well-formed index).
+//! * [`wal_fault_sweep`] — flip one bit in every byte of a group-committed
+//!   WAL covering every record tag the serve layer logs (must decode as a
+//!   typed [`wal::WalError`] or replay to a well-formed index). Cutting the
+//!   same log at every byte is [`crate::crash::wal_tail_sweep`].
 //!
 //! Every probe runs under `catch_unwind`; a panic anywhere is a harness
 //! failure, reported with the exact byte offset that triggered it.
 
-use dkindex_core::wal::{self, WalRecord, WalTail};
+use dkindex_core::wal;
 use dkindex_core::{
     load_with_recovery, read_snapshot, snapshot_bytes, DkIndex, Requirements, SnapshotError,
 };
@@ -101,16 +101,25 @@ pub(crate) fn record(report: &mut FaultReport, outcome: Probe) {
 
 /// Contract for one damaged snapshot byte stream: strict read must reject
 /// or be byte-identical; graceful load must yield a verified index or a
-/// typed error.
+/// typed error; and the two readers must agree on what "intact" means.
 fn check_snapshot_bytes(damaged: &[u8], pristine: &[u8], context: &str) -> Probe {
     // Strict mode: accepting damaged bytes is only legal when the damage is
     // provably immaterial (re-serializes to the pristine snapshot).
-    if let Ok((dk, g)) = read_snapshot(damaged) {
-        if snapshot_bytes(&dk, &g) != pristine {
+    let strict = read_snapshot(damaged);
+    if let Ok((dk, g)) = &strict {
+        if snapshot_bytes(dk, g) != pristine {
             return Probe::Violation(format!("{context}: strict read accepted damaged bytes"));
         }
     }
-    match load_with_recovery(damaged) {
+    let graceful = load_with_recovery(damaged);
+    let intact = matches!(&graceful, Ok((_, _, recovery)) if recovery.is_intact());
+    if strict.is_ok() != intact {
+        return Probe::Violation(format!(
+            "{context}: strict read {} but recovery reports intact={intact}",
+            if strict.is_ok() { "succeeded" } else { "failed" }
+        ));
+    }
+    match graceful {
         Ok((dk, g, _recovery)) => match dk.index().check_invariants(&g) {
             Ok(()) => Probe::Recovered,
             Err(e) => Probe::Violation(format!("{context}: recovered a malformed index: {e}")),
@@ -152,66 +161,20 @@ pub fn snapshot_truncation_sweep(dk: &DkIndex, data: &DataGraph) -> FaultReport 
     report
 }
 
-/// Cut a legacy v1 WAL at every byte boundary and flip one bit in every byte.
-///
-/// This sweep deliberately exercises the *v1* wire format (fixed 13-byte
-/// records, no commit fences) so pre-upgrade logs keep their torn-tail
-/// guarantees; the v2 group-commit format gets the same treatment — plus
-/// fsync fail-points — in `crate::crash`. Truncations additionally assert
-/// the §5 replay contract: a torn tail must replay exactly the
-/// complete-record prefix, reaching the same state (same snapshot bytes) as
-/// applying that prefix directly.
+/// Flip one bit in every byte of the log the server would write for
+/// `updates`: [`crate::crash::torture_batches`] group-committed through a
+/// `WalWriter`, so every record tag the serve layer logs and its commit
+/// fences are under the sweep. Each damaged log must decode as a typed error
+/// or replay to a well-formed index.
 pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeId)]) -> FaultReport {
-    let mut report = FaultReport::new("WAL truncations + bit-flips");
-    let mut log = wal::encode_header_v1().to_vec();
-    for &(from, to) in updates {
-        let Some(rec) = wal::encode_record_v1(&WalRecord::AddEdge { from, to }) else {
-            continue;
-        };
-        log.extend_from_slice(&rec);
-    }
-
-    // Expected state after each prefix length, as snapshot bytes.
-    let mut prefix_states = Vec::with_capacity(updates.len() + 1);
-    {
-        let mut g = data.clone();
-        let mut d = dk.clone();
-        prefix_states.push(snapshot_bytes(&d, &g));
-        for &(from, to) in updates {
-            d.add_edge(&mut g, from, to);
-            prefix_states.push(snapshot_bytes(&d, &g));
+    let mut report = FaultReport::new("WAL bit-flips");
+    let log = match crate::crash::healthy_log(&crate::crash::torture_batches(updates)) {
+        Ok((log, _)) => log,
+        Err(e) => {
+            report.violations.push(format!("healthy disk refused the log: {e}"));
+            return report;
         }
-    }
-
-    for cut in 0..log.len() {
-        let damaged = &log[..cut];
-        let context = format!("WAL truncated to {cut} bytes");
-        let outcome = probe(&context, || {
-            let mut g = data.clone();
-            let mut d = dk.clone();
-            match wal::replay(&mut d, &mut g, damaged) {
-                Ok(r) => {
-                    let mid_record = cut >= 8 && (cut - 8) % 13 != 0;
-                    if mid_record != matches!(r.tail, WalTail::Torn { .. }) {
-                        return Probe::Violation(format!(
-                            "{context}: tail misreported (torn vs clean)"
-                        ));
-                    }
-                    if snapshot_bytes(&d, &g) != prefix_states[r.applied] {
-                        return Probe::Violation(format!(
-                            "{context}: prefix replay diverged from direct application"
-                        ));
-                    }
-                    Probe::Recovered
-                }
-                Err(wal::WalError::Io(e)) => {
-                    Probe::Violation(format!("{context}: I/O error from in-memory bytes: {e}"))
-                }
-                Err(_) => Probe::TypedError,
-            }
-        });
-        record(&mut report, outcome);
-    }
+    };
 
     for i in 0..log.len() {
         let mut damaged = log.clone();
@@ -221,8 +184,9 @@ pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeI
             let mut g = data.clone();
             let mut d = dk.clone();
             match wal::replay(&mut d, &mut g, &damaged) {
-                // A flip the CRC does not catch (e.g. inside an already-torn
-                // region) may replay; the result must still be well-formed.
+                // A flip inside a length prefix can reframe the rest as a
+                // torn tail and replay a prefix; the result must still be
+                // well-formed.
                 Ok(_) => match d.index().check_invariants(&g) {
                     Ok(()) => Probe::Recovered,
                     Err(e) => {
@@ -293,8 +257,9 @@ mod tests {
         ];
         let wal = wal_fault_sweep(&dk, &g, &updates);
         assert!(wal.passed(), "{:?}", wal.violations);
-        // Truncations + bit flips each probe every log byte.
-        let log_len = 8 + 13 * updates.len();
-        assert_eq!(wal.cases, 2 * log_len);
+        // One probe per byte of the log the crash sweeps cut.
+        let (log, _) = crate::crash::healthy_log(&crate::crash::torture_batches(&updates)).unwrap();
+        assert_eq!(wal.cases, log.len());
+        assert!(wal.typed_errors > 0 && wal.recovered > 0, "{}", wal.summary());
     }
 }

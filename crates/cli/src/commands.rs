@@ -6,8 +6,10 @@
 //! unreadable files, corrupt indexes, hostile XML — reaches a panic.
 
 use dkindex_core::audit::{audit_dk, AuditConfig, Severity};
-use dkindex_core::snapshot::{self, load_index_bytes, save_snapshot_file, snapshot_bytes};
-use dkindex_core::wal::{self, WalRecord, WalTail, WalWriter};
+use dkindex_core::snapshot::{
+    load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, Recovery,
+};
+use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
     apply_serial, mine_requirements, DkIndex, DkServer, FbIndex, IndexEvaluator, Requirements,
     ServeConfig, ServeError, ServeOp,
@@ -70,7 +72,7 @@ pub enum CliError {
         source: std::io::Error,
     },
     /// An input file was readable but its content is malformed — hostile
-    /// XML, a corrupt snapshot or WAL, a truncated legacy index.
+    /// XML, a corrupt snapshot or WAL, a file in an unsupported format.
     Invalid {
         /// The offending file.
         path: String,
@@ -213,6 +215,7 @@ fn dispatch_command(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Positional/flag splitter shared by all commands.
+#[derive(Default)]
 struct Parsed<'a> {
     positional: Vec<&'a str>,
     idrefs: Vec<String>,
@@ -240,31 +243,7 @@ struct Parsed<'a> {
 }
 
 fn parse_args<'a>(args: &'a [String]) -> Result<Parsed<'a>, CliError> {
-    let mut parsed = Parsed {
-        positional: Vec::new(),
-        idrefs: Vec::new(),
-        reqs: Vec::new(),
-        uniform: None,
-        out: None,
-        queries: None,
-        wal: None,
-        budget: None,
-        threads: None,
-        updates: None,
-        batch: None,
-        rounds: None,
-        listen: None,
-        workers: None,
-        accept_queue: None,
-        staleness: None,
-        duration_ms: None,
-        tune_interval: None,
-        tune_window: None,
-        query: None,
-        update: None,
-        ping: false,
-        stats: false,
-    };
+    let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -281,90 +260,18 @@ fn parse_args<'a>(args: &'a [String]) -> Result<Parsed<'a>, CliError> {
                     .map_err(|_| CliError::usage(format!("--req {label}: K must be a number")))?;
                 parsed.reqs.push((label.to_string(), k));
             }
-            "--uniform" => {
-                parsed.uniform = Some(
-                    next_value(&mut it, "--uniform")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--uniform expects a number"))?,
-                )
-            }
-            "--budget" => {
-                parsed.budget = Some(
-                    next_value(&mut it, "--budget")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--budget expects a number"))?,
-                )
-            }
-            "--threads" => {
-                parsed.threads = Some(
-                    next_value(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--threads expects a number"))?,
-                )
-            }
-            "--updates" => {
-                parsed.updates = Some(
-                    next_value(&mut it, "--updates")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--updates expects a number"))?,
-                )
-            }
-            "--batch" => {
-                parsed.batch = Some(
-                    next_value(&mut it, "--batch")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--batch expects a number"))?,
-                )
-            }
-            "--rounds" => {
-                parsed.rounds = Some(
-                    next_value(&mut it, "--rounds")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--rounds expects a number"))?,
-                )
-            }
-            "--workers" => {
-                parsed.workers = Some(
-                    next_value(&mut it, "--workers")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--workers expects a number"))?,
-                )
-            }
-            "--accept-queue" => {
-                parsed.accept_queue = Some(
-                    next_value(&mut it, "--accept-queue")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--accept-queue expects a number"))?,
-                )
-            }
-            "--staleness" => {
-                parsed.staleness = Some(
-                    next_value(&mut it, "--staleness")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--staleness expects a number"))?,
-                )
-            }
-            "--duration-ms" => {
-                parsed.duration_ms = Some(
-                    next_value(&mut it, "--duration-ms")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--duration-ms expects a number"))?,
-                )
-            }
-            "--tune-interval" => {
-                parsed.tune_interval = Some(
-                    next_value(&mut it, "--tune-interval")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--tune-interval expects a number"))?,
-                )
-            }
-            "--tune-window" => {
-                parsed.tune_window = Some(
-                    next_value(&mut it, "--tune-window")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--tune-window expects a number"))?,
-                )
-            }
+            "--uniform" => parsed.uniform = Some(next_number(&mut it, "--uniform")?),
+            "--budget" => parsed.budget = Some(next_number(&mut it, "--budget")?),
+            "--threads" => parsed.threads = Some(next_number(&mut it, "--threads")?),
+            "--updates" => parsed.updates = Some(next_number(&mut it, "--updates")?),
+            "--batch" => parsed.batch = Some(next_number(&mut it, "--batch")?),
+            "--rounds" => parsed.rounds = Some(next_number(&mut it, "--rounds")?),
+            "--workers" => parsed.workers = Some(next_number(&mut it, "--workers")?),
+            "--accept-queue" => parsed.accept_queue = Some(next_number(&mut it, "--accept-queue")?),
+            "--staleness" => parsed.staleness = Some(next_number(&mut it, "--staleness")?),
+            "--duration-ms" => parsed.duration_ms = Some(next_number(&mut it, "--duration-ms")?),
+            "--tune-interval" => parsed.tune_interval = Some(next_number(&mut it, "--tune-interval")?),
+            "--tune-window" => parsed.tune_window = Some(next_number(&mut it, "--tune-window")?),
             "--out" => parsed.out = Some(next_value(&mut it, "--out")?),
             "--queries" => parsed.queries = Some(next_value(&mut it, "--queries")?),
             "--wal" => parsed.wal = Some(next_value(&mut it, "--wal")?),
@@ -389,6 +296,16 @@ fn next_value<'a>(
     it.next()
         .map(String::as_str)
         .ok_or_else(|| CliError::usage(format!("flag {flag} needs a value")))
+}
+
+/// The value of a numeric flag, or the usage error naming the flag.
+fn next_number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError> {
+    next_value(it, flag)?
+        .parse()
+        .map_err(|_| CliError::usage(format!("{flag} expects a number")))
 }
 
 /// Read a query-load file: one path expression per line, `#` comments and
@@ -418,37 +335,31 @@ fn load_xml(path: &str, idrefs: &[String]) -> Result<DataGraph, CliError> {
     stream_to_graph(&text, &options).map_err(|e| CliError::invalid(path, e))
 }
 
-/// Load an index of either format (checksummed `DKSN` snapshot or legacy
-/// bare stream), sniffing the magic. Strict: corruption is a typed error,
-/// never a panic (see `recover` for the graceful path).
+/// Load a `DKSN` snapshot. Strict: corruption is a typed error, never a
+/// panic (see [`load_index_graceful`] for the recovering path).
 fn load_index(path: &str) -> Result<(DkIndex, DataGraph), CliError> {
     let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
-    let (dk, g, _) = load_index_bytes(&bytes).map_err(|e| CliError::invalid(path, e))?;
-    Ok((dk, g))
+    read_snapshot(&bytes).map_err(|e| CliError::invalid(path, e))
 }
 
-/// Load an index for *serving*: a checksummed snapshot with a damaged-but-
-/// recoverable section (e.g. a corrupt INDX payload whose index is rebuilt
-/// deterministically from the graph) still answers queries. Only genuinely
-/// unrecoverable damage is a typed `Invalid` error. Using this in `query`
-/// keeps failure classes honest: a `--budget` abort during evaluation over a
-/// recovered snapshot is exit 6 (aborted), not exit 4 (corrupt).
-fn load_index_graceful(path: &str) -> Result<(DkIndex, DataGraph), CliError> {
+/// Load a snapshot for *serving* or repair: a damaged-but-recoverable
+/// section (e.g. a corrupt INDX payload whose index is rebuilt
+/// deterministically from the graph) still answers queries, and the
+/// [`Recovery`] says what was degraded. Only genuinely unrecoverable damage
+/// is a typed `Invalid` error. Using this in `query` keeps failure classes
+/// honest: a `--budget` abort during evaluation over a recovered snapshot is
+/// exit 6 (aborted), not exit 4 (corrupt).
+fn load_index_graceful(path: &str) -> Result<(DkIndex, DataGraph, Recovery), CliError> {
     let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
-    if bytes.starts_with(snapshot::MAGIC) {
-        let (dk, g, _) = snapshot::load_with_recovery(&bytes).map_err(|e| CliError::invalid(path, e))?;
-        Ok((dk, g))
-    } else {
-        let (dk, g, _) = load_index_bytes(&bytes).map_err(|e| CliError::invalid(path, e))?;
-        Ok((dk, g))
-    }
+    load_with_recovery(&bytes).map_err(|e| CliError::invalid(path, e))
 }
 
-/// Serialize `dk` + `g` as a checksummed snapshot and write it to `path`.
-fn save_index(dk: &DkIndex, g: &DataGraph, path: &str) -> Result<usize, CliError> {
-    let bytes = snapshot_bytes(dk, g);
-    fs::write(path, &bytes).map_err(|e| CliError::io(path, e))?;
-    Ok(bytes.len())
+/// Write `dk` + `g` to `path` as a checksummed snapshot — atomically, so a
+/// crash mid-save (even with `path` equal to the input) leaves the old file
+/// or the new one, never a torn one. Returns the byte count written.
+fn save_index(dk: &DkIndex, g: &DataGraph, path: &str) -> Result<u64, CliError> {
+    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| CliError::io(path, e))?;
+    Ok(fs::metadata(path).map_err(|e| CliError::io(path, e))?.len())
 }
 
 /// Replay a WAL file (if given) into `dk`/`g`, returning a human-readable
@@ -576,7 +487,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     let [path, expr_text] = parsed.positional[..] else {
         return Err(CliError::usage("query expects <index.dki> <path-expression>"));
     };
-    let (dk, g) = load_index_graceful(path)?;
+    let (dk, g, _) = load_index_graceful(path)?;
     let expr = parse(expr_text).map_err(|e| CliError::Query(e.to_string()))?;
     // Bounded execution: a typed abort, never a partial answer.
     let out = IndexEvaluator::new(dk.index(), &g)
@@ -645,10 +556,7 @@ fn cmd_add_edge(args: &[String]) -> Result<String, CliError> {
             g.node_count()
         )));
     }
-    let record = WalRecord::AddEdge {
-        from: NodeId::from_index(from),
-        to: NodeId::from_index(to),
-    };
+    let (from_node, to_node) = (NodeId::from_index(from), NodeId::from_index(to));
     // Durability ordering: log the update before applying it, so a crash
     // between the two leaves a WAL that replays to the intended state.
     let mut wal_note = String::new();
@@ -661,11 +569,11 @@ fn cmd_add_edge(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| CliError::io(wal_path, e))?
         };
         writer
-            .append(&record)
+            .append(&ServeOp::AddEdge { from: from_node, to: to_node })
             .map_err(|e| CliError::io(wal_path, e))?;
         wal_note = format!("; logged to {wal_path}");
     }
-    let outcome = dk.add_edge(&mut g, NodeId::from_index(from), NodeId::from_index(to));
+    let outcome = dk.add_edge(&mut g, from_node, to_node);
     save_index(&dk, &g, out_path)?;
     Ok(format!(
         "added edge {from} -> {to}; target similarity now {}, {} node(s) lowered -> {out_path}{wal_note}\n",
@@ -728,8 +636,8 @@ fn cmd_tune(args: &[String]) -> Result<String, CliError> {
     Ok(format!("{report} -> {out_path}\n"))
 }
 
-/// `snapshot`: load an index of either format (optionally replaying a WAL
-/// on top) and write it as a checksummed `DKSN` snapshot, atomically.
+/// `snapshot`: load an index (optionally replaying a WAL on top) and write
+/// it as a fresh checksummed `DKSN` snapshot, atomically.
 fn cmd_snapshot(args: &[String]) -> Result<String, CliError> {
     let parsed = parse_args(args)?;
     let [path] = parsed.positional[..] else {
@@ -743,8 +651,7 @@ fn cmd_snapshot(args: &[String]) -> Result<String, CliError> {
     if let Some(wal_path) = parsed.wal {
         notes.push(replay_wal_file(&mut dk, &mut g, wal_path)?);
     }
-    save_snapshot_file(&dk, &g, std::path::Path::new(out_path))
-        .map_err(|e| CliError::io(out_path, e))?;
+    save_index(&dk, &g, out_path)?;
     let mut out = String::new();
     for note in notes {
         let _ = writeln!(out, "{note}");
@@ -770,15 +677,7 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
     let out_path = parsed
         .out
         .ok_or_else(|| CliError::usage("recover needs --out <fixed.dki>"))?;
-    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
-    let (mut dk, mut g, recovery) = if bytes.starts_with(snapshot::MAGIC) {
-        snapshot::load_with_recovery(&bytes).map_err(|e| CliError::invalid(path, e))?
-    } else {
-        // Legacy files have no per-section checksums to recover with; a
-        // strict read either works or is a typed error.
-        let (dk, g, _) = load_index_bytes(&bytes).map_err(|e| CliError::invalid(path, e))?;
-        (dk, g, snapshot::Recovery::default())
-    };
+    let (mut dk, mut g, recovery) = load_index_graceful(path)?;
     let mut out = String::new();
     if recovery.is_intact() {
         let _ = writeln!(out, "snapshot intact");
@@ -791,8 +690,7 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
         let note = replay_wal_file(&mut dk, &mut g, wal_path)?;
         let _ = writeln!(out, "{note}");
     }
-    save_snapshot_file(&dk, &g, std::path::Path::new(out_path))
-        .map_err(|e| CliError::io(out_path, e))?;
+    save_index(&dk, &g, out_path)?;
     let _ = writeln!(
         out,
         "{} data / {} index nodes -> {out_path}",
@@ -802,26 +700,20 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `doctor`: diagnose without repairing. Loads the file (gracefully for
-/// snapshots, so section-level damage is reported rather than fatal), runs
+/// `doctor`: diagnose without repairing. Loads the file gracefully (so
+/// section-level damage is reported rather than fatal), runs
 /// the invariant auditor, and exits non-zero exactly when the stored index
 /// could return wrong answers. With `--wal` the write-ahead log is
 /// inspected too: a torn tail is the normal crash signature (recovery
 /// truncates it — exit 0), a damaged *committed* record is corruption
-/// (exit 5), and a file that is not a WAL at all is corrupt input
-/// (exit 4).
+/// (exit 5), and a file that is not a WAL this build reads — wrong magic
+/// or an unsupported version — is corrupt input (exit 4).
 fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
     let parsed = parse_args(args)?;
     let [path] = parsed.positional[..] else {
         return Err(CliError::usage("doctor expects exactly one index file"));
     };
-    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
-    let (dk, g, recovery) = if bytes.starts_with(snapshot::MAGIC) {
-        snapshot::load_with_recovery(&bytes).map_err(|e| CliError::invalid(path, e))?
-    } else {
-        let (dk, g, _) = load_index_bytes(&bytes).map_err(|e| CliError::invalid(path, e))?;
-        (dk, g, snapshot::Recovery::default())
-    };
+    let (dk, g, recovery) = load_index_graceful(path)?;
 
     let report = audit_dk(&dk, &g, &AuditConfig::default());
     let mut out = String::new();
@@ -838,7 +730,7 @@ fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "{wal_path}: WAL v{}, {} committed record(s), {} uncommitted",
-            inspection.version, inspection.committed, inspection.uncommitted
+            wal::VERSION, inspection.committed, inspection.uncommitted
         );
         match inspection.verdict {
             wal::WalVerdict::Clean => {
@@ -907,7 +799,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let batch = parsed.batch.unwrap_or(8).max(1);
     let rounds = parsed.rounds.unwrap_or(50);
 
-    let (dk, g) = load_index_graceful(index_path)?;
+    let (dk, g, _) = load_index_graceful(index_path)?;
     let queries = read_query_file(qfile)?;
     if queries.is_empty() {
         return Err(CliError::usage(format!("{qfile}: no queries to serve")));
@@ -1059,7 +951,7 @@ fn cmd_serve_net(index_path: &str, addr: &str, parsed: &Parsed<'_>) -> Result<St
         tune_window: parsed.tune_window.unwrap_or(64),
         ..ServeConfig::default()
     };
-    let (mut dk, mut g) = load_index_graceful(index_path)?;
+    let (mut dk, mut g, _) = load_index_graceful(index_path)?;
     let mut wal_notes = Vec::new();
     let writer = match parsed.wal {
         Some(wal_path) => {
@@ -1809,21 +1701,84 @@ mod tests {
         assert!(err.to_string().contains("budget"), "{err}");
     }
 
+    /// The rejection edge of the exit-code matrix: files in the formats
+    /// that predate `DKSN` and `DKWL` v2 are corrupt input (exit 4) with a
+    /// message naming what is unsupported — never a panic, never a partial
+    /// load or replay.
     #[test]
-    fn legacy_index_files_still_load() {
-        use dkindex_core::store::save_dk;
+    fn pre_container_formats_are_exit_4_everywhere() {
         let dir = TempDir::new("legacy");
         let doc = write_doc(&dir);
+        let idx = dir.file("index.dki");
+        run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap(), "--uniform", "1"])
+            .unwrap();
+        let idx = idx.to_str().unwrap();
+
+        // A bare `DKG1…` stream: graph payload first, no container.
         let g = load_xml(doc.to_str().unwrap(), &[]).unwrap();
-        let dk = DkIndex::build(&g, Requirements::uniform(1));
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
+        let mut bare = Vec::new();
+        dkindex_graph::io::write_graph(&g, &mut bare).unwrap();
+        assert!(bare.starts_with(b"DKG1"));
         let legacy = dir.file("legacy.dki");
-        fs::write(&legacy, &bytes).unwrap();
-        let q = run(&["query", legacy.to_str().unwrap(), "movie"]).unwrap();
-        assert!(q.contains("match(es)"), "{q}");
-        let out = run(&["doctor", legacy.to_str().unwrap()]).unwrap();
-        assert!(out.contains("healthy"), "{out}");
+        fs::write(&legacy, &bare).unwrap();
+        let legacy = legacy.to_str().unwrap();
+        for args in [&["query", legacy, "movie"][..], &["doctor", legacy][..]] {
+            let err = run(args).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+            assert!(err.to_string().contains("expected DKSN"), "{args:?}: {err}");
+        }
+
+        // A complete, CRC-valid `DKWL\x01…` log with one add-edge record.
+        let v1 = dir.file("v1.wal");
+        fs::write(
+            &v1,
+            [
+                0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
+                0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
+            ],
+        )
+        .unwrap();
+        let v1_path = v1.to_str().unwrap();
+        let out = dir.file("out.dki");
+        for args in [
+            &["serve", idx, "--listen", "127.0.0.1:0", "--wal", v1_path, "--duration-ms", "10"][..],
+            &["snapshot", idx, "--wal", v1_path, "--out", out.to_str().unwrap()][..],
+            &["doctor", idx, "--wal", v1_path][..],
+        ] {
+            let err = run(args).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+            assert!(err.to_string().contains("unsupported WAL version 1"), "{args:?}: {err}");
+        }
+        assert!(!out.exists(), "a rejected log must not produce a snapshot");
+        assert_eq!(fs::read(&v1).unwrap().len(), 21, "a rejected log is left untouched");
+    }
+
+    /// Regression: `save_index` used to be a bare `fs::write`, so an
+    /// in-place `add-edge IDX --out IDX` that died mid-write tore the only
+    /// snapshot. Every verb now saves through temp file + fsync + rename.
+    #[test]
+    fn in_place_add_edge_saves_atomically() {
+        let dir = TempDir::new("inplace");
+        let doc = write_doc(&dir);
+        let idx = dir.file("index.dki");
+        run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap(), "--uniform", "2"])
+            .unwrap();
+        let before = fs::read(&idx).unwrap();
+        let walp = dir.file("updates.wal");
+        run(&[
+            "add-edge", idx.to_str().unwrap(), "6", "3",
+            "--out", idx.to_str().unwrap(),
+            "--wal", walp.to_str().unwrap(),
+        ])
+        .unwrap();
+        let after = fs::read(&idx).unwrap();
+        assert!(after != before, "the update must land in the file");
+        read_snapshot(&after).expect("the in-place result loads strictly");
+        assert!(!dir.file("index.tmp").exists(), "no temp sibling left behind");
+        // The built output reports the size actually on disk.
+        let out = run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap()]).unwrap();
+        let on_disk = fs::metadata(&idx).unwrap().len();
+        assert!(out.contains(&format!("({on_disk} bytes)")), "{out}");
     }
 
     #[test]
@@ -1896,7 +1851,7 @@ mod tests {
         run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap(), "--uniform", "2",
               "--idref", "idref"])
             .unwrap();
-        let (dk, g) = load_index_graceful(idx.to_str().unwrap()).unwrap();
+        let (dk, g, _) = load_index_graceful(idx.to_str().unwrap()).unwrap();
         let server = DkServer::start(g, dk, ServeConfig { max_batch: 4, threads: 1, ..ServeConfig::default() });
         NetServer::start(server, "127.0.0.1:0", cfg).unwrap()
     }
@@ -2009,7 +1964,7 @@ mod tests {
         let wal_path = dir.file("log.wal");
         let mut writer = WalWriter::create(&wal_path).unwrap();
         writer
-            .append(&WalRecord::AddEdge {
+            .append(&ServeOp::AddEdge {
                 from: NodeId::from_index(1),
                 to: NodeId::from_index(5),
             })
@@ -2061,7 +2016,7 @@ mod tests {
 
         // In-process durable server — the same wiring `serve --listen
         // --wal` uses, but with an inspectable bound address.
-        let (dk, g) = load_index_graceful(idx).unwrap();
+        let (dk, g, _) = load_index_graceful(idx).unwrap();
         let writer = WalWriter::create(&wal_path).unwrap();
         let server = DkServer::start_logged(
             g,

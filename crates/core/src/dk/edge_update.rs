@@ -217,9 +217,7 @@ mod tests {
                 let o = dk.add_edge(&mut g, from, to);
                 outcomes.push((o.new_similarity, o.lowered, o.index_nodes_touched));
             }
-            let mut bytes = Vec::new();
-            crate::store::save_dk(&dk, &g, &mut bytes).unwrap();
-            (outcomes, bytes)
+            (outcomes, crate::snapshot::snapshot_bytes(&dk, &g))
         };
         let first = run();
         for _ in 0..4 {

@@ -90,9 +90,9 @@ pub use serve::{
     TuneStats,
 };
 pub use serve_ops::{apply_serial, ServeOp};
-pub use snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, write_snapshot, Recovery, SnapshotError, SnapshotFormat};
+pub use snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, write_snapshot, Recovery, SnapshotError};
 pub use tuner::{plan_tuning, AdaptiveTuner, ObservedLoad, TunerConfig, TuningAction, TuningPlan};
 pub use wal::{
-    inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalRecord, WalStore, WalTail,
+    inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail,
     WalVerdict, WalWriter,
 };

@@ -15,7 +15,7 @@ use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 
 /// A maintenance operation, applied by the single maintenance thread in
 /// submission order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeOp {
     /// The paper's edge-addition update (Algorithms 4–5).
     AddEdge {
@@ -72,8 +72,9 @@ pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
 
 /// Would `apply` actually execute this op, or skip it? Edge and promote
 /// ops naming a node outside the data graph are deterministic no-ops; the
-/// WAL group-commit path uses this to keep no-ops out of the log, so strict
-/// replay of the logged prefix reproduces the serve run exactly.
+/// WAL group-commit path uses this to keep no-ops out of the log, and WAL
+/// replay uses it to reject a log that names nodes its snapshot lacks, so
+/// strict replay of the logged prefix reproduces the serve run exactly.
 pub fn is_applicable(op: &ServeOp, data: &DataGraph) -> bool {
     match op {
         ServeOp::AddEdge { from, to } => {

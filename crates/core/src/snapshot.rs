@@ -13,11 +13,13 @@
 //!             payload  len bytes
 //! ```
 //!
-//! Section payloads reuse the existing codecs: `GRPH` holds a `DKG1` graph
-//! stream, `REQS` the requirements table, `INDX` the `DKI1`-style index
-//! body. Unknown tags are skipped (forward compatibility).
+//! Section payloads are the codecs of [`dkindex_graph::io`] and
+//! [`crate::store`]: `GRPH` holds a `DKG1` graph stream, `REQS` the
+//! requirements table, `INDX` the index body. Unknown tags are skipped
+//! (forward compatibility). This container is the only index file format:
+//! anything that does not start with `DKSN` is [`SnapshotError::BadMagic`].
 //!
-//! Two read modes:
+//! Two read modes over one section loader:
 //!
 //! * [`read_snapshot`] — strict: any checksum or structural failure is a
 //!   typed [`SnapshotError`]. Used where silent degradation is unacceptable.
@@ -27,12 +29,14 @@
 //!   empty requirements; the [`Recovery`] report says exactly what happened.
 //!   Only a damaged graph section is unrecoverable.
 //!
-//! The legacy un-checksummed `.dki` format (a bare `DKG1` stream + index)
-//! remains readable through [`load_index_bytes`], which sniffs the magic.
+//! Both modes agree on what "intact" means: [`read_snapshot`] succeeds
+//! exactly when [`load_with_recovery`] succeeds with
+//! [`Recovery::is_intact`].
 
 use crate::bytes::Cursor;
 use crate::crc32::crc32;
 use crate::dk::construct::DkIndex;
+use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
 use crate::store;
 use dkindex_graph::io::ReadError;
@@ -42,9 +46,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// The snapshot container magic (`DKSN`); callers can sniff it to pick a
-/// format-specific code path before parsing.
-pub const MAGIC: &[u8; 4] = b"DKSN";
+const MAGIC: &[u8; 4] = b"DKSN";
 const VERSION: u32 = 1;
 const TAG_REQS: [u8; 4] = *b"REQS";
 const TAG_GRPH: [u8; 4] = *b"GRPH";
@@ -83,8 +85,6 @@ pub enum SnapshotError {
     },
     /// Bytes remain after the declared sections.
     TrailingBytes,
-    /// Failure in the legacy (pre-snapshot) `.dki` codec.
-    Legacy(ReadError),
 }
 
 fn tag_str(tag: &[u8; 4]) -> String {
@@ -110,7 +110,6 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot is missing its {} section", tag_str(tag))
             }
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after the last section"),
-            SnapshotError::Legacy(e) => write!(f, "legacy index file: {e}"),
         }
     }
 }
@@ -188,26 +187,21 @@ pub fn save_snapshot_file(dk: &DkIndex, data: &DataGraph, path: &Path) -> io::Re
     std::fs::rename(&tmp, path)
 }
 
-/// One parsed section's state after framing + checksum validation.
-enum SectionState {
-    Missing,
-    Corrupt(String),
-    Ok(std::ops::Range<usize>),
+/// The container's framing: each known section's checksum-clean payload or
+/// the typed reason it is unusable.
+struct Frames<'a> {
+    reqs: Result<&'a [u8], SnapshotError>,
+    grph: Result<&'a [u8], SnapshotError>,
+    indx: Result<&'a [u8], SnapshotError>,
+    /// `Err` when the framing itself broke mid-stream; sections framed
+    /// *before* the break are still usable for recovery.
+    framing: Result<(), SnapshotError>,
 }
 
-struct Frames {
-    reqs: SectionState,
-    grph: SectionState,
-    indx: SectionState,
-    /// Set when the container framing itself broke mid-stream; sections
-    /// parsed *before* the break are still usable for recovery.
-    framing_error: Option<SnapshotError>,
-}
-
-/// Parse the container framing, validating each section's CRC. Never fails
-/// outright: framing breaks are recorded so recovery can still use the
-/// sections that parsed before the break.
-fn parse_frames(bytes: &[u8]) -> Result<Frames, SnapshotError> {
+/// Parse the container framing, validating each section's CRC. Only a bad
+/// header fails outright: a framing break is recorded so recovery can still
+/// use the sections that parsed before it.
+fn parse_frames(bytes: &[u8]) -> Result<Frames<'_>, SnapshotError> {
     let mut cur = Cursor::new(bytes);
     let magic = cur.array4().ok_or_else(|| SnapshotError::Truncated {
         what: "header".to_string(),
@@ -226,118 +220,98 @@ fn parse_frames(bytes: &[u8]) -> Result<Frames, SnapshotError> {
     })? as usize;
 
     let mut frames = Frames {
-        reqs: SectionState::Missing,
-        grph: SectionState::Missing,
-        indx: SectionState::Missing,
-        framing_error: None,
+        reqs: Err(SnapshotError::MissingSection { tag: TAG_REQS }),
+        grph: Err(SnapshotError::MissingSection { tag: TAG_GRPH }),
+        indx: Err(SnapshotError::MissingSection { tag: TAG_INDX }),
+        framing: Ok(()),
     };
     for _ in 0..count {
         let (Some(tag), Some(len), Some(stored_crc)) =
             (cur.array4(), cur.u32_le().map(|v| v as usize), cur.u32_le())
         else {
-            frames.framing_error = Some(SnapshotError::Truncated {
+            frames.framing = Err(SnapshotError::Truncated {
                 what: "section header".to_string(),
             });
             return Ok(frames);
         };
-        let start = cur.offset();
         let Some(payload) = cur.take(len) else {
-            frames.framing_error = Some(SnapshotError::Truncated {
+            frames.framing = Err(SnapshotError::Truncated {
                 what: format!("section {} payload", tag_str(&tag)),
             });
             return Ok(frames);
         };
-        let state = if crc32(payload) == stored_crc {
-            SectionState::Ok(start..start + len)
+        let section = if crc32(payload) == stored_crc {
+            Ok(payload)
         } else {
             telemetry::metrics::STORE_CRC_FAILURES.incr();
-            SectionState::Corrupt("checksum mismatch".to_string())
+            Err(SnapshotError::SectionCrc { tag })
         };
         match tag {
-            TAG_REQS => frames.reqs = state,
-            TAG_GRPH => frames.grph = state,
-            TAG_INDX => frames.indx = state,
+            TAG_REQS => frames.reqs = section,
+            TAG_GRPH => frames.grph = section,
+            TAG_INDX => frames.indx = section,
             _ => {} // unknown section: skip (forward compatibility)
         }
     }
     if cur.remaining() != 0 {
-        frames.framing_error = Some(SnapshotError::TrailingBytes);
+        frames.framing = Err(SnapshotError::TrailingBytes);
     }
     Ok(frames)
 }
 
-/// The payload of a validated section. The range came out of
-/// [`parse_frames`] over this same buffer, so the lookup cannot miss; on
-/// an (impossible) mismatch the empty slice makes the section parse fail
-/// with a typed error instead of panicking.
-fn section_bytes<'a>(bytes: &'a [u8], range: &std::ops::Range<usize>) -> &'a [u8] {
-    bytes.get(range.clone()).unwrap_or(&[])
+/// One container, every part parsed to its typed outcome. The data graph is
+/// the ground truth and therefore mandatory; the rest is a `Result` each so
+/// the strict reader can demand all of them and the graceful one can
+/// substitute a fallback per part.
+struct Sections {
+    data: DataGraph,
+    reqs: Result<Requirements, SnapshotError>,
+    /// Parsed, fully consumed and invariant-checked against `data`.
+    index: Result<IndexGraph, SnapshotError>,
+    framing: Result<(), SnapshotError>,
+}
+
+/// The one section walk behind both read modes.
+fn load_sections(bytes: &[u8]) -> Result<Sections, SnapshotError> {
+    let corrupt = |tag: [u8; 4], e: ReadError| SnapshotError::Section { tag, reason: e.to_string() };
+    let frames = parse_frames(bytes)?;
+    let data = match frames.grph {
+        Ok(mut payload) => {
+            dkindex_graph::io::read_graph(&mut payload).map_err(|e| corrupt(TAG_GRPH, e))?
+        }
+        // A graph section lost to a framing break is reported as the break.
+        Err(e) => return Err(frames.framing.err().unwrap_or(e)),
+    };
+    let reqs = frames.reqs.and_then(|mut payload| {
+        store::read_requirements(&mut payload).map_err(|e| corrupt(TAG_REQS, e))
+    });
+    let index = frames.indx.and_then(|mut payload| {
+        let index = store::read_index(&mut payload, data.node_count())
+            .map_err(|e| corrupt(TAG_INDX, e))?;
+        if !payload.is_empty() {
+            return Err(SnapshotError::Section {
+                tag: TAG_INDX,
+                reason: "trailing bytes inside the section".to_string(),
+            });
+        }
+        index.check_invariants(&data).map_err(|e| SnapshotError::Section {
+            tag: TAG_INDX,
+            reason: format!("fails invariants: {e}"),
+        })?;
+        Ok(index)
+    });
+    Ok(Sections { data, reqs, index, framing: frames.framing })
 }
 
 /// Strict load: every section must be present, checksum-clean and parse,
 /// and the index must pass its invariant check against the graph.
 pub fn read_snapshot(bytes: &[u8]) -> Result<(DkIndex, DataGraph), SnapshotError> {
-    let frames = parse_frames(bytes)?;
-    if let Some(e) = frames.framing_error {
-        return Err(e);
-    }
-    let data = parse_graph(bytes, &frames.grph)?;
-    let reqs = match &frames.reqs {
-        SectionState::Ok(range) => {
-            let mut cursor = section_bytes(bytes, range);
-            store::read_requirements(&mut cursor).map_err(|e| {
-                SnapshotError::Section { tag: TAG_REQS, reason: e.to_string() }
-            })?
-        }
-        SectionState::Corrupt(reason) => {
-            return Err(section_error(TAG_REQS, reason));
-        }
-        SectionState::Missing => return Err(SnapshotError::MissingSection { tag: TAG_REQS }),
-    };
-    let index = match &frames.indx {
-        SectionState::Ok(range) => {
-            let mut cursor = section_bytes(bytes, range);
-            let index = store::read_index(&mut cursor, data.node_count()).map_err(|e| {
-                SnapshotError::Section { tag: TAG_INDX, reason: e.to_string() }
-            })?;
-            if !cursor.is_empty() {
-                return Err(SnapshotError::Section {
-                    tag: TAG_INDX,
-                    reason: "trailing bytes inside the section".to_string(),
-                });
-            }
-            index.check_invariants(&data).map_err(|e| SnapshotError::Section {
-                tag: TAG_INDX,
-                reason: format!("fails invariants: {e}"),
-            })?;
-            index
-        }
-        SectionState::Corrupt(reason) => return Err(section_error(TAG_INDX, reason)),
-        SectionState::Missing => return Err(SnapshotError::MissingSection { tag: TAG_INDX }),
-    };
+    let sections = load_sections(bytes)?;
+    sections.framing?;
+    let reqs = sections.reqs?;
+    let index = sections.index?;
     telemetry::metrics::STORE_SNAPSHOT_LOADS.incr();
-    Ok((DkIndex::from_parts(index, reqs), data))
-}
-
-fn section_error(tag: [u8; 4], reason: &str) -> SnapshotError {
-    if reason == "checksum mismatch" {
-        SnapshotError::SectionCrc { tag }
-    } else {
-        SnapshotError::Section { tag, reason: reason.to_string() }
-    }
-}
-
-fn parse_graph(bytes: &[u8], state: &SectionState) -> Result<DataGraph, SnapshotError> {
-    match state {
-        SectionState::Ok(range) => {
-            let mut cursor = section_bytes(bytes, range);
-            dkindex_graph::io::read_graph(&mut cursor).map_err(|e| {
-                SnapshotError::Section { tag: TAG_GRPH, reason: e.to_string() }
-            })
-        }
-        SectionState::Corrupt(reason) => Err(section_error(TAG_GRPH, reason)),
-        SectionState::Missing => Err(SnapshotError::MissingSection { tag: TAG_GRPH }),
-    }
+    Ok((DkIndex::from_parts(index, reqs), sections.data))
 }
 
 /// Graceful load: recover everything recoverable. The data graph section is
@@ -348,101 +322,30 @@ fn parse_graph(bytes: &[u8], state: &SectionState) -> Result<DataGraph, Snapshot
 pub fn load_with_recovery(
     bytes: &[u8],
 ) -> Result<(DkIndex, DataGraph, Recovery), SnapshotError> {
-    let frames = parse_frames(bytes)?;
-    let data = parse_graph(bytes, &frames.grph)?;
+    let Sections { data, reqs, index, framing } = load_sections(bytes)?;
     let mut recovery = Recovery::default();
-    if let Some(e) = &frames.framing_error {
+    if let Err(e) = framing {
         recovery.notes.push(format!("container framing: {e}"));
     }
-
-    let reqs = match &frames.reqs {
-        SectionState::Ok(range) => match store::read_requirements(&mut section_bytes(bytes, range)) {
-            Ok(reqs) => reqs,
-            Err(e) => {
-                recovery.lost_requirements = true;
-                recovery.notes.push(format!("REQS unparseable ({e}); using empty requirements"));
-                Requirements::new()
-            }
-        },
-        SectionState::Corrupt(reason) => {
+    let reqs = match reqs {
+        Ok(reqs) => reqs,
+        Err(e) => {
             recovery.lost_requirements = true;
-            recovery.notes.push(format!("REQS {reason}; using empty requirements"));
-            Requirements::new()
-        }
-        SectionState::Missing => {
-            recovery.lost_requirements = true;
-            recovery.notes.push("REQS section missing; using empty requirements".to_string());
+            recovery.notes.push(format!("{e}; using empty requirements"));
             Requirements::new()
         }
     };
-
-    let index = match &frames.indx {
-        SectionState::Ok(range) => {
-            let mut cursor = section_bytes(bytes, range);
-            match store::read_index(&mut cursor, data.node_count()) {
-                Ok(index) if cursor.is_empty() => {
-                    match index.check_invariants(&data) {
-                        Ok(()) => Some(index),
-                        Err(e) => {
-                            recovery.notes.push(format!("INDX fails invariants: {e}"));
-                            None
-                        }
-                    }
-                }
-                Ok(_) => {
-                    recovery.notes.push("INDX has trailing bytes".to_string());
-                    None
-                }
-                Err(e) => {
-                    recovery.notes.push(format!("INDX unparseable: {e}"));
-                    None
-                }
-            }
-        }
-        SectionState::Corrupt(reason) => {
-            recovery.notes.push(format!("INDX {reason}"));
-            None
-        }
-        SectionState::Missing => {
-            recovery.notes.push("INDX section missing".to_string());
-            None
-        }
-    };
-
     let dk = match index {
-        Some(index) => DkIndex::from_parts(index, reqs),
-        None => {
+        Ok(index) => DkIndex::from_parts(index, reqs),
+        Err(e) => {
             recovery.rebuilt_index = true;
+            recovery.notes.push(format!("{e}; index rebuilt from the data graph"));
             telemetry::metrics::AUDIT_REBUILDS.incr();
             DkIndex::build(&data, reqs)
         }
     };
     telemetry::metrics::STORE_SNAPSHOT_LOADS.incr();
     Ok((dk, data, recovery))
-}
-
-/// Which on-disk format a file turned out to be.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// The checksummed `DKSN` container.
-    Snapshot,
-    /// The legacy bare `DKG1 + DKI1` stream.
-    Legacy,
-}
-
-/// Load an index file of either format, sniffing the magic: `DKSN` →
-/// strict snapshot read, `DKG1` → legacy [`store::load_dk`].
-pub fn load_index_bytes(
-    bytes: &[u8],
-) -> Result<(DkIndex, DataGraph, SnapshotFormat), SnapshotError> {
-    if bytes.starts_with(MAGIC) {
-        let (dk, data) = read_snapshot(bytes)?;
-        Ok((dk, data, SnapshotFormat::Snapshot))
-    } else {
-        let mut cursor = bytes;
-        let (dk, data) = store::load_dk(&mut cursor).map_err(SnapshotError::Legacy)?;
-        Ok((dk, data, SnapshotFormat::Legacy))
-    }
 }
 
 #[cfg(test)]
@@ -555,17 +458,16 @@ mod tests {
         }
     }
 
+    /// The container is the only index file format: the bare `DKG1` stream
+    /// that predates it (graph payload first, no checksums) is not sniffed
+    /// or half-parsed, it is `BadMagic` for both readers.
     #[test]
-    fn legacy_files_still_load() {
+    fn bare_graph_streams_are_not_snapshots() {
         let (g, dk) = sample();
-        let mut legacy = Vec::new();
-        store::save_dk(&dk, &g, &mut legacy).unwrap();
-        let (back, _, format) = load_index_bytes(&legacy).unwrap();
-        assert_eq!(format, SnapshotFormat::Legacy);
-        assert_eq!(back.size(), dk.size());
-
-        let snap = snapshot_bytes(&dk, &g);
-        let (_, _, format) = load_index_bytes(&snap).unwrap();
-        assert_eq!(format, SnapshotFormat::Snapshot);
+        let mut bare = Vec::new();
+        dkindex_graph::io::write_graph(&g, &mut bare).unwrap();
+        store::write_index(dk.index(), &mut bare).unwrap();
+        assert!(matches!(read_snapshot(&bare), Err(SnapshotError::BadMagic)));
+        assert!(matches!(load_with_recovery(&bare), Err(SnapshotError::BadMagic)));
     }
 }

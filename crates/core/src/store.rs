@@ -1,46 +1,31 @@
-//! Binary serialization for index graphs and D(k)-indexes, so a tuned index
-//! survives restarts without the O(km) rebuild.
+//! Section codecs for the snapshot container ([`crate::snapshot`]): the
+//! byte form of an index graph (`INDX`) and of a requirements table
+//! (`REQS`). Neither is a file format on its own — the container frames,
+//! checksums and versions them, and pairs them with the data graph's `GRPH`
+//! payload ([`dkindex_graph::io`]).
 //!
-//! Format `DKI1` (little-endian), written after the data graph's own `DKG1`
-//! payload when stored together via [`save_dk`]/[`load_dk`]:
+//! Layouts (little-endian):
 //!
 //! ```text
-//! magic    b"DKI1"
-//! reqs     u32 floor, u32 count, then per entry: u16+utf8 label, u32 k
-//! labels   u32 count, then per label: u16+utf8 name
-//! inodes   u32 count, then per node:
-//!            u32 label, u64 similarity, u32 extent-len, u32 data-node ids
-//! edges    u32 count, then per edge: u32 from, u32 to
-//! root     u32 index node id
+//! REQS     u32 floor, u32 count, then per entry: u16+utf8 label, u32 k
+//!          (entries sorted by label)
+//! INDX     labels   u32 count, then per label: u16+utf8 name
+//!          inodes   u32 count, then per node:
+//!                     u32 label, u64 similarity, u32 extent-len, u32 data-node ids
+//!          edges    u32 count, then per edge: u32 from, u32 to
+//!          root     u32 index node id
 //! ```
 //!
-//! Loading validates structure (extents partition `0..data_nodes`, ids in
-//! range) and leaves semantic validation to
-//! [`IndexGraph::check_invariants`], which [`load_dk`] runs against the
-//! graph it loads alongside.
-//!
-//! ```
-//! use dkindex_core::store::{load_dk, save_dk};
-//! use dkindex_core::{DkIndex, Requirements};
-//! use dkindex_xml::parse_to_graph;
-//!
-//! let data = parse_to_graph("<db><a/><a/></db>").unwrap();
-//! let dk = DkIndex::build(&data, Requirements::uniform(1));
-//! let mut bytes = Vec::new();
-//! save_dk(&dk, &data, &mut bytes).unwrap();
-//! let (loaded, loaded_data) = load_dk(&mut bytes.as_slice()).unwrap();
-//! assert_eq!(loaded.size(), dk.size());
-//! loaded.index().check_invariants(&loaded_data).unwrap();
-//! ```
+//! [`read_index`] validates structure (extents partition `0..data_nodes`,
+//! ids in range) and leaves semantic validation to
+//! [`IndexGraph::check_invariants`], which the snapshot loader runs against
+//! the graph it loads alongside.
 
-use crate::dk::construct::DkIndex;
 use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
-use dkindex_graph::io::{read_str, read_u32, write_graph, write_str, write_u32, ReadError};
-use dkindex_graph::{DataGraph, LabelInterner, LabeledGraph, NodeId};
+use dkindex_graph::io::{read_str, read_u32, write_str, write_u32, ReadError};
+use dkindex_graph::{LabelInterner, LabeledGraph, NodeId};
 use std::io::{self, Read, Write};
-
-const MAGIC: &[u8; 4] = b"DKI1";
 
 fn corrupt(msg: impl Into<String>) -> ReadError {
     ReadError::Corrupt(msg.into())
@@ -188,58 +173,11 @@ pub(crate) fn read_requirements<R: Read>(r: &mut R) -> Result<Requirements, Read
     Ok(reqs)
 }
 
-/// Save a D(k)-index together with its data graph into one stream.
-pub fn save_dk<W: Write>(dk: &DkIndex, data: &DataGraph, w: &mut W) -> io::Result<()> {
-    write_graph(data, w)?;
-    w.write_all(MAGIC)?;
-    write_requirements(dk.requirements(), w)?;
-    write_index(dk.index(), w)
-}
-
-/// Load a D(k)-index and its data graph from one stream, verifying the
-/// index invariants against the loaded graph.
-pub fn load_dk<R: Read>(r: &mut R) -> Result<(DkIndex, DataGraph), ReadError> {
-    // read_graph demands stream exhaustion, so peel the graph bytes off by
-    // re-reading through a tee; simplest correct approach: buffer the rest.
-    let mut all = Vec::new();
-    r.read_to_end(&mut all)?;
-    let mut cursor = io::Cursor::new(&all);
-    let data = read_graph_prefix(&mut cursor)?;
-    let mut magic = [0u8; 4];
-    cursor.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(corrupt("bad index magic (expected DKI1)"));
-    }
-    let reqs = read_requirements(&mut cursor)?;
-    let index = read_index(&mut cursor, data.node_count())?;
-    if cursor.position() != all.len() as u64 {
-        return Err(corrupt("trailing bytes after index"));
-    }
-    index
-        .check_invariants(&data)
-        .map_err(|e| corrupt(format!("loaded index fails invariants: {e}")))?;
-    let dk = DkIndex::from_parts(index, reqs);
-    Ok((dk, data))
-}
-
-/// Like [`dkindex_graph::io::read_graph`] but tolerant of trailing bytes
-/// (the index payload follows).
-fn read_graph_prefix<R: Read>(r: &mut R) -> Result<DataGraph, ReadError> {
-    // Re-serialize-free approach: read_graph insists on exhaustion, so wrap
-    // the reader to stop exactly at the graph boundary is impossible without
-    // knowing the length. Instead, duplicate the small amount of framing
-    // logic: write_graph's layout is length-prefixed throughout, so
-    // read_graph_inner (graph crate) could parse prefixes — we emulate by
-    // buffering: parse with a counting reader that read_graph sees as EOF
-    // only at the real end is not available, so we re-parse manually here.
-    dkindex_graph::io::read_graph_allow_trailing(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::requirements::Requirements;
-    use dkindex_graph::EdgeKind;
+    use crate::dk::construct::DkIndex;
+    use dkindex_graph::{DataGraph, EdgeKind};
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -257,24 +195,22 @@ mod tests {
         (g, dk)
     }
 
-    #[test]
-    fn dk_round_trips() {
-        let (g, dk) = sample();
+    fn index_bytes(dk: &DkIndex) -> Vec<u8> {
         let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        let (back, g2) = load_dk(&mut bytes.as_slice()).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
+        write_index(dk.index(), &mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn index_round_trips() {
+        let (g, dk) = sample();
+        let bytes = index_bytes(&dk);
+        let back = read_index(&mut bytes.as_slice(), g.node_count()).unwrap();
+        back.check_invariants(&g).unwrap();
         assert_eq!(back.size(), dk.size());
-        assert_eq!(back.requirements(), dk.requirements());
-        assert!(back
-            .index()
-            .to_partition()
-            .same_equivalence(&dk.index().to_partition()));
+        assert!(back.to_partition().same_equivalence(&dk.index().to_partition()));
         for inode in dk.index().node_ids() {
-            assert_eq!(
-                back.index().similarity(inode),
-                dk.index().similarity(inode)
-            );
+            assert_eq!(back.similarity(inode), dk.index().similarity(inode));
         }
     }
 
@@ -283,28 +219,26 @@ mod tests {
         use crate::eval::{evaluate_on_data, IndexEvaluator};
         use dkindex_pathexpr::parse;
         let (g, dk) = sample();
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        let (back, g2) = load_dk(&mut bytes.as_slice()).unwrap();
+        let back = read_index(&mut index_bytes(&dk).as_slice(), g.node_count()).unwrap();
         for q in ["director.movie.title", "actor.movie", "movie.title"] {
             let e = parse(q).unwrap();
-            let out = IndexEvaluator::new(back.index(), &g2).evaluate(&e);
-            assert_eq!(out.matches, evaluate_on_data(&g2, &e).0, "{q}");
+            let out = IndexEvaluator::new(&back, &g).evaluate(&e);
+            assert_eq!(out.matches, evaluate_on_data(&g, &e).0, "{q}");
         }
     }
 
     #[test]
     fn corrupted_extent_is_rejected() {
         let (g, dk) = sample();
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        // Flip a late byte (inside the index payload) until loading fails —
-        // robustness: corruption must never produce a silently-wrong index.
+        let bytes = index_bytes(&dk);
+        // Flip each late byte (extents, edges, root) — robustness: corruption
+        // must never produce a silently-wrong index.
         let mut corrupted = 0;
         for i in (bytes.len() - 40)..bytes.len() {
             let mut copy = bytes.clone();
             copy[i] ^= 0xFF;
-            if load_dk(&mut copy.as_slice()).is_err() {
+            let loaded = read_index(&mut copy.as_slice(), g.node_count());
+            if loaded.map_or(true, |index| index.check_invariants(&g).is_err()) {
                 corrupted += 1;
             }
         }
@@ -314,19 +248,9 @@ mod tests {
     #[test]
     fn truncation_is_rejected() {
         let (g, dk) = sample();
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
+        let mut bytes = index_bytes(&dk);
         bytes.truncate(bytes.len() - 1);
-        assert!(load_dk(&mut bytes.as_slice()).is_err());
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let (g, dk) = sample();
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        bytes.extend_from_slice(b"junk");
-        assert!(load_dk(&mut bytes.as_slice()).is_err());
+        assert!(read_index(&mut bytes.as_slice(), g.node_count()).is_err());
     }
 
     #[test]

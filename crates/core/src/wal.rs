@@ -1,5 +1,5 @@
 //! Write-ahead log of maintenance operations (§5's update stream, made
-//! crash-safe and, since v2, covering the full [`ServeOp`] vocabulary).
+//! crash-safe): the durable form of a [`ServeOp`] sequence.
 //!
 //! A snapshot captures the index at one point in time; the WAL captures the
 //! maintenance operations applied since. `snapshot + replay(WAL)` therefore
@@ -8,42 +8,39 @@
 //! suite, the crash-recovery torture harness and the robustness property
 //! tests.
 //!
-//! Two on-disk versions share the `b"DKWL"` magic (all integers
-//! little-endian):
+//! On-disk format, version 2 (all integers little-endian):
 //!
 //! ```text
-//! v1 header   b"DKWL", u32 version (= 1)
-//! v1 record   u8 tag (1 = add-edge), u32 from, u32 to,
-//!             u32 CRC-32 of the preceding 9 bytes
-//!
-//! v2 header   b"DKWL", u32 version (= 2)
-//! v2 record   u32 body_len, body, u32 CRC-32 of body
-//!             body = u8 tag, payload
-//!               tag 1  add-edge                u32 from, u32 to
-//!               tag 2  promote                 u32 node, u32 k
-//!               tag 3  promote-to-requirements (empty)
-//!               tag 4  demote                  requirements
-//!               tag 5  set-requirements        requirements
-//!               tag 6  commit fence            u32 ops since previous fence
-//!             requirements = u32 floor, u32 count,
-//!                            count × (u32 name_len, name bytes, u32 k)
-//!             (pairs sorted by label name — the in-memory table is a
-//!             `HashMap`, so the wire order is declared here)
+//! header   b"DKWL", u32 version (= 2)
+//! record   u32 body_len, body, u32 CRC-32 of body
+//!          body = u8 tag, payload
+//!            tag 1  add-edge                u32 from, u32 to
+//!            tag 2  promote                 u32 node, u32 k
+//!            tag 3  promote-to-requirements (empty)
+//!            tag 4  demote                  requirements
+//!            tag 5  set-requirements        requirements
+//!            tag 6  commit fence            u32 ops since previous fence
+//!          requirements = u32 floor, u32 count,
+//!                         count × (u32 name_len, name bytes, u32 k)
+//!          (pairs sorted by label name — the in-memory table is a
+//!          `HashMap`, so the wire order is declared here)
 //! ```
 //!
-//! v2 adds the **commit fence** (tag 6): the group-commit writer stages a
-//! batch of op records plus one fence in a single write and `fsync`s once.
-//! Decoding returns only records *covered by a fence* — the committed
-//! prefix. Everything after the last fence, whether a partial record or
-//! complete-but-unfenced records, is the unacknowledged tail: recovery and
-//! [`WalWriter::open`] drop it atomically, which is what lets a DKNP
-//! `UPDATE_OK` promise durability (docs/PROTOCOL.md §8). v1 files have no
-//! fences; every complete record counts as committed (each v1 append
-//! synced individually).
+//! Any other header version — including the fence-less version 1 that
+//! predates group commit — is rejected with
+//! [`WalError::UnsupportedVersion`].
+//!
+//! The **commit fence** (tag 6) is what makes a batch atomic: the
+//! group-commit writer stages a batch of op records plus one fence in a
+//! single write and `fsync`s once. Decoding returns only records *covered by
+//! a fence* — the committed prefix. Everything after the last fence, whether
+//! a partial record or complete-but-unfenced records, is the unacknowledged
+//! tail: recovery and [`WalWriter::open`] drop it atomically, which is what
+//! lets a DKNP `UPDATE_OK` promise durability (docs/PROTOCOL.md §8).
 //!
 //! Decoding distinguishes two failure shapes with different semantics:
 //!
-//! * **Torn tail** — the file ends mid-record, or (v2) past the last commit
+//! * **Torn tail** — the file ends mid-record or past the last commit
 //!   fence. This is the expected crash signature (the process died while
 //!   appending, or before the batch's fsync); decoding *succeeds* with the
 //!   committed prefix and reports [`WalTail::Torn`].
@@ -54,7 +51,7 @@
 //!   decoding fails with a typed [`WalError::CorruptRecord`].
 //!
 //! [`WalWriter`] orders writes for durability: a record (or batch) is
-//! written and synced before the append returns, so an operation
+//! written, fenced and synced before the append returns, so an operation
 //! acknowledged to the caller survives a crash. The writer is generic over
 //! [`WalStore`] so the crash torture harness can substitute the
 //! fail-injecting [`crate::io_fail::SimDisk`] for a real file.
@@ -63,8 +60,8 @@ use crate::bytes::Cursor;
 use crate::crc32::crc32;
 use crate::dk::construct::DkIndex;
 use crate::requirements::Requirements;
-use crate::serve_ops::ServeOp;
-use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
+use crate::serve_ops::{self, ServeOp};
+use dkindex_graph::{DataGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -72,83 +69,30 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DKWL";
-/// Current on-disk version written by [`WalWriter::create`].
+/// The on-disk version this build reads and writes.
 pub const VERSION: u32 = 2;
-const VERSION_V1: u32 = 1;
 const HEADER_LEN: usize = 8;
-const V1_RECORD_LEN: usize = 13;
 const TAG_ADD_EDGE: u8 = 1;
 const TAG_PROMOTE: u8 = 2;
 const TAG_PROMOTE_TO_REQUIREMENTS: u8 = 3;
 const TAG_DEMOTE: u8 = 4;
 const TAG_SET_REQUIREMENTS: u8 = 5;
 const TAG_COMMIT: u8 = 6;
-/// Upper bound on one v2 record body. A length prefix beyond this is
+/// Upper bound on one record body. A length prefix beyond this is
 /// corruption, not a huge record: the largest legitimate body is a
 /// requirements table, and even a pathological label set stays far below
 /// a mebibyte.
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
-/// One logged maintenance operation (the WAL mirror of [`ServeOp`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalRecord {
-    /// The paper's edge-addition update (Algorithms 4–5).
-    AddEdge {
-        /// Source data node.
-        from: NodeId,
-        /// Target data node.
-        to: NodeId,
-    },
-    /// Promote the block containing `node` to local similarity `k`
-    /// (Algorithm 6).
-    Promote {
-        /// A data node identifying the target block.
-        node: NodeId,
-        /// Requested local similarity.
-        k: usize,
-    },
-    /// Run the full promoting pass against the stored requirements.
-    PromoteToRequirements,
-    /// Demote the index to the given requirements (§5.4).
-    Demote(Requirements),
-    /// Replace the stored requirements and promote up to them.
-    SetRequirements(Requirements),
-}
-
-impl WalRecord {
-    /// The WAL record logging `op`.
-    pub fn from_op(op: &ServeOp) -> WalRecord {
-        match op {
-            ServeOp::AddEdge { from, to } => WalRecord::AddEdge { from: *from, to: *to },
-            ServeOp::Promote { node, k } => WalRecord::Promote { node: *node, k: *k },
-            ServeOp::PromoteToRequirements => WalRecord::PromoteToRequirements,
-            ServeOp::Demote(reqs) => WalRecord::Demote(reqs.clone()),
-            ServeOp::SetRequirements(reqs) => WalRecord::SetRequirements(reqs.clone()),
-        }
-    }
-
-    /// The serve operation this record replays as.
-    pub fn to_op(&self) -> ServeOp {
-        match self {
-            WalRecord::AddEdge { from, to } => ServeOp::AddEdge { from: *from, to: *to },
-            WalRecord::Promote { node, k } => ServeOp::Promote { node: *node, k: *k },
-            WalRecord::PromoteToRequirements => ServeOp::PromoteToRequirements,
-            WalRecord::Demote(reqs) => ServeOp::Demote(reqs.clone()),
-            WalRecord::SetRequirements(reqs) => ServeOp::SetRequirements(reqs.clone()),
-        }
-    }
-}
-
 /// How the log ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalTail {
-    /// v1: the file ends exactly on a record boundary. v2: the file ends
-    /// exactly on a commit fence (or is a bare header).
+    /// The file ends exactly on a commit fence (or is a bare header).
     Clean,
     /// The committed prefix ends at `valid_len`: the file continues with a
-    /// partial record (crash during a write) or, in v2, with records no
-    /// commit fence covers (crash before the batch's fsync). Recovery
-    /// truncates here.
+    /// partial record (crash during a write) or with records no commit
+    /// fence covers (crash before the batch's fsync). Recovery truncates
+    /// here.
     Torn {
         /// Length of the committed prefix in bytes.
         valid_len: usize,
@@ -169,7 +113,7 @@ pub enum WalError {
     /// A complete record failed its CRC, carries an unknown tag, has a
     /// malformed payload, or is a fence whose count disagrees with the log.
     CorruptRecord {
-        /// Zero-based record index (fences included, v2).
+        /// Zero-based record index (fences included).
         index: usize,
         /// Byte offset of the record start.
         offset: usize,
@@ -210,43 +154,33 @@ impl From<io::Error> for WalError {
 
 // ---- encoding ------------------------------------------------------------
 
-/// The 8-byte header of the current (v2) format.
+/// The 8-byte file header.
 pub fn encode_header() -> [u8; HEADER_LEN] {
-    encode_header_version(VERSION)
-}
-
-/// The 8-byte header of the legacy v1 format (compatibility tests and the
-/// fault sweeps still write v1 streams).
-pub fn encode_header_v1() -> [u8; HEADER_LEN] {
-    encode_header_version(VERSION_V1)
-}
-
-fn encode_header_version(version: u32) -> [u8; HEADER_LEN] {
     let [m0, m1, m2, m3] = *MAGIC;
-    let [v0, v1, v2, v3] = version.to_le_bytes();
+    let [v0, v1, v2, v3] = VERSION.to_le_bytes();
     [m0, m1, m2, m3, v0, v1, v2, v3]
 }
 
-/// Encode one op record into its v2 wire form (length prefix + body + CRC).
-pub fn encode_record(record: &WalRecord) -> Vec<u8> {
+/// Encode one op record into its wire form (length prefix + body + CRC).
+pub fn encode_record(op: &ServeOp) -> Vec<u8> {
     let mut body = Vec::with_capacity(16);
-    match record {
-        WalRecord::AddEdge { from, to } => {
+    match op {
+        ServeOp::AddEdge { from, to } => {
             body.push(TAG_ADD_EDGE);
             body.extend_from_slice(&(from.index() as u32).to_le_bytes());
             body.extend_from_slice(&(to.index() as u32).to_le_bytes());
         }
-        WalRecord::Promote { node, k } => {
+        ServeOp::Promote { node, k } => {
             body.push(TAG_PROMOTE);
             body.extend_from_slice(&(node.index() as u32).to_le_bytes());
             body.extend_from_slice(&(*k as u32).to_le_bytes());
         }
-        WalRecord::PromoteToRequirements => body.push(TAG_PROMOTE_TO_REQUIREMENTS),
-        WalRecord::Demote(reqs) => {
+        ServeOp::PromoteToRequirements => body.push(TAG_PROMOTE_TO_REQUIREMENTS),
+        ServeOp::Demote(reqs) => {
             body.push(TAG_DEMOTE);
             encode_requirements(reqs, &mut body);
         }
-        WalRecord::SetRequirements(reqs) => {
+        ServeOp::SetRequirements(reqs) => {
             body.push(TAG_SET_REQUIREMENTS);
             encode_requirements(reqs, &mut body);
         }
@@ -254,7 +188,7 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     frame_body(&body)
 }
 
-/// Encode a v2 commit fence covering `count` op records.
+/// Encode a commit fence covering `count` op records.
 pub fn encode_commit(count: u32) -> Vec<u8> {
     let mut body = Vec::with_capacity(5);
     body.push(TAG_COMMIT);
@@ -286,31 +220,16 @@ fn encode_requirements(reqs: &Requirements, out: &mut Vec<u8>) {
     }
 }
 
-/// Encode one record into the legacy 13-byte v1 wire form. Only
-/// [`WalRecord::AddEdge`] exists in v1; other ops return `None`.
-pub fn encode_record_v1(record: &WalRecord) -> Option<[u8; V1_RECORD_LEN]> {
-    let WalRecord::AddEdge { from, to } = record else {
-        return None;
-    };
-    let [f0, f1, f2, f3] = (from.index() as u32).to_le_bytes();
-    let [t0, t1, t2, t3] = (to.index() as u32).to_le_bytes();
-    let body = [TAG_ADD_EDGE, f0, f1, f2, f3, t0, t1, t2, t3];
-    let [c0, c1, c2, c3] = crc32(&body).to_le_bytes();
-    Some([TAG_ADD_EDGE, f0, f1, f2, f3, t0, t1, t2, t3, c0, c1, c2, c3])
-}
-
 // ---- decoding ------------------------------------------------------------
 
-/// Per-file WAL report for `dkindex doctor`: version, committed record
-/// count, dropped-tail size and the tail verdict, without replaying.
+/// Per-file WAL report for `dkindex doctor`: committed record count,
+/// dropped-tail size and the tail verdict, without replaying.
 #[derive(Debug)]
 pub struct WalInspection {
-    /// On-disk format version (1 or 2).
-    pub version: u32,
     /// Records covered by the acknowledged prefix (replay applies these).
     pub committed: usize,
     /// Complete records past the last commit fence — written but never
-    /// fsync-fenced, so recovery drops them (always 0 for v1).
+    /// fsync-fenced, so recovery drops them.
     pub uncommitted: usize,
     /// How the file ends.
     pub verdict: WalVerdict,
@@ -347,10 +266,9 @@ enum DecodeEnd {
 
 /// Low-level scan result shared by [`decode_wal`] and [`inspect_wal`].
 struct Decoded {
-    version: u32,
     /// Every complete, CRC-valid op record in file order (fences excluded).
-    records: Vec<WalRecord>,
-    /// How many of `records` a commit fence covers (v1: all of them).
+    records: Vec<ServeOp>,
+    /// How many of `records` a commit fence covers.
     committed: usize,
     /// Byte offset where the committed prefix ends.
     committed_end: usize,
@@ -364,191 +282,68 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
         return Err(WalError::BadMagic);
     }
     let version = cur.u32_le().ok_or(WalError::TruncatedHeader)?;
-    match version {
-        VERSION_V1 => Ok(decode_engine_v1(cur)),
-        VERSION => Ok(decode_engine_v2(cur)),
-        other => Err(WalError::UnsupportedVersion(other)),
+    if version != VERSION {
+        return Err(WalError::UnsupportedVersion(version));
     }
-}
-
-fn decode_engine_v1(mut cur: Cursor<'_>) -> Decoded {
-    let mut records = Vec::new();
-    let mut index = 0usize;
-    // A v1 file ending exactly on a record boundary is a clean tail: every
-    // appended record survived (v1 synced per append). Only a strictly
-    // partial trailing record is torn.
-    while cur.remaining() >= V1_RECORD_LEN {
-        let offset = cur.offset();
-        let Some(rec) = cur.take(V1_RECORD_LEN) else {
-            break;
-        };
-        let mut fields = Cursor::new(rec);
-        let (Some(tag), Some(from), Some(to), Some(stored)) =
-            (fields.u8(), fields.u32_le(), fields.u32_le(), fields.u32_le())
-        else {
-            break;
-        };
-        let body = rec.get(..V1_RECORD_LEN - 4).unwrap_or(rec);
-        if crc32(body) != stored {
-            telemetry::metrics::STORE_CRC_FAILURES.incr();
-            return Decoded {
-                version: VERSION_V1,
-                committed: records.len(),
-                committed_end: offset,
-                records,
-                end: DecodeEnd::Corrupt {
-                    index,
-                    offset,
-                    reason: "CRC mismatch".to_string(),
-                },
-            };
-        }
-        if tag != TAG_ADD_EDGE {
-            return Decoded {
-                version: VERSION_V1,
-                committed: records.len(),
-                committed_end: offset,
-                records,
-                end: DecodeEnd::Corrupt {
-                    index,
-                    offset,
-                    reason: format!("unknown record tag {tag}"),
-                },
-            };
-        }
-        records.push(WalRecord::AddEdge {
-            from: NodeId::from_index(from as usize),
-            to: NodeId::from_index(to as usize),
-        });
-        index += 1;
-    }
-    let committed_end = cur.offset();
-    let end = if cur.remaining() == 0 { DecodeEnd::Clean } else { DecodeEnd::Torn };
-    Decoded {
-        version: VERSION_V1,
-        committed: records.len(),
-        committed_end,
-        records,
-        end,
-    }
-}
-
-fn decode_engine_v2(mut cur: Cursor<'_>) -> Decoded {
-    let mut records: Vec<WalRecord> = Vec::new();
+    let mut records: Vec<ServeOp> = Vec::new();
     let mut committed = 0usize;
     let mut committed_end = cur.offset();
     let mut index = 0usize;
-    let corrupt = |records: Vec<WalRecord>,
-                   committed: usize,
-                   committed_end: usize,
-                   index: usize,
-                   offset: usize,
-                   reason: String| Decoded {
-        version: VERSION,
-        records,
-        committed,
-        committed_end,
-        end: DecodeEnd::Corrupt { index, offset, reason },
-    };
-    loop {
+    let end = loop {
         if cur.remaining() == 0 {
-            break;
+            break if committed == records.len() && committed_end == cur.offset() {
+                DecodeEnd::Clean
+            } else {
+                // Complete records past the last fence: written but never
+                // fenced by an fsync, i.e. never acknowledged — the tail
+                // recovery drops.
+                DecodeEnd::Torn
+            };
         }
         let offset = cur.offset();
+        let corrupt = move |reason: String| DecodeEnd::Corrupt { index, offset, reason };
         // A tear inside the 4 length bytes, or a body/CRC shorter than the
         // declared length, is the crash signature: the write stopped partway.
         let Some(len) = cur.u32_le() else {
-            return Decoded {
-                version: VERSION,
-                records,
-                committed,
-                committed_end,
-                end: DecodeEnd::Torn,
-            };
+            break DecodeEnd::Torn;
         };
         let len = len as usize;
         if len == 0 || len > MAX_RECORD_LEN {
             // The 4 length bytes are complete, so they are the bytes that
             // were written — an out-of-bounds value is damage, not a tear.
-            return corrupt(
-                records,
-                committed,
-                committed_end,
-                index,
-                offset,
-                format!("record length {len} out of bounds"),
-            );
+            break corrupt(format!("record length {len} out of bounds"));
         }
         if cur.remaining() < len + 4 {
-            return Decoded {
-                version: VERSION,
-                records,
-                committed,
-                committed_end,
-                end: DecodeEnd::Torn,
-            };
+            break DecodeEnd::Torn;
         }
         let (Some(body), Some(stored)) = (cur.take(len), cur.u32_le()) else {
-            return Decoded {
-                version: VERSION,
-                records,
-                committed,
-                committed_end,
-                end: DecodeEnd::Torn,
-            };
+            break DecodeEnd::Torn;
         };
         if crc32(body) != stored {
             telemetry::metrics::STORE_CRC_FAILURES.incr();
-            return corrupt(
-                records,
-                committed,
-                committed_end,
-                index,
-                offset,
-                "CRC mismatch".to_string(),
-            );
+            break corrupt("CRC mismatch".to_string());
         }
         match decode_body(body) {
-            Ok(DecodedBody::Op(record)) => records.push(record),
+            Ok(DecodedBody::Op(op)) => records.push(op),
             Ok(DecodedBody::Commit(count)) => {
                 let run = records.len() - committed;
                 if count as usize != run {
-                    return corrupt(
-                        records,
-                        committed,
-                        committed_end,
-                        index,
-                        offset,
-                        format!("commit fence covers {count} records but {run} follow the previous fence"),
-                    );
+                    break corrupt(format!(
+                        "commit fence covers {count} records but {run} follow the previous fence"
+                    ));
                 }
                 committed = records.len();
                 committed_end = cur.offset();
             }
-            Err(reason) => {
-                return corrupt(records, committed, committed_end, index, offset, reason)
-            }
+            Err(reason) => break corrupt(reason),
         }
         index += 1;
-    }
-    let end = if committed == records.len() && committed_end == cur.offset() {
-        DecodeEnd::Clean
-    } else {
-        // Complete records past the last fence: written but never fenced by
-        // an fsync, i.e. never acknowledged — the tail recovery drops.
-        DecodeEnd::Torn
     };
-    Decoded {
-        version: VERSION,
-        records,
-        committed,
-        committed_end,
-        end,
-    }
+    Ok(Decoded { records, committed, committed_end, end })
 }
 
 enum DecodedBody {
-    Op(WalRecord),
+    Op(ServeOp),
     Commit(u32),
 }
 
@@ -562,7 +357,7 @@ fn decode_body(body: &[u8]) -> Result<DecodedBody, String> {
             let (Some(from), Some(to)) = (cur.u32_le(), cur.u32_le()) else {
                 return Err("add-edge payload truncated".to_string());
             };
-            DecodedBody::Op(WalRecord::AddEdge {
+            DecodedBody::Op(ServeOp::AddEdge {
                 from: NodeId::from_index(from as usize),
                 to: NodeId::from_index(to as usize),
             })
@@ -571,15 +366,15 @@ fn decode_body(body: &[u8]) -> Result<DecodedBody, String> {
             let (Some(node), Some(k)) = (cur.u32_le(), cur.u32_le()) else {
                 return Err("promote payload truncated".to_string());
             };
-            DecodedBody::Op(WalRecord::Promote {
+            DecodedBody::Op(ServeOp::Promote {
                 node: NodeId::from_index(node as usize),
                 k: k as usize,
             })
         }
-        TAG_PROMOTE_TO_REQUIREMENTS => DecodedBody::Op(WalRecord::PromoteToRequirements),
-        TAG_DEMOTE => DecodedBody::Op(WalRecord::Demote(decode_requirements(&mut cur)?)),
+        TAG_PROMOTE_TO_REQUIREMENTS => DecodedBody::Op(ServeOp::PromoteToRequirements),
+        TAG_DEMOTE => DecodedBody::Op(ServeOp::Demote(decode_requirements(&mut cur)?)),
         TAG_SET_REQUIREMENTS => {
-            DecodedBody::Op(WalRecord::SetRequirements(decode_requirements(&mut cur)?))
+            DecodedBody::Op(ServeOp::SetRequirements(decode_requirements(&mut cur)?))
         }
         TAG_COMMIT => {
             let Some(count) = cur.u32_le() else {
@@ -619,11 +414,11 @@ fn decode_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
     Ok(reqs)
 }
 
-/// Decode a WAL byte stream into its committed records. A file ending
-/// mid-record — or, in v2, past the last commit fence — yields the committed
-/// prefix with [`WalTail::Torn`]; a complete record with a bad CRC (or any
-/// other structural damage) is a typed error.
-pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<WalRecord>, WalTail), WalError> {
+/// Decode a WAL byte stream into its committed operations. A file ending
+/// mid-record or past the last commit fence yields the committed prefix
+/// with [`WalTail::Torn`]; a complete record with a bad CRC (or any other
+/// structural damage) is a typed error.
+pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<ServeOp>, WalTail), WalError> {
     let mut decoded = decode_engine(bytes)?;
     match decoded.end {
         DecodeEnd::Corrupt { index, offset, reason } => {
@@ -638,8 +433,8 @@ pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<WalRecord>, WalTail), WalError> {
     }
 }
 
-/// Scan a WAL byte stream for `dkindex doctor`: version, committed and
-/// dropped record counts, and the three-way tail verdict. Unlike
+/// Scan a WAL byte stream for `dkindex doctor`: committed and dropped
+/// record counts, and the three-way tail verdict. Unlike
 /// [`decode_wal`], a corrupt record is reported in the verdict rather than
 /// failing the scan; only header-level damage is an error.
 pub fn inspect_wal(bytes: &[u8]) -> Result<WalInspection, WalError> {
@@ -652,12 +447,7 @@ pub fn inspect_wal(bytes: &[u8]) -> Result<WalInspection, WalError> {
             WalVerdict::Corrupt { index, offset, reason }
         }
     };
-    Ok(WalInspection {
-        version: decoded.version,
-        committed: decoded.committed,
-        uncommitted,
-        verdict,
-    })
+    Ok(WalInspection { committed: decoded.committed, uncommitted, verdict })
 }
 
 // ---- replay --------------------------------------------------------------
@@ -671,36 +461,28 @@ pub struct ReplayReport {
     pub tail: WalTail,
 }
 
-/// Replay decoded `records` into `dk`/`data`. Each record applies exactly as
-/// [`crate::serve_ops`] would have applied the operation it logs — replay of
-/// the committed prefix is byte-identical to the serve run that wrote it.
-/// Records referencing nodes outside the graph are a typed error (the WAL
-/// belongs to a different snapshot), raised *before* any mutation of that
-/// record; the serve writer never logs such an op.
+/// Replay decoded `ops` into `dk`/`data`. Each applies exactly as
+/// [`crate::serve_ops`] applied it in the serve run that logged it — replay
+/// of the committed prefix is byte-identical to that run. The group-commit
+/// path logs only ops [`serve_ops::is_applicable`] accepts, so one that
+/// names a node outside the graph means the WAL belongs to a different
+/// snapshot: a typed error, raised *before* that op mutates anything.
 pub fn replay_records(
     dk: &mut DkIndex,
     data: &mut DataGraph,
-    records: &[WalRecord],
+    ops: &[ServeOp],
     tail: WalTail,
 ) -> Result<ReplayReport, WalError> {
     let span = telemetry::Span::start(&telemetry::metrics::WAL_REPLAY_NS);
-    for (index, record) in records.iter().enumerate() {
-        match record {
-            WalRecord::AddEdge { from, to }
-                if from.index() >= data.node_count() || to.index() >= data.node_count() =>
-            {
-                return Err(WalError::RecordOutOfRange { index });
-            }
-            WalRecord::Promote { node, .. } if node.index() >= data.node_count() => {
-                return Err(WalError::RecordOutOfRange { index });
-            }
-            _ => {}
+    for (index, op) in ops.iter().enumerate() {
+        if !serve_ops::is_applicable(op, data) {
+            return Err(WalError::RecordOutOfRange { index });
         }
-        crate::serve_ops::apply(dk, data, record.to_op());
+        serve_ops::apply(dk, data, op.clone());
         telemetry::metrics::WAL_RECORDS_REPLAYED.incr();
     }
     drop(span);
-    Ok(ReplayReport { applied: records.len(), tail })
+    Ok(ReplayReport { applied: ops.len(), tail })
 }
 
 /// Decode `bytes` and replay into `dk`/`data` in one step.
@@ -759,26 +541,23 @@ impl<S: WalStore + Send> BatchLog for WalWriter<S> {
 /// before the append returns.
 pub struct WalWriter<S: WalStore = FileStore> {
     store: S,
-    version: u32,
-    /// v2 op records written since the last commit fence.
+    /// Op records written since the last commit fence.
     staged: u32,
 }
 
 impl WalWriter<FileStore> {
-    /// Create (or truncate) a WAL at `path`, writing and syncing the
-    /// current-version header.
+    /// Create (or truncate) a WAL at `path`, writing and syncing the header.
     pub fn create(path: &Path) -> io::Result<Self> {
         let mut store = FileStore { file: File::create(path)? };
         store.write_all_bytes(&encode_header())?;
         store.sync()?;
-        Ok(WalWriter { store, version: VERSION, staged: 0 })
+        Ok(WalWriter { store, staged: 0 })
     }
 
-    /// Open an existing WAL (either version) for appending. The whole file
-    /// is validated first; the unacknowledged tail — a torn record or, in
-    /// v2, anything past the last commit fence — is truncated away so new
-    /// records extend the committed prefix. Appends continue in the file's
-    /// own version.
+    /// Open an existing WAL for appending. The whole file is validated
+    /// first; the unacknowledged tail — a torn record or anything past the
+    /// last commit fence — is truncated away so new records extend the
+    /// committed prefix.
     pub fn open(path: &Path) -> Result<Self, WalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
@@ -795,23 +574,18 @@ impl WalWriter<FileStore> {
         let mut store = FileStore { file };
         use std::io::Seek;
         store.file.seek(io::SeekFrom::End(0))?;
-        Ok(WalWriter { store, version: decoded.version, staged: 0 })
+        Ok(WalWriter { store, staged: 0 })
     }
 }
 
 impl<S: WalStore> WalWriter<S> {
-    /// Wrap a fresh store, writing and syncing a current-version header.
+    /// Wrap a fresh store, writing and syncing the header.
     /// The torture harness builds its writers through here over a
     /// [`crate::io_fail::SimDisk`].
     pub fn with_store(mut store: S) -> io::Result<Self> {
         store.write_all_bytes(&encode_header())?;
         store.sync()?;
-        Ok(WalWriter { store, version: VERSION, staged: 0 })
-    }
-
-    /// The on-disk version this writer appends in.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(WalWriter { store, staged: 0 })
     }
 
     /// Borrow the underlying store (the torture harness reads crash views
@@ -820,32 +594,28 @@ impl<S: WalStore> WalWriter<S> {
         &self.store
     }
 
-    /// Append one record durably: write, fence (v2), sync, then return.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.stage(record)?;
+    /// Append one op durably: write, fence, sync, then return.
+    pub fn append(&mut self, op: &ServeOp) -> io::Result<()> {
+        self.stage(op)?;
         self.commit()
     }
 
-    /// Write one record without syncing. The record is not durable — and in
-    /// v2 not even replayable — until [`WalWriter::commit`] fences it.
-    pub fn stage(&mut self, record: &WalRecord) -> io::Result<()> {
-        let bytes = self.encode_for_version(record)?;
-        self.store.write_all_bytes(&bytes)?;
+    /// Write one op record without syncing. The record is neither durable
+    /// nor replayable until [`WalWriter::commit`] fences it.
+    pub fn stage(&mut self, op: &ServeOp) -> io::Result<()> {
+        self.store.write_all_bytes(&encode_record(op))?;
         self.staged = self.staged.saturating_add(1);
         telemetry::metrics::WAL_RECORDS_APPENDED.incr();
         Ok(())
     }
 
-    /// Fence and fsync everything staged since the previous commit. A v2
-    /// fence covers exactly the staged run; v1 has no fences, so this is a
-    /// bare sync. A no-op when nothing is staged.
+    /// Fence and fsync everything staged since the previous commit; the
+    /// fence covers exactly the staged run. A no-op when nothing is staged.
     pub fn commit(&mut self) -> io::Result<()> {
         if self.staged == 0 {
             return Ok(());
         }
-        if self.version == VERSION {
-            self.store.write_all_bytes(&encode_commit(self.staged))?;
-        }
+        self.store.write_all_bytes(&encode_commit(self.staged))?;
         self.sync_counted()?;
         self.staged = 0;
         telemetry::metrics::WAL_GROUP_COMMITS.incr();
@@ -863,12 +633,9 @@ impl<S: WalStore> WalWriter<S> {
         let span = telemetry::Span::start(&telemetry::metrics::WAL_GROUP_COMMIT_NS);
         let mut buf = Vec::new();
         for op in ops {
-            let record = WalRecord::from_op(op);
-            buf.extend_from_slice(&self.encode_for_version(&record)?);
+            buf.extend_from_slice(&encode_record(op));
         }
-        if self.version == VERSION {
-            buf.extend_from_slice(&encode_commit(ops.len() as u32));
-        }
+        buf.extend_from_slice(&encode_commit(ops.len() as u32));
         self.store.write_all_bytes(&buf)?;
         self.sync_counted()?;
         for _ in ops {
@@ -877,21 +644,6 @@ impl<S: WalStore> WalWriter<S> {
         telemetry::metrics::WAL_GROUP_COMMITS.incr();
         drop(span);
         Ok(())
-    }
-
-    fn encode_for_version(&self, record: &WalRecord) -> io::Result<Vec<u8>> {
-        if self.version == VERSION_V1 {
-            match encode_record_v1(record) {
-                Some(bytes) => Ok(bytes.to_vec()),
-                None => Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "v1 WAL files can only log add-edge records; \
-                     recreate the WAL to log maintenance ops",
-                )),
-            }
-        } else {
-            Ok(encode_record(record))
-        }
     }
 
     fn sync_counted(&mut self) -> io::Result<()> {
@@ -908,7 +660,7 @@ impl<S: WalStore> WalWriter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkindex_graph::EdgeKind;
+    use dkindex_graph::{EdgeKind, LabeledGraph};
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -923,12 +675,12 @@ mod tests {
         (g, dk)
     }
 
-    fn add(from: usize, to: usize) -> WalRecord {
-        WalRecord::AddEdge { from: NodeId::from_index(from), to: NodeId::from_index(to) }
+    fn add(from: usize, to: usize) -> ServeOp {
+        ServeOp::AddEdge { from: NodeId::from_index(from), to: NodeId::from_index(to) }
     }
 
-    /// v2 log bytes: each record individually fenced (append-per-record).
-    fn log_bytes(records: &[WalRecord]) -> Vec<u8> {
+    /// Log bytes with each record individually fenced (append-per-record).
+    fn log_bytes(records: &[ServeOp]) -> Vec<u8> {
         let mut bytes = encode_header().to_vec();
         for r in records {
             bytes.extend_from_slice(&encode_record(r));
@@ -937,22 +689,13 @@ mod tests {
         bytes
     }
 
-    /// v1 log bytes (legacy format).
-    fn log_bytes_v1(records: &[WalRecord]) -> Vec<u8> {
-        let mut bytes = encode_header_v1().to_vec();
-        for r in records {
-            bytes.extend_from_slice(&encode_record_v1(r).unwrap());
-        }
-        bytes
-    }
-
-    fn mixed_records() -> Vec<WalRecord> {
+    fn mixed_records() -> Vec<ServeOp> {
         vec![
             add(3, 1),
-            WalRecord::Promote { node: NodeId::from_index(1), k: 2 },
-            WalRecord::PromoteToRequirements,
-            WalRecord::Demote(Requirements::from_pairs([("a", 1), ("b", 2)])),
-            WalRecord::SetRequirements({
+            ServeOp::Promote { node: NodeId::from_index(1), k: 2 },
+            ServeOp::PromoteToRequirements,
+            ServeOp::Demote(Requirements::from_pairs([("a", 1), ("b", 2)])),
+            ServeOp::SetRequirements({
                 let mut r = Requirements::from_pairs([("c", 3)]);
                 r.raise_floor(1);
                 r
@@ -960,17 +703,7 @@ mod tests {
         ]
     }
 
-    /// The v1 wire layout is a durable format and stays pinned: tag, LE
-    /// from, LE to, LE CRC of the first 9 bytes; header is magic + LE 1.
-    #[test]
-    fn v1_wire_format_bytes_are_pinned() {
-        assert_eq!(encode_header_v1(), *b"DKWL\x01\x00\x00\x00");
-        let rec = encode_record_v1(&add(0x0102, 3)).unwrap();
-        assert_eq!(rec[..9], [1, 0x02, 0x01, 0, 0, 3, 0, 0, 0]);
-        assert_eq!(rec[9..], crc32(&rec[..9]).to_le_bytes());
-    }
-
-    /// The v2 wire layout is likewise pinned: LE body length, body = tag +
+    /// The wire layout is a durable format and stays pinned: LE body length, body = tag +
     /// payload, LE CRC of the body; header is magic + LE 2; the commit
     /// fence is tag 6 with an LE op count.
     #[test]
@@ -985,7 +718,7 @@ mod tests {
         assert_eq!(fence[4..9], [6, 7, 0, 0, 0]);
         assert_eq!(fence[9..], crc32(&fence[4..9]).to_le_bytes());
         // Requirements pairs are sorted by label name on the wire.
-        let reqs = WalRecord::Demote(Requirements::from_pairs([("zz", 1), ("aa", 2)]));
+        let reqs = ServeOp::Demote(Requirements::from_pairs([("zz", 1), ("aa", 2)]));
         let body = &encode_record(&reqs)[4..];
         let aa = body.windows(2).position(|w| w == b"aa");
         let zz = body.windows(2).position(|w| w == b"zz");
@@ -996,14 +729,6 @@ mod tests {
     fn v2_round_trips_every_op_kind() {
         let records = mixed_records();
         let (back, tail) = decode_wal(&log_bytes(&records)).unwrap();
-        assert_eq!(back, records);
-        assert_eq!(tail, WalTail::Clean);
-    }
-
-    #[test]
-    fn v1_streams_still_decode() {
-        let records = vec![add(3, 1), add(0, 2)];
-        let (back, tail) = decode_wal(&log_bytes_v1(&records)).unwrap();
         assert_eq!(back, records);
         assert_eq!(tail, WalTail::Clean);
     }
@@ -1049,39 +774,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_torn_tail_yields_prefix() {
-        let records = vec![add(3, 1), add(0, 2)];
-        let full = log_bytes_v1(&records);
-        for cut in (HEADER_LEN + V1_RECORD_LEN + 1)..full.len() {
-            let (back, tail) = decode_wal(&full[..cut]).unwrap();
-            assert_eq!(back, records[..1], "cut at {cut}");
-            assert_eq!(tail, WalTail::Torn { valid_len: HEADER_LEN + V1_RECORD_LEN });
-        }
-    }
-
-    #[test]
-    fn v1_record_boundary_cuts_are_clean_tails() {
-        let records = vec![add(3, 1), add(0, 2), add(2, 4)];
-        let full = log_bytes_v1(&records);
-        for n in 0..=records.len() {
-            let cut = HEADER_LEN + n * V1_RECORD_LEN;
-            let (back, tail) = decode_wal(&full[..cut]).unwrap();
-            assert_eq!(back, records[..n], "boundary cut after {n} records");
-            assert_eq!(tail, WalTail::Clean, "boundary cut after {n} records");
-        }
-    }
-
-    #[test]
-    fn complete_record_with_bad_crc_is_a_typed_error_in_both_versions() {
+    fn complete_record_with_bad_crc_is_a_typed_error() {
         let records = vec![add(3, 1)];
-        let v1 = log_bytes_v1(&records);
-        for byte in HEADER_LEN..v1.len() {
-            let mut bytes = v1.clone();
-            bytes[byte] ^= 0x40;
-            let err = decode_wal(&bytes).unwrap_err();
-            assert!(matches!(err, WalError::CorruptRecord { .. }), "v1 flip at {byte}: {err}");
-        }
-        // v2: flip every body/CRC byte (flips inside a length prefix can
+        // Flip every body/CRC byte (flips inside a length prefix can
         // legitimately read as torn tails — the length governs framing).
         let v2 = log_bytes(&records);
         let rec_len = encode_record(&records[0]).len();
@@ -1117,11 +812,35 @@ mod tests {
         ));
     }
 
+    /// A complete, CRC-valid version-1 log (the fence-less format that
+    /// predates group commit: 13-byte add-edge records) is outside input:
+    /// every entry point rejects it typed, and none replays a prefix of it.
     #[test]
-    fn inspect_reports_version_counts_and_verdict() {
+    fn version_1_logs_are_rejected_at_every_entry_point() {
+        const V1: [u8; 21] = [
+            0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
+            0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
+        ];
+        assert!(matches!(decode_wal(&V1), Err(WalError::UnsupportedVersion(1))));
+        assert!(matches!(inspect_wal(&V1), Err(WalError::UnsupportedVersion(1))));
+        let (mut g, mut dk) = sample();
+        let before = crate::snapshot::snapshot_bytes(&dk, &g);
+        assert!(matches!(replay(&mut dk, &mut g, &V1), Err(WalError::UnsupportedVersion(1))));
+        assert_eq!(crate::snapshot::snapshot_bytes(&dk, &g), before, "nothing replayed");
+
+        let dir = std::env::temp_dir().join(format!("dkindex-wal-v1-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.wal");
+        std::fs::write(&path, V1).unwrap();
+        assert!(matches!(WalWriter::open(&path), Err(WalError::UnsupportedVersion(1))));
+        assert_eq!(std::fs::read(&path).unwrap(), V1, "a rejected file is left untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inspect_reports_counts_and_verdict() {
         let records = mixed_records();
         let clean = inspect_wal(&log_bytes(&records)).unwrap();
-        assert_eq!(clean.version, 2);
         assert_eq!(clean.committed, records.len());
         assert_eq!(clean.uncommitted, 0);
         assert!(matches!(clean.verdict, WalVerdict::Clean));
@@ -1139,11 +858,6 @@ mod tests {
         let bad = inspect_wal(&corrupt).unwrap();
         assert!(matches!(bad.verdict, WalVerdict::Corrupt { .. }));
 
-        let v1 = inspect_wal(&log_bytes_v1(&[add(1, 2)])).unwrap();
-        assert_eq!(v1.version, 1);
-        assert_eq!(v1.committed, 1);
-        assert!(matches!(v1.verdict, WalVerdict::Clean));
-
         assert!(inspect_wal(b"XXXXzzzz").is_err());
     }
 
@@ -1153,23 +867,21 @@ mod tests {
         let (mut g_replayed, mut dk_replayed) = sample();
         let records = vec![
             add(3, 1),
-            WalRecord::Promote { node: NodeId::from_index(1), k: 3 },
+            ServeOp::Promote { node: NodeId::from_index(1), k: 3 },
             add(0, 2),
-            WalRecord::Demote(Requirements::uniform(1)),
-            WalRecord::SetRequirements(Requirements::uniform(2)),
+            ServeOp::Demote(Requirements::uniform(1)),
+            ServeOp::SetRequirements(Requirements::uniform(2)),
             add(2, 3),
         ];
-        for r in &records {
-            crate::serve_ops::apply(&mut dk_direct, &mut g_direct, r.to_op());
-        }
+        serve_ops::apply_serial(&mut dk_direct, &mut g_direct, &records);
         let report = replay(&mut dk_replayed, &mut g_replayed, &log_bytes(&records)).unwrap();
         assert_eq!(report.applied, records.len());
 
-        let mut direct_bytes = Vec::new();
-        let mut replayed_bytes = Vec::new();
-        crate::store::save_dk(&dk_direct, &g_direct, &mut direct_bytes).unwrap();
-        crate::store::save_dk(&dk_replayed, &g_replayed, &mut replayed_bytes).unwrap();
-        assert_eq!(direct_bytes, replayed_bytes, "replay must be byte-identical");
+        assert_eq!(
+            crate::snapshot::snapshot_bytes(&dk_direct, &g_direct),
+            crate::snapshot::snapshot_bytes(&dk_replayed, &g_replayed),
+            "replay must be byte-identical"
+        );
     }
 
     #[test]
@@ -1181,18 +893,11 @@ mod tests {
             Err(WalError::RecordOutOfRange { index: 0 })
         ));
         let (mut g, mut dk) = sample();
-        let bytes = log_bytes(&[WalRecord::Promote { node: NodeId::from_index(77), k: 1 }]);
+        let bytes = log_bytes(&[ServeOp::Promote { node: NodeId::from_index(77), k: 1 }]);
         assert!(matches!(
             replay(&mut dk, &mut g, &bytes),
             Err(WalError::RecordOutOfRange { index: 0 })
         ));
-    }
-
-    #[test]
-    fn op_record_conversion_round_trips() {
-        for record in mixed_records() {
-            assert_eq!(WalRecord::from_op(&record.to_op()), record);
-        }
     }
 
     #[test]
@@ -1202,7 +907,6 @@ mod tests {
         let path = dir.join("updates.wal");
 
         let mut w = WalWriter::create(&path).unwrap();
-        assert_eq!(w.version(), VERSION);
         w.append(&add(3, 1)).unwrap();
         drop(w);
 
@@ -1214,7 +918,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(&WalRecord::Promote { node: NodeId::from_index(2), k: 1 }).unwrap();
+        w.append(&ServeOp::Promote { node: NodeId::from_index(2), k: 1 }).unwrap();
         drop(w);
 
         let bytes = std::fs::read(&path).unwrap();
@@ -1222,31 +926,9 @@ mod tests {
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(
             records,
-            vec![add(3, 1), WalRecord::Promote { node: NodeId::from_index(2), k: 1 }],
+            vec![add(3, 1), ServeOp::Promote { node: NodeId::from_index(2), k: 1 }],
             "unfenced tail truncated, then one append"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn writer_keeps_appending_v1_files_in_v1() {
-        let dir =
-            std::env::temp_dir().join(format!("dkindex-wal-v1-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1.wal");
-        std::fs::write(&path, log_bytes_v1(&[add(3, 1)])).unwrap();
-
-        let mut w = WalWriter::open(&path).unwrap();
-        assert_eq!(w.version(), 1);
-        w.append(&add(0, 2)).unwrap();
-        // v1 cannot express maintenance ops — typed error, not a panic.
-        let err = w.append(&WalRecord::PromoteToRequirements).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        drop(w);
-
-        let (records, tail) = decode_wal(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(records, vec![add(3, 1), add(0, 2)]);
-        assert_eq!(tail, WalTail::Clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1269,8 +951,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let (records, tail) = decode_wal(&bytes).unwrap();
         assert_eq!(tail, WalTail::Clean);
-        let expected: Vec<WalRecord> = ops.iter().map(WalRecord::from_op).collect();
-        assert_eq!(records, expected);
+        assert_eq!(records, ops);
         // Chopping the fence off drops the whole batch.
         let fence_len = encode_commit(ops.len() as u32).len();
         let (records, tail) = decode_wal(&bytes[..bytes.len() - fence_len]).unwrap();

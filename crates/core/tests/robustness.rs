@@ -3,7 +3,7 @@
 //! direct construction, WAL truncation must replay exactly the surviving
 //! prefix, and recovery must always produce a well-formed index.
 
-use dkindex_core::wal::{self, WalRecord, WalTail};
+use dkindex_core::wal::{self, WalTail};
 use dkindex_core::{
     apply_serial, audit_dk, load_with_recovery, read_snapshot, snapshot_bytes, AuditConfig,
     DkIndex, Requirements, ServeOp,
@@ -62,54 +62,46 @@ fn build(s: &Scenario) -> (DataGraph, DkIndex) {
     (g, dk)
 }
 
-/// Wire-format sizes, mirrored from `core::wal` (kept private there): the
-/// 8-byte `DKWL` header and the 13-byte v1 add-edge record.
+/// Length of the `DKWL` header (kept private in `core::wal`).
 const HEADER_LEN: usize = 8;
-const RECORD_LEN: usize = 13;
 
-/// A legacy v1 log: fixed 13-byte add-edge records, no commit fences.
-fn wal_bytes(updates: &[(usize, usize)]) -> Vec<u8> {
-    let mut log = wal::encode_header_v1().to_vec();
-    for &(f, t) in updates {
-        let rec = wal::encode_record_v1(&WalRecord::AddEdge {
-            from: NodeId::from_index(f),
-            to: NodeId::from_index(t),
-        })
-        .expect("add-edge encodes in v1");
-        log.extend_from_slice(&rec);
-    }
-    log
+/// The scenario's updates as add-edge ops.
+fn add_edges(updates: &[(usize, usize)]) -> Vec<ServeOp> {
+    updates
+        .iter()
+        .map(|&(f, t)| ServeOp::AddEdge { from: NodeId::from_index(f), to: NodeId::from_index(t) })
+        .collect()
 }
 
-/// Derive a mixed v2 op stream from the scenario's update pairs: edge
+/// Derive a mixed op stream from the scenario's update pairs: edge
 /// additions interleaved with promote / demote / set-requirements
 /// maintenance ops, all in-range for the scenario graph.
-fn mixed_ops(s: &Scenario) -> Vec<WalRecord> {
+fn mixed_ops(s: &Scenario) -> Vec<ServeOp> {
     let mut records = Vec::new();
     for (i, &(f, t)) in s.updates.iter().enumerate() {
-        records.push(WalRecord::AddEdge {
+        records.push(ServeOp::AddEdge {
             from: NodeId::from_index(f),
             to: NodeId::from_index(t),
         });
         match i % 4 {
-            0 => records.push(WalRecord::Promote {
+            0 => records.push(ServeOp::Promote {
                 node: NodeId::from_index(f),
                 k: (s.k + i) % 4,
             }),
-            1 => records.push(WalRecord::Demote(Requirements::uniform(s.k))),
-            2 => records.push(WalRecord::SetRequirements(Requirements::from_pairs([
+            1 => records.push(ServeOp::Demote(Requirements::uniform(s.k))),
+            2 => records.push(ServeOp::SetRequirements(Requirements::from_pairs([
                 ("l0", (i + 1) % 4),
                 ("l1", s.k),
             ]))),
-            _ => records.push(WalRecord::PromoteToRequirements),
+            _ => records.push(ServeOp::PromoteToRequirements),
         }
     }
     records
 }
 
-/// A v2 log with one commit fence per record (the append-per-record shape),
+/// A log with one commit fence per record (the append-per-record shape),
 /// plus the byte offset where each record's fence ends.
-fn v2_wal_bytes(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+fn v2_wal_bytes(records: &[ServeOp]) -> (Vec<u8>, Vec<usize>) {
     let mut log = wal::encode_header().to_vec();
     let mut fence_ends = Vec::with_capacity(records.len());
     for r in records {
@@ -136,7 +128,8 @@ proptest! {
 
         let (mut dk_replayed, mut g_replayed) =
             read_snapshot(&snap).expect("pristine snapshot must load");
-        let report = wal::replay(&mut dk_replayed, &mut g_replayed, &wal_bytes(&s.updates))
+        let (log, _) = v2_wal_bytes(&add_edges(&s.updates));
+        let report = wal::replay(&mut dk_replayed, &mut g_replayed, &log)
             .expect("in-range records must replay");
         prop_assert_eq!(report.applied, s.updates.len());
         prop_assert_eq!(report.tail, WalTail::Clean);
@@ -147,54 +140,7 @@ proptest! {
         );
     }
 
-    /// Truncating the WAL anywhere replays exactly the complete-record
-    /// prefix; the reached state equals direct application of that prefix.
-    #[test]
-    fn wal_truncation_replays_the_surviving_prefix(
-        s in scenario(),
-        cut_at in any::<prop::sample::Index>(),
-    ) {
-        let (g0, dk0) = build(&s);
-        let log = wal_bytes(&s.updates);
-        let cut = cut_at.index(log.len() + 1);
-
-        let mut g_replayed = g0.clone();
-        let mut dk_replayed = dk0.clone();
-        match wal::replay(&mut dk_replayed, &mut g_replayed, &log[..cut]) {
-            Ok(report) => {
-                prop_assert!(report.applied <= s.updates.len());
-                // The surviving prefix is exactly the complete records before
-                // the cut; a cut landing on a record boundary (including the
-                // bare header and the intact file) is a *clean* tail, never a
-                // torn record.
-                let payload = cut - HEADER_LEN;
-                prop_assert_eq!(report.applied, payload / RECORD_LEN);
-                if payload.is_multiple_of(RECORD_LEN) {
-                    prop_assert_eq!(
-                        report.tail, WalTail::Clean,
-                        "boundary cut at {} must be a clean tail", cut
-                    );
-                } else {
-                    let valid_len = HEADER_LEN + (payload / RECORD_LEN) * RECORD_LEN;
-                    prop_assert_eq!(report.tail, WalTail::Torn { valid_len });
-                }
-                let mut g_direct = g0.clone();
-                let mut dk_direct = dk0.clone();
-                for &(f, t) in &s.updates[..report.applied] {
-                    dk_direct.add_edge(&mut g_direct, NodeId::from_index(f), NodeId::from_index(t));
-                }
-                prop_assert_eq!(
-                    snapshot_bytes(&dk_replayed, &g_replayed),
-                    snapshot_bytes(&dk_direct, &g_direct),
-                    "prefix of {} records diverged", report.applied
-                );
-            }
-            // Cuts inside the 8-byte header are a typed error, never a panic.
-            Err(e) => prop_assert!(cut < 8, "unexpected error at cut {}: {}", cut, e),
-        }
-    }
-
-    /// A truncation landing exactly on a record boundary replays *all* the
+    /// A truncation landing exactly on a commit fence replays *all* the
     /// surviving records and reports a clean tail — the off-by-one regression
     /// guard for `decode_wal`.
     #[test]
@@ -203,9 +149,9 @@ proptest! {
         n_idx in any::<prop::sample::Index>(),
     ) {
         let (g0, dk0) = build(&s);
-        let log = wal_bytes(&s.updates);
+        let (log, fence_ends) = v2_wal_bytes(&add_edges(&s.updates));
         let n = n_idx.index(s.updates.len() + 1);
-        let cut = HEADER_LEN + n * RECORD_LEN;
+        let cut = if n == 0 { HEADER_LEN } else { fence_ends[n - 1] };
 
         let mut g = g0.clone();
         let mut dk = dk0.clone();
@@ -244,10 +190,9 @@ proptest! {
                     "cut at {} boundary={}", cut, boundary
                 );
 
-                let ops: Vec<ServeOp> = records[..expected].iter().map(|r| r.to_op()).collect();
                 let mut g_direct = g0.clone();
                 let mut dk_direct = dk0.clone();
-                apply_serial(&mut dk_direct, &mut g_direct, &ops);
+                apply_serial(&mut dk_direct, &mut g_direct, &records[..expected]);
                 prop_assert_eq!(
                     snapshot_bytes(&dk_replayed, &g_replayed),
                     snapshot_bytes(&dk_direct, &g_direct),
@@ -282,57 +227,4 @@ proptest! {
             prop_assert!(report.is_sound(), "auditor found corruption:\n{}", report);
         }
     }
-}
-
-/// v1→v2 compatibility, pinned at the byte level: a v1 stream written by the
-/// previous format (literal golden bytes, CRCs included) must decode in this
-/// build, replay identically to the equivalent v2 stream, and a `WalWriter`
-/// reopening it must keep appending in v1 — so pre-upgrade logs stay usable
-/// without a rewrite.
-#[test]
-fn v1_golden_bytes_decode_and_replay_identically_to_v2() {
-    // b"DKWL" v1 header, then AddEdge{3→1} and AddEdge{0→2} as written by
-    // the v1 encoder (13-byte records, trailing IEEE CRC-32 of the first 9).
-    const GOLDEN_V1: [u8; 34] = [
-        0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
-        0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
-        0x01, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x66, 0xc8, 0x7b, 0x5b,
-    ];
-    // The same stream as today's encoder emits it — byte-for-byte.
-    let mut reencoded = wal::encode_header_v1().to_vec();
-    let records = [
-        WalRecord::AddEdge { from: NodeId::from_index(3), to: NodeId::from_index(1) },
-        WalRecord::AddEdge { from: NodeId::from_index(0), to: NodeId::from_index(2) },
-    ];
-    for r in &records {
-        reencoded.extend_from_slice(&wal::encode_record_v1(r).expect("v1 add-edge"));
-    }
-    assert_eq!(reencoded, GOLDEN_V1, "v1 wire format drifted");
-
-    let (decoded, tail) = wal::decode_wal(&GOLDEN_V1).expect("golden v1 stream decodes");
-    assert_eq!(decoded, records);
-    assert_eq!(tail, WalTail::Clean);
-
-    // Replaying the v1 golden stream and the equivalent v2 stream must land
-    // on byte-identical states.
-    let s = Scenario {
-        graph_seed: 7,
-        nodes: 12,
-        labels: 3,
-        reference_edges: 2,
-        k: 2,
-        updates: vec![],
-    };
-    let (g0, dk0) = build(&s);
-    let (mut g_v1, mut dk_v1) = (g0.clone(), dk0.clone());
-    wal::replay(&mut dk_v1, &mut g_v1, &GOLDEN_V1).expect("v1 replay");
-
-    let (v2_log, _) = v2_wal_bytes(&records);
-    let (mut g_v2, mut dk_v2) = (g0, dk0);
-    wal::replay(&mut dk_v2, &mut g_v2, &v2_log).expect("v2 replay");
-    assert_eq!(
-        snapshot_bytes(&dk_v1, &g_v1),
-        snapshot_bytes(&dk_v2, &g_v2),
-        "v1 and v2 encodings of the same stream must replay identically"
-    );
 }

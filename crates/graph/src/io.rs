@@ -111,17 +111,6 @@ pub fn write_graph<W: Write>(g: &DataGraph, w: &mut W) -> io::Result<()> {
 
 /// Deserialize a graph from `r`. The stream must be exhausted exactly.
 pub fn read_graph<R: Read>(r: &mut R) -> Result<DataGraph, ReadError> {
-    let g = read_graph_allow_trailing(r)?;
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(g),
-        _ => Err(corrupt("trailing bytes after graph")),
-    }
-}
-
-/// Deserialize a graph, leaving any bytes after the graph payload unread
-/// (for container formats that append further sections).
-pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -177,7 +166,11 @@ pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadEr
         };
         g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
     }
-    Ok(g)
+    let mut probe = [0u8; 1];
+    match r.read(&mut probe)? {
+        0 => Ok(g),
+        _ => Err(corrupt("trailing bytes after graph")),
+    }
 }
 
 #[cfg(test)]
@@ -248,19 +241,6 @@ mod tests {
             read_graph(&mut bytes.as_slice()),
             Err(ReadError::Corrupt(msg)) if msg.contains("trailing")
         ));
-    }
-
-    #[test]
-    fn allow_trailing_leaves_suffix_unread() {
-        let mut bytes = Vec::new();
-        write_graph(&sample(), &mut bytes).unwrap();
-        bytes.extend_from_slice(b"suffix");
-        let mut cursor = std::io::Cursor::new(&bytes);
-        let g = read_graph_allow_trailing(&mut cursor).unwrap();
-        assert_eq!(g.node_count(), 3);
-        let mut rest = Vec::new();
-        std::io::Read::read_to_end(&mut cursor, &mut rest).unwrap();
-        assert_eq!(rest, b"suffix");
     }
 
     #[test]

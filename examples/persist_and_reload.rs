@@ -1,12 +1,11 @@
 //! Persistence round-trip through the library API: build a D(k)-index over
-//! generated auction data, save graph + index to one `.dki` container,
-//! reload in a "fresh process", verify the invariants and serve queries —
-//! the workflow the `dkindex` CLI wraps.
+//! generated auction data, save graph + index as one checksummed `DKSN`
+//! snapshot, reload in a "fresh process" (which re-verifies the invariants)
+//! and serve queries — the workflow the `dkindex` CLI wraps.
 //!
 //! Run with: `cargo run --release --example persist_and_reload`
 
-use dkindex::core::store::{load_dk, save_dk};
-use dkindex::core::{DkIndex, IndexEvaluator};
+use dkindex::core::{read_snapshot, save_snapshot_file, DkIndex, IndexEvaluator};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
 
@@ -17,8 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dk = DkIndex::build(&data, workload.mine_requirements());
     let before = IndexEvaluator::new(dk.index(), &data).evaluate_all(workload.queries());
 
-    let mut container = Vec::new();
-    save_dk(&dk, &data, &mut container)?;
+    // Atomic on disk: temp file, fsync, rename.
+    let path = std::env::temp_dir().join(format!("dkindex-example-{}.dki", std::process::id()));
+    save_snapshot_file(&dk, &data, &path)?;
+    let container = std::fs::read(&path)?;
+    std::fs::remove_file(&path)?;
     println!(
         "saved {} data nodes + {} index nodes in {} bytes ({:.1} bytes/node)",
         dkindex::graph::LabeledGraph::node_count(&data),
@@ -27,9 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         container.len() as f64 / dkindex::graph::LabeledGraph::node_count(&data) as f64
     );
 
-    // "Process 2": reload (load_dk re-checks every index invariant against
-    // the loaded graph) and serve the same workload from the loaded pair.
-    let (loaded, loaded_data) = load_dk(&mut container.as_slice())?;
+    // "Process 2": reload (read_snapshot verifies every checksum and
+    // re-checks every index invariant against the loaded graph) and serve
+    // the same workload from the loaded pair.
+    let (loaded, loaded_data) = read_snapshot(&container)?;
     println!("reloaded: {}", dkindex::core::IndexStats::of(loaded.index(), &loaded_data));
 
     let after =

@@ -1,8 +1,12 @@
 //! Property tests for the textual and binary formats: XML round-trips,
-//! path-expression printing, and the `DKG1`/`DKI1` persistence formats.
+//! path-expression printing, the `DKG1` graph codec and the `DKSN` index
+//! container — plus byte-literal goldens of the two durable files (`DKSN`
+//! snapshot, `DKWL` v2 log).
 
-use dkindex::core::store::{load_dk, save_dk};
-use dkindex::core::{DkIndex, Requirements};
+use dkindex::core::wal::{self, WalTail, WalWriter};
+use dkindex::core::{
+    read_snapshot, snapshot_bytes, DkIndex, FailPlan, Requirements, ServeOp, SimDisk,
+};
 use dkindex::graph::io::{read_graph, write_graph};
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::pathexpr::{parse, PathExpr};
@@ -171,7 +175,7 @@ proptest! {
     }
 
     #[test]
-    fn indexes_round_trip_through_dki1(
+    fn indexes_round_trip_through_dksn(
         spec in graph_spec(),
         req_label in 0u8..6,
         req_k in 0usize..4,
@@ -181,9 +185,7 @@ proptest! {
         let mut reqs = Requirements::from_pairs([(format!("l{req_label}").as_str(), req_k)]);
         reqs.raise_floor(floor);
         let dk = DkIndex::build(&g, reqs);
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        let (back, g2) = load_dk(&mut bytes.as_slice())
+        let (back, g2) = read_snapshot(&snapshot_bytes(&dk, &g))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(g2.node_count(), g.node_count());
         prop_assert_eq!(back.size(), dk.size());
@@ -204,11 +206,10 @@ proptest! {
     ) {
         let g = build(&spec);
         let dk = DkIndex::build(&g, Requirements::uniform(1));
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
+        let mut bytes = snapshot_bytes(&dk, &g);
         let i = flip.index(bytes.len());
         bytes[i] ^= 0xFF;
-        if let Ok((loaded, data)) = load_dk(&mut bytes.as_slice()) {
+        if let Ok((loaded, data)) = read_snapshot(&bytes) {
             // If it loads at all, it must be a structurally valid summary.
             loaded
                 .index()
@@ -223,9 +224,7 @@ proptest! {
         use dkindex::core::IndexEvaluator;
         let g = build(&spec);
         let dk = DkIndex::build(&g, Requirements::uniform(2));
-        let mut bytes = Vec::new();
-        save_dk(&dk, &g, &mut bytes).unwrap();
-        let (back, g2) = load_dk(&mut bytes.as_slice()).unwrap();
+        let (back, g2) = read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
         // A few deterministic pseudo-random walks as queries.
         let mut x = salt | 1;
         let mut next = move |m: usize| {
@@ -253,6 +252,131 @@ proptest! {
             prop_assert_eq!(a.matches, b.matches, "{}", q);
         }
     }
+}
+
+// ------------------------------------------------------ golden durable files
+
+/// One complete `DKSN` version-1 file, byte for byte: ROOT → a → b with a
+/// reference edge b → a, requirements {b: 1}. Today's writer reproduces it
+/// and today's reader loads it; a diff here is a format change.
+#[rustfmt::skip]
+const GOLDEN_DKSN: [u8; 256] = [
+    // header: magic, version 1, 3 sections
+    0x44, 0x4b, 0x53, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    // REQS: tag, len 15, crc | floor 0, 1 entry: u16-len "b" = 1
+    0x52, 0x45, 0x51, 0x53, 0x0f, 0x00, 0x00, 0x00, 0xdb, 0x94, 0x64, 0xeb,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x62, 0x01, 0x00, 0x00, 0x00,
+    // GRPH: tag, len 74, crc | "DKG1", 4 labels (ROOT VALUE a b)
+    0x47, 0x52, 0x50, 0x48, 0x4a, 0x00, 0x00, 0x00, 0x2f, 0x55, 0x16, 0x27,
+    0x44, 0x4b, 0x47, 0x31, 0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x52, 0x4f, 0x4f, 0x54, 0x05, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
+    0x01, 0x00, 0x61, 0x01, 0x00, 0x62,
+    //   3 nodes (labels 0 2 3), 3 edges: 0→1 tree, 1→2 tree, 2→1 ref
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+    // INDX: tag, len 119, crc | 4 labels (ROOT VALUE a b)
+    0x49, 0x4e, 0x44, 0x58, 0x77, 0x00, 0x00, 0x00, 0x57, 0xe8, 0x6e, 0xed,
+    0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x52, 0x4f, 0x4f, 0x54, 0x05, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
+    0x01, 0x00, 0x61, 0x01, 0x00, 0x62,
+    //   3 index nodes: (label, u64 similarity, extent len, members)
+    0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    //   3 index edges 0→1 1→2 2→1, root 0
+    0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+];
+
+/// One complete two-batch `DKWL` version-2 file covering every record tag.
+#[rustfmt::skip]
+const GOLDEN_DKWL: [u8; 129] = [
+    // header: magic, version 2
+    0x44, 0x4b, 0x57, 0x4c, 0x02, 0x00, 0x00, 0x00,
+    // batch 1 — tag 1 add-edge 2→1: len 9, body, crc
+    0x09, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xf5, 0x60, 0xeb, 0x0b,
+    //   tag 2 promote node 1 to k 2
+    0x09, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x3d, 0xf4, 0x5c, 0xae,
+    //   tag 3 promote-to-requirements
+    0x01, 0x00, 0x00, 0x00, 0x03, 0x37, 0xbe, 0x0b, 0x4b,
+    //   tag 6 commit fence over 3 ops
+    0x05, 0x00, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x00, 0x53, 0xad, 0xd7, 0x5b,
+    // batch 2 — tag 4 demote to (floor 0, no pairs)
+    0x09, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa2, 0x45, 0xe5, 0xbb,
+    //   tag 5 set-requirements (floor 1; u32-len "a" = 1, "b" = 2, name-sorted)
+    0x1b, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x61, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x62, 0x02, 0x00, 0x00, 0x00, 0x7e, 0xb4, 0x6c, 0xa1,
+    //   tag 6 commit fence over 2 ops
+    0x05, 0x00, 0x00, 0x00, 0x06, 0x02, 0x00, 0x00, 0x00, 0x36, 0xca, 0x6b, 0xe3,
+];
+
+fn golden_state() -> (DataGraph, DkIndex) {
+    let mut g = DataGraph::new();
+    let a = g.add_labeled_node("a");
+    let b = g.add_labeled_node("b");
+    let r = g.root();
+    g.add_edge(r, a, EdgeKind::Tree);
+    g.add_edge(a, b, EdgeKind::Tree);
+    g.add_edge(b, a, EdgeKind::Reference);
+    let dk = DkIndex::build(&g, Requirements::from_pairs([("b", 1)]));
+    (g, dk)
+}
+
+fn golden_batches() -> [Vec<ServeOp>; 2] {
+    let n = NodeId::from_index;
+    let mut reqs = Requirements::from_pairs([("b", 2), ("a", 1)]);
+    reqs.raise_floor(1);
+    [
+        vec![
+            ServeOp::AddEdge { from: n(2), to: n(1) },
+            ServeOp::Promote { node: n(1), k: 2 },
+            ServeOp::PromoteToRequirements,
+        ],
+        vec![ServeOp::Demote(Requirements::uniform(0)), ServeOp::SetRequirements(reqs)],
+    ]
+}
+
+#[test]
+fn golden_dksn_file_is_written_and_read_byte_for_byte() {
+    let (g, dk) = golden_state();
+    assert_eq!(snapshot_bytes(&dk, &g), GOLDEN_DKSN, "writer drifted from the DKSN golden");
+    let (back, g2) = read_snapshot(&GOLDEN_DKSN).expect("golden snapshot loads strictly");
+    assert_eq!(back.requirements(), dk.requirements());
+    assert_eq!(snapshot_bytes(&back, &g2), GOLDEN_DKSN);
+}
+
+#[test]
+fn golden_dkwl_file_is_written_and_replayed_byte_for_byte() {
+    let batches = golden_batches();
+    let mut writer = WalWriter::with_store(SimDisk::new(FailPlan::none())).unwrap();
+    for batch in &batches {
+        writer.append_batch(batch).unwrap();
+    }
+    assert_eq!(writer.store().cached(), GOLDEN_DKWL, "writer drifted from the DKWL golden");
+
+    let (ops, tail) = wal::decode_wal(&GOLDEN_DKWL).expect("golden log decodes");
+    assert_eq!(ops, batches.concat());
+    assert_eq!(tail, WalTail::Clean);
+
+    // Replaying the golden log over the golden snapshot equals applying the
+    // same ops directly.
+    let (mut g, mut dk) = golden_state();
+    let report = wal::replay(&mut dk, &mut g, &GOLDEN_DKWL).expect("golden log replays");
+    assert_eq!(report.applied, 5);
+    let (mut g_direct, mut dk_direct) = golden_state();
+    dkindex::core::apply_serial(&mut dk_direct, &mut g_direct, &ops);
+    assert_eq!(snapshot_bytes(&dk, &g), snapshot_bytes(&dk_direct, &g_direct));
 }
 
 // ------------------------------------------------- streaming XML builder
