@@ -68,6 +68,7 @@ pub fn default_config() -> RuleConfig {
             "dkindex_core::wal",
             "dkindex_core::io_fail",
             "dkindex_core::tuner",
+            "dkindex_core::load_monitor",
             "dkindex_core::mining",
             "dkindex_graph::segvec",
             "dkindex_server::protocol",
@@ -81,6 +82,7 @@ pub fn default_config() -> RuleConfig {
             "dkindex_core::wal",
             "dkindex_core::io_fail",
             "dkindex_core::tuner",
+            "dkindex_core::load_monitor",
             "dkindex_core::mining",
             "dkindex_graph::segvec",
             "dkindex_server::protocol",

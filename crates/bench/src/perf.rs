@@ -13,9 +13,9 @@
 
 use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
 use dkindex_core::{
-    apply_serial, eval_oracle, evaluate_workload_parallel, snapshot_bytes, AdaptiveTuner, AkIndex,
+    apply_serial, eval_oracle, evaluate_workload_parallel, snapshot_bytes, AkIndex,
     DkIndex, DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig,
-    ServeOp, TunerConfig,
+    ServeOp, Tuner, TunerConfig,
 };
 use dkindex_graph::DataGraph;
 use dkindex_partition::{k_bisimulation, RefineEngine};
@@ -597,18 +597,16 @@ pub fn bench_telemetry(
             dk.add_edge(&mut adapted, u, v);
         }
         dk.promote_to_requirements(&adapted);
-        let window = queries.len().max(1);
-        let mut tuner = AdaptiveTuner::new(
-            dk,
-            TunerConfig {
-                window,
-                ..TunerConfig::default()
-            },
-        );
-        for q in queries {
-            tuner.evaluate(&adapted, q);
+        // The whole query set is one tuner window, applied the way the
+        // serve loop's tuned runs are replayed.
+        let tuner = Tuner::new(adapted.labels_shared(), TunerConfig { window: 1, min_support: 2 });
+        let outcomes = IndexEvaluator::new(dk.index(), &adapted).evaluate_all(queries);
+        for (q, out) in queries.iter().zip(&outcomes) {
+            tuner.record(q, out.validated, false);
         }
-        tuner.maybe_tune(&adapted);
+        if let Some(op) = tuner.step(dk.requirements()) {
+            apply_serial(&mut dk, &mut adapted, &[op]);
+        }
     }
     telemetry::disable();
     let snapshot = telemetry::snapshot();
@@ -855,7 +853,7 @@ mod tests {
         let tune_cfg = crate::tuning::TuningBenchConfig {
             rounds: 6,
             queries_per_round: 96,
-            tune_window: 32,
+            window: 32,
             ..crate::tuning::TuningBenchConfig::default()
         };
         let tuning = crate::tuning::bench_tuning(&data, &cfg, &tune_cfg, 7);

@@ -30,6 +30,7 @@ use dkindex_core::io_fail::{FailPlan, SharedDisk};
 use dkindex_core::wal::{self, WalWriter};
 use dkindex_core::{
     apply_serial, snapshot_bytes, DkIndex, DkServer, Requirements, ServeConfig, ServeOp,
+    TunerConfig,
 };
 use dkindex_graph::DataGraph;
 use dkindex_pathexpr::PathExpr;
@@ -44,9 +45,9 @@ pub struct TuningBenchConfig {
     pub queries_per_round: u64,
     /// Zipf skew for the per-phase query stream.
     pub skew: f64,
-    /// [`ServeConfig::tune_window`]: recorded queries per mining pass. Keep
-    /// it at or below `queries_per_round` so every round's flush mines.
-    pub tune_window: usize,
+    /// [`TunerConfig::window`]: recorded queries per mining pass. Keep it at
+    /// or below `queries_per_round` so every round's flush mines.
+    pub window: usize,
     /// Rounds the post-shift p99 is allowed before it must reach (within
     /// 5%) its converged value.
     pub converge_bound: usize,
@@ -58,7 +59,7 @@ impl Default for TuningBenchConfig {
             rounds: 16,
             queries_per_round: 256,
             skew: 1.1,
-            tune_window: 64,
+            window: 64,
             converge_bound: 8,
         }
     }
@@ -183,13 +184,11 @@ pub fn bench_tuning(
             max_batch: 8,
             threads: readers,
             tune_interval: 1,
-            tune_window: cfg.tune_window,
             // Every query in the round's mix carries at least weight 1 by
             // construction; support 1 lets the tuner cover the whole mix,
             // which is what the p99 (a tail metric) converges on.
-            tune_min_support: 1,
+            tuner: TunerConfig { window: cfg.window, min_support: 1 },
             record_ops: true,
-            ..ServeConfig::default()
         },
         Box::new(writer),
     );
@@ -326,7 +325,7 @@ mod tests {
         let cfg = TuningBenchConfig {
             rounds: 8,
             queries_per_round: 128,
-            tune_window: 32,
+            window: 32,
             ..TuningBenchConfig::default()
         };
         let t = bench_tuning(&data, &perf, &cfg, 7);

@@ -12,7 +12,7 @@ use dkindex_core::snapshot::{
 use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
     apply_serial, mine_requirements, DkIndex, DkServer, FbIndex, IndexEvaluator, Requirements,
-    ServeConfig, ServeError, ServeOp,
+    ServeConfig, ServeError, ServeOp, Tuner, TunerConfig,
 };
 use dkindex_graph::stats::{label_histogram, GraphStats};
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
@@ -37,6 +37,7 @@ usage:
                 [--wal <file.wal>]
   dkindex add-file <index.dki> <doc.xml> --out <index2.dki> [--idref ATTR]...
   dkindex tune  <index.dki> --queries <file> --out <index2.dki>
+                (one tuner window: promotes, demotes or holds as serve would)
   dkindex snapshot <index.dki> --out <snap.dki> [--wal <file.wal>]
   dkindex recover  <snap.dki> --out <fixed.dki> [--wal <file.wal>]
   dkindex doctor   <index.dki> [--wal <file.wal>]
@@ -613,24 +614,24 @@ fn cmd_tune(args: &[String]) -> Result<String, CliError> {
     let qfile = parsed
         .queries
         .ok_or_else(|| CliError::usage("tune needs --queries <file>"))?;
-    let (mut dk, g) = load_index(index_path)?;
+    let (mut dk, mut g) = load_index(index_path)?;
     let queries = read_query_file(qfile)?;
-    let mined = mine_requirements(&queries);
+    // The query file is one observation window at support 1: record every
+    // query against the loaded index, then take the one step the serve
+    // loop would take and apply its op the way the serve loop is replayed.
+    let tuner = Tuner::new(g.labels_shared(), TunerConfig { window: 1, min_support: 1 });
+    let outcomes = IndexEvaluator::new(dk.index(), &g).evaluate_all(&queries);
+    for (q, out) in queries.iter().zip(&outcomes) {
+        tuner.record(q, out.validated, false);
+    }
     let before = dk.size();
-    let report = if mined.max_requirement() >= dk.requirements().max_requirement() {
-        // Load got deeper (or equal): merge and promote.
-        let mut merged = dk.requirements().clone();
-        for (label, k) in mined.iter() {
-            merged.raise(label, k);
+    let report = match tuner.step(dk.requirements()) {
+        Some(op) => {
+            let verb = if matches!(op, ServeOp::Demote(_)) { "demoted" } else { "promoted" };
+            apply_serial(&mut dk, &mut g, &[op]);
+            format!("{verb}: size {before} -> {}", dk.size())
         }
-        merged.raise_floor(mined.floor());
-        dk.set_requirements_public(merged);
-        let splits = dk.promote_to_requirements(&g);
-        format!("promoted: {splits} extent splits, size {before} -> {}", dk.size())
-    } else {
-        // Load got shallower: demote to the mined requirements.
-        let saved = dk.demote(mined);
-        format!("demoted: {saved} index nodes merged, size {before} -> {}", dk.size())
+        None => format!("held: size {before}"),
     };
     save_index(&dk, &g, out_path)?;
     Ok(format!("{report} -> {out_path}\n"))
@@ -776,6 +777,12 @@ fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The live tuner's knobs: `--tune-window` over the library defaults.
+fn tuner_config(parsed: &Parsed<'_>) -> TunerConfig {
+    let defaults = TunerConfig::default();
+    TunerConfig { window: parsed.tune_window.unwrap_or(defaults.window), ..defaults }
+}
+
 /// `serve`: drive a mixed concurrent query/update workload through the
 /// epoch-published serving layer ([`DkServer`]). `--threads` reader threads
 /// evaluate the query file round-robin while the maintenance thread applies
@@ -819,22 +826,10 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         Vec::new()
     };
 
-    let tune_interval = parsed.tune_interval.unwrap_or(0);
-    let tune_window = parsed.tune_window.unwrap_or(64);
-
-    // With live tuning off the op sequence is known up front, so the serial
-    // oracle can run first; with tuning on the maintenance thread interleaves
-    // its own SetRequirements/Demote ops, so the oracle replays the
-    // *recorded* actual sequence after the run instead.
-    let (initial_dk, initial_g) = (dk.clone(), g.clone());
-    let expected = if tune_interval == 0 {
-        let mut serial_dk = dk.clone();
-        let mut serial_g = g.clone();
-        apply_serial(&mut serial_dk, &mut serial_g, &ops);
-        Some(snapshot_bytes(&serial_dk, &serial_g))
-    } else {
-        None
-    };
+    // The serial oracle replays the *recorded* op sequence after the run:
+    // with live tuning on, the maintenance thread interleaves its own
+    // SetRequirements/Demote ops among the edge updates submitted here.
+    let (mut serial_dk, mut serial_g) = (dk.clone(), g.clone());
 
     let server = DkServer::start(
         g,
@@ -842,10 +837,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         ServeConfig {
             max_batch: batch,
             threads,
-            tune_interval,
-            tune_window,
-            record_ops: tune_interval > 0,
-            ..ServeConfig::default()
+            tune_interval: parsed.tune_interval.unwrap_or(0),
+            tuner: tuner_config(&parsed),
+            record_ops: true,
         },
     );
     let mut submit_failure: Option<ServeError> = None;
@@ -877,24 +871,21 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     if let Some(e) = submit_failure {
         return Err(CliError::Serve(e));
     }
+    // The second flush drains the op the last publish's tuning step may
+    // have enqueued behind the first, so the recording read below is final.
+    server.flush().map_err(CliError::Serve)?;
     let last_epoch = server.flush().map_err(CliError::Serve)?;
-    let recorded = server.recorded_ops();
+    let recorded = server.recorded_ops().unwrap_or_default();
     let tuning = server.handle().tuning_stats();
     let (final_dk, final_g) = server.shutdown().map_err(CliError::Serve)?;
 
-    let expected = match expected {
-        Some(bytes) => bytes,
-        None => {
-            // Tuning runs always record; an absent recording replays to the
-            // initial state, which the comparison below then reports.
-            let recorded = recorded.unwrap_or_default();
-            let mut serial_dk = initial_dk;
-            let mut serial_g = initial_g;
-            apply_serial(&mut serial_dk, &mut serial_g, &recorded);
-            snapshot_bytes(&serial_dk, &serial_g)
-        }
-    };
-    if snapshot_bytes(&final_dk, &final_g) != expected {
+    apply_serial(&mut serial_dk, &mut serial_g, &recorded);
+    let every_update_applied = recorded
+        .iter()
+        .filter(|op| matches!(op, ServeOp::AddEdge { .. }))
+        .eq(ops.iter());
+    let replayed = snapshot_bytes(&serial_dk, &serial_g);
+    if !every_update_applied || snapshot_bytes(&final_dk, &final_g) != replayed {
         return Err(CliError::Unsound {
             corruptions: 1,
             report: "concurrent serve diverged from serial replay of the same op sequence"
@@ -948,7 +939,7 @@ fn cmd_serve_net(index_path: &str, addr: &str, parsed: &Parsed<'_>) -> Result<St
         max_batch: batch,
         threads: 1,
         tune_interval: parsed.tune_interval.unwrap_or(0),
-        tune_window: parsed.tune_window.unwrap_or(64),
+        tuner: tuner_config(parsed),
         ..ServeConfig::default()
     };
     let (mut dk, mut g, _) = load_index_graceful(index_path)?;
@@ -1346,38 +1337,45 @@ mod tests {
         assert!(out.contains("1 match(es)"), "{out}");
     }
 
-    #[test]
-    fn tune_promotes_then_demotes() {
-        let dir = TempDir::new("tune");
+    /// Build a label-split index of `DOC`, promote it under a deep `title`
+    /// load, then tune the result with `load`: that second report, and the
+    /// deep query's answer line on the index it produced.
+    fn tune_after_promotion(tag: &str, load: &str) -> (String, String) {
+        let dir = TempDir::new(tag);
         let doc = write_doc(&dir);
-        let idx = dir.file("index.dki");
-        run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap()]).unwrap();
+        let path = |name: &str| dir.file(name).to_str().unwrap().to_string();
+        let tune = |from: &str, to: &str, text: &str| {
+            fs::write(path("load.txt"), text).unwrap();
+            run(&["tune", &path(from), "--queries", &path("load.txt"), "--out", &path(to)]).unwrap()
+        };
+        run(&["build", doc.to_str().unwrap(), "--out", &path("built.dki")]).unwrap();
+        let promoted = tune("built.dki", "promoted.dki", "director.movie.title\n");
+        assert!(promoted.contains("promoted"), "{promoted}");
+        let report = tune("promoted.dki", "tuned.dki", load);
+        (report, run(&["query", &path("tuned.dki"), "director.movie.title"]).unwrap())
+    }
 
-        // Deep load: promote.
-        let deep = dir.file("deep.txt");
-        fs::write(&deep, "director.movie.title\n").unwrap();
-        let idx2 = dir.file("index2.dki");
-        let out = run(&[
-            "tune", idx.to_str().unwrap(),
-            "--queries", deep.to_str().unwrap(),
-            "--out", idx2.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("promoted"), "{out}");
-        let q = run(&["query", idx2.to_str().unwrap(), "director.movie.title"]).unwrap();
+    #[test]
+    fn tune_promotes_then_holds_on_the_load_it_covers() {
+        let (out, q) = tune_after_promotion("tune-promote", "director.movie.title\n");
+        assert!(out.contains("held"), "not a zero-split promote: {out}");
         assert!(!q.contains("validated"), "{q}");
+    }
 
-        // Shallow load: demote.
-        let shallow = dir.file("shallow.txt");
-        fs::write(&shallow, "name\n").unwrap();
-        let idx3 = dir.file("index3.dki");
-        let out = run(&[
-            "tune", idx2.to_str().unwrap(),
-            "--queries", shallow.to_str().unwrap(),
-            "--out", idx3.to_str().unwrap(),
-        ])
-        .unwrap();
+    #[test]
+    fn tune_demotes_when_the_same_label_is_queried_shallowly() {
+        let (out, q) = tune_after_promotion("tune-demote", "title\n");
         assert!(out.contains("demoted"), "{out}");
+        assert!(q.contains("validated"), "{q}");
+    }
+
+    /// A query file that never touches the promoted label is no evidence
+    /// its load shrank: the index is held, not demoted to the mined load.
+    #[test]
+    fn tune_holds_under_an_unrelated_shallow_load() {
+        let (out, q) = tune_after_promotion("tune-hold", "name\n");
+        assert!(out.contains("held"), "{out}");
+        assert!(!q.contains("validated"), "{q}");
     }
 
     /// The telemetry recorder is process-global and tests run on parallel
@@ -1774,7 +1772,7 @@ mod tests {
         let after = fs::read(&idx).unwrap();
         assert!(after != before, "the update must land in the file");
         read_snapshot(&after).expect("the in-place result loads strictly");
-        assert!(!dir.file("index.tmp").exists(), "no temp sibling left behind");
+        assert!(!dir.file("index.dki.tmp").exists(), "no temp sibling left behind");
         // The built output reports the size actually on disk.
         let out = run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap()]).unwrap();
         let on_disk = fs::metadata(&idx).unwrap().len();

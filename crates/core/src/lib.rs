@@ -87,11 +87,10 @@ pub use one_index::OneIndex;
 pub use requirements::Requirements;
 pub use serve::{
     DkServer, DurableAck, Epoch, MaintenanceGate, ServeConfig, ServeError, ServeHandle, Submitter,
-    TuneStats,
 };
 pub use serve_ops::{apply_serial, ServeOp};
 pub use snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, write_snapshot, Recovery, SnapshotError};
-pub use tuner::{plan_tuning, AdaptiveTuner, ObservedLoad, TunerConfig, TuningAction, TuningPlan};
+pub use tuner::{plan_tuning, TuneStats, Tuner, TunerConfig, TuningPlan};
 pub use wal::{
     inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail,
     WalVerdict, WalWriter,

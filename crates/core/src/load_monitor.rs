@@ -1,16 +1,17 @@
-//! Lock-free query-load monitoring for the live tuning loop.
+//! Lock-free query-load monitoring for the tuning loop.
 //!
-//! [`LoadMonitor`] is the observation half of the serve-path adaptive loop
-//! (paper §5.3/§5.4/§7, ARCHITECTURE.md "Live tuning"): epoch readers feed
-//! it on every [`crate::serve::Epoch::evaluate`] and the maintenance
-//! thread periodically [`LoadMonitor::harvest`]s the window, mines
-//! requirements from it, and enqueues promote/demote work as ordinary
-//! serve ops.
+//! [`LoadMonitor`] is the observation half of the adaptive loop (paper
+//! §5.3/§5.4/§7, ARCHITECTURE.md "Live tuning") and is owned by
+//! [`crate::tuner::Tuner`]: whoever evaluates queries — epoch readers on
+//! every [`crate::serve::Epoch::evaluate`], or an offline caller — feeds it
+//! through [`crate::tuner::Tuner::record`], and [`crate::tuner::Tuner::step`]
+//! [`LoadMonitor::harvest`]s the window, mines requirements from it, and
+//! returns the promote/demote work as an ordinary serve op.
 //!
 //! Two constraints shape the design:
 //!
 //! * **No reader-side locking.** Recording a query must never serialize
-//!   readers against each other or against the maintenance thread. Every
+//!   readers against each other or against the harvesting thread. Every
 //!   cell is an `AtomicU64` bumped with `Relaxed` ordering, and the cells
 //!   are *sharded*: each recording thread picks a shard by hashing its
 //!   thread id, so two readers on different shards never contend on a
@@ -39,6 +40,7 @@
 
 use dkindex_graph::LabelInterner;
 use dkindex_pathexpr::PathExpr;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,8 +79,9 @@ impl Shard {
     }
 }
 
-/// Sharded, lock-free query-load counters shared between epoch readers
-/// (writers) and the maintenance thread (the sole harvester).
+/// Sharded, lock-free query-load counters shared between the recording
+/// threads (writers) and the thread calling `Tuner::step` (the sole
+/// harvester).
 #[derive(Debug)]
 pub struct LoadMonitor {
     labels: Arc<LabelInterner>,
@@ -109,21 +112,24 @@ impl LoadMonitor {
 
     /// The shard the calling thread records into. Thread ids are stable
     /// for a thread's lifetime, so each reader keeps hitting one shard.
-    fn shard(&self) -> &Shard {
+    ///
+    /// Which shard a thread lands on decides contention only, never
+    /// content: `harvest` sums every shard, so the window — and every
+    /// decision mined from it — is the same whatever the hash says.
+    fn shard(&self) -> Option<&Shard> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         std::thread::current().id().hash(&mut h);
-        let idx = (h.finish() as usize) % self.shards.len().max(1);
-        // The modulo above keeps `idx` in range; `.get` keeps the reader
+        // The modulo keeps the index in range; `.get` keeps the reader
         // path free of panic edges even so.
-        self.shards.get(idx).unwrap_or(&self.shards[0])
+        self.shards.get((h.finish() as usize) % self.shards.len().max(1))
     }
 
     /// Record one evaluated query: its length against every result label
     /// it can end at, plus the validation and memo outcome. Lock-free —
     /// relaxed fetch-adds on the caller's shard.
     pub fn record(&self, query: &PathExpr, validated: bool, memo_hit: bool) {
-        let shard = self.shard();
+        let Some(shard) = self.shard() else { return };
         if validated {
             shard.validated.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -159,7 +165,7 @@ impl LoadMonitor {
     }
 
     /// Drain every counter (swap to zero) and fold the shards into one
-    /// [`LoadWindow`]. Called by the maintenance thread; concurrent
+    /// [`LoadWindow`]. Called from `Tuner::step`; concurrent
     /// records land in either the returned window or the next one, never
     /// both, never neither.
     pub fn harvest(&self) -> LoadWindow {
@@ -190,7 +196,7 @@ impl LoadMonitor {
 }
 
 /// One harvested observation window: plain (non-atomic) sums, owned by the
-/// maintenance thread. Windows [`LoadWindow::merge`] so a harvest that is
+/// thread that harvested it. Windows [`LoadWindow::merge`] so a harvest that is
 /// still below the configured window size can accumulate into the next
 /// one instead of being discarded.
 #[derive(Clone, Debug)]
@@ -277,18 +283,16 @@ impl LoadWindow {
     }
 
     /// The labels this window observed as result labels (any length, any
-    /// support), plus whether wildcard endings were observed — the decay
-    /// gate for the tuning policy's demotion path.
-    pub fn observed(&self) -> crate::tuner::ObservedLoad {
-        let mut observed = crate::tuner::ObservedLoad::default();
+    /// support) — the decay gate for the tuning policy's demotion path
+    /// ([`crate::tuner::plan_tuning`]): only an observed label may shrink.
+    pub fn observed(&self) -> BTreeSet<String> {
         let rows = self.label_len.chunks(LoadMonitor::MAX_TRACKED_LEN);
-        for ((_, name), row) in self.labels.iter().zip(rows) {
-            if row.iter().any(|&c| c > 0) {
-                observed.labels.insert(name.to_string());
-            }
-        }
-        observed.wildcard = self.wildcard_len.iter().any(|&c| c > 0);
-        observed
+        self.labels
+            .iter()
+            .zip(rows)
+            .filter(|(_, row)| row.iter().any(|&c| c > 0))
+            .map(|((_, name), _)| name.to_string())
+            .collect()
     }
 }
 
@@ -350,8 +354,7 @@ mod tests {
         let monitor = LoadMonitor::new(g.labels_shared());
         monitor.record(&parse("movie._").unwrap(), false, false);
         let window = monitor.harvest();
-        let observed = window.observed();
-        assert!(observed.wildcard);
+        assert!(window.observed().is_empty(), "a wildcard ending observes no label");
         let mined = mine_requirements_weighted(&window.weighted_queries(), 0);
         assert_eq!(mined.floor(), 1);
     }
@@ -373,7 +376,7 @@ mod tests {
         monitor.record(&parse("movie.nosuchlabel").unwrap(), false, false);
         let window = monitor.harvest();
         assert_eq!(window.recorded(), 0);
-        assert!(window.observed().labels.is_empty());
+        assert!(window.observed().is_empty());
     }
 
     #[test]

@@ -58,18 +58,16 @@
 
 use crate::dk::construct::DkIndex;
 use crate::eval::{IndexEvalOutcome, IndexEvaluator, QueryAborted};
-use crate::load_monitor::{LoadMonitor, LoadWindow};
-use crate::mining::mine_requirements_weighted;
 use crate::requirements::Requirements;
-use crate::tuner::{plan_tuning, TuningPlan};
 pub use crate::serve_ops::{apply_serial, ServeOp};
+use crate::tuner::{TuneStats, Tuner, TunerConfig};
 pub use crate::wal::BatchLog;
 use dkindex_graph::DataGraph;
 use dkindex_pathexpr::PathExpr;
 use dkindex_telemetry as telemetry;
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -84,21 +82,14 @@ pub struct ServeConfig {
     /// Worker threads for the sharded initial construction
     /// ([`DkIndex::build_sharded`]); `0` means machine parallelism.
     pub threads: usize,
-    /// Live tuning cadence: harvest the [`LoadMonitor`] every this many
-    /// published batches and enqueue the mined promote/demote work as
-    /// ordinary serve ops. `0` (the default) disables live tuning — the
-    /// serve loop then has no monitor and readers record nothing.
+    /// Live tuning cadence: run one [`Tuner::step`] every this many
+    /// published batches and enqueue the op it plans as an ordinary serve
+    /// op. `0` (the default) disables live tuning — the serve loop then has
+    /// no tuner and readers record nothing.
     pub tune_interval: usize,
-    /// Minimum recorded queries a harvest must have accumulated before the
-    /// tuner acts on it; smaller harvests merge into the next one, so a
-    /// slow trickle of queries still tunes eventually.
-    pub tune_window: usize,
-    /// Minimum occurrences within a window for a query shape to influence
-    /// the mined requirements (the §4.1 "majority" filter; see
-    /// [`crate::tuner::TunerConfig::min_support`]).
-    pub tune_min_support: u64,
-    /// Demotion hysteresis (see [`crate::tuner::TunerConfig::demote_slack`]).
-    pub tune_demote_slack: usize,
+    /// Window size and support filter of the live tuner; unused while
+    /// `tune_interval` is zero.
+    pub tuner: TunerConfig,
     /// Record every applied op in submission order for the serial-replay
     /// determinism oracle ([`DkServer::recorded_ops`]). Off by default:
     /// the recording grows with the run.
@@ -111,47 +102,10 @@ impl Default for ServeConfig {
             max_batch: 64,
             threads: 1,
             tune_interval: 0,
-            tune_window: 64,
-            tune_min_support: 2,
-            tune_demote_slack: 1,
+            tuner: TunerConfig::default(),
             record_ops: false,
         }
     }
-}
-
-/// Shared live-tuning state: the lock-free [`LoadMonitor`] epoch readers
-/// feed, plus the counters the STATS surface reports. Present only when
-/// [`ServeConfig::tune_interval`] is non-zero.
-#[derive(Debug)]
-pub struct TuneState {
-    monitor: LoadMonitor,
-    windows: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-}
-
-impl TuneState {
-    fn new(monitor: LoadMonitor) -> TuneState {
-        TuneState {
-            monitor,
-            windows: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A point-in-time view of the live tuner's activity, readable from any
-/// thread via [`ServeHandle::tuning_stats`] (the network front-end's STATS
-/// frame renders these).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TuneStats {
-    /// Harvested windows that were large enough to mine.
-    pub windows: u64,
-    /// Tuning passes that enqueued a promotion (`SetRequirements`).
-    pub promotions: u64,
-    /// Tuning passes that enqueued a demotion (`Demote`).
-    pub demotions: u64,
 }
 
 /// A serve-layer failure surfaced to callers as a typed error rather than a
@@ -198,9 +152,9 @@ pub struct Epoch {
     dk: DkIndex,
     data: DataGraph,
     memo: Mutex<HashMap<PathExpr, Arc<IndexEvalOutcome>>>,
-    /// Live-tuning state shared across every epoch of one server; readers
-    /// record each evaluated query into its monitor, lock-free.
-    tune: Option<Arc<TuneState>>,
+    /// The live tuner shared across every epoch of one server; readers
+    /// record each evaluated query into it, lock-free.
+    tune: Option<Arc<Tuner>>,
 }
 
 impl Epoch {
@@ -209,7 +163,7 @@ impl Epoch {
         ops_applied: u64,
         dk: DkIndex,
         data: DataGraph,
-        tune: Option<Arc<TuneState>>,
+        tune: Option<Arc<Tuner>>,
     ) -> Self {
         Epoch {
             id,
@@ -221,15 +175,11 @@ impl Epoch {
         }
     }
 
-    /// Feed the load monitor (when live tuning is on) with one evaluated
-    /// query and bump the observation telemetry. Lock-free.
+    /// Feed the tuner (when live tuning is on) with one evaluated query.
+    /// Lock-free.
     fn observe(&self, query: &PathExpr, validated: bool, memo_hit: bool) {
-        if let Some(tune) = &self.tune {
-            tune.monitor.record(query, validated, memo_hit);
-            telemetry::metrics::TUNER_LIVE_QUERIES.incr();
-            if validated {
-                telemetry::metrics::TUNER_LIVE_VALIDATIONS.incr();
-            }
+        if let Some(tuner) = &self.tune {
+            tuner.record(query, validated, memo_hit);
         }
     }
 
@@ -323,18 +273,14 @@ impl Epoch {
 #[derive(Clone)]
 pub struct ServeHandle {
     current: Arc<RwLock<Arc<Epoch>>>,
-    tune: Option<Arc<TuneState>>,
+    tune: Option<Arc<Tuner>>,
 }
 
 impl ServeHandle {
     /// The live tuner's activity counters, or `None` when the server runs
     /// without live tuning ([`ServeConfig::tune_interval`] of zero).
     pub fn tuning_stats(&self) -> Option<TuneStats> {
-        self.tune.as_ref().map(|t| TuneStats {
-            windows: t.windows.load(Ordering::Relaxed),
-            promotions: t.promotions.load(Ordering::Relaxed),
-            demotions: t.demotions.load(Ordering::Relaxed),
-        })
+        self.tune.as_ref().map(|t| t.stats())
     }
 
     /// The currently published epoch. The returned `Arc` stays fully
@@ -464,10 +410,10 @@ impl DkServer {
         config: ServeConfig,
         log: Option<Box<dyn BatchLog>>,
     ) -> DkServer {
-        // The label universe is fixed while serving, so the monitor's dense
-        // per-label table can be sized once, here.
+        // The label universe is fixed while serving, so the tuner's dense
+        // per-label monitor table can be sized once, here.
         let tune = (config.tune_interval > 0)
-            .then(|| Arc::new(TuneState::new(LoadMonitor::new(data.labels_shared()))));
+            .then(|| Arc::new(Tuner::new(data.labels_shared(), config.tuner)));
         let recorded = config
             .record_ops
             .then(|| Arc::new(Mutex::new(Vec::new())));
@@ -489,15 +435,11 @@ impl DkServer {
             // The maintenance thread enqueues tuning ops through its own
             // sender so they interleave with client ops at channel order
             // and flow through the WAL/batch/publish path like any op.
-            tune: tune.map(|state| LiveTuner {
-                state,
+            tune: tune.map(|tuner| TuneCadence {
+                tuner,
                 tx: tx.clone(),
                 interval: config.tune_interval,
-                window: config.tune_window,
-                min_support: config.tune_min_support,
-                demote_slack: config.tune_demote_slack,
                 batches: 0,
-                pending: None,
             }),
         };
         let logged = ctx.wal.is_some();
@@ -714,88 +656,42 @@ struct MaintenanceCtx {
     poisoned: Arc<AtomicBool>,
     /// Sink for the applied-op recording ([`ServeConfig::record_ops`]).
     recorded: Option<Arc<Mutex<Vec<ServeOp>>>>,
-    tune: Option<LiveTuner>,
+    tune: Option<TuneCadence>,
 }
 
-/// The maintenance thread's live-tuning loop state. The tuner holds its own
-/// sender clone and enqueues its `SetRequirements`/`Demote` decisions as
-/// ordinary [`Msg::Op`]s: they interleave with client ops at channel order
-/// and flow through the same WAL/batch/publish/ack path, which is what
-/// keeps an N-thread tuned run byte-identical under [`apply_serial`] replay
-/// of the recorded op sequence. (The held sender means the channel never
+/// The maintenance thread's side of live tuning: the publish-cadence
+/// counter around [`Tuner::step`], and a sender clone through which the
+/// planned `SetRequirements`/`Demote` is enqueued as an ordinary
+/// [`Msg::Op`] — it interleaves with client ops at channel order and flows
+/// through the same WAL/batch/publish/ack path, which is what keeps an
+/// N-thread tuned run byte-identical under [`apply_serial`] replay of the
+/// recorded op sequence. (The held sender means the channel never
 /// disconnects on its own; every exit path goes through `Msg::Shutdown`,
 /// which both [`DkServer::shutdown`] and `Drop` send.)
-struct LiveTuner {
-    state: Arc<TuneState>,
+struct TuneCadence {
+    tuner: Arc<Tuner>,
     tx: mpsc::Sender<Msg>,
     interval: usize,
-    window: usize,
-    min_support: u64,
-    demote_slack: usize,
-    /// Publishes since the last harvest.
+    /// Publishes since the last step.
     batches: usize,
-    /// Harvests too small to act on accumulate here until they jointly
-    /// clear the `window` threshold — a slow query trickle still tunes.
-    pending: Option<LoadWindow>,
 }
 
-impl LiveTuner {
-    /// Called after every epoch publish. Every `interval` publishes,
-    /// harvest the monitor into the pending window; once the window holds
-    /// at least `window` recorded queries, mine it and enqueue the planned
-    /// action (if any) through the op channel.
-    fn after_publish(&mut self, dk: &DkIndex) {
+impl TuneCadence {
+    /// Called after every epoch publish: every `interval` publishes, step
+    /// the tuner against the index's current requirements and enqueue the
+    /// op it planned, if any.
+    fn after_publish(&mut self, current: &Requirements) {
         self.batches += 1;
         if self.batches < self.interval {
             return;
         }
         self.batches = 0;
-        let span = telemetry::Span::start(&telemetry::metrics::TUNER_LIVE_PLAN_NS);
-        let harvest = self.state.monitor.harvest();
-        if !harvest.is_empty() {
-            match self.pending.as_mut() {
-                Some(pending) => pending.merge(&harvest),
-                None => self.pending = Some(harvest),
-            }
+        if let Some(op) = self.tuner.step(current) {
+            // analyze: allow(must-consume) — tuner self-enqueue is
+            // advisory: a failed send means maintenance is shutting
+            // down, and dropping the plan is the correct outcome.
+            let _ = self.tx.send(Msg::Op(op, None));
         }
-        let ready = self
-            .pending
-            .as_ref()
-            .is_some_and(|p| p.recorded() >= self.window as u64);
-        if !ready {
-            drop(span);
-            return;
-        }
-        let Some(window) = self.pending.take() else {
-            drop(span);
-            return;
-        };
-        self.state.windows.fetch_add(1, Ordering::Relaxed);
-        telemetry::metrics::TUNER_LIVE_WINDOWS.incr();
-        let weighted = window.weighted_queries();
-        let observed = window.observed();
-        let mined = mine_requirements_weighted(&weighted, self.min_support);
-        match plan_tuning(dk.requirements(), &mined, &observed, self.demote_slack) {
-            TuningPlan::Promote(reqs) => {
-                self.state.promotions.fetch_add(1, Ordering::Relaxed);
-                telemetry::metrics::TUNER_LIVE_PROMOTIONS.incr();
-                telemetry::metrics::TUNER_LIVE_OPS.incr();
-                // analyze: allow(must-consume) — tuner self-enqueue is
-                // advisory: a failed send means maintenance is shutting
-                // down, and dropping the plan is the correct outcome.
-                let _ = self.tx.send(Msg::Op(ServeOp::SetRequirements(reqs), None));
-            }
-            TuningPlan::Demote(reqs) => {
-                self.state.demotions.fetch_add(1, Ordering::Relaxed);
-                telemetry::metrics::TUNER_LIVE_DEMOTIONS.incr();
-                telemetry::metrics::TUNER_LIVE_OPS.incr();
-                // analyze: allow(must-consume) — see the promote arm: a
-                // failed tuner send during shutdown is a correct drop.
-                let _ = self.tx.send(Msg::Op(ServeOp::Demote(reqs), None));
-            }
-            TuningPlan::Hold => {}
-        }
-        drop(span);
     }
 }
 
@@ -904,7 +800,7 @@ fn maintenance_loop(
                 ops_total,
                 dk.clone(),
                 data.clone(),
-                ctx.tune.as_ref().map(|t| Arc::clone(&t.state)),
+                ctx.tune.as_ref().map(|t| Arc::clone(&t.tuner)),
             ));
             {
                 // This thread is the only writer, so the epoch read here is
@@ -931,12 +827,12 @@ fn maintenance_loop(
                 // gone receiver must not fail maintenance.
                 let _ = ack.send(Ok(epoch_id));
             }
-            // Live tuning rides published batches: harvest the monitor on
-            // cadence and self-enqueue the mined promote/demote work. A
+            // Live tuning rides published batches: step the tuner on
+            // cadence and self-enqueue the promote/demote work it plans. A
             // poisoned server stops tuning with everything else — its
             // batches are dropped before this point.
-            if let Some(tuner) = ctx.tune.as_mut() {
-                tuner.after_publish(&dk);
+            if let Some(tune) = ctx.tune.as_mut() {
+                tune.after_publish(dk.requirements());
             }
         }
         for ack in flushes.drain(..) {

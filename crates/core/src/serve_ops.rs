@@ -64,7 +64,7 @@ pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
             dk.demote(reqs);
         }
         ServeOp::SetRequirements(reqs) => {
-            dk.set_requirements_public(reqs);
+            dk.set_requirements(reqs);
             dk.promote_to_requirements(data);
         }
     }

@@ -44,7 +44,7 @@ use dkindex_graph::{DataGraph, LabeledGraph};
 use dkindex_telemetry as telemetry;
 use std::fmt;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DKSN";
 const VERSION: u32 = 1;
@@ -176,15 +176,38 @@ pub fn snapshot_bytes(dk: &DkIndex, data: &DataGraph) -> Vec<u8> {
     bytes
 }
 
-/// Write a snapshot to `path` atomically: temp file, `sync_all`, rename.
+/// Write a snapshot to `path` atomically and durably: write a temp sibling,
+/// `sync_all` it, rename it over `path`, then fsync the parent directory so
+/// the rename itself survives a crash. The temp name is the *whole* file
+/// name plus `.tmp` — substituting the extension would make `x.tmp` its own
+/// temp file (truncated before the new bytes are durable) and let `a.dki`
+/// and `a.snap` share one. A failed save removes its temp file.
 pub fn save_snapshot_file(dk: &DkIndex, data: &DataGraph, path: &Path) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
         write_snapshot(dk, data, &mut file)?;
-        file.sync_all()?;
+        file.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
+        // Best effort: the save already failed, and its error is the one
+        // the caller needs; a leftover temp file is only litter.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)
+    sync_parent_dir(path)
+}
+
+/// Fsync the directory holding `path`, making a just-created or
+/// just-renamed entry for it durable: file contents reach stable storage
+/// with the file's own `sync_all`, its name only with the directory's.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// The container's framing: each known section's checksum-clean payload or
@@ -367,6 +390,76 @@ mod tests {
         g.add_edge(a, m, EdgeKind::Reference);
         let dk = DkIndex::build(&g, Requirements::from_pairs([("title", 2)]));
         (g, dk)
+    }
+
+    /// A scratch directory removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir()
+                .join(format!("dkindex-snapshot-test-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Regression: the temp name was `path.with_extension("tmp")`, so saving
+    /// `a.dki` wrote through — and renamed away — any `a.tmp` beside it,
+    /// and `a.dki` / `a.snap` shared one temp file.
+    #[test]
+    fn saving_leaves_a_sibling_with_the_old_temp_name_alone() {
+        let dir = TempDir::new("sibling");
+        let (g, dk) = sample();
+        let bystander = dir.0.join("a.tmp");
+        std::fs::write(&bystander, b"not a temp file").unwrap();
+        for name in ["a.dki", "a.snap"] {
+            let target = dir.0.join(name);
+            save_snapshot_file(&dk, &g, &target).unwrap();
+            read_snapshot(&std::fs::read(&target).unwrap()).unwrap();
+            assert!(!dir.0.join(format!("{name}.tmp")).exists(), "temp file left behind");
+        }
+        assert_eq!(std::fs::read(&bystander).unwrap(), b"not a temp file");
+    }
+
+    /// Regression: with `--out x.tmp` the temp file *was* the target, so
+    /// `File::create` truncated the only good copy before the new bytes
+    /// were durable. The temp sibling is now `x.tmp.tmp`.
+    #[test]
+    fn a_target_named_dot_tmp_is_not_its_own_temp_file() {
+        let dir = TempDir::new("dottmp");
+        let (g, dk) = sample();
+        let target = dir.0.join("x.tmp");
+        save_snapshot_file(&dk, &g, &target).unwrap();
+        let first = std::fs::read(&target).unwrap();
+        // A hard link pins the old copy's inode: it keeps the old bytes
+        // exactly when the target is replaced by rename, never rewritten.
+        let old_copy = dir.0.join("x.old");
+        std::fs::hard_link(&target, &old_copy).unwrap();
+        let promoted = DkIndex::build(&g, Requirements::uniform(2));
+        save_snapshot_file(&promoted, &g, &target).unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), snapshot_bytes(&promoted, &g));
+        assert_eq!(std::fs::read(&old_copy).unwrap(), first, "old copy was written in place");
+        assert!(!dir.0.join("x.tmp.tmp").exists(), "temp file left behind");
+    }
+
+    /// A save that fails after creating its temp file removes it.
+    #[test]
+    fn a_failed_save_removes_its_temp_file() {
+        let dir = TempDir::new("failed");
+        let (g, dk) = sample();
+        // Renaming a file over a non-empty directory fails on every platform.
+        let target = dir.0.join("out.dki");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        save_snapshot_file(&dk, &g, &target).unwrap_err();
+        assert!(!dir.0.join("out.dki.tmp").exists(), "temp file left behind");
+        assert!(!dir.0.join("out.tmp").exists(), "temp file left behind");
     }
 
     /// Regression for the cursor-based framing rewrite: the container

@@ -3,130 +3,102 @@
 //! The paper prescribes that the promoting and demoting processes "be
 //! executed periodically to tune the D(k)-index and keep its high
 //! performance" (§5.3–§5.4) and names query-pattern mining as the first
-//! direction of future work (§7). [`AdaptiveTuner`] implements that loop:
+//! direction of future work (§7). [`Tuner`] is that loop, written once:
 //!
-//! 1. every query evaluated through the tuner is recorded (per-result-label
-//!    length histogram, validation counter);
-//! 2. when the observation window fills, fresh requirements are mined from
-//!    the recorded load (frequency-weighted, so one stray deep query does
+//! 1. every evaluated query is [`Tuner::record`]ed into a lock-free
+//!    [`LoadMonitor`] (per-result-label length histogram, validation and
+//!    memo counters) — safe to call from any number of reader threads;
+//! 2. [`Tuner::step`] harvests the monitor into a pending window; once the
+//!    window holds [`TunerConfig::window`] recorded queries, requirements
+//!    are mined from it (frequency-weighted, so one stray deep query does
 //!    not inflate the index — "the choice of k_A should guarantee that the
 //!    majority of queries accessing A are ≤ k_A in length", §4.1);
-//! 3. labels whose requirement *rose* are promoted; if the load a label
-//!    actually received got shallower, the index is demoted — but only for
-//!    labels the window *observed*: a label that merely went unqueried
-//!    keeps its current requirement, so alternating workloads do not
-//!    thrash the index promote/demote every window.
+//! 3. [`plan_tuning`] compares the mined requirements with the current
+//!    ones: labels whose requirement *rose* are promoted; if the load a
+//!    label actually received got shallower, the index is demoted — but
+//!    only for labels the window *observed*: a label that merely went
+//!    unqueried keeps its current requirement, so alternating workloads do
+//!    not thrash the index promote/demote every window.
 //!
-//! The tuning *policy* — given current requirements, mined requirements,
-//! and the set of observed result labels, decide promote/demote/hold — is
-//! the pure function [`plan_tuning`], shared verbatim by this offline
-//! tuner and by the live tuning pass inside [`crate::serve`]'s maintenance
-//! thread. Everything here iterates ordered containers (`BTreeMap`,
-//! sorted vectors): the same window must always yield the same plan, byte
-//! for byte, because the live path replays tuning decisions through the
+//! `step` never touches an index. It returns the decision as a
+//! [`ServeOp`] (`SetRequirements` or `Demote`) for the caller to apply:
+//! the serve maintenance thread enqueues it on its own op channel
+//! ([`crate::serve`]), offline callers — `dkindex tune`, the examples, the
+//! property tests — hand it to [`crate::serve_ops::apply_serial`]. One
+//! driver, one application path, so a tuned run can always be replayed.
+//!
+//! Everything here iterates ordered containers (`BTreeSet`, sorted
+//! vectors): the same window must always yield the same plan, byte for
+//! byte, because tuning decisions are replayed through the
 //! serial-application oracle (`dkindex-analyze` enforces the scope).
 //!
 //! ```
-//! use dkindex_core::{AdaptiveTuner, DkIndex, Requirements, TunerConfig, TuningAction};
+//! use dkindex_core::{apply_serial, DkIndex, IndexEvaluator, Requirements, Tuner, TunerConfig};
 //! use dkindex_pathexpr::parse;
 //! use dkindex_xml::parse_to_graph;
 //!
-//! let data = parse_to_graph("<db><movie><title/></movie></db>").unwrap();
-//! let mut tuner = AdaptiveTuner::new(
-//!     DkIndex::build(&data, Requirements::new()),
-//!     TunerConfig { window: 2, min_support: 1, demote_slack: 1 },
-//! );
+//! let mut data = parse_to_graph("<db><movie><title/></movie></db>").unwrap();
+//! let mut dk = DkIndex::build(&data, Requirements::new());
+//! let tuner = Tuner::new(data.labels_shared(), TunerConfig { window: 2, min_support: 1 });
 //! let q = parse("movie.title").unwrap();
-//! tuner.evaluate(&data, &q);
-//! tuner.evaluate(&data, &q);
-//! assert!(matches!(tuner.maybe_tune(&data), TuningAction::Promoted { .. }));
-//! assert!(!tuner.evaluate(&data, &q).validated);
+//! for _ in 0..2 {
+//!     let out = IndexEvaluator::new(dk.index(), &data).evaluate(&q);
+//!     tuner.record(&q, out.validated, false);
+//! }
+//! let op = tuner.step(dk.requirements()).expect("a full window of deep queries promotes");
+//! apply_serial(&mut dk, &mut data, &[op]);
+//! assert!(!IndexEvaluator::new(dk.index(), &data).evaluate(&q).validated);
 //! ```
 
-use crate::dk::construct::DkIndex;
-use crate::eval::{IndexEvalOutcome, IndexEvaluator};
+use crate::load_monitor::{LoadMonitor, LoadWindow};
 use crate::mining::mine_requirements_weighted;
 use crate::requirements::Requirements;
-use dkindex_graph::DataGraph;
+use crate::serve_ops::ServeOp;
+use dkindex_graph::LabelInterner;
 use dkindex_pathexpr::PathExpr;
 use dkindex_telemetry as telemetry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Demotion hysteresis: demote only when the retained maximum requirement
+/// sits at least `DEMOTE_SLACK + 1` below the current one, so a load that
+/// hovers around a boundary does not merge and re-split every window.
+const DEMOTE_SLACK: usize = 1;
 
 /// Tuning policy knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct TunerConfig {
-    /// Number of queries per observation window.
+    /// Recorded queries a window must hold before [`Tuner::step`] mines
+    /// it; smaller harvests accumulate, so a slow trickle of queries still
+    /// tunes eventually.
     pub window: usize,
-    /// Minimum occurrences within a window for a query shape to influence
-    /// the mined requirements (the "majority" filter of §4.1).
+    /// Minimum occurrences within a window for a `(result label, length)`
+    /// cell to influence the mined requirements (the "majority" filter of
+    /// §4.1).
     pub min_support: u64,
-    /// Demote when the retained maximum requirement is at least this much
-    /// below the current one (hysteresis against oscillation).
-    pub demote_slack: usize,
 }
 
 impl Default for TunerConfig {
     fn default() -> Self {
         TunerConfig {
-            window: 200,
+            window: 64,
             min_support: 2,
-            demote_slack: 1,
         }
     }
 }
 
-/// What a call to [`AdaptiveTuner::maybe_tune`] did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TuningAction {
-    /// Window not full yet, or the mined requirements matched the current
-    /// ones: nothing changed.
-    None,
-    /// Some labels were promoted (splits performed).
-    Promoted {
-        /// Extent splits performed by the promotion pass.
-        splits: usize,
-    },
-    /// The index was demoted to the mined requirements.
-    Demoted {
-        /// Index nodes merged away.
-        nodes_saved: usize,
-    },
-}
-
-/// Which result labels one observation window actually saw, regardless of
-/// the `min_support` filter: a label is *observed* when any query in the
-/// window could end at it. [`plan_tuning`] only lets observed labels decay
-/// — an unqueried label carries no evidence that its load shrank.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ObservedLoad {
-    /// Result labels some window query can end at (sorted, deduplicated).
-    pub labels: BTreeSet<String>,
-    /// True when some window query can end in a wildcard (blanket load:
-    /// evidence about the requirement floor rather than any one label).
-    pub wildcard: bool,
-}
-
-impl ObservedLoad {
-    /// Collect the observed result labels of a window's queries. Unbounded
-    /// queries (`R*` tails) are skipped exactly as the miner skips them:
-    /// they carry no finite length requirement.
-    pub fn from_queries<'a>(queries: impl IntoIterator<Item = &'a PathExpr>) -> ObservedLoad {
-        let mut observed = ObservedLoad::default();
-        for query in queries {
-            if query.max_word_len().is_none() {
-                continue;
-            }
-            let last = query.last_labels();
-            observed.labels.extend(last.labels);
-            observed.wildcard |= last.wildcard;
-        }
-        observed
-    }
-
-    /// True when the window saw no bounded query at all.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty() && !self.wildcard
-    }
+/// A point-in-time view of a [`Tuner`]'s activity, readable from any
+/// thread ([`crate::serve::ServeHandle::tuning_stats`]; the network
+/// front-end's STATS frame renders these).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TuneStats {
+    /// Windows that were large enough to mine.
+    pub windows: u64,
+    /// Steps that planned a promotion (`SetRequirements`).
+    pub promotions: u64,
+    /// Steps that planned a demotion (`Demote`).
+    pub demotions: u64,
 }
 
 /// The decision of one tuning step.
@@ -142,8 +114,9 @@ pub enum TuningPlan {
     Demote(Requirements),
 }
 
-/// The pure tuning policy, shared by the offline [`AdaptiveTuner`] and the
-/// live tuning pass in [`crate::serve`]:
+/// The pure tuning policy behind [`Tuner::step`]: given the current
+/// requirements, the mined ones, and the result labels the window observed,
+/// decide promote / demote / hold.
 ///
 /// * **Promote** when some mined label requirement (or the mined floor)
 ///   exceeds the current one. The promotion target is the current
@@ -154,7 +127,7 @@ pub enum TuningPlan {
 ///   labels to their mined values (the floor follows the mined floor, as
 ///   blanket load is only attributable to wildcard queries). The demotion
 ///   fires only when the target's maximum requirement sits at least
-///   `demote_slack + 1` below the current maximum (hysteresis).
+///   `DEMOTE_SLACK + 1` below the current maximum (hysteresis).
 /// * **Hold** otherwise.
 ///
 /// Deterministic by construction: both inputs are reduced through
@@ -164,8 +137,7 @@ pub enum TuningPlan {
 pub fn plan_tuning(
     current: &Requirements,
     mined: &Requirements,
-    observed: &ObservedLoad,
-    demote_slack: usize,
+    observed: &BTreeSet<String>,
 ) -> TuningPlan {
     let rises: Vec<(String, usize)> = {
         let mut rises: Vec<(String, usize)> = mined
@@ -197,7 +169,7 @@ pub fn plan_tuning(
     let mut retained: Vec<(&str, usize)> = current.iter().collect();
     retained.sort();
     for (label, k) in retained {
-        if !observed.labels.contains(label) {
+        if !observed.contains(label) {
             target.raise(label, k);
         }
     }
@@ -208,120 +180,116 @@ pub fn plan_tuning(
     }
 
     // Shrink only when the retained load clearly got shallower (hysteresis).
-    if target.max_requirement() + demote_slack < current.max_requirement() {
+    if target.max_requirement() + DEMOTE_SLACK < current.max_requirement() {
         return TuningPlan::Demote(target);
     }
     TuningPlan::Hold
 }
 
-/// A D(k)-index coupled with a query-load monitor (paper §5.3/§5.4/§7).
+/// The one windowed tuning driver (paper §5.3/§5.4/§7): a lock-free
+/// [`LoadMonitor`] that any number of readers [`Tuner::record`] into, and
+/// a [`Tuner::step`] that turns a full window into at most one [`ServeOp`].
+/// Shared by reference (`Arc<Tuner>` in the serve loop); a single thread is
+/// expected to call `step`.
 #[derive(Debug)]
-pub struct AdaptiveTuner {
-    dk: DkIndex,
+pub struct Tuner {
+    monitor: LoadMonitor,
     config: TunerConfig,
-    /// Query shape → occurrences in the current window. Ordered so the
-    /// window drains the same way every run — the mining input, and with
-    /// it the tuning decision, must not depend on hash iteration order.
-    observed: BTreeMap<PathExpr, u64>,
-    seen: usize,
-    validations: u64,
+    /// Harvests too small to act on accumulate here until they jointly
+    /// clear [`TunerConfig::window`]. Only `step` takes the lock, so it is
+    /// uncontended; recording never touches it.
+    pending: Mutex<Option<LoadWindow>>,
+    windows: AtomicU64,
+    promotions: AtomicU64,
+    demotions: AtomicU64,
 }
 
-impl AdaptiveTuner {
-    /// Wrap an existing D(k)-index.
-    pub fn new(dk: DkIndex, config: TunerConfig) -> Self {
-        AdaptiveTuner {
-            dk,
+impl Tuner {
+    /// A tuner over `labels` — the label universe of the data graph being
+    /// served; result labels outside it can never match and are ignored.
+    pub fn new(labels: Arc<LabelInterner>, config: TunerConfig) -> Tuner {
+        Tuner {
+            monitor: LoadMonitor::new(labels),
             config,
-            observed: BTreeMap::new(),
-            seen: 0,
-            validations: 0,
+            pending: Mutex::new(None),
+            windows: AtomicU64::new(0),
+            promotions: AtomicU64::new(0),
+            demotions: AtomicU64::new(0),
         }
     }
 
-    /// The wrapped index.
-    pub fn index(&self) -> &DkIndex {
-        &self.dk
-    }
-
-    /// Consume the tuner, returning the tuned index.
-    pub fn into_index(self) -> DkIndex {
-        self.dk
-    }
-
-    /// Fraction of queries in the *current* observation window that
-    /// triggered validation. An empty window (no query recorded since the
-    /// last tuning pass) has no rate yet and reports 0.0 — never NaN.
-    pub fn validation_rate(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.validations as f64 / self.seen as f64
-        }
-    }
-
-    /// Evaluate `query` through the index, recording it for tuning.
-    pub fn evaluate(&mut self, data: &DataGraph, query: &PathExpr) -> IndexEvalOutcome {
-        let out = IndexEvaluator::new(self.dk.index(), data).evaluate(query);
-        *self.observed.entry(query.clone()).or_insert(0) += 1;
-        self.seen += 1;
-        self.validations += u64::from(out.validated);
+    /// Record one evaluated query and its outcome. Lock-free (relaxed
+    /// fetch-adds on the caller's monitor shard).
+    pub fn record(&self, query: &PathExpr, validated: bool, memo_hit: bool) {
+        self.monitor.record(query, validated, memo_hit);
         telemetry::metrics::TUNER_QUERIES.incr();
-        if out.validated {
+        if validated {
             telemetry::metrics::TUNER_VALIDATIONS.incr();
         }
-        out
     }
 
-    /// Run the periodic tuning step if the observation window is full.
-    /// Call after a batch of [`AdaptiveTuner::evaluate`] calls.
-    pub fn maybe_tune(&mut self, data: &DataGraph) -> TuningAction {
-        // An empty window carries no evidence about the load: never act on
-        // it, even under degenerate configs such as `window == 0`.
-        if self.seen == 0 || self.seen < self.config.window {
-            return TuningAction::None;
+    /// Activity counters since construction.
+    pub fn stats(&self) -> TuneStats {
+        TuneStats {
+            windows: self.windows.load(Ordering::Relaxed),
+            promotions: self.promotions.load(Ordering::Relaxed),
+            demotions: self.demotions.load(Ordering::Relaxed),
         }
+    }
+
+    /// One tuning step against the index's `current` requirements: harvest
+    /// the monitor into the pending window and, once it holds
+    /// [`TunerConfig::window`] recorded queries, mine it and return the
+    /// planned action — `SetRequirements` to promote, `Demote` to shrink,
+    /// `None` to hold (or when the window is not full yet). An empty
+    /// window carries no evidence about the load and never plans anything,
+    /// even under a degenerate `window` of zero.
+    ///
+    /// The decision is a pure function of `current` and the drained window,
+    /// so a run is reproduced exactly by applying the returned ops in order
+    /// ([`crate::serve_ops::apply_serial`]).
+    pub fn step(&self, current: &Requirements) -> Option<ServeOp> {
+        let _span = telemetry::Span::start(&telemetry::metrics::TUNER_PLAN_NS);
+        let harvest = self.monitor.harvest();
+        // A poisoned lock still guards a valid window: `merge` is plain
+        // cell-wise addition and leaves no torn state behind.
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        if !harvest.is_empty() {
+            match pending.as_mut() {
+                Some(window) => window.merge(&harvest),
+                None => *pending = Some(harvest),
+            }
+        }
+        let window = pending.take_if(|w| w.recorded() >= self.config.window as u64)?;
+        drop(pending);
+        self.windows.fetch_add(1, Ordering::Relaxed);
         telemetry::metrics::TUNER_WINDOWS.incr();
-        let _span = telemetry::Span::start(&telemetry::metrics::TUNER_TUNE_NS);
-        // `BTreeMap` iteration is the declared query order: the mining
-        // input is identical across runs for the same window content.
-        let weighted: Vec<(PathExpr, u64)> =
-            std::mem::take(&mut self.observed).into_iter().collect();
-        self.seen = 0;
-        self.validations = 0;
-        let observed = ObservedLoad::from_queries(weighted.iter().map(|(q, _)| q));
-        let mined = mine_requirements_weighted(&weighted, self.config.min_support);
-
-        match plan_tuning(self.dk.requirements(), &mined, &observed, self.config.demote_slack) {
-            TuningPlan::Promote(merged) => {
-                self.dk.set_requirements_public(merged);
-                let splits = self.dk.promote_to_requirements(data);
+        let mined = mine_requirements_weighted(&window.weighted_queries(), self.config.min_support);
+        let op = match plan_tuning(current, &mined, &window.observed()) {
+            TuningPlan::Promote(reqs) => {
+                self.promotions.fetch_add(1, Ordering::Relaxed);
                 telemetry::metrics::TUNER_PROMOTIONS.incr();
-                TuningAction::Promoted { splits }
+                ServeOp::SetRequirements(reqs)
             }
-            TuningPlan::Demote(target) => {
-                let saved = self.dk.demote(target);
+            TuningPlan::Demote(reqs) => {
+                self.demotions.fetch_add(1, Ordering::Relaxed);
                 telemetry::metrics::TUNER_DEMOTIONS.incr();
-                TuningAction::Demoted { nodes_saved: saved }
+                ServeOp::Demote(reqs)
             }
-            TuningPlan::Hold => TuningAction::None,
-        }
-    }
-}
-
-impl DkIndex {
-    /// Public requirement replacement for tuning layers. Does not modify the
-    /// index structure; pair with [`DkIndex::promote_to_requirements`] or
-    /// [`DkIndex::demote`].
-    pub fn set_requirements_public(&mut self, reqs: Requirements) {
-        self.set_requirements(reqs);
+            TuningPlan::Hold => return None,
+        };
+        telemetry::metrics::TUNER_OPS.incr();
+        Some(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkindex_graph::{EdgeKind, LabeledGraph};
+    use crate::dk::construct::DkIndex;
+    use crate::eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator};
+    use crate::serve_ops::apply_serial;
+    use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph};
     use dkindex_pathexpr::parse;
 
     fn data() -> DataGraph {
@@ -342,230 +310,162 @@ mod tests {
         g
     }
 
-    fn tuner(g: &DataGraph, window: usize) -> AdaptiveTuner {
-        AdaptiveTuner::new(
-            DkIndex::build(g, Requirements::new()),
-            TunerConfig {
-                window,
-                min_support: 2,
-                demote_slack: 1,
-            },
-        )
+    /// An index under tuning, driven the way every offline caller drives
+    /// it: evaluate + record, then step and apply the op serially.
+    struct Tuned {
+        g: DataGraph,
+        dk: DkIndex,
+        tuner: Tuner,
+    }
+
+    impl Tuned {
+        fn new(reqs: Requirements, window: usize, min_support: u64) -> Tuned {
+            let g = data();
+            let dk = DkIndex::build(&g, reqs);
+            let tuner = Tuner::new(g.labels_shared(), TunerConfig { window, min_support });
+            Tuned { g, dk, tuner }
+        }
+
+        fn serve(&self, query: &str, times: usize) -> IndexEvalOutcome {
+            let q = parse(query).unwrap();
+            let out = IndexEvaluator::new(self.dk.index(), &self.g).evaluate(&q);
+            for _ in 0..times {
+                self.tuner.record(&q, out.validated, false);
+            }
+            out
+        }
+
+        fn tune(&mut self) -> Option<ServeOp> {
+            let op = self.tuner.step(self.dk.requirements())?;
+            apply_serial(&mut self.dk, &mut self.g, std::slice::from_ref(&op));
+            Some(op)
+        }
     }
 
     #[test]
     fn window_must_fill_before_tuning() {
-        let g = data();
-        let mut t = tuner(&g, 10);
-        let q = parse("movie.title").unwrap();
-        for _ in 0..9 {
-            t.evaluate(&g, &q);
-        }
-        assert_eq!(t.maybe_tune(&g), TuningAction::None);
-        t.evaluate(&g, &q);
-        assert!(matches!(t.maybe_tune(&g), TuningAction::Promoted { .. }));
+        let mut t = Tuned::new(Requirements::new(), 10, 2);
+        t.serve("movie.title", 9);
+        assert_eq!(t.tune(), None);
+        // The ninth-query harvest stays pending; one more query fills it.
+        t.serve("movie.title", 1);
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
+        assert_eq!(t.tuner.stats().windows, 1);
     }
 
     #[test]
     fn repeated_long_queries_promote_and_stop_validation() {
-        let g = data();
-        let mut t = tuner(&g, 4);
-        let q = parse("director.movie.title").unwrap();
-        for _ in 0..4 {
-            assert!(t.evaluate(&g, &q).validated); // label-split validates
-        }
-        let action = t.maybe_tune(&g);
-        assert!(matches!(action, TuningAction::Promoted { splits } if splits > 0));
-        // Next evaluation is sound.
-        let out = t.evaluate(&g, &q);
-        assert!(!out.validated);
+        let mut t = Tuned::new(Requirements::new(), 4, 2);
+        let size_before = t.dk.size();
+        assert!(t.serve("director.movie.title", 4).validated); // label-split validates
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
+        assert!(t.dk.size() > size_before, "promotion must split extents");
+        assert!(!t.serve("director.movie.title", 1).validated);
+        assert_eq!(t.tuner.stats().promotions, 1);
     }
 
     #[test]
     fn rare_deep_queries_are_ignored_by_min_support() {
-        let g = data();
-        let mut t = tuner(&g, 4);
-        let short = parse("title").unwrap();
-        let deep = parse("ROOT.director.movie.title").unwrap();
-        t.evaluate(&g, &deep); // once: below min_support 2
-        for _ in 0..3 {
-            t.evaluate(&g, &short);
-        }
-        assert_eq!(t.maybe_tune(&g), TuningAction::None);
-        assert_eq!(t.index().requirements().max_requirement(), 0);
+        let mut t = Tuned::new(Requirements::new(), 4, 2);
+        t.serve("ROOT.director.movie.title", 1); // once: below min_support 2
+        t.serve("title", 3);
+        assert_eq!(t.tune(), None);
+        assert_eq!(t.tuner.stats().windows, 1, "the window was mined, and held");
+        assert_eq!(t.dk.requirements().max_requirement(), 0);
     }
 
     #[test]
     fn shallower_load_eventually_demotes() {
-        let g = data();
-        let mut t = AdaptiveTuner::new(
-            DkIndex::build(&g, Requirements::uniform(3)),
-            TunerConfig {
-                window: 4,
-                min_support: 1,
-                demote_slack: 1,
-            },
-        );
-        let size_before = t.index().size();
-        let q = parse("title").unwrap(); // zero-requirement load
-        for _ in 0..4 {
-            t.evaluate(&g, &q);
-        }
-        let action = t.maybe_tune(&g);
-        assert!(matches!(action, TuningAction::Demoted { nodes_saved } if nodes_saved > 0));
-        assert!(t.index().size() < size_before);
-    }
-
-    #[test]
-    fn validation_rate_tracks_outcomes() {
-        let g = data();
-        let mut t = tuner(&g, 100);
-        let sound = parse("title").unwrap();
-        let approx = parse("director.movie.title").unwrap();
-        t.evaluate(&g, &sound);
-        t.evaluate(&g, &approx);
-        assert!((t.validation_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn validation_rate_is_finite_on_an_empty_window() {
-        let g = data();
-        let mut t = tuner(&g, 2);
-        // Before any query: empty window, rate must be 0.0 (not NaN).
-        assert_eq!(t.validation_rate(), 0.0);
-        assert!(t.validation_rate().is_finite());
-        let q = parse("director.movie.title").unwrap();
-        t.evaluate(&g, &q);
-        t.evaluate(&g, &q);
-        assert!(t.validation_rate() > 0.0);
-        // Tuning drains the window: the rate resets to 0.0, again finite.
-        assert!(matches!(t.maybe_tune(&g), TuningAction::Promoted { .. }));
-        assert_eq!(t.validation_rate(), 0.0);
-        assert!(t.validation_rate().is_finite());
+        let mut t = Tuned::new(Requirements::uniform(3), 4, 1);
+        let size_before = t.dk.size();
+        t.serve("title", 4); // zero-requirement load
+        assert!(matches!(t.tune(), Some(ServeOp::Demote(_))));
+        assert!(t.dk.size() < size_before);
+        assert_eq!(t.tuner.stats().demotions, 1);
     }
 
     #[test]
     fn empty_window_never_tunes_even_with_zero_window_config() {
-        let g = data();
-        let mut t = AdaptiveTuner::new(
-            DkIndex::build(&g, Requirements::uniform(3)),
-            TunerConfig {
-                window: 0,
-                min_support: 1,
-                demote_slack: 1,
-            },
-        );
-        let size_before = t.index().size();
-        // `seen == 0 >= window == 0`, but there is no evidence to act on:
+        let mut t = Tuned::new(Requirements::uniform(3), 0, 1);
+        let size_before = t.dk.size();
+        // `0 recorded >= window 0`, but there is no evidence to act on:
         // the degenerate config must not demote the index to nothing.
-        assert_eq!(t.maybe_tune(&g), TuningAction::None);
-        assert_eq!(t.index().size(), size_before);
+        assert_eq!(t.tune(), None);
+        assert_eq!(t.dk.size(), size_before);
+        assert_eq!(t.tuner.stats().windows, 0);
     }
 
     #[test]
     fn tuned_index_remains_exact() {
-        use crate::eval::evaluate_on_data;
-        let g = data();
-        let mut t = tuner(&g, 3);
-        for q in ["movie.title", "director.movie.title", "actor.movie"] {
-            let expr = parse(q).unwrap();
-            let out = t.evaluate(&g, &expr);
-            assert_eq!(out.matches, evaluate_on_data(&g, &expr).0);
+        let mut t = Tuned::new(Requirements::new(), 3, 1);
+        let queries = ["movie.title", "director.movie.title", "actor.movie"];
+        for q in queries {
+            let truth = evaluate_on_data(&t.g, &parse(q).unwrap()).0;
+            assert_eq!(t.serve(q, 1).matches, truth);
         }
-        t.maybe_tune(&g);
-        t.index().index().check_invariants(&g).unwrap();
-        for q in ["movie.title", "director.movie.title", "actor.movie"] {
-            let expr = parse(q).unwrap();
-            let out = t.evaluate(&g, &expr);
-            assert_eq!(out.matches, evaluate_on_data(&g, &expr).0);
+        assert!(t.tune().is_some(), "three deep queries at support 1 must promote");
+        t.dk.index().check_invariants(&t.g).unwrap();
+        for q in queries {
+            let truth = evaluate_on_data(&t.g, &parse(q).unwrap()).0;
+            assert_eq!(t.serve(q, 1).matches, truth);
         }
     }
 
     /// The oscillation regression (ISSUE 9): a label promoted in window N
     /// that simply goes *unqueried* in window N+1 must keep its
-    /// requirement. Under the old wholesale demote-to-mined policy, an
-    /// alternating deep-A / shallow-B workload thrashed split/merge every
-    /// window; now both of the later windows are strict holds.
+    /// requirement. Under a wholesale demote-to-mined policy, an
+    /// alternating deep-A / shallow-B workload thrashes split/merge every
+    /// window; here both of the later windows are strict holds.
     #[test]
     fn alternating_workloads_do_not_thrash() {
-        let g = data();
-        let mut t = AdaptiveTuner::new(
-            DkIndex::build(&g, Requirements::new()),
-            TunerConfig {
-                window: 4,
-                min_support: 2,
-                demote_slack: 1,
-            },
-        );
-        let deep = parse("ROOT.director.movie.title").unwrap(); // title: 3
-        let shallow = parse("actor.movie").unwrap(); // movie: 1
+        let mut t = Tuned::new(Requirements::new(), 4, 2);
+        let deep = "ROOT.director.movie.title"; // title: 3
+        let shallow = "actor.movie"; // movie: 1
 
         // Window 1: deep load promotes `title` to 3.
-        for _ in 0..4 {
-            t.evaluate(&g, &deep);
-        }
-        assert!(matches!(t.maybe_tune(&g), TuningAction::Promoted { splits } if splits > 0));
-        assert_eq!(t.index().requirements().get("title"), 3);
+        t.serve(deep, 4);
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
+        assert_eq!(t.dk.requirements().get("title"), 3);
 
         // Window 2: only the shallow load — `title` is unqueried, not
-        // shrunk. The shallow label still gets its promotion, but the old
-        // policy would also have demoted `title` back to zero here.
-        for _ in 0..4 {
-            t.evaluate(&g, &shallow);
-        }
-        t.maybe_tune(&g);
-        assert_eq!(t.index().requirements().get("title"), 3);
-        assert_eq!(t.index().requirements().get("movie"), 1);
+        // shrunk. The shallow label still gets its promotion, but a
+        // demote-to-mined policy would also drop `title` back to zero here.
+        t.serve(shallow, 4);
+        t.tune();
+        assert_eq!(t.dk.requirements().get("title"), 3);
+        assert_eq!(t.dk.requirements().get("movie"), 1);
 
         // Windows 3 and 4: the workload keeps alternating; the index has
         // converged, so tuning must hold — no repeated split/merge churn.
-        for _ in 0..4 {
-            t.evaluate(&g, &shallow);
-        }
-        assert_eq!(t.maybe_tune(&g), TuningAction::None);
-        for _ in 0..4 {
-            t.evaluate(&g, &deep);
-        }
-        assert_eq!(t.maybe_tune(&g), TuningAction::None);
-        assert_eq!(t.index().requirements().get("title"), 3);
-        assert_eq!(t.index().requirements().get("movie"), 1);
+        t.serve(shallow, 4);
+        assert_eq!(t.tune(), None);
+        t.serve(deep, 4);
+        assert_eq!(t.tune(), None);
+        assert_eq!(t.dk.requirements().get("title"), 3);
+        assert_eq!(t.dk.requirements().get("movie"), 1);
+        assert_eq!(t.tuner.stats().windows, 4);
     }
 
     /// Genuine shrink still demotes: the same label queried *shallowly*
     /// (not merely unqueried) is evidence the load got shallower.
     #[test]
     fn observed_shrink_still_demotes() {
-        let g = data();
-        let mut t = AdaptiveTuner::new(
-            DkIndex::build(&g, Requirements::new()),
-            TunerConfig {
-                window: 4,
-                min_support: 1,
-                demote_slack: 1,
-            },
-        );
-        let deep = parse("ROOT.director.movie.title").unwrap();
-        for _ in 0..4 {
-            t.evaluate(&g, &deep);
-        }
-        assert!(matches!(t.maybe_tune(&g), TuningAction::Promoted { .. }));
+        let mut t = Tuned::new(Requirements::new(), 4, 1);
+        t.serve("ROOT.director.movie.title", 4);
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
         // The *same* result label, now only ever reached by length-1
         // queries: observed shrinking, demote fires.
-        let shallow = parse("title").unwrap();
-        for _ in 0..4 {
-            t.evaluate(&g, &shallow);
-        }
-        assert!(matches!(t.maybe_tune(&g), TuningAction::Demoted { .. }));
-        assert_eq!(t.index().requirements().get("title"), 0);
+        t.serve("title", 4);
+        assert!(matches!(t.tune(), Some(ServeOp::Demote(_))));
+        assert_eq!(t.dk.requirements().get("title"), 0);
     }
 
-    /// Determinism (ISSUE 9): the same op sequence must produce the same
-    /// tuner actions and a byte-identical index across repeated runs — the
-    /// property the live serve path's serial-replay oracle depends on.
+    /// Determinism (ISSUE 9): the same query sequence must produce the same
+    /// tuner ops and a byte-identical index across repeated runs — the
+    /// property the serve path's serial-replay oracle depends on.
     #[test]
     fn tuner_is_deterministic_across_runs() {
         use crate::snapshot::snapshot_bytes;
-        let g = data();
         let queries = [
             "director.movie.title",
             "actor.movie",
@@ -575,28 +475,21 @@ mod tests {
             "actor.movie.title",
         ];
         let run = || {
-            let mut t = AdaptiveTuner::new(
-                DkIndex::build(&g, Requirements::new()),
-                TunerConfig {
-                    window: 3,
-                    min_support: 1,
-                    demote_slack: 1,
-                },
-            );
-            let mut actions = Vec::new();
+            let mut t = Tuned::new(Requirements::new(), 3, 1);
+            let mut ops = Vec::new();
             for (i, q) in queries.iter().cycle().take(24).enumerate() {
-                let expr = parse(q).unwrap();
-                t.evaluate(&g, &expr);
+                t.serve(q, 1);
                 if i % 3 == 2 {
-                    actions.push(t.maybe_tune(&g));
+                    ops.push(t.tune());
                 }
             }
-            (actions, snapshot_bytes(t.index(), &g))
+            (ops, snapshot_bytes(&t.dk, &t.g))
         };
-        let (first_actions, first_bytes) = run();
+        let (first_ops, first_bytes) = run();
+        assert!(first_ops.iter().any(Option::is_some), "the run must tune at all");
         for _ in 0..4 {
-            let (actions, bytes) = run();
-            assert_eq!(actions, first_actions, "tuner actions diverged across runs");
+            let (ops, bytes) = run();
+            assert_eq!(ops, first_ops, "tuner ops diverged across runs");
             assert_eq!(bytes, first_bytes, "tuned index bytes diverged across runs");
         }
     }

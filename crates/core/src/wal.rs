@@ -546,11 +546,14 @@ pub struct WalWriter<S: WalStore = FileStore> {
 }
 
 impl WalWriter<FileStore> {
-    /// Create (or truncate) a WAL at `path`, writing and syncing the header.
+    /// Create (or truncate) a WAL at `path`, writing and syncing the header
+    /// — and the parent directory, so the log's name is as durable as the
+    /// commits about to be acknowledged against it.
     pub fn create(path: &Path) -> io::Result<Self> {
         let mut store = FileStore { file: File::create(path)? };
         store.write_all_bytes(&encode_header())?;
         store.sync()?;
+        crate::snapshot::sync_parent_dir(path)?;
         Ok(WalWriter { store, staged: 0 })
     }
 

@@ -275,7 +275,7 @@ fn global_memo_bug_is_caught_by_the_explorer() {
 // ---------------------------------------------------------------------------
 
 /// Monitor harvests at or above this many recorded queries mine one tuner op
-/// (the model's `ServeConfig::tune_window`).
+/// (the model's `TunerConfig::window`).
 const TUNE_WINDOW: u64 = 2;
 /// Tuner self-enqueued ops get ids at/above this; client ops stay below.
 const TUNER_BASE: u32 = 100;

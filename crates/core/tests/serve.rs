@@ -10,7 +10,9 @@
 
 use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
-use dkindex_core::{evaluate_on_data, snapshot_bytes, DkIndex, Requirements};
+use dkindex_core::{
+    evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, Requirements, Tuner, TunerConfig,
+};
 use dkindex_datagen::{
     nasa_graph, random_graph, xmark_graph, NasaConfig, RandomGraphConfig, XmarkConfig,
 };
@@ -435,8 +437,7 @@ fn live_tuning_promotes_under_deep_load_and_replays_serially() {
         ServeConfig {
             max_batch: 4,
             tune_interval: 1,
-            tune_window: 4,
-            tune_min_support: 2,
+            tuner: TunerConfig { window: 4, min_support: 2 },
             record_ops: true,
             ..ServeConfig::default()
         },
@@ -498,8 +499,7 @@ fn threaded_live_tuning_matches_serial_replay_of_recorded_ops() {
             ServeConfig {
                 max_batch: 2,
                 tune_interval: 1,
-                tune_window: 4,
-                tune_min_support: 2,
+                tuner: TunerConfig { window: 4, min_support: 2 },
                 record_ops: true,
                 ..ServeConfig::default()
             },
@@ -554,8 +554,7 @@ fn live_tuning_ops_are_wal_logged_and_recoverable() {
         ServeConfig {
             max_batch: 4,
             tune_interval: 1,
-            tune_window: 4,
-            tune_min_support: 2,
+            tuner: TunerConfig { window: 4, min_support: 2 },
             ..ServeConfig::default()
         },
         Box::new(writer),
@@ -591,5 +590,96 @@ fn live_tuning_ops_are_wal_logged_and_recoverable() {
         snapshot_bytes(&replay_dk, &replay_g),
         snapshot_bytes(&final_dk, &final_g),
         "WAL replay must reproduce the live-tuned final state"
+    );
+}
+
+/// One tuner, two drivers: identical windows fed to a hand-stepped
+/// [`Tuner`] whose ops go through `apply_serial`, and to a tuned `DkServer`
+/// that steps the same type from its maintenance loop, must plan the same
+/// op sequence and end on the same bytes. Covers a promotion, a held
+/// window, a demotion, and a window that only fills by merging two
+/// harvests.
+#[test]
+fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
+    let (g, _) = tuning_fixture();
+    let dk = DkIndex::build(&g, Requirements::new());
+    let config = TunerConfig { window: 4, min_support: 2 };
+    let rounds: [(&str, usize); 6] = [
+        ("l0.l1.l2.l3", 8), // l3 rises to 3
+        ("l1.l2", 8),       // l2 rises to 1, l3 unobserved and kept
+        ("l1.l2", 8),       // covered: hold
+        ("l3", 8),          // l3 observed shallow: demote
+        ("l0.l1", 3),       // below the window: stays pending
+        ("l0.l1", 3),       // merged harvests clear it: l1 rises to 1
+    ];
+    let edges = generate_update_edges(&g, rounds.len(), 13);
+    let is_tuner_op = |op: &ServeOp| matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_));
+
+    // By hand: evaluate + record, apply the round's update, step, apply.
+    let (mut hand_dk, mut hand_g) = (dk.clone(), g.clone());
+    let tuner = Tuner::new(hand_g.labels_shared(), config);
+    let mut hand_ops = Vec::new();
+    for (&(query, times), &(from, to)) in rounds.iter().zip(&edges) {
+        let q = parse(query).unwrap();
+        let validated = IndexEvaluator::new(hand_dk.index(), &hand_g).evaluate(&q).validated;
+        for _ in 0..times {
+            tuner.record(&q, validated, false);
+        }
+        apply_serial(&mut hand_dk, &mut hand_g, &[ServeOp::AddEdge { from, to }]);
+        if let Some(op) = tuner.step(hand_dk.requirements()) {
+            apply_serial(&mut hand_dk, &mut hand_g, std::slice::from_ref(&op));
+            hand_ops.push(op);
+        }
+    }
+    assert!(
+        matches!(
+            hand_ops[..],
+            [
+                ServeOp::SetRequirements(_),
+                ServeOp::SetRequirements(_),
+                ServeOp::Demote(_),
+                ServeOp::SetRequirements(_)
+            ]
+        ),
+        "the rounds must exercise promote, hold, demote and a merged window: {hand_ops:?}"
+    );
+
+    // Served: the same windows through epoch readers, the update forcing
+    // the publish the tuning step rides, a second flush draining its op.
+    let server = DkServer::start(
+        g.clone(),
+        dk,
+        ServeConfig {
+            tune_interval: 1,
+            tuner: config,
+            record_ops: true,
+            ..ServeConfig::default()
+        },
+    );
+    let handle = server.handle();
+    for (&(query, times), &(from, to)) in rounds.iter().zip(&edges) {
+        let q = parse(query).unwrap();
+        for _ in 0..times {
+            let _ = handle.evaluate(&q);
+        }
+        server.submit(ServeOp::AddEdge { from, to }).unwrap();
+        server.flush().unwrap();
+        server.flush().unwrap();
+    }
+    let served_ops: Vec<ServeOp> = server
+        .recorded_ops()
+        .expect("record_ops is on")
+        .into_iter()
+        .filter(is_tuner_op)
+        .collect();
+    let stats = handle.tuning_stats().expect("tuning is enabled");
+    let (final_dk, final_g) = server.shutdown().unwrap();
+
+    assert_eq!(served_ops, hand_ops, "the serve loop planned a different tuner-op sequence");
+    assert_eq!(stats, tuner.stats(), "both drivers count the same windows and plans");
+    assert_eq!(
+        snapshot_bytes(&final_dk, &final_g),
+        snapshot_bytes(&hand_dk, &hand_g),
+        "hand-stepped and served tuning ended on different bytes"
     );
 }

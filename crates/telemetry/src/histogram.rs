@@ -145,22 +145,23 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket where the cumulative count first reaches
-    /// `q` (0.0–1.0) of all observations — a log2-resolution quantile
-    /// estimate. `None` if the histogram is empty.
+    /// `q` (0.0–1.0) of all observations, clamped to the observed
+    /// `[min, max]` — a log2-resolution quantile estimate that never
+    /// reports a value outside what was recorded. `None` if the histogram
+    /// is empty.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let max = self.max()?;
+        let target = (q.clamp(0.0, 1.0) * self.count() as f64).ceil().max(1.0) as u64;
         let mut cumulative = 0u64;
         for i in 0..BUCKETS {
             cumulative += self.bucket(i);
             if cumulative >= target {
-                return Some(bucket_upper_bound(i));
+                // A non-empty bucket's edge is already ≥ the observed
+                // minimum; only the upper side can overshoot.
+                return Some(bucket_upper_bound(i).min(max));
             }
         }
-        Some(u64::MAX)
+        Some(max)
     }
 
     /// Clear every bucket and the sum/count/min/max trackers.
@@ -238,9 +239,18 @@ mod tests {
         crate::disable();
         assert_eq!(TEST_HIST.quantile_upper_bound(0.5), Some(1));
         assert_eq!(TEST_HIST.quantile_upper_bound(0.99), Some(1));
-        assert_eq!(TEST_HIST.quantile_upper_bound(1.0), Some(1023));
+        // Regression: quantiles used to be raw bucket edges — 1023 here,
+        // above anything recorded. They are clamped to the observed max.
+        assert_eq!(TEST_HIST.quantile_upper_bound(1.0), Some(1000));
         TEST_HIST.reset();
         assert_eq!(TEST_HIST.quantile_upper_bound(0.5), None);
+        // 70, 80 and 96 share bucket [64, 127]: every quantile is 96, not 127.
+        crate::enable();
+        [70, 80, 96].into_iter().for_each(|v| TEST_HIST.record(v));
+        crate::disable();
+        assert_eq!(TEST_HIST.quantile_upper_bound(0.5), Some(96));
+        assert_eq!(TEST_HIST.quantile_upper_bound(0.99), Some(96));
+        TEST_HIST.reset();
     }
 
     #[test]

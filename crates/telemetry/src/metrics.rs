@@ -140,39 +140,25 @@ pub static DK_EDGE_NODES_TOUCHED: Counter = Counter::new("dk.edge_nodes_touched"
 /// Wall-clock per edge update.
 pub static DK_EDGE_UPDATE_NS: Histogram = Histogram::new("dk.edge_update_ns", Unit::Nanos);
 
-// ---- dkindex-core: the adaptive tuning loop (§5.3/§5.4/§7) ---------------
+// ---- dkindex-core: the adaptive tuning loop (core::tuner, §5.3/§5.4/§7) ---
 
-/// Queries recorded by `AdaptiveTuner::evaluate`.
+/// Queries recorded by `Tuner::record` — epoch readers on every
+/// `Epoch::evaluate`/`evaluate_bounded` when live tuning is on, or an
+/// offline caller. Lock-free.
 pub static TUNER_QUERIES: Counter = Counter::new("tuner.queries");
-/// Recorded queries that triggered validation.
+/// Recorded queries whose answer needed the validation process.
 pub static TUNER_VALIDATIONS: Counter = Counter::new("tuner.validations");
-/// Observation windows that filled and ran the tuning step.
+/// Windows large enough to mine (each ran one planning pass).
 pub static TUNER_WINDOWS: Counter = Counter::new("tuner.windows");
-/// Tuning steps that promoted (index split up toward the load).
+/// Planning passes that planned a promotion (`SetRequirements` op).
 pub static TUNER_PROMOTIONS: Counter = Counter::new("tuner.promotions");
-/// Tuning steps that demoted (index shrunk away from a shallow load).
+/// Planning passes that planned a demotion (`Demote` op).
 pub static TUNER_DEMOTIONS: Counter = Counter::new("tuner.demotions");
-/// Wall-clock per executed tuning step (full windows only).
-pub static TUNER_TUNE_NS: Histogram = Histogram::new("tuner.tune_ns", Unit::Nanos);
-
-// ---- dkindex-core: live tuning inside the serve loop ---------------------
-
-/// Queries the serve-loop `LoadMonitor` recorded (epoch readers feed it on
-/// every `Epoch::evaluate`/`evaluate_bounded`, lock-free).
-pub static TUNER_LIVE_QUERIES: Counter = Counter::new("tuner.live.queries");
-/// Recorded serve queries whose answer needed the validation process.
-pub static TUNER_LIVE_VALIDATIONS: Counter = Counter::new("tuner.live.validations");
-/// Harvested windows large enough to mine (each ran one planning pass).
-pub static TUNER_LIVE_WINDOWS: Counter = Counter::new("tuner.live.windows");
-/// Planning passes that enqueued a promotion (`SetRequirements` op).
-pub static TUNER_LIVE_PROMOTIONS: Counter = Counter::new("tuner.live.promotions");
-/// Planning passes that enqueued a demotion (`Demote` op).
-pub static TUNER_LIVE_DEMOTIONS: Counter = Counter::new("tuner.live.demotions");
-/// Tuning `ServeOp`s the maintenance thread self-enqueued.
-pub static TUNER_LIVE_OPS: Counter = Counter::new("tuner.live.ops");
-/// Wall-clock per live planning pass (harvest + mine + plan; the enqueued
-/// op's apply cost lands in `serve.publish_ns` like any other op).
-pub static TUNER_LIVE_PLAN_NS: Histogram = Histogram::new("tuner.live.plan_ns", Unit::Nanos);
+/// Tuning `ServeOp`s `Tuner::step` returned for its caller to apply.
+pub static TUNER_OPS: Counter = Counter::new("tuner.ops");
+/// Wall-clock per `Tuner::step` (harvest + mine + plan; the returned op's
+/// apply cost lands in `serve.publish_ns` / `dk.*` like any other op).
+pub static TUNER_PLAN_NS: Histogram = Histogram::new("tuner.plan_ns", Unit::Nanos);
 
 // ---- dkindex-core: concurrent serving (core::serve) ----------------------
 
@@ -258,7 +244,7 @@ pub static PHASE_ADAPT_NS: Histogram = Histogram::new("phase.adapt_ns", Unit::Na
 
 /// Every registered counter, in reporting order.
 pub fn counters() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 67] = [
+    static ALL: [&Counter; 62] = [
         &PATHEXPR_EVALUATIONS,
         &PATHEXPR_ACTIVATIONS,
         &PATHEXPR_VALIDATION_WALKS,
@@ -299,12 +285,7 @@ pub fn counters() -> &'static [&'static Counter] {
         &TUNER_WINDOWS,
         &TUNER_PROMOTIONS,
         &TUNER_DEMOTIONS,
-        &TUNER_LIVE_QUERIES,
-        &TUNER_LIVE_VALIDATIONS,
-        &TUNER_LIVE_WINDOWS,
-        &TUNER_LIVE_PROMOTIONS,
-        &TUNER_LIVE_DEMOTIONS,
-        &TUNER_LIVE_OPS,
+        &TUNER_OPS,
         &SERVE_EPOCH_PUBLISHES,
         &SERVE_QUERIES,
         &SERVE_STALE_EPOCH_READS,
@@ -333,7 +314,7 @@ pub fn counters() -> &'static [&'static Counter] {
 /// Every registered histogram (value distributions and span timings), in
 /// reporting order.
 pub fn histograms() -> &'static [&'static Histogram] {
-    static ALL: [&Histogram; 23] = [
+    static ALL: [&Histogram; 22] = [
         &PATHEXPR_VISITS_PER_EVAL,
         &PARTITION_BLOCKS_PER_ROUND,
         &PARTITION_ROUND_NS,
@@ -347,8 +328,7 @@ pub fn histograms() -> &'static [&'static Histogram] {
         &DK_PROMOTE_NS,
         &DK_DEMOTE_NS,
         &DK_EDGE_UPDATE_NS,
-        &TUNER_TUNE_NS,
-        &TUNER_LIVE_PLAN_NS,
+        &TUNER_PLAN_NS,
         &SERVE_BATCH_OPS,
         &SERVE_PUBLISH_NS,
         &SERVE_NET_REQUEST_NS,

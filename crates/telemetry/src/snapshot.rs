@@ -27,9 +27,11 @@ pub struct HistogramSnapshot {
     pub min: Option<u64>,
     /// Largest observation, if any.
     pub max: Option<u64>,
-    /// Log2-resolution median (upper bound of the bucket holding p50).
+    /// Log2-resolution median (upper bound of the bucket holding p50,
+    /// clamped to `[min, max]`).
     pub p50: Option<u64>,
-    /// Log2-resolution p99 (upper bound of the bucket holding p99).
+    /// Log2-resolution p99 (upper bound of the bucket holding p99, clamped
+    /// to `[min, max]`).
     pub p99: Option<u64>,
     /// Non-empty buckets as `(upper_bound, count)`, ascending.
     pub buckets: Vec<(u64, u64)>,
@@ -106,7 +108,7 @@ impl Snapshot {
     ///   "histograms": {
     ///     "eval.visits_per_query": {
     ///       "unit": "count", "count": 12, "sum": 340,
-    ///       "min": 4, "max": 96, "p50": 31, "p99": 127,
+    ///       "min": 4, "max": 96, "p50": 31, "p99": 96,
     ///       "buckets": [{"le": 7, "n": 2}, ...]
     ///     }, ...
     ///   }

@@ -321,25 +321,22 @@ proptest! {
     /// rounds driven by arbitrary query streams.
     #[test]
     fn tuner_preserves_exactness(spec in graph_spec(), salt in any::<u64>()) {
-        use dkindex::core::{AdaptiveTuner, TunerConfig};
-        let g = build(&spec);
+        use dkindex::core::{apply_serial, Tuner, TunerConfig};
+        let mut g = build(&spec);
         let queries = queries_for(&g, salt);
-        let mut tuner = AdaptiveTuner::new(
-            DkIndex::build(&g, Requirements::new()),
-            TunerConfig { window: 4, min_support: 1, demote_slack: 1 },
-        );
+        let mut dk = DkIndex::build(&g, Requirements::new());
+        let tuner = Tuner::new(g.labels_shared(), TunerConfig { window: 4, min_support: 1 });
         for round in 0..3 {
             for q in &queries {
-                let out = tuner.evaluate(&g, q);
+                let out = IndexEvaluator::new(dk.index(), &g).evaluate(q);
+                tuner.record(q, out.validated, false);
                 let truth = evaluate_on_data(&g, q).0;
                 prop_assert_eq!(&out.matches, &truth, "round {} query {}", round, q);
             }
-            tuner.maybe_tune(&g);
-            tuner
-                .index()
-                .index()
-                .check_invariants(&g)
-                .map_err(TestCaseError::fail)?;
+            if let Some(op) = tuner.step(dk.requirements()) {
+                apply_serial(&mut dk, &mut g, &[op]);
+            }
+            dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
         }
     }
 }
