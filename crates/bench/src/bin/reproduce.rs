@@ -14,8 +14,11 @@
 //!   ablation-promote     promoting after updates (ablation B)
 //!   degradation          cost vs update count, with/without periodic promotion (D1)
 //!   length-sweep         cost by query length per index (D2)
-//!   bench-smoke          before/after perf check (arena evaluator, refinement
-//!                        engine); writes BENCH_eval.json
+//!   bench-smoke          the exact gate set: oracle == arena == parallel
+//!                        evaluation, reference == engine construction, and
+//!                        the churn / net / tune gates below; writes the
+//!                        counts to BENCH_eval.json and exits nonzero on the
+//!                        first failing clause of any gate
 //!   verify-faults        fault-injection sweep: bit-flip every snapshot and
 //!                        WAL byte, truncate the snapshot everywhere; exits
 //!                        nonzero on any panic, silently accepted corruption,
@@ -48,11 +51,14 @@
 //!   all        everything above in order
 //! ```
 //!
-//! `bench-smoke` extra flags: `--threads N` (0 = machine parallelism),
-//! `--repeats N`, `--out PATH` (default `BENCH_eval.json`), `--metrics PATH`
-//! (default `METRICS.json`), `--analyze PATH` (default `ANALYZE.json`).
-//! Besides the before/after timing comparison it runs one
-//! telemetry-instrumented build → query → adapt pass and writes the
+//! `bench-smoke` extra flags: `--threads N` (0 = machine parallelism; the
+//! `verify-churn` / `verify-net` / `verify-tune` single-gate modes take it
+//! too), `--out PATH` (default `BENCH_eval.json`), `--metrics PATH` (default
+//! `METRICS.json`), `--analyze PATH` (default `ANALYZE.json`). Nothing
+//! `bench-smoke` writes to `--out` is a timing: every row is a count or a
+//! verdict that repeats run to run, and each gate's acceptance conditions
+//! are the same `check` its `verify-*` mode runs. Besides the gate set it
+//! runs one telemetry-instrumented build → query → adapt pass and writes the
 //! recorder snapshot (per-phase span timings, refinement-round counts, query
 //! visit-count histograms) to the `--metrics` file, after verifying the
 //! recorder changes no observable result. It also runs the `dkindex-analyze`
@@ -67,11 +73,11 @@
 use dkindex_bench::crash;
 use dkindex_bench::datasets::{self, DEFAULT_NASA_SCALE, DEFAULT_XMARK_SCALE};
 use dkindex_bench::experiments::*;
+use dkindex_bench::gates;
 use dkindex_bench::loc;
 use dkindex_bench::net;
-use dkindex_bench::perf::{self, PerfConfig};
+use dkindex_bench::report::{fmt_f64, render_table, rows_line};
 use dkindex_bench::tuning;
-use dkindex_bench::report::{fmt_f64, render_table};
 use dkindex_graph::stats::GraphStats;
 use dkindex_graph::DataGraph;
 use dkindex_workload::Workload;
@@ -82,7 +88,6 @@ struct Options {
     max_k: usize,
     seed: u64,
     threads: usize,
-    repeats: usize,
     out: String,
     metrics: String,
     analyze: String,
@@ -97,7 +102,6 @@ fn main() {
         max_k: 4,
         seed: 2003,
         threads: 0,
-        repeats: 3,
         out: "BENCH_eval.json".to_string(),
         metrics: "METRICS.json".to_string(),
         analyze: "ANALYZE.json".to_string(),
@@ -110,7 +114,6 @@ fn main() {
             "--max-k" => opts.max_k = parse_next(&mut it, arg),
             "--seed" => opts.seed = parse_next(&mut it, arg),
             "--threads" => opts.threads = parse_next(&mut it, arg),
-            "--repeats" => opts.repeats = parse_next(&mut it, arg),
             "--out" => {
                 opts.out = it.next().cloned().unwrap_or_else(|| {
                     eprintln!("flag --out needs a path");
@@ -147,6 +150,7 @@ fn main() {
         print_usage();
         std::process::exit(2);
     };
+    opts.threads = gates::resolved_threads(opts.threads);
 
     match experiment.as_str() {
         "fig4" => fig_before(&opts, Dataset::Xmark),
@@ -200,8 +204,9 @@ fn print_usage() {
          \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-churn|\n\
          \x20                verify-net|verify-crash|verify-tune|all>\n\
          \x20       [--xmark-scale F] [--nasa-scale F] [--max-k K] [--seed S]\n\
-         \x20       [--threads N] [--repeats N] [--out PATH] [--metrics PATH] [--analyze PATH]\n\
-         \x20       (the last five flags apply to bench-smoke only)"
+         \x20       [--threads N] [--out PATH] [--metrics PATH] [--analyze PATH]\n\
+         \x20       (--threads applies to bench-smoke and verify-churn/-net/-tune,\n\
+         \x20       the last three flags to bench-smoke only)"
     );
 }
 
@@ -421,92 +426,33 @@ fn run_length_sweep(opts: &Options) {
     }
 }
 
+/// Print `FAIL: …` and exit 1 when a gate's `check` names a failing clause.
+fn require(gate: Result<(), String>) {
+    if let Err(clause) = gate {
+        eprintln!("FAIL: {clause}");
+        std::process::exit(1);
+    }
+}
+
 fn run_bench_smoke(opts: &Options) {
     let (data, workload) = load(opts, Dataset::Xmark);
-    let reqs = workload.mine_requirements();
-    let cfg = PerfConfig {
-        threads: opts.threads,
-        repeats: opts.repeats,
-    };
-    let (eval, builds) = perf::bench_smoke(&data, workload.queries(), &reqs, opts.max_k, &cfg);
 
-    println!("\n=== Bench smoke: arena evaluator + refinement engine ===");
-    println!(
-        "batch eval ({} indexes x {} queries): baseline {:.1} ms | arena {:.1} ms | \
-         parallel({}) {:.1} ms | speedup {:.2}x | identical outcomes: {}",
-        eval.indexes,
-        eval.queries,
-        eval.baseline_ms,
-        eval.arena_ms,
-        eval.threads,
-        eval.parallel_ms,
-        eval.speedup_best,
-        eval.identical,
+    println!("\n=== Bench smoke: exact identity and determinism gates ===");
+    let set = gates::run_gates(
+        &data,
+        &workload,
+        opts.max_k,
+        opts.threads,
+        opts.seed,
+        &net::NetBenchConfig::default(),
+        &tuning::TuningBenchConfig::default(),
     );
-    for b in &builds {
-        println!(
-            "{} build: baseline {:.1} ms | engine {:.1} ms | parallel {:.1} ms | \
-             speedup {:.2}x | identical partition: {} | {} blocks",
-            b.name,
-            b.baseline_ms,
-            b.engine_ms,
-            b.engine_parallel_ms,
-            b.speedup,
-            b.identical,
-            b.blocks,
-        );
+    for line in set.lines() {
+        println!("{line}");
     }
 
-    let serve = perf::bench_serve(&data, workload.queries(), &reqs, &cfg, opts.seed);
-    println!(
-        "serve: {} readers x {} rounds over {} update(s) in {} epoch(s): \
-         {:.1} ms | {:.0} queries/s | deterministic vs serial replay: {}",
-        serve.readers,
-        serve.rounds,
-        serve.updates,
-        serve.epochs,
-        serve.serve_ms,
-        serve.queries_per_sec,
-        serve.deterministic,
-    );
-
-    let churn = perf::bench_churn(&data, workload.queries(), &reqs, &cfg, opts.seed);
-    print_churn(&churn);
-
-    let net_cfg = net::NetBenchConfig::default();
-    let net_res = net::bench_net(&data, workload.queries(), &reqs, &cfg, &net_cfg, opts.seed);
-    print_net(&net_res);
-
-    let tune_cfg = tuning::TuningBenchConfig::default();
-    let tune_res = tuning::bench_tuning(&data, &cfg, &tune_cfg, opts.seed);
-    print_tuning(&tune_res);
-
-    let durability = {
-        let dk = dkindex_core::DkIndex::build(&data, reqs.clone());
-        let updates = dkindex_workload::generate_update_edges(&data, 64, opts.seed);
-        let wal_path = std::env::temp_dir().join(format!(
-            "dkindex-bench-durability-{}.wal",
-            std::process::id()
-        ));
-        match crash::bench_durability(&data, &dk, &updates, &wal_path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("FAIL: durability bench could not ack every update: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "durability: {} updates | WAL on {:.0} acked/s over {} group commit(s) | \
-         WAL off {:.0} acked/s",
-        durability.updates,
-        durability.acked_per_sec_wal_on,
-        durability.group_commits,
-        durability.acked_per_sec_wal_off,
-    );
-
-    // Workspace size rides along with the timings (ROADMAP item 2); like the
-    // static pass below it needs the sources, so it is skipped outside them.
+    // Workspace size rides along with the exact rows; like the static pass
+    // below it needs the sources, so it is skipped outside them.
     let loc = workspace_root().map(|root| match loc::count_loc(&root) {
         Ok(loc) => loc,
         Err(e) => {
@@ -518,27 +464,14 @@ fn run_bench_smoke(opts: &Options) {
         println!("workspace: {} lines of Rust", loc.total);
     }
 
-    let json = perf::to_json(
-        "xmark",
-        &cfg,
-        &eval,
-        &builds,
-        &perf::ServingSections {
-            serve: &serve,
-            churn: &churn,
-            net: &net_res,
-            durability: &durability,
-            tuning: &tune_res,
-        },
-        loc.as_ref(),
-    );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
+    if let Err(e) = std::fs::write(&opts.out, set.to_json("xmark", loc.as_ref())) {
         eprintln!("error: writing {}: {e}", opts.out);
         std::process::exit(2);
     }
     println!("wrote {}", opts.out);
 
-    let tel = perf::bench_telemetry(&data, workload.queries(), &reqs, opts.max_k, opts.seed);
+    let reqs = workload.mine_requirements();
+    let tel = gates::bench_telemetry(&data, workload.queries(), &reqs, opts.max_k, opts.seed);
     println!(
         "telemetry pass: identical with recorder off: {} | on: {} | \
          partition rounds {} | eval queries {}",
@@ -547,7 +480,7 @@ fn run_bench_smoke(opts: &Options) {
         tel.snapshot.counter("partition.rounds").unwrap_or(0),
         tel.snapshot.counter("eval.queries").unwrap_or(0),
     );
-    let metrics = perf::metrics_to_json("xmark", &cfg, opts.max_k, workload.len(), &tel);
+    let metrics = gates::metrics_to_json("xmark", opts.threads, opts.max_k, workload.len(), &tel);
     if let Err(e) = std::fs::write(&opts.metrics, &metrics) {
         eprintln!("error: writing {}: {e}", opts.metrics);
         std::process::exit(2);
@@ -556,30 +489,8 @@ fn run_bench_smoke(opts: &Options) {
 
     let analysis_violations = run_analyze_report(&opts.analyze);
 
-    if !eval.identical || builds.iter().any(|b| !b.identical) {
-        eprintln!("FAIL: before/after paths disagree");
-        std::process::exit(1);
-    }
-    if !serve.deterministic {
-        eprintln!("FAIL: concurrent serve diverged from serial replay");
-        std::process::exit(1);
-    }
-    if !churn.deterministic {
-        eprintln!("FAIL: sustained-churn run diverged from serial replay");
-        std::process::exit(1);
-    }
-    if !net_res.gate_ok(&net_cfg) {
-        eprintln!("FAIL: network serve gate (determinism / typed shedding) failed");
-        std::process::exit(1);
-    }
-    if !tune_res.gate_ok() {
-        eprintln!("FAIL: live-tuning gate (re-convergence / determinism / WAL replay) failed");
-        std::process::exit(1);
-    }
-    if !tel.identical() {
-        eprintln!("FAIL: telemetry recorder changed observable results");
-        std::process::exit(1);
-    }
+    require(set.check());
+    require(tel.check());
     if analysis_violations > 0 {
         eprintln!("FAIL: {analysis_violations} static-analysis contract violation(s)");
         std::process::exit(1);
@@ -632,123 +543,29 @@ fn workspace_root() -> Option<std::path::PathBuf> {
     }
 }
 
-fn print_churn(churn: &perf::ChurnBenchResult) {
-    println!(
-        "churn: {} updates in batches of {} over {} epoch(s), {} readers answering \
-         {} queries: {:.1} ms | {:.0} updates/s",
-        churn.updates,
-        churn.batch,
-        churn.epochs,
-        churn.readers,
-        churn.queries,
-        churn.churn_ms,
-        churn.updates_per_sec,
-    );
-    println!(
-        "churn sharing: {} blocks shared / {} rebuilt across publishes \
-         (rebuilt ratio {:.4}, store size {}) | publish p50 {:.3} ms, max {:.3} ms \
-         over {} publish(es) | deterministic vs serial replay: {}",
-        churn.blocks_shared,
-        churn.blocks_rebuilt,
-        churn.rebuilt_ratio,
-        churn.total_blocks,
-        churn.publish_p50_ns as f64 / 1e6,
-        churn.publish_max_ns as f64 / 1e6,
-        churn.publish_count,
-        churn.deterministic,
-    );
-}
-
-/// Bounded sustained-churn gate: the delta-epoch acceptance criteria as an
-/// exit code. Fails if the final state diverges from the serial replay
-/// (nondeterminism) or if publishes copied more than 10% of the block store
-/// on average at the 32-update batch size (COW regression).
+/// Bounded sustained-churn gate ([`gates::ChurnBenchResult::check`]) as an
+/// exit code — the same function, dataset and seed `bench-smoke` runs.
 fn run_verify_churn(opts: &Options) {
     let (data, workload) = load(opts, Dataset::Xmark);
     let reqs = workload.mine_requirements();
-    let cfg = PerfConfig {
-        threads: opts.threads,
-        repeats: opts.repeats,
-    };
     println!("\n=== Verify churn: delta-epoch publishes under sustained updates ===");
-    let churn = perf::bench_churn(&data, workload.queries(), &reqs, &cfg, opts.seed);
-    print_churn(&churn);
-    if !churn.deterministic {
-        eprintln!("FAIL: sustained-churn run diverged from serial replay");
-        std::process::exit(1);
-    }
-    if !churn.sharing_ok() {
-        eprintln!(
-            "FAIL: publishes copied {:.1}% of the block store on average (gate: <= 10%)",
-            churn.rebuilt_ratio * 100.0
-        );
-        std::process::exit(1);
-    }
+    let churn = gates::bench_churn(&data, workload.queries(), &reqs, opts.threads, opts.seed);
+    println!("{}", rows_line("churn", &churn.rows()));
+    require(churn.check());
     println!("sustained churn deterministic; publishes copied only the touched delta");
 }
 
-fn print_net(net: &net::NetBenchResult) {
-    println!(
-        "net: {} readers x {} rounds over loopback TCP: {} queries at {:.0}/s | \
-         p50 {:.1} us, p99 {:.1} us, p999 {:.1} us | {} update(s) admitted",
-        net.readers,
-        net.rounds,
-        net.queries,
-        net.queries_per_sec,
-        net.p50_us,
-        net.p99_us,
-        net.p999_us,
-        net.updates_admitted,
-    );
-    println!(
-        "net overload: {} admitted / {} shed (rate {:.2}) with maintenance paused | \
-         typed sheds only: {} | drain {:.1} ms | deterministic vs serial replay: {}",
-        net.overload_admitted,
-        net.overload_shed,
-        net.shed_rate,
-        net.typed_sheds_only,
-        net.drain_ms,
-        net.deterministic,
-    );
-}
-
-/// Network serve gate: the loopback bench's acceptance criteria as an exit
-/// code. Fails if the drained state diverges from the serial replay of the
-/// admitted update sequence, if any refusal was not a typed SHED frame
-/// (PROTOCOL.md §5), or if admission under induced overload did not stop
-/// exactly at the staleness threshold.
+/// Network serve gate ([`net::NetBenchResult::check`]) as an exit code —
+/// the same function, dataset and seed `bench-smoke` runs.
 fn run_verify_net(opts: &Options) {
     let (data, workload) = load(opts, Dataset::Xmark);
     let reqs = workload.mine_requirements();
-    let cfg = PerfConfig {
-        threads: opts.threads,
-        repeats: opts.repeats,
-    };
     println!("\n=== Verify net: DKNP serve over loopback TCP ===");
     let net_cfg = net::NetBenchConfig::default();
-    let net_res = net::bench_net(&data, workload.queries(), &reqs, &cfg, &net_cfg, opts.seed);
-    print_net(&net_res);
-    if !net_res.deterministic {
-        eprintln!("FAIL: drained state diverged from serial replay of the admitted updates");
-        std::process::exit(1);
-    }
-    if !net_res.typed_sheds_only {
-        eprintln!("FAIL: a refusal was not a typed SHED frame (or a request got no reply)");
-        std::process::exit(1);
-    }
-    if net_res.overload_admitted != net_cfg.staleness_threshold
-        || net_res.overload_shed != net_cfg.overload_extra
-    {
-        eprintln!(
-            "FAIL: overload admitted {} (want {}) and shed {} (want {}) — \
-             admission did not stop at the staleness threshold",
-            net_res.overload_admitted,
-            net_cfg.staleness_threshold,
-            net_res.overload_shed,
-            net_cfg.overload_extra,
-        );
-        std::process::exit(1);
-    }
+    let net_res =
+        net::bench_net(&data, workload.queries(), &reqs, opts.threads, &net_cfg, opts.seed);
+    println!("{}", rows_line("net", &net_res.rows()));
+    require(net_res.check());
     println!(
         "network serve deterministic; overload shed typed frames only, zero unbounded queueing"
     );
@@ -773,84 +590,15 @@ fn run_verify_faults(opts: &Options) {
     println!("all fault probes recovered or failed with typed errors; zero panics");
 }
 
-fn print_tuning(t: &tuning::TuningBenchResult) {
-    println!(
-        "tuning: {} readers x {} rounds, workload flips at round {}: \
-         p99 cost {} -> {} at the shift -> {} converged | \
-         re-converged in {} round(s) (bound {})",
-        t.readers,
-        t.rounds,
-        t.shift_round,
-        t.baseline_p99,
-        t.shift_p99,
-        t.converged_p99,
-        t.converge_rounds
-            .map_or_else(|| "-".to_string(), |r| r.to_string()),
-        t.converge_bound,
-    );
-    println!(
-        "tuning activity: {} window(s) mined, {} promotion(s), {} demotion(s), \
-         {} tuning op(s) recorded | deterministic vs serial replay: {} | \
-         WAL replay identical: {}",
-        t.windows,
-        t.promotions,
-        t.demotions,
-        t.tuning_ops,
-        t.deterministic,
-        t.wal_recovered,
-    );
-}
-
-/// Live-tuning gate: the shifting-workload bench's acceptance criteria as
-/// an exit code. Fails if the p99 query cost does not re-converge within
-/// the bounded number of rounds after the workload flips, if the live-tuned
-/// state diverges from [`dkindex_core::apply_serial`] over the recorded op
-/// sequence
-/// (tuner ops at their actual interleaved positions), or if replaying the
-/// WAL does not reproduce the live state byte-identically.
+/// Live-tuning gate ([`tuning::TuningBenchResult::check`]) as an exit code
+/// — the same function, dataset and seed `bench-smoke` runs.
 fn run_verify_tune(opts: &Options) {
     let data = datasets::xmark(opts.xmark_scale);
-    let cfg = PerfConfig {
-        threads: opts.threads,
-        repeats: opts.repeats,
-    };
     println!("\n=== Verify tune: live adaptation under a shifting Zipf workload ===");
     let tune_cfg = tuning::TuningBenchConfig::default();
-    let t = tuning::bench_tuning(&data, &cfg, &tune_cfg, opts.seed);
-    print_tuning(&t);
-    if !t.deterministic {
-        eprintln!("FAIL: live-tuned state diverged from serial replay of the recorded ops");
-        std::process::exit(1);
-    }
-    if !t.wal_recovered {
-        eprintln!("FAIL: WAL replay diverged from the live-tuned state");
-        std::process::exit(1);
-    }
-    if t.windows == 0 || t.promotions == 0 {
-        eprintln!(
-            "FAIL: tuner never acted ({} window(s), {} promotion(s))",
-            t.windows, t.promotions
-        );
-        std::process::exit(1);
-    }
-    if t.converged_p99 > t.shift_p99 {
-        eprintln!(
-            "FAIL: converged p99 {} is worse than the shift-round p99 {}",
-            t.converged_p99, t.shift_p99
-        );
-        std::process::exit(1);
-    }
-    match t.converge_rounds {
-        Some(r) if r <= t.converge_bound => {}
-        _ => {
-            eprintln!(
-                "FAIL: p99 did not re-converge within {} round(s) after the shift \
-                 (curve: {:?})",
-                t.converge_bound, t.p99_curve
-            );
-            std::process::exit(1);
-        }
-    }
+    let t = tuning::bench_tuning(&data, opts.threads, &tune_cfg, opts.seed);
+    println!("{}", rows_line("tuning", &t.rows()));
+    require(t.check());
     println!(
         "live tuner re-converged the p99 after the workload shift; \
          tuned run replays serially and from the WAL byte-identically"

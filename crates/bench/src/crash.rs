@@ -27,10 +27,6 @@
 //!   an `Ok` prefix followed only by typed [`ServeError::WalFailed`], and
 //!   every crash view must recover all acked ops in submission order,
 //!   byte-identical to the serial oracle.
-//!
-//! [`bench_durability`] measures what the contract costs: acked
-//! updates/sec with the WAL on (real file, one fsync per batch) versus
-//! off, reported in the `durability` section of `BENCH_eval.json`.
 
 use crate::faults::{probe, record, FaultReport, Probe};
 use dkindex_core::io_fail::{FailPlan, SharedDisk, SimDisk};
@@ -40,7 +36,6 @@ use dkindex_core::{
 };
 use dkindex_graph::{DataGraph, NodeId};
 use std::io;
-use std::time::Instant;
 
 /// Fold the update stream into mixed maintenance batches: cycling batch
 /// sizes, interleaved promotes, and a trailing promote-to-requirements
@@ -396,7 +391,6 @@ pub fn kill_loop(
             dk.clone(),
             ServeConfig {
                 max_batch: 4,
-                threads: 1,
                 ..ServeConfig::default()
             },
             Box::new(writer),
@@ -505,112 +499,6 @@ pub fn run_all(seed: u64) -> Vec<FaultReport> {
     ]
 }
 
-// ---- durability bench ----------------------------------------------------
-
-/// What durable acknowledgments cost: acked updates/sec through a real
-/// WAL file (one fsync per group commit) versus the same stream with the
-/// WAL off.
-#[derive(Clone, Debug)]
-pub struct DurabilityBenchResult {
-    /// Updates acknowledged on each side.
-    pub updates: usize,
-    /// Wall time to ack every update with the WAL on.
-    pub wal_on_ms: f64,
-    /// Wall time to ack every update with the WAL off.
-    pub wal_off_ms: f64,
-    /// Durable acknowledgments per second (WAL on).
-    pub acked_per_sec_wal_on: f64,
-    /// Acknowledgments per second (WAL off).
-    pub acked_per_sec_wal_off: f64,
-    /// Group commits (distinct publish epochs) the WAL-on run needed —
-    /// shows how batching amortizes the fsync cost.
-    pub group_commits: u64,
-}
-
-/// Submit every op, then wait for every acknowledgment; returns the wall
-/// time and the number of distinct publish epochs (= group commits on a
-/// logged server).
-fn time_acked(server: &DkServer, ops: &[ServeOp]) -> io::Result<(f64, u64)> {
-    let start = Instant::now();
-    let mut acks = Vec::with_capacity(ops.len());
-    for op in ops {
-        let ack = server
-            .submit_logged(op.clone())
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        acks.push(ack);
-    }
-    let mut epochs = std::collections::BTreeSet::new();
-    for ack in acks {
-        let epoch = ack.wait().map_err(|e| io::Error::other(e.to_string()))?;
-        epochs.insert(epoch);
-    }
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    Ok((ms, epochs.len() as u64))
-}
-
-/// Measure acked updates/sec with the WAL on (a real file under
-/// `wal_path`, removed afterwards) versus off. Fails typed if any
-/// acknowledgment fails — the bench doubles as a smoke test of the
-/// durable-ack path against a real filesystem.
-pub fn bench_durability(
-    data: &DataGraph,
-    dk: &DkIndex,
-    updates: &[(NodeId, NodeId)],
-    wal_path: &std::path::Path,
-) -> io::Result<DurabilityBenchResult> {
-    let ops: Vec<ServeOp> = updates
-        .iter()
-        .map(|&(from, to)| ServeOp::AddEdge { from, to })
-        .collect();
-
-    let writer = WalWriter::create(wal_path)?;
-    let logged = DkServer::start_logged(
-        data.clone(),
-        dk.clone(),
-        ServeConfig::default(),
-        Box::new(writer),
-    );
-    let on = time_acked(&logged, &ops);
-    let _ = logged.shutdown();
-    let _ = std::fs::remove_file(wal_path);
-    let (wal_on_ms, group_commits) = on?;
-
-    let plain = DkServer::start(data.clone(), dk.clone(), ServeConfig::default());
-    let off = time_acked(&plain, &ops);
-    let _ = plain.shutdown();
-    let (wal_off_ms, _) = off?;
-
-    Ok(DurabilityBenchResult {
-        updates: ops.len(),
-        wal_on_ms,
-        wal_off_ms,
-        acked_per_sec_wal_on: ops.len() as f64 / (wal_on_ms.max(1e-9) / 1e3),
-        acked_per_sec_wal_off: ops.len() as f64 / (wal_off_ms.max(1e-9) / 1e3),
-        group_commits,
-    })
-}
-
-/// Render the `durability` section of `BENCH_eval.json` (no trailing
-/// comma or newline — the caller splices it between sections).
-pub fn durability_to_json(d: &DurabilityBenchResult) -> String {
-    let mut s = String::new();
-    s.push_str("  \"durability\": {\n");
-    s.push_str(&format!("    \"updates\": {},\n", d.updates));
-    s.push_str(&format!("    \"wal_on_ms\": {:.3},\n", d.wal_on_ms));
-    s.push_str(&format!("    \"wal_off_ms\": {:.3},\n", d.wal_off_ms));
-    s.push_str(&format!(
-        "    \"acked_per_sec_wal_on\": {:.1},\n",
-        d.acked_per_sec_wal_on
-    ));
-    s.push_str(&format!(
-        "    \"acked_per_sec_wal_off\": {:.1},\n",
-        d.acked_per_sec_wal_off
-    ));
-    s.push_str(&format!("    \"group_commits\": {}\n", d.group_commits));
-    s.push_str("  }");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,22 +541,5 @@ mod tests {
         let report = kill_loop(&dk, &g, &updates, 4, 0xD15C_0C05);
         assert!(report.cases > 0);
         assert!(report.passed(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn durability_bench_acks_everything_and_renders_json() {
-        let (g, dk, updates) = tiny_fixture();
-        let path = std::env::temp_dir().join(format!(
-            "dkindex-crash-test-{}.wal",
-            std::process::id()
-        ));
-        let result = bench_durability(&g, &dk, &updates, &path).expect("bench must ack all");
-        assert_eq!(result.updates, updates.len());
-        assert!(result.group_commits >= 1);
-        assert!(!path.exists(), "bench must clean up its WAL file");
-        let json = durability_to_json(&result);
-        assert!(json.contains("\"durability\""));
-        assert!(json.contains("\"group_commits\""));
-        assert!(!json.ends_with(','), "caller splices the comma");
     }
 }

@@ -4,7 +4,9 @@
 //! paper's evaluation (§6): figures 4–7, Table 1, and three ablations. The
 //! [`experiments`] module computes structured results; the `reproduce`
 //! binary renders them (`cargo run -p dkindex-bench --release --bin
-//! reproduce -- all`). Criterion micro-benchmarks live in `benches/`.
+//! reproduce -- all`). [`gates`] holds the exact identity and determinism
+//! gates behind `reproduce bench-smoke`; nothing in this crate is a
+//! stopwatch except Table 1's `ms` column — timing belongs to `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,8 +15,8 @@ pub mod crash;
 pub mod datasets;
 pub mod experiments;
 pub mod faults;
+pub mod gates;
 pub mod loc;
 pub mod net;
-pub mod perf;
 pub mod report;
 pub mod tuning;

@@ -1,10 +1,10 @@
 //! Workspace size: physical `.rs` lines, counted by walking the tree.
 //!
-//! ROADMAP item 2 judges deletions by line count, so `bench-smoke` records
-//! the figure beside the timings it must not move: one row per crate `src/`
-//! directory, and one total over everything the root workspace compiles
-//! (`crates/`, `src/`, `tests/`, `examples/`) so that moving code out of
-//! `src/` into a test file does not read as a cut.
+//! ROADMAP judges deletions by line count, so `bench-smoke` records the
+//! figure beside the exact rows a deletion must not move: one row per crate
+//! `src/` directory, and one total over everything the root workspace
+//! compiles (`crates/`, `src/`, `tests/`, `examples/`) so that moving code
+//! out of `src/` into a test file does not read as a cut.
 
 use std::io;
 use std::path::Path;
@@ -54,7 +54,8 @@ fn rs_lines(dir: &Path) -> io::Result<u64> {
     Ok(lines)
 }
 
-/// Render the `loc` section of `BENCH_eval.json` (no trailing newline).
+/// Render the `loc` section of `BENCH_eval.json` (no indent before the key,
+/// no trailing newline).
 pub fn loc_to_json(loc: &LocReport) -> String {
     let rows: Vec<String> = loc
         .crates
@@ -62,7 +63,7 @@ pub fn loc_to_json(loc: &LocReport) -> String {
         .map(|(name, lines)| format!("\"{name}\": {lines}"))
         .collect();
     format!(
-        "  \"loc\": {{\n    \"src\": {{ {} }},\n    \"workspace_total\": {}\n  }}",
+        "\"loc\": {{\n    \"src\": {{ {} }},\n    \"workspace_total\": {}\n  }}",
         rows.join(", "),
         loc.total
     )

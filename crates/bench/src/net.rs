@@ -1,11 +1,11 @@
-//! Loopback benchmark for the DKNP network front-end (`dkindex-server`):
+//! Loopback gate for the DKNP network front-end (`dkindex-server`):
 //! a mixed query/update workload over real TCP sockets, an induced-overload
 //! phase proving typed load-shedding, and a graceful drain — all
 //! cross-checked byte-for-byte against a serial replay of the admitted
 //! update sequence.
 //!
-//! Three properties are gated (the `reproduce verify-net` subcommand turns
-//! them into an exit code):
+//! Three properties are gated ([`NetBenchResult::check`], which `reproduce
+//! bench-smoke` and `verify-net` turn into an exit code):
 //!
 //! * **Determinism** — the state the drained server hands back is
 //!   byte-identical to [`apply_serial`] over exactly the updates that were
@@ -17,20 +17,20 @@
 //! * **Zero transport surprises** — every request in the run gets a decoded
 //!   reply frame; a reset, timeout, or undecodable response fails the gate.
 //!
-//! Latency percentiles (p50/p99/p999) are reported for the query stream and
-//! written to the `net` section of `BENCH_eval.json`; they are
-//! machine-dependent and **not** gated.
+//! The `net` section of `BENCH_eval.json` holds the counts those gates are
+//! stated over; loopback latency and throughput are machine-dependent and
+//! are read from the judged benchmark instead (`benchmark/`, `hot-point`).
 
 use dkindex_core::{apply_serial, snapshot_bytes, DkIndex, DkServer, Requirements, ServeConfig, ServeOp};
 use dkindex_graph::{DataGraph, NodeId};
 use dkindex_pathexpr::PathExpr;
 use dkindex_server::{Frame, NetClient, NetConfig, NetServer, ShedReason};
 use dkindex_workload::generate_update_edges;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::perf::PerfConfig;
+use crate::report::Rows;
 
-/// Knobs for the loopback net bench (see [`bench_net`]).
+/// Knobs for the loopback net gate (see [`bench_net`]).
 #[derive(Clone, Copy, Debug)]
 pub struct NetBenchConfig {
     /// QUERY rounds issued per reader connection in the mixed phase.
@@ -57,63 +57,74 @@ impl Default for NetBenchConfig {
     }
 }
 
-/// What [`bench_net`] measured and verified.
+/// What [`bench_net`] counted and verified.
 #[derive(Clone, Debug)]
 pub struct NetBenchResult {
+    /// The configuration the run was held to.
+    pub config: NetBenchConfig,
     /// Reader connections issuing queries concurrently.
     pub readers: usize,
-    /// QUERY rounds per reader.
-    pub rounds: usize,
     /// Total queries answered over the wire.
     pub queries: u64,
     /// Updates acknowledged with `UPDATE_OK` across both phases.
     pub updates_admitted: usize,
-    /// Query latency percentiles over loopback, microseconds.
-    pub p50_us: f64,
-    /// 99th percentile query latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th percentile query latency, microseconds.
-    pub p999_us: f64,
-    /// Queries per second across all readers in the mixed phase.
-    pub queries_per_sec: f64,
     /// Updates admitted during the induced-overload phase (must equal the
     /// configured `staleness_threshold`).
     pub overload_admitted: u64,
     /// Updates refused with `SHED(maintenance-lag)` during overload.
     pub overload_shed: u64,
-    /// `overload_shed / (overload_admitted + overload_shed)`.
-    pub shed_rate: f64,
     /// Every refusal in the run was a typed SHED frame with the expected
     /// reason, and every request got a decodable reply.
     pub typed_sheds_only: bool,
-    /// Wall-clock of the graceful drain reported by the server.
-    pub drain_ms: f64,
     /// Final drained state is byte-identical to a serial replay of the
     /// admitted update sequence.
     pub deterministic: bool,
 }
 
 impl NetBenchResult {
-    /// The `verify-net` acceptance gate.
-    pub fn gate_ok(&self, cfg: &NetBenchConfig) -> bool {
-        self.deterministic
-            && self.typed_sheds_only
-            && self.overload_admitted == cfg.staleness_threshold
-            && self.overload_shed == cfg.overload_extra
+    /// The `net` section.
+    pub fn rows(&self) -> Rows {
+        vec![
+            ("readers", self.readers.to_string()),
+            ("rounds", self.config.rounds.to_string()),
+            ("queries", self.queries.to_string()),
+            ("updates_admitted", self.updates_admitted.to_string()),
+            ("overload_admitted", self.overload_admitted.to_string()),
+            ("overload_shed", self.overload_shed.to_string()),
+            ("typed_sheds_only", self.typed_sheds_only.to_string()),
+            ("deterministic", self.deterministic.to_string()),
+        ]
+    }
+
+    /// The network serve gate: the drained state replays serially, every
+    /// refusal was a typed SHED frame (PROTOCOL.md §5), and admission under
+    /// induced overload stopped exactly at the staleness threshold.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.deterministic {
+            return Err(
+                "drained state diverged from serial replay of the admitted updates".to_string()
+            );
+        }
+        if !self.typed_sheds_only {
+            return Err(
+                "a refusal was not a typed SHED frame (or a request got no reply)".to_string()
+            );
+        }
+        let (want_admitted, want_shed) =
+            (self.config.staleness_threshold, self.config.overload_extra);
+        if self.overload_admitted != want_admitted || self.overload_shed != want_shed {
+            return Err(format!(
+                "overload admitted {} (want {want_admitted}) and shed {} (want {want_shed}) — \
+                 admission did not stop at the staleness threshold",
+                self.overload_admitted, self.overload_shed,
+            ));
+        }
+        Ok(())
     }
 }
 
-/// Exact percentile (nearest-rank on the sorted sample), in microseconds.
-fn percentile_us(sorted_ns: &[u64], per_mille: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) * per_mille) / 1000;
-    sorted_ns.get(idx).copied().unwrap_or(0) as f64 / 1e3
-}
-
-/// Run the loopback net bench: start a [`NetServer`] on an ephemeral port,
-/// drive `cfg.threads` reader connections plus one writer connection
+/// Run the loopback net gate: start a [`NetServer`] on an ephemeral port,
+/// drive `readers` query connections plus one writer connection
 /// through it, induce an overload window with the maintenance pause gate,
 /// then drain and compare against the serial oracle.
 ///
@@ -124,11 +135,11 @@ pub fn bench_net(
     data: &DataGraph,
     queries: &[PathExpr],
     reqs: &Requirements,
-    perf: &PerfConfig,
+    readers: usize,
     cfg: &NetBenchConfig,
     seed: u64,
 ) -> NetBenchResult {
-    let readers = perf.resolved_threads().max(1);
+    let readers = readers.max(1);
     let dk = DkIndex::build(data, reqs.clone());
     let edges = generate_update_edges(
         data,
@@ -142,7 +153,6 @@ pub fn bench_net(
         dk.clone(),
         ServeConfig {
             max_batch: 8,
-            threads: readers,
             ..ServeConfig::default()
         },
     );
@@ -162,27 +172,21 @@ pub fn bench_net(
     // writer that retries on shed (so every mixed-phase update is admitted).
     let mut admitted: Vec<(u64, u64)> = Vec::new();
     let mut clean = true;
-    let start = Instant::now();
-    let latencies: Vec<Vec<u64>> = std::thread::scope(|s| {
+    let answered: u64 = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for r in 0..readers {
             handles.push(s.spawn(move || {
-                let mut client = match NetClient::connect(addr) {
-                    Ok(c) => c,
-                    Err(_) => return (Vec::new(), false),
+                let Ok(mut client) = NetClient::connect(addr) else {
+                    return 0;
                 };
-                let mut samples = Vec::with_capacity(cfg.rounds);
-                let mut ok = true;
+                let mut answered = 0u64;
                 for round in 0..cfg.rounds {
                     let q = &queries[(r + round) % queries.len()];
-                    let t = Instant::now();
-                    match client.query(&q.to_string(), 0) {
-                        Ok(Frame::Answer { .. }) => {}
-                        Ok(_) | Err(_) => ok = false,
+                    if let Ok(Frame::Answer { .. }) = client.query(&q.to_string(), 0) {
+                        answered += 1;
                     }
-                    samples.push(t.elapsed().as_nanos() as u64);
                 }
-                (samples, ok)
+                answered
             }));
         }
 
@@ -213,15 +217,13 @@ pub fn bench_net(
             }
         }
 
-        let mut all = Vec::new();
-        for h in handles {
-            let (samples, ok) = h.join().expect("reader thread panicked");
-            clean &= ok;
-            all.push(samples);
-        }
-        all
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("reader thread panicked"))
+            .sum()
     });
-    let mixed_secs = start.elapsed().as_secs_f64();
+    // Every query round must have come back as a decoded ANSWER frame.
+    clean &= answered == (readers * cfg.rounds) as u64;
 
     // Phase 2 — induced overload: pause maintenance, push past the
     // staleness threshold, count typed sheds.
@@ -265,63 +267,16 @@ pub fn bench_net(
     let deterministic =
         snapshot_bytes(&shutdown.index, &shutdown.data) == snapshot_bytes(&serial_dk, &serial_g);
 
-    let mut sorted: Vec<u64> = latencies.into_iter().flatten().collect();
-    sorted.sort_unstable();
-    let answered = sorted.len() as u64;
-    let refused = overload_admitted + overload_shed;
     NetBenchResult {
+        config: *cfg,
         readers,
-        rounds: cfg.rounds,
         queries: answered,
         updates_admitted: ops.len(),
-        p50_us: percentile_us(&sorted, 500),
-        p99_us: percentile_us(&sorted, 990),
-        p999_us: percentile_us(&sorted, 999),
-        queries_per_sec: answered as f64 / mixed_secs.max(f64::MIN_POSITIVE),
         overload_admitted,
         overload_shed,
-        shed_rate: overload_shed as f64 / (refused as f64).max(1.0),
         typed_sheds_only: clean,
-        drain_ms: shutdown.drain.as_secs_f64() * 1e3,
         deterministic,
     }
-}
-
-/// Render the `net` section for `BENCH_eval.json`.
-pub fn net_to_json(net: &NetBenchResult) -> String {
-    let mut s = String::new();
-    s.push_str("  \"net\": {\n");
-    s.push_str(&format!("    \"readers\": {},\n", net.readers));
-    s.push_str(&format!("    \"rounds\": {},\n", net.rounds));
-    s.push_str(&format!("    \"queries\": {},\n", net.queries));
-    s.push_str(&format!(
-        "    \"updates_admitted\": {},\n",
-        net.updates_admitted
-    ));
-    s.push_str(&format!("    \"p50_us\": {:.1},\n", net.p50_us));
-    s.push_str(&format!("    \"p99_us\": {:.1},\n", net.p99_us));
-    s.push_str(&format!("    \"p999_us\": {:.1},\n", net.p999_us));
-    s.push_str(&format!(
-        "    \"queries_per_sec\": {:.1},\n",
-        net.queries_per_sec
-    ));
-    s.push_str(&format!(
-        "    \"overload_admitted\": {},\n",
-        net.overload_admitted
-    ));
-    s.push_str(&format!("    \"overload_shed\": {},\n", net.overload_shed));
-    s.push_str(&format!("    \"shed_rate\": {:.4},\n", net.shed_rate));
-    s.push_str(&format!(
-        "    \"typed_sheds_only\": {},\n",
-        net.typed_sheds_only
-    ));
-    s.push_str(&format!("    \"drain_ms\": {:.3},\n", net.drain_ms));
-    s.push_str(&format!(
-        "    \"deterministic\": {}\n",
-        net.deterministic
-    ));
-    s.push_str("  }");
-    s
 }
 
 #[cfg(test)]
@@ -335,30 +290,25 @@ mod tests {
         let data = datasets::xmark(0.004);
         let workload = standard_workload(&data, 7);
         let reqs = workload.mine_requirements();
-        let perf = PerfConfig {
-            threads: 2,
-            repeats: 1,
-        };
         let cfg = NetBenchConfig {
             rounds: 20,
             updates: 12,
             staleness_threshold: 4,
             overload_extra: 3,
         };
-        let net = bench_net(&data, workload.queries(), &reqs, &perf, &cfg, 7);
+        let net = bench_net(&data, workload.queries(), &reqs, 2, &cfg, 7);
         assert!(net.deterministic, "net serve diverged from serial replay");
         assert!(net.typed_sheds_only, "a refusal was not a typed SHED");
         assert_eq!(net.overload_admitted, cfg.staleness_threshold);
         assert_eq!(net.overload_shed, cfg.overload_extra);
-        assert!(net.gate_ok(&cfg));
-        assert_eq!(net.queries, (net.readers * net.rounds) as u64);
+        assert_eq!(net.check(), Ok(()));
+        assert_eq!(net.queries, (net.readers * cfg.rounds) as u64);
         assert_eq!(
             net.updates_admitted,
             cfg.updates + cfg.staleness_threshold as usize
         );
-        let json = net_to_json(&net);
-        assert!(json.contains("\"p999_us\""), "{json}");
-        assert!(json.contains("\"shed_rate\""), "{json}");
-        assert!(json.contains("\"deterministic\": true"), "{json}");
+        let overshot = NetBenchResult { overload_admitted: 5, ..net };
+        let refusal = overshot.check().expect_err("admission past the threshold must fail");
+        assert!(refusal.contains("admitted 5 (want 4)"), "{refusal}");
     }
 }

@@ -30,6 +30,28 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// One gate result's rows, stated once: `(key, value as a JSON literal)`.
+/// [`rows_line`] and [`rows_json`] are the only two renderings, so the
+/// console line and the `BENCH_eval.json` object cannot drift apart.
+pub type Rows = Vec<(&'static str, String)>;
+
+/// `name: key value | key value | …` — the console line for one result.
+pub fn rows_line(name: &str, rows: &Rows) -> String {
+    let cells: Vec<String> = rows.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    format!("{name}: {}", cells.join(" | "))
+}
+
+/// The JSON object for one result: on one line when `indent` is 0 (an
+/// array element), otherwise one row per line at `indent` spaces.
+pub fn rows_json(rows: &Rows, indent: usize) -> String {
+    let cells: Vec<String> = rows.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    if indent == 0 {
+        return format!("{{ {} }}", cells.join(", "));
+    }
+    let pad = " ".repeat(indent);
+    format!("{{\n{pad}{}\n{}}}", cells.join(&format!(",\n{pad}")), &pad[2..])
+}
+
 /// Format a float with limited precision for table cells.
 pub fn fmt_f64(v: f64) -> String {
     if v >= 1000.0 {
@@ -63,6 +85,17 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_panic() {
         render_table(&["a", "b"], &[vec!["only one".into()]]);
+    }
+
+    #[test]
+    fn rows_render_as_line_and_json() {
+        let rows: Rows = vec![("blocks", "612".into()), ("deterministic", "true".into())];
+        assert_eq!(rows_line("churn", &rows), "churn: blocks 612 | deterministic true");
+        assert_eq!(rows_json(&rows, 0), "{ \"blocks\": 612, \"deterministic\": true }");
+        assert_eq!(
+            rows_json(&rows, 4),
+            "{\n    \"blocks\": 612,\n    \"deterministic\": true\n  }"
+        );
     }
 
     #[test]

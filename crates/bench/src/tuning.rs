@@ -1,11 +1,11 @@
-//! Live-tuning convergence bench: a Zipf-skewed query mix served through a
+//! Live-tuning convergence gate: a Zipf-skewed query mix served through a
 //! [`DkServer`] with the in-loop adaptive tuner on, where the hot set flips
 //! to a different query pool halfway through the run. The server starts at
 //! `D(1)` — deliberately under-provisioned — so the tuner has to earn both
 //! the initial convergence and the re-convergence after the shift.
 //!
-//! Three properties are gated (the `reproduce verify-tune` subcommand turns
-//! them into an exit code):
+//! Three properties are gated ([`TuningBenchResult::check`], which
+//! `reproduce bench-smoke` and `verify-tune` turn into an exit code):
 //!
 //! * **Re-convergence** — the per-round p99 query cost returns to its
 //!   converged post-shift value within `converge_bound` rounds (one epoch
@@ -25,7 +25,7 @@
 //! across machines, not a timing artifact.
 
 use crate::experiments::standard_workload;
-use crate::perf::PerfConfig;
+use crate::report::Rows;
 use dkindex_core::io_fail::{FailPlan, SharedDisk};
 use dkindex_core::wal::{self, WalWriter};
 use dkindex_core::{
@@ -107,16 +107,64 @@ pub struct TuningBenchResult {
 }
 
 impl TuningBenchResult {
-    /// The `verify-tune` acceptance gate.
-    pub fn gate_ok(&self) -> bool {
-        self.deterministic
-            && self.wal_recovered
-            && self.windows >= 1
-            && self.promotions >= 1
-            && self.converged_p99 <= self.shift_p99
-            && self
-                .converge_rounds
-                .is_some_and(|r| r <= self.converge_bound)
+    /// The `tuning` section.
+    pub fn rows(&self) -> Rows {
+        let curve: Vec<String> = self.p99_curve.iter().map(u64::to_string).collect();
+        let converge_rounds = self
+            .converge_rounds
+            .map_or_else(|| "null".to_string(), |r| r.to_string());
+        vec![
+            ("readers", self.readers.to_string()),
+            ("rounds", self.rounds.to_string()),
+            ("shift_round", self.shift_round.to_string()),
+            ("queries", self.queries.to_string()),
+            ("p99_curve", format!("[{}]", curve.join(", "))),
+            ("baseline_p99", self.baseline_p99.to_string()),
+            ("shift_p99", self.shift_p99.to_string()),
+            ("converged_p99", self.converged_p99.to_string()),
+            ("converge_rounds", converge_rounds),
+            ("converge_bound", self.converge_bound.to_string()),
+            ("windows", self.windows.to_string()),
+            ("promotions", self.promotions.to_string()),
+            ("demotions", self.demotions.to_string()),
+            ("tuning_ops", self.tuning_ops.to_string()),
+            ("deterministic", self.deterministic.to_string()),
+            ("wal_recovered", self.wal_recovered.to_string()),
+        ]
+    }
+
+    /// The live-tuning gate: the tuned run replays serially (tuner ops at
+    /// their actual interleaved positions) and from the WAL, the tuner
+    /// acted, and the p99 query cost re-converged within the bounded number
+    /// of rounds after the workload flipped.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.deterministic {
+            return Err(
+                "live-tuned state diverged from serial replay of the recorded ops".to_string()
+            );
+        }
+        if !self.wal_recovered {
+            return Err("WAL replay diverged from the live-tuned state".to_string());
+        }
+        if self.windows == 0 || self.promotions == 0 {
+            return Err(format!(
+                "tuner never acted ({} window(s), {} promotion(s))",
+                self.windows, self.promotions
+            ));
+        }
+        if self.converged_p99 > self.shift_p99 {
+            return Err(format!(
+                "converged p99 {} is worse than the shift-round p99 {}",
+                self.converged_p99, self.shift_p99
+            ));
+        }
+        match self.converge_rounds {
+            Some(r) if r <= self.converge_bound => Ok(()),
+            _ => Err(format!(
+                "p99 did not re-converge within {} round(s) after the shift (curve: {:?})",
+                self.converge_bound, self.p99_curve
+            )),
+        }
     }
 }
 
@@ -144,18 +192,18 @@ fn expand(stream: &[(PathExpr, u64)]) -> Vec<PathExpr> {
 /// Zipf-weighted query mix from a `D(1)` start with live tuning on
 /// (`tune_interval` 1), flipping to a second query pool at the halfway
 /// round, and record the per-round p99 cost curve. Every round evaluates
-/// its full mix across `perf.threads` readers, then submits one edge update
+/// its full mix across `readers` threads, then submits one edge update
 /// and flushes twice — the first flush publishes the round's batch (whose
 /// `after_publish` pass mines the round's observations), the second drains
 /// whatever op the tuner enqueued — so tuning lands on a deterministic
 /// round boundary.
 pub fn bench_tuning(
     data: &DataGraph,
-    perf: &PerfConfig,
+    readers: usize,
     cfg: &TuningBenchConfig,
     seed: u64,
 ) -> TuningBenchResult {
-    let readers = perf.resolved_threads().max(1);
+    let readers = readers.max(1);
     let shift_round = cfg.rounds / 2;
     // Two independent pools: B's queries are largely unseen during phase A,
     // so the shift genuinely invalidates the tuned requirements instead of
@@ -182,7 +230,6 @@ pub fn bench_tuning(
         dk0.clone(),
         ServeConfig {
             max_batch: 8,
-            threads: readers,
             tune_interval: 1,
             // Every query in the round's mix carries at least weight 1 by
             // construction; support 1 lets the tuner cover the whole mix,
@@ -281,35 +328,6 @@ pub fn bench_tuning(
     }
 }
 
-/// Render the `tuning` section for `BENCH_eval.json`.
-pub fn tuning_to_json(t: &TuningBenchResult) -> String {
-    let mut s = String::new();
-    s.push_str("  \"tuning\": {\n");
-    s.push_str(&format!("    \"readers\": {},\n", t.readers));
-    s.push_str(&format!("    \"rounds\": {},\n", t.rounds));
-    s.push_str(&format!("    \"shift_round\": {},\n", t.shift_round));
-    s.push_str(&format!("    \"queries\": {},\n", t.queries));
-    let curve: Vec<String> = t.p99_curve.iter().map(u64::to_string).collect();
-    s.push_str(&format!("    \"p99_curve\": [{}],\n", curve.join(", ")));
-    s.push_str(&format!("    \"baseline_p99\": {},\n", t.baseline_p99));
-    s.push_str(&format!("    \"shift_p99\": {},\n", t.shift_p99));
-    s.push_str(&format!("    \"converged_p99\": {},\n", t.converged_p99));
-    s.push_str(&format!(
-        "    \"converge_rounds\": {},\n",
-        t.converge_rounds
-            .map_or_else(|| "null".to_string(), |r| r.to_string())
-    ));
-    s.push_str(&format!("    \"converge_bound\": {},\n", t.converge_bound));
-    s.push_str(&format!("    \"windows\": {},\n", t.windows));
-    s.push_str(&format!("    \"promotions\": {},\n", t.promotions));
-    s.push_str(&format!("    \"demotions\": {},\n", t.demotions));
-    s.push_str(&format!("    \"tuning_ops\": {},\n", t.tuning_ops));
-    s.push_str(&format!("    \"deterministic\": {},\n", t.deterministic));
-    s.push_str(&format!("    \"wal_recovered\": {}\n", t.wal_recovered));
-    s.push_str("  }");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,17 +336,13 @@ mod tests {
     #[test]
     fn shifting_workload_reconverges_and_replays_serially() {
         let data = datasets::xmark(0.004);
-        let perf = PerfConfig {
-            threads: 2,
-            repeats: 1,
-        };
         let cfg = TuningBenchConfig {
             rounds: 8,
             queries_per_round: 128,
             window: 32,
             ..TuningBenchConfig::default()
         };
-        let t = bench_tuning(&data, &perf, &cfg, 7);
+        let t = bench_tuning(&data, 2, &cfg, 7);
         assert!(t.deterministic, "live-tuned serve diverged from serial replay");
         assert!(t.wal_recovered, "WAL replay diverged from the live-tuned state");
         assert!(t.promotions >= 1, "tuner never promoted: {t:?}");
@@ -338,11 +352,10 @@ mod tests {
             t.converge_rounds.is_some_and(|r| r <= cfg.converge_bound),
             "p99 did not re-converge: {t:?}"
         );
-        assert!(t.gate_ok(), "gate failed: {t:?}");
-        let json = tuning_to_json(&t);
-        assert!(json.contains("\"p99_curve\""), "{json}");
-        assert!(json.contains("\"converge_rounds\""), "{json}");
-        assert!(json.contains("\"deterministic\": true"), "{json}");
-        assert!(json.contains("\"wal_recovered\": true"), "{json}");
+        assert_eq!(t.check(), Ok(()), "{t:?}");
+        let stuck = TuningBenchResult { converge_rounds: None, ..t };
+        let refusal = stuck.check().expect_err("a curve that never converges must fail");
+        assert!(refusal.contains("did not re-converge within 8 round(s)"), "{refusal}");
+        assert!(stuck.rows().contains(&("converge_rounds", "null".to_string())));
     }
 }

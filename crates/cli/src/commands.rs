@@ -836,7 +836,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         dk,
         ServeConfig {
             max_batch: batch,
-            threads,
             tune_interval: parsed.tune_interval.unwrap_or(0),
             tuner: tuner_config(&parsed),
             record_ops: true,
@@ -937,7 +936,6 @@ fn cmd_serve_net(index_path: &str, addr: &str, parsed: &Parsed<'_>) -> Result<St
     let batch = parsed.batch.unwrap_or(8).max(1);
     let cfg = ServeConfig {
         max_batch: batch,
-        threads: 1,
         tune_interval: parsed.tune_interval.unwrap_or(0),
         tuner: tuner_config(parsed),
         ..ServeConfig::default()
@@ -1850,7 +1848,7 @@ mod tests {
               "--idref", "idref"])
             .unwrap();
         let (dk, g, _) = load_index_graceful(idx.to_str().unwrap()).unwrap();
-        let server = DkServer::start(g, dk, ServeConfig { max_batch: 4, threads: 1, ..ServeConfig::default() });
+        let server = DkServer::start(g, dk, ServeConfig { max_batch: 4, ..ServeConfig::default() });
         NetServer::start(server, "127.0.0.1:0", cfg).unwrap()
     }
 
@@ -2019,7 +2017,7 @@ mod tests {
         let server = DkServer::start_logged(
             g,
             dk,
-            ServeConfig { max_batch: 4, threads: 1, ..ServeConfig::default() },
+            ServeConfig { max_batch: 4, ..ServeConfig::default() },
             Box::new(writer),
         );
         assert!(server.is_logged());

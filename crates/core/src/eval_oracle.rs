@@ -6,7 +6,7 @@
 //! It is a free function rather than a method so the oracle does not live
 //! on the type it certifies; the analyzer's `oracle-purity` rule forbids
 //! this module from naming the evaluator or its fast-path building blocks
-//! (ARCHITECTURE.md §6). Tests and `bench::perf` compare every evaluator
+//! (ARCHITECTURE.md §6). Tests and `bench::gates` compare every evaluator
 //! outcome — matches, both visit counts and the `validated` flag — against
 //! it byte for byte.
 

@@ -79,9 +79,6 @@ pub struct ServeConfig {
     /// per batch). `1` publishes after every op; larger batches amortize the
     /// publish cost under update-heavy load.
     pub max_batch: usize,
-    /// Worker threads for the sharded initial construction
-    /// ([`DkIndex::build_sharded`]); `0` means machine parallelism.
-    pub threads: usize,
     /// Live tuning cadence: run one [`Tuner::step`] every this many
     /// published batches and enqueue the op it plans as an ordinary serve
     /// op. `0` (the default) disables live tuning — the serve loop then has
@@ -100,7 +97,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            threads: 1,
             tune_interval: 0,
             tuner: TunerConfig::default(),
             record_ops: false,
@@ -366,8 +362,7 @@ pub struct MaintenanceGate {
     _resume: mpsc::Sender<()>,
 }
 
-/// The concurrent serving layer: spawn with [`DkServer::start`] (or
-/// [`DkServer::build_and_start`] for a sharded fresh build), hand
+/// The concurrent serving layer: spawn with [`DkServer::start`], hand
 /// [`ServeHandle`]s to reader threads, feed updates through
 /// [`DkServer::submit`], and [`DkServer::shutdown`] to reclaim the final
 /// state.
@@ -472,18 +467,6 @@ impl DkServer {
     /// wait for the group commit.
     pub fn is_logged(&self) -> bool {
         self.logged
-    }
-
-    /// Build the index with sharded construction
-    /// ([`DkIndex::build_sharded`] over `config.threads` workers), then
-    /// [`DkServer::start`] serving it.
-    pub fn build_and_start(
-        data: DataGraph,
-        requirements: Requirements,
-        config: ServeConfig,
-    ) -> DkServer {
-        let dk = DkIndex::build_sharded(&data, requirements, config.threads);
-        DkServer::start(data, dk, config)
     }
 
     /// A cloneable reader handle.

@@ -176,7 +176,6 @@ fn server_publishes_delta_epochs() {
         dk,
         ServeConfig {
             max_batch: 8,
-            threads: 1,
             ..ServeConfig::default()
         },
     );

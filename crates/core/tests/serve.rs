@@ -113,7 +113,6 @@ fn threaded_serve_matches_serial_application() {
             dk.clone(),
             ServeConfig {
                 max_batch,
-                threads: 1,
                 ..ServeConfig::default()
             },
         );
@@ -155,7 +154,6 @@ fn racing_readers_always_see_a_consistent_epoch() {
         dk,
         ServeConfig {
             max_batch: 1,
-            threads: 1,
             ..ServeConfig::default()
         },
     );
@@ -217,7 +215,6 @@ fn epoch_memo_is_dropped_on_publish() {
         dk,
         ServeConfig {
             max_batch: 1,
-            threads: 1,
             ..ServeConfig::default()
         },
     );
@@ -313,7 +310,6 @@ fn poisoned_server_fails_flush_with_typed_error() {
         dk,
         ServeConfig {
             max_batch: 4,
-            threads: 1,
             ..ServeConfig::default()
         },
         Box::new(writer),
@@ -353,7 +349,6 @@ fn poisoned_server_fast_fails_submits_and_recovers_committed_prefix() {
         dk.clone(),
         ServeConfig {
             max_batch: 1,
-            threads: 1,
             ..ServeConfig::default()
         },
         Box::new(writer),
@@ -439,7 +434,6 @@ fn live_tuning_promotes_under_deep_load_and_replays_serially() {
             tune_interval: 1,
             tuner: TunerConfig { window: 4, min_support: 2 },
             record_ops: true,
-            ..ServeConfig::default()
         },
     );
     let handle = server.handle();
@@ -501,7 +495,6 @@ fn threaded_live_tuning_matches_serial_replay_of_recorded_ops() {
                 tune_interval: 1,
                 tuner: TunerConfig { window: 4, min_support: 2 },
                 record_ops: true,
-                ..ServeConfig::default()
             },
         );
         let edges = generate_update_edges(&g, 6, 11);

@@ -36,7 +36,6 @@ fn start_net(cfg: NetConfig) -> (NetServer, DataGraph, DkIndex) {
         dk.clone(),
         ServeConfig {
             max_batch: 16,
-            threads: 1,
             ..ServeConfig::default()
         },
     );
