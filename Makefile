@@ -11,7 +11,7 @@
 # `verify-faults` sweeps injected snapshot/WAL corruption and fails on any
 # panic, silently accepted damage, or disagreement between the strict and
 # the recovering snapshot reader about what is intact. `verify-serve` re-runs the concurrent
-# serving suite (sharded-construction byte-identity, serve-vs-serial
+# serving suite (construction-vs-oracle identity, serve-vs-serial
 # determinism, racing-reader consistency) in release mode, where thread
 # interleavings differ from the debug test run. `verify-crash` is the
 # crash-recovery torture gate for the write-ahead log (docs/PROTOCOL.md §8):

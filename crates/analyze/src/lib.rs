@@ -91,8 +91,7 @@ pub fn default_config() -> RuleConfig {
         oracles: vec![
             OracleSpec {
                 module: "dkindex_core::dk::reference".into(),
-                oracle_for: "the engine-backed D(k) construction (`dk_partition_with_engine`, \
-                             sharded builds)"
+                oracle_for: "the engine-backed D(k) construction (`dk_partition_with_options`)"
                     .into(),
                 forbidden: vec![
                     ForbiddenRef::new(
@@ -149,11 +148,6 @@ pub fn default_config() -> RuleConfig {
                 forbidden: baseline_forbidden(),
             },
             OracleSpec {
-                module: "dkindex_core::fbindex".into(),
-                oracle_for: "index-size comparisons (F&B-index baseline)".into(),
-                forbidden: baseline_forbidden(),
-            },
-            OracleSpec {
                 module: "dkindex_core::label_split".into(),
                 oracle_for: "the A(0) label-split baseline".into(),
                 forbidden: baseline_forbidden(),
@@ -170,12 +164,8 @@ pub fn default_config() -> RuleConfig {
             },
             OracleSpec {
                 module: "dkindex_partition::coarsest".into(),
-                oracle_for: "bisimulation partition fast paths".into(),
-                forbidden: partition_forbidden(),
-            },
-            OracleSpec {
-                module: "dkindex_partition::paige_tarjan".into(),
-                oracle_for: "bisimulation partition fast paths".into(),
+                oracle_for: "the RefineEngine-built summaries the 1-index is compared against"
+                    .into(),
                 forbidden: partition_forbidden(),
             },
         ],
@@ -292,9 +282,15 @@ fn partition_forbidden() -> Vec<ForbiddenRef> {
     ]
 }
 
-/// Analyze the workspace at `root` with the repository rule tables.
+/// Analyze the workspace at `root` with the repository rule tables. The
+/// one place where table and tree must correspond row for row, so this is
+/// where a stale row ([`rules::stale_rows`]) becomes a finding.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    analyze_workspace_with(root, &default_config())
+    let config = default_config();
+    let files = workspace::load_workspace(root)?;
+    let mut findings = rules::run_all(&files, &config, Some(root));
+    findings.extend(rules::stale_rows(&files, &config, Path::new(file!())));
+    Ok(findings)
 }
 
 /// Analyze the workspace at `root` with a caller-provided config (fixture

@@ -16,7 +16,7 @@ pub mod purity;
 pub mod unsafety;
 pub mod wire;
 
-use crate::model::SourceFile;
+use crate::model::{in_scope, SourceFile};
 use crate::symbols::SymbolIndex;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -339,6 +339,33 @@ pub(crate) const KEYWORDS: &[&str] = &[
     "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe", "use",
     "where", "while", "yield",
 ];
+
+/// Rule-table rows that fence nothing: an oracle module or a scope entry
+/// that none of `files` provides — what a renamed or deleted module leaves
+/// behind, silently losing its rule. Each is a finding under the rule the
+/// row configures, reported at `table` (the file holding the tables; line
+/// 0, a row has no line of its own). [`run_all`] does not call this: the
+/// fixture tests point the repository tables at partial trees on purpose.
+pub fn stale_rows(files: &[SourceFile], config: &RuleConfig, table: &Path) -> Vec<Finding> {
+    let mut rows: Vec<(&'static str, &String)> = Vec::new();
+    rows.extend(config.determinism_scope.iter().map(|m| ("nondeterministic-iter", m)));
+    rows.extend(config.panic_scope.iter().map(|m| ("panic-path", m)));
+    rows.extend(config.oracles.iter().map(|o| ("oracle-purity", &o.module)));
+    if let Some(cfg) = &config.guard {
+        rows.extend(cfg.scope.iter().map(|m| ("guard-discipline", m)));
+    }
+    if let Some(cfg) = &config.consume {
+        rows.extend(cfg.scope.iter().map(|m| ("must-consume", m)));
+    }
+    rows.retain(|(_, entry)| !files.iter().any(|f| in_scope(&f.module, entry)));
+    let finding = |(rule, entry): (&'static str, &String)| Finding {
+        path: table.to_path_buf(),
+        line: 0,
+        rule,
+        message: format!("rule table names `{entry}`, which no analysed file provides"),
+    };
+    rows.into_iter().map(finding).collect()
+}
 
 /// Run every configured rule over `files` (one whole workspace or a
 /// fixture set). `root` resolves the cross-artifact rules' doc and test

@@ -11,9 +11,10 @@
 //! complete fixture crate.
 
 use dkindex_analyze::rules::{
-    count_by_rule, BlockingSpec, ConsumeConfig, ForbiddenRef, GuardConfig, GuardSpec,
+    count_by_rule, stale_rows, BlockingSpec, ConsumeConfig, ForbiddenRef, GuardConfig, GuardSpec,
     MetricConfig, OracleSpec, RuleConfig, WireConfig,
 };
+use dkindex_analyze::workspace::load_workspace;
 use dkindex_analyze::{analyze_workspace, analyze_workspace_with, default_config, Finding, RULES};
 use std::path::{Path, PathBuf};
 
@@ -140,9 +141,12 @@ fn a_bare_allow_comment_is_itself_a_finding() {
     }
 }
 
+/// Also the stale-row check: a table whose every row matches the tree has
+/// none; one oracle row naming a module the tree does not provide — what a
+/// renamed or deleted oracle leaves behind — is one `oracle-purity` finding.
 #[test]
 fn the_clean_tree_has_zero_findings_under_the_full_config() {
-    let config = RuleConfig {
+    let mut config = RuleConfig {
         determinism_scope: vec!["cleanc".into()],
         panic_scope: vec!["cleanc".into()],
         oracles: vec![OracleSpec {
@@ -184,6 +188,19 @@ fn the_clean_tree_has_zero_findings_under_the_full_config() {
     };
     let findings = analyze_workspace_with(&fixture_root("clean"), &config).unwrap();
     assert!(findings.is_empty(), "clean tree must have zero findings: {findings:?}");
+
+    let files = load_workspace(&fixture_root("clean")).unwrap();
+    assert!(stale_rows(&files, &config, Path::new("tables.rs")).is_empty());
+    config.oracles.push(OracleSpec {
+        module: "cleanc::renamed_away".into(),
+        oracle_for: "nothing any more".into(),
+        forbidden: Vec::new(),
+    });
+    let stale = stale_rows(&files, &config, Path::new("tables.rs"));
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    let printed = stale[0].to_string();
+    assert!(printed.starts_with("tables.rs:0: oracle-purity: "), "{printed}");
+    assert!(printed.contains("`cleanc::renamed_away`"), "{printed}");
 }
 
 /// The delta-epoch store modules (`dkindex_graph::segvec`,

@@ -14,8 +14,8 @@
 //!   ablation-promote     promoting after updates (ablation B)
 //!   degradation          cost vs update count, with/without periodic promotion (D1)
 //!   length-sweep         cost by query length per index (D2)
-//!   bench-smoke          the exact gate set: oracle == arena == parallel
-//!                        evaluation, reference == engine construction, and
+//!   bench-smoke          the exact gate set: oracle == arena evaluation,
+//!                        reference == engine construction, and
 //!                        the churn / net / tune gates below; writes the
 //!                        counts to BENCH_eval.json and exits nonzero on the
 //!                        first failing clause of any gate
@@ -51,10 +51,11 @@
 //!   all        everything above in order
 //! ```
 //!
-//! `bench-smoke` extra flags: `--threads N` (0 = machine parallelism; the
-//! `verify-churn` / `verify-net` / `verify-tune` single-gate modes take it
-//! too), `--out PATH` (default `BENCH_eval.json`), `--metrics PATH` (default
-//! `METRICS.json`), `--analyze PATH` (default `ANALYZE.json`). Nothing
+//! `bench-smoke` extra flags: `--threads N` (reader threads of the churn /
+//! net / tuning gates, 0 = machine parallelism; the `verify-churn` /
+//! `verify-net` / `verify-tune` single-gate modes take it too), `--out PATH`
+//! (default `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`),
+//! `--analyze PATH` (default `ANALYZE.json`). Nothing
 //! `bench-smoke` writes to `--out` is a timing: every row is a count or a
 //! verdict that repeats run to run, and each gate's acceptance conditions
 //! are the same `check` its `verify-*` mode runs. Besides the gate set it

@@ -19,9 +19,9 @@ use crate::loc::{loc_to_json, LocReport};
 use crate::net::{bench_net, NetBenchConfig, NetBenchResult};
 use crate::report::{rows_json, rows_line, Rows};
 use crate::tuning::{bench_tuning, TuningBenchConfig, TuningBenchResult};
-use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
+use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::{
-    apply_serial, eval_oracle, evaluate_workload_parallel, snapshot_bytes, AkIndex, DkIndex,
+    apply_serial, eval_oracle, snapshot_bytes, AkIndex, DkIndex,
     DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig, ServeOp,
     Tuner, TunerConfig,
 };
@@ -65,7 +65,7 @@ fn oracle_outcomes(
     all
 }
 
-/// Arena + memo evaluator, single thread.
+/// Arena + memo evaluator.
 fn arena_outcomes(
     indexes: &[IndexGraph],
     data: &DataGraph,
@@ -78,15 +78,15 @@ fn arena_outcomes(
     all
 }
 
-/// Batch evaluation through every index: oracle vs arena vs parallel.
+/// Batch evaluation through every index: oracle vs arena.
 #[derive(Clone, Debug)]
 pub struct EvalBenchResult {
     /// Indexes the workload is evaluated through.
     pub indexes: usize,
     /// Queries in the workload.
     pub queries: usize,
-    /// All three paths returned byte-identical outcomes (matches, visit
-    /// counts, validated flags).
+    /// Both paths returned byte-identical outcomes (matches, visit counts,
+    /// validated flags).
     pub identical_outcomes: bool,
     /// Total index visits across the workload (the paper's §6.1 cost).
     pub index_visits: u64,
@@ -106,7 +106,7 @@ impl EvalBenchResult {
         ]
     }
 
-    /// Fails when the oracle, arena and parallel outcomes differ.
+    /// Fails when the oracle and arena outcomes differ.
     pub fn check(&self) -> Result<(), String> {
         if self.identical_outcomes {
             Ok(())
@@ -116,36 +116,26 @@ impl EvalBenchResult {
     }
 }
 
-/// Evaluate `queries` through every index in `indexes` on the oracle, the
-/// arena evaluator and `threads` parallel workers, and compare.
-fn bench_eval(
-    indexes: &[IndexGraph],
-    data: &DataGraph,
-    queries: &[PathExpr],
-    threads: usize,
-) -> EvalBenchResult {
+/// Evaluate `queries` through every index in `indexes` on the oracle and
+/// the arena evaluator, and compare.
+fn bench_eval(indexes: &[IndexGraph], data: &DataGraph, queries: &[PathExpr]) -> EvalBenchResult {
     let oracle = oracle_outcomes(indexes, data, queries);
-    let arena = arena_outcomes(indexes, data, queries);
-    let mut parallel: Vec<IndexEvalOutcome> = Vec::new();
-    for index in indexes {
-        parallel.extend(evaluate_workload_parallel(index, data, queries, threads));
-    }
     EvalBenchResult {
         indexes: indexes.len(),
         queries: queries.len(),
-        identical_outcomes: oracle == arena && oracle == parallel,
+        identical_outcomes: oracle == arena_outcomes(indexes, data, queries),
         index_visits: oracle.iter().map(|o| o.cost.index_visits).sum(),
         data_visits: oracle.iter().map(|o| o.cost.data_visits).sum(),
     }
 }
 
-/// Construction of one summary: reference vs engine vs threaded engine.
+/// Construction of one summary: reference vs engine.
 #[derive(Clone, Debug)]
 pub struct BuildBenchResult {
     /// Summary name, e.g. `"A(4)"`.
     pub name: String,
-    /// Both engine partitions equal the reference partition (same block
-    /// ids, same member order).
+    /// The engine partition equals the reference partition (same block ids,
+    /// same member order).
     pub identical_partition: bool,
     /// Blocks in the final partition.
     pub blocks: usize,
@@ -161,7 +151,7 @@ impl BuildBenchResult {
         ]
     }
 
-    /// Fails when an engine partition differs from the reference.
+    /// Fails when the engine partition differs from the reference.
     pub fn check(&self) -> Result<(), String> {
         if self.identical_partition {
             Ok(())
@@ -172,28 +162,23 @@ impl BuildBenchResult {
 }
 
 /// A(k) construction: reference [`k_bisimulation`] vs
-/// [`RefineEngine::k_bisimulation`], sequential and with `threads` workers.
-fn bench_ak_build(data: &DataGraph, k: usize, threads: usize) -> BuildBenchResult {
+/// [`RefineEngine::k_bisimulation`].
+fn bench_ak_build(data: &DataGraph, k: usize) -> BuildBenchResult {
     let reference = k_bisimulation(data, k);
-    let sequential = RefineEngine::new().k_bisimulation(data, k);
-    let parallel = RefineEngine::with_threads(threads).k_bisimulation(data, k);
     BuildBenchResult {
         name: format!("A({k})"),
-        identical_partition: reference == sequential && reference == parallel,
+        identical_partition: reference == RefineEngine::new().k_bisimulation(data, k),
         blocks: reference.block_count(),
     }
 }
 
 /// D(k) construction for `reqs`: the retained reference loop vs
-/// [`dk_partition_with_engine`], sequential and with `threads` workers.
-fn bench_dk_build(data: &DataGraph, reqs: &Requirements, threads: usize) -> BuildBenchResult {
+/// [`dk_partition`].
+fn bench_dk_build(data: &DataGraph, reqs: &Requirements) -> BuildBenchResult {
     let reference = dk_partition_reference(data, reqs, true);
-    let sequential = dk_partition_with_engine(data, reqs, true, &mut RefineEngine::new());
-    let parallel =
-        dk_partition_with_engine(data, reqs, true, &mut RefineEngine::with_threads(threads));
     BuildBenchResult {
         name: "D(k)".to_string(),
-        identical_partition: reference == sequential && reference == parallel,
+        identical_partition: reference == dk_partition(data, reqs),
         blocks: reference.0.block_count(),
     }
 }
@@ -362,7 +347,7 @@ pub fn bench_churn(
 /// document order.
 #[derive(Clone, Debug)]
 pub struct GateSet {
-    /// Threads the parallel paths and reader pools ran with.
+    /// Threads the reader pools ran with.
     pub threads: usize,
     /// Batch evaluation through the figure-4 index set.
     pub eval: EvalBenchResult,
@@ -391,11 +376,8 @@ pub fn run_gates(
     let reqs = workload.mine_requirements();
     GateSet {
         threads,
-        eval: bench_eval(&figure4_indexes(data, &reqs, max_k), data, queries, threads),
-        builds: vec![
-            bench_ak_build(data, max_k, threads),
-            bench_dk_build(data, &reqs, threads),
-        ],
+        eval: bench_eval(&figure4_indexes(data, &reqs, max_k), data, queries),
+        builds: vec![bench_ak_build(data, max_k), bench_dk_build(data, &reqs)],
         churn: bench_churn(data, queries, &reqs, threads, seed),
         net: bench_net(data, queries, &reqs, threads, net_cfg, seed),
         tuning: bench_tuning(data, threads, tune_cfg, seed),
@@ -472,7 +454,7 @@ impl TelemetryBenchResult {
 ///
 /// The oracles are the retained PR 1 reference paths — [`dk_partition_reference`]
 /// and [`eval_oracle::evaluate`], run with the recorder off. The
-/// fast paths ([`dk_partition_with_engine`], [`IndexEvaluator::evaluate_all`])
+/// fast paths ([`dk_partition`], [`IndexEvaluator::evaluate_all`])
 /// are then run twice, recorder off and recorder on, and compared for
 /// byte-identical partitions, similarities, matches, and visit counts. The
 /// recorder-on run is wrapped in the `phase.build_ns` / `phase.query_ns`
@@ -499,7 +481,7 @@ pub fn bench_telemetry(
     let fast_pass = || {
         let partition = {
             let _span = telemetry::Span::start(&telemetry::metrics::PHASE_BUILD_NS);
-            dk_partition_with_engine(data, reqs, true, &mut RefineEngine::new())
+            dk_partition(data, reqs)
         };
         let out = {
             let _span = telemetry::Span::start(&telemetry::metrics::PHASE_QUERY_NS);

@@ -11,12 +11,12 @@ use dkindex_core::snapshot::{
 };
 use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
-    apply_serial, mine_requirements, DkIndex, DkServer, FbIndex, IndexEvaluator, Requirements,
+    apply_serial, mine_requirements, DkIndex, DkServer, IndexEvaluator, Requirements,
     ServeConfig, ServeError, ServeOp, Tuner, TunerConfig,
 };
 use dkindex_graph::stats::{label_histogram, GraphStats};
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
-use dkindex_pathexpr::{parse, parse_twig, PathExpr};
+use dkindex_pathexpr::{parse, PathExpr};
 use dkindex_server::{ConnectError, ErrorCode, Frame, NetClient, NetConfig, NetServer};
 use dkindex_telemetry as telemetry;
 use dkindex_xml::{stream_to_graph, GraphOptions};
@@ -32,7 +32,6 @@ usage:
                 [--queries <file>] [--idref ATTR]...
   dkindex info  <index.dki>
   dkindex query <index.dki> <path-expression> [--budget N]
-  dkindex twig  <doc.xml> <twig-query> [--idref ATTR]...
   dkindex add-edge <index.dki> <from-id> <to-id> --out <index2.dki>
                 [--wal <file.wal>]
   dkindex add-file <index.dki> <doc.xml> --out <index2.dki> [--idref ATTR]...
@@ -52,6 +51,9 @@ usage:
 global flags:
   --metrics <path>   record hot-path telemetry across the command and write
                      a JSON snapshot to <path> on success
+
+path expressions: at most 512 nodes (one per label, _, ., |, ?, *) and 64
+  nested parentheses; a longer or deeper one is a syntax error (exit 2)
 
 exit codes:
   0 success   2 usage/query syntax   3 I/O   4 corrupt input
@@ -80,7 +82,7 @@ pub enum CliError {
         /// What was wrong with it.
         message: String,
     },
-    /// A path expression or twig query failed to parse.
+    /// A path expression failed to parse.
     Query(String),
     /// `doctor` found invariant violations that make answers untrustworthy.
     Unsound {
@@ -200,7 +202,6 @@ fn dispatch_command(args: &[String]) -> Result<String, CliError> {
         Some("build") => cmd_build(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        Some("twig") => cmd_twig(&args[1..]),
         Some("add-edge") => cmd_add_edge(&args[1..]),
         Some("add-file") => cmd_add_file(&args[1..]),
         Some("tune") => cmd_tune(&args[1..]),
@@ -509,29 +510,6 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     }
     if out.matches.len() > 20 {
         let _ = writeln!(text, "  ... and {} more", out.matches.len() - 20);
-    }
-    Ok(text)
-}
-
-fn cmd_twig(args: &[String]) -> Result<String, CliError> {
-    let parsed = parse_args(args)?;
-    let [path, twig_text] = parsed.positional[..] else {
-        return Err(CliError::usage("twig expects <doc.xml> <twig-query>"));
-    };
-    let g = load_xml(path, &parsed.idrefs)?;
-    let twig = parse_twig(twig_text).map_err(|e| CliError::Query(e.to_string()))?;
-    let fb = FbIndex::build(&g);
-    let (matches, visited) = fb.evaluate_twig(&twig);
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "{} match(es) via F&B-index ({} states, {} visits)",
-        matches.len(),
-        fb.size(),
-        visited
-    );
-    for n in matches.iter().take(20) {
-        let _ = writeln!(text, "  node {} ({})", n.index(), g.label_name(*n));
     }
     Ok(text)
 }
@@ -1327,14 +1305,6 @@ mod tests {
         assert!(q.contains("1 match(es)"), "{q}");
     }
 
-    #[test]
-    fn twig_command_answers_branching_queries() {
-        let dir = TempDir::new("twig");
-        let doc = write_doc(&dir);
-        let out = run(&["twig", doc.to_str().unwrap(), "director[movie]/name"]).unwrap();
-        assert!(out.contains("1 match(es)"), "{out}");
-    }
-
     /// Build a label-split index of `DOC`, promote it under a deep `title`
     /// load, then tune the result with `load`: that second report, and the
     /// deep query's answer line on the index it produced.
@@ -1479,6 +1449,21 @@ mod tests {
         run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap()]).unwrap();
         let err = run(&["query", idx.to_str().unwrap(), "movie..title"]).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
+        // So is one over the nesting or size cap (the two shapes that used to
+        // overflow the stack), also from a --queries file, named by line.
+        let nested = format!("{}title{}", "(".repeat(10_000), ")".repeat(10_000));
+        for text in [nested.clone(), vec!["a"; 500_000].join(".")] {
+            let err = run(&["query", idx.to_str().unwrap(), &text]).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+        }
+        let load = dir.file("load.txt");
+        fs::write(&load, format!("movie.title\n{nested}\n")).unwrap();
+        let err = run(&["stats", doc.to_str().unwrap(), "--queries", load.to_str().unwrap()])
+            .unwrap_err();
+        assert!(err.exit_code() == 2 && err.to_string().contains("load.txt:2:"), "{err}");
+        // The twig verb left with the F&B island it fronted.
+        let err = run(&["twig", doc.to_str().unwrap(), "director[movie]/name"]).unwrap_err();
+        assert!(err.exit_code() == 2 && err.to_string().contains("unknown command"), "{err}");
     }
 
     #[test]

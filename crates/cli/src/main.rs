@@ -1,24 +1,6 @@
 //! `dkindex` — command-line front-end for the D(k)-index library.
 //!
-//! ```text
-//! dkindex stats <doc.xml> [--queries <file>] [--idref ATTR]...
-//! dkindex dot   <doc.xml> [--idref ATTR]...
-//! dkindex build <doc.xml> --out <index.dki> [--req LABEL=K]... [--uniform K]
-//!               [--queries <file>] [--idref ATTR]...
-//! dkindex info  <index.dki>
-//! dkindex query <index.dki> <path-expression>
-//! dkindex twig  <doc.xml> <twig-query> [--idref ATTR]...
-//! dkindex add-edge <index.dki> <from-id> <to-id> --out <index2.dki> [--wal <file>]
-//! dkindex snapshot <index.dki> --out <snap.dki> [--wal <file>]
-//! dkindex recover  <snap.dki> --out <fixed.dki> [--wal <file>]
-//! dkindex doctor   <index.dki>
-//! dkindex serve    <index.dki> --queries <file> [--threads N] [--updates N]
-//!                  [--batch N] [--rounds N]
-//! dkindex serve    <index.dki> --listen <addr> [--workers N] [--accept-queue N]
-//!                  [--staleness N] [--budget N] [--batch N] [--duration-ms N]
-//! dkindex client   <addr> [--ping] [--query <expr> [--budget N] [--rounds N]]
-//!                  [--update FROM:TO] [--stats]
-//! ```
+//! Verbs and flags are listed once, in `commands::USAGE` (`dkindex --help`).
 //!
 //! `build` mines requirements from `--queries` (one path expression per
 //! line) and/or explicit `--req label=k` pairs, constructs the D(k)-index

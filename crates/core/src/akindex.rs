@@ -43,15 +43,7 @@ impl std::ops::AddAssign for UpdateWork {
 impl AkIndex {
     /// Build the A(k)-index of `data` in O(k·m).
     pub fn build(data: &DataGraph, k: usize) -> Self {
-        AkIndex::build_with_engine(data, k, &mut RefineEngine::new())
-    }
-
-    /// [`Self::build`] on a caller-owned [`RefineEngine`]: repeated builds
-    /// reuse its scratch, and `RefineEngine::with_threads(n)` parallelises
-    /// the refinement rounds. The index is identical for every engine
-    /// configuration.
-    pub fn build_with_engine(data: &DataGraph, k: usize, engine: &mut RefineEngine) -> Self {
-        let p = engine.k_bisimulation(data, k);
+        let p = RefineEngine::new().k_bisimulation(data, k);
         let sims = vec![k; p.block_count()];
         AkIndex {
             index: IndexGraph::from_data_partition(data, &p, sims),

@@ -19,7 +19,7 @@ use dkindex_telemetry as telemetry;
 /// similarity (the broadcast-adjusted requirement). Generic over
 /// [`LabeledGraph`] so the same routine re-indexes an index graph (the
 /// subgraph-addition update and the demoting process, via Theorem 2).
-pub fn dk_partition<G: LabeledGraph + Sync>(
+pub fn dk_partition<G: LabeledGraph>(
     g: &G,
     reqs: &Requirements,
 ) -> (Partition, Vec<usize>) {
@@ -31,24 +31,12 @@ pub fn dk_partition<G: LabeledGraph + Sync>(
 /// `use_broadcast = false` exists **only** for the ablation experiment that
 /// demonstrates why Algorithm 1 is necessary: without it the result can
 /// violate the Definition 3 constraint and claim soundness it does not have.
-pub fn dk_partition_with_options<G: LabeledGraph + Sync>(
+pub fn dk_partition_with_options<G: LabeledGraph>(
     g: &G,
     reqs: &Requirements,
     use_broadcast: bool,
 ) -> (Partition, Vec<usize>) {
-    dk_partition_with_engine(g, reqs, use_broadcast, &mut RefineEngine::new())
-}
-
-/// [`dk_partition_with_options`] running its selective rounds on a
-/// caller-owned [`RefineEngine`], so repeated constructions reuse scratch
-/// buffers and a multi-threaded engine fans signature computation out.
-/// The partition is identical for every engine configuration.
-pub fn dk_partition_with_engine<G: LabeledGraph + Sync>(
-    g: &G,
-    reqs: &Requirements,
-    use_broadcast: bool,
-    engine: &mut RefineEngine,
-) -> (Partition, Vec<usize>) {
+    let mut engine = RefineEngine::new();
     let span = telemetry::Span::start(&telemetry::metrics::DK_CONSTRUCT_NS);
     let p0 = Partition::by_label(g);
     let table = reqs.resolve(g.labels());
@@ -120,33 +108,11 @@ impl DkIndex {
     /// (Algorithm 2). Empty requirements give the label-split graph; uniform
     /// requirements `k` give exactly the A(k)-index.
     pub fn build(data: &DataGraph, requirements: Requirements) -> Self {
-        DkIndex::build_with_engine(data, requirements, &mut RefineEngine::new())
-    }
-
-    /// [`Self::build`] on a caller-owned [`RefineEngine`]: repeated builds
-    /// reuse its scratch, and `RefineEngine::with_threads(n)` parallelises
-    /// the refinement rounds. The index is identical for every engine
-    /// configuration.
-    pub fn build_with_engine(
-        data: &DataGraph,
-        requirements: Requirements,
-        engine: &mut RefineEngine,
-    ) -> Self {
-        let (p, sims) = dk_partition_with_engine(data, &requirements, true, engine);
+        let (p, sims) = dk_partition(data, &requirements);
         DkIndex {
             index: IndexGraph::from_data_partition(data, &p, sims),
             requirements,
         }
-    }
-
-    /// Sharded construction: [`Self::build`] with the initial refinement
-    /// work fanned across `threads` worker threads (`0` = machine
-    /// parallelism). The engine's deterministic node-order merge makes the
-    /// result byte-identical to the single-threaded build — and to the
-    /// retained [`super::dk_partition_reference`] oracle — for every thread
-    /// count.
-    pub fn build_sharded(data: &DataGraph, requirements: Requirements, threads: usize) -> Self {
-        DkIndex::build_with_engine(data, requirements, &mut RefineEngine::with_threads(threads))
     }
 
     /// Reassemble a D(k)-index from stored parts (the `store` module's

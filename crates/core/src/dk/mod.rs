@@ -31,9 +31,7 @@ pub mod reference;
 pub mod subgraph;
 
 pub use broadcast::{block_parent_sets, broadcast_requirements, requirements_consistent};
-pub use construct::{
-    dk_partition, dk_partition_with_engine, dk_partition_with_options, DkIndex,
-};
+pub use construct::{dk_partition, dk_partition_with_options, DkIndex};
 pub use reference::dk_partition_reference;
 pub use demote::enforce_structural_constraint;
 pub use edge_update::{update_local_similarity, EdgeUpdateOutcome};

@@ -1,14 +1,13 @@
 //! The uninstrumented D(k) construction oracle.
 //!
-//! This module is the baseline that certifies the engine-backed fast path
-//! ([`crate::dk::construct::dk_partition_with_engine`] and the sharded
-//! builds): equivalence tests demand byte-identical partitions from both.
-//! For that comparison to mean anything, the oracle must stay independent
-//! of what it checks — it is forbidden (and `dkindex-analyze` enforces)
-//! from touching `RefineEngine` or `dkindex_telemetry`. It pays one
-//! allocation per node per round ([`dkindex_partition::refine_round_selective`]
-//! hashes freshly-built signature vectors), which also makes it the
-//! "before" side of the construction benchmark.
+//! This module is the baseline that certifies the engine-backed construction
+//! ([`crate::dk::construct::dk_partition_with_options`]): equivalence tests
+//! demand byte-identical partitions from both. For that comparison to mean
+//! anything, the oracle must stay independent of what it checks — it is
+//! forbidden (and `dkindex-analyze` enforces) from touching `RefineEngine`
+//! or `dkindex_telemetry`. It pays one allocation per node per round
+//! ([`dkindex_partition::refine_round_selective`] hashes freshly-built
+//! signature vectors).
 
 use crate::dk::broadcast::broadcast_requirements;
 use crate::requirements::Requirements;
@@ -16,9 +15,8 @@ use dkindex_graph::LabeledGraph;
 use dkindex_partition::Partition;
 
 /// The pre-engine D(k) partition loop, kept verbatim as the oracle for
-/// equivalence tests and the before/after construction benchmark. Produces
-/// partitions identical to
-/// [`dk_partition_with_engine`](crate::dk::construct::dk_partition_with_engine).
+/// equivalence tests. Produces partitions identical to
+/// [`dk_partition_with_options`](crate::dk::construct::dk_partition_with_options).
 pub fn dk_partition_reference<G: LabeledGraph>(
     g: &G,
     reqs: &Requirements,

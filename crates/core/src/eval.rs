@@ -281,48 +281,6 @@ pub fn evaluate_on_data(data: &DataGraph, expr: &PathExpr) -> (Vec<NodeId>, u64)
     (out.matches, out.visited)
 }
 
-/// Evaluate a workload across `threads` OS threads (index and data are
-/// shared immutably; queries are striped round-robin). Outcome order
-/// matches `exprs`. Falls back to the sequential path for small workloads.
-pub fn evaluate_workload_parallel(
-    index: &IndexGraph,
-    data: &DataGraph,
-    exprs: &[PathExpr],
-    threads: usize,
-) -> Vec<IndexEvalOutcome> {
-    let threads = threads.max(1).min(exprs.len().max(1));
-    if threads <= 1 || exprs.len() < 4 {
-        return IndexEvaluator::new(index, data).evaluate_all(exprs);
-    }
-    let mut slots: Vec<Option<IndexEvalOutcome>> = vec![None; exprs.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                // Each worker builds its own evaluator — with its own arena
-                // and memo — and takes every `threads`-th query.
-                let mut evaluator = IndexEvaluator::new(index, data);
-                exprs
-                    .iter()
-                    .enumerate()
-                    .skip(t)
-                    .step_by(threads)
-                    .map(|(i, e)| (i, evaluator.evaluate(e)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("evaluator workers do not panic") {
-                slots[i] = Some(outcome);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every query evaluated"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,34 +407,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let data = movie_data();
-        let dk = DkIndex::build(&data, Requirements::uniform(1));
-        let exprs: Vec<_> = [
-            "movie.title",
-            "director.movie.title",
-            "actor.movie",
-            "ROOT.director",
-            "title",
-            "movie.(title|name)",
-            "_.movie",
-            "actor.movie.title",
-        ]
-        .iter()
-        .map(|s| parse(s).unwrap())
-        .collect();
-        let sequential = IndexEvaluator::new(dk.index(), &data).evaluate_all(&exprs);
-        for threads in [1, 2, 3, 8] {
-            let parallel = evaluate_workload_parallel(dk.index(), &data, &exprs, threads);
-            assert_eq!(parallel.len(), sequential.len());
-            for (p, s) in parallel.iter().zip(&sequential) {
-                assert_eq!(p.matches, s.matches);
-                assert_eq!(p.cost, s.cost);
-            }
-        }
-    }
-
     /// The one index→validate loop against the oracle, at every budget:
     /// each `limit` below the oracle's total cost aborts having charged
     /// exactly `limit`, and `limit == cost` reproduces the oracle's outcome
@@ -532,13 +462,6 @@ mod tests {
         evaluator
             .evaluate_bounded(&e, first.cost.total() - 1)
             .expect_err("memo replay must still charge the budget");
-    }
-
-    #[test]
-    fn parallel_evaluation_of_empty_workload() {
-        let data = movie_data();
-        let dk = DkIndex::build(&data, Requirements::new());
-        assert!(evaluate_workload_parallel(dk.index(), &data, &[], 4).is_empty());
     }
 
     #[test]

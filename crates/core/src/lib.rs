@@ -54,7 +54,6 @@ pub mod dataguide;
 pub mod dk;
 pub mod eval;
 pub mod eval_oracle;
-pub mod fbindex;
 pub mod index_graph;
 pub mod index_stats;
 pub mod io_fail;
@@ -75,8 +74,7 @@ pub use audit::{audit, audit_dk, recover_or_rebuild, AuditConfig, AuditReport, F
 pub use block_store::{Block, BlockStore};
 pub use dataguide::{DataGuide, DataGuideError};
 pub use dk::{DkIndex, EdgeUpdateOutcome};
-pub use eval::{evaluate_on_data, evaluate_workload_parallel, IndexEvalOutcome, IndexEvaluator, QueryAborted, QueryCost};
-pub use fbindex::FbIndex;
+pub use eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator, QueryAborted, QueryCost};
 pub use index_graph::{IndexGraph, SIM_EXACT};
 pub use index_stats::IndexStats;
 pub use io_fail::{FailPlan, SharedDisk, SimDisk};

@@ -4,7 +4,7 @@
 
 use crate::index_graph::{IndexGraph, SIM_EXACT};
 use dkindex_graph::DataGraph;
-use dkindex_partition::paige_tarjan;
+use dkindex_partition::coarsest_stable_refinement;
 
 /// The 1-index.
 #[derive(Clone, Debug)]
@@ -13,10 +13,11 @@ pub struct OneIndex {
 }
 
 impl OneIndex {
-    /// Build the 1-index via the Paige–Tarjan coarsest refinement
-    /// (O(m log n), the construction the paper cites in §4.1).
+    /// Build the 1-index via the worklist coarsest stable refinement (the
+    /// Paige–Tarjan-style construction the paper cites in §4.1) — not via
+    /// `RefineEngine`: a baseline stays off the engine it is compared against.
     pub fn build(data: &DataGraph) -> Self {
-        let p = paige_tarjan(data);
+        let p = coarsest_stable_refinement(data);
         let sims = vec![SIM_EXACT; p.block_count()];
         OneIndex {
             index: IndexGraph::from_data_partition(data, &p, sims),

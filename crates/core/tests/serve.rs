@@ -1,67 +1,54 @@
 //! Integration tests for the concurrent serving layer (`core::serve`):
 //!
-//! * sharded construction is byte-identical to the `dk_partition_reference`
-//!   oracle on the XMark-like and NASA-like generators for every thread
-//!   count (and actually exercises the engine's parallel path);
+//! * engine-backed construction is identical to the `dk_partition_reference`
+//!   oracle, and the 1-index to the signature fixpoint, on the XMark-like
+//!   and NASA-like generators;
 //! * an N-thread serve run ends in exactly the state of a serial run over
 //!   the same op sequence — final snapshot bytes and all;
 //! * an interleaving stress run: readers race small-batch publishes and
 //!   every answer must be exact against the epoch it was computed on.
 
-use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
+use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
 use dkindex_core::{
-    evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, Requirements, Tuner, TunerConfig,
+    evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, OneIndex, Requirements, Tuner,
+    TunerConfig,
 };
 use dkindex_datagen::{
     nasa_graph, random_graph, xmark_graph, NasaConfig, RandomGraphConfig, XmarkConfig,
 };
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
-use dkindex_partition::RefineEngine;
+use dkindex_partition::bisimulation_fixpoint;
 use dkindex_pathexpr::parse;
 use dkindex_workload::generate_update_edges;
 
-/// The engine only fans out above its internal threshold; byte-identity on
-/// smaller graphs would not exercise the parallel merge at all.
-const ENGINE_PARALLEL_THRESHOLD: usize = 4096;
-
-fn assert_sharded_identical(g: &DataGraph, reqs: &Requirements, dataset: &str) {
-    assert!(
-        g.node_count() >= ENGINE_PARALLEL_THRESHOLD,
-        "{dataset}: {} nodes do not reach the engine's parallel threshold",
-        g.node_count()
-    );
+/// Each production construction against its oracle at generator scale: the
+/// engine-backed D(k) partition and similarities equal the reference loop's,
+/// and the 1-index's worklist partition is the signature fixpoint's.
+fn assert_constructions_match_their_oracles(g: &DataGraph, reqs: &Requirements, dataset: &str) {
     let (ref_partition, ref_sims) = dk_partition_reference(g, reqs, true);
-    for threads in [1, 2, 4, 8] {
-        let mut engine = RefineEngine::with_threads(threads);
-        let (p, sims) = dk_partition_with_engine(g, reqs, true, &mut engine);
-        assert_eq!(p, ref_partition, "{dataset}: partition diverged at {threads} threads");
-        assert_eq!(sims, ref_sims, "{dataset}: similarities diverged at {threads} threads");
-    }
-    // End to end: the sharded build serializes byte-identically too.
-    let serial = DkIndex::build(g, reqs.clone());
-    for threads in [2, 8] {
-        let sharded = DkIndex::build_sharded(g, reqs.clone(), threads);
-        assert_eq!(
-            snapshot_bytes(&sharded, g),
-            snapshot_bytes(&serial, g),
-            "{dataset}: sharded build bytes diverged at {threads} threads"
-        );
-    }
+    let (p, sims) = dk_partition(g, reqs);
+    assert_eq!(p, ref_partition, "{dataset}: D(k) partition diverged");
+    assert_eq!(sims, ref_sims, "{dataset}: D(k) similarities diverged");
+    let one = OneIndex::build(g).index().to_partition();
+    assert!(
+        one.same_equivalence(&bisimulation_fixpoint(g)),
+        "{dataset}: 1-index is not the bisimulation fixpoint"
+    );
 }
 
 #[test]
-fn sharded_construction_matches_reference_on_xmark() {
+fn construction_matches_reference_on_xmark() {
     let g = xmark_graph(&XmarkConfig::scale(0.02));
     let reqs = Requirements::from_pairs([("item", 2), ("person", 1), ("keyword", 3)]);
-    assert_sharded_identical(&g, &reqs, "xmark");
+    assert_constructions_match_their_oracles(&g, &reqs, "xmark");
 }
 
 #[test]
-fn sharded_construction_matches_reference_on_nasa() {
+fn construction_matches_reference_on_nasa() {
     let g = nasa_graph(&NasaConfig::scale(0.15));
     let reqs = Requirements::from_pairs([("dataset", 1), ("author", 2), ("title", 2)]);
-    assert_sharded_identical(&g, &reqs, "nasa");
+    assert_constructions_match_their_oracles(&g, &reqs, "nasa");
 }
 
 /// A compact random graph plus a deterministic mixed op sequence: edge

@@ -1,6 +1,8 @@
 //! Worklist computation of the coarsest stable refinement, in the style of
 //! Paige & Tarjan's relational coarsest partition algorithm (the algorithm
-//! the paper cites for 1-index construction, §4.1).
+//! the paper cites for 1-index construction, §4.1). This is the 1-index
+//! engine: `OneIndex::build` calls it, and
+//! [`crate::refine::bisimulation_fixpoint`] is its independent oracle.
 //!
 //! A partition is *stable* when for every pair of blocks `(S, B)`, `B` is
 //! either contained in or disjoint from `Succ(S)` (the successors of `S`) —
@@ -8,10 +10,11 @@
 //! stable refinement of the label partition is the (backward) bisimulation
 //! partition, i.e. the extents of the 1-index.
 //!
-//! This implementation uses the classic worklist scheme with the
-//! "smaller half" heuristic: when a block splits, only its smaller fragments
-//! re-enter the worklist if the original was already queued, bounding the
-//! number of times a node participates in splits by O(log n).
+//! This implementation uses the classic worklist scheme with set-based
+//! (non-counting) splitting: when a block splits, both fragments re-enter
+//! the worklist, smaller first. That is O(m·n) in the worst case, not
+//! Paige–Tarjan's O(m log n), and measured the fastest of the engines the
+//! workspace has carried at 10⁵–3 × 10⁵ nodes (EXPERIMENTS.md).
 
 use crate::partition::{BlockId, Partition};
 use dkindex_graph::{LabeledGraph, NodeId};
@@ -211,6 +214,18 @@ mod tests {
         g.add_edge(r, a, EdgeKind::Tree);
         g.add_edge(a, b, EdgeKind::Tree);
         g.add_edge(b, a, EdgeKind::Reference);
+        assert_matches_fixpoint(&g);
+    }
+
+    #[test]
+    fn disconnected_nodes_are_handled() {
+        // Parentless non-root nodes: never hit by any splitter.
+        let mut g = DataGraph::new();
+        g.add_labeled_node("orphan");
+        g.add_labeled_node("orphan");
+        let a = g.add_labeled_node("a");
+        let r = g.root();
+        g.add_edge(r, a, EdgeKind::Tree);
         assert_matches_fixpoint(&g);
     }
 

@@ -1,4 +1,4 @@
-//! The allocation-free, batch-parallel refinement engine.
+//! The allocation-free refinement engine.
 //!
 //! This is the workhorse behind every summary construction in the paper:
 //! A(k) k-bisimulation (§2) and the D(k)-index's selective refinement rounds
@@ -19,11 +19,6 @@
 //!   table (hash buckets with slice-equality collision checks), so regrouping
 //!   keys are `(BlockId, u32)` pairs packed into a `u64` — no hashing of
 //!   variable-length vectors, no per-key allocation.
-//! * **Batch parallelism**: with `threads > 1`, signature computation *and*
-//!   signature hashing are fanned across contiguous node ranges with
-//!   `std::thread::scope` and merged deterministically in node order.
-//!   Interning and regrouping stay sequential in node order, so the result is
-//!   bit-identical for every thread count.
 //!
 //! The produced [`Partition`]s are **identical** (same block ids, same member
 //! order) to those of [`crate::refine::refine_round`] /
@@ -46,21 +41,19 @@ const SKIP_SYMBOL: u32 = u32::MAX;
 
 /// Reusable scratch state for signature-interned partition refinement.
 ///
-/// Build once, call [`refine_round`](Self::refine_round) (or the fixpoint
-/// drivers) many times: after warm-up the only allocations per round are the
-/// output partition's own maps.
-#[derive(Clone, Debug)]
+/// Build once, call [`refine_round`](Self::refine_round) (or
+/// [`k_bisimulation`](Self::k_bisimulation)) many times: after warm-up the
+/// only allocations per round are the output partition's own maps.
+#[derive(Clone, Debug, Default)]
 pub struct RefineEngine {
-    threads: usize,
     /// Concatenated per-node signatures for the current round.
     sig_data: Vec<BlockId>,
     /// `sig_bounds[i]..sig_bounds[i + 1]` delimits node i's slice.
     sig_bounds: Vec<u32>,
-    /// Per-node signature digest, computed by the (possibly parallel)
-    /// signature stage so the sequential interning stage never hashes.
-    /// Entries for skipped nodes are unused.
+    /// Per-node signature digest, computed by the signature stage so the
+    /// interning stage never hashes. Entries for skipped nodes are unused.
     sig_hash: Vec<u64>,
-    /// Sort/dedup scratch for the sequential signature path.
+    /// Sort/dedup scratch for the signature stage.
     scratch: Vec<BlockId>,
     /// Signature hash → candidate symbols (collisions resolved by comparing
     /// slices).
@@ -102,49 +95,16 @@ impl std::hash::Hasher for MixHasher {
 
 type MixBuild = std::hash::BuildHasherDefault<MixHasher>;
 
-impl Default for RefineEngine {
-    fn default() -> Self {
-        RefineEngine::new()
-    }
-}
-
 impl RefineEngine {
-    /// Single-threaded engine.
+    /// An engine with empty scratch buffers.
     pub fn new() -> Self {
-        RefineEngine::with_threads(1)
-    }
-
-    /// Engine fanning signature computation over `threads` threads
-    /// (`0` means "use the machine's available parallelism"). Results are
-    /// identical for every thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        RefineEngine {
-            threads,
-            sig_data: Vec::new(),
-            sig_bounds: Vec::new(),
-            sig_hash: Vec::new(),
-            scratch: Vec::new(),
-            buckets: HashMap::default(),
-            sym_slice: Vec::new(),
-            node_symbol: Vec::new(),
-            pair_ids: HashMap::default(),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        RefineEngine::default()
     }
 
     /// One full refinement round: regroup every node by
     /// `(current block, parent-block set)`. Identical output to
     /// [`crate::refine::refine_round`].
-    pub fn refine_round<G: LabeledGraph + Sync>(
+    pub fn refine_round<G: LabeledGraph>(
         &mut self,
         g: &G,
         prev: &Partition,
@@ -156,11 +116,11 @@ impl RefineEngine {
     /// unchanged. Identical output to
     /// [`crate::refine::refine_round_selective`]. `refine_block` must be
     /// pure — it is consulted once per node per stage.
-    pub fn refine_round_selective<G: LabeledGraph + Sync>(
+    pub fn refine_round_selective<G: LabeledGraph>(
         &mut self,
         g: &G,
         prev: &Partition,
-        refine_block: impl Fn(BlockId) -> bool + Sync,
+        refine_block: impl Fn(BlockId) -> bool,
     ) -> (Partition, bool) {
         let n = g.node_count();
         debug_assert_eq!(n, prev.node_count());
@@ -188,17 +148,13 @@ impl RefineEngine {
 
     /// Stage 1: fill `sig_data` / `sig_bounds` with every refined node's
     /// sorted, deduplicated parent-block slice (skipped nodes get an empty
-    /// slice), and `sig_hash` with each refined slice's digest. Parallel
-    /// over contiguous node ranges when it pays off — this is the sharded
-    /// part of construction: the per-node sort/dedup *and* the signature
-    /// hashing both run on the workers, leaving the sequential interning
-    /// stage nothing but table lookups. The deterministic node-order merge
-    /// keeps the output byte-identical for every thread count.
-    fn compute_signatures<G: LabeledGraph + Sync>(
+    /// slice), and `sig_hash` with each refined slice's digest, leaving the
+    /// interning stage nothing but table lookups.
+    fn compute_signatures<G: LabeledGraph>(
         &mut self,
         g: &G,
         prev: &Partition,
-        refine_block: &(impl Fn(BlockId) -> bool + Sync),
+        refine_block: &impl Fn(BlockId) -> bool,
     ) {
         let n = g.node_count();
         self.sig_data.clear();
@@ -227,60 +183,21 @@ impl RefineEngine {
             }
         };
 
-        // Below this, thread spawn overhead dominates the round itself.
-        const PARALLEL_THRESHOLD: usize = 4096;
-        if self.threads <= 1 || n < PARALLEL_THRESHOLD {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let mut data = std::mem::take(&mut self.sig_data);
-            let mut bounds = std::mem::take(&mut self.sig_bounds);
-            let mut hashes = std::mem::take(&mut self.sig_hash);
-            fill(0..n, &mut scratch, &mut data, &mut bounds, &mut hashes);
-            self.scratch = scratch;
-            self.sig_data = data;
-            self.sig_bounds = bounds;
-            self.sig_hash = hashes;
-            return;
-        }
-
-        let chunk = n.div_ceil(self.threads);
-        let parts: Vec<(Vec<BlockId>, Vec<u32>, Vec<u64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(n);
-                    let hi = ((t + 1) * chunk).min(n);
-                    let fill = &fill;
-                    s.spawn(move || {
-                        let mut scratch = Vec::new();
-                        let mut data = Vec::new();
-                        let mut bounds = Vec::new();
-                        let mut hashes = Vec::new();
-                        fill(lo..hi, &mut scratch, &mut data, &mut bounds, &mut hashes);
-                        (data, bounds, hashes)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("signature worker panicked"))
-                .collect()
-        });
-        // Splice chunk results in node order; per-chunk bounds are relative
-        // to the chunk's own data buffer and must be rebased. Hashes are
-        // per-node values and concatenate as-is.
-        for (data, bounds, hashes) in parts {
-            let base = self.sig_data.len() as u32;
-            self.sig_data.extend_from_slice(&data);
-            self.sig_bounds.extend(bounds.iter().map(|&b| base + b));
-            self.sig_hash.extend_from_slice(&hashes);
-        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut data = std::mem::take(&mut self.sig_data);
+        let mut bounds = std::mem::take(&mut self.sig_bounds);
+        let mut hashes = std::mem::take(&mut self.sig_hash);
+        fill(0..n, &mut scratch, &mut data, &mut bounds, &mut hashes);
+        self.scratch = scratch;
+        self.sig_data = data;
+        self.sig_bounds = bounds;
+        self.sig_hash = hashes;
     }
 
     /// Stage 2: intern each refined node's slice into the round's symbol
-    /// table, sequentially in node order (symbol numbering is part of no
-    /// contract, but sequential interning keeps the stage simple and the
-    /// output independent of the thread count). The digests were already
-    /// computed by the sharded signature stage; this loop only does bucket
-    /// lookups and slice-equality collision checks.
+    /// table, in node order. The digests were already computed by the
+    /// signature stage; this loop only does bucket lookups and
+    /// slice-equality collision checks.
     fn intern_symbols(
         &mut self,
         prev: &Partition,
@@ -343,7 +260,7 @@ impl RefineEngine {
 
     /// The k-bisimulation partition of `g` (extents of the A(k)-index),
     /// identical to [`crate::refine::k_bisimulation`].
-    pub fn k_bisimulation<G: LabeledGraph + Sync>(&mut self, g: &G, k: usize) -> Partition {
+    pub fn k_bisimulation<G: LabeledGraph>(&mut self, g: &G, k: usize) -> Partition {
         let mut p = Partition::by_label(g);
         for _ in 0..k {
             let (next, changed) = self.refine_round(g, &p);
@@ -353,19 +270,6 @@ impl RefineEngine {
             }
         }
         p
-    }
-
-    /// The full bisimulation fixpoint (extents of the 1-index), identical to
-    /// [`crate::refine::bisimulation_fixpoint`].
-    pub fn bisimulation_fixpoint<G: LabeledGraph + Sync>(&mut self, g: &G) -> Partition {
-        let mut p = Partition::by_label(g);
-        loop {
-            let (next, changed) = self.refine_round(g, &p);
-            p = next;
-            if !changed {
-                return p;
-            }
-        }
     }
 }
 
@@ -450,32 +354,22 @@ mod tests {
         let g = scrambled(70, 11);
         let mut engine = RefineEngine::new();
         assert_eq!(engine.k_bisimulation(&g, 3), refine::k_bisimulation(&g, 3));
+        // More rounds than nodes: k_bisimulation stops at the fixpoint.
         assert_eq!(
-            engine.bisimulation_fixpoint(&g),
+            engine.k_bisimulation(&g, g.node_count()),
             refine::bisimulation_fixpoint(&g)
         );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let g = scrambled(150, 23);
-        let mut single = RefineEngine::with_threads(1);
-        let expected = single.bisimulation_fixpoint(&g);
-        for threads in [2, 3, 8] {
-            let mut multi = RefineEngine::with_threads(threads);
-            assert_eq!(multi.bisimulation_fixpoint(&g), expected, "threads {threads}");
-        }
     }
 
     #[test]
     fn engine_reuse_across_graphs_is_clean() {
         let mut engine = RefineEngine::new();
         let big = scrambled(100, 3);
-        let _ = engine.bisimulation_fixpoint(&big);
+        let _ = engine.k_bisimulation(&big, big.node_count());
         // A smaller graph afterwards must not see stale state.
         let small = scrambled(20, 9);
         assert_eq!(
-            engine.bisimulation_fixpoint(&small),
+            engine.k_bisimulation(&small, small.node_count()),
             refine::bisimulation_fixpoint(&small)
         );
     }

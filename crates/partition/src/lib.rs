@@ -8,11 +8,12 @@
 //!   (A(k) extents), fixpoint (1-index extents), and the *selective* round
 //!   used by D(k) construction (only blocks whose similarity requirement is
 //!   high enough get split).
-//! * [`RefineEngine`] — the interned-signature, optionally multi-threaded
-//!   implementation of the same rounds with reusable scratch buffers;
-//!   produces partitions identical to [`refine`].
+//! * [`RefineEngine`] — the interned-signature implementation of the same
+//!   rounds with reusable scratch buffers; produces partitions identical to
+//!   [`refine`], which stays as its oracle.
 //! * [`coarsest`] — worklist coarsest-stable-refinement in the style of
-//!   Paige–Tarjan, cross-checked against the signature fixpoint.
+//!   Paige–Tarjan: the 1-index engine, cross-checked against
+//!   [`refine::bisimulation_fixpoint`].
 //! * [`naive`] — quadratic pairwise k-bisimilarity, a test oracle for
 //!   Definition 2 of the paper.
 //!
@@ -46,16 +47,12 @@ mod partition;
 
 pub mod coarsest;
 pub mod engine;
-pub mod forward;
 pub mod naive;
-pub mod paige_tarjan;
 pub mod refine;
 
 pub use coarsest::coarsest_stable_refinement;
 pub use engine::RefineEngine;
-pub use forward::{child_signature, fb_bisimulation, k_forward_bisimulation, refine_round_forward};
 pub use naive::{naive_k_bisimilar, KBisimTable};
-pub use paige_tarjan::paige_tarjan;
 pub use partition::{BlockId, Partition};
 pub use refine::{
     bisimulation_depth, bisimulation_fixpoint, k_bisimulation, parent_signature, refine_round,

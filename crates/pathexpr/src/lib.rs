@@ -6,7 +6,7 @@
 //! * [`PathExpr`] — AST for `R = label | _ | R.R | R|R | (R) | R? | R*`,
 //!   with word-length analysis used by the soundness test and query-load
 //!   mining.
-//! * [`parse()`](crate::parse::parse) — text syntax, e.g. `movieDB.(_)?.movie.actor.name`.
+//! * [`parse()`](crate::parse::parse) — size-capped text syntax, `movieDB.(_)?.movie.actor.name`.
 //! * [`Nfa`] — Thompson compilation against a label interner, reversible for
 //!   backward validation walks.
 //! * [`evaluate_bounded_with`] / [`matches_ending_at_bounded_with`] — the one
@@ -50,7 +50,6 @@ pub mod eval;
 pub mod nfa;
 pub mod oracle;
 pub mod parse;
-pub mod twig;
 
 pub use ast::{LastLabels, PathExpr};
 pub use eval::{
@@ -58,5 +57,4 @@ pub use eval::{
     BudgetExhausted, EvalArena, EvalOutcome, LabelIndex, VisitBudget,
 };
 pub use nfa::{Nfa, StateId, Step};
-pub use parse::{parse, ParseError};
-pub use twig::{evaluate_twig, parse_twig, Twig, TwigStep};
+pub use parse::{parse, ParseError, MAX_QUERY_NESTING, MAX_QUERY_NODES};

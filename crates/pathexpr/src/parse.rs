@@ -9,9 +9,26 @@
 //!
 //! Labels are XML-name-like: a letter or `_`-free start character followed by
 //! letters, digits, `-` and `:`. The bare `_` token is the wildcard.
+//!
+//! Query text comes from outside the program, and this parser and every
+//! consumer of its AST (`Nfa` compilation, `Display`, `max_word_len`, `Clone`,
+//! `Hash`, `Drop`) recurse on the expression's shape, so the lexer bounds it
+//! first: over [`MAX_QUERY_NESTING`] or [`MAX_QUERY_NODES`] is an ordinary
+//! [`ParseError`], never a stack overflow.
 
 use crate::ast::PathExpr;
 use std::fmt;
+
+/// Deepest accepted parenthesis nesting; each level costs the recursive
+/// descent four frames (`expr` → `seq` → `post` → `atom`).
+pub const MAX_QUERY_NESTING: usize = 64;
+
+/// Most AST nodes an accepted expression has: one per label, `_`, `.`, `|`,
+/// `?` and `*` token. An `a.a.….a` chain or an `a***…` tower is as deep as it
+/// is large, so this bounds every AST consumer's recursion too — to ≈0.4 MiB
+/// of stack unoptimised, a quarter of a worker's 2 MiB (checked on a 512 KiB
+/// thread in `tests/language_oracle.rs`).
+pub const MAX_QUERY_NODES: usize = 512;
 
 /// Error produced when a path expression fails to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,60 +61,53 @@ enum Token {
 
 fn lex(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
     let mut tokens = Vec::new();
-    let bytes = input.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '.' => {
-                tokens.push((i, Token::Dot));
-                i += 1;
-            }
-            '|' => {
-                tokens.push((i, Token::Pipe));
-                i += 1;
-            }
-            '(' => {
-                tokens.push((i, Token::LParen));
-                i += 1;
-            }
-            ')' => {
-                tokens.push((i, Token::RParen));
-                i += 1;
-            }
-            '?' => {
-                tokens.push((i, Token::Question));
-                i += 1;
-            }
-            '*' => {
-                tokens.push((i, Token::Star));
-                i += 1;
-            }
+    let mut depth = 0usize;
+    let mut nodes = 0usize;
+    while let Some(c) = input[i..].chars().next() {
+        let start = i;
+        i += c.len_utf8();
+        let token = match c {
+            ' ' | '\t' | '\n' | '\r' => continue,
+            '.' => Token::Dot,
+            '|' => Token::Pipe,
+            '(' => Token::LParen,
+            ')' => Token::RParen,
+            '?' => Token::Question,
+            '*' => Token::Star,
             _ if c.is_alphanumeric() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_alphanumeric() || d == '_' || d == '-' || d == ':' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let word = &input[start..i];
-                if word == "_" {
-                    tokens.push((start, Token::Wildcard));
-                } else {
-                    tokens.push((start, Token::Label(word.to_string())));
+                let in_name = |d: char| d.is_alphanumeric() || matches!(d, '_' | '-' | ':');
+                i += input[i..].find(|d| !in_name(d)).unwrap_or(input.len() - i);
+                match &input[start..i] {
+                    "_" => Token::Wildcard,
+                    word => Token::Label(word.to_string()),
                 }
             }
             _ => {
                 return Err(ParseError {
-                    position: i,
+                    position: start,
                     message: format!("unexpected character {c:?}"),
                 })
             }
+        };
+        // The caps: a parenthesis is charged to the nesting depth (an
+        // unmatched `)` fails in the parser before it recurses any deeper),
+        // every other token to the AST node it becomes.
+        match token {
+            Token::LParen => depth += 1,
+            Token::RParen => depth = depth.saturating_sub(1),
+            _ => nodes += 1,
         }
+        if depth > MAX_QUERY_NESTING || nodes > MAX_QUERY_NODES {
+            return Err(ParseError {
+                position: start,
+                message: format!(
+                    "expression has more than {MAX_QUERY_NESTING} nested parentheses \
+                     or {MAX_QUERY_NODES} nodes"
+                ),
+            });
+        }
+        tokens.push((start, token));
     }
     Ok(tokens)
 }
@@ -278,6 +288,10 @@ mod tests {
     fn labels_may_contain_digits_dash_colon() {
         let e = parse("ns:item-2").unwrap();
         assert_eq!(e, PathExpr::label("ns:item-2"));
+        // Names are scanned by character: a multi-byte letter is a label
+        // (it used to panic on the byte boundary), a symbol a typed error.
+        assert_eq!(parse("é").unwrap(), PathExpr::label("é"));
+        assert_eq!(parse("a.→").unwrap_err().position, 2);
     }
 
     #[test]
@@ -310,6 +324,28 @@ mod tests {
         let err = parse("a.$").unwrap_err();
         assert_eq!(err.position, 2);
         assert!(err.to_string().contains("byte 2"));
+    }
+
+    #[test]
+    fn caps_are_typed_errors_at_the_first_token_over() {
+        let nested = |d: usize| format!("{}item{}", "(".repeat(d), ")".repeat(d));
+        assert_eq!(parse(&nested(MAX_QUERY_NESTING)).unwrap(), PathExpr::label("item"));
+        assert_eq!(parse(&nested(MAX_QUERY_NESTING + 1)).unwrap_err().position, MAX_QUERY_NESTING);
+        // Depth, not count: siblings reopen at the same level.
+        assert!(parse(&vec!["(a)"; MAX_QUERY_NESTING + 1].join("|")).is_ok());
+        // 1 label + (MAX - 1) stars is exactly MAX nodes, as deep as large.
+        let tower = format!("a{}", "*".repeat(MAX_QUERY_NODES - 1));
+        assert!(parse(&tower).is_ok());
+        assert_eq!(parse(&format!("{tower}*")).unwrap_err().position, MAX_QUERY_NODES);
+        // n labels and n - 1 dots are 2n - 1 nodes; the last label is over.
+        let chain = |labels: usize| vec!["ab"; labels].join(".");
+        assert!(parse(&chain(MAX_QUERY_NODES / 2)).is_ok());
+        let err = parse(&chain(MAX_QUERY_NODES / 2 + 1)).unwrap_err();
+        assert_eq!(err.position, 3 * (MAX_QUERY_NODES / 2));
+        assert!(err.to_string().contains("more than"), "{err}");
+        // The two frames that used to abort the server (ROADMAP item 1).
+        assert!(parse(&nested(10_000)).is_err());
+        assert!(parse(&vec!["a"; 500_000].join(".")).is_err());
     }
 
     #[test]

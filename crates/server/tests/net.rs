@@ -3,6 +3,8 @@
 //!
 //! * handshake + query/update/ping/stats round-trips, including the
 //!   bad-query and budget-exhausted error paths;
+//! * **bounded queries**: the QUERY frames that used to overflow or panic
+//!   a worker are typed bad-query errors and the connection lives;
 //! * **overload**: with maintenance deterministically paused, exactly
 //!   `staleness_threshold` updates are admitted and every further one gets
 //!   the typed SHED(maintenance-lag) response — never queued unboundedly —
@@ -119,6 +121,36 @@ fn handshake_query_update_ping_stats_round_trip() {
         snapshot_bytes(&odk, &og),
         "network path diverged from serial replay"
     );
+}
+
+/// ROADMAP item 1(a): one QUERY frame must not be able to kill the server.
+/// The first two shapes used to abort the process with a stack overflow —
+/// deep nesting inside `parse`'s recursive descent, a long flat chain in the
+/// derived `Drop` of the left-deep AST — and the third, a symbol the lexer
+/// used to slice mid-character, to panic its worker. All are `ERROR
+/// BadQuery` now, with the connection still usable.
+#[test]
+fn hostile_query_frames_are_bad_query_errors_and_the_connection_survives() {
+    let (net, _g, _dk) = start_net(NetConfig::default());
+    let mut client = NetClient::connect(net.local_addr()).expect("connect + handshake");
+    let nested = format!("{}item{}", "(".repeat(10_000), ")".repeat(10_000));
+    assert_eq!(nested.len(), 20_004);
+    let flat = vec!["a"; 500_000].join(".");
+    assert_eq!(flat.len(), 999_999);
+    for text in [nested.as_str(), flat.as_str(), "l1.é→"] {
+        match client.query(text, 0).unwrap() {
+            Frame::Error { code, message } => {
+                assert_eq!(code, dkindex_server::ErrorCode::BadQuery, "{message}");
+            }
+            other => panic!("expected ERROR, got {other:?}"),
+        }
+        match client.ping().unwrap() {
+            Frame::Pong { .. } => {}
+            other => panic!("expected PONG, got {other:?}"),
+        }
+    }
+    drop(client);
+    net.shutdown().unwrap();
 }
 
 #[test]

@@ -11,10 +11,12 @@
 //!   semi-structured data (paper §3).
 //! * [`xml`] — a small XML parser/writer and the XML → graph mapping
 //!   (ID/IDREF references become graph edges).
-//! * [`partition`] — partition refinement: k-bisimulation, coarsest stable
-//!   refinement, selective refinement.
-//! * [`pathexpr`] — regular path expressions, NFA compilation, evaluation
-//!   with the paper's node-visit cost model.
+//! * [`partition`] — partition refinement: k-bisimulation and selective
+//!   refinement (one interned-signature engine plus its reference oracle),
+//!   worklist coarsest stable refinement for the 1-index.
+//! * [`pathexpr`] — regular path expressions (nesting and size capped at
+//!   parse time), NFA compilation, evaluation with the paper's node-visit
+//!   cost model.
 //! * [`core`] — the summaries: D(k)-index with all update algorithms,
 //!   A(k)-index, 1-index, label-split, strong DataGuide; evaluation with
 //!   validation; query-load mining.

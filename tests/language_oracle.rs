@@ -114,3 +114,32 @@ fn ast_oracle_sanity() {
     assert!(!ast_matches(&e, &["b"]));
     assert!(!ast_matches(&e, &[]));
 }
+
+/// The deepest queries `parse` accepts — as deep as `MAX_QUERY_NODES` is
+/// large, or nested `MAX_QUERY_NESTING` levels — run every recursive
+/// consumer of the AST on a quarter of the 2 MiB stack a DKNP worker gets.
+#[test]
+fn deepest_accepted_queries_fit_a_quarter_of_a_worker_stack() {
+    use dkindex::pathexpr::{parse, MAX_QUERY_NESTING, MAX_QUERY_NODES};
+    let per_level = "?".repeat((MAX_QUERY_NODES - 1) / MAX_QUERY_NESTING);
+    let texts = [
+        format!("a{}", "*".repeat(MAX_QUERY_NODES - 1)),
+        vec!["a"; MAX_QUERY_NODES / 2].join("."),
+        vec!["a"; MAX_QUERY_NODES / 2].join("|"),
+        // Full nesting with the node budget spent on the way out.
+        "(".repeat(MAX_QUERY_NESTING) + "a" + &format!("){per_level}").repeat(MAX_QUERY_NESTING),
+    ];
+    let every_recursive_consumer = move || {
+        let labels = interner();
+        for text in &texts {
+            let e = parse(text).unwrap();
+            assert!(Nfa::compile(&e, &labels).state_count() >= 2);
+            assert_eq!(parse(&e.to_string()).unwrap(), e);
+            let _ = (e.max_word_len(), e.min_word_len(), e.last_labels());
+            let set: std::collections::HashSet<PathExpr> = [e.clone()].into();
+            assert!(set.contains(&e));
+        }
+    };
+    let thread = std::thread::Builder::new().stack_size(512 * 1024);
+    thread.spawn(every_recursive_consumer).unwrap().join().unwrap();
+}

@@ -344,20 +344,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Paige–Tarjan, the worklist coarsest refinement and the signature
-    /// fixpoint all compute the same bisimulation partition.
+    /// The worklist coarsest refinement (`OneIndex::build`'s engine) and its
+    /// oracle, the signature fixpoint, compute the same bisimulation
+    /// partition.
     #[test]
-    fn all_three_coarsest_engines_agree(spec in graph_spec()) {
-        use dkindex::partition::{
-            bisimulation_fixpoint, coarsest_stable_refinement, paige_tarjan,
-        };
+    fn coarsest_refinement_agrees_with_the_fixpoint_oracle(spec in graph_spec()) {
+        use dkindex::partition::{bisimulation_fixpoint, coarsest_stable_refinement};
         let g = build(&spec);
-        let fixpoint = bisimulation_fixpoint(&g);
-        let pt = paige_tarjan(&g);
         let worklist = coarsest_stable_refinement(&g);
-        prop_assert!(pt.same_equivalence(&fixpoint));
-        prop_assert!(worklist.same_equivalence(&fixpoint));
-        pt.check_consistency().map_err(TestCaseError::fail)?;
+        prop_assert!(worklist.same_equivalence(&bisimulation_fixpoint(&g)));
+        worklist.check_consistency().map_err(TestCaseError::fail)?;
     }
 }
 
@@ -402,38 +398,27 @@ proptest! {
         }
     }
 
-    /// Thread count is invisible: parallel refinement reproduces the
-    /// reference partitions exactly, and parallel workload evaluation
-    /// returns the same outcomes as the sequential evaluator.
+    /// The interned-signature engine reproduces the reference partitions
+    /// exactly: D(k) construction against `dk_partition_reference`, A(k)
+    /// against `refine::k_bisimulation`, also on a reused engine.
     #[test]
-    fn parallel_paths_are_deterministic(
+    fn engine_construction_matches_the_references(
         spec in graph_spec(),
-        salt in any::<u64>(),
         req_label in 0u8..5,
         req_k in 0usize..4,
     ) {
-        use dkindex::core::dk::{dk_partition_reference, dk_partition_with_engine};
-        use dkindex::core::evaluate_workload_parallel;
+        use dkindex::core::dk::{dk_partition, dk_partition_reference};
         use dkindex::partition::RefineEngine;
 
         let g = build(&spec);
-        let queries = queries_for(&g, salt);
         let reqs = Requirements::from_pairs([(format!("l{req_label}").as_str(), req_k)]);
-
         let (ref_part, ref_sims) = dk_partition_reference(&g, &reqs, true);
-        for threads in [1usize, 2, 8] {
-            let mut engine = RefineEngine::with_threads(threads);
-            let (part, sims) = dk_partition_with_engine(&g, &reqs, true, &mut engine);
-            prop_assert_eq!(&part, &ref_part, "D(k) partition differs at {} threads", threads);
-            prop_assert_eq!(&sims, &ref_sims, "D(k) sims differ at {} threads", threads);
-            prop_assert_eq!(engine.k_bisimulation(&g, 2), k_bisimulation(&g, 2));
-        }
-
-        let dk = DkIndex::build(&g, reqs);
-        let sequential = evaluate_workload_parallel(dk.index(), &g, &queries, 1);
-        for threads in [2usize, 3, 8] {
-            let parallel = evaluate_workload_parallel(dk.index(), &g, &queries, threads);
-            prop_assert_eq!(&parallel, &sequential, "outcomes differ at {} threads", threads);
+        let (part, sims) = dk_partition(&g, &reqs);
+        prop_assert_eq!(&part, &ref_part, "D(k) partition differs");
+        prop_assert_eq!(&sims, &ref_sims, "D(k) similarities differ");
+        let mut engine = RefineEngine::new();
+        for k in [2, 0, 3] {
+            prop_assert_eq!(engine.k_bisimulation(&g, k), k_bisimulation(&g, k), "A({})", k);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! The recorder is process-global, so every test takes [`lock`] before
 //! toggling it (the test harness runs tests on parallel threads).
 
-use dkindex::core::dk::{dk_partition_reference, dk_partition_with_engine};
+use dkindex::core::dk::{dk_partition, dk_partition_reference};
 use dkindex::core::{eval_oracle, DkIndex, IndexEvaluator};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
 use dkindex::graph::{DataGraph, LabeledGraph};
@@ -100,9 +100,7 @@ fn dk_construction_is_unchanged_by_recorder() {
         },
     );
     let reqs = workload.mine_requirements();
-    let fast = run_in_all_recorder_states(|| {
-        dk_partition_with_engine(&g, &reqs, true, &mut RefineEngine::new())
-    });
+    let fast = run_in_all_recorder_states(|| dk_partition(&g, &reqs));
     let (oracle_p, oracle_sims) = dk_partition_reference(&g, &reqs, true);
     assert_eq!(fast.0, oracle_p, "D(k) partition identity");
     assert_eq!(fast.1, oracle_sims, "D(k) similarities");
