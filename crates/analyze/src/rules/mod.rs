@@ -340,9 +340,10 @@ pub(crate) const KEYWORDS: &[&str] = &[
     "where", "while", "yield",
 ];
 
-/// Rule-table rows that fence nothing: an oracle module or a scope entry
-/// that none of `files` provides — what a renamed or deleted module leaves
-/// behind, silently losing its rule. Each is a finding under the rule the
+/// Rule-table rows that fence nothing: an oracle module, a scope entry or
+/// the module a cross-artifact rule reads its declarations from (protocol,
+/// CLI exit codes, metric registry) that none of `files` provides — what a
+/// renamed, moved or deleted module leaves behind, silently losing its rule. Each is a finding under the rule the
 /// row configures, reported at `table` (the file holding the tables; line
 /// 0, a row has no line of its own). [`run_all`] does not call this: the
 /// fixture tests point the repository tables at partial trees on purpose.
@@ -356,6 +357,12 @@ pub fn stale_rows(files: &[SourceFile], config: &RuleConfig, table: &Path) -> Ve
     }
     if let Some(cfg) = &config.consume {
         rows.extend(cfg.scope.iter().map(|m| ("must-consume", m)));
+    }
+    if let Some(cfg) = &config.wire {
+        rows.extend([&cfg.protocol_module, &cfg.cli_module].map(|m| ("wire-totality", m)));
+    }
+    if let Some(cfg) = &config.metrics {
+        rows.push(("metric-coherence", &cfg.registry_module));
     }
     rows.retain(|(_, entry)| !files.iter().any(|f| in_scope(&f.module, entry)));
     let finding = |(rule, entry): (&'static str, &String)| Finding {

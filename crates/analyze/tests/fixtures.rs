@@ -201,6 +201,17 @@ fn the_clean_tree_has_zero_findings_under_the_full_config() {
     let printed = stale[0].to_string();
     assert!(printed.starts_with("tables.rs:0: oracle-purity: "), "{printed}");
     assert!(printed.contains("`cleanc::renamed_away`"), "{printed}");
+
+    // A cross-artifact rule looks its module up by exact name and checks
+    // nothing when no file has it: the exit-code half of wire-totality
+    // after `cli.rs` moved would be such a row.
+    config.oracles.pop();
+    config.wire.as_mut().unwrap().cli_module = "cleanc::cli::moved".into();
+    let stale = stale_rows(&files, &config, Path::new("tables.rs"));
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    let printed = stale[0].to_string();
+    assert!(printed.starts_with("tables.rs:0: wire-totality: "), "{printed}");
+    assert!(printed.contains("`cleanc::cli::moved`"), "{printed}");
 }
 
 /// The delta-epoch store modules (`dkindex_graph::segvec`,

@@ -339,8 +339,8 @@ pub fn torn_write_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]
     report
 }
 
-/// `splitmix64` — the same tiny seeded generator the retry client uses for
-/// jitter; deterministic fail-plan selection for [`kill_loop`].
+/// `splitmix64` — a tiny seeded generator: deterministic fail-plan
+/// selection for [`kill_loop`].
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

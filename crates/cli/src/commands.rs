@@ -6,9 +6,7 @@
 //! unreadable files, corrupt indexes, hostile XML — reaches a panic.
 
 use dkindex_core::audit::{audit_dk, AuditConfig, Severity};
-use dkindex_core::snapshot::{
-    load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, Recovery,
-};
+use dkindex_core::snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, Recovery};
 use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
     apply_serial, mine_requirements, DkIndex, DkServer, IndexEvaluator, Requirements,
@@ -40,8 +38,6 @@ usage:
   dkindex snapshot <index.dki> --out <snap.dki> [--wal <file.wal>]
   dkindex recover  <snap.dki> --out <fixed.dki> [--wal <file.wal>]
   dkindex doctor   <index.dki> [--wal <file.wal>]
-  dkindex serve <index.dki> --queries <file> [--threads N] [--updates N]
-                [--batch N] [--rounds N] [--tune-interval N] [--tune-window N]
   dkindex serve <index.dki> --listen <addr> [--workers N] [--accept-queue N]
                 [--staleness N] [--budget N] [--batch N] [--duration-ms N]
                 [--wal <file.wal>] [--tune-interval N] [--tune-window N]
@@ -205,8 +201,8 @@ fn dispatch_command(args: &[String]) -> Result<String, CliError> {
         Some("add-edge") => cmd_add_edge(&args[1..]),
         Some("add-file") => cmd_add_file(&args[1..]),
         Some("tune") => cmd_tune(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("recover") => cmd_recover(&args[1..]),
+        Some("snapshot") => cmd_resave(&args[1..], false),
+        Some("recover") => cmd_resave(&args[1..], true),
         Some("doctor") => cmd_doctor(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
@@ -227,8 +223,6 @@ struct Parsed<'a> {
     queries: Option<&'a str>,
     wal: Option<&'a str>,
     budget: Option<u64>,
-    threads: Option<usize>,
-    updates: Option<usize>,
     batch: Option<usize>,
     rounds: Option<usize>,
     listen: Option<&'a str>,
@@ -264,8 +258,6 @@ fn parse_args<'a>(args: &'a [String]) -> Result<Parsed<'a>, CliError> {
             }
             "--uniform" => parsed.uniform = Some(next_number(&mut it, "--uniform")?),
             "--budget" => parsed.budget = Some(next_number(&mut it, "--budget")?),
-            "--threads" => parsed.threads = Some(next_number(&mut it, "--threads")?),
-            "--updates" => parsed.updates = Some(next_number(&mut it, "--updates")?),
             "--batch" => parsed.batch = Some(next_number(&mut it, "--batch")?),
             "--rounds" => parsed.rounds = Some(next_number(&mut it, "--rounds")?),
             "--workers" => parsed.workers = Some(next_number(&mut it, "--workers")?),
@@ -378,6 +370,18 @@ fn replay_wal_file(
         WalTail::Torn { .. } => " (torn tail truncated)",
     };
     Ok(format!("replayed {} WAL record(s) from {path}{torn}", report.applied))
+}
+
+/// Open the WAL at `path` for appending when it exists (the writer
+/// truncates a torn tail, so new commits extend the acknowledged prefix),
+/// create it otherwise.
+fn open_or_create_wal(path: &str) -> Result<WalWriter, CliError> {
+    let file = std::path::Path::new(path);
+    if fs::metadata(file).is_ok() {
+        WalWriter::open(file).map_err(|e| CliError::invalid(path, e))
+    } else {
+        WalWriter::create(file).map_err(|e| CliError::io(path, e))
+    }
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, CliError> {
@@ -540,13 +544,7 @@ fn cmd_add_edge(args: &[String]) -> Result<String, CliError> {
     // between the two leaves a WAL that replays to the intended state.
     let mut wal_note = String::new();
     if let Some(wal_path) = parsed.wal {
-        let mut writer = if fs::metadata(wal_path).is_ok() {
-            WalWriter::open(std::path::Path::new(wal_path))
-                .map_err(|e| CliError::invalid(wal_path, e))?
-        } else {
-            WalWriter::create(std::path::Path::new(wal_path))
-                .map_err(|e| CliError::io(wal_path, e))?
-        };
+        let mut writer = open_or_create_wal(wal_path)?;
         writer
             .append(&ServeOp::AddEdge { from: from_node, to: to_node })
             .map_err(|e| CliError::io(wal_path, e))?;
@@ -615,56 +613,36 @@ fn cmd_tune(args: &[String]) -> Result<String, CliError> {
     Ok(format!("{report} -> {out_path}\n"))
 }
 
-/// `snapshot`: load an index (optionally replaying a WAL on top) and write
-/// it as a fresh checksummed `DKSN` snapshot, atomically.
-fn cmd_snapshot(args: &[String]) -> Result<String, CliError> {
+/// `snapshot` and `recover`: load an index, optionally replay a WAL on
+/// top, and write the result as a fresh checksummed `DKSN` snapshot,
+/// atomically. `snapshot` loads strictly; `recover` loads gracefully — a
+/// (possibly damaged) snapshot whose index is rebuilt from the data graph
+/// where necessary — and fails only on an unrecoverable file (damaged
+/// graph section).
+fn cmd_resave(args: &[String], recover: bool) -> Result<String, CliError> {
+    let (verb, input, out_hint) =
+        if recover { ("recover", "snapshot", "fixed") } else { ("snapshot", "index", "snap") };
     let parsed = parse_args(args)?;
     let [path] = parsed.positional[..] else {
-        return Err(CliError::usage("snapshot expects exactly one index file"));
+        return Err(CliError::usage(format!("{verb} expects exactly one {input} file")));
     };
     let out_path = parsed
         .out
-        .ok_or_else(|| CliError::usage("snapshot needs --out <snap.dki>"))?;
-    let (mut dk, mut g) = load_index(path)?;
-    let mut notes = Vec::new();
-    if let Some(wal_path) = parsed.wal {
-        notes.push(replay_wal_file(&mut dk, &mut g, wal_path)?);
-    }
-    save_index(&dk, &g, out_path)?;
+        .ok_or_else(|| CliError::usage(format!("{verb} needs --out <{out_hint}.dki>")))?;
     let mut out = String::new();
-    for note in notes {
-        let _ = writeln!(out, "{note}");
-    }
-    let _ = writeln!(
-        out,
-        "snapshot of {} data / {} index nodes -> {out_path}",
-        g.node_count(),
-        dk.size()
-    );
-    Ok(out)
-}
-
-/// `recover`: gracefully load a (possibly damaged) snapshot — rebuilding
-/// the index from the data graph where necessary — optionally replay a WAL,
-/// and write a fresh snapshot. Only an unrecoverable file (damaged graph
-/// section) fails.
-fn cmd_recover(args: &[String]) -> Result<String, CliError> {
-    let parsed = parse_args(args)?;
-    let [path] = parsed.positional[..] else {
-        return Err(CliError::usage("recover expects exactly one snapshot file"));
-    };
-    let out_path = parsed
-        .out
-        .ok_or_else(|| CliError::usage("recover needs --out <fixed.dki>"))?;
-    let (mut dk, mut g, recovery) = load_index_graceful(path)?;
-    let mut out = String::new();
-    if recovery.is_intact() {
-        let _ = writeln!(out, "snapshot intact");
-    } else {
-        for note in &recovery.notes {
-            let _ = writeln!(out, "recovered: {note}");
+    let (mut dk, mut g) = if recover {
+        let (dk, g, recovery) = load_index_graceful(path)?;
+        if recovery.is_intact() {
+            let _ = writeln!(out, "snapshot intact");
+        } else {
+            for note in &recovery.notes {
+                let _ = writeln!(out, "recovered: {note}");
+            }
         }
-    }
+        (dk, g)
+    } else {
+        load_index(path)?
+    };
     if let Some(wal_path) = parsed.wal {
         let note = replay_wal_file(&mut dk, &mut g, wal_path)?;
         let _ = writeln!(out, "{note}");
@@ -672,7 +650,8 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
     save_index(&dk, &g, out_path)?;
     let _ = writeln!(
         out,
-        "{} data / {} index nodes -> {out_path}",
+        "{}{} data / {} index nodes -> {out_path}",
+        if recover { "" } else { "snapshot of " },
         g.node_count(),
         dk.size()
     );
@@ -755,151 +734,7 @@ fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The live tuner's knobs: `--tune-window` over the library defaults.
-fn tuner_config(parsed: &Parsed<'_>) -> TunerConfig {
-    let defaults = TunerConfig::default();
-    TunerConfig { window: parsed.tune_window.unwrap_or(defaults.window), ..defaults }
-}
-
-/// `serve`: drive a mixed concurrent query/update workload through the
-/// epoch-published serving layer ([`DkServer`]). `--threads` reader threads
-/// evaluate the query file round-robin while the maintenance thread applies
-/// `--updates` synthetic edge additions in batches of `--batch`, publishing
-/// a fresh epoch per batch. The final published state is checked
-/// byte-for-byte against a serial replay of the same op sequence; a
-/// mismatch is reported as an unsound index (exit 5).
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let parsed = parse_args(args)?;
-    let [index_path] = parsed.positional[..] else {
-        return Err(CliError::usage("serve expects exactly one index file"));
-    };
-    if let Some(addr) = parsed.listen {
-        return cmd_serve_net(index_path, addr, &parsed);
-    }
-    let qfile = parsed
-        .queries
-        .ok_or_else(|| CliError::usage("serve needs --queries <file>"))?;
-    let threads = parsed.threads.unwrap_or(2).max(1);
-    let updates = parsed.updates.unwrap_or(16);
-    let batch = parsed.batch.unwrap_or(8).max(1);
-    let rounds = parsed.rounds.unwrap_or(50);
-
-    let (dk, g, _) = load_index_graceful(index_path)?;
-    let queries = read_query_file(qfile)?;
-    if queries.is_empty() {
-        return Err(CliError::usage(format!("{qfile}: no queries to serve")));
-    }
-    let mut notes = Vec::new();
-    let ops: Vec<ServeOp> = if updates > 0 {
-        if dkindex_workload::reference_label_pairs(&g).is_empty() {
-            notes.push("no reference edges in the data graph; update stream skipped".to_string());
-            Vec::new()
-        } else {
-            dkindex_workload::generate_update_edges(&g, updates, 0x5EE0)
-                .into_iter()
-                .map(|(from, to)| ServeOp::AddEdge { from, to })
-                .collect()
-        }
-    } else {
-        Vec::new()
-    };
-
-    // The serial oracle replays the *recorded* op sequence after the run:
-    // with live tuning on, the maintenance thread interleaves its own
-    // SetRequirements/Demote ops among the edge updates submitted here.
-    let (mut serial_dk, mut serial_g) = (dk.clone(), g.clone());
-
-    let server = DkServer::start(
-        g,
-        dk,
-        ServeConfig {
-            max_batch: batch,
-            tune_interval: parsed.tune_interval.unwrap_or(0),
-            tuner: tuner_config(&parsed),
-            record_ops: true,
-        },
-    );
-    let mut submit_failure: Option<ServeError> = None;
-    let answered = std::thread::scope(|s| {
-        let mut workers = Vec::new();
-        for r in 0..threads {
-            let handle = server.handle();
-            let queries = &queries;
-            workers.push(s.spawn(move || {
-                let mut matches = 0usize;
-                for round in 0..rounds {
-                    let q = &queries[(r + round) % queries.len()];
-                    matches += handle.evaluate(q).matches.len();
-                }
-                matches
-            }));
-        }
-        for op in &ops {
-            if let Err(e) = server.submit(op.clone()) {
-                submit_failure = Some(e);
-                break;
-            }
-        }
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("reader thread panicked"))
-            .sum::<usize>()
-    });
-    if let Some(e) = submit_failure {
-        return Err(CliError::Serve(e));
-    }
-    // The second flush drains the op the last publish's tuning step may
-    // have enqueued behind the first, so the recording read below is final.
-    server.flush().map_err(CliError::Serve)?;
-    let last_epoch = server.flush().map_err(CliError::Serve)?;
-    let recorded = server.recorded_ops().unwrap_or_default();
-    let tuning = server.handle().tuning_stats();
-    let (final_dk, final_g) = server.shutdown().map_err(CliError::Serve)?;
-
-    apply_serial(&mut serial_dk, &mut serial_g, &recorded);
-    let every_update_applied = recorded
-        .iter()
-        .filter(|op| matches!(op, ServeOp::AddEdge { .. }))
-        .eq(ops.iter());
-    let replayed = snapshot_bytes(&serial_dk, &serial_g);
-    if !every_update_applied || snapshot_bytes(&final_dk, &final_g) != replayed {
-        return Err(CliError::Unsound {
-            corruptions: 1,
-            report: "concurrent serve diverged from serial replay of the same op sequence"
-                .to_string(),
-        });
-    }
-    let mut out = String::new();
-    for note in notes {
-        let _ = writeln!(out, "{note}");
-    }
-    if let Some(stats) = tuning {
-        let _ = writeln!(
-            out,
-            "live tuning: {} window(s) mined, {} promotion(s), {} demotion(s)",
-            stats.windows, stats.promotions, stats.demotions,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "served {} quer{} x {rounds} round(s) on {threads} reader thread(s): {answered} match(es)",
-        queries.len(),
-        if queries.len() == 1 { "y" } else { "ies" },
-    );
-    let _ = writeln!(
-        out,
-        "applied {} update(s) in batches of {batch}: {last_epoch} epoch(s) published",
-        ops.len(),
-    );
-    let _ = writeln!(
-        out,
-        "final index has {} nodes; deterministic vs serial replay: ok",
-        final_dk.size()
-    );
-    Ok(out)
-}
-
-/// `serve --listen`: expose the index over the DKNP wire protocol
+/// `serve`: expose the index over the DKNP wire protocol
 /// (docs/PROTOCOL.md) on a TCP listener. Runs until `--duration-ms`
 /// elapses (or stdin reaches EOF when the flag is absent), then drains
 /// gracefully: new connects are refused, established connections get the
@@ -910,78 +745,63 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 /// committed prefix over the loaded index) and runs with durable
 /// acknowledgments: every UPDATE_OK means the op's group commit has been
 /// fsynced to the log (PROTOCOL.md §8, OPERATIONS.md recovery runbook).
-fn cmd_serve_net(index_path: &str, addr: &str, parsed: &Parsed<'_>) -> Result<String, CliError> {
-    let batch = parsed.batch.unwrap_or(8).max(1);
+fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+    let parsed = parse_args(args)?;
+    let [index_path] = parsed.positional[..] else {
+        return Err(CliError::usage("serve expects exactly one index file"));
+    };
+    let addr = parsed
+        .listen
+        .ok_or_else(|| CliError::usage("serve needs --listen <addr>"))?;
+    let tuner = TunerConfig::default();
     let cfg = ServeConfig {
-        max_batch: batch,
+        max_batch: parsed.batch.unwrap_or(8).max(1),
         tune_interval: parsed.tune_interval.unwrap_or(0),
-        tuner: tuner_config(parsed),
+        tuner: TunerConfig { window: parsed.tune_window.unwrap_or(tuner.window), ..tuner },
         ..ServeConfig::default()
     };
     let (mut dk, mut g, _) = load_index_graceful(index_path)?;
     let mut wal_notes = Vec::new();
-    let writer = match parsed.wal {
+    let server = match parsed.wal {
         Some(wal_path) => {
-            let wal_file = std::path::Path::new(wal_path);
-            if fs::metadata(wal_file).is_ok() {
+            if fs::metadata(wal_path).is_ok() {
                 // Recover first (replays the committed prefix, ignores the
                 // unacknowledged tail), then reopen for appending — the
                 // writer truncates the torn tail so new commits extend the
                 // acknowledged prefix.
                 let note = replay_wal_file(&mut dk, &mut g, wal_path)?;
                 wal_notes.push(note);
-                WalWriter::open(wal_file).map_err(|e| CliError::invalid(wal_path, e))?
             } else {
                 wal_notes.push(format!("created WAL at {wal_path}"));
-                WalWriter::create(wal_file).map_err(|e| CliError::io(wal_path, e))?
             }
+            let writer = open_or_create_wal(wal_path)?;
+            DkServer::start_logged(g, dk, cfg, Box::new(writer))
         }
-        None => {
-            let server = DkServer::start(g, dk, cfg);
-            return serve_net_run(server, addr, parsed, Vec::new());
-        }
+        None => DkServer::start(g, dk, cfg),
     };
-    let server = DkServer::start_logged(g, dk, cfg, Box::new(writer));
-    serve_net_run(server, addr, parsed, wal_notes)
-}
-
-/// Shared tail of `serve --listen`: bind, run until the stop condition,
-/// drain, and render the run summary.
-fn serve_net_run(
-    server: DkServer,
-    addr: &str,
-    parsed: &Parsed<'_>,
-    wal_notes: Vec<String>,
-) -> Result<String, CliError> {
     let durable = server.is_logged();
 
-    let mut cfg = NetConfig::default();
-    if let Some(workers) = parsed.workers {
-        cfg.workers = workers;
-    }
-    if let Some(queue) = parsed.accept_queue {
-        cfg.accept_queue = queue;
-    }
-    if let Some(staleness) = parsed.staleness {
-        cfg.staleness_threshold = staleness;
-    }
-    if let Some(budget) = parsed.budget {
-        cfg.default_budget = budget;
-    }
-
+    let net = NetConfig::default();
+    let cfg = NetConfig {
+        workers: parsed.workers.unwrap_or(net.workers),
+        accept_queue: parsed.accept_queue.unwrap_or(net.accept_queue),
+        staleness_threshold: parsed.staleness.unwrap_or(net.staleness_threshold),
+        default_budget: parsed.budget.unwrap_or(net.default_budget),
+        ..net
+    };
     let net = NetServer::start(server, addr, cfg).map_err(|e| CliError::io(addr, e))?;
+    let bound = net.local_addr();
     // Announced on stderr immediately so scripts binding port 0 can read
     // the real address before the run ends.
-    eprintln!("dkindex serve: listening on {} (DKNP v1)", net.local_addr());
-    let bound = net.local_addr();
+    eprintln!("dkindex serve: listening on {bound} (DKNP v1)");
 
     if let Some(ms) = parsed.duration_ms {
         std::thread::sleep(std::time::Duration::from_millis(ms));
     } else {
         // Foreground mode: serve until the operator closes stdin (^D) or
-        // the pipe feeding us ends.
-        let mut sink = String::new();
-        let _ = std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut sink);
+        // the pipe feeding us ends. Whatever arrives is discarded as it is
+        // read, so a long-running server holds none of it.
+        let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
     }
 
     let shutdown = net.shutdown().map_err(CliError::Serve)?;
@@ -1464,6 +1284,12 @@ mod tests {
         // The twig verb left with the F&B island it fronted.
         let err = run(&["twig", doc.to_str().unwrap(), "director[movie]/name"]).unwrap_err();
         assert!(err.exit_code() == 2 && err.to_string().contains("unknown command"), "{err}");
+        // So did the flags of the in-process serve harness.
+        for flag in ["--threads", "--updates"] {
+            let err = run(&["serve", idx.to_str().unwrap(), "--listen", "127.0.0.1:0", flag, "2"])
+                .unwrap_err();
+            assert!(err.exit_code() == 2 && err.to_string().contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]
@@ -1771,59 +1597,6 @@ mod tests {
         assert!(out.contains("exit codes"));
     }
 
-    #[test]
-    fn serve_runs_a_mixed_workload_deterministically() {
-        let dir = TempDir::new("serve");
-        // Needs several nodes per referenced label: the update generator
-        // only emits edges that do not already exist.
-        let doc = dir.file("doc.xml");
-        fs::write(
-            &doc,
-            r#"
-            <movieDB>
-              <director id="d1"><name/><movie id="m1"><title/></movie>
-                                        <movie id="m2"><title/></movie></director>
-              <director id="d2"><name/><movie id="m3"><title/></movie></director>
-              <actor id="a1" idref="m1"><name/></actor>
-              <actor id="a2" idref="m2"><name/></actor>
-              <actor id="a3"><name/></actor>
-            </movieDB>"#,
-        )
-        .unwrap();
-        let idx = dir.file("index.dki");
-        run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap(), "--uniform", "2"])
-            .unwrap();
-        let qfile = dir.file("queries.txt");
-        fs::write(&qfile, "movie.title\ndirector.movie\nactor\n").unwrap();
-        let out = run(&[
-            "serve", idx.to_str().unwrap(),
-            "--queries", qfile.to_str().unwrap(),
-            "--threads", "3",
-            "--updates", "6",
-            "--batch", "2",
-            "--rounds", "20",
-        ])
-        .unwrap();
-        assert!(out.contains("3 reader thread(s)"), "{out}");
-        assert!(out.contains("applied 6 update(s)"), "{out}");
-        assert!(out.contains("epoch(s) published"), "{out}");
-        assert!(out.contains("deterministic vs serial replay: ok"), "{out}");
-
-        // Missing flags are usage errors, and the verb is telemetry-clean.
-        assert_eq!(run(&["serve", idx.to_str().unwrap()]).unwrap_err().exit_code(), 2);
-        let metrics = dir.file("serve-metrics.json");
-        run(&[
-            "serve", idx.to_str().unwrap(),
-            "--queries", qfile.to_str().unwrap(),
-            "--updates", "4",
-            "--metrics", metrics.to_str().unwrap(),
-        ])
-        .unwrap();
-        let json = fs::read_to_string(&metrics).unwrap();
-        assert!(json.contains("\"serve.epoch_publishes\""), "{json}");
-        assert!(json.contains("\"serve.queries\""), "{json}");
-    }
-
     /// Start a [`NetServer`] over the test document's index so the
     /// `client` verb can be driven end-to-end in-process.
     fn start_test_net(dir: &TempDir, cfg: NetConfig) -> NetServer {
@@ -1921,6 +1694,9 @@ mod tests {
         assert!(out.contains("served on 127.0.0.1:"), "{out}");
         assert!(out.contains("drained in"), "{out}");
         assert!(out.contains("every admitted update applied"), "{out}");
+        // The listen address is the one thing the verb cannot default.
+        let err = run(&["serve", idx.to_str().unwrap()]).unwrap_err();
+        assert!(err.exit_code() == 2 && err.to_string().contains("--listen"), "{err}");
     }
 
     /// The `doctor --wal` exit-code matrix: 0 for a clean log *and* for the

@@ -10,12 +10,10 @@
 //! update — logging it durably first when `--wal` is given — and re-saves;
 //! `snapshot`/`recover`/`doctor` are the durability verbs (write a
 //! checksummed snapshot, gracefully rebuild a damaged one, audit the stored
-//! invariants); `serve` drives a concurrent mixed query/update workload
-//! through the epoch-published serving layer and cross-checks the final
-//! state against a serial replay; `serve --listen` exposes the same layer
+//! invariants); `serve --listen` exposes the epoch-published serving layer
 //! over the DKNP wire protocol (docs/PROTOCOL.md) with bounded queues and
-//! typed load-shedding (docs/OPERATIONS.md), and `client` is the matching
-//! reference client.
+//! typed load-shedding (docs/OPERATIONS.md) until stdin closes or
+//! `--duration-ms` elapses, and `client` is the matching client.
 //!
 //! Every command accepts the global `--metrics <path>` flag: the hot-path
 //! telemetry recorder (`dkindex-telemetry`) is enabled for the duration of

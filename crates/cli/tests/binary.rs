@@ -1,0 +1,126 @@
+//! Black-box tests of the `dkindex` binary: what the in-process suite under
+//! `src/commands/` cannot reach — `main`'s mapping from `CliError` to the
+//! process exit status (with `USAGE` on stderr for status 2 only), and the
+//! foreground stop mode of `serve --listen`, which runs until stdin closes.
+
+use std::io::{BufRead, BufReader, Write};
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+const DOC: &str = r#"
+    <movieDB>
+      <director id="d1"><name/><movie id="m1"><title/></movie></director>
+      <actor id="a1" idref="m1"><name/></actor>
+    </movieDB>"#;
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dkindex-bin-test-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_str().unwrap().to_string()
+    }
+
+    /// Write `DOC` and build a uniform(2) index over it; the index path.
+    fn build_index(&self) -> String {
+        std::fs::write(self.path("doc.xml"), DOC).unwrap();
+        let idx = self.path("index.dki");
+        let built = dkindex(&["build", &self.path("doc.xml"), "--out", &idx, "--uniform", "2",
+                              "--idref", "idref"]);
+        assert_eq!(built.status.code(), Some(0), "{built:?}");
+        idx
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn dkindex(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dkindex")).args(args).output().unwrap()
+}
+
+fn stdout(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+#[test]
+fn serve_listen_answers_over_dknp_until_stdin_closes_then_exits_zero() {
+    let dir = TempDir::new("serve");
+    let idx = dir.build_index();
+    let metrics = dir.path("metrics.json");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_dkindex"))
+        .args(["serve", &idx, "--listen", "127.0.0.1:0", "--metrics", &metrics])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The bound address is announced on stderr before the first accept.
+    // The reader stays open to the end: the server must never meet EPIPE.
+    let mut stderr = BufReader::new(server.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    let addr = line
+        .strip_prefix("dkindex serve: listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no listen line: {line:?}"))
+        .to_string();
+
+    // Bytes on stdin — not even UTF-8 — are discarded, not a stop signal.
+    let mut stdin = server.stdin.take().unwrap();
+    stdin.write_all(&[0xFF, 0xFE, b'\n']).unwrap();
+    stdin.write_all(&[b'x'; 1 << 12]).unwrap();
+    stdin.flush().unwrap();
+
+    let answered = dkindex(&["client", &addr, "--query", "movieDB.actor.name"]);
+    assert_eq!(answered.status.code(), Some(0), "{answered:?}");
+    assert!(stdout(&answered).contains("1 match(es) at epoch 0"), "{answered:?}");
+    let updated = dkindex(&["client", &addr, "--update", "1:5"]);
+    assert!(stdout(&updated).contains("update 1->5 admitted"), "{updated:?}");
+    let stats = dkindex(&["client", &addr, "--stats"]);
+    assert!(stdout(&stats).contains("admitted=1"), "{stats:?}");
+
+    drop(stdin); // EOF: drain and exit.
+    let done = server.wait_with_output().unwrap();
+    assert_eq!(done.status.code(), Some(0), "{done:?}");
+    let summary = stdout(&done);
+    assert!(summary.contains(&format!("served on {addr}")), "{summary}");
+    assert!(summary.contains("drained in") && summary.contains("every admitted update applied"),
+            "{summary}");
+    // `--metrics` observed the served path: epoch publishes and queries.
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains("\"serve.epoch_publishes\""), "{json}");
+    assert!(json.contains("\"serve.queries\""), "{json}");
+}
+
+#[test]
+fn main_maps_each_error_class_to_its_process_status() {
+    let dir = TempDir::new("status");
+    let idx = dir.build_index();
+    std::fs::write(dir.path("junk.dki"), b"definitely not a snapshot").unwrap();
+    let cases: [(&[&str], i32); 5] = [
+        (&["frobnicate"], 2),
+        (&["serve", &idx], 2),
+        (&["query", &dir.path("missing.dki"), "movie"], 3),
+        (&["info", &dir.path("junk.dki")], 4),
+        (&["query", &idx, "movie.title", "--budget", "0"], 6),
+    ];
+    for (args, status) in cases {
+        let out = dkindex(args);
+        assert_eq!(out.status.code(), Some(status), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: ") && out.stdout.is_empty(), "{args:?}: {out:?}");
+        // Only a usage error earns the usage text.
+        assert_eq!(stderr.contains("usage:\n  dkindex stats"), status == 2, "{args:?}: {stderr}");
+    }
+    let help = dkindex(&["--help"]);
+    assert!(help.status.success() && stdout(&help).starts_with("usage:"), "{help:?}");
+}

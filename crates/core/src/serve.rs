@@ -368,13 +368,12 @@ pub struct MaintenanceGate {
 /// state.
 pub struct DkServer {
     handle: ServeHandle,
-    tx: mpsc::Sender<Msg>,
+    /// The server's own channel end: `submit`/`submit_logged` delegate to
+    /// it, and the control messages (flush, shutdown, pause) ride the same
+    /// channel so they order with the ops before them.
+    submitter: Submitter,
     join: Option<JoinHandle<(DkIndex, DataGraph)>>,
     logged: bool,
-    /// Set by the maintenance thread when a group commit fails: the server
-    /// drops every later batch, so accepting new ops would lose them
-    /// silently. `submit`/`submit_logged` fast-fail on it.
-    poisoned: Arc<AtomicBool>,
     /// Applied ops in application order, when [`ServeConfig::record_ops`].
     recorded: Option<Arc<Mutex<Vec<ServeOp>>>>,
 }
@@ -441,10 +440,9 @@ impl DkServer {
         let join = std::thread::spawn(move || maintenance_loop(dk, data, rx, ctx));
         DkServer {
             handle,
-            tx,
+            submitter: Submitter { tx, poisoned },
             join: Some(join),
             logged,
-            poisoned,
             recorded,
         }
     }
@@ -480,10 +478,7 @@ impl DkServer {
     /// [`DkServer::submit`]; after [`DkServer::shutdown`] every outstanding
     /// submitter gets [`ServeError::MaintenanceGone`].
     pub fn submitter(&self) -> Submitter {
-        Submitter {
-            tx: self.tx.clone(),
-            poisoned: Arc::clone(&self.poisoned),
-        }
+        self.submitter.clone()
     }
 
     /// Enqueue a maintenance operation. Ops are applied in submission order
@@ -494,12 +489,7 @@ impl DkServer {
     /// the server — a poisoned server drops every batch, so enqueueing
     /// would lose the op silently.
     pub fn submit(&self, op: ServeOp) -> Result<(), ServeError> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(ServeError::WalFailed);
-        }
-        self.tx
-            .send(Msg::Op(op, None))
-            .map_err(|_| ServeError::MaintenanceGone)
+        self.submitter.submit(op)
     }
 
     /// Enqueue a maintenance operation and return a [`DurableAck`] that
@@ -507,14 +497,7 @@ impl DkServer {
     /// WAL group commit, when this server [`DkServer::is_logged`]. Fails
     /// fast with [`ServeError::WalFailed`] on a poisoned server.
     pub fn submit_logged(&self, op: ServeOp) -> Result<DurableAck, ServeError> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(ServeError::WalFailed);
-        }
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Op(op, Some(ack_tx)))
-            .map_err(|_| ServeError::MaintenanceGone)?;
-        Ok(DurableAck { rx: ack_rx })
+        self.submitter.submit_logged(op)
     }
 
     /// Block until every previously submitted op has been applied and
@@ -525,7 +508,8 @@ impl DkServer {
     /// were dropped, so the flush contract cannot be honored.
     pub fn flush(&self) -> Result<u64, ServeError> {
         let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx
+        self.submitter
+            .tx
             .send(Msg::Flush(ack_tx))
             .map_err(|_| ServeError::MaintenanceGone)?;
         ack_rx.recv().map_err(|_| ServeError::MaintenanceGone)?
@@ -539,7 +523,7 @@ impl DkServer {
     pub fn shutdown(mut self) -> Result<(DkIndex, DataGraph), ServeError> {
         // analyze: allow(must-consume) — a send failure means maintenance
         // already exited; the join below surfaces that as MaintenanceGone.
-        let _ = self.tx.send(Msg::Shutdown);
+        let _ = self.submitter.tx.send(Msg::Shutdown);
         let join = self.join.take().ok_or(ServeError::MaintenanceGone)?;
         join.join().map_err(|_| ServeError::MaintenanceGone)
     }
@@ -551,7 +535,7 @@ impl DkServer {
     pub fn stop_maintenance_for_tests(&self) {
         // analyze: allow(must-consume) — the hook exists to provoke the
         // maintenance-gone state; a failed send means it is already gone.
-        let _ = self.tx.send(Msg::Shutdown);
+        let _ = self.submitter.tx.send(Msg::Shutdown);
     }
 
     /// Test hook: park the maintenance thread between batches until the
@@ -564,7 +548,8 @@ impl DkServer {
     pub fn pause_maintenance(&self) -> Result<MaintenanceGate, ServeError> {
         let (parked_tx, parked_rx) = mpsc::channel();
         let (resume_tx, resume_rx) = mpsc::channel();
-        self.tx
+        self.submitter
+            .tx
             .send(Msg::Pause(PauseGate {
                 parked: parked_tx,
                 resume: resume_rx,
@@ -581,6 +566,9 @@ impl DkServer {
 #[derive(Clone)]
 pub struct Submitter {
     tx: mpsc::Sender<Msg>,
+    /// Set by the maintenance thread when a group commit fails: the server
+    /// drops every later batch, so accepting new ops would lose them
+    /// silently. `submit`/`submit_logged` fast-fail on it.
     poisoned: Arc<AtomicBool>,
 }
 
@@ -615,7 +603,7 @@ impl Drop for DkServer {
         if let Some(join) = self.join.take() {
             // analyze: allow(must-consume) — best-effort teardown in Drop:
             // a dead maintenance thread is already the state we want.
-            let _ = self.tx.send(Msg::Shutdown);
+            let _ = self.submitter.tx.send(Msg::Shutdown);
             let _ = join.join();
         }
     }

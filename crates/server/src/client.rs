@@ -1,9 +1,10 @@
 //! A minimal blocking DKNP client: connect + handshake, then synchronous
-//! request/response rounds. This is the reference client behind
-//! `dkindex client` and the load generator in the net bench; it returns
-//! decoded [`Frame`]s so callers see exactly what the server said —
-//! including [`Frame::Shed`] and [`Frame::Error`], which are answers, not
-//! transport failures (PROTOCOL.md §5.2).
+//! request/response rounds. This is the one client — behind `dkindex
+//! client`, the net gate's load generator and the judged benchmark — and
+//! it returns decoded [`Frame`]s so callers see exactly what the server
+//! said, including [`Frame::Shed`] and [`Frame::Error`], which are
+//! answers, not transport failures. Whether and when to retry is the
+//! caller's decision under the rules of PROTOCOL.md §5.2 and §8.
 
 use crate::protocol::{self, DecodeError, ErrorCode, Frame};
 use std::io::{self, Read, Write};
@@ -76,24 +77,13 @@ pub struct NetClient {
 
 impl NetClient {
     /// Connect to `addr` and perform the HELLO/WELCOME handshake
-    /// (PROTOCOL.md §2) under [`DEFAULT_IO_TIMEOUT`].
+    /// (PROTOCOL.md §2). The TCP connect to each resolved address, and
+    /// every subsequent read and write, must individually finish within
+    /// [`DEFAULT_IO_TIMEOUT`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<NetClient, ConnectError> {
-        Self::connect_timeout(addr, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// Connect with an explicit per-operation deadline: the TCP connect to
-    /// each resolved address, and every subsequent read and write, must
-    /// individually finish within `io_timeout`. A zero deadline disables
-    /// the timeouts entirely (fully blocking I/O).
-    pub fn connect_timeout<A: ToSocketAddrs>(
-        addr: A,
-        io_timeout: Duration,
-    ) -> Result<NetClient, ConnectError> {
-        let mut stream = connect_stream(addr, io_timeout)?;
-        if !io_timeout.is_zero() {
-            stream.set_read_timeout(Some(io_timeout)).map_err(classify_io)?;
-            stream.set_write_timeout(Some(io_timeout)).map_err(classify_io)?;
-        }
+        let mut stream = connect_stream(addr)?;
+        stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT)).map_err(classify_io)?;
+        stream.set_write_timeout(Some(DEFAULT_IO_TIMEOUT)).map_err(classify_io)?;
         let _ = stream.set_nodelay(true);
         write_frame(
             &mut stream,
@@ -122,13 +112,6 @@ impl NetClient {
     /// The epoch id the server reported at WELCOME time.
     pub fn epoch_at_welcome(&self) -> u64 {
         self.epoch_at_welcome
-    }
-
-    /// Replace the per-operation read/write deadline on the live
-    /// connection. `None` makes I/O fully blocking.
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
     }
 
     /// One QUERY round (PROTOCOL.md §3.1). `budget` 0 requests the server
@@ -161,18 +144,11 @@ impl NetClient {
     }
 }
 
-/// Resolve `addr` and try each address under the connect deadline; a zero
-/// deadline falls back to the OS default blocking connect.
-fn connect_stream<A: ToSocketAddrs>(
-    addr: A,
-    io_timeout: Duration,
-) -> Result<TcpStream, ConnectError> {
-    if io_timeout.is_zero() {
-        return Ok(TcpStream::connect(addr)?);
-    }
+/// Resolve `addr` and try each address under the connect deadline.
+fn connect_stream<A: ToSocketAddrs>(addr: A) -> Result<TcpStream, ConnectError> {
     let mut last: Option<io::Error> = None;
     for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, io_timeout) {
+        match TcpStream::connect_timeout(&resolved, DEFAULT_IO_TIMEOUT) {
             Ok(stream) => return Ok(stream),
             Err(err) => last = Some(err),
         }

@@ -11,7 +11,7 @@
 //! PROTOCOL.md §5, never on iteration order or timing of anything else.
 
 use crate::protocol::{self, DecodeError, ErrorCode, Frame, ShedReason};
-use crate::server::NetConfig;
+use crate::server::{NetConfig, RETRY_AFTER_MS};
 use dkindex_core::{ServeError, ServeHandle, ServeOp, Submitter};
 use dkindex_graph::NodeId;
 use dkindex_pathexpr::parse;
@@ -226,8 +226,8 @@ fn respond(request: Frame, shared: &Shared, submitter: &Submitter) -> Frame {
     }
 }
 
-/// QUERY: clamp the budget (PROTOCOL.md §3.1), evaluate against the
-/// current epoch, answer or abort typed.
+/// QUERY: resolve the budget (PROTOCOL.md §3.1: 0 asks for the server
+/// default), evaluate against the current epoch, answer or abort typed.
 fn respond_query(budget: u32, text: &str, shared: &Shared) -> Frame {
     let expr = match parse(text) {
         Ok(expr) => expr,
@@ -242,7 +242,7 @@ fn respond_query(budget: u32, text: &str, shared: &Shared) -> Frame {
     let effective = if budget == 0 {
         shared.cfg.default_budget
     } else {
-        u64::from(budget).min(shared.cfg.max_budget)
+        u64::from(budget)
     };
     let epoch = shared.handle.epoch();
     match epoch.evaluate_bounded(&expr, effective) {
@@ -284,7 +284,7 @@ fn respond_update(from: u64, to: u64, shared: &Shared, submitter: &Submitter) ->
         return Frame::Shed {
             reason: ShedReason::Draining,
             pending: clamp_u32(shared.pending()),
-            retry_after_ms: shared.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         };
     }
     // Reserve a backlog slot first so concurrent workers can never admit
@@ -298,7 +298,7 @@ fn respond_update(from: u64, to: u64, shared: &Shared, submitter: &Submitter) ->
         return Frame::Shed {
             reason: ShedReason::MaintenanceLag,
             pending: clamp_u32(pending.saturating_sub(1)),
-            retry_after_ms: shared.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         };
     }
     let op = ServeOp::AddEdge {

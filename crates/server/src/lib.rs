@@ -28,10 +28,8 @@
 mod client;
 mod conn;
 pub mod protocol;
-mod retry;
 mod server;
 
 pub use client::{ConnectError, NetClient, DEFAULT_IO_TIMEOUT};
 pub use protocol::{DecodeError, ErrorCode, Frame, ShedReason};
-pub use retry::{RetryClient, RetryError, RetryPolicy, RetryStats};
 pub use server::{NetConfig, NetServer, NetShutdown};

@@ -43,21 +43,20 @@ pub struct NetConfig {
     /// Visit budget applied to QUERY frames that ask for the default
     /// (budget 0, PROTOCOL.md §3.1).
     pub default_budget: u64,
-    /// Hard ceiling a QUERY's requested budget is clamped to.
-    pub max_budget: u64,
     /// Maintenance backlog (admitted, unapplied ops) above which UPDATEs
     /// are shed with reason maintenance-lag (PROTOCOL.md §5.1 reason 2).
     pub staleness_threshold: u64,
     /// Grace window during drain in which established connections may
     /// finish pipelined requests (PROTOCOL.md §7).
     pub drain_grace_ms: u64,
-    /// Backoff hint written into SHED frames.
-    pub retry_after_ms: u32,
-    /// Write deadline for the best-effort SHED frame sent to a connection
-    /// refused at the door (a stalled peer must not wedge the accept
-    /// thread). `0` disables the deadline (blocking write).
-    pub shed_write_timeout_ms: u64,
 }
+
+/// Backoff hint written into every SHED frame (PROTOCOL.md §5).
+pub(crate) const RETRY_AFTER_MS: u32 = 50;
+
+/// Write deadline for the best-effort SHED frame sent to a connection
+/// refused at the door: a stalled peer must not wedge the accept thread.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -65,11 +64,8 @@ impl Default for NetConfig {
             workers: 4,
             accept_queue: 64,
             default_budget: 1_000_000,
-            max_budget: u64::MAX,
             staleness_threshold: 256,
             drain_grace_ms: 1_000,
-            retry_after_ms: 50,
-            shed_write_timeout_ms: 50,
         }
     }
 }
@@ -208,7 +204,7 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>, shared:
                 }
                 match tx.try_send(stream) {
                     Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => shed_at_door(stream, shared),
+                    Err(TrySendError::Full(stream)) => shed_at_door(stream),
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
@@ -226,16 +222,13 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>, shared:
 /// Best-effort typed refusal for a connection that never reached a worker
 /// (PROTOCOL.md §5.1 reason 1, §5.2): write SHED instead of WELCOME, then
 /// close.
-fn shed_at_door(mut stream: TcpStream, shared: &Shared) {
+fn shed_at_door(mut stream: TcpStream) {
     telemetry::metrics::SERVE_NET_CONNECTIONS_SHED.incr();
-    if shared.cfg.shed_write_timeout_ms > 0 {
-        let timeout = Duration::from_millis(shared.cfg.shed_write_timeout_ms);
-        let _ = stream.set_write_timeout(Some(timeout));
-    }
+    let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let frame = Frame::Shed {
         reason: ShedReason::QueueFull,
         pending: 0,
-        retry_after_ms: shared.cfg.retry_after_ms,
+        retry_after_ms: RETRY_AFTER_MS,
     };
     let _ = stream.write_all(&protocol::encode(&frame));
 }

@@ -16,4 +16,4 @@ pub mod paths;
 pub mod updates;
 
 pub use paths::{generate_test_paths, weighted_stream, Workload, WorkloadConfig};
-pub use updates::{generate_update_edges, reference_label_pairs};
+pub use updates::generate_update_edges;

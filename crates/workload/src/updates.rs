@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// The distinct `(source label, target label)` pairs witnessed by reference
 /// edges in `data` — the graph-level image of the DTD's ID/IDREF pairs.
-pub fn reference_label_pairs(data: &DataGraph) -> Vec<(LabelId, LabelId)> {
+fn reference_label_pairs(data: &DataGraph) -> Vec<(LabelId, LabelId)> {
     let mut pairs: Vec<(LabelId, LabelId)> = data
         .edges()
         .filter(|&&(_, _, k)| k == EdgeKind::Reference)
