@@ -1,0 +1,151 @@
+//! File loaders and savers shared by the verbs: query files, XML
+//! documents, `DKSN` snapshots and `DKWL` logs.
+
+use super::CliError;
+use dkindex_core::snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, Recovery};
+use dkindex_core::wal::{self, WalTail, WalWriter};
+use dkindex_core::DkIndex;
+use dkindex_graph::DataGraph;
+use dkindex_pathexpr::{parse, PathExpr};
+use dkindex_xml::{stream_to_graph, GraphOptions};
+use std::fs;
+
+/// Read a query-load file: one path expression per line, `#` comments and
+/// blank lines ignored.
+pub(super) fn read_query_file(path: &str) -> Result<Vec<PathExpr>, CliError> {
+    let text = fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
+    let mut queries: Vec<PathExpr> = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        queries.push(
+            parse(line).map_err(|e| CliError::Query(format!("{path}:{}: {e}", lineno + 1)))?,
+        );
+    }
+    Ok(queries)
+}
+
+pub(super) fn load_xml(path: &str, idrefs: &[String]) -> Result<DataGraph, CliError> {
+    let text = fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
+    let mut options = GraphOptions::default();
+    if !idrefs.is_empty() {
+        options.idref_attributes = idrefs.to_vec();
+    }
+    // Streaming build: O(depth) memory, same graph as the DOM path.
+    stream_to_graph(&text, &options).map_err(|e| CliError::invalid(path, e))
+}
+
+/// Load a `DKSN` snapshot. Strict: corruption is a typed error, never a
+/// panic (see [`load_index_graceful`] for the recovering path).
+pub(super) fn load_index(path: &str) -> Result<(DkIndex, DataGraph), CliError> {
+    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
+    read_snapshot(&bytes).map_err(|e| CliError::invalid(path, e))
+}
+
+/// Load a snapshot for *serving* or repair: a damaged-but-recoverable
+/// section (e.g. a corrupt INDX payload whose index is rebuilt
+/// deterministically from the graph) still answers queries, and the
+/// [`Recovery`] says what was degraded. Only genuinely unrecoverable damage
+/// is a typed `Invalid` error. Using this in `query` keeps failure classes
+/// honest: a `--budget` abort during evaluation over a recovered snapshot is
+/// exit 6 (aborted), not exit 4 (corrupt).
+pub(super) fn load_index_graceful(path: &str) -> Result<(DkIndex, DataGraph, Recovery), CliError> {
+    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
+    load_with_recovery(&bytes).map_err(|e| CliError::invalid(path, e))
+}
+
+/// Write `dk` + `g` to `path` as a checksummed snapshot — atomically, so a
+/// crash mid-save (even with `path` equal to the input) leaves the old file
+/// or the new one, never a torn one. Returns the byte count written.
+pub(super) fn save_index(dk: &DkIndex, g: &DataGraph, path: &str) -> Result<u64, CliError> {
+    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| CliError::io(path, e))?;
+    Ok(fs::metadata(path).map_err(|e| CliError::io(path, e))?.len())
+}
+
+/// Replay a WAL file (if given) into `dk`/`g`, returning a human-readable
+/// one-liner about what was applied.
+pub(super) fn replay_wal_file(
+    dk: &mut DkIndex,
+    g: &mut DataGraph,
+    path: &str,
+) -> Result<String, CliError> {
+    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
+    let report = wal::replay(dk, g, &bytes).map_err(|e| CliError::invalid(path, e))?;
+    let torn = match report.tail {
+        WalTail::Clean => "",
+        WalTail::Torn { .. } => " (torn tail truncated)",
+    };
+    Ok(format!("replayed {} WAL record(s) from {path}{torn}", report.applied))
+}
+
+/// Open the WAL at `path` for appending when it exists (the writer
+/// truncates a torn tail, so new commits extend the acknowledged prefix),
+/// create it otherwise.
+pub(super) fn open_or_create_wal(path: &str) -> Result<WalWriter, CliError> {
+    let file = std::path::Path::new(path);
+    if fs::metadata(file).is_ok() {
+        WalWriter::open(file).map_err(|e| CliError::invalid(path, e))
+    } else {
+        WalWriter::create(file).map_err(|e| CliError::io(path, e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commands::fixture::*;
+
+    /// The rejection edge of the exit-code matrix: files in the formats
+    /// that predate `DKSN` and `DKWL` v2 are corrupt input (exit 4) with a
+    /// message naming what is unsupported — never a panic, never a partial
+    /// load or replay.
+    #[test]
+    fn pre_container_formats_are_exit_4_everywhere() {
+        let dir = TempDir::new("legacy");
+        let doc = write_doc(&dir);
+        let idx = dir.file("index.dki");
+        run(&["build", doc.to_str().unwrap(), "--out", idx.to_str().unwrap(), "--uniform", "1"])
+            .unwrap();
+        let idx = idx.to_str().unwrap();
+
+        // A bare `DKG1…` stream: graph payload first, no container.
+        let g = load_xml(doc.to_str().unwrap(), &[]).unwrap();
+        let mut bare = Vec::new();
+        dkindex_graph::io::write_graph(&g, &mut bare).unwrap();
+        assert!(bare.starts_with(b"DKG1"));
+        let legacy = dir.file("legacy.dki");
+        fs::write(&legacy, &bare).unwrap();
+        let legacy = legacy.to_str().unwrap();
+        for args in [&["query", legacy, "movie"][..], &["doctor", legacy][..]] {
+            let err = run(args).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+            assert!(err.to_string().contains("expected DKSN"), "{args:?}: {err}");
+        }
+
+        // A complete, CRC-valid `DKWL\x01…` log with one add-edge record.
+        let v1 = dir.file("v1.wal");
+        fs::write(
+            &v1,
+            [
+                0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
+                0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
+            ],
+        )
+        .unwrap();
+        let v1_path = v1.to_str().unwrap();
+        let out = dir.file("out.dki");
+        for args in [
+            &["serve", idx, "--listen", "127.0.0.1:0", "--wal", v1_path, "--duration-ms", "10"][..],
+            &["snapshot", idx, "--wal", v1_path, "--out", out.to_str().unwrap()][..],
+            &["doctor", idx, "--wal", v1_path][..],
+        ] {
+            let err = run(args).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+            assert!(err.to_string().contains("unsupported WAL version 1"), "{args:?}: {err}");
+        }
+        assert!(!out.exists(), "a rejected log must not produce a snapshot");
+        assert_eq!(fs::read(&v1).unwrap().len(), 21, "a rejected log is left untouched");
+    }
+}
