@@ -343,10 +343,11 @@ pub(crate) const KEYWORDS: &[&str] = &[
 /// Rule-table rows that fence nothing: an oracle module, a scope entry or
 /// the module a cross-artifact rule reads its declarations from (protocol,
 /// CLI exit codes, metric registry) that none of `files` provides — what a
-/// renamed, moved or deleted module leaves behind, silently losing its rule. Each is a finding under the rule the
-/// row configures, reported at `table` (the file holding the tables; line
-/// 0, a row has no line of its own). [`run_all`] does not call this: the
-/// fixture tests point the repository tables at partial trees on purpose.
+/// renamed, moved or deleted module leaves behind, silently losing its
+/// rule. Each is a finding under the rule the row configures, reported at
+/// `table` (the file holding the tables; line 0, a row has no line of its
+/// own). [`run_all`] does not call this: the fixture tests point the
+/// repository tables at partial trees on purpose.
 pub fn stale_rows(files: &[SourceFile], config: &RuleConfig, table: &Path) -> Vec<Finding> {
     let mut rows: Vec<(&'static str, &String)> = Vec::new();
     rows.extend(config.determinism_scope.iter().map(|m| ("nondeterministic-iter", m)));

@@ -36,7 +36,7 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         ..ServeConfig::default()
     };
     let (mut dk, mut g, _) = load_index_graceful(index_path)?;
-    let mut wal_notes = Vec::new();
+    let mut out = String::new();
     let server = match parsed.wal {
         Some(wal_path) => {
             if fs::metadata(wal_path).is_ok() {
@@ -44,25 +44,22 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 // unacknowledged tail), then reopen for appending — the
                 // writer truncates the torn tail so new commits extend the
                 // acknowledged prefix.
-                let note = replay_wal_file(&mut dk, &mut g, wal_path)?;
-                wal_notes.push(note);
+                let _ = writeln!(out, "{}", replay_wal_file(&mut dk, &mut g, wal_path)?);
             } else {
-                wal_notes.push(format!("created WAL at {wal_path}"));
+                let _ = writeln!(out, "created WAL at {wal_path}");
             }
             let writer = open_or_create_wal(wal_path)?;
             DkServer::start_logged(g, dk, cfg, Box::new(writer))
         }
         None => DkServer::start(g, dk, cfg),
     };
-    let durable = server.is_logged();
-
-    let net = NetConfig::default();
+    let defaults = NetConfig::default();
     let cfg = NetConfig {
-        workers: parsed.workers.unwrap_or(net.workers),
-        accept_queue: parsed.accept_queue.unwrap_or(net.accept_queue),
-        staleness_threshold: parsed.staleness.unwrap_or(net.staleness_threshold),
-        default_budget: parsed.budget.unwrap_or(net.default_budget),
-        ..net
+        workers: parsed.workers.unwrap_or(defaults.workers),
+        accept_queue: parsed.accept_queue.unwrap_or(defaults.accept_queue),
+        staleness_threshold: parsed.staleness.unwrap_or(defaults.staleness_threshold),
+        default_budget: parsed.budget.unwrap_or(defaults.default_budget),
+        ..defaults
     };
     let net = NetServer::start(server, addr, cfg).map_err(|e| CliError::io(addr, e))?;
     let bound = net.local_addr();
@@ -80,12 +77,8 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     }
 
     let shutdown = net.shutdown().map_err(CliError::Serve)?;
-    let mut out = String::new();
-    for note in wal_notes {
-        let _ = writeln!(out, "{note}");
-    }
     let _ = writeln!(out, "served on {bound}");
-    if durable {
+    if parsed.wal.is_some() {
         let _ = writeln!(out, "durable acks: every UPDATE_OK was fsynced to the WAL");
     }
     let _ = writeln!(

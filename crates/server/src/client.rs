@@ -63,12 +63,6 @@ impl std::fmt::Display for ConnectError {
 
 impl std::error::Error for ConnectError {}
 
-impl From<io::Error> for ConnectError {
-    fn from(err: io::Error) -> Self {
-        ConnectError::Io(err)
-    }
-}
-
 /// A connected, handshaken DKNP client.
 pub struct NetClient {
     stream: TcpStream,
@@ -144,22 +138,18 @@ impl NetClient {
     }
 }
 
-/// Resolve `addr` and try each address under the connect deadline.
+/// Resolve `addr` and try each address under the connect deadline; the
+/// last failure is the one reported.
 fn connect_stream<A: ToSocketAddrs>(addr: A) -> Result<TcpStream, ConnectError> {
-    let mut last: Option<io::Error> = None;
-    for resolved in addr.to_socket_addrs()? {
+    let mut last =
+        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to no socket addresses");
+    for resolved in addr.to_socket_addrs().map_err(ConnectError::Io)? {
         match TcpStream::connect_timeout(&resolved, DEFAULT_IO_TIMEOUT) {
             Ok(stream) => return Ok(stream),
-            Err(err) => last = Some(err),
+            Err(err) => last = err,
         }
     }
-    Err(match last {
-        Some(err) => classify_io(err),
-        None => ConnectError::Io(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "address resolved to no socket addresses",
-        )),
-    })
+    Err(classify_io(last))
 }
 
 /// Map deadline expiry (reported as `TimedOut` or, on some platforms,
