@@ -16,7 +16,7 @@
 //! | `oracle-purity` | reference oracles never import the fast paths / telemetry they are oracles for (module import graph) |
 //! | `panic-path` | serve, snapshot recovery, WAL replay, wire-frame encode/decode and network connection handling return typed errors — no `unwrap`/`expect`/`panic!`/indexing |
 //! | `unsafe-hygiene` | every `unsafe` carries `// SAFETY:`; unsafe-free crates declare `#![forbid(unsafe_code)]` |
-//! | `guard-discipline` | no blocking call (fsync, socket/channel I/O, lock re-acquisition) while an epoch write guard, mutex guard, or staged WAL batch is live, across helper calls one level deep |
+//! | `guard-discipline` | no blocking call (fsync, socket/channel I/O, lock re-acquisition) while an epoch write guard or mutex guard is live, across helper calls one level deep |
 //! | `must-consume` | a `DurableAck`/`Result` produced in the serve/WAL/network stack is bound and used — never statement-dropped or `let _`-discarded without justification |
 //! | `wire-totality` | every DKNP opcode has encode + decode + golden byte test + PROTOCOL.md anchor; CLI exit codes match the OPERATIONS.md table, both directions |
 //! | `metric-coherence` | metric names agree across call sites, the telemetry registry, and the ARCHITECTURE.md metric tables — no phantom or orphaned metrics |
@@ -193,8 +193,6 @@ pub fn default_config() -> RuleConfig {
                 BlockingSpec::new("write", true, "rwlock write (re-)acquisition"),
                 BlockingSpec::new("read", true, "rwlock read (re-)acquisition"),
             ],
-            batch_open: "stage".into(),
-            batch_close: "commit".into(),
         }),
         consume: Some(ConsumeConfig {
             scope: scope(&[
@@ -208,8 +206,6 @@ pub fn default_config() -> RuleConfig {
                 "submit_logged".into(),
                 "log_batch".into(),
                 "append_batch".into(),
-                "stage".into(),
-                "commit".into(),
                 "sync_all".into(),
                 "sync_data".into(),
             ],

@@ -10,8 +10,8 @@
 //! 2. **explicitly discarded** — `let _ = tx.send(ack);`: binding a
 //!    producer to `_` (or only `_`-prefixed names). Legitimate discards
 //!    (shutdown paths) carry an `// analyze: allow(must-consume) — why`.
-//! 3. **bound but never used** — `let ack = w.commit();` with `ack` never
-//!    read afterwards in its scope.
+//! 3. **bound but never used** — `let ack = w.log_batch(&ops);` with `ack`
+//!    never read afterwards in its scope.
 //!
 //! Producers are the configured method/fn names plus every workspace fn
 //! whose return type mentions a configured marker (`Result`,
@@ -74,7 +74,7 @@ fn check_fn(
         let Some(call) = producer else { continue };
         // A `?`/`.` after the call's close paren means the produced value
         // is already consumed inside the init expression; the binding may
-        // hold something else entirely (e.g. `let n = w.commit()?.len()`).
+        // hold something else entirely (e.g. `let n = w.log_batch(&ops)?.len()`).
         if consumed_in_expr(file, call) {
             continue;
         }

@@ -2,20 +2,19 @@
 //!
 //! The serve stack's liveness contract (ARCHITECTURE.md §5/§7.4): the
 //! epoch `RwLock` write guard is held only for the single pointer store,
-//! mutex guards never outlive a statement that also performs I/O, and a
-//! `WalWriter` batch (`stage` → `commit`) never interleaves with other
-//! blocking work. A violation deadlocks readers behind the maintenance
-//! thread or holds the op channel hostage to disk latency — invisible to
-//! tests until the worst interleaving happens in production.
+//! and mutex guards never outlive a statement that also performs I/O. A
+//! violation deadlocks readers behind the maintenance thread or holds the
+//! op channel hostage to disk latency — invisible to tests until the worst
+//! interleaving happens in production. (A WAL batch needs no liveness
+//! shape: `WalWriter::append_batch` writes records and fence in one call.)
 //!
-//! Three guard-liveness shapes are tracked per function (via
+//! Two guard-liveness shapes are tracked per function (via
 //! [`crate::flow`]):
 //!
 //! 1. `let g = x.write()` — live from the end of the `let` statement to
 //!    the end of the enclosing block, or an explicit `drop(g)`.
 //! 2. a guard call inside a larger statement (`*x.write() = v`) — live to
 //!    the end of that statement.
-//! 3. `w.stage(...)` — live until the matching `w.commit()`.
 //!
 //! Inside a live range, a blocking call from the table fires directly; a
 //! call to a workspace function whose own body contains a blocking call
@@ -78,32 +77,11 @@ fn check_fn(
         let end = statement_end(file, call.args_open, model.body.1);
         live.push(((call.tok + 1, end), spec.what.clone(), call.tok));
     }
-    // Shape 3: WAL batches (`stage` ... `commit`).
-    for call in &model.calls {
-        if call.callee != cfg.batch_open || !call.is_method {
-            continue;
-        }
-        let end = model
-            .calls
-            .iter()
-            .find(|c| c.callee == cfg.batch_close && c.tok > call.tok)
-            .map(|c| c.tok)
-            .unwrap_or(model.body.1);
-        live.push((
-            (call.tok + 1, end),
-            format!("WAL batch (`{}` staged, not yet committed)", cfg.batch_open),
-            call.tok,
-        ));
-    }
 
     let mut reported: Vec<(u32, String)> = Vec::new();
     for ((start, end), what, origin) in &live {
         for call in model.calls_in((*start, *end)) {
             if call.tok == *origin {
-                continue;
-            }
-            // The batch-closing call is the legitimate end of a batch.
-            if call.callee == cfg.batch_close {
                 continue;
             }
             let hit = if let Some(spec) = blocking_spec(cfg, call) {

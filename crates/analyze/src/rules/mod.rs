@@ -71,8 +71,8 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         id: "guard-discipline",
         contract: "no blocking call (fsync, socket/channel I/O, lock re-acquisition) while an \
-                   epoch write guard, mutex guard, or WAL batch is live in scope, across helper \
-                   calls one level deep",
+                   epoch write guard or mutex guard is live in scope, across helper calls one \
+                   level deep",
         severity: Severity::Error,
     },
     RuleMeta {
@@ -175,10 +175,6 @@ pub struct GuardConfig {
     pub guards: Vec<GuardSpec>,
     /// Blocking calls forbidden while a guard is live.
     pub blocking: Vec<BlockingSpec>,
-    /// Method opening a WAL batch (`stage`): the batch is live until...
-    pub batch_open: String,
-    /// ...this method closes it (`commit`).
-    pub batch_close: String,
 }
 
 /// Scope and tables for the must-consume rule.

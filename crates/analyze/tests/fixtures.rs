@@ -47,8 +47,6 @@ fn fixture_config() -> RuleConfig {
             scope: vec!["guardy".into()],
             guards: vec![GuardSpec::new("write", true, "epoch RwLock write guard")],
             blocking: vec![BlockingSpec::new("sync_all", false, "fsync")],
-            batch_open: "stage".into(),
-            batch_close: "commit".into(),
         }),
         consume: Some(ConsumeConfig {
             scope: vec!["consumy".into()],
@@ -162,8 +160,6 @@ fn the_clean_tree_has_zero_findings_under_the_full_config() {
             scope: vec!["cleanc".into()],
             guards: vec![GuardSpec::new("write", true, "epoch RwLock write guard")],
             blocking: vec![BlockingSpec::new("sync_all", false, "fsync")],
-            batch_open: "stage".into(),
-            batch_close: "commit".into(),
         }),
         consume: Some(ConsumeConfig {
             scope: vec!["cleanc".into()],

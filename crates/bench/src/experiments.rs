@@ -3,8 +3,8 @@
 //! paper's qualitative shapes on scaled-down datasets).
 
 use dkindex_core::{
-    dk::dk_partition_with_options, AkIndex, DataGuide, DkIndex, IndexEvaluator, IndexGraph,
-    OneIndex, Requirements,
+    audit, dk::dk_partition_with_options, AkIndex, AuditConfig, DataGuide, DkIndex, IndexEvaluator,
+    IndexGraph, Invariant, OneIndex, Requirements,
 };
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_workload::{generate_test_paths, generate_update_edges, Workload, WorkloadConfig};
@@ -184,14 +184,12 @@ pub fn ablation_broadcast(data: &DataGraph, workload: &Workload) -> BroadcastAbl
     let (p, sims) = dk_partition_with_options(data, &reqs, false);
     let without = IndexGraph::from_data_partition(data, &p, sims);
 
-    let mut violations = 0;
-    for a in without.node_ids() {
-        for &b in without.children_of(a) {
-            if without.similarity(a).saturating_add(1) < without.similarity(b) {
-                violations += 1;
-            }
-        }
-    }
+    // Every Definition 3 violation, not the doctor's first few; stability
+    // is capped at 0 because only the constraint count is read.
+    let config = AuditConfig { stability_cap: 0, max_findings_per_invariant: usize::MAX };
+    let violations = audit(&without, &reqs, data, &config)
+        .findings_for(Invariant::StructuralConstraint)
+        .count();
 
     let mut evaluator = IndexEvaluator::new(&without, data);
     let mut wrong = 0;

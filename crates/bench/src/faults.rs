@@ -8,7 +8,7 @@
 //! * [`snapshot_bitflip_sweep`] — flip one bit at every byte position of a
 //!   snapshot. Strict reads must reject the damage (or prove it harmless by
 //!   re-serializing byte-identically); graceful loads must return an index
-//!   that passes `check_invariants` or a typed [`SnapshotError`].
+//!   that passes [`check_structure`] or a typed [`SnapshotError`].
 //! * [`snapshot_truncation_sweep`] — cut the snapshot at every length.
 //! * [`wal_fault_sweep`] — flip one bit in every byte of a group-committed
 //!   WAL covering every record tag the serve layer logs (must decode as a
@@ -20,7 +20,8 @@
 
 use dkindex_core::wal;
 use dkindex_core::{
-    load_with_recovery, read_snapshot, snapshot_bytes, DkIndex, Requirements, SnapshotError,
+    check_structure, load_with_recovery, read_snapshot, snapshot_bytes, DkIndex, Requirements,
+    SnapshotError,
 };
 use dkindex_graph::{DataGraph, NodeId};
 use dkindex_workload::generate_update_edges;
@@ -120,7 +121,7 @@ fn check_snapshot_bytes(damaged: &[u8], pristine: &[u8], context: &str) -> Probe
         ));
     }
     match graceful {
-        Ok((dk, g, _recovery)) => match dk.index().check_invariants(&g) {
+        Ok((dk, g, _recovery)) => match check_structure(dk.index(), &g) {
             Ok(()) => Probe::Recovered,
             Err(e) => Probe::Violation(format!("{context}: recovered a malformed index: {e}")),
         },
@@ -187,7 +188,7 @@ pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeI
                 // A flip inside a length prefix can reframe the rest as a
                 // torn tail and replay a prefix; the result must still be
                 // well-formed.
-                Ok(_) => match d.index().check_invariants(&g) {
+                Ok(_) => match check_structure(d.index(), &g) {
                     Ok(()) => Probe::Recovered,
                     Err(e) => {
                         Probe::Violation(format!("{context}: replayed to a malformed index: {e}"))

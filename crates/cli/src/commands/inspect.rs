@@ -260,10 +260,10 @@ mod tests {
         let wal_path = dir.file("log.wal");
         let mut writer = WalWriter::create(&wal_path).unwrap();
         writer
-            .append(&ServeOp::AddEdge {
+            .append_batch(&[ServeOp::AddEdge {
                 from: NodeId::from_index(1),
                 to: NodeId::from_index(5),
-            })
+            }])
             .unwrap();
         drop(writer);
         let out = run(&["doctor", idx, "--wal", wal_path.to_str().unwrap()]).unwrap();

@@ -34,7 +34,7 @@ pub(super) fn cmd_add_edge(args: &[String]) -> Result<String, CliError> {
     if let Some(wal_path) = parsed.wal {
         let mut writer = open_or_create_wal(wal_path)?;
         writer
-            .append(&ServeOp::AddEdge { from: from_node, to: to_node })
+            .append_batch(&[ServeOp::AddEdge { from: from_node, to: to_node }])
             .map_err(|e| CliError::io(wal_path, e))?;
         wal_note = format!("; logged to {wal_path}");
     }

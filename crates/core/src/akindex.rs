@@ -189,6 +189,7 @@ impl AkIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use crate::eval::{evaluate_on_data, IndexEvaluator};
     use dkindex_pathexpr::parse;
 
@@ -216,7 +217,7 @@ mod tests {
         let mut last = 0;
         for k in 0..4 {
             let ak = AkIndex::build(&g, k);
-            ak.index().check_invariants(&g).unwrap();
+            check_structure(ak.index(), &g).unwrap();
             assert!(ak.size() >= last);
             last = ak.size();
         }
@@ -248,7 +249,7 @@ mod tests {
         let m1 = g.nodes_with_label(g.labels().get("movie").unwrap())[0];
         let work = ak.add_edge(&mut g, actor, m1);
         assert!(work.data_nodes_touched > 0);
-        ak.index().check_invariants(&g).unwrap();
+        check_structure(ak.index(), &g).unwrap();
         // Queries remain exact after the update.
         for expr in ["actor.movie", "actor.movie.title", "director.movie.title"] {
             let e = parse(expr).unwrap();
@@ -280,7 +281,7 @@ mod tests {
         let work = a0.add_edge(&mut g, actor, t1);
         assert_eq!(work.data_nodes_touched, 0);
         assert_eq!(a0.size(), before);
-        a0.index().check_invariants(&g).unwrap();
+        check_structure(a0.index(), &g).unwrap();
     }
 
     #[test]
@@ -303,7 +304,7 @@ mod tests {
             let mut ak = AkIndex::build(&g, k);
             let sub = build_data(); // insert a copy of the same document
             ak.add_subgraph(&mut g, &sub);
-            ak.index().check_invariants(&g).unwrap();
+            check_structure(ak.index(), &g).unwrap();
 
             let mut g2 = build_data();
             g2.graft_under_root(&build_data());
@@ -326,7 +327,7 @@ mod tests {
         let sr = sub.root();
         sub.add_edge(sr, x, EdgeKind::Tree);
         let map = ak.add_subgraph(&mut g, &sub);
-        ak.index().check_invariants(&g).unwrap();
+        check_structure(ak.index(), &g).unwrap();
         let new_node = map[x.index()];
         assert_eq!(g.label_name(new_node), "brand-new-label");
         assert_eq!(ak.index().extent(ak.index().index_of(new_node)), &[new_node]);

@@ -16,7 +16,11 @@
 //!   exact; they just validate more. The fix is promotion, not rebuild.
 //!
 //! The `dkindex doctor` CLI verb runs this audit and exits non-zero exactly
-//! when a `Corruption` finding exists.
+//! when a `Corruption` finding exists. [`check_structure`] is the
+//! linear-time subset — every check but stability and requirement coverage —
+//! that both snapshot loaders run before they hand out an index, and the
+//! one invariant check the test suite uses after every construction and
+//! update.
 
 use crate::dk::construct::DkIndex;
 use crate::index_graph::IndexGraph;
@@ -39,13 +43,13 @@ pub enum Invariant {
     EdgeProjection,
     /// Definition 3: `k(A) ≥ k(B) − 1` on every index edge `A → B`.
     StructuralConstraint,
+    /// The root index node contains the data root and carries its label.
+    RootConsistency,
     /// §4.2 stability: each extent's members agree on incoming label paths
     /// up to `k + 1` labels — what Theorem 1 soundness rests on.
     Stability,
     /// Every block's `k` meets its per-label requirement target.
     RequirementCoverage,
-    /// The root index node contains the data root and carries its label.
-    RootConsistency,
 }
 
 impl Invariant {
@@ -56,22 +60,23 @@ impl Invariant {
             Invariant::LabelHomogeneity => "label-homogeneity",
             Invariant::EdgeProjection => "edge-projection",
             Invariant::StructuralConstraint => "structural-constraint",
+            Invariant::RootConsistency => "root-consistency",
             Invariant::Stability => "stability",
             Invariant::RequirementCoverage => "requirement-coverage",
-            Invariant::RootConsistency => "root-consistency",
         }
     }
 
-    /// Every invariant, in audit order.
+    /// Every invariant, in audit order: the five [`check_structure`] runs,
+    /// then the two only [`audit`] runs.
     pub fn all() -> [Invariant; 7] {
         [
             Invariant::ExtentPartition,
             Invariant::LabelHomogeneity,
             Invariant::EdgeProjection,
             Invariant::StructuralConstraint,
+            Invariant::RootConsistency,
             Invariant::Stability,
             Invariant::RequirementCoverage,
-            Invariant::RootConsistency,
         ]
     }
 }
@@ -94,6 +99,12 @@ pub struct Finding {
     pub severity: Severity,
     /// What exactly was found.
     pub detail: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.invariant.name(), self.detail)
+    }
 }
 
 /// Audit configuration.
@@ -168,22 +179,47 @@ impl fmt::Display for AuditReport {
 
 struct Collector {
     findings: Vec<Finding>,
+    /// Findings so far per invariant, indexed by `Invariant as usize`.
+    counts: [usize; 7],
     cap: usize,
 }
 
 impl Collector {
-    fn push(&mut self, invariant: Invariant, severity: Severity, detail: String) -> bool {
-        let count = self
-            .findings
-            .iter()
-            .filter(|f| f.invariant == invariant)
-            .count();
-        if count >= self.cap {
-            return false; // stop scanning this invariant
-        }
-        self.findings.push(Finding { invariant, severity, detail });
-        true
+    fn new(cap: usize) -> Collector {
+        Collector { findings: Vec::new(), counts: [0; 7], cap }
     }
+
+    /// Record a finding unless the invariant is at its cap. Returns false
+    /// once the cap is reached: the caller stops scanning that invariant.
+    fn push(&mut self, invariant: Invariant, severity: Severity, detail: String) -> bool {
+        let count = &mut self.counts[invariant as usize];
+        if *count < self.cap {
+            *count += 1;
+            self.findings.push(Finding { invariant, severity, detail });
+        }
+        *count < self.cap
+    }
+}
+
+/// The five linear-time checks, in audit order.
+fn check_linear(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
+    check_extent_partition(index, data, c);
+    check_label_homogeneity(index, data, c);
+    check_edge_projection(index, data, c);
+    check_structural_constraint(index, c);
+    check_root_consistency(index, data, c);
+}
+
+/// The linear-time subset of [`audit`]: extent-partition,
+/// label-homogeneity, edge-projection, structural-constraint and
+/// root-consistency, returning the first finding. Every one of them is a
+/// `Corruption`; stability (exponential in `k`) and requirement coverage
+/// (a `Degraded` target, not a fault) are left to [`audit`]. This is the
+/// check both snapshot loaders run before anything uses a loaded index.
+pub fn check_structure(index: &IndexGraph, data: &DataGraph) -> Result<(), Finding> {
+    let mut c = Collector::new(1);
+    check_linear(index, data, &mut c);
+    c.findings.into_iter().next().map_or(Ok(()), Err)
 }
 
 /// Audit `index` (with its requirements) against `data`. Never panics on a
@@ -196,18 +232,10 @@ pub fn audit(
     config: &AuditConfig,
 ) -> AuditReport {
     let span = telemetry::Span::start(&telemetry::metrics::AUDIT_NS);
-    let mut c = Collector {
-        findings: Vec::new(),
-        cap: config.max_findings_per_invariant,
-    };
-
-    check_extent_partition(index, data, &mut c);
-    check_label_homogeneity(index, data, &mut c);
-    check_edge_projection(index, data, &mut c);
-    check_structural_constraint(index, &mut c);
+    let mut c = Collector::new(config.max_findings_per_invariant);
+    check_linear(index, data, &mut c);
     check_stability(index, data, config, &mut c);
-    check_requirement_coverage(index, requirements, data, &mut c);
-    check_root_consistency(index, data, &mut c);
+    check_requirement_coverage(index, requirements, &mut c);
 
     telemetry::metrics::AUDIT_RUNS.incr();
     telemetry::metrics::AUDIT_VIOLATIONS.add(c.findings.len() as u64);
@@ -218,6 +246,15 @@ pub fn audit(
 /// [`audit`] for a [`DkIndex`] (index + its own requirements).
 pub fn audit_dk(dk: &DkIndex, data: &DataGraph, config: &AuditConfig) -> AuditReport {
     audit(dk.index(), dk.requirements(), data, config)
+}
+
+/// Test helper: assert that no extent of `index` is stale, checking `k` up
+/// to `cap` (the claim Algorithms 4–6 must keep truthful).
+#[cfg(test)]
+pub(crate) fn assert_stable(index: &IndexGraph, data: &DataGraph, cap: usize) {
+    let config = AuditConfig { stability_cap: cap, ..AuditConfig::default() };
+    let report = audit(index, &Requirements::new(), data, &config);
+    assert!(report.findings_for(Invariant::Stability).next().is_none(), "{report}");
 }
 
 fn check_extent_partition(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
@@ -264,17 +301,19 @@ fn check_extent_partition(index: &IndexGraph, data: &DataGraph, c: &mut Collecto
 fn check_label_homogeneity(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
     let inv = Invariant::LabelHomogeneity;
     for inode in index.node_ids() {
+        // A loaded index has its own interner: match names once per block,
+        // then label ids once per member.
         let want = index.labels().name(index.label_of(inode));
+        let want_id = data.labels().get(want);
         for &d in index.extent(inode) {
             if d.index() >= data.node_count() {
                 continue; // already reported by the partition check
             }
-            let got = data.label_name(d);
-            if got != want
+            if Some(data.label_of(d)) != want_id
                 && !c.push(
                     inv,
                     Severity::Corruption,
-                    format!("extent of {inode:?} ({want}) contains {d:?} labeled {got}"),
+                    format!("extent of {inode:?} ({want}) contains {d:?} labeled {}", data.label_name(d)),
                 )
             {
                 return;
@@ -286,24 +325,38 @@ fn check_label_homogeneity(index: &IndexGraph, data: &DataGraph, c: &mut Collect
 fn check_edge_projection(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
     let inv = Invariant::EdgeProjection;
     let sev = Severity::Corruption;
+    // `witnessed[first_edge[a] + i]`: some data edge lands on a's i-th index
+    // edge. One sequential pass over the data edges fills it, so the check
+    // is linear in the edges (times index out-degree) — it runs on every
+    // snapshot load, and builds a message only for a finding.
+    let mut first_edge = vec![0; index.size() + 1];
+    for a in index.node_ids() {
+        first_edge[a.index() + 1] = first_edge[a.index()] + index.children_of(a).len();
+    }
+    let mut witnessed = vec![false; first_edge[index.size()]];
     // Every data edge must appear as an index edge.
     for &(from, to, _) in data.edges() {
         if from.index() >= index.node_map_len() || to.index() >= index.node_map_len() {
             continue; // unreachable after a partition finding; stay safe
         }
         let (fi, ti) = (index.index_of(from), index.index_of(to));
-        let msg = format!("data edge {from:?}→{to:?} has no index edge {fi:?}→{ti:?}");
-        if fi.index() < index.size()
-            && !index.children_of(fi).contains(&ti)
-            && !c.push(inv, sev, msg)
-        {
-            return;
+        if fi.index() >= index.size() {
+            continue; // the partition check's finding
+        }
+        match index.children_of(fi).iter().position(|&b| b == ti) {
+            Some(i) => witnessed[first_edge[fi.index()] + i] = true,
+            None => {
+                let msg = format!("data edge {from:?}→{to:?} has no index edge {fi:?}→{ti:?}");
+                if !c.push(inv, sev, msg) {
+                    return;
+                }
+            }
         }
     }
     // Every index edge must be witnessed by a data edge, and the adjacency
     // lists must mirror each other.
     for a in index.node_ids() {
-        for &b in index.children_of(a) {
+        for (i, &b) in index.children_of(a).iter().enumerate() {
             if b.index() >= index.size() {
                 let msg = format!("index edge {a:?}→{b:?} points out of range");
                 if !c.push(inv, sev, msg) {
@@ -317,13 +370,7 @@ fn check_edge_projection(index: &IndexGraph, data: &DataGraph, c: &mut Collector
                     return;
                 }
             }
-            let witnessed = index.extent(a).iter().any(|&u| {
-                u.index() < data.node_count()
-                    && data.children_of(u).iter().any(|&v| {
-                        v.index() < index.node_map_len() && index.index_of(v) == b
-                    })
-            });
-            if !witnessed {
+            if !witnessed[first_edge[a.index()] + i] {
                 let msg = format!("dangling index edge {a:?}→{b:?} (no witnessing data edge)");
                 if !c.push(inv, sev, msg) {
                     return;
@@ -393,14 +440,8 @@ fn check_stability(
     }
 }
 
-fn check_requirement_coverage(
-    index: &IndexGraph,
-    requirements: &Requirements,
-    data: &DataGraph,
-    c: &mut Collector,
-) {
+fn check_requirement_coverage(index: &IndexGraph, requirements: &Requirements, c: &mut Collector) {
     let inv = Invariant::RequirementCoverage;
-    let _ = data;
     for inode in index.node_ids() {
         let label = index.labels().name(index.label_of(inode));
         let target = requirements.get(label);
@@ -508,6 +549,17 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         let (_, action, _) = recover_or_rebuild(dk, &g, &AuditConfig::default());
         assert_eq!(action, RecoveryAction::Kept);
+    }
+
+    #[test]
+    fn check_structure_returns_the_first_corruption() {
+        let (g, mut dk) = sample();
+        check_structure(dk.index(), &g).unwrap();
+        let index = dk.index_mut();
+        let other = index.node_ids().find(|&i| i != index.root()).unwrap();
+        index.set_root(other);
+        let finding = check_structure(dk.index(), &g).unwrap_err();
+        assert_eq!(finding.invariant, Invariant::RootConsistency, "{finding}");
     }
 
     #[test]

@@ -184,6 +184,7 @@ impl DkIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use dkindex_graph::EdgeKind;
     use dkindex_partition::k_bisimulation;
 
@@ -218,7 +219,7 @@ mod tests {
     fn empty_requirements_give_label_split() {
         let (g, _) = figure2_like();
         let dk = DkIndex::build(&g, Requirements::new());
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         assert_eq!(dk.size(), 5); // ROOT, A, B, C, E
         for i in dk.index().node_ids() {
             assert_eq!(dk.index().similarity(i), 0);
@@ -235,7 +236,7 @@ mod tests {
                 dk.index().to_partition().same_equivalence(&ak),
                 "D(uniform {k}) != A({k})"
             );
-            dk.index().check_invariants(&g).unwrap();
+            check_structure(dk.index(), &g).unwrap();
         }
     }
 
@@ -244,7 +245,7 @@ mod tests {
         let (g, n) = figure2_like();
         let reqs = Requirements::from_pairs([("A", 1), ("B", 1), ("C", 1), ("E", 2)]);
         let dk = DkIndex::build(&g, reqs);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         let idx = dk.index();
         // E nodes: 1-bisimilar (both have B parents) but their B parents'
         // 1-classes differ (B₁ under A, B₂ under C) → split at round 2.
@@ -270,7 +271,7 @@ mod tests {
         // raise B (E's parent label) to 1.
         let reqs = Requirements::from_pairs([("E", 2)]);
         let dk = DkIndex::build(&g, reqs);
-        dk.index().check_invariants(&g).unwrap(); // includes Definition 3 check
+        check_structure(dk.index(), &g).unwrap(); // includes Definition 3 check
         let idx = dk.index();
         let b_label = g.labels().get("B").unwrap();
         for i in idx.node_ids() {
@@ -284,7 +285,7 @@ mod tests {
     fn requirement_capped_by_graph_depth_is_harmless() {
         let (g, _) = figure2_like();
         let dk = DkIndex::build(&g, Requirements::uniform(10));
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         // Equivalent to the full bisimulation.
         let fix = dkindex_partition::bisimulation_fixpoint(&g);
         assert!(dk.index().to_partition().same_equivalence(&fix));

@@ -55,6 +55,7 @@ pub fn enforce_structural_constraint(index: &mut IndexGraph) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{assert_stable, check_structure};
     use crate::eval::{evaluate_on_data, IndexEvaluator};
     use dkindex_graph::{DataGraph, EdgeKind};
     use dkindex_pathexpr::parse;
@@ -83,7 +84,7 @@ mod tests {
         let mut dk = DkIndex::build(&g, Requirements::uniform(2));
         let saved = dk.demote(Requirements::uniform(1));
         assert!(saved > 0);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         let fresh = DkIndex::build(&g, Requirements::uniform(1));
         assert!(dk
             .index()
@@ -97,7 +98,7 @@ mod tests {
         let mut dk = DkIndex::build(&g, Requirements::uniform(3));
         dk.demote(Requirements::new());
         assert_eq!(dk.size(), 5); // ROOT, director, actor, movie, title
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
     }
 
     #[test]
@@ -110,8 +111,8 @@ mod tests {
         dk.add_edge(&mut g, a, t1);
         // Now demote: capped similarities must stay truthful.
         dk.demote(Requirements::uniform(1));
-        dk.index().check_invariants(&g).unwrap();
-        dk.index().check_extent_path_similarity(&g, 4).unwrap();
+        check_structure(dk.index(), &g).unwrap();
+        assert_stable(dk.index(), &g, 4);
         for expr in ["movie.title", "actor.title", "director.movie.title"] {
             let e = parse(expr).unwrap();
             let out = IndexEvaluator::new(dk.index(), &g).evaluate(&e);
@@ -131,7 +132,7 @@ mod tests {
         dk.set_requirements(reqs2);
         dk.promote_to_requirements(&g);
         assert_eq!(dk.size(), size2);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
     }
 
     #[test]
@@ -142,10 +143,10 @@ mod tests {
         let t1 = g.nodes_with_label(g.labels().get("title").unwrap())[0];
         let t_inode = dk.index().index_of(t1);
         dk.index_mut().set_similarity(t_inode, 50);
-        assert!(dk.index().check_invariants(&g).is_err());
+        assert!(check_structure(dk.index(), &g).is_err());
         let mut fixed = dk.index().clone();
         enforce_structural_constraint(&mut fixed);
-        fixed.check_invariants(&g).unwrap();
+        check_structure(&fixed, &g).unwrap();
     }
 
     #[test]

@@ -161,6 +161,7 @@ impl DkIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{assert_stable, check_structure};
     use crate::eval::{evaluate_on_data, IndexEvaluator};
     use crate::requirements::Requirements;
     use dkindex_pathexpr::parse;
@@ -241,8 +242,8 @@ mod tests {
         assert_eq!(idx.similarity(idx.index_of(d1)), 1);
         let e1 = node(&g, "e", 0);
         assert_eq!(idx.similarity(idx.index_of(e1)), 2);
-        idx.check_invariants(&g).unwrap();
-        idx.check_extent_path_similarity(&g, 5).unwrap();
+        check_structure(idx, &g).unwrap();
+        assert_stable(idx, &g, 5);
     }
 
     #[test]
@@ -256,7 +257,7 @@ mod tests {
         assert_eq!(outcome.new_similarity, 0);
         let idx = dk.index();
         assert_eq!(idx.similarity(idx.index_of(e1)), 0);
-        idx.check_invariants(&g).unwrap();
+        check_structure(idx, &g).unwrap();
     }
 
     #[test]
@@ -270,7 +271,7 @@ mod tests {
             dk.add_edge(&mut g, u, v);
         }
         assert_eq!(dk.size(), before);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
     }
 
     #[test]
@@ -296,7 +297,7 @@ mod tests {
         let e1 = node(&g, "e", 0);
         dk.add_edge(&mut g, a1, e1);
         // Claimed similarities never exceed actual bisimilarity.
-        dk.index().check_extent_path_similarity(&g, 5).unwrap();
+        assert_stable(dk.index(), &g, 5);
     }
 
     #[test]
@@ -323,7 +324,7 @@ mod tests {
         assert_eq!(idx.similarity(idx.index_of(c1)), 0);
         assert_eq!(idx.similarity(idx.index_of(d1)), 0);
         assert_eq!(idx.similarity(idx.index_of(e1)), 1);
-        idx.check_extent_path_similarity(&g, 5).unwrap();
+        assert_stable(idx, &g, 5);
     }
 
     #[test]
@@ -339,7 +340,7 @@ mod tests {
         dk.add_edge(&mut g, b1, fresh);
         assert_eq!(dk.size(), size_before + 1);
         assert_eq!(dk.extent_of(fresh).as_ref(), &[fresh]);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         // The fresh node is reachable through the index, exactly.
         let e = parse("b.f").unwrap();
         let out = IndexEvaluator::new(dk.index(), &g).evaluate(&e);
@@ -349,7 +350,7 @@ mod tests {
         let fresh2 = g.add_labeled_node("f");
         let e1 = node(&g, "e", 0);
         dk.add_edge(&mut g, fresh2, e1);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
     }
 
     #[test]
@@ -398,6 +399,6 @@ mod tests {
         let idx_kc = dk.index().similarity(dk.index().index_of(c1));
         let outcome = dk.add_edge(&mut g, c1, d2);
         assert_eq!(outcome.new_similarity, idx_kd.min(idx_kc + 1));
-        dk.index().check_extent_path_similarity(&g, 5).unwrap();
+        assert_stable(dk.index(), &g, 5);
     }
 }

@@ -163,6 +163,7 @@ fn promote_inode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use crate::eval::{evaluate_on_data, IndexEvaluator};
     use crate::requirements::Requirements;
     use dkindex_graph::EdgeKind;
@@ -196,7 +197,7 @@ mod tests {
         assert!(splits > 0);
         let idx = dk.index();
         assert_eq!(idx.similarity(idx.index_of(t1)), 2);
-        idx.check_invariants(&g).unwrap();
+        check_structure(idx, &g).unwrap();
         idx.check_extent_bisimilarity(&g, 4).unwrap();
     }
 
@@ -243,7 +244,7 @@ mod tests {
 
         // Periodic promotion restores requirement-level similarity.
         dk.promote_to_requirements(&g);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         dk.index().check_extent_bisimilarity(&g, 4).unwrap();
         let restored = IndexEvaluator::new(dk.index(), &g).evaluate(&e);
         assert!(!restored.validated, "promotion should remove validation");
@@ -261,7 +262,7 @@ mod tests {
         let idx = dk.index();
         assert!(idx.similarity(idx.index_of(t1)) >= 2);
         assert!(idx.similarity(idx.index_of(m1)) >= 1);
-        idx.check_invariants(&g).unwrap();
+        check_structure(idx, &g).unwrap();
     }
 
     #[test]
@@ -290,7 +291,7 @@ mod tests {
             .index()
             .to_partition()
             .same_equivalence(&sequential.index().to_partition()));
-        batched.index().check_invariants(&g).unwrap();
+        check_structure(batched.index(), &g).unwrap();
     }
 
     #[test]
@@ -304,7 +305,7 @@ mod tests {
         g.add_edge(b, a, EdgeKind::Reference);
         let mut dk = DkIndex::build(&g, Requirements::new());
         dk.promote(&g, b, 3);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         dk.index().check_extent_bisimilarity(&g, 4).unwrap();
     }
 }

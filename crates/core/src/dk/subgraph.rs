@@ -80,6 +80,7 @@ pub(crate) fn stitch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use crate::requirements::Requirements;
     use dkindex_graph::EdgeKind;
 
@@ -122,7 +123,7 @@ mod tests {
             let mut g1 = base_data();
             let mut dk = DkIndex::build(&g1, reqs.clone());
             dk.add_subgraph(&mut g1, &new_file());
-            dk.index().check_invariants(&g1).unwrap();
+            check_structure(dk.index(), &g1).unwrap();
 
             // From-scratch path on the combined graph.
             let mut g2 = base_data();
@@ -160,7 +161,7 @@ mod tests {
         let before = dk.size();
         dk.add_subgraph(&mut g, &copy);
         assert_eq!(dk.size(), before);
-        dk.index().check_invariants(&g).unwrap();
+        check_structure(dk.index(), &g).unwrap();
         dk.index().check_extent_bisimilarity(&g, 4).unwrap();
     }
 
@@ -170,7 +171,7 @@ mod tests {
         let mut dk = DkIndex::build(&g, Requirements::from_pairs([("title", 2)]));
         for _ in 0..3 {
             dk.add_subgraph(&mut g, &new_file());
-            dk.index().check_invariants(&g).unwrap();
+            check_structure(dk.index(), &g).unwrap();
         }
         let fresh = {
             let mut g2 = base_data();

@@ -287,20 +287,6 @@ impl IndexGraph {
         }
     }
 
-    /// Directly assign a data node to an index node and append it to the
-    /// extent (used when stitching a sub-index under this index).
-    pub fn assign_data_node(&mut self, data_node: NodeId, inode: NodeId) {
-        self.grow_node_map(data_node.index() + 1);
-        if let Some(slot) = self.node_to_index.get_mut(data_node.index()) {
-            *slot = inode;
-        }
-        // Probe on the shared view first so a node already present does not
-        // copy the block.
-        if let Err(pos) = self.block(inode).extent.binary_search(&data_node) {
-            self.block_mut(inode).extent.insert(pos, data_node);
-        }
-    }
-
     /// Append a fresh index node with the given label, extent and similarity
     /// (edges must be added separately). Returns its id.
     pub fn push_node(&mut self, label: LabelId, mut extent: Vec<NodeId>, similarity: usize) -> NodeId {
@@ -416,104 +402,6 @@ impl IndexGraph {
         )
     }
 
-    /// Verify the index invariants against `data`:
-    /// 1. extents partition the data nodes;
-    /// 2. extents are label-homogeneous and match the index node's label;
-    /// 3. index edges = projection of data edges (both directions);
-    /// 4. the D(k) structural constraint `k(A) ≥ k(B) − 1` on every edge
-    ///    `A → B` (Definition 3).
-    pub fn check_invariants(&self, data: &DataGraph) -> Result<(), String> {
-        // 1 & 2.
-        let mut seen = vec![false; data.node_count()];
-        for inode in self.node_ids() {
-            let extent = self.extent(inode);
-            if extent.is_empty() {
-                return Err(format!("index node {inode:?} has empty extent"));
-            }
-            for &d in extent {
-                if seen[d.index()] {
-                    return Err(format!("data node {d:?} in two extents"));
-                }
-                seen[d.index()] = true;
-                if data.label_of(d) != self.label_of(inode) {
-                    return Err(format!("extent of {inode:?} not label-homogeneous"));
-                }
-                if self.index_of(d) != inode {
-                    return Err(format!("node_to_index stale for {d:?}"));
-                }
-            }
-        }
-        if let Some(i) = seen.iter().position(|&s| !s) {
-            return Err(format!("data node n{i} not covered by any extent"));
-        }
-        // 3. Every data edge appears; every index edge is witnessed.
-        for &(from, to, _) in data.edges() {
-            let (fi, ti) = (self.index_of(from), self.index_of(to));
-            if !self.children_of(fi).contains(&ti) {
-                return Err(format!("missing index edge {fi:?}->{ti:?}"));
-            }
-        }
-        for a in self.node_ids() {
-            for &b in self.children_of(a) {
-                let witnessed = self.extent(a).iter().any(|&u| {
-                    data.children_of(u)
-                        .iter()
-                        .any(|&v| self.index_of(v) == b)
-                });
-                if !witnessed {
-                    return Err(format!("unwitnessed index edge {a:?}->{b:?}"));
-                }
-            }
-        }
-        // 4. Structural constraint.
-        for a in self.node_ids() {
-            for &b in self.children_of(a) {
-                if self.similarity(a).saturating_add(1) < self.similarity(b) {
-                    return Err(format!(
-                        "D(k) constraint violated on {a:?}(k={})->{b:?}(k={})",
-                        self.similarity(a),
-                        self.similarity(b)
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Check that every extent's members share the same set of incoming
-    /// label paths up to `similarity(inode) + 1` labels — the invariant that
-    /// Theorem 1 soundness actually rests on, and the one the D(k)
-    /// edge-addition update maintains (Algorithm 4 reasons about label
-    /// paths, which k-bisimilarity implies but is strictly stronger than).
-    /// Expensive; tests only. `cap` bounds the checked similarity.
-    pub fn check_extent_path_similarity(
-        &self,
-        data: &DataGraph,
-        cap: usize,
-    ) -> Result<(), String> {
-        use dkindex_graph::traversal::incoming_label_paths_up_to;
-        for inode in self.node_ids() {
-            let k = self.similarity(inode).min(cap);
-            let extent = self.extent(inode);
-            if extent.len() < 2 {
-                continue;
-            }
-            // A node with similarity k must agree on label paths of up to
-            // k+1 labels (a path of k edges has k+1 labels).
-            let reference = incoming_label_paths_up_to(data, extent[0], k + 1);
-            for &m in &extent[1..] {
-                let paths = incoming_label_paths_up_to(data, m, k + 1);
-                if paths != reference {
-                    return Err(format!(
-                        "extent of {inode:?} (k={k}) has diverging label paths: {:?} vs {:?}",
-                        extent[0], m
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Check that every extent really is `similarity(inode)`-bisimilar in
     /// `data` (expensive; tests only). `cap` bounds the checked k to keep
     /// `SIM_EXACT` nodes affordable.
@@ -586,6 +474,7 @@ impl LabeledGraph for IndexGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use dkindex_graph::EdgeKind;
     use dkindex_partition::k_bisimulation;
 
@@ -610,7 +499,7 @@ mod tests {
         let p = k_bisimulation(&g, 1);
         let sims = vec![1; p.block_count()];
         let idx = IndexGraph::from_data_partition(&g, &p, sims);
-        idx.check_invariants(&g).unwrap();
+        check_structure(&idx, &g).unwrap();
         assert_eq!(idx.total_extent_size(), g.node_count());
         // b1 and b2 differ at k=1 (b2 has a b-labeled parent).
         assert!(idx.size() >= 4);
@@ -621,7 +510,7 @@ mod tests {
         let g = small();
         let p = Partition::by_label(&g);
         let idx = IndexGraph::from_data_partition(&g, &p, vec![0; p.block_count()]);
-        idx.check_invariants(&g).unwrap();
+        check_structure(&idx, &g).unwrap();
         assert_eq!(idx.size(), 3); // ROOT, a, b
         let a_label = g.labels().get("a").unwrap();
         let a_inode = idx
@@ -657,7 +546,7 @@ mod tests {
         assert_eq!(idx.extent(b).len(), 1);
         assert_eq!(idx.similarity(b), 1);
         assert_eq!(idx.similarity(new_node), 1);
-        idx.check_invariants(&g).unwrap();
+        check_structure(&idx, &g).unwrap();
     }
 
     #[test]
@@ -683,7 +572,7 @@ mod tests {
         // index of g (Theorem 2 in miniature).
         let relabel = Partition::by_label(&fine_idx);
         let coarse = IndexGraph::reindex(&fine_idx, &relabel, vec![0; relabel.block_count()]);
-        coarse.check_invariants(&g).unwrap();
+        check_structure(&coarse, &g).unwrap();
         assert_eq!(coarse.size(), 3);
     }
 
@@ -720,6 +609,7 @@ mod tests {
         let b_label = g.labels().get("b").unwrap();
         let b = idx.node_ids().find(|&i| idx.label_of(i) == b_label).unwrap();
         idx.set_similarity(b, 5); // parent a still has k=0: violates 0 ≥ 5-1
-        assert!(idx.check_invariants(&g).is_err());
+        let finding = check_structure(&idx, &g).unwrap_err();
+        assert_eq!(finding.invariant, crate::audit::Invariant::StructuralConstraint);
     }
 }

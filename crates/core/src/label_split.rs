@@ -16,6 +16,7 @@ pub fn label_split_index(data: &DataGraph) -> IndexGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use dkindex_graph::{EdgeKind, LabeledGraph};
 
     #[test]
@@ -29,7 +30,7 @@ mod tests {
         g.add_edge(r, a2, EdgeKind::Tree);
         g.add_edge(a1, b, EdgeKind::Tree);
         let idx = label_split_index(&g);
-        idx.check_invariants(&g).unwrap();
+        check_structure(&idx, &g).unwrap();
         assert_eq!(idx.size(), 3);
         assert!(idx.node_ids().all(|i| idx.similarity(i) == 0));
     }

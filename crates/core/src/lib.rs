@@ -70,7 +70,7 @@ pub mod tuner;
 pub mod wal;
 
 pub use akindex::{AkIndex, UpdateWork};
-pub use audit::{audit, audit_dk, recover_or_rebuild, AuditConfig, AuditReport, Finding, Invariant, RecoveryAction, Severity};
+pub use audit::{audit, audit_dk, check_structure, recover_or_rebuild, AuditConfig, AuditReport, Finding, Invariant, RecoveryAction, Severity};
 pub use block_store::{Block, BlockStore};
 pub use dataguide::{DataGuide, DataGuideError};
 pub use dk::{DkIndex, EdgeUpdateOutcome};

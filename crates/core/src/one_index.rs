@@ -39,6 +39,7 @@ impl OneIndex {
 mod tests {
     use super::*;
     use crate::akindex::AkIndex;
+    use crate::audit::check_structure;
     use crate::eval::{evaluate_on_data, IndexEvaluator};
     use dkindex_graph::{EdgeKind, LabeledGraph};
     use dkindex_pathexpr::parse;
@@ -66,7 +67,7 @@ mod tests {
     fn one_index_is_always_sound() {
         let g = data();
         let one = OneIndex::build(&g);
-        one.index().check_invariants(&g).unwrap();
+        check_structure(one.index(), &g).unwrap();
         for expr in [
             "director.movie.title",
             "actor.movie.movie.title",

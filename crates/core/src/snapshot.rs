@@ -33,6 +33,7 @@
 //! exactly when [`load_with_recovery`] succeeds with
 //! [`Recovery::is_intact`].
 
+use crate::audit;
 use crate::bytes::Cursor;
 use crate::crc32::crc32;
 use crate::dk::construct::DkIndex;
@@ -317,9 +318,12 @@ fn load_sections(bytes: &[u8]) -> Result<Sections, SnapshotError> {
                 reason: "trailing bytes inside the section".to_string(),
             });
         }
-        index.check_invariants(&data).map_err(|e| SnapshotError::Section {
+        // `read_index` guards only what construction needs; whether the
+        // extents partition the graph, edges project it and the root is the
+        // root is decided here, before anything uses the index.
+        audit::check_structure(&index, &data).map_err(|finding| SnapshotError::Section {
             tag: TAG_INDX,
-            reason: format!("fails invariants: {e}"),
+            reason: format!("fails invariants: {finding}"),
         })?;
         Ok(index)
     });
@@ -374,6 +378,7 @@ pub fn load_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use dkindex_graph::EdgeKind;
 
     fn sample() -> (DataGraph, DkIndex) {
@@ -514,9 +519,37 @@ mod tests {
         let (recovered, g2, recovery) = load_with_recovery(&copy).unwrap();
         assert!(recovery.rebuilt_index, "{:?}", recovery.notes);
         assert!(!recovery.lost_requirements);
-        recovered.index().check_invariants(&g2).unwrap();
+        check_structure(recovered.index(), &g2).unwrap();
         // The rebuild reuses the recovered requirements, so it reproduces
         // the original index exactly.
+        assert_eq!(snapshot_bytes(&recovered, &g2), bytes);
+    }
+
+    /// Regression: the strict loader's invariant check did not look at the
+    /// root, so an `INDX` whose root field names another in-range block
+    /// (CRC recomputed) loaded, and Alg 3 then grafted new files under that
+    /// block.
+    #[test]
+    fn a_wrong_root_is_rejected_strictly_and_rebuilt_gracefully() {
+        let (g, dk) = sample();
+        let bytes = snapshot_bytes(&dk, &g);
+        let mut copy = bytes.clone();
+        let wrong = (dk.index().root().index() + 1) % dk.size();
+        let n = copy.len();
+        copy[n - 4..].copy_from_slice(&(wrong as u32).to_le_bytes());
+        // INDX is the last section: its payload ends the file, its CRC
+        // precedes the payload.
+        let mut indx = Vec::new();
+        store::write_index(dk.index(), &mut indx).unwrap();
+        let at = n - indx.len();
+        let crc = crc32(&copy[at..]);
+        copy[at - 4..at].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            read_snapshot(&copy),
+            Err(SnapshotError::Section { tag, .. }) if tag == TAG_INDX
+        ));
+        let (recovered, g2, recovery) = load_with_recovery(&copy).unwrap();
+        assert!(recovery.rebuilt_index, "{:?}", recovery.notes);
         assert_eq!(snapshot_bytes(&recovered, &g2), bytes);
     }
 
@@ -546,7 +579,7 @@ mod tests {
                 // Only possible once GRPH is fully framed; result must
                 // be a well-formed index.
                 assert!(!recovery.is_intact(), "cut at {cut} claimed intact");
-                recovered.index().check_invariants(&g2).unwrap();
+                check_structure(recovered.index(), &g2).unwrap();
             }
         }
     }

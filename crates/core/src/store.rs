@@ -16,10 +16,11 @@
 //!          root     u32 index node id
 //! ```
 //!
-//! [`read_index`] validates structure (extents partition `0..data_nodes`,
-//! ids in range) and leaves semantic validation to
-//! [`IndexGraph::check_invariants`], which the snapshot loader runs against
-//! the graph it loads alongside.
+//! [`read_index`] guards only what makes construction safe — every id in
+//! range, no allocation sized by an unchecked count — and leaves the verdict
+//! on the index (extents partition the graph, edges project it, the root is
+//! the root) to [`crate::audit::check_structure`], which the snapshot loader
+//! runs against the graph it loads alongside before anything uses the index.
 
 use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
@@ -73,6 +74,8 @@ pub fn write_index<W: Write>(index: &IndexGraph, w: &mut W) -> io::Result<()> {
 
 /// Deserialize an index graph. `data_nodes` is the node count of the data
 /// graph the index summarizes (extents must partition exactly that range).
+/// Only ranges are checked here: run [`crate::audit::check_structure`]
+/// before using the result, as the snapshot loader does.
 pub fn read_index<R: Read>(r: &mut R, data_nodes: usize) -> Result<IndexGraph, ReadError> {
     let label_count = read_u32(r)? as usize;
     let mut interner = LabelInterner::new();
@@ -96,7 +99,6 @@ pub fn read_index<R: Read>(r: &mut R, data_nodes: usize) -> Result<IndexGraph, R
     let mut labels = Vec::with_capacity(cap);
     let mut sims = Vec::with_capacity(cap);
     let mut extents: Vec<Vec<NodeId>> = Vec::with_capacity(cap);
-    let mut covered = vec![false; data_nodes];
     for i in 0..inode_count {
         let label = read_u32(r)? as usize;
         if label >= label_count {
@@ -104,9 +106,6 @@ pub fn read_index<R: Read>(r: &mut R, data_nodes: usize) -> Result<IndexGraph, R
         }
         let sim = read_u64(r)?;
         let len = read_u32(r)? as usize;
-        if len == 0 {
-            return Err(corrupt(format!("inode {i}: empty extent")));
-        }
         if len > data_nodes {
             return Err(corrupt(format!("inode {i}: extent larger than data")));
         }
@@ -116,20 +115,12 @@ pub fn read_index<R: Read>(r: &mut R, data_nodes: usize) -> Result<IndexGraph, R
             if d >= data_nodes {
                 return Err(corrupt(format!("inode {i}: extent member out of range")));
             }
-            if covered[d] {
-                return Err(corrupt(format!("data node {d} in two extents")));
-            }
-            covered[d] = true;
             extent.push(NodeId::from_index(d));
         }
         labels.push(dkindex_graph::LabelId::from_index(label));
         sims.push(usize::try_from(sim).map_err(|_| corrupt("similarity overflow"))?);
         extents.push(extent);
     }
-    if let Some(d) = covered.iter().position(|&c| !c) {
-        return Err(corrupt(format!("data node {d} not covered by any extent")));
-    }
-
     let mut index = IndexGraph::from_stored_parts(interner, labels, sims, extents, data_nodes);
     let edge_count = read_u32(r)? as usize;
     for _ in 0..edge_count {
@@ -176,6 +167,7 @@ pub(crate) fn read_requirements<R: Read>(r: &mut R) -> Result<Requirements, Read
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
     use dkindex_graph::{DataGraph, EdgeKind};
 
@@ -206,7 +198,7 @@ mod tests {
         let (g, dk) = sample();
         let bytes = index_bytes(&dk);
         let back = read_index(&mut bytes.as_slice(), g.node_count()).unwrap();
-        back.check_invariants(&g).unwrap();
+        check_structure(&back, &g).unwrap();
         assert_eq!(back.size(), dk.size());
         assert!(back.to_partition().same_equivalence(&dk.index().to_partition()));
         for inode in dk.index().node_ids() {
@@ -238,7 +230,7 @@ mod tests {
             let mut copy = bytes.clone();
             copy[i] ^= 0xFF;
             let loaded = read_index(&mut copy.as_slice(), g.node_count());
-            if loaded.map_or(true, |index| index.check_invariants(&g).is_err()) {
+            if loaded.map_or(true, |index| check_structure(&index, &g).is_err()) {
                 corrupted += 1;
             }
         }

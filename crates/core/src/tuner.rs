@@ -286,6 +286,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
     use crate::eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator};
     use crate::serve_ops::apply_serial;
@@ -404,7 +405,7 @@ mod tests {
             assert_eq!(t.serve(q, 1).matches, truth);
         }
         assert!(t.tune().is_some(), "three deep queries at support 1 must promote");
-        t.dk.index().check_invariants(&t.g).unwrap();
+        check_structure(t.dk.index(), &t.g).unwrap();
         for q in queries {
             let truth = evaluate_on_data(&t.g, &parse(q).unwrap()).0;
             assert_eq!(t.serve(q, 1).matches, truth);

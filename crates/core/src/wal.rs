@@ -50,9 +50,10 @@
 //!   a clean crash (a torn write leaves a *prefix* of what was written);
 //!   decoding fails with a typed [`WalError::CorruptRecord`].
 //!
-//! [`WalWriter`] orders writes for durability: a record (or batch) is
-//! written, fenced and synced before the append returns, so an operation
-//! acknowledged to the caller survives a crash. The writer is generic over
+//! [`WalWriter`] orders writes for durability: a batch's records and its
+//! fence are written in one write and synced before
+//! [`WalWriter::append_batch`] returns, so an operation acknowledged to the
+//! caller survives a crash. The writer is generic over
 //! [`WalStore`] so the crash torture harness can substitute the
 //! fail-injecting [`crate::io_fail::SimDisk`] for a real file.
 
@@ -235,7 +236,7 @@ pub struct WalInspection {
     pub verdict: WalVerdict,
 }
 
-/// Doctor's three-way tail verdict.
+/// Doctor's three-way tail verdict — also how the low-level scan ended.
 #[derive(Debug)]
 pub enum WalVerdict {
     /// The file ends exactly on the committed prefix.
@@ -257,22 +258,14 @@ pub enum WalVerdict {
     },
 }
 
-/// How the low-level scan ended.
-enum DecodeEnd {
-    Clean,
-    Torn,
-    Corrupt { index: usize, offset: usize, reason: String },
-}
-
-/// Low-level scan result shared by [`decode_wal`] and [`inspect_wal`].
+/// Low-level scan result shared by [`decode_wal`], [`inspect_wal`] and
+/// [`WalWriter::open`].
 struct Decoded {
     /// Every complete, CRC-valid op record in file order (fences excluded).
     records: Vec<ServeOp>,
     /// How many of `records` a commit fence covers.
     committed: usize,
-    /// Byte offset where the committed prefix ends.
-    committed_end: usize,
-    end: DecodeEnd,
+    end: WalVerdict,
 }
 
 fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
@@ -290,22 +283,23 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
     let mut committed_end = cur.offset();
     let mut index = 0usize;
     let end = loop {
+        let torn = WalVerdict::TornTail { valid_len: committed_end };
         if cur.remaining() == 0 {
             break if committed == records.len() && committed_end == cur.offset() {
-                DecodeEnd::Clean
+                WalVerdict::Clean
             } else {
                 // Complete records past the last fence: written but never
                 // fenced by an fsync, i.e. never acknowledged — the tail
                 // recovery drops.
-                DecodeEnd::Torn
+                torn
             };
         }
         let offset = cur.offset();
-        let corrupt = move |reason: String| DecodeEnd::Corrupt { index, offset, reason };
+        let corrupt = move |reason: String| WalVerdict::Corrupt { index, offset, reason };
         // A tear inside the 4 length bytes, or a body/CRC shorter than the
         // declared length, is the crash signature: the write stopped partway.
         let Some(len) = cur.u32_le() else {
-            break DecodeEnd::Torn;
+            break torn;
         };
         let len = len as usize;
         if len == 0 || len > MAX_RECORD_LEN {
@@ -314,10 +308,10 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
             break corrupt(format!("record length {len} out of bounds"));
         }
         if cur.remaining() < len + 4 {
-            break DecodeEnd::Torn;
+            break torn;
         }
         let (Some(body), Some(stored)) = (cur.take(len), cur.u32_le()) else {
-            break DecodeEnd::Torn;
+            break torn;
         };
         if crc32(body) != stored {
             telemetry::metrics::STORE_CRC_FAILURES.incr();
@@ -339,7 +333,7 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
         }
         index += 1;
     };
-    Ok(Decoded { records, committed, committed_end, end })
+    Ok(Decoded { records, committed, end })
 }
 
 enum DecodedBody {
@@ -421,14 +415,14 @@ fn decode_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
 pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<ServeOp>, WalTail), WalError> {
     let mut decoded = decode_engine(bytes)?;
     match decoded.end {
-        DecodeEnd::Corrupt { index, offset, reason } => {
+        WalVerdict::Corrupt { index, offset, reason } => {
             Err(WalError::CorruptRecord { index, offset, reason })
         }
-        DecodeEnd::Clean => Ok((decoded.records, WalTail::Clean)),
-        DecodeEnd::Torn => {
+        WalVerdict::Clean => Ok((decoded.records, WalTail::Clean)),
+        WalVerdict::TornTail { valid_len } => {
             telemetry::metrics::WAL_TORN_TAILS.incr();
             decoded.records.truncate(decoded.committed);
-            Ok((decoded.records, WalTail::Torn { valid_len: decoded.committed_end }))
+            Ok((decoded.records, WalTail::Torn { valid_len }))
         }
     }
 }
@@ -440,14 +434,7 @@ pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<ServeOp>, WalTail), WalError> {
 pub fn inspect_wal(bytes: &[u8]) -> Result<WalInspection, WalError> {
     let decoded = decode_engine(bytes)?;
     let uncommitted = decoded.records.len() - decoded.committed;
-    let verdict = match decoded.end {
-        DecodeEnd::Clean => WalVerdict::Clean,
-        DecodeEnd::Torn => WalVerdict::TornTail { valid_len: decoded.committed_end },
-        DecodeEnd::Corrupt { index, offset, reason } => {
-            WalVerdict::Corrupt { index, offset, reason }
-        }
-    };
-    Ok(WalInspection { committed: decoded.committed, uncommitted, verdict })
+    Ok(WalInspection { committed: decoded.committed, uncommitted, verdict: decoded.end })
 }
 
 // ---- replay --------------------------------------------------------------
@@ -461,38 +448,30 @@ pub struct ReplayReport {
     pub tail: WalTail,
 }
 
-/// Replay decoded `ops` into `dk`/`data`. Each applies exactly as
-/// [`crate::serve_ops`] applied it in the serve run that logged it — replay
-/// of the committed prefix is byte-identical to that run. The group-commit
-/// path logs only ops [`serve_ops::is_applicable`] accepts, so one that
-/// names a node outside the graph means the WAL belongs to a different
-/// snapshot: a typed error, raised *before* that op mutates anything.
-pub fn replay_records(
-    dk: &mut DkIndex,
-    data: &mut DataGraph,
-    ops: &[ServeOp],
-    tail: WalTail,
-) -> Result<ReplayReport, WalError> {
-    let span = telemetry::Span::start(&telemetry::metrics::WAL_REPLAY_NS);
-    for (index, op) in ops.iter().enumerate() {
-        if !serve_ops::is_applicable(op, data) {
-            return Err(WalError::RecordOutOfRange { index });
-        }
-        serve_ops::apply(dk, data, op.clone());
-        telemetry::metrics::WAL_RECORDS_REPLAYED.incr();
-    }
-    drop(span);
-    Ok(ReplayReport { applied: ops.len(), tail })
-}
-
-/// Decode `bytes` and replay into `dk`/`data` in one step.
+/// Decode `bytes` and replay the committed ops into `dk`/`data`. Each
+/// applies exactly as [`crate::serve_ops`] applied it in the serve run that
+/// logged it — replay of the committed prefix is byte-identical to that
+/// run. The group-commit path logs only ops [`serve_ops::is_applicable`]
+/// accepts, so one that names a node outside the graph means the WAL
+/// belongs to a different snapshot: a typed error, raised *before* that op
+/// mutates anything.
 pub fn replay(
     dk: &mut DkIndex,
     data: &mut DataGraph,
     bytes: &[u8],
 ) -> Result<ReplayReport, WalError> {
     let (records, tail) = decode_wal(bytes)?;
-    replay_records(dk, data, records.as_slice(), tail)
+    let span = telemetry::Span::start(&telemetry::metrics::WAL_REPLAY_NS);
+    let applied = records.len();
+    for (index, op) in records.into_iter().enumerate() {
+        if !serve_ops::is_applicable(&op, data) {
+            return Err(WalError::RecordOutOfRange { index });
+        }
+        serve_ops::apply(dk, data, op);
+        telemetry::metrics::WAL_RECORDS_REPLAYED.incr();
+    }
+    drop(span);
+    Ok(ReplayReport { applied, tail })
 }
 
 // ---- writing -------------------------------------------------------------
@@ -536,13 +515,10 @@ impl<S: WalStore + Send> BatchLog for WalWriter<S> {
     }
 }
 
-/// Append-only WAL handle with fsync-ordered writes: every record — or, for
-/// a batch, the batch plus its commit fence — is flushed to stable storage
-/// before the append returns.
+/// Append-only WAL handle with fsync-ordered writes: a batch plus its
+/// commit fence is flushed to stable storage before the append returns.
 pub struct WalWriter<S: WalStore = FileStore> {
     store: S,
-    /// Op records written since the last commit fence.
-    staged: u32,
 }
 
 impl WalWriter<FileStore> {
@@ -554,7 +530,7 @@ impl WalWriter<FileStore> {
         store.write_all_bytes(&encode_header())?;
         store.sync()?;
         crate::snapshot::sync_parent_dir(path)?;
-        Ok(WalWriter { store, staged: 0 })
+        Ok(WalWriter { store })
     }
 
     /// Open an existing WAL for appending. The whole file is validated
@@ -564,20 +540,20 @@ impl WalWriter<FileStore> {
     pub fn open(path: &Path) -> Result<Self, WalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        let decoded = decode_engine(&bytes)?;
-        if let DecodeEnd::Corrupt { index, offset, reason } = decoded.end {
+        let end = decode_engine(&bytes)?.end;
+        if let WalVerdict::Corrupt { index, offset, reason } = end {
             return Err(WalError::CorruptRecord { index, offset, reason });
         }
         let file = OpenOptions::new().write(true).open(path)?;
-        if decoded.committed_end != bytes.len() {
+        if let WalVerdict::TornTail { valid_len } = end {
             telemetry::metrics::WAL_TORN_TAILS.incr();
-            file.set_len(decoded.committed_end as u64)?;
+            file.set_len(valid_len as u64)?;
             file.sync_data()?;
         }
         let mut store = FileStore { file };
         use std::io::Seek;
         store.file.seek(io::SeekFrom::End(0))?;
-        Ok(WalWriter { store, staged: 0 })
+        Ok(WalWriter { store })
     }
 }
 
@@ -588,7 +564,7 @@ impl<S: WalStore> WalWriter<S> {
     pub fn with_store(mut store: S) -> io::Result<Self> {
         store.write_all_bytes(&encode_header())?;
         store.sync()?;
-        Ok(WalWriter { store, staged: 0 })
+        Ok(WalWriter { store })
     }
 
     /// Borrow the underlying store (the torture harness reads crash views
@@ -597,38 +573,11 @@ impl<S: WalStore> WalWriter<S> {
         &self.store
     }
 
-    /// Append one op durably: write, fence, sync, then return.
-    pub fn append(&mut self, op: &ServeOp) -> io::Result<()> {
-        self.stage(op)?;
-        self.commit()
-    }
-
-    /// Write one op record without syncing. The record is neither durable
-    /// nor replayable until [`WalWriter::commit`] fences it.
-    pub fn stage(&mut self, op: &ServeOp) -> io::Result<()> {
-        self.store.write_all_bytes(&encode_record(op))?;
-        self.staged = self.staged.saturating_add(1);
-        telemetry::metrics::WAL_RECORDS_APPENDED.incr();
-        Ok(())
-    }
-
-    /// Fence and fsync everything staged since the previous commit; the
-    /// fence covers exactly the staged run. A no-op when nothing is staged.
-    pub fn commit(&mut self) -> io::Result<()> {
-        if self.staged == 0 {
-            return Ok(());
-        }
-        self.store.write_all_bytes(&encode_commit(self.staged))?;
-        self.sync_counted()?;
-        self.staged = 0;
-        telemetry::metrics::WAL_GROUP_COMMITS.incr();
-        Ok(())
-    }
-
     /// Group-commit one batch: every op record plus the commit fence in a
     /// single write, then a single fsync. This is the serve maintenance
     /// thread's durability step — nothing in the batch is acknowledged
-    /// until this returns `Ok`.
+    /// until this returns `Ok` — and the one way to append: a single op is
+    /// `append_batch(std::slice::from_ref(&op))`.
     pub fn append_batch(&mut self, ops: &[ServeOp]) -> io::Result<()> {
         if ops.is_empty() {
             return Ok(());
@@ -910,7 +859,7 @@ mod tests {
         let path = dir.join("updates.wal");
 
         let mut w = WalWriter::create(&path).unwrap();
-        w.append(&add(3, 1)).unwrap();
+        w.append_batch(&[add(3, 1)]).unwrap();
         drop(w);
 
         // Simulate a crash mid-append: a complete record with no fence plus
@@ -921,7 +870,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(&ServeOp::Promote { node: NodeId::from_index(2), k: 1 }).unwrap();
+        w.append_batch(&[ServeOp::Promote { node: NodeId::from_index(2), k: 1 }]).unwrap();
         drop(w);
 
         let bytes = std::fs::read(&path).unwrap();

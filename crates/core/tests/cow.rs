@@ -13,7 +13,7 @@
 //!   just hand-rolled clones.
 
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
-use dkindex_core::{snapshot_bytes, DkIndex, IndexGraph, Requirements};
+use dkindex_core::{check_structure, snapshot_bytes, DkIndex, IndexGraph, Requirements};
 use dkindex_datagen::{random_graph, RandomGraphConfig};
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_workload::generate_update_edges;
@@ -116,7 +116,7 @@ fn single_edge_update_shares_untouched_blocks() {
     assert_eq!(snapshot_bytes(&next_dk, &next_g), snapshot_bytes(&replay_dk, &replay_g));
 
     // The pre-update snapshot is untouched by the clone's mutation.
-    dk.index().check_invariants(&g).unwrap();
+    check_structure(dk.index(), &g).unwrap();
 }
 
 /// A chain of COW epochs — each built by cloning its predecessor and
@@ -155,7 +155,7 @@ fn cow_chain_is_byte_identical_to_serial_replay() {
             &format!("chain batch ending at {applied}"),
         );
     }
-    chain_dk.index().check_invariants(&chain_g).unwrap();
+    check_structure(chain_dk.index(), &chain_g).unwrap();
 }
 
 /// The same two properties through the real publish path: epochs published
@@ -203,7 +203,7 @@ fn server_publishes_delta_epochs() {
             &format!("publish {}", next.id()),
         );
         // The superseded epoch still answers from an intact snapshot.
-        prev.index().index().check_invariants(prev.data()).unwrap();
+        check_structure(prev.index().index(), prev.data()).unwrap();
         prev = next;
     }
 

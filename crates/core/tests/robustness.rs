@@ -198,8 +198,6 @@ proptest! {
                     snapshot_bytes(&dk_direct, &g_direct),
                     "replayed v2 prefix of {} records diverged", expected
                 );
-                dk_replayed.index().check_invariants(&g_replayed)
-                    .expect("replayed index is well-formed");
                 let audit = audit_dk(&dk_replayed, &g_replayed, &AuditConfig::default());
                 prop_assert!(audit.is_sound(), "auditor found corruption:\n{}", audit);
             }
@@ -209,8 +207,7 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in a snapshot either yields a typed
-    /// error or recovers to an index that passes both the structural
-    /// invariant check and the full auditor.
+    /// error or recovers to an index the full auditor finds sound.
     #[test]
     fn corrupted_snapshots_recover_or_fail_typed(
         s in scenario(),
@@ -222,7 +219,6 @@ proptest! {
         let i = at.index(bytes.len());
         bytes[i] ^= 1 << bit;
         if let Ok((rec_dk, rec_g, _)) = load_with_recovery(&bytes) {
-            rec_dk.index().check_invariants(&rec_g).expect("recovered index is well-formed");
             let report = audit_dk(&rec_dk, &rec_g, &AuditConfig::default());
             prop_assert!(report.is_sound(), "auditor found corruption:\n{}", report);
         }

@@ -11,8 +11,8 @@
 use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
 use dkindex_core::{
-    evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, OneIndex, Requirements, Tuner,
-    TunerConfig,
+    check_structure, evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, OneIndex,
+    Requirements, Tuner, TunerConfig,
 };
 use dkindex_datagen::{
     nasa_graph, random_graph, xmark_graph, NasaConfig, RandomGraphConfig, XmarkConfig,
@@ -186,7 +186,7 @@ fn racing_readers_always_see_a_consistent_epoch() {
     let final_epoch = server.flush().unwrap();
     assert_eq!(final_epoch as usize, ops.len(), "batch size 1 publishes once per op");
     let (final_dk, final_g) = server.shutdown().unwrap();
-    final_dk.index().check_invariants(&final_g).unwrap();
+    check_structure(final_dk.index(), &final_g).unwrap();
 }
 
 /// The per-epoch memo returns the identical outcome for a repeated query and
@@ -229,7 +229,7 @@ fn epoch_memo_is_dropped_on_publish() {
     // ...while the new epoch evaluates fresh against the updated graph.
     assert_eq!(e1.evaluate(&q).matches, evaluate_on_data(e1.data(), &q).0);
     let (final_dk, final_g) = server.shutdown().unwrap();
-    final_dk.index().check_invariants(&final_g).unwrap();
+    check_structure(final_dk.index(), &final_g).unwrap();
 }
 
 /// Regression for the typed serve-error surface (was: panics): after the
@@ -270,7 +270,7 @@ fn dead_maintenance_thread_surfaces_typed_errors() {
     assert_eq!(epoch.id(), 0);
     // Shutdown still reclaims the state the thread returned on exit.
     let (final_dk, final_g) = server.shutdown().expect("thread exited cleanly, not by panic");
-    final_dk.index().check_invariants(&final_g).unwrap();
+    check_structure(final_dk.index(), &final_g).unwrap();
 }
 
 // ---- WAL-poisoning contract (regressions) --------------------------------
@@ -310,7 +310,7 @@ fn poisoned_server_fails_flush_with_typed_error() {
     // later flush keeps reporting the loss.
     assert_eq!(server.flush(), Err(ServeError::WalFailed));
     let (final_dk, final_g) = server.shutdown().unwrap();
-    final_dk.index().check_invariants(&final_g).unwrap();
+    check_structure(final_dk.index(), &final_g).unwrap();
 }
 
 /// Regression: plain `submit()` ops accepted after WAL poisoning vanished

@@ -11,8 +11,8 @@
 //!   reusable across data and summary graphs.
 //! * [`LabelInterner`] / [`LabelId`] — dense label interning with the
 //!   distinguished `ROOT` and `VALUE` labels.
-//! * [`traversal`] — BFS/DFS, depth maps and incoming-label-path enumeration
-//!   (the raw material of the k-bisimilarity properties).
+//! * [`traversal`] — depth maps and incoming-label-path enumeration (the
+//!   raw material of the k-bisimilarity properties).
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
 //! * [`SegVec`] — the persistent, segment-shared vector backing

@@ -5,8 +5,7 @@
 //! all marks is a single epoch increment — O(1) instead of re-zeroing the
 //! whole vector — so a long batch of traversals over the same graph performs
 //! no steady-state allocation and no per-traversal memset. The evaluation
-//! arena in `dkindex-pathexpr` and the traversal helpers in this crate both
-//! build on it.
+//! arena in `dkindex-pathexpr` builds on it.
 
 /// Reusable set of visited flags over dense `usize` ids.
 ///

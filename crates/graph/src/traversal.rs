@@ -1,58 +1,12 @@
-//! Graph traversal utilities: BFS/DFS orders, depth maps, reachability, and
-//! the *incoming label-path* machinery that underpins bisimilarity checks
-//! (paper §3: "if two nodes are bisimilar, the set of paths coming into them
-//! is the same").
+//! Graph traversal utilities: depth maps and the *incoming label-path*
+//! machinery that underpins bisimilarity checks (paper §3: "if two nodes are
+//! bisimilar, the set of paths coming into them is the same"). Whether a
+//! label path matches a node is `dkindex_pathexpr::matches_ending_at`, which
+//! decides it for any path expression.
 
 use crate::graph::{LabeledGraph, NodeId};
 use crate::label::LabelId;
-use crate::marks::Marks;
 use std::collections::{HashSet, VecDeque};
-
-/// Nodes of `g` in breadth-first order from `start`.
-pub fn bfs_order<G: LabeledGraph>(g: &G, start: NodeId) -> Vec<NodeId> {
-    bfs_order_with(g, start, &mut Marks::new())
-}
-
-/// [`bfs_order`] reusing caller-owned visited marks across calls.
-pub fn bfs_order_with<G: LabeledGraph>(g: &G, start: NodeId, seen: &mut Marks) -> Vec<NodeId> {
-    seen.reset(g.node_count());
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen.mark(start.index());
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        order.push(n);
-        for &c in g.children_of(n) {
-            if seen.mark(c.index()) {
-                queue.push_back(c);
-            }
-        }
-    }
-    order
-}
-
-/// Nodes of `g` in depth-first (preorder) order from `start`.
-pub fn dfs_order<G: LabeledGraph>(g: &G, start: NodeId) -> Vec<NodeId> {
-    dfs_order_with(g, start, &mut Marks::new())
-}
-
-/// [`dfs_order`] reusing caller-owned visited marks across calls.
-pub fn dfs_order_with<G: LabeledGraph>(g: &G, start: NodeId, seen: &mut Marks) -> Vec<NodeId> {
-    seen.reset(g.node_count());
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(n) = stack.pop() {
-        if !seen.mark(n.index()) {
-            continue;
-        }
-        order.push(n);
-        // Push children in reverse so the leftmost child is visited first.
-        for &c in g.children_of(n).iter().rev() {
-            stack.push(c);
-        }
-    }
-    order
-}
 
 /// Shortest distance (in edges) from the root to every node; `None` for
 /// unreachable nodes.
@@ -71,43 +25,6 @@ pub fn depth_from_root<G: LabeledGraph>(g: &G) -> Vec<Option<usize>> {
         }
     }
     depth
-}
-
-/// Set of nodes reachable from `start` (including `start`).
-pub fn reachable_from<G: LabeledGraph>(g: &G, start: NodeId) -> HashSet<NodeId> {
-    bfs_order(g, start).into_iter().collect()
-}
-
-/// Does some node path ending in `node` match the label path `labels`
-/// (paper §3's "a label path matches a node")?
-///
-/// Checked by walking *backward* from `node`: `labels[last]` must equal
-/// `node`'s label, `labels[last-1]` some parent's label, and so on. Runs in
-/// O(|labels| · m) worst case via a frontier of candidate nodes.
-pub fn label_path_matches<G: LabeledGraph>(g: &G, labels: &[LabelId], node: NodeId) -> bool {
-    let Some((&last, rest)) = labels.split_last() else {
-        return true; // The empty label path matches every node.
-    };
-    if g.label_of(node) != last {
-        return false;
-    }
-    let mut frontier: HashSet<NodeId> = HashSet::new();
-    frontier.insert(node);
-    for &want in rest.iter().rev() {
-        let mut next = HashSet::new();
-        for &n in &frontier {
-            for &p in g.parents_of(n) {
-                if g.label_of(p) == want {
-                    next.insert(p);
-                }
-            }
-        }
-        if next.is_empty() {
-            return false;
-        }
-        frontier = next;
-    }
-    true
 }
 
 /// All distinct label paths of length exactly `len` that come into `node`.
@@ -186,26 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_visits_every_reachable_node_once() {
-        let (g, ..) = chain();
-        let order = bfs_order(&g, g.root());
-        assert_eq!(order.len(), g.node_count());
-        let set: HashSet<_> = order.iter().collect();
-        assert_eq!(set.len(), order.len());
-        assert_eq!(order[0], g.root());
-    }
-
-    #[test]
-    fn dfs_preorder_starts_at_root_and_covers_graph() {
-        let (g, x, y, z, _) = chain();
-        let order = dfs_order(&g, g.root());
-        assert_eq!(order.len(), g.node_count());
-        // x precedes y precedes z (single path).
-        let pos = |n: NodeId| order.iter().position(|&m| m == n).unwrap();
-        assert!(pos(x) < pos(y) && pos(y) < pos(z));
-    }
-
-    #[test]
     fn depth_from_root_measures_shortest_paths() {
         let (mut g, x, _, z, w) = chain();
         assert_eq!(depth_from_root(&g)[z.index()], Some(3));
@@ -222,31 +119,6 @@ mod tests {
         let mut g = DataGraph::new();
         let orphan = g.add_labeled_node("o");
         assert_eq!(depth_from_root(&g)[orphan.index()], None);
-    }
-
-    #[test]
-    fn reachable_from_subtree() {
-        let (g, x, y, z, w) = chain();
-        let from_x = reachable_from(&g, x);
-        assert!(from_x.contains(&x) && from_x.contains(&y) && from_x.contains(&z));
-        assert!(!from_x.contains(&w) && !from_x.contains(&g.root()));
-    }
-
-    #[test]
-    fn label_path_matches_full_chain() {
-        let (g, _, _, z, _) = chain();
-        let l = |s: &str| g.labels().get(s).unwrap();
-        assert!(label_path_matches(&g, &[l("a"), l("b"), l("c")], z));
-        assert!(label_path_matches(&g, &[l("b"), l("c")], z));
-        assert!(label_path_matches(&g, &[l("c")], z));
-        assert!(!label_path_matches(&g, &[l("b"), l("a"), l("c")], z));
-        assert!(!label_path_matches(&g, &[l("a")], z));
-    }
-
-    #[test]
-    fn empty_label_path_matches_anything() {
-        let (g, x, ..) = chain();
-        assert!(label_path_matches(&g, &[], x));
     }
 
     #[test]

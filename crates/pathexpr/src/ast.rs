@@ -105,28 +105,6 @@ impl PathExpr {
         }
     }
 
-    /// All label names mentioned by the expression, in first-mention order.
-    pub fn labels_mentioned(&self) -> Vec<&str> {
-        fn walk<'a>(e: &'a PathExpr, out: &mut Vec<&'a str>) {
-            match e {
-                PathExpr::Label(l) => {
-                    if !out.contains(&l.as_str()) {
-                        out.push(l);
-                    }
-                }
-                PathExpr::Wildcard => {}
-                PathExpr::Seq(a, b) | PathExpr::Alt(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                PathExpr::Opt(a) | PathExpr::Star(a) => walk(a, out),
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-
     /// The label names that can end a word of the language — the labels of
     /// nodes the query can *return*. Query-load mining attributes a query's
     /// similarity requirement to exactly these labels (`None` entry means a
@@ -301,15 +279,6 @@ mod tests {
         let alt = PathExpr::alt(PathExpr::label("a"), PathExpr::path(&["b", "c"]));
         assert_eq!(alt.max_word_len(), Some(2));
         assert_eq!(alt.min_word_len(), 1);
-    }
-
-    #[test]
-    fn labels_mentioned_dedups_in_order() {
-        let e = PathExpr::seq(
-            PathExpr::path(&["a", "b"]),
-            PathExpr::alt(PathExpr::label("a"), PathExpr::label("c")),
-        );
-        assert_eq!(e.labels_mentioned(), vec!["a", "b", "c"]);
     }
 
     #[test]

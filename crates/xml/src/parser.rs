@@ -6,6 +6,12 @@
 //! Not supported (not needed for the XMark/NASA-style datasets): DTD-internal
 //! subsets beyond skipping `<!DOCTYPE ...>`, namespaces-aware processing
 //! (prefixes are kept verbatim in names) and custom entity definitions.
+//!
+//! The parser is the one place well-formedness is checked: every event it
+//! yields belongs to a document with exactly one root element whose tags
+//! nest, and a document that breaks that is an [`XmlError`] at the byte
+//! where it breaks. Consumers ([`crate::Document::parse`],
+//! [`crate::stream_to_graph`]) trust the event order.
 
 use std::fmt;
 
@@ -90,7 +96,10 @@ pub struct XmlParser<'a> {
     input: &'a str,
     pos: usize,
     limits: XmlLimits,
-    depth: usize,
+    /// Names of the open elements, innermost last.
+    open: Vec<&'a str>,
+    /// A root element has started (a second one is an error).
+    seen_root: bool,
     entity_refs: usize,
 }
 
@@ -106,14 +115,10 @@ impl<'a> XmlParser<'a> {
             input,
             pos: 0,
             limits,
-            depth: 0,
+            open: Vec::new(),
+            seen_root: false,
             entity_refs: 0,
         }
-    }
-
-    /// Current byte offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Decode entities while charging the document-wide reference budget.
@@ -133,10 +138,15 @@ impl<'a> XmlParser<'a> {
     }
 
     fn err(&self, message: impl Into<String>) -> XmlError {
-        XmlError {
-            position: self.pos,
-            message: message.into(),
+        error_at(self.pos, message)
+    }
+
+    /// Character data at `at` is legal only inside the root element.
+    fn text(&self, text: String, at: usize) -> Result<Option<XmlEvent>, XmlError> {
+        if self.open.is_empty() {
+            return Err(error_at(at, "text outside the root element"));
         }
+        Ok(Some(XmlEvent::Text(text)))
     }
 
     fn rest(&self) -> &'a str {
@@ -167,7 +177,7 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let rest = self.rest();
         let end = rest
             .char_indices()
@@ -182,7 +192,7 @@ impl<'a> XmlParser<'a> {
             return Err(self.err(format!("invalid name start in {name:?}")));
         }
         self.advance(end);
-        Ok(name.to_string())
+        Ok(name)
     }
 
     fn read_attributes(&mut self) -> Result<Vec<(String, String)>, XmlError> {
@@ -209,14 +219,20 @@ impl<'a> XmlParser<'a> {
             self.advance(1);
             let raw = self.take_until(&quote.to_string(), "attribute value")?;
             let at = self.pos;
-            attrs.push((name, self.decode(raw, at)?));
+            attrs.push((name.to_string(), self.decode(raw, at)?));
         }
     }
 
-    /// Pull the next event, or `None` at end of input.
+    /// Pull the next event, or `None` at the end of a well-formed document.
     #[allow(clippy::should_implement_trait)] // fallible iterator; next() mirrors pull-parser convention
     pub fn next(&mut self) -> Result<Option<XmlEvent>, XmlError> {
         if self.pos >= self.input.len() {
+            if let Some(open) = self.open.last() {
+                return Err(self.err(format!("unclosed element <{open}>")));
+            }
+            if !self.seen_root {
+                return Err(self.err("empty document"));
+            }
             return Ok(None);
         }
         if !self.starts_with("<") {
@@ -230,17 +246,18 @@ impl<'a> XmlParser<'a> {
                 // Skip inter-element whitespace and continue pulling.
                 return self.next();
             }
-            return Ok(Some(XmlEvent::Text(text)));
+            return self.text(text, at);
         }
         if self.starts_with("<!--") {
             self.advance(4);
             let body = self.take_until("-->", "comment")?;
             return Ok(Some(XmlEvent::Comment(body.to_string())));
         }
+        let start = self.pos;
         if self.starts_with("<![CDATA[") {
             self.advance(9);
             let body = self.take_until("]]>", "CDATA section")?;
-            return Ok(Some(XmlEvent::Text(body.to_string())));
+            return self.text(body.to_string(), start);
         }
         if self.starts_with("<!DOCTYPE") {
             // Skip the doctype, honoring one level of [...] subset.
@@ -272,10 +289,22 @@ impl<'a> XmlParser<'a> {
                 return Err(self.err(format!("malformed end tag </{name}")));
             }
             self.advance(1);
-            self.depth = self.depth.saturating_sub(1);
-            return Ok(Some(XmlEvent::EndElement { name }));
+            return match self.open.pop() {
+                Some(open) if open == name => Ok(Some(XmlEvent::EndElement {
+                    name: name.to_string(),
+                })),
+                Some(open) => Err(error_at(
+                    start,
+                    format!("mismatched end tag: <{open}> closed by </{name}>"),
+                )),
+                None => Err(error_at(start, format!("unmatched end tag </{name}>"))),
+            };
         }
         // Start tag.
+        if self.open.is_empty() && self.seen_root {
+            return Err(self.err("multiple root elements"));
+        }
+        self.seen_root = true;
         self.advance(1);
         let name = self.read_name()?;
         let attributes = self.read_attributes()?;
@@ -283,22 +312,22 @@ impl<'a> XmlParser<'a> {
         if self.starts_with("/>") {
             self.advance(2);
             return Ok(Some(XmlEvent::StartElement {
-                name,
+                name: name.to_string(),
                 attributes,
                 self_closing: true,
             }));
         }
         if self.starts_with(">") {
             self.advance(1);
-            self.depth += 1;
-            if self.depth > self.limits.max_depth {
+            self.open.push(name);
+            if self.open.len() > self.limits.max_depth {
                 return Err(self.err(format!(
                     "element nesting deeper than {} levels",
                     self.limits.max_depth
                 )));
             }
             return Ok(Some(XmlEvent::StartElement {
-                name,
+                name: name.to_string(),
                 attributes,
                 self_closing: false,
             }));
@@ -313,6 +342,13 @@ impl<'a> XmlParser<'a> {
             events.push(e);
         }
         Ok(events)
+    }
+}
+
+fn error_at(position: usize, message: impl Into<String>) -> XmlError {
+    XmlError {
+        position,
+        message: message.into(),
     }
 }
 
@@ -476,6 +512,29 @@ mod tests {
         assert!(XmlParser::new("<a").into_events().is_err());
         assert!(XmlParser::new("<a foo>").into_events().is_err());
         assert!(XmlParser::new("<!-- never closed").into_events().is_err());
+    }
+
+    /// The five well-formedness errors, each at the byte where the document
+    /// breaks: the start of the offending tag or text, or the end of input.
+    /// `Document::parse` and `stream_to_graph` get them from here.
+    #[test]
+    fn well_formedness_errors_carry_their_position() {
+        let cases = [
+            ("<a><b></a></b>", 6, "mismatched end tag: <b> closed by </a>"),
+            ("</a>", 0, "unmatched end tag </a>"),
+            ("<a/></a>", 4, "unmatched end tag </a>"),
+            ("<a/><b/>", 4, "multiple root elements"),
+            ("text<a/>", 0, "text outside the root element"),
+            ("<a/>tail", 4, "text outside the root element"),
+            ("<a/><![CDATA[x]]>", 4, "text outside the root element"),
+            ("<a><b/>", 7, "unclosed element <a>"),
+            ("", 0, "empty document"),
+            ("<?xml version=\"1.0\"?>\n<!-- c -->\n", 33, "empty document"),
+        ];
+        for (doc, position, message) in cases {
+            let err = XmlParser::new(doc).into_events().unwrap_err();
+            assert_eq!(err, XmlError { position, message: message.into() }, "{doc:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Streaming XML → data-graph construction: builds the graph directly from
-//! parser events without materializing a [`crate::Document`] tree. Uses the
-//! same [`GraphOptions`] and produces exactly the same graph as the DOM path
-//! (`parse → document_to_graph`) — asserted by tests — while holding only
-//! the open-element stack in memory, so multi-hundred-MB documents index in
-//! O(depth) space.
+//! parser events without materializing a [`crate::Document`] tree. The
+//! events drive the same private builder [`crate::document_to_graph`]
+//! drives from a tree walk, so both paths produce exactly the same graph,
+//! while this one holds only the open-element stack in memory and indexes
+//! multi-hundred-MB documents in O(depth) space.
 //!
 //! ```
 //! use dkindex_graph::LabeledGraph;
@@ -17,22 +17,19 @@
 //! assert_eq!(g.edge_count(), 4); // 3 containment + 1 reference
 //! ```
 
-use crate::parser::{XmlError, XmlEvent, XmlLimits, XmlParser};
-use crate::to_graph::{GraphMappingError, GraphOptions};
-use dkindex_graph::{DataGraph, EdgeKind, LabelInterner, LabeledGraph, NodeId};
-use std::collections::HashMap;
+use crate::parser::{XmlError, XmlEvent, XmlParser};
+use crate::to_graph::{GraphBuilder, GraphMappingError, GraphOptions};
+use dkindex_graph::DataGraph;
 use std::fmt;
 
 /// Error from the streaming builder: either a parse error or a mapping
 /// error (duplicate id / unresolved reference).
 #[derive(Debug)]
 pub enum StreamError {
-    /// XML is not well-formed.
+    /// XML is not well-formed (or exceeds the parser's [`crate::XmlLimits`]).
     Xml(XmlError),
     /// The document parsed but could not be mapped onto the graph model.
     Mapping(GraphMappingError),
-    /// Structural problem outside XML well-formedness (e.g. two roots).
-    Structure(String),
 }
 
 impl fmt::Display for StreamError {
@@ -40,7 +37,6 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::Xml(e) => write!(f, "{e}"),
             StreamError::Mapping(e) => write!(f, "{e}"),
-            StreamError::Structure(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -60,27 +56,11 @@ impl From<GraphMappingError> for StreamError {
 }
 
 /// Build a [`DataGraph`] from XML text in one streaming pass (plus deferred
-/// reference resolution at the end). Parses under [`XmlLimits::default`];
-/// use [`stream_to_graph_with_limits`] to tighten or lift the bounds.
+/// reference resolution at the end), parsing under the default
+/// [`crate::XmlLimits`].
 pub fn stream_to_graph(input: &str, options: &GraphOptions) -> Result<DataGraph, StreamError> {
-    stream_to_graph_with_limits(input, options, XmlLimits::default())
-}
-
-/// [`stream_to_graph`] with explicit parser hardening limits (nesting depth
-/// and entity-expansion budget).
-pub fn stream_to_graph_with_limits(
-    input: &str,
-    options: &GraphOptions,
-    limits: XmlLimits,
-) -> Result<DataGraph, StreamError> {
-    let mut parser = XmlParser::with_limits(input, limits);
-    let mut g = DataGraph::new();
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut pending_refs: Vec<(NodeId, String)> = Vec::new();
-    // Stack of (graph node, has_text_content) for open elements.
-    let mut stack: Vec<(NodeId, bool)> = Vec::new();
-    let mut seen_root = false;
-
+    let mut parser = XmlParser::new(input);
+    let mut builder = GraphBuilder::new(options);
     while let Some(event) = parser.next()? {
         match event {
             XmlEvent::StartElement {
@@ -88,90 +68,17 @@ pub fn stream_to_graph_with_limits(
                 attributes,
                 self_closing,
             } => {
-                let parent = match stack.last() {
-                    Some(&(p, _)) => p,
-                    None => {
-                        if seen_root {
-                            return Err(StreamError::Structure(
-                                "multiple root elements".to_string(),
-                            ));
-                        }
-                        seen_root = true;
-                        g.root()
-                    }
-                };
-                let node = g.add_labeled_node(&name);
-                g.add_edge(parent, node, EdgeKind::Tree);
-                for (attr_name, attr_value) in &attributes {
-                    if options.id_attributes.iter().any(|a| a == attr_name) {
-                        if ids.insert(attr_value.clone(), node).is_some() {
-                            return Err(GraphMappingError::DuplicateId(attr_value.clone()).into());
-                        }
-                    } else if options.idref_attributes.iter().any(|a| a == attr_name) {
-                        for target in attr_value.split_whitespace() {
-                            pending_refs.push((node, target.to_string()));
-                        }
-                    } else if options.attribute_nodes {
-                        let attr_node = g.add_labeled_node(attr_name);
-                        g.add_edge(node, attr_node, EdgeKind::Tree);
-                        if options.value_nodes {
-                            let v = g.add_node(LabelInterner::VALUE);
-                            g.add_edge(attr_node, v, EdgeKind::Tree);
-                        }
-                    }
-                }
+                builder.start(&name, &attributes)?;
                 if self_closing {
-                    // No children, no text: nothing further for this node.
-                } else {
-                    stack.push((node, false));
+                    builder.end();
                 }
             }
-            XmlEvent::EndElement { name } => {
-                let Some((node, has_text)) = stack.pop() else {
-                    return Err(StreamError::Structure(format!(
-                        "unmatched end tag </{name}>"
-                    )));
-                };
-                let open_name = g.label_name(node).to_string();
-                if open_name != name {
-                    return Err(StreamError::Structure(format!(
-                        "mismatched end tag: <{open_name}> closed by </{name}>"
-                    )));
-                }
-                if has_text && options.value_nodes {
-                    let v = g.add_node(LabelInterner::VALUE);
-                    g.add_edge(node, v, EdgeKind::Tree);
-                }
-            }
-            XmlEvent::Text(t) => {
-                match stack.last_mut() {
-                    Some((_, has_text)) => *has_text |= !t.trim().is_empty(),
-                    None => {
-                        return Err(StreamError::Structure(
-                            "text outside the root element".to_string(),
-                        ))
-                    }
-                }
-            }
+            XmlEvent::EndElement { .. } => builder.end(),
+            XmlEvent::Text(t) => builder.text(&t),
             XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction(_) => {}
         }
     }
-    if let Some(&(open, _)) = stack.last() {
-        return Err(StreamError::Structure(format!(
-            "unclosed element <{}>",
-            g.label_name(open)
-        )));
-    }
-    if !seen_root {
-        return Err(StreamError::Structure("empty document".to_string()));
-    }
-    for (from, target) in pending_refs {
-        let Some(&to) = ids.get(&target) else {
-            return Err(GraphMappingError::UnresolvedReference(target).into());
-        };
-        g.add_edge(from, to, EdgeKind::Reference);
-    }
-    Ok(g)
+    Ok(builder.finish()?)
 }
 
 #[cfg(test)]
@@ -179,6 +86,7 @@ mod tests {
     use super::*;
     use crate::to_graph::document_to_graph;
     use crate::tree::Document;
+    use dkindex_graph::LabeledGraph;
 
     const DOC: &str = r#"
         <movieDB>
@@ -220,16 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_rejects_malformed_documents() {
-        let o = GraphOptions::default();
-        assert!(stream_to_graph("", &o).is_err());
-        assert!(stream_to_graph("<a><b></a></b>", &o).is_err());
-        assert!(stream_to_graph("<a/><b/>", &o).is_err());
-        assert!(stream_to_graph("<a>", &o).is_err());
-        assert!(stream_to_graph("text<a/>", &o).is_err());
-    }
-
-    #[test]
     fn streaming_detects_duplicate_ids_and_bad_refs() {
         let o = GraphOptions::default();
         assert!(matches!(
@@ -267,9 +165,5 @@ mod tests {
         }
         let out = stream_to_graph(&doc, &GraphOptions::default());
         assert!(matches!(out, Err(StreamError::Xml(_))), "expected Xml error");
-        // Explicitly lifting the limits restores the old behaviour.
-        let g = stream_to_graph_with_limits(&doc, &GraphOptions::default(), XmlLimits::unlimited())
-            .unwrap();
-        assert_eq!(g.node_count(), 601); // ROOT + 600 <a>
     }
 }

@@ -10,6 +10,11 @@
 //! * Remaining attributes (optional) become child nodes labeled with the
 //!   attribute name, and element text content (optional) becomes `VALUE`
 //!   nodes, matching "simple objects given a distinguished label VALUE".
+//!
+//! The mapping is written once, in the private `GraphBuilder`, which takes
+//! element events in document order: [`document_to_graph`] drives it from
+//! a walk of the tree, [`crate::stream_to_graph`] from parser events, so
+//! both build the same nodes and edges in the same order.
 
 use crate::tree::{Document, Element, XmlNode};
 use dkindex_graph::{DataGraph, EdgeKind, LabelInterner, LabeledGraph, NodeId};
@@ -76,20 +81,20 @@ pub fn document_to_graph(
     doc: &Document,
     options: &GraphOptions,
 ) -> Result<DataGraph, GraphMappingError> {
-    let mut g = DataGraph::new();
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut pending_refs: Vec<(NodeId, String)> = Vec::new();
-
-    let root = g.root();
-    build_element(&mut g, root, &doc.root, options, &mut ids, &mut pending_refs)?;
-
-    for (from, target) in pending_refs {
-        let Some(&to) = ids.get(&target) else {
-            return Err(GraphMappingError::UnresolvedReference(target));
-        };
-        g.add_edge(from, to, EdgeKind::Reference);
+    fn walk(b: &mut GraphBuilder<'_>, elem: &Element) -> Result<(), GraphMappingError> {
+        b.start(&elem.name, &elem.attributes)?;
+        for child in &elem.children {
+            match child {
+                XmlNode::Element(e) => walk(b, e)?,
+                XmlNode::Text(t) => b.text(t),
+            }
+        }
+        b.end();
+        Ok(())
     }
-    Ok(g)
+    let mut builder = GraphBuilder::new(options);
+    walk(&mut builder, &doc.root)?;
+    builder.finish()
 }
 
 /// Convenience: parse `input` and map it with default options.
@@ -98,50 +103,90 @@ pub fn parse_to_graph(input: &str) -> Result<DataGraph, Box<dyn std::error::Erro
     Ok(document_to_graph(&doc, &GraphOptions::default())?)
 }
 
-fn build_element(
-    g: &mut DataGraph,
-    parent: NodeId,
-    elem: &Element,
-    options: &GraphOptions,
-    ids: &mut HashMap<String, NodeId>,
-    pending_refs: &mut Vec<(NodeId, String)>,
-) -> Result<(), GraphMappingError> {
-    let node = g.add_labeled_node(&elem.name);
-    g.add_edge(parent, node, EdgeKind::Tree);
+/// The id/idref/attribute/`VALUE` mapping, fed one element event at a
+/// time in document order. References resolve in [`GraphBuilder::finish`],
+/// so an IDREF may point forward.
+pub(crate) struct GraphBuilder<'o> {
+    options: &'o GraphOptions,
+    g: DataGraph,
+    ids: HashMap<String, NodeId>,
+    pending_refs: Vec<(NodeId, String)>,
+    /// Open elements: (graph node, has non-blank text content).
+    open: Vec<(NodeId, bool)>,
+}
 
-    for (attr_name, attr_value) in &elem.attributes {
-        if options.id_attributes.iter().any(|a| a == attr_name) {
-            if ids.insert(attr_value.clone(), node).is_some() {
-                return Err(GraphMappingError::DuplicateId(attr_value.clone()));
+impl<'o> GraphBuilder<'o> {
+    pub(crate) fn new(options: &'o GraphOptions) -> Self {
+        GraphBuilder {
+            options,
+            g: DataGraph::new(),
+            ids: HashMap::new(),
+            pending_refs: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+
+    /// An element opens: its node under the innermost open element (or
+    /// `ROOT`), then its attributes in document order.
+    pub(crate) fn start(
+        &mut self,
+        name: &str,
+        attributes: &[(String, String)],
+    ) -> Result<(), GraphMappingError> {
+        let (g, options) = (&mut self.g, self.options);
+        let parent = self.open.last().map_or(g.root(), |&(p, _)| p);
+        let node = g.add_labeled_node(name);
+        g.add_edge(parent, node, EdgeKind::Tree);
+        for (attr_name, attr_value) in attributes {
+            if options.id_attributes.iter().any(|a| a == attr_name) {
+                if self.ids.insert(attr_value.clone(), node).is_some() {
+                    return Err(GraphMappingError::DuplicateId(attr_value.clone()));
+                }
+            } else if options.idref_attributes.iter().any(|a| a == attr_name) {
+                for target in attr_value.split_whitespace() {
+                    self.pending_refs.push((node, target.to_string()));
+                }
+            } else if options.attribute_nodes {
+                let attr_node = g.add_labeled_node(attr_name);
+                g.add_edge(node, attr_node, EdgeKind::Tree);
+                if options.value_nodes {
+                    let v = g.add_node(LabelInterner::VALUE);
+                    g.add_edge(attr_node, v, EdgeKind::Tree);
+                }
             }
-        } else if options.idref_attributes.iter().any(|a| a == attr_name) {
-            for target in attr_value.split_whitespace() {
-                pending_refs.push((node, target.to_string()));
-            }
-        } else if options.attribute_nodes {
-            let attr_node = g.add_labeled_node(attr_name);
-            g.add_edge(node, attr_node, EdgeKind::Tree);
-            if options.value_nodes {
-                let v = g.add_node(LabelInterner::VALUE);
-                g.add_edge(attr_node, v, EdgeKind::Tree);
+        }
+        self.open.push((node, false));
+        Ok(())
+    }
+
+    /// Character data inside the innermost open element.
+    pub(crate) fn text(&mut self, text: &str) {
+        if let Some((_, has_text)) = self.open.last_mut() {
+            *has_text |= !text.trim().is_empty();
+        }
+    }
+
+    /// The innermost element closes: its `VALUE` node comes after all of
+    /// its children.
+    pub(crate) fn end(&mut self) {
+        if let Some((node, true)) = self.open.pop() {
+            if self.options.value_nodes {
+                let v = self.g.add_node(LabelInterner::VALUE);
+                self.g.add_edge(node, v, EdgeKind::Tree);
             }
         }
     }
 
-    let mut has_text = false;
-    for child in &elem.children {
-        match child {
-            XmlNode::Element(e) => {
-                build_element(g, node, e, options, ids, pending_refs)?;
-            }
-            XmlNode::Text(t) => has_text |= !t.trim().is_empty(),
+    /// Resolve the IDREFs, in document order, into reference edges.
+    pub(crate) fn finish(mut self) -> Result<DataGraph, GraphMappingError> {
+        for (from, target) in self.pending_refs {
+            let Some(&to) = self.ids.get(&target) else {
+                return Err(GraphMappingError::UnresolvedReference(target));
+            };
+            self.g.add_edge(from, to, EdgeKind::Reference);
         }
+        Ok(self.g)
     }
-    if has_text && options.value_nodes {
-        let v = g.add_node(LabelInterner::VALUE);
-        g.add_edge(node, v, EdgeKind::Tree);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

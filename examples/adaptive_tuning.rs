@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --release --example adaptive_tuning`
 
-use dkindex::core::{apply_serial, DkIndex, IndexEvaluator, ServeOp, Tuner, TunerConfig};
+use dkindex::core::{
+    apply_serial, check_structure, DkIndex, IndexEvaluator, ServeOp, Tuner, TunerConfig,
+};
 use dkindex::datagen::{nasa_graph, NasaConfig};
 use dkindex::graph::DataGraph;
 use dkindex::pathexpr::PathExpr;
@@ -113,7 +115,5 @@ fn snapshot(phase: &str, dk: &DkIndex, data: &DataGraph, queries: &[PathExpr]) {
         validated,
         queries.len()
     );
-    dk.index()
-        .check_invariants(data)
-        .expect("index invariants must hold in every phase");
+    check_structure(dk.index(), data).expect("index invariants must hold in every phase");
 }

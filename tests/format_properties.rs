@@ -5,7 +5,8 @@
 
 use dkindex::core::wal::{self, WalTail, WalWriter};
 use dkindex::core::{
-    read_snapshot, snapshot_bytes, DkIndex, FailPlan, Requirements, ServeOp, SimDisk,
+    check_structure, read_snapshot, snapshot_bytes, DkIndex, FailPlan, Requirements, ServeOp,
+    SimDisk,
 };
 use dkindex::graph::io::{read_graph, write_graph};
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
@@ -211,10 +212,7 @@ proptest! {
         bytes[i] ^= 0xFF;
         if let Ok((loaded, data)) = read_snapshot(&bytes) {
             // If it loads at all, it must be a structurally valid summary.
-            loaded
-                .index()
-                .check_invariants(&data)
-                .map_err(TestCaseError::fail)?;
+            check_structure(loaded.index(), &data).map_err(TestCaseError::fail)?;
         }
     }
 

@@ -3,7 +3,8 @@
 //! direct data-graph evaluation.
 
 use dkindex::core::{
-    evaluate_on_data, label_split_index, AkIndex, DkIndex, IndexEvaluator, OneIndex,
+    check_structure, evaluate_on_data, label_split_index, AkIndex, DkIndex, IndexEvaluator,
+    OneIndex,
 };
 use dkindex::datagen::{
     nasa_document, nasa_graph_options, xmark_document, xmark_graph_options, NasaConfig,
@@ -41,14 +42,14 @@ fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
     let reqs = workload.mine_requirements();
 
     let label_split = label_split_index(data);
-    label_split.check_invariants(data).unwrap();
+    check_structure(&label_split, data).unwrap();
     let ak2 = AkIndex::build(data, 2);
-    ak2.index().check_invariants(data).unwrap();
+    check_structure(ak2.index(), data).unwrap();
     let ak4 = AkIndex::build(data, 4);
     let one = OneIndex::build(data);
-    one.index().check_invariants(data).unwrap();
+    check_structure(one.index(), data).unwrap();
     let dk = DkIndex::build(data, reqs);
-    dk.index().check_invariants(data).unwrap();
+    check_structure(dk.index(), data).unwrap();
 
     let indexes: Vec<(&str, &dkindex::core::IndexGraph)> = vec![
         ("label-split", &label_split),

@@ -3,7 +3,8 @@
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
 use dkindex::core::{
-    eval_oracle, evaluate_on_data, AkIndex, DkIndex, IndexEvaluator, Requirements,
+    audit, check_structure, eval_oracle, evaluate_on_data, AkIndex, AuditConfig, DkIndex,
+    IndexEvaluator, IndexGraph, Invariant, Requirements,
 };
 #[allow(unused_imports)]
 use dkindex::partition::Partition;
@@ -56,6 +57,16 @@ fn build(spec: &GraphSpec) -> DataGraph {
         }
     }
     g
+}
+
+/// No extent of `index` is stale: its members agree on incoming label paths
+/// up to `k + 1` labels, with `k` checked up to 4 — what Theorem 1 soundness
+/// rests on, and what Algorithms 3–6 must keep truthful.
+fn stable(index: &IndexGraph, g: &DataGraph) -> Result<(), TestCaseError> {
+    let config = AuditConfig { stability_cap: 4, ..AuditConfig::default() };
+    let report = audit(index, &Requirements::new(), g, &config);
+    let stale = report.findings_for(Invariant::Stability).next().map(TestCaseError::fail);
+    stale.map_or(Ok(()), Err)
 }
 
 /// Linear path queries derived from the graph: every walk that exists, plus
@@ -143,7 +154,7 @@ proptest! {
         let queries = queries_for(&g, salt);
         let reqs = Requirements::from_pairs([(format!("l{req_label}").as_str(), req_k)]);
         let dk = DkIndex::build(&g, reqs);
-        dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+        check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
         let ak = AkIndex::build(&g, 2);
         for q in &queries {
             let truth = evaluate_on_data(&g, q).0;
@@ -185,11 +196,9 @@ proptest! {
                 continue;
             }
             dk.add_edge(&mut g, u, v);
-            dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+            check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
         }
-        dk.index()
-            .check_extent_path_similarity(&g, 4)
-            .map_err(TestCaseError::fail)?;
+        stable(dk.index(), &g)?;
         for q in queries_for(&g, salt) {
             let truth = evaluate_on_data(&g, &q).0;
             let out = IndexEvaluator::new(dk.index(), &g).evaluate(&q);
@@ -208,7 +217,7 @@ proptest! {
         let mut dk = DkIndex::build(&g, Requirements::new());
         let node = NodeId::from_index((target as usize) % g.node_count());
         dk.promote(&g, node, k);
-        dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+        check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
         dk.index()
             .check_extent_bisimilarity(&g, 5)
             .map_err(TestCaseError::fail)?;
@@ -233,10 +242,8 @@ proptest! {
             }
         }
         dk.demote(Requirements::uniform(1));
-        dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
-        dk.index()
-            .check_extent_path_similarity(&g, 4)
-            .map_err(TestCaseError::fail)?;
+        check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
+        stable(dk.index(), &g)?;
         for q in queries_for(&g, salt) {
             let truth = evaluate_on_data(&g, &q).0;
             let out = IndexEvaluator::new(dk.index(), &g).evaluate(&q);
@@ -268,10 +275,8 @@ proptest! {
         let h = build(&sub);
         let mut dk = DkIndex::build(&g, reqs.clone());
         dk.add_subgraph(&mut g, &h);
-        dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
-        dk.index()
-            .check_extent_path_similarity(&g, 4)
-            .map_err(TestCaseError::fail)?;
+        check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
+        stable(dk.index(), &g)?;
         for q in queries_for(&g, salt) {
             let truth = evaluate_on_data(&g, &q).0;
             let out = IndexEvaluator::new(dk.index(), &g).evaluate(&q);
@@ -279,7 +284,7 @@ proptest! {
         }
         // A promotion pass restores the user requirements everywhere.
         dk.promote_to_requirements(&g);
-        dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+        check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
         let table = dk.requirements().resolve(dk.index().labels());
         for inode in dk.index().node_ids() {
             let want = table[dk.index().label_of(inode).index()];
@@ -305,7 +310,7 @@ proptest! {
                 continue;
             }
             ak.add_edge(&mut g, u, v);
-            ak.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+            check_structure(ak.index(), &g).map_err(TestCaseError::fail)?;
         }
         // Refinement of the freshly built A(k): never under-split.
         let fresh = k_bisimulation(&g, k);
@@ -336,7 +341,7 @@ proptest! {
             if let Some(op) = tuner.step(dk.requirements()) {
                 apply_serial(&mut dk, &mut g, &[op]);
             }
-            dk.index().check_invariants(&g).map_err(TestCaseError::fail)?;
+            check_structure(dk.index(), &g).map_err(TestCaseError::fail)?;
         }
     }
 }

@@ -3,7 +3,9 @@
 //! keep query answers exact throughout — the paper's §5 lifecycle under
 //! sustained load.
 
-use dkindex::core::{evaluate_on_data, AkIndex, DkIndex, IndexEvaluator, Requirements};
+use dkindex::core::{
+    check_structure, evaluate_on_data, AkIndex, DkIndex, IndexEvaluator, Requirements,
+};
 use dkindex::datagen::{random_graph, xmark_graph, RandomGraphConfig, XmarkConfig};
 use dkindex::graph::{DataGraph, LabeledGraph};
 use dkindex::workload::{generate_test_paths, generate_update_edges, WorkloadConfig};
@@ -59,15 +61,13 @@ fn interleaved_lifecycle_stays_consistent() {
                 dk.promote_to_requirements(&data);
             }
         }
-        dk.index()
-            .check_invariants(&data)
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        check_structure(dk.index(), &data).unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert_exact(&dk, &data, round as u64);
     }
 
     // Finally demote to a small index and verify once more.
     dk.demote(Requirements::uniform(1));
-    dk.index().check_invariants(&data).unwrap();
+    check_structure(dk.index(), &data).unwrap();
     assert_exact(&dk, &data, 77);
 }
 
@@ -81,7 +81,7 @@ fn edge_update_stream_keeps_size_constant() {
         dk.add_edge(&mut data, u, v);
         assert_eq!(dk.size(), size, "edge updates must not change index size");
     }
-    dk.index().check_invariants(&data).unwrap();
+    check_structure(dk.index(), &data).unwrap();
     assert_exact(&dk, &data, 5);
 }
 
@@ -112,14 +112,14 @@ fn ak_and_dk_agree_after_the_same_update_stream() {
     for &(u, v) in &edges {
         ak.add_edge(&mut g_ak, u, v);
     }
-    ak.index().check_invariants(&g_ak).unwrap();
+    check_structure(ak.index(), &g_ak).unwrap();
 
     let mut g_dk = base.clone();
     let mut dk = DkIndex::build(&g_dk, Requirements::uniform(2));
     for &(u, v) in &edges {
         dk.add_edge(&mut g_dk, u, v);
     }
-    dk.index().check_invariants(&g_dk).unwrap();
+    check_structure(dk.index(), &g_dk).unwrap();
 
     let workload = generate_test_paths(&g_ak, &WorkloadConfig::default());
     for q in workload.queries() {
