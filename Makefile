@@ -20,10 +20,11 @@
 # seeded random commits — failing if any acknowledged update does not replay
 # byte-identically after snapshot + WAL recovery, if any crash view surfaces
 # a partial batch, or if anything panics. `doc` and `clippy` must both
-# come back warning-free, and `verify-analysis` proves the determinism /
-# oracle-purity / panic-freedom / unsafe-hygiene contracts plus the
-# flow-aware guard-discipline / must-consume / wire-totality /
-# metric-coherence contracts at lint time, and model-checks the serve epoch
+# come back warning-free; `clippy` carries the panic-freedom, hash-order,
+# must-consume and unsafe contracts through lint attributes in the modules
+# they fence. `verify-analysis` proves the contracts no compiler sees
+# (oracle purity, guard discipline, wire totality, metric coherence), shows
+# the clippy gate still has teeth, and model-checks the serve epoch
 # protocol including the tuner-in-the-loop extension (ARCHITECTURE.md §6).
 # `verify-bench-api` compiles the judged benchmark (benchmark/, its own
 # workspace, never edited by a change that claims anything) against the
@@ -77,19 +78,31 @@ verify-tune:
 	cargo run --release -q -p dkindex-bench --bin reproduce -- verify-tune
 
 # Static analysis + model checking (ARCHITECTURE.md §6):
-#   1. the dkindex-analyze lint pass over the whole workspace — all eight
-#      rules, including the flow-aware guard-discipline / must-consume /
-#      wire-totality / metric-coherence checks — nonzero exit on any
-#      unjustified contract violation;
-#   2. exhaustive-interleaving model tests for the serve epoch protocol and
+#   1. the dkindex-analyze pass over the whole workspace — oracle-purity,
+#      guard-discipline, wire-totality, metric-coherence and stale rule-table
+#      rows — nonzero exit on any unjustified contract violation;
+#   2. the clippy teeth check: crates/analyze/fixtures/clippy breaks each
+#      compiler-carried contract once, and every lint in CLIPPY_TEETH must
+#      be reported for it under CLIPPY_LINTS;
+#   3. exhaustive-interleaving model tests for the serve epoch protocol and
 #      the tuner-in-the-loop protocol (WAL poisoning, durable acks, monitor
 #      feeds, tuner self-enqueue) in crates/core/tests/loom_serve.rs on the
 #      offline loom stand-in;
-#   3. Miri over the core suite, only when the toolchain component is
+#   4. Miri over the core suite, only when the toolchain component is
 #      installed — the offline image has no rustup, so absence is a skip
 #      with a notice, not a failure.
+CLIPPY_TEETH = clippy::iter_over_hash_type clippy::unwrap_used clippy::indexing_slicing \
+	clippy::panic clippy::let_underscore_must_use unused_must_use unused_variables \
+	unsafe_code clippy::allow_attributes_without_reason unfulfilled_lint_expectations
+
 verify-analysis:
 	cargo run --release -q -p dkindex-analyze -- --root .
+	@reported=$$(cargo clippy --offline -q --message-format=json --target-dir target/clippy-teeth \
+		--manifest-path crates/analyze/fixtures/clippy/Cargo.toml -- $(CLIPPY_LINTS) 2>/dev/null); \
+	for lint in $(CLIPPY_TEETH); do \
+		echo "$$reported" | grep -q "\"code\":\"$$lint\"" || \
+			{ echo "verify-analysis: clippy did not report $$lint on the teeth fixture"; exit 1; }; \
+	done
 	cargo test --release -q -p dkindex-core --test loom_serve
 	@if cargo miri --version >/dev/null 2>&1; then \
 		cargo miri test -p dkindex-core --lib; \
@@ -109,10 +122,15 @@ doc:
 # five groups that encode real contracts (correctness, suspicious,
 # complexity, perf, style) are re-denied explicitly. Toolchain bumps that
 # add lints to other groups (nursery, pedantic, restriction) cannot break
-# the build; additions to the denied groups are deliberate signal.
+# the build; additions to the denied groups are deliberate signal. Two
+# more are workspace-wide: `unsafe_code` is forbidden in every target
+# (tests and examples included), and every `#[allow]`/`#[expect]` must
+# give a `reason`. Restriction lints that fence single modules are denied
+# by `#![deny(...)]` in those modules, test code exempted by clippy.toml.
 CLIPPY_LINTS = -D warnings -A clippy::all \
 	-D clippy::correctness -D clippy::suspicious -D clippy::complexity \
-	-D clippy::perf -D clippy::style
+	-D clippy::perf -D clippy::style \
+	-F unsafe_code -D clippy::allow_attributes_without_reason
 
 clippy:
 	cargo clippy -q --workspace --all-targets -- $(CLIPPY_LINTS)

@@ -1,41 +1,14 @@
 //! Fixture: a module placed inside every rule scope that satisfies every
-//! contract — ordered containers, typed errors, no unsafe, and the forbid
-//! attribute making that compiler-enforced.
+//! contract — a guard that never spans a blocking call, and a registered,
+//! documented metric used at a call site.
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod protocol;
 pub mod registry;
 
-use std::collections::BTreeMap;
 use std::fs::File;
-use std::sync::mpsc::{SendError, Sender};
 use std::sync::{PoisonError, RwLock};
-
-/// Deterministic fingerprint: `BTreeMap` iterates in key order, so the
-/// bytes are identical across runs.
-pub fn fingerprint(counts: &BTreeMap<String, u32>) -> String {
-    let mut out = String::new();
-    for (label, count) in counts {
-        out.push_str(label);
-        out.push(':');
-        out.push_str(&count.to_string());
-        out.push(';');
-    }
-    out
-}
-
-/// Reads the length header of a frame, degrading through a typed error.
-pub fn header_len(bytes: &[u8]) -> Result<usize, MissingHeader> {
-    match bytes.first() {
-        Some(first) => Ok(usize::from(*first)),
-        None => Err(MissingHeader),
-    }
-}
-
-/// The frame had no header byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MissingHeader;
 
 /// Publishes an epoch the disciplined way: fsync *before* taking the
 /// write guard, which then lives only for the pointer store.
@@ -44,11 +17,6 @@ pub fn publish(current: &RwLock<u64>, file: &File, next: u64) -> std::io::Result
     let mut guard = current.write().unwrap_or_else(PoisonError::into_inner);
     *guard = next;
     Ok(())
-}
-
-/// Acks an epoch and propagates the send outcome to the caller.
-pub fn ack(tx: &Sender<u64>, epoch: u64) -> Result<(), SendError<u64>> {
-    tx.send(epoch)
 }
 
 /// Reads the registered counter, marking it live at a call site.

@@ -1,19 +1,24 @@
 //! Per-function control-flow/scope model — the first of the two
 //! flow-analysis substrates (the other is [`crate::symbols`]).
 //!
-//! The token-level rules of PR 5 ask "does this token appear?"; the
-//! contract rules of this PR ask "what is *live* when this call runs?".
-//! This module recovers just enough structure from the token stream to
-//! answer that: every `fn` item with its body range and return type, every
-//! `let` binding with its initializer range and the brace scope it lives
-//! to, and every call site with its callee name. No types, no expressions
-//! — brace- and paren-matching over [`crate::lexer::Tok`]s, which is
-//! exactly enough for guard-liveness and consumption tracking and keeps
-//! the analyzer dependency-free.
+//! guard-discipline asks "what is *live* when this call runs?". This
+//! module recovers just enough structure from the token stream to answer
+//! that: every `fn` item with its body range, every `let` binding with its
+//! initializer range and the brace scope it lives to, and every call site
+//! with its callee name. No types, no expressions — brace- and
+//! paren-matching over [`crate::lexer::Tok`]s, which is exactly enough for
+//! guard liveness and keeps the analyzer dependency-free.
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::{matching_brace, SourceFile};
-use crate::rules::KEYWORDS;
+
+/// Rust keywords, used to tell expression identifiers from syntax.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut",
+    "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe", "use",
+    "where", "while", "yield",
+];
 
 /// One `fn` item: signature facts plus the flow facts of its body.
 pub struct FnModel {
@@ -23,8 +28,6 @@ pub struct FnModel {
     pub line: u32,
     /// Token range of the body: `(open_brace_idx, idx_past_matching_close)`.
     pub body: (usize, usize),
-    /// Return-type text (tokens after `->` joined), `""` for `()`.
-    pub ret: String,
     /// `let` bindings in source order.
     pub lets: Vec<LetBinding>,
     /// Call sites in source order (macros excluded).
@@ -36,10 +39,6 @@ pub struct LetBinding {
     /// Lower-case / `_`-prefixed identifiers bound by the pattern (the
     /// names a later statement could use). Empty for `let _ = ...`.
     pub names: Vec<String>,
-    /// The pattern is exactly `_` (possibly `mut`): an explicit discard.
-    pub is_discard: bool,
-    /// 1-based line of the `let` keyword.
-    pub line: u32,
     /// Token range of the initializer: `(first_tok, idx_of_terminator)`.
     pub init: (usize, usize),
     /// Index just past the closing brace of the innermost block the
@@ -103,7 +102,6 @@ fn parse_fn(toks: &[Tok], i: usize) -> Option<(FnModel, usize)> {
     // default argument or where-bound cannot fool us.
     let mut j = i + 2;
     let mut depth = 0isize;
-    let mut arrow_at: Option<usize> = None;
     let open = loop {
         let t = toks.get(j)?;
         match t.text.as_str() {
@@ -114,38 +112,18 @@ fn parse_fn(toks: &[Tok], i: usize) -> Option<(FnModel, usize)> {
             // `->` lexes as two tokens; consume both so the `>` does not
             // decrement depth (which would surface the `;` of an array
             // return type like `[&'static T; 2]` at depth 0).
-            "-" if toks.get(j + 1).is_some_and(|n| n.text == ">") => {
-                if depth <= 0 {
-                    arrow_at = Some(j + 2);
-                }
-                j += 1;
-            }
+            "-" if toks.get(j + 1).is_some_and(|n| n.text == ">") => j += 1,
             _ => {}
         }
         j += 1;
     };
     let close = matching_brace(toks, open);
-    let ret = arrow_at
-        .map(|start| {
-            // Joined without spaces — rules match on substrings
-            // (`Result`, `DurableAck`), not exact renderings.
-            let mut out = String::new();
-            for t in &toks[start..open] {
-                if t.text == "where" {
-                    break;
-                }
-                out.push_str(&t.text);
-            }
-            out
-        })
-        .unwrap_or_default();
     let (lets, calls) = body_facts(toks, open, close);
     Some((
         FnModel {
             name: name_tok.text.clone(),
             line: toks[i].line,
             body: (open, close),
-            ret,
             lets,
             calls,
         },
@@ -206,7 +184,6 @@ fn parse_let(
     let mut j = i + 1;
     let mut depth = 0isize;
     let mut names = Vec::new();
-    let mut only_underscore = true;
     // Pattern: to the `=` (skip `let ... else`-less simple patterns; a
     // `let x;` declaration has no initializer and is skipped).
     loop {
@@ -222,7 +199,6 @@ fn parse_let(
             ":" if depth <= 0 => {
                 // Type annotation: skip to the `=` without collecting
                 // type identifiers as binding names.
-                only_underscore = names.is_empty();
                 let mut k = j + 1;
                 let mut d = 0isize;
                 loop {
@@ -246,9 +222,6 @@ fn parse_let(
                     && text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
                 {
                     names.push(text.to_string());
-                }
-                if t.kind == TokKind::Ident && !matches!(text, "mut" | "ref") {
-                    only_underscore = false;
                 }
             }
         }
@@ -274,9 +247,7 @@ fn parse_let(
     }
     let scope_end = enclosing.map(|b| matching_brace(toks, b)).unwrap_or(close);
     Some(LetBinding {
-        is_discard: names.is_empty() && only_underscore,
         names,
-        line: toks[i].line,
         init: (init_start, k),
         scope_end,
     })
@@ -313,12 +284,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn flows(src: &str) -> Vec<FnModel> {
-        functions(&SourceFile::parse(
-            PathBuf::from("x.rs"),
-            "m".into(),
-            "c".into(),
-            src,
-        ))
+        functions(&SourceFile::parse(PathBuf::from("x.rs"), "m".into(), src))
     }
 
     #[test]
@@ -335,11 +301,9 @@ mod tests {
         assert_eq!(fns.len(), 2);
         let pump = &fns[0];
         assert_eq!(pump.name, "pump");
-        assert_eq!(pump.ret, "Result<(),Error>");
         assert_eq!(pump.lets.len(), 2);
         assert_eq!(pump.lets[0].names, ["guard"]);
-        assert!(!pump.lets[0].is_discard);
-        assert!(pump.lets[1].is_discard);
+        assert!(pump.lets[1].names.is_empty());
         let callees: Vec<&str> = pump.calls.iter().map(|c| c.callee.as_str()).collect();
         assert_eq!(callees, ["write", "send", "helper", "recv", "Ok"]);
         assert!(pump.calls[0].empty_args && pump.calls[0].is_method);
@@ -375,15 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn return_types_and_annotations_are_captured() {
-        let fns = flows(
-            "fn mk() -> DurableAck { x }\n\
-             fn unit() { }\n\
-             fn ann() { let v: Vec<Tok> = collect(); touch(&v); }\n",
-        );
-        assert_eq!(fns[0].ret, "DurableAck");
-        assert_eq!(fns[1].ret, "");
+    fn annotations_are_not_binding_names() {
+        let fns = flows("fn ann() { let v: Vec<Tok> = collect(); touch(&v); }\n");
         // The `Vec`/`Tok` in the annotation are not binding names.
-        assert_eq!(fns[2].lets[0].names, ["v"]);
+        assert_eq!(fns[0].lets[0].names, ["v"]);
     }
 }

@@ -1,25 +1,21 @@
 //! # dkindex-analyze
 //!
-//! The workspace static-analysis pass: proves the determinism,
-//! oracle-purity, panic-freedom, and unsafe-hygiene contracts at lint time
-//! instead of hoping a property test trips over a violation at run time.
-//!
-//! The D(k)-index's value proposition rests on reproducible refinement
-//! (paper §4–5): the fast paths added since PR 1 are all certified by
-//! *runtime* byte-identity oracles, which only catch an unordered
-//! `HashMap` walk or a sneaky `unwrap` when a test happens to hit it.
-//! This crate moves those contracts to `make verify-analysis`:
+//! The workspace static-analysis pass for the contracts no compiler sees:
+//! an import fence inside one crate, lock-held blocking one call deep, and
+//! agreement between code and the documents and tests that describe it.
+//! Panic freedom, hash-order iteration, discarded results and `unsafe` are
+//! clippy's and rustc's (lint attributes in the modules they fence,
+//! ARCHITECTURE.md §6):
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `nondeterministic-iter` | byte-identity-critical modules (`partition::engine`, `core::dk::*`, `core::serve*`, `core::snapshot`, `core::wal`, `server::{protocol,conn}`) never iterate hash containers order-sensitively |
 //! | `oracle-purity` | reference oracles never import the fast paths / telemetry they are oracles for (module import graph) |
-//! | `panic-path` | serve, snapshot recovery, WAL replay, wire-frame encode/decode and network connection handling return typed errors — no `unwrap`/`expect`/`panic!`/indexing |
-//! | `unsafe-hygiene` | every `unsafe` carries `// SAFETY:`; unsafe-free crates declare `#![forbid(unsafe_code)]` |
 //! | `guard-discipline` | no blocking call (fsync, socket/channel I/O, lock re-acquisition) while an epoch write guard or mutex guard is live, across helper calls one level deep |
-//! | `must-consume` | a `DurableAck`/`Result` produced in the serve/WAL/network stack is bound and used — never statement-dropped or `let _`-discarded without justification |
 //! | `wire-totality` | every DKNP opcode has encode + decode + golden byte test + PROTOCOL.md anchor; CLI exit codes match the OPERATIONS.md table, both directions |
 //! | `metric-coherence` | metric names agree across call sites, the telemetry registry, and the ARCHITECTURE.md metric tables — no phantom or orphaned metrics |
+//!
+//! A rule table row naming a module no file provides is itself a finding
+//! ([`rules::stale_rows`]).
 //!
 //! Because the offline build environment has no `syn`, the pass runs on a
 //! hand-rolled token stream ([`lexer`]) — string/comment-aware, line
@@ -38,56 +34,25 @@
 pub mod flow;
 pub mod lexer;
 pub mod model;
-pub mod report;
 pub mod rules;
 pub mod symbols;
 pub mod workspace;
 
 use rules::{
-    BlockingSpec, ConsumeConfig, ForbiddenRef, GuardConfig, GuardSpec, MetricConfig, OracleSpec,
-    RuleConfig, WireConfig,
+    BlockingSpec, ForbiddenRef, GuardConfig, GuardSpec, MetricConfig, OracleSpec, RuleConfig,
+    WireConfig,
 };
 use std::io;
 use std::path::Path;
 
-pub use rules::{Finding, RuleMeta, Severity, RULES};
+pub use rules::{Finding, RULES};
 
-/// The rule tables for this repository: which modules are
-/// byte-identity-critical, which must be panic-free, and which oracles
-/// must stay independent of what.
+/// The rule tables for this repository: which oracles must stay
+/// independent of what, where guards must not block, and where the wire
+/// and metric declarations live.
 pub fn default_config() -> RuleConfig {
     let scope = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     RuleConfig {
-        determinism_scope: scope(&[
-            "dkindex_partition::engine",
-            "dkindex_core::dk::*",
-            "dkindex_core::block_store",
-            "dkindex_core::serve",
-            "dkindex_core::serve_ops",
-            "dkindex_core::snapshot",
-            "dkindex_core::wal",
-            "dkindex_core::io_fail",
-            "dkindex_core::tuner",
-            "dkindex_core::load_monitor",
-            "dkindex_core::mining",
-            "dkindex_graph::segvec",
-            "dkindex_server::protocol",
-            "dkindex_server::conn",
-        ]),
-        panic_scope: scope(&[
-            "dkindex_core::block_store",
-            "dkindex_core::serve",
-            "dkindex_core::serve_ops",
-            "dkindex_core::snapshot",
-            "dkindex_core::wal",
-            "dkindex_core::io_fail",
-            "dkindex_core::tuner",
-            "dkindex_core::load_monitor",
-            "dkindex_core::mining",
-            "dkindex_graph::segvec",
-            "dkindex_server::protocol",
-            "dkindex_server::conn",
-        ]),
         oracles: vec![
             OracleSpec {
                 module: "dkindex_core::dk::reference".into(),
@@ -169,7 +134,6 @@ pub fn default_config() -> RuleConfig {
                 forbidden: partition_forbidden(),
             },
         ],
-        unsafe_hygiene: true,
         guard: Some(GuardConfig {
             scope: scope(&[
                 "dkindex_core::serve",
@@ -193,23 +157,6 @@ pub fn default_config() -> RuleConfig {
                 BlockingSpec::new("write", true, "rwlock write (re-)acquisition"),
                 BlockingSpec::new("read", true, "rwlock read (re-)acquisition"),
             ],
-        }),
-        consume: Some(ConsumeConfig {
-            scope: scope(&[
-                "dkindex_core::serve",
-                "dkindex_core::wal",
-                "dkindex_server::*",
-            ]),
-            producers: vec![
-                "send".into(),
-                "submit".into(),
-                "submit_logged".into(),
-                "log_batch".into(),
-                "append_batch".into(),
-                "sync_all".into(),
-                "sync_data".into(),
-            ],
-            ret_types: vec!["DurableAck".into()],
         }),
         wire: Some(WireConfig {
             protocol_module: "dkindex_server::protocol".into(),

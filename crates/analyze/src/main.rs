@@ -1,26 +1,24 @@
 //! `dkindex-analyze` — run the workspace static-analysis pass.
 //!
 //! ```text
-//! dkindex-analyze [--root DIR] [--json FILE] [--baseline FILE] [--quiet]
+//! dkindex-analyze [--root DIR] [--quiet]
 //! ```
 //!
 //! Prints findings as `file:line: rule-id: message`, then a per-rule
-//! summary. Exits 1 when any unjustified violation exists, 2 on usage or
-//! I/O errors. `--json` additionally writes an `ANALYZE.json` report
-//! (rule → finding count; all zeros on a clean tree). `--baseline`
-//! suppresses findings whose stable ids appear in a previously written
-//! report, so a tree with known debt can still gate on *new* violations.
+//! summary (`--quiet` drops the summary). Exits 1 when any unjustified
+//! violation exists, 2 on usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
+use dkindex_analyze::rules::count_by_rule;
+use dkindex_analyze::RULES;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+
+const USAGE: &str = "usage: dkindex-analyze [--root DIR] [--quiet]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -29,19 +27,9 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a value"),
             },
-            "--json" => match args.next() {
-                Some(v) => json = Some(PathBuf::from(v)),
-                None => return usage("--json needs a value"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a value"),
-            },
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: dkindex-analyze [--root DIR] [--json FILE] [--baseline FILE] [--quiet]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -52,54 +40,26 @@ fn main() -> ExitCode {
         None => return usage("no workspace root found; pass --root"),
     };
 
-    let started = Instant::now();
-    let all = match dkindex_analyze::analyze_workspace(&root) {
+    let findings = match dkindex_analyze::analyze_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("dkindex-analyze: cannot read workspace at {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    let wall_ms = started.elapsed().as_millis();
-
-    let (findings, suppressed) = match &baseline {
-        Some(path) => {
-            let known = match dkindex_analyze::report::read_baseline(path) {
-                Ok(ids) => ids,
-                Err(e) => {
-                    eprintln!("dkindex-analyze: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let (old, new): (Vec<_>, Vec<_>) =
-                all.into_iter().partition(|f| known.contains(&f.id()));
-            (new, old.len())
-        }
-        None => (all, 0),
-    };
-
     for f in &findings {
         println!("{f}");
     }
-    if let Some(path) = json {
-        if let Err(e) = dkindex_analyze::report::write_json(&path, &findings, Some(wall_ms)) {
-            eprintln!("dkindex-analyze: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
     if !quiet {
-        print!("{}", dkindex_analyze::report::summary(&findings));
-        if suppressed > 0 {
-            println!("  {suppressed} finding(s) suppressed by baseline");
+        let counts = count_by_rule(&findings);
+        for rule in RULES {
+            println!("  {rule:<24} {}", counts[rule]);
         }
+        println!("  {:<24} {}", "total", findings.len());
     }
     if findings.is_empty() {
         if !quiet {
-            if suppressed > 0 {
-                println!("analysis clean modulo baseline: no new violations");
-            } else {
-                println!("analysis clean: all contracts hold");
-            }
+            println!("analysis clean: all contracts hold");
         }
         ExitCode::SUCCESS
     } else {
@@ -123,6 +83,6 @@ fn discover_root() -> Option<PathBuf> {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("dkindex-analyze: {msg}");
-    eprintln!("usage: dkindex-analyze [--root DIR] [--json FILE] [--baseline FILE] [--quiet]");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }

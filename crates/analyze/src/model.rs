@@ -12,39 +12,32 @@ pub struct SourceFile {
     /// names use underscores; `lib.rs`/`main.rs` map to the bare crate
     /// name and `src/bin/x.rs` to `crate::bin::x`.
     pub module: String,
-    /// Name of the owning crate (underscored).
-    pub crate_name: String,
     /// Token stream (comments stripped, see `comments`).
     pub toks: Vec<Tok>,
     /// Comments by source order.
     pub comments: Vec<Comment>,
     /// Token-index ranges lying inside `#[cfg(test)] mod ... { }` blocks.
     pub test_ranges: Vec<(usize, usize)>,
-    /// Is this a crate root (`lib.rs`, `main.rs`, `bin/*.rs`)? Crate roots
-    /// are where `#![forbid(unsafe_code)]` must live.
-    pub is_crate_root: bool,
 }
 
 impl SourceFile {
     /// Lex `src` into a model.
-    pub fn parse(path: PathBuf, module: String, crate_name: String, src: &str) -> SourceFile {
+    pub fn parse(path: PathBuf, module: String, src: &str) -> SourceFile {
         let (toks, comments) = lex(src);
         let test_ranges = find_test_ranges(&toks);
         SourceFile {
             path,
             module,
-            crate_name,
             toks,
             comments,
             test_ranges,
-            is_crate_root: false,
         }
     }
 
     /// Read and lex the file at `path`.
-    pub fn load(path: &Path, module: String, crate_name: String) -> std::io::Result<SourceFile> {
+    pub fn load(path: &Path, module: String) -> std::io::Result<SourceFile> {
         let src = std::fs::read_to_string(path)?;
-        Ok(SourceFile::parse(path.to_path_buf(), module, crate_name, &src))
+        Ok(SourceFile::parse(path.to_path_buf(), module, &src))
     }
 
     /// Is token `i` inside a `#[cfg(test)]` module body?
@@ -85,13 +78,6 @@ impl SourceFile {
             return Some(!justification.is_empty());
         }
         None
-    }
-
-    /// Is there a `SAFETY:` comment on `line` or within the 3 lines above?
-    pub fn safety_comment_near(&self, line: u32) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.line <= line && c.line + 3 >= line && c.text.contains("SAFETY:"))
     }
 }
 
@@ -174,23 +160,12 @@ pub fn matching_brace(toks: &[Tok], open: usize) -> usize {
     j
 }
 
-/// Does `module` fall inside scope pattern `pat`? Patterns are exact module
-/// paths or a prefix followed by `::*` (any descendant, and the prefix
-/// module itself).
-pub fn in_scope(module: &str, pat: &str) -> bool {
-    if let Some(prefix) = pat.strip_suffix("::*") {
-        module == prefix || module.starts_with(&format!("{prefix}::"))
-    } else {
-        module == pat
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::parse(PathBuf::from("x.rs"), "m".into(), "c".into(), src)
+        SourceFile::parse(PathBuf::from("x.rs"), "m".into(), src)
     }
 
     #[test]
@@ -218,22 +193,13 @@ mod tests {
     #[test]
     fn allow_comments_require_justification() {
         let f = file(
-            "// analyze: allow(panic-path) — the Vec write is infallible\n\
-             let x = v.pop().unwrap();\n\
-             // analyze: allow(panic-path)\n\
-             let y = w.pop().unwrap();\n",
+            "// analyze: allow(guard-discipline) — the mutex is the work queue\n\
+             let x = rx.recv();\n\
+             // analyze: allow(guard-discipline)\n\
+             let y = rx.recv();\n",
         );
-        assert_eq!(f.allow_on("panic-path", 2), Some(true));
-        assert_eq!(f.allow_on("panic-path", 4), Some(false));
-        assert_eq!(f.allow_on("nondeterministic-iter", 2), None);
-    }
-
-    #[test]
-    fn scope_patterns() {
-        assert!(in_scope("dkindex_core::dk::promote", "dkindex_core::dk::*"));
-        assert!(in_scope("dkindex_core::dk", "dkindex_core::dk::*"));
-        assert!(in_scope("dkindex_core::serve", "dkindex_core::serve"));
-        assert!(!in_scope("dkindex_core::serve2", "dkindex_core::serve"));
-        assert!(!in_scope("dkindex_core::eval", "dkindex_core::dk::*"));
+        assert_eq!(f.allow_on("guard-discipline", 2), Some(true));
+        assert_eq!(f.allow_on("guard-discipline", 4), Some(false));
+        assert_eq!(f.allow_on("oracle-purity", 2), None);
     }
 }

@@ -21,7 +21,7 @@
 //! fires too (helper calls, one level deep, via [`crate::symbols`]).
 
 use crate::flow::{CallSite, FnModel};
-use crate::model::{in_scope, SourceFile};
+use crate::model::SourceFile;
 use crate::rules::{push_unless_allowed, BlockingSpec, Finding, GuardConfig};
 use crate::symbols::SymbolIndex;
 
@@ -33,7 +33,7 @@ pub fn check(
     findings: &mut Vec<Finding>,
 ) {
     for (file_idx, file) in files.iter().enumerate() {
-        if !cfg.scope.iter().any(|pat| in_scope(&file.module, pat)) {
+        if !cfg.scope.contains(&file.module) {
             continue;
         }
         for model in index.file_fns(file_idx) {

@@ -4,10 +4,9 @@
 //! Where [`crate::flow`] models one function at a time, this module
 //! aggregates the whole workspace so the cross-artifact rules can answer
 //! workspace-shaped questions: which function does this call site resolve
-//! to (one level deep, for guard-discipline across helpers), what does it
-//! return (for must-consume), which enum variants / const tables exist in
-//! a module (for wire-totality), and which string literals appear where
-//! (for metric-coherence). Doc files are read on demand by the rules via
+//! to (one level deep, for guard-discipline across helpers), which enum
+//! variants / const tables exist in a module (for wire-totality), and which
+//! string literals appear where (for metric-coherence). Doc files are read on demand by the rules via
 //! [`SymbolIndex::doc`], with one cached load per path.
 
 use crate::flow::{self, FnModel};
@@ -196,12 +195,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn index(src: &str) -> (SymbolIndex, Vec<SourceFile>) {
-        let files = vec![SourceFile::parse(
-            PathBuf::from("x.rs"),
-            "m".into(),
-            "c".into(),
-            src,
-        )];
+        let files = vec![SourceFile::parse(PathBuf::from("x.rs"), "m".into(), src)];
         (SymbolIndex::build(&files, None), files)
     }
 
@@ -217,8 +211,7 @@ mod tests {
         assert_eq!(names, ["Hello", "Ping", "Error"]);
         assert_eq!(idx.fns["encode"].len(), 1);
         assert_eq!(idx.fns["tag"].len(), 1);
-        let encode = idx.fn_in_file(0, "encode").unwrap();
-        assert_eq!(encode.ret, "Vec<u8>");
+        assert!(idx.fn_in_file(0, "encode").is_some());
         assert_eq!(idx.strings[0].len(), 1);
         assert_eq!(idx.strings[0][0].content, "serve.queries");
         assert!(!idx.strings[0][0].in_test);

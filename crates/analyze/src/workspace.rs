@@ -81,16 +81,9 @@ fn walk_src(
             walk_src(&path, src_root, crate_name, ws_root, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let module = module_path(&path, src_root, crate_name);
-            let is_root = {
-                let rel = path.strip_prefix(src_root).unwrap_or(&path);
-                rel == Path::new("lib.rs")
-                    || rel == Path::new("main.rs")
-                    || rel.parent() == Some(Path::new("bin"))
-            };
             let report_path = path.strip_prefix(ws_root).unwrap_or(&path).to_path_buf();
-            let mut file = SourceFile::load(&path, module, crate_name.to_string())?;
+            let mut file = SourceFile::load(&path, module)?;
             file.path = report_path;
-            file.is_crate_root = is_root;
             out.push(file);
         }
     }

@@ -54,20 +54,17 @@
 //! `bench-smoke` extra flags: `--threads N` (reader threads of the churn /
 //! net / tuning gates, 0 = machine parallelism; the `verify-churn` /
 //! `verify-net` / `verify-tune` single-gate modes take it too), `--out PATH`
-//! (default `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`),
-//! `--analyze PATH` (default `ANALYZE.json`). Nothing
-//! `bench-smoke` writes to `--out` is a timing: every row is a count or a
-//! verdict that repeats run to run, and each gate's acceptance conditions
-//! are the same `check` its `verify-*` mode runs. Besides the gate set it
-//! runs one telemetry-instrumented build → query → adapt pass and writes the
-//! recorder snapshot (per-phase span timings, refinement-round counts, query
-//! visit-count histograms) to the `--metrics` file, after verifying the
-//! recorder changes no observable result. It also runs the `dkindex-analyze`
-//! static pass over the workspace sources and writes the per-rule finding
-//! counts (all zeros on a clean tree) to the `--analyze` file, and counts
-//! the workspace's `.rs` lines into the `loc` section of the `--out` file;
-//! when the binary runs outside the source tree both are skipped (the
-//! analysis with a notice).
+//! (default `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`).
+//! Nothing `bench-smoke` writes to `--out` is a timing: every row is a
+//! count or a verdict that repeats run to run, and each gate's acceptance
+//! conditions are the same `check` its `verify-*` mode runs. Besides the
+//! gate set it runs one telemetry-instrumented build → query → adapt pass
+//! and writes the recorder snapshot (per-phase span timings,
+//! refinement-round counts, query visit-count histograms) to the
+//! `--metrics` file, after verifying the recorder changes no observable
+//! result. It also counts the workspace's
+//! `.rs` lines into the `loc` section of the `--out` file; when the binary
+//! runs outside the source tree that section is left out.
 
 #![forbid(unsafe_code)]
 
@@ -91,7 +88,6 @@ struct Options {
     threads: usize,
     out: String,
     metrics: String,
-    analyze: String,
 }
 
 fn main() {
@@ -105,7 +101,6 @@ fn main() {
         threads: 0,
         out: "BENCH_eval.json".to_string(),
         metrics: "METRICS.json".to_string(),
-        analyze: "ANALYZE.json".to_string(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -124,12 +119,6 @@ fn main() {
             "--metrics" => {
                 opts.metrics = it.next().cloned().unwrap_or_else(|| {
                     eprintln!("flag --metrics needs a path");
-                    std::process::exit(2);
-                });
-            }
-            "--analyze" => {
-                opts.analyze = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("flag --analyze needs a path");
                     std::process::exit(2);
                 });
             }
@@ -205,9 +194,9 @@ fn print_usage() {
          \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-churn|\n\
          \x20                verify-net|verify-crash|verify-tune|all>\n\
          \x20       [--xmark-scale F] [--nasa-scale F] [--max-k K] [--seed S]\n\
-         \x20       [--threads N] [--out PATH] [--metrics PATH] [--analyze PATH]\n\
+         \x20       [--threads N] [--out PATH] [--metrics PATH]\n\
          \x20       (--threads applies to bench-smoke and verify-churn/-net/-tune,\n\
-         \x20       the last three flags to bench-smoke only)"
+         \x20       the last two flags to bench-smoke only)"
     );
 }
 
@@ -452,8 +441,8 @@ fn run_bench_smoke(opts: &Options) {
         println!("{line}");
     }
 
-    // Workspace size rides along with the exact rows; like the static pass
-    // below it needs the sources, so it is skipped outside them.
+    // Workspace size rides along with the exact rows; it needs the
+    // sources, so it is skipped outside them.
     let loc = workspace_root().map(|root| match loc::count_loc(&root) {
         Ok(loc) => loc,
         Err(e) => {
@@ -488,46 +477,8 @@ fn run_bench_smoke(opts: &Options) {
     }
     println!("wrote {}", opts.metrics);
 
-    let analysis_violations = run_analyze_report(&opts.analyze);
-
     require(set.check());
     require(tel.check());
-    if analysis_violations > 0 {
-        eprintln!("FAIL: {analysis_violations} static-analysis contract violation(s)");
-        std::process::exit(1);
-    }
-}
-
-/// Run the `dkindex-analyze` static pass over the workspace sources and
-/// write the per-rule report to `path`. Returns the number of unjustified
-/// violations; when the binary runs outside the source tree (no workspace
-/// root above the current directory) the pass is skipped with a notice and
-/// reported as clean.
-fn run_analyze_report(path: &str) -> usize {
-    let Some(root) = workspace_root() else {
-        println!("static analysis skipped: no workspace sources above the current directory");
-        return 0;
-    };
-    let started = std::time::Instant::now();
-    let findings = match dkindex_analyze::analyze_workspace(&root) {
-        Ok(findings) => findings,
-        Err(e) => {
-            eprintln!("error: analyzing workspace at {}: {e}", root.display());
-            std::process::exit(2);
-        }
-    };
-    let wall_ms = started.elapsed().as_millis();
-    for f in &findings {
-        eprintln!("{f}");
-    }
-    if let Err(e) =
-        dkindex_analyze::report::write_json(std::path::Path::new(path), &findings, Some(wall_ms))
-    {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {path} ({} finding(s))", findings.len());
-    findings.len()
 }
 
 /// Walk up from the current directory to the first dir that looks like the

@@ -24,9 +24,19 @@
 //!    audit sees identical bytes whether its epoch shares every block or
 //!    none.
 //!
-//! This module is inside the `dkindex-analyze` `panic-path` and
-//! `nondeterministic-iter` scopes: accessors are `Option`-returning and all
-//! iteration is in block-id order.
+//! This module denies clippy's panic and hash-iteration lints (below):
+//! accessors are `Option`-returning and all iteration is in block-id order.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 use dkindex_graph::{LabelId, NodeId};
 use std::sync::Arc;

@@ -1,9 +1,8 @@
 //! Panic-free byte reading for the durability formats.
 //!
 //! [`snapshot`](crate::snapshot) and [`wal`](crate::wal) parse
-//! attacker-adjacent bytes (truncated files, torn writes, bit flips); the
-//! `dkindex-analyze` `panic-path` rule bans slice indexing and `unwrap`
-//! there. This cursor is the shared safe substrate: every read returns
+//! attacker-adjacent bytes (truncated files, torn writes, bit flips) and
+//! deny `clippy::indexing_slicing` and `clippy::unwrap_used`. This cursor is the shared safe substrate: every read returns
 //! `Option` and the callers translate `None` into their typed error.
 
 /// A forward-only reader over a byte slice. Reads either consume exactly

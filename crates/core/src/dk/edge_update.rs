@@ -47,8 +47,8 @@ pub fn update_local_similarity(
 
     // Path sets keyed by label path (outermost label first), valued by the
     // index nodes at which matching node paths start. Ordered maps keep the
-    // growth loop's walk deterministic (the `nondeterministic-iter`
-    // contract for `core::dk::*`).
+    // growth loop's walk deterministic (`core::dk` denies
+    // `clippy::iter_over_hash_type`).
     type PathSet = BTreeMap<Vec<LabelId>, BTreeSet<NodeId>>;
     let mut new_paths: PathSet = BTreeMap::new();
     new_paths.insert(vec![index.label_of(u_inode)], [u_inode].into_iter().collect());
@@ -203,7 +203,7 @@ mod tests {
     /// the growth loop must walk its path sets in a declared order, so
     /// repeated runs of the same update sequence produce identical
     /// similarities, touch counts, and serialized index bytes in-process —
-    /// the byte-identity contract the `nondeterministic-iter` rule guards.
+    /// the byte-identity contract `clippy::iter_over_hash_type` guards.
     #[test]
     fn repeated_update_runs_are_byte_identical() {
         let run = || {

@@ -22,6 +22,8 @@
 //! the `dk.*` counters and span histograms of `dkindex_telemetry::metrics`;
 //! the recorder is off by default and observationally transparent.
 
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod broadcast;
 pub mod construct;
 pub mod demote;

@@ -24,8 +24,19 @@
 //!
 //! Everything here is deterministic: no clocks, no OS state, no
 //! randomness. Seeding lives in the harness (which picks the plans); this
-//! module only executes them. It is inside the analyzer's panic-path and
-//! determinism scopes like the WAL it stands in for.
+//! module only executes them. It denies the same panic and hash-iteration
+//! lints as the WAL it stands in for.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 use crate::wal::WalStore;
 use std::io;

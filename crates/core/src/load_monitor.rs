@@ -38,6 +38,17 @@
 //! bucket: a deeper-than-tracked query still registers as "deep", it just
 //! cannot demand a requirement beyond the cap.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+
 use dkindex_graph::LabelInterner;
 use dkindex_pathexpr::PathExpr;
 use std::collections::BTreeSet;

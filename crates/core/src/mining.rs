@@ -8,6 +8,17 @@
 //! local similarity to reach that length, so each label a query can return
 //! gets requirement `max(p) − 1` over the queries returning it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+
 use crate::requirements::Requirements;
 use dkindex_pathexpr::PathExpr;
 

@@ -35,8 +35,8 @@
 //!   `(epoch, query)` key. Publishing a new epoch drops the whole memo with
 //!   the superseded `Arc`, so a stale cached answer is impossible by
 //!   construction, not by bookkeeping.
-//! * **No panic paths**: this module is in the `dkindex-analyze`
-//!   `panic-path` scope. Lock poisoning is recovered
+//! * **No panic paths**: this module denies clippy's panic lints
+//!   (`unwrap_used`, `indexing_slicing`, …). Lock poisoning is recovered
 //!   (`PoisonError::into_inner` — every critical section leaves the guarded
 //!   value consistent, so a panic elsewhere never invalidates it), and a
 //!   dead maintenance thread surfaces as [`ServeError::MaintenanceGone`]
@@ -55,6 +55,18 @@
 //! `serve.stale_epoch_reads`, `serve.cache_hits`/`serve.cache_misses`,
 //! `serve.publish.blocks_shared`/`serve.publish.blocks_rebuilt`, and the
 //! `serve.publish_ns` span.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use
+)]
 
 use crate::dk::construct::DkIndex;
 use crate::eval::{IndexEvalOutcome, IndexEvaluator, QueryAborted};
@@ -105,7 +117,7 @@ impl Default for ServeConfig {
 }
 
 /// A serve-layer failure surfaced to callers as a typed error rather than a
-/// panic (the `panic-path` contract of this module).
+/// panic (the no-panic contract of this module).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// The maintenance thread is gone — it panicked while applying an op or
@@ -330,6 +342,7 @@ enum Msg {
 /// WAL-backed server, group-committed to stable storage first — so an `Ok`
 /// is a durable-ack: the update survives a crash (docs/PROTOCOL.md §8).
 #[derive(Debug)]
+#[must_use = "an unwaited ack reports success the disk never confirmed"]
 pub struct DurableAck {
     rx: mpsc::Receiver<Result<u64, ServeError>>,
 }
@@ -521,8 +534,11 @@ impl DkServer {
     /// with [`ServeError::MaintenanceGone`] when the maintenance thread
     /// panicked and the final state is unrecoverable.
     pub fn shutdown(mut self) -> Result<(DkIndex, DataGraph), ServeError> {
-        // analyze: allow(must-consume) — a send failure means maintenance
-        // already exited; the join below surfaces that as MaintenanceGone.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a send failure means maintenance already exited; the join below \
+                      surfaces that as MaintenanceGone"
+        )]
         let _ = self.submitter.tx.send(Msg::Shutdown);
         let join = self.join.take().ok_or(ServeError::MaintenanceGone)?;
         join.join().map_err(|_| ServeError::MaintenanceGone)
@@ -533,8 +549,11 @@ impl DkServer {
     /// [`ServeError::MaintenanceGone`] surface on subsequent calls.
     #[doc(hidden)]
     pub fn stop_maintenance_for_tests(&self) {
-        // analyze: allow(must-consume) — the hook exists to provoke the
-        // maintenance-gone state; a failed send means it is already gone.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the hook exists to provoke the maintenance-gone state; a failed send \
+                      means it is already gone"
+        )]
         let _ = self.submitter.tx.send(Msg::Shutdown);
     }
 
@@ -601,9 +620,17 @@ impl Submitter {
 impl Drop for DkServer {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            // analyze: allow(must-consume) — best-effort teardown in Drop:
-            // a dead maintenance thread is already the state we want.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort teardown in Drop: a dead maintenance thread is already \
+                          the state we want"
+            )]
             let _ = self.submitter.tx.send(Msg::Shutdown);
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop must not panic, and a maintenance thread that panicked has \
+                          nothing left to tear down"
+            )]
             let _ = join.join();
         }
     }
@@ -658,9 +685,11 @@ impl TuneCadence {
         }
         self.batches = 0;
         if let Some(op) = self.tuner.step(current) {
-            // analyze: allow(must-consume) — tuner self-enqueue is
-            // advisory: a failed send means maintenance is shutting
-            // down, and dropping the plan is the correct outcome.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "tuner self-enqueue is advisory: a failed send means maintenance is \
+                          shutting down, and dropping the plan is the correct outcome"
+            )]
             let _ = self.tx.send(Msg::Op(op, None));
         }
     }
@@ -735,9 +764,12 @@ fn maintenance_loop(
                     telemetry::metrics::SERVE_WAL_DROPPED_BATCHES.incr();
                     for (_, ack) in batch.drain(..) {
                         if let Some(ack) = ack {
-                            // analyze: allow(must-consume) — a gone receiver
-                            // means the submitter stopped waiting; the
-                            // failure is already published via `poisoned`.
+                            #[expect(
+                                clippy::let_underscore_must_use,
+                                reason = "a gone receiver means the submitter stopped \
+                                          waiting; the failure is already published via \
+                                          `poisoned`"
+                            )]
                             let _ = ack.send(Err(ServeError::WalFailed));
                         }
                     }
@@ -793,9 +825,11 @@ fn maintenance_loop(
                 if ctx.wal.is_some() {
                     telemetry::metrics::SERVE_DURABLE_ACKS.incr();
                 }
-                // analyze: allow(must-consume) — the op is durable and
-                // visible whether or not the submitter still listens; a
-                // gone receiver must not fail maintenance.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the op is durable and visible whether or not the submitter \
+                              still listens; a gone receiver must not fail maintenance"
+                )]
                 let _ = ack.send(Ok(epoch_id));
             }
             // Live tuning rides published batches: step the tuner on
@@ -810,9 +844,11 @@ fn maintenance_loop(
             // The flush contract is "every previously submitted op has been
             // *applied*" — once poisoned, batches are being dropped, so a
             // flush must surface the loss instead of acking it away (S1).
-            // analyze: allow(must-consume) — flush callers may time out and
-            // drop the receiver; the outcome they asked about is decided
-            // either way.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "flush callers may time out and drop the receiver; the outcome they \
+                          asked about is decided either way"
+            )]
             let _ = ack.send(if wal_broken {
                 Err(ServeError::WalFailed)
             } else {
@@ -824,10 +860,17 @@ fn maintenance_loop(
         // until the holder drops its resume sender; maintenance resumes
         // with whatever queued meanwhile.
         for gate in pauses.drain(..) {
-            // analyze: allow(must-consume) — a dropped gate holder means
-            // "resume immediately": the park notification has no reader and
-            // the recv below returns Err at once.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a dropped gate holder means \"resume immediately\": the park \
+                          notification has no reader"
+            )]
             let _ = gate.parked.send(());
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "no message ever arrives: the holder resumes maintenance by dropping \
+                          its sender, which ends this recv with Err"
+            )]
             let _ = gate.resume.recv();
         }
         if shutdown {

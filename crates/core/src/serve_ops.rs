@@ -9,6 +9,17 @@
 //! the concurrent machinery it certifies: no `dkindex_telemetry`, no
 //! channels, no threads, no epoch lock (`dkindex-analyze` enforces this).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+
 use crate::dk::construct::DkIndex;
 use crate::requirements::Requirements;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};

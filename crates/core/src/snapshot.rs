@@ -33,6 +33,18 @@
 //! exactly when [`load_with_recovery`] succeeds with
 //! [`Recovery::is_intact`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use
+)]
+
 use crate::audit;
 use crate::bytes::Cursor;
 use crate::crc32::crc32;
@@ -172,7 +184,7 @@ pub fn snapshot_bytes(dk: &DkIndex, data: &DataGraph) -> Vec<u8> {
     let mut bytes = Vec::new();
     // Threading io::Result through every caller would only launder an error
     // that cannot happen: Write for Vec<u8> has no I/O to fail.
-    // analyze: allow(panic-path) — Write for Vec<u8> is infallible
+    #[expect(clippy::expect_used, reason = "Write for Vec<u8> is infallible")]
     write_snapshot(dk, data, &mut bytes).expect("Vec<u8> writes are infallible");
     bytes
 }
@@ -192,8 +204,11 @@ pub fn save_snapshot_file(dk: &DkIndex, data: &DataGraph, path: &Path) -> io::Re
         file.sync_all()
     });
     if let Err(e) = written.and_then(|()| std::fs::rename(&tmp, path)) {
-        // Best effort: the save already failed, and its error is the one
-        // the caller needs; a leftover temp file is only litter.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best effort: the save already failed, and its error is the one the \
+                      caller needs; a leftover temp file is only litter"
+        )]
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
     }
@@ -411,6 +426,11 @@ mod tests {
 
     impl Drop for TempDir {
         fn drop(&mut self) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "test cleanup in Drop, which must not panic: a leftover temp directory \
+                          fails nothing"
+            )]
             let _ = std::fs::remove_dir_all(&self.0);
         }
     }

@@ -30,7 +30,7 @@
 //! Everything here iterates ordered containers (`BTreeSet`, sorted
 //! vectors): the same window must always yield the same plan, byte for
 //! byte, because tuning decisions are replayed through the
-//! serial-application oracle (`dkindex-analyze` enforces the scope).
+//! serial-application oracle (`clippy::iter_over_hash_type` is denied).
 //!
 //! ```
 //! use dkindex_core::{apply_serial, DkIndex, IndexEvaluator, Requirements, Tuner, TunerConfig};
@@ -49,6 +49,17 @@
 //! apply_serial(&mut dk, &mut data, &[op]);
 //! assert!(!IndexEvaluator::new(dk.index(), &data).evaluate(&q).validated);
 //! ```
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 use crate::load_monitor::{LoadMonitor, LoadWindow};
 use crate::mining::mine_requirements_weighted;

@@ -57,6 +57,18 @@
 //! [`WalStore`] so the crash torture harness can substitute the
 //! fail-injecting [`crate::io_fail::SimDisk`] for a real file.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use
+)]
+
 use crate::bytes::Cursor;
 use crate::crc32::crc32;
 use crate::dk::construct::DkIndex;
@@ -786,6 +798,10 @@ mod tests {
         std::fs::write(&path, V1).unwrap();
         assert!(matches!(WalWriter::open(&path), Err(WalError::UnsupportedVersion(1))));
         assert_eq!(std::fs::read(&path).unwrap(), V1, "a rejected file is left untouched");
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup: a leftover temp directory fails nothing"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -881,6 +897,10 @@ mod tests {
             vec![add(3, 1), ServeOp::Promote { node: NodeId::from_index(2), k: 1 }],
             "unfenced tail truncated, then one append"
         );
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup: a leftover temp directory fails nothing"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -909,6 +929,10 @@ mod tests {
         let (records, tail) = decode_wal(&bytes[..bytes.len() - fence_len]).unwrap();
         assert!(records.is_empty());
         assert_eq!(tail, WalTail::Torn { valid_len: HEADER_LEN });
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup: a leftover temp directory fails nothing"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,10 +24,20 @@
 //!    element values are identical to a flat `Vec<T>` with the same
 //!    contents; equality compares contents, never pointers.
 //!
-//! This module is in the `dkindex-analyze` `panic-path` and
-//! `nondeterministic-iter` scopes: every accessor is `Option`-returning
-//! (no indexing, no `unwrap`), and iteration follows declared element
-//! order only.
+//! This module denies clippy's panic and hash-iteration lints (below):
+//! every accessor is `Option`-returning (no indexing, no `unwrap`), and
+//! iteration follows declared element order only.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 use std::fmt;
 use std::sync::Arc;

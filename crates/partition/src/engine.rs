@@ -28,6 +28,8 @@
 //! The reference implementations in [`crate::refine`] are kept as the oracle
 //! for equivalence tests and before/after benchmarks.
 
+#![deny(clippy::iter_over_hash_type)]
+
 use crate::partition::{BlockId, Partition};
 use dkindex_graph::{LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;

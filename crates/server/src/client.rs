@@ -78,6 +78,10 @@ impl NetClient {
         let mut stream = connect_stream(addr)?;
         stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT)).map_err(classify_io)?;
         stream.set_write_timeout(Some(DEFAULT_IO_TIMEOUT)).map_err(classify_io)?;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "latency tuning only: the protocol is correct with Nagle's algorithm on"
+        )]
         let _ = stream.set_nodelay(true);
         write_frame(
             &mut stream,

@@ -2,13 +2,24 @@
 //! per-request budget admission, and the epoch-staleness shed gate.
 //!
 //! One worker thread runs [`serve_connection`] per accepted socket
-//! (ARCHITECTURE.md §7). The module is in the `dkindex-analyze`
-//! `panic-path` scope — it feeds on attacker-adjacent socket bytes, so
-//! every failure is a typed frame ([`Frame::Shed`], [`Frame::Error`]) or a
-//! silent close, never a panic — and in the determinism scope, because
-//! admission decisions feed the serial-replay oracle: whether an UPDATE is
-//! admitted may depend only on the backlog arithmetic specified in
-//! PROTOCOL.md §5, never on iteration order or timing of anything else.
+//! (ARCHITECTURE.md §7). The module denies clippy's panic lints — it feeds
+//! on attacker-adjacent socket bytes, so every failure is a typed frame
+//! ([`Frame::Shed`], [`Frame::Error`]) or a silent close, never a panic —
+//! and hash-container loops, because admission decisions feed the
+//! serial-replay oracle: whether an UPDATE is admitted may depend only on
+//! the backlog arithmetic specified in PROTOCOL.md §5, never on iteration
+//! order or timing of anything else.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 use crate::protocol::{self, DecodeError, ErrorCode, Frame, ShedReason};
 use crate::server::{NetConfig, RETRY_AFTER_MS};
@@ -93,7 +104,16 @@ enum ReadOutcome {
 /// (§7).
 pub(crate) fn serve_connection(mut stream: TcpStream, shared: &Shared, submitter: &Submitter) {
     telemetry::metrics::SERVE_NET_CONNECTIONS.incr();
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "latency tuning only: the protocol is correct with Nagle's algorithm on"
+    )]
     let _ = stream.set_nodelay(true);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the poll timeout only paces the drain check; without it reads still finish when \
+                  the peer sends or closes"
+    )]
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
 
     match read_frame(&mut stream, shared) {

@@ -15,8 +15,9 @@
 //!    (PROTOCOL.md §5.2). Overload can never grow memory without bound or
 //!    silently stretch latency.
 //! 2. **The wire cannot panic the server.** [`protocol`] and the
-//!    connection handler are in the `dkindex-analyze` `panic-path` scope:
-//!    arbitrary bytes decode to typed errors, full stop.
+//!    connection handler deny clippy's panic lints (`unwrap_used`,
+//!    `indexing_slicing`, …): arbitrary bytes decode to typed errors, full
+//!    stop.
 //! 3. **The network layer adds no nondeterminism to the index.** Admitted
 //!    updates flow through the same single maintenance thread in
 //!    admission order; the net bench replays the admitted sequence through
@@ -24,6 +25,7 @@
 //!    (`reproduce verify-net`).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use)]
 
 mod client;
 mod conn;

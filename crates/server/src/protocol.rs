@@ -7,14 +7,25 @@
 //! payload` (PROTOCOL.md §1) where `length` counts the opcode byte plus
 //! the payload.
 //!
-//! This module parses attacker-adjacent bytes off a socket, so it is in
-//! the `dkindex-analyze` `panic-path` scope: every read goes through the
-//! Option-returning `Cursor` (the same discipline as the durability
-//! formats in `core::bytes`), decode failures are the typed
-//! [`DecodeError`], and nothing here indexes, unwraps, or panics. It is
-//! also in the determinism scope: encoding is a pure function of the
-//! frame value — byte-for-byte reproducible, which is what lets the net
-//! bench compare concurrent transcripts against serial replay.
+//! This module parses attacker-adjacent bytes off a socket, so it denies
+//! clippy's panic lints: every read goes through the Option-returning
+//! `Cursor` (the same discipline as the durability formats in
+//! `core::bytes`), decode failures are the typed [`DecodeError`], and
+//! nothing here indexes, unwraps, or panics. It also denies hash-container
+//! loops: encoding is a pure function of the frame value — byte-for-byte
+//! reproducible, which is what lets the net bench compare concurrent
+//! transcripts against serial replay.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 /// Protocol version implemented by this crate (PROTOCOL.md §2.2).
 pub const VERSION: u16 = 1;

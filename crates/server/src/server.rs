@@ -176,11 +176,25 @@ impl NetServer {
         // The accept thread may be parked in accept(); a throwaway
         // self-connection wakes it so it can observe the flag and exit
         // (dropping the listener — from then on connects are refused).
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the connection exists only to wake accept(); it carries nothing to act on"
+        )]
         let _ = TcpStream::connect(local_addr);
         if let Some(join) = accept {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked accept thread held only the listener; the index and graph \
+                          come from the maintenance thread below"
+            )]
             let _ = join.join();
         }
         for join in workers {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked worker held only its own connection; the index and graph come \
+                          from the maintenance thread below"
+            )]
             let _ = join.join();
         }
         let drain = start.elapsed();
@@ -224,12 +238,22 @@ fn accept_loop(listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>, shared:
 /// close.
 fn shed_at_door(mut stream: TcpStream) {
     telemetry::metrics::SERVE_NET_CONNECTIONS_SHED.incr();
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort refusal: the SHED frame fits an empty send buffer, and the \
+                  connection closes either way"
+    )]
     let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let frame = Frame::Shed {
         reason: ShedReason::QueueFull,
         pending: 0,
         retry_after_ms: RETRY_AFTER_MS,
     };
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort refusal (PROTOCOL.md §5.2): the connection closes whether or not the \
+                  SHED frame got out"
+    )]
     let _ = stream.write_all(&protocol::encode(&frame));
 }
 

@@ -65,7 +65,10 @@ pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
 impl Histogram {
     /// A fresh empty histogram. `name` is the stable snapshot identifier.
     pub const fn new(name: &'static str, unit: Unit) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[expect(
+            clippy::declare_interior_mutable_const,
+            reason = "only an array-repeat initializer; every bucket gets its own atomic"
+        )]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
             name,

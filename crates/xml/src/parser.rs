@@ -224,7 +224,10 @@ impl<'a> XmlParser<'a> {
     }
 
     /// Pull the next event, or `None` at the end of a well-formed document.
-    #[allow(clippy::should_implement_trait)] // fallible iterator; next() mirrors pull-parser convention
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a fallible iterator: next() mirrors the pull-parser convention"
+    )]
     pub fn next(&mut self) -> Result<Option<XmlEvent>, XmlError> {
         if self.pos >= self.input.len() {
             if let Some(open) = self.open.last() {

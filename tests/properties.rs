@@ -6,8 +6,6 @@ use dkindex::core::{
     audit, check_structure, eval_oracle, evaluate_on_data, AkIndex, AuditConfig, DkIndex,
     IndexEvaluator, IndexGraph, Invariant, Requirements,
 };
-#[allow(unused_imports)]
-use dkindex::partition::Partition;
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::partition::{k_bisimulation, KBisimTable};
 use dkindex::pathexpr::{LabelIndex, PathExpr};
