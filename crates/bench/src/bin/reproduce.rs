@@ -23,16 +23,6 @@
 //!                        WAL byte, truncate the snapshot everywhere; exits
 //!                        nonzero on any panic, silently accepted corruption,
 //!                        or strict/graceful reader disagreement
-//!   verify-churn         bounded sustained-churn run: large update batches
-//!                        under concurrent readers; exits nonzero if the final
-//!                        state diverges from the serial replay or a publish
-//!                        copied more than 10% of the block store on average
-//!   verify-net           loopback network serve gate: mixed query/update
-//!                        workload over real TCP plus an induced-overload
-//!                        window; exits nonzero if the drained state diverges
-//!                        from the serial replay of the admitted updates, if
-//!                        any refusal was not a typed SHED frame, or if
-//!                        admission overshot the staleness threshold
 //!   verify-crash         crash-recovery torture gate for the WAL: cut the
 //!                        log at every byte, fail every group commit's fsync,
 //!                        tear every batch write at every offset, and kill a
@@ -40,26 +30,17 @@
 //!                        nonzero if any acknowledged update fails to replay
 //!                        byte-identically after recovery, any crash view
 //!                        recovers a partial batch, or anything panics
-//!   verify-tune          live-tuning convergence gate: a Zipf-skewed query
-//!                        mix that flips to a different pool halfway through
-//!                        a WAL-logged serve run with in-loop tuning on;
-//!                        exits nonzero if the p99 query cost fails to
-//!                        re-converge within the bounded round count, if the
-//!                        tuned state diverges from the serial replay of the
-//!                        recorded ops (tuner ops included), or if the WAL
-//!                        replay diverges from the live state
 //!   all        everything above in order
 //! ```
 //!
 //! `bench-smoke` extra flags: `--threads N` (reader threads of the churn /
-//! net / tuning gates, 0 = machine parallelism; the `verify-churn` /
-//! `verify-net` / `verify-tune` single-gate modes take it too), `--out PATH`
-//! (default `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`).
-//! Nothing `bench-smoke` writes to `--out` is a timing: every row is a
-//! count or a verdict that repeats run to run, and each gate's acceptance
-//! conditions are the same `check` its `verify-*` mode runs. Besides the
-//! gate set it runs one telemetry-instrumented build → query → adapt pass
-//! and writes the recorder snapshot (per-phase span timings,
+//! net / tuning gates, 0 = machine parallelism), `--out PATH` (default
+//! `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`). Nothing
+//! `bench-smoke` writes to `--out` is a timing: every row is a count or a
+//! verdict that repeats run to run, and each gate's acceptance conditions
+//! are its result type's `check`. Besides the gate set it runs one
+//! telemetry-instrumented build → query → adapt pass and writes the
+//! recorder snapshot (per-phase span timings,
 //! refinement-round counts, query visit-count histograms) to the
 //! `--metrics` file, after verifying the recorder changes no observable
 //! result. It also counts the workspace's
@@ -74,7 +55,7 @@ use dkindex_bench::experiments::*;
 use dkindex_bench::gates;
 use dkindex_bench::loc;
 use dkindex_bench::net;
-use dkindex_bench::report::{fmt_f64, render_table, rows_line};
+use dkindex_bench::report::{fmt_f64, render_table};
 use dkindex_bench::tuning;
 use dkindex_graph::stats::GraphStats;
 use dkindex_graph::DataGraph;
@@ -155,10 +136,7 @@ fn main() {
         "length-sweep" => run_length_sweep(&opts),
         "bench-smoke" => run_bench_smoke(&opts),
         "verify-faults" => run_verify_faults(&opts),
-        "verify-churn" => run_verify_churn(&opts),
-        "verify-net" => run_verify_net(&opts),
         "verify-crash" => run_verify_crash(&opts),
-        "verify-tune" => run_verify_tune(&opts),
         "all" => {
             fig_before(&opts, Dataset::Xmark);
             fig_before(&opts, Dataset::Nasa);
@@ -191,12 +169,10 @@ fn parse_next<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag:
 fn print_usage() {
     println!(
         "usage: reproduce <fig4|fig5|fig6|fig7|table1|sizes|ablation-broadcast|ablation-promote|\n\
-         \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-churn|\n\
-         \x20                verify-net|verify-crash|verify-tune|all>\n\
+         \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-crash|all>\n\
          \x20       [--xmark-scale F] [--nasa-scale F] [--max-k K] [--seed S]\n\
          \x20       [--threads N] [--out PATH] [--metrics PATH]\n\
-         \x20       (--threads applies to bench-smoke and verify-churn/-net/-tune,\n\
-         \x20       the last two flags to bench-smoke only)"
+         \x20       (the last three flags apply to bench-smoke only)"
     );
 }
 
@@ -495,34 +471,6 @@ fn workspace_root() -> Option<std::path::PathBuf> {
     }
 }
 
-/// Bounded sustained-churn gate ([`gates::ChurnBenchResult::check`]) as an
-/// exit code — the same function, dataset and seed `bench-smoke` runs.
-fn run_verify_churn(opts: &Options) {
-    let (data, workload) = load(opts, Dataset::Xmark);
-    let reqs = workload.mine_requirements();
-    println!("\n=== Verify churn: delta-epoch publishes under sustained updates ===");
-    let churn = gates::bench_churn(&data, workload.queries(), &reqs, opts.threads, opts.seed);
-    println!("{}", rows_line("churn", &churn.rows()));
-    require(churn.check());
-    println!("sustained churn deterministic; publishes copied only the touched delta");
-}
-
-/// Network serve gate ([`net::NetBenchResult::check`]) as an exit code —
-/// the same function, dataset and seed `bench-smoke` runs.
-fn run_verify_net(opts: &Options) {
-    let (data, workload) = load(opts, Dataset::Xmark);
-    let reqs = workload.mine_requirements();
-    println!("\n=== Verify net: DKNP serve over loopback TCP ===");
-    let net_cfg = net::NetBenchConfig::default();
-    let net_res =
-        net::bench_net(&data, workload.queries(), &reqs, opts.threads, &net_cfg, opts.seed);
-    println!("{}", rows_line("net", &net_res.rows()));
-    require(net_res.check());
-    println!(
-        "network serve deterministic; overload shed typed frames only, zero unbounded queueing"
-    );
-}
-
 fn run_verify_faults(opts: &Options) {
     use dkindex_bench::faults;
     println!("\n=== Fault injection: snapshot + WAL damage sweeps ===");
@@ -540,21 +488,6 @@ fn run_verify_faults(opts: &Options) {
         std::process::exit(1);
     }
     println!("all fault probes recovered or failed with typed errors; zero panics");
-}
-
-/// Live-tuning gate ([`tuning::TuningBenchResult::check`]) as an exit code
-/// — the same function, dataset and seed `bench-smoke` runs.
-fn run_verify_tune(opts: &Options) {
-    let data = datasets::xmark(opts.xmark_scale);
-    println!("\n=== Verify tune: live adaptation under a shifting Zipf workload ===");
-    let tune_cfg = tuning::TuningBenchConfig::default();
-    let t = tuning::bench_tuning(&data, opts.threads, &tune_cfg, opts.seed);
-    println!("{}", rows_line("tuning", &t.rows()));
-    require(t.check());
-    println!(
-        "live tuner re-converged the p99 after the workload shift; \
-         tuned run replays serially and from the WAL byte-identically"
-    );
 }
 
 fn run_verify_crash(opts: &Options) {

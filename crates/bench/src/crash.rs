@@ -401,8 +401,11 @@ pub fn kill_loop(
             match server.submit_logged(op.clone()) {
                 Ok(ack) => {
                     submitted.push(op.clone());
-                    acks.push(ack);
+                    acks.push(Ok(ack));
                 }
+                // Once the failed commit has poisoned the server, a submit
+                // fails fast with the error its ack would have carried.
+                Err(ServeError::WalFailed) => acks.push(Err(ServeError::WalFailed)),
                 Err(e) => {
                     report
                         .violations
@@ -410,7 +413,10 @@ pub fn kill_loop(
                 }
             }
         }
-        let results: Vec<Result<u64, ServeError>> = acks.into_iter().map(|a| a.wait()).collect();
+        let results: Vec<Result<u64, ServeError>> = acks
+            .into_iter()
+            .map(|a| a.and_then(|ack| ack.wait()))
+            .collect();
         let _ = server.shutdown();
 
         let acked = results.iter().take_while(|r| r.is_ok()).count();

@@ -12,8 +12,7 @@
 //! Each result type states its rows once (`rows`; [`rows_line`] and
 //! [`rows_json`] render the console line and the JSON object from them) and
 //! its acceptance conditions once (`check`: the first failing clause, as
-//! the message `reproduce` prints), shared by `bench-smoke` and the
-//! single-gate `verify-*` modes.
+//! the message `reproduce bench-smoke` prints).
 
 use crate::loc::{loc_to_json, LocReport};
 use crate::net::{bench_net, NetBenchConfig, NetBenchResult};

@@ -5,7 +5,7 @@
 //! update sequence.
 //!
 //! Three properties are gated ([`NetBenchResult::check`], which `reproduce
-//! bench-smoke` and `verify-net` turn into an exit code):
+//! bench-smoke` turns into an exit code):
 //!
 //! * **Determinism** — the state the drained server hands back is
 //!   byte-identical to [`apply_serial`] over exactly the updates that were

@@ -5,7 +5,7 @@
 //! the initial convergence and the re-convergence after the shift.
 //!
 //! Three properties are gated ([`TuningBenchResult::check`], which
-//! `reproduce bench-smoke` and `verify-tune` turn into an exit code):
+//! `reproduce bench-smoke` turns into an exit code):
 //!
 //! * **Re-convergence** — the per-round p99 query cost returns to its
 //!   converged post-shift value within `converge_bound` rounds (one epoch

@@ -186,13 +186,16 @@ mod tests {
         assert!(out.contains("admitted=1"), "{out}");
 
         // Server-reported errors map onto the documented exit codes:
-        // unparseable query text is 2, an exhausted budget is 6.
+        // unparseable query text is 2, an exhausted budget is 6. The budget
+        // probe sends a query no earlier round did: a memo hit is served
+        // free, and the one above may still be memoized if the admitted
+        // update has not published yet.
         assert_eq!(
             run(&["client", &addr, "--query", "movieDB.."]).unwrap_err().exit_code(),
             2
         );
         assert_eq!(
-            run(&["client", &addr, "--query", "movieDB.actor.name", "--budget", "1"])
+            run(&["client", &addr, "--query", "movieDB.director.movie.title", "--budget", "1"])
                 .unwrap_err()
                 .exit_code(),
             6

@@ -4,8 +4,8 @@
 //! ([`crate::dk::construct::dk_partition_with_options`]): equivalence tests
 //! demand byte-identical partitions from both. For that comparison to mean
 //! anything, the oracle must stay independent of what it checks — it is
-//! forbidden (and `dkindex-analyze` enforces) from touching `RefineEngine`
-//! or `dkindex_telemetry`. It pays one allocation per node per round
+//! forbidden (and the oracle table in `tests/contracts.rs` enforces) from
+//! touching `RefineEngine` or `dkindex_telemetry`. It pays one allocation per node per round
 //! ([`dkindex_partition::refine_round_selective`] hashes freshly-built
 //! signature vectors).
 

@@ -4,9 +4,9 @@
 //! on top of the reference walks in [`dkindex_pathexpr::oracle`].
 //!
 //! It is a free function rather than a method so the oracle does not live
-//! on the type it certifies; the analyzer's `oracle-purity` rule forbids
-//! this module from naming the evaluator or its fast-path building blocks
-//! (ARCHITECTURE.md §6). Tests and `bench::gates` compare every evaluator
+//! on the type it certifies; the oracle table in `tests/contracts.rs`
+//! forbids this module from naming the evaluator or its fast-path building
+//! blocks (ARCHITECTURE.md §6). Tests and `bench::gates` compare every evaluator
 //! outcome — matches, both visit counts and the `validated` flag — against
 //! it byte for byte.
 

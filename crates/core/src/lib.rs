@@ -48,7 +48,7 @@
 pub mod akindex;
 pub mod audit;
 pub mod block_store;
-pub(crate) mod bytes;
+pub mod bytes;
 pub mod crc32;
 pub mod dataguide;
 pub mod dk;

@@ -41,6 +41,12 @@
 //!   value consistent, so a panic elsewhere never invalidates it), and a
 //!   dead maintenance thread surfaces as [`ServeError::MaintenanceGone`]
 //!   instead of a panic in the caller's thread.
+//! * **Guards die in their statement**: every lock here is taken by a
+//!   one-statement accessor (the epoch load/store, the memo get/insert, the
+//!   op recording's extend/snapshot) that is handed values computed before
+//!   it, so no guard can be live across fsync, channel or evaluator work.
+//!   The module denies `clippy::disallowed_methods`, which rejects any other
+//!   `lock()`/`read()`/`write()` (ARCHITECTURE.md §6).
 //!
 //! * **Delta publish**: `DkIndex` and `DataGraph` are copy-on-write
 //!   snapshots (`Arc`-per-block index storage, segment-shared adjacency), so
@@ -65,7 +71,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::iter_over_hash_type,
-    clippy::let_underscore_must_use
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods
 )]
 
 use crate::dk::construct::DkIndex;
@@ -231,13 +238,7 @@ impl Epoch {
         miss: impl FnOnce(&mut IndexEvaluator<'_>) -> Result<IndexEvalOutcome, E>,
     ) -> Result<Arc<IndexEvalOutcome>, E> {
         telemetry::metrics::SERVE_QUERIES.incr();
-        if let Some(hit) = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(query)
-            .map(Arc::clone)
-        {
+        if let Some(hit) = self.memo_get(query) {
             telemetry::metrics::SERVE_CACHE_HITS.incr();
             self.observe(query, hit.validated, true);
             return Ok(hit);
@@ -245,11 +246,31 @@ impl Epoch {
         telemetry::metrics::SERVE_CACHE_MISSES.incr();
         let out = Arc::new(miss(&mut IndexEvaluator::new(self.dk.index(), &self.data))?);
         self.observe(query, out.validated, false);
+        self.memo_insert(query.clone(), Arc::clone(&out));
+        Ok(out)
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "memo probe: the guard lives for one lookup and one refcount bump"
+    )]
+    fn memo_get(&self, query: &PathExpr) -> Option<Arc<IndexEvalOutcome>> {
         self.memo
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(query.clone(), Arc::clone(&out));
-        Ok(out)
+            .get(query)
+            .map(Arc::clone)
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "memo fill: the guard lives for one insert of an answer computed before it"
+    )]
+    fn memo_insert(&self, query: PathExpr, out: Arc<IndexEvalOutcome>) {
+        self.memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(query, out);
     }
 
     /// Evaluate `query` against this epoch, consulting the per-epoch memo
@@ -276,11 +297,66 @@ impl Epoch {
     }
 }
 
+/// The published-epoch pointer: a `RwLock` used only as an atomic pointer
+/// swap. Its two accessors are the only places the lock is taken, and each
+/// guard dies inside its one statement — an `Arc` clone or an `Arc` store.
+/// The lock never guards anything but a valid pointer, so poisoning is
+/// recovered.
+#[derive(Debug)]
+struct EpochCell(RwLock<Arc<Epoch>>);
+
+impl EpochCell {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "epoch load: the read guard lives for one Arc clone"
+    )]
+    fn load(&self) -> Arc<Epoch> {
+        Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "epoch publish: the write guard lives for one pointer store"
+    )]
+    fn store(&self, fresh: Arc<Epoch>) {
+        *self.0.write().unwrap_or_else(PoisonError::into_inner) = fresh;
+    }
+}
+
+/// The applied-op recording behind [`ServeConfig::record_ops`]; its two
+/// accessors are the only places its mutex is taken.
+#[derive(Debug, Default)]
+struct OpRecord(Mutex<Vec<ServeOp>>);
+
+impl OpRecord {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "recording: the guard lives for one append of ops cloned before it"
+    )]
+    fn extend(&self, ops: Vec<ServeOp>) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(ops);
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "recording snapshot: the guard lives for one clone"
+    )]
+    fn snapshot(&self) -> Vec<ServeOp> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+}
+
 /// A cloneable reader handle: grabs the current epoch lock-free (one
 /// uncontended `RwLock` read to clone an `Arc`) and evaluates against it.
 #[derive(Clone)]
 pub struct ServeHandle {
-    current: Arc<RwLock<Arc<Epoch>>>,
+    current: Arc<EpochCell>,
     tune: Option<Arc<Tuner>>,
 }
 
@@ -292,11 +368,9 @@ impl ServeHandle {
     }
 
     /// The currently published epoch. The returned `Arc` stays fully
-    /// consistent even if the maintenance thread publishes successors. The
-    /// epoch lock is only ever held across a single `Arc` load or store, so
-    /// a poisoned lock still guards a valid pointer and is recovered.
+    /// consistent even if the maintenance thread publishes successors.
     pub fn epoch(&self) -> Arc<Epoch> {
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+        self.current.load()
     }
 
     /// Evaluate `query` against the current epoch. The answer is exact for
@@ -305,12 +379,7 @@ impl ServeHandle {
     pub fn evaluate(&self, query: &PathExpr) -> Arc<IndexEvalOutcome> {
         let epoch = self.epoch();
         let out = epoch.evaluate(query);
-        let current_id = self
-            .current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .id;
-        if current_id != epoch.id {
+        if self.current.load().id != epoch.id {
             telemetry::metrics::SERVE_STALE_EPOCH_READS.incr();
         }
         out
@@ -388,7 +457,7 @@ pub struct DkServer {
     join: Option<JoinHandle<(DkIndex, DataGraph)>>,
     logged: bool,
     /// Applied ops in application order, when [`ServeConfig::record_ops`].
-    recorded: Option<Arc<Mutex<Vec<ServeOp>>>>,
+    recorded: Option<Arc<OpRecord>>,
 }
 
 impl DkServer {
@@ -421,12 +490,10 @@ impl DkServer {
         // per-label monitor table can be sized once, here.
         let tune = (config.tune_interval > 0)
             .then(|| Arc::new(Tuner::new(data.labels_shared(), config.tuner)));
-        let recorded = config
-            .record_ops
-            .then(|| Arc::new(Mutex::new(Vec::new())));
+        let recorded = config.record_ops.then(|| Arc::new(OpRecord::default()));
         let poisoned = Arc::new(AtomicBool::new(false));
         let epoch0 = Arc::new(Epoch::new(0, 0, dk.clone(), data.clone(), tune.clone()));
-        let current = Arc::new(RwLock::new(epoch0));
+        let current = Arc::new(EpochCell(RwLock::new(epoch0)));
         let handle = ServeHandle {
             current: Arc::clone(&current),
             tune: tune.clone(),
@@ -467,9 +534,7 @@ impl DkServer {
     /// their actual interleaved positions. Call after [`DkServer::flush`]
     /// for a recording that covers every acknowledged submission.
     pub fn recorded_ops(&self) -> Option<Vec<ServeOp>> {
-        self.recorded
-            .as_ref()
-            .map(|rec| rec.lock().unwrap_or_else(PoisonError::into_inner).clone())
+        self.recorded.as_ref().map(|rec| rec.snapshot())
     }
 
     /// Was this server started with a write-ahead log
@@ -645,7 +710,7 @@ enum Staged {
 /// Everything the maintenance thread needs besides the owned
 /// `(DkIndex, DataGraph)` and its receive channel.
 struct MaintenanceCtx {
-    current: Arc<RwLock<Arc<Epoch>>>,
+    current: Arc<EpochCell>,
     max_batch: usize,
     wal: Option<Box<dyn BatchLog>>,
     /// Mirror of the loop-local `wal_broken` flag shared with
@@ -653,7 +718,7 @@ struct MaintenanceCtx {
     /// enqueueing ops a poisoned server would drop.
     poisoned: Arc<AtomicBool>,
     /// Sink for the applied-op recording ([`ServeConfig::record_ops`]).
-    recorded: Option<Arc<Mutex<Vec<ServeOp>>>>,
+    recorded: Option<Arc<OpRecord>>,
     tune: Option<TuneCadence>,
 }
 
@@ -784,8 +849,7 @@ fn maintenance_loop(
                 // Recorded only for batches that actually apply (a dropped
                 // batch above already drained), so the recording is exactly
                 // the serial oracle's input.
-                let mut rec = rec.lock().unwrap_or_else(PoisonError::into_inner);
-                rec.extend(batch.iter().map(|(op, _)| op.clone()));
+                rec.extend(batch.iter().map(|(op, _)| op.clone()).collect());
             }
             let mut acks: Vec<AckSender> = Vec::new();
             for (op, ack) in batch.drain(..) {
@@ -808,15 +872,12 @@ fn maintenance_loop(
             {
                 // This thread is the only writer, so the epoch read here is
                 // exactly the predecessor being superseded.
-                let prev =
-                    Arc::clone(&ctx.current.read().unwrap_or_else(PoisonError::into_inner));
+                let prev = ctx.current.load();
                 let (shared, rebuilt) = fresh.dk.index().shared_blocks_with(prev.dk.index());
                 telemetry::metrics::SERVE_PUBLISH_BLOCKS_SHARED.add(shared as u64);
                 telemetry::metrics::SERVE_PUBLISH_BLOCKS_REBUILT.add(rebuilt as u64);
             }
-            // The write lock is held for this one pointer store; recovery
-            // from poisoning is sound because the old Arc is still intact.
-            *ctx.current.write().unwrap_or_else(PoisonError::into_inner) = fresh;
+            ctx.current.store(fresh);
             drop(span);
             telemetry::metrics::SERVE_EPOCH_PUBLISHES.incr();
             // Acks release only here — after the WAL group commit *and* the

@@ -7,7 +7,8 @@
 //! against `apply_serial` over the same submission order — snapshot bytes
 //! and all — so this module is an *oracle* and must stay independent of
 //! the concurrent machinery it certifies: no `dkindex_telemetry`, no
-//! channels, no threads, no epoch lock (`dkindex-analyze` enforces this).
+//! channels, no threads, no epoch lock (the oracle table in
+//! `tests/contracts.rs` enforces this).
 
 #![deny(
     clippy::unwrap_used,

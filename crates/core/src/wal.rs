@@ -66,7 +66,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::iter_over_hash_type,
-    clippy::let_underscore_must_use
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods
 )]
 
 use crate::bytes::Cursor;

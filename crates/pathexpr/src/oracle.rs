@@ -6,8 +6,8 @@
 //! Independence is the point. These walks share no scratch state, budget,
 //! precomputed closure table or telemetry hook with the evaluator they
 //! certify — they recompute ε-closures from [`Nfa::closures`] and dedup in
-//! fresh `Vec<bool>` / `HashSet` storage — and the analyzer's
-//! `oracle-purity` rule keeps it that way (ARCHITECTURE.md §6).
+//! fresh `Vec<bool>` / `HashSet` storage — and the oracle table in
+//! `tests/contracts.rs` keeps it that way (ARCHITECTURE.md §6).
 
 use crate::eval::{EvalOutcome, LabelIndex};
 use crate::nfa::{Nfa, StateId, Step};

@@ -18,7 +18,8 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented,
-    clippy::iter_over_hash_type
+    clippy::iter_over_hash_type,
+    clippy::disallowed_methods
 )]
 
 use crate::protocol::{self, DecodeError, ErrorCode, Frame, ShedReason};
@@ -30,7 +31,7 @@ use dkindex_telemetry as telemetry;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// How often a blocked read wakes up to check the drain deadline.
@@ -46,9 +47,9 @@ pub(crate) struct Shared {
     pub(crate) admitted: AtomicU64,
     /// Set once at graceful-shutdown start; never cleared.
     pub(crate) draining: AtomicBool,
-    /// Wall-clock moment the drain grace window ends; set together with
-    /// `draining`.
-    pub(crate) drain_deadline: Mutex<Option<Instant>>,
+    /// Wall-clock moment the drain grace window ends; set once, just
+    /// before `draining`.
+    pub(crate) drain_deadline: OnceLock<Instant>,
     /// True when the underlying [`dkindex_core::DkServer`] runs with a
     /// write-ahead log: UPDATE_OK is then a *durable* acknowledgment and is
     /// only sent after the op's group commit is fsynced and the epoch
@@ -70,10 +71,8 @@ impl Shared {
             return false;
         }
         self.drain_deadline
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .map(|deadline| Instant::now() >= deadline)
-            .unwrap_or(true)
+            .get()
+            .is_none_or(|deadline| Instant::now() >= *deadline)
     }
 
     /// Current maintenance backlog (admitted, not yet published).

@@ -21,8 +21,8 @@
 //! 3. **The network layer adds no nondeterminism to the index.** Admitted
 //!    updates flow through the same single maintenance thread in
 //!    admission order; the net bench replays the admitted sequence through
-//!    the serial oracle and compares snapshot bytes
-//!    (`reproduce verify-net`).
+//!    the serial oracle and compares snapshot bytes (the net gate of
+//!    `make bench-smoke`).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::let_underscore_must_use)]

@@ -9,12 +9,12 @@
 //!
 //! This module parses attacker-adjacent bytes off a socket, so it denies
 //! clippy's panic lints: every read goes through the Option-returning
-//! `Cursor` (the same discipline as the durability formats in
-//! `core::bytes`), decode failures are the typed [`DecodeError`], and
-//! nothing here indexes, unwraps, or panics. It also denies hash-container
-//! loops: encoding is a pure function of the frame value — byte-for-byte
-//! reproducible, which is what lets the net bench compare concurrent
-//! transcripts against serial replay.
+//! [`Cursor`] the durability formats use (`dkindex_core::bytes`), decode
+//! failures are the typed [`DecodeError`], and nothing here indexes,
+//! unwraps, or panics. It also denies hash-container loops: encoding is a
+//! pure function of the frame value — byte-for-byte reproducible, which is
+//! what lets the net bench compare concurrent transcripts against serial
+//! replay.
 
 #![deny(
     clippy::unwrap_used,
@@ -26,6 +26,8 @@
     clippy::unimplemented,
     clippy::iter_over_hash_type
 )]
+
+use dkindex_core::bytes::Cursor;
 
 /// Protocol version implemented by this crate (PROTOCOL.md §2.2).
 pub const VERSION: u16 = 1;
@@ -384,7 +386,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
         },
         opcode::QUERY => {
             let budget = c.u32_le().ok_or(DecodeError::Truncated)?;
-            let text = c.rest_utf8().ok_or(DecodeError::BadField)?;
+            let text = rest_utf8(&mut c).ok_or(DecodeError::BadField)?;
             return Ok(Frame::Query { budget, text });
         }
         opcode::UPDATE => Frame::Update {
@@ -426,7 +428,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
             epoch: c.u64_le().ok_or(DecodeError::Truncated)?,
         },
         opcode::STATS_OK => {
-            let text = c.rest_utf8().ok_or(DecodeError::BadField)?;
+            let text = rest_utf8(&mut c).ok_or(DecodeError::BadField)?;
             return Ok(Frame::StatsOk { text });
         }
         opcode::SHED => Frame::Shed {
@@ -438,7 +440,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
         opcode::ERROR => {
             let code = ErrorCode::from_code(c.u8().ok_or(DecodeError::Truncated)?)
                 .ok_or(DecodeError::BadField)?;
-            let message = c.rest_utf8().ok_or(DecodeError::BadField)?;
+            let message = rest_utf8(&mut c).ok_or(DecodeError::BadField)?;
             return Ok(Frame::Error { code, message });
         }
         other => return Err(DecodeError::UnknownOpcode(other)),
@@ -449,73 +451,8 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
     Ok(frame)
 }
 
-/// A forward-only panic-free reader over a byte slice — the same
-/// discipline as `core::bytes::Cursor` (that one is `pub(crate)` to the
-/// core crate, so the wire format carries its own).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, offset: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.offset)
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.offset.checked_add(n)?;
-        let slice = self.bytes.get(self.offset..end)?;
-        self.offset = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1)?.first().copied()
-    }
-
-    fn u16_le(&mut self) -> Option<u16> {
-        let slice = self.take(2)?;
-        let mut out = [0u8; 2];
-        for (dst, src) in out.iter_mut().zip(slice) {
-            *dst = *src;
-        }
-        Some(u16::from_le_bytes(out))
-    }
-
-    fn u32_le(&mut self) -> Option<u32> {
-        let slice = self.take(4)?;
-        let mut out = [0u8; 4];
-        for (dst, src) in out.iter_mut().zip(slice) {
-            *dst = *src;
-        }
-        Some(u32::from_le_bytes(out))
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        let slice = self.take(8)?;
-        let mut out = [0u8; 8];
-        for (dst, src) in out.iter_mut().zip(slice) {
-            *dst = *src;
-        }
-        Some(u64::from_le_bytes(out))
-    }
-
-    fn array4(&mut self) -> Option<[u8; 4]> {
-        let slice = self.take(4)?;
-        let mut out = [0u8; 4];
-        for (dst, src) in out.iter_mut().zip(slice) {
-            *dst = *src;
-        }
-        Some(out)
-    }
-
-    /// Consume everything left as UTF-8 text.
-    fn rest_utf8(&mut self) -> Option<String> {
-        let slice = self.take(self.remaining())?;
-        String::from_utf8(slice.to_vec()).ok()
-    }
+/// Consume everything left in `c` as UTF-8 text.
+fn rest_utf8(c: &mut Cursor<'_>) -> Option<String> {
+    let slice = c.take(c.remaining())?;
+    String::from_utf8(slice.to_vec()).ok()
 }

@@ -15,6 +15,12 @@
 //! [`NetConfig::staleness_threshold`] (overflow sheds the update). Slow
 //! maintenance therefore degrades into typed refusals, never into
 //! unbounded memory growth. See OPERATIONS.md for tuning.
+//!
+//! The one lock here is the worker queue's, taken only by
+//! `next_connection`; `clippy::disallowed_methods` rejects any other
+//! (ARCHITECTURE.md §6).
+
+#![deny(clippy::disallowed_methods)]
 
 use crate::conn::{self, Shared};
 use crate::protocol::{self, Frame, ShedReason};
@@ -25,7 +31,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,7 +117,7 @@ impl NetServer {
             handle: server.handle(),
             admitted: AtomicU64::new(base),
             draining: AtomicBool::new(false),
-            drain_deadline: Mutex::new(None),
+            drain_deadline: OnceLock::new(),
             durable: server.is_logged(),
             cfg,
         });
@@ -167,11 +173,9 @@ impl NetServer {
             server,
         } = self;
         let start = Instant::now();
-        *shared
+        shared
             .drain_deadline
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) =
-            Some(start + Duration::from_millis(shared.cfg.drain_grace_ms));
+            .get_or_init(|| start + Duration::from_millis(shared.cfg.drain_grace_ms));
         shared.draining.store(true, Ordering::SeqCst);
         // The accept thread may be parked in accept(); a throwaway
         // self-connection wakes it so it can observe the flag and exit
@@ -265,19 +269,22 @@ fn worker_loop(
     submitter: &dkindex_core::Submitter,
 ) {
     loop {
-        // Holding the lock across recv serializes idle workers on the
-        // mutex instead of the channel — same semantics, and the lock is
-        // released before the (long) connection handling starts.
-        let next = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            // analyze: allow(guard-discipline) — intentional: the mutex IS
-            // the work-distribution queue; only idle workers block here,
-            // and the guard drops before connection handling starts.
-            guard.recv()
-        };
-        match next {
+        match next_connection(rx) {
             Ok(stream) => conn::serve_connection(stream, shared, submitter),
             Err(_) => return,
         }
     }
+}
+
+/// Block until the accept thread queues a connection. Holding the lock
+/// across `recv` serializes idle workers on the mutex instead of the
+/// channel — same semantics, and the lock is released before the (long)
+/// connection handling starts.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "intentional: the mutex IS the work-distribution queue; only idle workers block \
+              here, and the guard drops before connection handling starts"
+)]
+fn next_connection(rx: &Mutex<mpsc::Receiver<TcpStream>>) -> Result<TcpStream, mpsc::RecvError> {
+    rx.lock().unwrap_or_else(PoisonError::into_inner).recv()
 }

@@ -8,6 +8,7 @@ use dkindex_server::protocol::{
     check_length, decode_body, encode, DecodeError, MAX_ANSWER_IDS, MAX_FRAME, VERSION,
 };
 use dkindex_server::{ErrorCode, Frame, ShedReason};
+use std::collections::BTreeSet;
 
 /// Encode, compare against the golden bytes, then decode the body back
 /// and require the identical frame (PROTOCOL.md §1: frames are
@@ -282,4 +283,113 @@ fn malformed_bodies_protocol_1_and_6() {
     assert_eq!(decode_body(&[0x2F, 0]), Err(DecodeError::BadField));
     // An empty body has no opcode (§1: length ≥ 1).
     assert_eq!(decode_body(&[]), Err(DecodeError::Truncated));
+}
+
+/// The opcode byte of every vector a line of `src` opens a `golden` call
+/// with: the fifth element of the call's byte array (four length bytes come
+/// first, PROTOCOL.md §1), written in hex as every vector above writes it.
+fn golden_opcodes(src: &str) -> BTreeSet<u8> {
+    let mut out = BTreeSet::new();
+    for (at, _) in src.match_indices("golden(") {
+        let line_start = src[..at].rfind('\n').map_or(0, |n| n + 1);
+        if !src[line_start..at].trim().is_empty() {
+            continue;
+        }
+        let Some((_, bytes)) = src[at..].split_once("&[") else {
+            continue;
+        };
+        let bytes: String = bytes
+            .split(']')
+            .next()
+            .unwrap_or_default()
+            .lines()
+            .map(|line| line.split("//").next().unwrap_or_default())
+            .collect();
+        let opcode = bytes
+            .split(',')
+            .nth(4)
+            .and_then(|b| b.trim().strip_prefix("0x"));
+        out.extend(opcode.and_then(|hex| u8::from_str_radix(hex, 16).ok()));
+    }
+    out
+}
+
+/// Every ``opcode `0x..` `` anchor in the protocol document.
+fn documented_opcodes(doc: &str) -> BTreeSet<u8> {
+    doc.split("opcode `0x")
+        .skip(1)
+        .filter_map(|rest| u8::from_str_radix(rest.get(..2)?, 16).ok())
+        .collect()
+}
+
+/// The opcodes `decode_body` assigns a frame type to: every byte it does not
+/// reject as unknown.
+fn decodable_opcodes() -> BTreeSet<u8> {
+    (0..=u8::MAX)
+        .filter(|&b| !matches!(decode_body(&[b]), Err(DecodeError::UnknownOpcode(_))))
+        .collect()
+}
+
+/// One line per opcode that is missing from one of the three sets.
+fn wire_gaps(
+    decoded: &BTreeSet<u8>,
+    golden: &BTreeSet<u8>,
+    documented: &BTreeSet<u8>,
+) -> Vec<String> {
+    let mut gaps = Vec::new();
+    for op in &(decoded | golden) | documented {
+        for (set, what) in [
+            (decoded, "decode arm"),
+            (golden, "golden vector"),
+            (documented, "PROTOCOL.md anchor"),
+        ] {
+            if !set.contains(&op) {
+                gaps.push(format!("opcode 0x{op:02X} has no {what}"));
+            }
+        }
+    }
+    gaps
+}
+
+/// Wire totality: the opcodes the decoder knows, the opcodes of the golden
+/// vectors above, and the ``opcode `0x..` `` anchors of PROTOCOL.md are one
+/// set. (Encoding is total by construction: `Frame::opcode` is an exhaustive
+/// match, and each golden vector round-trips through `encode`.)
+#[test]
+fn decoder_golden_vectors_and_protocol_doc_agree_on_every_opcode() {
+    let decoded = decodable_opcodes();
+    assert_eq!(decoded.len(), 12, "{decoded:02X?}");
+    let golden = golden_opcodes(include_str!("protocol_golden.rs"));
+    let documented = documented_opcodes(include_str!("../../../docs/PROTOCOL.md"));
+    let gaps = wire_gaps(&decoded, &golden, &documented);
+    assert!(gaps.is_empty(), "{}", gaps.join("\n"));
+}
+
+#[test]
+fn an_undocumented_opcode_and_an_unimplemented_anchor_are_gaps() {
+    let src = concat!(
+        "    golden(Frame::Ping, &[1, 0, 0, 0, 0x12]);\n",
+        "    golden(\n",
+        "        Frame::Pong { epoch: 6 },\n",
+        "        &[\n",
+        "            9, 0, 0, 0, // length\n",
+        "            0x22, // opcode PONG\n",
+        "            6, 0, 0, 0, 0, 0, 0, 0,\n",
+        "        ],\n",
+        "    );\n",
+        "fn golden(frame: Frame, expected: &[u8]) {}\n",
+    );
+    let golden = golden_opcodes(src);
+    assert_eq!(golden, BTreeSet::from([0x12, 0x22]));
+    let decoded = BTreeSet::from([0x12, 0x22]);
+    // PONG has no anchor; the doc names a 0x30 nothing implements.
+    let doc = documented_opcodes("## PING — opcode `0x12`\n## RESET — opcode `0x30`\n");
+    assert_eq!(
+        wire_gaps(&decoded, &golden, &doc),
+        [
+            "opcode 0x22 has no PROTOCOL.md anchor",
+            "opcode 0x30 has no decode arm",
+            "opcode 0x30 has no golden vector",
+        ]
+    );
 }

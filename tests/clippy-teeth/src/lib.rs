@@ -1,8 +1,8 @@
 //! Teeth check for the lints that carry the workspace's panic-freedom,
-//! hash-order, must-consume and unsafe contracts (ARCHITECTURE.md §6).
-//! Every item breaks one of them, and `make verify-analysis` fails unless
-//! `cargo clippy` under the Makefile's `CLIPPY_LINTS` reports the lint
-//! named in the item's doc. This crate never compiles clean.
+//! hash-order, must-consume, unsafe and guard contracts (ARCHITECTURE.md
+//! §6). Every item breaks one of them, and `make verify-analysis` fails
+//! unless `cargo clippy` under the Makefile's `CLIPPY_LINTS` reports the
+//! lint named in the item's doc. This crate never compiles clean.
 
 #![deny(
     clippy::unwrap_used,
@@ -18,6 +18,8 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::Sender;
+
+pub mod fenced;
 
 /// `clippy::iter_over_hash_type`: two runs with different hash seeds
 /// produce different bytes.
