@@ -1,4 +1,4 @@
-.PHONY: verify test build bench-smoke verify-faults verify-serve verify-crash verify-analysis verify-bench-api doc clippy
+.PHONY: verify test build bench-smoke verify-faults verify-serve verify-crash verify-analysis verify-bench-api doc clippy bench-pair
 
 # Tier-1 verification (ROADMAP.md) plus the exact gate set. `test` runs
 # every crate's tests, among them the contract tests that keep code and
@@ -85,6 +85,17 @@ verify-analysis:
 
 verify-bench-api:
 	CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+
+# Interleaved A/B pairs of the judged benchmark for a performance claim:
+# BASE's dkbench (default HEAD~1) against the working tree's, PAIRS pinned
+# `dkbench run --workload $(WORKLOAD) --seed 2003 --seconds 15 --trace 0`
+# runs each. Prints every pair's end-to-end lines and the median head/base
+# ratio per metric; writes only under target/bench-pair.
+PAIRS ?= 10
+BASE ?= HEAD~1
+bench-pair:
+	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pair WORKLOAD=<workload> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
+	bash scripts/bench-pair.sh $(WORKLOAD) $(PAIRS) $(BASE)
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

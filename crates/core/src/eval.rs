@@ -13,9 +13,13 @@
 //! index graph; `data_visits` counts activations during validation walks.
 //! Extent members of sound matches are not counted (per §6.1).
 //!
-//! [`IndexEvaluator::evaluate_bounded`] is the one index→validate loop;
-//! [`IndexEvaluator::evaluate`] is that loop with a budget nothing can
-//! exhaust. Every *completed* query feeds the `eval.*` telemetry metrics
+//! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
+//! borrowed parts — the two graphs, the index graph's [`LabelIndex`], an
+//! [`EvalArena`] and an optional validation memo — so its owners decide
+//! what outlives a query: [`IndexEvaluator`] owns one of each for a batch,
+//! and `core::serve` lends a per-epoch label index and a per-thread arena
+//! with no memo. The unbudgeted entry points are that loop with a budget
+//! nothing can exhaust. Every *completed* query feeds the `eval.*` telemetry metrics
 //! (queries, index/data visits, sound extents, validated queries, memo hits,
 //! per-query visit histogram); an aborted one bumps only
 //! `eval.aborted_queries`. The `eval.query_ns` span times both. The
@@ -81,77 +85,72 @@ pub struct IndexEvalOutcome {
     pub validated: bool,
 }
 
-/// Reusable evaluator for one `(index, data)` pair: caches the per-graph
-/// label index, owns an [`EvalArena`] so a batch of queries performs zero
-/// steady-state allocation, and memoizes validation verdicts per
-/// `(query, index node)` — candidates sharing an extent never repeat their
-/// backward walks, and replayed verdicts charge the *stored* visit count so
-/// `QueryCost` stays identical to recomputation.
-///
-/// The evaluator borrows `index` and `data` immutably for its whole
-/// lifetime, so the memo can never go stale.
-pub struct IndexEvaluator<'a> {
-    index: &'a IndexGraph,
-    data: &'a DataGraph,
-    index_labels: LabelIndex,
-    arena: EvalArena,
-    /// Textual query form → dense id used in memo keys.
+/// Validation verdicts per `(query, matched index node)`: candidates
+/// sharing an extent never repeat their backward walks, and a replayed
+/// verdict charges its *stored* visit count, so `QueryCost` stays identical
+/// to recomputation. Valid only for the `(index, data)` pair it was filled
+/// on.
+#[derive(Debug, Default)]
+pub(crate) struct ValidationMemo {
+    /// Textual query form → dense id used in verdict keys.
     query_ids: HashMap<String, u32>,
     /// `(query id, matched index node)` → (validated hits, data visits).
-    validation_memo: HashMap<(u32, NodeId), (Vec<NodeId>, u64)>,
+    verdicts: HashMap<(u32, NodeId), (Vec<NodeId>, u64)>,
 }
 
-impl<'a> IndexEvaluator<'a> {
-    /// Build an evaluator over `index` (a summary of `data`).
-    pub fn new(index: &'a IndexGraph, data: &'a DataGraph) -> Self {
-        IndexEvaluator {
-            index,
-            data,
-            index_labels: LabelIndex::build(index),
-            arena: EvalArena::new(),
-            query_ids: HashMap::new(),
-            validation_memo: HashMap::new(),
-        }
+impl ValidationMemo {
+    fn query_id(&mut self, expr: &PathExpr) -> u32 {
+        let next = self.query_ids.len() as u32;
+        *self.query_ids.entry(expr.to_string()).or_insert(next)
     }
+}
 
-    /// Evaluate `expr` through the index, validating approximate matches
-    /// against the data graph: [`evaluate_bounded`](Self::evaluate_bounded)
-    /// with a budget no query that fits in memory can exhaust.
-    pub fn evaluate(&mut self, expr: &PathExpr) -> IndexEvalOutcome {
+/// The borrowed parts one index→validate walk runs over. `index_labels`
+/// must have been built from `index`, and `memo` filled only over this
+/// `(index, data)` pair; the arena may come dirty from any graph, because
+/// every walk resets its epoch-stamped marks.
+pub(crate) struct Walk<'a> {
+    pub(crate) index: &'a IndexGraph,
+    pub(crate) data: &'a DataGraph,
+    pub(crate) index_labels: &'a LabelIndex,
+    pub(crate) arena: &'a mut EvalArena,
+    pub(crate) memo: Option<&'a mut ValidationMemo>,
+}
+
+impl Walk<'_> {
+    /// [`Walk::evaluate_bounded`] with a budget no query that fits in
+    /// memory can exhaust.
+    pub(crate) fn evaluate(self, expr: &PathExpr) -> IndexEvalOutcome {
         self.evaluate_bounded(expr, u64::MAX)
             .expect("a u64::MAX visit budget outlasts any query that fits in memory")
     }
 
-    /// The index→validate loop, under a visit budget shared across the
-    /// index-graph phase and every validation walk.
-    ///
-    /// While the budget covers the query's cost, the outcome (matches, cost
-    /// *and* validated flag) equals [`crate::eval_oracle::evaluate`]. Once
-    /// the budget runs out the query aborts with a typed [`QueryAborted`] —
-    /// partial results are discarded, never returned, because a truncated
-    /// match set would be silently wrong. Memoized validation verdicts
-    /// replay against the budget at their stored visit count, so a replayed
-    /// query costs what the first run cost; verdicts are stored only for
-    /// *completed* validations, so an aborted query never poisons the memo.
-    pub fn evaluate_bounded(
-        &mut self,
+    /// The index→validate loop, under one visit budget shared by the
+    /// index-graph phase and every validation walk; its contract is
+    /// [`IndexEvaluator::evaluate_bounded`]'s. With a memo, replayed
+    /// verdicts charge their stored visit count, and only *completed*
+    /// validations are stored, so an aborted query never poisons it.
+    pub(crate) fn evaluate_bounded(
+        self,
         expr: &PathExpr,
         budget: u64,
     ) -> Result<IndexEvalOutcome, QueryAborted> {
+        let Walk {
+            index,
+            data,
+            index_labels,
+            arena,
+            mut memo,
+        } = self;
         let span = telemetry::Span::start(&telemetry::metrics::EVAL_QUERY_NS);
         let abort = |spent: QueryCost| {
             telemetry::metrics::EVAL_ABORTED_QUERIES.incr();
             QueryAborted { budget, cost: spent }
         };
         let mut remaining = VisitBudget::new(budget);
-        let nfa = Nfa::compile(expr, self.index.labels());
-        let on_index = match evaluate_bounded_with(
-            self.index,
-            &nfa,
-            &self.index_labels,
-            &mut self.arena,
-            &mut remaining,
-        ) {
+        let nfa = Nfa::compile(expr, index.labels());
+        let on_index = match evaluate_bounded_with(index, &nfa, index_labels, arena, &mut remaining)
+        {
             Ok(out) => out,
             Err(e) => {
                 return Err(abort(QueryCost {
@@ -181,20 +180,19 @@ impl<'a> IndexEvaluator<'a> {
 
         for inode in on_index.matches {
             let sound = match required {
-                Some(m) => self.index.similarity(inode) >= m,
+                Some(m) => index.similarity(inode) >= m,
                 None => false,
             };
             if sound {
                 sound_extents += 1;
-                matches.extend_from_slice(self.index.extent(inode));
+                matches.extend_from_slice(index.extent(inode));
                 continue;
             }
             validated = true;
-            let qid = *query_id.get_or_insert_with(|| {
-                let next = self.query_ids.len() as u32;
-                *self.query_ids.entry(expr.to_string()).or_insert(next)
-            });
-            if let Some((hits, visits)) = self.validation_memo.get(&(qid, inode)) {
+            let key = memo
+                .as_deref_mut()
+                .map(|m| (*query_id.get_or_insert_with(|| m.query_id(expr)), inode));
+            if let Some((hits, visits)) = key.and_then(|k| memo.as_deref()?.verdicts.get(&k)) {
                 // Replay: identical hits AND identical charged visits.
                 if !remaining.try_charge_many(*visits) {
                     return Err(abort(cost));
@@ -204,18 +202,11 @@ impl<'a> IndexEvaluator<'a> {
                 matches.extend_from_slice(hits);
                 continue;
             }
-            let rev = reversed
-                .get_or_insert_with(|| Nfa::compile(expr, self.data.labels()).reverse());
+            let rev = reversed.get_or_insert_with(|| Nfa::compile(expr, data.labels()).reverse());
             let mut hits: Vec<NodeId> = Vec::new();
             let mut visits = 0u64;
-            for &candidate in self.index.extent(inode) {
-                match matches_ending_at_bounded_with(
-                    self.data,
-                    rev,
-                    candidate,
-                    &mut self.arena,
-                    &mut remaining,
-                ) {
+            for &candidate in index.extent(inode) {
+                match matches_ending_at_bounded_with(data, rev, candidate, arena, &mut remaining) {
                     Ok((hit, visited)) => {
                         visits += visited;
                         if hit {
@@ -230,7 +221,9 @@ impl<'a> IndexEvaluator<'a> {
             }
             cost.data_visits += visits;
             matches.extend_from_slice(&hits);
-            self.validation_memo.insert((qid, inode), (hits, visits));
+            if let (Some(m), Some(k)) = (memo.as_deref_mut(), key) {
+                m.verdicts.insert(k, (hits, visits));
+            }
         }
         matches.sort_unstable();
         matches.dedup();
@@ -251,6 +244,72 @@ impl<'a> IndexEvaluator<'a> {
             cost,
             validated,
         })
+    }
+}
+
+/// Reusable evaluator for one `(index, data)` pair: owns the index graph's
+/// label index, an [`EvalArena`] so a batch of queries performs zero
+/// steady-state allocation, and a validation memo per `(query, index node)`
+/// — candidates sharing an extent never repeat their backward walks, and
+/// replayed verdicts charge the *stored* visit count so `QueryCost` stays
+/// identical to recomputation.
+///
+/// The evaluator borrows `index` and `data` immutably for its whole
+/// lifetime, so the memo can never go stale.
+pub struct IndexEvaluator<'a> {
+    index: &'a IndexGraph,
+    data: &'a DataGraph,
+    index_labels: LabelIndex,
+    arena: EvalArena,
+    memo: ValidationMemo,
+}
+
+impl<'a> IndexEvaluator<'a> {
+    /// Build an evaluator over `index` (a summary of `data`).
+    pub fn new(index: &'a IndexGraph, data: &'a DataGraph) -> Self {
+        IndexEvaluator {
+            index,
+            data,
+            index_labels: LabelIndex::build(index),
+            arena: EvalArena::new(),
+            memo: ValidationMemo::default(),
+        }
+    }
+
+    fn walk(&mut self) -> Walk<'_> {
+        Walk {
+            index: self.index,
+            data: self.data,
+            index_labels: &self.index_labels,
+            arena: &mut self.arena,
+            memo: Some(&mut self.memo),
+        }
+    }
+
+    /// Evaluate `expr` through the index, validating approximate matches
+    /// against the data graph: [`evaluate_bounded`](Self::evaluate_bounded)
+    /// with a budget no query that fits in memory can exhaust.
+    pub fn evaluate(&mut self, expr: &PathExpr) -> IndexEvalOutcome {
+        self.walk().evaluate(expr)
+    }
+
+    /// The index→validate loop, under a visit budget shared across the
+    /// index-graph phase and every validation walk.
+    ///
+    /// While the budget covers the query's cost, the outcome (matches, cost
+    /// *and* validated flag) equals [`crate::eval_oracle::evaluate`]. Once
+    /// the budget runs out the query aborts with a typed [`QueryAborted`] —
+    /// partial results are discarded, never returned, because a truncated
+    /// match set would be silently wrong. Memoized validation verdicts
+    /// replay against the budget at their stored visit count, so a replayed
+    /// query costs what the first run cost; verdicts are stored only for
+    /// *completed* validations, so an aborted query never poisons the memo.
+    pub fn evaluate_bounded(
+        &mut self,
+        expr: &PathExpr,
+        budget: u64,
+    ) -> Result<IndexEvalOutcome, QueryAborted> {
+        self.walk().evaluate_bounded(expr, budget)
     }
 
     /// Evaluate a whole workload, returning per-query outcomes.

@@ -10,7 +10,7 @@
 //!   ┌────────────────────────────┐      ┌──────────────────────────────┐
 //!   │ epoch = handle.epoch()     │      │ recv op, drain up to a batch │
 //!   │ answer = epoch.evaluate(q) │      │ apply ops in order on the    │
-//!   │   (memo hit or evaluator)  │      │   owned DkIndex + DataGraph  │
+//!   │   (memo hit or one walk)   │      │   owned DkIndex + DataGraph  │
 //!   └────────────▲───────────────┘      │ publish Arc<Epoch> (id + 1)  │
 //!                │     lock-free reads  └──────────────┬───────────────┘
 //!                └──────── RwLock<Arc<Epoch>> ◄────────┘  swap on publish
@@ -35,6 +35,15 @@
 //!   `(epoch, query)` key. Publishing a new epoch drops the whole memo with
 //!   the superseded `Arc`, so a stale cached answer is impossible by
 //!   construction, not by bookkeeping.
+//! * **A miss pays for its walk only**: a memo miss runs the one
+//!   index→validate loop of `core::eval` over borrowed parts. The index
+//!   graph's label → block lists are built once per epoch, by its first miss
+//!   (a `OnceLock`; publishing and memo hits never build them). The walk
+//!   scratch (`EvalArena`) is one per reader thread, kept in a thread-local
+//!   across misses, epochs and graphs; a thread drops it after a miss that
+//!   grew it past `MAX_RETAINED_MARKS_PER_NODE` mark slots per node of the
+//!   epoch, so one oversized query cannot pin hundreds of megabytes in a
+//!   worker.
 //! * **No panic paths**: this module denies clippy's panic lints
 //!   (`unwrap_used`, `indexing_slicing`, …). Lock poisoning is recovered
 //!   (`PoisonError::into_inner` — every critical section leaves the guarded
@@ -76,20 +85,35 @@
 )]
 
 use crate::dk::construct::DkIndex;
-use crate::eval::{IndexEvalOutcome, IndexEvaluator, QueryAborted};
+use crate::eval::{IndexEvalOutcome, QueryAborted, Walk};
 use crate::requirements::Requirements;
 pub use crate::serve_ops::{apply_serial, ServeOp};
 use crate::tuner::{TuneStats, Tuner, TunerConfig};
 pub use crate::wal::BatchLog;
-use dkindex_graph::DataGraph;
-use dkindex_pathexpr::PathExpr;
+use dkindex_graph::{DataGraph, LabeledGraph};
+use dkindex_pathexpr::{EvalArena, LabelIndex, PathExpr};
 use dkindex_telemetry as telemetry;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
+
+/// A worker keeps its walk scratch between misses only while the scratch
+/// holds at most this many mark slots per node of the epoch it just served.
+/// Ordinary queries compile to a few dozen NFA states at most and stay
+/// under it; one oversized query (hundreds of states × every data node)
+/// would otherwise stay resident in its worker for the life of the thread.
+const MAX_RETAINED_MARKS_PER_NODE: usize = 32;
+
+thread_local! {
+    /// This thread's walk scratch, lent to every miss it serves on any
+    /// epoch. Reuse across graphs and after aborted walks is safe because
+    /// every walk starts with an epoch-stamp reset of its marks.
+    static ARENA: Cell<EvalArena> = Cell::new(EvalArena::new());
+}
 
 /// Knobs for a [`DkServer`].
 #[derive(Clone, Debug)]
@@ -166,6 +190,10 @@ pub struct Epoch {
     ops_applied: u64,
     dk: DkIndex,
     data: DataGraph,
+    /// The index graph's label → block lists, built by this epoch's first
+    /// memo miss and shared by every later one. Publishing does not build
+    /// it, so updates and memo hits never pay for it.
+    index_labels: OnceLock<LabelIndex>,
     memo: Mutex<HashMap<PathExpr, Arc<IndexEvalOutcome>>>,
     /// The live tuner shared across every epoch of one server; readers
     /// record each evaluated query into it, lock-free.
@@ -185,6 +213,7 @@ impl Epoch {
             ops_applied,
             dk,
             data,
+            index_labels: OnceLock::new(),
             memo: Mutex::new(HashMap::new()),
             tune,
         }
@@ -223,11 +252,15 @@ impl Epoch {
     }
 
     /// The one memo probe / miss / insert sequence both entry points share.
-    /// A hit is one refcount bump; a miss runs `miss` on a fresh evaluator
-    /// for this epoch and memoizes only a *successful* outcome, paying
-    /// exactly one clone (the query key) — the outcome itself is never
-    /// deep-copied. A failed miss is neither memoized nor observed: it
-    /// answered nothing, so it is no evidence of served load.
+    /// A hit is one refcount bump and touches nothing else. A miss runs
+    /// `miss` as one walk over this epoch's graphs, its shared label index
+    /// and this thread's arena, with no validation memo (a verdict could
+    /// only be replayed by the same query, and the answer memo already
+    /// serves that). The arena goes back to the thread unless the walk grew
+    /// it past [`MAX_RETAINED_MARKS_PER_NODE`]. Only a *successful* outcome
+    /// is memoized, paying exactly one clone (the query key) — the outcome
+    /// itself is never deep-copied. A failed miss is neither memoized nor
+    /// observed: it answered nothing, so it is no evidence of served load.
     ///
     /// A poisoned memo lock is recovered: the memo only ever holds
     /// fully-inserted answers, so the map stays valid even if another
@@ -235,7 +268,7 @@ impl Epoch {
     fn memoized<E>(
         &self,
         query: &PathExpr,
-        miss: impl FnOnce(&mut IndexEvaluator<'_>) -> Result<IndexEvalOutcome, E>,
+        miss: impl FnOnce(Walk<'_>) -> Result<IndexEvalOutcome, E>,
     ) -> Result<Arc<IndexEvalOutcome>, E> {
         telemetry::metrics::SERVE_QUERIES.incr();
         if let Some(hit) = self.memo_get(query) {
@@ -244,7 +277,20 @@ impl Epoch {
             return Ok(hit);
         }
         telemetry::metrics::SERVE_CACHE_MISSES.incr();
-        let out = Arc::new(miss(&mut IndexEvaluator::new(self.dk.index(), &self.data))?);
+        let mut arena = ARENA.take();
+        let out = miss(Walk {
+            index: self.dk.index(),
+            data: &self.data,
+            index_labels: self
+                .index_labels
+                .get_or_init(|| LabelIndex::build(self.dk.index())),
+            arena: &mut arena,
+            memo: None,
+        });
+        if arena.mark_capacity() <= MAX_RETAINED_MARKS_PER_NODE * self.data.node_count() {
+            ARENA.set(arena);
+        }
+        let out = Arc::new(out?);
         self.observe(query, out.validated, false);
         self.memo_insert(query.clone(), Arc::clone(&out));
         Ok(out)
@@ -276,7 +322,7 @@ impl Epoch {
     /// Evaluate `query` against this epoch, consulting the per-epoch memo
     /// first. Exact with respect to this epoch's data graph.
     pub fn evaluate(&self, query: &PathExpr) -> Arc<IndexEvalOutcome> {
-        match self.memoized(query, |evaluator| Ok::<_, Infallible>(evaluator.evaluate(query))) {
+        match self.memoized(query, |walk| Ok::<_, Infallible>(walk.evaluate(query))) {
             Ok(out) => out,
             Err(never) => match never {},
         }
@@ -285,15 +331,16 @@ impl Epoch {
     /// Budget-bounded variant of [`Epoch::evaluate`] for per-request
     /// admission control: a memo hit is served for free (the work was
     /// already paid for under an earlier request's budget — replaying the
-    /// stored answer costs no graph visits), a miss runs
-    /// [`IndexEvaluator::evaluate_bounded`] under `budget`, and an aborted
-    /// probe can never poison the cache with a partial answer.
+    /// stored answer costs no graph visits), a miss runs the index→validate
+    /// loop of [`crate::IndexEvaluator::evaluate_bounded`] under `budget`,
+    /// and an aborted probe can never poison the cache with a partial
+    /// answer.
     pub fn evaluate_bounded(
         &self,
         query: &PathExpr,
         budget: u64,
     ) -> Result<Arc<IndexEvalOutcome>, QueryAborted> {
-        self.memoized(query, |evaluator| evaluator.evaluate_bounded(query, budget))
+        self.memoized(query, |walk| walk.evaluate_bounded(query, budget))
     }
 }
 
@@ -954,4 +1001,116 @@ fn stage_message(
         Msg::Shutdown => return Staged::Shutdown,
     }
     Staged::Continue
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval_oracle;
+    use dkindex_datagen::{random_graph, RandomGraphConfig};
+    use dkindex_graph::EdgeKind;
+    use dkindex_pathexpr::{parse, Nfa};
+
+    fn epoch_over(data: DataGraph, requirements: Requirements) -> Epoch {
+        let dk = DkIndex::build(&data, requirements);
+        Epoch::new(0, 0, dk, data, None)
+    }
+
+    fn small_graph() -> DataGraph {
+        random_graph(&RandomGraphConfig {
+            nodes: 120,
+            labels: 4,
+            reference_edges: 12,
+            max_fanout: 5,
+            seed: 0x1AB5,
+        })
+    }
+
+    /// Mark slots the current thread's arena holds between misses.
+    fn retained_marks() -> usize {
+        let arena = ARENA.take();
+        let slots = arena.mark_capacity();
+        ARENA.set(arena);
+        slots
+    }
+
+    /// The walk uses the epoch's one label index: distinct misses share a
+    /// single instance, a memo hit never builds it, and a freshly published
+    /// epoch starts without one.
+    #[test]
+    fn one_label_index_per_epoch_built_by_the_first_miss() {
+        let epoch = epoch_over(small_graph(), Requirements::uniform(1));
+        assert!(epoch.index_labels.get().is_none(), "a new epoch builds nothing");
+
+        let mut seen: Option<*const LabelIndex> = None;
+        for query in ["l0", "l0.l1", "l1.l2.l3", "_*.l2", "ghost"] {
+            epoch.evaluate(&parse(query).unwrap());
+            let built = epoch.index_labels.get().expect("a miss builds the label index");
+            let built: *const LabelIndex = built;
+            assert_eq!(*seen.get_or_insert(built), built, "{query} built a second label index");
+        }
+
+        // A hit on an epoch whose memo was filled without a walk.
+        let fresh = epoch_over(small_graph(), Requirements::uniform(1));
+        let q = parse("l0.l1").unwrap();
+        fresh.memo_insert(q.clone(), epoch.evaluate(&q));
+        assert!(fresh.evaluate_bounded(&q, 0).is_ok(), "a hit is free");
+        assert!(fresh.index_labels.get().is_none(), "a memo hit must not build it");
+
+        let data = small_graph();
+        let server = DkServer::start(
+            data.clone(),
+            DkIndex::build(&data, Requirements::uniform(1)),
+            ServeConfig::default(),
+        );
+        let before = server.handle().epoch();
+        before.evaluate(&q);
+        assert!(before.index_labels.get().is_some());
+        server.submit(ServeOp::PromoteToRequirements).unwrap();
+        server.flush().unwrap();
+        let after = server.handle().epoch();
+        assert!(after.id() > before.id());
+        assert!(after.index_labels.get().is_none(), "publishing must not build it");
+        server.shutdown().unwrap();
+    }
+
+    /// A worker keeps its arena across ordinary misses but not the
+    /// `states × nodes` store of an oversized query: after a 200-label query
+    /// that validates on a label-split index, what the thread retains is
+    /// under the cap, and the next miss still answers exactly.
+    #[test]
+    fn an_oversized_validating_query_does_not_stay_resident() {
+        // A ring of `a` nodes under the root: every a-path of any length
+        // exists in the data graph and in the label-split index.
+        let mut data = DataGraph::new();
+        let ring: Vec<_> = (0..40).map(|_| data.add_labeled_node("a")).collect();
+        data.add_edge(data.root(), ring[0], EdgeKind::Tree);
+        for pair in ring.windows(2) {
+            data.add_edge(pair[0], pair[1], EdgeKind::Tree);
+        }
+        data.add_edge(ring[39], ring[0], EdgeKind::Reference);
+        let b = data.add_labeled_node("b");
+        data.add_edge(ring[3], b, EdgeKind::Tree);
+        let cap = MAX_RETAINED_MARKS_PER_NODE * data.node_count();
+        let epoch = epoch_over(data, Requirements::new());
+
+        let ordinary = parse("a.a.b").unwrap();
+        assert!(epoch.evaluate(&ordinary).validated);
+        let kept = retained_marks();
+        assert!(kept > 0 && kept <= cap, "an ordinary miss keeps its arena ({kept} slots)");
+
+        let long = parse(&vec!["a"; 200].join(".")).unwrap();
+        let states = Nfa::compile(&long, epoch.data().labels()).state_count();
+        assert!(states > MAX_RETAINED_MARKS_PER_NODE, "the query must outgrow the cap");
+        let out = epoch.evaluate(&long);
+        assert!(out.validated && !out.matches.is_empty());
+        assert!(retained_marks() <= cap, "the oversized store must be released");
+
+        let labels = LabelIndex::build(epoch.index().index());
+        for next in ["a.b", "a.a.a.a"] {
+            let q = parse(next).unwrap();
+            let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &q);
+            assert_eq!(*epoch.evaluate(&q), want, "{next}");
+        }
+    }
 }

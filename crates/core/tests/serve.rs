@@ -6,7 +6,9 @@
 //! * an N-thread serve run ends in exactly the state of a serial run over
 //!   the same op sequence — final snapshot bytes and all;
 //! * an interleaving stress run: readers race small-batch publishes and
-//!   every answer must be exact against the epoch it was computed on.
+//!   every answer must be exact against the epoch it was computed on;
+//! * the served miss path (`Epoch::evaluate_bounded` on a per-thread arena)
+//!   swept against the oracle at every budget, across two graph sizes.
 
 use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
@@ -230,6 +232,67 @@ fn epoch_memo_is_dropped_on_publish() {
     assert_eq!(e1.evaluate(&q).matches, evaluate_on_data(e1.data(), &q).0);
     let (final_dk, final_g) = server.shutdown().unwrap();
     check_structure(final_dk.index(), &final_g).unwrap();
+}
+
+/// The served miss path against the oracle at every budget. Misses on one
+/// thread share its arena, so the sweep alternates between an epoch over a
+/// small graph and one over a larger graph: a warm arena serves the smaller
+/// graph and the reverse, and every abort leaves the arena dirty for the
+/// next miss. Each `limit` below the oracle's total aborts having charged
+/// exactly `limit` (an abort memoizes nothing, so every limit is a miss),
+/// and `limit == total` returns the oracle's outcome.
+#[test]
+fn served_budget_sweep_matches_the_oracle_across_graphs() {
+    use dkindex_core::eval_oracle;
+    use dkindex_pathexpr::LabelIndex;
+
+    let epochs: Vec<_> = [(60usize, 0x5A11u64), (150, 0xB166)]
+        .into_iter()
+        .map(|(nodes, seed)| {
+            let g = random_graph(&RandomGraphConfig {
+                nodes,
+                labels: 4,
+                reference_edges: nodes / 10,
+                max_fanout: 5,
+                seed,
+            });
+            let dk = DkIndex::build(&g, Requirements::uniform(1));
+            let server = DkServer::start(g, dk, ServeConfig::default());
+            let epoch = server.handle().epoch();
+            server.shutdown().unwrap();
+            epoch
+        })
+        .collect();
+    // Sound at k = 1, validating at length 2 and 3, and unbounded.
+    let queries = ["l0.l1", "l1.l2.l3", "l0.l2.l1.l3", "_*.l2", "l3"];
+    let mut cases = Vec::new();
+    for epoch in &epochs {
+        let labels = LabelIndex::build(epoch.index().index());
+        for query in queries {
+            let q = parse(query).unwrap();
+            let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &q);
+            cases.push((epoch, query, q, want));
+        }
+    }
+    assert!(cases.iter().any(|(.., want)| want.validated));
+    assert!(cases.iter().any(|(.., want)| !want.validated && want.cost.total() > 0));
+
+    let longest = cases.iter().map(|(.., want)| want.cost.total()).max().unwrap();
+    for limit in 0..=longest {
+        for (epoch, query, q, want) in &cases {
+            let total = want.cost.total();
+            if limit < total {
+                let aborted = epoch
+                    .evaluate_bounded(q, limit)
+                    .expect_err("a budget below the query's cost must abort");
+                assert_eq!(aborted.budget, limit, "{query}");
+                assert_eq!(aborted.cost.total(), limit, "{query} limit {limit}");
+            } else if limit == total {
+                let out = epoch.evaluate_bounded(q, limit).expect("the exact cost suffices");
+                assert_eq!(*out, *want, "{query} on epoch over {} nodes", epoch.data().node_count());
+            }
+        }
+    }
 }
 
 /// Regression for the typed serve-error surface (was: panics): after the

@@ -75,6 +75,14 @@ impl EvalArena {
     pub fn new() -> Self {
         EvalArena::default()
     }
+
+    /// Mark slots this arena retains: the `(state, node)` activation store
+    /// and the matched-node store, each as large as the largest walk since
+    /// the arena was created (the queue is bounded by the activations). A
+    /// long-lived owner reads it to bound what it keeps between walks.
+    pub fn mark_capacity(&self) -> usize {
+        self.active.capacity() + self.matched.capacity()
+    }
 }
 
 /// A cap on `(state, node)` activations shared across the phases of one
