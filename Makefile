@@ -58,7 +58,7 @@ verify-crash:
 #      compiler-carried contract once, and every lint in CLIPPY_TEETH must
 #      be reported for it under CLIPPY_LINTS;
 #   2. exhaustive-interleaving model tests for the serve epoch protocol and
-#      the tuner-in-the-loop protocol (WAL poisoning, durable acks, monitor
+#      the tuner-in-the-loop protocol (WAL poisoning, durable acks, tuner
 #      feeds, tuner self-enqueue) in crates/core/tests/loom_serve.rs on the
 #      offline loom stand-in;
 #   3. Miri over the core suite, only when the toolchain component is

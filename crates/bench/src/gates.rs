@@ -510,7 +510,7 @@ pub fn bench_telemetry(
         let tuner = Tuner::new(adapted.labels_shared(), TunerConfig { window: 1, min_support: 2 });
         let outcomes = IndexEvaluator::new(dk.index(), &adapted).evaluate_all(queries);
         for (q, out) in queries.iter().zip(&outcomes) {
-            tuner.record(q, out.validated, false);
+            tuner.record(q, out.validated);
         }
         if let Some(op) = tuner.step(dk.requirements()) {
             apply_serial(&mut dk, &mut adapted, &[op]);

@@ -12,11 +12,11 @@
 //!   pair per round) after the workload flips, and the converged p99 is no
 //!   worse than the p99 at the shift itself.
 //! * **Determinism** — the final live-tuned state is byte-identical to
-//!   [`apply_serial`] over the recorded op sequence, which includes the
-//!   tuner's own `SetRequirements`/`Demote` ops at their actual interleaved
-//!   positions ([`ServeConfig::record_ops`]).
-//! * **Durability** — the run is WAL-logged; replaying the committed log
-//!   over the initial state reproduces the final state byte-identically,
+//!   [`apply_serial`] over the ops the run's WAL committed, which include
+//!   the tuner's own `SetRequirements`/`Demote` ops at their actual
+//!   interleaved positions: the log is the run's op record.
+//! * **Durability** — replaying the committed log over the initial state
+//!   through WAL recovery reproduces the final state byte-identically,
 //!   tuning ops included.
 //!
 //! The whole curve is deterministic — costs are graph-visit counts, the
@@ -95,10 +95,10 @@ pub struct TuningBenchResult {
     pub promotions: u64,
     /// Demotions the live tuner enqueued.
     pub demotions: u64,
-    /// `SetRequirements`/`Demote` ops in the recorded sequence — the
-    /// tuner's footprint in the oracle's input.
+    /// `SetRequirements`/`Demote` ops in the committed log — the tuner's
+    /// footprint in the oracle's input.
     pub tuning_ops: usize,
-    /// Final state is byte-identical to [`apply_serial`] over the recorded
+    /// Final state is byte-identical to [`apply_serial`] over the committed
     /// ops (client and tuner ops at their actual interleaving).
     pub deterministic: bool,
     /// Replaying the committed WAL over the initial state reproduces the
@@ -133,14 +133,14 @@ impl TuningBenchResult {
         ]
     }
 
-    /// The live-tuning gate: the tuned run replays serially (tuner ops at
-    /// their actual interleaved positions) and from the WAL, the tuner
+    /// The live-tuning gate: the tuned run's log replays serially (tuner
+    /// ops at their actual interleaved positions) and through recovery, the tuner
     /// acted, and the p99 query cost re-converged within the bounded number
     /// of rounds after the workload flipped.
     pub fn check(&self) -> Result<(), String> {
         if !self.deterministic {
             return Err(
-                "live-tuned state diverged from serial replay of the recorded ops".to_string()
+                "live-tuned state diverged from serial replay of the logged ops".to_string()
             );
         }
         if !self.wal_recovered {
@@ -179,7 +179,7 @@ fn p99(samples: &mut [u64]) -> u64 {
 
 /// Expand a weighted stream into the flat evaluation list for one round:
 /// each distinct query repeated `weight` times. The repeats are what make
-/// the round's p99 (and the monitor's mined weights) load-weighted — a memo
+/// the round's p99 (and the tuner's mined weights) load-weighted — a memo
 /// hit re-records the same deterministic cost.
 fn expand(stream: &[(PathExpr, u64)]) -> Vec<PathExpr> {
     stream
@@ -235,7 +235,6 @@ pub fn bench_tuning(
             // construction; support 1 lets the tuner cover the whole mix,
             // which is what the p99 (a tail metric) converges on.
             tuner: TunerConfig { window: cfg.window, min_support: 1 },
-            record_ops: true,
         },
         Box::new(writer),
     );
@@ -278,23 +277,23 @@ pub fn bench_tuning(
     }
 
     let stats = handle.tuning_stats().expect("tuning enabled");
-    let recorded = server.recorded_ops().expect("op recording enabled");
-    let tuning_ops = recorded
-        .iter()
-        .filter(|op| matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_)))
-        .count();
     let (final_dk, final_data) = server.shutdown().expect("clean shutdown");
     let final_bytes = snapshot_bytes(&final_dk, &final_data);
 
+    let log = shared.view(|d| d.crash_view(0));
+    let (logged, _tail) = wal::decode_wal(&log).expect("the committed log decodes");
+    let tuning_ops = logged
+        .iter()
+        .filter(|op| matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_)))
+        .count();
     let mut serial_dk = dk0.clone();
     let mut serial_g = data.clone();
-    apply_serial(&mut serial_dk, &mut serial_g, &recorded);
+    apply_serial(&mut serial_dk, &mut serial_g, &logged);
     let deterministic = snapshot_bytes(&serial_dk, &serial_g) == final_bytes;
 
     let mut wal_dk = dk0;
     let mut wal_g = data.clone();
-    let view = shared.view(|d| d.crash_view(0));
-    let wal_recovered = wal::replay(&mut wal_dk, &mut wal_g, &view).is_ok()
+    let wal_recovered = wal::replay(&mut wal_dk, &mut wal_g, &log).is_ok()
         && snapshot_bytes(&wal_dk, &wal_g) == final_bytes;
 
     let baseline_p99 = p99_curve[shift_round.saturating_sub(1)];
@@ -346,7 +345,7 @@ mod tests {
         assert!(t.deterministic, "live-tuned serve diverged from serial replay");
         assert!(t.wal_recovered, "WAL replay diverged from the live-tuned state");
         assert!(t.promotions >= 1, "tuner never promoted: {t:?}");
-        assert!(t.tuning_ops >= 1, "no tuning op in the recording: {t:?}");
+        assert!(t.tuning_ops >= 1, "no tuning op in the log: {t:?}");
         assert_eq!(t.p99_curve.len(), cfg.rounds);
         assert!(
             t.converge_rounds.is_some_and(|r| r <= cfg.converge_bound),

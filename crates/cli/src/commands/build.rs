@@ -63,7 +63,7 @@ pub(super) fn cmd_tune(args: &[String]) -> Result<String, CliError> {
     let tuner = Tuner::new(g.labels_shared(), TunerConfig { window: 1, min_support: 1 });
     let outcomes = IndexEvaluator::new(dk.index(), &g).evaluate_all(&queries);
     for (q, out) in queries.iter().zip(&outcomes) {
-        tuner.record(q, out.validated, false);
+        tuner.record(q, out.validated);
     }
     let before = dk.size();
     let report = match tuner.step(dk.requirements()) {

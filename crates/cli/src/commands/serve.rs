@@ -33,7 +33,6 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         max_batch: parsed.batch.unwrap_or(8).max(1),
         tune_interval: parsed.tune_interval.unwrap_or(0),
         tuner: TunerConfig { window: parsed.tune_window.unwrap_or(tuner.window), ..tuner },
-        ..ServeConfig::default()
     };
     let (mut dk, mut g, _) = load_index_graceful(index_path)?;
     let mut out = String::new();

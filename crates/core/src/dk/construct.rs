@@ -9,6 +9,7 @@
 //! `req(parent) ≥ req(child) − 1` and requirements are inherited on splits.
 
 use crate::dk::broadcast::broadcast_requirements;
+use crate::dk::edge_update::{lower_downstream, EdgeUpdateOutcome};
 use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
@@ -91,7 +92,8 @@ pub(crate) fn reindex_dk(base: &IndexGraph, reqs: &Requirements) -> IndexGraph {
         sims[b.index()] = sims[b.index()].min(min_member);
     }
     let mut merged = IndexGraph::reindex(base, &p, sims);
-    crate::dk::demote::enforce_structural_constraint(&mut merged);
+    let every_node: Vec<NodeId> = merged.node_ids().collect();
+    lower_downstream(&mut merged, every_node, &mut EdgeUpdateOutcome::default());
     merged
 }
 

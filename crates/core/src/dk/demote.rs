@@ -6,19 +6,18 @@
 //! reconstruct from the data graph: the current index is a refinement of the
 //! target D(k)-index, so the target is obtained by treating the current
 //! index graph as a data graph and re-running construction on it —
-//! [`IndexGraph::reindex`].
+//! [`crate::IndexGraph::reindex`].
 //!
 //! Two safety valves beyond the paper's sketch (documented in DESIGN.md):
 //! merged blocks' similarities are capped by the *recorded* similarity of
 //! their constituents (edge updates may have lowered them below the new
-//! requirement), and the Definition 3 constraint is re-enforced afterwards.
+//! requirement), and the Definition 3 constraint is re-enforced afterwards
+//! by Algorithm 5's walk seeded with every node
+//! ([`crate::dk::lower_downstream`]).
 
 use crate::dk::construct::DkIndex;
-use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
-use dkindex_graph::{LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
-use std::collections::VecDeque;
 
 impl DkIndex {
     /// Demote to (lower) `new_requirements`, merging index nodes without
@@ -36,28 +35,13 @@ impl DkIndex {
     }
 }
 
-/// Restore Definition 3 (`k(A) ≥ k(B) − 1` on every edge `A → B`) by
-/// lowering similarities, worklist-style. A no-op on well-formed indexes.
-pub fn enforce_structural_constraint(index: &mut IndexGraph) {
-    let mut queue: VecDeque<NodeId> = index.node_ids().collect();
-    while let Some(a) = queue.pop_front() {
-        let bound = index.similarity(a).saturating_add(1);
-        let children: Vec<NodeId> = index.children_of(a).to_vec();
-        for b in children {
-            if index.similarity(b) > bound {
-                index.set_similarity(b, bound);
-                queue.push_back(b);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::{assert_stable, check_structure};
+    use crate::dk::edge_update::{lower_downstream, EdgeUpdateOutcome};
     use crate::eval::{evaluate_on_data, IndexEvaluator};
-    use dkindex_graph::{DataGraph, EdgeKind};
+    use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
     use dkindex_pathexpr::parse;
 
     fn data() -> DataGraph {
@@ -136,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn enforce_constraint_lowers_violators() {
+    fn lowering_from_every_node_repairs_a_violator() {
         let g = data();
         let mut dk = DkIndex::build(&g, Requirements::uniform(2));
         // Manufacture a violation.
@@ -145,8 +129,11 @@ mod tests {
         dk.index_mut().set_similarity(t_inode, 50);
         assert!(check_structure(dk.index(), &g).is_err());
         let mut fixed = dk.index().clone();
-        enforce_structural_constraint(&mut fixed);
+        let every_node: Vec<NodeId> = fixed.node_ids().collect();
+        let mut outcome = EdgeUpdateOutcome::default();
+        lower_downstream(&mut fixed, every_node, &mut outcome);
         check_structure(&fixed, &g).unwrap();
+        assert_eq!(outcome.lowered, 1, "only the violator is lowered");
     }
 
     #[test]

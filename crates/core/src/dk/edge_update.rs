@@ -99,11 +99,19 @@ pub fn update_local_similarity(
     k_n
 }
 
-/// Algorithm 5: lower downstream similarities to restore Definition 3,
-/// stopping at nodes that already satisfy the bound.
-fn lower_downstream(index: &mut IndexGraph, start: NodeId, outcome: &mut EdgeUpdateOutcome) {
-    let mut queue = VecDeque::new();
-    queue.push_back(start);
+/// Algorithm 5: restore Definition 3 (`k(A) ≥ k(B) − 1` on every edge
+/// `A → B`) downstream of `seeds` by lowering similarities breadth-first,
+/// stopping at nodes that already satisfy their bound. The edge update
+/// seeds it with its target node; re-indexing seeds it with every node,
+/// which repairs a whole index and is a no-op on a well-formed one. Each
+/// child examined counts in `outcome.index_nodes_touched`, each lowering
+/// in `outcome.lowered`.
+pub fn lower_downstream(
+    index: &mut IndexGraph,
+    seeds: impl IntoIterator<Item = NodeId>,
+    outcome: &mut EdgeUpdateOutcome,
+) {
+    let mut queue: VecDeque<NodeId> = seeds.into_iter().collect();
     while let Some(w) = queue.pop_front() {
         let bound = index.similarity(w).saturating_add(1);
         let children: Vec<NodeId> = index.children_of(w).to_vec();
@@ -150,7 +158,7 @@ impl DkIndex {
             index.set_similarity(v_inode, k_n);
             outcome.lowered += 1;
         }
-        lower_downstream(index, v_inode, &mut outcome);
+        lower_downstream(index, [v_inode], &mut outcome);
         telemetry::metrics::DK_EDGE_UPDATES.incr();
         telemetry::metrics::DK_EDGE_NODES_LOWERED.add(outcome.lowered);
         telemetry::metrics::DK_EDGE_NODES_TOUCHED.add(outcome.index_nodes_touched);

@@ -35,5 +35,4 @@ pub mod subgraph;
 pub use broadcast::{block_parent_sets, broadcast_requirements, requirements_consistent};
 pub use construct::{dk_partition, dk_partition_with_options, DkIndex};
 pub use reference::dk_partition_reference;
-pub use demote::enforce_structural_constraint;
-pub use edge_update::{update_local_similarity, EdgeUpdateOutcome};
+pub use edge_update::{lower_downstream, update_local_similarity, EdgeUpdateOutcome};

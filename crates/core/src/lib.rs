@@ -58,7 +58,6 @@ pub mod index_graph;
 pub mod index_stats;
 pub mod io_fail;
 pub mod label_split;
-pub mod load_monitor;
 pub mod mining;
 pub mod one_index;
 pub mod requirements;
@@ -79,8 +78,7 @@ pub use index_graph::{IndexGraph, SIM_EXACT};
 pub use index_stats::IndexStats;
 pub use io_fail::{FailPlan, SharedDisk, SimDisk};
 pub use label_split::label_split_index;
-pub use load_monitor::{LoadMonitor, LoadWindow};
-pub use mining::{mine_requirements, mine_requirements_weighted};
+pub use mining::mine_requirements;
 pub use one_index::OneIndex;
 pub use requirements::Requirements;
 pub use serve::{

@@ -48,25 +48,6 @@ pub fn mine_requirements(queries: &[PathExpr]) -> Requirements {
     reqs
 }
 
-/// Mine requirements from a weighted query load, ignoring queries whose
-/// frequency falls below `min_support` — "the choice of k_A should guarantee
-/// that the majority of queries accessing A are ≤ k_A in length" (§4.1):
-/// rare long queries are cheaper to validate than to index for.
-pub fn mine_requirements_weighted(
-    queries: &[(PathExpr, u64)],
-    min_support: u64,
-) -> Requirements {
-    // A weight of zero means the query was never observed, so it carries no
-    // support regardless of the threshold: mining over the weighted load is
-    // exactly mining over its multiset expansion.
-    let supported: Vec<PathExpr> = queries
-        .iter()
-        .filter(|&&(_, w)| w > 0 && w >= min_support)
-        .map(|(q, _)| q.clone())
-        .collect();
-    mine_requirements(&supported)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,66 +102,5 @@ mod tests {
     fn single_label_queries_need_nothing() {
         let qs = vec![parse("title").unwrap()];
         assert_eq!(mine_requirements(&qs).max_requirement(), 0);
-    }
-
-    /// Property: with `min_support` 0 the weighted miner is exactly the
-    /// unweighted miner over the multiset expansion (each query repeated
-    /// `weight` times) — weights select, they never scale requirements.
-    /// Seeded pseudo-random workloads over a mixed query pool, many draws.
-    #[test]
-    fn zero_support_weighted_mining_equals_multiset_expansion() {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let pool: Vec<PathExpr> = [
-            "title",
-            "movie.title",
-            "director.movie.title",
-            "movieDB.(_)?.movie.actor.name",
-            "movie.(title|year)",
-            "movie._",
-            "a.b.c.d.e",
-            "movie.title*",
-            "_._.year",
-        ]
-        .iter()
-        .map(|s| parse(s).unwrap())
-        .collect();
-        let mut rng = 0xD11E_5EEDu64;
-        for _ in 0..200 {
-            let n = 1 + (splitmix64(&mut rng) as usize % pool.len());
-            let weighted: Vec<(PathExpr, u64)> = (0..n)
-                .map(|_| {
-                    let q = pool[splitmix64(&mut rng) as usize % pool.len()].clone();
-                    (q, splitmix64(&mut rng) % 5) // weight 0..=4, zeros allowed
-                })
-                .collect();
-            let expanded: Vec<PathExpr> = weighted
-                .iter()
-                .flat_map(|(q, w)| std::iter::repeat_n(q.clone(), *w as usize))
-                .collect();
-            assert_eq!(
-                mine_requirements_weighted(&weighted, 0),
-                mine_requirements(&expanded),
-                "diverged on workload {weighted:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_mining_drops_rare_queries() {
-        let qs = vec![
-            (parse("a.b.c.d.e").unwrap(), 1),   // rare long query
-            (parse("movie.title").unwrap(), 99), // common short query
-        ];
-        let r = mine_requirements_weighted(&qs, 10);
-        assert_eq!(r.get("e"), 0);
-        assert_eq!(r.get("title"), 1);
-        let all = mine_requirements_weighted(&qs, 0);
-        assert_eq!(all.get("e"), 4);
     }
 }

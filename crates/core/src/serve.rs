@@ -29,7 +29,10 @@
 //!   order equals submission order, an N-thread serve run ends in exactly
 //!   the state of a serial run over the same op sequence — snapshot bytes
 //!   and all. The serial fold itself lives in [`crate::serve_ops`], kept
-//!   import-isolated from this module so it can act as its oracle.
+//!   import-isolated from this module so it can act as its oracle. The
+//!   live tuner's ops join the sequence through the same channel, and a
+//!   logged server's WAL is the record of it: the committed ops, in the
+//!   order they were applied.
 //! * **Cache invalidation contract**: each epoch carries its own query memo
 //!   keyed by the query alone — the epoch *is* the other half of the
 //!   `(epoch, query)` key. Publishing a new epoch drops the whole memo with
@@ -51,9 +54,9 @@
 //!   dead maintenance thread surfaces as [`ServeError::MaintenanceGone`]
 //!   instead of a panic in the caller's thread.
 //! * **Guards die in their statement**: every lock here is taken by a
-//!   one-statement accessor (the epoch load/store, the memo get/insert, the
-//!   op recording's extend/snapshot) that is handed values computed before
-//!   it, so no guard can be live across fsync, channel or evaluator work.
+//!   one-statement accessor (the epoch load/store, the memo get/insert)
+//!   that is handed values computed before it, so no guard can be live
+//!   across fsync, channel or evaluator work.
 //!   The module denies `clippy::disallowed_methods`, which rejects any other
 //!   `lock()`/`read()`/`write()` (ARCHITECTURE.md §6).
 //!
@@ -130,10 +133,6 @@ pub struct ServeConfig {
     /// Window size and support filter of the live tuner; unused while
     /// `tune_interval` is zero.
     pub tuner: TunerConfig,
-    /// Record every applied op in submission order for the serial-replay
-    /// determinism oracle ([`DkServer::recorded_ops`]). Off by default:
-    /// the recording grows with the run.
-    pub record_ops: bool,
 }
 
 impl Default for ServeConfig {
@@ -142,7 +141,6 @@ impl Default for ServeConfig {
             max_batch: 64,
             tune_interval: 0,
             tuner: TunerConfig::default(),
-            record_ops: false,
         }
     }
 }
@@ -221,9 +219,9 @@ impl Epoch {
 
     /// Feed the tuner (when live tuning is on) with one evaluated query.
     /// Lock-free.
-    fn observe(&self, query: &PathExpr, validated: bool, memo_hit: bool) {
+    fn observe(&self, query: &PathExpr, validated: bool) {
         if let Some(tuner) = &self.tune {
-            tuner.record(query, validated, memo_hit);
+            tuner.record(query, validated);
         }
     }
 
@@ -273,7 +271,7 @@ impl Epoch {
         telemetry::metrics::SERVE_QUERIES.incr();
         if let Some(hit) = self.memo_get(query) {
             telemetry::metrics::SERVE_CACHE_HITS.incr();
-            self.observe(query, hit.validated, true);
+            self.observe(query, hit.validated);
             return Ok(hit);
         }
         telemetry::metrics::SERVE_CACHE_MISSES.incr();
@@ -291,7 +289,7 @@ impl Epoch {
             ARENA.set(arena);
         }
         let out = Arc::new(out?);
-        self.observe(query, out.validated, false);
+        self.observe(query, out.validated);
         self.memo_insert(query.clone(), Arc::clone(&out));
         Ok(out)
     }
@@ -367,35 +365,6 @@ impl EpochCell {
     )]
     fn store(&self, fresh: Arc<Epoch>) {
         *self.0.write().unwrap_or_else(PoisonError::into_inner) = fresh;
-    }
-}
-
-/// The applied-op recording behind [`ServeConfig::record_ops`]; its two
-/// accessors are the only places its mutex is taken.
-#[derive(Debug, Default)]
-struct OpRecord(Mutex<Vec<ServeOp>>);
-
-impl OpRecord {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "recording: the guard lives for one append of ops cloned before it"
-    )]
-    fn extend(&self, ops: Vec<ServeOp>) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(ops);
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "recording snapshot: the guard lives for one clone"
-    )]
-    fn snapshot(&self) -> Vec<ServeOp> {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 }
 
@@ -503,8 +472,6 @@ pub struct DkServer {
     submitter: Submitter,
     join: Option<JoinHandle<(DkIndex, DataGraph)>>,
     logged: bool,
-    /// Applied ops in application order, when [`ServeConfig::record_ops`].
-    recorded: Option<Arc<OpRecord>>,
 }
 
 impl DkServer {
@@ -534,10 +501,9 @@ impl DkServer {
         log: Option<Box<dyn BatchLog>>,
     ) -> DkServer {
         // The label universe is fixed while serving, so the tuner's dense
-        // per-label monitor table can be sized once, here.
+        // label × length cells can be sized once, here.
         let tune = (config.tune_interval > 0)
             .then(|| Arc::new(Tuner::new(data.labels_shared(), config.tuner)));
-        let recorded = config.record_ops.then(|| Arc::new(OpRecord::default()));
         let poisoned = Arc::new(AtomicBool::new(false));
         let epoch0 = Arc::new(Epoch::new(0, 0, dk.clone(), data.clone(), tune.clone()));
         let current = Arc::new(EpochCell(RwLock::new(epoch0)));
@@ -552,7 +518,6 @@ impl DkServer {
             max_batch: config.max_batch.max(1),
             wal: log,
             poisoned: Arc::clone(&poisoned),
-            recorded: recorded.clone(),
             // The maintenance thread enqueues tuning ops through its own
             // sender so they interleave with client ops at channel order
             // and flow through the WAL/batch/publish path like any op.
@@ -570,18 +535,7 @@ impl DkServer {
             submitter: Submitter { tx, poisoned },
             join: Some(join),
             logged,
-            recorded,
         }
-    }
-
-    /// The ops applied so far in application order, when the server was
-    /// started with [`ServeConfig::record_ops`] — the exact input for the
-    /// [`apply_serial`] determinism oracle. With live tuning on, the
-    /// recording includes the tuner's `SetRequirements`/`Demote` ops at
-    /// their actual interleaved positions. Call after [`DkServer::flush`]
-    /// for a recording that covers every acknowledged submission.
-    pub fn recorded_ops(&self) -> Option<Vec<ServeOp>> {
-        self.recorded.as_ref().map(|rec| rec.snapshot())
     }
 
     /// Was this server started with a write-ahead log
@@ -764,8 +718,6 @@ struct MaintenanceCtx {
     /// `DkServer`/`Submitter` so their `submit` paths fast-fail instead of
     /// enqueueing ops a poisoned server would drop.
     poisoned: Arc<AtomicBool>,
-    /// Sink for the applied-op recording ([`ServeConfig::record_ops`]).
-    recorded: Option<Arc<OpRecord>>,
     tune: Option<TuneCadence>,
 }
 
@@ -775,7 +727,8 @@ struct MaintenanceCtx {
 /// [`Msg::Op`] — it interleaves with client ops at channel order and flows
 /// through the same WAL/batch/publish/ack path, which is what keeps an
 /// N-thread tuned run byte-identical under [`apply_serial`] replay of the
-/// recorded op sequence. (The held sender means the channel never
+/// applied op sequence — on a logged server, exactly the ops its WAL
+/// committed, tuner ops at their positions. (The held sender means the channel never
 /// disconnects on its own; every exit path goes through `Msg::Shutdown`,
 /// which both [`DkServer::shutdown`] and `Drop` send.)
 struct TuneCadence {
@@ -892,12 +845,6 @@ fn maintenance_loop(
             let span = telemetry::Span::start(&telemetry::metrics::SERVE_PUBLISH_NS);
             telemetry::metrics::SERVE_BATCH_OPS.record(batch.len() as u64);
             ops_total += batch.len() as u64;
-            if let Some(rec) = &ctx.recorded {
-                // Recorded only for batches that actually apply (a dropped
-                // batch above already drained), so the recording is exactly
-                // the serial oracle's input.
-                rec.extend(batch.iter().map(|(op, _)| op.clone()).collect());
-            }
             let mut acks: Vec<AckSender> = Vec::new();
             for (op, ack) in batch.drain(..) {
                 crate::serve_ops::apply(&mut dk, &mut data, op);

@@ -5,20 +5,38 @@
 //! performance" (§5.3–§5.4) and names query-pattern mining as the first
 //! direction of future work (§7). [`Tuner`] is that loop, written once:
 //!
-//! 1. every evaluated query is [`Tuner::record`]ed into a lock-free
-//!    [`LoadMonitor`] (per-result-label length histogram, validation and
-//!    memo counters) — safe to call from any number of reader threads;
-//! 2. [`Tuner::step`] harvests the monitor into a pending window; once the
+//! 1. every evaluated query is [`Tuner::record`]ed into lock-free
+//!    `(result label, length)` cells — safe to call from any number of
+//!    reader threads;
+//! 2. [`Tuner::step`] drains the cells into a pending window; once the
 //!    window holds [`TunerConfig::window`] recorded queries, requirements
-//!    are mined from it (frequency-weighted, so one stray deep query does
-//!    not inflate the index — "the choice of k_A should guarantee that the
-//!    majority of queries accessing A are ≤ k_A in length", §4.1);
+//!    are mined straight from its cells (frequency-filtered, so one stray
+//!    deep query does not inflate the index — "the choice of k_A should
+//!    guarantee that the majority of queries accessing A are ≤ k_A in
+//!    length", §4.1);
 //! 3. [`plan_tuning`] compares the mined requirements with the current
 //!    ones: labels whose requirement *rose* are promoted; if the load a
 //!    label actually received got shallower, the index is demoted — but
 //!    only for labels the window *observed*: a label that merely went
 //!    unqueried keeps its current requirement, so alternating workloads do
 //!    not thrash the index promote/demote every window.
+//!
+//! What a query records: its maximum word length against each result label
+//! it can end at (the §6.1 attribution: a query of length `p` ending at
+//! label `A` demands `k_A ≥ p − 1`), and against the wildcard cells when
+//! it can end at a wildcard (blanket load, attributed to the requirement
+//! *floor*). It counts once towards the window whatever number of cells it
+//! lands in. Unbounded queries (`R*` tails) and result labels outside the
+//! served graph demand nothing and land in no cell, mirroring what
+//! [`crate::mining::mine_requirements`] does with them. Lengths beyond
+//! [`Tuner::MAX_TRACKED_LEN`] clamp to the top bucket: a deeper query
+//! still registers as deep, it just cannot demand more than the cap.
+//!
+//! Recording never serializes readers against each other or against
+//! `step`: every cell is an `AtomicU64` bumped with `Relaxed` ordering in
+//! one of a few shards picked by thread id, so readers on different shards
+//! never share a cache line. The label universe is fixed while serving, so
+//! each shard is a dense `label × length` matrix sized once.
 //!
 //! `step` never touches an index. It returns the decision as a
 //! [`ServeOp`] (`SetRequirements` or `Demote`) for the caller to apply:
@@ -28,8 +46,8 @@
 //! driver, one application path, so a tuned run can always be replayed.
 //!
 //! Everything here iterates ordered containers (`BTreeSet`, sorted
-//! vectors): the same window must always yield the same plan, byte for
-//! byte, because tuning decisions are replayed through the
+//! vectors, label-id order): the same window must always yield the same
+//! plan, byte for byte, because tuning decisions are replayed through the
 //! serial-application oracle (`clippy::iter_over_hash_type` is denied).
 //!
 //! ```
@@ -43,7 +61,7 @@
 //! let q = parse("movie.title").unwrap();
 //! for _ in 0..2 {
 //!     let out = IndexEvaluator::new(dk.index(), &data).evaluate(&q);
-//!     tuner.record(&q, out.validated, false);
+//!     tuner.record(&q, out.validated);
 //! }
 //! let op = tuner.step(dk.requirements()).expect("a full window of deep queries promotes");
 //! apply_serial(&mut dk, &mut data, &[op]);
@@ -61,8 +79,6 @@
     clippy::iter_over_hash_type
 )]
 
-use crate::load_monitor::{LoadMonitor, LoadWindow};
-use crate::mining::mine_requirements_weighted;
 use crate::requirements::Requirements;
 use crate::serve_ops::ServeOp;
 use dkindex_graph::LabelInterner;
@@ -70,7 +86,11 @@ use dkindex_pathexpr::PathExpr;
 use dkindex_telemetry as telemetry;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Number of cell shards. A small power of two: enough to keep a handful of
+/// reader threads off each other's cache lines without bloating the drain.
+const SHARDS: usize = 8;
 
 /// Demotion hysteresis: demote only when the retained maximum requirement
 /// sits at least `DEMOTE_SLACK + 1` below the current one, so a load that
@@ -197,45 +217,193 @@ pub fn plan_tuning(
     TuningPlan::Hold
 }
 
-/// The one windowed tuning driver (paper §5.3/§5.4/§7): a lock-free
-/// [`LoadMonitor`] that any number of readers [`Tuner::record`] into, and
-/// a [`Tuner::step`] that turns a full window into at most one [`ServeOp`].
+/// One shard of recording cells. Which shard a thread lands on decides
+/// contention only, never content: `step` drains every shard into one
+/// window, so every decision mined from it is the same whatever the hash.
+#[derive(Debug)]
+struct Shard {
+    /// `label.index() * MAX_TRACKED_LEN + (len - 1)` → queries of length
+    /// `len` that can end at `label`.
+    label_len: Vec<AtomicU64>,
+    /// `len - 1` → queries of length `len` that can end at a wildcard.
+    wildcard_len: Vec<AtomicU64>,
+    /// Every query recorded, whether or not it landed in a cell.
+    queries: AtomicU64,
+    /// Queries that landed in at least one cell, each counted once.
+    recorded: AtomicU64,
+}
+
+impl Shard {
+    fn new(labels: usize) -> Shard {
+        let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Shard {
+            label_len: cells(labels * Tuner::MAX_TRACKED_LEN),
+            wildcard_len: cells(Tuner::MAX_TRACKED_LEN),
+            queries: AtomicU64::new(0),
+            recorded: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The drained cells of one observation window: plain sums, owned by the
+/// thread calling `step`. Harvests too small to act on keep accumulating
+/// here until they jointly clear [`TunerConfig::window`].
+#[derive(Debug)]
+struct Window {
+    labels: Arc<LabelInterner>,
+    label_len: Vec<u64>,
+    wildcard_len: Vec<u64>,
+    queries: u64,
+    recorded: u64,
+}
+
+impl Window {
+    fn new(labels: Arc<LabelInterner>) -> Window {
+        let cells = labels.len() * Tuner::MAX_TRACKED_LEN;
+        Window {
+            labels,
+            label_len: vec![0; cells],
+            wildcard_len: vec![0; Tuner::MAX_TRACKED_LEN],
+            queries: 0,
+            recorded: 0,
+        }
+    }
+
+    /// Move every count of `shard` into this window (swap to zero). A
+    /// record racing the drain lands in this window or the next, never
+    /// both, never neither.
+    fn drain(&mut self, shard: &Shard) {
+        for (sum, cell) in self.label_len.iter_mut().zip(&shard.label_len) {
+            *sum += cell.swap(0, Ordering::Relaxed);
+        }
+        for (sum, cell) in self.wildcard_len.iter_mut().zip(&shard.wildcard_len) {
+            *sum += cell.swap(0, Ordering::Relaxed);
+        }
+        self.queries += shard.queries.swap(0, Ordering::Relaxed);
+        self.recorded += shard.recorded.swap(0, Ordering::Relaxed);
+    }
+
+    /// True when nothing at all was recorded, not even a query that landed
+    /// in no cell.
+    fn is_empty(&self) -> bool {
+        self.queries == 0
+    }
+
+    /// The requirements this window's load demands: each cell whose count
+    /// is non-zero and at least `min_support` raises its label — or, for a
+    /// wildcard cell, the floor — to the cell's length − 1. Length-1 cells
+    /// demand nothing. A max-merge, so only each row's longest supported
+    /// cell matters.
+    fn mine(&self, min_support: u64) -> Requirements {
+        let longest = |row: &[u64]| {
+            row.iter()
+                .rposition(|&count| count > 0 && count >= min_support)
+                .filter(|&k| k > 0)
+        };
+        let mut reqs = Requirements::new();
+        let rows = self.label_len.chunks(Tuner::MAX_TRACKED_LEN);
+        for ((_, name), row) in self.labels.iter().zip(rows) {
+            if let Some(k) = longest(row) {
+                reqs.raise(name, k);
+            }
+        }
+        if let Some(k) = longest(&self.wildcard_len) {
+            reqs.raise_floor(k);
+        }
+        reqs
+    }
+
+    /// The labels this window observed as result labels (any length, any
+    /// support) — the decay gate of [`plan_tuning`]'s demotion path: only
+    /// an observed label may shrink.
+    fn observed(&self) -> BTreeSet<String> {
+        let rows = self.label_len.chunks(Tuner::MAX_TRACKED_LEN);
+        self.labels
+            .iter()
+            .zip(rows)
+            .filter(|(_, row)| row.iter().any(|&c| c > 0))
+            .map(|((_, name), _)| name.to_string())
+            .collect()
+    }
+}
+
+/// The one windowed tuning driver (paper §5.3/§5.4/§7): sharded lock-free
+/// cells that any number of readers [`Tuner::record`] into, and a
+/// [`Tuner::step`] that turns a full window into at most one [`ServeOp`].
 /// Shared by reference (`Arc<Tuner>` in the serve loop); a single thread is
 /// expected to call `step`.
 #[derive(Debug)]
 pub struct Tuner {
-    monitor: LoadMonitor,
+    labels: Arc<LabelInterner>,
+    shards: Vec<Shard>,
     config: TunerConfig,
-    /// Harvests too small to act on accumulate here until they jointly
-    /// clear [`TunerConfig::window`]. Only `step` takes the lock, so it is
+    /// The window being filled. Only `step` takes the lock, so it is
     /// uncontended; recording never touches it.
-    pending: Mutex<Option<LoadWindow>>,
+    pending: Mutex<Window>,
     windows: AtomicU64,
     promotions: AtomicU64,
     demotions: AtomicU64,
 }
 
 impl Tuner {
+    /// Longest query length (in words) tracked exactly; deeper queries
+    /// clamp into the top bucket. Mined requirements are therefore capped
+    /// at `MAX_TRACKED_LEN - 1`, which is far beyond any index depth the
+    /// demote hysteresis would sustain.
+    pub const MAX_TRACKED_LEN: usize = 16;
+
     /// A tuner over `labels` — the label universe of the data graph being
     /// served; result labels outside it can never match and are ignored.
     pub fn new(labels: Arc<LabelInterner>, config: TunerConfig) -> Tuner {
         Tuner {
-            monitor: LoadMonitor::new(labels),
+            shards: (0..SHARDS).map(|_| Shard::new(labels.len())).collect(),
+            pending: Mutex::new(Window::new(Arc::clone(&labels))),
+            labels,
             config,
-            pending: Mutex::new(None),
             windows: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
         }
     }
 
-    /// Record one evaluated query and its outcome. Lock-free (relaxed
-    /// fetch-adds on the caller's monitor shard).
-    pub fn record(&self, query: &PathExpr, validated: bool, memo_hit: bool) {
-        self.monitor.record(query, validated, memo_hit);
+    /// The shard the calling thread records into. Thread ids are stable
+    /// for a thread's lifetime, so each reader keeps hitting one shard.
+    fn shard(&self) -> Option<&Shard> {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        std::thread::current().id().hash(&mut h);
+        // The modulo keeps the index in range; `.get` keeps the reader
+        // path free of panic edges even so.
+        self.shards.get((h.finish() as usize) % self.shards.len().max(1))
+    }
+
+    /// Record one evaluated query and whether it needed validation.
+    /// Lock-free: relaxed fetch-adds on the caller's shard.
+    pub fn record(&self, query: &PathExpr, validated: bool) {
         telemetry::metrics::TUNER_QUERIES.incr();
         if validated {
             telemetry::metrics::TUNER_VALIDATIONS.incr();
+        }
+        let Some(shard) = self.shard() else { return };
+        shard.queries.fetch_add(1, Ordering::Relaxed);
+        let Some(len) = query.max_word_len().filter(|&len| len > 0) else {
+            return; // unbounded: no finite requirement to demand
+        };
+        let bucket = len.min(Tuner::MAX_TRACKED_LEN) - 1;
+        let last = query.last_labels();
+        let wildcard = shard.wildcard_len.get(bucket).filter(|_| last.wildcard);
+        let labelled = last
+            .labels
+            .iter()
+            .filter_map(|label| self.labels.get(label))
+            .filter_map(|id| shard.label_len.get(id.index() * Tuner::MAX_TRACKED_LEN + bucket));
+        let mut landed = false;
+        for cell in wildcard.into_iter().chain(labelled) {
+            cell.fetch_add(1, Ordering::Relaxed);
+            landed = true;
+        }
+        if landed {
+            shard.recorded.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -248,8 +416,19 @@ impl Tuner {
         }
     }
 
-    /// One tuning step against the index's `current` requirements: harvest
-    /// the monitor into the pending window and, once it holds
+    /// Drain every shard into the pending window and hand it out locked.
+    fn harvest(&self) -> MutexGuard<'_, Window> {
+        // A poisoned lock still guards a valid window: draining is plain
+        // cell-wise addition and leaves no torn state behind.
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        for shard in &self.shards {
+            pending.drain(shard);
+        }
+        pending
+    }
+
+    /// One tuning step against the index's `current` requirements: drain
+    /// the cells into the pending window and, once it holds
     /// [`TunerConfig::window`] recorded queries, mine it and return the
     /// planned action — `SetRequirements` to promote, `Demote` to shrink,
     /// `None` to hold (or when the window is not full yet). An empty
@@ -261,21 +440,16 @@ impl Tuner {
     /// ([`crate::serve_ops::apply_serial`]).
     pub fn step(&self, current: &Requirements) -> Option<ServeOp> {
         let _span = telemetry::Span::start(&telemetry::metrics::TUNER_PLAN_NS);
-        let harvest = self.monitor.harvest();
-        // A poisoned lock still guards a valid window: `merge` is plain
-        // cell-wise addition and leaves no torn state behind.
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        if !harvest.is_empty() {
-            match pending.as_mut() {
-                Some(window) => window.merge(&harvest),
-                None => *pending = Some(harvest),
+        let window = {
+            let mut pending = self.harvest();
+            if pending.is_empty() || pending.recorded < self.config.window as u64 {
+                return None;
             }
-        }
-        let window = pending.take_if(|w| w.recorded() >= self.config.window as u64)?;
-        drop(pending);
+            std::mem::replace(&mut *pending, Window::new(Arc::clone(&self.labels)))
+        };
         self.windows.fetch_add(1, Ordering::Relaxed);
         telemetry::metrics::TUNER_WINDOWS.incr();
-        let mined = mine_requirements_weighted(&window.weighted_queries(), self.config.min_support);
+        let mined = window.mine(self.config.min_support);
         let op = match plan_tuning(current, &mined, &window.observed()) {
             TuningPlan::Promote(reqs) => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
@@ -300,9 +474,11 @@ mod tests {
     use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
     use crate::eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator};
+    use crate::mining::mine_requirements;
     use crate::serve_ops::apply_serial;
     use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph};
     use dkindex_pathexpr::parse;
+    use proptest::prelude::*;
 
     fn data() -> DataGraph {
         let mut g = DataGraph::new();
@@ -342,7 +518,7 @@ mod tests {
             let q = parse(query).unwrap();
             let out = IndexEvaluator::new(self.dk.index(), &self.g).evaluate(&q);
             for _ in 0..times {
-                self.tuner.record(&q, out.validated, false);
+                self.tuner.record(&q, out.validated);
             }
             out
         }
@@ -504,5 +680,91 @@ mod tests {
             assert_eq!(ops, first_ops, "tuner ops diverged across runs");
             assert_eq!(bytes, first_bytes, "tuned index bytes diverged across runs");
         }
+    }
+
+    /// Regression: a query counts once towards the window, however many
+    /// cells its result labels land in. An alternation used to count once
+    /// per label, so two of them filled a window of four.
+    #[test]
+    fn an_alternation_counts_once_towards_the_window() {
+        let mut t = Tuned::new(Requirements::new(), 4, 1);
+        t.serve("movie.(title|actor)", 2);
+        assert_eq!(t.tune(), None);
+        assert_eq!(t.tuner.stats().windows, 0, "two queries must not fill a window of 4");
+        t.serve("movie.(title|actor)", 2);
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
+        assert_eq!(t.tuner.stats().windows, 1);
+    }
+
+    /// The mining property's query pool: linear paths, an optional step, an
+    /// alternation, wildcard endings, unbounded queries, and labels outside
+    /// the graph, both as a result label and before one.
+    const POOL: [&str; 12] = [
+        "title",
+        "movie.title",
+        "director.movie.title",
+        "ROOT.(_)?.movie.title",
+        "movie.(title|actor)",
+        "director._",
+        "movie.(_)?",
+        "_._.title",
+        "ghost.movie.title",
+        "movie.ghost",
+        "movie.title*",
+        "_*.movie",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A window mined at support 0 demands exactly what
+        /// `mine_requirements` demands of the queries it tracks: the bounded
+        /// ones whose result labels lie in the graph, at most
+        /// `MAX_TRACKED_LEN` labels long. It observes their result labels,
+        /// counts each of them once towards the window, and counts every
+        /// recorded query towards emptiness.
+        #[test]
+        fn a_window_mines_like_the_queries_it_tracks(
+            weights in prop::collection::vec(0usize..5, POOL.len()),
+        ) {
+            let g = data();
+            let tuner = Tuner::new(g.labels_shared(), TunerConfig { window: 0, min_support: 0 });
+            let load: Vec<PathExpr> = POOL
+                .iter()
+                .zip(&weights)
+                .flat_map(|(q, &w)| std::iter::repeat_n(parse(q).unwrap(), w))
+                .collect();
+            for q in &load {
+                tuner.record(q, false);
+            }
+            let tracked: Vec<PathExpr> = load
+                .iter()
+                .filter(|q| {
+                    q.max_word_len().is_some_and(|len| len <= Tuner::MAX_TRACKED_LEN)
+                        && q.last_labels().labels.iter().all(|l| g.labels().get(l).is_some())
+                })
+                .cloned()
+                .collect();
+            let observed: BTreeSet<String> =
+                tracked.iter().flat_map(|q| q.last_labels().labels).collect();
+            let window = tuner.harvest();
+            prop_assert_eq!(window.mine(0), mine_requirements(&tracked));
+            prop_assert_eq!(window.observed(), observed);
+            prop_assert_eq!(window.recorded, tracked.len() as u64);
+            prop_assert_eq!(window.queries, load.len() as u64);
+        }
+    }
+
+    /// A query deeper than the tracked lengths still registers as deep, but
+    /// demands no more than the top bucket.
+    #[test]
+    fn a_deep_query_clamps_to_the_top_bucket() {
+        let tuner = Tuner::new(data().labels_shared(), TunerConfig::default());
+        let deep = parse(&("_.".repeat(30) + "title")).unwrap();
+        tuner.record(&deep, true);
+        let window = tuner.harvest();
+        assert_eq!(window.recorded, 1);
+        assert_eq!(window.mine(0).get("title"), Tuner::MAX_TRACKED_LEN - 1);
+        assert_eq!(mine_requirements(&[deep]).get("title"), 30);
     }
 }

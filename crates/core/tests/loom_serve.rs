@@ -24,13 +24,13 @@
 //! survives publishes) must be *caught* — proving the checker has teeth.
 //!
 //! The second half models the **tuner-in-the-loop** protocol layered on
-//! top (live tuning + durable acks): readers feed the lock-free
-//! `LoadMonitor`, the maintenance thread harvests it after each publish
+//! top (live tuning + durable acks): readers feed the tuner's lock-free
+//! cells, the maintenance thread harvests them after each publish
 //! and self-enqueues mined ops through the same channel, group commits can
 //! fail and poison the server, and durable acks release only after
 //! commit + publish. Checked: the poisoned flag is sticky and nothing
 //! publishes after it, an `Ok(epoch)`-acked op is visible in that epoch
-//! (no acked op lost), a failed ack's op is never applied, monitor feeds
+//! (no acked op lost), a failed ack's op is never applied, tuner feeds
 //! are conserved across harvests, and tuner ops obey channel order. Two
 //! broken variants — acks released before the commit decision, and a step
 //! that clears the poisoned flag — must be caught.
@@ -271,10 +271,10 @@ fn global_memo_bug_is_caught_by_the_explorer() {
 }
 
 // ---------------------------------------------------------------------------
-// Tuner-in-the-loop: WAL poisoning, durable acks, monitor feeds, self-enqueue
+// Tuner-in-the-loop: WAL poisoning, durable acks, tuner feeds, self-enqueue
 // ---------------------------------------------------------------------------
 
-/// Monitor harvests at or above this many recorded queries mine one tuner op
+/// Harvests at or above this many recorded queries mine one tuner op
 /// (the model's `TunerConfig::window`).
 const TUNE_WINDOW: u64 = 2;
 /// Tuner self-enqueued ops get ids at/above this; client ops stay below.
@@ -305,10 +305,10 @@ struct TunedModel {
     epochs_at_poison: usize,
     /// Armed fail point: the next group commit of a non-empty batch fails.
     wal_fail_next: bool,
-    /// Reader-side `LoadMonitor`: queries recorded but not yet harvested.
-    monitor_pending: u64,
-    /// Total queries the tuner has harvested out of the monitor.
-    monitor_harvested: u64,
+    /// The tuner's reader-side cells: queries recorded but not yet harvested.
+    cells_pending: u64,
+    /// Total queries the tuner has harvested out of its cells.
+    cells_harvested: u64,
     /// Total reader feed steps executed — the conservation oracle.
     fed: u64,
     next_tuner_op: u32,
@@ -337,11 +337,11 @@ fn submit_logged(op: u32) -> Step<TunedModel> {
 }
 
 /// A reader step: load the current epoch, answer a query against it, and
-/// record the query into the lock-free `LoadMonitor`.
+/// record the query into the tuner's lock-free cells.
 fn read_and_feed() -> Step<TunedModel> {
     Box::new(|s: &mut TunedModel| {
         let _snapshot = s.published.last().expect("initial epoch always exists");
-        s.monitor_pending += 1;
+        s.cells_pending += 1;
         s.fed += 1;
     })
 }
@@ -356,7 +356,7 @@ fn inject_wal_failure() -> Step<TunedModel> {
 /// A maintenance step mirroring the real loop: drain the channel, group-
 /// commit (fail → poison + drop the batch unapplied + nack every waiter),
 /// apply + publish, release durable acks only after both, then run the
-/// tuner pass — harvest the monitor and self-enqueue one mined op when the
+/// tuner pass — harvest the cells and self-enqueue one mined op when the
 /// window fills.
 fn maintain_tuned() -> Step<TunedModel> {
     Box::new(|s: &mut TunedModel| {
@@ -386,8 +386,8 @@ fn maintain_tuned() -> Step<TunedModel> {
                 s.acks.push((op, Ok(epoch)));
             }
         }
-        let harvest = std::mem::take(&mut s.monitor_pending);
-        s.monitor_harvested += harvest;
+        let harvest = std::mem::take(&mut s.cells_pending);
+        s.cells_harvested += harvest;
         if harvest >= TUNE_WINDOW {
             let op = TUNER_BASE + s.next_tuner_op;
             s.next_tuner_op += 1;
@@ -490,15 +490,15 @@ fn tuned_poison_invariant(s: &TunedModel) -> Result<(), String> {
     Ok(())
 }
 
-/// Monitor conservation: every reader feed is either still pending or was
+/// Feed conservation: every reader feed is either still pending or was
 /// harvested exactly once — racy feeds are never lost or double-counted.
-fn tuned_monitor_invariant(s: &TunedModel) -> Result<(), String> {
-    if s.monitor_pending + s.monitor_harvested == s.fed {
+fn tuned_feed_invariant(s: &TunedModel) -> Result<(), String> {
+    if s.cells_pending + s.cells_harvested == s.fed {
         Ok(())
     } else {
         Err(format!(
-            "monitor feeds not conserved: {} pending + {} harvested != {} fed",
-            s.monitor_pending, s.monitor_harvested, s.fed
+            "tuner feeds not conserved: {} pending + {} harvested != {} fed",
+            s.cells_pending, s.cells_harvested, s.fed
         ))
     }
 }
@@ -507,13 +507,13 @@ fn tuned_invariants(s: &TunedModel) -> Result<(), String> {
     tuned_epoch_invariant(s)?;
     tuned_ack_invariant(s)?;
     tuned_poison_invariant(s)?;
-    tuned_monitor_invariant(s)
+    tuned_feed_invariant(s)
 }
 
 /// The full tuner-in-the-loop protocol under fault injection: every
 /// interleaving of 3 client submits, 2 reader feed steps, an armed WAL
 /// fail point, and 3 maintenance drains keeps the durable-ack, sticky-
-/// poison, epoch-chain, and monitor-conservation contracts.
+/// poison, epoch-chain, and feed-conservation contracts.
 #[test]
 fn tuned_serve_survives_wal_poisoning_under_all_interleavings() {
     let explored = explore(

@@ -12,9 +12,10 @@
 
 use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
+use dkindex_core::wal::{self, WalWriter};
 use dkindex_core::{
-    check_structure, evaluate_on_data, snapshot_bytes, DkIndex, IndexEvaluator, OneIndex,
-    Requirements, Tuner, TunerConfig,
+    check_structure, evaluate_on_data, snapshot_bytes, DkIndex, FailPlan, IndexEvaluator,
+    OneIndex, Requirements, SharedDisk, Tuner, TunerConfig,
 };
 use dkindex_datagen::{
     nasa_graph, random_graph, xmark_graph, NasaConfig, RandomGraphConfig, XmarkConfig,
@@ -345,8 +346,7 @@ fn dead_maintenance_thread_surfaces_typed_errors() {
 /// surface `WalFailed`, not pretend the drain succeeded.
 #[test]
 fn poisoned_server_fails_flush_with_typed_error() {
-    use dkindex_core::wal::WalWriter;
-    use dkindex_core::{FailPlan, ServeError, SharedDisk};
+    use dkindex_core::ServeError;
 
     let (g, dk, ops) = serve_fixture();
     // Sync 0 is the WAL header; sync 1 — the first group commit — fails.
@@ -383,8 +383,7 @@ fn poisoned_server_fails_flush_with_typed_error() {
 /// and the recovered log holds exactly the committed prefix.
 #[test]
 fn poisoned_server_fast_fails_submits_and_recovers_committed_prefix() {
-    use dkindex_core::wal::{self, WalWriter};
-    use dkindex_core::{FailPlan, ServeError, SharedDisk};
+    use dkindex_core::ServeError;
 
     let (g, dk, ops) = serve_fixture();
     // Sync 0: header. Sync 1: first group commit succeeds. Sync 2: second
@@ -469,21 +468,62 @@ fn tuning_fixture() -> (DataGraph, DkIndex) {
     (g, dk)
 }
 
-/// Single-threaded live tuning, end to end: readers feed the monitor, the
-/// maintenance thread harvests on cadence and self-enqueues a promotion,
-/// the recorded op sequence replays byte-identically, and the tuned index
-/// answers the deep query soundly (no validation) afterwards.
+/// Start a live-tuned server over an in-memory WAL. A logged server
+/// group-commits every op it applies, tuner ops included, so its log is the
+/// record of the run.
+fn start_tuned(g: &DataGraph, dk: &DkIndex, config: ServeConfig) -> (DkServer, SharedDisk) {
+    let disk = SharedDisk::new(FailPlan::none());
+    let writer = WalWriter::with_store(disk.clone()).unwrap();
+    let server = DkServer::start_logged(g.clone(), dk.clone(), config, Box::new(writer));
+    (server, disk)
+}
+
+/// A logged run's final state equals both `apply_serial` over the ops its
+/// WAL committed and `wal::replay` of the log itself, byte for byte.
+/// Returns the committed ops.
+fn assert_log_reproduces(
+    (g, dk): (&DataGraph, &DkIndex),
+    disk: &SharedDisk,
+    (final_dk, final_g): (&DkIndex, &DataGraph),
+) -> Vec<ServeOp> {
+    let expected = snapshot_bytes(final_dk, final_g);
+    let log = disk.view(|d| d.crash_view(0));
+    let (ops, _tail) = wal::decode_wal(&log).unwrap();
+    let (mut serial_dk, mut serial_g) = (dk.clone(), g.clone());
+    apply_serial(&mut serial_dk, &mut serial_g, &ops);
+    assert_eq!(
+        snapshot_bytes(&serial_dk, &serial_g),
+        expected,
+        "live-tuned serve diverged from serial replay of its committed ops"
+    );
+    let (mut replay_dk, mut replay_g) = (dk.clone(), g.clone());
+    wal::replay(&mut replay_dk, &mut replay_g, &log).unwrap();
+    assert_eq!(
+        snapshot_bytes(&replay_dk, &replay_g),
+        expected,
+        "WAL replay must reproduce the live-tuned final state"
+    );
+    ops
+}
+
+fn is_tuner_op(op: &ServeOp) -> bool {
+    matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_))
+}
+
+/// Live tuning, end to end: readers feed the tuner, the maintenance thread
+/// steps it on cadence and self-enqueues a promotion, which group-commits
+/// like a client op. The final state is what the log replays to, serially
+/// and through recovery.
 #[test]
-fn live_tuning_promotes_under_deep_load_and_replays_serially() {
+fn live_tuning_promotes_under_deep_load_and_replays_from_its_log() {
     let (g, dk) = tuning_fixture();
-    let server = DkServer::start(
-        g.clone(),
-        dk.clone(),
+    let (server, disk) = start_tuned(
+        &g,
+        &dk,
         ServeConfig {
             max_batch: 4,
             tune_interval: 1,
             tuner: TunerConfig { window: 4, min_support: 2 },
-            record_ops: true,
         },
     );
     let handle = server.handle();
@@ -492,59 +532,46 @@ fn live_tuning_promotes_under_deep_load_and_replays_serially() {
         let _ = handle.evaluate(&deep);
     }
 
-    // One update publishes a batch; the tuning pass rides the publish and
-    // self-enqueues its op, which the second flush then drains.
-    let edges = generate_update_edges(&g, 1, 7);
-    let (from, to) = edges[0];
-    server.submit(ServeOp::AddEdge { from, to }).unwrap();
+    // One durable update publishes a batch; the tuning pass rides the
+    // publish and self-enqueues its op, which the flushes then drain.
+    let (from, to) = generate_update_edges(&g, 1, 7)[0];
+    server
+        .submit_logged(ServeOp::AddEdge { from, to })
+        .unwrap()
+        .wait()
+        .unwrap();
     server.flush().unwrap();
     server.flush().unwrap();
 
     let stats = handle.tuning_stats().expect("tuning is enabled");
     assert!(stats.windows >= 1, "the 8-query window must have harvested");
     assert!(stats.promotions >= 1, "deep load must plan a promotion");
-
-    let recorded = server.recorded_ops().expect("record_ops is on");
-    assert!(
-        recorded
-            .iter()
-            .any(|op| matches!(op, ServeOp::SetRequirements(_))),
-        "the tuner's promotion must appear in the recorded op sequence"
-    );
     let (final_dk, final_g) = server.shutdown().unwrap();
     assert!(
         final_dk.requirements().get("l3") >= 3,
         "length-4 queries ending in l3 must have raised its requirement"
     );
-
-    // Serial-replay oracle over the *recorded* sequence (client ops and
-    // tuning ops at their actual interleaved positions).
-    let mut serial_dk = dk.clone();
-    let mut serial_g = g.clone();
-    apply_serial(&mut serial_dk, &mut serial_g, &recorded);
-    assert_eq!(
-        snapshot_bytes(&final_dk, &final_g),
-        snapshot_bytes(&serial_dk, &serial_g),
-        "live-tuned serve diverged from serial replay of its recorded ops"
+    let logged = assert_log_reproduces((&g, &dk), &disk, (&final_dk, &final_g));
+    assert!(
+        matches!(logged[..], [ServeOp::AddEdge { .. }, ServeOp::SetRequirements(_)]),
+        "the log must hold the edge update, then the tuner's promotion: {logged:?}"
     );
 }
 
 /// N reader threads race the tuning maintenance loop; whatever interleaving
-/// the run took, replaying its recorded op sequence serially must land on
-/// the same snapshot bytes — the determinism oracle holds with live tuning
-/// in the loop.
+/// the run took, its log replays to the same snapshot bytes — the
+/// determinism oracle holds with live tuning in the loop.
 #[test]
-fn threaded_live_tuning_matches_serial_replay_of_recorded_ops() {
+fn threaded_live_tuning_matches_serial_replay_of_logged_ops() {
     let (g, dk) = tuning_fixture();
     for readers in [2usize, 4] {
-        let server = DkServer::start(
-            g.clone(),
-            dk.clone(),
+        let (server, disk) = start_tuned(
+            &g,
+            &dk,
             ServeConfig {
                 max_batch: 2,
                 tune_interval: 1,
                 tuner: TunerConfig { window: 4, min_support: 2 },
-                record_ops: true,
             },
         );
         let edges = generate_update_edges(&g, 6, 11);
@@ -566,74 +593,10 @@ fn threaded_live_tuning_matches_serial_replay_of_recorded_ops() {
         });
         // Drain any tuning op the last publish enqueued.
         server.flush().unwrap();
-        let recorded = server.recorded_ops().expect("record_ops is on");
         let (final_dk, final_g) = server.shutdown().unwrap();
-
-        let mut serial_dk = dk.clone();
-        let mut serial_g = g.clone();
-        apply_serial(&mut serial_dk, &mut serial_g, &recorded);
-        assert_eq!(
-            snapshot_bytes(&final_dk, &final_g),
-            snapshot_bytes(&serial_dk, &serial_g),
-            "{readers}-reader live-tuned serve diverged from its recorded-op replay"
-        );
+        let logged = assert_log_reproduces((&g, &dk), &disk, (&final_dk, &final_g));
+        assert!(logged.len() >= edges.len(), "{readers} readers: every edge is logged");
     }
-}
-
-/// Live tuning composes with the WAL: tuning ops group-commit like client
-/// ops, and replaying the log over the initial state reproduces the final
-/// served state byte for byte.
-#[test]
-fn live_tuning_ops_are_wal_logged_and_recoverable() {
-    use dkindex_core::wal::{self, WalWriter};
-    use dkindex_core::{FailPlan, SharedDisk};
-
-    let (g, dk) = tuning_fixture();
-    let disk = SharedDisk::new(FailPlan::none());
-    let writer = WalWriter::with_store(disk.clone()).unwrap();
-    let server = DkServer::start_logged(
-        g.clone(),
-        dk.clone(),
-        ServeConfig {
-            max_batch: 4,
-            tune_interval: 1,
-            tuner: TunerConfig { window: 4, min_support: 2 },
-            ..ServeConfig::default()
-        },
-        Box::new(writer),
-    );
-    let handle = server.handle();
-    let deep = parse("l0.l1.l2.l3").unwrap();
-    for _ in 0..8 {
-        let _ = handle.evaluate(&deep);
-    }
-    let edges = generate_update_edges(&g, 1, 7);
-    let (from, to) = edges[0];
-    server
-        .submit_logged(ServeOp::AddEdge { from, to })
-        .unwrap()
-        .wait()
-        .unwrap();
-    server.flush().unwrap();
-    server.flush().unwrap();
-    let stats = handle.tuning_stats().expect("tuning is enabled");
-    assert!(stats.promotions >= 1, "deep load must plan a promotion");
-    let (final_dk, final_g) = server.shutdown().unwrap();
-
-    let durable = disk.view(|d| d.crash_view(0));
-    let (records, _tail) = wal::decode_wal(&durable).unwrap();
-    assert!(
-        records.len() >= 2,
-        "log must hold the edge update and the tuning op"
-    );
-    let mut replay_dk = dk.clone();
-    let mut replay_g = g.clone();
-    wal::replay(&mut replay_dk, &mut replay_g, &durable).unwrap();
-    assert_eq!(
-        snapshot_bytes(&replay_dk, &replay_g),
-        snapshot_bytes(&final_dk, &final_g),
-        "WAL replay must reproduce the live-tuned final state"
-    );
 }
 
 /// One tuner, two drivers: identical windows fed to a hand-stepped
@@ -656,7 +619,6 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
         ("l0.l1", 3),       // merged harvests clear it: l1 rises to 1
     ];
     let edges = generate_update_edges(&g, rounds.len(), 13);
-    let is_tuner_op = |op: &ServeOp| matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_));
 
     // By hand: evaluate + record, apply the round's update, step, apply.
     let (mut hand_dk, mut hand_g) = (dk.clone(), g.clone());
@@ -666,7 +628,7 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
         let q = parse(query).unwrap();
         let validated = IndexEvaluator::new(hand_dk.index(), &hand_g).evaluate(&q).validated;
         for _ in 0..times {
-            tuner.record(&q, validated, false);
+            tuner.record(&q, validated);
         }
         apply_serial(&mut hand_dk, &mut hand_g, &[ServeOp::AddEdge { from, to }]);
         if let Some(op) = tuner.step(hand_dk.requirements()) {
@@ -689,13 +651,12 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
 
     // Served: the same windows through epoch readers, the update forcing
     // the publish the tuning step rides, a second flush draining its op.
-    let server = DkServer::start(
-        g.clone(),
-        dk,
+    let (server, disk) = start_tuned(
+        &g,
+        &dk,
         ServeConfig {
             tune_interval: 1,
             tuner: config,
-            record_ops: true,
             ..ServeConfig::default()
         },
     );
@@ -709,14 +670,12 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
         server.flush().unwrap();
         server.flush().unwrap();
     }
-    let served_ops: Vec<ServeOp> = server
-        .recorded_ops()
-        .expect("record_ops is on")
+    let stats = handle.tuning_stats().expect("tuning is enabled");
+    let (final_dk, final_g) = server.shutdown().unwrap();
+    let served_ops: Vec<ServeOp> = assert_log_reproduces((&g, &dk), &disk, (&final_dk, &final_g))
         .into_iter()
         .filter(is_tuner_op)
         .collect();
-    let stats = handle.tuning_stats().expect("tuning is enabled");
-    let (final_dk, final_g) = server.shutdown().unwrap();
 
     assert_eq!(served_ops, hand_ops, "the serve loop planned a different tuner-op sequence");
     assert_eq!(stats, tuner.stats(), "both drivers count the same windows and plans");

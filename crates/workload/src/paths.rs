@@ -329,10 +329,16 @@ mod tests {
         let g = graph();
         let w = generate_test_paths(&g, &WorkloadConfig::default());
         let stream = weighted_stream(&w, 1_000, 1.2, 5);
+        let mine_at = |support: u64| {
+            let supported: Vec<PathExpr> = stream
+                .iter()
+                .filter(|&&(_, weight)| weight >= support)
+                .map(|(q, _)| q.clone())
+                .collect();
+            dkindex_core::mine_requirements(&supported)
+        };
         // With high support, only the hot head queries shape the index.
-        let strict = dkindex_core::mine_requirements_weighted(&stream, 50);
-        let lenient = dkindex_core::mine_requirements_weighted(&stream, 1);
-        assert!(strict.max_requirement() <= lenient.max_requirement());
+        assert!(mine_at(50).max_requirement() <= mine_at(1).max_requirement());
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn main() {
         {
             let mut evaluator = IndexEvaluator::new(dk.index(), &data);
             for q in load {
-                tuner.record(q, evaluator.evaluate(q).validated, false);
+                tuner.record(q, evaluator.evaluate(q).validated);
             }
         }
         let before = dk.size();

@@ -332,7 +332,7 @@ proptest! {
         for round in 0..3 {
             for q in &queries {
                 let out = IndexEvaluator::new(dk.index(), &g).evaluate(q);
-                tuner.record(q, out.validated, false);
+                tuner.record(q, out.validated);
                 let truth = evaluate_on_data(&g, q).0;
                 prop_assert_eq!(&out.matches, &truth, "round {} query {}", round, q);
             }
