@@ -88,14 +88,16 @@ verify-bench-api:
 
 # Interleaved A/B pairs of the judged benchmark for a performance claim:
 # BASE's dkbench (default HEAD~1) against the working tree's, PAIRS pinned
-# `dkbench run --workload $(WORKLOAD) --seed 2003 --seconds 15 --trace 0`
-# runs each. Prints every pair's end-to-end lines and the median head/base
-# ratio per metric; writes only under target/bench-pair.
+# `dkbench run --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0`
+# runs each (SEED defaults to 2003; repeat a claim on one seed the change
+# was not written against). Prints every pair's end-to-end lines and the
+# median head/base ratio per metric; writes only under target/bench-pair.
 PAIRS ?= 10
 BASE ?= HEAD~1
+SEED ?= 2003
 bench-pair:
-	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pair WORKLOAD=<workload> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
-	bash scripts/bench-pair.sh $(WORKLOAD) $(PAIRS) $(BASE)
+	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pair WORKLOAD=<workload> [PAIRS=10] [BASE=HEAD~1] [SEED=2003]"; exit 2; }
+	bash scripts/bench-pair.sh $(WORKLOAD) $(PAIRS) $(BASE) $(SEED)
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

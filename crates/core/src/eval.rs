@@ -14,12 +14,15 @@
 //! Extent members of sound matches are not counted (per §6.1).
 //!
 //! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
-//! borrowed parts — the two graphs, the index graph's [`LabelIndex`], an
+//! borrowed parts — the two graphs, the index graph's [`WalkView`], an
 //! [`EvalArena`] and an optional validation memo — so its owners decide
 //! what outlives a query: [`IndexEvaluator`] owns one of each for a batch,
-//! and `core::serve` lends a per-epoch label index and a per-thread arena
-//! with no memo. The unbudgeted entry points are that loop with a budget
-//! nothing can exhaust. Every *completed* query feeds the `eval.*` telemetry metrics
+//! and `core::serve` lends a per-epoch view and a per-thread arena with no
+//! memo. The index phase walks the view (flat label column, CSR adjacency,
+//! seed lists); only the matched blocks' similarity and extents are read
+//! from the [`IndexGraph`] itself. The unbudgeted entry points are that
+//! loop with a budget nothing can exhaust. Every *completed* query feeds
+//! the `eval.*` telemetry metrics
 //! (queries, index/data visits, sound extents, validated queries, memo hits,
 //! per-query visit histogram); an aborted one bumps only
 //! `eval.aborted_queries`. The `eval.query_ns` span times both. The
@@ -27,6 +30,7 @@
 //! deliberately uninstrumented.
 
 use crate::index_graph::IndexGraph;
+use crate::walk_view::WalkView;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
@@ -105,14 +109,14 @@ impl ValidationMemo {
     }
 }
 
-/// The borrowed parts one index→validate walk runs over. `index_labels`
-/// must have been built from `index`, and `memo` filled only over this
+/// The borrowed parts one index→validate walk runs over. `view` must have
+/// been built from `index`, and `memo` filled only over this
 /// `(index, data)` pair; the arena may come dirty from any graph, because
 /// every walk resets its epoch-stamped marks.
 pub(crate) struct Walk<'a> {
     pub(crate) index: &'a IndexGraph,
     pub(crate) data: &'a DataGraph,
-    pub(crate) index_labels: &'a LabelIndex,
+    pub(crate) view: &'a WalkView,
     pub(crate) arena: &'a mut EvalArena,
     pub(crate) memo: Option<&'a mut ValidationMemo>,
 }
@@ -138,7 +142,7 @@ impl Walk<'_> {
         let Walk {
             index,
             data,
-            index_labels,
+            view,
             arena,
             mut memo,
         } = self;
@@ -149,7 +153,7 @@ impl Walk<'_> {
         };
         let mut remaining = VisitBudget::new(budget);
         let nfa = Nfa::compile(expr, index.labels());
-        let on_index = match evaluate_bounded_with(index, &nfa, index_labels, arena, &mut remaining)
+        let on_index = match evaluate_bounded_with(view, &nfa, view.seeds(), arena, &mut remaining)
         {
             Ok(out) => out,
             Err(e) => {
@@ -248,7 +252,7 @@ impl Walk<'_> {
 }
 
 /// Reusable evaluator for one `(index, data)` pair: owns the index graph's
-/// label index, an [`EvalArena`] so a batch of queries performs zero
+/// [`WalkView`], an [`EvalArena`] so a batch of queries performs zero
 /// steady-state allocation, and a validation memo per `(query, index node)`
 /// — candidates sharing an extent never repeat their backward walks, and
 /// replayed verdicts charge the *stored* visit count so `QueryCost` stays
@@ -259,7 +263,7 @@ impl Walk<'_> {
 pub struct IndexEvaluator<'a> {
     index: &'a IndexGraph,
     data: &'a DataGraph,
-    index_labels: LabelIndex,
+    view: WalkView,
     arena: EvalArena,
     memo: ValidationMemo,
 }
@@ -270,7 +274,7 @@ impl<'a> IndexEvaluator<'a> {
         IndexEvaluator {
             index,
             data,
-            index_labels: LabelIndex::build(index),
+            view: WalkView::build(index),
             arena: EvalArena::new(),
             memo: ValidationMemo::default(),
         }
@@ -280,7 +284,7 @@ impl<'a> IndexEvaluator<'a> {
         Walk {
             index: self.index,
             data: self.data,
-            index_labels: &self.index_labels,
+            view: &self.view,
             arena: &mut self.arena,
             memo: Some(&mut self.memo),
         }

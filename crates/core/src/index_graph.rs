@@ -312,6 +312,13 @@ impl IndexGraph {
         Arc::make_mut(&mut self.interner).intern(name)
     }
 
+    /// A shared handle to this index's label interner, so a
+    /// [`WalkView`](crate::WalkView) can name the same labels without
+    /// copying the table.
+    pub(crate) fn labels_shared(&self) -> Arc<LabelInterner> {
+        Arc::clone(&self.interner)
+    }
+
     /// Split `target`'s extent: members in `moved` go to a fresh index node
     /// (same label, similarity `new_similarity` for **both** fragments), and
     /// the edges of both fragments are recomputed from the data graph's

@@ -16,7 +16,8 @@
 //! * [`label_split_index`] — the label-split graph (= A(0)).
 //! * [`DataGuide`] — the strong DataGuide (related-work baseline).
 //! * [`IndexEvaluator`] — query evaluation with the validation process and
-//!   the paper's node-visit cost model (§6.1).
+//!   the paper's node-visit cost model (§6.1), walking an index graph's
+//!   flat [`WalkView`].
 //! * [`mine_requirements`] — query-load mining into per-label requirements.
 //!
 //! ## Example
@@ -67,6 +68,7 @@ pub mod snapshot;
 pub mod store;
 pub mod tuner;
 pub mod wal;
+pub mod walk_view;
 
 pub use akindex::{AkIndex, UpdateWork};
 pub use audit::{audit, audit_dk, check_structure, recover_or_rebuild, AuditConfig, AuditReport, Finding, Invariant, RecoveryAction, Severity};
@@ -91,3 +93,4 @@ pub use wal::{
     inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail,
     WalVerdict, WalWriter,
 };
+pub use walk_view::WalkView;

@@ -22,7 +22,7 @@ use dkindex_telemetry as telemetry;
 
 /// Label → nodes inverted index for one graph. Build once per graph (its
 /// construction is not charged to any query).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LabelIndex {
     by_label: Vec<Vec<NodeId>>,
 }

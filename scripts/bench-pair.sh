@@ -1,25 +1,26 @@
 #!/usr/bin/env bash
 # Interleaved A/B pairs of the judged benchmark (benchmark/, BENCHMARK.json):
 # dkbench built from BASE (default HEAD~1) against dkbench built from the
-# working tree. Every performance claim is checked this way.
+# working tree. Every performance claim is checked this way, once more on a
+# seed not used while writing the change.
 #
-#   make bench-pair WORKLOAD=cold-walk PAIRS=10 [BASE=HEAD~1]
-#   bash scripts/bench-pair.sh WORKLOAD [PAIRS] [BASE]
+#   make bench-pair WORKLOAD=cold-walk PAIRS=10 [BASE=HEAD~1] [SEED=2003]
+#   bash scripts/bench-pair.sh WORKLOAD [PAIRS] [BASE] [SEED]
 #
 # BASE is exported with `git archive` into target/bench-pair/base, a
 # throwaway tree with no git metadata. Each side builds with its own
 # CARGO_TARGET_DIR under target/bench-pair. Each pair runs both sides, base
 # first in odd pairs and head first in even ones, each `dkbench run
-# --workload W --seed 2003 --seconds 15 --trace 0` (dkbench pins itself to
-# one CPU). The script prints each pair's
-# end-to-end lines, then the median head/base ratio of every end-to-end
-# metric. Result files go to target/bench-pair/out-{base,head}; nothing
+# --workload W --seed SEED --seconds 15 --trace 0` (SEED defaults to 2003;
+# dkbench pins itself to one CPU). The script prints each pair's end-to-end
+# lines, then the median head/base ratio of every end-to-end metric. Result files go to target/bench-pair/out-{base,head}; nothing
 # under benchmark/ and not BENCHMARK.json is written.
 set -euo pipefail
 
-workload="${1:?usage: bench-pair.sh WORKLOAD [PAIRS] [BASE]}"
+workload="${1:?usage: bench-pair.sh WORKLOAD [PAIRS] [BASE] [SEED]}"
 pairs="${2:-10}"
 base_rev="${3:-HEAD~1}"
+seed="${4:-2003}"
 root="$(git rev-parse --show-toplevel)"
 work="$root/target/bench-pair"
 end_to_end='^[^ ]+ (setup_s|op_per_s|peak_rss_mb|visits_per_query|index_blocks) '
@@ -37,7 +38,7 @@ done
 # One run of one side; its end-to-end lines prefixed with "pair N SIDE".
 run() {
   local side="$1" pair="$2" out
-  if ! out="$("$work/$side-target/release/dkbench" run --workload "$workload" --seed 2003 \
+  if ! out="$("$work/$side-target/release/dkbench" run --workload "$workload" --seed "$seed" \
       --seconds 15 --trace 0 --out "$work/out-$side" 2>"$work/$side.err")"; then
     echo "bench-pair: $side run of pair $pair failed:" >&2
     tail -n 5 "$work/$side.err" >&2
@@ -57,7 +58,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 # Lines read "pair N SIDE WORKLOAD METRIC VALUE UNIT".
-echo "median head/base over $pairs pair(s), $base_rev vs working tree:"
+echo "median head/base over $pairs pair(s) at seed $seed, $base_rev vs working tree:"
 awk '{ v[$2 " " $5, $3] = $6; m[$5] = 1; p[$2] = 1 }
      END { for (k in m) for (i in p) if (v[i " " k, "base"] > 0)
              print k, v[i " " k, "head"] / v[i " " k, "base"] }' "$work/pairs.txt" |

@@ -3,12 +3,13 @@
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
 use dkindex::core::{
-    audit, check_structure, eval_oracle, evaluate_on_data, AkIndex, AuditConfig, DkIndex,
-    IndexEvaluator, IndexGraph, Invariant, Requirements,
+    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, AkIndex, AuditConfig,
+    DkIndex, DkServer, IndexEvaluator, IndexGraph, Invariant, Requirements, ServeConfig, ServeOp,
+    WalkView,
 };
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::partition::{k_bisimulation, KBisimTable};
-use dkindex::pathexpr::{LabelIndex, PathExpr};
+use dkindex::pathexpr::{parse, LabelIndex, PathExpr};
 use proptest::prelude::*;
 
 /// A compact generator description proptest can shrink: a labeled tree given
@@ -422,6 +423,97 @@ proptest! {
         let mut engine = RefineEngine::new();
         for k in [2, 0, 3] {
             prop_assert_eq!(engine.k_bisimulation(&g, k), k_bisimulation(&g, k), "A({})", k);
+        }
+    }
+}
+
+/// One maintenance step of the walk-view property, drawn as `(kind, a, b)`:
+/// an Alg 3 subgraph addition of `sub`, an Alg 4/5 edge addition, an Alg 6
+/// promote, a demote, or new requirements promoted up to.
+fn maintain(dk: &mut DkIndex, g: &mut DataGraph, sub: &DataGraph, (kind, a, b): (u8, u8, u8)) {
+    let node = |raw: u8, g: &DataGraph| NodeId::from_index(raw as usize % g.node_count());
+    match kind {
+        0 => {
+            dk.add_subgraph(g, sub);
+        }
+        1 => {
+            let (from, to) = (node(a, g), node(b, g));
+            if from != to {
+                dk.add_edge(g, from, to);
+            }
+        }
+        2 => {
+            let target = node(a, g);
+            dk.promote(g, target, b as usize % 4);
+        }
+        3 => {
+            dk.demote(Requirements::uniform(b as usize % 3));
+        }
+        _ => {
+            let reqs = Requirements::from_pairs([(format!("l{}", a % 5).as_str(), b as usize % 4)]);
+            apply_serial(dk, g, &[ServeOp::SetRequirements(reqs)]);
+        }
+    }
+}
+
+/// The view built from `index` is `index`, node by node: label, child and
+/// parent rows in order, root, node and edge counts, and seed lists equal
+/// to the label index of the graph itself.
+fn view_equals_graph(index: &IndexGraph) -> Result<(), TestCaseError> {
+    let view = WalkView::build(index);
+    prop_assert_eq!(view.node_count(), index.node_count());
+    prop_assert_eq!(view.edge_count(), index.edge_count());
+    prop_assert_eq!(view.root(), index.root());
+    for n in index.node_ids() {
+        prop_assert_eq!(view.label_of(n), index.label_of(n), "label of {:?}", n);
+        prop_assert_eq!(view.children_of(n), index.children_of(n), "children of {:?}", n);
+        prop_assert_eq!(view.parents_of(n), index.parents_of(n), "parents of {:?}", n);
+    }
+    prop_assert_eq!(view.seeds(), &LabelIndex::build(index));
+    Ok(())
+}
+
+/// What a server over `(dk, g)` answers — it walks the epoch's view —
+/// equals the oracle walking the index graph: matches, both visit counts
+/// and the validated flag. So does a fresh `IndexEvaluator`.
+fn served_equals_oracle(dk: &DkIndex, g: &DataGraph, salt: u64) -> Result<(), TestCaseError> {
+    let mut queries = queries_for(g, salt);
+    queries.extend(["_._", "l0.(l1|_)?.l2", "_*.l3"].map(|q| parse(q).unwrap()));
+    let labels = LabelIndex::build(dk.index());
+    let server = DkServer::start(g.clone(), dk.clone(), ServeConfig::default());
+    let served = server.handle();
+    for q in &queries {
+        let want = eval_oracle::evaluate(dk.index(), g, &labels, q);
+        prop_assert_eq!(&*served.evaluate(q), &want, "served != oracle on {}", q);
+        let evaluated = IndexEvaluator::new(dk.index(), g).evaluate(q);
+        prop_assert_eq!(evaluated, want, "evaluator != oracle on {}", q);
+    }
+    server.shutdown().map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The walk view stays the index graph it was built from under every
+    /// maintenance algorithm, and answers served over it stay the oracle's.
+    #[test]
+    fn walk_view_equals_the_index_graph_under_maintenance(
+        spec in graph_spec(),
+        sub in graph_spec(),
+        salt in any::<u64>(),
+        req_k in 0usize..4,
+        steps in prop::collection::vec((0u8..5, any::<u8>(), any::<u8>()), 1..7),
+    ) {
+        let mut g = build(&spec);
+        let h = build(&sub);
+        let mut dk = DkIndex::build(&g, Requirements::uniform(req_k));
+        view_equals_graph(dk.index())?;
+        served_equals_oracle(&dk, &g, salt)?;
+        for (i, &step) in steps.iter().enumerate() {
+            maintain(&mut dk, &mut g, &h, step);
+            view_equals_graph(dk.index())?;
+            served_equals_oracle(&dk, &g, salt ^ (i as u64 + 1))?;
         }
     }
 }
