@@ -12,9 +12,11 @@
 # failing clause of any of them and writing only counts that repeat run to
 # run to BENCH_eval.json. Timing belongs to the judged benchmark
 # (benchmark/, BENCHMARK.json).
-# `verify-faults` sweeps injected snapshot/WAL corruption and fails on any
-# panic, silently accepted damage, or disagreement between the strict and
-# the recovering snapshot reader about what is intact. `verify-serve` re-runs the concurrent
+# `verify-faults` sweeps injected snapshot/WAL corruption — including
+# section payloads damaged and resealed under a fresh CRC, so the damage
+# reaches the section decoders — and fails on any panic, silently accepted
+# damage, or disagreement between the strict and the recovering snapshot
+# reader about what is intact. `verify-serve` re-runs the concurrent
 # serving suite (construction-vs-oracle identity, serve-vs-serial
 # determinism, racing-reader consistency) in release mode, where thread
 # interleavings differ from the debug test run. `verify-crash` is the
@@ -90,8 +92,10 @@ verify-bench-api:
 # BASE's dkbench (default HEAD~1) against the working tree's, PAIRS pinned
 # `dkbench run --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0`
 # runs each (SEED defaults to 2003; repeat a claim on one seed the change
-# was not written against). Prints every pair's end-to-end lines and the
-# median head/base ratio per metric; writes only under target/bench-pair.
+# was not written against). Prints every pair's end-to-end lines, then per
+# metric the median head/base ratio, the base side's q1–q3 spread over its
+# median and the count of pairs where head read worse; writes only under
+# target/bench-pair.
 PAIRS ?= 10
 BASE ?= HEAD~1
 SEED ?= 2003

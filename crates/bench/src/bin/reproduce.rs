@@ -20,9 +20,10 @@
 //!                        counts to BENCH_eval.json and exits nonzero on the
 //!                        first failing clause of any gate
 //!   verify-faults        fault-injection sweep: bit-flip every snapshot and
-//!                        WAL byte, truncate the snapshot everywhere; exits
-//!                        nonzero on any panic, silently accepted corruption,
-//!                        or strict/graceful reader disagreement
+//!                        WAL byte, truncate the snapshot everywhere, and
+//!                        flip or cut every section payload under a resealed
+//!                        CRC; exits nonzero on any panic, silently accepted
+//!                        corruption, or strict/graceful reader disagreement
 //!   verify-crash         crash-recovery torture gate for the WAL: cut the
 //!                        log at every byte, fail every group commit's fsync,
 //!                        tear every batch write at every offset, and kill a

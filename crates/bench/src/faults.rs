@@ -3,13 +3,19 @@
 //! recovers to a provably well-formed index or fails with a typed error —
 //! and that **nothing ever panics**.
 //!
-//! Three sweeps:
+//! Four sweeps:
 //!
 //! * [`snapshot_bitflip_sweep`] — flip one bit at every byte position of a
 //!   snapshot. Strict reads must reject the damage (or prove it harmless by
 //!   re-serializing byte-identically); graceful loads must return an index
 //!   that passes [`check_structure`] or a typed [`SnapshotError`].
 //! * [`snapshot_truncation_sweep`] — cut the snapshot at every length.
+//! * [`snapshot_resealed_sweep`] — the two above die at a section CRC or at
+//!   the framing, so their damage never reaches a section decoder. This one
+//!   flips one bit in every payload byte of each section and cuts each
+//!   payload at every length, then rewrites that section's `len` and CRC, so
+//!   the `GRPH`, `INDX` and `REQS` decoders see damaged bytes. Strict
+//!   acceptance is legal here: the CRC no longer vouches for the bytes.
 //! * [`wal_fault_sweep`] — flip one bit in every byte of a group-committed
 //!   WAL covering every record tag the serve layer logs (must decode as a
 //!   typed [`wal::WalError`] or replay to a well-formed index). Cutting the
@@ -18,6 +24,7 @@
 //! Every probe runs under `catch_unwind`; a panic anywhere is a harness
 //! failure, reported with the exact byte offset that triggered it.
 
+use dkindex_core::crc32::crc32;
 use dkindex_core::wal;
 use dkindex_core::{
     check_structure, load_with_recovery, read_snapshot, snapshot_bytes, DkIndex, Requirements,
@@ -25,6 +32,7 @@ use dkindex_core::{
 };
 use dkindex_graph::{DataGraph, NodeId};
 use dkindex_workload::generate_update_edges;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Outcome of one sweep: how many probes ran and how each class resolved.
@@ -100,14 +108,16 @@ pub(crate) fn record(report: &mut FaultReport, outcome: Probe) {
     }
 }
 
-/// Contract for one damaged snapshot byte stream: strict read must reject
-/// or be byte-identical; graceful load must yield a verified index or a
-/// typed error; and the two readers must agree on what "intact" means.
-fn check_snapshot_bytes(damaged: &[u8], pristine: &[u8], context: &str) -> Probe {
+/// Contract for one damaged snapshot byte stream: graceful load must yield
+/// a verified index or a typed error, and the two readers must agree on what
+/// "intact" means. While the CRCs still cover the damage (`pristine` is
+/// `Some`), strict read must also reject it or be byte-identical; resealed
+/// damage (`None`) may be accepted strictly.
+fn check_snapshot_bytes(damaged: &[u8], pristine: Option<&[u8]>, context: &str) -> Probe {
     // Strict mode: accepting damaged bytes is only legal when the damage is
     // provably immaterial (re-serializes to the pristine snapshot).
     let strict = read_snapshot(damaged);
-    if let Ok((dk, g)) = &strict {
+    if let (Ok((dk, g)), Some(pristine)) = (&strict, pristine) {
         if snapshot_bytes(dk, g) != pristine {
             return Probe::Violation(format!("{context}: strict read accepted damaged bytes"));
         }
@@ -141,7 +151,7 @@ pub fn snapshot_bitflip_sweep(dk: &DkIndex, data: &DataGraph) -> FaultReport {
         damaged[i] ^= 1 << (i % 8);
         let context = format!("bit flip at byte {i}");
         let outcome = probe(&context, || {
-            check_snapshot_bytes(&damaged, &pristine, &context)
+            check_snapshot_bytes(&damaged, Some(&pristine), &context)
         });
         record(&mut report, outcome);
     }
@@ -155,11 +165,66 @@ pub fn snapshot_truncation_sweep(dk: &DkIndex, data: &DataGraph) -> FaultReport 
     for cut in 0..pristine.len() {
         let context = format!("truncation to {cut} bytes");
         let outcome = probe(&context, || {
-            check_snapshot_bytes(&pristine[..cut], &pristine, &context)
+            check_snapshot_bytes(&pristine[..cut], Some(&pristine), &context)
         });
         record(&mut report, outcome);
     }
     report
+}
+
+/// Each section of a writer-made container: its tag and its payload's byte
+/// range, in file order.
+fn sections(container: &[u8]) -> Vec<([u8; 4], Range<usize>)> {
+    let u32_at = |at: usize| u32::from_le_bytes(container[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 12; // magic, version, section count
+    (0..u32_at(8))
+        .map(|_| {
+            let tag = container[at..at + 4].try_into().unwrap();
+            let start = at + 12; // tag, len, crc
+            at = start + u32_at(at + 4);
+            (tag, start..at)
+        })
+        .collect()
+}
+
+/// `container` with the payload at `range` replaced by `payload`, and that
+/// section's `len` and CRC rewritten to match it.
+fn reseal(container: &[u8], range: &Range<usize>, payload: &[u8]) -> Vec<u8> {
+    let len_at = range.start - 8;
+    let mut out = container[..len_at].to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&container[range.end..]);
+    out
+}
+
+/// Damage every section payload of the snapshot for `dk` + `data` and reseal
+/// it: one bit flipped in every payload byte, then every cut of every
+/// payload. Returns the flip report and the cut report.
+pub fn snapshot_resealed_sweep(dk: &DkIndex, data: &DataGraph) -> [FaultReport; 2] {
+    let pristine = snapshot_bytes(dk, data);
+    let mut flips = FaultReport::new("resealed payload bit-flips");
+    let mut cuts = FaultReport::new("resealed payload truncations");
+    for (tag, range) in sections(&pristine) {
+        let tag = String::from_utf8_lossy(&tag).into_owned();
+        let payload = &pristine[range.clone()];
+        for i in 0..payload.len() {
+            let mut damaged = payload.to_vec();
+            damaged[i] ^= 1 << (i % 8);
+            let container = reseal(&pristine, &range, &damaged);
+            let context = format!("{tag} bit flip at payload byte {i}, resealed");
+            let outcome = probe(&context, || check_snapshot_bytes(&container, None, &context));
+            record(&mut flips, outcome);
+        }
+        for cut in 0..payload.len() {
+            let container = reseal(&pristine, &range, &payload[..cut]);
+            let context = format!("{tag} payload cut to {cut} bytes, resealed");
+            let outcome = probe(&context, || check_snapshot_bytes(&container, None, &context));
+            record(&mut cuts, outcome);
+        }
+    }
+    [flips, cuts]
 }
 
 /// Flip one bit in every byte of the log the server would write for
@@ -217,12 +282,15 @@ pub fn fixture(seed: u64) -> (DataGraph, DkIndex, Vec<(NodeId, NodeId)>) {
     (data, dk, updates)
 }
 
-/// Run all three sweeps on the standard fixture.
+/// Run all four sweeps on the standard fixture.
 pub fn run_all(seed: u64) -> Vec<FaultReport> {
     let (data, dk, updates) = fixture(seed);
+    let [resealed_flips, resealed_cuts] = snapshot_resealed_sweep(&dk, &data);
     vec![
         snapshot_bitflip_sweep(&dk, &data),
         snapshot_truncation_sweep(&dk, &data),
+        resealed_flips,
+        resealed_cuts,
         wal_fault_sweep(&dk, &data, &updates),
     ]
 }
@@ -250,6 +318,16 @@ mod tests {
 
         let cuts = snapshot_truncation_sweep(&dk, &g);
         assert!(cuts.passed(), "{:?}", cuts.violations);
+
+        // One flip and one cut per payload byte of the three sections, and
+        // the damage reaches the decoders: some cases load, some are typed.
+        let container = snapshot_bytes(&dk, &g);
+        let framing = 12 + 3 * 12;
+        for resealed in snapshot_resealed_sweep(&dk, &g) {
+            assert!(resealed.passed(), "{:?}", resealed.violations);
+            assert_eq!(resealed.cases, container.len() - framing);
+            assert!(resealed.typed_errors > 0 && resealed.recovered > 0, "{}", resealed.summary());
+        }
 
         let updates = vec![
             (a, c),

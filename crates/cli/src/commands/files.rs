@@ -59,8 +59,17 @@ pub(super) fn load_index_graceful(path: &str) -> Result<(DkIndex, DataGraph, Rec
 /// Write `dk` + `g` to `path` as a checksummed snapshot — atomically, so a
 /// crash mid-save (even with `path` equal to the input) leaves the old file
 /// or the new one, never a torn one. Returns the byte count written.
+///
+/// An index the format cannot hold — a label (an XML element name) longer
+/// than 65 535 bytes — is the encoder's `InvalidInput` error and exits 4
+/// like any other malformed input, not 3: the disk is not at fault.
 pub(super) fn save_index(dk: &DkIndex, g: &DataGraph, path: &str) -> Result<u64, CliError> {
-    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| CliError::io(path, e))?;
+    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidInput => {
+            CliError::invalid(path, format!("cannot write the index: {e}"))
+        }
+        _ => CliError::io(path, e),
+    })?;
     Ok(fs::metadata(path).map_err(|e| CliError::io(path, e))?.len())
 }
 
@@ -110,13 +119,12 @@ mod tests {
             .unwrap();
         let idx = idx.to_str().unwrap();
 
-        // A bare `DKG1…` stream: graph payload first, no container.
-        let g = load_xml(doc.to_str().unwrap(), &[]).unwrap();
-        let mut bare = Vec::new();
-        dkindex_graph::io::write_graph(&g, &mut bare).unwrap();
-        assert!(bare.starts_with(b"DKG1"));
+        // A bare `DKG1…` stream: the snapshot from its graph payload on, no
+        // container in front.
+        let snapshot = fs::read(idx).unwrap();
+        let graph_at = snapshot.windows(4).position(|w| w == b"DKG1").unwrap();
         let legacy = dir.file("legacy.dki");
-        fs::write(&legacy, &bare).unwrap();
+        fs::write(&legacy, &snapshot[graph_at..]).unwrap();
         let legacy = legacy.to_str().unwrap();
         for args in [&["query", legacy, "movie"][..], &["doctor", legacy][..]] {
             let err = run(args).unwrap_err();

@@ -8,8 +8,9 @@
 //! * [`Severity::Corruption`] — the index can return **wrong answers**
 //!   (extents don't partition the nodes, a claimed `k` exceeds what the
 //!   extents actually satisfy, edges don't project the data graph, …).
-//!   [`recover_or_rebuild`] responds by rebuilding the index from the data
-//!   graph — graceful degradation, never a panic.
+//!   The snapshot loader's graceful mode
+//!   ([`crate::snapshot::load_with_recovery`]) responds by rebuilding the
+//!   index from the data graph — graceful degradation, never a panic.
 //! * [`Severity::Degraded`] — the index is *correct but below target*
 //!   (a block's `k` fell under its requirement, which is legal after edge
 //!   updates per §5: updates only lower local similarity). Queries stay
@@ -484,40 +485,6 @@ fn check_root_consistency(index: &IndexGraph, data: &DataGraph, c: &mut Collecto
     }
 }
 
-/// What [`recover_or_rebuild`] did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// The audit found no corruption; the index was kept as-is.
-    Kept,
-    /// Corruption was found; the index was rebuilt from the data graph.
-    Rebuilt {
-        /// Number of corruption findings that triggered the rebuild.
-        corruptions: usize,
-    },
-}
-
-/// Audit `dk`; on any `Corruption` finding, rebuild the index from `data`
-/// (keeping the stored requirements) instead of trusting it. Degraded-only
-/// findings keep the index — it is still exact, just slower.
-pub fn recover_or_rebuild(
-    dk: DkIndex,
-    data: &DataGraph,
-    config: &AuditConfig,
-) -> (DkIndex, RecoveryAction, AuditReport) {
-    let report = audit_dk(&dk, data, config);
-    if report.is_sound() {
-        return (dk, RecoveryAction::Kept, report);
-    }
-    let corruptions = report
-        .findings
-        .iter()
-        .filter(|f| f.severity == Severity::Corruption)
-        .count();
-    telemetry::metrics::AUDIT_REBUILDS.incr();
-    let rebuilt = DkIndex::build(data, dk.requirements().clone());
-    (rebuilt, RecoveryAction::Rebuilt { corruptions }, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,8 +514,6 @@ mod tests {
         let (g, dk) = sample();
         let report = audit_dk(&dk, &g, &AuditConfig::default());
         assert!(report.is_clean(), "{report}");
-        let (_, action, _) = recover_or_rebuild(dk, &g, &AuditConfig::default());
-        assert_eq!(action, RecoveryAction::Kept);
     }
 
     #[test]
@@ -644,21 +609,6 @@ mod tests {
             .next()
             .expect("coverage gap must be named");
         assert_eq!(finding.severity, Severity::Degraded);
-        // Degraded-only: keep the index.
-        let (_, action, _) = recover_or_rebuild(dk, &g, &AuditConfig::default());
-        assert_eq!(action, RecoveryAction::Kept);
-    }
-
-    #[test]
-    fn rebuild_restores_a_clean_index() {
-        let (g, mut dk) = sample();
-        let victim = NodeId::from_index(4);
-        let label = g.label_of(victim);
-        dk.index_mut().push_node(label, vec![victim], 0);
-        let (recovered, action, _) = recover_or_rebuild(dk, &g, &AuditConfig::default());
-        assert!(matches!(action, RecoveryAction::Rebuilt { corruptions } if corruptions > 0));
-        let report = audit_dk(&recovered, &g, &AuditConfig::default());
-        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Panic-free byte reading for every format that parses untrusted bytes.
 //!
-//! [`snapshot`](crate::snapshot), [`wal`](crate::wal) and the DKNP frame
-//! decoder (`dkindex_server::protocol`) parse attacker-adjacent bytes
-//! (truncated files, torn writes, bit flips, hostile sockets) and deny
+//! The snapshot container ([`snapshot`](crate::snapshot)) and its `GRPH`,
+//! `INDX` and `REQS` section decoders ([`store`](crate::store)), the
+//! write-ahead log ([`wal`](crate::wal)) and the DKNP frame decoder
+//! (`dkindex_server::protocol`) parse attacker-adjacent bytes (truncated
+//! files, torn writes, bit flips, hostile sockets) and deny
 //! `clippy::indexing_slicing` and `clippy::unwrap_used`. This cursor is the
-//! shared safe substrate: every read returns `Option` and the callers
-//! translate `None` into their typed error.
+//! one reader under all of them: every read returns `Option` and the
+//! callers translate `None` into their typed error.
 
 /// A forward-only reader over a byte slice. Reads either consume exactly
 /// what they return or leave the cursor untouched and yield `None`.

@@ -12,8 +12,28 @@
 //! D(k) update machinery — an index graph can itself be *re-indexed* like a
 //! data graph ([`IndexGraph::reindex`]), the operation behind the paper's
 //! Theorem 2, the subgraph-addition update and the demoting process.
+//!
+//! ## Copy-on-write blocks
+//!
+//! Everything the summary knows about one index node — label, similarity,
+//! extent and both adjacency lists — is one block behind an [`Arc`], so
+//! cloning an index (and therefore a `DkIndex`) bumps one refcount per block
+//! instead of deep-copying extents and adjacency. This is the index half of
+//! the delta-epoch publish path (the data half is [`SegVec`]):
+//!
+//! 1. **Clone is shallow**: `clone()` copies block handles, never block
+//!    contents.
+//! 2. **Mutation is per-block**: every write goes through one private
+//!    accessor that deep-copies the addressed block alone, and only while
+//!    its `Arc` is shared with an older epoch. A write of the value already
+//!    stored ([`IndexGraph::set_similarity`]) unshares nothing.
+//! 3. **Sharing is observable**: [`IndexGraph::shared_blocks_with`] and
+//!    [`IndexGraph::block_ptr_eq`] expose positional pointer identity, which
+//!    `tests/cow.rs` and the `serve.publish.blocks_*` counters are built on.
+//! 4. **Representation never leaks into answers**: a query, snapshot, or
+//!    audit sees identical bytes whether its epoch shares every block or
+//!    none.
 
-use crate::block_store::{Block, BlockStore};
 use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
 use dkindex_partition::Partition;
 use std::collections::HashSet;
@@ -23,19 +43,48 @@ use std::sync::Arc;
 /// sound for a path expression of any length. Large but safe under `+ 1`.
 pub const SIM_EXACT: usize = usize::MAX / 4;
 
+/// Per-index-node state: everything the summary knows about one
+/// equivalence class.
+#[derive(Clone, Debug)]
+struct Block {
+    /// Label shared by every member of the extent.
+    label: LabelId,
+    /// Local similarity `k` of the node (paper Definition 2).
+    similarity: usize,
+    /// Data nodes summarized by this index node, sorted ascending.
+    extent: Vec<NodeId>,
+    /// Out-neighbors in the index graph.
+    children: Vec<NodeId>,
+    /// In-neighbors in the index graph.
+    parents: Vec<NodeId>,
+}
+
+impl Block {
+    /// A shared block with the given label, extent and similarity and no
+    /// edges.
+    fn shared(label: LabelId, extent: Vec<NodeId>, similarity: usize) -> Arc<Block> {
+        Arc::new(Block {
+            label,
+            similarity,
+            extent,
+            children: Vec::new(),
+            parents: Vec::new(),
+        })
+    }
+}
+
 /// A structural summary of a data graph.
 ///
-/// All per-index-node state (label, similarity, extent, adjacency) lives in
-/// one [`Block`] per node inside an `Arc`-shared [`BlockStore`], and the
-/// node→block map is a segment-shared [`SegVec`]. Cloning an `IndexGraph`
-/// is therefore a copy-on-write snapshot: the clone shares every block with
-/// the original until one of them mutates it, which is what lets the serve
-/// layer publish a maintenance batch by rebuilding only the blocks the
-/// batch touched ([`IndexGraph::shared_blocks_with`] measures this).
+/// All per-index-node state lives in one `Arc`-shared block per node, and
+/// the node→block map is a segment-shared [`SegVec`]. Cloning an
+/// `IndexGraph` is therefore a copy-on-write snapshot (see the module docs):
+/// the clone shares every block with the original until one of them mutates
+/// it, which is what lets the serve layer publish a maintenance batch by
+/// rebuilding only the blocks the batch touched.
 #[derive(Clone, Debug)]
 pub struct IndexGraph {
-    /// One block per index node: label, similarity, extent, adjacency.
-    blocks: BlockStore,
+    /// One block per index node, in id order.
+    blocks: Vec<Arc<Block>>,
     /// data node -> index node containing it.
     node_to_index: SegVec<NodeId>,
     interner: Arc<LabelInterner>,
@@ -52,10 +101,10 @@ impl IndexGraph {
         assert_eq!(similarity.len(), partition.block_count());
         let nblocks = partition.block_count();
 
-        let mut blocks = BlockStore::with_capacity(nblocks);
+        let mut blocks = Vec::with_capacity(nblocks);
         for (b, k) in partition.block_ids().zip(similarity) {
             let members = partition.members(b);
-            blocks.push(Block::new(g.label_of(members[0]), members.to_vec(), k));
+            blocks.push(Block::shared(g.label_of(members[0]), members.to_vec(), k));
         }
 
         let node_to_index: SegVec<NodeId> = (0..g.node_count())
@@ -85,7 +134,7 @@ impl IndexGraph {
         assert_eq!(similarity.len(), partition.block_count());
         let nblocks = partition.block_count();
 
-        let mut blocks = BlockStore::with_capacity(nblocks);
+        let mut blocks = Vec::with_capacity(nblocks);
         // The node map starts as a shallow snapshot of base's; only segments
         // whose nodes move between blocks are copied below.
         let mut node_to_index = base.node_to_index.clone();
@@ -104,7 +153,7 @@ impl IndexGraph {
                     *slot = NodeId::from_index(bi);
                 }
             }
-            blocks.push(Block::new(label, extent, k));
+            blocks.push(Block::shared(label, extent, k));
         }
 
         let mut index = IndexGraph {
@@ -142,7 +191,7 @@ impl IndexGraph {
         assert_eq!(labels.len(), extents.len());
         let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
             .collect();
-        let mut blocks = BlockStore::with_capacity(labels.len());
+        let mut blocks = Vec::with_capacity(labels.len());
         for ((label, k), mut extent) in labels.into_iter().zip(similarity).zip(extents) {
             extent.sort_unstable();
             let i = blocks.len();
@@ -151,7 +200,7 @@ impl IndexGraph {
                     *slot = NodeId::from_index(i);
                 }
             }
-            blocks.push(Block::new(label, extent, k));
+            blocks.push(Block::shared(label, extent, k));
         }
         IndexGraph {
             blocks,
@@ -168,21 +217,18 @@ impl IndexGraph {
         self.root = root;
     }
 
-    /// Shared view of `inode`'s block.
+    /// Shared view of `inode`'s block: the one read path.
     #[inline]
     fn block(&self, inode: NodeId) -> &Block {
-        self.blocks
-            .get(inode.index())
-            .expect("index node out of range")
+        &self.blocks[inode.index()]
     }
 
-    /// Copy-on-write view of `inode`'s block: deep-copies the one block iff
-    /// it is still shared with an older snapshot.
+    /// Copy-on-write view of `inode`'s block, the one write path: it
+    /// deep-copies the one block iff it is still shared with an older
+    /// snapshot (invariant 2).
     #[inline]
     fn block_mut(&mut self, inode: NodeId) -> &mut Block {
-        self.blocks
-            .make_mut(inode.index())
-            .expect("index node out of range")
+        Arc::make_mut(&mut self.blocks[inode.index()])
     }
 
     /// Number of index nodes — the paper's "index size" (X axis of figs 4–7).
@@ -235,14 +281,23 @@ impl IndexGraph {
     /// index's blocks (copied-on-write or freshly pushed). Feeds the
     /// `serve.publish.blocks_shared` / `blocks_rebuilt` counters.
     pub fn shared_blocks_with(&self, prev: &IndexGraph) -> (usize, usize) {
-        let shared = self.blocks.shared_with(&prev.blocks);
+        let shared = self
+            .blocks
+            .iter()
+            .zip(&prev.blocks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
         (shared, self.size() - shared)
     }
 
     /// True when `inode`'s block is the same allocation in both snapshots —
-    /// the per-block probe behind the sharing regression tests.
+    /// the per-block probe behind the sharing regression tests. False when
+    /// either snapshot has no such block.
     pub fn block_ptr_eq(&self, prev: &IndexGraph, inode: NodeId) -> bool {
-        self.blocks.ptr_eq_at(&prev.blocks, inode.index())
+        match (self.blocks.get(inode.index()), prev.blocks.get(inode.index())) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Approximate resident size in bytes (adjacency + extents + tables);
@@ -298,7 +353,7 @@ impl IndexGraph {
                 *slot = id;
             }
         }
-        self.blocks.push(Block::new(label, extent, similarity));
+        self.blocks.push(Block::shared(label, extent, similarity));
         id
     }
 
@@ -362,20 +417,18 @@ impl IndexGraph {
     fn drop_edges_of(&mut self, inode: NodeId) {
         let children = std::mem::take(&mut self.block_mut(inode).children);
         for c in children {
-            if let Some(neighbor) = self.blocks.make_mut(c.index()) {
-                if let Some(pos) = neighbor.parents.iter().position(|&p| p == inode) {
-                    neighbor.parents.swap_remove(pos);
-                    self.edge_count -= 1;
-                }
+            let neighbor = self.block_mut(c);
+            if let Some(pos) = neighbor.parents.iter().position(|&p| p == inode) {
+                neighbor.parents.swap_remove(pos);
+                self.edge_count -= 1;
             }
         }
         let parents = std::mem::take(&mut self.block_mut(inode).parents);
         for p in parents {
-            if let Some(neighbor) = self.blocks.make_mut(p.index()) {
-                if let Some(pos) = neighbor.children.iter().position(|&c| c == inode) {
-                    neighbor.children.swap_remove(pos);
-                    self.edge_count -= 1;
-                }
+            let neighbor = self.block_mut(p);
+            if let Some(pos) = neighbor.children.iter().position(|&c| c == inode) {
+                neighbor.children.swap_remove(pos);
+                self.edge_count -= 1;
             }
         }
     }
@@ -510,6 +563,24 @@ mod tests {
         assert_eq!(idx.total_extent_size(), g.node_count());
         // b1 and b2 differ at k=1 (b2 has a b-labeled parent).
         assert!(idx.size() >= 4);
+    }
+
+    #[test]
+    fn a_clone_shares_every_block_until_one_is_written() {
+        let g = small();
+        let p = Partition::by_label(&g);
+        let idx = IndexGraph::from_data_partition(&g, &p, vec![0; p.block_count()]);
+        let mut next = idx.clone();
+        assert_eq!(next.shared_blocks_with(&idx), (3, 0));
+        let b = NodeId::from_index(2);
+        next.set_similarity(b, 0); // the stored value: unshares nothing
+        assert!(next.block_ptr_eq(&idx, b));
+        next.set_similarity(b, 1);
+        assert_eq!(next.shared_blocks_with(&idx), (2, 1));
+        assert!(!next.block_ptr_eq(&idx, b));
+        // The older snapshot never observes the write.
+        assert_eq!((idx.similarity(b), next.similarity(b)), (0, 1));
+        assert!(!next.block_ptr_eq(&idx, NodeId::from_index(3)), "out of range");
     }
 
     #[test]

@@ -93,20 +93,6 @@ impl IndexStats {
             self.data_nodes as f64 / self.index_nodes as f64
         }
     }
-
-    /// Histogram of local similarities, ascending, over labels whose index
-    /// nodes share one similarity (after fresh construction that is all of
-    /// them; after updates, mixed-range labels are omitted — walk the index
-    /// directly for an exact per-node histogram).
-    pub fn similarity_histogram(&self) -> Vec<(usize, usize)> {
-        let mut hist: BTreeMap<usize, usize> = BTreeMap::new();
-        for stats in self.per_label.values() {
-            if stats.min_similarity == stats.max_similarity {
-                *hist.entry(stats.min_similarity).or_default() += stats.index_nodes;
-            }
-        }
-        hist.into_iter().collect()
-    }
 }
 
 impl fmt::Display for IndexStats {
@@ -190,14 +176,5 @@ mod tests {
         assert!(text.contains("compression"));
         assert!(text.contains("movie"));
         assert!(text.contains("0..0"));
-    }
-
-    #[test]
-    fn similarity_histogram_counts_uniform_labels() {
-        let g = data();
-        let dk = DkIndex::build(&g, Requirements::new());
-        let stats = IndexStats::of(dk.index(), &g);
-        let hist = stats.similarity_histogram();
-        assert_eq!(hist, vec![(0, 3)]);
     }
 }

@@ -48,7 +48,6 @@
 
 pub mod akindex;
 pub mod audit;
-pub mod block_store;
 pub mod bytes;
 pub mod crc32;
 pub mod dataguide;
@@ -71,8 +70,7 @@ pub mod wal;
 pub mod walk_view;
 
 pub use akindex::{AkIndex, UpdateWork};
-pub use audit::{audit, audit_dk, check_structure, recover_or_rebuild, AuditConfig, AuditReport, Finding, Invariant, RecoveryAction, Severity};
-pub use block_store::{Block, BlockStore};
+pub use audit::{audit, audit_dk, check_structure, AuditConfig, AuditReport, Finding, Invariant, Severity};
 pub use dataguide::{DataGuide, DataGuideError};
 pub use dk::{DkIndex, EdgeUpdateOutcome};
 pub use eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator, QueryAborted, QueryCost};

@@ -13,9 +13,10 @@
 //!             payload  len bytes
 //! ```
 //!
-//! Section payloads are the codecs of [`dkindex_graph::io`] and
-//! [`crate::store`]: `GRPH` holds a `DKG1` graph stream, `REQS` the
-//! requirements table, `INDX` the index body. Unknown tags are skipped
+//! Section payloads are the codecs of [`crate::store`]: `GRPH` holds the
+//! data graph (a `DKG1` stream), `REQS` the requirements table, `INDX` the
+//! index body. The container, like every section decoder, reads through
+//! [`Cursor`] under this module's panic lints. Unknown tags are skipped
 //! (forward compatibility). This container is the only index file format:
 //! anything that does not start with `DKSN` is [`SnapshotError::BadMagic`].
 //!
@@ -52,7 +53,6 @@ use crate::dk::construct::DkIndex;
 use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
 use crate::store;
-use dkindex_graph::io::ReadError;
 use dkindex_graph::{DataGraph, LabeledGraph};
 use dkindex_telemetry as telemetry;
 use std::fmt;
@@ -158,7 +158,7 @@ pub fn write_snapshot<W: Write>(dk: &DkIndex, data: &DataGraph, w: &mut W) -> io
     let mut reqs_payload = Vec::new();
     store::write_requirements(dk.requirements(), &mut reqs_payload)?;
     let mut graph_payload = Vec::new();
-    dkindex_graph::io::write_graph(data, &mut graph_payload)?;
+    store::write_graph(data, &mut graph_payload)?;
     let mut index_payload = Vec::new();
     store::write_index(dk.index(), &mut index_payload)?;
 
@@ -180,12 +180,22 @@ pub fn write_snapshot<W: Write>(dk: &DkIndex, data: &DataGraph, w: &mut W) -> io
 }
 
 /// Snapshot bytes for `dk` + `data` (convenience over [`write_snapshot`]).
+///
+/// # Panics
+///
+/// When a label of `data` or of `dk`'s requirements is longer than 65 535
+/// bytes, which the format's `u16` label lengths cannot encode. XML names
+/// have no length cap, so such an index can be built; [`write_snapshot`]
+/// and [`save_snapshot_file`] return the case as an `InvalidInput` error.
 pub fn snapshot_bytes(dk: &DkIndex, data: &DataGraph) -> Vec<u8> {
     let mut bytes = Vec::new();
-    // Threading io::Result through every caller would only launder an error
-    // that cannot happen: Write for Vec<u8> has no I/O to fail.
-    #[expect(clippy::expect_used, reason = "Write for Vec<u8> is infallible")]
-    write_snapshot(dk, data, &mut bytes).expect("Vec<u8> writes are infallible");
+    #[expect(
+        clippy::expect_used,
+        reason = "Write for Vec<u8> cannot fail, so the one error left is a label over 65 535 \
+                  bytes; this convenience serves tests and in-memory comparisons, and the \
+                  documented panic keeps its signature, which the benchmark links against"
+    )]
+    write_snapshot(dk, data, &mut bytes).expect("a label longer than 65 535 bytes");
     bytes
 }
 
@@ -312,27 +322,21 @@ struct Sections {
 
 /// The one section walk behind both read modes.
 fn load_sections(bytes: &[u8]) -> Result<Sections, SnapshotError> {
-    let corrupt = |tag: [u8; 4], e: ReadError| SnapshotError::Section { tag, reason: e.to_string() };
+    let corrupt = |tag: [u8; 4], reason: String| SnapshotError::Section { tag, reason };
     let frames = parse_frames(bytes)?;
     let data = match frames.grph {
-        Ok(mut payload) => {
-            dkindex_graph::io::read_graph(&mut payload).map_err(|e| corrupt(TAG_GRPH, e))?
+        Ok(payload) => {
+            store::read_graph(&mut Cursor::new(payload)).map_err(|e| corrupt(TAG_GRPH, e))?
         }
         // A graph section lost to a framing break is reported as the break.
         Err(e) => return Err(frames.framing.err().unwrap_or(e)),
     };
-    let reqs = frames.reqs.and_then(|mut payload| {
-        store::read_requirements(&mut payload).map_err(|e| corrupt(TAG_REQS, e))
+    let reqs = frames.reqs.and_then(|payload| {
+        store::read_requirements(&mut Cursor::new(payload)).map_err(|e| corrupt(TAG_REQS, e))
     });
-    let index = frames.indx.and_then(|mut payload| {
-        let index = store::read_index(&mut payload, data.node_count())
+    let index = frames.indx.and_then(|payload| {
+        let index = store::read_index(&mut Cursor::new(payload), data.node_count())
             .map_err(|e| corrupt(TAG_INDX, e))?;
-        if !payload.is_empty() {
-            return Err(SnapshotError::Section {
-                tag: TAG_INDX,
-                reason: "trailing bytes inside the section".to_string(),
-            });
-        }
         // `read_index` guards only what construction needs; whether the
         // extents partition the graph, edges project it and the root is the
         // root is decided here, before anything uses the index.
@@ -611,7 +615,7 @@ mod tests {
     fn bare_graph_streams_are_not_snapshots() {
         let (g, dk) = sample();
         let mut bare = Vec::new();
-        dkindex_graph::io::write_graph(&g, &mut bare).unwrap();
+        store::write_graph(&g, &mut bare).unwrap();
         store::write_index(dk.index(), &mut bare).unwrap();
         assert!(matches!(read_snapshot(&bare), Err(SnapshotError::BadMagic)));
         assert!(matches!(load_with_recovery(&bare), Err(SnapshotError::BadMagic)));

@@ -1,166 +1,314 @@
 //! Section codecs for the snapshot container ([`crate::snapshot`]): the
-//! byte form of an index graph (`INDX`) and of a requirements table
-//! (`REQS`). Neither is a file format on its own — the container frames,
-//! checksums and versions them, and pairs them with the data graph's `GRPH`
-//! payload ([`dkindex_graph::io`]).
+//! byte form of a data graph (`GRPH`), of an index graph (`INDX`) and of a
+//! requirements table (`REQS`). None is a file format on its own — the
+//! container frames, checksums and versions them.
 //!
-//! Layouts (little-endian):
+//! Layouts (little-endian; a label is `u16` byte length + UTF-8, so a label
+//! longer than 65 535 bytes cannot be written):
 //!
 //! ```text
-//! REQS     u32 floor, u32 count, then per entry: u16+utf8 label, u32 k
+//! REQS     u32 floor, u32 count, then per entry: label, u32 k
 //!          (entries sorted by label)
-//! INDX     labels   u32 count, then per label: u16+utf8 name
+//! GRPH     magic    b"DKG1"
+//!          labels   u32 count, then per label: label (ROOT and VALUE first)
+//!          nodes    u32 count, then per node: u32 label id (node 0 is the root)
+//!          edges    u32 count, then per edge: u32 from, u32 to,
+//!                     u8 kind (0 tree, 1 reference)
+//! INDX     labels   u32 count, then per label: label
 //!          inodes   u32 count, then per node:
 //!                     u32 label, u64 similarity, u32 extent-len, u32 data-node ids
 //!          edges    u32 count, then per edge: u32 from, u32 to
 //!          root     u32 index node id
 //! ```
 //!
-//! [`read_index`] guards only what makes construction safe — every id in
-//! range, no allocation sized by an unchecked count — and leaves the verdict
-//! on the index (extents partition the graph, edges project it, the root is
-//! the root) to [`crate::audit::check_structure`], which the snapshot loader
-//! runs against the graph it loads alongside before anything uses the index.
+//! Every encoder appends to a `Vec<u8>` and fails only on an over-long
+//! label, as an [`io::ErrorKind::InvalidInput`] error. Every decoder reads one
+//! whole payload from a [`Cursor`] and returns its reason as a `String`,
+//! which the container wraps as a `SnapshotError::Section`; trailing bytes
+//! inside a payload are an error. Payloads reach the decoders only after
+//! their CRC matched, but the decoders do not lean on that: this module
+//! denies clippy's panic lints like the rest of the untrusted-bytes path.
+//!
+//! The decoders guard only what makes construction safe — every id in
+//! range, no allocation sized by an unchecked count. The verdict on an index
+//! (extents partition the graph, edges project it, the root is the root) is
+//! [`crate::audit::check_structure`]'s, which the snapshot loader runs
+//! against the graph it loads alongside before anything uses the index.
 
-use crate::index_graph::IndexGraph;
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use
+)]
+
+use crate::bytes::Cursor;
+use crate::index_graph::{IndexGraph, SIM_EXACT};
 use crate::requirements::Requirements;
-use dkindex_graph::io::{read_str, read_u32, write_str, write_u32, ReadError};
-use dkindex_graph::{LabelInterner, LabeledGraph, NodeId};
-use std::io::{self, Read, Write};
+use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId};
+use std::io;
 
-fn corrupt(msg: impl Into<String>) -> ReadError {
-    ReadError::Corrupt(msg.into())
+const GRAPH_MAGIC: [u8; 4] = *b"DKG1";
+
+// ---- encoding ------------------------------------------------------------
+
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
 }
 
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn put_label(out: &mut Vec<u8>, label: &str) -> io::Result<()> {
+    let len = u16::try_from(label.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "label of {} bytes exceeds the snapshot format's 65535-byte label limit",
+                label.len()
+            ),
+        )
+    })?;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(label.as_bytes());
+    Ok(())
 }
 
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Serialize an index graph (without its data graph).
-pub fn write_index<W: Write>(index: &IndexGraph, w: &mut W) -> io::Result<()> {
-    write_u32(w, index.labels().len() as u32)?;
-    for (_, name) in index.labels().iter() {
-        write_str(w, name)?;
+fn put_label_table(out: &mut Vec<u8>, labels: &LabelInterner) -> io::Result<()> {
+    put_u32(out, labels.len());
+    for (_, name) in labels.iter() {
+        put_label(out, name)?;
     }
-    write_u32(w, index.size() as u32)?;
+    Ok(())
+}
+
+/// Append the `GRPH` payload of `g`.
+pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) -> io::Result<()> {
+    out.extend_from_slice(&GRAPH_MAGIC);
+    put_label_table(out, g.labels())?;
+    put_u32(out, g.node_count());
+    for n in g.node_ids() {
+        put_u32(out, g.label_of(n).index());
+    }
+    put_u32(out, g.edge_count());
+    for &(from, to, kind) in g.edges() {
+        put_u32(out, from.index());
+        put_u32(out, to.index());
+        out.push(match kind {
+            EdgeKind::Tree => 0,
+            EdgeKind::Reference => 1,
+        });
+    }
+    Ok(())
+}
+
+/// Append the `INDX` payload of `index` (without its data graph).
+pub(crate) fn write_index(index: &IndexGraph, out: &mut Vec<u8>) -> io::Result<()> {
+    put_label_table(out, index.labels())?;
+    put_u32(out, index.size());
     for inode in index.node_ids() {
-        write_u32(w, index.label_of(inode).index() as u32)?;
-        write_u64(w, index.similarity(inode) as u64)?;
+        put_u32(out, index.label_of(inode).index());
+        out.extend_from_slice(&(index.similarity(inode) as u64).to_le_bytes());
         let extent = index.extent(inode);
-        write_u32(w, extent.len() as u32)?;
+        put_u32(out, extent.len());
         for &d in extent {
-            write_u32(w, d.index() as u32)?;
+            put_u32(out, d.index());
         }
     }
-    let edge_total: usize = index
-        .node_ids()
-        .map(|i| index.children_of(i).len())
-        .sum();
-    write_u32(w, edge_total as u32)?;
+    let edge_total: usize = index.node_ids().map(|i| index.children_of(i).len()).sum();
+    put_u32(out, edge_total);
     for from in index.node_ids() {
         for &to in index.children_of(from) {
-            write_u32(w, from.index() as u32)?;
-            write_u32(w, to.index() as u32)?;
+            put_u32(out, from.index());
+            put_u32(out, to.index());
         }
     }
-    write_u32(w, index.root().index() as u32)
+    put_u32(out, index.root().index());
+    Ok(())
 }
 
-/// Deserialize an index graph. `data_nodes` is the node count of the data
+/// Append the `REQS` payload of `reqs`.
+pub(crate) fn write_requirements(reqs: &Requirements, out: &mut Vec<u8>) -> io::Result<()> {
+    put_u32(out, reqs.floor());
+    let mut entries: Vec<(&str, usize)> = reqs.iter().collect();
+    entries.sort(); // deterministic output
+    put_u32(out, entries.len());
+    for (label, k) in entries {
+        put_label(out, label)?;
+        put_u32(out, k);
+    }
+    Ok(())
+}
+
+// ---- decoding ------------------------------------------------------------
+
+fn take_u32(cur: &mut Cursor<'_>, what: &str) -> Result<usize, String> {
+    cur.u32_le()
+        .map(|v| v as usize)
+        .ok_or_else(|| format!("payload ends inside {what}"))
+}
+
+fn take_label<'a>(cur: &mut Cursor<'a>) -> Result<&'a str, String> {
+    let len = cur.u16_le().ok_or("payload ends inside a label length")?;
+    let bytes = cur.take(usize::from(len)).ok_or("payload ends inside a label")?;
+    std::str::from_utf8(bytes).map_err(|_| "label is not UTF-8".to_string())
+}
+
+/// A label table: every name must intern to its own position, so `ROOT`
+/// and `VALUE` (which every interner starts with) come first and no name
+/// repeats.
+fn take_label_table(cur: &mut Cursor<'_>) -> Result<LabelInterner, String> {
+    let count = take_u32(cur, "the label count")?;
+    if count < 2 {
+        return Err("label table must contain ROOT and VALUE".to_string());
+    }
+    let mut labels = LabelInterner::new();
+    for i in 0..count {
+        let name = take_label(cur)?;
+        if labels.intern(name).index() != i {
+            return Err(format!("label table broken at {name:?}"));
+        }
+    }
+    Ok(labels)
+}
+
+fn end_of_payload(cur: &Cursor<'_>) -> Result<(), String> {
+    match cur.remaining() {
+        0 => Ok(()),
+        n => Err(format!("{n} trailing bytes inside the section")),
+    }
+}
+
+/// Decode a whole `GRPH` payload.
+pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
+    if cur.array4() != Some(GRAPH_MAGIC) {
+        return Err("bad magic (expected DKG1)".to_string());
+    }
+    let labels = take_label_table(cur)?;
+    let mut g = DataGraph::new();
+    for (_, name) in labels.iter() {
+        g.intern(name);
+    }
+    let node_count = take_u32(cur, "the node count")?;
+    if node_count == 0 {
+        return Err("graph has no root node".to_string());
+    }
+    for i in 0..node_count {
+        let label = take_u32(cur, "a node label")?;
+        if label >= labels.len() {
+            return Err(format!("node {i}: label id {label} out of range"));
+        }
+        match i {
+            0 if label != LabelInterner::ROOT.index() => {
+                return Err("node 0 must carry the ROOT label".to_string())
+            }
+            0 => {} // the root already exists
+            _ => {
+                g.add_node(LabelId::from_index(label));
+            }
+        }
+    }
+    let edge_count = take_u32(cur, "the edge count")?;
+    for _ in 0..edge_count {
+        let from = take_u32(cur, "an edge")?;
+        let to = take_u32(cur, "an edge")?;
+        let kind = match cur.u8() {
+            Some(0) => EdgeKind::Tree,
+            Some(1) => EdgeKind::Reference,
+            Some(other) => return Err(format!("unknown edge kind {other}")),
+            None => return Err("payload ends inside an edge".to_string()),
+        };
+        if from >= node_count || to >= node_count {
+            return Err("edge endpoint out of range".to_string());
+        }
+        g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
+    }
+    end_of_payload(cur)?;
+    Ok(g)
+}
+
+/// Decode a whole `INDX` payload. `data_nodes` is the node count of the data
 /// graph the index summarizes (extents must partition exactly that range).
 /// Only ranges are checked here: run [`crate::audit::check_structure`]
 /// before using the result, as the snapshot loader does.
-pub fn read_index<R: Read>(r: &mut R, data_nodes: usize) -> Result<IndexGraph, ReadError> {
-    let label_count = read_u32(r)? as usize;
-    let mut interner = LabelInterner::new();
-    for i in 0..label_count {
-        let name = read_str(r)?;
-        let id = interner.intern(&name);
-        if id.index() != i {
-            return Err(corrupt(format!("index label table broken at {name:?}")));
-        }
-    }
-    let inode_count = read_u32(r)? as usize;
+pub(crate) fn read_index(cur: &mut Cursor<'_>, data_nodes: usize) -> Result<IndexGraph, String> {
+    let interner = take_label_table(cur)?;
+    let label_count = interner.len();
+    let inode_count = take_u32(cur, "the index node count")?;
     if inode_count == 0 {
-        return Err(corrupt("index has no nodes"));
+        return Err("index has no nodes".to_string());
     }
     if inode_count > data_nodes {
-        return Err(corrupt("more index nodes than data nodes"));
+        return Err("more index nodes than data nodes".to_string());
     }
     // Never pre-allocate from untrusted counts beyond a small bound: a
-    // corrupted length field must fail on EOF, not abort on allocation.
+    // corrupted length field must fail at the end of the payload, not abort
+    // on allocation.
     let cap = inode_count.min(1 << 16);
     let mut labels = Vec::with_capacity(cap);
     let mut sims = Vec::with_capacity(cap);
     let mut extents: Vec<Vec<NodeId>> = Vec::with_capacity(cap);
     for i in 0..inode_count {
-        let label = read_u32(r)? as usize;
+        let label = take_u32(cur, "an index node")?;
         if label >= label_count {
-            return Err(corrupt(format!("inode {i}: label out of range")));
+            return Err(format!("inode {i}: label out of range"));
         }
-        let sim = read_u64(r)?;
-        let len = read_u32(r)? as usize;
+        let sim = cur
+            .u64_le()
+            .ok_or_else(|| format!("inode {i}: payload ends inside the similarity"))?;
+        let sim = usize::try_from(sim)
+            .ok()
+            .filter(|&k| k <= SIM_EXACT)
+            .ok_or_else(|| format!("inode {i}: similarity {sim} out of range"))?;
+        let len = take_u32(cur, "an extent length")?;
         if len > data_nodes {
-            return Err(corrupt(format!("inode {i}: extent larger than data")));
+            return Err(format!("inode {i}: extent larger than data"));
         }
         let mut extent = Vec::with_capacity(len);
         for _ in 0..len {
-            let d = read_u32(r)? as usize;
+            let d = take_u32(cur, "an extent")?;
             if d >= data_nodes {
-                return Err(corrupt(format!("inode {i}: extent member out of range")));
+                return Err(format!("inode {i}: extent member out of range"));
             }
             extent.push(NodeId::from_index(d));
         }
-        labels.push(dkindex_graph::LabelId::from_index(label));
-        sims.push(usize::try_from(sim).map_err(|_| corrupt("similarity overflow"))?);
+        labels.push(LabelId::from_index(label));
+        sims.push(sim);
         extents.push(extent);
     }
     let mut index = IndexGraph::from_stored_parts(interner, labels, sims, extents, data_nodes);
-    let edge_count = read_u32(r)? as usize;
+    let edge_count = take_u32(cur, "the index edge count")?;
     for _ in 0..edge_count {
-        let from = read_u32(r)? as usize;
-        let to = read_u32(r)? as usize;
+        let from = take_u32(cur, "an index edge")?;
+        let to = take_u32(cur, "an index edge")?;
         if from >= inode_count || to >= inode_count {
-            return Err(corrupt("index edge out of range"));
+            return Err("index edge out of range".to_string());
         }
         index.add_index_edge(NodeId::from_index(from), NodeId::from_index(to));
     }
-    let root = read_u32(r)? as usize;
+    let root = take_u32(cur, "the root")?;
     if root >= inode_count {
-        return Err(corrupt("root index node out of range"));
+        return Err("root index node out of range".to_string());
     }
     index.set_root(NodeId::from_index(root));
+    end_of_payload(cur)?;
     Ok(index)
 }
 
-pub(crate) fn write_requirements<W: Write>(reqs: &Requirements, w: &mut W) -> io::Result<()> {
-    write_u32(w, reqs.floor() as u32)?;
-    let mut entries: Vec<(&str, usize)> = reqs.iter().collect();
-    entries.sort(); // deterministic output
-    write_u32(w, entries.len() as u32)?;
-    for (label, k) in entries {
-        write_str(w, label)?;
-        write_u32(w, k as u32)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn read_requirements<R: Read>(r: &mut R) -> Result<Requirements, ReadError> {
-    let floor = read_u32(r)? as usize;
+/// Decode a whole `REQS` payload.
+pub(crate) fn read_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
+    let floor = take_u32(cur, "the floor")?;
     let mut reqs = Requirements::new();
     reqs.raise_floor(floor);
-    let count = read_u32(r)? as usize;
+    let count = take_u32(cur, "the entry count")?;
     for _ in 0..count {
-        let label = read_str(r)?;
-        let k = read_u32(r)? as usize;
-        reqs.raise(&label, k);
+        let label = take_label(cur)?;
+        let k = take_u32(cur, "an entry")?;
+        reqs.raise(label, k);
     }
+    end_of_payload(cur)?;
     Ok(reqs)
 }
 
@@ -169,7 +317,6 @@ mod tests {
     use super::*;
     use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
-    use dkindex_graph::{DataGraph, EdgeKind};
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -193,11 +340,17 @@ mod tests {
         bytes
     }
 
+    fn graph_bytes(g: &DataGraph) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_graph(g, &mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn index_round_trips() {
         let (g, dk) = sample();
         let bytes = index_bytes(&dk);
-        let back = read_index(&mut bytes.as_slice(), g.node_count()).unwrap();
+        let back = read_index(&mut Cursor::new(&bytes), g.node_count()).unwrap();
         check_structure(&back, &g).unwrap();
         assert_eq!(back.size(), dk.size());
         assert!(back.to_partition().same_equivalence(&dk.index().to_partition()));
@@ -211,7 +364,8 @@ mod tests {
         use crate::eval::{evaluate_on_data, IndexEvaluator};
         use dkindex_pathexpr::parse;
         let (g, dk) = sample();
-        let back = read_index(&mut index_bytes(&dk).as_slice(), g.node_count()).unwrap();
+        let bytes = index_bytes(&dk);
+        let back = read_index(&mut Cursor::new(&bytes), g.node_count()).unwrap();
         for q in ["director.movie.title", "actor.movie", "movie.title"] {
             let e = parse(q).unwrap();
             let out = IndexEvaluator::new(&back, &g).evaluate(&e);
@@ -229,7 +383,7 @@ mod tests {
         for i in (bytes.len() - 40)..bytes.len() {
             let mut copy = bytes.clone();
             copy[i] ^= 0xFF;
-            let loaded = read_index(&mut copy.as_slice(), g.node_count());
+            let loaded = read_index(&mut Cursor::new(&copy), g.node_count());
             if loaded.map_or(true, |index| check_structure(&index, &g).is_err()) {
                 corrupted += 1;
             }
@@ -238,11 +392,41 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_rejected() {
+    fn every_payload_rejects_truncation_and_trailing_bytes() {
         let (g, dk) = sample();
-        let mut bytes = index_bytes(&dk);
-        bytes.truncate(bytes.len() - 1);
-        assert!(read_index(&mut bytes.as_slice(), g.node_count()).is_err());
+        let mut reqs = Vec::new();
+        write_requirements(dk.requirements(), &mut reqs).unwrap();
+        let payloads = [graph_bytes(&g), index_bytes(&dk), reqs];
+        for (which, bytes) in payloads.iter().enumerate() {
+            let decode = |bytes: &[u8]| {
+                let cur = &mut Cursor::new(bytes);
+                match which {
+                    0 => read_graph(cur).map(drop),
+                    1 => read_index(cur, g.node_count()).map(drop),
+                    _ => read_requirements(cur).map(drop),
+                }
+            };
+            decode(bytes).unwrap();
+            assert!(decode(&bytes[..bytes.len() - 1]).is_err(), "payload {which} truncated");
+            let mut longer = bytes.clone();
+            longer.push(0);
+            let err = decode(&longer).unwrap_err();
+            assert!(err.contains("trailing"), "payload {which}: {err}");
+        }
+    }
+
+    #[test]
+    fn graph_round_trips() {
+        let (g, _) = sample();
+        let back = read_graph(&mut Cursor::new(&graph_bytes(&g))).unwrap();
+        assert_eq!(back.node_count(), g.node_count());
+        assert!(back.edges().eq(g.edges()));
+        for n in g.node_ids() {
+            assert_eq!(back.label_name(n), g.label_name(n));
+        }
+        let mut bad = graph_bytes(&g);
+        bad[0] = b'X';
+        assert!(read_graph(&mut Cursor::new(&bad)).unwrap_err().contains("magic"));
     }
 
     #[test]
@@ -251,7 +435,18 @@ mod tests {
         reqs.raise_floor(1);
         let mut bytes = Vec::new();
         write_requirements(&reqs, &mut bytes).unwrap();
-        let back = read_requirements(&mut bytes.as_slice()).unwrap();
+        let back = read_requirements(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(back, reqs);
+    }
+
+    /// XML names have no length cap, but a label is `u16`-length-prefixed:
+    /// the encoder refuses it as `InvalidInput` rather than truncating.
+    #[test]
+    fn an_over_long_label_is_invalid_input() {
+        let mut g = DataGraph::new();
+        g.add_labeled_node(&"a".repeat(70_000));
+        let err = write_graph(&g, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("65535-byte label limit"), "{err}");
     }
 }

@@ -1,8 +1,8 @@
 //! The walk view: a flat, read-only copy of an index graph's walk
 //! structure, for the index phase of query evaluation.
 //!
-//! An [`IndexGraph`] keeps each node in its own `Arc`-shared
-//! [`Block`](crate::Block) so that publishing an epoch copies only the
+//! An [`IndexGraph`] keeps each node in its own `Arc`-shared block (see
+//! its module docs) so that publishing an epoch copies only the
 //! blocks a batch touched. The forward product walk pays for that layout: every
 //! `(state, node)` it pops chases `Vec<Arc<Block>>` → `Block` → `children`,
 //! then one more scattered block per child to read its label. A

@@ -27,5 +27,5 @@ pub mod xmark;
 pub use id_pool::IdPool;
 pub use movies::{movie_graph, MovieGraph};
 pub use nasa::{nasa_document, nasa_graph, nasa_graph_options, NasaConfig, ALL_REFERENCE_KINDS, DEFAULT_KEPT_KINDS};
-pub use random::{random_graph, regular_tree, RandomGraphConfig};
+pub use random::{random_graph, RandomGraphConfig};
 pub use xmark::{xmark_document, xmark_graph, xmark_graph_options, XmarkConfig};

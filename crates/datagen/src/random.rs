@@ -74,28 +74,6 @@ pub fn random_graph(config: &RandomGraphConfig) -> DataGraph {
     g
 }
 
-/// Generate a perfectly regular tree: `depth` levels, `fanout` children per
-/// node, labels cycling per level (`level0`, `level1`, ...). Bisimulation
-/// collapses each level to one block — the best case for structural
-/// summaries and a useful size-contrast fixture.
-pub fn regular_tree(depth: usize, fanout: usize) -> DataGraph {
-    let mut g = DataGraph::new();
-    let mut frontier = vec![g.root()];
-    for level in 0..depth {
-        let label = g.intern(&format!("level{level}"));
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &parent in &frontier {
-            for _ in 0..fanout {
-                let node = g.add_node(label);
-                g.add_edge(parent, node, EdgeKind::Tree);
-                next.push(node);
-            }
-        }
-        frontier = next;
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,31 +122,6 @@ mod tests {
             if n != g.root() {
                 assert!(g.children_of(n).len() <= 3, "node {n:?} exceeds fanout");
             }
-        }
-    }
-
-    #[test]
-    fn regular_tree_has_expected_shape() {
-        let g = regular_tree(3, 2);
-        // 1 + 2 + 4 + 8
-        assert_eq!(g.node_count(), 15);
-        let stats = GraphStats::of(&g);
-        assert_eq!(stats.max_depth, 3);
-        assert_eq!(stats.unreachable, 0);
-    }
-
-    #[test]
-    fn regular_tree_collapses_under_bisimulation() {
-        // Cross-crate sanity is covered in integration tests; here we only
-        // check per-level label homogeneity.
-        let g = regular_tree(4, 3);
-        let depth = dkindex_graph::traversal::depth_from_root(&g);
-        for n in g.node_ids() {
-            if n == g.root() {
-                continue;
-            }
-            let d = depth[n.index()].unwrap();
-            assert_eq!(g.label_name(n), format!("level{}", d - 1));
         }
     }
 }

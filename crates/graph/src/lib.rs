@@ -44,7 +44,6 @@ mod label;
 mod marks;
 
 pub mod dot;
-pub mod io;
 pub mod segvec;
 pub mod stats;
 pub mod traversal;

@@ -55,6 +55,5 @@ pub use engine::RefineEngine;
 pub use naive::{naive_k_bisimilar, KBisimTable};
 pub use partition::{BlockId, Partition};
 pub use refine::{
-    bisimulation_depth, bisimulation_fixpoint, k_bisimulation, parent_signature, refine_round,
-    refine_round_selective,
+    bisimulation_fixpoint, k_bisimulation, parent_signature, refine_round, refine_round_selective,
 };

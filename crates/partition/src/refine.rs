@@ -88,22 +88,6 @@ pub fn bisimulation_fixpoint<G: LabeledGraph>(g: &G) -> Partition {
     }
 }
 
-/// The number of rounds needed to reach the bisimulation fixpoint from the
-/// label partition — the graph's *bisimulation depth*. A(k) with k at least
-/// this value equals the 1-index.
-pub fn bisimulation_depth<G: LabeledGraph>(g: &G) -> usize {
-    let mut p = Partition::by_label(g);
-    let mut rounds = 0;
-    loop {
-        let (next, changed) = refine_round(g, &p);
-        if !changed {
-            return rounds;
-        }
-        p = next;
-        rounds += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +149,8 @@ mod tests {
     #[test]
     fn k_bisimulation_saturates_at_depth() {
         let (g, ..) = movie_like();
-        let d = bisimulation_depth(&g);
+        // Refinement reaches its fixpoint within `node_count` rounds.
+        let d = g.node_count();
         let at_depth = k_bisimulation(&g, d);
         let beyond = k_bisimulation(&g, d + 3);
         assert!(at_depth.same_equivalence(&beyond));
@@ -230,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn bisimulation_depth_of_chain() {
+    fn fixpoint_of_chain_separates_every_node() {
         // ROOT -> a -> a -> a : the three `a`s separate one per round.
         let mut g = DataGraph::new();
         let a1 = g.add_labeled_node("a");
@@ -240,7 +225,7 @@ mod tests {
         g.add_edge(r, a1, EdgeKind::Tree);
         g.add_edge(a1, a2, EdgeKind::Tree);
         g.add_edge(a2, a3, EdgeKind::Tree);
-        assert_eq!(bisimulation_depth(&g), 2);
+        assert_eq!(k_bisimulation(&g, 1).block_count(), 3);
         assert_eq!(bisimulation_fixpoint(&g).block_count(), 4);
     }
 }

@@ -13,8 +13,13 @@
 # first in odd pairs and head first in even ones, each `dkbench run
 # --workload W --seed SEED --seconds 15 --trace 0` (SEED defaults to 2003;
 # dkbench pins itself to one CPU). The script prints each pair's end-to-end
-# lines, then the median head/base ratio of every end-to-end metric. Result files go to target/bench-pair/out-{base,head}; nothing
-# under benchmark/ and not BENCHMARK.json is written.
+# lines, then per end-to-end metric: the median head/base ratio, the base
+# side's q1–q3 spread as a fraction of its median (a change is judged
+# against that spread, and a metric whose spread exceeds its bound is
+# unresolved, not level), and in how many pairs head read worse than base
+# (op_per_s is better higher, the others lower). Result files go to
+# target/bench-pair/out-{base,head}; nothing under benchmark/ and not
+# BENCHMARK.json is written.
 set -euo pipefail
 
 workload="${1:?usage: bench-pair.sh WORKLOAD [PAIRS] [BASE] [SEED]}"
@@ -58,13 +63,30 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 # Lines read "pair N SIDE WORKLOAD METRIC VALUE UNIT".
-echo "median head/base over $pairs pair(s) at seed $seed, $base_rev vs working tree:"
-awk '{ v[$2 " " $5, $3] = $6; m[$5] = 1; p[$2] = 1 }
-     END { for (k in m) for (i in p) if (v[i " " k, "base"] > 0)
-             print k, v[i " " k, "head"] / v[i " " k, "base"] }' "$work/pairs.txt" |
-  sort -k1,1 -k2,2g |
-  awk '{ r[$1, ++n[$1]] = $2 }
-       END { for (k in n) { c = n[k]; mid = int((c + 1) / 2)
-               med = (c % 2) ? r[k, mid] : (r[k, mid] + r[k, mid + 1]) / 2
-               printf "  %-17s %.3f\n", k, med } }' |
-  sort
+echo "head against base over $pairs pair(s) at seed $seed, $base_rev vs working tree:"
+printf '  %-17s %11s %16s %11s\n' metric head/base "base q1-q3/med" "head worse"
+awk 'function sort(a, n,   i, j, x) {
+       for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x }
+     }
+     # Quantile p of the sorted a[1..n], interpolating between ranks.
+     function quantile(a, n, p,   h, lo) {
+       h = p * (n - 1) + 1; lo = int(h)
+       return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+     }
+     { v[$5, $2, $3] = $6 + 0; m[$5] = 1; p[$2] = 1 }
+     END {
+       for (k in m) {
+         n = 0; r = 0; worse = 0
+         for (i in p) {
+           if (!((k, i, "base") in v && (k, i, "head") in v)) continue
+           b = v[k, i, "base"]; h = v[k, i, "head"]
+           base[++n] = b
+           if (b > 0) ratio[++r] = h / b
+           if (k == "op_per_s" ? h < b : h > b) worse++
+         }
+         sort(base, n); sort(ratio, r)
+         med = quantile(base, n, 0.5)
+         spread = med > 0 ? (quantile(base, n, 0.75) - quantile(base, n, 0.25)) / med : 0
+         printf "  %-17s %11.3f %16.3f %8d/%d\n", k, quantile(ratio, r, 0.5), spread, worse, n
+       }
+     }' "$work/pairs.txt" | sort

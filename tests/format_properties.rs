@@ -1,14 +1,13 @@
 //! Property tests for the textual and binary formats: XML round-trips,
-//! path-expression printing, the `DKG1` graph codec and the `DKSN` index
-//! container — plus byte-literal goldens of the two durable files (`DKSN`
-//! snapshot, `DKWL` v2 log).
+//! path-expression printing and the `DKSN` container with its graph (`DKG1`),
+//! index and requirements sections — plus byte-literal goldens of the two durable
+//! files (`DKSN` snapshot, `DKWL` v2 log).
 
 use dkindex::core::wal::{self, WalTail, WalWriter};
 use dkindex::core::{
     check_structure, read_snapshot, snapshot_bytes, DkIndex, FailPlan, Requirements, ServeOp,
     SimDisk,
 };
-use dkindex::graph::io::{read_graph, write_graph};
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::pathexpr::{parse, PathExpr};
 use dkindex::xml::{Document, Element, XmlNode};
@@ -162,12 +161,14 @@ fn build(spec: &GraphSpec) -> DataGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The `DKG1` graph codec is the container's `GRPH` section, so the
+    /// round trip goes through a whole snapshot.
     #[test]
     fn graphs_round_trip_through_dkg1(spec in graph_spec()) {
         let g = build(&spec);
-        let mut bytes = Vec::new();
-        write_graph(&g, &mut bytes).unwrap();
-        let back = read_graph(&mut bytes.as_slice()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let dk = DkIndex::build(&g, Requirements::uniform(0));
+        let (_, back) = read_snapshot(&snapshot_bytes(&dk, &g))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(back.node_count(), g.node_count());
         prop_assert!(back.edges().eq(g.edges()));
         for n in g.node_ids() {
@@ -188,7 +189,12 @@ proptest! {
         let dk = DkIndex::build(&g, reqs);
         let (back, g2) = read_snapshot(&snapshot_bytes(&dk, &g))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        // GRPH: every node's label name and every edge, in order.
         prop_assert_eq!(g2.node_count(), g.node_count());
+        prop_assert!(g2.edges().eq(g.edges()));
+        for n in g.node_ids() {
+            prop_assert_eq!(g2.label_name(n), g.label_name(n));
+        }
         prop_assert_eq!(back.size(), dk.size());
         prop_assert_eq!(back.requirements(), dk.requirements());
         prop_assert!(back.index().to_partition().same_equivalence(&dk.index().to_partition()));
