@@ -3,7 +3,7 @@
 //! paper's qualitative shapes on scaled-down datasets).
 
 use dkindex_core::{
-    audit, dk::dk_partition_with_options, AkIndex, AuditConfig, DataGuide, DkIndex, IndexEvaluator,
+    audit, dk::dk_partition_with_options, AkIndex, AuditConfig, DkIndex, IndexEvaluator,
     IndexGraph, Invariant, OneIndex, Requirements,
 };
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
@@ -213,46 +213,39 @@ pub fn ablation_broadcast(data: &DataGraph, workload: &Workload) -> BroadcastAbl
 pub struct SizeRow {
     /// Summary name.
     pub name: String,
-    /// Node count (or an explanation when construction fails).
-    pub size: Result<usize, String>,
-    /// Approximate resident bytes (None where not applicable).
-    pub bytes: Option<usize>,
+    /// Node count.
+    pub size: usize,
+    /// Approximate resident bytes.
+    pub bytes: usize,
 }
 
-/// Ablation C: sizes of label-split/A(k)/D(k)/1-index/DataGuide.
+/// Ablation C: sizes of label-split/A(k)/D(k)/1-index beside the data graph.
 pub fn size_comparison(data: &DataGraph, workload: &Workload, max_k: usize) -> Vec<SizeRow> {
     let mut rows = Vec::new();
     for k in 0..=max_k {
         let ak = AkIndex::build(data, k);
         rows.push(SizeRow {
             name: format!("A({k})"),
-            size: Ok(ak.size()),
-            bytes: Some(ak.index().approx_bytes()),
+            size: ak.size(),
+            bytes: ak.index().approx_bytes(),
         });
     }
     let dk = DkIndex::build(data, workload.mine_requirements());
     rows.push(SizeRow {
         name: "D(k)".into(),
-        size: Ok(dk.size()),
-        bytes: Some(dk.index().approx_bytes()),
+        size: dk.size(),
+        bytes: dk.index().approx_bytes(),
     });
     let one = OneIndex::build(data);
     rows.push(SizeRow {
         name: "1-index".into(),
-        size: Ok(one.size()),
-        bytes: Some(one.index().approx_bytes()),
-    });
-    rows.push(SizeRow {
-        name: "DataGuide".into(),
-        size: DataGuide::build(data, data.node_count() * 4)
-            .map(|g| g.size())
-            .map_err(|e| e.to_string()),
-        bytes: None,
+        size: one.size(),
+        bytes: one.index().approx_bytes(),
     });
     rows.push(SizeRow {
         name: "data graph".into(),
-        size: Ok(data.node_count()),
-        bytes: Some(data.approx_bytes()),
+        size: data.node_count(),
+        bytes: data.approx_bytes(),
     });
     rows
 }
@@ -372,14 +365,7 @@ mod tests {
         let g = small_xmark();
         let w = standard_workload(&g, 7);
         let rows = size_comparison(&g, &w, 4);
-        let get = |name: &str| {
-            rows.iter()
-                .find(|r| r.name == name)
-                .unwrap()
-                .size
-                .clone()
-                .unwrap()
-        };
+        let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap().size;
         assert!(get("A(0)") <= get("A(4)"));
         assert!(get("A(4)") <= get("1-index"));
         assert!(get("1-index") <= get("data graph"));

@@ -115,19 +115,6 @@ impl EvalBenchResult {
     }
 }
 
-/// Evaluate `queries` through every index in `indexes` on the oracle and
-/// the arena evaluator, and compare.
-fn bench_eval(indexes: &[IndexGraph], data: &DataGraph, queries: &[PathExpr]) -> EvalBenchResult {
-    let oracle = oracle_outcomes(indexes, data, queries);
-    EvalBenchResult {
-        indexes: indexes.len(),
-        queries: queries.len(),
-        identical_outcomes: oracle == arena_outcomes(indexes, data, queries),
-        index_visits: oracle.iter().map(|o| o.cost.index_visits).sum(),
-        data_visits: oracle.iter().map(|o| o.cost.data_visits).sum(),
-    }
-}
-
 /// Construction of one summary: reference vs engine.
 #[derive(Clone, Debug)]
 pub struct BuildBenchResult {
@@ -168,17 +155,6 @@ fn bench_ak_build(data: &DataGraph, k: usize) -> BuildBenchResult {
         name: format!("A({k})"),
         identical_partition: reference == RefineEngine::new().k_bisimulation(data, k),
         blocks: reference.block_count(),
-    }
-}
-
-/// D(k) construction for `reqs`: the retained reference loop vs
-/// [`dk_partition`].
-fn bench_dk_build(data: &DataGraph, reqs: &Requirements) -> BuildBenchResult {
-    let reference = dk_partition_reference(data, reqs, true);
-    BuildBenchResult {
-        name: "D(k)".to_string(),
-        identical_partition: reference == dk_partition(data, reqs),
-        blocks: reference.0.block_count(),
     }
 }
 
@@ -358,6 +334,9 @@ pub struct GateSet {
     pub net: NetBenchResult,
     /// Shifting-workload live tuning ([`bench_tuning`]).
     pub tuning: TuningBenchResult,
+    /// Telemetry transparency and the instrumented pass, from the same
+    /// fast-path runs as `eval` and the D(k) `builds` row.
+    pub telemetry: TelemetryBenchResult,
 }
 
 /// Run the whole gate set on `data` with `workload`'s queries and mined
@@ -373,13 +352,16 @@ pub fn run_gates(
 ) -> GateSet {
     let queries = workload.queries();
     let reqs = workload.mine_requirements();
+    let indexes = figure4_indexes(data, &reqs, max_k);
+    let (eval, dk_build, telemetry) = bench_identity(data, &indexes, queries, &reqs, seed);
     GateSet {
         threads,
-        eval: bench_eval(&figure4_indexes(data, &reqs, max_k), data, queries),
-        builds: vec![bench_ak_build(data, max_k), bench_dk_build(data, &reqs)],
+        eval,
+        builds: vec![bench_ak_build(data, max_k), dk_build],
         churn: bench_churn(data, queries, &reqs, threads, seed),
         net: bench_net(data, queries, &reqs, threads, net_cfg, seed),
         tuning: bench_tuning(data, threads, tune_cfg, seed),
+        telemetry,
     }
 }
 
@@ -400,7 +382,8 @@ impl GateSet {
         self.builds.iter().try_for_each(BuildBenchResult::check)?;
         self.churn.check()?;
         self.net.check()?;
-        self.tuning.check()
+        self.tuning.check()?;
+        self.telemetry.check()
     }
 
     /// The `BENCH_eval.json` document (hand-rolled: the workspace has no
@@ -448,35 +431,35 @@ impl TelemetryBenchResult {
     }
 }
 
-/// Verify that the telemetry recorder is observationally transparent and
-/// collect one instrumented pass for `METRICS.json`.
+/// The evaluation and D(k) construction identity gates, the telemetry
+/// transparency check and one instrumented pass for `METRICS.json`, from
+/// one run of each side.
 ///
-/// The oracles are the retained PR 1 reference paths — [`dk_partition_reference`]
-/// and [`eval_oracle::evaluate`], run with the recorder off. The
-/// fast paths ([`dk_partition`], [`IndexEvaluator::evaluate_all`])
-/// are then run twice, recorder off and recorder on, and compared for
-/// byte-identical partitions, similarities, matches, and visit counts. The
-/// recorder-on run is wrapped in the `phase.build_ns` / `phase.query_ns`
-/// spans; a follow-up update + tuning round on cloned state fills
-/// `phase.adapt_ns` (it mutates the index, so it is exercised for its
-/// telemetry rather than compared).
+/// The references — [`dk_partition_reference`] and [`eval_oracle::evaluate`]
+/// over `indexes` — run once, recorder off. The fast paths
+/// ([`dk_partition`], [`IndexEvaluator::evaluate_all`]) run twice, recorder
+/// off and recorder on, and are compared for byte-identical partitions,
+/// similarities, matches and visit counts. The recorder-off comparison is
+/// the `eval` section and the D(k) `construction` row; both comparisons are
+/// the transparency verdicts. The recorder-on run is wrapped in the
+/// `phase.build_ns` / `phase.query_ns` spans; a follow-up update + tuning
+/// round on cloned state fills `phase.adapt_ns` (it mutates the index, so
+/// it is exercised for its telemetry rather than compared).
 ///
 /// This is the one gate that drives the process-global recorder
 /// (reset/enable/disable), which it leaves disabled.
-pub fn bench_telemetry(
+fn bench_identity(
     data: &DataGraph,
+    indexes: &[IndexGraph],
     queries: &[PathExpr],
     reqs: &Requirements,
-    max_k: usize,
     seed: u64,
-) -> TelemetryBenchResult {
+) -> (EvalBenchResult, BuildBenchResult, TelemetryBenchResult) {
     telemetry::disable();
+    let reference = dk_partition_reference(data, reqs, true);
+    let oracle = oracle_outcomes(indexes, data, queries);
 
-    // Oracles: reference construction + baseline evaluation, recorder off.
-    let oracle_partition = dk_partition_reference(data, reqs, true);
-    let indexes = figure4_indexes(data, reqs, max_k);
-    let oracle_out = oracle_outcomes(&indexes, data, queries);
-
+    // (partition identical, outcomes identical)
     let fast_pass = || {
         let partition = {
             let _span = telemetry::Span::start(&telemetry::metrics::PHASE_BUILD_NS);
@@ -484,18 +467,18 @@ pub fn bench_telemetry(
         };
         let out = {
             let _span = telemetry::Span::start(&telemetry::metrics::PHASE_QUERY_NS);
-            arena_outcomes(&indexes, data, queries)
+            arena_outcomes(indexes, data, queries)
         };
-        partition == oracle_partition && out == oracle_out
+        (partition == reference, out == oracle)
     };
 
     // Recorder off: the disabled spans above are inert.
-    let identical_off = fast_pass();
+    let off = fast_pass();
 
     // Recorder on: same work, now recorded under the phase spans.
     telemetry::reset();
     telemetry::enable();
-    let identical_on = fast_pass();
+    let on = fast_pass();
     {
         // Adapt phase: the paper's update + tune loop on cloned state.
         let _span = telemetry::Span::start(&telemetry::metrics::PHASE_ADAPT_NS);
@@ -518,11 +501,24 @@ pub fn bench_telemetry(
     }
     telemetry::disable();
 
-    TelemetryBenchResult {
-        identical_off,
-        identical_on,
+    let eval = EvalBenchResult {
+        indexes: indexes.len(),
+        queries: queries.len(),
+        identical_outcomes: off.1,
+        index_visits: oracle.iter().map(|o| o.cost.index_visits).sum(),
+        data_visits: oracle.iter().map(|o| o.cost.data_visits).sum(),
+    };
+    let dk_build = BuildBenchResult {
+        name: "D(k)".to_string(),
+        identical_partition: off.0,
+        blocks: reference.0.block_count(),
+    };
+    let tel = TelemetryBenchResult {
+        identical_off: off.0 && off.1,
+        identical_on: on.0 && on.1,
         snapshot: telemetry::snapshot(),
-    }
+    };
+    (eval, dk_build, tel)
 }
 
 /// Render the telemetry pass as the `METRICS.json` document: dataset +
@@ -552,10 +548,17 @@ mod tests {
     use super::*;
     use crate::datasets;
     use crate::experiments::standard_workload;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Held while a gate set runs: the telemetry pass resets and toggles
+    /// the process-global recorder, so two at once would blank each other's
+    /// counters.
+    static RECORDER: Mutex<()> = Mutex::new(());
 
     /// The whole gate set at test scale: the `bench-smoke` pipeline on a
     /// small XMark tree with shortened net and tuning runs.
     fn small_gate_set() -> GateSet {
+        let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
         let data = datasets::xmark(0.004);
         let workload = standard_workload(&data, 7);
         let net_cfg = NetBenchConfig {
@@ -592,6 +595,22 @@ mod tests {
         );
         assert_eq!(gates.lines().len(), 6);
 
+        let tel = &gates.telemetry;
+        assert!(tel.identical_off, "fast paths diverge with recorder off");
+        assert!(tel.identical_on, "fast paths diverge with recorder on");
+        assert!(tel.snapshot.counter("partition.rounds").unwrap_or(0) > 0);
+        assert!(tel.snapshot.counter("eval.queries").unwrap_or(0) > 0);
+        let metrics = metrics_to_json("xmark-test", 2, 2, gates.eval.queries, tel);
+        for key in [
+            "\"identical_with_telemetry_off\": true",
+            "\"identical_with_telemetry_on\": true",
+            "phase.build_ns",
+            "phase.query_ns",
+            "phase.adapt_ns",
+        ] {
+            assert!(metrics.contains(key), "missing {key} in {metrics}");
+        }
+
         let loc = LocReport {
             crates: vec![("core".to_string(), 7)],
             total: 9,
@@ -624,23 +643,5 @@ mod tests {
         let first = small_gate_set().to_json("xmark-test", None);
         let second = small_gate_set().to_json("xmark-test", None);
         assert_eq!(first, second, "BENCH_eval.json must repeat run to run");
-    }
-
-    #[test]
-    fn telemetry_is_observationally_transparent() {
-        let data = datasets::xmark(0.004);
-        let workload = standard_workload(&data, 7);
-        let reqs = workload.mine_requirements();
-        let tel = bench_telemetry(&data, workload.queries(), &reqs, 2, 7);
-        assert!(tel.identical_off, "fast paths diverge with recorder off");
-        assert!(tel.identical_on, "fast paths diverge with recorder on");
-        assert!(tel.snapshot.counter("partition.rounds").unwrap_or(0) > 0);
-        assert!(tel.snapshot.counter("eval.queries").unwrap_or(0) > 0);
-        let json = metrics_to_json("xmark-test", 2, 2, workload.len(), &tel);
-        assert!(json.contains("\"identical_with_telemetry_off\": true"));
-        assert!(json.contains("\"identical_with_telemetry_on\": true"));
-        assert!(json.contains("phase.build_ns"));
-        assert!(json.contains("phase.query_ns"));
-        assert!(json.contains("phase.adapt_ns"));
     }
 }

@@ -114,17 +114,17 @@ pub(super) fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
             wal::VERSION, inspection.committed, inspection.uncommitted
         );
         match inspection.verdict {
-            wal::WalVerdict::Clean => {
+            Ok(wal::WalTail::Clean) => {
                 let _ = writeln!(out, "  tail: clean (file ends on the committed prefix)");
             }
-            wal::WalVerdict::TornTail { valid_len } => {
+            Ok(wal::WalTail::Torn { valid_len }) => {
                 let _ = writeln!(
                     out,
                     "  tail: torn after byte {valid_len} (crash signature; recovery \
                      truncates the unacknowledged tail)"
                 );
             }
-            wal::WalVerdict::Corrupt { index, offset, reason } => {
+            Err(wal::WalError::CorruptRecord { index, offset, reason }) => {
                 let _ = writeln!(
                     out,
                     "  record {index} at byte {offset} is damaged: {reason} \
@@ -132,6 +132,7 @@ pub(super) fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
                 );
                 wal_corruptions = 1;
             }
+            Err(e) => return Err(CliError::invalid(wal_path, e)),
         }
     }
     out.push_str(&report.render_text());

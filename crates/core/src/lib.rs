@@ -14,11 +14,14 @@
 //!   update used as the comparator in the paper's Table 1.
 //! * [`OneIndex`] — the 1-index (full bisimulation).
 //! * [`label_split_index`] — the label-split graph (= A(0)).
-//! * [`DataGuide`] — the strong DataGuide (related-work baseline).
 //! * [`IndexEvaluator`] — query evaluation with the validation process and
 //!   the paper's node-visit cost model (§6.1), walking an index graph's
 //!   flat [`WalkView`].
 //! * [`mine_requirements`] — query-load mining into per-label requirements.
+//!
+//! The strong DataGuide of the paper's related work (§2) is not kept: its
+//! determinization exceeded a 4 × nodes state budget on both generated
+//! datasets at every scale measured (EXPERIMENTS.md, Ablation C).
 //!
 //! ## Example
 //!
@@ -50,7 +53,6 @@ pub mod akindex;
 pub mod audit;
 pub mod bytes;
 pub mod crc32;
-pub mod dataguide;
 pub mod dk;
 pub mod eval;
 pub mod eval_oracle;
@@ -71,7 +73,6 @@ pub mod walk_view;
 
 pub use akindex::{AkIndex, UpdateWork};
 pub use audit::{audit, audit_dk, check_structure, AuditConfig, AuditReport, Finding, Invariant, Severity};
-pub use dataguide::{DataGuide, DataGuideError};
 pub use dk::{DkIndex, EdgeUpdateOutcome};
 pub use eval::{evaluate_on_data, IndexEvalOutcome, IndexEvaluator, QueryAborted, QueryCost};
 pub use index_graph::{IndexGraph, SIM_EXACT};
@@ -86,9 +87,8 @@ pub use serve::{
 };
 pub use serve_ops::{apply_serial, ServeOp};
 pub use snapshot::{load_with_recovery, read_snapshot, save_snapshot_file, snapshot_bytes, write_snapshot, Recovery, SnapshotError};
-pub use tuner::{plan_tuning, TuneStats, Tuner, TunerConfig, TuningPlan};
+pub use tuner::{plan_tuning, TuneStats, Tuner, TunerConfig};
 pub use wal::{
-    inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail,
-    WalVerdict, WalWriter,
+    inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail, WalWriter,
 };
 pub use walk_view::WalkView;

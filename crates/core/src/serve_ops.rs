@@ -53,21 +53,20 @@ pub enum ServeOp {
     SetRequirements(Requirements),
 }
 
-/// Apply one op on the owned mutable state. Edge updates naming a node that
-/// does not exist in the data graph are skipped (deterministically — the
-/// serial oracle sees the same sequence), so a bad op cannot take the
-/// maintenance thread down.
+/// Apply one op on the owned mutable state. An op [`is_applicable`]
+/// rejects — an edge or promote naming a node the data graph lacks — is
+/// skipped (deterministically — the serial oracle sees the same sequence),
+/// so a bad op cannot take the maintenance thread down.
 pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
+    if !is_applicable(&op, data) {
+        return;
+    }
     match op {
         ServeOp::AddEdge { from, to } => {
-            if from.index() < data.node_count() && to.index() < data.node_count() {
-                dk.add_edge(data, from, to);
-            }
+            dk.add_edge(data, from, to);
         }
         ServeOp::Promote { node, k } => {
-            if node.index() < data.node_count() {
-                dk.promote(data, node, k);
-            }
+            dk.promote(data, node, k);
         }
         ServeOp::PromoteToRequirements => {
             dk.promote_to_requirements(data);

@@ -132,34 +132,22 @@ pub struct TuneStats {
     pub demotions: u64,
 }
 
-/// The decision of one tuning step.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TuningPlan {
-    /// The mined load matches the current index: hold.
-    Hold,
-    /// Replace the requirements with the carried value and promote up to
-    /// them (some label's requirement rose).
-    Promote(Requirements),
-    /// Demote the index down to the carried requirements (the observed
-    /// load got shallower; unobserved labels are retained as-is).
-    Demote(Requirements),
-}
-
 /// The pure tuning policy behind [`Tuner::step`]: given the current
 /// requirements, the mined ones, and the result labels the window observed,
 /// decide promote / demote / hold.
 ///
-/// * **Promote** when some mined label requirement (or the mined floor)
-///   exceeds the current one. The promotion target is the current
-///   requirements with the rises merged in — existing guarantees are never
-///   given up by a promotion.
-/// * **Demote** only on evidence of shrink: the demotion target keeps every
-///   *unobserved* label at its current requirement and lowers observed
-///   labels to their mined values (the floor follows the mined floor, as
-///   blanket load is only attributable to wildcard queries). The demotion
-///   fires only when the target's maximum requirement sits at least
-///   `DEMOTE_SLACK + 1` below the current maximum (hysteresis).
-/// * **Hold** otherwise.
+/// * **Promote** ([`ServeOp::SetRequirements`]) when some mined label
+///   requirement (or the mined floor) exceeds the current one. The
+///   promotion target is the current requirements with the rises merged in
+///   — existing guarantees are never given up by a promotion.
+/// * **Demote** ([`ServeOp::Demote`]) only on evidence of shrink: the
+///   demotion target keeps every *unobserved* label at its current
+///   requirement and lowers observed labels to their mined values (the
+///   floor follows the mined floor, as blanket load is only attributable to
+///   wildcard queries). The demotion fires only when the target's maximum
+///   requirement sits at least `DEMOTE_SLACK + 1` below the current maximum
+///   (hysteresis).
+/// * **Hold** (`None`) otherwise.
 ///
 /// Deterministic by construction: both inputs are reduced through
 /// order-insensitive max-merges ([`Requirements::raise`]), so two calls
@@ -169,7 +157,7 @@ pub fn plan_tuning(
     current: &Requirements,
     mined: &Requirements,
     observed: &BTreeSet<String>,
-) -> TuningPlan {
+) -> Option<ServeOp> {
     let rises: Vec<(String, usize)> = {
         let mut rises: Vec<(String, usize)> = mined
             .iter()
@@ -189,7 +177,7 @@ pub fn plan_tuning(
         if mined_floor_rose {
             merged.raise_floor(mined.floor());
         }
-        return TuningPlan::Promote(merged);
+        return Some(ServeOp::SetRequirements(merged));
     }
 
     // Demotion target: observed labels decay to their mined requirement,
@@ -211,10 +199,8 @@ pub fn plan_tuning(
     }
 
     // Shrink only when the retained load clearly got shallower (hysteresis).
-    if target.max_requirement() + DEMOTE_SLACK < current.max_requirement() {
-        return TuningPlan::Demote(target);
-    }
-    TuningPlan::Hold
+    (target.max_requirement() + DEMOTE_SLACK < current.max_requirement())
+        .then_some(ServeOp::Demote(target))
 }
 
 /// One shard of recording cells. Which shard a thread lands on decides
@@ -450,19 +436,14 @@ impl Tuner {
         self.windows.fetch_add(1, Ordering::Relaxed);
         telemetry::metrics::TUNER_WINDOWS.incr();
         let mined = window.mine(self.config.min_support);
-        let op = match plan_tuning(current, &mined, &window.observed()) {
-            TuningPlan::Promote(reqs) => {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                telemetry::metrics::TUNER_PROMOTIONS.incr();
-                ServeOp::SetRequirements(reqs)
-            }
-            TuningPlan::Demote(reqs) => {
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                telemetry::metrics::TUNER_DEMOTIONS.incr();
-                ServeOp::Demote(reqs)
-            }
-            TuningPlan::Hold => return None,
-        };
+        let op = plan_tuning(current, &mined, &window.observed())?;
+        if matches!(op, ServeOp::Demote(_)) {
+            self.demotions.fetch_add(1, Ordering::Relaxed);
+            telemetry::metrics::TUNER_DEMOTIONS.incr();
+        } else {
+            self.promotions.fetch_add(1, Ordering::Relaxed);
+            telemetry::metrics::TUNER_PROMOTIONS.incr();
+        }
         telemetry::metrics::TUNER_OPS.incr();
         Some(op)
     }

@@ -245,30 +245,10 @@ pub struct WalInspection {
     /// Complete records past the last commit fence — written but never
     /// fsync-fenced, so recovery drops them.
     pub uncommitted: usize,
-    /// How the file ends.
-    pub verdict: WalVerdict,
-}
-
-/// Doctor's three-way tail verdict — also how the low-level scan ended.
-#[derive(Debug)]
-pub enum WalVerdict {
-    /// The file ends exactly on the committed prefix.
-    Clean,
-    /// The committed prefix ends at `valid_len`; the rest is an
-    /// unacknowledged tail that recovery truncates (the crash signature).
-    TornTail {
-        /// Byte length of the committed prefix.
-        valid_len: usize,
-    },
-    /// A complete record is damaged — bit rot or tampering, not a crash.
-    Corrupt {
-        /// Zero-based record index.
-        index: usize,
-        /// Byte offset of the record start.
-        offset: usize,
-        /// What was wrong.
-        reason: String,
-    },
+    /// How the file ends: its [`WalTail`], or [`WalError::CorruptRecord`]
+    /// when a complete record is damaged — bit rot or tampering, not a
+    /// crash.
+    pub verdict: Result<WalTail, WalError>,
 }
 
 /// Low-level scan result shared by [`decode_wal`], [`inspect_wal`] and
@@ -278,7 +258,8 @@ struct Decoded {
     records: Vec<ServeOp>,
     /// How many of `records` a commit fence covers.
     committed: usize,
-    end: WalVerdict,
+    /// Where the scan stopped: a tail, or the first damaged record.
+    end: Result<WalTail, WalError>,
 }
 
 fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
@@ -296,10 +277,10 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
     let mut committed_end = cur.offset();
     let mut index = 0usize;
     let end = loop {
-        let torn = WalVerdict::TornTail { valid_len: committed_end };
+        let torn = Ok(WalTail::Torn { valid_len: committed_end });
         if cur.remaining() == 0 {
             break if committed == records.len() && committed_end == cur.offset() {
-                WalVerdict::Clean
+                Ok(WalTail::Clean)
             } else {
                 // Complete records past the last fence: written but never
                 // fenced by an fsync, i.e. never acknowledged — the tail
@@ -308,7 +289,7 @@ fn decode_engine(bytes: &[u8]) -> Result<Decoded, WalError> {
             };
         }
         let offset = cur.offset();
-        let corrupt = move |reason: String| WalVerdict::Corrupt { index, offset, reason };
+        let corrupt = move |reason: String| Err(WalError::CorruptRecord { index, offset, reason });
         // A tear inside the 4 length bytes, or a body/CRC shorter than the
         // declared length, is the crash signature: the write stopped partway.
         let Some(len) = cur.u32_le() else {
@@ -427,17 +408,12 @@ fn decode_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
 /// structural damage) is a typed error.
 pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<ServeOp>, WalTail), WalError> {
     let mut decoded = decode_engine(bytes)?;
-    match decoded.end {
-        WalVerdict::Corrupt { index, offset, reason } => {
-            Err(WalError::CorruptRecord { index, offset, reason })
-        }
-        WalVerdict::Clean => Ok((decoded.records, WalTail::Clean)),
-        WalVerdict::TornTail { valid_len } => {
-            telemetry::metrics::WAL_TORN_TAILS.incr();
-            decoded.records.truncate(decoded.committed);
-            Ok((decoded.records, WalTail::Torn { valid_len }))
-        }
+    let tail = decoded.end?;
+    if let WalTail::Torn { .. } = tail {
+        telemetry::metrics::WAL_TORN_TAILS.incr();
+        decoded.records.truncate(decoded.committed);
     }
+    Ok((decoded.records, tail))
 }
 
 /// Scan a WAL byte stream for `dkindex doctor`: committed and dropped
@@ -553,12 +529,9 @@ impl WalWriter<FileStore> {
     pub fn open(path: &Path) -> Result<Self, WalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        let end = decode_engine(&bytes)?.end;
-        if let WalVerdict::Corrupt { index, offset, reason } = end {
-            return Err(WalError::CorruptRecord { index, offset, reason });
-        }
+        let end = decode_engine(&bytes)?.end?;
         let file = OpenOptions::new().write(true).open(path)?;
-        if let WalVerdict::TornTail { valid_len } = end {
+        if let WalTail::Torn { valid_len } = end {
             telemetry::metrics::WAL_TORN_TAILS.incr();
             file.set_len(valid_len as u64)?;
             file.sync_data()?;
@@ -812,20 +785,20 @@ mod tests {
         let clean = inspect_wal(&log_bytes(&records)).unwrap();
         assert_eq!(clean.committed, records.len());
         assert_eq!(clean.uncommitted, 0);
-        assert!(matches!(clean.verdict, WalVerdict::Clean));
+        assert!(matches!(clean.verdict, Ok(WalTail::Clean)));
 
         let mut unfenced = log_bytes(&records[..2]);
         unfenced.extend_from_slice(&encode_record(&records[2]));
         let torn = inspect_wal(&unfenced).unwrap();
         assert_eq!(torn.committed, 2);
         assert_eq!(torn.uncommitted, 1);
-        assert!(matches!(torn.verdict, WalVerdict::TornTail { .. }));
+        assert!(matches!(torn.verdict, Ok(WalTail::Torn { .. })));
 
         let mut corrupt = log_bytes(&records[..1]);
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xFF;
         let bad = inspect_wal(&corrupt).unwrap();
-        assert!(matches!(bad.verdict, WalVerdict::Corrupt { .. }));
+        assert!(matches!(bad.verdict, Err(WalError::CorruptRecord { .. })));
 
         assert!(inspect_wal(b"XXXXzzzz").is_err());
     }

@@ -8,7 +8,9 @@
 //!   mining.
 //! * [`parse()`](crate::parse::parse) — size-capped text syntax, `movieDB.(_)?.movie.actor.name`.
 //! * [`Nfa`] — Thompson compilation against a label interner, reversible for
-//!   backward validation walks.
+//!   backward validation walks. Its states and transitions are crate-private,
+//!   so the walks below are the only NFA walks in the workspace: the
+//!   compiler, not a convention, keeps other crates from hand-rolling one.
 //! * [`evaluate_bounded_with`] / [`matches_ending_at_bounded_with`] — the one
 //!   forward product BFS and the one backward validation walk over any
 //!   [`dkindex_graph::LabeledGraph`], with the paper's node-visit cost model,
@@ -56,5 +58,5 @@ pub use eval::{
     evaluate, evaluate_bounded_with, matches_ending_at, matches_ending_at_bounded_with,
     BudgetExhausted, EvalArena, EvalOutcome, LabelIndex, VisitBudget,
 };
-pub use nfa::{Nfa, StateId, Step};
+pub use nfa::Nfa;
 pub use parse::{parse, ParseError, MAX_QUERY_NESTING, MAX_QUERY_NODES};

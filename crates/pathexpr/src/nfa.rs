@@ -6,18 +6,23 @@
 //! that can match nothing (the query can still succeed through other
 //! branches). A compiled NFA can be [reversed](Nfa::reverse) for the backward
 //! walks used by the validation process.
+//!
+//! Outside this crate an [`Nfa`] is opaque: it is compiled, reversed, sized
+//! and asked whether it [accepts](Nfa::accepts) a word, but its states and
+//! transitions are `pub(crate)`. So the walks in [`crate::eval`] and their
+//! reference in [`crate::oracle`] are the only product walks over it.
 
 use crate::ast::PathExpr;
 use dkindex_graph::{LabelId, LabelInterner};
 
 /// State index within an [`Nfa`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct StateId(pub(crate) u32);
+pub(crate) struct StateId(u32);
 
 impl StateId {
     /// Numeric index of this state.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -25,14 +30,14 @@ impl StateId {
     /// [`StateId::index`]. The caller must keep it in range for the NFA it
     /// is used with.
     #[inline]
-    pub fn from_index(index: usize) -> Self {
+    pub(crate) fn from_index(index: usize) -> Self {
         StateId(index as u32)
     }
 }
 
 /// A consuming transition: matches one node label.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Step {
+pub(crate) enum Step {
     /// Match exactly this label.
     Label(LabelId),
     /// Match any label (the wildcard `_`).
@@ -42,7 +47,7 @@ pub enum Step {
 impl Step {
     /// Does this transition accept `label`?
     #[inline]
-    pub fn matches(self, label: LabelId) -> bool {
+    pub(crate) fn matches(self, label: LabelId) -> bool {
         match self {
             Step::Label(l) => l == label,
             Step::Any => true,
@@ -220,25 +225,25 @@ impl Nfa {
 
     /// The start state.
     #[inline]
-    pub fn start(&self) -> StateId {
+    pub(crate) fn start(&self) -> StateId {
         self.start
     }
 
     /// The accept state.
     #[inline]
-    pub fn accept(&self) -> StateId {
+    pub(crate) fn accept(&self) -> StateId {
         self.accept
     }
 
     /// ε-successors of `state`.
     #[inline]
-    pub fn eps_of(&self, state: StateId) -> &[StateId] {
+    pub(crate) fn eps_of(&self, state: StateId) -> &[StateId] {
         &self.eps[state.index()]
     }
 
     /// Consuming transitions out of `state`.
     #[inline]
-    pub fn steps_of(&self, state: StateId) -> &[(Step, StateId)] {
+    pub(crate) fn steps_of(&self, state: StateId) -> &[(Step, StateId)] {
         &self.steps[state.index()]
     }
 
@@ -261,7 +266,7 @@ impl Nfa {
     }
 
     /// Expand `set` (a boolean per state) to its ε-closure in place.
-    pub fn eps_close(&self, set: &mut [bool]) {
+    pub(crate) fn eps_close(&self, set: &mut [bool]) {
         debug_assert_eq!(set.len(), self.state_count());
         let mut stack: Vec<StateId> = set
             .iter()
@@ -283,14 +288,14 @@ impl Nfa {
     /// `{state}`), precomputed at construction so evaluation never recomputes
     /// or allocates them.
     #[inline]
-    pub fn closures(&self) -> &[Vec<StateId>] {
+    pub(crate) fn closures(&self) -> &[Vec<StateId>] {
         &self.closures
     }
 
     /// Does `state`'s ε-closure contain the accept state? Precomputed so the
     /// evaluation hot loop checks acceptance in O(1).
     #[inline]
-    pub fn is_accepting(&self, state: StateId) -> bool {
+    pub(crate) fn is_accepting(&self, state: StateId) -> bool {
         self.accepting[state.index()]
     }
 
@@ -300,7 +305,7 @@ impl Nfa {
     /// loops can use one contiguous slice without changing activation order
     /// (and therefore without changing visit counts).
     #[inline]
-    pub fn closure_steps_of(&self, state: StateId) -> &[(Step, StateId)] {
+    pub(crate) fn closure_steps_of(&self, state: StateId) -> &[(Step, StateId)] {
         &self.closure_steps[state.index()]
     }
 

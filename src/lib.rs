@@ -18,8 +18,8 @@
 //!   parse time), NFA compilation, evaluation with the paper's node-visit
 //!   cost model.
 //! * [`core`] — the summaries: D(k)-index with all update algorithms,
-//!   A(k)-index, 1-index, label-split, strong DataGuide; evaluation with
-//!   validation; query-load mining.
+//!   A(k)-index, 1-index, label-split; evaluation with validation;
+//!   query-load mining.
 //! * [`datagen`] — XMark-like and NASA-like dataset generators.
 //! * [`workload`] — the paper's test-path and update-stream generators.
 //! * [`telemetry`] — zero-dependency counters, histograms and span timers

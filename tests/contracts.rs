@@ -69,11 +69,6 @@ const ORACLES: &[(&str, &[&str], &str)] = &[
         "the 1-index baseline must not be built on, or instrumented like, what it is compared with",
     ),
     (
-        "crates/core/src/dataguide.rs",
-        BASELINE,
-        "the DataGuide baseline must not be built on, or instrumented like, what it is compared with",
-    ),
-    (
         "crates/core/src/label_split.rs",
         BASELINE,
         "the A(0) baseline must not be built on, or instrumented like, what it is compared with",
