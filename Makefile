@@ -94,8 +94,9 @@ verify-bench-api:
 # runs each (SEED defaults to 2003; repeat a claim on one seed the change
 # was not written against). Prints every pair's end-to-end lines, then per
 # metric the median head/base ratio, the base side's q1–q3 spread over its
-# median and the count of pairs where head read worse; writes only under
-# target/bench-pair.
+# median and the count of pairs where head read worse, then a table marked
+# not judged with head/base medians of the per-layer latency and recovery
+# lines; writes only under target/bench-pair.
 PAIRS ?= 10
 BASE ?= HEAD~1
 SEED ?= 2003

@@ -13,7 +13,7 @@
 use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex_partition::RefineEngine;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The A(k)-index.
 #[derive(Clone, Debug)]
@@ -108,8 +108,7 @@ impl AkIndex {
         work.data_nodes_touched += self.index.extent(v_inode).len() as u64;
         let v_new = if self.index.extent(v_inode).len() > 1 {
             work.blocks_split += 1;
-            let moved: HashSet<NodeId> = [v].into_iter().collect();
-            self.index.split_extent(v_inode, &moved, self.k, data)
+            self.index.split_extent(v_inode, &[v], self.k, data)
         } else {
             // Singleton: recompute its edges to pick up the new parent.
             let ui = self.index.index_of(u);
@@ -172,14 +171,15 @@ impl AkIndex {
         if groups.len() <= 1 {
             return Vec::new();
         }
-        // Keep the largest group in place; split the rest out.
+        // Keep the largest group in place; split the rest out. Each group
+        // was filled in extent order, so it is the ascending subset
+        // `split_extent` takes.
         let mut group_list: Vec<Vec<NodeId>> = groups.into_values().collect();
         group_list.sort_by_key(|g| std::cmp::Reverse(g.len()));
         let mut fragments = vec![inode];
         for group in group_list.into_iter().skip(1) {
             work.blocks_split += 1;
-            let moved: HashSet<NodeId> = group.into_iter().collect();
-            let new_node = self.index.split_extent(inode, &moved, self.k, data);
+            let new_node = self.index.split_extent(inode, &group, self.k, data);
             fragments.push(new_node);
         }
         fragments

@@ -15,7 +15,8 @@
 //! * §5.2 Algorithms 4–5 (edge addition: `Update_Local_Similarity` plus the
 //!   BFS similarity lowering) — [`edge_update`].
 //! * §5.3 Algorithm 6 (promoting: re-splitting extents to raised
-//!   requirements) — [`promote`].
+//!   requirements) — [`promote`], with its `Succ(W)` formulation kept in
+//!   [`mod@reference`] as the oracle it must match block for block.
 //! * §5.4 demoting (merging via re-indexing, Theorem 2) — [`demote`].
 //!
 //! Construction, promotion, demotion and edge updates are instrumented with

@@ -7,17 +7,35 @@
 //! respect to every parent's successor set, exactly as in construction.
 //! Batch promotion processes higher targets first so ancestor promotions are
 //! shared ("some index node promotions may be saved").
+//!
+//! The split test counts from the fragment's side: `|extent(f) ∩ Succ(W)|`
+//! is the number of members with a data parent in `extent(W)`, so one pass
+//! over the fragment's members and their parents prices every parent `W` at
+//! once, and no successor set is ever built. The splits, their order and
+//! therefore the index are those of the `Succ(W)` formulation kept in
+//! [`crate::dk::reference`].
 
 use crate::dk::construct::DkIndex;
 use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
-use std::collections::HashSet;
 
 impl DkIndex {
     /// Promote the index node containing `data_node` to local similarity
     /// `k_n`. Returns the number of extent splits performed.
     pub fn promote(&mut self, data: &DataGraph, data_node: NodeId, k_n: usize) -> usize {
+        self.promote_with(data, data_node, k_n, &mut Splitters::default())
+    }
+
+    /// [`DkIndex::promote`] over caller-owned step-3 counters, so a batch
+    /// sizes them once.
+    fn promote_with(
+        &mut self,
+        data: &DataGraph,
+        data_node: NodeId,
+        k_n: usize,
+        splitters: &mut Splitters,
+    ) -> usize {
         telemetry::metrics::DK_PROMOTE_CALLS.incr();
         let mut splits = 0;
         // A split performed during promotion can move `data_node` into the
@@ -28,7 +46,7 @@ impl DkIndex {
                 telemetry::metrics::DK_PROMOTE_SPLITS.add(splits as u64);
                 return splits;
             }
-            promote_inode(self.index_mut(), data, inode, k_n, &mut splits, 0);
+            promote_inode(self.index_mut(), data, inode, k_n, &mut splits, 0, splitters);
         }
     }
 
@@ -49,9 +67,10 @@ impl DkIndex {
         ordered.sort_by_key(|&(b, n, k)| (b.index(), std::cmp::Reverse(k), n.index()));
         ordered.dedup_by_key(|entry| entry.0);
         ordered.sort_by_key(|&(_, n, k)| (std::cmp::Reverse(k), n.index()));
+        let mut splitters = Splitters::default();
         let mut splits = 0;
         for (_, n, k) in ordered {
-            splits += self.promote(data, n, k);
+            splits += self.promote_with(data, n, k, &mut splitters);
         }
         splits
     }
@@ -86,6 +105,67 @@ impl DkIndex {
     }
 }
 
+/// Step 3's per-parent-block counters, reused by every fragment check of a
+/// promotion so that none allocates. While fragment `f` is counted,
+/// `hits[W]` is `|extent(f) ∩ Succ(W)|` and `last[W]` the member counted
+/// last for `W`: a member with two data parents in one block counts once.
+/// `touched` lists the blocks to clear before the next fragment.
+#[derive(Default)]
+struct Splitters {
+    hits: Vec<usize>,
+    last: Vec<Option<NodeId>>,
+    touched: Vec<NodeId>,
+}
+
+impl Splitters {
+    /// The members of `f` that the first parent (in `parents_of(f)` order)
+    /// whose successor set cuts `extent(f)` takes out, in extent order; `None`
+    /// when `f` is stable against every parent.
+    ///
+    /// `m ∈ Succ(W)` iff some data parent of `m` lies in `extent(W)`, i.e.
+    /// has `index_of(p) == W`, so the count is exact while the node map
+    /// agrees with the extents. A fragment check costs the in-degrees of its
+    /// members, not the out-degrees of its parents' extents.
+    fn first_cut(
+        &mut self,
+        index: &IndexGraph,
+        data: &DataGraph,
+        f: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        if self.hits.len() < index.size() {
+            self.hits.resize(index.size(), 0);
+            self.last.resize(index.size(), None);
+        }
+        let extent = index.extent(f);
+        for &m in extent {
+            for &p in data.parents_of(m) {
+                let w = index.index_of(p);
+                let last = &mut self.last[w.index()];
+                if *last != Some(m) {
+                    if last.is_none() {
+                        self.touched.push(w);
+                    }
+                    *last = Some(m);
+                    self.hits[w.index()] += 1;
+                }
+            }
+        }
+        let cut = index
+            .parents_of(f)
+            .iter()
+            .copied()
+            .find(|w| (1..extent.len()).contains(&self.hits[w.index()]));
+        for w in self.touched.drain(..) {
+            self.hits[w.index()] = 0;
+            self.last[w.index()] = None;
+        }
+        let w = cut?;
+        let has_parent_in_w =
+            |m: &NodeId| data.parents_of(*m).iter().any(|&p| index.index_of(p) == w);
+        Some(extent.iter().copied().filter(has_parent_in_w).collect())
+    }
+}
+
 /// Recursive promotion of one index node (Algorithm 6).
 fn promote_inode(
     index: &mut IndexGraph,
@@ -94,6 +174,7 @@ fn promote_inode(
     k_n: usize,
     splits: &mut usize,
     depth: usize,
+    splitters: &mut Splitters,
 ) {
     if index.similarity(inode) >= k_n {
         return;
@@ -116,7 +197,7 @@ fn promote_inode(
                 .copied()
                 .find(|&w| index.similarity(w) < k_n - 1);
             match pending {
-                Some(w) => promote_inode(index, data, w, k_n - 1, splits, depth + 1),
+                Some(w) => promote_inode(index, data, w, k_n - 1, splits, depth + 1, splitters),
                 None => break,
             }
         }
@@ -131,26 +212,11 @@ fn promote_inode(
     'restabilize: loop {
         for i in 0..fragments.len() {
             let f = fragments[i];
-            let parents: Vec<NodeId> = index.parents_of(f).to_vec();
-            for w in parents {
-                // Succ(W) over the data graph.
-                let succ: HashSet<NodeId> = index
-                    .extent(w)
-                    .iter()
-                    .flat_map(|&m| data.children_of(m).iter().copied())
-                    .collect();
-                let inside: HashSet<NodeId> = index
-                    .extent(f)
-                    .iter()
-                    .copied()
-                    .filter(|m| succ.contains(m))
-                    .collect();
-                if !inside.is_empty() && inside.len() < index.extent(f).len() {
-                    let new_node = index.split_extent(f, &inside, k_n, data);
-                    *splits += 1;
-                    fragments.push(new_node);
-                    continue 'restabilize;
-                }
+            if let Some(inside) = splitters.first_cut(index, data, f) {
+                let new_node = index.split_extent(f, &inside, k_n, data);
+                *splits += 1;
+                fragments.push(new_node);
+                continue 'restabilize;
             }
         }
         break;
@@ -292,6 +358,33 @@ mod tests {
             .to_partition()
             .same_equivalence(&sequential.index().to_partition()));
         check_structure(batched.index(), &g).unwrap();
+    }
+
+    /// A member with two data parents in one parent block counts once: `m1`
+    /// (parents `p1`, `p2`, both in block `a`) is in `Succ(a)` and `m2` (no
+    /// parent at all) is not, so the count is 1 of 2 and the fragment splits.
+    /// Counting `m1` once per parent would read 2 of 2 and skip the split.
+    #[test]
+    fn a_member_with_two_parents_in_one_block_counts_once() {
+        let mut g = DataGraph::new();
+        let p1 = g.add_labeled_node("a");
+        let p2 = g.add_labeled_node("a");
+        let m1 = g.add_labeled_node("b");
+        let m2 = g.add_labeled_node("b");
+        let r = g.root();
+        g.add_edge(r, p1, EdgeKind::Tree);
+        g.add_edge(r, p2, EdgeKind::Tree);
+        g.add_edge(p1, m1, EdgeKind::Tree);
+        g.add_edge(p2, m1, EdgeKind::Reference);
+        let mut dk = DkIndex::build(&g, Requirements::new());
+        assert_eq!(dk.index().index_of(m1), dk.index().index_of(m2));
+
+        assert_eq!(dk.promote(&g, m1, 1), 1);
+        let idx = dk.index();
+        assert_eq!(idx.extent(idx.index_of(m1)), &[m1]);
+        assert_eq!(idx.extent(idx.index_of(m2)), &[m2]);
+        assert_eq!(idx.similarity(idx.index_of(m2)), 1);
+        idx.check_extent_bisimilarity(&g, 4).unwrap();
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
 use dkindex_partition::Partition;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Local similarity value representing "exactly bisimilar" (the 1-index):
@@ -374,17 +373,18 @@ impl IndexGraph {
         Arc::clone(&self.interner)
     }
 
-    /// Split `target`'s extent: members in `moved` go to a fresh index node
-    /// (same label, similarity `new_similarity` for **both** fragments), and
-    /// the edges of both fragments are recomputed from the data graph's
+    /// Split `target`'s extent: the members in `moved` — a subset of the
+    /// extent, in extent (ascending) order — go to a fresh index node (same
+    /// label, similarity `new_similarity` for **both** fragments), and the
+    /// edges of both fragments are recomputed from the data graph's
     /// adjacency of their members. Neighbors' edge lists are fixed up.
     ///
-    /// Returns the new index node. Panics if `moved` is empty or covers the
-    /// whole extent (no split).
+    /// Returns the new index node. Panics if `moved` is empty, covers the
+    /// whole extent (no split), or is not an ascending subset of it.
     pub fn split_extent(
         &mut self,
         target: NodeId,
-        moved: &HashSet<NodeId>,
+        moved: &[NodeId],
         new_similarity: usize,
         data: &DataGraph,
     ) -> NodeId {
@@ -394,9 +394,14 @@ impl IndexGraph {
             moved.len() < old_extent.len(),
             "split must leave both fragments non-empty"
         );
-        let (moved_members, kept): (Vec<NodeId>, Vec<NodeId>) =
-            old_extent.into_iter().partition(|m| moved.contains(m));
-        assert_eq!(moved_members.len(), moved.len(), "moved ⊄ extent");
+        // One merge walk: both lists ascend, so each extent member either
+        // is the next moved member or stays.
+        let mut pending = moved.iter().peekable();
+        let kept: Vec<NodeId> = old_extent
+            .into_iter()
+            .filter(|m| pending.next_if_eq(&m).is_none())
+            .collect();
+        assert!(pending.next().is_none(), "moved ⊄ extent, or not in extent order");
         {
             let target_block = self.block_mut(target);
             target_block.extent = kept;
@@ -404,7 +409,7 @@ impl IndexGraph {
         }
 
         let label = self.block(target).label;
-        let new_node = self.push_node(label, moved_members, new_similarity);
+        let new_node = self.push_node(label, moved.to_vec(), new_similarity);
 
         // Drop every edge incident to `target`; recompute for both fragments.
         self.drop_edges_of(target);
@@ -618,8 +623,7 @@ mod tests {
         let b_label = g.labels().get("b").unwrap();
         let b = idx.node_ids().find(|&i| idx.label_of(i) == b_label).unwrap();
         let b2 = idx.extent(b)[1];
-        let moved: HashSet<NodeId> = [b2].into_iter().collect();
-        let new_node = idx.split_extent(b, &moved, 1, &g);
+        let new_node = idx.split_extent(b, &[b2], 1, &g);
         assert_eq!(idx.extent(new_node), &[b2]);
         assert_eq!(idx.extent(b).len(), 1);
         assert_eq!(idx.similarity(b), 1);
@@ -635,7 +639,7 @@ mod tests {
         let mut idx = IndexGraph::from_data_partition(&g, &p, vec![0; p.block_count()]);
         let b_label = g.labels().get("b").unwrap();
         let b = idx.node_ids().find(|&i| idx.label_of(i) == b_label).unwrap();
-        let moved: HashSet<NodeId> = idx.extent(b).iter().copied().collect();
+        let moved = idx.extent(b).to_vec();
         idx.split_extent(b, &moved, 1, &g);
     }
 

@@ -17,7 +17,10 @@
 # side's q1–q3 spread as a fraction of its median (a change is judged
 # against that spread, and a metric whose spread exceeds its bound is
 # unresolved, not level), and in how many pairs head read worse than base
-# (op_per_s is better higher, the others lower). Result files go to
+# (op_per_s is better higher, the others lower). A second table, marked not
+# judged, gives the head and base medians of the per-layer lines an untraced
+# run also prints (recovery_s, update_p50_us, query_p50_us, query_p99_us,
+# where the workload has them). Result files go to
 # target/bench-pair/out-{base,head}; nothing under benchmark/ and not
 # BENCHMARK.json is written.
 set -euo pipefail
@@ -29,6 +32,7 @@ seed="${4:-2003}"
 root="$(git rev-parse --show-toplevel)"
 work="$root/target/bench-pair"
 end_to_end='^[^ ]+ (setup_s|op_per_s|peak_rss_mb|visits_per_query|index_blocks) '
+context='^[^ ]+ (recovery_s|update_p50_us|query_p50_us|query_p99_us) '
 
 rm -rf "$work/base"
 mkdir -p "$work/base"
@@ -49,11 +53,13 @@ run() {
     tail -n 5 "$work/$side.err" >&2
     exit 1
   fi
+  { grep -E "$context" <<<"$out" || true; } | sed "s/^/pair $pair $side /" >>"$work/context.txt"
   grep -E "$end_to_end" <<<"$out" | sed "s/^/pair $pair $side /"
 }
 
 cd "$root"
 : >"$work/pairs.txt"
+: >"$work/context.txt"
 for pair in $(seq 1 "$pairs"); do
   order="base head"
   ((pair % 2)) || order="head base"
@@ -90,3 +96,26 @@ awk 'function sort(a, n,   i, j, x) {
          printf "  %-17s %11.3f %16.3f %8d/%d\n", k, quantile(ratio, r, 0.5), spread, worse, n
        }
      }' "$work/pairs.txt" | sort
+
+[ -s "$work/context.txt" ] || exit 0
+echo "not judged: per-layer lines of the same runs, median per side:"
+printf '  %-17s %11s %11s %11s\n' metric head base head/base
+awk 'function sort(a, n,   i, j, x) {
+       for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x }
+     }
+     function median(a, n,   h) {
+       h = 0.5 * (n - 1) + 1
+       return int(h) >= n ? a[n] : a[int(h)] + (h - int(h)) * (a[int(h) + 1] - a[int(h)])
+     }
+     { n[$5, $3]++; v[$5, $3, n[$5, $3]] = $6 + 0; m[$5] = 1 }
+     END {
+       for (k in m) {
+         for (s = 1; s <= 2; s++) {
+           side = s == 1 ? "head" : "base"; c = n[k, side]
+           for (i = 1; i <= c; i++) a[i] = v[k, side, i]
+           sort(a, c); med[side] = c ? median(a, c) : 0
+         }
+         ratio = med["base"] > 0 ? med["head"] / med["base"] : 0
+         printf "  %-17s %11.4g %11.4g %11.3f\n", k, med["head"], med["base"], ratio
+       }
+     }' "$work/context.txt" | sort

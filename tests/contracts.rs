@@ -42,9 +42,9 @@ const PARTITION: &[&str] = &["crate::engine", "RefineEngine", "dkindex_telemetry
 const ORACLES: &[(&str, &[&str], &str)] = &[
     (
         "crates/core/src/dk/reference.rs",
-        &["RefineEngine", "dkindex_telemetry"],
-        "the D(k) construction oracle must not check the engine against itself or let telemetry \
-         perturb the baseline",
+        &["RefineEngine", "Splitters", "first_cut", "promote_with", "dkindex_telemetry"],
+        "the D(k) construction and promotion oracles must not check the refinement engine or the \
+         fragment-side splitter count against themselves, or let telemetry perturb the baseline",
     ),
     (
         "crates/core/src/serve_ops.rs",

@@ -3,9 +3,9 @@
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
 use dkindex::core::{
-    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, AkIndex, AuditConfig,
-    DkIndex, DkServer, IndexEvaluator, IndexGraph, Invariant, Requirements, ServeConfig, ServeOp,
-    WalkView,
+    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, snapshot_bytes, AkIndex,
+    AuditConfig, DkIndex, DkServer, IndexEvaluator, IndexGraph, Invariant, Requirements,
+    ServeConfig, ServeOp, WalkView,
 };
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::partition::{k_bisimulation, KBisimTable};
@@ -423,6 +423,64 @@ proptest! {
         let mut engine = RefineEngine::new();
         for k in [2, 0, 3] {
             prop_assert_eq!(engine.k_bisimulation(&g, k), k_bisimulation(&g, k), "A({})", k);
+        }
+    }
+}
+
+/// `a` and `b` are the same index block for block — label, similarity,
+/// extent, child and parent rows in order, root — and serialise to the same
+/// snapshot bytes.
+fn same_index(a: &DkIndex, b: &DkIndex, g: &DataGraph) -> Result<(), TestCaseError> {
+    let (x, y) = (a.index(), b.index());
+    prop_assert_eq!(x.size(), y.size());
+    prop_assert_eq!(x.root(), y.root());
+    for n in x.node_ids() {
+        prop_assert_eq!(x.label_of(n), y.label_of(n), "label of {:?}", n);
+        prop_assert_eq!(x.similarity(n), y.similarity(n), "similarity of {:?}", n);
+        prop_assert_eq!(x.extent(n), y.extent(n), "extent of {:?}", n);
+        prop_assert_eq!(x.children_of(n), y.children_of(n), "children of {:?}", n);
+        prop_assert_eq!(x.parents_of(n), y.parents_of(n), "parents of {:?}", n);
+    }
+    prop_assert!(snapshot_bytes(a, g) == snapshot_bytes(b, g), "snapshot bytes differ");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Alg 6 counting splitters from the fragment's side leaves the index
+    /// its `Succ(W)` oracle leaves, block for block, with the same split
+    /// count: a promote-to-requirements pass after random edge additions,
+    /// then single promotes of random nodes.
+    #[test]
+    fn promotion_matches_the_reference_block_for_block(
+        spec in graph_spec(),
+        req_label in 0u8..5,
+        req_k in 0usize..4,
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+        targets in prop::collection::vec((any::<u8>(), 0usize..5), 0..4),
+    ) {
+        use dkindex::core::dk::reference;
+        let mut g = build(&spec);
+        let reqs = Requirements::from_pairs([(format!("l{req_label}").as_str(), req_k)]);
+        let mut fast = DkIndex::build(&g, reqs);
+        for (from, to) in edges {
+            let u = NodeId::from_index((from as usize) % g.node_count());
+            let v = NodeId::from_index((to as usize) % g.node_count());
+            if u != v {
+                fast.add_edge(&mut g, u, v);
+            }
+        }
+        let mut slow = fast.clone();
+        prop_assert_eq!(
+            fast.promote_to_requirements(&g),
+            reference::promote_to_requirements(&mut slow, &g)
+        );
+        same_index(&fast, &slow, &g)?;
+        for (target, k) in targets {
+            let node = NodeId::from_index((target as usize) % g.node_count());
+            prop_assert_eq!(fast.promote(&g, node, k), reference::promote(&mut slow, &g, node, k));
+            same_index(&fast, &slow, &g)?;
         }
     }
 }
