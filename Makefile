@@ -96,12 +96,13 @@ verify-bench-api:
 # metric the median head/base ratio, the base side's q1–q3 spread over its
 # median and the count of pairs where head read worse, then a table marked
 # not judged with head/base medians of the per-layer latency and recovery
-# lines; writes only under target/bench-pair.
+# lines; writes only under target/bench-pair. WORKLOAD=all runs every
+# workload BENCHMARK.json declares in one invocation, one pair of tables each.
 PAIRS ?= 10
 BASE ?= HEAD~1
 SEED ?= 2003
 bench-pair:
-	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pair WORKLOAD=<workload> [PAIRS=10] [BASE=HEAD~1] [SEED=2003]"; exit 2; }
+	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pair WORKLOAD=<workload|all> [PAIRS=10] [BASE=HEAD~1] [SEED=2003]"; exit 2; }
 	bash scripts/bench-pair.sh $(WORKLOAD) $(PAIRS) $(BASE) $(SEED)
 
 doc:

@@ -119,6 +119,25 @@ fn single_edge_update_shares_untouched_blocks() {
     check_structure(dk.index(), &g).unwrap();
 }
 
+/// One edge update unshares at most three data-graph segments: the one
+/// holding `from`'s child row, the one holding `to`'s parent row, and the
+/// edge-list tail. Every other segment stays pointer-shared.
+#[test]
+fn single_edge_update_unshares_at_most_three_data_segments() {
+    let (g, dk, ops) = fixture();
+    for op in &ops {
+        let mut next_dk = dk.clone();
+        let mut next_g = g.clone();
+        apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
+        let (shared, total) = next_g.shared_segments_with(&g);
+        let unshared = total - shared;
+        assert!(
+            (1..=3).contains(&unshared),
+            "{op:?} unshared {unshared} of {total} data-graph segments"
+        );
+    }
+}
+
 /// A chain of COW epochs — each built by cloning its predecessor and
 /// applying one batch — is byte-identical at every link to a from-scratch
 /// serial replay of the corresponding op prefix, and every link honors the

@@ -8,6 +8,7 @@
 //! export can render references dashed, as in the paper's Figure 1.
 
 use crate::label::{LabelId, LabelInterner};
+use crate::segcsr::SegCsr;
 use crate::segvec::SegVec;
 use std::fmt;
 use std::sync::Arc;
@@ -125,17 +126,18 @@ impl ExactSizeIterator for NodeIds {}
 /// (the paper's two update primitives are subgraph addition and edge
 /// addition — deletions are out of scope for the paper and for this crate).
 ///
-/// All per-node and per-edge state lives in [`SegVec`] columns and the label
+/// Labels and the edge list live in [`SegVec`] columns, children and parents
+/// in `SegCsr` columns (CSR inside each 64-node segment), and the label
 /// interner behind an [`Arc`], so `clone()` is a shallow copy-on-write
-/// snapshot: two clones share every adjacency segment until one of them
-/// mutates a node in it. This is what lets the serve layer publish a fresh
+/// snapshot: two clones share every segment until one of them mutates a
+/// node in it. This is what lets the serve layer publish a fresh
 /// epoch after a maintenance batch by copying only the segments the batch
 /// touched (see `core::serve`).
 #[derive(Clone)]
 pub struct DataGraph {
     labels_of_nodes: SegVec<LabelId>,
-    children: SegVec<Vec<NodeId>>,
-    parents: SegVec<Vec<NodeId>>,
+    children: SegCsr,
+    parents: SegCsr,
     /// Edge list in insertion order, `(from, to, kind)`.
     edges: SegVec<(NodeId, NodeId, EdgeKind)>,
     root: NodeId,
@@ -147,15 +149,15 @@ impl DataGraph {
     pub fn new() -> Self {
         let mut g = DataGraph {
             labels_of_nodes: SegVec::new(),
-            children: SegVec::new(),
-            parents: SegVec::new(),
+            children: SegCsr::new(),
+            parents: SegCsr::new(),
             edges: SegVec::new(),
             root: NodeId(0),
             interner: Arc::new(LabelInterner::new()),
         };
         g.labels_of_nodes.push(LabelInterner::ROOT);
-        g.children.push(Vec::new());
-        g.parents.push(Vec::new());
+        g.children.push_row();
+        g.parents.push_row();
         g
     }
 
@@ -181,8 +183,8 @@ impl DataGraph {
         debug_assert!(label.index() < self.interner.len(), "foreign label id");
         let id = NodeId(u32::try_from(self.labels_of_nodes.len()).expect("too many nodes"));
         self.labels_of_nodes.push(label);
-        self.children.push(Vec::new());
-        self.parents.push(Vec::new());
+        self.children.push_row();
+        self.parents.push_row();
         id
     }
 
@@ -203,21 +205,23 @@ impl DataGraph {
         if self.has_edge(from, to) {
             return false;
         }
-        if let Some(c) = self.children.get_mut(from.index()) {
-            c.push(to);
-        }
-        if let Some(p) = self.parents.get_mut(to.index()) {
-            p.push(from);
-        }
+        self.children.push_to_row(from.index(), to);
+        self.parents.push_to_row(to.index(), from);
         self.edges.push((from, to, kind));
         true
     }
 
-    /// True if the edge `from → to` exists.
+    /// True if the edge `from → to` exists. Scans the shorter of `from`'s
+    /// children and `to`'s parents, so building a star of n leaves under
+    /// one node costs O(n), not O(n²).
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.children
-            .get(from.index())
-            .is_some_and(|c| c.contains(&to))
+        match (self.children.row(from.index()), self.parents.row(to.index())) {
+            (Some(children), Some(parents)) if parents.len() < children.len() => {
+                parents.contains(&from)
+            }
+            (Some(children), _) => children.contains(&to),
+            (None, _) => false,
+        }
     }
 
     /// The edges in insertion order, as `(from, to, kind)` triples.
@@ -285,20 +289,8 @@ impl DataGraph {
     /// Used only for reporting; not part of the paper's cost model.
     pub fn approx_bytes(&self) -> usize {
         let node_bytes = self.labels_of_nodes.len() * std::mem::size_of::<LabelId>();
-        let adj: usize = self
-            .children
-            .iter()
-            .chain(self.parents.iter())
-            .map(|v| v.len() * std::mem::size_of::<NodeId>())
-            .sum();
-        node_bytes + adj
-    }
-
-    fn node_slot(column: &SegVec<Vec<NodeId>>, node: NodeId) -> &[NodeId] {
-        column
-            .get(node.index())
-            .map(Vec::as_slice)
-            .expect("node id out of range")
+        let targets = self.children.target_count() + self.parents.target_count();
+        node_bytes + targets * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -329,12 +321,16 @@ impl LabeledGraph for DataGraph {
 
     #[inline]
     fn children_of(&self, node: NodeId) -> &[NodeId] {
-        Self::node_slot(&self.children, node)
+        self.children
+            .row(node.index())
+            .expect("node id out of range")
     }
 
     #[inline]
     fn parents_of(&self, node: NodeId) -> &[NodeId] {
-        Self::node_slot(&self.parents, node)
+        self.parents
+            .row(node.index())
+            .expect("node id out of range")
     }
 
     #[inline]
@@ -484,6 +480,39 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 5);
         assert!(g.labels().get("x").is_none());
+    }
+
+    #[test]
+    fn wide_star_builds_in_linear_time() {
+        // Every leaf checks its (empty) parent row, not ROOT's children.
+        let mut g = DataGraph::new();
+        let leaf = g.intern("leaf");
+        let root = g.root();
+        for _ in 0..1 << 17 {
+            let n = g.add_node(leaf);
+            assert!(g.add_edge(root, n, EdgeKind::Tree));
+        }
+        assert_eq!(g.children_of(root).len(), 1 << 17);
+        assert_eq!(g.children_of(root)[5], NodeId::from_index(6));
+    }
+
+    #[test]
+    fn repeated_edges_are_rejected_from_either_side() {
+        let mut g = DataGraph::new();
+        let root = g.root();
+        let hub = g.add_labeled_node("hub");
+        let others: Vec<NodeId> = (0..8).map(|_| g.add_labeled_node("x")).collect();
+        for &o in &others {
+            g.add_edge(root, o, EdgeKind::Tree);
+            g.add_edge(o, hub, EdgeKind::Reference);
+        }
+        // ROOT → o: o's one parent is the shorter side.
+        assert!(!g.add_edge(root, others[3], EdgeKind::Tree));
+        // o → hub: o's one child is the shorter side.
+        assert!(!g.add_edge(others[5], hub, EdgeKind::Tree));
+        assert!(g.has_edge(root, others[7]) && g.has_edge(others[7], hub));
+        assert!(!g.has_edge(hub, others[0]) && !g.has_edge(others[0], root));
+        assert_eq!(g.edge_count(), 16);
     }
 
     #[test]

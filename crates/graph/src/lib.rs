@@ -16,8 +16,11 @@
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
 //! * [`SegVec`] — the persistent, segment-shared vector backing
-//!   [`DataGraph`] storage, so cloning a graph is a copy-on-write snapshot
-//!   (the delta-epoch publish path in `dkindex-core` builds on this).
+//!   [`DataGraph`]'s label and edge columns. Its children and parents use
+//!   the same segment sharing in the crate-private `segcsr::SegCsr`
+//!   (compressed sparse rows inside each 64-row segment), so cloning a
+//!   graph is a copy-on-write snapshot (the delta-epoch publish path in
+//!   `dkindex-core` builds on this).
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
 //! * [`stats`] — dataset shape reporting for the experiment harness.
 //!
@@ -42,6 +45,7 @@
 mod graph;
 mod label;
 mod marks;
+mod segcsr;
 
 pub mod dot;
 pub mod segvec;

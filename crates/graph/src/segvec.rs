@@ -43,12 +43,12 @@ use std::fmt;
 use std::sync::Arc;
 
 /// log2 of [`SEG_SIZE`].
-const SEG_SHIFT: usize = 6;
+pub(crate) const SEG_SHIFT: usize = 6;
 /// Elements per segment. 64 keeps a segment within a cache line or two for
 /// small `T` while making a shallow clone of a million-element vector cost
 /// ~16k refcount bumps instead of a million element copies.
 pub const SEG_SIZE: usize = 1 << SEG_SHIFT;
-const SEG_MASK: usize = SEG_SIZE - 1;
+pub(crate) const SEG_MASK: usize = SEG_SIZE - 1;
 
 /// A chunked vector whose segments are `Arc`-shared between clones and
 /// copied on write. See the module docs for the COW invariants.
