@@ -14,13 +14,13 @@
 //! Extent members of sound matches are not counted (per §6.1).
 //!
 //! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
-//! borrowed parts — the two graphs, the index graph's [`WalkView`], an
-//! [`EvalArena`] and an optional validation memo — so its owners decide
-//! what outlives a query: [`IndexEvaluator`] owns one of each for a batch,
-//! and `core::serve` lends a per-epoch view and a per-thread arena with no
-//! memo. The index phase walks the view (flat label column, CSR adjacency,
-//! seed lists); only the matched blocks' similarity and extents are read
-//! from the [`IndexGraph`] itself. The unbudgeted entry points are that
+//! borrowed parts — the two graphs, the index graph's by-label seed lists
+//! ([`LabelIndex`]), an [`EvalArena`] and an optional validation memo — so
+//! its owners decide what outlives a query: [`IndexEvaluator`] owns one of
+//! each for a batch, and `core::serve` lends per-epoch seed lists and a
+//! per-thread arena with no memo. The index phase walks the [`IndexGraph`]
+//! itself: a flat label column and segment-CSR adjacency (see
+//! [`crate::index_graph`]). The unbudgeted entry points are that
 //! loop with a budget nothing can exhaust. Every *completed* query feeds
 //! the `eval.*` telemetry metrics
 //! (queries, index/data visits, sound extents, validated queries, memo hits,
@@ -30,7 +30,6 @@
 //! deliberately uninstrumented.
 
 use crate::index_graph::IndexGraph;
-use crate::walk_view::WalkView;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
@@ -109,14 +108,14 @@ impl ValidationMemo {
     }
 }
 
-/// The borrowed parts one index→validate walk runs over. `view` must have
+/// The borrowed parts one index→validate walk runs over. `seeds` must have
 /// been built from `index`, and `memo` filled only over this
 /// `(index, data)` pair; the arena may come dirty from any graph, because
 /// every walk resets its epoch-stamped marks.
 pub(crate) struct Walk<'a> {
     pub(crate) index: &'a IndexGraph,
     pub(crate) data: &'a DataGraph,
-    pub(crate) view: &'a WalkView,
+    pub(crate) seeds: &'a LabelIndex,
     pub(crate) arena: &'a mut EvalArena,
     pub(crate) memo: Option<&'a mut ValidationMemo>,
 }
@@ -142,7 +141,7 @@ impl Walk<'_> {
         let Walk {
             index,
             data,
-            view,
+            seeds,
             arena,
             mut memo,
         } = self;
@@ -153,8 +152,7 @@ impl Walk<'_> {
         };
         let mut remaining = VisitBudget::new(budget);
         let nfa = Nfa::compile(expr, index.labels());
-        let on_index = match evaluate_bounded_with(view, &nfa, view.seeds(), arena, &mut remaining)
-        {
+        let on_index = match evaluate_bounded_with(index, &nfa, seeds, arena, &mut remaining) {
             Ok(out) => out,
             Err(e) => {
                 return Err(abort(QueryCost {
@@ -252,7 +250,7 @@ impl Walk<'_> {
 }
 
 /// Reusable evaluator for one `(index, data)` pair: owns the index graph's
-/// [`WalkView`], an [`EvalArena`] so a batch of queries performs zero
+/// seed lists, an [`EvalArena`] so a batch of queries performs zero
 /// steady-state allocation, and a validation memo per `(query, index node)`
 /// — candidates sharing an extent never repeat their backward walks, and
 /// replayed verdicts charge the *stored* visit count so `QueryCost` stays
@@ -263,7 +261,7 @@ impl Walk<'_> {
 pub struct IndexEvaluator<'a> {
     index: &'a IndexGraph,
     data: &'a DataGraph,
-    view: WalkView,
+    seeds: LabelIndex,
     arena: EvalArena,
     memo: ValidationMemo,
 }
@@ -274,7 +272,7 @@ impl<'a> IndexEvaluator<'a> {
         IndexEvaluator {
             index,
             data,
-            view: WalkView::build(index),
+            seeds: LabelIndex::build(index),
             arena: EvalArena::new(),
             memo: ValidationMemo::default(),
         }
@@ -284,7 +282,7 @@ impl<'a> IndexEvaluator<'a> {
         Walk {
             index: self.index,
             data: self.data,
-            view: &self.view,
+            seeds: &self.seeds,
             arena: &mut self.arena,
             memo: Some(&mut self.memo),
         }

@@ -13,28 +13,42 @@
 //! data graph ([`IndexGraph::reindex`]), the operation behind the paper's
 //! Theorem 2, the subgraph-addition update and the demoting process.
 //!
-//! ## Copy-on-write blocks
+//! ## Layout
 //!
-//! Everything the summary knows about one index node — label, similarity,
-//! extent and both adjacency lists — is one block behind an [`Arc`], so
-//! cloning an index (and therefore a `DkIndex`) bumps one refcount per block
-//! instead of deep-copying extents and adjacency. This is the index half of
-//! the delta-epoch publish path (the data half is [`SegVec`]):
+//! The walk reads three columns: one flat label column and the children and
+//! parents as two [`SegCsr`] columns — the same segment-CSR layout as the
+//! data graph's adjacency, so a query walks the index graph itself. Child
+//! rows keep insertion order; every parent row is kept ascending, so an
+//! index rebuilt from a snapshot (which stores child rows only) has the
+//! parent rows of the live one. What the summary knows about one node
+//! besides — similarity and extent — is one block behind an [`Arc`].
 //!
-//! 1. **Clone is shallow**: `clone()` copies block handles, never block
-//!    contents.
-//! 2. **Mutation is per-block**: every write goes through one private
-//!    accessor that deep-copies the addressed block alone, and only while
-//!    its `Arc` is shared with an older epoch. A write of the value already
-//!    stored ([`IndexGraph::set_similarity`]) unshares nothing.
-//! 3. **Sharing is observable**: [`IndexGraph::shared_blocks_with`] and
-//!    [`IndexGraph::block_ptr_eq`] expose positional pointer identity, which
-//!    `tests/cow.rs` and the `serve.publish.blocks_*` counters are built on.
+//! ## Copy-on-write
+//!
+//! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block
+//! and per adjacency segment instead of deep-copying extents and edges. This
+//! is the index half of the delta-epoch publish path (the data half is the
+//! data graph's [`SegVec`] and [`SegCsr`] columns):
+//!
+//! 1. **Clone is shallow**: `clone()` copies block and segment handles,
+//!    never their contents.
+//! 2. **Mutation is per storage unit**: a similarity or extent write
+//!    deep-copies the addressed block alone, and an edge write the one
+//!    segment holding each row it changes, only while that unit is shared
+//!    with an older epoch. A write of what is already stored
+//!    ([`IndexGraph::set_similarity`] of the same `k`,
+//!    [`IndexGraph::add_index_edge`] of an existing edge) unshares nothing.
+//!    The label column is copied only by [`IndexGraph::push_node`]: labels
+//!    never change once written.
+//! 3. **Sharing is observable**: [`IndexGraph::shared_blocks_with`],
+//!    [`IndexGraph::block_ptr_eq`] and [`IndexGraph::shared_segments_with`]
+//!    expose positional pointer identity, which `tests/cow.rs` and the
+//!    `serve.publish.blocks_*` counters are built on.
 //! 4. **Representation never leaks into answers**: a query, snapshot, or
-//!    audit sees identical bytes whether its epoch shares every block or
-//!    none.
+//!    audit sees identical bytes whether its epoch shares every block and
+//!    segment or none.
 
-use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
+use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegCsr, SegVec};
 use dkindex_partition::Partition;
 use std::sync::Arc;
 
@@ -42,48 +56,41 @@ use std::sync::Arc;
 /// sound for a path expression of any length. Large but safe under `+ 1`.
 pub const SIM_EXACT: usize = usize::MAX / 4;
 
-/// Per-index-node state: everything the summary knows about one
-/// equivalence class.
+/// The per-node state besides label and adjacency: one equivalence
+/// class's similarity and members.
 #[derive(Clone, Debug)]
 struct Block {
-    /// Label shared by every member of the extent.
-    label: LabelId,
     /// Local similarity `k` of the node (paper Definition 2).
     similarity: usize,
     /// Data nodes summarized by this index node, sorted ascending.
     extent: Vec<NodeId>,
-    /// Out-neighbors in the index graph.
-    children: Vec<NodeId>,
-    /// In-neighbors in the index graph.
-    parents: Vec<NodeId>,
 }
 
 impl Block {
-    /// A shared block with the given label, extent and similarity and no
-    /// edges.
-    fn shared(label: LabelId, extent: Vec<NodeId>, similarity: usize) -> Arc<Block> {
-        Arc::new(Block {
-            label,
-            similarity,
-            extent,
-            children: Vec::new(),
-            parents: Vec::new(),
-        })
+    fn shared(extent: Vec<NodeId>, similarity: usize) -> Arc<Block> {
+        Arc::new(Block { similarity, extent })
     }
 }
 
 /// A structural summary of a data graph.
 ///
-/// All per-index-node state lives in one `Arc`-shared block per node, and
-/// the node→block map is a segment-shared [`SegVec`]. Cloning an
-/// `IndexGraph` is therefore a copy-on-write snapshot (see the module docs):
-/// the clone shares every block with the original until one of them mutates
-/// it, which is what lets the serve layer publish a maintenance batch by
-/// rebuilding only the blocks the batch touched.
+/// Labels are one flat column, children and parents two [`SegCsr`] columns,
+/// similarity and extent one `Arc`-shared block per node, and the
+/// node→block map a segment-shared [`SegVec`]. Cloning an `IndexGraph` is
+/// therefore a copy-on-write snapshot (see the module docs): the clone
+/// shares every block and segment with the original until one of them
+/// writes it, which is what lets the serve layer publish a maintenance
+/// batch by rebuilding only what the batch touched.
 #[derive(Clone, Debug)]
 pub struct IndexGraph {
     /// One block per index node, in id order.
     blocks: Vec<Arc<Block>>,
+    /// Label of each index node, in id order.
+    labels: Arc<Vec<LabelId>>,
+    /// Out-neighbors, each row in insertion order.
+    children: SegCsr,
+    /// In-neighbors, each row ascending.
+    parents: SegCsr,
     /// data node -> index node containing it.
     node_to_index: SegVec<NodeId>,
     interner: Arc<LabelInterner>,
@@ -92,6 +99,34 @@ pub struct IndexGraph {
 }
 
 impl IndexGraph {
+    /// An index over `blocks` with the given labels and no edges: one empty
+    /// child and parent row per block.
+    fn unlinked(
+        blocks: Vec<Arc<Block>>,
+        labels: Vec<LabelId>,
+        node_to_index: SegVec<NodeId>,
+        interner: Arc<LabelInterner>,
+        root: NodeId,
+    ) -> Self {
+        assert_eq!(blocks.len(), labels.len());
+        let mut children = SegCsr::new();
+        let mut parents = SegCsr::new();
+        for _ in 0..blocks.len() {
+            children.push_row();
+            parents.push_row();
+        }
+        IndexGraph {
+            blocks,
+            labels: Arc::new(labels),
+            children,
+            parents,
+            node_to_index,
+            interner,
+            root,
+            edge_count: 0,
+        }
+    }
+
     /// Build an index graph from a partition of `g`'s nodes. `similarity[b]`
     /// is the local similarity of block `b` (same indexing as the partition's
     /// blocks). Every extent is the block's member list.
@@ -101,22 +136,20 @@ impl IndexGraph {
         let nblocks = partition.block_count();
 
         let mut blocks = Vec::with_capacity(nblocks);
+        let mut labels = Vec::with_capacity(nblocks);
         for (b, k) in partition.block_ids().zip(similarity) {
             let members = partition.members(b);
-            blocks.push(Block::shared(g.label_of(members[0]), members.to_vec(), k));
+            labels.push(g.label_of(members[0]));
+            blocks.push(Block::shared(members.to_vec(), k));
         }
 
         let node_to_index: SegVec<NodeId> = (0..g.node_count())
             .map(|i| NodeId::from_index(partition.block_of(NodeId::from_index(i)).index()))
             .collect();
+        let root = NodeId::from_index(partition.block_of(g.root()).index());
 
-        let mut index = IndexGraph {
-            blocks,
-            root: NodeId::from_index(partition.block_of(g.root()).index()),
-            node_to_index,
-            interner: g.labels_shared(),
-            edge_count: 0,
-        };
+        let mut index =
+            IndexGraph::unlinked(blocks, labels, node_to_index, g.labels_shared(), root);
         for &(from, to, _) in g.edges() {
             let (fi, ti) = (index.index_of(from), index.index_of(to));
             index.add_index_edge(fi, ti);
@@ -134,12 +167,12 @@ impl IndexGraph {
         let nblocks = partition.block_count();
 
         let mut blocks = Vec::with_capacity(nblocks);
+        let mut labels = Vec::with_capacity(nblocks);
         // The node map starts as a shallow snapshot of base's; only segments
         // whose nodes move between blocks are copied below.
         let mut node_to_index = base.node_to_index.clone();
         for (b, k) in partition.block_ids().zip(similarity) {
             let members = partition.members(b);
-            let label = base.label_of(members[0]);
             let mut extent = Vec::new();
             for &inode in members {
                 extent.extend_from_slice(base.extent(inode));
@@ -152,18 +185,13 @@ impl IndexGraph {
                     *slot = NodeId::from_index(bi);
                 }
             }
-            blocks.push(Block::shared(label, extent, k));
+            labels.push(base.label_of(members[0]));
+            blocks.push(Block::shared(extent, k));
         }
+        let root = NodeId::from_index(partition.block_of(base.root()).index());
 
-        let mut index = IndexGraph {
-            blocks,
-            root: NodeId::from_index(
-                partition.block_of(base.root()).index(),
-            ),
-            node_to_index,
-            interner: Arc::clone(&base.interner),
-            edge_count: 0,
-        };
+        let interner = Arc::clone(&base.interner);
+        let mut index = IndexGraph::unlinked(blocks, labels, node_to_index, interner, root);
         // Edges: project base's edges through the partition.
         for from in base.node_ids() {
             for &to in base.children_of(from) {
@@ -191,7 +219,7 @@ impl IndexGraph {
         let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
             .collect();
         let mut blocks = Vec::with_capacity(labels.len());
-        for ((label, k), mut extent) in labels.into_iter().zip(similarity).zip(extents) {
+        for (k, mut extent) in similarity.into_iter().zip(extents) {
             extent.sort_unstable();
             let i = blocks.len();
             for &d in &extent {
@@ -199,15 +227,10 @@ impl IndexGraph {
                     *slot = NodeId::from_index(i);
                 }
             }
-            blocks.push(Block::shared(label, extent, k));
+            blocks.push(Block::shared(extent, k));
         }
-        IndexGraph {
-            blocks,
-            node_to_index,
-            interner: Arc::new(interner),
-            root: NodeId::from_index(0),
-            edge_count: 0,
-        }
+        let root = NodeId::from_index(0);
+        IndexGraph::unlinked(blocks, labels, node_to_index, Arc::new(interner), root)
     }
 
     /// Set the root index node (store loading only).
@@ -216,18 +239,10 @@ impl IndexGraph {
         self.root = root;
     }
 
-    /// Shared view of `inode`'s block: the one read path.
+    /// Shared view of `inode`'s block.
     #[inline]
     fn block(&self, inode: NodeId) -> &Block {
         &self.blocks[inode.index()]
-    }
-
-    /// Copy-on-write view of `inode`'s block, the one write path: it
-    /// deep-copies the one block iff it is still shared with an older
-    /// snapshot (invariant 2).
-    #[inline]
-    fn block_mut(&mut self, inode: NodeId) -> &mut Block {
-        Arc::make_mut(&mut self.blocks[inode.index()])
     }
 
     /// Number of index nodes — the paper's "index size" (X axis of figs 4–7).
@@ -270,7 +285,8 @@ impl IndexGraph {
     #[inline]
     pub fn set_similarity(&mut self, inode: NodeId, k: usize) {
         if self.block(inode).similarity != k {
-            self.block_mut(inode).similarity = k;
+            // Copies the block iff an older snapshot still shares it.
+            Arc::make_mut(&mut self.blocks[inode.index()]).similarity = k;
         }
     }
 
@@ -299,15 +315,24 @@ impl IndexGraph {
         }
     }
 
+    /// Adjacency-sharing census against another snapshot of this index:
+    /// `(shared, total)` segments over the child and parent columns, where a
+    /// segment counts as shared when both snapshots still reference the same
+    /// allocation (as [`DataGraph::shared_segments_with`] counts the data
+    /// graph's). Diagnostics only — contents are never affected by sharing.
+    pub fn shared_segments_with(&self, other: &IndexGraph) -> (usize, usize) {
+        let shared = self.children.shared_segments_with(&other.children)
+            + self.parents.shared_segments_with(&other.parents);
+        let total = self.children.segment_count() + self.parents.segment_count();
+        (shared, total)
+    }
+
     /// Approximate resident size in bytes (adjacency + extents + tables);
     /// reported alongside node counts by the size experiments.
     pub fn approx_bytes(&self) -> usize {
         let per_node = std::mem::size_of::<LabelId>() + std::mem::size_of::<usize>();
-        let adj: usize = self
-            .blocks
-            .iter()
-            .map(|b| (b.children.len() + b.parents.len()) * std::mem::size_of::<NodeId>())
-            .sum();
+        let adj = (self.children.target_count() + self.parents.target_count())
+            * std::mem::size_of::<NodeId>();
         let extents: usize = self
             .blocks
             .iter()
@@ -321,13 +346,16 @@ impl IndexGraph {
         self.blocks.iter().map(|b| b.extent.len()).sum()
     }
 
-    /// Add an index edge, deduplicating. Returns true if newly added.
+    /// Add an index edge, deduplicating. Returns true if newly added. The
+    /// child row grows at its end; `from` goes to its ascending place in
+    /// `to`'s parent row.
     pub fn add_index_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.block(from).children.contains(&to) {
+        if self.children_of(from).contains(&to) {
             return false;
         }
-        self.block_mut(from).children.push(to);
-        self.block_mut(to).parents.push(from);
+        let at = self.parents_of(to).partition_point(|&p| p < from);
+        self.children.push_to_row(from.index(), to);
+        self.parents.insert_into_row(to.index(), at, from);
         self.edge_count += 1;
         true
     }
@@ -342,7 +370,8 @@ impl IndexGraph {
     }
 
     /// Append a fresh index node with the given label, extent and similarity
-    /// (edges must be added separately). Returns its id.
+    /// (edges must be added separately). Returns its id. The one write to
+    /// the label column: it is copied here when an older snapshot shares it.
     pub fn push_node(&mut self, label: LabelId, mut extent: Vec<NodeId>, similarity: usize) -> NodeId {
         extent.sort_unstable();
         let id = NodeId::from_index(self.blocks.len());
@@ -352,7 +381,10 @@ impl IndexGraph {
                 *slot = id;
             }
         }
-        self.blocks.push(Block::shared(label, extent, similarity));
+        self.blocks.push(Block::shared(extent, similarity));
+        Arc::make_mut(&mut self.labels).push(label);
+        self.children.push_row();
+        self.parents.push_row();
         id
     }
 
@@ -366,18 +398,14 @@ impl IndexGraph {
         Arc::make_mut(&mut self.interner).intern(name)
     }
 
-    /// A shared handle to this index's label interner, so a
-    /// [`WalkView`](crate::WalkView) can name the same labels without
-    /// copying the table.
-    pub(crate) fn labels_shared(&self) -> Arc<LabelInterner> {
-        Arc::clone(&self.interner)
-    }
-
     /// Split `target`'s extent: the members in `moved` — a subset of the
     /// extent, in extent (ascending) order — go to a fresh index node (same
     /// label, similarity `new_similarity` for **both** fragments), and the
-    /// edges of both fragments are recomputed from the data graph's
-    /// adjacency of their members. Neighbors' edge lists are fixed up.
+    /// edges of both fragments follow the data graph's adjacency of their
+    /// members: `target` keeps the edges its remaining members support, and
+    /// the new node gets its edges from its members. `target`'s edges must
+    /// already match its extent's data adjacency, as every maintenance
+    /// algorithm keeps them. Neighbors' rows are fixed up.
     ///
     /// Returns the new index node. Panics if `moved` is empty, covers the
     /// whole extent (no split), or is not an ascending subset of it.
@@ -388,62 +416,80 @@ impl IndexGraph {
         new_similarity: usize,
         data: &DataGraph,
     ) -> NodeId {
-        let old_extent = std::mem::take(&mut self.block_mut(target).extent);
         assert!(!moved.is_empty(), "split with empty moved set");
         assert!(
-            moved.len() < old_extent.len(),
+            moved.len() < self.extent(target).len(),
             "split must leave both fragments non-empty"
         );
         // One merge walk: both lists ascend, so each extent member either
         // is the next moved member or stays.
         let mut pending = moved.iter().peekable();
-        let kept: Vec<NodeId> = old_extent
-            .into_iter()
+        let kept: Vec<NodeId> = self
+            .extent(target)
+            .iter()
+            .copied()
             .filter(|m| pending.next_if_eq(&m).is_none())
             .collect();
         assert!(pending.next().is_none(), "moved ⊄ extent, or not in extent order");
-        {
-            let target_block = self.block_mut(target);
-            target_block.extent = kept;
-            target_block.similarity = new_similarity;
-        }
+        // A new block, not a write into the old one: nothing of it is kept.
+        self.blocks[target.index()] = Block::shared(kept, new_similarity);
 
-        let label = self.block(target).label;
-        let new_node = self.push_node(label, moved.to_vec(), new_similarity);
+        let new_node = self.push_node(self.label_of(target), moved.to_vec(), new_similarity);
 
-        // Drop every edge incident to `target`; recompute for both fragments.
-        self.drop_edges_of(target);
-        self.recompute_edges_from_data(target, data);
+        // `target` loses the edges only the moved members supported; an
+        // edge it keeps keeps its place in both rows. The only edges it can
+        // gain run to or from `new_node`, whose recompute adds them.
+        self.drop_unsupported_edges(target, data);
         self.recompute_edges_from_data(new_node, data);
         new_node
     }
 
-    /// Remove all edges incident to `inode` from the adjacency lists.
-    fn drop_edges_of(&mut self, inode: NodeId) {
-        let children = std::mem::take(&mut self.block_mut(inode).children);
-        for c in children {
-            let neighbor = self.block_mut(c);
-            if let Some(pos) = neighbor.parents.iter().position(|&p| p == inode) {
-                neighbor.parents.swap_remove(pos);
-                self.edge_count -= 1;
+    /// Remove every edge incident to `inode` that no data edge of its
+    /// extent's members supports any more. The rest of each row it edits
+    /// keeps its order.
+    fn drop_unsupported_edges(&mut self, inode: NodeId, data: &DataGraph) {
+        let mut parents: Vec<NodeId> = Vec::new();
+        let mut children: Vec<NodeId> = Vec::new();
+        for &m in self.extent(inode) {
+            parents.extend(data.parents_of(m).iter().map(|&p| self.index_of(p)));
+            children.extend(data.children_of(m).iter().map(|&c| self.index_of(c)));
+        }
+        for set in [&mut parents, &mut children] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        for p in self.parents_of(inode).to_vec() {
+            if parents.binary_search(&p).is_err() {
+                self.remove_index_edge(p, inode);
             }
         }
-        let parents = std::mem::take(&mut self.block_mut(inode).parents);
-        for p in parents {
-            let neighbor = self.block_mut(p);
-            if let Some(pos) = neighbor.children.iter().position(|&c| c == inode) {
-                neighbor.children.swap_remove(pos);
-                self.edge_count -= 1;
+        for c in self.children_of(inode).to_vec() {
+            if children.binary_search(&c).is_err() {
+                self.remove_index_edge(inode, c);
             }
         }
+    }
+
+    /// Remove the index edge `from → to` if present.
+    fn remove_index_edge(&mut self, from: NodeId, to: NodeId) {
+        let Some(at) = self.children_of(from).iter().position(|&c| c == to) else {
+            return;
+        };
+        self.children.remove_from_row(from.index(), at);
+        if let Ok(at) = self.parents_of(to).binary_search(&from) {
+            self.parents.remove_from_row(to.index(), at);
+        }
+        self.edge_count -= 1;
     }
 
     /// Recompute `inode`'s incident edges by scanning its extent's data
     /// adjacency. Cost is proportional to the extent size and degree — the
     /// locality that makes splits cheap.
     fn recompute_edges_from_data(&mut self, inode: NodeId, data: &DataGraph) {
-        let extent = std::mem::take(&mut self.block_mut(inode).extent);
-        for &m in &extent {
+        // Edge writes never touch a block, so the extent is read through a
+        // handle of its own while the columns change.
+        let block = Arc::clone(&self.blocks[inode.index()]);
+        for &m in &block.extent {
             for &p in data.parents_of(m) {
                 let pi = self.index_of(p);
                 self.add_index_edge(pi, inode);
@@ -453,7 +499,6 @@ impl IndexGraph {
                 self.add_index_edge(inode, ci);
             }
         }
-        self.block_mut(inode).extent = extent;
     }
 
     /// Reconstruct the partition of data nodes induced by the extents
@@ -512,17 +557,21 @@ impl LabeledGraph for IndexGraph {
 
     #[inline]
     fn label_of(&self, node: NodeId) -> LabelId {
-        self.block(node).label
+        self.labels[node.index()]
     }
 
     #[inline]
     fn children_of(&self, node: NodeId) -> &[NodeId] {
-        &self.block(node).children
+        self.children
+            .row(node.index())
+            .expect("index node out of range")
     }
 
     #[inline]
     fn parents_of(&self, node: NodeId) -> &[NodeId] {
-        &self.block(node).parents
+        self.parents
+            .row(node.index())
+            .expect("index node out of range")
     }
 
     #[inline]

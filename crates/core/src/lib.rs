@@ -15,8 +15,8 @@
 //! * [`OneIndex`] — the 1-index (full bisimulation).
 //! * [`label_split_index`] — the label-split graph (= A(0)).
 //! * [`IndexEvaluator`] — query evaluation with the validation process and
-//!   the paper's node-visit cost model (§6.1), walking an index graph's
-//!   flat [`WalkView`].
+//!   the paper's node-visit cost model (§6.1), walking the index graph's
+//!   label column and segment-CSR adjacency directly.
 //! * [`mine_requirements`] — query-load mining into per-label requirements.
 //!
 //! The strong DataGuide of the paper's related work (§2) is not kept: its
@@ -69,7 +69,6 @@ pub mod snapshot;
 pub mod store;
 pub mod tuner;
 pub mod wal;
-pub mod walk_view;
 
 pub use akindex::{AkIndex, UpdateWork};
 pub use audit::{audit, audit_dk, check_structure, AuditConfig, AuditReport, Finding, Invariant, Severity};
@@ -91,4 +90,3 @@ pub use tuner::{plan_tuning, TuneStats, Tuner, TunerConfig};
 pub use wal::{
     inspect_wal, BatchLog, ReplayReport, WalError, WalInspection, WalStore, WalTail, WalWriter,
 };
-pub use walk_view::WalkView;

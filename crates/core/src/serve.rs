@@ -40,10 +40,10 @@
 //!   construction, not by bookkeeping.
 //! * **A miss pays for its walk only**: a memo miss runs the one
 //!   index→validate loop of `core::eval` over borrowed parts. The index
-//!   phase walks the epoch's [`WalkView`] — a flat label column, CSR
-//!   adjacency over block ids and the label → block seed lists — built once
-//!   per epoch, by its first miss (a `OnceLock`; publishing and memo hits
-//!   never build it). The walk
+//!   phase walks the epoch's index graph itself (a flat label column and
+//!   segment-CSR adjacency), seeded from the epoch's label → block seed
+//!   lists, which its first miss builds (a `OnceLock`; publishing and memo
+//!   hits never build them). The walk
 //!   scratch (`EvalArena`) is one per reader thread, kept in a thread-local
 //!   across misses, epochs and graphs; a thread drops it after a miss that
 //!   grew it past `MAX_RETAINED_MARKS_PER_NODE` mark slots per node of the
@@ -95,9 +95,8 @@ use crate::requirements::Requirements;
 pub use crate::serve_ops::{apply_serial, ServeOp};
 use crate::tuner::{TuneStats, Tuner, TunerConfig};
 pub use crate::wal::BatchLog;
-use crate::walk_view::WalkView;
 use dkindex_graph::{DataGraph, LabeledGraph};
-use dkindex_pathexpr::{EvalArena, PathExpr};
+use dkindex_pathexpr::{EvalArena, LabelIndex, PathExpr};
 use dkindex_telemetry as telemetry;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -191,11 +190,10 @@ pub struct Epoch {
     ops_applied: u64,
     dk: DkIndex,
     data: DataGraph,
-    /// The index graph's walk view (label column, child/parent CSR, seed
-    /// lists), built by this epoch's first memo miss and shared by every
-    /// later one. Publishing does not build it, so updates and memo hits
-    /// never pay for it.
-    walk_view: OnceLock<WalkView>,
+    /// The index graph's by-label seed lists, built by this epoch's first
+    /// memo miss and shared by every later one. Publishing does not build
+    /// them, so updates and memo hits never pay for them.
+    seeds: OnceLock<LabelIndex>,
     memo: Mutex<HashMap<PathExpr, Arc<IndexEvalOutcome>>>,
     /// The live tuner shared across every epoch of one server; readers
     /// record each evaluated query into it, lock-free.
@@ -215,7 +213,7 @@ impl Epoch {
             ops_applied,
             dk,
             data,
-            walk_view: OnceLock::new(),
+            seeds: OnceLock::new(),
             memo: Mutex::new(HashMap::new()),
             tune,
         }
@@ -255,7 +253,7 @@ impl Epoch {
 
     /// The one memo probe / miss / insert sequence both entry points share.
     /// A hit is one refcount bump and touches nothing else. A miss runs
-    /// `miss` as one walk over this epoch's graphs, its shared walk view
+    /// `miss` as one walk over this epoch's graphs, its shared seed lists
     /// and this thread's arena, with no validation memo (a verdict could
     /// only be replayed by the same query, and the answer memo already
     /// serves that). The arena goes back to the thread unless the walk grew
@@ -283,7 +281,7 @@ impl Epoch {
         let out = miss(Walk {
             index: self.dk.index(),
             data: &self.data,
-            view: self.walk_view.get_or_init(|| WalkView::build(self.dk.index())),
+            seeds: self.seeds.get_or_init(|| LabelIndex::build(self.dk.index())),
             arena: &mut arena,
             memo: None,
         });
@@ -958,7 +956,7 @@ mod tests {
     use crate::eval_oracle;
     use dkindex_datagen::{random_graph, RandomGraphConfig};
     use dkindex_graph::EdgeKind;
-    use dkindex_pathexpr::{parse, LabelIndex, Nfa};
+    use dkindex_pathexpr::{parse, Nfa};
 
     fn epoch_over(data: DataGraph, requirements: Requirements) -> Epoch {
         let dk = DkIndex::build(&data, requirements);
@@ -983,20 +981,20 @@ mod tests {
         slots
     }
 
-    /// The walk uses the epoch's one walk view: distinct misses share a
-    /// single instance, a memo hit never builds it, and a freshly published
-    /// epoch starts without one.
+    /// The walk uses the epoch's one set of seed lists: distinct misses
+    /// share a single instance, a memo hit never builds it, and a freshly
+    /// published epoch starts without one.
     #[test]
-    fn one_walk_view_per_epoch_built_by_the_first_miss() {
+    fn one_seed_index_per_epoch_built_by_the_first_miss() {
         let epoch = epoch_over(small_graph(), Requirements::uniform(1));
-        assert!(epoch.walk_view.get().is_none(), "a new epoch builds nothing");
+        assert!(epoch.seeds.get().is_none(), "a new epoch builds nothing");
 
-        let mut seen: Option<*const WalkView> = None;
+        let mut seen: Option<*const LabelIndex> = None;
         for query in ["l0", "l0.l1", "l1.l2.l3", "_*.l2", "ghost"] {
             epoch.evaluate(&parse(query).unwrap());
-            let built = epoch.walk_view.get().expect("a miss builds the walk view");
-            let built: *const WalkView = built;
-            assert_eq!(*seen.get_or_insert(built), built, "{query} built a second walk view");
+            let built = epoch.seeds.get().expect("a miss builds the seed lists");
+            let built: *const LabelIndex = built;
+            assert_eq!(*seen.get_or_insert(built), built, "{query} built a second seed index");
         }
 
         // A hit on an epoch whose memo was filled without a walk.
@@ -1004,7 +1002,7 @@ mod tests {
         let q = parse("l0.l1").unwrap();
         fresh.memo_insert(q.clone(), epoch.evaluate(&q));
         assert!(fresh.evaluate_bounded(&q, 0).is_ok(), "a hit is free");
-        assert!(fresh.walk_view.get().is_none(), "a memo hit must not build it");
+        assert!(fresh.seeds.get().is_none(), "a memo hit must not build them");
 
         let data = small_graph();
         let server = DkServer::start(
@@ -1014,12 +1012,12 @@ mod tests {
         );
         let before = server.handle().epoch();
         before.evaluate(&q);
-        assert!(before.walk_view.get().is_some());
+        assert!(before.seeds.get().is_some());
         server.submit(ServeOp::PromoteToRequirements).unwrap();
         server.flush().unwrap();
         let after = server.handle().epoch();
         assert!(after.id() > before.id());
-        assert!(after.walk_view.get().is_none(), "publishing must not build it");
+        assert!(after.seeds.get().is_none(), "publishing must not build them");
         server.shutdown().unwrap();
     }
 

@@ -5,16 +5,19 @@
 //!   its predecessor and batch-mutated — serializes byte-identically to a
 //!   from-scratch serial replay of the same op prefix. Sharing is a
 //!   representation change, never an answer change.
-//! * **Sharing actually happens**: after a batch, every block whose
-//!   contents the batch did not change is still the *same allocation*
-//!   (`Arc::ptr_eq`) as in the predecessor epoch. A regression back to
-//!   full deep clones fails these tests.
+//! * **Sharing actually happens**, stated per storage unit of the index
+//!   graph: a block (similarity and extent) is pointer-shared with the
+//!   predecessor epoch iff the batch left its similarity and extent alone,
+//!   and an adjacency segment (64 child or parent rows) iff the batch left
+//!   its rows alone. A regression back to full deep clones fails these
+//!   tests.
 //! * Both properties hold through the real `DkServer` publish path, not
 //!   just hand-rolled clones.
 
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
 use dkindex_core::{check_structure, snapshot_bytes, DkIndex, IndexGraph, Requirements};
 use dkindex_datagen::{random_graph, RandomGraphConfig};
+use dkindex_graph::segvec::SEG_SIZE;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_workload::generate_update_edges;
 
@@ -34,20 +37,41 @@ fn fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
     (g, dk, ops)
 }
 
-/// Same summary state for one index node in two snapshots, judged purely by
-/// contents (never by pointers).
+/// Same block contents for one index node in two snapshots — similarity and
+/// extent — judged purely by contents (never by pointers).
 fn block_content_eq(a: &IndexGraph, b: &IndexGraph, i: NodeId) -> bool {
-    a.label_of(i) == b.label_of(i)
-        && a.similarity(i) == b.similarity(i)
-        && a.extent(i) == b.extent(i)
-        && a.children_of(i) == b.children_of(i)
-        && a.parents_of(i) == b.parents_of(i)
+    a.similarity(i) == b.similarity(i) && a.extent(i) == b.extent(i)
 }
 
-/// The sharing contract between a predecessor snapshot and its successor:
-/// content-unchanged blocks are pointer-identical (a full-clone regression
-/// breaks this), and pointer-identical blocks are content-unchanged (COW
-/// soundness).
+/// Adjacency segments (of the child and parent columns together) whose 64
+/// rows read the same in both snapshots; a row one snapshot lacks reads
+/// empty.
+fn unchanged_segments(a: &IndexGraph, b: &IndexGraph) -> usize {
+    let row = |g: &IndexGraph, r: usize, children: bool| -> Vec<NodeId> {
+        match (r < g.size(), children) {
+            (false, _) => Vec::new(),
+            (true, true) => g.children_of(NodeId::from_index(r)).to_vec(),
+            (true, false) => g.parents_of(NodeId::from_index(r)).to_vec(),
+        }
+    };
+    let segments = a.size().min(b.size()).div_ceil(SEG_SIZE);
+    let rows = a.size().max(b.size());
+    let mut unchanged = 0;
+    for children in [true, false] {
+        for seg in 0..segments {
+            let mut span = seg * SEG_SIZE..((seg + 1) * SEG_SIZE).min(rows);
+            if span.all(|r| row(a, r, children) == row(b, r, children)) {
+                unchanged += 1;
+            }
+        }
+    }
+    unchanged
+}
+
+/// The sharing contract between a predecessor snapshot and its successor,
+/// per storage unit: content-unchanged blocks and segments are
+/// pointer-identical (a full-clone regression breaks this), and
+/// pointer-identical ones are content-unchanged (COW soundness).
 fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
     let common = prev.size().min(next.size());
     for i in 0..common {
@@ -65,6 +89,15 @@ fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
              (COW unsoundness)"
         );
     }
+    // A shared segment is one allocation, so it reads the same in both
+    // snapshots: the count of shared ones can only reach the count of
+    // unchanged ones by every unchanged segment being shared.
+    let (shared, _) = next.shared_segments_with(prev);
+    assert_eq!(
+        shared,
+        unchanged_segments(prev, next),
+        "{what}: an adjacency segment with unchanged rows was deep-copied"
+    );
 }
 
 /// A fresh clone shares every block and every adjacency segment; mutating
@@ -79,6 +112,8 @@ fn clone_shares_everything_until_mutated() {
     assert_eq!(shared, dk.index().size());
     assert_eq!(rebuilt, 0);
     let (seg_shared, seg_total) = g2.shared_segments_with(&g);
+    assert_eq!(seg_shared, seg_total);
+    let (seg_shared, seg_total) = dk2.index().shared_segments_with(dk.index());
     assert_eq!(seg_shared, seg_total);
 
     assert_eq!(
@@ -136,6 +171,32 @@ fn single_edge_update_unshares_at_most_three_data_segments() {
             "{op:?} unshared {unshared} of {total} data-graph segments"
         );
     }
+}
+
+/// An edge update that inserts an index edge writes one child row and one
+/// parent row: it copies at most those two adjacency segments, and no block
+/// whose similarity and extent it left alone (adjacency lives outside the
+/// blocks). An update whose index edge already exists copies no segment.
+#[test]
+fn an_index_edge_insert_copies_two_segments_and_no_untouched_block() {
+    let (g, dk, ops) = fixture();
+    let mut inserted = 0;
+    for op in &ops {
+        let mut next_dk = dk.clone();
+        let mut next_g = g.clone();
+        apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
+        let (prev, next) = (dk.index(), next_dk.index());
+        assert_sharing_contract(prev, next, &format!("{op:?}"));
+        let (shared, total) = next.shared_segments_with(prev);
+        let copied = total - shared;
+        if next.edge_count() > prev.edge_count() {
+            inserted += 1;
+            assert!((1..=2).contains(&copied), "{op:?} copied {copied} segments");
+        } else {
+            assert_eq!(copied, 0, "{op:?} inserted no index edge");
+        }
+    }
+    assert!(inserted > 0, "the fixture must insert some index edge");
 }
 
 /// A chain of COW epochs — each built by cloning its predecessor and

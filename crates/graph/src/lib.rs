@@ -16,9 +16,10 @@
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
 //! * [`SegVec`] — the persistent, segment-shared vector backing
-//!   [`DataGraph`]'s label and edge columns. Its children and parents use
-//!   the same segment sharing in the crate-private `segcsr::SegCsr`
-//!   (compressed sparse rows inside each 64-row segment), so cloning a
+//!   [`DataGraph`]'s label and edge columns.
+//! * [`SegCsr`] — the same segment sharing for adjacency (compressed sparse
+//!   rows inside each 64-row segment): the children and parents of
+//!   [`DataGraph`] and of `dkindex-core`'s index graphs. Cloning either
 //!   graph is a copy-on-write snapshot (the delta-epoch publish path in
 //!   `dkindex-core` builds on this).
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
@@ -45,9 +46,9 @@
 mod graph;
 mod label;
 mod marks;
-mod segcsr;
 
 pub mod dot;
+pub mod segcsr;
 pub mod segvec;
 pub mod stats;
 pub mod traversal;
@@ -55,4 +56,5 @@ pub mod traversal;
 pub use graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, NodeIds};
 pub use label::{LabelId, LabelInterner, ROOT_LABEL, VALUE_LABEL};
 pub use marks::Marks;
+pub use segcsr::SegCsr;
 pub use segvec::SegVec;

@@ -1,12 +1,13 @@
 //! `SegCsr`: a persistent adjacency column — compressed sparse rows inside
-//! `Arc`-shared segments of `SEG_SIZE` rows. It is the storage behind
-//! `DataGraph`'s children and parents.
+//! `Arc`-shared segments of `SEG_SIZE` rows. It is the storage behind the
+//! children and parents of both `DataGraph` and the index graphs of
+//! `dkindex-core`.
 //!
 //! Each segment holds its rows as CSR: `offsets[r]..offsets[r + 1]` is row
 //! `r`'s slice of one `targets` array. Reading a row is one segment lookup
-//! and one slice, with no per-row heap allocation to chase. Appending to a
-//! row inserts at the end of that row and bumps the later offsets of the
-//! same segment, so every row keeps its insertion order.
+//! and one slice, with no per-row heap allocation to chase. Writing into a
+//! row inserts or removes inside that row and shifts the later offsets of
+//! the same segment, so every row keeps the order its writes gave it.
 //!
 //! ## COW invariants
 //!
@@ -14,18 +15,19 @@
 //!
 //! 1. **Clone is shallow**: `clone()` never copies a row, only segment
 //!    handles.
-//! 2. **Mutation is localized**: [`SegCsr::push_to_row`] deep-copies at
-//!    most the one segment holding the row, and only when that segment is
-//!    shared (`Arc` refcount > 1). [`SegCsr::push_row`] copies nothing: a
-//!    new row starts empty, and the unused tail of a segment already reads
-//!    as empty rows.
+//! 2. **Mutation is localized**: [`SegCsr::push_to_row`],
+//!    [`SegCsr::insert_into_row`] and [`SegCsr::remove_from_row`]
+//!    deep-copy at most the one segment holding the row, only when that
+//!    segment is shared (`Arc` refcount > 1), and only when they change the
+//!    row. [`SegCsr::push_row`] copies nothing: a new row starts empty, and
+//!    the unused tail of a segment already reads as empty rows.
 //! 3. **Sharing is observable**: [`SegCsr::shared_segments_with`] counts
 //!    positionally pointer-equal segments.
 //! 4. **Representation never leaks into answers**: every row reads, in
-//!    order, exactly as a `Vec<Vec<NodeId>>` given the same appends.
+//!    order, exactly as a `Vec<Vec<NodeId>>` given the same writes.
 //!
-//! An append costs the targets of the later rows of its own segment (at
-//! most 63 rows), never more of the column.
+//! A write costs the targets of the later rows of its own segment (at most
+//! 63 rows), never more of the column.
 //!
 //! This module denies clippy's panic and hash-iteration lints (below):
 //! every accessor is `Option`-returning (no indexing, no `unwrap`), and
@@ -44,11 +46,12 @@
 
 use crate::graph::NodeId;
 use crate::segvec::{SEG_MASK, SEG_SHIFT, SEG_SIZE};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One segment: rows `0..SEG_SIZE` as CSR over `targets`. Rows past the
 /// column's length are empty, so `offsets` ends at `targets.len()`.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Segment {
     offsets: [u32; SEG_SIZE + 1],
     targets: Vec<NodeId>,
@@ -65,7 +68,7 @@ impl Segment {
 /// Rows of `NodeId`s stored as per-segment CSR, segments `Arc`-shared
 /// between clones and copied on write. See the module docs for the COW
 /// invariants.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SegCsr {
     segments: Vec<Arc<Segment>>,
     rows: usize,
@@ -97,26 +100,70 @@ impl SegCsr {
         self.rows += 1;
     }
 
+    /// `row`'s segment, its local row and its range of the segment's
+    /// `targets`, or `None` when `row` is out of range.
+    fn locate(&self, row: usize) -> Option<(usize, usize, Range<usize>)> {
+        if row >= self.rows {
+            return None;
+        }
+        let (seg, local) = (row >> SEG_SHIFT, row & SEG_MASK);
+        let segment = self.segments.get(seg)?;
+        let start = *segment.offsets.get(local)? as usize;
+        let end = *segment.offsets.get(local + 1)? as usize;
+        Some((seg, local, start..end))
+    }
+
+    /// Segment `seg`, copied first when it is shared: the one write path.
+    fn segment_mut(&mut self, seg: usize) -> Option<&mut Segment> {
+        self.segments.get_mut(seg).map(Arc::make_mut)
+    }
+
     /// Append `target` at the end of `row`, copying the row's segment first
     /// when it is shared. Returns `false` (and changes nothing) when `row`
     /// is out of range.
     pub fn push_to_row(&mut self, row: usize, target: NodeId) -> bool {
-        if row >= self.rows {
+        let Some(len) = self.row(row).map(<[NodeId]>::len) else {
+            return false;
+        };
+        self.insert_into_row(row, len, target)
+    }
+
+    /// Insert `target` into `row` at position `at` (`0` is the front, the
+    /// row's length its end), copying the row's segment first when it is
+    /// shared. Returns `false` (and changes nothing) when `row` is out of
+    /// range or `at` is past the row's end.
+    pub fn insert_into_row(&mut self, row: usize, at: usize, target: NodeId) -> bool {
+        let Some((seg, local, range)) = self.locate(row) else {
+            return false;
+        };
+        if at > range.len() {
             return false;
         }
-        let Some(segment) = self.segments.get_mut(row >> SEG_SHIFT) else {
+        let Some(segment) = self.segment_mut(seg) else {
             return false;
         };
-        let segment = Arc::make_mut(segment);
-        let local = row & SEG_MASK;
-        let Some(&end) = segment.offsets.get(local + 1) else {
-            return false;
-        };
-        segment.targets.insert(end as usize, target);
+        segment.targets.insert(range.start + at, target);
         for offset in segment.offsets.iter_mut().skip(local + 1) {
             *offset += 1;
         }
         true
+    }
+
+    /// Remove and return the target at position `at` of `row`; the row's
+    /// later targets move up one place, so the rest of the row keeps its
+    /// order. Copies the row's segment first when it is shared. `None` (and
+    /// nothing changed) when `row` or `at` is out of range.
+    pub fn remove_from_row(&mut self, row: usize, at: usize) -> Option<NodeId> {
+        let (seg, local, range) = self.locate(row)?;
+        if at >= range.len() {
+            return None;
+        }
+        let segment = self.segment_mut(seg)?;
+        let removed = segment.targets.remove(range.start + at);
+        for offset in segment.offsets.iter_mut().skip(local + 1) {
+            *offset -= 1;
+        }
+        Some(removed)
     }
 
     /// Total number of targets over all rows.
@@ -232,6 +279,62 @@ mod tests {
         d.push_row();
         assert_eq!(d.segment_count(), 2);
         assert_eq!(d.shared_segments_with(&c), 1);
+    }
+
+    /// One write on a clone of a four-segment column: the write's own
+    /// segment is the only one copied, the original still reads as before,
+    /// and every other row of the written segment reads as before.
+    fn write_copies_only_its_segment(row: usize, write: impl FnOnce(&mut SegCsr), want: &[NodeId]) {
+        let c = filled(4 * SEG_SIZE);
+        let before = as_vecs(&c);
+        let mut d = c.clone();
+        write(&mut d);
+        assert_eq!(d.shared_segments_with(&c), c.segment_count() - 1);
+        assert_eq!(as_vecs(&c), before, "the original must not see the write");
+        assert_eq!(d.row(row), Some(want));
+        for r in (0..4 * SEG_SIZE).filter(|&r| r != row) {
+            assert_eq!(d.row(r), c.row(r), "row {r}");
+        }
+    }
+
+    #[test]
+    fn insert_copies_only_its_segment_and_lands_at_its_position() {
+        let row = SEG_SIZE + 4; // holds [0, 1]
+        for (at, want) in [
+            (0, [n(7), n(0), n(1)]),
+            (1, [n(0), n(7), n(1)]),
+            (2, [n(0), n(1), n(7)]),
+        ] {
+            write_copies_only_its_segment(
+                row,
+                |d| assert!(d.insert_into_row(row, at, n(7))),
+                &want,
+            );
+        }
+    }
+
+    #[test]
+    fn remove_copies_only_its_segment_and_keeps_the_rows_order() {
+        let row = 2 * SEG_SIZE; // holds [0, 1]
+        for (at, removed, want) in [(0, n(0), n(1)), (1, n(1), n(0))] {
+            write_copies_only_its_segment(
+                row,
+                |d| assert_eq!(d.remove_from_row(row, at), Some(removed)),
+                &[want],
+            );
+        }
+    }
+
+    #[test]
+    fn writes_that_change_nothing_copy_nothing() {
+        let c = filled(2 * SEG_SIZE);
+        let mut d = c.clone();
+        assert!(!d.insert_into_row(4, 3, n(0)), "past the row's end");
+        assert!(!d.insert_into_row(2 * SEG_SIZE, 0, n(0)), "no such row");
+        assert_eq!(d.remove_from_row(4, 2), None);
+        assert_eq!(d.remove_from_row(2 * SEG_SIZE, 0), None);
+        assert_eq!(d.shared_segments_with(&c), c.segment_count());
+        assert_eq!(as_vecs(&d), as_vecs(&c));
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! `DataGraph`'s children and parent rows against a `Vec<Vec<NodeId>>`
-//! model: random `add_node` / `add_edge` / `graft_under_root` / `clone`
-//! sequences read back equal and in insertion order, and a snapshot taken by
-//! `clone` never sees a later write.
+//! Adjacency rows against a `Vec<Vec<NodeId>>` model:
+//!
+//! * `DataGraph`'s children and parent rows: random `add_node` / `add_edge`
+//!   / `graft_under_root` / `clone` sequences read back equal and in
+//!   insertion order;
+//! * a bare `SegCsr` column under removals interleaved with appends and
+//!   positional inserts (the writes an index-graph split makes).
+//!
+//! In both, a snapshot taken by `clone` never sees a later write.
 
 use dkindex_graph::segvec::SEG_SIZE;
-use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, SegCsr};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug, Default)]
@@ -174,5 +179,108 @@ fn interleaved_appends_to_one_segment_keep_each_rows_order() {
         assert_eq!(g.children_of(node), &model.children[node.index()][..]);
         assert_eq!(g.parents_of(node), &model.parents[node.index()][..]);
         assert!(before.children_of(node).is_empty() && before.parents_of(node).is_empty());
+    }
+}
+
+/// One write to a bare column; rows and positions are drawn as indexes and
+/// reduced against the model's current shape.
+#[derive(Clone, Debug)]
+enum RowOp {
+    /// Append this many empty rows.
+    PushRows(usize),
+    /// Append a target at the end of a row.
+    Push(prop::sample::Index, u8),
+    /// Insert a target at a position of a row (up to one past its end).
+    Insert(prop::sample::Index, prop::sample::Index, u8),
+    /// Remove the target at a position of a row (out of range on an empty
+    /// row: must change nothing).
+    Remove(prop::sample::Index, prop::sample::Index),
+    /// Keep a clone of the column and model as they are now.
+    Snapshot,
+}
+
+fn row_op() -> impl Strategy<Value = RowOp> {
+    let index = any::<prop::sample::Index>;
+    prop_oneof![
+        (1usize..40).prop_map(RowOp::PushRows),
+        (index(), any::<u8>()).prop_map(|(r, t)| RowOp::Push(r, t)),
+        (index(), any::<u8>()).prop_map(|(r, t)| RowOp::Push(r, t)),
+        (index(), index(), any::<u8>()).prop_map(|(r, a, t)| RowOp::Insert(r, a, t)),
+        (index(), index()).prop_map(|(r, a)| RowOp::Remove(r, a)),
+        (index(), index()).prop_map(|(r, a)| RowOp::Remove(r, a)),
+        Just(RowOp::Snapshot),
+    ]
+}
+
+fn check_rows(column: &SegCsr, model: &[Vec<NodeId>]) -> Result<(), TestCaseError> {
+    for (r, want) in model.iter().enumerate() {
+        prop_assert_eq!(column.row(r), Some(&want[..]), "row {}", r);
+    }
+    prop_assert_eq!(column.row(model.len()), None);
+    let targets: usize = model.iter().map(Vec::len).sum();
+    prop_assert_eq!(column.target_count(), targets);
+    Ok(())
+}
+
+fn apply_row_op(
+    column: &mut SegCsr,
+    model: &mut Vec<Vec<NodeId>>,
+    op: &RowOp,
+) -> Result<(), TestCaseError> {
+    let target = |t: &u8| NodeId::from_index(*t as usize);
+    match op {
+        RowOp::PushRows(count) => {
+            for _ in 0..*count {
+                column.push_row();
+                model.push(Vec::new());
+            }
+        }
+        RowOp::Push(r, t) => {
+            let r = r.index(model.len());
+            prop_assert!(column.push_to_row(r, target(t)));
+            model[r].push(target(t));
+        }
+        RowOp::Insert(r, at, t) => {
+            let r = r.index(model.len());
+            let at = at.index(model[r].len() + 1);
+            prop_assert!(column.insert_into_row(r, at, target(t)));
+            model[r].insert(at, target(t));
+        }
+        RowOp::Remove(r, at) => {
+            let r = r.index(model.len());
+            if model[r].is_empty() {
+                prop_assert_eq!(column.remove_from_row(r, 0), None);
+            } else {
+                let at = at.index(model[r].len());
+                prop_assert_eq!(column.remove_from_row(r, at), Some(model[r].remove(at)));
+            }
+        }
+        RowOp::Snapshot => {}
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn column_rows_equal_a_vec_of_vecs_model_under_removals(
+        start in 1usize..150,
+        ops in prop::collection::vec(row_op(), 1..80),
+    ) {
+        let mut column = SegCsr::new();
+        let mut model = Vec::new();
+        apply_row_op(&mut column, &mut model, &RowOp::PushRows(start))?;
+        let mut snapshots = Vec::new();
+        for op in &ops {
+            if let RowOp::Snapshot = op {
+                snapshots.push((column.clone(), model.clone()));
+            }
+            apply_row_op(&mut column, &mut model, op)?;
+        }
+        check_rows(&column, &model)?;
+        for (snapshot, snapshot_model) in &snapshots {
+            check_rows(snapshot, snapshot_model)?;
+        }
     }
 }

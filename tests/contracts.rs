@@ -18,9 +18,8 @@ use std::fs;
 use std::path::Path;
 
 /// What the two evaluation oracles must not name: telemetry, the evaluator
-/// itself, and every building block only the fast path uses — the walk
-/// view among them, so a wrong view fails the differential tests instead
-/// of agreeing with itself.
+/// itself, and every building block only the fast path uses, so a wrong
+/// part fails the differential tests instead of agreeing with itself.
 const EVALUATOR: &[&str] = &[
     "dkindex_telemetry",
     "EvalArena",
@@ -30,7 +29,6 @@ const EVALUATOR: &[&str] = &[
     "evaluate_bounded_with",
     "matches_ending_at_bounded_with",
     "IndexEvaluator",
-    "WalkView",
 ];
 /// What the size/soundness baselines must not name.
 const BASELINE: &[&str] = &["dkindex_telemetry", "RefineEngine"];
@@ -285,12 +283,9 @@ fn evaluation_oracles_that_are_the_evaluator_name_every_part() {
     let index_oracle =
         "pub fn evaluate(i: &IndexGraph, d: &DataGraph, q: &PathExpr) -> Outcome {\n\
             crate::eval::IndexEvaluator::new(i, d).evaluate(q)\n\
-        }\n\
-        pub fn seeds(i: &IndexGraph) -> LabelIndex {\n\
-            crate::walk_view::WalkView::build(i).seeds().clone()\n\
         }\n";
     assert_eq!(impurities(path_oracle, EVALUATOR), &EVALUATOR[..7]);
-    assert_eq!(impurities(index_oracle, EVALUATOR), ["IndexEvaluator", "WalkView"]);
+    assert_eq!(impurities(index_oracle, EVALUATOR), ["IndexEvaluator"]);
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
 use dkindex::core::{
-    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, snapshot_bytes, AkIndex,
-    AuditConfig, DkIndex, DkServer, IndexEvaluator, IndexGraph, Invariant, Requirements,
-    ServeConfig, ServeOp, WalkView,
+    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, read_snapshot,
+    snapshot_bytes, AkIndex, AuditConfig, DkIndex, DkServer, IndexEvaluator, IndexGraph,
+    Invariant, Requirements, ServeConfig, ServeOp,
 };
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::partition::{k_bisimulation, KBisimTable};
@@ -485,7 +485,41 @@ proptest! {
     }
 }
 
-/// One maintenance step of the walk-view property, drawn as `(kind, a, b)`:
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// An index saved and reloaded promotes to the bytes the live one
+    /// promotes to: a snapshot stores no parent-row order, and Alg 6 reads
+    /// that order, so the live rows must already be in the order a reload
+    /// rebuilds.
+    #[test]
+    fn reload_then_promote_equals_promote(
+        spec in graph_spec(),
+        req_k in 1usize..4,
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..8),
+    ) {
+        let mut g = build(&spec);
+        let mut live = DkIndex::build(&g, Requirements::uniform(req_k));
+        for (from, to) in edges {
+            let u = NodeId::from_index((from as usize) % g.node_count());
+            let v = NodeId::from_index((to as usize) % g.node_count());
+            if u != v {
+                live.add_edge(&mut g, u, v);
+            }
+        }
+        let saved = snapshot_bytes(&live, &g);
+        let (mut reloaded, reloaded_g) = read_snapshot(&saved).map_err(TestCaseError::fail)?;
+        prop_assert!(snapshot_bytes(&reloaded, &reloaded_g) == saved, "reload moved bytes");
+        live.promote_to_requirements(&g);
+        reloaded.promote_to_requirements(&reloaded_g);
+        prop_assert!(
+            snapshot_bytes(&live, &g) == snapshot_bytes(&reloaded, &reloaded_g),
+            "promoted after a reload, the index serialises differently"
+        );
+    }
+}
+
+/// One maintenance step of the served-answers property, drawn as `(kind, a, b)`:
 /// an Alg 3 subgraph addition of `sub`, an Alg 4/5 edge addition, an Alg 6
 /// promote, a demote, or new requirements promoted up to.
 fn maintain(dk: &mut DkIndex, g: &mut DataGraph, sub: &DataGraph, (kind, a, b): (u8, u8, u8)) {
@@ -514,25 +548,20 @@ fn maintain(dk: &mut DkIndex, g: &mut DataGraph, sub: &DataGraph, (kind, a, b): 
     }
 }
 
-/// The view built from `index` is `index`, node by node: label, child and
-/// parent rows in order, root, node and edge counts, and seed lists equal
-/// to the label index of the graph itself.
-fn view_equals_graph(index: &IndexGraph) -> Result<(), TestCaseError> {
-    let view = WalkView::build(index);
-    prop_assert_eq!(view.node_count(), index.node_count());
-    prop_assert_eq!(view.edge_count(), index.edge_count());
-    prop_assert_eq!(view.root(), index.root());
+/// `index` is a well-formed summary of `g` (`check_structure`), and every
+/// parent row ascends: the order a snapshot reload rebuilds, and the one
+/// Alg 6 reads.
+fn structure_holds(index: &IndexGraph, g: &DataGraph) -> Result<(), TestCaseError> {
+    check_structure(index, g).map_err(TestCaseError::fail)?;
     for n in index.node_ids() {
-        prop_assert_eq!(view.label_of(n), index.label_of(n), "label of {:?}", n);
-        prop_assert_eq!(view.children_of(n), index.children_of(n), "children of {:?}", n);
-        prop_assert_eq!(view.parents_of(n), index.parents_of(n), "parents of {:?}", n);
+        let parents = index.parents_of(n);
+        prop_assert!(parents.windows(2).all(|w| w[0] < w[1]), "parents of {:?}: {:?}", n, parents);
     }
-    prop_assert_eq!(view.seeds(), &LabelIndex::build(index));
     Ok(())
 }
 
-/// What a server over `(dk, g)` answers — it walks the epoch's view —
-/// equals the oracle walking the index graph: matches, both visit counts
+/// What a server over `(dk, g)` answers — it walks the epoch's index graph
+/// with the epoch's seed lists — equals the oracle: matches, both visit counts
 /// and the validated flag. So does a fresh `IndexEvaluator`.
 fn served_equals_oracle(dk: &DkIndex, g: &DataGraph, salt: u64) -> Result<(), TestCaseError> {
     let mut queries = queries_for(g, salt);
@@ -553,10 +582,10 @@ fn served_equals_oracle(dk: &DkIndex, g: &DataGraph, salt: u64) -> Result<(), Te
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The walk view stays the index graph it was built from under every
-    /// maintenance algorithm, and answers served over it stay the oracle's.
+    /// Under every maintenance algorithm the index stays well-formed with
+    /// ascending parent rows, and answers served over it stay the oracle's.
     #[test]
-    fn walk_view_equals_the_index_graph_under_maintenance(
+    fn served_answers_equal_the_oracle_under_maintenance(
         spec in graph_spec(),
         sub in graph_spec(),
         salt in any::<u64>(),
@@ -566,11 +595,11 @@ proptest! {
         let mut g = build(&spec);
         let h = build(&sub);
         let mut dk = DkIndex::build(&g, Requirements::uniform(req_k));
-        view_equals_graph(dk.index())?;
+        structure_holds(dk.index(), &g)?;
         served_equals_oracle(&dk, &g, salt)?;
         for (i, &step) in steps.iter().enumerate() {
             maintain(&mut dk, &mut g, &h, step);
-            view_equals_graph(dk.index())?;
+            structure_holds(dk.index(), &g)?;
             served_equals_oracle(&dk, &g, salt ^ (i as u64 + 1))?;
         }
     }
