@@ -1,4 +1,4 @@
-.PHONY: verify test build bench-smoke verify-faults verify-serve verify-crash verify-analysis verify-bench-api doc clippy bench-pair
+.PHONY: verify test build bench-smoke verify-record verify-faults verify-serve verify-crash verify-analysis verify-bench-api doc clippy bench-pair
 
 # Tier-1 verification (ROADMAP.md) plus the exact gate set. `test` runs
 # every crate's tests, among them the contract tests that keep code and
@@ -12,6 +12,12 @@
 # failing clause of any of them and writing only counts that repeat run to
 # run to BENCH_eval.json. Timing belongs to the judged benchmark
 # (benchmark/, BENCHMARK.json).
+# `verify-record` regenerates the paper record: it runs `reproduce all`
+# (Figures 4–7, Table 1's work column and the ablations, exiting non-zero on
+# the first failing shape claim) twice, and fails if the two PAPER_eval.json
+# outputs differ from each other or from the checked-in file. The test
+# crates/bench/tests/paper_record.rs holds EXPERIMENTS.md and THEORY.md to
+# that file.
 # `verify-faults` sweeps injected snapshot/WAL corruption — including
 # section payloads damaged and resealed under a fresh CRC, so the damage
 # reaches the section decoders — and fails on any panic, silently accepted
@@ -35,7 +41,7 @@
 # workspace, never edited by a change that claims anything) against the
 # crates as they are now, so a refactor that breaks a signature `dkbench`
 # links against fails here and not in the benchmark pipeline.
-verify: build test bench-smoke verify-faults verify-serve verify-crash doc clippy verify-analysis verify-bench-api
+verify: build test bench-smoke verify-record verify-faults verify-serve verify-crash doc clippy verify-analysis verify-bench-api
 
 build:
 	cargo build --release
@@ -45,6 +51,12 @@ test:
 
 bench-smoke:
 	cargo run --release -q -p dkindex-bench --bin reproduce -- bench-smoke
+
+verify-record:
+	cargo run --release -q -p dkindex-bench --bin reproduce -- all --out target/paper-record-1.json > /dev/null
+	cargo run --release -q -p dkindex-bench --bin reproduce -- all --out target/paper-record-2.json > /dev/null
+	cmp target/paper-record-1.json target/paper-record-2.json
+	cmp target/paper-record-1.json PAPER_eval.json
 
 verify-faults:
 	cargo run --release -q -p dkindex-bench --bin reproduce -- verify-faults

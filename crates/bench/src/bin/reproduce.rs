@@ -1,12 +1,15 @@
 //! Reproduce the tables and figures of the D(k)-index paper (SIGMOD 2003).
 //!
 //! ```text
-//! reproduce <experiment> [--xmark-scale F] [--nasa-scale F] [--max-k K] [--seed S]
+//! reproduce <experiment> [--xmark-scale F] [--nasa-scale F] [--seed S]
 //!
 //! experiments:
+//!   all        the whole §6 record of both datasets: every table below,
+//!              printed and written to --out (default PAPER_eval.json);
+//!              exits 1 on the first failing shape claim
 //!   fig4       evaluation cost vs index size, XMark, before updating
 //!   fig5       same on NASA data
-//!   table1     update efficiency, A(1)..A(4) vs D(k), both datasets
+//!   table1     update work, A(1)..A(4) vs D(k), both datasets
 //!   fig6       evaluation cost vs index size, XMark, after 100 edge updates
 //!   fig7       same on NASA data
 //!   sizes      summary sizes: A(k), D(k), 1-index, data graph (ablation C)
@@ -31,8 +34,14 @@
 //!                        nonzero if any acknowledged update fails to replay
 //!                        byte-identically after recovery, any crash view
 //!                        recovers a partial batch, or anything panics
-//!   all        everything above in order
 //! ```
+//!
+//! Every experiment from `all` to `length-sweep` computes the whole record
+//! of the datasets it names ([`Record::run`]: each summary built once, the
+//! update stream applied once per summary) and prints its tables from the
+//! record's rows; nothing in the record is a timing, so `all` writes the
+//! same `PAPER_eval.json` byte for byte on every run and machine. A scale
+//! must be a finite number above 0 (exit 2 otherwise).
 //!
 //! `bench-smoke` extra flags: `--threads N` (reader threads of the churn /
 //! net / tuning gates, 0 = machine parallelism), `--out PATH` (default
@@ -51,26 +60,41 @@
 #![forbid(unsafe_code)]
 
 use dkindex_bench::crash;
-use dkindex_bench::datasets::{self, DEFAULT_NASA_SCALE, DEFAULT_XMARK_SCALE};
-use dkindex_bench::experiments::*;
+use dkindex_bench::datasets::{Dataset, DEFAULT_NASA_SCALE, DEFAULT_XMARK_SCALE};
+use dkindex_bench::experiments::{record_json, standard_workload, Record};
 use dkindex_bench::gates;
 use dkindex_bench::loc;
 use dkindex_bench::net;
-use dkindex_bench::report::{fmt_f64, render_table};
+use dkindex_bench::report::rows_table;
 use dkindex_bench::tuning;
 use dkindex_graph::stats::GraphStats;
-use dkindex_graph::DataGraph;
-use dkindex_workload::Workload;
 
 struct Options {
     xmark_scale: f64,
     nasa_scale: f64,
-    max_k: usize,
     seed: u64,
     threads: usize,
-    out: String,
+    out: Option<String>,
     metrics: String,
 }
+
+const BOTH: &[Dataset] = &[Dataset::Xmark, Dataset::Nasa];
+
+/// The record experiments: the datasets each one runs and the table it
+/// prints (`None`: every table).
+const RECORD_MODES: [(&str, &[Dataset], Option<&str>); 11] = [
+    ("all", BOTH, None),
+    ("fig4", &[Dataset::Xmark], Some("figure_before")),
+    ("fig5", &[Dataset::Nasa], Some("figure_before")),
+    ("table1", BOTH, Some("table1")),
+    ("fig6", &[Dataset::Xmark], Some("figure_after")),
+    ("fig7", &[Dataset::Nasa], Some("figure_after")),
+    ("sizes", BOTH, Some("sizes")),
+    ("ablation-broadcast", BOTH, Some("ablation_broadcast")),
+    ("ablation-promote", BOTH, Some("ablation_promote")),
+    ("degradation", BOTH, Some("degradation")),
+    ("length-sweep", BOTH, Some("length_sweep")),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,31 +102,21 @@ fn main() {
     let mut opts = Options {
         xmark_scale: DEFAULT_XMARK_SCALE,
         nasa_scale: DEFAULT_NASA_SCALE,
-        max_k: 4,
         seed: 2003,
         threads: 0,
-        out: "BENCH_eval.json".to_string(),
+        out: None,
         metrics: "METRICS.json".to_string(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--xmark-scale" => opts.xmark_scale = parse_next(&mut it, arg),
-            "--nasa-scale" => opts.nasa_scale = parse_next(&mut it, arg),
-            "--max-k" => opts.max_k = parse_next(&mut it, arg),
+            "--xmark-scale" => opts.xmark_scale = usage(parse_scale(it.next(), arg)),
+            "--nasa-scale" => opts.nasa_scale = usage(parse_scale(it.next(), arg)),
             "--seed" => opts.seed = parse_next(&mut it, arg),
             "--threads" => opts.threads = parse_next(&mut it, arg),
-            "--out" => {
-                opts.out = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("flag --out needs a path");
-                    std::process::exit(2);
-                });
-            }
+            "--out" => opts.out = Some(usage(it.next().cloned().ok_or("flag --out needs a path".into()))),
             "--metrics" => {
-                opts.metrics = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("flag --metrics needs a path");
-                    std::process::exit(2);
-                });
+                opts.metrics = usage(it.next().cloned().ok_or("flag --metrics needs a path".into()));
             }
             "--help" | "-h" => {
                 print_usage();
@@ -124,32 +138,13 @@ fn main() {
     };
     opts.threads = gates::resolved_threads(opts.threads);
 
+    if let Some(&(_, datasets, table)) = RECORD_MODES.iter().find(|m| m.0 == experiment) {
+        return run_record(&opts, datasets, table);
+    }
     match experiment.as_str() {
-        "fig4" => fig_before(&opts, Dataset::Xmark),
-        "fig5" => fig_before(&opts, Dataset::Nasa),
-        "table1" => run_table1(&opts),
-        "fig6" => fig_after(&opts, Dataset::Xmark),
-        "fig7" => fig_after(&opts, Dataset::Nasa),
-        "sizes" => run_sizes(&opts),
-        "ablation-broadcast" => run_ablation_broadcast(&opts),
-        "ablation-promote" => run_ablation_promote(&opts),
-        "degradation" => run_degradation(&opts),
-        "length-sweep" => run_length_sweep(&opts),
         "bench-smoke" => run_bench_smoke(&opts),
         "verify-faults" => run_verify_faults(&opts),
         "verify-crash" => run_verify_crash(&opts),
-        "all" => {
-            fig_before(&opts, Dataset::Xmark);
-            fig_before(&opts, Dataset::Nasa);
-            run_table1(&opts);
-            fig_after(&opts, Dataset::Xmark);
-            fig_after(&opts, Dataset::Nasa);
-            run_sizes(&opts);
-            run_ablation_broadcast(&opts);
-            run_ablation_promote(&opts);
-            run_degradation(&opts);
-            run_length_sweep(&opts);
-        }
         other => {
             eprintln!("unknown experiment {other:?}");
             print_usage();
@@ -158,234 +153,61 @@ fn main() {
     }
 }
 
+/// The value of a usage check, or its message and exit 2.
+fn usage<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
 fn parse_next<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("flag {flag} needs a numeric value");
-            std::process::exit(2);
-        })
+    usage(it.next().and_then(|v| v.parse().ok()).ok_or(format!("flag {flag} needs a numeric value")))
+}
+
+/// A dataset scale: a finite number above 0. Anything else would generate
+/// an unbounded graph (`inf`) or silently clamp to the minimal one.
+fn parse_scale(value: Option<&String>, flag: &str) -> Result<f64, String> {
+    match value.map(|v| v.parse::<f64>()) {
+        Some(Ok(scale)) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("flag {flag} needs a finite scale above 0")),
+    }
 }
 
 fn print_usage() {
     println!(
-        "usage: reproduce <fig4|fig5|fig6|fig7|table1|sizes|ablation-broadcast|ablation-promote|\n\
-         \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-crash|all>\n\
-         \x20       [--xmark-scale F] [--nasa-scale F] [--max-k K] [--seed S]\n\
+        "usage: reproduce <all|fig4|fig5|fig6|fig7|table1|sizes|ablation-broadcast|ablation-promote|\n\
+         \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-crash>\n\
+         \x20       [--xmark-scale F] [--nasa-scale F] [--seed S]\n\
          \x20       [--threads N] [--out PATH] [--metrics PATH]\n\
-         \x20       (the last three flags apply to bench-smoke only)"
+         \x20       (--out applies to all and bench-smoke; --threads and --metrics to bench-smoke)"
     );
 }
 
-#[derive(Clone, Copy)]
-enum Dataset {
-    Xmark,
-    Nasa,
-}
-
-impl Dataset {
-    fn name(self) -> &'static str {
-        match self {
-            Dataset::Xmark => "Xmark",
-            Dataset::Nasa => "Nasa",
+/// Run the record of `datasets` and print its dataset tables plus `table`
+/// (every table when `None`). `all` also writes the record to `--out` and
+/// exits 1 on the first failing shape claim.
+fn run_record(opts: &Options, datasets: &[Dataset], table: Option<&str>) {
+    let scale = |d| if d == Dataset::Xmark { opts.xmark_scale } else { opts.nasa_scale };
+    let records: Vec<Record> = datasets.iter().map(|&d| Record::run(d, scale(d), opts.seed)).collect();
+    for t in records.iter().flat_map(Record::tables) {
+        if table.is_none_or(|key| key == t.key || t.key == "dataset") {
+            print!("\n=== {} ===\n{}", t.title, rows_table(&t.rows));
         }
     }
-}
-
-fn load(opts: &Options, which: Dataset) -> (DataGraph, Workload) {
-    let data = match which {
-        Dataset::Xmark => datasets::xmark(opts.xmark_scale),
-        Dataset::Nasa => datasets::nasa(opts.nasa_scale),
-    };
-    let workload = standard_workload(&data, opts.seed);
-    println!(
-        "[{}] {} | workload: {} paths, lengths {:?}",
-        which.name(),
-        GraphStats::of(&data),
-        workload.len(),
-        workload.length_histogram(),
-    );
-    (data, workload)
-}
-
-fn print_points(title: &str, points: &[EvalPoint]) {
-    println!("\n=== {title} ===");
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                p.size.to_string(),
-                fmt_f64(p.avg_cost),
-                p.validated_queries.to_string(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["index", "size (nodes)", "avg cost (nodes visited)", "queries validated"],
-            &rows
-        )
-    );
-}
-
-fn fig_before(opts: &Options, which: Dataset) {
-    let (data, workload) = load(opts, which);
-    let points = figure_before_update(&data, &workload, opts.max_k);
-    let fig = match which {
-        Dataset::Xmark => "Figure 4",
-        Dataset::Nasa => "Figure 5",
-    };
-    print_points(
-        &format!("{fig}: evaluation performance on {} data before updating", which.name()),
-        &points,
-    );
-}
-
-fn fig_after(opts: &Options, which: Dataset) {
-    let (data, workload) = load(opts, which);
-    let edges = standard_updates(&data, opts.seed);
-    let points = figure_after_update(&data, &workload, &edges, opts.max_k);
-    let fig = match which {
-        Dataset::Xmark => "Figure 6",
-        Dataset::Nasa => "Figure 7",
-    };
-    print_points(
-        &format!(
-            "{fig}: evaluation performance on {} data after {} edge updates",
-            which.name(),
-            edges.len()
-        ),
-        &points,
-    );
-}
-
-fn run_table1(opts: &Options) {
-    println!("\n=== Table 1: update efficiency (100 random ID/IDREF edges) ===");
-    let mut rows_out: Vec<Vec<String>> = Vec::new();
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let edges = standard_updates(&data, opts.seed);
-        let rows = table1(&data, &edges, opts.max_k, &workload.mine_requirements());
-        for (i, r) in rows.iter().enumerate() {
-            if rows_out.len() <= i {
-                rows_out.push(vec![r.name.clone()]);
-            }
-            rows_out[i].push(format!("{:.0}", r.millis));
-            rows_out[i].push(r.work.to_string());
-            rows_out[i].push(format!("{}->{}", r.size_before, r.size_after));
-        }
-    }
-    print!(
-        "{}",
-        render_table(
-            &[
-                "index",
-                "Xmark ms",
-                "Xmark work",
-                "Xmark size",
-                "Nasa ms",
-                "Nasa work",
-                "Nasa size"
-            ],
-            &rows_out
-        )
-    );
-}
-
-fn run_sizes(opts: &Options) {
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let rows = size_comparison(&data, &workload, opts.max_k);
-        println!("\n=== Summary sizes on {} data (ablation C) ===", which.name());
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.size.to_string(),
-                    format!("{:.1} KiB", r.bytes as f64 / 1024.0),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            render_table(&["summary", "size (nodes)", "approx bytes"], &table)
-        );
+    if table.is_none() {
+        let out = opts.out.as_deref().unwrap_or("PAPER_eval.json");
+        write_or_exit(out, &record_json(&records, opts.seed));
+        require(records.iter().try_for_each(Record::check));
     }
 }
 
-fn run_ablation_broadcast(opts: &Options) {
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let ab = ablation_broadcast(&data, &workload);
-        println!(
-            "\n=== Ablation A on {}: D(k) without the broadcast algorithm ===",
-            which.name()
-        );
-        println!(
-            "constraint violations: {} | wrong answers: {}/{} | size with broadcast: {} | without: {}",
-            ab.constraint_violations,
-            ab.wrong_answers,
-            workload.len(),
-            ab.size_with,
-            ab.size_without
-        );
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: writing {path}: {e}");
+        std::process::exit(2);
     }
-}
-
-fn run_degradation(opts: &Options) {
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let edges = standard_updates(&data, opts.seed);
-        let points = degradation_curve(&data, &workload, &edges, 20, 25);
-        println!(
-            "\n=== Extension D1 on {}: degradation under updates (promote every 25) ===",
-            which.name()
-        );
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.updates_applied.to_string(),
-                    fmt_f64(p.cost_untuned),
-                    fmt_f64(p.cost_promoted),
-                    p.size_promoted.to_string(),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            render_table(
-                &["updates", "cost untuned", "cost promoted", "size promoted"],
-                &rows
-            )
-        );
-    }
-}
-
-fn run_length_sweep(opts: &Options) {
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let (names, rows) = length_sweep(&data, &workload);
-        println!(
-            "\n=== Extension D2 on {}: avg cost by query length ===",
-            which.name()
-        );
-        let mut headers: Vec<&str> = vec!["labels", "queries"];
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        headers.extend(name_refs);
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                let mut row = vec![r.labels.to_string(), r.queries.to_string()];
-                row.extend(r.avg_costs.iter().map(|&c| fmt_f64(c)));
-                row
-            })
-            .collect();
-        print!("{}", render_table(&headers, &table));
-    }
+    println!("wrote {path}");
 }
 
 /// Print `FAIL: …` and exit 1 when a gate's `check` names a failing clause.
@@ -397,13 +219,14 @@ fn require(gate: Result<(), String>) {
 }
 
 fn run_bench_smoke(opts: &Options) {
-    let (data, workload) = load(opts, Dataset::Xmark);
+    let data = Dataset::Xmark.generate(opts.xmark_scale);
+    let workload = standard_workload(&data, opts.seed);
+    println!("[Xmark] {} | workload: {} paths", GraphStats::of(&data), workload.len());
 
     println!("\n=== Bench smoke: exact identity and determinism gates ===");
     let set = gates::run_gates(
         &data,
         &workload,
-        opts.max_k,
         opts.threads,
         opts.seed,
         &net::NetBenchConfig::default(),
@@ -426,11 +249,7 @@ fn run_bench_smoke(opts: &Options) {
         println!("workspace: {} lines of Rust", loc.total);
     }
 
-    if let Err(e) = std::fs::write(&opts.out, set.to_json("xmark", loc.as_ref())) {
-        eprintln!("error: writing {}: {e}", opts.out);
-        std::process::exit(2);
-    }
-    println!("wrote {}", opts.out);
+    write_or_exit(opts.out.as_deref().unwrap_or("BENCH_eval.json"), &set.to_json("xmark", loc.as_ref()));
 
     let tel = &set.telemetry;
     println!(
@@ -441,12 +260,7 @@ fn run_bench_smoke(opts: &Options) {
         tel.snapshot.counter("partition.rounds").unwrap_or(0),
         tel.snapshot.counter("eval.queries").unwrap_or(0),
     );
-    let metrics = gates::metrics_to_json("xmark", opts.threads, opts.max_k, workload.len(), tel);
-    if let Err(e) = std::fs::write(&opts.metrics, &metrics) {
-        eprintln!("error: writing {}: {e}", opts.metrics);
-        std::process::exit(2);
-    }
-    println!("wrote {}", opts.metrics);
+    write_or_exit(&opts.metrics, &gates::metrics_to_json("xmark", opts.threads, workload.len(), tel));
 
     require(set.check());
 }
@@ -505,17 +319,18 @@ fn run_verify_crash(opts: &Options) {
     );
 }
 
-fn run_ablation_promote(opts: &Options) {
-    for which in [Dataset::Xmark, Dataset::Nasa] {
-        let (data, workload) = load(opts, which);
-        let edges = standard_updates(&data, opts.seed);
-        let (degraded, promoted, splits) = ablation_promote(&data, &workload, &edges);
-        println!(
-            "\n=== Ablation B on {}: promoting after {} updates ({} splits) ===",
-            which.name(),
-            edges.len(),
-            splits
-        );
-        print_points("before/after promotion", &[degraded, promoted]);
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn a_scale_must_be_finite_and_above_zero() {
+        let parse = |v: &str| parse_scale(Some(&v.to_string()), "--xmark-scale");
+        for bad in ["inf", "-inf", "NaN", "0", "-0", "-1", "x"] {
+            assert!(parse(bad).is_err(), "{bad} accepted");
+        }
+        assert_eq!(parse("0.02"), Ok(0.02));
+        assert_eq!(parse("1e-9"), Ok(1e-9));
+        assert!(parse_scale(None, "--nasa-scale").is_err());
     }
 }

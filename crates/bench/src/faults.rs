@@ -273,7 +273,7 @@ pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeI
 /// Standard fixture for the fault suite: a small XMark graph (with reference
 /// edges, so update generation works) and a mixed-k requirement set.
 pub fn fixture(seed: u64) -> (DataGraph, DkIndex, Vec<(NodeId, NodeId)>) {
-    let data = crate::datasets::xmark(0.002);
+    let data = crate::datasets::Dataset::Xmark.generate(0.002);
     let dk = DkIndex::build(
         &data,
         Requirements::from_pairs([("item", 2), ("bidder", 3), ("person", 1)]),

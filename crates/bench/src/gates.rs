@@ -14,13 +14,14 @@
 //! its acceptance conditions once (`check`: the first failing clause, as
 //! the message `reproduce bench-smoke` prints).
 
+use crate::experiments::{Summaries, MAX_K};
 use crate::loc::{loc_to_json, LocReport};
 use crate::net::{bench_net, NetBenchConfig, NetBenchResult};
-use crate::report::{rows_json, rows_line, Rows};
+use crate::report::{quoted, rows_json, rows_json_array, rows_line, Rows};
 use crate::tuning::{bench_tuning, TuningBenchConfig, TuningBenchResult};
 use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::{
-    apply_serial, eval_oracle, snapshot_bytes, AkIndex, DkIndex,
+    apply_serial, eval_oracle, snapshot_bytes, DkIndex,
     DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig, ServeOp,
     Tuner, TunerConfig,
 };
@@ -39,25 +40,14 @@ pub fn resolved_threads(threads: usize) -> usize {
     }
 }
 
-/// The paper's figure-4 index set: A(0)..A(max_k) plus the workload-tuned
-/// D(k). The coarse indexes validate heavily, the tuned ones barely — both
-/// regimes count.
-fn figure4_indexes(data: &DataGraph, reqs: &Requirements, max_k: usize) -> Vec<IndexGraph> {
-    let mut indexes: Vec<IndexGraph> = (0..=max_k)
-        .map(|k| AkIndex::build(data, k).index().clone())
-        .collect();
-    indexes.push(DkIndex::build(data, reqs.clone()).index().clone());
-    indexes
-}
-
 /// Reference path: fresh allocations per query, no memo.
 fn oracle_outcomes(
-    indexes: &[IndexGraph],
+    indexes: &[&IndexGraph],
     data: &DataGraph,
     queries: &[PathExpr],
 ) -> Vec<IndexEvalOutcome> {
     let mut all = Vec::new();
-    for index in indexes {
+    for &index in indexes {
         let labels = LabelIndex::build(index);
         all.extend(queries.iter().map(|q| eval_oracle::evaluate(index, data, &labels, q)));
     }
@@ -66,12 +56,12 @@ fn oracle_outcomes(
 
 /// Arena + memo evaluator.
 fn arena_outcomes(
-    indexes: &[IndexGraph],
+    indexes: &[&IndexGraph],
     data: &DataGraph,
     queries: &[PathExpr],
 ) -> Vec<IndexEvalOutcome> {
     let mut all = Vec::new();
-    for index in indexes {
+    for &index in indexes {
         all.extend(IndexEvaluator::new(index, data).evaluate_all(queries));
     }
     all
@@ -131,7 +121,7 @@ impl BuildBenchResult {
     /// One element of the `construction` array.
     pub fn rows(&self) -> Rows {
         vec![
-            ("name", format!("\"{}\"", self.name)),
+            ("name", quoted(&self.name)),
             ("identical_partition", self.identical_partition.to_string()),
             ("blocks", self.blocks.to_string()),
         ]
@@ -326,7 +316,7 @@ pub struct GateSet {
     pub threads: usize,
     /// Batch evaluation through the figure-4 index set.
     pub eval: EvalBenchResult,
-    /// A(max_k) and D(k) construction.
+    /// A([`MAX_K`]) and D(k) construction.
     pub builds: Vec<BuildBenchResult>,
     /// Sustained churn ([`bench_churn`]).
     pub churn: ChurnBenchResult,
@@ -341,10 +331,12 @@ pub struct GateSet {
 
 /// Run the whole gate set on `data` with `workload`'s queries and mined
 /// requirements; `threads` is already resolved ([`resolved_threads`]).
+/// Evaluation runs through the paper's figure-4 set ([`Summaries::figure4`]):
+/// the coarse indexes validate heavily, the tuned ones barely — both
+/// regimes count.
 pub fn run_gates(
     data: &DataGraph,
     workload: &Workload,
-    max_k: usize,
     threads: usize,
     seed: u64,
     net_cfg: &NetBenchConfig,
@@ -352,12 +344,12 @@ pub fn run_gates(
 ) -> GateSet {
     let queries = workload.queries();
     let reqs = workload.mine_requirements();
-    let indexes = figure4_indexes(data, &reqs, max_k);
-    let (eval, dk_build, telemetry) = bench_identity(data, &indexes, queries, &reqs, seed);
+    let summaries = Summaries::build(data, &reqs);
+    let (eval, dk_build, telemetry) = bench_identity(data, &summaries.figure4(), queries, &reqs, seed);
     GateSet {
         threads,
         eval,
-        builds: vec![bench_ak_build(data, max_k), dk_build],
+        builds: vec![bench_ak_build(data, MAX_K), dk_build],
         churn: bench_churn(data, queries, &reqs, threads, seed),
         net: bench_net(data, queries, &reqs, threads, net_cfg, seed),
         tuning: bench_tuning(data, threads, tune_cfg, seed),
@@ -389,16 +381,12 @@ impl GateSet {
     /// The `BENCH_eval.json` document (hand-rolled: the workspace has no
     /// serialization dependency).
     pub fn to_json(&self, dataset: &str, loc: Option<&LocReport>) -> String {
-        let builds: Vec<String> = self
-            .builds
-            .iter()
-            .map(|b| format!("    {}", rows_json(&b.rows(), 0)))
-            .collect();
+        let builds: Vec<Rows> = self.builds.iter().map(BuildBenchResult::rows).collect();
         let mut sections = vec![
             format!("\"dataset\": \"{dataset}\""),
             format!("\"config\": {{ \"threads\": {} }}", self.threads),
             format!("\"eval\": {}", rows_json(&self.eval.rows(), 4)),
-            format!("\"construction\": [\n{}\n  ]", builds.join(",\n")),
+            format!("\"construction\": {}", rows_json_array(&builds, 4)),
             format!("\"churn\": {}", rows_json(&self.churn.rows(), 4)),
             format!("\"net\": {}", rows_json(&self.net.rows(), 4)),
             format!("\"tuning\": {}", rows_json(&self.tuning.rows(), 4)),
@@ -450,7 +438,7 @@ impl TelemetryBenchResult {
 /// (reset/enable/disable), which it leaves disabled.
 fn bench_identity(
     data: &DataGraph,
-    indexes: &[IndexGraph],
+    indexes: &[&IndexGraph],
     queries: &[PathExpr],
     reqs: &Requirements,
     seed: u64,
@@ -527,13 +515,12 @@ fn bench_identity(
 pub fn metrics_to_json(
     dataset: &str,
     threads: usize,
-    max_k: usize,
     queries: usize,
     tel: &TelemetryBenchResult,
 ) -> String {
     format!(
         "{{\n  \"dataset\": \"{dataset}\",\n  \
-         \"config\": {{ \"threads\": {threads}, \"max_k\": {max_k}, \"queries\": {queries} }},\n  \
+         \"config\": {{ \"threads\": {threads}, \"max_k\": {MAX_K}, \"queries\": {queries} }},\n  \
          \"identical_with_telemetry_off\": {},\n  \
          \"identical_with_telemetry_on\": {},\n  \
          \"telemetry\": {}\n}}\n",
@@ -546,7 +533,7 @@ pub fn metrics_to_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets;
+    use crate::datasets::Dataset;
     use crate::experiments::standard_workload;
     use std::sync::{Mutex, PoisonError};
 
@@ -559,7 +546,7 @@ mod tests {
     /// small XMark tree with shortened net and tuning runs.
     fn small_gate_set() -> GateSet {
         let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
-        let data = datasets::xmark(0.004);
+        let data = Dataset::Xmark.generate(0.004);
         let workload = standard_workload(&data, 7);
         let net_cfg = NetBenchConfig {
             rounds: 10,
@@ -573,7 +560,7 @@ mod tests {
             window: 32,
             ..TuningBenchConfig::default()
         };
-        run_gates(&data, &workload, 2, 2, 7, &net_cfg, &tune_cfg)
+        run_gates(&data, &workload, 2, 7, &net_cfg, &tune_cfg)
     }
 
     #[test]
@@ -600,7 +587,7 @@ mod tests {
         assert!(tel.identical_on, "fast paths diverge with recorder on");
         assert!(tel.snapshot.counter("partition.rounds").unwrap_or(0) > 0);
         assert!(tel.snapshot.counter("eval.queries").unwrap_or(0) > 0);
-        let metrics = metrics_to_json("xmark-test", 2, 2, gates.eval.queries, tel);
+        let metrics = metrics_to_json("xmark-test", 2, gates.eval.queries, tel);
         for key in [
             "\"identical_with_telemetry_off\": true",
             "\"identical_with_telemetry_on\": true",

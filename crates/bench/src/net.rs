@@ -282,12 +282,12 @@ pub fn bench_net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets;
+    use crate::datasets::Dataset;
     use crate::experiments::standard_workload;
 
     #[test]
     fn net_bench_is_deterministic_and_sheds_typed() {
-        let data = datasets::xmark(0.004);
+        let data = Dataset::Xmark.generate(0.004);
         let workload = standard_workload(&data, 7);
         let reqs = workload.mine_requirements();
         let cfg = NetBenchConfig {

@@ -1,38 +1,8 @@
-//! Plain-text table rendering for the experiment harness.
+//! Rendering for the experiment harness: every result states its rows once
+//! as [`Rows`], and the functions here are the only ways they reach the
+//! console or a JSON document, so the two cannot drift apart.
 
-/// Render an aligned table; `headers.len()` must match every row's length.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "ragged table row");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    let line = |out: &mut String, cells: Vec<&str>| {
-        for (i, cell) in cells.iter().enumerate() {
-            out.push_str("| ");
-            out.push_str(cell);
-            out.push_str(&" ".repeat(widths[i] - cell.len() + 1));
-        }
-        out.push_str("|\n");
-    };
-    line(&mut out, headers.to_vec());
-    for w in &widths {
-        out.push('|');
-        out.push_str(&"-".repeat(w + 2));
-    }
-    out.push_str("|\n");
-    for row in rows {
-        line(&mut out, row.iter().map(String::as_str).collect());
-    }
-    out
-}
-
-/// One gate result's rows, stated once: `(key, value as a JSON literal)`.
-/// [`rows_line`] and [`rows_json`] are the only two renderings, so the
-/// console line and the `BENCH_eval.json` object cannot drift apart.
+/// One result's rows, stated once: `(key, value as a JSON literal)`.
 pub type Rows = Vec<(&'static str, String)>;
 
 /// `name: key value | key value | …` — the console line for one result.
@@ -52,6 +22,58 @@ pub fn rows_json(rows: &Rows, indent: usize) -> String {
     format!("{{\n{pad}{}\n{}}}", cells.join(&format!(",\n{pad}")), &pad[2..])
 }
 
+/// A JSON array of one-line row objects, one per line at `indent` spaces.
+pub fn rows_json_array(rows: &[Rows], indent: usize) -> String {
+    let pad = " ".repeat(indent);
+    let items: Vec<String> = rows.iter().map(|r| format!("{pad}{}", rows_json(r, 0))).collect();
+    format!("[\n{}\n{}]", items.join(",\n"), &pad[2..])
+}
+
+/// The aligned (Markdown) table of a list of rows: the first row's keys are
+/// the headers, and a JSON string cell loses its quotes. Generic over the
+/// key type so that rows read back from a JSON document render identically.
+pub fn rows_table<K: AsRef<str>>(rows: &[Vec<(K, String)>]) -> String {
+    let headers: Vec<&str> = rows.first().map_or(Vec::new(), |r| r.iter().map(|(k, _)| k.as_ref()).collect());
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let cells: Vec<Vec<&str>> = rows
+        .iter()
+        .map(|r| r.iter().map(|(_, v)| v.trim_matches('"')).collect())
+        .collect();
+    for row in &cells {
+        assert_eq!(row.len(), headers.len(), "ragged table row");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let line = |cells: &[&str]| {
+        let padded: Vec<String> = cells.iter().zip(&widths).map(|(c, w)| format!(" {c:w$} ")).collect();
+        format!("|{}|\n", padded.join("|"))
+    };
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+    let mut out = line(&headers) + &format!("|{}|\n", rule.join("|"));
+    for row in &cells {
+        out += &line(row);
+    }
+    out
+}
+
+/// One titled table of a record: `key` names it in the JSON document,
+/// `title` heads its [`rows_table`] on the console.
+#[derive(Clone, Debug)]
+pub struct Table {
+    /// JSON key, e.g. `figure_before`.
+    pub key: &'static str,
+    /// Console heading.
+    pub title: String,
+    /// The rows, stated once.
+    pub rows: Vec<Rows>,
+}
+
+/// A JSON string literal for a name (names carry no quotes or backslashes).
+pub fn quoted(name: &str) -> String {
+    format!("\"{name}\"")
+}
+
 /// Format a float with limited precision for table cells.
 pub fn fmt_f64(v: f64) -> String {
     if v >= 1000.0 {
@@ -66,29 +88,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_is_aligned() {
-        let t = render_table(
-            &["index", "size"],
-            &[
-                vec!["A(0)".into(), "5".into()],
-                vec!["D(k)".into(), "12345".into()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        let len = lines[0].len();
-        assert!(lines.iter().all(|l| l.len() == len));
-        assert!(lines[1].chars().all(|c| c == '|' || c == '-'));
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_panic() {
-        render_table(&["a", "b"], &[vec!["only one".into()]]);
-    }
-
-    #[test]
-    fn rows_render_as_line_and_json() {
+    fn rows_render_as_line_json_and_table() {
         let rows: Rows = vec![("blocks", "612".into()), ("deterministic", "true".into())];
         assert_eq!(rows_line("churn", &rows), "churn: blocks 612 | deterministic true");
         assert_eq!(rows_json(&rows, 0), "{ \"blocks\": 612, \"deterministic\": true }");
@@ -96,6 +96,24 @@ mod tests {
             rows_json(&rows, 4),
             "{\n    \"blocks\": 612,\n    \"deterministic\": true\n  }"
         );
+        let rows: Vec<Rows> = vec![
+            vec![("index", quoted("A(0)")), ("size", "71".into())],
+            vec![("index", quoted("D(k)")), ("size", "12345".into())],
+        ];
+        assert_eq!(
+            rows_json_array(&rows, 4),
+            "[\n    { \"index\": \"A(0)\", \"size\": 71 },\n    { \"index\": \"D(k)\", \"size\": 12345 }\n  ]"
+        );
+        assert_eq!(
+            rows_table(&rows),
+            "| index | size  |\n|-------|-------|\n| A(0)  | 71    |\n| D(k)  | 12345 |\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged")]
+    fn ragged_rows_panic() {
+        rows_table(&[vec![("a", "1".to_string()), ("b", "2".into())], vec![("a", "only one".into())]]);
     }
 
     #[test]

@@ -330,11 +330,11 @@ pub fn bench_tuning(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets;
+    use crate::datasets::Dataset;
 
     #[test]
     fn shifting_workload_reconverges_and_replays_serially() {
-        let data = datasets::xmark(0.004);
+        let data = Dataset::Xmark.generate(0.004);
         let cfg = TuningBenchConfig {
             rounds: 8,
             queries_per_round: 128,

@@ -1,0 +1,96 @@
+//! The paper record and its documents: EXPERIMENTS.md quotes every table of
+//! the checked-in `PAPER_eval.json` exactly as `reproduce` renders it, and
+//! THEORY.md quotes ablation A's wrong-answer counts. `make verify-record`
+//! checks the other side: `reproduce all` still writes that file.
+
+use dkindex_bench::report::rows_table;
+use std::process::Command;
+
+const RECORD: &str = include_str!("../../../PAPER_eval.json");
+const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
+const THEORY: &str = include_str!("../../../THEORY.md");
+
+type Rows = Vec<(String, String)>;
+
+/// `("dataset.table", rows)` for every table of the record, read from the
+/// layout `experiments::record_json` writes: `"xmark": {` opens a dataset,
+/// `"key": [` a table, and each row object sits on its own line.
+fn record_tables() -> Vec<(String, Vec<Rows>)> {
+    let mut tables: Vec<(String, Vec<Rows>)> = Vec::new();
+    let mut dataset = "";
+    for line in RECORD.lines().map(str::trim) {
+        let key = line.strip_prefix('"');
+        if let Some(name) = key.and_then(|l| l.strip_suffix("\": {")) {
+            dataset = name;
+        } else if let Some(name) = key.and_then(|l| l.strip_suffix("\": [")) {
+            tables.push((format!("{dataset}.{name}"), Vec::new()));
+        } else if let Some(row) = line.trim_end_matches(',').strip_prefix("{ \"") {
+            let row = row.strip_suffix(" }").expect("a row object on one line");
+            let cells = row
+                .split(", \"")
+                .map(|cell| {
+                    let (k, v) = cell.split_once("\": ").expect("a \"key\": value cell");
+                    (k.to_string(), v.to_string())
+                })
+                .collect();
+            tables.last_mut().expect("a row inside a table").1.push(cells);
+        }
+    }
+    tables
+}
+
+fn cell<'a>(rows: &'a Rows, key: &str) -> &'a str {
+    &rows.iter().find(|(k, _)| k == key).expect("a cell the record writes").1
+}
+
+#[test]
+fn experiments_quotes_every_table_of_the_record() {
+    let tables = record_tables();
+    assert_eq!(tables.len(), 18, "nine tables per dataset");
+    let lines: Vec<&str> = EXPERIMENTS.lines().collect();
+    let mut quoted: Vec<&str> = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(name) = line.strip_prefix("<!-- record: ").and_then(|l| l.strip_suffix(" -->")) else {
+            continue;
+        };
+        let Some((_, rows)) = tables.iter().find(|(n, _)| n == name) else {
+            panic!("EXPERIMENTS.md quotes {name}, which PAPER_eval.json lacks");
+        };
+        let table: String = lines[i + 1..]
+            .iter()
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(table, rows_table(rows), "EXPERIMENTS.md's {name} is not the record's rendering");
+        quoted.push(name);
+    }
+    for (name, _) in &tables {
+        let times = quoted.iter().filter(|q| *q == name).count();
+        assert_eq!(times, 1, "EXPERIMENTS.md quotes {name} {times} times, not once");
+    }
+}
+
+#[test]
+fn theory_quotes_the_ablation_a_figures() {
+    let tables = record_tables();
+    let wrong = |dataset: &str| {
+        let name = format!("{dataset}.ablation_broadcast");
+        let rows = &tables.iter().find(|(n, _)| *n == name).expect("ablation A in the record").1[0];
+        format!("{}/{}", cell(rows, "wrong_answers"), cell(rows, "queries"))
+    };
+    let phrase = format!("{} wrong answers on Xmark, {} on Nasa", wrong("xmark"), wrong("nasa"));
+    assert!(THEORY.contains(&phrase), "THEORY.md must quote ablation A as \"{phrase}\"");
+}
+
+#[test]
+fn a_scale_that_is_not_finite_and_positive_is_a_usage_error() {
+    // `inf` is left to the unit test: a regression would allocate without bound.
+    for scale in ["0", "-1", "NaN"] {
+        let status = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["fig4", "--xmark-scale", scale])
+            .output()
+            .expect("reproduce runs")
+            .status;
+        assert_eq!(status.code(), Some(2), "--xmark-scale {scale}");
+    }
+}
