@@ -20,7 +20,10 @@
 //! data graph's adjacency, so a query walks the index graph itself. Child
 //! rows keep insertion order; every parent row is kept ascending, so an
 //! index rebuilt from a snapshot (which stores child rows only) has the
-//! parent rows of the live one. What the summary knows about one node
+//! parent rows of the live one. The snapshot loader lays both columns out
+//! once from the stored edge list ([`SegCsr::from_pairs`]),
+//! row for row as [`IndexGraph::add_index_edge`] would leave them; every
+//! later edge write is incremental. What the summary knows about one node
 //! besides — similarity and extent — is one block behind an [`Arc`].
 //!
 //! ## Copy-on-write
@@ -28,7 +31,8 @@
 //! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block
 //! and per adjacency segment instead of deep-copying extents and edges. This
 //! is the index half of the delta-epoch publish path (the data half is the
-//! data graph's [`SegVec`] and [`SegCsr`] columns):
+//! data graph's flat label column and its [`SegCsr`] and [`SegVec`]
+//! columns):
 //!
 //! 1. **Clone is shallow**: `clone()` copies block and segment handles,
 //!    never their contents.
@@ -108,22 +112,36 @@ impl IndexGraph {
         interner: Arc<LabelInterner>,
         root: NodeId,
     ) -> Self {
-        assert_eq!(blocks.len(), labels.len());
         let mut children = SegCsr::new();
         let mut parents = SegCsr::new();
         for _ in 0..blocks.len() {
             children.push_row();
             parents.push_row();
         }
+        IndexGraph::from_columns(blocks, labels, children, parents, node_to_index, interner, root)
+    }
+
+    /// An index over `blocks` with the given labels and adjacency, one child
+    /// and one parent row per block.
+    fn from_columns(
+        blocks: Vec<Arc<Block>>,
+        labels: Vec<LabelId>,
+        children: SegCsr,
+        parents: SegCsr,
+        node_to_index: SegVec<NodeId>,
+        interner: Arc<LabelInterner>,
+        root: NodeId,
+    ) -> Self {
+        assert_eq!(blocks.len(), labels.len());
         IndexGraph {
             blocks,
             labels: Arc::new(labels),
+            edge_count: children.target_count(),
             children,
             parents,
             node_to_index,
             interner,
             root,
-            edge_count: 0,
         }
     }
 
@@ -204,18 +222,32 @@ impl IndexGraph {
     }
 
     /// Reassemble an index graph from stored parts (the `store` module's
-    /// loader). Extents must partition `0..data_nodes`; edges and the root
-    /// are attached afterwards via [`IndexGraph::add_index_edge`] and
-    /// [`IndexGraph::set_root`].
+    /// loader). Extents must partition `0..data_nodes`. The edges are laid
+    /// out once, as [`IndexGraph::add_index_edge`] would leave them added in
+    /// `edges` order: each child row in stored order minus repeats, each
+    /// parent row ascending. Panics when an edge endpoint or the root is out
+    /// of range.
     pub(crate) fn from_stored_parts(
         interner: LabelInterner,
         labels: Vec<LabelId>,
         similarity: Vec<usize>,
         extents: Vec<Vec<NodeId>>,
+        edges: &[(NodeId, NodeId)],
+        root: NodeId,
         data_nodes: usize,
     ) -> IndexGraph {
         assert_eq!(labels.len(), similarity.len());
         assert_eq!(labels.len(), extents.len());
+        assert!(root.index() < labels.len(), "root index node out of range");
+        let n = labels.len();
+        let children =
+            SegCsr::from_pairs(n, edges.iter().copied()).expect("index edge source out of range");
+        // Transposed row by row, every parent row comes out ascending.
+        let transposed = (0..n).flat_map(|from| {
+            let row = children.row(from).unwrap_or_default();
+            row.iter().map(move |&to| (to, NodeId::from_index(from)))
+        });
+        let parents = SegCsr::from_pairs(n, transposed).expect("index edge target out of range");
         let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
             .collect();
         let mut blocks = Vec::with_capacity(labels.len());
@@ -229,11 +261,12 @@ impl IndexGraph {
             }
             blocks.push(Block::shared(extent, k));
         }
-        let root = NodeId::from_index(0);
-        IndexGraph::unlinked(blocks, labels, node_to_index, Arc::new(interner), root)
+        let interner = Arc::new(interner);
+        IndexGraph::from_columns(blocks, labels, children, parents, node_to_index, interner, root)
     }
 
-    /// Set the root index node (store loading only).
+    /// Move the root to `root`: the audit tests' way to corrupt an index.
+    #[cfg(test)]
     pub(crate) fn set_root(&mut self, root: NodeId) {
         assert!(root.index() < self.size());
         self.root = root;

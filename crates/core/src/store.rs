@@ -30,7 +30,12 @@
 //! denies clippy's panic lints like the rest of the untrusted-bytes path.
 //!
 //! The decoders guard only what makes construction safe — every id in
-//! range, no allocation sized by an unchecked count. The verdict on an index
+//! range, no allocation sized by an unchecked count: every count is first
+//! held against the bytes left in the payload, so a corrupted count fails
+//! before anything is sized by it. The graph decoders decode first and
+//! build second: [`DataGraph::from_parts`] and
+//! `IndexGraph::from_stored_parts` lay each adjacency column out once from
+//! the decoded edge list. The verdict on an index
 //! (extents partition the graph, edges project it, the root is the root) is
 //! [`crate::audit::check_structure`]'s, which the snapshot loader runs
 //! against the graph it loads alongside before anything uses the index.
@@ -50,10 +55,18 @@
 use crate::bytes::Cursor;
 use crate::index_graph::{IndexGraph, SIM_EXACT};
 use crate::requirements::Requirements;
-use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
 use std::io;
 
 const GRAPH_MAGIC: [u8; 4] = *b"DKG1";
+
+/// The most a decoder pre-allocates for a column from its count alone: a
+/// larger column grows as its entries actually decode. Node labels and
+/// index edges are allocated exactly: `take_count` has held their count
+/// against the bytes left, and each entry takes no more memory than the
+/// payload bytes it decodes from. So is an extent, which the data graph's
+/// node count bounds.
+const MAX_PREALLOC: usize = 1 << 16;
 
 // ---- encoding ------------------------------------------------------------
 
@@ -150,6 +163,20 @@ fn take_u32(cur: &mut Cursor<'_>, what: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("payload ends inside {what}"))
 }
 
+/// A count of entries that take at least `min_bytes` each: larger than
+/// what the rest of the payload can hold is an error before anything is
+/// sized by it.
+fn take_count(cur: &mut Cursor<'_>, what: &str, min_bytes: usize) -> Result<usize, String> {
+    let count = take_u32(cur, what)?;
+    match count.checked_mul(min_bytes) {
+        Some(bytes) if bytes <= cur.remaining() => Ok(count),
+        _ => Err(format!(
+            "{what} {count} needs at least {min_bytes} bytes each, {} remain",
+            cur.remaining()
+        )),
+    }
+}
+
 fn take_label<'a>(cur: &mut Cursor<'a>) -> Result<&'a str, String> {
     let len = cur.u16_le().ok_or("payload ends inside a label length")?;
     let bytes = cur.take(usize::from(len)).ok_or("payload ends inside a label")?;
@@ -160,7 +187,7 @@ fn take_label<'a>(cur: &mut Cursor<'a>) -> Result<&'a str, String> {
 /// and `VALUE` (which every interner starts with) come first and no name
 /// repeats.
 fn take_label_table(cur: &mut Cursor<'_>) -> Result<LabelInterner, String> {
-    let count = take_u32(cur, "the label count")?;
+    let count = take_count(cur, "the label count", 2)?;
     if count < 2 {
         return Err("label table must contain ROOT and VALUE".to_string());
     }
@@ -181,36 +208,31 @@ fn end_of_payload(cur: &Cursor<'_>) -> Result<(), String> {
     }
 }
 
-/// Decode a whole `GRPH` payload.
+/// Decode a whole `GRPH` payload: labels and the edge list first, then one
+/// bulk build ([`DataGraph::from_parts`]), which equals adding the nodes and
+/// edges one at a time (a repeated edge keeps its first occurrence).
 pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
     if cur.array4() != Some(GRAPH_MAGIC) {
         return Err("bad magic (expected DKG1)".to_string());
     }
-    let labels = take_label_table(cur)?;
-    let mut g = DataGraph::new();
-    for (_, name) in labels.iter() {
-        g.intern(name);
-    }
-    let node_count = take_u32(cur, "the node count")?;
+    let interner = take_label_table(cur)?;
+    let node_count = take_count(cur, "the node count", 4)?;
     if node_count == 0 {
         return Err("graph has no root node".to_string());
     }
+    let mut labels = Vec::with_capacity(node_count);
     for i in 0..node_count {
         let label = take_u32(cur, "a node label")?;
-        if label >= labels.len() {
+        if label >= interner.len() {
             return Err(format!("node {i}: label id {label} out of range"));
         }
-        match i {
-            0 if label != LabelInterner::ROOT.index() => {
-                return Err("node 0 must carry the ROOT label".to_string())
-            }
-            0 => {} // the root already exists
-            _ => {
-                g.add_node(LabelId::from_index(label));
-            }
+        if i == 0 && label != LabelInterner::ROOT.index() {
+            return Err("node 0 must carry the ROOT label".to_string());
         }
+        labels.push(LabelId::from_index(label));
     }
-    let edge_count = take_u32(cur, "the edge count")?;
+    let edge_count = take_count(cur, "the edge count", 9)?;
+    let mut edges = SegVec::new();
     for _ in 0..edge_count {
         let from = take_u32(cur, "an edge")?;
         let to = take_u32(cur, "an edge")?;
@@ -223,10 +245,10 @@ pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
         if from >= node_count || to >= node_count {
             return Err("edge endpoint out of range".to_string());
         }
-        g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
+        edges.push((NodeId::from_index(from), NodeId::from_index(to), kind));
     }
     end_of_payload(cur)?;
-    Ok(g)
+    Ok(DataGraph::from_parts(interner, labels, edges))
 }
 
 /// Decode a whole `INDX` payload. `data_nodes` is the node count of the data
@@ -236,17 +258,14 @@ pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
 pub(crate) fn read_index(cur: &mut Cursor<'_>, data_nodes: usize) -> Result<IndexGraph, String> {
     let interner = take_label_table(cur)?;
     let label_count = interner.len();
-    let inode_count = take_u32(cur, "the index node count")?;
+    let inode_count = take_count(cur, "the index node count", 16)?;
     if inode_count == 0 {
         return Err("index has no nodes".to_string());
     }
     if inode_count > data_nodes {
         return Err("more index nodes than data nodes".to_string());
     }
-    // Never pre-allocate from untrusted counts beyond a small bound: a
-    // corrupted length field must fail at the end of the payload, not abort
-    // on allocation.
-    let cap = inode_count.min(1 << 16);
+    let cap = inode_count.min(MAX_PREALLOC);
     let mut labels = Vec::with_capacity(cap);
     let mut sims = Vec::with_capacity(cap);
     let mut extents: Vec<Vec<NodeId>> = Vec::with_capacity(cap);
@@ -262,7 +281,7 @@ pub(crate) fn read_index(cur: &mut Cursor<'_>, data_nodes: usize) -> Result<Inde
             .ok()
             .filter(|&k| k <= SIM_EXACT)
             .ok_or_else(|| format!("inode {i}: similarity {sim} out of range"))?;
-        let len = take_u32(cur, "an extent length")?;
+        let len = take_count(cur, "an extent length", 4)?;
         if len > data_nodes {
             return Err(format!("inode {i}: extent larger than data"));
         }
@@ -278,23 +297,23 @@ pub(crate) fn read_index(cur: &mut Cursor<'_>, data_nodes: usize) -> Result<Inde
         sims.push(sim);
         extents.push(extent);
     }
-    let mut index = IndexGraph::from_stored_parts(interner, labels, sims, extents, data_nodes);
-    let edge_count = take_u32(cur, "the index edge count")?;
+    let edge_count = take_count(cur, "the index edge count", 8)?;
+    let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
         let from = take_u32(cur, "an index edge")?;
         let to = take_u32(cur, "an index edge")?;
         if from >= inode_count || to >= inode_count {
             return Err("index edge out of range".to_string());
         }
-        index.add_index_edge(NodeId::from_index(from), NodeId::from_index(to));
+        edges.push((NodeId::from_index(from), NodeId::from_index(to)));
     }
     let root = take_u32(cur, "the root")?;
     if root >= inode_count {
         return Err("root index node out of range".to_string());
     }
-    index.set_root(NodeId::from_index(root));
     end_of_payload(cur)?;
-    Ok(index)
+    let root = NodeId::from_index(root);
+    Ok(IndexGraph::from_stored_parts(interner, labels, sims, extents, &edges, root, data_nodes))
 }
 
 /// Decode a whole `REQS` payload.
@@ -302,7 +321,7 @@ pub(crate) fn read_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, St
     let floor = take_u32(cur, "the floor")?;
     let mut reqs = Requirements::new();
     reqs.raise_floor(floor);
-    let count = take_u32(cur, "the entry count")?;
+    let count = take_count(cur, "the entry count", 6)?;
     for _ in 0..count {
         let label = take_label(cur)?;
         let k = take_u32(cur, "an entry")?;
@@ -317,6 +336,8 @@ mod tests {
     use super::*;
     use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
+    use crate::snapshot::snapshot_bytes;
+    use proptest::prelude::*;
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -437,6 +458,222 @@ mod tests {
         write_requirements(&reqs, &mut bytes).unwrap();
         let back = read_requirements(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(back, reqs);
+    }
+
+    /// The label table of the decoders' fixtures: ROOT, VALUE, a, b, c.
+    fn names() -> LabelInterner {
+        let mut names = LabelInterner::new();
+        for name in ["a", "b", "c"] {
+            names.intern(name);
+        }
+        names
+    }
+
+    /// A `GRPH` payload written field by field — so it may hold what
+    /// `write_graph` never writes: repeated edges.
+    fn raw_graph(labels: &[usize], edges: &[(usize, usize, EdgeKind)]) -> Vec<u8> {
+        let mut out = GRAPH_MAGIC.to_vec();
+        put_label_table(&mut out, &names()).unwrap();
+        put_u32(&mut out, labels.len());
+        for &label in labels {
+            put_u32(&mut out, label);
+        }
+        put_u32(&mut out, edges.len());
+        for &(from, to, kind) in edges {
+            put_u32(&mut out, from);
+            put_u32(&mut out, to);
+            out.push(u8::from(kind == EdgeKind::Reference));
+        }
+        out
+    }
+
+    /// An `INDX` payload over `n` one-member extents (inode `i` holds data
+    /// node `i`), its edges written as given, repeats included.
+    fn raw_index(n: usize, edges: &[(usize, usize)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_label_table(&mut out, &names()).unwrap();
+        put_u32(&mut out, n);
+        for i in 0..n {
+            put_u32(&mut out, usize::from(i != 0) * 2); // ROOT, then a
+            out.extend_from_slice(&0u64.to_le_bytes());
+            put_u32(&mut out, 1);
+            put_u32(&mut out, i);
+        }
+        put_u32(&mut out, edges.len());
+        for &(from, to) in edges {
+            put_u32(&mut out, from);
+            put_u32(&mut out, to);
+        }
+        put_u32(&mut out, 0);
+        out
+    }
+
+    /// A count field of 2³²−1 followed by a few bytes fails at the count:
+    /// the error names the claim, so nothing was sized by it.
+    #[test]
+    fn a_count_larger_than_the_payload_fails_before_anything_is_sized_by_it() {
+        const CLAIM: [u8; 4] = u32::MAX.to_le_bytes();
+        let mut node_count = GRAPH_MAGIC.to_vec();
+        put_label_table(&mut node_count, &names()).unwrap();
+        let mut edge_count = node_count.clone();
+        node_count.extend_from_slice(&CLAIM);
+        node_count.extend_from_slice(&[0; 6]);
+        put_u32(&mut edge_count, 1);
+        put_u32(&mut edge_count, 0);
+        edge_count.extend_from_slice(&CLAIM);
+        edge_count.extend_from_slice(&[0; 9]);
+
+        let mut inode_count = Vec::new();
+        put_label_table(&mut inode_count, &names()).unwrap();
+        inode_count.extend_from_slice(&CLAIM);
+        inode_count.extend_from_slice(&[0; 16]);
+        let mut index_edge_count = raw_index(1, &[]);
+        let edges_at = index_edge_count.len() - 8; // edge count, root
+        index_edge_count.truncate(edges_at);
+        index_edge_count.extend_from_slice(&CLAIM);
+        index_edge_count.extend_from_slice(&[0; 12]);
+
+        let cases = [
+            (read_graph(&mut Cursor::new(&node_count)).map(drop), "the node count"),
+            (read_graph(&mut Cursor::new(&edge_count)).map(drop), "the edge count"),
+            (
+                read_index(&mut Cursor::new(&inode_count), u32::MAX as usize).map(drop),
+                "the index node count",
+            ),
+            (read_index(&mut Cursor::new(&index_edge_count), 1).map(drop), "the index edge count"),
+        ];
+        for (outcome, what) in cases {
+            let err = outcome.unwrap_err();
+            assert!(err.starts_with(&format!("{what} 4294967295 needs")), "{what}: {err}");
+        }
+    }
+
+    /// A node count on or off a 64-row segment boundary, one label per
+    /// node, and an edge list holding repeats of both kinds and self-loops
+    /// (few edges over many nodes leave some isolated).
+    fn graph_input() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize, EdgeKind)>)> {
+        let index = any::<prop::sample::Index>;
+        let edge = (index(), index(), any::<bool>());
+        (
+            prop::sample::select(vec![1, 2, 63, 64, 65, 127, 128, 129, 192]),
+            prop::collection::vec(1usize..5, 191),
+            prop::collection::vec(edge, 0..160),
+            prop::collection::vec((index(), any::<bool>()), 0..40),
+            prop::collection::vec(index(), 0..6),
+        )
+            .prop_map(|(n, labels, fresh, repeats, loops)| {
+                let kind = |reference: bool| {
+                    [EdgeKind::Tree, EdgeKind::Reference][usize::from(reference)]
+                };
+                let labels = std::iter::once(0).chain(labels).take(n).collect();
+                let mut edges: Vec<_> =
+                    fresh.iter().map(|(f, t, r)| (f.index(n), t.index(n), kind(*r))).collect();
+                edges.extend(loops.iter().map(|i| (i.index(n), i.index(n), EdgeKind::Tree)));
+                for (at, reference) in repeats {
+                    if let Some(&(from, to, _)) = edges.get(at.index(edges.len().max(1))) {
+                        edges.push((from, to, kind(reference)));
+                    }
+                }
+                (labels, edges)
+            })
+    }
+
+    fn incremental(labels: &[usize], edges: &[(usize, usize, EdgeKind)]) -> DataGraph {
+        let mut g = DataGraph::new();
+        for (_, name) in names().iter() {
+            g.intern(name);
+        }
+        for &label in &labels[1..] {
+            g.add_node(LabelId::from_index(label));
+        }
+        for &(from, to, kind) in edges {
+            g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `read_graph`'s bulk build equals `add_node` / `add_edge` over the
+        /// same input: labels, every row in order, the edge list with its
+        /// kinds, `has_edge`, and the snapshot bytes.
+        #[test]
+        fn the_bulk_graph_load_equals_the_incremental_build(input in graph_input()) {
+            let (labels, edges) = input;
+            let bulk = read_graph(&mut Cursor::new(&raw_graph(&labels, &edges)))
+                .map_err(TestCaseError::fail)?;
+            let want = incremental(&labels, &edges);
+            prop_assert_eq!(bulk.node_count(), want.node_count());
+            for n in want.node_ids() {
+                prop_assert_eq!(bulk.label_of(n), want.label_of(n));
+                prop_assert_eq!(bulk.children_of(n), want.children_of(n));
+                prop_assert_eq!(bulk.parents_of(n), want.parents_of(n));
+                for m in want.node_ids() {
+                    prop_assert_eq!(bulk.has_edge(n, m), want.has_edge(n, m));
+                }
+            }
+            prop_assert!(bulk.edges().eq(want.edges()));
+            let bytes =
+                |g: &DataGraph| snapshot_bytes(&DkIndex::build(g, Requirements::uniform(1)), g);
+            prop_assert_eq!(bytes(&bulk), bytes(&want));
+        }
+
+        /// `read_index`'s bulk edges equal `add_index_edge` over the stored
+        /// list: child rows in stored order minus repeats, parent rows
+        /// ascending, the same edge count.
+        #[test]
+        fn the_bulk_index_load_equals_add_index_edge(
+            n in prop::sample::select(vec![1, 63, 64, 65, 128, 150]),
+            raw in prop::collection::vec(
+                (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+                0..300,
+            ),
+        ) {
+            let edges: Vec<(usize, usize)> =
+                raw.iter().map(|(f, t)| (f.index(n), t.index(n))).collect();
+            let bulk = read_index(&mut Cursor::new(&raw_index(n, &edges)), n)
+                .map_err(TestCaseError::fail)?;
+            let mut want = read_index(&mut Cursor::new(&raw_index(n, &[])), n)
+                .map_err(TestCaseError::fail)?;
+            for &(from, to) in &edges {
+                want.add_index_edge(NodeId::from_index(from), NodeId::from_index(to));
+            }
+            prop_assert_eq!(bulk.edge_count(), want.edge_count());
+            for i in want.node_ids() {
+                prop_assert_eq!(bulk.children_of(i), want.children_of(i));
+                prop_assert_eq!(bulk.parents_of(i), want.parents_of(i));
+                prop_assert!(bulk.parents_of(i).windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+    }
+
+    /// Two nested rows 2¹⁷ wide in one segment, the inner one filled first:
+    /// appended one edge at a time, every edge of the outer row would move
+    /// the inner row's targets (O(fan-out²)). The loader lays the rows out
+    /// once, so the snapshot loads in linear time. The input is built with
+    /// the bulk constructor, never through the quadratic path.
+    #[test]
+    fn nested_wide_rows_load_in_linear_time() {
+        const WIDE: usize = 1 << 17;
+        let mut names = LabelInterner::new();
+        let [outer, inner, leaf] = ["outer", "inner", "leaf"].map(|name| names.intern(name));
+        let mut labels = vec![LabelInterner::ROOT, outer, inner];
+        labels.resize(3 + 2 * WIDE, leaf);
+        let node = NodeId::from_index;
+        let mut edges = SegVec::new();
+        edges.push((node(0), node(1), EdgeKind::Tree));
+        edges.push((node(1), node(2), EdgeKind::Tree));
+        edges.extend((3..3 + WIDE).map(|i| (node(2), node(i), EdgeKind::Tree)));
+        edges.extend((3 + WIDE..3 + 2 * WIDE).map(|i| (node(1), node(i), EdgeKind::Tree)));
+        let g = DataGraph::from_parts(names, labels, edges);
+        let dk = DkIndex::build(&g, Requirements::uniform(0));
+
+        let (_, back) = crate::snapshot::read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
+        assert_eq!(back.children_of(node(1)).len(), WIDE + 1);
+        assert_eq!(back.children_of(node(2)).len(), WIDE);
+        assert_eq!(back.children_of(node(1))[1], node(3 + WIDE));
+        assert!(back.edges().eq(g.edges()));
     }
 
     /// XML names have no length cap, but a label is `u16`-length-prefixed:

@@ -10,15 +10,19 @@
 //!   predecessor epoch iff the batch left its similarity and extent alone,
 //!   and an adjacency segment (64 child or parent rows) iff the batch left
 //!   its rows alone. A regression back to full deep clones fails these
-//!   tests.
+//!   tests. On the data graph, an edge update copies at most the two
+//!   adjacency segments it writes and the edge-list tail, never the label
+//!   column, which only `add_node` copies.
 //! * Both properties hold through the real `DkServer` publish path, not
 //!   just hand-rolled clones.
 
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
-use dkindex_core::{check_structure, snapshot_bytes, DkIndex, IndexGraph, Requirements};
+use dkindex_core::{
+    check_structure, read_snapshot, snapshot_bytes, DkIndex, IndexGraph, Requirements,
+};
 use dkindex_datagen::{random_graph, RandomGraphConfig};
 use dkindex_graph::segvec::SEG_SIZE;
-use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex_workload::generate_update_edges;
 
 fn fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
@@ -113,6 +117,7 @@ fn clone_shares_everything_until_mutated() {
     assert_eq!(rebuilt, 0);
     let (seg_shared, seg_total) = g2.shared_segments_with(&g);
     assert_eq!(seg_shared, seg_total);
+    assert!(g2.shares_labels_with(&g));
     let (seg_shared, seg_total) = dk2.index().shared_segments_with(dk.index());
     assert_eq!(seg_shared, seg_total);
 
@@ -156,7 +161,8 @@ fn single_edge_update_shares_untouched_blocks() {
 
 /// One edge update unshares at most three data-graph segments: the one
 /// holding `from`'s child row, the one holding `to`'s parent row, and the
-/// edge-list tail. Every other segment stays pointer-shared.
+/// edge-list tail. Every other segment and the label column stay
+/// pointer-shared.
 #[test]
 fn single_edge_update_unshares_at_most_three_data_segments() {
     let (g, dk, ops) = fixture();
@@ -170,7 +176,59 @@ fn single_edge_update_unshares_at_most_three_data_segments() {
             (1..=3).contains(&unshared),
             "{op:?} unshared {unshared} of {total} data-graph segments"
         );
+        assert!(next_g.shares_labels_with(&g), "{op:?} copied the label column");
     }
+}
+
+/// The same contract on the state a server starts from, a snapshot loaded
+/// by `read_snapshot` (whose columns are bulk-built): each `AddEdge`
+/// publish keeps the data graph's label column shared and copies at most
+/// two adjacency segments of each graph, besides the data graph's
+/// edge-list tail (one segment per added edge).
+#[test]
+fn an_edge_publish_on_a_loaded_state_copies_two_segments_per_graph() {
+    let (g, dk, ops) = fixture();
+    let (dk, g) = read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
+    let server = DkServer::start(g, dk, ServeConfig::default());
+    let handle = server.handle();
+    let mut prev = handle.epoch();
+    let copied = |(shared, total): (usize, usize)| total - shared;
+    let mut wrote = 0;
+    for op in &ops {
+        server.submit(op.clone()).unwrap();
+        server.flush().unwrap();
+        let next = handle.epoch();
+        assert!(next.data().shares_labels_with(prev.data()), "{op:?} copied the label column");
+        let added = next.data().edge_count() - prev.data().edge_count();
+        let data = copied(next.data().shared_segments_with(prev.data()));
+        let data = data.checked_sub(added).expect("an added edge copies the edge-list tail");
+        let index = copied(next.index().index().shared_segments_with(prev.index().index()));
+        assert!(data <= 2 && index <= 2, "{op:?} copied {data} data and {index} index segments");
+        wrote += added;
+        prev = next;
+    }
+    assert!(wrote > 0, "no publish wrote the data graph");
+    server.shutdown().unwrap();
+}
+
+/// `add_node` is the one write to the data graph's label column: on a clone
+/// it copies the column once, and the original keeps its own.
+#[test]
+fn add_node_on_a_clone_copies_the_label_column_and_leaves_the_original() {
+    let (g, _, _) = fixture();
+    let mut h = g.clone();
+    let (root, first) = (h.root(), NodeId::from_index(1));
+    h.add_edge(first, root, EdgeKind::Reference);
+    assert!(h.shares_labels_with(&g), "an edge write copied the label column");
+    let label = h.label_of(first);
+    let added = h.add_node(label);
+    assert!(!h.shares_labels_with(&g));
+    assert_eq!((g.node_count(), h.node_count()), (added.index(), added.index() + 1));
+    assert_eq!(h.label_of(added), label);
+    assert!(g.node_ids().all(|n| g.label_of(n) == h.label_of(n)));
+    let copy = h.clone();
+    h.add_edge(root, added, EdgeKind::Tree);
+    assert!(h.shares_labels_with(&copy), "only add_node copies the column");
 }
 
 /// An edge update that inserts an index edge writes one child row and one

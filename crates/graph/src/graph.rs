@@ -6,6 +6,13 @@
 //! algorithms treat them identically, but the distinction is kept so that the
 //! update experiments can sample reference-label pairs (§6.2) and so DOT
 //! export can render references dashed, as in the paper's Figure 1.
+//!
+//! A [`DataGraph`] holds one flat label column, its children and parents as
+//! two [`SegCsr`] columns and its edge list as a [`SegVec`]. Builders that
+//! grow a graph (the XML loader, the generators, the update algorithms) add
+//! nodes and edges one at a time; a loader that has decoded the whole graph
+//! builds it at once with [`DataGraph::from_parts`], which lays each
+//! adjacency column out in row order and gives the same rows.
 
 use crate::label::{LabelId, LabelInterner};
 use crate::segcsr::SegCsr;
@@ -126,16 +133,21 @@ impl ExactSizeIterator for NodeIds {}
 /// (the paper's two update primitives are subgraph addition and edge
 /// addition — deletions are out of scope for the paper and for this crate).
 ///
-/// Labels and the edge list live in [`SegVec`] columns, children and parents
-/// in `SegCsr` columns (CSR inside each 64-node segment), and the label
-/// interner behind an [`Arc`], so `clone()` is a shallow copy-on-write
-/// snapshot: two clones share every segment until one of them mutates a
-/// node in it. This is what lets the serve layer publish a fresh
-/// epoch after a maintenance batch by copying only the segments the batch
-/// touched (see `core::serve`).
+/// Labels are one flat column behind an [`Arc`], children and parents two
+/// [`SegCsr`] columns (CSR inside each 64-node segment), the edge list a
+/// [`SegVec`], and the label interner behind an [`Arc`], so `clone()` is a
+/// shallow copy-on-write snapshot: two clones share every segment until one
+/// of them mutates a node in it, and the label column until one of them
+/// adds a node. This is what lets the serve layer publish a fresh epoch
+/// after a maintenance batch by copying only the segments the batch touched
+/// (see `core::serve`); no maintenance batch adds nodes in place.
+///
+/// A loader builds the graph from its decoded columns with
+/// [`DataGraph::from_parts`], which lays each adjacency column out once.
 #[derive(Clone)]
 pub struct DataGraph {
-    labels_of_nodes: SegVec<LabelId>,
+    /// Label of each node, in id order; copied only by `add_node`.
+    labels: Arc<Vec<LabelId>>,
     children: SegCsr,
     parents: SegCsr,
     /// Edge list in insertion order, `(from, to, kind)`.
@@ -148,17 +160,70 @@ impl DataGraph {
     /// Create a graph containing only the distinguished `ROOT` node.
     pub fn new() -> Self {
         let mut g = DataGraph {
-            labels_of_nodes: SegVec::new(),
+            labels: Arc::new(vec![LabelInterner::ROOT]),
             children: SegCsr::new(),
             parents: SegCsr::new(),
             edges: SegVec::new(),
             root: NodeId(0),
             interner: Arc::new(LabelInterner::new()),
         };
-        g.labels_of_nodes.push(LabelInterner::ROOT);
         g.children.push_row();
         g.parents.push_row();
         g
+    }
+
+    /// Bulk-build a graph from what a loader decodes: the label interner,
+    /// one label per node (node 0 is the root and carries `ROOT`) and the
+    /// edge list. The result equals the graph that `add_node` and
+    /// `add_edge` build from the same input, row for row: a repeated edge
+    /// keeps its first occurrence and that occurrence's kind, the edge list
+    /// is `edges` minus the repeats, and every row lists its edges in edge
+    /// order (validation stops at its first witness, so row order is part
+    /// of the answer's cost). Each adjacency column is laid out once by
+    /// [`SegCsr::from_pairs`], so the build is linear in nodes plus edges
+    /// whatever the edge order.
+    ///
+    /// Panics when `labels` is empty, node 0 is not `ROOT`, or an edge
+    /// endpoint is out of range.
+    pub fn from_parts(
+        interner: LabelInterner,
+        labels: Vec<LabelId>,
+        edges: SegVec<(NodeId, NodeId, EdgeKind)>,
+    ) -> DataGraph {
+        assert_eq!(labels.first(), Some(&LabelInterner::ROOT), "node 0 must be ROOT");
+        debug_assert!(labels.iter().all(|l| l.index() < interner.len()), "foreign label id");
+        let n = labels.len();
+        assert!(u32::try_from(n - 1).is_ok(), "too many nodes");
+        let children = SegCsr::from_pairs(n, edges.iter().map(|&(from, to, _)| (from, to)))
+            .expect("edge source out of range");
+        let edges = if children.target_count() < edges.len() {
+            // A row keeps its first occurrences in edge order, so an edge is
+            // a first occurrence iff it is the next target its row expects.
+            let mut next = vec![0usize; n];
+            edges
+                .iter()
+                .filter(|&&(from, to, _)| {
+                    let at = &mut next[from.index()];
+                    let expected = children.row(from.index()).and_then(|row| row.get(*at));
+                    let first = expected == Some(&to);
+                    *at += usize::from(first);
+                    first
+                })
+                .copied()
+                .collect()
+        } else {
+            edges
+        };
+        let parents = SegCsr::from_pairs(n, edges.iter().map(|&(from, to, _)| (to, from)))
+            .expect("edge target out of range");
+        DataGraph {
+            labels: Arc::new(labels),
+            children,
+            parents,
+            edges,
+            root: NodeId(0),
+            interner: Arc::new(interner),
+        }
     }
 
     /// Intern a label string in this graph's interner. When the interner is
@@ -181,8 +246,8 @@ impl DataGraph {
     /// disconnected; use [`DataGraph::add_edge`] to attach it.
     pub fn add_node(&mut self, label: LabelId) -> NodeId {
         debug_assert!(label.index() < self.interner.len(), "foreign label id");
-        let id = NodeId(u32::try_from(self.labels_of_nodes.len()).expect("too many nodes"));
-        self.labels_of_nodes.push(label);
+        let id = NodeId(u32::try_from(self.labels.len()).expect("too many nodes"));
+        Arc::make_mut(&mut self.labels).push(label);
         self.children.push_row();
         self.parents.push_row();
         id
@@ -242,20 +307,25 @@ impl DataGraph {
     }
 
     /// Structural-sharing census against another snapshot of this graph:
-    /// `(shared, total)` backing segments across the label, adjacency and
-    /// edge columns, where a segment counts as shared when both snapshots
-    /// still reference the same allocation. Diagnostics only — contents are
-    /// never affected by sharing.
+    /// `(shared, total)` backing segments across the adjacency and edge
+    /// columns, where a segment counts as shared when both snapshots still
+    /// reference the same allocation (the label column, one allocation, is
+    /// [`DataGraph::shares_labels_with`]'s). Diagnostics only — contents
+    /// are never affected by sharing.
     pub fn shared_segments_with(&self, other: &DataGraph) -> (usize, usize) {
-        let shared = self.labels_of_nodes.shared_segments_with(&other.labels_of_nodes)
-            + self.children.shared_segments_with(&other.children)
+        let shared = self.children.shared_segments_with(&other.children)
             + self.parents.shared_segments_with(&other.parents)
             + self.edges.shared_segments_with(&other.edges);
-        let total = self.labels_of_nodes.segment_count()
-            + self.children.segment_count()
+        let total = self.children.segment_count()
             + self.parents.segment_count()
             + self.edges.segment_count();
         (shared, total)
+    }
+
+    /// True when both snapshots still share one label column allocation —
+    /// the case until either of them adds a node.
+    pub fn shares_labels_with(&self, other: &DataGraph) -> bool {
+        Arc::ptr_eq(&self.labels, &other.labels)
     }
 
     /// Graft a copy of `sub` into this graph **under this graph's root**
@@ -288,7 +358,7 @@ impl DataGraph {
     /// Total memory-resident size estimate in bytes (nodes + adjacency).
     /// Used only for reporting; not part of the paper's cost model.
     pub fn approx_bytes(&self) -> usize {
-        let node_bytes = self.labels_of_nodes.len() * std::mem::size_of::<LabelId>();
+        let node_bytes = self.labels.len() * std::mem::size_of::<LabelId>();
         let targets = self.children.target_count() + self.parents.target_count();
         node_bytes + targets * std::mem::size_of::<NodeId>()
     }
@@ -303,7 +373,7 @@ impl Default for DataGraph {
 impl LabeledGraph for DataGraph {
     #[inline]
     fn node_count(&self) -> usize {
-        self.labels_of_nodes.len()
+        self.labels.len()
     }
 
     #[inline]
@@ -313,10 +383,7 @@ impl LabeledGraph for DataGraph {
 
     #[inline]
     fn label_of(&self, node: NodeId) -> LabelId {
-        *self
-            .labels_of_nodes
-            .get(node.index())
-            .expect("node id out of range")
+        self.labels[node.index()]
     }
 
     #[inline]
@@ -469,6 +536,7 @@ mod tests {
         let mut h = g.clone();
         let (shared, total) = h.shared_segments_with(&g);
         assert_eq!(shared, total, "a fresh clone shares every segment");
+        assert!(h.shares_labels_with(&g), "and the label column");
 
         let x = h.add_labeled_node("x");
         let hroot = h.root();
@@ -476,6 +544,7 @@ mod tests {
 
         let (shared_after, _) = h.shared_segments_with(&g);
         assert!(shared_after < total, "mutation must unshare touched segments");
+        assert!(!h.shares_labels_with(&g), "add_node copies the label column");
         // The original snapshot is untouched by the clone's mutation.
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 5);
@@ -513,6 +582,31 @@ mod tests {
         assert!(g.has_edge(root, others[7]) && g.has_edge(others[7], hub));
         assert!(!g.has_edge(hub, others[0]) && !g.has_edge(others[0], root));
         assert_eq!(g.edge_count(), 16);
+    }
+
+    #[test]
+    fn from_parts_equals_appends_and_keeps_first_occurrences() {
+        let g = tiny();
+        let (root, a, b2) = (g.root(), NodeId::from_index(1), NodeId::from_index(4));
+        let mut edges: SegVec<_> = g.edges().copied().collect();
+        edges.push((a, b2, EdgeKind::Tree)); // a repeat of a reference edge
+        edges.push((root, a, EdgeKind::Reference));
+        let labels = g.node_ids().map(|n| g.label_of(n)).collect();
+        let bulk = DataGraph::from_parts(g.labels().clone(), labels, edges);
+        assert!(bulk.edges().eq(g.edges()), "repeats dropped, first kinds kept");
+        for n in g.node_ids() {
+            assert_eq!(bulk.label_name(n), g.label_name(n));
+            assert_eq!(bulk.children_of(n), g.children_of(n));
+            assert_eq!(bulk.parents_of(n), g.parents_of(n));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge target out of range")]
+    fn from_parts_rejects_an_edge_to_no_node() {
+        let labels = vec![LabelInterner::ROOT];
+        let edges = [(NodeId(0), NodeId(1), EdgeKind::Tree)].into_iter().collect();
+        DataGraph::from_parts(LabelInterner::new(), labels, edges);
     }
 
     #[test]

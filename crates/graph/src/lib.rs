@@ -16,12 +16,13 @@
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
 //! * [`SegVec`] — the persistent, segment-shared vector backing
-//!   [`DataGraph`]'s label and edge columns.
+//!   [`DataGraph`]'s edge list.
 //! * [`SegCsr`] — the same segment sharing for adjacency (compressed sparse
 //!   rows inside each 64-row segment): the children and parents of
 //!   [`DataGraph`] and of `dkindex-core`'s index graphs. Cloning either
 //!   graph is a copy-on-write snapshot (the delta-epoch publish path in
-//!   `dkindex-core` builds on this).
+//!   `dkindex-core` builds on this). A loader lays each column out once
+//!   with [`SegCsr::from_pairs`].
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
 //! * [`stats`] — dataset shape reporting for the experiment harness.
 //!

@@ -90,7 +90,7 @@ impl<T> SegVec<T> {
     }
 
     /// Iterate the elements in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.segments.iter().flat_map(|s| s.iter())
     }
 

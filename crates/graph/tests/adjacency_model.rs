@@ -4,7 +4,10 @@
 //!   / `graft_under_root` / `clone` sequences read back equal and in
 //!   insertion order;
 //! * a bare `SegCsr` column under removals interleaved with appends and
-//!   positional inserts (the writes an index-graph split makes).
+//!   positional inserts (the writes an index-graph split makes), built
+//!   either row by row or at once by `SegCsr::from_pairs` (a loader's
+//!   column, repeats dropped, which the same writes must then find as they
+//!   would an incrementally built one).
 //!
 //! In both, a snapshot taken by `clone` never sees a later write.
 
@@ -271,6 +274,48 @@ proptest! {
         let mut column = SegCsr::new();
         let mut model = Vec::new();
         apply_row_op(&mut column, &mut model, &RowOp::PushRows(start))?;
+        let mut snapshots = Vec::new();
+        for op in &ops {
+            if let RowOp::Snapshot = op {
+                snapshots.push((column.clone(), model.clone()));
+            }
+            apply_row_op(&mut column, &mut model, op)?;
+        }
+        check_rows(&column, &model)?;
+        for (snapshot, snapshot_model) in &snapshots {
+            check_rows(snapshot, snapshot_model)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_bulk_built_column_takes_writes_like_an_appended_one(
+        start in 0usize..150,
+        pairs in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..400),
+        ops in prop::collection::vec(row_op(), 1..80),
+    ) {
+        let pairs: Vec<(NodeId, NodeId)> = match start {
+            0 => Vec::new(),
+            _ => pairs
+                .iter()
+                .map(|(r, t)| (r.index(start), usize::from(*t) % 40))
+                .map(|(r, t)| (NodeId::from_index(r), NodeId::from_index(t)))
+                .collect(),
+        };
+        // Each row keeps the first occurrence of each of its targets.
+        let mut model: Vec<Vec<NodeId>> = vec![Vec::new(); start];
+        for &(row, target) in &pairs {
+            if !model[row.index()].contains(&target) {
+                model[row.index()].push(target);
+            }
+        }
+        let mut column = SegCsr::from_pairs(start, pairs.iter().copied()).unwrap();
+        check_rows(&column, &model)?;
+        // Rows to write into even when the staged column had none.
+        apply_row_op(&mut column, &mut model, &RowOp::PushRows(1))?;
         let mut snapshots = Vec::new();
         for op in &ops {
             if let RowOp::Snapshot = op {
