@@ -10,8 +10,13 @@
 # references, that the telemetry recorder changes no observable result, and
 # it runs the churn, net and tune gates — exiting non-zero on the first
 # failing clause of any of them and writing only counts that repeat run to
-# run to BENCH_eval.json. Timing belongs to the judged benchmark
-# (benchmark/, BENCHMARK.json).
+# run. It writes its record and metrics under target/ and fails when the
+# record, its `loc` object removed, differs from the checked-in
+# BENCH_eval.json with its `loc` object removed. After a change that moves a
+# count on purpose, refresh both checked-in files from the repo root with
+# `cargo run --release -p dkindex-bench --bin reproduce -- bench-smoke`
+# (it writes BENCH_eval.json and METRICS.json there). Timing belongs to the
+# judged benchmark (benchmark/, BENCHMARK.json).
 # `verify-record` regenerates the paper record: it runs `reproduce all`
 # (Figures 4–7, Table 1's work column and the ablations, exiting non-zero on
 # the first failing shape claim) twice, and fails if the two PAPER_eval.json
@@ -49,8 +54,15 @@ build:
 test:
 	cargo test -q --workspace
 
+# The `loc` object is the record's last section: its opening line to its
+# closing brace.
+DROP_LOC = sed '/^  "loc": {$$/,/^  }$$/d'
+
 bench-smoke:
-	cargo run --release -q -p dkindex-bench --bin reproduce -- bench-smoke
+	cargo run --release -q -p dkindex-bench --bin reproduce -- bench-smoke \
+		--out target/bench-record.json --metrics target/bench-metrics.json
+	$(DROP_LOC) target/bench-record.json > target/bench-record.noloc.json
+	$(DROP_LOC) BENCH_eval.json | diff -u - target/bench-record.noloc.json
 
 verify-record:
 	cargo run --release -q -p dkindex-bench --bin reproduce -- all --out target/paper-record-1.json > /dev/null

@@ -43,9 +43,9 @@
 //! same `PAPER_eval.json` byte for byte on every run and machine. A scale
 //! must be a finite number above 0 (exit 2 otherwise).
 //!
-//! `bench-smoke` extra flags: `--threads N` (reader threads of the churn /
-//! net / tuning gates, 0 = machine parallelism), `--out PATH` (default
-//! `BENCH_eval.json`), `--metrics PATH` (default `METRICS.json`). Nothing
+//! `bench-smoke` extra flags: `--out PATH` (default `BENCH_eval.json`),
+//! `--metrics PATH` (default `METRICS.json`). The churn, net and tuning
+//! gates run a fixed [`gates::READERS`] reader threads on every host. Nothing
 //! `bench-smoke` writes to `--out` is a timing: every row is a count or a
 //! verdict that repeats run to run, and each gate's acceptance conditions
 //! are its result type's `check`. The evaluation and D(k) construction
@@ -73,7 +73,6 @@ struct Options {
     xmark_scale: f64,
     nasa_scale: f64,
     seed: u64,
-    threads: usize,
     out: Option<String>,
     metrics: String,
 }
@@ -103,7 +102,6 @@ fn main() {
         xmark_scale: DEFAULT_XMARK_SCALE,
         nasa_scale: DEFAULT_NASA_SCALE,
         seed: 2003,
-        threads: 0,
         out: None,
         metrics: "METRICS.json".to_string(),
     };
@@ -113,7 +111,6 @@ fn main() {
             "--xmark-scale" => opts.xmark_scale = usage(parse_scale(it.next(), arg)),
             "--nasa-scale" => opts.nasa_scale = usage(parse_scale(it.next(), arg)),
             "--seed" => opts.seed = parse_next(&mut it, arg),
-            "--threads" => opts.threads = parse_next(&mut it, arg),
             "--out" => opts.out = Some(usage(it.next().cloned().ok_or("flag --out needs a path".into()))),
             "--metrics" => {
                 opts.metrics = usage(it.next().cloned().ok_or("flag --metrics needs a path".into()));
@@ -136,7 +133,6 @@ fn main() {
         print_usage();
         std::process::exit(2);
     };
-    opts.threads = gates::resolved_threads(opts.threads);
 
     if let Some(&(_, datasets, table)) = RECORD_MODES.iter().find(|m| m.0 == experiment) {
         return run_record(&opts, datasets, table);
@@ -179,8 +175,8 @@ fn print_usage() {
         "usage: reproduce <all|fig4|fig5|fig6|fig7|table1|sizes|ablation-broadcast|ablation-promote|\n\
          \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-crash>\n\
          \x20       [--xmark-scale F] [--nasa-scale F] [--seed S]\n\
-         \x20       [--threads N] [--out PATH] [--metrics PATH]\n\
-         \x20       (--out applies to all and bench-smoke; --threads and --metrics to bench-smoke)"
+         \x20       [--out PATH] [--metrics PATH]\n\
+         \x20       (--out applies to all and bench-smoke; --metrics to bench-smoke)"
     );
 }
 
@@ -227,7 +223,6 @@ fn run_bench_smoke(opts: &Options) {
     let set = gates::run_gates(
         &data,
         &workload,
-        opts.threads,
         opts.seed,
         &net::NetBenchConfig::default(),
         &tuning::TuningBenchConfig::default(),
@@ -260,7 +255,7 @@ fn run_bench_smoke(opts: &Options) {
         tel.snapshot.counter("partition.rounds").unwrap_or(0),
         tel.snapshot.counter("eval.queries").unwrap_or(0),
     );
-    write_or_exit(&opts.metrics, &gates::metrics_to_json("xmark", opts.threads, workload.len(), tel));
+    write_or_exit(&opts.metrics, &gates::metrics_to_json("xmark", workload.len(), tel));
 
     require(set.check());
 }

@@ -31,16 +31,12 @@ use dkindex_pathexpr::{LabelIndex, PathExpr};
 use dkindex_telemetry as telemetry;
 use dkindex_workload::{generate_update_edges, Workload};
 
-/// `threads`, with `0` resolved to the machine's available parallelism.
-pub fn resolved_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
-}
+/// Reader threads of the churn, net and tuning gates. Fixed, not the host's
+/// parallelism: `net.queries` is readers × rounds, so a host-sized pool
+/// would make the checked-in record depend on the machine that wrote it.
+pub const READERS: usize = 2;
 
-/// Reference path: fresh allocations per query, no memo.
+/// Reference path: fresh allocations per query.
 fn oracle_outcomes(
     indexes: &[&IndexGraph],
     data: &DataGraph,
@@ -54,7 +50,7 @@ fn oracle_outcomes(
     all
 }
 
-/// Arena + memo evaluator.
+/// One reused evaluator (arena and seed lists) per index.
 fn arena_outcomes(
     indexes: &[&IndexGraph],
     data: &DataGraph,
@@ -210,7 +206,7 @@ impl ChurnBenchResult {
 
 /// Sustained-churn gate: apply `batches * batch` generated edge updates
 /// through a [`DkServer`] configured with `max_batch = batch` while
-/// `readers` threads query continuously, then cross-check the final state
+/// [`READERS`] threads query continuously, then cross-check the final state
 /// byte-for-byte against [`apply_serial`].
 ///
 /// One additional warm-up batch is applied before the measurement window
@@ -230,12 +226,10 @@ pub fn bench_churn(
     data: &DataGraph,
     queries: &[PathExpr],
     reqs: &Requirements,
-    readers: usize,
     seed: u64,
 ) -> ChurnBenchResult {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let readers = readers.max(1);
     let batch = 32;
     let batches = 8;
     let dk = DkIndex::build(data, reqs.clone());
@@ -271,7 +265,7 @@ pub fn bench_churn(
     let stop = AtomicBool::new(false);
     let (mut blocks_shared, mut blocks_rebuilt) = (0u64, 0u64);
     std::thread::scope(|s| {
-        for r in 0..readers {
+        for r in 0..READERS {
             let handle = server.handle();
             let stop = &stop;
             s.spawn(move || {
@@ -297,7 +291,7 @@ pub fn bench_churn(
     let (final_dk, final_g) = server.shutdown().expect("maintenance thread alive during bench");
 
     ChurnBenchResult {
-        readers,
+        readers: READERS,
         updates: measured.len(),
         batch,
         blocks_shared,
@@ -312,8 +306,6 @@ pub fn bench_churn(
 /// document order.
 #[derive(Clone, Debug)]
 pub struct GateSet {
-    /// Threads the reader pools ran with.
-    pub threads: usize,
     /// Batch evaluation through the figure-4 index set.
     pub eval: EvalBenchResult,
     /// A([`MAX_K`]) and D(k) construction.
@@ -330,14 +322,13 @@ pub struct GateSet {
 }
 
 /// Run the whole gate set on `data` with `workload`'s queries and mined
-/// requirements; `threads` is already resolved ([`resolved_threads`]).
+/// requirements, with [`READERS`] reader threads.
 /// Evaluation runs through the paper's figure-4 set ([`Summaries::figure4`]):
 /// the coarse indexes validate heavily, the tuned ones barely — both
 /// regimes count.
 pub fn run_gates(
     data: &DataGraph,
     workload: &Workload,
-    threads: usize,
     seed: u64,
     net_cfg: &NetBenchConfig,
     tune_cfg: &TuningBenchConfig,
@@ -347,12 +338,11 @@ pub fn run_gates(
     let summaries = Summaries::build(data, &reqs);
     let (eval, dk_build, telemetry) = bench_identity(data, &summaries.figure4(), queries, &reqs, seed);
     GateSet {
-        threads,
         eval,
         builds: vec![bench_ak_build(data, MAX_K), dk_build],
-        churn: bench_churn(data, queries, &reqs, threads, seed),
-        net: bench_net(data, queries, &reqs, threads, net_cfg, seed),
-        tuning: bench_tuning(data, threads, tune_cfg, seed),
+        churn: bench_churn(data, queries, &reqs, seed),
+        net: bench_net(data, queries, &reqs, net_cfg, seed),
+        tuning: bench_tuning(data, tune_cfg, seed),
         telemetry,
     }
 }
@@ -384,7 +374,7 @@ impl GateSet {
         let builds: Vec<Rows> = self.builds.iter().map(BuildBenchResult::rows).collect();
         let mut sections = vec![
             format!("\"dataset\": \"{dataset}\""),
-            format!("\"config\": {{ \"threads\": {} }}", self.threads),
+            format!("\"config\": {{ \"threads\": {READERS} }}"),
             format!("\"eval\": {}", rows_json(&self.eval.rows(), 4)),
             format!("\"construction\": {}", rows_json_array(&builds, 4)),
             format!("\"churn\": {}", rows_json(&self.churn.rows(), 4)),
@@ -512,15 +502,10 @@ fn bench_identity(
 /// Render the telemetry pass as the `METRICS.json` document: dataset +
 /// config header, the transparency verdicts, and the full recorder snapshot
 /// (per-phase span timings, refinement-round counts, visit histograms).
-pub fn metrics_to_json(
-    dataset: &str,
-    threads: usize,
-    queries: usize,
-    tel: &TelemetryBenchResult,
-) -> String {
+pub fn metrics_to_json(dataset: &str, queries: usize, tel: &TelemetryBenchResult) -> String {
     format!(
         "{{\n  \"dataset\": \"{dataset}\",\n  \
-         \"config\": {{ \"threads\": {threads}, \"max_k\": {MAX_K}, \"queries\": {queries} }},\n  \
+         \"config\": {{ \"threads\": {READERS}, \"max_k\": {MAX_K}, \"queries\": {queries} }},\n  \
          \"identical_with_telemetry_off\": {},\n  \
          \"identical_with_telemetry_on\": {},\n  \
          \"telemetry\": {}\n}}\n",
@@ -560,7 +545,7 @@ mod tests {
             window: 32,
             ..TuningBenchConfig::default()
         };
-        run_gates(&data, &workload, 2, 7, &net_cfg, &tune_cfg)
+        run_gates(&data, &workload, 7, &net_cfg, &tune_cfg)
     }
 
     #[test]
@@ -587,7 +572,7 @@ mod tests {
         assert!(tel.identical_on, "fast paths diverge with recorder on");
         assert!(tel.snapshot.counter("partition.rounds").unwrap_or(0) > 0);
         assert!(tel.snapshot.counter("eval.queries").unwrap_or(0) > 0);
-        let metrics = metrics_to_json("xmark-test", 2, gates.eval.queries, tel);
+        let metrics = metrics_to_json("xmark-test", gates.eval.queries, tel);
         for key in [
             "\"identical_with_telemetry_off\": true",
             "\"identical_with_telemetry_on\": true",

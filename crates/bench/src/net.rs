@@ -28,6 +28,7 @@ use dkindex_server::{Frame, NetClient, NetConfig, NetServer, ShedReason};
 use dkindex_workload::generate_update_edges;
 use std::time::Duration;
 
+use crate::gates::READERS;
 use crate::report::Rows;
 
 /// Knobs for the loopback net gate (see [`bench_net`]).
@@ -124,7 +125,7 @@ impl NetBenchResult {
 }
 
 /// Run the loopback net gate: start a [`NetServer`] on an ephemeral port,
-/// drive `readers` query connections plus one writer connection
+/// drive [`READERS`] query connections plus one writer connection
 /// through it, induce an overload window with the maintenance pause gate,
 /// then drain and compare against the serial oracle.
 ///
@@ -135,11 +136,9 @@ pub fn bench_net(
     data: &DataGraph,
     queries: &[PathExpr],
     reqs: &Requirements,
-    readers: usize,
     cfg: &NetBenchConfig,
     seed: u64,
 ) -> NetBenchResult {
-    let readers = readers.max(1);
     let dk = DkIndex::build(data, reqs.clone());
     let edges = generate_update_edges(
         data,
@@ -160,7 +159,7 @@ pub fn bench_net(
         server,
         "127.0.0.1:0",
         NetConfig {
-            workers: readers + 1,
+            workers: READERS + 1,
             staleness_threshold: cfg.staleness_threshold,
             ..NetConfig::default()
         },
@@ -168,13 +167,13 @@ pub fn bench_net(
     .expect("bind loopback for net bench");
     let addr = net.local_addr();
 
-    // Phase 1 — mixed workload: `readers` query connections, one sequential
+    // Phase 1 — mixed workload: `READERS` query connections, one sequential
     // writer that retries on shed (so every mixed-phase update is admitted).
     let mut admitted: Vec<(u64, u64)> = Vec::new();
     let mut clean = true;
     let answered: u64 = std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for r in 0..readers {
+        for r in 0..READERS {
             handles.push(s.spawn(move || {
                 let Ok(mut client) = NetClient::connect(addr) else {
                     return 0;
@@ -223,7 +222,7 @@ pub fn bench_net(
             .sum()
     });
     // Every query round must have come back as a decoded ANSWER frame.
-    clean &= answered == (readers * cfg.rounds) as u64;
+    clean &= answered == (READERS * cfg.rounds) as u64;
 
     // Phase 2 — induced overload: pause maintenance, push past the
     // staleness threshold, count typed sheds.
@@ -269,7 +268,7 @@ pub fn bench_net(
 
     NetBenchResult {
         config: *cfg,
-        readers,
+        readers: READERS,
         queries: answered,
         updates_admitted: ops.len(),
         overload_admitted,
@@ -296,7 +295,7 @@ mod tests {
             staleness_threshold: 4,
             overload_extra: 3,
         };
-        let net = bench_net(&data, workload.queries(), &reqs, 2, &cfg, 7);
+        let net = bench_net(&data, workload.queries(), &reqs, &cfg, 7);
         assert!(net.deterministic, "net serve diverged from serial replay");
         assert!(net.typed_sheds_only, "a refusal was not a typed SHED");
         assert_eq!(net.overload_admitted, cfg.staleness_threshold);

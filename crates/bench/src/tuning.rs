@@ -25,6 +25,7 @@
 //! across machines, not a timing artifact.
 
 use crate::experiments::standard_workload;
+use crate::gates::READERS;
 use crate::report::Rows;
 use dkindex_core::io_fail::{FailPlan, SharedDisk};
 use dkindex_core::wal::{self, WalWriter};
@@ -192,18 +193,16 @@ fn expand(stream: &[(PathExpr, u64)]) -> Vec<PathExpr> {
 /// Zipf-weighted query mix from a `D(1)` start with live tuning on
 /// (`tune_interval` 1), flipping to a second query pool at the halfway
 /// round, and record the per-round p99 cost curve. Every round evaluates
-/// its full mix across `readers` threads, then submits one edge update
+/// its full mix across [`READERS`] threads, then submits one edge update
 /// and flushes twice — the first flush publishes the round's batch (whose
 /// `after_publish` pass mines the round's observations), the second drains
 /// whatever op the tuner enqueued — so tuning lands on a deterministic
 /// round boundary.
 pub fn bench_tuning(
     data: &DataGraph,
-    readers: usize,
     cfg: &TuningBenchConfig,
     seed: u64,
 ) -> TuningBenchResult {
-    let readers = readers.max(1);
     let shift_round = cfg.rounds / 2;
     // Two independent pools: B's queries are largely unseen during phase A,
     // so the shift genuinely invalidates the tuned requirements instead of
@@ -247,11 +246,11 @@ pub fn bench_tuning(
         queries += mix.len() as u64;
         let mut costs: Vec<u64> = std::thread::scope(|s| {
             let mut parts = Vec::new();
-            for r in 0..readers {
+            for r in 0..READERS {
                 let handle = handle.clone();
                 parts.push(s.spawn(move || {
                     let mut costs = Vec::new();
-                    for q in mix.iter().skip(r).step_by(readers) {
+                    for q in mix.iter().skip(r).step_by(READERS) {
                         costs.push(handle.evaluate(q).cost.total());
                     }
                     costs
@@ -308,7 +307,7 @@ pub fn bench_tuning(
         .map(|i| i + 1);
 
     TuningBenchResult {
-        readers,
+        readers: READERS,
         rounds: cfg.rounds,
         shift_round,
         queries,
@@ -341,7 +340,7 @@ mod tests {
             window: 32,
             ..TuningBenchConfig::default()
         };
-        let t = bench_tuning(&data, 2, &cfg, 7);
+        let t = bench_tuning(&data, &cfg, 7);
         assert!(t.deterministic, "live-tuned serve diverged from serial replay");
         assert!(t.wal_recovered, "WAL replay diverged from the live-tuned state");
         assert!(t.promotions >= 1, "tuner never promoted: {t:?}");

@@ -15,15 +15,16 @@
 //!
 //! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
 //! borrowed parts — the two graphs, the index graph's by-label seed lists
-//! ([`LabelIndex`]), an [`EvalArena`] and an optional validation memo — so
-//! its owners decide what outlives a query: [`IndexEvaluator`] owns one of
-//! each for a batch, and `core::serve` lends per-epoch seed lists and a
-//! per-thread arena with no memo. The index phase walks the [`IndexGraph`]
+//! ([`LabelIndex`]) and an [`EvalArena`] — so its owners decide what
+//! outlives a query: [`IndexEvaluator`] owns the seed lists and an arena for
+//! a batch, and `core::serve` lends per-epoch seed lists and a per-thread
+//! arena. Nothing is remembered between queries: every validation is walked
+//! and charged. The index phase walks the [`IndexGraph`]
 //! itself: a flat label column and segment-CSR adjacency (see
 //! [`crate::index_graph`]). The unbudgeted entry points are that
 //! loop with a budget nothing can exhaust. Every *completed* query feeds
 //! the `eval.*` telemetry metrics
-//! (queries, index/data visits, sound extents, validated queries, memo hits,
+//! (queries, index/data visits, sound extents, validated queries,
 //! per-query visit histogram); an aborted one bumps only
 //! `eval.aborted_queries`. The `eval.query_ns` span times both. The
 //! independent §6.1 oracle lives in [`crate::eval_oracle`] and is
@@ -36,7 +37,6 @@ use dkindex_pathexpr::{
     evaluate_bounded_with, matches_ending_at_bounded_with, EvalArena, LabelIndex, Nfa, PathExpr,
     VisitBudget,
 };
-use std::collections::HashMap;
 
 /// Cost of one query under the paper's in-memory model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,36 +88,14 @@ pub struct IndexEvalOutcome {
     pub validated: bool,
 }
 
-/// Validation verdicts per `(query, matched index node)`: candidates
-/// sharing an extent never repeat their backward walks, and a replayed
-/// verdict charges its *stored* visit count, so `QueryCost` stays identical
-/// to recomputation. Valid only for the `(index, data)` pair it was filled
-/// on.
-#[derive(Debug, Default)]
-pub(crate) struct ValidationMemo {
-    /// Textual query form → dense id used in verdict keys.
-    query_ids: HashMap<String, u32>,
-    /// `(query id, matched index node)` → (validated hits, data visits).
-    verdicts: HashMap<(u32, NodeId), (Vec<NodeId>, u64)>,
-}
-
-impl ValidationMemo {
-    fn query_id(&mut self, expr: &PathExpr) -> u32 {
-        let next = self.query_ids.len() as u32;
-        *self.query_ids.entry(expr.to_string()).or_insert(next)
-    }
-}
-
 /// The borrowed parts one index→validate walk runs over. `seeds` must have
-/// been built from `index`, and `memo` filled only over this
-/// `(index, data)` pair; the arena may come dirty from any graph, because
-/// every walk resets its epoch-stamped marks.
+/// been built from `index`; the arena may come dirty from any graph,
+/// because every walk resets its epoch-stamped marks.
 pub(crate) struct Walk<'a> {
     pub(crate) index: &'a IndexGraph,
     pub(crate) data: &'a DataGraph,
     pub(crate) seeds: &'a LabelIndex,
     pub(crate) arena: &'a mut EvalArena,
-    pub(crate) memo: Option<&'a mut ValidationMemo>,
 }
 
 impl Walk<'_> {
@@ -130,9 +108,7 @@ impl Walk<'_> {
 
     /// The index→validate loop, under one visit budget shared by the
     /// index-graph phase and every validation walk; its contract is
-    /// [`IndexEvaluator::evaluate_bounded`]'s. With a memo, replayed
-    /// verdicts charge their stored visit count, and only *completed*
-    /// validations are stored, so an aborted query never poisons it.
+    /// [`IndexEvaluator::evaluate_bounded`]'s.
     pub(crate) fn evaluate_bounded(
         self,
         expr: &PathExpr,
@@ -143,7 +119,6 @@ impl Walk<'_> {
             data,
             seeds,
             arena,
-            mut memo,
         } = self;
         let span = telemetry::Span::start(&telemetry::metrics::EVAL_QUERY_NS);
         let abort = |spent: QueryCost| {
@@ -175,10 +150,8 @@ impl Walk<'_> {
         // Tallied locally and recorded with the rest of `eval.*` on
         // completion, so an aborted query leaves no partial counts behind.
         let mut sound_extents = 0u64;
-        let mut memo_hits = 0u64;
         // Compile against the data interner lazily — only if we validate.
         let mut reversed: Option<Nfa> = None;
-        let mut query_id: Option<u32> = None;
 
         for inode in on_index.matches {
             let sound = match required {
@@ -191,41 +164,25 @@ impl Walk<'_> {
                 continue;
             }
             validated = true;
-            let key = memo
-                .as_deref_mut()
-                .map(|m| (*query_id.get_or_insert_with(|| m.query_id(expr)), inode));
-            if let Some((hits, visits)) = key.and_then(|k| memo.as_deref()?.verdicts.get(&k)) {
-                // Replay: identical hits AND identical charged visits.
-                if !remaining.try_charge_many(*visits) {
-                    return Err(abort(cost));
-                }
-                memo_hits += 1;
-                cost.data_visits += visits;
-                matches.extend_from_slice(hits);
-                continue;
-            }
             let rev = reversed.get_or_insert_with(|| Nfa::compile(expr, data.labels()).reverse());
+            // Appended once per extent, so an answer with one validated
+            // extent is allocated to size: the epoch memo keeps it.
             let mut hits: Vec<NodeId> = Vec::new();
-            let mut visits = 0u64;
             for &candidate in index.extent(inode) {
                 match matches_ending_at_bounded_with(data, rev, candidate, arena, &mut remaining) {
                     Ok((hit, visited)) => {
-                        visits += visited;
+                        cost.data_visits += visited;
                         if hit {
                             hits.push(candidate);
                         }
                     }
                     Err(e) => {
-                        cost.data_visits += visits + e.visited;
+                        cost.data_visits += e.visited;
                         return Err(abort(cost));
                     }
                 }
             }
-            cost.data_visits += visits;
             matches.extend_from_slice(&hits);
-            if let (Some(m), Some(k)) = (memo.as_deref_mut(), key) {
-                m.verdicts.insert(k, (hits, visits));
-            }
         }
         matches.sort_unstable();
         matches.dedup();
@@ -234,7 +191,6 @@ impl Walk<'_> {
         telemetry::metrics::EVAL_INDEX_VISITS.add(cost.index_visits);
         telemetry::metrics::EVAL_DATA_VISITS.add(cost.data_visits);
         telemetry::metrics::EVAL_SOUND_EXTENTS.add(sound_extents);
-        telemetry::metrics::EVAL_MEMO_HITS.add(memo_hits);
         if validated {
             telemetry::metrics::EVAL_VALIDATED_QUERIES.incr();
         }
@@ -249,21 +205,18 @@ impl Walk<'_> {
     }
 }
 
-/// Reusable evaluator for one `(index, data)` pair: owns the index graph's
-/// seed lists, an [`EvalArena`] so a batch of queries performs zero
-/// steady-state allocation, and a validation memo per `(query, index node)`
-/// — candidates sharing an extent never repeat their backward walks, and
-/// replayed verdicts charge the *stored* visit count so `QueryCost` stays
-/// identical to recomputation.
-///
-/// The evaluator borrows `index` and `data` immutably for its whole
-/// lifetime, so the memo can never go stale.
+/// Reusable evaluator for one `(index, data)` pair: the two graphs, the
+/// index graph's seed lists and an [`EvalArena`]. A batch of queries
+/// reuses the seed lists and the arena's marks and queue; each query still
+/// compiles its own automaton and allocates its own match and hit lists.
+/// It remembers no answers: every query runs the same walk an `Epoch` memo
+/// miss runs, so a warm evaluator charges, and aborts, exactly like a
+/// fresh one.
 pub struct IndexEvaluator<'a> {
     index: &'a IndexGraph,
     data: &'a DataGraph,
     seeds: LabelIndex,
     arena: EvalArena,
-    memo: ValidationMemo,
 }
 
 impl<'a> IndexEvaluator<'a> {
@@ -274,7 +227,6 @@ impl<'a> IndexEvaluator<'a> {
             data,
             seeds: LabelIndex::build(index),
             arena: EvalArena::new(),
-            memo: ValidationMemo::default(),
         }
     }
 
@@ -284,7 +236,6 @@ impl<'a> IndexEvaluator<'a> {
             data: self.data,
             seeds: &self.seeds,
             arena: &mut self.arena,
-            memo: Some(&mut self.memo),
         }
     }
 
@@ -302,10 +253,7 @@ impl<'a> IndexEvaluator<'a> {
     /// *and* validated flag) equals [`crate::eval_oracle::evaluate`]. Once
     /// the budget runs out the query aborts with a typed [`QueryAborted`] —
     /// partial results are discarded, never returned, because a truncated
-    /// match set would be silently wrong. Memoized validation verdicts
-    /// replay against the budget at their stored visit count, so a replayed
-    /// query costs what the first run cost; verdicts are stored only for
-    /// *completed* validations, so an aborted query never poisons the memo.
+    /// match set would be silently wrong.
     pub fn evaluate_bounded(
         &mut self,
         expr: &PathExpr,
@@ -317,19 +265,6 @@ impl<'a> IndexEvaluator<'a> {
     /// Evaluate a whole workload, returning per-query outcomes.
     pub fn evaluate_all(&mut self, exprs: &[PathExpr]) -> Vec<IndexEvalOutcome> {
         exprs.iter().map(|e| self.evaluate(e)).collect()
-    }
-
-    /// Average total cost (nodes visited) over a workload — the Y axis of
-    /// the paper's figures 4–7.
-    pub fn average_cost(&mut self, exprs: &[PathExpr]) -> f64 {
-        if exprs.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = exprs
-            .iter()
-            .map(|e| self.evaluate(e).cost.total())
-            .sum();
-        total as f64 / exprs.len() as f64
     }
 }
 
@@ -457,11 +392,11 @@ mod tests {
     #[test]
     fn higher_similarity_reduces_total_cost_for_long_queries() {
         let data = movie_data();
-        let e = [parse("director.movie.title").unwrap()];
+        let e = parse("director.movie.title").unwrap();
         let a0 = DkIndex::build(&data, Requirements::new());
         let a2 = DkIndex::build(&data, Requirements::uniform(2));
-        let cost0 = IndexEvaluator::new(a0.index(), &data).average_cost(&e);
-        let cost2 = IndexEvaluator::new(a2.index(), &data).average_cost(&e);
+        let cost0 = IndexEvaluator::new(a0.index(), &data).evaluate(&e).cost.total();
+        let cost2 = IndexEvaluator::new(a2.index(), &data).evaluate(&e).cost.total();
         assert!(
             cost2 < cost0,
             "sound index ({cost2}) should beat validating index ({cost0})"
@@ -472,8 +407,9 @@ mod tests {
     /// each `limit` below the oracle's total cost aborts having charged
     /// exactly `limit`, and `limit == cost` reproduces the oracle's outcome
     /// (matches, both visit counts, validated flag). A second, long-lived
-    /// evaluator takes every abort too and must still answer exactly
-    /// afterwards: an aborted query never poisons the validation memo.
+    /// evaluator answers the query first and then takes every abort too:
+    /// each must equal the fresh evaluator's, and it must still answer
+    /// exactly afterwards.
     #[test]
     fn budget_sweep_matches_the_oracle() {
         let data = movie_data();
@@ -491,15 +427,18 @@ mod tests {
                 let want = eval_oracle::evaluate(dk.index(), &data, &labels, &e);
                 let total = want.cost.total();
                 let mut survivor = IndexEvaluator::new(dk.index(), &data);
+                assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
                 for limit in 0..total {
                     let aborted = IndexEvaluator::new(dk.index(), &data)
                         .evaluate_bounded(&e, limit)
                         .expect_err("a budget below the query's cost must abort");
                     assert_eq!(aborted.budget, limit, "expr {expr} k {k}");
                     assert_eq!(aborted.cost.total(), limit, "expr {expr} k {k}");
-                    survivor
-                        .evaluate_bounded(&e, limit)
-                        .expect_err("memo replays are charged, so the abort repeats");
+                    assert_eq!(
+                        survivor.evaluate_bounded(&e, limit),
+                        Err(aborted),
+                        "a warm evaluator aborts like a fresh one: expr {expr} k {k}"
+                    );
                 }
                 let exact = IndexEvaluator::new(dk.index(), &data).evaluate_bounded(&e, total);
                 assert_eq!(exact.as_ref(), Ok(&want), "expr {expr} k {k}");
@@ -507,28 +446,5 @@ mod tests {
                 assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
             }
         }
-    }
-
-    #[test]
-    fn bounded_evaluation_memo_replay_charges_budget() {
-        let data = movie_data();
-        let dk = DkIndex::build(&data, Requirements::new());
-        let e = parse("director.movie.title").unwrap();
-        let mut evaluator = IndexEvaluator::new(dk.index(), &data);
-        let first = evaluator.evaluate_bounded(&e, u64::MAX).unwrap();
-        // Second run replays memoized verdicts — same outcome, and an
-        // insufficient budget still aborts (replays are not free).
-        let second = evaluator.evaluate_bounded(&e, first.cost.total()).unwrap();
-        assert_eq!(first, second);
-        evaluator
-            .evaluate_bounded(&e, first.cost.total() - 1)
-            .expect_err("memo replay must still charge the budget");
-    }
-
-    #[test]
-    fn average_cost_of_empty_workload_is_zero() {
-        let data = movie_data();
-        let dk = DkIndex::build(&data, Requirements::new());
-        assert_eq!(IndexEvaluator::new(dk.index(), &data).average_cost(&[]), 0.0);
     }
 }

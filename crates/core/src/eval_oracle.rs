@@ -1,6 +1,6 @@
 //! The independent oracle for [`crate::eval`]: the paper's index→validate
 //! rule (§3/§4.1) and cost model (§6.1) written once more with nothing
-//! shared — no evaluator state, no arena, no memo, no budget, no telemetry —
+//! shared — no evaluator state, no arena, no budget, no telemetry —
 //! on top of the reference walks in [`dkindex_pathexpr::oracle`].
 //!
 //! It is a free function rather than a method so the oracle does not live

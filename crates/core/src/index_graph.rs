@@ -99,7 +99,6 @@ pub struct IndexGraph {
     node_to_index: SegVec<NodeId>,
     interner: Arc<LabelInterner>,
     root: NodeId,
-    edge_count: usize,
 }
 
 impl IndexGraph {
@@ -136,7 +135,6 @@ impl IndexGraph {
         IndexGraph {
             blocks,
             labels: Arc::new(labels),
-            edge_count: children.target_count(),
             children,
             parents,
             node_to_index,
@@ -389,7 +387,6 @@ impl IndexGraph {
         let at = self.parents_of(to).partition_point(|&p| p < from);
         self.children.push_to_row(from.index(), to);
         self.parents.insert_into_row(to.index(), at, from);
-        self.edge_count += 1;
         true
     }
 
@@ -512,7 +509,6 @@ impl IndexGraph {
         if let Ok(at) = self.parents_of(to).binary_search(&from) {
             self.parents.remove_from_row(to.index(), at);
         }
-        self.edge_count -= 1;
     }
 
     /// Recompute `inode`'s incident edges by scanning its extent's data
@@ -546,8 +542,10 @@ impl IndexGraph {
     }
 
     /// Check that every extent really is `similarity(inode)`-bisimilar in
-    /// `data` (expensive; tests only). `cap` bounds the checked k to keep
-    /// `SIM_EXACT` nodes affordable.
+    /// `data` (Definition 2; expensive). The test oracle for extent
+    /// truthfulness, for unit and integration tests alike; nothing in the
+    /// library calls it. `cap` bounds the checked k to keep `SIM_EXACT`
+    /// nodes affordable.
     pub fn check_extent_bisimilarity(&self, data: &DataGraph, cap: usize) -> Result<(), String> {
         use dkindex_partition::KBisimTable;
         let max_k = self
@@ -585,7 +583,7 @@ impl LabeledGraph for IndexGraph {
 
     #[inline]
     fn edge_count(&self) -> usize {
-        self.edge_count
+        self.children.target_count()
     }
 
     #[inline]

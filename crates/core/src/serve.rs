@@ -254,9 +254,8 @@ impl Epoch {
     /// The one memo probe / miss / insert sequence both entry points share.
     /// A hit is one refcount bump and touches nothing else. A miss runs
     /// `miss` as one walk over this epoch's graphs, its shared seed lists
-    /// and this thread's arena, with no validation memo (a verdict could
-    /// only be replayed by the same query, and the answer memo already
-    /// serves that). The arena goes back to the thread unless the walk grew
+    /// and this thread's arena — the same walk `IndexEvaluator` runs. The
+    /// arena goes back to the thread unless the walk grew
     /// it past [`MAX_RETAINED_MARKS_PER_NODE`]. Only a *successful* outcome
     /// is memoized, paying exactly one clone (the query key) — the outcome
     /// itself is never deep-copied. A failed miss is neither memoized nor
@@ -283,7 +282,6 @@ impl Epoch {
             data: &self.data,
             seeds: self.seeds.get_or_init(|| LabelIndex::build(self.dk.index())),
             arena: &mut arena,
-            memo: None,
         });
         if arena.mark_capacity() <= MAX_RETAINED_MARKS_PER_NODE * self.data.node_count() {
             ARENA.set(arena);

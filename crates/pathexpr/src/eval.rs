@@ -117,18 +117,10 @@ impl VisitBudget {
     /// Charge one activation; `false` means the budget is exhausted.
     #[inline]
     pub fn try_charge(&mut self) -> bool {
-        self.try_charge_many(1)
-    }
-
-    /// Charge `n` activations at once (used when replaying memoized
-    /// validation verdicts, which charge their stored visit count); `false`
-    /// means the budget cannot cover them.
-    #[inline]
-    pub fn try_charge_many(&mut self, n: u64) -> bool {
-        if self.remaining < n {
+        if self.remaining == 0 {
             return false;
         }
-        self.remaining -= n;
+        self.remaining -= 1;
         true
     }
 }

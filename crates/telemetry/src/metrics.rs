@@ -61,9 +61,6 @@ pub static EVAL_DATA_VISITS: Counter = Counter::new("eval.data_visits");
 pub static EVAL_SOUND_EXTENTS: Counter = Counter::new("eval.sound_extents");
 /// Queries that needed the validation process for at least one match.
 pub static EVAL_VALIDATED_QUERIES: Counter = Counter::new("eval.validated_queries");
-/// Validation verdicts replayed from the evaluator's memo instead of
-/// re-walking the data graph.
-pub static EVAL_MEMO_HITS: Counter = Counter::new("eval.memo_hits");
 /// Bounded queries aborted because their visit budget ran out.
 pub static EVAL_ABORTED_QUERIES: Counter = Counter::new("eval.aborted_queries");
 /// Distribution of per-query total visit counts (index + data) — the
@@ -244,7 +241,7 @@ pub static PHASE_ADAPT_NS: Histogram = Histogram::new("phase.adapt_ns", Unit::Na
 
 /// Every registered counter, in reporting order.
 pub fn counters() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 62] = [
+    static ALL: [&Counter; 61] = [
         &PATHEXPR_EVALUATIONS,
         &PATHEXPR_ACTIVATIONS,
         &PATHEXPR_VALIDATION_WALKS,
@@ -258,7 +255,6 @@ pub fn counters() -> &'static [&'static Counter] {
         &EVAL_DATA_VISITS,
         &EVAL_SOUND_EXTENTS,
         &EVAL_VALIDATED_QUERIES,
-        &EVAL_MEMO_HITS,
         &EVAL_ABORTED_QUERIES,
         &STORE_SNAPSHOT_WRITES,
         &STORE_SNAPSHOT_LOADS,

@@ -364,11 +364,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The evaluator (reused arena + validation memo) returns byte-identical
-    /// matches AND costs to the independent oracle, including on repeated
-    /// queries where the memo replays stored verdicts — and its bounded
-    /// entry, handed exactly the oracle's cost, returns the same outcome
-    /// while one visit less is a typed abort.
+    /// The evaluator (reused arena and seed lists) returns byte-identical
+    /// matches AND costs to the independent oracle, also when it has
+    /// answered the same queries before — and its bounded entry, handed
+    /// exactly the oracle's cost, returns the same outcome while one visit
+    /// less is a typed abort, equal to a fresh evaluator's.
     #[test]
     fn evaluator_matches_oracle_byte_for_byte(
         spec in graph_spec(),
@@ -384,8 +384,8 @@ proptest! {
         for index in [dk.index(), ak.index()] {
             let labels = LabelIndex::build(index);
             let mut evaluator = IndexEvaluator::new(index, &g);
-            // Two passes: the second runs with a warm arena and a populated
-            // validation memo, which must not change any outcome.
+            // Two passes: the second runs with a warm arena over queries
+            // already answered, which must not change any outcome.
             for _pass in 0..2 {
                 for q in &queries {
                     let want = eval_oracle::evaluate(index, &g, &labels, q);
@@ -396,6 +396,8 @@ proptest! {
                     if total > 0 {
                         let short = evaluator.evaluate_bounded(q, total - 1);
                         prop_assert!(short.is_err(), "budget {} answered {}", total - 1, q);
+                        let fresh = IndexEvaluator::new(index, &g).evaluate_bounded(q, total - 1);
+                        prop_assert_eq!(short, fresh, "warm and fresh aborts differ on {}", q);
                     }
                 }
             }

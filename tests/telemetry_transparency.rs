@@ -11,7 +11,7 @@
 //! toggling it (the test harness runs tests on parallel threads).
 
 use dkindex::core::dk::{dk_partition, dk_partition_reference};
-use dkindex::core::{eval_oracle, DkIndex, IndexEvaluator};
+use dkindex::core::{eval_oracle, DkIndex, IndexEvaluator, Requirements};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
 use dkindex::graph::{DataGraph, LabeledGraph};
 use dkindex::partition::{k_bisimulation, RefineEngine};
@@ -146,13 +146,29 @@ fn recorder_on_actually_records_the_oracle_checked_work() {
     telemetry::reset();
     telemetry::enable();
     let dk = DkIndex::build(&g, reqs);
-    IndexEvaluator::new(dk.index(), &g).evaluate_all(workload.queries());
+    // The mined index answers its own workload soundly; the label-split one
+    // (no requirements) has to validate it.
+    let label_split = DkIndex::build(&g, Requirements::new());
+    for index in [dk.index(), label_split.index()] {
+        // Twice on one evaluator: the second pass answers queries it has seen.
+        let mut evaluator = IndexEvaluator::new(index, &g);
+        evaluator.evaluate_all(workload.queries());
+        evaluator.evaluate_all(workload.queries());
+    }
     telemetry::disable();
     let snap = telemetry::snapshot();
     assert!(snap.counter("dk.constructions").unwrap_or(0) > 0);
     assert!(snap.counter("partition.rounds").unwrap_or(0) > 0);
-    assert_eq!(snap.counter("eval.queries"), Some(workload.len() as u64));
+    assert_eq!(snap.counter("eval.queries"), Some(4 * workload.len() as u64));
     assert!(snap.histogram("eval.visits_per_query").is_some());
+    // Every visit an answer is charged for is an activation walked: with
+    // no aborts, the work counters and the §6.1 costs add up to one sum.
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert!(count("eval.data_visits") > 0, "the workload must validate");
+    assert_eq!(
+        count("pathexpr.activations") + count("pathexpr.validation_activations"),
+        count("eval.index_visits") + count("eval.data_visits")
+    );
 }
 
 /// Regression: the `pathexpr.*` counters count work done, so a walk that
