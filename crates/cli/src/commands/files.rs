@@ -33,7 +33,8 @@ pub(super) fn load_xml(path: &str, idrefs: &[String]) -> Result<DataGraph, CliEr
     if !idrefs.is_empty() {
         options.idref_attributes = idrefs.to_vec();
     }
-    // Streaming build: O(depth) memory, same graph as the DOM path.
+    // One pass of parser events into the graph builder; the text and the
+    // graph are both resident.
     stream_to_graph(&text, &options).map_err(|e| CliError::invalid(path, e))
 }
 

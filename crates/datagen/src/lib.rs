@@ -11,8 +11,11 @@
 //!   running examples.
 //! * [`random`] — seeded random trees/graphs for property-based tests.
 //!
-//! Both dataset generators emit [`dkindex_xml::Document`] trees (so the XML
-//! pipeline is exercised end-to-end) and provide direct `*_graph` shortcuts.
+//! Both dataset generators emit element events into any
+//! [`dkindex_xml::XmlSink`] (`xmark_events`, `nasa_events`): the
+//! `*_graph` functions feed them straight into a
+//! [`dkindex_xml::GraphBuilder`], and an [`dkindex_xml::XmlWriter`] turns
+//! the same events into XML text. No document tree is built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,24 @@ pub mod xmark;
 
 pub use id_pool::IdPool;
 pub use movies::{movie_graph, MovieGraph};
-pub use nasa::{nasa_document, nasa_graph, nasa_graph_options, NasaConfig, ALL_REFERENCE_KINDS, DEFAULT_KEPT_KINDS};
+pub use nasa::{nasa_events, nasa_graph, nasa_graph_options, NasaConfig, ALL_REFERENCE_KINDS, DEFAULT_KEPT_KINDS};
 pub use random::{random_graph, RandomGraphConfig};
-pub use xmark::{xmark_document, xmark_graph, xmark_graph_options, XmarkConfig};
+pub use xmark::{xmark_events, xmark_graph, xmark_graph_options, XmarkConfig};
+
+/// The generators' documents as text, for their tests.
+#[cfg(test)]
+mod text {
+    use dkindex_xml::{parse_into, XmlWriter};
+
+    /// The document `emit` writes, as XML text.
+    pub(crate) fn xml_text(emit: impl FnOnce(&mut XmlWriter)) -> String {
+        let mut writer = XmlWriter::new();
+        emit(&mut writer);
+        writer.into_string()
+    }
+
+    /// `text` parsed and written again.
+    pub(crate) fn rewritten(text: &str) -> String {
+        xml_text(|w| parse_into(text, w).expect("generated XML parses"))
+    }
+}

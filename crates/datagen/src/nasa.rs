@@ -10,7 +10,7 @@
 //! (`IDREF` attributes). As in the paper — "we delete 12 of its original 20
 //! references" — the default configuration keeps 8 of the 20 kinds.
 
-use dkindex_xml::{Document, Element, GraphOptions, XmlNode};
+use dkindex_xml::{GraphBuilder, GraphOptions, XmlSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,46 +101,12 @@ struct Pools {
     history: Vec<String>,
 }
 
-struct Gen {
+struct Gen<'s, S> {
+    sink: &'s mut S,
     rng: StdRng,
     kept: Vec<String>,
     pools: Pools,
     next_id: usize,
-}
-
-impl Gen {
-    fn fresh_id(&mut self, prefix: &str) -> String {
-        let id = format!("{prefix}{}", self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    /// Emit `kind="<random target>"` on `elem` with probability `p`, when
-    /// the kind is kept and the pool is non-empty.
-    fn maybe_ref(&mut self, elem: &mut Element, kind: &str, pool: PoolKind, p: f64) {
-        if !self.kept.iter().any(|k| k == kind) {
-            return;
-        }
-        let len = self.pool(pool).len();
-        if len == 0 || !self.rng.gen_bool(p) {
-            return;
-        }
-        let pick = self.rng.gen_range(0..len);
-        let target = self.pool(pool)[pick].clone();
-        elem.attributes.push((kind.to_string(), target));
-    }
-
-    fn pool(&self, kind: PoolKind) -> &[String] {
-        match kind {
-            PoolKind::Dataset => &self.pools.dataset,
-            PoolKind::Table => &self.pools.table,
-            PoolKind::Field => &self.pools.field,
-            PoolKind::Instrument => &self.pools.instrument,
-            PoolKind::Author => &self.pools.author,
-            PoolKind::Revision => &self.pools.revision,
-            PoolKind::History => &self.pools.history,
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -154,9 +120,10 @@ enum PoolKind {
     History,
 }
 
-/// Generate a NASA-like document.
-pub fn nasa_document(config: &NasaConfig) -> Document {
+/// Emit a NASA-like document into `sink`, element by element.
+pub fn nasa_events(config: &NasaConfig, sink: &mut impl XmlSink) {
     let mut gen = Gen {
+        sink,
         rng: StdRng::seed_from_u64(config.seed),
         kept: config.kept_reference_kinds.clone(),
         pools: Pools {
@@ -172,231 +139,258 @@ pub fn nasa_document(config: &NasaConfig) -> Document {
         next_id: 0,
     };
 
-    let mut root = Element::new("datasets");
+    gen.sink.start("datasets", &[]);
     for i in 0..config.datasets {
-        root.children.push(XmlNode::Element(dataset(&mut gen, i)));
+        gen.dataset(i);
     }
-    Document { root }
+    gen.sink.end();
 }
 
-fn dataset(g: &mut Gen, index: usize) -> Element {
-    let mut ds = Element::new("dataset");
-    ds.attributes.push(("id".into(), format!("dataset{index}")));
-    for kind in ["relatedTo", "supersedes", "derivedFrom", "companion"] {
-        g.maybe_ref(&mut ds, kind, PoolKind::Dataset, 0.35);
+impl<S: XmlSink> Gen<'_, S> {
+    fn fresh_id(&mut self, prefix: &str) -> String {
+        let id = format!("{prefix}{}", self.next_id);
+        self.next_id += 1;
+        id
     }
 
-    ds.children.push(XmlNode::Element(Element::new("title")));
-
-    for _ in 0..g.rng.gen_range(0..=2) {
-        let mut alt = Element::new("altname");
-        g.maybe_ref(&mut alt, "aliasOf", PoolKind::Dataset, 0.5);
-        ds.children.push(XmlNode::Element(alt));
-    }
-
-    let mut abstr = Element::new("abstract");
-    for _ in 0..g.rng.gen_range(1..=3) {
-        abstr.children.push(XmlNode::Element(para(g)));
-    }
-    ds.children.push(XmlNode::Element(abstr));
-
-    if g.rng.gen_bool(0.7) {
-        let mut kws = Element::new("keywords");
-        for _ in 0..g.rng.gen_range(1..=4) {
-            let mut kw = Element::new("keyword");
-            g.maybe_ref(&mut kw, "about", PoolKind::Instrument, 0.4);
-            kws.children.push(XmlNode::Element(kw));
+    /// Push `kind="<random target>"` onto `attributes` with probability
+    /// `p`, when the kind is kept and the pool is non-empty.
+    fn maybe_ref(&mut self, attributes: &mut Vec<(String, String)>, kind: &str, pool: PoolKind, p: f64) {
+        if !self.kept.iter().any(|k| k == kind) {
+            return;
         }
-        ds.children.push(XmlNode::Element(kws));
-    }
-
-    for _ in 0..g.rng.gen_range(1..=3) {
-        ds.children.push(XmlNode::Element(author(g)));
-    }
-
-    ds.children.push(XmlNode::Element(history(g)));
-    ds.children.push(XmlNode::Element(Element::new("identifier")));
-
-    if g.rng.gen_bool(0.5) {
-        ds.children.push(XmlNode::Element(instrument(g)));
-    }
-
-    if g.rng.gen_bool(0.8) {
-        let mut tables = Element::new("tables");
-        for _ in 0..g.rng.gen_range(1..=2) {
-            tables.children.push(XmlNode::Element(table(g)));
+        let len = self.pool(pool).len();
+        if len == 0 || !self.rng.gen_bool(p) {
+            return;
         }
-        ds.children.push(XmlNode::Element(tables));
+        let pick = self.rng.gen_range(0..len);
+        let target = self.pool(pool)[pick].clone();
+        attributes.push((kind.to_string(), target));
     }
 
-    for _ in 0..g.rng.gen_range(0..=3) {
-        ds.children.push(XmlNode::Element(reference(g)));
+    /// An element whose only content is one `maybe_ref` attribute.
+    fn ref_leaf(&mut self, name: &str, kind: &str, pool: PoolKind, p: f64) {
+        let mut attributes = Vec::new();
+        self.maybe_ref(&mut attributes, kind, pool, p);
+        self.sink.start(name, &attributes);
+        self.sink.end();
     }
 
-    if g.rng.gen_bool(0.7) {
-        let mut descs = Element::new("descriptions");
-        let mut desc = Element::new("description");
-        g.maybe_ref(&mut desc, "seeAlso", PoolKind::Dataset, 0.5);
-        g.maybe_ref(&mut desc, "context", PoolKind::Instrument, 0.3);
-        for _ in 0..g.rng.gen_range(1..=3) {
-            desc.children.push(XmlNode::Element(para(g)));
+    fn pool(&self, kind: PoolKind) -> &[String] {
+        match kind {
+            PoolKind::Dataset => &self.pools.dataset,
+            PoolKind::Table => &self.pools.table,
+            PoolKind::Field => &self.pools.field,
+            PoolKind::Instrument => &self.pools.instrument,
+            PoolKind::Author => &self.pools.author,
+            PoolKind::Revision => &self.pools.revision,
+            PoolKind::History => &self.pools.history,
         }
-        if g.rng.gen_bool(0.4) {
-            let mut details = Element::new("details");
-            g.maybe_ref(&mut details, "forField", PoolKind::Field, 0.5);
-            g.maybe_ref(&mut details, "forTable", PoolKind::Table, 0.5);
-            desc.children.push(XmlNode::Element(details));
+    }
+
+    fn dataset(&mut self, index: usize) {
+        let mut attributes = vec![("id".into(), format!("dataset{index}"))];
+        for kind in ["relatedTo", "supersedes", "derivedFrom", "companion"] {
+            self.maybe_ref(&mut attributes, kind, PoolKind::Dataset, 0.35);
         }
-        descs.children.push(XmlNode::Element(desc));
-        ds.children.push(XmlNode::Element(descs));
-    }
-    ds
-}
+        self.sink.start("dataset", &attributes);
 
-fn para(g: &mut Gen) -> Element {
-    let mut p = Element::new("para");
-    g.maybe_ref(&mut p, "refersTo", PoolKind::Dataset, 0.2);
-    p
-}
+        self.sink.leaf("title");
 
-fn author(g: &mut Gen) -> Element {
-    let mut a = Element::new("author");
-    let id = g.fresh_id("author");
-    a.attributes.push(("id".into(), id.clone()));
-    g.maybe_ref(&mut a, "collaborator", PoolKind::Author, 0.3);
-    g.pools.author.push(id);
-    if g.rng.gen_bool(0.6) {
-        a.children.push(XmlNode::Element(Element::new("initial")));
-    }
-    a.children.push(XmlNode::Element(Element::new("lastName")));
-    if g.rng.gen_bool(0.3) {
-        a.children.push(XmlNode::Element(Element::new("affiliation")));
-    }
-    a
-}
-
-fn history(g: &mut Gen) -> Element {
-    let mut h = Element::new("history");
-    let id = g.fresh_id("history");
-    h.attributes.push(("id".into(), id.clone()));
-    g.maybe_ref(&mut h, "precededBy", PoolKind::History, 0.4);
-    g.pools.history.push(id);
-    h.children.push(XmlNode::Element(Element::new("creationDate")));
-    if g.rng.gen_bool(0.7) {
-        h.children.push(XmlNode::Element(Element::new("ingestDate")));
-    }
-    for _ in 0..g.rng.gen_range(0..=3) {
-        let mut rev = Element::new("revision");
-        let rid = g.fresh_id("revision");
-        rev.attributes.push(("id".into(), rid.clone()));
-        g.maybe_ref(&mut rev, "basedOn", PoolKind::Revision, 0.5);
-        g.pools.revision.push(rid);
-        rev.children
-            .push(XmlNode::Element(Element::new("revisionDate")));
-        rev.children.push(XmlNode::Element(para(g)));
-        h.children.push(XmlNode::Element(rev));
-    }
-    h
-}
-
-fn instrument(g: &mut Gen) -> Element {
-    let mut ins = Element::new("instrument");
-    let id = g.fresh_id("instrument");
-    ins.attributes.push(("id".into(), id.clone()));
-    g.maybe_ref(&mut ins, "partOf", PoolKind::Instrument, 0.3);
-    g.pools.instrument.push(id);
-    ins.children.push(XmlNode::Element(Element::new("name")));
-    if g.rng.gen_bool(0.5) {
-        ins.children
-            .push(XmlNode::Element(Element::new("observatory")));
-    }
-    ins
-}
-
-fn table(g: &mut Gen) -> Element {
-    let mut t = Element::new("table");
-    let tid = g.fresh_id("table");
-    t.attributes.push(("id".into(), tid.clone()));
-    g.pools.table.push(tid);
-
-    let mut head = Element::new("tableHead");
-    if g.rng.gen_bool(0.4) {
-        let mut links = Element::new("tableLinks");
-        for _ in 0..g.rng.gen_range(1..=2) {
-            let mut link = Element::new("tableLink");
-            g.maybe_ref(&mut link, "toTable", PoolKind::Table, 0.8);
-            links.children.push(XmlNode::Element(link));
+        for _ in 0..self.rng.gen_range(0..=2) {
+            self.ref_leaf("altname", "aliasOf", PoolKind::Dataset, 0.5);
         }
-        head.children.push(XmlNode::Element(links));
-    }
-    let mut fields = Element::new("fields");
-    let mut field_ids = Vec::new();
-    for _ in 0..g.rng.gen_range(2..=5) {
-        let mut f = Element::new("field");
-        let fid = g.fresh_id("field");
-        f.attributes.push(("id".into(), fid.clone()));
-        g.maybe_ref(&mut f, "derivedField", PoolKind::Field, 0.2);
-        g.pools.field.push(fid.clone());
-        field_ids.push(fid);
-        f.children.push(XmlNode::Element(Element::new("name")));
-        if g.rng.gen_bool(0.5) {
-            f.children.push(XmlNode::Element(Element::new("definition")));
-        }
-        if g.rng.gen_bool(0.4) {
-            f.children.push(XmlNode::Element(Element::new("units")));
-        }
-        fields.children.push(XmlNode::Element(f));
-    }
-    head.children.push(XmlNode::Element(fields));
-    t.children.push(XmlNode::Element(head));
 
-    for _ in 0..g.rng.gen_range(1..=3) {
-        let mut row = Element::new("tableRow");
-        for _ in 0..g.rng.gen_range(1..=3) {
-            let mut cell = Element::new("tableCell");
-            g.maybe_ref(&mut cell, "ofField", PoolKind::Field, 0.6);
-            row.children.push(XmlNode::Element(cell));
+        self.sink.start("abstract", &[]);
+        for _ in 0..self.rng.gen_range(1..=3) {
+            self.para();
         }
-        t.children.push(XmlNode::Element(row));
-    }
-    t
-}
+        self.sink.end();
 
-fn reference(g: &mut Gen) -> Element {
-    let mut r = Element::new("reference");
-    g.maybe_ref(&mut r, "cites", PoolKind::Dataset, 0.6);
-    g.maybe_ref(&mut r, "sameAuthor", PoolKind::Author, 0.3);
-    let mut source = Element::new("source");
-    let which = g.rng.gen_range(0..3);
-    let inner = match which {
-        0 => {
-            let mut j = Element::new("journal");
-            j.children.push(XmlNode::Element(Element::new("title")));
-            for _ in 0..g.rng.gen_range(1..=2) {
-                j.children.push(XmlNode::Element(author(g)));
+        if self.rng.gen_bool(0.7) {
+            self.sink.start("keywords", &[]);
+            for _ in 0..self.rng.gen_range(1..=4) {
+                self.ref_leaf("keyword", "about", PoolKind::Instrument, 0.4);
             }
-            if g.rng.gen_bool(0.5) {
-                j.children.push(XmlNode::Element(Element::new("date")));
+            self.sink.end();
+        }
+
+        for _ in 0..self.rng.gen_range(1..=3) {
+            self.author();
+        }
+
+        self.history();
+        self.sink.leaf("identifier");
+
+        if self.rng.gen_bool(0.5) {
+            self.instrument();
+        }
+
+        if self.rng.gen_bool(0.8) {
+            self.sink.start("tables", &[]);
+            for _ in 0..self.rng.gen_range(1..=2) {
+                self.table();
             }
-            j
+            self.sink.end();
         }
-        1 => {
-            let mut b = Element::new("book");
-            b.children.push(XmlNode::Element(Element::new("title")));
-            if g.rng.gen_bool(0.5) {
-                b.children.push(XmlNode::Element(Element::new("publisher")));
+
+        for _ in 0..self.rng.gen_range(0..=3) {
+            self.reference();
+        }
+
+        if self.rng.gen_bool(0.7) {
+            self.sink.start("descriptions", &[]);
+            let mut attributes = Vec::new();
+            self.maybe_ref(&mut attributes, "seeAlso", PoolKind::Dataset, 0.5);
+            self.maybe_ref(&mut attributes, "context", PoolKind::Instrument, 0.3);
+            self.sink.start("description", &attributes);
+            for _ in 0..self.rng.gen_range(1..=3) {
+                self.para();
             }
-            b
+            if self.rng.gen_bool(0.4) {
+                let mut attributes = Vec::new();
+                self.maybe_ref(&mut attributes, "forField", PoolKind::Field, 0.5);
+                self.maybe_ref(&mut attributes, "forTable", PoolKind::Table, 0.5);
+                self.sink.start("details", &attributes);
+                self.sink.end();
+            }
+            self.sink.end();
+            self.sink.end();
         }
-        _ => {
-            let mut o = Element::new("other");
-            o.children.push(XmlNode::Element(Element::new("title")));
-            o
+        self.sink.end();
+    }
+
+    fn para(&mut self) {
+        self.ref_leaf("para", "refersTo", PoolKind::Dataset, 0.2);
+    }
+
+    fn author(&mut self) {
+        let id = self.fresh_id("author");
+        let mut attributes = vec![("id".into(), id.clone())];
+        self.maybe_ref(&mut attributes, "collaborator", PoolKind::Author, 0.3);
+        self.pools.author.push(id);
+        self.sink.start("author", &attributes);
+        if self.rng.gen_bool(0.6) {
+            self.sink.leaf("initial");
         }
-    };
-    source.children.push(XmlNode::Element(inner));
-    r.children.push(XmlNode::Element(source));
-    r
+        self.sink.leaf("lastName");
+        if self.rng.gen_bool(0.3) {
+            self.sink.leaf("affiliation");
+        }
+        self.sink.end();
+    }
+
+    fn history(&mut self) {
+        let id = self.fresh_id("history");
+        let mut attributes = vec![("id".into(), id.clone())];
+        self.maybe_ref(&mut attributes, "precededBy", PoolKind::History, 0.4);
+        self.pools.history.push(id);
+        self.sink.start("history", &attributes);
+        self.sink.leaf("creationDate");
+        if self.rng.gen_bool(0.7) {
+            self.sink.leaf("ingestDate");
+        }
+        for _ in 0..self.rng.gen_range(0..=3) {
+            let rid = self.fresh_id("revision");
+            let mut attributes = vec![("id".into(), rid.clone())];
+            self.maybe_ref(&mut attributes, "basedOn", PoolKind::Revision, 0.5);
+            self.pools.revision.push(rid);
+            self.sink.start("revision", &attributes);
+            self.sink.leaf("revisionDate");
+            self.para();
+            self.sink.end();
+        }
+        self.sink.end();
+    }
+
+    fn instrument(&mut self) {
+        let id = self.fresh_id("instrument");
+        let mut attributes = vec![("id".into(), id.clone())];
+        self.maybe_ref(&mut attributes, "partOf", PoolKind::Instrument, 0.3);
+        self.pools.instrument.push(id);
+        self.sink.start("instrument", &attributes);
+        self.sink.leaf("name");
+        if self.rng.gen_bool(0.5) {
+            self.sink.leaf("observatory");
+        }
+        self.sink.end();
+    }
+
+    fn table(&mut self) {
+        let tid = self.fresh_id("table");
+        self.sink.start("table", &[("id".into(), tid.clone())]);
+        self.pools.table.push(tid);
+
+        self.sink.start("tableHead", &[]);
+        if self.rng.gen_bool(0.4) {
+            self.sink.start("tableLinks", &[]);
+            for _ in 0..self.rng.gen_range(1..=2) {
+                self.ref_leaf("tableLink", "toTable", PoolKind::Table, 0.8);
+            }
+            self.sink.end();
+        }
+        self.sink.start("fields", &[]);
+        for _ in 0..self.rng.gen_range(2..=5) {
+            let fid = self.fresh_id("field");
+            let mut attributes = vec![("id".into(), fid.clone())];
+            self.maybe_ref(&mut attributes, "derivedField", PoolKind::Field, 0.2);
+            self.pools.field.push(fid);
+            self.sink.start("field", &attributes);
+            self.sink.leaf("name");
+            if self.rng.gen_bool(0.5) {
+                self.sink.leaf("definition");
+            }
+            if self.rng.gen_bool(0.4) {
+                self.sink.leaf("units");
+            }
+            self.sink.end();
+        }
+        self.sink.end();
+        self.sink.end();
+
+        for _ in 0..self.rng.gen_range(1..=3) {
+            self.sink.start("tableRow", &[]);
+            for _ in 0..self.rng.gen_range(1..=3) {
+                self.ref_leaf("tableCell", "ofField", PoolKind::Field, 0.6);
+            }
+            self.sink.end();
+        }
+        self.sink.end();
+    }
+
+    fn reference(&mut self) {
+        let mut attributes = Vec::new();
+        self.maybe_ref(&mut attributes, "cites", PoolKind::Dataset, 0.6);
+        self.maybe_ref(&mut attributes, "sameAuthor", PoolKind::Author, 0.3);
+        self.sink.start("reference", &attributes);
+        self.sink.start("source", &[]);
+        match self.rng.gen_range(0..3) {
+            0 => {
+                self.sink.start("journal", &[]);
+                self.sink.leaf("title");
+                for _ in 0..self.rng.gen_range(1..=2) {
+                    self.author();
+                }
+                if self.rng.gen_bool(0.5) {
+                    self.sink.leaf("date");
+                }
+            }
+            1 => {
+                self.sink.start("book", &[]);
+                self.sink.leaf("title");
+                if self.rng.gen_bool(0.5) {
+                    self.sink.leaf("publisher");
+                }
+            }
+            _ => {
+                self.sink.start("other", &[]);
+                self.sink.leaf("title");
+            }
+        }
+        self.sink.end();
+        self.sink.end();
+        self.sink.end();
+    }
 }
 
 /// XML → graph options matching this generator's reference kinds. Only the
@@ -413,21 +407,27 @@ pub fn nasa_graph_options() -> GraphOptions {
 
 /// Generate the NASA-like data graph directly.
 pub fn nasa_graph(config: &NasaConfig) -> dkindex_graph::DataGraph {
-    let doc = nasa_document(config);
-    dkindex_xml::document_to_graph(&doc, &nasa_graph_options())
-        .expect("generator emits resolvable references")
+    let options = nasa_graph_options();
+    let mut builder = GraphBuilder::new(&options);
+    nasa_events(config, &mut builder);
+    builder
+        .finish()
+        .expect("generator emits unique ids and resolvable references")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::text::{rewritten, xml_text};
     use dkindex_graph::stats::GraphStats;
     use dkindex_graph::LabeledGraph;
+    use dkindex_xml::{XmlEvent, XmlParser};
+    use std::collections::HashSet;
 
     #[test]
     fn generation_is_deterministic() {
         let c = NasaConfig::tiny();
-        assert_eq!(nasa_document(&c), nasa_document(&c));
+        assert_eq!(xml_text(|w| nasa_events(&c, w)), xml_text(|w| nasa_events(&c, w)));
     }
 
     #[test]
@@ -440,10 +440,7 @@ mod tests {
 
     #[test]
     fn kept_kinds_limit_reference_kinds_emitted() {
-        let doc = nasa_document(&NasaConfig::tiny());
-        let mut kinds = std::collections::HashSet::new();
-        collect_ref_kinds(&doc.root, &mut kinds);
-        for k in &kinds {
+        for k in &ref_kinds(&NasaConfig::tiny()) {
             assert!(
                 DEFAULT_KEPT_KINDS.contains(&k.as_str()),
                 "unexpected reference kind {k}"
@@ -453,12 +450,8 @@ mod tests {
 
     #[test]
     fn all_references_config_emits_more_kinds() {
-        let pruned = nasa_document(&NasaConfig::tiny());
-        let full = nasa_document(&NasaConfig::tiny().with_all_references());
-        let mut kp = std::collections::HashSet::new();
-        let mut kf = std::collections::HashSet::new();
-        collect_ref_kinds(&pruned.root, &mut kp);
-        collect_ref_kinds(&full.root, &mut kf);
+        let kp = ref_kinds(&NasaConfig::tiny());
+        let kf = ref_kinds(&NasaConfig::tiny().with_all_references());
         assert!(kf.len() > kp.len());
         // And the full graph has more reference edges.
         let gp = nasa_graph(&NasaConfig::tiny());
@@ -487,14 +480,21 @@ mod tests {
         assert_eq!(g.nodes_with_label(ds).len(), 12);
     }
 
-    fn collect_ref_kinds(e: &Element, out: &mut std::collections::HashSet<String>) {
-        for (k, _) in &e.attributes {
-            if k != "id" {
-                out.insert(k.clone());
+    #[test]
+    fn document_round_trips_through_xml_text() {
+        let text = xml_text(|w| nasa_events(&NasaConfig::tiny().with_all_references(), w));
+        assert_eq!(rewritten(&text), text);
+    }
+
+    /// The attribute names other than `id` that the generator emits.
+    fn ref_kinds(config: &NasaConfig) -> HashSet<String> {
+        let text = xml_text(|w| nasa_events(config, w));
+        let mut kinds = HashSet::new();
+        for e in XmlParser::new(&text).into_events().unwrap() {
+            if let XmlEvent::StartElement { attributes, .. } = e {
+                kinds.extend(attributes.into_iter().map(|(k, _)| k).filter(|k| k != "id"));
             }
         }
-        for c in e.child_elements() {
-            collect_ref_kinds(c, out);
-        }
+        kinds
     }
 }

@@ -13,7 +13,7 @@
 //! experiments are sensitive to.
 
 use crate::id_pool::IdPool;
-use dkindex_xml::{Document, Element, GraphOptions, XmlNode};
+use dkindex_xml::{GraphBuilder, GraphOptions, XmlSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,270 +73,230 @@ const REGIONS: [&str; 6] = [
     "samerica",
 ];
 
-/// Generate an XMark-like document.
-pub fn xmark_document(config: &XmarkConfig) -> Document {
+/// Emit an XMark-like document into `sink`, element by element.
+pub fn xmark_events(config: &XmarkConfig, sink: &mut impl XmlSink) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let categories = IdPool::new("category", config.categories);
     let items = IdPool::new("item", config.items);
     let people = IdPool::new("person", config.people);
     let auctions = IdPool::new("open_auction", config.open_auctions);
 
-    let mut site = Element::new("site");
+    sink.start("site", &[]);
 
     // regions: six continents sharing the item pool.
-    let mut regions = Element::new("regions");
-    fill_regions(&mut regions, &mut rng, config, &categories);
-    site.children.push(XmlNode::Element(regions));
+    sink.start("regions", &[]);
+    fill_regions(sink, &mut rng, config, &categories);
+    sink.end();
 
     // categories.
-    let mut cats = Element::new("categories");
+    sink.start("categories", &[]);
     for i in 0..config.categories {
-        let mut c = Element::new("category");
-        c.attributes.push(("id".into(), categories.id(i)));
-        c.children.push(XmlNode::Element(Element::new("name")));
-        c.children
-            .push(XmlNode::Element(Element::new("description")));
-        cats.children.push(XmlNode::Element(c));
+        sink.start("category", &[("id".into(), categories.id(i))]);
+        sink.leaf("name");
+        sink.leaf("description");
+        sink.end();
     }
-    site.children.push(XmlNode::Element(cats));
+    sink.end();
 
     // catgraph: random edges between categories.
-    let mut catgraph = Element::new("catgraph");
+    sink.start("catgraph", &[]);
     if config.categories >= 2 {
         for _ in 0..config.categories {
-            let mut e = Element::new("edge");
-            e.attributes
-                .push(("from".into(), categories.random(&mut rng)));
-            e.attributes
-                .push(("to".into(), categories.random(&mut rng)));
-            catgraph.children.push(XmlNode::Element(e));
+            let from = ("from".into(), categories.random(&mut rng));
+            let to = ("to".into(), categories.random(&mut rng));
+            sink.start("edge", &[from, to]);
+            sink.end();
         }
     }
-    site.children.push(XmlNode::Element(catgraph));
+    sink.end();
 
     // people.
-    let mut people_el = Element::new("people");
+    sink.start("people", &[]);
     for i in 0..config.people {
-        people_el.children.push(XmlNode::Element(person(
-            &mut rng, &people, &categories, &auctions, i, config,
-        )));
+        person(sink, &mut rng, &categories, &auctions, i, config);
     }
-    site.children.push(XmlNode::Element(people_el));
+    sink.end();
 
     // open_auctions.
-    let mut open = Element::new("open_auctions");
+    sink.start("open_auctions", &[]);
     for i in 0..config.open_auctions {
-        open.children.push(XmlNode::Element(open_auction(
-            &mut rng, &auctions, &people, &items, i,
-        )));
+        open_auction(sink, &mut rng, &people, &items, i);
     }
-    site.children.push(XmlNode::Element(open));
+    sink.end();
 
     // closed_auctions.
-    let mut closed = Element::new("closed_auctions");
+    sink.start("closed_auctions", &[]);
     for _ in 0..config.closed_auctions {
-        closed
-            .children
-            .push(XmlNode::Element(closed_auction(&mut rng, &people, &items)));
+        closed_auction(sink, &mut rng, &people, &items);
     }
-    site.children.push(XmlNode::Element(closed));
+    sink.end();
 
-    Document { root: site }
+    sink.end();
+}
+
+/// An element whose one attribute references a random id of `pool`.
+fn ref_leaf(sink: &mut impl XmlSink, rng: &mut StdRng, name: &str, attr: &str, pool: &IdPool) {
+    sink.start(name, &[(attr.into(), pool.random(rng))]);
+    sink.end();
 }
 
 /// Distribute `config.items` items round-capacity over the six regions.
-fn fill_regions(regions: &mut Element, rng: &mut StdRng, config: &XmarkConfig, categories: &IdPool) {
+fn fill_regions(sink: &mut impl XmlSink, rng: &mut StdRng, config: &XmarkConfig, categories: &IdPool) {
     let per_region = config.items.div_ceil(REGIONS.len());
     let mut item_iter = 0..config.items;
     for region_name in REGIONS {
-        let mut region = Element::new(region_name);
+        sink.start(region_name, &[]);
         for _ in 0..per_region {
             let Some(i) = item_iter.next() else { break };
-            region
-                .children
-                .push(XmlNode::Element(item(rng, i, categories)));
+            item(sink, rng, i, categories);
         }
-        regions.children.push(XmlNode::Element(region));
+        sink.end();
     }
 }
 
-fn item(rng: &mut StdRng, index: usize, categories: &IdPool) -> Element {
-    let mut it = Element::new("item");
-    it.attributes.push(("id".into(), IdPool::format("item", index)));
+fn item(sink: &mut impl XmlSink, rng: &mut StdRng, index: usize, categories: &IdPool) {
+    sink.start("item", &[("id".into(), IdPool::format("item", index))]);
     for name in ["location", "quantity", "name", "payment"] {
-        it.children.push(XmlNode::Element(Element::new(name)));
+        sink.leaf(name);
     }
-    let mut descr = Element::new("description");
+    sink.start("description", &[]);
     if rng.gen_bool(0.7) {
-        descr.children.push(XmlNode::Element(Element::new("text")));
+        sink.leaf("text");
     } else {
-        let mut parlist = Element::new("parlist");
+        sink.start("parlist", &[]);
         for _ in 0..rng.gen_range(1..=3) {
-            parlist
-                .children
-                .push(XmlNode::Element(Element::new("listitem")));
+            sink.leaf("listitem");
         }
-        descr.children.push(XmlNode::Element(parlist));
+        sink.end();
     }
-    it.children.push(XmlNode::Element(descr));
-    it.children.push(XmlNode::Element(Element::new("shipping")));
+    sink.end();
+    sink.leaf("shipping");
     if !categories.is_empty() {
         for _ in 0..rng.gen_range(1..=2) {
-            let mut inc = Element::new("incategory");
-            inc.attributes.push(("category".into(), categories.random(rng)));
-            it.children.push(XmlNode::Element(inc));
+            ref_leaf(sink, rng, "incategory", "category", categories);
         }
     }
-    let mut mailbox = Element::new("mailbox");
+    sink.start("mailbox", &[]);
     for _ in 0..rng.gen_range(0..=2) {
-        let mut mail = Element::new("mail");
+        sink.start("mail", &[]);
         for f in ["from", "to", "date"] {
-            mail.children.push(XmlNode::Element(Element::new(f)));
+            sink.leaf(f);
         }
-        mailbox.children.push(XmlNode::Element(mail));
+        sink.end();
     }
-    it.children.push(XmlNode::Element(mailbox));
-    it
+    sink.end();
+    sink.end();
 }
 
 fn person(
+    sink: &mut impl XmlSink,
     rng: &mut StdRng,
-    people: &IdPool,
     categories: &IdPool,
     auctions: &IdPool,
     index: usize,
     config: &XmarkConfig,
-) -> Element {
-    let _ = people;
-    let mut p = Element::new("person");
-    p.attributes.push(("id".into(), IdPool::format("person", index)));
-    p.children.push(XmlNode::Element(Element::new("name")));
-    p.children
-        .push(XmlNode::Element(Element::new("emailaddress")));
+) {
+    sink.start("person", &[("id".into(), IdPool::format("person", index))]);
+    sink.leaf("name");
+    sink.leaf("emailaddress");
     if rng.gen_bool(0.5) {
-        p.children.push(XmlNode::Element(Element::new("phone")));
+        sink.leaf("phone");
     }
     if rng.gen_bool(0.6) {
-        let mut addr = Element::new("address");
+        sink.start("address", &[]);
         for f in ["street", "city", "country", "zipcode"] {
-            addr.children.push(XmlNode::Element(Element::new(f)));
+            sink.leaf(f);
         }
-        p.children.push(XmlNode::Element(addr));
+        sink.end();
     }
     if rng.gen_bool(0.3) {
-        p.children.push(XmlNode::Element(Element::new("homepage")));
+        sink.leaf("homepage");
     }
     if rng.gen_bool(0.4) {
-        p.children.push(XmlNode::Element(Element::new("creditcard")));
+        sink.leaf("creditcard");
     }
     if rng.gen_bool(0.7) {
-        let mut profile = Element::new("profile");
+        sink.start("profile", &[]);
         if !categories.is_empty() {
             for _ in 0..rng.gen_range(0..=3) {
-                let mut interest = Element::new("interest");
-                interest
-                    .attributes
-                    .push(("category".into(), categories.random(rng)));
-                profile.children.push(XmlNode::Element(interest));
+                ref_leaf(sink, rng, "interest", "category", categories);
             }
         }
         if rng.gen_bool(0.5) {
-            profile.children.push(XmlNode::Element(Element::new("education")));
+            sink.leaf("education");
         }
         if rng.gen_bool(0.5) {
-            profile.children.push(XmlNode::Element(Element::new("gender")));
+            sink.leaf("gender");
         }
-        profile.children.push(XmlNode::Element(Element::new("business")));
+        sink.leaf("business");
         if rng.gen_bool(0.5) {
-            profile.children.push(XmlNode::Element(Element::new("age")));
+            sink.leaf("age");
         }
-        p.children.push(XmlNode::Element(profile));
+        sink.end();
     }
     if config.open_auctions > 0 && rng.gen_bool(0.4) {
-        let mut watches = Element::new("watches");
+        sink.start("watches", &[]);
         for _ in 0..rng.gen_range(1..=2) {
-            let mut w = Element::new("watch");
-            w.attributes
-                .push(("open_auction".into(), auctions.random(rng)));
-            watches.children.push(XmlNode::Element(w));
+            ref_leaf(sink, rng, "watch", "open_auction", auctions);
         }
-        p.children.push(XmlNode::Element(watches));
+        sink.end();
     }
-    p
+    sink.end();
 }
 
-fn open_auction(
-    rng: &mut StdRng,
-    auctions: &IdPool,
-    people: &IdPool,
-    items: &IdPool,
-    index: usize,
-) -> Element {
-    let _ = auctions;
-    let mut a = Element::new("open_auction");
-    a.attributes
-        .push(("id".into(), IdPool::format("open_auction", index)));
-    a.children.push(XmlNode::Element(Element::new("initial")));
+fn open_auction(sink: &mut impl XmlSink, rng: &mut StdRng, people: &IdPool, items: &IdPool, index: usize) {
+    sink.start(
+        "open_auction",
+        &[("id".into(), IdPool::format("open_auction", index))],
+    );
+    sink.leaf("initial");
     if rng.gen_bool(0.4) {
-        a.children.push(XmlNode::Element(Element::new("reserve")));
+        sink.leaf("reserve");
     }
     for _ in 0..rng.gen_range(0..=4) {
-        let mut b = Element::new("bidder");
-        b.children.push(XmlNode::Element(Element::new("date")));
-        b.children.push(XmlNode::Element(Element::new("time")));
-        let mut pref = Element::new("personref");
-        pref.attributes.push(("person".into(), people.random(rng)));
-        b.children.push(XmlNode::Element(pref));
-        b.children.push(XmlNode::Element(Element::new("increase")));
-        a.children.push(XmlNode::Element(b));
+        sink.start("bidder", &[]);
+        sink.leaf("date");
+        sink.leaf("time");
+        ref_leaf(sink, rng, "personref", "person", people);
+        sink.leaf("increase");
+        sink.end();
     }
-    a.children.push(XmlNode::Element(Element::new("current")));
+    sink.leaf("current");
     if rng.gen_bool(0.3) {
-        a.children.push(XmlNode::Element(Element::new("privacy")));
+        sink.leaf("privacy");
     }
-    let mut itemref = Element::new("itemref");
-    itemref.attributes.push(("item".into(), items.random(rng)));
-    a.children.push(XmlNode::Element(itemref));
-    let mut seller = Element::new("seller");
-    seller.attributes.push(("person".into(), people.random(rng)));
-    a.children.push(XmlNode::Element(seller));
-    a.children.push(XmlNode::Element(annotation(rng)));
-    a.children.push(XmlNode::Element(Element::new("quantity")));
-    a.children.push(XmlNode::Element(Element::new("type")));
-    let mut interval = Element::new("interval");
-    interval.children.push(XmlNode::Element(Element::new("start")));
-    interval.children.push(XmlNode::Element(Element::new("end")));
-    a.children.push(XmlNode::Element(interval));
-    a
+    ref_leaf(sink, rng, "itemref", "item", items);
+    ref_leaf(sink, rng, "seller", "person", people);
+    annotation(sink, rng);
+    sink.leaf("quantity");
+    sink.leaf("type");
+    sink.start("interval", &[]);
+    sink.leaf("start");
+    sink.leaf("end");
+    sink.end();
+    sink.end();
 }
 
-fn closed_auction(rng: &mut StdRng, people: &IdPool, items: &IdPool) -> Element {
-    let mut a = Element::new("closed_auction");
-    let mut seller = Element::new("seller");
-    seller.attributes.push(("person".into(), people.random(rng)));
-    a.children.push(XmlNode::Element(seller));
-    let mut buyer = Element::new("buyer");
-    buyer.attributes.push(("person".into(), people.random(rng)));
-    a.children.push(XmlNode::Element(buyer));
-    let mut itemref = Element::new("itemref");
-    itemref.attributes.push(("item".into(), items.random(rng)));
-    a.children.push(XmlNode::Element(itemref));
+fn closed_auction(sink: &mut impl XmlSink, rng: &mut StdRng, people: &IdPool, items: &IdPool) {
+    sink.start("closed_auction", &[]);
+    ref_leaf(sink, rng, "seller", "person", people);
+    ref_leaf(sink, rng, "buyer", "person", people);
+    ref_leaf(sink, rng, "itemref", "item", items);
     for f in ["price", "date", "quantity", "type"] {
-        a.children.push(XmlNode::Element(Element::new(f)));
+        sink.leaf(f);
     }
-    a.children.push(XmlNode::Element(annotation(rng)));
-    a
+    annotation(sink, rng);
+    sink.end();
 }
 
-fn annotation(rng: &mut StdRng) -> Element {
-    let mut ann = Element::new("annotation");
+fn annotation(sink: &mut impl XmlSink, rng: &mut StdRng) {
+    sink.start("annotation", &[]);
     if rng.gen_bool(0.6) {
-        ann.children.push(XmlNode::Element(Element::new("author")));
+        sink.leaf("author");
     }
-    ann.children
-        .push(XmlNode::Element(Element::new("description")));
-    ann.children.push(XmlNode::Element(Element::new("happiness")));
-    ann
+    sink.leaf("description");
+    sink.leaf("happiness");
+    sink.end();
 }
 
 /// The XML → graph options matching this generator's reference attributes.
@@ -358,25 +318,26 @@ pub fn xmark_graph_options() -> GraphOptions {
 
 /// Generate the XMark-like data graph directly.
 pub fn xmark_graph(config: &XmarkConfig) -> dkindex_graph::DataGraph {
-    let doc = xmark_document(config);
-    dkindex_xml::document_to_graph(&doc, &xmark_graph_options())
-        .expect("generator emits resolvable references")
+    let options = xmark_graph_options();
+    let mut builder = GraphBuilder::new(&options);
+    xmark_events(config, &mut builder);
+    builder
+        .finish()
+        .expect("generator emits unique ids and resolvable references")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::text::{rewritten, xml_text};
     use dkindex_graph::stats::GraphStats;
     use dkindex_graph::LabeledGraph;
 
     #[test]
     fn tiny_document_has_all_six_sections() {
-        let doc = xmark_document(&XmarkConfig::tiny());
-        let names: Vec<&str> = doc
-            .root
-            .child_elements()
-            .map(|e| e.name.as_str())
-            .collect();
+        let g = xmark_graph(&XmarkConfig::tiny());
+        let site = g.children_of(g.root())[0];
+        let names: Vec<&str> = g.children_of(site).iter().map(|&c| g.label_name(c)).collect();
         assert_eq!(
             names,
             vec![
@@ -393,7 +354,7 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let c = XmarkConfig::tiny();
-        assert_eq!(xmark_document(&c), xmark_document(&c));
+        assert_eq!(xml_text(|w| xmark_events(&c, w)), xml_text(|w| xmark_events(&c, w)));
     }
 
     #[test]
@@ -433,9 +394,7 @@ mod tests {
 
     #[test]
     fn document_round_trips_through_xml_text() {
-        let doc = xmark_document(&XmarkConfig::tiny());
-        let text = doc.to_xml();
-        let doc2 = Document::parse(&text).unwrap();
-        assert_eq!(doc, doc2);
+        let text = xml_text(|w| xmark_events(&XmarkConfig::tiny(), w));
+        assert_eq!(rewritten(&text), text);
     }
 }

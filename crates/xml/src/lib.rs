@@ -6,11 +6,14 @@
 //!   comments, PIs, predefined + numeric entities) and the one
 //!   well-formedness check: its events always form one properly nested
 //!   root element, or it returns a positioned [`XmlError`].
-//! * [`Document`] / [`Element`] — owned tree with a round-trip serializer.
-//! * [`document_to_graph`] / [`stream_to_graph`] — mapping onto the paper's
-//!   data-graph model, turning `ID`/`IDREF` attributes into reference edges
-//!   (§3). One builder holds the mapping; the first drives it from a tree
-//!   walk, the second from parser events, and both build the same graph.
+//! * [`XmlSink`] — the element-event face (`start` with attributes, `text`,
+//!   `end`) that every producer of XML writes through: [`parse_into`] from
+//!   text, the dataset generators directly. [`XmlWriter`] is the sink that
+//!   writes text.
+//! * [`GraphBuilder`] — the sink that maps the events onto the paper's
+//!   data-graph model, turning `ID`/`IDREF` attributes into reference
+//!   edges (§3); [`stream_to_graph`] drives it from text. There is no
+//!   document tree: every path to a graph is events into this builder.
 //!
 //! ## Example
 //!
@@ -27,11 +30,11 @@
 #![warn(missing_docs)]
 
 pub mod parser;
+pub mod sink;
 pub mod stream;
 pub mod to_graph;
-pub mod tree;
 
 pub use parser::{decode_entities, escape_attr, escape_text, XmlError, XmlEvent, XmlLimits, XmlParser};
-pub use stream::{stream_to_graph, StreamError};
-pub use to_graph::{document_to_graph, parse_to_graph, GraphMappingError, GraphOptions};
-pub use tree::{Document, Element, XmlNode};
+pub use sink::{parse_into, XmlSink, XmlWriter};
+pub use stream::{parse_to_graph, stream_to_graph, StreamError};
+pub use to_graph::{GraphBuilder, GraphMappingError, GraphOptions};

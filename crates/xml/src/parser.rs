@@ -10,7 +10,7 @@
 //! The parser is the one place well-formedness is checked: every event it
 //! yields belongs to a document with exactly one root element whose tags
 //! nest, and a document that breaks that is an [`XmlError`] at the byte
-//! where it breaks. Consumers ([`crate::Document::parse`],
+//! where it breaks. Consumers ([`crate::parse_into`],
 //! [`crate::stream_to_graph`]) trust the event order.
 
 use std::fmt;
@@ -519,7 +519,7 @@ mod tests {
 
     /// The five well-formedness errors, each at the byte where the document
     /// breaks: the start of the offending tag or text, or the end of input.
-    /// `Document::parse` and `stream_to_graph` get them from here.
+    /// `parse_into` and `stream_to_graph` get them from here.
     #[test]
     fn well_formedness_errors_carry_their_position() {
         let cases = [

@@ -1,9 +1,13 @@
-//! Streaming XML → data-graph construction: builds the graph directly from
-//! parser events without materializing a [`crate::Document`] tree. The
-//! events drive the same private builder [`crate::document_to_graph`]
-//! drives from a tree walk, so both paths produce exactly the same graph,
-//! while this one holds only the open-element stack in memory and indexes
-//! multi-hundred-MB documents in O(depth) space.
+//! XML text → data graph: parser events drive the one
+//! [`GraphBuilder`] through [`parse_into`], with no document tree in
+//! between. The builder's open-element stack is the only state that grows
+//! with depth; the graph itself, its id table and its pending references
+//! are resident, and the caller holds the whole input text.
+//!
+//! Errors: an ill-formed document is a [`StreamError::Xml`] at the byte
+//! where it breaks, even when it also declares an id twice. A well-formed
+//! document is then mapped, and the first duplicate id, else the first
+//! unresolved reference, is a [`StreamError::Mapping`].
 //!
 //! ```
 //! use dkindex_graph::LabeledGraph;
@@ -17,7 +21,8 @@
 //! assert_eq!(g.edge_count(), 4); // 3 containment + 1 reference
 //! ```
 
-use crate::parser::{XmlError, XmlEvent, XmlParser};
+use crate::parser::XmlError;
+use crate::sink::parse_into;
 use crate::to_graph::{GraphBuilder, GraphMappingError, GraphOptions};
 use dkindex_graph::DataGraph;
 use std::fmt;
@@ -55,77 +60,24 @@ impl From<GraphMappingError> for StreamError {
     }
 }
 
-/// Build a [`DataGraph`] from XML text in one streaming pass (plus deferred
-/// reference resolution at the end), parsing under the default
-/// [`crate::XmlLimits`].
+/// Build a [`DataGraph`] from XML text in one pass over the parser's
+/// events (plus deferred reference resolution at the end), parsing under
+/// the default [`crate::XmlLimits`].
 pub fn stream_to_graph(input: &str, options: &GraphOptions) -> Result<DataGraph, StreamError> {
-    let mut parser = XmlParser::new(input);
     let mut builder = GraphBuilder::new(options);
-    while let Some(event) = parser.next()? {
-        match event {
-            XmlEvent::StartElement {
-                name,
-                attributes,
-                self_closing,
-            } => {
-                builder.start(&name, &attributes)?;
-                if self_closing {
-                    builder.end();
-                }
-            }
-            XmlEvent::EndElement { .. } => builder.end(),
-            XmlEvent::Text(t) => builder.text(&t),
-            XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction(_) => {}
-        }
-    }
+    parse_into(input, &mut builder)?;
     Ok(builder.finish()?)
+}
+
+/// [`stream_to_graph`] under [`GraphOptions::default`].
+pub fn parse_to_graph(input: &str) -> Result<DataGraph, StreamError> {
+    stream_to_graph(input, &GraphOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::to_graph::document_to_graph;
-    use crate::tree::Document;
     use dkindex_graph::LabeledGraph;
-
-    const DOC: &str = r#"
-        <movieDB>
-          <director id="d1"><name>X</name>
-            <movie id="m1"><title>T</title></movie>
-          </director>
-          <actor idref="m1" role="lead"><name>Y</name></actor>
-        </movieDB>"#;
-
-    fn same_graph(a: &DataGraph, b: &DataGraph) -> bool {
-        a.node_count() == b.node_count()
-            && a.edges().eq(b.edges())
-            && a.node_ids().all(|n| a.label_name(n) == b.label_name(n))
-    }
-
-    #[test]
-    fn streaming_equals_dom_path() {
-        for options in [
-            GraphOptions::default(),
-            GraphOptions {
-                attribute_nodes: false,
-                ..GraphOptions::default()
-            },
-            GraphOptions {
-                value_nodes: true,
-                ..GraphOptions::default()
-            },
-        ] {
-            let doc = Document::parse(DOC).unwrap();
-            let via_dom = document_to_graph(&doc, &options).unwrap();
-            let via_stream = stream_to_graph(DOC, &options).unwrap();
-            assert!(
-                same_graph(&via_dom, &via_stream),
-                "options {options:?}: dom {} nodes vs stream {} nodes",
-                via_dom.node_count(),
-                via_stream.node_count()
-            );
-        }
-    }
 
     #[test]
     fn streaming_detects_duplicate_ids_and_bad_refs() {
@@ -137,6 +89,12 @@ mod tests {
         assert!(matches!(
             stream_to_graph(r#"<r><b idref="ghost"/></r>"#, &o),
             Err(StreamError::Mapping(GraphMappingError::UnresolvedReference(_)))
+        ));
+        // A duplicate id is reported when the builder finishes, so a
+        // document that also breaks later is an XML error.
+        assert!(matches!(
+            stream_to_graph(r#"<r><a id="x"/><b id="x"/></a>"#, &o),
+            Err(StreamError::Xml(_))
         ));
     }
 

@@ -11,12 +11,12 @@
 //!   attribute name, and element text content (optional) becomes `VALUE`
 //!   nodes, matching "simple objects given a distinguished label VALUE".
 //!
-//! The mapping is written once, in the private `GraphBuilder`, which takes
-//! element events in document order: [`document_to_graph`] drives it from
-//! a walk of the tree, [`crate::stream_to_graph`] from parser events, so
-//! both build the same nodes and edges in the same order.
+//! The mapping is written once, in [`GraphBuilder`], an [`XmlSink`] that
+//! takes element events in document order: [`crate::stream_to_graph`]
+//! drives it from parser events, and the dataset generators drive it
+//! directly without writing text.
 
-use crate::tree::{Document, Element, XmlNode};
+use crate::sink::XmlSink;
 use dkindex_graph::{DataGraph, EdgeKind, LabelInterner, LabeledGraph, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -76,63 +76,55 @@ impl fmt::Display for GraphMappingError {
 
 impl std::error::Error for GraphMappingError {}
 
-/// Convert a parsed document into a [`DataGraph`] using `options`.
-pub fn document_to_graph(
-    doc: &Document,
-    options: &GraphOptions,
-) -> Result<DataGraph, GraphMappingError> {
-    fn walk(b: &mut GraphBuilder<'_>, elem: &Element) -> Result<(), GraphMappingError> {
-        b.start(&elem.name, &elem.attributes)?;
-        for child in &elem.children {
-            match child {
-                XmlNode::Element(e) => walk(b, e)?,
-                XmlNode::Text(t) => b.text(t),
-            }
-        }
-        b.end();
-        Ok(())
-    }
-    let mut builder = GraphBuilder::new(options);
-    walk(&mut builder, &doc.root)?;
-    builder.finish()
-}
-
-/// Convenience: parse `input` and map it with default options.
-pub fn parse_to_graph(input: &str) -> Result<DataGraph, Box<dyn std::error::Error>> {
-    let doc = Document::parse(input)?;
-    Ok(document_to_graph(&doc, &GraphOptions::default())?)
-}
-
-/// The id/idref/attribute/`VALUE` mapping, fed one element event at a
-/// time in document order. References resolve in [`GraphBuilder::finish`],
-/// so an IDREF may point forward.
-pub(crate) struct GraphBuilder<'o> {
+/// The id/idref/attribute/`VALUE` mapping as an [`XmlSink`]: it takes
+/// element events in document order and builds the graph node by node.
+/// References resolve in [`GraphBuilder::finish`], so an IDREF may point
+/// forward; a duplicate id is kept and reported there too.
+pub struct GraphBuilder<'o> {
     options: &'o GraphOptions,
     g: DataGraph,
     ids: HashMap<String, NodeId>,
+    /// The first id declared twice.
+    duplicate_id: Option<String>,
     pending_refs: Vec<(NodeId, String)>,
     /// Open elements: (graph node, has non-blank text content).
     open: Vec<(NodeId, bool)>,
 }
 
 impl<'o> GraphBuilder<'o> {
-    pub(crate) fn new(options: &'o GraphOptions) -> Self {
+    /// A builder holding only the `ROOT` node.
+    pub fn new(options: &'o GraphOptions) -> Self {
         GraphBuilder {
             options,
             g: DataGraph::new(),
             ids: HashMap::new(),
+            duplicate_id: None,
             pending_refs: Vec::new(),
             open: Vec::new(),
         }
     }
 
+    /// The graph, once the document has closed: the first duplicate id is
+    /// an error, else the IDREFs resolve, in document order, into
+    /// reference edges.
+    pub fn finish(mut self) -> Result<DataGraph, GraphMappingError> {
+        if let Some(id) = self.duplicate_id {
+            return Err(GraphMappingError::DuplicateId(id));
+        }
+        for (from, target) in self.pending_refs {
+            let Some(&to) = self.ids.get(&target) else {
+                return Err(GraphMappingError::UnresolvedReference(target));
+            };
+            self.g.add_edge(from, to, EdgeKind::Reference);
+        }
+        Ok(self.g)
+    }
+}
+
+impl XmlSink for GraphBuilder<'_> {
     /// An element opens: its node under the innermost open element (or
     /// `ROOT`), then its attributes in document order.
-    pub(crate) fn start(
-        &mut self,
-        name: &str,
-        attributes: &[(String, String)],
-    ) -> Result<(), GraphMappingError> {
+    fn start(&mut self, name: &str, attributes: &[(String, String)]) {
         let (g, options) = (&mut self.g, self.options);
         let parent = self.open.last().map_or(g.root(), |&(p, _)| p);
         let node = g.add_labeled_node(name);
@@ -140,7 +132,7 @@ impl<'o> GraphBuilder<'o> {
         for (attr_name, attr_value) in attributes {
             if options.id_attributes.iter().any(|a| a == attr_name) {
                 if self.ids.insert(attr_value.clone(), node).is_some() {
-                    return Err(GraphMappingError::DuplicateId(attr_value.clone()));
+                    self.duplicate_id.get_or_insert_with(|| attr_value.clone());
                 }
             } else if options.idref_attributes.iter().any(|a| a == attr_name) {
                 for target in attr_value.split_whitespace() {
@@ -156,11 +148,10 @@ impl<'o> GraphBuilder<'o> {
             }
         }
         self.open.push((node, false));
-        Ok(())
     }
 
     /// Character data inside the innermost open element.
-    pub(crate) fn text(&mut self, text: &str) {
+    fn text(&mut self, text: &str) {
         if let Some((_, has_text)) = self.open.last_mut() {
             *has_text |= !text.trim().is_empty();
         }
@@ -168,7 +159,7 @@ impl<'o> GraphBuilder<'o> {
 
     /// The innermost element closes: its `VALUE` node comes after all of
     /// its children.
-    pub(crate) fn end(&mut self) {
+    fn end(&mut self) {
         if let Some((node, true)) = self.open.pop() {
             if self.options.value_nodes {
                 let v = self.g.add_node(LabelInterner::VALUE);
@@ -176,22 +167,12 @@ impl<'o> GraphBuilder<'o> {
             }
         }
     }
-
-    /// Resolve the IDREFs, in document order, into reference edges.
-    pub(crate) fn finish(mut self) -> Result<DataGraph, GraphMappingError> {
-        for (from, target) in self.pending_refs {
-            let Some(&to) = self.ids.get(&target) else {
-                return Err(GraphMappingError::UnresolvedReference(target));
-            };
-            self.g.add_edge(from, to, EdgeKind::Reference);
-        }
-        Ok(self.g)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{parse_to_graph, stream_to_graph, StreamError};
     use dkindex_graph::LabeledGraph;
 
     const MOVIES: &str = r#"
@@ -214,8 +195,7 @@ mod tests {
 
     #[test]
     fn maps_elements_and_containment() {
-        let doc = Document::parse(MOVIES).unwrap();
-        let g = document_to_graph(&doc, &options_with_movie_ref()).unwrap();
+        let g = stream_to_graph(MOVIES, &options_with_movie_ref()).unwrap();
         // ROOT, movieDB, director, name, movie, title, actor, name
         assert_eq!(g.node_count(), 8);
         let movie_db = g.nodes_with_label(g.labels().get("movieDB").unwrap())[0];
@@ -224,8 +204,7 @@ mod tests {
 
     #[test]
     fn resolves_idref_to_reference_edge() {
-        let doc = Document::parse(MOVIES).unwrap();
-        let g = document_to_graph(&doc, &options_with_movie_ref()).unwrap();
+        let g = stream_to_graph(MOVIES, &options_with_movie_ref()).unwrap();
         let actor = g.nodes_with_label(g.labels().get("actor").unwrap())[0];
         let movie = g.nodes_with_label(g.labels().get("movie").unwrap())[0];
         assert!(g.has_edge(actor, movie));
@@ -243,30 +222,29 @@ mod tests {
 
     #[test]
     fn duplicate_id_is_an_error() {
-        let src = r#"<r><a id="x"/><b id="x"/></r>"#;
-        let doc = Document::parse(src).unwrap();
-        let err = document_to_graph(&doc, &GraphOptions::default()).unwrap_err();
-        assert_eq!(err, GraphMappingError::DuplicateId("x".to_string()));
+        // The first duplicate is reported, ahead of an unresolved reference.
+        let src = r#"<r><c idref="ghost"/><a id="x"/><b id="x"/><a id="y"/><b id="y"/></r>"#;
+        assert!(matches!(
+            parse_to_graph(src),
+            Err(StreamError::Mapping(GraphMappingError::DuplicateId(id))) if id == "x"
+        ));
     }
 
     #[test]
     fn unresolved_reference_is_an_error() {
         let src = r#"<r><b idref="ghost"/></r>"#;
-        let doc = Document::parse(src).unwrap();
-        let err = document_to_graph(&doc, &GraphOptions::default()).unwrap_err();
-        assert_eq!(
-            err,
-            GraphMappingError::UnresolvedReference("ghost".to_string())
-        );
+        assert!(matches!(
+            parse_to_graph(src),
+            Err(StreamError::Mapping(GraphMappingError::UnresolvedReference(id))) if id == "ghost"
+        ));
     }
 
     #[test]
     fn attribute_nodes_can_be_disabled() {
         let src = r#"<r><a class="big"/></r>"#;
-        let doc = Document::parse(src).unwrap();
-        let with = document_to_graph(&doc, &GraphOptions::default()).unwrap();
-        let without = document_to_graph(
-            &doc,
+        let with = parse_to_graph(src).unwrap();
+        let without = stream_to_graph(
+            src,
             &GraphOptions {
                 attribute_nodes: false,
                 ..GraphOptions::default()
@@ -279,9 +257,8 @@ mod tests {
     #[test]
     fn value_nodes_materialize_text() {
         let src = "<r><a>text</a></r>";
-        let doc = Document::parse(src).unwrap();
-        let g = document_to_graph(
-            &doc,
+        let g = stream_to_graph(
+            src,
             &GraphOptions {
                 value_nodes: true,
                 ..GraphOptions::default()

@@ -6,7 +6,7 @@
 use dkindex::core::{mine_requirements, DkIndex, IndexEvaluator};
 use dkindex::graph::stats::GraphStats;
 use dkindex::pathexpr::parse;
-use dkindex::xml::{document_to_graph, Document, GraphOptions};
+use dkindex::xml::{stream_to_graph, GraphOptions};
 
 const MOVIES_XML: &str = r#"
 <movieDB>
@@ -28,12 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Parse the XML and map it onto the data-graph model. The `movie`
     //    attribute is declared as an IDREF, so actors gain reference edges
     //    into the movies they star in — the data becomes a graph, not a tree.
-    let doc = Document::parse(MOVIES_XML)?;
     let options = GraphOptions {
         idref_attributes: vec!["movie".to_string()],
         ..GraphOptions::default()
     };
-    let data = document_to_graph(&doc, &options)?;
+    let data = stream_to_graph(MOVIES_XML, &options)?;
     println!("data graph: {}", GraphStats::of(&data));
 
     // 2. Describe the query load and mine per-label similarity requirements.

@@ -10,7 +10,7 @@ use dkindex::core::{
 };
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::pathexpr::{parse, PathExpr};
-use dkindex::xml::{Document, Element, XmlNode};
+use dkindex::xml::{parse_into, XmlParser, XmlSink, XmlWriter};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- XML
@@ -25,16 +25,68 @@ fn text_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z<>&\"' ]{0,12}".prop_filter("non-blank", |s| !s.trim().is_empty())
 }
 
-fn element_strategy() -> impl Strategy<Value = Element> {
+/// A generated document: a test-local tree that emits its element events.
+#[derive(Clone, Debug)]
+struct Node {
+    name: String,
+    attributes: Vec<(String, String)>,
+    text: Option<String>,
+    children: Vec<Node>,
+}
+
+impl Node {
+    fn emit(&self, sink: &mut impl XmlSink) {
+        sink.start(&self.name, &self.attributes);
+        if let Some(text) = &self.text {
+            sink.text(text);
+        }
+        for child in &self.children {
+            child.emit(sink);
+        }
+        sink.end();
+    }
+
+    fn to_xml(&self) -> String {
+        let mut writer = XmlWriter::new();
+        self.emit(&mut writer);
+        writer.into_string()
+    }
+}
+
+/// Element events as the tests compare them.
+#[derive(Debug, PartialEq, Eq)]
+enum Event {
+    Start(String, Vec<(String, String)>),
+    Text(String),
+    End,
+}
+
+#[derive(Default)]
+struct Recorder(Vec<Event>);
+
+impl XmlSink for Recorder {
+    fn start(&mut self, name: &str, attributes: &[(String, String)]) {
+        self.0.push(Event::Start(name.to_string(), attributes.to_vec()));
+    }
+    fn text(&mut self, text: &str) {
+        self.0.push(Event::Text(text.to_string()));
+    }
+    fn end(&mut self) {
+        self.0.push(Event::End);
+    }
+}
+
+fn element_strategy() -> impl Strategy<Value = Node> {
     let leaf = (
         name_strategy(),
         prop::collection::vec((name_strategy(), text_strategy()), 0..3),
         prop::option::of(text_strategy()),
     )
-        .prop_map(|(name, attributes, text)| Element {
+        .prop_map(|(name, attributes, text)| Node {
             name,
             attributes: dedup_attrs(attributes),
-            children: text.into_iter().map(XmlNode::Text).collect(),
+            text,
+            children: Vec::new(),
         });
     leaf.prop_recursive(3, 24, 4, |inner| {
         (
@@ -42,10 +94,11 @@ fn element_strategy() -> impl Strategy<Value = Element> {
             prop::collection::vec((name_strategy(), text_strategy()), 0..3),
             prop::collection::vec(inner, 0..4),
         )
-            .prop_map(|(name, attributes, children)| Element {
+            .prop_map(|(name, attributes, children)| Node {
                 name,
                 attributes: dedup_attrs(attributes),
-                children: children.into_iter().map(XmlNode::Element).collect(),
+                text: None,
+                children,
             })
     })
 }
@@ -59,20 +112,25 @@ fn dedup_attrs(mut attrs: Vec<(String, String)>) -> Vec<(String, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Writer → parser gives back exactly the events the document emitted.
     #[test]
     fn xml_documents_round_trip(root in element_strategy()) {
-        let doc = Document { root };
-        let text = doc.to_xml();
-        let back = Document::parse(&text)
+        let mut emitted = Recorder::default();
+        root.emit(&mut emitted);
+        let text = root.to_xml();
+        let mut parsed = Recorder::default();
+        parse_into(&text, &mut parsed)
             .map_err(|e| TestCaseError::fail(format!("{e} in:\n{text}")))?;
-        prop_assert_eq!(back, doc);
+        prop_assert_eq!(parsed.0, emitted.0);
     }
 
     #[test]
     fn xml_parse_is_deterministic(root in element_strategy()) {
-        let doc = Document { root };
-        let text = doc.to_xml();
-        prop_assert_eq!(Document::parse(&text).unwrap(), Document::parse(&text).unwrap());
+        let text = root.to_xml();
+        prop_assert_eq!(
+            XmlParser::new(&text).into_events().unwrap(),
+            XmlParser::new(&text).into_events().unwrap()
+        );
     }
 }
 
@@ -388,27 +446,35 @@ fn golden_dkwl_file_is_written_and_replayed_byte_for_byte() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The streaming XML → graph builder produces exactly the same graph as
-    /// the DOM path on arbitrary generated documents.
+    /// Events straight into the graph builder build exactly the graph that
+    /// the same events written as text and parsed build, under each
+    /// attribute/`VALUE` option.
     #[test]
-    fn streaming_builder_equals_dom_builder(root in element_strategy()) {
-        use dkindex::xml::{document_to_graph, stream_to_graph, GraphOptions};
-        let doc = Document { root };
-        let text = doc.to_xml();
-        let options = GraphOptions {
-            // Generated attribute names are arbitrary; disable the id/idref
-            // interpretation so both paths build pure containment graphs.
+    fn event_builder_equals_text_builder(root in element_strategy()) {
+        use dkindex::xml::{stream_to_graph, GraphBuilder, GraphOptions};
+        let text = root.to_xml();
+        // Generated attribute names are arbitrary; disable the id/idref
+        // interpretation so both paths build pure containment graphs.
+        let plain = GraphOptions {
             id_attributes: vec![],
             idref_attributes: vec![],
             ..GraphOptions::default()
         };
-        let via_dom = document_to_graph(&doc, &options).unwrap();
-        let via_stream = stream_to_graph(&text, &options)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(via_stream.node_count(), via_dom.node_count());
-        prop_assert!(via_stream.edges().eq(via_dom.edges()));
-        for n in via_dom.node_ids() {
-            prop_assert_eq!(via_stream.label_name(n), via_dom.label_name(n));
+        for options in [
+            plain.clone(),
+            GraphOptions { attribute_nodes: false, ..plain.clone() },
+            GraphOptions { value_nodes: true, ..plain.clone() },
+        ] {
+            let mut builder = GraphBuilder::new(&options);
+            root.emit(&mut builder);
+            let via_events = builder.finish().unwrap();
+            let via_text = stream_to_graph(&text, &options)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(via_text.node_count(), via_events.node_count());
+            prop_assert!(via_text.edges().eq(via_events.edges()));
+            for n in via_events.node_ids() {
+                prop_assert_eq!(via_text.label_name(n), via_events.label_name(n));
+            }
         }
     }
 }

@@ -2,32 +2,64 @@
 //! on both generated datasets, asserting exactness of every index against
 //! direct data-graph evaluation.
 
+use dkindex::core::crc32::crc32;
 use dkindex::core::{
-    check_structure, evaluate_on_data, label_split_index, AkIndex, DkIndex, IndexEvaluator,
-    OneIndex,
+    check_structure, evaluate_on_data, label_split_index, snapshot_bytes, AkIndex, DkIndex,
+    IndexEvaluator, OneIndex, Requirements,
 };
 use dkindex::datagen::{
-    nasa_document, nasa_graph_options, xmark_document, xmark_graph_options, NasaConfig,
-    XmarkConfig,
+    nasa_events, nasa_graph, nasa_graph_options, xmark_events, xmark_graph, xmark_graph_options,
+    NasaConfig, XmarkConfig,
 };
 use dkindex::graph::{DataGraph, LabeledGraph};
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
-use dkindex::xml::{document_to_graph, Document};
+use dkindex::xml::{stream_to_graph, GraphBuilder, GraphOptions, XmlWriter};
 
-fn xmark_via_xml_text() -> DataGraph {
-    // Serialize the generated document to text and parse it back: the full
-    // XML pipeline is in the loop.
-    let doc = xmark_document(&XmarkConfig::tiny());
-    let text = doc.to_xml();
-    let reparsed = Document::parse(&text).expect("generated XML must reparse");
-    assert_eq!(doc, reparsed);
-    document_to_graph(&reparsed, &xmark_graph_options()).expect("references resolve")
+/// The paper record's default scales (`DEFAULT_XMARK_SCALE` and
+/// `DEFAULT_NASA_SCALE` in `dkindex-bench`).
+const RECORD_XMARK_SCALE: f64 = 0.02;
+const RECORD_NASA_SCALE: f64 = 0.15;
+
+/// A `DKSN` snapshot of `data` with its label-split index: every node,
+/// label and edge of the graph, in order.
+fn label_split_bytes(data: &DataGraph) -> Vec<u8> {
+    snapshot_bytes(&DkIndex::build(data, Requirements::new()), data)
 }
 
-fn nasa_via_xml_text() -> DataGraph {
-    let doc = nasa_document(&NasaConfig::tiny());
-    let reparsed = Document::parse(&doc.to_xml()).expect("generated XML must reparse");
-    document_to_graph(&reparsed, &nasa_graph_options()).expect("references resolve")
+/// Generator events → XML text → parser → graph, held byte for byte equal
+/// to the generator's direct graph: the full XML pipeline is in the loop.
+fn via_xml_text(
+    emit: impl FnOnce(&mut XmlWriter),
+    options: &GraphOptions,
+    direct: &DataGraph,
+) -> DataGraph {
+    let mut writer = XmlWriter::new();
+    emit(&mut writer);
+    let data = stream_to_graph(&writer.into_string(), options).expect("generated XML maps");
+    assert!(label_split_bytes(&data) == label_split_bytes(direct), "text path differs from the direct graph");
+    data
+}
+
+fn xmark_via_xml_text(config: &XmarkConfig) -> DataGraph {
+    via_xml_text(|w| xmark_events(config, w), &xmark_graph_options(), &xmark_graph(config))
+}
+
+fn nasa_via_xml_text(config: &NasaConfig) -> DataGraph {
+    via_xml_text(|w| nasa_events(config, w), &nasa_graph_options(), &nasa_graph(config))
+}
+
+#[test]
+fn generated_graphs_survive_xml_text_and_do_not_drift() {
+    // `tiny()` runs through the text path in the pipeline tests below.
+    nasa_via_xml_text(&NasaConfig::tiny().with_all_references());
+    nasa_via_xml_text(&NasaConfig::scale(RECORD_NASA_SCALE).with_all_references());
+    // The record's graphs, pinned: a generator change that moves a node,
+    // a label or an edge moves every count the record and the benchmark
+    // report for a seed.
+    let xmark = xmark_via_xml_text(&XmarkConfig::scale(RECORD_XMARK_SCALE));
+    assert_eq!(crc32(&label_split_bytes(&xmark)), 0xd535_ac29);
+    let nasa = nasa_via_xml_text(&NasaConfig::scale(RECORD_NASA_SCALE));
+    assert_eq!(crc32(&label_split_bytes(&nasa)), 0x37f6_de60);
 }
 
 fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
@@ -78,21 +110,21 @@ fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
 
 #[test]
 fn xmark_pipeline_is_exact() {
-    let data = xmark_via_xml_text();
+    let data = xmark_via_xml_text(&XmarkConfig::tiny());
     assert!(data.node_count() > 100);
     assert_all_indexes_exact(&data, 11);
 }
 
 #[test]
 fn nasa_pipeline_is_exact() {
-    let data = nasa_via_xml_text();
+    let data = nasa_via_xml_text(&NasaConfig::tiny());
     assert!(data.node_count() > 100);
     assert_all_indexes_exact(&data, 22);
 }
 
 #[test]
 fn dk_answers_whole_mined_workload_without_validation() {
-    let data = xmark_via_xml_text();
+    let data = xmark_via_xml_text(&XmarkConfig::tiny());
     let workload = generate_test_paths(&data, &WorkloadConfig::default());
     let dk = DkIndex::build(&data, workload.mine_requirements());
     let mut evaluator = IndexEvaluator::new(dk.index(), &data);
@@ -105,17 +137,18 @@ fn dk_answers_whole_mined_workload_without_validation() {
 #[test]
 fn dk_extent_similarity_claims_are_truthful_on_xmark() {
     // Expensive oracle check on the small pipeline graph.
-    let data = {
-        let doc = xmark_document(&XmarkConfig {
-            people: 6,
-            items: 8,
-            categories: 3,
-            open_auctions: 4,
-            closed_auctions: 3,
-            seed: 9,
-        });
-        document_to_graph(&doc, &xmark_graph_options()).unwrap()
+    let options = xmark_graph_options();
+    let mut builder = GraphBuilder::new(&options);
+    let config = XmarkConfig {
+        people: 6,
+        items: 8,
+        categories: 3,
+        open_auctions: 4,
+        closed_auctions: 3,
+        seed: 9,
     };
+    xmark_events(&config, &mut builder);
+    let data = builder.finish().unwrap();
     let workload = generate_test_paths(
         &data,
         &WorkloadConfig {
@@ -130,7 +163,7 @@ fn dk_extent_similarity_claims_are_truthful_on_xmark() {
 
 #[test]
 fn one_index_never_validates() {
-    let data = nasa_via_xml_text();
+    let data = nasa_via_xml_text(&NasaConfig::tiny());
     let workload = generate_test_paths(&data, &WorkloadConfig::default());
     let one = OneIndex::build(&data);
     let mut evaluator = IndexEvaluator::new(one.index(), &data);
@@ -143,7 +176,7 @@ fn one_index_never_validates() {
 fn one_index_answers_root_anchored_xmark_queries_exactly() {
     use dkindex::pathexpr::parse;
 
-    let data = xmark_via_xml_text();
+    let data = xmark_via_xml_text(&XmarkConfig::tiny());
     let one = OneIndex::build(&data);
     let mut evaluator = IndexEvaluator::new(one.index(), &data);
     for expr in [
