@@ -15,24 +15,23 @@
 //!
 //! ## Layout
 //!
-//! The walk reads three columns: one flat label column and the children and
-//! parents as two [`SegCsr`] columns — the same segment-CSR layout as the
-//! data graph's adjacency, so a query walks the index graph itself. Child
-//! rows keep insertion order; every parent row is kept ascending, so an
-//! index rebuilt from a snapshot (which stores child rows only) has the
-//! parent rows of the live one. The snapshot loader lays both columns out
-//! once from the stored edge list ([`SegCsr::from_pairs`]),
-//! row for row as [`IndexGraph::add_index_edge`] would leave them; every
-//! later edge write is incremental. What the summary knows about one node
-//! besides — similarity and extent — is one block behind an [`Arc`].
+//! The walk reads one flat label column and an [`Adjacency`] — the data
+//! graph's adjacency type, so a query walks the index graph itself under
+//! the same row rule: child rows keep insertion order, parent rows ascend,
+//! so an index rebuilt from a snapshot (which stores child rows only) has
+//! the parent rows of the live one. The snapshot loader lays the adjacency
+//! out once from the stored edges ([`Adjacency::from_pairs`]), row for row
+//! as [`IndexGraph::add_index_edge`] would leave them; every later edge
+//! write is incremental. What the summary knows about one node besides —
+//! similarity and extent — is one block behind an [`Arc`].
 //!
 //! ## Copy-on-write
 //!
 //! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block
 //! and per adjacency segment instead of deep-copying extents and edges. This
 //! is the index half of the delta-epoch publish path (the data half is the
-//! data graph's flat label column and its [`SegCsr`] and [`SegVec`]
-//! columns):
+//! data graph's flat label column, its adjacency and its reference
+//! column):
 //!
 //! 1. **Clone is shallow**: `clone()` copies block and segment handles,
 //!    never their contents.
@@ -52,7 +51,7 @@
 //!    audit sees identical bytes whether its epoch shares every block and
 //!    segment or none.
 
-use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegCsr, SegVec};
+use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
 use dkindex_partition::Partition;
 use std::sync::Arc;
 
@@ -78,7 +77,7 @@ impl Block {
 
 /// A structural summary of a data graph.
 ///
-/// Labels are one flat column, children and parents two [`SegCsr`] columns,
+/// Labels are one flat column, children and parents an [`Adjacency`],
 /// similarity and extent one `Arc`-shared block per node, and the
 /// node→block map a segment-shared [`SegVec`]. Cloning an `IndexGraph` is
 /// therefore a copy-on-write snapshot (see the module docs): the clone
@@ -91,10 +90,7 @@ pub struct IndexGraph {
     blocks: Vec<Arc<Block>>,
     /// Label of each index node, in id order.
     labels: Arc<Vec<LabelId>>,
-    /// Out-neighbors, each row in insertion order.
-    children: SegCsr,
-    /// In-neighbors, each row ascending.
-    parents: SegCsr,
+    adjacency: Adjacency,
     /// data node -> index node containing it.
     node_to_index: SegVec<NodeId>,
     interner: Arc<LabelInterner>,
@@ -102,41 +98,22 @@ pub struct IndexGraph {
 }
 
 impl IndexGraph {
-    /// An index over `blocks` with the given labels and no edges: one empty
-    /// child and parent row per block.
-    fn unlinked(
-        blocks: Vec<Arc<Block>>,
-        labels: Vec<LabelId>,
-        node_to_index: SegVec<NodeId>,
-        interner: Arc<LabelInterner>,
-        root: NodeId,
-    ) -> Self {
-        let mut children = SegCsr::new();
-        let mut parents = SegCsr::new();
-        for _ in 0..blocks.len() {
-            children.push_row();
-            parents.push_row();
-        }
-        IndexGraph::from_columns(blocks, labels, children, parents, node_to_index, interner, root)
-    }
-
-    /// An index over `blocks` with the given labels and adjacency, one child
-    /// and one parent row per block.
+    /// An index over `blocks` with the given labels and adjacency, one row
+    /// per block.
     fn from_columns(
         blocks: Vec<Arc<Block>>,
         labels: Vec<LabelId>,
-        children: SegCsr,
-        parents: SegCsr,
+        adjacency: Adjacency,
         node_to_index: SegVec<NodeId>,
         interner: Arc<LabelInterner>,
         root: NodeId,
     ) -> Self {
         assert_eq!(blocks.len(), labels.len());
+        assert_eq!(blocks.len(), adjacency.rows());
         IndexGraph {
             blocks,
             labels: Arc::new(labels),
-            children,
-            parents,
+            adjacency,
             node_to_index,
             interner,
             root,
@@ -164,11 +141,17 @@ impl IndexGraph {
             .collect();
         let root = NodeId::from_index(partition.block_of(g.root()).index());
 
+        let interner = g.labels_shared();
+        let unlinked = Adjacency::with_rows(nblocks);
         let mut index =
-            IndexGraph::unlinked(blocks, labels, node_to_index, g.labels_shared(), root);
-        for &(from, to, _) in g.edges() {
-            let (fi, ti) = (index.index_of(from), index.index_of(to));
-            index.add_index_edge(fi, ti);
+            IndexGraph::from_columns(blocks, labels, unlinked, node_to_index, interner, root);
+        // Each data edge, child row by child row, projected to its blocks.
+        for from in g.node_ids() {
+            let fi = index.index_of(from);
+            for &to in g.children_of(from) {
+                let ti = index.index_of(to);
+                index.add_index_edge(fi, ti);
+            }
         }
         index
     }
@@ -207,24 +190,23 @@ impl IndexGraph {
         let root = NodeId::from_index(partition.block_of(base.root()).index());
 
         let interner = Arc::clone(&base.interner);
-        let mut index = IndexGraph::unlinked(blocks, labels, node_to_index, interner, root);
+        let unlinked = Adjacency::with_rows(nblocks);
+        let mut index =
+            IndexGraph::from_columns(blocks, labels, unlinked, node_to_index, interner, root);
         // Edges: project base's edges through the partition.
-        for from in base.node_ids() {
-            for &to in base.children_of(from) {
-                let fi = NodeId::from_index(partition.block_of(from).index());
-                let ti = NodeId::from_index(partition.block_of(to).index());
-                index.add_index_edge(fi, ti);
-            }
+        for (from, to) in base.edges() {
+            let fi = NodeId::from_index(partition.block_of(from).index());
+            let ti = NodeId::from_index(partition.block_of(to).index());
+            index.add_index_edge(fi, ti);
         }
         index
     }
 
     /// Reassemble an index graph from stored parts (the `store` module's
     /// loader). Extents must partition `0..data_nodes`. The edges are laid
-    /// out once, as [`IndexGraph::add_index_edge`] would leave them added in
-    /// `edges` order: each child row in stored order minus repeats, each
-    /// parent row ascending. Panics when an edge endpoint or the root is out
-    /// of range.
+    /// out once ([`Adjacency::from_pairs`]), as
+    /// [`IndexGraph::add_index_edge`] would leave them added in `edges`
+    /// order. Panics when an edge endpoint or the root is out of range.
     pub(crate) fn from_stored_parts(
         interner: LabelInterner,
         labels: Vec<LabelId>,
@@ -237,15 +219,8 @@ impl IndexGraph {
         assert_eq!(labels.len(), similarity.len());
         assert_eq!(labels.len(), extents.len());
         assert!(root.index() < labels.len(), "root index node out of range");
-        let n = labels.len();
-        let children =
-            SegCsr::from_pairs(n, edges.iter().copied()).expect("index edge source out of range");
-        // Transposed row by row, every parent row comes out ascending.
-        let transposed = (0..n).flat_map(|from| {
-            let row = children.row(from).unwrap_or_default();
-            row.iter().map(move |&to| (to, NodeId::from_index(from)))
-        });
-        let parents = SegCsr::from_pairs(n, transposed).expect("index edge target out of range");
+        let adjacency = Adjacency::from_pairs(labels.len(), edges.iter().copied())
+            .expect("index edge endpoint out of range");
         let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
             .collect();
         let mut blocks = Vec::with_capacity(labels.len());
@@ -260,7 +235,7 @@ impl IndexGraph {
             blocks.push(Block::shared(extent, k));
         }
         let interner = Arc::new(interner);
-        IndexGraph::from_columns(blocks, labels, children, parents, node_to_index, interner, root)
+        IndexGraph::from_columns(blocks, labels, adjacency, node_to_index, interner, root)
     }
 
     /// Move the root to `root`: the audit tests' way to corrupt an index.
@@ -352,18 +327,14 @@ impl IndexGraph {
     /// allocation (as [`DataGraph::shared_segments_with`] counts the data
     /// graph's). Diagnostics only — contents are never affected by sharing.
     pub fn shared_segments_with(&self, other: &IndexGraph) -> (usize, usize) {
-        let shared = self.children.shared_segments_with(&other.children)
-            + self.parents.shared_segments_with(&other.parents);
-        let total = self.children.segment_count() + self.parents.segment_count();
-        (shared, total)
+        self.adjacency.shared_segments_with(&other.adjacency)
     }
 
     /// Approximate resident size in bytes (adjacency + extents + tables);
     /// reported alongside node counts by the size experiments.
     pub fn approx_bytes(&self) -> usize {
         let per_node = std::mem::size_of::<LabelId>() + std::mem::size_of::<usize>();
-        let adj = (self.children.target_count() + self.parents.target_count())
-            * std::mem::size_of::<NodeId>();
+        let adj = 2 * self.edge_count() * std::mem::size_of::<NodeId>();
         let extents: usize = self
             .blocks
             .iter()
@@ -377,26 +348,22 @@ impl IndexGraph {
         self.blocks.iter().map(|b| b.extent.len()).sum()
     }
 
-    /// Add an index edge, deduplicating. Returns true if newly added. The
-    /// child row grows at its end; `from` goes to its ascending place in
-    /// `to`'s parent row.
+    /// Every index edge `(from, to)`, child row by child row.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.adjacency.edges()
+    }
+
+    /// Add an index edge, deduplicating ([`Adjacency::add`]). Returns true
+    /// if newly added.
     pub fn add_index_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.children_of(from).contains(&to) {
-            return false;
-        }
-        let at = self.parents_of(to).partition_point(|&p| p < from);
-        self.children.push_to_row(from.index(), to);
-        self.parents.insert_into_row(to.index(), at, from);
-        true
+        self.adjacency.add(from, to)
     }
 
     /// Grow the data-node→index-node map to cover `n` data nodes (new slots
     /// are filled by subsequent splits/assignments). Needed when the data
     /// graph grows (subgraph addition).
     pub fn grow_node_map(&mut self, n: usize) {
-        if self.node_to_index.len() < n {
-            self.node_to_index.resize(n, NodeId::from_index(0));
-        }
+        self.node_to_index.grow_to(n, NodeId::from_index(0));
     }
 
     /// Append a fresh index node with the given label, extent and similarity
@@ -413,8 +380,7 @@ impl IndexGraph {
         }
         self.blocks.push(Block::shared(extent, similarity));
         Arc::make_mut(&mut self.labels).push(label);
-        self.children.push_row();
-        self.parents.push_row();
+        self.adjacency.push_row();
         id
     }
 
@@ -490,24 +456,13 @@ impl IndexGraph {
         }
         for p in self.parents_of(inode).to_vec() {
             if parents.binary_search(&p).is_err() {
-                self.remove_index_edge(p, inode);
+                self.adjacency.remove(p, inode);
             }
         }
         for c in self.children_of(inode).to_vec() {
             if children.binary_search(&c).is_err() {
-                self.remove_index_edge(inode, c);
+                self.adjacency.remove(inode, c);
             }
-        }
-    }
-
-    /// Remove the index edge `from → to` if present.
-    fn remove_index_edge(&mut self, from: NodeId, to: NodeId) {
-        let Some(at) = self.children_of(from).iter().position(|&c| c == to) else {
-            return;
-        };
-        self.children.remove_from_row(from.index(), at);
-        if let Ok(at) = self.parents_of(to).binary_search(&from) {
-            self.parents.remove_from_row(to.index(), at);
         }
     }
 
@@ -583,7 +538,7 @@ impl LabeledGraph for IndexGraph {
 
     #[inline]
     fn edge_count(&self) -> usize {
-        self.children.target_count()
+        self.adjacency.edge_count()
     }
 
     #[inline]
@@ -593,16 +548,12 @@ impl LabeledGraph for IndexGraph {
 
     #[inline]
     fn children_of(&self, node: NodeId) -> &[NodeId] {
-        self.children
-            .row(node.index())
-            .expect("index node out of range")
+        self.adjacency.children(node).expect("index node out of range")
     }
 
     #[inline]
     fn parents_of(&self, node: NodeId) -> &[NodeId] {
-        self.parents
-            .row(node.index())
-            .expect("index node out of range")
+        self.adjacency.parents(node).expect("index node out of range")
     }
 
     #[inline]

@@ -21,6 +21,14 @@
 //!          root     u32 index node id
 //! ```
 //!
+//! Both writers list their edges child row by child row: nodes in id order,
+//! each row's targets in its order. Both readers take edges in any order:
+//! each child row keeps its targets in the order they are listed, a
+//! repeated edge keeps its first occurrence (and, in `GRPH`, that
+//! occurrence's kind), and every parent row is rebuilt ascending. So a
+//! payload that lists its edges in another order — one written when `GRPH`
+//! still listed edges in insertion order, say — loads to the same rows.
+//!
 //! Every encoder appends to a `Vec<u8>` and fails only on an over-long
 //! label, as an [`io::ErrorKind::InvalidInput`] error. Every decoder reads one
 //! whole payload from a [`Cursor`] and returns its reason as a `String`,
@@ -35,7 +43,7 @@
 //! before anything is sized by it. The graph decoders decode first and
 //! build second: [`DataGraph::from_parts`] and
 //! `IndexGraph::from_stored_parts` lay each adjacency column out once from
-//! the decoded edge list. The verdict on an index
+//! the decoded edges. The verdict on an index
 //! (extents partition the graph, edges project it, the root is the root) is
 //! [`crate::audit::check_structure`]'s, which the snapshot loader runs
 //! against the graph it loads alongside before anything uses the index.
@@ -55,7 +63,7 @@
 use crate::bytes::Cursor;
 use crate::index_graph::{IndexGraph, SIM_EXACT};
 use crate::requirements::Requirements;
-use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
+use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId};
 use std::io;
 
 const GRAPH_MAGIC: [u8; 4] = *b"DKG1";
@@ -64,8 +72,9 @@ const GRAPH_MAGIC: [u8; 4] = *b"DKG1";
 /// larger column grows as its entries actually decode. Node labels and
 /// index edges are allocated exactly: `take_count` has held their count
 /// against the bytes left, and each entry takes no more memory than the
-/// payload bytes it decodes from. So is an extent, which the data graph's
-/// node count bounds.
+/// payload bytes it decodes from. So are data edges, whose 12 bytes each
+/// are at most 4/3 of the 9 payload bytes they decode from, and an extent,
+/// which the data graph's node count bounds.
 const MAX_PREALLOC: usize = 1 << 16;
 
 // ---- encoding ------------------------------------------------------------
@@ -106,7 +115,7 @@ pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) -> io::Result<()> {
         put_u32(out, g.label_of(n).index());
     }
     put_u32(out, g.edge_count());
-    for &(from, to, kind) in g.edges() {
+    for (from, to, kind) in g.edges() {
         put_u32(out, from.index());
         put_u32(out, to.index());
         out.push(match kind {
@@ -130,13 +139,10 @@ pub(crate) fn write_index(index: &IndexGraph, out: &mut Vec<u8>) -> io::Result<(
             put_u32(out, d.index());
         }
     }
-    let edge_total: usize = index.node_ids().map(|i| index.children_of(i).len()).sum();
-    put_u32(out, edge_total);
-    for from in index.node_ids() {
-        for &to in index.children_of(from) {
-            put_u32(out, from.index());
-            put_u32(out, to.index());
-        }
+    put_u32(out, index.edge_count());
+    for (from, to) in index.edges() {
+        put_u32(out, from.index());
+        put_u32(out, to.index());
     }
     put_u32(out, index.root().index());
     Ok(())
@@ -208,7 +214,7 @@ fn end_of_payload(cur: &Cursor<'_>) -> Result<(), String> {
     }
 }
 
-/// Decode a whole `GRPH` payload: labels and the edge list first, then one
+/// Decode a whole `GRPH` payload: labels and the edges first, then one
 /// bulk build ([`DataGraph::from_parts`]), which equals adding the nodes and
 /// edges one at a time (a repeated edge keeps its first occurrence).
 pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
@@ -232,7 +238,7 @@ pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
         labels.push(LabelId::from_index(label));
     }
     let edge_count = take_count(cur, "the edge count", 9)?;
-    let mut edges = SegVec::new();
+    let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
         let from = take_u32(cur, "an edge")?;
         let to = take_u32(cur, "an edge")?;
@@ -248,7 +254,7 @@ pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
         edges.push((NodeId::from_index(from), NodeId::from_index(to), kind));
     }
     end_of_payload(cur)?;
-    Ok(DataGraph::from_parts(interner, labels, edges))
+    Ok(DataGraph::from_parts(interner, labels, &edges))
 }
 
 /// Decode a whole `INDX` payload. `data_nodes` is the node count of the data
@@ -596,8 +602,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// `read_graph`'s bulk build equals `add_node` / `add_edge` over the
-        /// same input: labels, every row in order, the edge list with its
-        /// kinds, `has_edge`, and the snapshot bytes.
+        /// same input: labels, every row in order, every edge with its
+        /// kind, `has_edge`, and the snapshot bytes.
         #[test]
         fn the_bulk_graph_load_equals_the_incremental_build(input in graph_input()) {
             let (labels, edges) = input;
@@ -661,12 +667,12 @@ mod tests {
         let mut labels = vec![LabelInterner::ROOT, outer, inner];
         labels.resize(3 + 2 * WIDE, leaf);
         let node = NodeId::from_index;
-        let mut edges = SegVec::new();
+        let mut edges = Vec::new();
         edges.push((node(0), node(1), EdgeKind::Tree));
         edges.push((node(1), node(2), EdgeKind::Tree));
         edges.extend((3..3 + WIDE).map(|i| (node(2), node(i), EdgeKind::Tree)));
         edges.extend((3 + WIDE..3 + 2 * WIDE).map(|i| (node(1), node(i), EdgeKind::Tree)));
-        let g = DataGraph::from_parts(names, labels, edges);
+        let g = DataGraph::from_parts(names, labels, &edges);
         let dk = DkIndex::build(&g, Requirements::uniform(0));
 
         let (_, back) = crate::snapshot::read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();

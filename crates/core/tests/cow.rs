@@ -10,9 +10,10 @@
 //!   predecessor epoch iff the batch left its similarity and extent alone,
 //!   and an adjacency segment (64 child or parent rows) iff the batch left
 //!   its rows alone. A regression back to full deep clones fails these
-//!   tests. On the data graph, an edge update copies at most the two
-//!   adjacency segments it writes and the edge-list tail, never the label
-//!   column, which only `add_node` copies.
+//!   tests. On the data graph, an edge update copies exactly the segments
+//!   of the rows it writes — `from`'s child row and `to`'s parent row, and
+//!   for a reference edge `from`'s reference row — never the label column,
+//!   which only `add_node` copies.
 //! * Both properties hold through the real `DkServer` publish path, not
 //!   just hand-rolled clones.
 
@@ -159,34 +160,52 @@ fn single_edge_update_shares_untouched_blocks() {
     check_structure(dk.index(), &g).unwrap();
 }
 
-/// One edge update unshares at most three data-graph segments: the one
-/// holding `from`'s child row, the one holding `to`'s parent row, and the
-/// edge-list tail. Every other segment and the label column stay
-/// pointer-shared.
-#[test]
-fn single_edge_update_unshares_at_most_three_data_segments() {
-    let (g, dk, ops) = fixture();
-    for op in &ops {
-        let mut next_dk = dk.clone();
-        let mut next_g = g.clone();
-        apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
-        let (shared, total) = next_g.shared_segments_with(&g);
-        let unshared = total - shared;
-        assert!(
-            (1..=3).contains(&unshared),
-            "{op:?} unshared {unshared} of {total} data-graph segments"
-        );
-        assert!(next_g.shares_labels_with(&g), "{op:?} copied the label column");
+/// The data-graph segments an added edge of `kind` writes: `from`'s child
+/// row and `to`'s parent row, and for a reference edge `from`'s reference
+/// row. Each sits in its own column, so they never coincide.
+fn row_segments(kind: EdgeKind) -> usize {
+    match kind {
+        EdgeKind::Tree => 2,
+        EdgeKind::Reference => 3,
     }
 }
 
-/// The same contract on the state a server starts from, a snapshot loaded
-/// by `read_snapshot` (whose columns are bulk-built): each `AddEdge`
-/// publish keeps the data graph's label column shared and copies at most
-/// two adjacency segments of each graph, besides the data graph's
-/// edge-list tail (one segment per added edge).
+/// One edge update unshares exactly the data-graph segments of the rows it
+/// writes — at most three — on a built state and on a snapshot-loaded one
+/// (whose columns are bulk-built), for a tree and for a reference edge,
+/// added directly or as a served update (`apply_serial` adds references).
+/// Every other segment and the label column stay pointer-shared.
 #[test]
-fn an_edge_publish_on_a_loaded_state_copies_two_segments_per_graph() {
+fn an_edge_update_unshares_exactly_the_data_segments_of_its_rows() {
+    let (built, dk, ops) = fixture();
+    let (_, loaded) = read_snapshot(&snapshot_bytes(&dk, &built)).unwrap();
+    for (state, g) in [("built", &built), ("loaded", &loaded)] {
+        for op in &ops {
+            let ServeOp::AddEdge { from, to } = *op else { unreachable!() };
+            for kind in [EdgeKind::Tree, EdgeKind::Reference] {
+                let mut next_g = g.clone();
+                assert!(next_g.add_edge(from, to, kind), "{op:?} is a new edge");
+                let (shared, total) = next_g.shared_segments_with(g);
+                assert_eq!(total - shared, row_segments(kind), "{state}: {kind:?} {op:?}");
+                assert!(next_g.shares_labels_with(g), "{state}: {op:?} copied the label column");
+            }
+            let mut next_dk = dk.clone();
+            let mut next_g = g.clone();
+            apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
+            let (shared, total) = next_g.shared_segments_with(g);
+            assert_eq!(total - shared, row_segments(EdgeKind::Reference), "{state}: {op:?}");
+            assert!(next_g.shares_labels_with(g), "{state}: {op:?} copied the label column");
+        }
+    }
+}
+
+/// The same contract through the publish path of a server started from a
+/// snapshot loaded by `read_snapshot`: each `AddEdge` publish keeps the
+/// data graph's label column shared, copies exactly the three data
+/// segments of the reference edge it adds and at most two adjacency
+/// segments of the index.
+#[test]
+fn an_edge_publish_on_a_loaded_state_copies_only_the_rows_it_writes() {
     let (g, dk, ops) = fixture();
     let (dk, g) = read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
     let server = DkServer::start(g, dk, ServeConfig::default());
@@ -201,9 +220,10 @@ fn an_edge_publish_on_a_loaded_state_copies_two_segments_per_graph() {
         assert!(next.data().shares_labels_with(prev.data()), "{op:?} copied the label column");
         let added = next.data().edge_count() - prev.data().edge_count();
         let data = copied(next.data().shared_segments_with(prev.data()));
-        let data = data.checked_sub(added).expect("an added edge copies the edge-list tail");
         let index = copied(next.index().index().shared_segments_with(prev.index().index()));
-        assert!(data <= 2 && index <= 2, "{op:?} copied {data} data and {index} index segments");
+        let want = added * row_segments(EdgeKind::Reference);
+        assert_eq!(data, want, "{op:?} copied {data} data segments");
+        assert!(data <= 3 && index <= 2, "{op:?} copied {data} data and {index} index segments");
         wrote += added;
         prev = next;
     }

@@ -1,0 +1,153 @@
+//! `Adjacency`: a graph's edges, each stored once per direction — the
+//! adjacency of both `DataGraph` and the index graphs of `dkindex-core`.
+//!
+//! Two [`SegCsr`] columns under one row rule: a **child row** lists its
+//! targets in the order they were added, a **parent row** its sources
+//! ascending. So testing an edge is one binary search of a parent row, and
+//! the edges are the child rows read in node order ([`Adjacency::edges`]).
+//! [`Adjacency::from_pairs`] lays both columns out once from edges in any
+//! order, row for row as [`Adjacency::add`] over the same list leaves them.
+//!
+//! Clones share every segment (the COW invariants of [`SegCsr`]): adding or
+//! removing `from → to` copies at most `from`'s child segment and `to`'s
+//! parent segment, and a write that changes nothing copies nothing. Like
+//! [`SegCsr`], this module denies clippy's panic lints: an out-of-range row
+//! reads as `None` and an out-of-range write changes nothing.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
+
+use crate::graph::NodeId;
+use crate::segcsr::SegCsr;
+
+/// Child and parent rows over node ids `0..rows()`: child rows in insertion
+/// order, parent rows ascending. See the module docs.
+#[derive(Clone, Debug, Default)]
+pub struct Adjacency {
+    children: SegCsr,
+    parents: SegCsr,
+}
+
+impl Adjacency {
+    /// `rows` empty rows.
+    pub fn with_rows(rows: usize) -> Self {
+        let mut adjacency = Self::default();
+        for _ in 0..rows {
+            adjacency.push_row();
+        }
+        adjacency
+    }
+
+    /// `rows` rows holding the edges `pairs` (`(from, to)`), laid out once:
+    /// the child rows by [`SegCsr::from_pairs`] (each row's targets in
+    /// `pairs` order, a repeated edge kept at its first occurrence), then
+    /// the parent rows by one transpose of the child rows in row order,
+    /// which leaves every parent row ascending. The rows equal those
+    /// [`Adjacency::add`] leaves after adding `pairs` in order. `None` when
+    /// an endpoint is `rows` or more.
+    pub fn from_pairs<I>(rows: usize, pairs: I) -> Option<Adjacency>
+    where
+        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+    {
+        let children = SegCsr::from_pairs(rows, pairs)?;
+        let transposed = (0..rows).flat_map(|from| {
+            let row = children.row(from).unwrap_or_default();
+            row.iter().map(move |&to| (to, NodeId::from_index(from)))
+        });
+        let parents = SegCsr::from_pairs(rows, transposed)?;
+        Some(Adjacency { children, parents })
+    }
+
+    /// Number of rows (node ids `0..rows()`).
+    pub fn rows(&self) -> usize {
+        self.children.rows()
+    }
+
+    /// Append one node with an empty child and parent row. Copies nothing.
+    pub fn push_row(&mut self) {
+        self.children.push_row();
+        self.parents.push_row();
+    }
+
+    /// `node`'s children in insertion order, or `None` when out of range.
+    #[inline]
+    pub fn children(&self, node: NodeId) -> Option<&[NodeId]> {
+        self.children.row(node.index())
+    }
+
+    /// `node`'s parents, ascending, or `None` when out of range.
+    #[inline]
+    pub fn parents(&self, node: NodeId) -> Option<&[NodeId]> {
+        self.parents.row(node.index())
+    }
+
+    /// True if the edge `from → to` exists: a binary search of `to`'s
+    /// parent row.
+    pub fn has(&self, from: NodeId, to: NodeId) -> bool {
+        self.parents(to)
+            .is_some_and(|row| row.binary_search(&from).is_ok())
+    }
+
+    /// Add the edge `from → to`: `to` goes to the end of `from`'s child row
+    /// and `from` to its ascending place in `to`'s parent row. Returns
+    /// `false` (and changes nothing) when the edge exists or an endpoint is
+    /// out of range.
+    pub fn add(&mut self, from: NodeId, to: NodeId) -> bool {
+        if from.index() >= self.rows() {
+            return false;
+        }
+        let Some(Err(at)) = self.parents(to).map(|row| row.binary_search(&from)) else {
+            return false;
+        };
+        self.children.push_to_row(from.index(), to);
+        self.parents.insert_into_row(to.index(), at, from);
+        true
+    }
+
+    /// Remove the edge `from → to`; the rest of both rows keeps its order.
+    /// Returns `false` (and changes nothing) when there is no such edge.
+    pub fn remove(&mut self, from: NodeId, to: NodeId) -> bool {
+        let Some(Ok(in_parents)) = self.parents(to).map(|row| row.binary_search(&from)) else {
+            return false;
+        };
+        let row = self.children(from).unwrap_or_default();
+        let Some(in_children) = row.iter().position(|&c| c == to) else {
+            return false;
+        };
+        self.children.remove_from_row(from.index(), in_children);
+        self.parents.remove_from_row(to.index(), in_parents);
+        true
+    }
+
+    /// Every edge `(from, to)`, child row by child row in node order.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.rows()).flat_map(move |from| {
+            let row = self.children.row(from).unwrap_or_default();
+            row.iter().map(move |&to| (NodeId::from_index(from), to))
+        })
+    }
+
+    /// Number of edges.
+    pub fn edge_count(&self) -> usize {
+        self.children.target_count()
+    }
+
+    /// Structural-sharing census against another snapshot of these rows:
+    /// `(shared, total)` segments over both columns, a segment shared when
+    /// both snapshots still reference the same allocation. Diagnostics
+    /// only: contents never depend on sharing.
+    pub fn shared_segments_with(&self, other: &Adjacency) -> (usize, usize) {
+        let shared = self.children.shared_segments_with(&other.children)
+            + self.parents.shared_segments_with(&other.parents);
+        let total = self.children.segment_count() + self.parents.segment_count();
+        (shared, total)
+    }
+}

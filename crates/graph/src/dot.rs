@@ -30,7 +30,7 @@ pub fn to_dot(g: &DataGraph) -> String {
             shape
         );
     }
-    for &(from, to, kind) in g.edges() {
+    for (from, to, kind) in g.edges() {
         let style = match kind {
             EdgeKind::Tree => "solid",
             EdgeKind::Reference => "dashed",

@@ -7,16 +7,19 @@
 //! update experiments can sample reference-label pairs (§6.2) and so DOT
 //! export can render references dashed, as in the paper's Figure 1.
 //!
-//! A [`DataGraph`] holds one flat label column, its children and parents as
-//! two [`SegCsr`] columns and its edge list as a [`SegVec`]. Builders that
-//! grow a graph (the XML loader, the generators, the update algorithms) add
-//! nodes and edges one at a time; a loader that has decoded the whole graph
-//! builds it at once with [`DataGraph::from_parts`], which lays each
-//! adjacency column out in row order and gives the same rows.
+//! A [`DataGraph`] holds one flat label column, its edges as an
+//! [`Adjacency`] (child rows in insertion order, parent rows ascending) and
+//! each edge's kind as a third column, a [`SegCsr`] of the reference
+//! children alone. There is no edge list: the edges are the child rows,
+//! read in row order. Builders that grow a graph (the XML loader, the
+//! generators, the update algorithms) add nodes and edges one at a time; a
+//! loader that has decoded the whole graph builds it at once with
+//! [`DataGraph::from_parts`], which lays each column out once and gives
+//! the same rows.
 
+use crate::adjacency::Adjacency;
 use crate::label::{LabelId, LabelInterner};
 use crate::segcsr::SegCsr;
-use crate::segvec::SegVec;
 use std::fmt;
 use std::sync::Arc;
 
@@ -133,25 +136,25 @@ impl ExactSizeIterator for NodeIds {}
 /// (the paper's two update primitives are subgraph addition and edge
 /// addition — deletions are out of scope for the paper and for this crate).
 ///
-/// Labels are one flat column behind an [`Arc`], children and parents two
-/// [`SegCsr`] columns (CSR inside each 64-node segment), the edge list a
-/// [`SegVec`], and the label interner behind an [`Arc`], so `clone()` is a
-/// shallow copy-on-write snapshot: two clones share every segment until one
-/// of them mutates a node in it, and the label column until one of them
-/// adds a node. This is what lets the serve layer publish a fresh epoch
+/// Labels are one flat column behind an [`Arc`], children and parents an
+/// [`Adjacency`] and the reference children a [`SegCsr`] (CSR inside each
+/// 64-node segment), and the label interner behind an [`Arc`], so
+/// `clone()` is a shallow copy-on-write snapshot: two clones share every
+/// segment until one of them mutates a node in it, and the label column
+/// until one of them adds a node. This is what lets the serve layer publish a fresh epoch
 /// after a maintenance batch by copying only the segments the batch touched
 /// (see `core::serve`); no maintenance batch adds nodes in place.
 ///
 /// A loader builds the graph from its decoded columns with
-/// [`DataGraph::from_parts`], which lays each adjacency column out once.
+/// [`DataGraph::from_parts`], which lays each column out once.
 #[derive(Clone)]
 pub struct DataGraph {
     /// Label of each node, in id order; copied only by `add_node`.
     labels: Arc<Vec<LabelId>>,
-    children: SegCsr,
-    parents: SegCsr,
-    /// Edge list in insertion order, `(from, to, kind)`.
-    edges: SegVec<(NodeId, NodeId, EdgeKind)>,
+    adjacency: Adjacency,
+    /// Each node's reference children, in child-row order: the edges of
+    /// kind [`EdgeKind::Reference`]. Every other edge is a tree edge.
+    references: SegCsr,
     root: NodeId,
     interner: Arc<LabelInterner>,
 }
@@ -159,28 +162,18 @@ pub struct DataGraph {
 impl DataGraph {
     /// Create a graph containing only the distinguished `ROOT` node.
     pub fn new() -> Self {
-        let mut g = DataGraph {
-            labels: Arc::new(vec![LabelInterner::ROOT]),
-            children: SegCsr::new(),
-            parents: SegCsr::new(),
-            edges: SegVec::new(),
-            root: NodeId(0),
-            interner: Arc::new(LabelInterner::new()),
-        };
-        g.children.push_row();
-        g.parents.push_row();
-        g
+        DataGraph::from_parts(LabelInterner::new(), vec![LabelInterner::ROOT], &[])
     }
 
     /// Bulk-build a graph from what a loader decodes: the label interner,
     /// one label per node (node 0 is the root and carries `ROOT`) and the
-    /// edge list. The result equals the graph that `add_node` and
-    /// `add_edge` build from the same input, row for row: a repeated edge
-    /// keeps its first occurrence and that occurrence's kind, the edge list
-    /// is `edges` minus the repeats, and every row lists its edges in edge
-    /// order (validation stops at its first witness, so row order is part
-    /// of the answer's cost). Each adjacency column is laid out once by
-    /// [`SegCsr::from_pairs`], so the build is linear in nodes plus edges
+    /// edges `(from, to, kind)` in any order. The result equals the graph
+    /// that `add_node` and `add_edge` build from the same input, row for
+    /// row: each child row lists its edges in `edges` order, a repeated
+    /// edge keeps its first occurrence and that occurrence's kind, and
+    /// every parent row ascends. The columns are laid out once
+    /// ([`Adjacency::from_pairs`], then [`SegCsr::from_pairs`] for the
+    /// reference children), so the build is linear in nodes plus edges
     /// whatever the edge order.
     ///
     /// Panics when `labels` is empty, node 0 is not `ROOT`, or an edge
@@ -188,39 +181,42 @@ impl DataGraph {
     pub fn from_parts(
         interner: LabelInterner,
         labels: Vec<LabelId>,
-        edges: SegVec<(NodeId, NodeId, EdgeKind)>,
+        edges: &[(NodeId, NodeId, EdgeKind)],
     ) -> DataGraph {
         assert_eq!(labels.first(), Some(&LabelInterner::ROOT), "node 0 must be ROOT");
         debug_assert!(labels.iter().all(|l| l.index() < interner.len()), "foreign label id");
         let n = labels.len();
         assert!(u32::try_from(n - 1).is_ok(), "too many nodes");
-        let children = SegCsr::from_pairs(n, edges.iter().map(|&(from, to, _)| (from, to)))
-            .expect("edge source out of range");
-        let edges = if children.target_count() < edges.len() {
-            // A row keeps its first occurrences in edge order, so an edge is
-            // a first occurrence iff it is the next target its row expects.
-            let mut next = vec![0usize; n];
-            edges
-                .iter()
-                .filter(|&&(from, to, _)| {
-                    let at = &mut next[from.index()];
-                    let expected = children.row(from.index()).and_then(|row| row.get(*at));
-                    let first = expected == Some(&to);
-                    *at += usize::from(first);
-                    first
-                })
-                .copied()
-                .collect()
-        } else {
-            edges
+        let adjacency = Adjacency::from_pairs(n, edges.iter().map(|&(from, to, _)| (from, to)))
+            .expect("edge endpoint out of range");
+        // Only a first occurrence's kind counts. A row keeps its first
+        // occurrences in edge order, so an edge is one iff it is the next
+        // target its row expects (and every edge is one without repeats).
+        let mut next = Vec::new();
+        if adjacency.edge_count() < edges.len() {
+            next = vec![0u32; n];
+        }
+        let mut first_occurrence = |from: NodeId, to: NodeId| {
+            let Some(at) = next.get_mut(from.index()) else {
+                return true;
+            };
+            let expected = adjacency.children(from).and_then(|row| row.get(*at as usize));
+            let first = expected == Some(&to);
+            *at += u32::from(first);
+            first
         };
-        let parents = SegCsr::from_pairs(n, edges.iter().map(|&(from, to, _)| (to, from)))
-            .expect("edge target out of range");
+        // `first_occurrence` goes first: it must see every edge.
+        let references: Vec<(NodeId, NodeId)> = edges
+            .iter()
+            .filter(|&&(from, to, kind)| first_occurrence(from, to) && kind == EdgeKind::Reference)
+            .map(|&(from, to, _)| (from, to))
+            .collect();
+        let references = SegCsr::from_pairs(n, references.iter().copied())
+            .expect("endpoints checked by the adjacency");
         DataGraph {
             labels: Arc::new(labels),
-            children,
-            parents,
-            edges,
+            adjacency,
+            references,
             root: NodeId(0),
             interner: Arc::new(interner),
         }
@@ -248,8 +244,8 @@ impl DataGraph {
         debug_assert!(label.index() < self.interner.len(), "foreign label id");
         let id = NodeId(u32::try_from(self.labels.len()).expect("too many nodes"));
         Arc::make_mut(&mut self.labels).push(label);
-        self.children.push_row();
-        self.parents.push_row();
+        self.adjacency.push_row();
+        self.references.push_row();
         id
     }
 
@@ -267,31 +263,36 @@ impl DataGraph {
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) -> bool {
         assert!(from.index() < self.node_count(), "edge source out of range");
         assert!(to.index() < self.node_count(), "edge target out of range");
-        if self.has_edge(from, to) {
+        if !self.adjacency.add(from, to) {
             return false;
         }
-        self.children.push_to_row(from.index(), to);
-        self.parents.push_to_row(to.index(), from);
-        self.edges.push((from, to, kind));
+        if kind == EdgeKind::Reference {
+            self.references.push_to_row(from.index(), to);
+        }
         true
     }
 
-    /// True if the edge `from → to` exists. Scans the shorter of `from`'s
-    /// children and `to`'s parents, so building a star of n leaves under
-    /// one node costs O(n), not O(n²).
+    /// True if the edge `from → to` exists: a binary search of `to`'s
+    /// (ascending) parent row.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        match (self.children.row(from.index()), self.parents.row(to.index())) {
-            (Some(children), Some(parents)) if parents.len() < children.len() => {
-                parents.contains(&from)
-            }
-            (Some(children), _) => children.contains(&to),
-            (None, _) => false,
-        }
+        self.adjacency.has(from, to)
     }
 
-    /// The edges in insertion order, as `(from, to, kind)` triples.
-    pub fn edges(&self) -> impl Iterator<Item = &(NodeId, NodeId, EdgeKind)> {
-        self.edges.iter()
+    /// Every edge as a `(from, to, kind)` triple, child row by child row in
+    /// node order. A node's reference children are a subsequence of its
+    /// child row in the same order, so the kinds come from one merge walk.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeKind)> + '_ {
+        self.node_ids().flat_map(move |from| {
+            let references = self.references.row(from.index()).unwrap_or_default();
+            let mut references = references.iter().peekable();
+            self.children_of(from).iter().map(move |&to| {
+                let kind = match references.next_if_eq(&&to) {
+                    Some(_) => EdgeKind::Reference,
+                    None => EdgeKind::Tree,
+                };
+                (from, to, kind)
+            })
+        })
     }
 
     /// All nodes carrying `label`.
@@ -307,19 +308,15 @@ impl DataGraph {
     }
 
     /// Structural-sharing census against another snapshot of this graph:
-    /// `(shared, total)` backing segments across the adjacency and edge
-    /// columns, where a segment counts as shared when both snapshots still
-    /// reference the same allocation (the label column, one allocation, is
-    /// [`DataGraph::shares_labels_with`]'s). Diagnostics only — contents
-    /// are never affected by sharing.
+    /// `(shared, total)` backing segments across the child, parent and
+    /// reference columns, where a segment counts as shared when both
+    /// snapshots still reference the same allocation (the label column, one
+    /// allocation, is [`DataGraph::shares_labels_with`]'s). Diagnostics
+    /// only — contents are never affected by sharing.
     pub fn shared_segments_with(&self, other: &DataGraph) -> (usize, usize) {
-        let shared = self.children.shared_segments_with(&other.children)
-            + self.parents.shared_segments_with(&other.parents)
-            + self.edges.shared_segments_with(&other.edges);
-        let total = self.children.segment_count()
-            + self.parents.segment_count()
-            + self.edges.segment_count();
-        (shared, total)
+        let (shared, total) = self.adjacency.shared_segments_with(&other.adjacency);
+        let shared = shared + self.references.shared_segments_with(&other.references);
+        (shared, total + self.references.segment_count())
     }
 
     /// True when both snapshots still share one label column allocation —
@@ -348,19 +345,19 @@ impl DataGraph {
             map[node.index()] = self.add_node(label);
         }
         // Copy every edge, re-rooting edges out of sub's root.
-        for &(from, to, kind) in sub.edges() {
+        for (from, to, kind) in sub.edges() {
             let (f, t) = (map[from.index()], map[to.index()]);
             self.add_edge(f, t, kind);
         }
         map
     }
 
-    /// Total memory-resident size estimate in bytes (nodes + adjacency).
-    /// Used only for reporting; not part of the paper's cost model.
+    /// Total memory-resident size estimate in bytes (labels + both
+    /// adjacency directions; the reference column is left out). Used only
+    /// for reporting; not part of the paper's cost model.
     pub fn approx_bytes(&self) -> usize {
         let node_bytes = self.labels.len() * std::mem::size_of::<LabelId>();
-        let targets = self.children.target_count() + self.parents.target_count();
-        node_bytes + targets * std::mem::size_of::<NodeId>()
+        node_bytes + 2 * self.edge_count() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -378,7 +375,7 @@ impl LabeledGraph for DataGraph {
 
     #[inline]
     fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.adjacency.edge_count()
     }
 
     #[inline]
@@ -388,16 +385,12 @@ impl LabeledGraph for DataGraph {
 
     #[inline]
     fn children_of(&self, node: NodeId) -> &[NodeId] {
-        self.children
-            .row(node.index())
-            .expect("node id out of range")
+        self.adjacency.children(node).expect("node id out of range")
     }
 
     #[inline]
     fn parents_of(&self, node: NodeId) -> &[NodeId] {
-        self.parents
-            .row(node.index())
-            .expect("node id out of range")
+        self.adjacency.parents(node).expect("node id out of range")
     }
 
     #[inline]
@@ -447,25 +440,6 @@ mod tests {
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.label_of(g.root()), LabelInterner::ROOT);
-    }
-
-    #[test]
-    fn adjacency_is_symmetric() {
-        let g = tiny();
-        for &(from, to, _) in g.edges() {
-            assert!(g.children_of(from).contains(&to));
-            assert!(g.parents_of(to).contains(&from));
-        }
-    }
-
-    #[test]
-    fn parallel_edges_are_ignored() {
-        let mut g = DataGraph::new();
-        let a = g.add_labeled_node("a");
-        let root = g.root();
-        assert!(g.add_edge(root, a, EdgeKind::Tree));
-        assert!(!g.add_edge(root, a, EdgeKind::Reference));
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]
@@ -566,47 +540,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_edges_are_rejected_from_either_side() {
-        let mut g = DataGraph::new();
-        let root = g.root();
-        let hub = g.add_labeled_node("hub");
-        let others: Vec<NodeId> = (0..8).map(|_| g.add_labeled_node("x")).collect();
-        for &o in &others {
-            g.add_edge(root, o, EdgeKind::Tree);
-            g.add_edge(o, hub, EdgeKind::Reference);
-        }
-        // ROOT → o: o's one parent is the shorter side.
-        assert!(!g.add_edge(root, others[3], EdgeKind::Tree));
-        // o → hub: o's one child is the shorter side.
-        assert!(!g.add_edge(others[5], hub, EdgeKind::Tree));
-        assert!(g.has_edge(root, others[7]) && g.has_edge(others[7], hub));
-        assert!(!g.has_edge(hub, others[0]) && !g.has_edge(others[0], root));
-        assert_eq!(g.edge_count(), 16);
-    }
-
-    #[test]
-    fn from_parts_equals_appends_and_keeps_first_occurrences() {
-        let g = tiny();
-        let (root, a, b2) = (g.root(), NodeId::from_index(1), NodeId::from_index(4));
-        let mut edges: SegVec<_> = g.edges().copied().collect();
-        edges.push((a, b2, EdgeKind::Tree)); // a repeat of a reference edge
-        edges.push((root, a, EdgeKind::Reference));
-        let labels = g.node_ids().map(|n| g.label_of(n)).collect();
-        let bulk = DataGraph::from_parts(g.labels().clone(), labels, edges);
-        assert!(bulk.edges().eq(g.edges()), "repeats dropped, first kinds kept");
-        for n in g.node_ids() {
-            assert_eq!(bulk.label_name(n), g.label_name(n));
-            assert_eq!(bulk.children_of(n), g.children_of(n));
-            assert_eq!(bulk.parents_of(n), g.parents_of(n));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "edge target out of range")]
+    #[should_panic(expected = "edge endpoint out of range")]
     fn from_parts_rejects_an_edge_to_no_node() {
         let labels = vec![LabelInterner::ROOT];
-        let edges = [(NodeId(0), NodeId(1), EdgeKind::Tree)].into_iter().collect();
-        DataGraph::from_parts(LabelInterner::new(), labels, edges);
+        let edges = [(NodeId(0), NodeId(1), EdgeKind::Tree)];
+        DataGraph::from_parts(LabelInterner::new(), labels, &edges);
     }
 
     #[test]

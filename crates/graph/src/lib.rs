@@ -15,14 +15,18 @@
 //!   raw material of the k-bisimilarity properties).
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
-//! * [`SegVec`] — the persistent, segment-shared vector backing
-//!   [`DataGraph`]'s edge list.
-//! * [`SegCsr`] — the same segment sharing for adjacency (compressed sparse
-//!   rows inside each 64-row segment): the children and parents of
-//!   [`DataGraph`] and of `dkindex-core`'s index graphs. Cloning either
-//!   graph is a copy-on-write snapshot (the delta-epoch publish path in
-//!   `dkindex-core` builds on this). A loader lays each column out once
-//!   with [`SegCsr::from_pairs`].
+//! * [`Adjacency`] — a graph's edges, stored once per direction under one
+//!   row rule (child rows in insertion order, parent rows ascending): the
+//!   adjacency of [`DataGraph`] and of `dkindex-core`'s index graphs alike.
+//!   A loader lays it out once with [`Adjacency::from_pairs`], and its
+//!   edges read back child row by child row.
+//! * [`SegCsr`] — one adjacency column: compressed sparse rows inside
+//!   `Arc`-shared 64-row segments. An [`Adjacency`] is two of them, and a
+//!   third holds [`DataGraph`]'s reference children (an edge's kind).
+//!   Cloning either graph is a copy-on-write snapshot (the delta-epoch
+//!   publish path in `dkindex-core` builds on this).
+//! * [`SegVec`] — the same segment sharing for a flat vector: the index
+//!   graph's data-node → index-node map.
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
 //! * [`stats`] — dataset shape reporting for the experiment harness.
 //!
@@ -44,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adjacency;
 mod graph;
 mod label;
 mod marks;
@@ -54,6 +59,7 @@ pub mod segvec;
 pub mod stats;
 pub mod traversal;
 
+pub use adjacency::Adjacency;
 pub use graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, NodeIds};
 pub use label::{LabelId, LabelInterner, ROOT_LABEL, VALUE_LABEL};
 pub use marks::Marks;

@@ -1,7 +1,8 @@
 //! `SegCsr`: a persistent adjacency column — compressed sparse rows inside
-//! `Arc`-shared segments of `SEG_SIZE` rows. It is the storage behind the
-//! children and parents of both `DataGraph` and the index graphs of
-//! `dkindex-core`.
+//! `Arc`-shared segments of `SEG_SIZE` rows. Two of them, children and
+//! parents, make an [`Adjacency`](crate::Adjacency), the adjacency of both
+//! `DataGraph` and the index graphs of `dkindex-core`; a third holds
+//! `DataGraph`'s reference children.
 //!
 //! Each segment holds its rows as CSR: `offsets[r]..offsets[r + 1]` is row
 //! `r`'s slice of one `targets` array. Reading a row is one segment lookup
@@ -131,6 +132,11 @@ impl SegCsr {
     /// A column with no rows.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// The targets of `row` in insertion order, or `None` when out of range.

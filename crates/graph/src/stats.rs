@@ -31,7 +31,7 @@ impl GraphStats {
         let unreachable = depth.iter().filter(|d| d.is_none()).count();
         let reference_edges = g
             .edges()
-            .filter(|&&(_, _, k)| k == EdgeKind::Reference)
+            .filter(|&(_, _, k)| k == EdgeKind::Reference)
             .count();
         GraphStats {
             nodes: g.node_count(),

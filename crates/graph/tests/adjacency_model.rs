@@ -1,46 +1,111 @@
-//! Adjacency rows against a `Vec<Vec<NodeId>>` model:
+//! Adjacency rows against one `Vec<Vec<NodeId>>` model under the row rule
+//! both graphs share (`graph::Adjacency`): child rows in insertion order,
+//! parent rows ascending.
 //!
-//! * `DataGraph`'s children and parent rows: random `add_node` / `add_edge`
-//!   / `graft_under_root` / `clone` sequences read back equal and in
-//!   insertion order;
-//! * a bare `SegCsr` column under removals interleaved with appends and
+//! * `DataGraph::add_edge` and `IndexGraph::add_index_edge`, driven by the
+//!   same random `add_node` / `add_edge` / `graft_under_root` / `clone`
+//!   sequence, read back equal to the model, and so does a bare
+//!   `Adjacency`. The data graph's edges read back in row order with their
+//!   kinds, and `has_edge` / `Adjacency::has` equal a scan of the row.
+//! * A bulk load (`DataGraph::from_parts`, `Adjacency::from_pairs`) of the
+//!   model's edges in a scrambled order, with repeats of both kinds,
+//!   equals adding the same list one edge at a time: the first occurrence
+//!   and its kind win. The loaded graph then takes later writes like a
+//!   built one.
+//! * A bare `SegCsr` column under removals interleaved with appends and
 //!   positional inserts (the writes an index-graph split makes), built
-//!   either row by row or at once by `SegCsr::from_pairs` (a loader's
-//!   column, repeats dropped, which the same writes must then find as they
-//!   would an incrementally built one).
+//!   either row by row or at once by `SegCsr::from_pairs`.
 //!
-//! In both, a snapshot taken by `clone` never sees a later write.
+//! In all of them, a snapshot taken by `clone` never sees a later write.
 
+use dkindex_core::{label_split_index, IndexGraph};
 use dkindex_graph::segvec::SEG_SIZE;
-use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, SegCsr};
+use dkindex_graph::{Adjacency, DataGraph, EdgeKind, LabeledGraph, NodeId, SegCsr};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug, Default)]
 struct Model {
     children: Vec<Vec<NodeId>>,
     parents: Vec<Vec<NodeId>>,
+    references: Vec<Vec<NodeId>>,
 }
 
 impl Model {
     fn new() -> Self {
-        Model {
-            children: vec![Vec::new()],
-            parents: vec![Vec::new()],
-        }
+        let mut model = Model::default();
+        model.add_node();
+        model
     }
 
     fn add_node(&mut self) {
         self.children.push(Vec::new());
         self.parents.push(Vec::new());
+        self.references.push(Vec::new());
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+    fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) -> bool {
         if self.children[from.index()].contains(&to) {
             return false;
         }
         self.children[from.index()].push(to);
-        self.parents[to.index()].push(from);
+        let parents = &mut self.parents[to.index()];
+        let at = parents.iter().take_while(|&&p| p < from).count();
+        parents.insert(at, from);
+        if kind == EdgeKind::Reference {
+            self.references[from.index()].push(to);
+        }
         true
+    }
+
+    /// Every edge with its kind, child row by child row.
+    fn edges(&self) -> Vec<(NodeId, NodeId, EdgeKind)> {
+        let mut edges = Vec::new();
+        for (from, row) in self.children.iter().enumerate() {
+            for &to in row {
+                let reference = self.references[from].contains(&to);
+                let kind = [EdgeKind::Tree, EdgeKind::Reference][usize::from(reference)];
+                edges.push((NodeId::from_index(from), to, kind));
+            }
+        }
+        edges
+    }
+}
+
+/// The three graphs the model drives, all held to the same rows.
+#[derive(Clone)]
+struct Subjects {
+    data: DataGraph,
+    index: IndexGraph,
+    adjacency: Adjacency,
+}
+
+impl Subjects {
+    fn new() -> Self {
+        let data = DataGraph::new();
+        let index = label_split_index(&data);
+        Subjects { data, index, adjacency: Adjacency::with_rows(1) }
+    }
+
+    fn add_node(&mut self, label: &str) {
+        let label = self.data.intern(label);
+        self.data.add_node(label);
+        self.index.push_node(label, Vec::new(), 0);
+        self.adjacency.push_row();
+    }
+
+    /// Add one edge to all three; each must report what the model reports.
+    fn add_edge(
+        &mut self,
+        model: &mut Model,
+        from: NodeId,
+        to: NodeId,
+        kind: EdgeKind,
+    ) -> Result<(), TestCaseError> {
+        let added = model.add_edge(from, to, kind);
+        prop_assert_eq!(self.data.add_edge(from, to, kind), added);
+        prop_assert_eq!(self.index.add_index_edge(from, to), added);
+        prop_assert_eq!(self.adjacency.add(from, to), added);
+        Ok(())
     }
 }
 
@@ -48,31 +113,43 @@ impl Model {
 enum Op {
     /// Add this many nodes.
     AddNodes(usize),
-    /// One edge between two existing nodes.
-    AddEdge(prop::sample::Index, prop::sample::Index),
+    /// One edge between two existing nodes, of either kind.
+    AddEdge(prop::sample::Index, prop::sample::Index, bool),
     /// Alternate appends to two rows of one segment, `len` edges each.
     Interleave(prop::sample::Index, usize),
     /// Graft a small graph of `nodes` nodes with these edges under ROOT.
-    Graft(usize, Vec<(prop::sample::Index, prop::sample::Index)>),
-    /// Keep a snapshot of the graph and model as they are now.
+    Graft(usize, Vec<(prop::sample::Index, prop::sample::Index, bool)>),
+    /// Reload the data graph and the bare adjacency by a bulk build of
+    /// every edge, listed in an order scrambled by the key, followed by
+    /// these repeats of listed edges with these kinds.
+    BulkLoad(u64, Vec<(prop::sample::Index, bool)>),
+    /// Keep a snapshot of the graphs and model as they are now.
     Snapshot,
+}
+
+fn kind(reference: bool) -> EdgeKind {
+    [EdgeKind::Tree, EdgeKind::Reference][usize::from(reference)]
 }
 
 fn op() -> impl Strategy<Value = Op> {
     let index = any::<prop::sample::Index>;
     prop_oneof![
         (1usize..24).prop_map(Op::AddNodes),
-        (index(), index()).prop_map(|(a, b)| Op::AddEdge(a, b)),
-        (index(), index()).prop_map(|(a, b)| Op::AddEdge(a, b)),
+        (index(), index(), any::<bool>()).prop_map(|(a, b, r)| Op::AddEdge(a, b, r)),
+        (index(), index(), any::<bool>()).prop_map(|(a, b, r)| Op::AddEdge(a, b, r)),
         (index(), 1usize..12).prop_map(|(a, len)| Op::Interleave(a, len)),
-        (1usize..6, prop::collection::vec((index(), index()), 0..8))
+        (1usize..6, prop::collection::vec((index(), index(), any::<bool>()), 0..8))
             .prop_map(|(nodes, edges)| Op::Graft(nodes, edges)),
+        (any::<u64>(), prop::collection::vec((index(), any::<bool>()), 0..12))
+            .prop_map(|(key, repeats)| Op::BulkLoad(key, repeats)),
         Just(Op::Snapshot),
     ]
 }
 
-fn check(g: &DataGraph, model: &Model) -> Result<(), TestCaseError> {
+/// Rows of any graph against the model.
+fn check_graph(g: &impl LabeledGraph, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(g.node_count(), model.children.len());
+    prop_assert_eq!(g.edge_count(), model.children.iter().map(Vec::len).sum::<usize>());
     for node in g.node_ids() {
         prop_assert_eq!(g.children_of(node), &model.children[node.index()][..]);
         prop_assert_eq!(g.parents_of(node), &model.parents[node.index()][..]);
@@ -80,22 +157,71 @@ fn check(g: &DataGraph, model: &Model) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn apply(g: &mut DataGraph, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
+/// Some `(from, to)` pairs of an `n`-node graph: every pair on small
+/// graphs, a stride through them on larger ones.
+fn probe_pairs(n: usize) -> impl Iterator<Item = (NodeId, NodeId)> {
+    let stride = (n * n / 4096).max(1);
+    (0..n * n).step_by(stride).map(move |i| (NodeId::from_index(i / n), NodeId::from_index(i % n)))
+}
+
+fn check(subjects: &Subjects, model: &Model) -> Result<(), TestCaseError> {
+    let Subjects { data, index, adjacency } = subjects;
+    check_graph(data, model)?;
+    check_graph(index, model)?;
+    prop_assert_eq!(adjacency.rows(), model.children.len());
+    for node in data.node_ids() {
+        prop_assert_eq!(adjacency.children(node), Some(&model.children[node.index()][..]));
+        prop_assert_eq!(adjacency.parents(node), Some(&model.parents[node.index()][..]));
+    }
+    prop_assert_eq!(data.edges().collect::<Vec<_>>(), model.edges());
+    prop_assert!(adjacency.edges().eq(data.edges().map(|(from, to, _)| (from, to))));
+    for (from, to) in probe_pairs(data.node_count()) {
+        let scan = data.children_of(from).contains(&to);
+        prop_assert_eq!(data.has_edge(from, to), scan, "{:?} -> {:?}", from, to);
+        prop_assert_eq!(adjacency.has(from, to), scan, "{:?} -> {:?}", from, to);
+    }
+    Ok(())
+}
+
+/// The model's edges in an order scrambled by `key` (a bijection of the
+/// positions), then the repeats, each a listed edge with a drawn kind.
+fn scrambled_with_repeats(
+    model: &Model,
+    key: u64,
+    repeats: &[(prop::sample::Index, bool)],
+) -> Vec<(NodeId, NodeId, EdgeKind)> {
+    let mut listed: Vec<(u64, (NodeId, NodeId, EdgeKind))> = model
+        .edges()
+        .into_iter()
+        .enumerate()
+        .map(|(i, edge)| ((i as u64).wrapping_mul(key | 1).rotate_left(29), edge))
+        .collect();
+    listed.sort_unstable_by_key(|&(k, _)| k);
+    let mut edges: Vec<_> = listed.into_iter().map(|(_, edge)| edge).collect();
+    for (at, reference) in repeats {
+        if !edges.is_empty() {
+            let (from, to, _) = edges[at.index(edges.len())];
+            edges.push((from, to, kind(*reference)));
+        }
+    }
+    edges
+}
+
+fn apply(subjects: &mut Subjects, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
     let node = |i: &prop::sample::Index, n: usize| NodeId::from_index(i.index(n));
     match op {
         Op::AddNodes(count) => {
             for i in 0..*count {
-                g.add_labeled_node(["a", "b", "c"][i % 3]);
+                subjects.add_node(["a", "b", "c"][i % 3]);
                 model.add_node();
             }
         }
-        Op::AddEdge(a, b) => {
-            let n = g.node_count();
-            let (from, to) = (node(a, n), node(b, n));
-            prop_assert_eq!(g.add_edge(from, to, EdgeKind::Tree), model.add_edge(from, to));
+        Op::AddEdge(a, b, reference) => {
+            let n = model.children.len();
+            subjects.add_edge(model, node(a, n), node(b, n), kind(*reference))?;
         }
         Op::Interleave(a, len) => {
-            let n = g.node_count();
+            let n = model.children.len();
             let first = a.index(n);
             let base = first / SEG_SIZE * SEG_SIZE;
             let rows_here = (n - base).min(SEG_SIZE);
@@ -104,10 +230,7 @@ fn apply(g: &mut DataGraph, model: &mut Model, op: &Op) -> Result<(), TestCaseEr
                 for row in [first, second] {
                     let from = NodeId::from_index(row);
                     let to = NodeId::from_index((row * 7 + t * 13) % n);
-                    prop_assert_eq!(
-                        g.add_edge(from, to, EdgeKind::Reference),
-                        model.add_edge(from, to)
-                    );
+                    subjects.add_edge(model, from, to, EdgeKind::Reference)?;
                 }
             }
         }
@@ -117,20 +240,49 @@ fn apply(g: &mut DataGraph, model: &mut Model, op: &Op) -> Result<(), TestCaseEr
                 sub.add_labeled_node(["b", "d"][i % 2]);
             }
             let sub_n = sub.node_count();
-            for (a, b) in edges {
-                sub.add_edge(node(a, sub_n), node(b, sub_n), EdgeKind::Tree);
+            for (a, b, reference) in edges {
+                sub.add_edge(node(a, sub_n), node(b, sub_n), kind(*reference));
             }
-            let first_new = g.node_count();
-            let map = g.graft_under_root(&sub);
-            for _ in 1..sub_n {
-                model.add_node();
-            }
+            let first_new = model.children.len();
+            let map = subjects.data.graft_under_root(&sub);
             for (i, &m) in map.iter().enumerate().skip(1) {
                 prop_assert_eq!(m, NodeId::from_index(first_new + i - 1));
             }
-            for &(from, to, _) in sub.edges() {
-                model.add_edge(map[from.index()], map[to.index()]);
+            // The index and the bare adjacency take the same nodes and the
+            // same edges in the order the graft copies them: sub's rows.
+            for &new in &map[1..] {
+                let label = subjects.data.label_of(new);
+                subjects.index.push_node(label, Vec::new(), 0);
+                subjects.adjacency.push_row();
+                model.add_node();
             }
+            for (from, to, kind) in sub.edges() {
+                let (from, to) = (map[from.index()], map[to.index()]);
+                let added = model.add_edge(from, to, kind);
+                prop_assert_eq!(subjects.index.add_index_edge(from, to), added);
+                prop_assert_eq!(subjects.adjacency.add(from, to), added);
+            }
+        }
+        Op::BulkLoad(key, repeats) => {
+            let edges = scrambled_with_repeats(model, *key, repeats);
+            let labels = subjects.data.node_ids().map(|n| subjects.data.label_of(n)).collect();
+            let interner = subjects.data.labels().clone();
+            let data = DataGraph::from_parts(interner, labels, &edges);
+            let pairs = edges.iter().map(|&(from, to, _)| (from, to));
+            let adjacency = Adjacency::from_pairs(model.children.len(), pairs).unwrap();
+            // The expected rows: the same list added one edge at a time.
+            let mut fresh = Model::new();
+            let mut index = label_split_index(&DataGraph::new());
+            for n in 1..model.children.len() {
+                index.push_node(data.label_of(NodeId::from_index(n)), Vec::new(), 0);
+                fresh.add_node();
+            }
+            for &(from, to, kind) in &edges {
+                let added = fresh.add_edge(from, to, kind);
+                prop_assert_eq!(index.add_index_edge(from, to), added);
+            }
+            *subjects = Subjects { data, index, adjacency };
+            *model = fresh;
         }
         Op::Snapshot => {}
     }
@@ -145,17 +297,17 @@ proptest! {
         start in 1usize..150,
         ops in prop::collection::vec(op(), 1..60),
     ) {
-        let mut g = DataGraph::new();
+        let mut subjects = Subjects::new();
         let mut model = Model::new();
-        apply(&mut g, &mut model, &Op::AddNodes(start))?;
+        apply(&mut subjects, &mut model, &Op::AddNodes(start))?;
         let mut snapshots = Vec::new();
         for op in &ops {
             if let Op::Snapshot = op {
-                snapshots.push((g.clone(), model.clone()));
+                snapshots.push((subjects.clone(), model.clone()));
             }
-            apply(&mut g, &mut model, op)?;
+            apply(&mut subjects, &mut model, op)?;
         }
-        check(&g, &model)?;
+        check(&subjects, &model)?;
         for (snapshot, snapshot_model) in &snapshots {
             check(snapshot, snapshot_model)?;
         }
@@ -163,26 +315,76 @@ proptest! {
 }
 
 #[test]
-fn interleaved_appends_to_one_segment_keep_each_rows_order() {
-    let mut g = DataGraph::new();
-    let mut model = Model::new();
-    for _ in 0..2 * SEG_SIZE {
-        g.add_labeled_node("a");
-        model.add_node();
+fn the_first_occurrence_and_its_kind_win_a_bulk_load() {
+    let n = NodeId::from_index;
+    let edges = [
+        (n(2), n(1), EdgeKind::Reference),
+        (n(0), n(2), EdgeKind::Tree),
+        (n(2), n(1), EdgeKind::Tree),
+        (n(0), n(1), EdgeKind::Tree),
+        (n(1), n(2), EdgeKind::Tree),
+        (n(0), n(2), EdgeKind::Reference),
+        (n(1), n(2), EdgeKind::Reference),
+    ];
+    let mut want = DataGraph::new();
+    let label = want.intern("a");
+    want.add_node(label);
+    want.add_node(label);
+    for &(from, to, kind) in &edges {
+        want.add_edge(from, to, kind);
     }
-    let before = g.clone();
+    let labels = want.node_ids().map(|node| want.label_of(node)).collect();
+    let bulk = DataGraph::from_parts(want.labels().clone(), labels, &edges);
+    let rows = [
+        (n(0), n(2), EdgeKind::Tree),
+        (n(0), n(1), EdgeKind::Tree),
+        (n(1), n(2), EdgeKind::Tree),
+        (n(2), n(1), EdgeKind::Reference),
+    ];
+    assert_eq!(bulk.edges().collect::<Vec<_>>(), rows);
+    assert!(want.edges().eq(rows));
+    assert_eq!(bulk.parents_of(n(1)), &[n(0), n(2)], "ascending, not in edge order");
+    assert_eq!(want.parents_of(n(1)), bulk.parents_of(n(1)));
+}
+
+#[test]
+fn interleaved_appends_to_one_segment_keep_each_rows_order() {
+    let mut subjects = Subjects::new();
+    let mut model = Model::new();
+    apply(&mut subjects, &mut model, &Op::AddNodes(2 * SEG_SIZE - 1)).unwrap();
+    let before = subjects.clone();
     // Rows 3 and 40 share segment 0; rows 70 and 100 share segment 1.
     for t in 0..20 {
         for row in [40, 3, 100, 70] {
             let (from, to) = (NodeId::from_index(row), NodeId::from_index((row + 5 * t) % 128));
-            assert_eq!(g.add_edge(from, to, EdgeKind::Tree), model.add_edge(from, to));
+            subjects.add_edge(&mut model, from, to, EdgeKind::Tree).unwrap();
         }
     }
-    for node in g.node_ids() {
-        assert_eq!(g.children_of(node), &model.children[node.index()][..]);
-        assert_eq!(g.parents_of(node), &model.parents[node.index()][..]);
-        assert!(before.children_of(node).is_empty() && before.parents_of(node).is_empty());
+    check(&subjects, &model).unwrap();
+    let empty = |g: &dyn LabeledGraph, node| g.children_of(node).is_empty() && g.parents_of(node).is_empty();
+    for node in before.data.node_ids() {
+        assert!(empty(&before.data, node) && empty(&before.index, node));
     }
+}
+
+#[test]
+fn adjacency_remove_keeps_both_rows_in_order_and_copies_only_its_segments() {
+    let n = NodeId::from_index;
+    let mut a = Adjacency::with_rows(200);
+    for to in [5, 150, 70, 9] {
+        assert!(a.add(n(1), n(to)) && a.add(n(130), n(to)));
+    }
+    let before = a.clone();
+    assert!(a.remove(n(1), n(150)));
+    assert!(!a.remove(n(1), n(150)) && !a.remove(n(150), n(1)));
+    assert_eq!(a.children(n(1)), Some(&[n(5), n(70), n(9)][..]));
+    assert_eq!(a.parents(n(150)), Some(&[n(130)][..]));
+    assert_eq!(before.children(n(1)), Some(&[n(5), n(150), n(70), n(9)][..]));
+    let (shared, total) = a.shared_segments_with(&before);
+    assert_eq!(total - shared, 2, "node 1's child segment and node 150's parent segment");
+    // Out of range: a write changes nothing, a bulk build is refused.
+    assert!(!a.add(n(200), n(1)) && !a.add(n(1), n(200)) && !a.has(n(1), n(200)));
+    assert!(Adjacency::from_pairs(2, [(n(0), n(2))].into_iter()).is_none(), "no node 2");
 }
 
 /// One write to a bare column; rows and positions are drawn as indexes and

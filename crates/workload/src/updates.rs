@@ -20,8 +20,8 @@ use rand::{Rng, SeedableRng};
 fn reference_label_pairs(data: &DataGraph) -> Vec<(LabelId, LabelId)> {
     let mut pairs: Vec<(LabelId, LabelId)> = data
         .edges()
-        .filter(|&&(_, _, k)| k == EdgeKind::Reference)
-        .map(|&(u, v, _)| (data.label_of(u), data.label_of(v)))
+        .filter(|&(_, _, k)| k == EdgeKind::Reference)
+        .map(|(u, v, _)| (data.label_of(u), data.label_of(v)))
         .collect();
     pairs.sort_unstable();
     pairs.dedup();

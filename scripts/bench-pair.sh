@@ -20,8 +20,10 @@
 # lines, then per end-to-end metric: the median head/base ratio, the base
 # side's q1–q3 spread as a fraction of its median (a change is judged
 # against that spread, and a metric whose spread exceeds its bound is
-# unresolved, not level), and in how many pairs head read worse than base
-# (op_per_s is better higher, the others lower). A second table, marked not
+# unresolved, not level), in how many pairs head read worse than base
+# (op_per_s is better higher, the others lower) and in how many it read
+# exactly equal (the bar for a count that must not move: a change under
+# 0.05 % still prints as ratio 1.000). A second table, marked not
 # judged, gives the head and base medians of the per-layer lines an untraced
 # run also prints (recovery_s, update_p50_us, query_p50_us, query_p99_us,
 # where the workload has them). Result files go to
@@ -86,7 +88,7 @@ run_pairs() {
 tables() {
   # Lines read "pair N SIDE WORKLOAD METRIC VALUE UNIT".
   echo "$w: head against base over $pairs pair(s) at seed $seed, $base_rev vs working tree:"
-  printf '  %-17s %11s %16s %11s\n' metric head/base "base q1-q3/med" "head worse"
+  printf '  %-17s %11s %16s %11s %8s\n' metric head/base "base q1-q3/med" "head worse" equal
   awk 'function sort(a, n,   i, j, x) {
          for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x }
        }
@@ -98,18 +100,19 @@ tables() {
        { v[$5, $2, $3] = $6 + 0; m[$5] = 1; p[$2] = 1 }
        END {
          for (k in m) {
-           n = 0; r = 0; worse = 0
+           n = 0; r = 0; worse = 0; equal = 0
            for (i in p) {
              if (!((k, i, "base") in v && (k, i, "head") in v)) continue
              b = v[k, i, "base"]; h = v[k, i, "head"]
              base[++n] = b
              if (b > 0) ratio[++r] = h / b
              if (k == "op_per_s" ? h < b : h > b) worse++
+             if (h == b) equal++
            }
            sort(base, n); sort(ratio, r)
            med = quantile(base, n, 0.5)
            spread = med > 0 ? (quantile(base, n, 0.75) - quantile(base, n, 0.25)) / med : 0
-           printf "  %-17s %11.3f %16.3f %8d/%d\n", k, quantile(ratio, r, 0.5), spread, worse, n
+           printf "  %-17s %11.3f %16.3f %8d/%d %5d/%d\n", k, quantile(ratio, r, 0.5), spread, worse, n, equal, n
          }
        }' "$work/pairs.txt" | sort
 

@@ -57,9 +57,9 @@ fn generated_graphs_survive_xml_text_and_do_not_drift() {
     // a label or an edge moves every count the record and the benchmark
     // report for a seed.
     let xmark = xmark_via_xml_text(&XmarkConfig::scale(RECORD_XMARK_SCALE));
-    assert_eq!(crc32(&label_split_bytes(&xmark)), 0xd535_ac29);
+    assert_eq!(crc32(&label_split_bytes(&xmark)), 0xabb1_773e);
     let nasa = nasa_via_xml_text(&NasaConfig::scale(RECORD_NASA_SCALE));
-    assert_eq!(crc32(&label_split_bytes(&nasa)), 0x37f6_de60);
+    assert_eq!(crc32(&label_split_bytes(&nasa)), 0xe3de_e2d7);
 }
 
 fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
