@@ -90,11 +90,18 @@ fn serve_listen_answers_over_dknp_until_stdin_closes_then_exits_zero() {
 fn main_maps_each_error_class_to_its_process_status() {
     let (dir, idx) = scratch_with_index("status");
     std::fs::write(path(&dir, "junk.dki"), b"definitely not a snapshot").unwrap();
-    let cases: [(&[&str], i32); 5] = [
+    // One byte flipped inside the INDX payload (after its tag, length and
+    // CRC): the graph is intact, so the index is recoverable damage.
+    let mut bytes = std::fs::read(&idx).unwrap();
+    let indx = bytes.windows(4).position(|w| w == b"INDX").expect("an INDX section");
+    bytes[indx + 12] ^= 0x01;
+    std::fs::write(path(&dir, "bad-index.dki"), bytes).unwrap();
+    let cases: [(&[&str], i32); 6] = [
         (&["frobnicate"], 2),
         (&["serve", &idx], 2),
         (&["query", &path(&dir, "missing.dki"), "movie"], 3),
         (&["info", &path(&dir, "junk.dki")], 4),
+        (&["doctor", &path(&dir, "bad-index.dki")], 5),
         (&["query", &idx, "movie.title", "--budget", "0"], 6),
     ];
     for (args, status) in cases {

@@ -7,7 +7,19 @@
 //! files, torn writes, bit flips, hostile sockets) and deny
 //! `clippy::indexing_slicing` and `clippy::unwrap_used`. This cursor is the
 //! one reader under all of them: every read returns `Option` and the
-//! callers translate `None` into their typed error.
+//! callers translate `None` into their typed error. It denies the same
+//! panic and hash-iteration lints they do (below).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::iter_over_hash_type
+)]
 
 /// A forward-only reader over a byte slice. Reads either consume exactly
 /// what they return or leave the cursor untouched and yield `None`.

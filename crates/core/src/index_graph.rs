@@ -27,22 +27,26 @@
 //!
 //! ## Copy-on-write
 //!
-//! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block
-//! and per adjacency segment instead of deep-copying extents and edges. This
-//! is the index half of the delta-epoch publish path (the data half is the
-//! data graph's flat label column, its adjacency and its reference
-//! column):
+//! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block,
+//! per adjacency segment and per flat column instead of deep-copying
+//! extents, edges, labels or the node map. This is the index half of the
+//! delta-epoch publish path (the data half is the data graph's flat label
+//! column, its adjacency and its reference column):
 //!
-//! 1. **Clone is shallow**: `clone()` copies block and segment handles,
-//!    never their contents.
+//! 1. **Clone is shallow**: `clone()` copies block, segment and column
+//!    handles, never their contents.
 //! 2. **Mutation is per storage unit**: a similarity or extent write
 //!    deep-copies the addressed block alone, and an edge write the one
 //!    segment holding each row it changes, only while that unit is shared
 //!    with an older epoch. A write of what is already stored
 //!    ([`IndexGraph::set_similarity`] of the same `k`,
 //!    [`IndexGraph::add_index_edge`] of an existing edge) unshares nothing.
-//!    The label column is copied only by [`IndexGraph::push_node`]: labels
-//!    never change once written.
+//!    The two flat columns are copied whole, once per epoch that writes
+//!    them: the label column only by [`IndexGraph::push_node`] (labels
+//!    never change once written), the data-node → index-node map by
+//!    `push_node` (so also [`IndexGraph::split_extent`]) and by growing
+//!    it. [`IndexGraph::reindex`] builds both afresh; a similarity or edge
+//!    write copies neither.
 //! 3. **Sharing is observable**: [`IndexGraph::shared_blocks_with`],
 //!    [`IndexGraph::block_ptr_eq`] and [`IndexGraph::shared_segments_with`]
 //!    expose positional pointer identity, which `tests/cow.rs` and the
@@ -51,7 +55,7 @@
 //!    audit sees identical bytes whether its epoch shares every block and
 //!    segment or none.
 
-use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegVec};
+use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId};
 use dkindex_partition::Partition;
 use std::sync::Arc;
 
@@ -79,11 +83,11 @@ impl Block {
 ///
 /// Labels are one flat column, children and parents an [`Adjacency`],
 /// similarity and extent one `Arc`-shared block per node, and the
-/// node→block map a segment-shared [`SegVec`]. Cloning an `IndexGraph` is
-/// therefore a copy-on-write snapshot (see the module docs): the clone
-/// shares every block and segment with the original until one of them
-/// writes it, which is what lets the serve layer publish a maintenance
-/// batch by rebuilding only what the batch touched.
+/// node→block map one flat column like the labels. Cloning an `IndexGraph`
+/// is therefore a copy-on-write snapshot (see the module docs): the clone
+/// shares every block, segment and column with the original until one of
+/// them writes it, which is what lets the serve layer publish a
+/// maintenance batch by rebuilding only what the batch touched.
 #[derive(Clone, Debug)]
 pub struct IndexGraph {
     /// One block per index node, in id order.
@@ -92,7 +96,7 @@ pub struct IndexGraph {
     labels: Arc<Vec<LabelId>>,
     adjacency: Adjacency,
     /// data node -> index node containing it.
-    node_to_index: SegVec<NodeId>,
+    node_to_index: Arc<Vec<NodeId>>,
     interner: Arc<LabelInterner>,
     root: NodeId,
 }
@@ -104,7 +108,7 @@ impl IndexGraph {
         blocks: Vec<Arc<Block>>,
         labels: Vec<LabelId>,
         adjacency: Adjacency,
-        node_to_index: SegVec<NodeId>,
+        node_to_index: Vec<NodeId>,
         interner: Arc<LabelInterner>,
         root: NodeId,
     ) -> Self {
@@ -114,7 +118,7 @@ impl IndexGraph {
             blocks,
             labels: Arc::new(labels),
             adjacency,
-            node_to_index,
+            node_to_index: Arc::new(node_to_index),
             interner,
             root,
         }
@@ -136,7 +140,7 @@ impl IndexGraph {
             blocks.push(Block::shared(members.to_vec(), k));
         }
 
-        let node_to_index: SegVec<NodeId> = (0..g.node_count())
+        let node_to_index: Vec<NodeId> = (0..g.node_count())
             .map(|i| NodeId::from_index(partition.block_of(NodeId::from_index(i)).index()))
             .collect();
         let root = NodeId::from_index(partition.block_of(g.root()).index());
@@ -167,9 +171,8 @@ impl IndexGraph {
 
         let mut blocks = Vec::with_capacity(nblocks);
         let mut labels = Vec::with_capacity(nblocks);
-        // The node map starts as a shallow snapshot of base's; only segments
-        // whose nodes move between blocks are copied below.
-        let mut node_to_index = base.node_to_index.clone();
+        // The node map starts as one copy of base's, rewritten below.
+        let mut node_to_index = base.node_to_index.to_vec();
         for (b, k) in partition.block_ids().zip(similarity) {
             let members = partition.members(b);
             let mut extent = Vec::new();
@@ -221,8 +224,7 @@ impl IndexGraph {
         assert!(root.index() < labels.len(), "root index node out of range");
         let adjacency = Adjacency::from_pairs(labels.len(), edges.iter().copied())
             .expect("index edge endpoint out of range");
-        let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
-            .collect();
+        let mut node_to_index = vec![NodeId::from_index(0); data_nodes];
         let mut blocks = Vec::with_capacity(labels.len());
         for (k, mut extent) in similarity.into_iter().zip(extents) {
             extent.sort_unstable();
@@ -266,10 +268,7 @@ impl IndexGraph {
     /// The index node containing data node `data_node`.
     #[inline]
     pub fn index_of(&self, data_node: NodeId) -> NodeId {
-        *self
-            .node_to_index
-            .get(data_node.index())
-            .expect("data node out of range")
+        *self.node_to_index.get(data_node.index()).expect("data node out of range")
     }
 
     /// Length of the node→extent map (equals the data graph's node count on
@@ -362,21 +361,25 @@ impl IndexGraph {
     /// Grow the data-node→index-node map to cover `n` data nodes (new slots
     /// are filled by subsequent splits/assignments). Needed when the data
     /// graph grows (subgraph addition).
-    pub fn grow_node_map(&mut self, n: usize) {
-        self.node_to_index.grow_to(n, NodeId::from_index(0));
+    pub(crate) fn grow_node_map(&mut self, n: usize) {
+        if self.node_to_index.len() < n {
+            Arc::make_mut(&mut self.node_to_index).resize(n, NodeId::from_index(0));
+        }
     }
 
     /// Append a fresh index node with the given label, extent and similarity
     /// (edges must be added separately). Returns its id. The one write to
-    /// the label column: it is copied here when an older snapshot shares it.
+    /// the label column, and the node map's one write besides growing it:
+    /// each is copied here when an older snapshot shares it.
     pub fn push_node(&mut self, label: LabelId, mut extent: Vec<NodeId>, similarity: usize) -> NodeId {
         extent.sort_unstable();
         let id = NodeId::from_index(self.blocks.len());
+        let map = Arc::make_mut(&mut self.node_to_index);
         for &d in &extent {
-            self.grow_node_map(d.index() + 1);
-            if let Some(slot) = self.node_to_index.get_mut(d.index()) {
-                *slot = id;
+            if map.len() <= d.index() {
+                map.resize(d.index() + 1, NodeId::from_index(0));
             }
+            map[d.index()] = id;
         }
         self.blocks.push(Block::shared(extent, similarity));
         Arc::make_mut(&mut self.labels).push(label);
@@ -617,6 +620,53 @@ mod tests {
         // The older snapshot never observes the write.
         assert_eq!((idx.similarity(b), next.similarity(b)), (0, 1));
         assert!(!next.block_ptr_eq(&idx, NodeId::from_index(3)), "out of range");
+    }
+
+    #[test]
+    fn the_node_map_is_shared_until_a_node_moves_then_copied_once() {
+        let same_map =
+            |a: &IndexGraph, b: &IndexGraph| Arc::ptr_eq(&a.node_to_index, &b.node_to_index);
+        let g = small();
+        let p = Partition::by_label(&g);
+        let idx = IndexGraph::from_data_partition(&g, &p, vec![0; p.block_count()]);
+        let blocks_of = |i: &IndexGraph| g.node_ids().map(|d| i.index_of(d)).collect::<Vec<_>>();
+        let old = blocks_of(&idx);
+
+        // A clone shares the map, and similarity and edge writes leave it so.
+        let mut next = idx.clone();
+        assert!(same_map(&next, &idx));
+        let (a, b) = (NodeId::from_index(1), NodeId::from_index(2));
+        next.set_similarity(b, 1);
+        assert!(next.add_index_edge(b, a));
+        assert!(same_map(&next, &idx));
+        let mut data = g.clone();
+        let mut dk = crate::DkIndex::build(&data, crate::Requirements::uniform(1));
+        let before = dk.clone();
+        let (b2, a1) = (NodeId::from_index(4), NodeId::from_index(1));
+        dk.add_edge(&mut data, b2, a1);
+        assert!(data.has_edge(b2, a1));
+        assert!(same_map(dk.index(), before.index()));
+
+        // A split copies it once; a second split in the same epoch writes
+        // that copy in place.
+        let mut split = idx.clone();
+        let fresh = split.split_extent(b, &[b2], 1, &g);
+        assert!(!same_map(&split, &idx));
+        let copy = Arc::as_ptr(&split.node_to_index);
+        let second = split.split_extent(a, &[NodeId::from_index(2)], 1, &g);
+        assert_eq!(Arc::as_ptr(&split.node_to_index), copy);
+        assert_eq!((split.index_of(b2), split.index_of(NodeId::from_index(2))), (fresh, second));
+
+        // Re-indexing builds its own map and leaves its base's alone.
+        let relabel = Partition::by_label(&split);
+        let merged = IndexGraph::reindex(&split, &relabel, vec![0; relabel.block_count()]);
+        assert!(!same_map(&merged, &split));
+        assert_eq!(Arc::as_ptr(&split.node_to_index), copy);
+        assert_eq!(blocks_of(&merged), old);
+
+        // The older snapshot still maps every data node to its old block.
+        assert_eq!(blocks_of(&idx), old);
+        assert_eq!(Arc::strong_count(&idx.node_to_index), 2, "idx and next");
     }
 
     #[test]

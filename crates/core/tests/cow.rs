@@ -22,7 +22,7 @@ use dkindex_core::{
     check_structure, read_snapshot, snapshot_bytes, DkIndex, IndexGraph, Requirements,
 };
 use dkindex_datagen::{random_graph, RandomGraphConfig};
-use dkindex_graph::segvec::SEG_SIZE;
+use dkindex_graph::segcsr::SEG_SIZE;
 use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex_workload::generate_update_edges;
 

@@ -23,10 +23,10 @@
 //! * [`SegCsr`] — one adjacency column: compressed sparse rows inside
 //!   `Arc`-shared 64-row segments. An [`Adjacency`] is two of them, and a
 //!   third holds [`DataGraph`]'s reference children (an edge's kind).
-//!   Cloning either graph is a copy-on-write snapshot (the delta-epoch
-//!   publish path in `dkindex-core` builds on this).
-//! * [`SegVec`] — the same segment sharing for a flat vector: the index
-//!   graph's data-node → index-node map.
+//!   Cloning either graph is a copy-on-write snapshot: it shares these
+//!   segments and each flat `Arc` column (the labels, and the index
+//!   graph's node map) until a write copies one (the delta-epoch publish
+//!   path in `dkindex-core` builds on this).
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
 //! * [`stats`] — dataset shape reporting for the experiment harness.
 //!
@@ -55,7 +55,6 @@ mod marks;
 
 pub mod dot;
 pub mod segcsr;
-pub mod segvec;
 pub mod stats;
 pub mod traversal;
 
@@ -64,4 +63,3 @@ pub use graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, NodeIds};
 pub use label::{LabelId, LabelInterner, ROOT_LABEL, VALUE_LABEL};
 pub use marks::Marks;
 pub use segcsr::SegCsr;
-pub use segvec::SegVec;

@@ -12,7 +12,7 @@
 //!
 //! ## COW invariants
 //!
-//! The column follows [`SegVec`](crate::SegVec)'s four invariants:
+//! The column keeps four invariants:
 //!
 //! 1. **Clone is shallow**: `clone()` never copies a row, only segment
 //!    handles.
@@ -58,9 +58,16 @@
 )]
 
 use crate::graph::NodeId;
-use crate::segvec::{SEG_MASK, SEG_SHIFT, SEG_SIZE};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// log2 of [`SEG_SIZE`].
+const SEG_SHIFT: usize = 6;
+/// Rows per segment. A shallow clone of the column costs one refcount bump
+/// per 64 rows instead of a copy of every row, and a write copies the
+/// targets of at most 64 rows.
+pub const SEG_SIZE: usize = 1 << SEG_SHIFT;
+const SEG_MASK: usize = SEG_SIZE - 1;
 
 /// One segment: rows `0..SEG_SIZE` as CSR over `targets`. Rows past the
 /// column's length are empty, so `offsets` ends at `targets.len()`.

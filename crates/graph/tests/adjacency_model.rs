@@ -19,7 +19,7 @@
 //! In all of them, a snapshot taken by `clone` never sees a later write.
 
 use dkindex_core::{label_split_index, IndexGraph};
-use dkindex_graph::segvec::SEG_SIZE;
+use dkindex_graph::segcsr::SEG_SIZE;
 use dkindex_graph::{Adjacency, DataGraph, EdgeKind, LabeledGraph, NodeId, SegCsr};
 use proptest::prelude::*;
 

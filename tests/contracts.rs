@@ -8,12 +8,16 @@
 //!   telemetry registry is registered in `counters()`/`histograms()`, named
 //!   in ARCHITECTURE.md and used by some other `src/` file, and no metric is
 //!   constructed outside the registry.
+//! * **Lint fences.** Each lint row of ARCHITECTURE.md §6.1 lists exactly
+//!   the modules whose source files deny that lint with an inner
+//!   `#![deny(...)]`.
 //!
 //! Each check is a function over strings; the unit tests at the bottom seed
 //! the violations each one exists to catch. The wire-protocol and exit-code
 //! tables are checked beside their code (`crates/server/tests/
 //! protocol_golden.rs`, `crates/cli/tests/exit_codes.rs`).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -198,20 +202,146 @@ fn metric_incoherences(registry: &str, doc: &str, others: &[(String, String)]) -
     out
 }
 
-/// Every `.rs` file under `dir` but the registry, recursively, as
-/// `(path, contents)`.
+/// The backticked items of a table cell that are lint or module paths
+/// (lower-case words joined by `::`), each `a::{b, c}` expanded to `a::b`,
+/// `a::c`.
+fn paths_in(cell: &str) -> Vec<String> {
+    let path_like = |p: &String| {
+        let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "_:".contains(c);
+        !p.is_empty() && p.chars().all(word)
+    };
+    let mut out = Vec::new();
+    for item in cell.split('`').skip(1).step_by(2) {
+        let expanded: Vec<String> = match item.split_once("::{") {
+            Some((head, tail)) => tail
+                .trim_end_matches('}')
+                .split(',')
+                .map(|leaf| format!("{head}::{}", leaf.trim()))
+                .collect(),
+            None => vec![item.to_string()],
+        };
+        out.extend(expanded.into_iter().filter(path_like));
+    }
+    out
+}
+
+/// The lint fences ARCHITECTURE.md §6.1 declares, as lint → modules: every
+/// lint a row of its table names, with the module paths the row's last
+/// cell lists after "inner `#![deny]` in" (up to a `;`). A lint carried
+/// some other way (a command-line flag, a rustc warning) maps to none.
+fn declared_fences(doc: &str) -> BTreeMap<String, BTreeSet<String>> {
+    let section = doc.split_once("### 6.1").map_or("", |(_, rest)| rest);
+    let section = section.split("\n#").next().unwrap_or_default();
+    let mut fences: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for row in section.lines().filter(|line| line.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let [_, _, lints, place, ..] = cells[..] else {
+            continue;
+        };
+        let listed = place.split_once("inner `#![deny]` in").map_or("", |(_, list)| list);
+        let modules = paths_in(listed.split(';').next().unwrap_or_default());
+        for lint in paths_in(lints) {
+            fences.entry(lint).or_default().extend(modules.iter().cloned());
+        }
+    }
+    fences
+}
+
+/// The lints a source file denies with an inner `#![deny(...)]` outside
+/// its tests.
+fn denied_lints(src: &str) -> Vec<String> {
+    code_of(src)
+        .split("#![deny(")
+        .skip(1)
+        .flat_map(|rest| rest.split(')').next().unwrap_or_default().split(','))
+        .map(|lint| lint.trim().to_string())
+        .filter(|lint| !lint.is_empty())
+        .collect()
+}
+
+/// The module path of a workspace source file: `crates/a/src/b/c.rs` (or
+/// `b/c/mod.rs`) is `a::b::c`, and a crate's `lib.rs` is the crate itself.
+fn module_of(path: &str) -> String {
+    let (krate, file) = match path.strip_prefix("crates/") {
+        Some(rest) => rest.split_once("/src/").unwrap_or((rest, "")),
+        None => ("dkindex", path.strip_prefix("src/").unwrap_or(path)),
+    };
+    let mut parts: Vec<&str> = std::iter::once(krate)
+        .chain(file.trim_end_matches(".rs").split('/'))
+        .collect();
+    if parts.last() == Some(&"mod") || parts[1..] == ["lib"] {
+        parts.pop();
+    }
+    parts.join("::")
+}
+
+/// Every way §6.1's lint fences and the inner `#![deny]`s of `sources`
+/// (every workspace `src/` file, as `(path, contents)`) disagree. A file
+/// under a listed module's directory is covered by that module.
+fn fence_drift(doc: &str, sources: &[(String, String)]) -> Vec<String> {
+    let fences = declared_fences(doc);
+    let denied: Vec<(String, &str, Vec<String>)> = sources
+        .iter()
+        .map(|(path, src)| (module_of(path), path.as_str(), denied_lints(src)))
+        .collect();
+    let mut out = Vec::new();
+    for (lint, modules) in &fences {
+        for module in modules {
+            match denied.iter().find(|(m, ..)| m == module) {
+                None => out.push(format!(
+                    "§6.1 fences `{module}` with `{lint}`, but no source file is that module"
+                )),
+                Some((_, path, lints)) if !lints.contains(lint) => out.push(format!(
+                    "§6.1 fences `{module}` with `{lint}`, but {path} does not deny it"
+                )),
+                Some(_) => {}
+            }
+        }
+    }
+    for (module, path, lints) in &denied {
+        for lint in lints {
+            let covered = fences.get(lint).is_some_and(|modules| {
+                modules
+                    .iter()
+                    .any(|m| module == m || module.starts_with(&format!("{m}::")))
+            });
+            if !covered {
+                out.push(format!(
+                    "{path} denies `{lint}`, but §6.1 does not list `{module}` for it"
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under `dir`, recursively, as `(path, contents)` with
+/// the path relative to the workspace root.
 fn sources_under(dir: &Path, out: &mut Vec<(String, String)>) {
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
         let path = entry.unwrap().path();
         if path.is_dir() {
             sources_under(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with(REGISTRY) {
-            out.push((
-                path.display().to_string(),
-                fs::read_to_string(&path).unwrap(),
-            ));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(root()).unwrap().display().to_string();
+            out.push((rel, fs::read_to_string(&path).unwrap()));
         }
     }
+}
+
+/// The root package's `src/` files and each `crates/*` member's, in path
+/// order.
+fn workspace_sources() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    sources_under(&root().join("src"), &mut out);
+    for entry in fs::read_dir(root().join("crates")).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            sources_under(&src, &mut out);
+        }
+    }
+    out.sort();
+    out
 }
 
 #[test]
@@ -236,15 +366,8 @@ fn metrics_agree_across_registry_docs_and_call_sites() {
         metric_statics(&code_of(&registry)).len() > 50,
         "the registry parse found its statics"
     );
-    // The root package's `src/` and each `crates/*` member's.
-    let mut others = Vec::new();
-    sources_under(&root().join("src"), &mut others);
-    for entry in fs::read_dir(root().join("crates")).unwrap() {
-        let src = entry.unwrap().path().join("src");
-        if src.is_dir() {
-            sources_under(&src, &mut others);
-        }
-    }
+    let mut others = workspace_sources();
+    others.retain(|(path, _)| path != REGISTRY);
     let findings = metric_incoherences(&registry, &read("ARCHITECTURE.md"), &others);
     assert!(
         findings.is_empty(),
@@ -319,4 +442,71 @@ fn metric_drift_is_reported_in_every_direction() {
     let user = format!("{user} fn idle() {{ SERVE_IDLE.incr(); }}");
     let others = [("a.rs".to_string(), user)];
     assert!(metric_incoherences(&registry, &doc, &others).is_empty());
+}
+
+#[test]
+fn lint_fences_agree_between_the_architecture_doc_and_the_code() {
+    let doc = read("ARCHITECTURE.md");
+    assert!(
+        declared_fences(&doc)
+            .get("clippy::indexing_slicing")
+            .is_some_and(|modules| modules.len() > 10),
+        "the §6.1 parse found its rows"
+    );
+    let findings = fence_drift(&doc, &workspace_sources());
+    assert!(findings.is_empty(), "lint fences:\n{}", findings.join("\n"));
+}
+
+#[test]
+fn fence_drift_is_reported_in_both_directions() {
+    let doc = "### 6.1 Contracts carried by the compiler\n\n\
+        | Contract | Lint | Where it is denied |\n|---|---|---|\n\
+        | typed errors | `clippy::{unwrap_used, panic}` | inner `#![deny]` in `core::wal`, \
+          `core::gone` |\n\
+        | hash order | `clippy::iter_over_hash_type` | inner `#![deny]` in `core::dk` (and its \
+          submodules) |\n\
+        | guards | `clippy::disallowed_methods` on `Mutex::lock` | inner `#![deny]` in the \
+          `server` crate root; `-A` in `core::serve` |\n\
+        | no unsafe | `unsafe_code` | `-F` in `CLIPPY_LINTS` |\n\n\
+        ### 6.2 Contracts carried by tests\n\n\
+        | mining | `clippy::todo` | inner `#![deny]` in `core::mining` |\n";
+    let file = |path: &str, src: &str| (path.to_string(), src.to_string());
+    let sources = [
+        file("crates/core/src/wal.rs", "#![deny(clippy::unwrap_used)]\npub fn append() {}"),
+        file("crates/core/src/dk/mod.rs", "#![deny(clippy::iter_over_hash_type)]\nmod promote;"),
+        file("crates/core/src/dk/promote.rs", "#![deny(clippy::iter_over_hash_type)]"),
+        file("crates/server/src/lib.rs", "#![deny(clippy::disallowed_methods)]"),
+        file(
+            "crates/core/src/store.rs",
+            "#![deny(\n    clippy::unwrap_used,\n    clippy::let_underscore_must_use\n)]",
+        ),
+        file(
+            "crates/core/src/mining.rs",
+            "pub fn mine() {}\n#[cfg(test)]\nmod tests {\n    #![deny(clippy::todo)]\n}",
+        ),
+    ];
+    let findings = fence_drift(doc, &sources);
+    let expect = [
+        "§6.1 fences `core::gone` with `clippy::panic`, but no source file is that module",
+        "§6.1 fences `core::wal` with `clippy::panic`, but crates/core/src/wal.rs does not deny it",
+        "§6.1 fences `core::gone` with `clippy::unwrap_used`, but no source file is that module",
+        "crates/core/src/store.rs denies `clippy::unwrap_used`, but §6.1 does not list \
+         `core::store` for it",
+        "crates/core/src/store.rs denies `clippy::let_underscore_must_use`, but §6.1 does not list \
+         `core::store` for it",
+    ];
+    assert_eq!(findings, expect);
+    // Fixed, the same tree is coherent.
+    let doc = doc
+        .replace("`core::gone`", "`core::store`")
+        .replace(
+            "| no unsafe |",
+            "| acks | `clippy::let_underscore_must_use` | inner `#![deny]` in `core::store` |\n\
+             | no unsafe |",
+        );
+    let mut sources = sources.to_vec();
+    sources[0].1 = "#![deny(clippy::unwrap_used, clippy::panic)]".to_string();
+    sources[4].1 = "#![deny(clippy::unwrap_used, clippy::panic, clippy::let_underscore_must_use)]"
+        .to_string();
+    assert_eq!(fence_drift(&doc, &sources), Vec::<String>::new());
 }
