@@ -38,10 +38,21 @@ use dkindex_graph::{DataGraph, NodeId};
 use std::io;
 
 /// Fold the update stream into mixed maintenance batches: cycling batch
-/// sizes, interleaved promotes, and a trailing promote-to-requirements
-/// pass, so the sweeps cover every record tag that the serve layer actually
-/// logs.
+/// sizes, interleaved promotes, and a promote-to-requirements pass followed
+/// by the last quarter of the updates, so the sweeps cover every record tag
+/// that the serve layer actually logs, and crash cuts land both before the
+/// retarget and in the tail replay applies after it.
 pub fn torture_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
+    let (before, after) = updates.split_at(updates.len() - updates.len() / 4);
+    let mut batches = edge_batches(before);
+    batches.push(vec![ServeOp::PromoteToRequirements]);
+    batches.extend(edge_batches(after));
+    batches
+}
+
+/// `updates` as add-edge batches of cycling sizes 1, 2, 3, with a promote
+/// after every third edge.
+fn edge_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
     let mut batches: Vec<Vec<ServeOp>> = Vec::new();
     let mut batch: Vec<ServeOp> = Vec::new();
     let mut size = 1usize;
@@ -58,7 +69,6 @@ pub fn torture_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
     if !batch.is_empty() {
         batches.push(batch);
     }
-    batches.push(vec![ServeOp::PromoteToRequirements]);
     batches
 }
 
@@ -146,7 +156,7 @@ fn check_view(
 /// cut yields a whole-batch prefix, and the tail reads clean exactly at
 /// the commit-fence boundaries.
 pub fn wal_tail_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]) -> FaultReport {
-    let mut report = FaultReport::new("WAL v2 tail sweep");
+    let mut report = FaultReport::new("WAL tail sweep");
     let (log, clean_cuts) = match healthy_log(batches) {
         Ok(written) => written,
         Err(e) => {
@@ -157,7 +167,7 @@ pub fn wal_tail_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]) 
     let oracle = batch_oracle(dk, data, batches);
 
     for cut in 0..=log.len() {
-        let context = format!("v2 WAL cut at byte {cut}");
+        let context = format!("WAL cut at byte {cut}");
         let outcome = probe(&context, || {
             let mut d = dk.clone();
             let mut g = data.clone();
@@ -527,10 +537,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_sweeps_hold_on_a_small_graph() {
+    fn wal_sweeps_hold_on_a_small_graph() {
         let (g, dk, updates) = tiny_fixture();
         let batches = torture_batches(&updates);
         assert!(batches.len() >= 3, "fixture should produce several batches");
+        let retarget = batches.iter().position(|b| b == &[ServeOp::PromoteToRequirements]);
+        assert!(retarget.is_some_and(|at| at + 1 < batches.len()), "edge batches follow the retarget");
         for report in [
             wal_tail_sweep(&dk, &g, &batches),
             fsync_failpoint_sweep(&dk, &g, &batches),

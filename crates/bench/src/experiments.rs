@@ -6,8 +6,10 @@
 //! A(k) and to D(k) and reads every table off those runs: Figures 4–7,
 //! Table 1's work and size columns, ablations A–C and extensions D1 and D2.
 //! The D(k) run yields Table 1's row, the Figure 6/7 point, ablation B's
-//! degraded point and D1's untuned curve; the periodically promoted D1 path
-//! is the only second run. Each table states its rows once
+//! degraded point and D1's untuned curve; D1's periodically promoted and
+//! periodically rebuilt paths are the only other runs. Ablation B and D1
+//! set Algorithm 6's index beside `DkIndex::build` over the same graph and
+//! requirements. Each table states its rows once
 //! ([`Record::tables`], rendered by `report` to the console and to
 //! `PAPER_eval.json`) and the paper's shape claims once ([`Record::check`]:
 //! the first failing clause). Nothing here is timed.
@@ -163,7 +165,8 @@ impl BroadcastAblation {
     }
 }
 
-/// Ablation B: the updated D(k), then promoted to its requirements.
+/// Ablation B: the updated D(k), then promoted to its requirements, beside
+/// `DkIndex::build` over the same graph and requirements.
 #[derive(Clone, Debug)]
 pub struct PromoteAblation {
     /// Splits the promotion performed.
@@ -172,6 +175,8 @@ pub struct PromoteAblation {
     pub degraded: EvalPoint,
     /// After promotion.
     pub promoted: EvalPoint,
+    /// Rebuilt on the updated graph instead.
+    pub rebuilt: EvalPoint,
 }
 
 impl PromoteAblation {
@@ -186,12 +191,15 @@ impl PromoteAblation {
             ("size_after", p.size.to_string()),
             ("cost_after", fmt_f64(p.avg_cost)),
             ("validated_after", p.validated_queries.to_string()),
+            ("size_rebuilt", self.rebuilt.size.to_string()),
+            ("cost_rebuilt", fmt_f64(self.rebuilt.avg_cost)),
         ]
     }
 }
 
 /// One point of extension D1: cost after `updates` edge additions,
-/// without and with promotion every [`PROMOTE_EVERY`] updates.
+/// without promotion, with promotion every [`PROMOTE_EVERY`] updates, and
+/// with a rebuild at the same points instead.
 #[derive(Clone, Debug)]
 pub struct DegradationPoint {
     /// Edge updates applied so far.
@@ -202,6 +210,10 @@ pub struct DegradationPoint {
     pub cost_promoted: f64,
     /// Index size on the promoted run.
     pub size_promoted: usize,
+    /// Average cost on the periodically rebuilt run.
+    pub cost_rebuilt: f64,
+    /// Index size on the rebuilt run.
+    pub size_rebuilt: usize,
 }
 
 impl DegradationPoint {
@@ -212,6 +224,8 @@ impl DegradationPoint {
             ("cost_untuned", fmt_f64(self.cost_untuned)),
             ("cost_promoted", fmt_f64(self.cost_promoted)),
             ("size_promoted", self.size_promoted.to_string()),
+            ("cost_rebuilt", fmt_f64(self.cost_rebuilt)),
+            ("size_rebuilt", self.size_rebuilt.to_string()),
         ]
     }
 }
@@ -324,32 +338,44 @@ impl Record {
         }
 
         // D(k)'s one run yields Table 1's row, the Figure 6/7 point, ablation
-        // B and D1's untuned curve; D1's promoted path runs beside it.
+        // B and D1's untuned curve; D1's promoted and rebuilt paths run
+        // beside it, each on its own copy of the graph.
         let avg = |dk: &DkIndex, g: &DataGraph| {
             average(query_costs(dk.index(), g, &w).into_iter().map(|c| c.0))
         };
         let (mut dk, mut g) = (s.dk, data.clone());
         let (mut tuned, mut g_tuned) = (dk.clone(), data.clone());
+        let (mut rebuilt, mut g_rebuilt) = (dk.clone(), data.clone());
         let (size_before, mut work) = (dk.size(), 0);
-        let measure = |updates, dk: &DkIndex, g: &DataGraph, tuned: &DkIndex, g_tuned: &DataGraph| {
-            let (cost_untuned, cost_promoted) = (avg(dk, g), avg(tuned, g_tuned));
-            DegradationPoint { updates, cost_untuned, cost_promoted, size_promoted: tuned.size() }
+        let measure = |updates, dk: &DkIndex, g: &DataGraph, tuned: &DkIndex, rebuilt: &DkIndex| {
+            DegradationPoint {
+                updates,
+                cost_untuned: avg(dk, g),
+                cost_promoted: avg(tuned, g),
+                size_promoted: tuned.size(),
+                cost_rebuilt: avg(rebuilt, g),
+                size_rebuilt: rebuilt.size(),
+            }
         };
-        let mut degradation = vec![measure(0, &dk, &g, &tuned, &g_tuned)];
+        let mut degradation = vec![measure(0, &dk, &g, &tuned, &rebuilt)];
         for (i, &(u, v)) in edges.iter().enumerate() {
             work += dk.add_edge(&mut g, u, v).index_nodes_touched;
             tuned.add_edge(&mut g_tuned, u, v);
+            rebuilt.add_edge(&mut g_rebuilt, u, v);
             let updates = i + 1;
             if updates % PROMOTE_EVERY == 0 {
                 tuned.promote_to_requirements(&g_tuned);
+                rebuilt = DkIndex::build(&g_rebuilt, reqs.clone());
             }
             if updates % DEGRADATION_STEP == 0 {
-                degradation.push(measure(updates, &dk, &g, &tuned, &g_tuned));
+                degradation.push(measure(updates, &dk, &g, &tuned, &rebuilt));
             }
         }
         table1.push(UpdateRow { name: "D(k)", work, size_before, size_after: dk.size() });
         let degraded = point("D(k)", dk.index(), &query_costs(dk.index(), &g, &w));
         figure_after.push(degraded.clone());
+        let fresh = DkIndex::build(&g, reqs);
+        let rebuilt = point("D(k) rebuilt", fresh.index(), &query_costs(fresh.index(), &g, &w));
         let splits = dk.promote_to_requirements(&g);
         let promoted = point("D(k) promoted", dk.index(), &query_costs(dk.index(), &g, &w));
 
@@ -363,7 +389,7 @@ impl Record {
             figure_after,
             sizes,
             broadcast,
-            promote: PromoteAblation { splits, degraded, promoted },
+            promote: PromoteAblation { splits, degraded, promoted, rebuilt },
             degradation,
             length_sweep,
         }
@@ -440,6 +466,13 @@ impl Record {
             (
                 p.promoted.validated_queries == 0 && p.promoted.avg_cost <= p.degraded.avg_cost,
                 "promotion removes validation without raising the cost",
+            ),
+            (
+                p.rebuilt.size <= p.promoted.size
+                    && p.rebuilt.avg_cost <= p.promoted.avg_cost
+                    && d1_last.size_rebuilt <= d1_last.size_promoted
+                    && d1_last.cost_rebuilt <= d1_last.cost_promoted,
+                "the rebuild is no larger and no costlier than the promoted index",
             ),
             (
                 size(0) <= size(MAX_K) && size(MAX_K) <= size(MAX_K + 2) && size(MAX_K + 2) <= size(MAX_K + 3)

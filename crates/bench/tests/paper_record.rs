@@ -82,6 +82,27 @@ fn theory_quotes_the_ablation_a_figures() {
     assert!(THEORY.contains(&phrase), "THEORY.md must quote ablation A as \"{phrase}\"");
 }
 
+/// Ablation B's rebuild beside Algorithm 6: EXPERIMENTS.md quotes both
+/// costs on both datasets, and the record's rebuild is the smaller, cheaper
+/// index (the check's clause, read back from the checked-in file).
+#[test]
+fn experiments_quotes_the_rebuild_beside_the_promotion() {
+    let tables = record_tables();
+    let row = |dataset: &str| {
+        let name = format!("{dataset}.ablation_promote");
+        tables.iter().find(|(n, _)| *n == name).expect("ablation B in the record").1[0].clone()
+    };
+    let (xmark, nasa) = (row("xmark"), row("nasa"));
+    let number = |rows: &Rows, key: &str| cell(rows, key).parse::<f64>().expect("a number");
+    for rows in [&xmark, &nasa] {
+        assert!(number(rows, "size_rebuilt") <= number(rows, "size_after"));
+        assert!(number(rows, "cost_rebuilt") <= number(rows, "cost_after"));
+    }
+    let costs = |rows: &Rows| format!("{} vs {}", cell(rows, "cost_after"), cell(rows, "cost_rebuilt"));
+    let phrase = format!("({}; {})", costs(&xmark), costs(&nasa));
+    assert!(EXPERIMENTS.contains(&phrase), "EXPERIMENTS.md must quote ablation B as \"{phrase}\"");
+}
+
 #[test]
 fn a_scale_that_is_not_finite_and_positive_is_a_usage_error() {
     // `inf` is left to the unit test: a regression would allocate without bound.

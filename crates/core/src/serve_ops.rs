@@ -1,7 +1,9 @@
 //! Serve operations and the serial application oracle.
 //!
 //! [`ServeOp`] is the vocabulary the maintenance thread speaks; `apply`
-//! is the one place an op mutates `(DkIndex, DataGraph)`; and
+//! is the one place an op mutates `(DkIndex, DataGraph)` (WAL replay's
+//! `apply_overwritten` keeps only the graph and requirement part of an op
+//! a later retarget overwrites); and
 //! [`apply_serial`] folds a whole op sequence single-threadedly. The serve
 //! determinism tests compare an N-thread [`crate::serve::DkServer`] run
 //! against `apply_serial` over the same submission order — snapshot bytes
@@ -23,7 +25,7 @@
 
 use crate::dk::construct::DkIndex;
 use crate::requirements::Requirements;
-use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 
 /// A maintenance operation, applied by the single maintenance thread in
 /// submission order.
@@ -44,12 +46,14 @@ pub enum ServeOp {
         /// Requested local similarity.
         k: usize,
     },
-    /// Run the full promoting pass against the stored requirements.
+    /// Retarget to the stored requirements: rebuild the index from the
+    /// current data graph (Algorithm 2), which restores every block's local
+    /// similarity after edge updates lowered it.
     PromoteToRequirements,
     /// Demote the index to the given requirements.
     Demote(Requirements),
-    /// Replace the stored requirements and promote up to them (the tuner's
-    /// promotion action).
+    /// Retarget to new requirements (the tuner's promotion action): the
+    /// index becomes `DkIndex::build(data, requirements)`.
     SetRequirements(Requirements),
 }
 
@@ -69,15 +73,34 @@ pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
             dk.promote(data, node, k);
         }
         ServeOp::PromoteToRequirements => {
-            dk.promote_to_requirements(data);
+            *dk = DkIndex::build(data, dk.requirements().clone());
         }
         ServeOp::Demote(reqs) => {
             dk.demote(reqs);
         }
         ServeOp::SetRequirements(reqs) => {
-            dk.set_requirements(reqs);
-            dk.promote_to_requirements(data);
+            *dk = DkIndex::build(data, reqs);
         }
+    }
+}
+
+/// Does `op` rebuild the index from `(data graph, requirements)`? A
+/// retarget's result owes nothing to the index before it, so replay can
+/// skip the index work of every op a later retarget overwrites.
+pub(crate) fn is_retarget(op: &ServeOp) -> bool {
+    matches!(op, ServeOp::PromoteToRequirements | ServeOp::SetRequirements(_))
+}
+
+/// Apply what of `op` outlives a later retarget: its data edge and its
+/// requirement change. The index is left stale; the retarget rebuilds it.
+/// The caller has checked that `op` [`is_applicable`].
+pub(crate) fn apply_overwritten(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
+    match op {
+        ServeOp::AddEdge { from, to } => {
+            data.add_edge(from, to, EdgeKind::Reference);
+        }
+        ServeOp::Demote(reqs) | ServeOp::SetRequirements(reqs) => dk.set_requirements(reqs),
+        ServeOp::Promote { .. } | ServeOp::PromoteToRequirements => {}
     }
 }
 

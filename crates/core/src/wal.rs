@@ -8,10 +8,10 @@
 //! suite, the crash-recovery torture harness and the robustness property
 //! tests.
 //!
-//! On-disk format, version 2 (all integers little-endian):
+//! On-disk format, version 3 (all integers little-endian):
 //!
 //! ```text
-//! header   b"DKWL", u32 version (= 2)
+//! header   b"DKWL", u32 version (= 3)
 //! record   u32 body_len, body, u32 CRC-32 of body
 //!          body = u8 tag, payload
 //!            tag 1  add-edge                u32 from, u32 to
@@ -26,9 +26,12 @@
 //!          `HashMap`, so the wire order is declared here)
 //! ```
 //!
-//! Any other header version — including the fence-less version 1 that
-//! predates group commit — is rejected with
-//! [`WalError::UnsupportedVersion`].
+//! Version 3 keeps version 2's bytes record for record; what changed is the
+//! meaning of tags 3 and 5, which became *retargets* (a rebuild from the
+//! data graph, where version 2 ran the splitting Algorithm 6). A version 2
+//! log would replay to a different index than the run that wrote it, so any
+//! other header version — version 2, and the fence-less version 1 that
+//! predates group commit — is rejected with [`WalError::UnsupportedVersion`].
 //!
 //! The **commit fence** (tag 6) is what makes a batch atomic: the
 //! group-commit writer stages a batch of op records plus one fence in a
@@ -84,7 +87,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DKWL";
 /// The on-disk version this build reads and writes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 const HEADER_LEN: usize = 8;
 const TAG_ADD_EDGE: u8 = 1;
 const TAG_PROMOTE: u8 = 2;
@@ -437,13 +440,16 @@ pub struct ReplayReport {
     pub tail: WalTail,
 }
 
-/// Decode `bytes` and replay the committed ops into `dk`/`data`. Each
-/// applies exactly as [`crate::serve_ops`] applied it in the serve run that
-/// logged it — replay of the committed prefix is byte-identical to that
-/// run. The group-commit path logs only ops [`serve_ops::is_applicable`]
-/// accepts, so one that names a node outside the graph means the WAL
-/// belongs to a different snapshot: a typed error, raised *before* that op
-/// mutates anything.
+/// Decode `bytes` and replay the committed ops into `dk`/`data`. A
+/// retarget (`PromoteToRequirements`, `SetRequirements`) rebuilds the index
+/// from the data graph and the requirements alone, so only the *last* one
+/// in the log runs: each record before it applies just its data edge and
+/// its requirement change, and each record from it on applies exactly as
+/// [`crate::serve_ops`] applied it in the serve run that logged it. Replay
+/// of the committed prefix is byte-identical to that run. The group-commit
+/// path logs only ops [`serve_ops::is_applicable`] accepts, so one that
+/// names a node outside the graph means the WAL belongs to a different
+/// snapshot: a typed error, raised *before* that op mutates anything.
 pub fn replay(
     dk: &mut DkIndex,
     data: &mut DataGraph,
@@ -452,11 +458,16 @@ pub fn replay(
     let (records, tail) = decode_wal(bytes)?;
     let span = telemetry::Span::start(&telemetry::metrics::WAL_REPLAY_NS);
     let applied = records.len();
+    let last_retarget = records.iter().rposition(serve_ops::is_retarget).unwrap_or(0);
     for (index, op) in records.into_iter().enumerate() {
         if !serve_ops::is_applicable(&op, data) {
             return Err(WalError::RecordOutOfRange { index });
         }
-        serve_ops::apply(dk, data, op);
+        if index < last_retarget {
+            serve_ops::apply_overwritten(dk, data, op);
+        } else {
+            serve_ops::apply(dk, data, op);
+        }
         telemetry::metrics::WAL_RECORDS_REPLAYED.incr();
     }
     drop(span);
@@ -642,11 +653,11 @@ mod tests {
     }
 
     /// The wire layout is a durable format and stays pinned: LE body length, body = tag +
-    /// payload, LE CRC of the body; header is magic + LE 2; the commit
+    /// payload, LE CRC of the body; header is magic + LE 3; the commit
     /// fence is tag 6 with an LE op count.
     #[test]
-    fn v2_wire_format_bytes_are_pinned() {
-        assert_eq!(encode_header(), *b"DKWL\x02\x00\x00\x00");
+    fn v3_wire_format_bytes_are_pinned() {
+        assert_eq!(encode_header(), *b"DKWL\x03\x00\x00\x00");
         let rec = encode_record(&add(0x0102, 3));
         assert_eq!(rec[..4], 9u32.to_le_bytes());
         assert_eq!(rec[4..13], [1, 0x02, 0x01, 0, 0, 3, 0, 0, 0]);
@@ -664,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_every_op_kind() {
+    fn v3_round_trips_every_op_kind() {
         let records = mixed_records();
         let (back, tail) = decode_wal(&log_bytes(&records)).unwrap();
         assert_eq!(back, records);
@@ -672,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_torn_record_yields_committed_prefix() {
+    fn v3_torn_record_yields_committed_prefix() {
         let records = vec![add(3, 1), add(0, 2)];
         let full = log_bytes(&records);
         let first_end = HEADER_LEN + encode_record(&records[0]).len() + encode_commit(1).len();
@@ -686,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_unfenced_records_are_dropped_as_torn_tail() {
+    fn v3_unfenced_records_are_dropped_as_torn_tail() {
         // A batch of two records whose fence never made it to disk: both
         // are complete, neither is committed.
         let mut bytes = encode_header().to_vec();
@@ -703,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_fence_count_mismatch_is_corrupt() {
+    fn v3_fence_count_mismatch_is_corrupt() {
         let mut bytes = encode_header().to_vec();
         bytes.extend_from_slice(&encode_record(&add(3, 1)));
         bytes.extend_from_slice(&encode_commit(2));
@@ -716,23 +727,23 @@ mod tests {
         let records = vec![add(3, 1)];
         // Flip every body/CRC byte (flips inside a length prefix can
         // legitimately read as torn tails — the length governs framing).
-        let v2 = log_bytes(&records);
+        let log = log_bytes(&records);
         let rec_len = encode_record(&records[0]).len();
         let record_len_prefix = HEADER_LEN..HEADER_LEN + 4;
         let fence_len_prefix = HEADER_LEN + rec_len..HEADER_LEN + rec_len + 4;
-        for byte in HEADER_LEN..v2.len() {
+        for byte in HEADER_LEN..log.len() {
             if record_len_prefix.contains(&byte) || fence_len_prefix.contains(&byte) {
                 continue;
             }
-            let mut bytes = v2.clone();
+            let mut bytes = log.clone();
             bytes[byte] ^= 0x40;
             let err = decode_wal(&bytes).unwrap_err();
-            assert!(matches!(err, WalError::CorruptRecord { .. }), "v2 flip at {byte}: {err}");
+            assert!(matches!(err, WalError::CorruptRecord { .. }), "flip at {byte}: {err}");
         }
     }
 
     #[test]
-    fn v2_oversized_length_is_corrupt_not_torn() {
+    fn v3_oversized_length_is_corrupt_not_torn() {
         let mut bytes = encode_header().to_vec();
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = decode_wal(&bytes).unwrap_err();
@@ -750,28 +761,36 @@ mod tests {
         ));
     }
 
-    /// A complete, CRC-valid version-1 log (the fence-less format that
-    /// predates group commit: 13-byte add-edge records) is outside input:
-    /// every entry point rejects it typed, and none replays a prefix of it.
+    /// Complete, CRC-valid logs of the two older versions are outside input:
+    /// every entry point rejects them typed, and none replays a prefix. A
+    /// version-1 log is the fence-less format that predates group commit
+    /// (13-byte add-edge records); a version-2 log has version 3's bytes,
+    /// but its tag 3 and 5 records ran Algorithm 6, and replaying them as
+    /// retargets would reach a different index than the run that wrote them.
     #[test]
-    fn version_1_logs_are_rejected_at_every_entry_point() {
+    fn older_versions_are_rejected_at_every_entry_point() {
         const V1: [u8; 21] = [
             0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
             0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
         ];
-        assert!(matches!(decode_wal(&V1), Err(WalError::UnsupportedVersion(1))));
-        assert!(matches!(inspect_wal(&V1), Err(WalError::UnsupportedVersion(1))));
-        let (mut g, mut dk) = sample();
-        let before = crate::snapshot::snapshot_bytes(&dk, &g);
-        assert!(matches!(replay(&mut dk, &mut g, &V1), Err(WalError::UnsupportedVersion(1))));
-        assert_eq!(crate::snapshot::snapshot_bytes(&dk, &g), before, "nothing replayed");
-
-        let dir = std::env::temp_dir().join(format!("dkindex-wal-v1-test-{}", std::process::id()));
+        let mut v2 = log_bytes(&[add(3, 1), ServeOp::PromoteToRequirements]);
+        v2[4] = 2;
+        let dir = std::env::temp_dir().join(format!("dkindex-wal-old-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1.wal");
-        std::fs::write(&path, V1).unwrap();
-        assert!(matches!(WalWriter::open(&path), Err(WalError::UnsupportedVersion(1))));
-        assert_eq!(std::fs::read(&path).unwrap(), V1, "a rejected file is left untouched");
+        for (version, log) in [(1, V1.to_vec()), (2, v2)] {
+            let rejected = |r: Result<_, WalError>| matches!(r, Err(WalError::UnsupportedVersion(v)) if v == version);
+            assert!(rejected(decode_wal(&log).map(|_| ())), "v{version}");
+            assert!(rejected(inspect_wal(&log).map(|_| ())), "v{version}");
+            let (mut g, mut dk) = sample();
+            let before = crate::snapshot::snapshot_bytes(&dk, &g);
+            assert!(rejected(replay(&mut dk, &mut g, &log).map(|_| ())), "v{version}");
+            assert_eq!(crate::snapshot::snapshot_bytes(&dk, &g), before, "nothing replayed");
+
+            let path = dir.join(format!("v{version}.wal"));
+            std::fs::write(&path, &log).unwrap();
+            assert!(rejected(WalWriter::open(&path).map(|_| ())), "v{version}");
+            assert_eq!(std::fs::read(&path).unwrap(), log, "a rejected file is left untouched");
+        }
         #[expect(
             clippy::let_underscore_must_use,
             reason = "test cleanup: a leftover temp directory fails nothing"

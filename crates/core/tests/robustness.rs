@@ -101,7 +101,7 @@ fn mixed_ops(s: &Scenario) -> Vec<ServeOp> {
 
 /// A log with one commit fence per record (the append-per-record shape),
 /// plus the byte offset where each record's fence ends.
-fn v2_wal_bytes(records: &[ServeOp]) -> (Vec<u8>, Vec<usize>) {
+fn wal_bytes(records: &[ServeOp]) -> (Vec<u8>, Vec<usize>) {
     let mut log = wal::encode_header().to_vec();
     let mut fence_ends = Vec::with_capacity(records.len());
     for r in records {
@@ -128,7 +128,7 @@ proptest! {
 
         let (mut dk_replayed, mut g_replayed) =
             read_snapshot(&snap).expect("pristine snapshot must load");
-        let (log, _) = v2_wal_bytes(&add_edges(&s.updates));
+        let (log, _) = wal_bytes(&add_edges(&s.updates));
         let report = wal::replay(&mut dk_replayed, &mut g_replayed, &log)
             .expect("in-range records must replay");
         prop_assert_eq!(report.applied, s.updates.len());
@@ -149,7 +149,7 @@ proptest! {
         n_idx in any::<prop::sample::Index>(),
     ) {
         let (g0, dk0) = build(&s);
-        let (log, fence_ends) = v2_wal_bytes(&add_edges(&s.updates));
+        let (log, fence_ends) = wal_bytes(&add_edges(&s.updates));
         let n = n_idx.index(s.updates.len() + 1);
         let cut = if n == 0 { HEADER_LEN } else { fence_ends[n - 1] };
 
@@ -161,19 +161,19 @@ proptest! {
         prop_assert_eq!(report.tail, WalTail::Clean);
     }
 
-    /// Cutting a v2 WAL at *any* byte replays exactly the fence-covered
+    /// Cutting a WAL at *any* byte replays exactly the fence-covered
     /// record prefix, the recovered index passes the full auditor, and the
     /// state is byte-identical to serially applying that prefix — the
     /// acknowledged-prefix contract at the decode level, over the whole
     /// ServeOp vocabulary.
     #[test]
-    fn v2_any_prefix_replays_audit_sound(
+    fn any_wal_prefix_replays_audit_sound(
         s in scenario(),
         cut_at in any::<prop::sample::Index>(),
     ) {
         let (g0, dk0) = build(&s);
         let records = mixed_ops(&s);
-        let (log, fence_ends) = v2_wal_bytes(&records);
+        let (log, fence_ends) = wal_bytes(&records);
         let cut = cut_at.index(log.len() + 1);
 
         let mut g_replayed = g0.clone();
@@ -196,7 +196,7 @@ proptest! {
                 prop_assert_eq!(
                     snapshot_bytes(&dk_replayed, &g_replayed),
                     snapshot_bytes(&dk_direct, &g_direct),
-                    "replayed v2 prefix of {} records diverged", expected
+                    "replayed prefix of {} records diverged", expected
                 );
                 let audit = audit_dk(&dk_replayed, &g_replayed, &AuditConfig::default());
                 prop_assert!(audit.is_sound(), "auditor found corruption:\n{}", audit);

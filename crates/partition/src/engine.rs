@@ -9,16 +9,21 @@
 //! recorder is enabled.
 //!
 //! [`RefineEngine`] computes the same rounds as [`crate::refine`] — regroup
-//! nodes by `(current block, sorted parent-block set)` — but holds every
-//! piece of scratch state across rounds:
+//! nodes by `(current block, sorted parent-block set)` — in one pass over
+//! the nodes in id order, holding its scratch state across rounds:
 //!
-//! * **Signature arena**: each round writes all nodes' sorted, deduplicated
-//!   parent-block slices into one reused buffer (`sig_data` + `sig_bounds`)
-//!   instead of allocating a fresh `Vec<BlockId>` per node.
-//! * **Signature interning**: slices are hashed into a per-round `u32` symbol
-//!   table (hash buckets with slice-equality collision checks), so regrouping
-//!   keys are `(BlockId, u32)` pairs packed into a `u64` — no hashing of
-//!   variable-length vectors, no per-key allocation.
+//! * **Signature interning**: a refined node's sorted, deduplicated
+//!   parent-block slice is interned into the round's `u32` symbol table as
+//!   soon as it is computed (hash chains with slice-equality collision
+//!   checks). Only the *distinct* signatures are kept, so the round holds no
+//!   per-node signature, digest or symbol: its per-node state is the output
+//!   partition alone.
+//! * **Packed keys**: a refined node's new block is looked up by its
+//!   `(BlockId, symbol)` pair packed into a `u64`, so no variable-length
+//!   vector is ever hashed. A node of a block the round passes through takes
+//!   its new id from a per-block array instead.
+//! * **Exact-size extents**: the pass counts each new block's members, and
+//!   every extent is then allocated once at its final size.
 //!
 //! The produced [`Partition`]s are **identical** (same block ids, same member
 //! order) to those of [`crate::refine::refine_round`] /
@@ -35,11 +40,10 @@ use dkindex_graph::{LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use std::collections::HashMap;
 
-/// Symbol given to members of blocks a selective round passes through
-/// unchanged. Real symbols are dense from 0, so the sentinel cannot collide
-/// with an interned signature (an engine would need 2^32 - 1 distinct
-/// signatures first, more than the `u32` node id space allows).
-const SKIP_SYMBOL: u32 = u32::MAX;
+/// "No entry" in the engine's `u32` id arrays: no new id given yet to a
+/// passed-through block, no further symbol on a hash chain. Real ids are
+/// dense from 0 and bounded by the `u32` node id space, so they never reach it.
+const NONE: u32 = u32::MAX;
 
 /// Reusable scratch state for signature-interned partition refinement.
 ///
@@ -48,24 +52,23 @@ const SKIP_SYMBOL: u32 = u32::MAX;
 /// only allocations per round are the output partition's own maps.
 #[derive(Clone, Debug, Default)]
 pub struct RefineEngine {
-    /// Concatenated per-node signatures for the current round.
-    sig_data: Vec<BlockId>,
-    /// `sig_bounds[i]..sig_bounds[i + 1]` delimits node i's slice.
-    sig_bounds: Vec<u32>,
-    /// Per-node signature digest, computed by the signature stage so the
-    /// interning stage never hashes. Entries for skipped nodes are unused.
-    sig_hash: Vec<u64>,
-    /// Sort/dedup scratch for the signature stage.
+    /// Sort/dedup scratch for one node's signature.
     scratch: Vec<BlockId>,
-    /// Signature hash → candidate symbols (collisions resolved by comparing
-    /// slices).
-    buckets: HashMap<u64, Vec<u32>, MixBuild>,
-    /// Symbol → its defining slice in `sig_data`.
+    /// The round's distinct signatures, concatenated.
+    sym_data: Vec<BlockId>,
+    /// Symbol → its defining slice in `sym_data`.
     sym_slice: Vec<(u32, u32)>,
-    /// Node → interned symbol (or [`SKIP_SYMBOL`]).
-    node_symbol: Vec<u32>,
-    /// Packed `(block, symbol)` → new block index.
+    /// Symbol → the next symbol whose signature has the same digest.
+    sym_next: Vec<u32>,
+    /// Signature digest → the first symbol on its chain.
+    heads: HashMap<u64, u32, MixBuild>,
+    /// Packed `(block, symbol)` → new block index, for refined blocks.
     pair_ids: HashMap<u64, u32, MixBuild>,
+    /// Old block → its new block index, for blocks the round passes
+    /// through (or [`NONE`] before the block's first member).
+    skip_ids: Vec<u32>,
+    /// New block → member count.
+    counts: Vec<u32>,
 }
 
 /// Multiply-mix hasher for the engine's integer keys. Both engine maps are
@@ -117,7 +120,7 @@ impl RefineEngine {
     /// One selective round: blocks failing `refine_block` pass through
     /// unchanged. Identical output to
     /// [`crate::refine::refine_round_selective`]. `refine_block` must be
-    /// pure — it is consulted once per node per stage.
+    /// pure — it is consulted once per node.
     pub fn refine_round_selective<G: LabeledGraph>(
         &mut self,
         g: &G,
@@ -127,9 +130,53 @@ impl RefineEngine {
         let n = g.node_count();
         debug_assert_eq!(n, prev.node_count());
         let span = telemetry::Span::start(&telemetry::metrics::PARTITION_ROUND_NS);
-        self.compute_signatures(g, prev, &refine_block);
-        self.intern_symbols(prev, &refine_block, n);
-        let (next, changed) = self.regroup(prev, n);
+        self.sym_data.clear();
+        self.sym_slice.clear();
+        self.sym_next.clear();
+        self.heads.clear();
+        self.pair_ids.clear();
+        self.skip_ids.clear();
+        self.skip_ids.resize(prev.block_count(), NONE);
+        self.counts.clear();
+
+        // The pass: each node's new block id, in node order, numbered by
+        // first appearance.
+        let mut block_of = Vec::with_capacity(n);
+        let mut refined = 0u64;
+        for i in 0..n {
+            let node = NodeId::from_index(i);
+            let block = prev.block_of(node);
+            let fresh = self.counts.len() as u32;
+            let id = if refine_block(block) {
+                refined += 1;
+                self.scratch.clear();
+                self.scratch.extend(g.parents_of(node).iter().map(|&p| prev.block_of(p)));
+                self.scratch.sort_unstable();
+                self.scratch.dedup();
+                let sym = self.intern();
+                let key = ((block.index() as u64) << 32) | sym as u64;
+                *self.pair_ids.entry(key).or_insert(fresh)
+            } else {
+                let slot = &mut self.skip_ids[block.index()];
+                if *slot == NONE {
+                    *slot = fresh;
+                }
+                *slot
+            };
+            if id == fresh {
+                self.counts.push(0);
+            }
+            self.counts[id as usize] += 1;
+            block_of.push(BlockId::from_index(id as usize));
+        }
+
+        let mut members: Vec<Vec<NodeId>> =
+            self.counts.iter().map(|&c| Vec::with_capacity(c as usize)).collect();
+        for (i, b) in block_of.iter().enumerate() {
+            members[b.index()].push(NodeId::from_index(i));
+        }
+        let changed = members.len() != prev.block_count();
+        let next = Partition::from_parts(block_of, members);
         drop(span);
         telemetry::metrics::PARTITION_ROUNDS.incr();
         if changed {
@@ -137,127 +184,33 @@ impl RefineEngine {
         }
         telemetry::metrics::PARTITION_SYMBOLS_INTERNED.add(self.sym_slice.len() as u64);
         telemetry::metrics::PARTITION_BLOCKS_PER_ROUND.record(next.block_count() as u64);
-        if telemetry::is_enabled() {
-            let refined = self
-                .node_symbol
-                .iter()
-                .filter(|&&s| s != SKIP_SYMBOL)
-                .count();
-            telemetry::metrics::PARTITION_NODES_REFINED.add(refined as u64);
-        }
+        telemetry::metrics::PARTITION_NODES_REFINED.add(refined);
         (next, changed)
     }
 
-    /// Stage 1: fill `sig_data` / `sig_bounds` with every refined node's
-    /// sorted, deduplicated parent-block slice (skipped nodes get an empty
-    /// slice), and `sig_hash` with each refined slice's digest, leaving the
-    /// interning stage nothing but table lookups.
-    fn compute_signatures<G: LabeledGraph>(
-        &mut self,
-        g: &G,
-        prev: &Partition,
-        refine_block: &impl Fn(BlockId) -> bool,
-    ) {
-        let n = g.node_count();
-        self.sig_data.clear();
-        self.sig_bounds.clear();
-        self.sig_bounds.push(0);
-        self.sig_hash.clear();
-
-        let fill = |range: std::ops::Range<usize>,
-                    scratch: &mut Vec<BlockId>,
-                    data: &mut Vec<BlockId>,
-                    bounds: &mut Vec<u32>,
-                    hashes: &mut Vec<u64>| {
-            for i in range {
-                let node = NodeId::from_index(i);
-                if refine_block(prev.block_of(node)) {
-                    scratch.clear();
-                    scratch.extend(g.parents_of(node).iter().map(|&p| prev.block_of(p)));
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    data.extend_from_slice(scratch);
-                    hashes.push(hash_signature(scratch));
-                } else {
-                    hashes.push(0); // unused: interning checks refine_block first
-                }
-                bounds.push(data.len() as u32);
+    /// The symbol of the signature in `scratch`: an existing one when an
+    /// equal signature was interned earlier this round, else a new one whose
+    /// slice is copied into `sym_data`.
+    fn intern(&mut self) -> u32 {
+        let sig = &self.scratch;
+        let digest = hash_signature(sig);
+        let head = self.heads.get(&digest).copied().unwrap_or(NONE);
+        let mut cand = head;
+        while cand != NONE {
+            let (s, e) = self.sym_slice[cand as usize];
+            if self.sym_data[s as usize..e as usize] == **sig {
+                return cand;
             }
-        };
-
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut data = std::mem::take(&mut self.sig_data);
-        let mut bounds = std::mem::take(&mut self.sig_bounds);
-        let mut hashes = std::mem::take(&mut self.sig_hash);
-        fill(0..n, &mut scratch, &mut data, &mut bounds, &mut hashes);
-        self.scratch = scratch;
-        self.sig_data = data;
-        self.sig_bounds = bounds;
-        self.sig_hash = hashes;
-    }
-
-    /// Stage 2: intern each refined node's slice into the round's symbol
-    /// table, in node order. The digests were already computed by the
-    /// signature stage; this loop only does bucket lookups and
-    /// slice-equality collision checks.
-    fn intern_symbols(
-        &mut self,
-        prev: &Partition,
-        refine_block: &impl Fn(BlockId) -> bool,
-        n: usize,
-    ) {
-        self.buckets.clear();
-        self.sym_slice.clear();
-        self.node_symbol.clear();
-        let sig_data = &self.sig_data;
-        let sig_bounds = &self.sig_bounds;
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            if !refine_block(prev.block_of(node)) {
-                self.node_symbol.push(SKIP_SYMBOL);
-                continue;
-            }
-            let (s, e) = (sig_bounds[i] as usize, sig_bounds[i + 1] as usize);
-            let slice = &sig_data[s..e];
-            let bucket = self.buckets.entry(self.sig_hash[i]).or_default();
-            let mut sym = SKIP_SYMBOL;
-            for &cand in bucket.iter() {
-                let (cs, ce) = self.sym_slice[cand as usize];
-                if sig_data[cs as usize..ce as usize] == *slice {
-                    sym = cand;
-                    break;
-                }
-            }
-            if sym == SKIP_SYMBOL {
-                sym = self.sym_slice.len() as u32;
-                self.sym_slice.push((s as u32, e as u32));
-                bucket.push(sym);
-            }
-            self.node_symbol.push(sym);
+            cand = self.sym_next[cand as usize];
         }
-    }
-
-    /// Stage 3: regroup by packed `(old block, symbol)` pairs, assigning new
-    /// block ids in order of first appearance by node id — exactly
-    /// [`Partition::split_by_key`]'s numbering.
-    fn regroup(&mut self, prev: &Partition, n: usize) -> (Partition, bool) {
-        self.pair_ids.clear();
-        let mut block_of = Vec::with_capacity(n);
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            let key =
-                ((prev.block_of(node).index() as u64) << 32) | self.node_symbol[i] as u64;
-            let next = members.len() as u32;
-            let id = *self.pair_ids.entry(key).or_insert(next);
-            if id == next {
-                members.push(Vec::new());
-            }
-            block_of.push(BlockId::from_index(id as usize));
-            members[id as usize].push(node);
-        }
-        let changed = members.len() != prev.block_count();
-        (Partition::from_parts(block_of, members), changed)
+        let sym = self.sym_slice.len() as u32;
+        let start = self.sym_data.len() as u32;
+        self.sym_data.extend_from_slice(sig);
+        self.sym_slice.push((start, self.sym_data.len() as u32));
+        // A new symbol goes to the front of its digest's chain.
+        self.sym_next.push(head);
+        self.heads.insert(digest, sym);
+        sym
     }
 
     /// The k-bisimulation partition of `g` (extents of the A(k)-index),

@@ -1,7 +1,7 @@
 //! Property tests for the textual and binary formats: XML round-trips,
 //! path-expression printing and the `DKSN` container with its graph (`DKG1`),
 //! index and requirements sections — plus byte-literal goldens of the two durable
-//! files (`DKSN` snapshot, `DKWL` v2 log).
+//! files (`DKSN` snapshot, `DKWL` v3 log).
 
 use dkindex::core::wal::{self, WalTail, WalWriter};
 use dkindex::core::{
@@ -360,11 +360,11 @@ const GOLDEN_DKSN: [u8; 256] = [
     0x00, 0x00, 0x00, 0x00,
 ];
 
-/// One complete two-batch `DKWL` version-2 file covering every record tag.
+/// One complete two-batch `DKWL` version-3 file covering every record tag.
 #[rustfmt::skip]
 const GOLDEN_DKWL: [u8; 129] = [
-    // header: magic, version 2
-    0x44, 0x4b, 0x57, 0x4c, 0x02, 0x00, 0x00, 0x00,
+    // header: magic, version 3
+    0x44, 0x4b, 0x57, 0x4c, 0x03, 0x00, 0x00, 0x00,
     // batch 1 — tag 1 add-edge 2→1: len 9, body, crc
     0x09, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xf5, 0x60, 0xeb, 0x0b,
     //   tag 2 promote node 1 to k 2

@@ -606,3 +606,108 @@ proptest! {
         }
     }
 }
+
+/// A retarget drawn as `(set, raw)`: `PromoteToRequirements`, or new
+/// requirements on one label.
+fn retarget((set, raw): (bool, u8)) -> ServeOp {
+    if set {
+        ServeOp::SetRequirements(Requirements::from_pairs([(
+            format!("l{}", raw % 5).as_str(),
+            raw as usize % 4,
+        )]))
+    } else {
+        ServeOp::PromoteToRequirements
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A served retarget lands on the rebuild: after any stream of Alg 3–6,
+    /// edge additions and demotes, `PromoteToRequirements` and
+    /// `SetRequirements` leave exactly `DkIndex::build` over the current
+    /// graph and requirements — its snapshot bytes, a clean audit, and
+    /// answers equal to the oracle.
+    #[test]
+    fn a_served_retarget_is_the_rebuild(
+        spec in graph_spec(),
+        sub in graph_spec(),
+        salt in any::<u64>(),
+        req_k in 0usize..4,
+        steps in prop::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 0..7),
+        op in (any::<bool>(), any::<u8>()),
+    ) {
+        let mut g = build(&spec);
+        let h = build(&sub);
+        let mut dk = DkIndex::build(&g, Requirements::uniform(req_k));
+        for &step in &steps {
+            maintain(&mut dk, &mut g, &h, step);
+        }
+        let op = retarget(op);
+        let reqs = match &op {
+            ServeOp::SetRequirements(reqs) => reqs.clone(),
+            _ => dk.requirements().clone(),
+        };
+        apply_serial(&mut dk, &mut g, &[op]);
+        let rebuilt = DkIndex::build(&g, reqs);
+        prop_assert!(snapshot_bytes(&dk, &g) == snapshot_bytes(&rebuilt, &g), "retarget != rebuild");
+        let report = audit(dk.index(), dk.requirements(), &g, &AuditConfig::default());
+        prop_assert!(report.is_clean(), "{}", report.render_text());
+        served_equals_oracle(&dk, &g, salt)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// WAL replay runs only the last retarget, and still reaches the serve
+    /// run's bytes: logs with no retarget, one, or several at random
+    /// positions, with one forced first and one forced last when drawn.
+    #[test]
+    fn replay_with_retargets_equals_serial_application(
+        spec in graph_spec(),
+        req_k in 0usize..4,
+        ops in prop::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 0..10),
+        retargets in prop::collection::vec((any::<u8>(), any::<bool>(), any::<u8>()), 0..4),
+        first in prop::option::of((any::<bool>(), any::<u8>())),
+        last in prop::option::of((any::<bool>(), any::<u8>())),
+    ) {
+        use dkindex::core::wal;
+        let g0 = build(&spec);
+        let dk0 = DkIndex::build(&g0, Requirements::uniform(req_k));
+        let node = |raw: u8| NodeId::from_index(raw as usize % g0.node_count());
+        let mut records: Vec<ServeOp> = ops
+            .into_iter()
+            .map(|(kind, a, b)| match kind {
+                0 => ServeOp::AddEdge { from: node(a), to: node(b) },
+                1 => ServeOp::Promote { node: node(a), k: b as usize % 4 },
+                _ => ServeOp::Demote(Requirements::uniform(b as usize % 3)),
+            })
+            .collect();
+        for (at, set, raw) in retargets {
+            let at = at as usize % (records.len() + 1);
+            records.insert(at, retarget((set, raw)));
+        }
+        if let Some(op) = first {
+            records.insert(0, retarget(op));
+        }
+        if let Some(op) = last {
+            records.push(retarget(op));
+        }
+
+        let mut log = wal::encode_header().to_vec();
+        for op in &records {
+            log.extend_from_slice(&wal::encode_record(op));
+        }
+        log.extend_from_slice(&wal::encode_commit(records.len() as u32));
+        let (mut g_replayed, mut dk_replayed) = (g0.clone(), dk0.clone());
+        let report = wal::replay(&mut dk_replayed, &mut g_replayed, &log).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(report.applied, records.len());
+        let (mut g_direct, mut dk_direct) = (g0, dk0);
+        apply_serial(&mut dk_direct, &mut g_direct, &records);
+        prop_assert!(
+            snapshot_bytes(&dk_replayed, &g_replayed) == snapshot_bytes(&dk_direct, &g_direct),
+            "replay of {:?} diverged from serial application", records
+        );
+    }
+}
