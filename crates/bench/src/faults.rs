@@ -3,7 +3,7 @@
 //! recovers to a provably well-formed index or fails with a typed error —
 //! and that **nothing ever panics**.
 //!
-//! Four sweeps:
+//! Five sweeps:
 //!
 //! * [`snapshot_bitflip_sweep`] — flip one bit at every byte position of a
 //!   snapshot. Strict reads must reject the damage (or prove it harmless by
@@ -16,6 +16,12 @@
 //!   payload at every length, then rewrites that section's `len` and CRC, so
 //!   the `GRPH`, `INDX` and `REQS` decoders see damaged bytes. Strict
 //!   acceptance is legal here: the CRC no longer vouches for the bytes.
+//! * [`snapshot_column_sweep`] — one resealed case per rule the column
+//!   loader enforces (offsets that descend or miss the column's length, a
+//!   target out of range, a row that repeats a target, an extent run that
+//!   descends, a data node in two extents or in none, a root out of
+//!   range): each must be a typed [`SnapshotError`] from the strict reader,
+//!   naming the rule.
 //! * [`wal_fault_sweep`] — flip one bit in every byte of a group-committed
 //!   WAL covering every record tag the serve layer logs (must decode as a
 //!   typed [`wal::WalError`] or replay to a well-formed index). Cutting the
@@ -227,6 +233,184 @@ pub fn snapshot_resealed_sweep(dk: &DkIndex, data: &DataGraph) -> [FaultReport; 
     [flips, cuts]
 }
 
+fn word(payload: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(payload[at..at + 4].try_into().unwrap())
+}
+
+fn put_word(payload: &mut [u8], at: usize, value: u32) {
+    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Where a rows column of a writer-made payload sits: its length field at
+/// `at`, then `rows` row ends, then the targets.
+#[derive(Clone, Copy)]
+struct Rows {
+    at: usize,
+    rows: usize,
+}
+
+impl Rows {
+    fn len(self, p: &[u8]) -> u32 {
+        word(p, self.at)
+    }
+    /// Byte offset of row `r`'s end.
+    fn end_at(self, r: usize) -> usize {
+        self.at + 4 + 4 * r
+    }
+    /// Byte offset of target `i`.
+    fn target_at(self, i: usize) -> usize {
+        self.at + 4 + 4 * self.rows + 4 * i
+    }
+    /// The byte after the column.
+    fn after(self, p: &[u8]) -> usize {
+        self.target_at(self.len(p) as usize)
+    }
+    /// The first row holding at least two targets, as its start.
+    fn wide_row(self, p: &[u8]) -> usize {
+        let mut start = 0;
+        for r in 0..self.rows {
+            let end = word(p, self.end_at(r)) as usize;
+            if end - start >= 2 {
+                return start;
+            }
+            start = end;
+        }
+        panic!("the fixture has a row of two targets")
+    }
+}
+
+/// The byte after the label table at `at`.
+fn skip_table(p: &[u8], mut at: usize) -> usize {
+    let count = word(p, at);
+    at += 4;
+    for _ in 0..count {
+        at += 4 + word(p, at) as usize;
+    }
+    at
+}
+
+/// `GRPH`'s child rows.
+fn graph_rows(p: &[u8]) -> Rows {
+    let at = skip_table(p, 4); // after the magic
+    let nodes = word(p, at) as usize;
+    Rows { at: at + 4 + 4 * nodes, rows: nodes }
+}
+
+/// `INDX`'s extent column and child rows.
+fn index_rows(p: &[u8]) -> [Rows; 2] {
+    let at = skip_table(p, 0);
+    let blocks = word(p, at) as usize;
+    let extents = Rows { at: at + 4 + 12 * blocks, rows: blocks };
+    [extents, Rows { at: extents.after(p), rows: blocks }]
+}
+
+/// One break of a column rule: the rule, the reason the loader must give,
+/// and the damage to the section payload.
+type Damage = (&'static str, &'static str, Box<dyn Fn(&mut Vec<u8>)>);
+
+fn damage(rule: &'static str, reason: &'static str, f: impl Fn(&mut Vec<u8>) + 'static) -> Damage {
+    (rule, reason, Box::new(f))
+}
+
+/// The breaks every rows column can take.
+fn rows_damage(rows: fn(&[u8]) -> Rows) -> Vec<Damage> {
+    vec![
+        damage("descending row offsets", "row offsets do not ascend", move |p| {
+            let r = rows(p);
+            let v = word(p, r.end_at(1)) + 1;
+            put_word(p, r.end_at(0), v);
+        }),
+        damage("last row end past the length", "row offsets do not ascend", move |p| {
+            let r = rows(p);
+            let v = r.len(p) + 1;
+            put_word(p, r.end_at(r.rows - 1), v);
+        }),
+        damage("target out of range", "not a node", move |p| {
+            let r = rows(p);
+            put_word(p, r.target_at(0), r.rows as u32);
+        }),
+        damage("row repeats a target", "repeats a target", move |p| {
+            let r = rows(p);
+            let start = r.wide_row(p);
+            let v = word(p, r.target_at(start));
+            put_word(p, r.target_at(start + 1), v);
+        }),
+    ]
+}
+
+/// One resealed case per rule of the column loader, with its section.
+fn column_cases() -> Vec<([u8; 4], Damage)> {
+    let extents = |p: &[u8]| index_rows(p)[0];
+    let tagged = |tag: [u8; 4], cases: Vec<Damage>| cases.into_iter().map(move |case| (tag, case));
+    let mut cases: Vec<_> = tagged(*b"GRPH", rows_damage(graph_rows))
+        .chain(tagged(*b"INDX", rows_damage(|p| index_rows(p)[1])))
+        .collect();
+    let index_cases: Vec<Damage> = vec![
+        damage("last extent end past the length", "offsets do not ascend", move |p| {
+            let r = extents(p);
+            let v = r.len(p) + 1;
+            put_word(p, r.end_at(r.rows - 1), v);
+        }),
+        damage("descending extent run", "does not ascend", move |p| {
+            let r = extents(p);
+            let start = r.wide_row(p);
+            let (a, b) = (word(p, r.target_at(start)), word(p, r.target_at(start + 1)));
+            put_word(p, r.target_at(start), b);
+            put_word(p, r.target_at(start + 1), a);
+        }),
+        damage("data node in two extents", "in two extents", move |p| {
+            // Block 0's first member replaces block 1's first, which is larger.
+            let r = extents(p);
+            let first_of_block_1 = word(p, r.end_at(0)) as usize;
+            let v = word(p, r.target_at(0));
+            put_word(p, r.target_at(first_of_block_1), v);
+        }),
+        damage("data node in no extent", "members for", move |p| {
+            let r = extents(p);
+            let len = r.len(p);
+            put_word(p, r.end_at(r.rows - 1), len - 1);
+            put_word(p, r.at, len - 1);
+            let last = r.target_at(len as usize - 1);
+            p.drain(last..last + 4);
+        }),
+        damage("root out of range", "root index node out of range", move |p| {
+            let (at, blocks) = (p.len() - 4, index_rows(p)[1].rows as u32);
+            put_word(p, at, blocks);
+        }),
+    ];
+    cases.extend(tagged(*b"INDX", index_cases));
+    cases
+}
+
+/// Break each rule of the column loader once in the snapshot for `dk` +
+/// `data`, reseal, and require a typed strict rejection naming the rule,
+/// agreement between the two readers, and — for an `INDX` case — a
+/// graceful rebuild.
+pub fn snapshot_column_sweep(dk: &DkIndex, data: &DataGraph) -> FaultReport {
+    let pristine = snapshot_bytes(dk, data);
+    let mut report = FaultReport::new("resealed column-rule breaks");
+    for (tag, (rule, reason, damage)) in column_cases() {
+        let context = format!("{} {rule}, resealed", String::from_utf8_lossy(&tag));
+        let outcome = probe(&context, || {
+            let (_, range) = sections(&pristine).into_iter().find(|(t, _)| *t == tag).unwrap();
+            let mut payload = pristine[range.clone()].to_vec();
+            damage(&mut payload);
+            let container = reseal(&pristine, &range, &payload);
+            match read_snapshot(&container) {
+                Err(SnapshotError::Section { tag: at, reason: got })
+                    if at == tag && got.contains(reason) =>
+                {
+                    check_snapshot_bytes(&container, None, &context)
+                }
+                Err(e) => Probe::Violation(format!("{context}: rejected for another reason: {e}")),
+                Ok(_) => Probe::Violation(format!("{context}: strict read accepted it")),
+            }
+        });
+        record(&mut report, outcome);
+    }
+    report
+}
+
 /// Flip one bit in every byte of the log the server would write for
 /// `updates`: [`crate::crash::torture_batches`] group-committed through a
 /// `WalWriter`, so every record tag the serve layer logs and its commit
@@ -282,7 +466,7 @@ pub fn fixture(seed: u64) -> (DataGraph, DkIndex, Vec<(NodeId, NodeId)>) {
     (data, dk, updates)
 }
 
-/// Run all four sweeps on the standard fixture.
+/// Run all five sweeps on the standard fixture.
 pub fn run_all(seed: u64) -> Vec<FaultReport> {
     let (data, dk, updates) = fixture(seed);
     let [resealed_flips, resealed_cuts] = snapshot_resealed_sweep(&dk, &data);
@@ -291,6 +475,7 @@ pub fn run_all(seed: u64) -> Vec<FaultReport> {
         snapshot_truncation_sweep(&dk, &data),
         resealed_flips,
         resealed_cuts,
+        snapshot_column_sweep(&dk, &data),
         wal_fault_sweep(&dk, &data, &updates),
     ]
 }
@@ -328,6 +513,12 @@ mod tests {
             assert_eq!(resealed.cases, container.len() - framing);
             assert!(resealed.typed_errors > 0 && resealed.recovered > 0, "{}", resealed.summary());
         }
+
+        // Every column rule, on a fixture with wide rows in both sections.
+        let (xmark, xmark_dk, _) = fixture(1);
+        let columns = snapshot_column_sweep(&xmark_dk, &xmark);
+        assert!(columns.passed(), "{:?}", columns.violations);
+        assert_eq!((columns.cases, columns.typed_errors, columns.recovered), (13, 4, 9));
 
         let updates = vec![
             (a, c),

@@ -60,17 +60,8 @@ pub(super) fn load_index_graceful(path: &str) -> Result<(DkIndex, DataGraph, Rec
 /// Write `dk` + `g` to `path` as a checksummed snapshot — atomically, so a
 /// crash mid-save (even with `path` equal to the input) leaves the old file
 /// or the new one, never a torn one. Returns the byte count written.
-///
-/// An index the format cannot hold — a label (an XML element name) longer
-/// than 65 535 bytes — is the encoder's `InvalidInput` error and exits 4
-/// like any other malformed input, not 3: the disk is not at fault.
 pub(super) fn save_index(dk: &DkIndex, g: &DataGraph, path: &str) -> Result<u64, CliError> {
-    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| match e.kind() {
-        std::io::ErrorKind::InvalidInput => {
-            CliError::invalid(path, format!("cannot write the index: {e}"))
-        }
-        _ => CliError::io(path, e),
-    })?;
+    save_snapshot_file(dk, g, std::path::Path::new(path)).map_err(|e| CliError::io(path, e))?;
     Ok(fs::metadata(path).map_err(|e| CliError::io(path, e))?.len())
 }
 
@@ -108,9 +99,9 @@ mod tests {
     use crate::commands::fixture::*;
 
     /// The rejection edge of the exit-code matrix: files in the formats
-    /// that predate `DKSN` and `DKWL` v2 are corrupt input (exit 4) with a
-    /// message naming what is unsupported — never a panic, never a partial
-    /// load or replay.
+    /// that predate `DKSN` v2 and `DKWL` v3 are corrupt input (exit 4) with
+    /// a message naming what is unsupported — never a panic, never a
+    /// partial load or replay.
     #[test]
     fn pre_container_formats_are_exit_4_everywhere() {
         let dir = TempDir::new("legacy");
@@ -120,10 +111,10 @@ mod tests {
             .unwrap();
         let idx = idx.to_str().unwrap();
 
-        // A bare `DKG1…` stream: the snapshot from its graph payload on, no
+        // A bare graph stream: the snapshot from its graph payload on, no
         // container in front.
         let snapshot = fs::read(idx).unwrap();
-        let graph_at = snapshot.windows(4).position(|w| w == b"DKG1").unwrap();
+        let graph_at = snapshot.windows(4).position(|w| w == b"DKG2").unwrap();
         let legacy = dir.file("legacy.dki");
         fs::write(&legacy, &snapshot[graph_at..]).unwrap();
         let legacy = legacy.to_str().unwrap();
@@ -131,6 +122,19 @@ mod tests {
             let err = run(args).unwrap_err();
             assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
             assert!(err.to_string().contains("expected DKSN"), "{args:?}: {err}");
+        }
+
+        // A `DKSN` version 1 header: refused before any section is read.
+        let mut v1 = snapshot.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let v1_index = dir.file("v1.dki");
+        fs::write(&v1_index, &v1).unwrap();
+        let v1_index = v1_index.to_str().unwrap();
+        let verbs = [&["info", v1_index][..], &["doctor", v1_index], &["query", v1_index, "movie"]];
+        for args in verbs {
+            let err = run(args).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+            assert!(err.to_string().contains("unsupported snapshot version 1"), "{args:?}: {err}");
         }
 
         // A complete, CRC-valid `DKWL\x01…` log with one add-edge record.

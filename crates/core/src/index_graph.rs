@@ -20,10 +20,10 @@
 //! the same row rule: child rows keep insertion order, parent rows ascend,
 //! so an index rebuilt from a snapshot (which stores child rows only) has
 //! the parent rows of the live one. The snapshot loader lays the adjacency
-//! out once from the stored edges ([`Adjacency::from_pairs`]), row for row
-//! as [`IndexGraph::add_index_edge`] would leave them; every later edge
-//! write is incremental. What the summary knows about one node besides —
-//! similarity and extent — is one block behind an [`Arc`].
+//! out once from the stored child rows ([`Adjacency::from_child_rows`]),
+//! row for row as [`IndexGraph::add_index_edge`] would leave them; every
+//! later edge write is incremental. What the summary knows about one node
+//! besides — similarity and extent — is one block behind an [`Arc`].
 //!
 //! ## Copy-on-write
 //!
@@ -55,7 +55,7 @@
 //!    audit sees identical bytes whether its epoch shares every block and
 //!    segment or none.
 
-use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId};
+use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegCsr};
 use dkindex_partition::Partition;
 use std::sync::Arc;
 
@@ -205,39 +205,68 @@ impl IndexGraph {
         index
     }
 
-    /// Reassemble an index graph from stored parts (the `store` module's
-    /// loader). Extents must partition `0..data_nodes`. The edges are laid
-    /// out once ([`Adjacency::from_pairs`]), as
-    /// [`IndexGraph::add_index_edge`] would leave them added in `edges`
-    /// order. Panics when an edge endpoint or the root is out of range.
-    pub(crate) fn from_stored_parts(
+    /// Reassemble an index graph from its stored columns (the `store`
+    /// module's loader): per block a label and a similarity, the extents as
+    /// one column of runs (each block's run end, then the members, run by
+    /// run), the child rows, and the root. Validates what makes
+    /// the columns an index over `data_nodes` data nodes, in one pass per
+    /// column: each run ascends and the runs partition `0..data_nodes`
+    /// (filling the node map on the way), the child rows are an adjacency
+    /// ([`Adjacency::from_child_rows`]), the labels are in the interner and
+    /// the root is a block. Whether the index summarizes a given data graph
+    /// is [`crate::audit::check_structure`]'s verdict.
+    pub(crate) fn from_stored_columns(
         interner: LabelInterner,
         labels: Vec<LabelId>,
         similarity: Vec<usize>,
-        extents: Vec<Vec<NodeId>>,
-        edges: &[(NodeId, NodeId)],
+        extents: (impl ExactSizeIterator<Item = u32>, impl Iterator<Item = NodeId>),
+        children: SegCsr,
         root: NodeId,
         data_nodes: usize,
-    ) -> IndexGraph {
-        assert_eq!(labels.len(), similarity.len());
-        assert_eq!(labels.len(), extents.len());
-        assert!(root.index() < labels.len(), "root index node out of range");
-        let adjacency = Adjacency::from_pairs(labels.len(), edges.iter().copied())
-            .expect("index edge endpoint out of range");
-        let mut node_to_index = vec![NodeId::from_index(0); data_nodes];
-        let mut blocks = Vec::with_capacity(labels.len());
-        for (k, mut extent) in similarity.into_iter().zip(extents) {
-            extent.sort_unstable();
-            let i = blocks.len();
-            for &d in &extent {
-                if let Some(slot) = node_to_index.get_mut(d.index()) {
-                    *slot = NodeId::from_index(i);
+    ) -> Result<IndexGraph, String> {
+        let (blocks, (extent_ends, mut members)) = (labels.len(), extents);
+        if labels.iter().any(|label| label.index() >= interner.len()) {
+            return Err("a block label is out of range".to_string());
+        }
+        if root.index() >= blocks {
+            return Err("root index node out of range".to_string());
+        }
+        if extent_ends.len() != blocks || children.rows() != blocks {
+            return Err("the extents or child rows are not one per block".to_string());
+        }
+        let unassigned = NodeId::from_index(u32::MAX as usize);
+        let mut node_to_index = vec![unassigned; data_nodes];
+        let mut extents = Vec::with_capacity(blocks);
+        let mut start = 0;
+        for (b, end) in extent_ends.enumerate() {
+            let len = end.checked_sub(start).map(|len| len as usize);
+            let run: Vec<NodeId> = members.by_ref().take(len.unwrap_or(0)).collect();
+            if len != Some(run.len()) {
+                return Err("extent offsets do not ascend from 0 to the member count".to_string());
+            }
+            if run.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(format!("the extent of block {b} does not ascend"));
+            }
+            for &d in &run {
+                match node_to_index.get_mut(d.index()) {
+                    Some(slot) if *slot == unassigned => *slot = NodeId::from_index(b),
+                    Some(_) => return Err(format!("data node {d} is in two extents")),
+                    None => return Err(format!("extent member {d} is not a data node")),
                 }
             }
-            blocks.push(Block::shared(extent, k));
+            extents.push(run);
+            start = end;
         }
-        let interner = Arc::new(interner);
-        IndexGraph::from_columns(blocks, labels, adjacency, node_to_index, interner, root)
+        if members.next().is_some() {
+            return Err("extent offsets do not ascend from 0 to the member count".to_string());
+        }
+        if start as usize != data_nodes {
+            return Err(format!("extents hold {start} members for {data_nodes} data nodes"));
+        }
+        let adjacency = Adjacency::from_child_rows(children)?;
+        let blocks = extents.into_iter().zip(similarity).map(|(run, k)| Block::shared(run, k));
+        let (blocks, interner) = (blocks.collect(), Arc::new(interner));
+        Ok(IndexGraph::from_columns(blocks, labels, adjacency, node_to_index, interner, root))
     }
 
     /// Move the root to `root`: the audit tests' way to corrupt an index.

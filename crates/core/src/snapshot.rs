@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic     b"DKSN"
-//! version   u32 (= 1)
+//! version   u32 (= 2)
 //! sections  u32 count, then per section:
 //!             tag      [u8; 4]      (b"REQS" | b"GRPH" | b"INDX")
 //!             len      u32          payload byte length
@@ -14,11 +14,15 @@
 //! ```
 //!
 //! Section payloads are the codecs of [`crate::store`]: `GRPH` holds the
-//! data graph (a `DKG1` stream), `REQS` the requirements table, `INDX` the
-//! index body. The container, like every section decoder, reads through
-//! [`Cursor`] under this module's panic lints. Unknown tags are skipped
-//! (forward compatibility). This container is the only index file format:
-//! anything that does not start with `DKSN` is [`SnapshotError::BadMagic`].
+//! data graph's columns, `REQS` the requirements table, `INDX` the index
+//! graph's columns. The container, like every section decoder, reads
+//! through [`Cursor`] under this module's panic lints. Unknown tags are
+//! skipped (forward compatibility). This container is the only index file
+//! format: anything that does not start with `DKSN` is
+//! [`SnapshotError::BadMagic`], and any version but 2 is
+//! [`SnapshotError::UnsupportedVersion`] — version 1, which listed edges
+//! entry by entry and labels under a `u16` length, included. A version 1
+//! file is upgraded by building the index again from its source XML.
 //!
 //! Two read modes over one section loader:
 //!
@@ -60,7 +64,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DKSN";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const TAG_REQS: [u8; 4] = *b"REQS";
 const TAG_GRPH: [u8; 4] = *b"GRPH";
 const TAG_INDX: [u8; 4] = *b"INDX";
@@ -153,49 +157,44 @@ impl Recovery {
     }
 }
 
-/// Serialize `dk` + `data` as a snapshot container.
+/// Serialize `dk` + `data` as a snapshot container. Each section is
+/// encoded into its own buffer, written and dropped before the next, so a
+/// save holds one payload at a time, never a copy of the whole file.
 pub fn write_snapshot<W: Write>(dk: &DkIndex, data: &DataGraph, w: &mut W) -> io::Result<()> {
-    let mut reqs_payload = Vec::new();
-    store::write_requirements(dk.requirements(), &mut reqs_payload)?;
-    let mut graph_payload = Vec::new();
-    store::write_graph(data, &mut graph_payload)?;
-    let mut index_payload = Vec::new();
-    store::write_index(dk.index(), &mut index_payload)?;
-
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&3u32.to_le_bytes())?;
-    for (tag, payload) in [
-        (TAG_REQS, &reqs_payload),
-        (TAG_GRPH, &graph_payload),
-        (TAG_INDX, &index_payload),
-    ] {
-        w.write_all(&tag)?;
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&crc32(payload).to_le_bytes())?;
-        w.write_all(payload)?;
-    }
+    write_section(w, TAG_REQS, |out| store::write_requirements(dk.requirements(), out))?;
+    write_section(w, TAG_GRPH, |out| store::write_graph(data, out))?;
+    write_section(w, TAG_INDX, |out| store::write_index(dk.index(), out))?;
     telemetry::metrics::STORE_SNAPSHOT_WRITES.incr();
     Ok(())
 }
 
+/// Write one section: `tag`, the length and CRC of the payload `encode`
+/// appends, then the payload.
+fn write_section<W: Write>(
+    w: &mut W,
+    tag: [u8; 4],
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    let mut payload = Vec::new();
+    encode(&mut payload);
+    w.write_all(&tag)?;
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&crc32(&payload).to_le_bytes())?;
+    w.write_all(&payload)
+}
+
 /// Snapshot bytes for `dk` + `data` (convenience over [`write_snapshot`]).
-///
-/// # Panics
-///
-/// When a label of `data` or of `dk`'s requirements is longer than 65 535
-/// bytes, which the format's `u16` label lengths cannot encode. XML names
-/// have no length cap, so such an index can be built; [`write_snapshot`]
-/// and [`save_snapshot_file`] return the case as an `InvalidInput` error.
 pub fn snapshot_bytes(dk: &DkIndex, data: &DataGraph) -> Vec<u8> {
     let mut bytes = Vec::new();
     #[expect(
         clippy::expect_used,
-        reason = "Write for Vec<u8> cannot fail, so the one error left is a label over 65 535 \
-                  bytes; this convenience serves tests and in-memory comparisons, and the \
-                  documented panic keeps its signature, which the benchmark links against"
+        reason = "the encoders cannot fail and neither can Write for Vec<u8>; the signature, \
+                  which the benchmark links against, stays infallible"
     )]
-    write_snapshot(dk, data, &mut bytes).expect("a label longer than 65 535 bytes");
+    write_snapshot(dk, data, &mut bytes).expect("writing to a Vec cannot fail");
     bytes
 }
 
@@ -325,21 +324,19 @@ fn load_sections(bytes: &[u8]) -> Result<Sections, SnapshotError> {
     let corrupt = |tag: [u8; 4], reason: String| SnapshotError::Section { tag, reason };
     let frames = parse_frames(bytes)?;
     let data = match frames.grph {
-        Ok(payload) => {
-            store::read_graph(&mut Cursor::new(payload)).map_err(|e| corrupt(TAG_GRPH, e))?
-        }
+        Ok(payload) => store::read_graph(payload).map_err(|e| corrupt(TAG_GRPH, e))?,
         // A graph section lost to a framing break is reported as the break.
         Err(e) => return Err(frames.framing.err().unwrap_or(e)),
     };
-    let reqs = frames.reqs.and_then(|payload| {
-        store::read_requirements(&mut Cursor::new(payload)).map_err(|e| corrupt(TAG_REQS, e))
-    });
+    let reqs = frames
+        .reqs
+        .and_then(|payload| store::read_requirements(payload).map_err(|e| corrupt(TAG_REQS, e)));
     let index = frames.indx.and_then(|payload| {
-        let index = store::read_index(&mut Cursor::new(payload), data.node_count())
-            .map_err(|e| corrupt(TAG_INDX, e))?;
-        // `read_index` guards only what construction needs; whether the
-        // extents partition the graph, edges project it and the root is the
-        // root is decided here, before anything uses the index.
+        let index =
+            store::read_index(payload, data.node_count()).map_err(|e| corrupt(TAG_INDX, e))?;
+        // `read_index` checks the columns; whether edges project the graph,
+        // labels match and the root is the root is decided here, before
+        // anything uses the index.
         audit::check_structure(&index, &data).map_err(|finding| SnapshotError::Section {
             tag: TAG_INDX,
             reason: format!("fails invariants: {finding}"),
@@ -493,13 +490,13 @@ mod tests {
 
     /// Regression for the cursor-based framing rewrite: the container
     /// prefix is a durable format, so its exact bytes are pinned — magic,
-    /// LE version 1, LE section count 3, then the first section's tag.
+    /// LE version 2, LE section count 3, then the first section's tag.
     #[test]
     fn container_framing_bytes_are_pinned() {
         let (g, dk) = sample();
         let bytes = snapshot_bytes(&dk, &g);
         assert_eq!(bytes[..4], *b"DKSN");
-        assert_eq!(bytes[4..8], 1u32.to_le_bytes());
+        assert_eq!(bytes[4..8], 2u32.to_le_bytes());
         assert_eq!(bytes[8..12], 3u32.to_le_bytes());
         assert_eq!(bytes[12..16], *b"REQS");
     }
@@ -564,7 +561,7 @@ mod tests {
         // INDX is the last section: its payload ends the file, its CRC
         // precedes the payload.
         let mut indx = Vec::new();
-        store::write_index(dk.index(), &mut indx).unwrap();
+        store::write_index(dk.index(), &mut indx);
         let at = n - indx.len();
         let crc = crc32(&copy[at..]);
         copy[at - 4..at].copy_from_slice(&crc.to_le_bytes());
@@ -581,10 +578,10 @@ mod tests {
     fn recovery_fails_cleanly_when_graph_is_corrupt() {
         let (g, dk) = sample();
         let mut bytes = snapshot_bytes(&dk, &g);
-        // The GRPH payload starts after REQS; find its DKG1 magic and break it.
+        // The GRPH payload starts after REQS; find its DKG2 magic and break it.
         let pos = bytes
             .windows(4)
-            .position(|w| w == b"DKG1")
+            .position(|w| w == b"DKG2")
             .expect("graph payload present");
         bytes[pos + 10] ^= 0xFF;
         assert!(matches!(
@@ -608,15 +605,27 @@ mod tests {
         }
     }
 
-    /// The container is the only index file format: the bare `DKG1` stream
-    /// that predates it (graph payload first, no checksums) is not sniffed
-    /// or half-parsed, it is `BadMagic` for both readers.
+    /// One version: a version 1 header (edges entry by entry, `u16` label
+    /// lengths) is refused by both readers before any section is read.
+    #[test]
+    fn version_1_is_refused_by_both_readers() {
+        let (g, dk) = sample();
+        let mut bytes = snapshot_bytes(&dk, &g);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(read_snapshot(&bytes), Err(SnapshotError::UnsupportedVersion(1))));
+        assert!(matches!(load_with_recovery(&bytes), Err(SnapshotError::UnsupportedVersion(1))));
+    }
+
+    /// The container is the only index file format: a bare graph stream
+    /// (graph payload first, no checksums, as the `DKG1` files that
+    /// predate the container were) is not sniffed or half-parsed, it is
+    /// `BadMagic` for both readers.
     #[test]
     fn bare_graph_streams_are_not_snapshots() {
         let (g, dk) = sample();
         let mut bare = Vec::new();
-        store::write_graph(&g, &mut bare).unwrap();
-        store::write_index(dk.index(), &mut bare).unwrap();
+        store::write_graph(&g, &mut bare);
+        store::write_index(dk.index(), &mut bare);
         assert!(matches!(read_snapshot(&bare), Err(SnapshotError::BadMagic)));
         assert!(matches!(load_with_recovery(&bare), Err(SnapshotError::BadMagic)));
     }

@@ -3,50 +3,52 @@
 //! requirements table (`REQS`). None is a file format on its own — the
 //! container frames, checksums and versions them.
 //!
-//! Layouts (little-endian; a label is `u16` byte length + UTF-8, so a label
-//! longer than 65 535 bytes cannot be written):
+//! Layouts (little-endian). A section is its structure's columns, on disk
+//! as in memory:
 //!
 //! ```text
-//! REQS     u32 floor, u32 count, then per entry: label, u32 k
-//!          (entries sorted by label)
-//! GRPH     magic    b"DKG1"
-//!          labels   u32 count, then per label: label (ROOT and VALUE first)
-//!          nodes    u32 count, then per node: u32 label id (node 0 is the root)
-//!          edges    u32 count, then per edge: u32 from, u32 to,
-//!                     u8 kind (0 tree, 1 reference)
-//! INDX     labels   u32 count, then per label: label
-//!          inodes   u32 count, then per node:
-//!                     u32 label, u64 similarity, u32 extent-len, u32 data-node ids
-//!          edges    u32 count, then per edge: u32 from, u32 to
-//!          root     u32 index node id
+//! name     u32 byte length, then UTF-8 (no length limit)
+//! table    u32 count, then count × name (ROOT and VALUE first)
+//! rows     u32 len (the column's length), then one u32 row end per row
+//!          (ascending, the last one len), then len × u32 target, row by row
+//!
+//! REQS     u32 floor, u32 count, then per entry: name, u32 k
+//!          (entries sorted by name: the WAL's requirements bytes)
+//! GRPH     magic     b"DKG2"
+//!          labels    table
+//!          nodes     u32 n, then n × u32 label id (node 0 is the root)
+//!          children  rows over the n nodes, each in insertion order
+//!          kinds     ⌈len / 8⌉ bytes: bit i (least significant first) is set
+//!                    when child slot i is a reference edge; padding bits 0
+//! INDX     labels    table
+//!          blocks    u32 b, then b × u32 label id, then b × u64 similarity
+//!          extents   rows over the b blocks: each block's data nodes,
+//!                    ascending
+//!          children  rows over the b blocks
+//!          root      u32 block id
 //! ```
 //!
-//! Both writers list their edges child row by child row: nodes in id order,
-//! each row's targets in its order. Both readers take edges in any order:
-//! each child row keeps its targets in the order they are listed, a
-//! repeated edge keeps its first occurrence (and, in `GRPH`, that
-//! occurrence's kind), and every parent row is rebuilt ascending. So a
-//! payload that lists its edges in another order — one written when `GRPH`
-//! still listed edges in insertion order, say — loads to the same rows.
+//! Parent rows are not stored: the loader rebuilds them ascending by one
+//! counting transpose of the child rows.
 //!
-//! Every encoder appends to a `Vec<u8>` and fails only on an over-long
-//! label, as an [`io::ErrorKind::InvalidInput`] error. Every decoder reads one
-//! whole payload from a [`Cursor`] and returns its reason as a `String`,
-//! which the container wraps as a `SnapshotError::Section`; trailing bytes
-//! inside a payload are an error. Payloads reach the decoders only after
-//! their CRC matched, but the decoders do not lean on that: this module
-//! denies clippy's panic lints like the rest of the untrusted-bytes path.
+//! Every encoder appends to a `Vec<u8>` and cannot fail. Every decoder reads
+//! one whole payload and returns its reason as a `String`, which the
+//! container wraps as a `SnapshotError::Section`; trailing bytes inside a
+//! payload are an error. Payloads reach the decoders only after their CRC
+//! matched, but the decoders do not lean on that: this module denies
+//! clippy's panic lints like the rest of the untrusted-bytes path.
 //!
-//! The decoders guard only what makes construction safe — every id in
-//! range, no allocation sized by an unchecked count: every count is first
-//! held against the bytes left in the payload, so a corrupted count fails
-//! before anything is sized by it. The graph decoders decode first and
-//! build second: [`DataGraph::from_parts`] and
-//! `IndexGraph::from_stored_parts` lay each adjacency column out once from
-//! the decoded edges. The verdict on an index
-//! (extents partition the graph, edges project it, the root is the root) is
-//! [`crate::audit::check_structure`]'s, which the snapshot loader runs
-//! against the graph it loads alongside before anything uses the index.
+//! Decoding reads each column straight from the payload, every count first
+//! held against the bytes left, so a corrupted count fails before anything
+//! is sized by it. The builders validate the columns as they copy them in,
+//! one pass per column: [`SegCsr::from_rows`] checks that row ends ascend
+//! and end at the column's length, [`DataGraph::from_rows`] and
+//! `IndexGraph::from_stored_columns` that labels and targets are in range,
+//! that no row repeats a target, and that the extent runs ascend and
+//! partition the data nodes. The verdict on an index (edges project the
+//! graph, the root is the root, …) is [`crate::audit::check_structure`]'s,
+//! which the snapshot loader runs against the graph it loads alongside
+//! before anything uses the index.
 
 #![deny(
     clippy::unwrap_used,
@@ -63,19 +65,9 @@
 use crate::bytes::Cursor;
 use crate::index_graph::{IndexGraph, SIM_EXACT};
 use crate::requirements::Requirements;
-use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId};
-use std::io;
+use dkindex_graph::{DataGraph, EdgeKind, LabelId, LabelInterner, LabeledGraph, NodeId, SegCsr};
 
-const GRAPH_MAGIC: [u8; 4] = *b"DKG1";
-
-/// The most a decoder pre-allocates for a column from its count alone: a
-/// larger column grows as its entries actually decode. Node labels and
-/// index edges are allocated exactly: `take_count` has held their count
-/// against the bytes left, and each entry takes no more memory than the
-/// payload bytes it decodes from. So are data edges, whose 12 bytes each
-/// are at most 4/3 of the 9 payload bytes they decode from, and an extent,
-/// which the data graph's node count bounds.
-const MAX_PREALLOC: usize = 1 << 16;
+const GRAPH_MAGIC: [u8; 4] = *b"DKG2";
 
 // ---- encoding ------------------------------------------------------------
 
@@ -83,82 +75,79 @@ fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
 }
 
-fn put_label(out: &mut Vec<u8>, label: &str) -> io::Result<()> {
-    let len = u16::try_from(label.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "label of {} bytes exceeds the snapshot format's 65535-byte label limit",
-                label.len()
-            ),
-        )
-    })?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(label.as_bytes());
-    Ok(())
+/// A name: the one label encoding of both formats (DKSN tables, DKWL
+/// requirements).
+fn put_name(out: &mut Vec<u8>, name: &str) {
+    put_u32(out, name.len());
+    out.extend_from_slice(name.as_bytes());
 }
 
-fn put_label_table(out: &mut Vec<u8>, labels: &LabelInterner) -> io::Result<()> {
+fn put_label_table(out: &mut Vec<u8>, labels: &LabelInterner) {
     put_u32(out, labels.len());
     for (_, name) in labels.iter() {
-        put_label(out, name)?;
+        put_name(out, name);
     }
-    Ok(())
+}
+
+/// A rows column: its length, each row's end, then every target.
+fn put_rows<'a>(out: &mut Vec<u8>, rows: impl Iterator<Item = &'a [NodeId]> + Clone) {
+    let len = rows.clone().map(<[NodeId]>::len).sum();
+    out.reserve(4 * (1 + rows.clone().count() + len));
+    put_u32(out, len);
+    let mut end = 0;
+    for row in rows.clone() {
+        end += row.len();
+        put_u32(out, end);
+    }
+    for &target in rows.flatten() {
+        put_u32(out, target.index());
+    }
 }
 
 /// Append the `GRPH` payload of `g`.
-pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) -> io::Result<()> {
+pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) {
     out.extend_from_slice(&GRAPH_MAGIC);
-    put_label_table(out, g.labels())?;
+    put_label_table(out, g.labels());
     put_u32(out, g.node_count());
     for n in g.node_ids() {
         put_u32(out, g.label_of(n).index());
     }
-    put_u32(out, g.edge_count());
-    for (from, to, kind) in g.edges() {
-        put_u32(out, from.index());
-        put_u32(out, to.index());
-        out.push(match kind {
-            EdgeKind::Tree => 0,
-            EdgeKind::Reference => 1,
-        });
+    put_rows(out, g.node_ids().map(|n| g.children_of(n)));
+    let mut kinds = vec![0u8; g.edge_count().div_ceil(8)];
+    for (slot, (_, _, kind)) in g.edges().enumerate() {
+        if let (EdgeKind::Reference, Some(byte)) = (kind, kinds.get_mut(slot / 8)) {
+            *byte |= 1 << (slot % 8);
+        }
     }
-    Ok(())
+    out.extend_from_slice(&kinds);
 }
 
 /// Append the `INDX` payload of `index` (without its data graph).
-pub(crate) fn write_index(index: &IndexGraph, out: &mut Vec<u8>) -> io::Result<()> {
-    put_label_table(out, index.labels())?;
+pub(crate) fn write_index(index: &IndexGraph, out: &mut Vec<u8>) {
+    put_label_table(out, index.labels());
     put_u32(out, index.size());
-    for inode in index.node_ids() {
-        put_u32(out, index.label_of(inode).index());
-        out.extend_from_slice(&(index.similarity(inode) as u64).to_le_bytes());
-        let extent = index.extent(inode);
-        put_u32(out, extent.len());
-        for &d in extent {
-            put_u32(out, d.index());
-        }
+    for block in index.node_ids() {
+        put_u32(out, index.label_of(block).index());
     }
-    put_u32(out, index.edge_count());
-    for (from, to) in index.edges() {
-        put_u32(out, from.index());
-        put_u32(out, to.index());
+    for block in index.node_ids() {
+        out.extend_from_slice(&(index.similarity(block) as u64).to_le_bytes());
     }
+    put_rows(out, index.node_ids().map(|block| index.extent(block)));
+    put_rows(out, index.node_ids().map(|block| index.children_of(block)));
     put_u32(out, index.root().index());
-    Ok(())
 }
 
-/// Append the `REQS` payload of `reqs`.
-pub(crate) fn write_requirements(reqs: &Requirements, out: &mut Vec<u8>) -> io::Result<()> {
+/// Append the requirements table `reqs`: the `REQS` payload, and the body
+/// of the WAL's requirement records.
+pub(crate) fn write_requirements(reqs: &Requirements, out: &mut Vec<u8>) {
     put_u32(out, reqs.floor());
     let mut entries: Vec<(&str, usize)> = reqs.iter().collect();
     entries.sort(); // deterministic output
     put_u32(out, entries.len());
     for (label, k) in entries {
-        put_label(out, label)?;
+        put_name(out, label);
         put_u32(out, k);
     }
-    Ok(())
 }
 
 // ---- decoding ------------------------------------------------------------
@@ -183,23 +172,56 @@ fn take_count(cur: &mut Cursor<'_>, what: &str, min_bytes: usize) -> Result<usiz
     }
 }
 
-fn take_label<'a>(cur: &mut Cursor<'a>) -> Result<&'a str, String> {
-    let len = cur.u16_le().ok_or("payload ends inside a label length")?;
-    let bytes = cur.take(usize::from(len)).ok_or("payload ends inside a label")?;
-    std::str::from_utf8(bytes).map_err(|_| "label is not UTF-8".to_string())
+/// `n` little-endian `u32`s.
+fn take_words<'a>(
+    cur: &mut Cursor<'a>,
+    n: usize,
+    what: &str,
+) -> Result<impl ExactSizeIterator<Item = u32> + Clone + 'a, String> {
+    let bytes = n.checked_mul(4).and_then(|len| cur.take(len));
+    let bytes = bytes.ok_or_else(|| format!("payload ends inside {what}"))?;
+    Ok(bytes.as_chunks::<4>().0.iter().map(|word| u32::from_le_bytes(*word)))
+}
+
+/// A rows column over `rows` rows, as each row's end and the targets, row
+/// by row, read straight from the payload. Only that the bytes are there
+/// is checked here; the column's rules are its builder's.
+fn take_rows<'a>(
+    cur: &mut Cursor<'a>,
+    rows: usize,
+    what: &str,
+) -> Result<(impl ExactSizeIterator<Item = u32> + 'a, impl Iterator<Item = NodeId> + 'a), String> {
+    let len = take_count(cur, what, 4)?;
+    let ends = take_words(cur, rows, what)?;
+    let targets = take_words(cur, len, what)?.map(|target| NodeId::from_index(target as usize));
+    Ok((ends, targets))
+}
+
+/// A rows column laid out as a [`SegCsr`].
+fn take_column(cur: &mut Cursor<'_>, rows: usize, what: &str) -> Result<SegCsr, String> {
+    let (ends, targets) = take_rows(cur, rows, what)?;
+    SegCsr::from_rows(ends, targets)
+        .ok_or_else(|| format!("{what}: row offsets do not ascend from 0 to the target count"))
+}
+
+/// A name, shared with the WAL's requirement records.
+fn take_name<'a>(cur: &mut Cursor<'a>) -> Result<&'a str, String> {
+    let len = take_u32(cur, "a name length")?;
+    let bytes = cur.take(len).ok_or("payload ends inside a name")?;
+    std::str::from_utf8(bytes).map_err(|_| "a name is not UTF-8".to_string())
 }
 
 /// A label table: every name must intern to its own position, so `ROOT`
 /// and `VALUE` (which every interner starts with) come first and no name
 /// repeats.
 fn take_label_table(cur: &mut Cursor<'_>) -> Result<LabelInterner, String> {
-    let count = take_count(cur, "the label count", 2)?;
+    let count = take_count(cur, "the label count", 4)?;
     if count < 2 {
         return Err("label table must contain ROOT and VALUE".to_string());
     }
     let mut labels = LabelInterner::new();
     for i in 0..count {
-        let name = take_label(cur)?;
+        let name = take_name(cur)?;
         if labels.intern(name).index() != i {
             return Err(format!("label table broken at {name:?}"));
         }
@@ -207,134 +229,87 @@ fn take_label_table(cur: &mut Cursor<'_>) -> Result<LabelInterner, String> {
     Ok(labels)
 }
 
-fn end_of_payload(cur: &Cursor<'_>) -> Result<(), String> {
+/// Decode all of `payload` with `decode`: bytes it leaves are an error.
+fn whole<T>(
+    payload: &[u8],
+    decode: impl FnOnce(&mut Cursor<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut cur = Cursor::new(payload);
+    let value = decode(&mut cur)?;
     match cur.remaining() {
-        0 => Ok(()),
+        0 => Ok(value),
         n => Err(format!("{n} trailing bytes inside the section")),
     }
 }
 
-/// Decode a whole `GRPH` payload: labels and the edges first, then one
-/// bulk build ([`DataGraph::from_parts`]), which equals adding the nodes and
-/// edges one at a time (a repeated edge keeps its first occurrence).
-pub(crate) fn read_graph(cur: &mut Cursor<'_>) -> Result<DataGraph, String> {
-    if cur.array4() != Some(GRAPH_MAGIC) {
-        return Err("bad magic (expected DKG1)".to_string());
-    }
-    let interner = take_label_table(cur)?;
-    let node_count = take_count(cur, "the node count", 4)?;
-    if node_count == 0 {
-        return Err("graph has no root node".to_string());
-    }
-    let mut labels = Vec::with_capacity(node_count);
-    for i in 0..node_count {
-        let label = take_u32(cur, "a node label")?;
-        if label >= interner.len() {
-            return Err(format!("node {i}: label id {label} out of range"));
+/// Decode a whole `GRPH` payload: the columns out of the bytes, then one
+/// validating build ([`DataGraph::from_rows`]).
+pub(crate) fn read_graph(payload: &[u8]) -> Result<DataGraph, String> {
+    whole(payload, |cur| {
+        if cur.array4() != Some(GRAPH_MAGIC) {
+            return Err("bad magic (expected DKG2)".to_string());
         }
-        if i == 0 && label != LabelInterner::ROOT.index() {
-            return Err("node 0 must carry the ROOT label".to_string());
+        let interner = take_label_table(cur)?;
+        let nodes = take_count(cur, "the node count", 4)?;
+        let labels = take_words(cur, nodes, "the label column")?;
+        let labels = labels.map(|label| LabelId::from_index(label as usize)).collect();
+        let children = take_column(cur, nodes, "the child rows")?;
+        let edges = children.target_count();
+        let kinds = cur.take(edges.div_ceil(8)).ok_or("payload ends inside the edge kinds")?;
+        let padding = kinds.last().map_or(0, |&last| last >> (edges % 8));
+        if edges % 8 != 0 && padding != 0 {
+            return Err("edge kind padding bits are set".to_string());
         }
-        labels.push(LabelId::from_index(label));
-    }
-    let edge_count = take_count(cur, "the edge count", 9)?;
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let from = take_u32(cur, "an edge")?;
-        let to = take_u32(cur, "an edge")?;
-        let kind = match cur.u8() {
-            Some(0) => EdgeKind::Tree,
-            Some(1) => EdgeKind::Reference,
-            Some(other) => return Err(format!("unknown edge kind {other}")),
-            None => return Err("payload ends inside an edge".to_string()),
-        };
-        if from >= node_count || to >= node_count {
-            return Err("edge endpoint out of range".to_string());
-        }
-        edges.push((NodeId::from_index(from), NodeId::from_index(to), kind));
-    }
-    end_of_payload(cur)?;
-    Ok(DataGraph::from_parts(interner, labels, &edges))
+        let reference =
+            |slot: usize| kinds.get(slot / 8).is_some_and(|byte| byte >> (slot % 8) & 1 == 1);
+        Ok(DataGraph::from_rows(interner, labels, children, reference)?)
+    })
 }
 
 /// Decode a whole `INDX` payload. `data_nodes` is the node count of the data
 /// graph the index summarizes (extents must partition exactly that range).
-/// Only ranges are checked here: run [`crate::audit::check_structure`]
-/// before using the result, as the snapshot loader does.
-pub(crate) fn read_index(cur: &mut Cursor<'_>, data_nodes: usize) -> Result<IndexGraph, String> {
-    let interner = take_label_table(cur)?;
-    let label_count = interner.len();
-    let inode_count = take_count(cur, "the index node count", 16)?;
-    if inode_count == 0 {
-        return Err("index has no nodes".to_string());
-    }
-    if inode_count > data_nodes {
-        return Err("more index nodes than data nodes".to_string());
-    }
-    let cap = inode_count.min(MAX_PREALLOC);
-    let mut labels = Vec::with_capacity(cap);
-    let mut sims = Vec::with_capacity(cap);
-    let mut extents: Vec<Vec<NodeId>> = Vec::with_capacity(cap);
-    for i in 0..inode_count {
-        let label = take_u32(cur, "an index node")?;
-        if label >= label_count {
-            return Err(format!("inode {i}: label out of range"));
-        }
-        let sim = cur
-            .u64_le()
-            .ok_or_else(|| format!("inode {i}: payload ends inside the similarity"))?;
-        let sim = usize::try_from(sim)
-            .ok()
-            .filter(|&k| k <= SIM_EXACT)
-            .ok_or_else(|| format!("inode {i}: similarity {sim} out of range"))?;
-        let len = take_count(cur, "an extent length", 4)?;
-        if len > data_nodes {
-            return Err(format!("inode {i}: extent larger than data"));
-        }
-        let mut extent = Vec::with_capacity(len);
-        for _ in 0..len {
-            let d = take_u32(cur, "an extent")?;
-            if d >= data_nodes {
-                return Err(format!("inode {i}: extent member out of range"));
-            }
-            extent.push(NodeId::from_index(d));
-        }
-        labels.push(LabelId::from_index(label));
-        sims.push(sim);
-        extents.push(extent);
-    }
-    let edge_count = take_count(cur, "the index edge count", 8)?;
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let from = take_u32(cur, "an index edge")?;
-        let to = take_u32(cur, "an index edge")?;
-        if from >= inode_count || to >= inode_count {
-            return Err("index edge out of range".to_string());
-        }
-        edges.push((NodeId::from_index(from), NodeId::from_index(to)));
-    }
-    let root = take_u32(cur, "the root")?;
-    if root >= inode_count {
-        return Err("root index node out of range".to_string());
-    }
-    end_of_payload(cur)?;
-    let root = NodeId::from_index(root);
-    Ok(IndexGraph::from_stored_parts(interner, labels, sims, extents, &edges, root, data_nodes))
+/// Run [`crate::audit::check_structure`] before using the result, as the
+/// snapshot loader does.
+pub(crate) fn read_index(payload: &[u8], data_nodes: usize) -> Result<IndexGraph, String> {
+    whole(payload, |cur| {
+        let interner = take_label_table(cur)?;
+        let blocks = take_count(cur, "the block count", 12)?;
+        let labels = take_words(cur, blocks, "the block labels")?;
+        let labels = labels.map(|label| LabelId::from_index(label as usize)).collect();
+        let sims = cur.take(8 * blocks).ok_or("payload ends inside the similarities")?;
+        let sims = sims.as_chunks::<8>().0.iter().map(|k| {
+            let k = u64::from_le_bytes(*k);
+            usize::try_from(k)
+                .ok()
+                .filter(|&k| k <= SIM_EXACT)
+                .ok_or_else(|| format!("similarity {k} out of range"))
+        });
+        let sims = sims.collect::<Result<_, _>>()?;
+        let extents = take_rows(cur, blocks, "the extent column")?;
+        let children = take_column(cur, blocks, "the index child rows")?;
+        let root = NodeId::from_index(take_u32(cur, "the root")?);
+        IndexGraph::from_stored_columns(interner, labels, sims, extents, children, root, data_nodes)
+    })
 }
 
-/// Decode a whole `REQS` payload.
-pub(crate) fn read_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
+/// Decode a requirements table from `cur` (the WAL reads its records'
+/// tables here; the bytes after it are the caller's).
+pub(crate) fn take_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
     let floor = take_u32(cur, "the floor")?;
     let mut reqs = Requirements::new();
     reqs.raise_floor(floor);
-    let count = take_count(cur, "the entry count", 6)?;
+    let count = take_count(cur, "the entry count", 8)?;
     for _ in 0..count {
-        let label = take_label(cur)?;
+        let label = take_name(cur)?;
         let k = take_u32(cur, "an entry")?;
         reqs.raise(label, k);
     }
-    end_of_payload(cur)?;
     Ok(reqs)
+}
+
+/// Decode a whole `REQS` payload.
+pub(crate) fn read_requirements(payload: &[u8]) -> Result<Requirements, String> {
+    whole(payload, take_requirements)
 }
 
 #[cfg(test)]
@@ -343,7 +318,6 @@ mod tests {
     use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
     use crate::snapshot::snapshot_bytes;
-    use proptest::prelude::*;
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -363,26 +337,27 @@ mod tests {
 
     fn index_bytes(dk: &DkIndex) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_index(dk.index(), &mut bytes).unwrap();
+        write_index(dk.index(), &mut bytes);
         bytes
     }
 
     fn graph_bytes(g: &DataGraph) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_graph(g, &mut bytes).unwrap();
+        write_graph(g, &mut bytes);
         bytes
     }
 
     #[test]
     fn index_round_trips() {
         let (g, dk) = sample();
-        let bytes = index_bytes(&dk);
-        let back = read_index(&mut Cursor::new(&bytes), g.node_count()).unwrap();
+        let back = read_index(&index_bytes(&dk), g.node_count()).unwrap();
         check_structure(&back, &g).unwrap();
         assert_eq!(back.size(), dk.size());
         assert!(back.to_partition().same_equivalence(&dk.index().to_partition()));
         for inode in dk.index().node_ids() {
             assert_eq!(back.similarity(inode), dk.index().similarity(inode));
+            assert_eq!(back.children_of(inode), dk.index().children_of(inode));
+            assert_eq!(back.parents_of(inode), dk.index().parents_of(inode));
         }
     }
 
@@ -391,8 +366,7 @@ mod tests {
         use crate::eval::{evaluate_on_data, IndexEvaluator};
         use dkindex_pathexpr::parse;
         let (g, dk) = sample();
-        let bytes = index_bytes(&dk);
-        let back = read_index(&mut Cursor::new(&bytes), g.node_count()).unwrap();
+        let back = read_index(&index_bytes(&dk), g.node_count()).unwrap();
         for q in ["director.movie.title", "actor.movie", "movie.title"] {
             let e = parse(q).unwrap();
             let out = IndexEvaluator::new(&back, &g).evaluate(&e);
@@ -410,7 +384,7 @@ mod tests {
         for i in (bytes.len() - 40)..bytes.len() {
             let mut copy = bytes.clone();
             copy[i] ^= 0xFF;
-            let loaded = read_index(&mut Cursor::new(&copy), g.node_count());
+            let loaded = read_index(&copy, g.node_count());
             if loaded.map_or(true, |index| check_structure(&index, &g).is_err()) {
                 corrupted += 1;
             }
@@ -422,16 +396,13 @@ mod tests {
     fn every_payload_rejects_truncation_and_trailing_bytes() {
         let (g, dk) = sample();
         let mut reqs = Vec::new();
-        write_requirements(dk.requirements(), &mut reqs).unwrap();
+        write_requirements(dk.requirements(), &mut reqs);
         let payloads = [graph_bytes(&g), index_bytes(&dk), reqs];
         for (which, bytes) in payloads.iter().enumerate() {
-            let decode = |bytes: &[u8]| {
-                let cur = &mut Cursor::new(bytes);
-                match which {
-                    0 => read_graph(cur).map(drop),
-                    1 => read_index(cur, g.node_count()).map(drop),
-                    _ => read_requirements(cur).map(drop),
-                }
+            let decode = |bytes: &[u8]| match which {
+                0 => read_graph(bytes).map(drop),
+                1 => read_index(bytes, g.node_count()).map(drop),
+                _ => read_requirements(bytes).map(drop),
             };
             decode(bytes).unwrap();
             assert!(decode(&bytes[..bytes.len() - 1]).is_err(), "payload {which} truncated");
@@ -445,15 +416,16 @@ mod tests {
     #[test]
     fn graph_round_trips() {
         let (g, _) = sample();
-        let back = read_graph(&mut Cursor::new(&graph_bytes(&g))).unwrap();
+        let back = read_graph(&graph_bytes(&g)).unwrap();
         assert_eq!(back.node_count(), g.node_count());
         assert!(back.edges().eq(g.edges()));
         for n in g.node_ids() {
             assert_eq!(back.label_name(n), g.label_name(n));
+            assert_eq!(back.parents_of(n), g.parents_of(n));
         }
         let mut bad = graph_bytes(&g);
         bad[0] = b'X';
-        assert!(read_graph(&mut Cursor::new(&bad)).unwrap_err().contains("magic"));
+        assert!(read_graph(&bad).unwrap_err().contains("magic"));
     }
 
     #[test]
@@ -461,57 +433,8 @@ mod tests {
         let mut reqs = Requirements::from_pairs([("a", 3), ("b", 1)]);
         reqs.raise_floor(1);
         let mut bytes = Vec::new();
-        write_requirements(&reqs, &mut bytes).unwrap();
-        let back = read_requirements(&mut Cursor::new(&bytes)).unwrap();
-        assert_eq!(back, reqs);
-    }
-
-    /// The label table of the decoders' fixtures: ROOT, VALUE, a, b, c.
-    fn names() -> LabelInterner {
-        let mut names = LabelInterner::new();
-        for name in ["a", "b", "c"] {
-            names.intern(name);
-        }
-        names
-    }
-
-    /// A `GRPH` payload written field by field — so it may hold what
-    /// `write_graph` never writes: repeated edges.
-    fn raw_graph(labels: &[usize], edges: &[(usize, usize, EdgeKind)]) -> Vec<u8> {
-        let mut out = GRAPH_MAGIC.to_vec();
-        put_label_table(&mut out, &names()).unwrap();
-        put_u32(&mut out, labels.len());
-        for &label in labels {
-            put_u32(&mut out, label);
-        }
-        put_u32(&mut out, edges.len());
-        for &(from, to, kind) in edges {
-            put_u32(&mut out, from);
-            put_u32(&mut out, to);
-            out.push(u8::from(kind == EdgeKind::Reference));
-        }
-        out
-    }
-
-    /// An `INDX` payload over `n` one-member extents (inode `i` holds data
-    /// node `i`), its edges written as given, repeats included.
-    fn raw_index(n: usize, edges: &[(usize, usize)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_label_table(&mut out, &names()).unwrap();
-        put_u32(&mut out, n);
-        for i in 0..n {
-            put_u32(&mut out, usize::from(i != 0) * 2); // ROOT, then a
-            out.extend_from_slice(&0u64.to_le_bytes());
-            put_u32(&mut out, 1);
-            put_u32(&mut out, i);
-        }
-        put_u32(&mut out, edges.len());
-        for &(from, to) in edges {
-            put_u32(&mut out, from);
-            put_u32(&mut out, to);
-        }
-        put_u32(&mut out, 0);
-        out
+        write_requirements(&reqs, &mut bytes);
+        assert_eq!(read_requirements(&bytes).unwrap(), reqs);
     }
 
     /// A count field of 2³²−1 followed by a few bytes fails at the count:
@@ -519,8 +442,10 @@ mod tests {
     #[test]
     fn a_count_larger_than_the_payload_fails_before_anything_is_sized_by_it() {
         const CLAIM: [u8; 4] = u32::MAX.to_le_bytes();
+        let mut names = LabelInterner::new();
+        names.intern("a");
         let mut node_count = GRAPH_MAGIC.to_vec();
-        put_label_table(&mut node_count, &names()).unwrap();
+        put_label_table(&mut node_count, &names);
         let mut edge_count = node_count.clone();
         node_count.extend_from_slice(&CLAIM);
         node_count.extend_from_slice(&[0; 6]);
@@ -528,25 +453,15 @@ mod tests {
         put_u32(&mut edge_count, 0);
         edge_count.extend_from_slice(&CLAIM);
         edge_count.extend_from_slice(&[0; 9]);
-
-        let mut inode_count = Vec::new();
-        put_label_table(&mut inode_count, &names()).unwrap();
-        inode_count.extend_from_slice(&CLAIM);
-        inode_count.extend_from_slice(&[0; 16]);
-        let mut index_edge_count = raw_index(1, &[]);
-        let edges_at = index_edge_count.len() - 8; // edge count, root
-        index_edge_count.truncate(edges_at);
-        index_edge_count.extend_from_slice(&CLAIM);
-        index_edge_count.extend_from_slice(&[0; 12]);
+        let mut block_count = Vec::new();
+        put_label_table(&mut block_count, &names);
+        block_count.extend_from_slice(&CLAIM);
+        block_count.extend_from_slice(&[0; 16]);
 
         let cases = [
-            (read_graph(&mut Cursor::new(&node_count)).map(drop), "the node count"),
-            (read_graph(&mut Cursor::new(&edge_count)).map(drop), "the edge count"),
-            (
-                read_index(&mut Cursor::new(&inode_count), u32::MAX as usize).map(drop),
-                "the index node count",
-            ),
-            (read_index(&mut Cursor::new(&index_edge_count), 1).map(drop), "the index edge count"),
+            (read_graph(&node_count).map(drop), "the node count"),
+            (read_graph(&edge_count).map(drop), "the child rows"),
+            (read_index(&block_count, u32::MAX as usize).map(drop), "the block count"),
         ];
         for (outcome, what) in cases {
             let err = outcome.unwrap_err();
@@ -554,142 +469,47 @@ mod tests {
         }
     }
 
-    /// A node count on or off a 64-row segment boundary, one label per
-    /// node, and an edge list holding repeats of both kinds and self-loops
-    /// (few edges over many nodes leave some isolated).
-    fn graph_input() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize, EdgeKind)>)> {
-        let index = any::<prop::sample::Index>;
-        let edge = (index(), index(), any::<bool>());
-        (
-            prop::sample::select(vec![1, 2, 63, 64, 65, 127, 128, 129, 192]),
-            prop::collection::vec(1usize..5, 191),
-            prop::collection::vec(edge, 0..160),
-            prop::collection::vec((index(), any::<bool>()), 0..40),
-            prop::collection::vec(index(), 0..6),
-        )
-            .prop_map(|(n, labels, fresh, repeats, loops)| {
-                let kind = |reference: bool| {
-                    [EdgeKind::Tree, EdgeKind::Reference][usize::from(reference)]
-                };
-                let labels = std::iter::once(0).chain(labels).take(n).collect();
-                let mut edges: Vec<_> =
-                    fresh.iter().map(|(f, t, r)| (f.index(n), t.index(n), kind(*r))).collect();
-                edges.extend(loops.iter().map(|i| (i.index(n), i.index(n), EdgeKind::Tree)));
-                for (at, reference) in repeats {
-                    if let Some(&(from, to, _)) = edges.get(at.index(edges.len().max(1))) {
-                        edges.push((from, to, kind(reference)));
-                    }
-                }
-                (labels, edges)
-            })
-    }
-
-    fn incremental(labels: &[usize], edges: &[(usize, usize, EdgeKind)]) -> DataGraph {
-        let mut g = DataGraph::new();
-        for (_, name) in names().iter() {
-            g.intern(name);
-        }
-        for &label in &labels[1..] {
-            g.add_node(LabelId::from_index(label));
-        }
-        for &(from, to, kind) in edges {
-            g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
-        }
-        g
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// `read_graph`'s bulk build equals `add_node` / `add_edge` over the
-        /// same input: labels, every row in order, every edge with its
-        /// kind, `has_edge`, and the snapshot bytes.
-        #[test]
-        fn the_bulk_graph_load_equals_the_incremental_build(input in graph_input()) {
-            let (labels, edges) = input;
-            let bulk = read_graph(&mut Cursor::new(&raw_graph(&labels, &edges)))
-                .map_err(TestCaseError::fail)?;
-            let want = incremental(&labels, &edges);
-            prop_assert_eq!(bulk.node_count(), want.node_count());
-            for n in want.node_ids() {
-                prop_assert_eq!(bulk.label_of(n), want.label_of(n));
-                prop_assert_eq!(bulk.children_of(n), want.children_of(n));
-                prop_assert_eq!(bulk.parents_of(n), want.parents_of(n));
-                for m in want.node_ids() {
-                    prop_assert_eq!(bulk.has_edge(n, m), want.has_edge(n, m));
-                }
-            }
-            prop_assert!(bulk.edges().eq(want.edges()));
-            let bytes =
-                |g: &DataGraph| snapshot_bytes(&DkIndex::build(g, Requirements::uniform(1)), g);
-            prop_assert_eq!(bytes(&bulk), bytes(&want));
-        }
-
-        /// `read_index`'s bulk edges equal `add_index_edge` over the stored
-        /// list: child rows in stored order minus repeats, parent rows
-        /// ascending, the same edge count.
-        #[test]
-        fn the_bulk_index_load_equals_add_index_edge(
-            n in prop::sample::select(vec![1, 63, 64, 65, 128, 150]),
-            raw in prop::collection::vec(
-                (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-                0..300,
-            ),
-        ) {
-            let edges: Vec<(usize, usize)> =
-                raw.iter().map(|(f, t)| (f.index(n), t.index(n))).collect();
-            let bulk = read_index(&mut Cursor::new(&raw_index(n, &edges)), n)
-                .map_err(TestCaseError::fail)?;
-            let mut want = read_index(&mut Cursor::new(&raw_index(n, &[])), n)
-                .map_err(TestCaseError::fail)?;
-            for &(from, to) in &edges {
-                want.add_index_edge(NodeId::from_index(from), NodeId::from_index(to));
-            }
-            prop_assert_eq!(bulk.edge_count(), want.edge_count());
-            for i in want.node_ids() {
-                prop_assert_eq!(bulk.children_of(i), want.children_of(i));
-                prop_assert_eq!(bulk.parents_of(i), want.parents_of(i));
-                prop_assert!(bulk.parents_of(i).windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
     /// Two nested rows 2¹⁷ wide in one segment, the inner one filled first:
     /// appended one edge at a time, every edge of the outer row would move
     /// the inner row's targets (O(fan-out²)). The loader lays the rows out
-    /// once, so the snapshot loads in linear time. The input is built with
-    /// the bulk constructor, never through the quadratic path.
+    /// once, so the snapshot loads in linear time. The input is built from
+    /// its rows, never through the quadratic path.
     #[test]
     fn nested_wide_rows_load_in_linear_time() {
-        const WIDE: usize = 1 << 17;
+        const WIDE: u32 = 1 << 17;
         let mut names = LabelInterner::new();
         let [outer, inner, leaf] = ["outer", "inner", "leaf"].map(|name| names.intern(name));
         let mut labels = vec![LabelInterner::ROOT, outer, inner];
-        labels.resize(3 + 2 * WIDE, leaf);
-        let node = NodeId::from_index;
-        let mut edges = Vec::new();
-        edges.push((node(0), node(1), EdgeKind::Tree));
-        edges.push((node(1), node(2), EdgeKind::Tree));
-        edges.extend((3..3 + WIDE).map(|i| (node(2), node(i), EdgeKind::Tree)));
-        edges.extend((3 + WIDE..3 + 2 * WIDE).map(|i| (node(1), node(i), EdgeKind::Tree)));
-        let g = DataGraph::from_parts(names, labels, &edges);
+        labels.resize(3 + 2 * WIDE as usize, leaf);
+        let node = |i: u32| NodeId::from_index(i as usize);
+        // Node 1 holds node 2 and the second wide run; node 2 the first.
+        let mut targets = vec![node(1), node(2)];
+        targets.extend((3 + WIDE..3 + 2 * WIDE).map(node));
+        targets.extend((3..3 + WIDE).map(node));
+        let mut ends = vec![1, 2 + WIDE, 2 + 2 * WIDE];
+        ends.resize(labels.len(), 2 + 2 * WIDE);
+        let children = SegCsr::from_rows(ends.into_iter(), targets.into_iter()).unwrap();
+        let g = DataGraph::from_rows(names, labels, children, |_| false).unwrap();
         let dk = DkIndex::build(&g, Requirements::uniform(0));
 
         let (_, back) = crate::snapshot::read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
-        assert_eq!(back.children_of(node(1)).len(), WIDE + 1);
-        assert_eq!(back.children_of(node(2)).len(), WIDE);
+        assert_eq!(back.children_of(node(1)).len(), WIDE as usize + 1);
+        assert_eq!(back.children_of(node(2)).len(), WIDE as usize);
         assert_eq!(back.children_of(node(1))[1], node(3 + WIDE));
         assert!(back.edges().eq(g.edges()));
     }
 
-    /// XML names have no length cap, but a label is `u16`-length-prefixed:
-    /// the encoder refuses it as `InvalidInput` rather than truncating.
+    /// XML names have no length cap, and a name is `u32`-length-prefixed:
+    /// a label over 64 KiB round-trips in both tables and the requirements.
     #[test]
-    fn an_over_long_label_is_invalid_input() {
+    fn a_label_over_64_kib_round_trips() {
+        let long = "a".repeat(70_000);
         let mut g = DataGraph::new();
-        g.add_labeled_node(&"a".repeat(70_000));
-        let err = write_graph(&g, &mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("65535-byte label limit"), "{err}");
+        let n = g.add_labeled_node(&long);
+        g.add_edge(g.root(), n, EdgeKind::Tree);
+        let dk = DkIndex::build(&g, Requirements::from_pairs([(long.as_str(), 1)]));
+        let (back, g2) = crate::snapshot::read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
+        assert_eq!(g2.label_name(n), long);
+        assert_eq!(back.requirements().get(&long), 1);
     }
 }

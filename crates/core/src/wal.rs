@@ -23,7 +23,8 @@
 //!          requirements = u32 floor, u32 count,
 //!                         count × (u32 name_len, name bytes, u32 k)
 //!          (pairs sorted by label name — the in-memory table is a
-//!          `HashMap`, so the wire order is declared here)
+//!          `HashMap`, so the wire order is declared here; the codec is
+//!          `store`'s, the snapshot's `REQS` section)
 //! ```
 //!
 //! Version 3 keeps version 2's bytes record for record; what changed is the
@@ -76,8 +77,8 @@
 use crate::bytes::Cursor;
 use crate::crc32::crc32;
 use crate::dk::construct::DkIndex;
-use crate::requirements::Requirements;
 use crate::serve_ops::{self, ServeOp};
+use crate::store;
 use dkindex_graph::{DataGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use std::fmt;
@@ -195,11 +196,11 @@ pub fn encode_record(op: &ServeOp) -> Vec<u8> {
         ServeOp::PromoteToRequirements => body.push(TAG_PROMOTE_TO_REQUIREMENTS),
         ServeOp::Demote(reqs) => {
             body.push(TAG_DEMOTE);
-            encode_requirements(reqs, &mut body);
+            store::write_requirements(reqs, &mut body);
         }
         ServeOp::SetRequirements(reqs) => {
             body.push(TAG_SET_REQUIREMENTS);
-            encode_requirements(reqs, &mut body);
+            store::write_requirements(reqs, &mut body);
         }
     }
     frame_body(&body)
@@ -219,22 +220,6 @@ fn frame_body(body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(body);
     out.extend_from_slice(&crc32(body).to_le_bytes());
     out
-}
-
-/// Requirements wire form: floor, pair count, then `(name_len, name, k)`
-/// pairs sorted by label name. The in-memory table is hash-keyed, so the
-/// sort *declares* the byte order — the WAL is a durable format and must
-/// encode identically across runs.
-fn encode_requirements(reqs: &Requirements, out: &mut Vec<u8>) {
-    let mut pairs: Vec<(&str, usize)> = reqs.iter().collect();
-    pairs.sort_by(|a, b| a.0.cmp(b.0));
-    out.extend_from_slice(&(reqs.floor() as u32).to_le_bytes());
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for (name, k) in pairs {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(k as u32).to_le_bytes());
-    }
 }
 
 // ---- decoding ------------------------------------------------------------
@@ -363,9 +348,9 @@ fn decode_body(body: &[u8]) -> Result<DecodedBody, String> {
             })
         }
         TAG_PROMOTE_TO_REQUIREMENTS => DecodedBody::Op(ServeOp::PromoteToRequirements),
-        TAG_DEMOTE => DecodedBody::Op(ServeOp::Demote(decode_requirements(&mut cur)?)),
+        TAG_DEMOTE => DecodedBody::Op(ServeOp::Demote(store::take_requirements(&mut cur)?)),
         TAG_SET_REQUIREMENTS => {
-            DecodedBody::Op(ServeOp::SetRequirements(decode_requirements(&mut cur)?))
+            DecodedBody::Op(ServeOp::SetRequirements(store::take_requirements(&mut cur)?))
         }
         TAG_COMMIT => {
             let Some(count) = cur.u32_le() else {
@@ -379,30 +364,6 @@ fn decode_body(body: &[u8]) -> Result<DecodedBody, String> {
         return Err(format!("{} trailing payload bytes", cur.remaining()));
     }
     Ok(record)
-}
-
-fn decode_requirements(cur: &mut Cursor<'_>) -> Result<Requirements, String> {
-    let (Some(floor), Some(count)) = (cur.u32_le(), cur.u32_le()) else {
-        return Err("requirements payload truncated".to_string());
-    };
-    let mut reqs = Requirements::new();
-    for _ in 0..count {
-        let Some(name_len) = cur.u32_le() else {
-            return Err("requirements pair truncated".to_string());
-        };
-        let Some(name_bytes) = cur.take(name_len as usize) else {
-            return Err("requirements label truncated".to_string());
-        };
-        let Ok(name) = std::str::from_utf8(name_bytes) else {
-            return Err("requirements label is not UTF-8".to_string());
-        };
-        let Some(k) = cur.u32_le() else {
-            return Err("requirements pair truncated".to_string());
-        };
-        reqs.raise(name, k as usize);
-    }
-    reqs.raise_floor(floor as usize);
-    Ok(reqs)
 }
 
 /// Decode a WAL byte stream into its committed operations. A file ending
@@ -609,6 +570,7 @@ impl<S: WalStore> WalWriter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::requirements::Requirements;
     use dkindex_graph::{EdgeKind, LabeledGraph};
 
     fn sample() -> (DataGraph, DkIndex) {

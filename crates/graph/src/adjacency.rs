@@ -5,8 +5,8 @@
 //! targets in the order they were added, a **parent row** its sources
 //! ascending. So testing an edge is one binary search of a parent row, and
 //! the edges are the child rows read in node order ([`Adjacency::edges`]).
-//! [`Adjacency::from_pairs`] lays both columns out once from edges in any
-//! order, row for row as [`Adjacency::add`] over the same list leaves them.
+//! [`Adjacency::from_child_rows`] lays both columns out once from the child
+//! rows, row for row as [`Adjacency::add`] over the same edges leaves them.
 //!
 //! Clones share every segment (the COW invariants of [`SegCsr`]): adding or
 //! removing `from → to` copies at most `from`'s child segment and `to`'s
@@ -46,24 +46,21 @@ impl Adjacency {
         adjacency
     }
 
-    /// `rows` rows holding the edges `pairs` (`(from, to)`), laid out once:
-    /// the child rows by [`SegCsr::from_pairs`] (each row's targets in
-    /// `pairs` order, a repeated edge kept at its first occurrence), then
-    /// the parent rows by one transpose of the child rows in row order,
-    /// which leaves every parent row ascending. The rows equal those
-    /// [`Adjacency::add`] leaves after adding `pairs` in order. `None` when
-    /// an endpoint is `rows` or more.
-    pub fn from_pairs<I>(rows: usize, pairs: I) -> Option<Adjacency>
-    where
-        I: Iterator<Item = (NodeId, NodeId)> + Clone,
-    {
-        let children = SegCsr::from_pairs(rows, pairs)?;
-        let transposed = (0..rows).flat_map(|from| {
-            let row = children.row(from).unwrap_or_default();
-            row.iter().map(move |&to| (to, NodeId::from_index(from)))
-        });
-        let parents = SegCsr::from_pairs(rows, transposed)?;
-        Some(Adjacency { children, parents })
+    /// The adjacency whose child rows are `children` (laid out once by
+    /// [`SegCsr::from_rows`]); the parent rows come from one counting
+    /// transpose of the child rows in row order, which leaves each
+    /// ascending (`SegCsr::transpose`). The rows equal those
+    /// [`Adjacency::add`] leaves after adding each child row's edges in
+    /// order. Fails, with the reason, when a target is not a node or a
+    /// child row repeats a target (its parent row would then list that
+    /// row twice).
+    pub fn from_child_rows(children: SegCsr) -> Result<Adjacency, &'static str> {
+        let parents = children.transpose().ok_or("a target is not a node")?;
+        let rows = (0..parents.rows()).filter_map(|row| parents.row(row));
+        if rows.flat_map(|row| row.windows(2)).any(|pair| pair.first() == pair.last()) {
+            return Err("a row repeats a target");
+        }
+        Ok(Adjacency { children, parents })
     }
 
     /// Number of rows (node ids `0..rows()`).

@@ -13,9 +13,9 @@
 //! children alone. There is no edge list: the edges are the child rows,
 //! read in row order. Builders that grow a graph (the XML loader, the
 //! generators, the update algorithms) add nodes and edges one at a time; a
-//! loader that has decoded the whole graph builds it at once with
-//! [`DataGraph::from_parts`], which lays each column out once and gives
-//! the same rows.
+//! loader that holds the columns builds the graph at once with
+//! [`DataGraph::from_rows`], which validates them, lays each column out
+//! once and gives the same rows.
 
 use crate::adjacency::Adjacency;
 use crate::label::{LabelId, LabelInterner};
@@ -145,8 +145,8 @@ impl ExactSizeIterator for NodeIds {}
 /// after a maintenance batch by copying only the segments the batch touched
 /// (see `core::serve`); no maintenance batch adds nodes in place.
 ///
-/// A loader builds the graph from its decoded columns with
-/// [`DataGraph::from_parts`], which lays each column out once.
+/// A loader builds the graph from its stored columns with
+/// [`DataGraph::from_rows`], which lays each column out once.
 #[derive(Clone)]
 pub struct DataGraph {
     /// Label of each node, in id order; copied only by `add_node`.
@@ -162,64 +162,64 @@ pub struct DataGraph {
 impl DataGraph {
     /// Create a graph containing only the distinguished `ROOT` node.
     pub fn new() -> Self {
-        DataGraph::from_parts(LabelInterner::new(), vec![LabelInterner::ROOT], &[])
+        let children = SegCsr::from_rows([0].into_iter(), std::iter::empty());
+        let children = children.expect("one empty row is a layout");
+        DataGraph::from_rows(LabelInterner::new(), vec![LabelInterner::ROOT], children, |_| false)
+            .expect("the one-node graph is well-formed")
     }
 
-    /// Bulk-build a graph from what a loader decodes: the label interner,
-    /// one label per node (node 0 is the root and carries `ROOT`) and the
-    /// edges `(from, to, kind)` in any order. The result equals the graph
-    /// that `add_node` and `add_edge` build from the same input, row for
-    /// row: each child row lists its edges in `edges` order, a repeated
-    /// edge keeps its first occurrence and that occurrence's kind, and
-    /// every parent row ascends. The columns are laid out once
-    /// ([`Adjacency::from_pairs`], then [`SegCsr::from_pairs`] for the
-    /// reference children), so the build is linear in nodes plus edges
-    /// whatever the edge order.
-    ///
-    /// Panics when `labels` is empty, node 0 is not `ROOT`, or an edge
-    /// endpoint is out of range.
-    pub fn from_parts(
+    /// Build a graph from its columns, as a snapshot stores them: the label
+    /// interner, one label per node (node 0 is the root and carries
+    /// `ROOT`), the child rows laid out by [`SegCsr::from_rows`] and each
+    /// edge's kind (`reference(i)` is true when the `i`-th edge, counted
+    /// child row by child row, is a reference edge). The result equals the
+    /// graph `add_node` and `add_edge` build by adding the rows' edges in
+    /// order: the parent rows come from one counting transpose
+    /// ([`Adjacency::from_child_rows`]) and the reference rows are the
+    /// child slots `reference` picks, so the build is linear in nodes plus
+    /// edges. Fails, with the reason, when a label is not in the interner,
+    /// node 0 is not `ROOT`, there is not one row per node, or the rows are
+    /// not an adjacency.
+    pub fn from_rows(
         interner: LabelInterner,
         labels: Vec<LabelId>,
-        edges: &[(NodeId, NodeId, EdgeKind)],
-    ) -> DataGraph {
-        assert_eq!(labels.first(), Some(&LabelInterner::ROOT), "node 0 must be ROOT");
-        debug_assert!(labels.iter().all(|l| l.index() < interner.len()), "foreign label id");
-        let n = labels.len();
-        assert!(u32::try_from(n - 1).is_ok(), "too many nodes");
-        let adjacency = Adjacency::from_pairs(n, edges.iter().map(|&(from, to, _)| (from, to)))
-            .expect("edge endpoint out of range");
-        // Only a first occurrence's kind counts. A row keeps its first
-        // occurrences in edge order, so an edge is one iff it is the next
-        // target its row expects (and every edge is one without repeats).
-        let mut next = Vec::new();
-        if adjacency.edge_count() < edges.len() {
-            next = vec![0u32; n];
+        children: SegCsr,
+        reference: impl Fn(usize) -> bool,
+    ) -> Result<DataGraph, &'static str> {
+        if labels.first() != Some(&LabelInterner::ROOT) {
+            return Err("node 0 must carry the ROOT label");
         }
-        let mut first_occurrence = |from: NodeId, to: NodeId| {
-            let Some(at) = next.get_mut(from.index()) else {
-                return true;
-            };
-            let expected = adjacency.children(from).and_then(|row| row.get(*at as usize));
-            let first = expected == Some(&to);
-            *at += u32::from(first);
-            first
+        if labels.iter().any(|label| label.index() >= interner.len()) {
+            return Err("a label id is out of range");
+        }
+        if children.rows() != labels.len() {
+            return Err("the child rows are not one per node");
+        }
+        let adjacency = Adjacency::from_child_rows(children)?;
+        let rows = || {
+            let row = |n: usize| adjacency.children(NodeId(n as u32)).unwrap_or_default();
+            (0..labels.len()).map(row)
         };
-        // `first_occurrence` goes first: it must see every edge.
-        let references: Vec<(NodeId, NodeId)> = edges
-            .iter()
-            .filter(|&&(from, to, kind)| first_occurrence(from, to) && kind == EdgeKind::Reference)
-            .map(|&(from, to, _)| (from, to))
-            .collect();
-        let references = SegCsr::from_pairs(n, references.iter().copied())
-            .expect("endpoints checked by the adjacency");
-        DataGraph {
+        let (mut slot, mut end) = (0, 0);
+        let ends = rows().map(|row| {
+            end += (slot..slot + row.len()).filter(|&i| reference(i)).count() as u32;
+            slot += row.len();
+            end
+        });
+        let mut slot = 0;
+        let targets = rows().flatten().copied().filter(|_| {
+            slot += 1;
+            reference(slot - 1)
+        });
+        let references = SegCsr::from_rows(ends, targets);
+        let references = references.expect("the rows' reference slots are a layout");
+        Ok(DataGraph {
             labels: Arc::new(labels),
             adjacency,
             references,
             root: NodeId(0),
             interner: Arc::new(interner),
-        }
+        })
     }
 
     /// Intern a label string in this graph's interner. When the interner is
@@ -540,11 +540,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "edge endpoint out of range")]
-    fn from_parts_rejects_an_edge_to_no_node() {
-        let labels = vec![LabelInterner::ROOT];
-        let edges = [(NodeId(0), NodeId(1), EdgeKind::Tree)];
-        DataGraph::from_parts(LabelInterner::new(), labels, &edges);
+    fn from_rows_refuses_what_is_not_a_graph() {
+        let root = || vec![LabelInterner::ROOT];
+        let refuse = |labels, ends: &[u32], targets: &[NodeId]| {
+            let rows = SegCsr::from_rows(ends.iter().copied(), targets.iter().copied()).unwrap();
+            DataGraph::from_rows(LabelInterner::new(), labels, rows, |_| false).unwrap_err()
+        };
+        let value = vec![LabelInterner::VALUE];
+        assert_eq!(refuse(value, &[0], &[]), "node 0 must carry the ROOT label");
+        let unknown = vec![LabelInterner::ROOT, LabelId(2)];
+        assert_eq!(refuse(unknown, &[0, 0], &[]), "a label id is out of range");
+        assert_eq!(refuse(root(), &[0, 0], &[]), "the child rows are not one per node");
+        assert_eq!(refuse(root(), &[1], &[NodeId(1)]), "a target is not a node");
+        assert_eq!(refuse(root(), &[2], &[NodeId(0); 2]), "a row repeats a target");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`Adjacency`] — a graph's edges, stored once per direction under one
 //!   row rule (child rows in insertion order, parent rows ascending): the
 //!   adjacency of [`DataGraph`] and of `dkindex-core`'s index graphs alike.
-//!   A loader lays it out once with [`Adjacency::from_pairs`], and its
+//!   A loader lays it out once with [`Adjacency::from_child_rows`], and its
 //!   edges read back child row by child row.
 //! * [`SegCsr`] — one adjacency column: compressed sparse rows inside
 //!   `Arc`-shared 64-row segments. An [`Adjacency`] is two of them, and a

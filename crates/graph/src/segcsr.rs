@@ -32,15 +32,15 @@
 //!
 //! ## Bulk build
 //!
-//! A loader that has every edge up front lays the column out once:
-//! [`SegCsr::from_pairs`] groups `(row, target)` pairs by a stable counting
-//! sort straight into the segments, each allocated once, in segment order,
-//! at exactly the capacity it needs, and drops repeats within each row
-//! before it hands the column out. Appending the same pairs one at a time
-//! (skipping a target its row already holds) gives the same rows, but
-//! reallocates each segment as it grows and, when a wide row follows a
-//! wide row of the same segment, moves the later row's targets once per
-//! append.
+//! A loader that holds the rows in order (each row's end, then every
+//! target) lays the column out once: [`SegCsr::from_rows`] takes each
+//! segment's targets straight from its source into one allocation of
+//! exactly the capacity it needs, and `SegCsr::transpose` builds the
+//! parent column from the child column by one counting pass into the
+//! segments' offsets and one placing pass. Appending the same targets one
+//! at a time gives the same rows, but reallocates each segment as it grows
+//! and, when a wide row follows a wide row of the same segment, moves the
+//! later row's targets once per append.
 //!
 //! This module denies clippy's panic and hash-iteration lints (below):
 //! every accessor is `Option`-returning (no indexing, no `unwrap`), and
@@ -83,47 +83,6 @@ impl Segment {
         let end = *self.offsets.get(local + 1)? as usize;
         self.targets.get(start..end)
     }
-
-    /// Keep the first occurrence of each target within each row, in row
-    /// order. `seen` holds one mark per target id, zero on entry and on
-    /// return; inside the pass, `seen[t]` is one more than the local row
-    /// that last kept `t`.
-    fn drop_repeats(&mut self, seen: &mut [u8]) {
-        let Segment { offsets, targets } = self;
-        let (mut kept, mut start) = (0, 0);
-        for (mark, end) in (1u8..).zip(offsets.iter_mut().skip(1)) {
-            for read in start..*end as usize {
-                let Some(target) = targets.get(read).copied() else {
-                    break;
-                };
-                let first = match seen.get_mut(target.index()) {
-                    Some(seen) if *seen == mark => false,
-                    Some(seen) => {
-                        *seen = mark;
-                        true
-                    }
-                    None => true,
-                };
-                if first {
-                    if let Some(slot) = targets.get_mut(kept) {
-                        *slot = target;
-                    }
-                    kept += 1;
-                }
-            }
-            start = *end as usize;
-            *end = kept as u32; // at most the old end
-        }
-        if kept < targets.len() {
-            targets.truncate(kept);
-            targets.shrink_to_fit();
-        }
-        for target in targets.iter() {
-            if let Some(seen) = seen.get_mut(target.index()) {
-                *seen = 0;
-            }
-        }
-    }
 }
 
 /// Rows of `NodeId`s stored as per-segment CSR, segments `Arc`-shared
@@ -155,65 +114,87 @@ impl SegCsr {
         self.segments.get(row >> SEG_SHIFT)?.row(row & SEG_MASK)
     }
 
-    /// A column of `rows` rows holding `pairs` grouped by row: row `r`
-    /// holds the distinct targets of the pairs `(r, _)`, each at its first
-    /// occurrence in `pairs` order, as appending only the targets a row
-    /// does not yet hold would leave it. A stable counting sort straight
-    /// into the segments: one walk over `pairs` counts each row, every
-    /// segment is then allocated once, in segment order, at the capacity
-    /// its rows need, a second walk places the targets, and each segment
-    /// then drops its rows' repeats in place (one mark per target id, so
-    /// no hashing; only a segment that held a repeat is shrunk). A partial
-    /// last segment takes later [`SegCsr::push_row`] and
-    /// [`SegCsr::push_to_row`] as an incrementally built one does. `None`
-    /// when a pair's row is `rows` or more, or one segment's rows hold more
-    /// than `u32::MAX` targets.
-    pub fn from_pairs<I>(rows: usize, pairs: I) -> Option<SegCsr>
-    where
-        I: Iterator<Item = (NodeId, NodeId)> + Clone,
-    {
-        let mut segments: Vec<Arc<Segment>> = (0..rows.div_ceil(SEG_SIZE))
-            .map(|_| {
-                Arc::new(Segment {
-                    offsets: [0; SEG_SIZE + 1],
-                    targets: Vec::new(),
-                })
-            })
-            .collect();
-        // Row r's count goes to its segment's slot r + 1; the running sum
-        // then turns that slot into row r's start, and placing a target
-        // there advances it to row r's end.
-        let mut width = 0;
-        for (row, target) in pairs.clone() {
-            if row.index() >= rows {
+    /// A column laid out from its rows in order, as compressed sparse
+    /// rows: `ends` yields each row's end (the first row starts at 0) and
+    /// `targets` every row's targets, row by row. Each segment takes its
+    /// rows' targets straight from `targets` into one allocation of exactly
+    /// the capacity it needs; a partial last segment takes later
+    /// [`SegCsr::push_row`] and [`SegCsr::push_to_row`] as an incrementally
+    /// built one does. `None` when the ends descend or `targets` does not
+    /// hold exactly as many targets as the last end says.
+    pub fn from_rows(
+        ends: impl ExactSizeIterator<Item = u32>,
+        mut targets: impl Iterator<Item = NodeId>,
+    ) -> Option<SegCsr> {
+        let rows = ends.len();
+        let mut ends = ends.fuse();
+        let mut segments = Vec::with_capacity(rows.div_ceil(SEG_SIZE));
+        let mut base = 0;
+        for _ in 0..rows.div_ceil(SEG_SIZE) {
+            // Rows past the column's end read as empty: their ends repeat
+            // the last row's.
+            let mut offsets = [0; SEG_SIZE + 1];
+            let mut end = base;
+            for slot in offsets.iter_mut().skip(1) {
+                let next = ends.next().unwrap_or(end);
+                if next < end {
+                    return None;
+                }
+                end = next;
+                *slot = end - base;
+            }
+            let len = (end - base) as usize;
+            let targets: Vec<NodeId> = targets.by_ref().take(len).collect();
+            if targets.len() != len {
                 return None;
             }
-            width = width.max(target.index() + 1);
-            let segment = Arc::get_mut(segments.get_mut(row.index() >> SEG_SHIFT)?)?;
-            let count = segment.offsets.get_mut((row.index() & SEG_MASK) + 1)?;
-            *count = count.checked_add(1)?;
+            segments.push(Arc::new(Segment { offsets, targets }));
+            base = end;
         }
-        for segment in segments.iter_mut() {
-            let segment = Arc::get_mut(segment)?;
-            let mut start = 0u32;
+        targets.next().is_none().then_some(SegCsr { segments, rows })
+    }
+
+    /// The transposed column over as many rows: row `t` lists, ascending,
+    /// each row that holds `t`, once per time it holds it. One pass counts
+    /// each row's sources into its segment's offsets, every segment is then
+    /// allocated once at exactly the capacity it needs, and a second pass
+    /// over the rows in order places the sources. `None` when a target is
+    /// not a row.
+    pub(crate) fn transpose(&self) -> Option<SegCsr> {
+        let mut segments: Vec<Arc<Segment>> = (0..self.segments.len())
+            .map(|_| Arc::new(Segment { offsets: [0; SEG_SIZE + 1], targets: Vec::new() }))
+            .collect();
+        let mut fresh: Vec<&mut Segment> =
+            segments.iter_mut().map(Arc::get_mut).collect::<Option<_>>()?;
+        // Row t's count goes to its segment's slot t + 1; the running sum
+        // then turns that slot into row t's start, and placing a source
+        // there advances it to row t's end.
+        for &target in self.segments.iter().flat_map(|segment| &segment.targets) {
+            if target.index() >= self.rows {
+                return None;
+            }
+            let segment = fresh.get_mut(target.index() >> SEG_SHIFT)?;
+            *segment.offsets.get_mut((target.index() & SEG_MASK) + 1)? += 1;
+        }
+        for segment in fresh.iter_mut() {
+            let mut start = 0;
             for offset in segment.offsets.iter_mut().skip(1) {
                 let count = *offset;
                 *offset = start;
-                start = start.checked_add(count)?;
+                start += count;
             }
             segment.targets = vec![NodeId(0); start as usize];
         }
-        for (row, target) in pairs {
-            let segment = Arc::get_mut(segments.get_mut(row.index() >> SEG_SHIFT)?)?;
-            let next = segment.offsets.get_mut((row.index() & SEG_MASK) + 1)?;
-            *segment.targets.get_mut(*next as usize)? = target;
-            *next += 1;
+        for from in 0..self.rows {
+            for &target in self.row(from)? {
+                let segment = fresh.get_mut(target.index() >> SEG_SHIFT)?;
+                let next = segment.offsets.get_mut((target.index() & SEG_MASK) + 1)?;
+                *segment.targets.get_mut(*next as usize)? = NodeId(from as u32);
+                *next += 1;
+            }
         }
-        let mut seen = vec![0u8; width];
-        for segment in segments.iter_mut() {
-            Arc::get_mut(segment)?.drop_repeats(&mut seen);
-        }
-        Some(SegCsr { segments, rows })
+        drop(fresh);
+        Some(SegCsr { segments, rows: self.rows })
     }
 
     /// Append an empty row. Copies nothing (COW invariant 2).
@@ -464,26 +445,23 @@ mod tests {
         assert_eq!(as_vecs(&d), as_vecs(&c));
     }
 
-    /// The pairs of `c`'s rows, interleaved across rows: every row's first
-    /// target, then every row's second, and so on.
-    fn interleaved_pairs(c: &SegCsr) -> Vec<(NodeId, NodeId)> {
+    /// `c`'s rows in compressed sparse form: each row's end, and the
+    /// targets.
+    fn csr(c: &SegCsr) -> (Vec<u32>, Vec<NodeId>) {
         let rows = as_vecs(c);
-        let width = rows.iter().map(Vec::len).max().unwrap_or(0);
-        (0..width)
-            .flat_map(|at| {
-                rows.iter()
-                    .enumerate()
-                    .filter_map(move |(r, row)| row.get(at).map(|&t| (n(r), t)))
-            })
-            .collect()
+        let ends = rows.iter().scan(0, |end, row| {
+            *end += row.len() as u32;
+            Some(*end)
+        });
+        (ends.collect(), rows.concat())
     }
 
     #[test]
-    fn from_pairs_reads_like_appends_and_takes_later_writes() {
+    fn from_rows_reads_like_appends_and_takes_later_writes() {
         for rows in [0, 1, SEG_SIZE - 1, SEG_SIZE, 2 * SEG_SIZE + 7] {
             let want = filled(rows);
-            let pairs = interleaved_pairs(&want);
-            let mut c = SegCsr::from_pairs(rows, pairs.iter().copied()).unwrap();
+            let (ends, targets) = csr(&want);
+            let mut c = SegCsr::from_rows(ends.into_iter(), targets.into_iter()).unwrap();
             assert_eq!(as_vecs(&c), as_vecs(&want), "{rows} rows");
             let shape = |c: &SegCsr| (c.segment_count(), c.target_count());
             assert_eq!(shape(&c), shape(&want));
@@ -497,27 +475,35 @@ mod tests {
             }
             assert_eq!(c.row(rows + 1), None);
         }
-        assert!(SegCsr::from_pairs(2, [(n(2), n(0))].into_iter()).is_none(), "row 2 of 2");
     }
 
     #[test]
-    fn from_pairs_keeps_each_rows_first_occurrences() {
-        let pairs = [
-            (2, 1), (0, 3), (2, 0), (0, 3), (1, 3), (2, 1), (0, 0), (2, 2), (64, 3), (64, 3),
-        ];
-        let mut c = SegCsr::from_pairs(65, pairs.iter().map(|&(r, t)| (n(r), n(t)))).unwrap();
-        assert_eq!(c.row(0), Some(&[n(3), n(0)][..]));
-        assert_eq!(c.row(1), Some(&[n(3)][..]), "a target kept by an earlier row");
-        assert_eq!(c.row(2), Some(&[n(1), n(0), n(2)][..]));
-        assert_eq!(c.row(3), Some(&[][..]));
-        assert_eq!(c.row(64), Some(&[n(3)][..]), "marks reset between segments");
-        assert_eq!(c.target_count(), 7);
-        // The shrunk segment still takes writes in place.
-        assert!(c.push_to_row(0, n(9)));
-        assert!(c.insert_into_row(2, 0, n(9)));
-        assert_eq!(c.row(0), Some(&[n(3), n(0), n(9)][..]));
-        assert_eq!(c.row(1), Some(&[n(3)][..]));
-        assert_eq!(c.row(2), Some(&[n(9), n(1), n(0), n(2)][..]));
+    fn from_rows_refuses_ends_that_are_not_a_layout() {
+        let targets = [n(1), n(2), n(3)];
+        let build = |ends: &[u32]| SegCsr::from_rows(ends.iter().copied(), targets.into_iter());
+        for ends in [&[][..], &[2, 1, 3], &[2], &[4], &[3, 2]] {
+            assert!(build(ends).is_none(), "{ends:?}");
+        }
+        let c = build(&[0, 3, 3]).unwrap();
+        assert_eq!(as_vecs(&c), [vec![], targets.to_vec(), vec![]]);
+    }
+
+    #[test]
+    fn transpose_lists_each_rows_sources_ascending() {
+        let c = filled(2 * SEG_SIZE + 7);
+        let t = c.transpose().unwrap();
+        let mut want = vec![Vec::new(); c.rows()];
+        for (from, row) in as_vecs(&c).into_iter().enumerate() {
+            for target in row {
+                want[target.index()].push(n(from));
+            }
+        }
+        assert_eq!(as_vecs(&t), want);
+        assert_eq!(t.segment_count(), c.segment_count());
+        let mut d = SegCsr::new();
+        d.push_row();
+        assert!(d.push_to_row(0, n(1)));
+        assert!(d.transpose().is_none(), "row 1 of 1");
     }
 
     #[test]

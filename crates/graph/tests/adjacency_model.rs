@@ -7,14 +7,13 @@
 //!   sequence, read back equal to the model, and so does a bare
 //!   `Adjacency`. The data graph's edges read back in row order with their
 //!   kinds, and `has_edge` / `Adjacency::has` equal a scan of the row.
-//! * A bulk load (`DataGraph::from_parts`, `Adjacency::from_pairs`) of the
-//!   model's edges in a scrambled order, with repeats of both kinds,
-//!   equals adding the same list one edge at a time: the first occurrence
-//!   and its kind win. The loaded graph then takes later writes like a
-//!   built one.
+//! * A bulk load (`DataGraph::from_rows`, `Adjacency::from_child_rows`) of
+//!   the model's child rows and kinds equals the graph that added them
+//!   one edge at a time, parent rows included. The loaded graph then takes
+//!   later writes like a built one.
 //! * A bare `SegCsr` column under removals interleaved with appends and
 //!   positional inserts (the writes an index-graph split makes), built
-//!   either row by row or at once by `SegCsr::from_pairs`.
+//!   either row by row or at once by `SegCsr::from_rows`.
 //!
 //! In all of them, a snapshot taken by `clone` never sees a later write.
 
@@ -120,9 +119,8 @@ enum Op {
     /// Graft a small graph of `nodes` nodes with these edges under ROOT.
     Graft(usize, Vec<(prop::sample::Index, prop::sample::Index, bool)>),
     /// Reload the data graph and the bare adjacency by a bulk build of
-    /// every edge, listed in an order scrambled by the key, followed by
-    /// these repeats of listed edges with these kinds.
-    BulkLoad(u64, Vec<(prop::sample::Index, bool)>),
+    /// their child rows.
+    BulkLoad,
     /// Keep a snapshot of the graphs and model as they are now.
     Snapshot,
 }
@@ -140,8 +138,7 @@ fn op() -> impl Strategy<Value = Op> {
         (index(), 1usize..12).prop_map(|(a, len)| Op::Interleave(a, len)),
         (1usize..6, prop::collection::vec((index(), index(), any::<bool>()), 0..8))
             .prop_map(|(nodes, edges)| Op::Graft(nodes, edges)),
-        (any::<u64>(), prop::collection::vec((index(), any::<bool>()), 0..12))
-            .prop_map(|(key, repeats)| Op::BulkLoad(key, repeats)),
+        Just(Op::BulkLoad),
         Just(Op::Snapshot),
     ]
 }
@@ -183,28 +180,13 @@ fn check(subjects: &Subjects, model: &Model) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The model's edges in an order scrambled by `key` (a bijection of the
-/// positions), then the repeats, each a listed edge with a drawn kind.
-fn scrambled_with_repeats(
-    model: &Model,
-    key: u64,
-    repeats: &[(prop::sample::Index, bool)],
-) -> Vec<(NodeId, NodeId, EdgeKind)> {
-    let mut listed: Vec<(u64, (NodeId, NodeId, EdgeKind))> = model
-        .edges()
-        .into_iter()
-        .enumerate()
-        .map(|(i, edge)| ((i as u64).wrapping_mul(key | 1).rotate_left(29), edge))
-        .collect();
-    listed.sort_unstable_by_key(|&(k, _)| k);
-    let mut edges: Vec<_> = listed.into_iter().map(|(_, edge)| edge).collect();
-    for (at, reference) in repeats {
-        if !edges.is_empty() {
-            let (from, to, _) = edges[at.index(edges.len())];
-            edges.push((from, to, kind(*reference)));
-        }
-    }
-    edges
+/// `rows` laid out as a column.
+fn column(rows: &[Vec<NodeId>]) -> SegCsr {
+    let ends = rows.iter().scan(0, |end, row| {
+        *end += row.len() as u32;
+        Some(*end)
+    });
+    SegCsr::from_rows(ends.collect::<Vec<_>>().into_iter(), rows.concat().into_iter()).unwrap()
 }
 
 fn apply(subjects: &mut Subjects, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
@@ -263,26 +245,14 @@ fn apply(subjects: &mut Subjects, model: &mut Model, op: &Op) -> Result<(), Test
                 prop_assert_eq!(subjects.adjacency.add(from, to), added);
             }
         }
-        Op::BulkLoad(key, repeats) => {
-            let edges = scrambled_with_repeats(model, *key, repeats);
+        Op::BulkLoad => {
+            let edges = model.edges();
             let labels = subjects.data.node_ids().map(|n| subjects.data.label_of(n)).collect();
             let interner = subjects.data.labels().clone();
-            let data = DataGraph::from_parts(interner, labels, &edges);
-            let pairs = edges.iter().map(|&(from, to, _)| (from, to));
-            let adjacency = Adjacency::from_pairs(model.children.len(), pairs).unwrap();
-            // The expected rows: the same list added one edge at a time.
-            let mut fresh = Model::new();
-            let mut index = label_split_index(&DataGraph::new());
-            for n in 1..model.children.len() {
-                index.push_node(data.label_of(NodeId::from_index(n)), Vec::new(), 0);
-                fresh.add_node();
-            }
-            for &(from, to, kind) in &edges {
-                let added = fresh.add_edge(from, to, kind);
-                prop_assert_eq!(index.add_index_edge(from, to), added);
-            }
-            *subjects = Subjects { data, index, adjacency };
-            *model = fresh;
+            let reference = |slot: usize| edges[slot].2 == EdgeKind::Reference;
+            let data = DataGraph::from_rows(interner, labels, column(&model.children), reference);
+            subjects.data = data.unwrap();
+            subjects.adjacency = Adjacency::from_child_rows(column(&model.children)).unwrap();
         }
         Op::Snapshot => {}
     }
@@ -315,36 +285,14 @@ proptest! {
 }
 
 #[test]
-fn the_first_occurrence_and_its_kind_win_a_bulk_load() {
+fn a_bulk_load_refuses_rows_that_are_not_an_adjacency() {
     let n = NodeId::from_index;
-    let edges = [
-        (n(2), n(1), EdgeKind::Reference),
-        (n(0), n(2), EdgeKind::Tree),
-        (n(2), n(1), EdgeKind::Tree),
-        (n(0), n(1), EdgeKind::Tree),
-        (n(1), n(2), EdgeKind::Tree),
-        (n(0), n(2), EdgeKind::Reference),
-        (n(1), n(2), EdgeKind::Reference),
-    ];
-    let mut want = DataGraph::new();
-    let label = want.intern("a");
-    want.add_node(label);
-    want.add_node(label);
-    for &(from, to, kind) in &edges {
-        want.add_edge(from, to, kind);
-    }
-    let labels = want.node_ids().map(|node| want.label_of(node)).collect();
-    let bulk = DataGraph::from_parts(want.labels().clone(), labels, &edges);
-    let rows = [
-        (n(0), n(2), EdgeKind::Tree),
-        (n(0), n(1), EdgeKind::Tree),
-        (n(1), n(2), EdgeKind::Tree),
-        (n(2), n(1), EdgeKind::Reference),
-    ];
-    assert_eq!(bulk.edges().collect::<Vec<_>>(), rows);
-    assert!(want.edges().eq(rows));
-    assert_eq!(bulk.parents_of(n(1)), &[n(0), n(2)], "ascending, not in edge order");
-    assert_eq!(want.parents_of(n(1)), bulk.parents_of(n(1)));
+    let refuse = |rows: &[Vec<NodeId>]| Adjacency::from_child_rows(column(rows)).unwrap_err();
+    assert_eq!(refuse(&[vec![n(2)], vec![]]), "a target is not a node");
+    assert_eq!(refuse(&[vec![n(1), n(1)], vec![]]), "a row repeats a target");
+    // The same target in two rows is two edges, and its parent row ascends.
+    let a = Adjacency::from_child_rows(column(&[vec![n(2), n(1)], vec![n(2)], vec![]])).unwrap();
+    assert_eq!(a.parents(n(2)), Some(&[n(0), n(1)][..]));
 }
 
 #[test]
@@ -382,9 +330,8 @@ fn adjacency_remove_keeps_both_rows_in_order_and_copies_only_its_segments() {
     assert_eq!(before.children(n(1)), Some(&[n(5), n(150), n(70), n(9)][..]));
     let (shared, total) = a.shared_segments_with(&before);
     assert_eq!(total - shared, 2, "node 1's child segment and node 150's parent segment");
-    // Out of range: a write changes nothing, a bulk build is refused.
+    // Out of range: a write changes nothing.
     assert!(!a.add(n(200), n(1)) && !a.add(n(1), n(200)) && !a.has(n(1), n(200)));
-    assert!(Adjacency::from_pairs(2, [(n(0), n(2))].into_iter()).is_none(), "no node 2");
 }
 
 /// One write to a bare column; rows and positions are drawn as indexes and
@@ -499,22 +446,13 @@ proptest! {
         pairs in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..400),
         ops in prop::collection::vec(row_op(), 1..80),
     ) {
-        let pairs: Vec<(NodeId, NodeId)> = match start {
-            0 => Vec::new(),
-            _ => pairs
-                .iter()
-                .map(|(r, t)| (r.index(start), usize::from(*t) % 40))
-                .map(|(r, t)| (NodeId::from_index(r), NodeId::from_index(t)))
-                .collect(),
-        };
-        // Each row keeps the first occurrence of each of its targets.
         let mut model: Vec<Vec<NodeId>> = vec![Vec::new(); start];
-        for &(row, target) in &pairs {
-            if !model[row.index()].contains(&target) {
-                model[row.index()].push(target);
+        for (row, target) in &pairs {
+            if start > 0 {
+                model[row.index(start)].push(NodeId::from_index(usize::from(*target) % 40));
             }
         }
-        let mut column = SegCsr::from_pairs(start, pairs.iter().copied()).unwrap();
+        let mut column = column(&model);
         check_rows(&column, &model)?;
         // Rows to write into even when the staged column had none.
         apply_row_op(&mut column, &mut model, &RowOp::PushRows(1))?;

@@ -1,7 +1,7 @@
 //! Property tests for the textual and binary formats: XML round-trips,
-//! path-expression printing and the `DKSN` container with its graph (`DKG1`),
-//! index and requirements sections — plus byte-literal goldens of the two durable
-//! files (`DKSN` snapshot, `DKWL` v3 log).
+//! path-expression printing and the `DKSN` v2 container with its graph
+//! (`DKG2`), index and requirements sections — plus byte-literal goldens of
+//! the two durable files (`DKSN` v2 snapshot, `DKWL` v3 log).
 
 use dkindex::core::wal::{self, WalTail, WalWriter};
 use dkindex::core::{
@@ -219,8 +219,9 @@ fn build(spec: &GraphSpec) -> DataGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The `DKG1` graph codec is the container's `GRPH` section, so the
-    /// round trip goes through a whole snapshot.
+    /// The graph codec (`DKG1` at first, `DKG2` since it stores columns)
+    /// is the container's `GRPH` section, so the round trip goes through a
+    /// whole snapshot.
     #[test]
     fn graphs_round_trip_through_dkg1(spec in graph_spec()) {
         let g = build(&spec);
@@ -258,6 +259,52 @@ proptest! {
         prop_assert!(back.index().to_partition().same_equivalence(&dk.index().to_partition()));
         for inode in dk.index().node_ids() {
             prop_assert_eq!(back.index().similarity(inode), dk.index().similarity(inode));
+        }
+    }
+
+    /// Random graphs over one to four 64-row segments, edges of both kinds
+    /// in any order (self-loops and repeats included; `add_edge` drops a
+    /// repeat): the snapshot loads to the rows `add_edge` and the index
+    /// builder made — child rows in order with their kinds, parent rows,
+    /// extents and similarities — and writes back byte for byte.
+    #[test]
+    fn random_graphs_load_row_for_row_and_rewrite_byte_identically(
+        n in prop::sample::select(vec![1usize, 2, 63, 64, 65, 129, 200]),
+        edges in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>()),
+            0..400,
+        ),
+        k in 0usize..3,
+    ) {
+        let mut g = DataGraph::new();
+        for i in 1..n {
+            g.add_labeled_node(["a", "b", "c"][i % 3]);
+        }
+        for (from, to, reference) in &edges {
+            let kind = if *reference { EdgeKind::Reference } else { EdgeKind::Tree };
+            g.add_edge(NodeId::from_index(from.index(n)), NodeId::from_index(to.index(n)), kind);
+        }
+        let dk = DkIndex::build(&g, Requirements::uniform(k));
+        let bytes = snapshot_bytes(&dk, &g);
+        let (back, g2) = read_snapshot(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(snapshot_bytes(&back, &g2), bytes);
+        prop_assert!(g2.edges().eq(g.edges()));
+        for node in g.node_ids() {
+            prop_assert_eq!(g2.label_of(node), g.label_of(node));
+            prop_assert_eq!(g2.children_of(node), g.children_of(node));
+            prop_assert_eq!(g2.parents_of(node), g.parents_of(node));
+        }
+        let (index, want) = (back.index(), dk.index());
+        prop_assert_eq!(index.edge_count(), want.edge_count());
+        for block in want.node_ids() {
+            prop_assert_eq!(index.label_of(block), want.label_of(block));
+            prop_assert_eq!(index.similarity(block), want.similarity(block));
+            prop_assert_eq!(index.extent(block), want.extent(block));
+            prop_assert_eq!(index.children_of(block), want.children_of(block));
+            prop_assert_eq!(index.parents_of(block), want.parents_of(block));
+        }
+        for node in g.node_ids() {
+            prop_assert_eq!(index.index_of(node), want.index_of(node));
         }
     }
 
@@ -318,45 +365,49 @@ proptest! {
 
 // ------------------------------------------------------ golden durable files
 
-/// One complete `DKSN` version-1 file, byte for byte: ROOT → a → b with a
+/// One complete `DKSN` version-2 file, byte for byte: ROOT → a → b with a
 /// reference edge b → a, requirements {b: 1}. Today's writer reproduces it
 /// and today's reader loads it; a diff here is a format change.
 #[rustfmt::skip]
-const GOLDEN_DKSN: [u8; 256] = [
-    // header: magic, version 1, 3 sections
-    0x44, 0x4b, 0x53, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-    // REQS: tag, len 15, crc | floor 0, 1 entry: u16-len "b" = 1
-    0x52, 0x45, 0x51, 0x53, 0x0f, 0x00, 0x00, 0x00, 0xdb, 0x94, 0x64, 0xeb,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x62, 0x01, 0x00, 0x00, 0x00,
-    // GRPH: tag, len 74, crc | "DKG1", 4 labels (ROOT VALUE a b)
-    0x47, 0x52, 0x50, 0x48, 0x4a, 0x00, 0x00, 0x00, 0x2f, 0x55, 0x16, 0x27,
-    0x44, 0x4b, 0x47, 0x31, 0x04, 0x00, 0x00, 0x00,
-    0x04, 0x00, 0x52, 0x4f, 0x4f, 0x54, 0x05, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
-    0x01, 0x00, 0x61, 0x01, 0x00, 0x62,
-    //   3 nodes (labels 0 2 3), 3 edges: 0→1 tree, 1→2 tree, 2→1 ref
-    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-    0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
-    // INDX: tag, len 119, crc | 4 labels (ROOT VALUE a b)
-    0x49, 0x4e, 0x44, 0x58, 0x77, 0x00, 0x00, 0x00, 0x57, 0xe8, 0x6e, 0xed,
-    0x04, 0x00, 0x00, 0x00,
-    0x04, 0x00, 0x52, 0x4f, 0x4f, 0x54, 0x05, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
-    0x01, 0x00, 0x61, 0x01, 0x00, 0x62,
-    //   3 index nodes: (label, u64 similarity, extent len, members)
-    0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-    //   3 index edges 0→1 1→2 2→1, root 0
-    0x03, 0x00, 0x00, 0x00,
+const GOLDEN_DKSN: [u8; 276] = [
+    // header: magic, version 2, 3 sections
+    0x44, 0x4b, 0x53, 0x4e, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    // REQS: tag, len 17, crc | floor 0, 1 entry: u32-len "b" = 1
+    0x52, 0x45, 0x51, 0x53, 0x11, 0x00, 0x00, 0x00, 0x33, 0x7f, 0x4c, 0x58,
     0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x62, 0x01, 0x00, 0x00, 0x00,
+    // GRPH: tag, len 80, crc | "DKG2", 4 labels (ROOT VALUE a b), u32-len names
+    0x47, 0x52, 0x50, 0x48, 0x50, 0x00, 0x00, 0x00, 0x02, 0xba, 0xe7, 0x4a,
+    0x44, 0x4b, 0x47, 0x32,
+    0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x52, 0x4f, 0x4f, 0x54,
+    0x05, 0x00, 0x00, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
+    0x01, 0x00, 0x00, 0x00, 0x61, 0x01, 0x00, 0x00, 0x00, 0x62,
+    //   3 nodes: labels 0 2 3
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    //   child rows: len 3, ends 1 2 3, targets 1 2 1
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    //   kinds: bit 2 set — child slot 2 (b → a) is a reference edge
+    0x04,
+    // INDX: tag, len 131, crc | 4 labels (ROOT VALUE a b)
+    0x49, 0x4e, 0x44, 0x58, 0x83, 0x00, 0x00, 0x00, 0x20, 0x83, 0x3c, 0x7c,
+    0x04, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x52, 0x4f, 0x4f, 0x54,
+    0x05, 0x00, 0x00, 0x00, 0x56, 0x41, 0x4c, 0x55, 0x45,
+    0x01, 0x00, 0x00, 0x00, 0x61, 0x01, 0x00, 0x00, 0x00, 0x62,
+    //   3 blocks: labels 0 2 3, u64 similarities 0 0 1
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    //   extents: len 3, ends 1 2 3, members 0 1 2
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    //   child rows: len 3, ends 1 2 3, targets 1 2 1
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    //   root 0
     0x00, 0x00, 0x00, 0x00,
 ];
 

@@ -11,7 +11,7 @@ use dkindex::datagen::{
     nasa_events, nasa_graph, nasa_graph_options, xmark_events, xmark_graph, xmark_graph_options,
     NasaConfig, XmarkConfig,
 };
-use dkindex::graph::{DataGraph, LabeledGraph};
+use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph};
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
 use dkindex::xml::{stream_to_graph, GraphBuilder, GraphOptions, XmlWriter};
 
@@ -24,6 +24,26 @@ const RECORD_NASA_SCALE: f64 = 0.15;
 /// label and edge of the graph, in order.
 fn label_split_bytes(data: &DataGraph) -> Vec<u8> {
     snapshot_bytes(&DkIndex::build(data, Requirements::new()), data)
+}
+
+/// CRC-32 of the graph's rows, independent of any file format: the label
+/// table, each node's label, then every edge `(from, to, kind)` child row by
+/// child row, in row order.
+fn rows_hash(data: &DataGraph) -> u32 {
+    let mut bytes = Vec::new();
+    for (_, name) in data.labels().iter() {
+        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(name.as_bytes());
+    }
+    for n in data.node_ids() {
+        bytes.extend_from_slice(&(data.label_of(n).index() as u32).to_le_bytes());
+    }
+    for (from, to, kind) in data.edges() {
+        bytes.extend_from_slice(&(from.index() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(to.index() as u32).to_le_bytes());
+        bytes.push(u8::from(kind == EdgeKind::Reference));
+    }
+    crc32(&bytes)
 }
 
 /// Generator events → XML text → parser → graph, held byte for byte equal
@@ -56,10 +76,14 @@ fn generated_graphs_survive_xml_text_and_do_not_drift() {
     // The record's graphs, pinned: a generator change that moves a node,
     // a label or an edge moves every count the record and the benchmark
     // report for a seed.
+    // The rows hash pins the graph itself; the snapshot CRC also pins the
+    // file format and moves with it.
     let xmark = xmark_via_xml_text(&XmarkConfig::scale(RECORD_XMARK_SCALE));
-    assert_eq!(crc32(&label_split_bytes(&xmark)), 0xabb1_773e);
+    assert_eq!(rows_hash(&xmark), 0x35e9_be49);
+    assert_eq!(crc32(&label_split_bytes(&xmark)), 0x6444_e65f);
     let nasa = nasa_via_xml_text(&NasaConfig::scale(RECORD_NASA_SCALE));
-    assert_eq!(crc32(&label_split_bytes(&nasa)), 0xe3de_e2d7);
+    assert_eq!(rows_hash(&nasa), 0x9ca9_caa0);
+    assert_eq!(crc32(&label_split_bytes(&nasa)), 0x2536_b592);
 }
 
 fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
