@@ -15,6 +15,7 @@
 //!   sizes      summary sizes: A(k), D(k), 1-index, data graph (ablation C)
 //!   ablation-broadcast   D(k) without Algorithm 1 (ablation A)
 //!   ablation-promote     promoting after updates (ablation B)
+//!   ablation-demote      demoting (§5.4) beside the rebuild (ablation E)
 //!   degradation          cost vs update count, with/without periodic promotion (D1)
 //!   length-sweep         cost by query length per index (D2)
 //!   bench-smoke          the exact gate set: oracle == arena evaluation,
@@ -81,7 +82,7 @@ const BOTH: &[Dataset] = &[Dataset::Xmark, Dataset::Nasa];
 
 /// The record experiments: the datasets each one runs and the table it
 /// prints (`None`: every table).
-const RECORD_MODES: [(&str, &[Dataset], Option<&str>); 11] = [
+const RECORD_MODES: [(&str, &[Dataset], Option<&str>); 12] = [
     ("all", BOTH, None),
     ("fig4", &[Dataset::Xmark], Some("figure_before")),
     ("fig5", &[Dataset::Nasa], Some("figure_before")),
@@ -91,6 +92,7 @@ const RECORD_MODES: [(&str, &[Dataset], Option<&str>); 11] = [
     ("sizes", BOTH, Some("sizes")),
     ("ablation-broadcast", BOTH, Some("ablation_broadcast")),
     ("ablation-promote", BOTH, Some("ablation_promote")),
+    ("ablation-demote", BOTH, Some("ablation_demote")),
     ("degradation", BOTH, Some("degradation")),
     ("length-sweep", BOTH, Some("length_sweep")),
 ];
@@ -173,7 +175,8 @@ fn parse_scale(value: Option<&String>, flag: &str) -> Result<f64, String> {
 fn print_usage() {
     println!(
         "usage: reproduce <all|fig4|fig5|fig6|fig7|table1|sizes|ablation-broadcast|ablation-promote|\n\
-         \x20                degradation|length-sweep|bench-smoke|verify-faults|verify-crash>\n\
+         \x20                ablation-demote|degradation|length-sweep|bench-smoke|verify-faults|\n\
+         \x20                verify-crash>\n\
          \x20       [--xmark-scale F] [--nasa-scale F] [--seed S]\n\
          \x20       [--out PATH] [--metrics PATH]\n\
          \x20       (--out applies to all and bench-smoke; --metrics to bench-smoke)"

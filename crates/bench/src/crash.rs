@@ -32,35 +32,34 @@ use crate::faults::{probe, record, FaultReport, Probe};
 use dkindex_core::io_fail::{FailPlan, SharedDisk, SimDisk};
 use dkindex_core::wal::{self, WalTail, WalWriter};
 use dkindex_core::{
-    apply_serial, snapshot_bytes, DkIndex, DkServer, ServeConfig, ServeError, ServeOp,
+    apply_serial, snapshot_bytes, DkIndex, DkServer, Requirements, ServeConfig, ServeError,
+    ServeOp,
 };
 use dkindex_graph::{DataGraph, NodeId};
 use std::io;
 
-/// Fold the update stream into mixed maintenance batches: cycling batch
-/// sizes, interleaved promotes, and a promote-to-requirements pass followed
-/// by the last quarter of the updates, so the sweeps cover every record tag
-/// that the serve layer actually logs, and crash cuts land both before the
-/// retarget and in the tail replay applies after it.
+/// Fold the update stream into mixed maintenance batches: add-edge batches
+/// of cycling sizes, then a set-requirements batch and a
+/// promote-to-requirements batch, then the last quarter of the updates. So
+/// the sweeps cover every record tag that the serve layer logs (1, 3, 5 and
+/// the commit fence), and crash cuts land before both retargets, between
+/// them, and in the tail replay applies after the last one.
 pub fn torture_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
     let (before, after) = updates.split_at(updates.len() - updates.len() / 4);
     let mut batches = edge_batches(before);
+    batches.push(vec![ServeOp::SetRequirements(Requirements::uniform(3))]);
     batches.push(vec![ServeOp::PromoteToRequirements]);
     batches.extend(edge_batches(after));
     batches
 }
 
-/// `updates` as add-edge batches of cycling sizes 1, 2, 3, with a promote
-/// after every third edge.
+/// `updates` as add-edge batches of cycling sizes 1, 2, 3.
 fn edge_batches(updates: &[(NodeId, NodeId)]) -> Vec<Vec<ServeOp>> {
     let mut batches: Vec<Vec<ServeOp>> = Vec::new();
     let mut batch: Vec<ServeOp> = Vec::new();
     let mut size = 1usize;
-    for (i, &(from, to)) in updates.iter().enumerate() {
+    for &(from, to) in updates {
         batch.push(ServeOp::AddEdge { from, to });
-        if i % 3 == 1 {
-            batch.push(ServeOp::Promote { node: from, k: 3 });
-        }
         if batch.len() >= size {
             batches.push(std::mem::take(&mut batch));
             size = size % 3 + 1;
@@ -543,6 +542,18 @@ mod tests {
         assert!(batches.len() >= 3, "fixture should produce several batches");
         let retarget = batches.iter().position(|b| b == &[ServeOp::PromoteToRequirements]);
         assert!(retarget.is_some_and(|at| at + 1 < batches.len()), "edge batches follow the retarget");
+        // Every tag of DKWL v4 is in the log the sweeps cut: each record is
+        // a u32 length, then its body, whose first byte is the tag, then a
+        // u32 CRC.
+        let (log, _) = healthy_log(&batches).unwrap();
+        let mut tags = std::collections::BTreeSet::new();
+        let mut at = 8;
+        while at < log.len() {
+            let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+            tags.insert(log[at + 4]);
+            at += 4 + len + 4;
+        }
+        assert_eq!(tags.into_iter().collect::<Vec<u8>>(), [1, 3, 5, 6], "record tags in the log");
         for report in [
             wal_tail_sweep(&dk, &g, &batches),
             fsync_failpoint_sweep(&dk, &g, &batches),

@@ -4,12 +4,13 @@
 //! the mined D(k), D(k) without the broadcast step and the 1-index.
 //! [`Record::run`] applies the [`UPDATE_EDGES`]-edge stream once to each
 //! A(k) and to D(k) and reads every table off those runs: Figures 4–7,
-//! Table 1's work and size columns, ablations A–C and extensions D1 and D2.
-//! The D(k) run yields Table 1's row, the Figure 6/7 point, ablation B's
-//! degraded point and D1's untuned curve; D1's periodically promoted and
-//! periodically rebuilt paths are the only other runs. Ablation B and D1
-//! set Algorithm 6's index beside `DkIndex::build` over the same graph and
-//! requirements. Each table states its rows once
+//! Table 1's work and size columns, ablations A–C and E and extensions D1
+//! and D2. The D(k) run yields Table 1's row, the Figure 6/7 point, ablation
+//! B's degraded point, ablation E's updated point and D1's untuned curve;
+//! D1's periodically promoted and periodically rebuilt paths are the only
+//! other runs. Ablation B and D1 set Algorithm 6's index beside
+//! `DkIndex::build` over the same graph and requirements, and ablation E
+//! sets §5.4's demoted index beside it. Each table states its rows once
 //! ([`Record::tables`], rendered by `report` to the console and to
 //! `PAPER_eval.json`) and the paper's shape claims once ([`Record::check`]:
 //! the first failing clause). Nothing here is timed.
@@ -21,9 +22,9 @@ use dkindex_core::{
     IndexGraph, Invariant, OneIndex, Requirements,
 };
 use dkindex_graph::stats::GraphStats;
-use dkindex_graph::{DataGraph, LabeledGraph};
+use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_workload::{generate_test_paths, generate_update_edges, Workload, WorkloadConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The paper's A(k) levels are A(0)..A(`MAX_K`).
 pub const MAX_K: usize = 4;
@@ -197,6 +198,38 @@ impl PromoteAblation {
     }
 }
 
+/// One row of ablation E: the D(k) after `updates` edge additions, demoted
+/// by §5.4 (`DkIndex::demote`) to the mined requirements lowered by one,
+/// beside `DkIndex::build` at those requirements over the same graph.
+#[derive(Clone, Debug)]
+pub struct DemotePoint {
+    /// Edge updates applied before demoting.
+    pub updates: usize,
+    /// The demoted index.
+    pub demoted: EvalPoint,
+    /// The rebuilt index.
+    pub rebuilt: EvalPoint,
+    /// The two have the same extents, each with the same similarity.
+    pub same_blocks: bool,
+}
+
+impl DemotePoint {
+    /// One row of ablation E.
+    pub fn rows(&self) -> Rows {
+        let (d, r) = (&self.demoted, &self.rebuilt);
+        vec![
+            ("updates", self.updates.to_string()),
+            ("size_demoted", d.size.to_string()),
+            ("cost_demoted", fmt_f64(d.avg_cost)),
+            ("validated_demoted", d.validated_queries.to_string()),
+            ("size_rebuilt", r.size.to_string()),
+            ("cost_rebuilt", fmt_f64(r.avg_cost)),
+            ("validated_rebuilt", r.validated_queries.to_string()),
+            ("same_blocks", self.same_blocks.to_string()),
+        ]
+    }
+}
+
 /// One point of extension D1: cost after `updates` edge additions,
 /// without promotion, with promotion every [`PROMOTE_EVERY`] updates, and
 /// with a rebuild at the same points instead.
@@ -274,6 +307,8 @@ pub struct Record {
     pub broadcast: BroadcastAblation,
     /// Ablation B.
     pub promote: PromoteAblation,
+    /// Ablation E: before the update stream, then after it.
+    pub demote: Vec<DemotePoint>,
     /// Extension D1, one point per [`DEGRADATION_STEP`] updates from 0.
     pub degradation: Vec<DegradationPoint>,
     /// Extension D2, by ascending query length.
@@ -303,6 +338,37 @@ fn point(name: &'static str, index: &IndexGraph, costs: &[(u64, bool)]) -> EvalP
         size: index.size(),
         avg_cost: average(costs.iter().map(|c| c.0)),
         validated_queries: costs.iter().filter(|c| c.1).count(),
+    }
+}
+
+/// `reqs` with every label requirement and the floor lowered by one (a
+/// zero stays zero): ablation E's demotion target.
+fn lowered_by_one(reqs: &Requirements) -> Requirements {
+    let mut lowered = Requirements::new();
+    lowered.raise_floor(reqs.floor().saturating_sub(1));
+    for (label, k) in reqs.iter() {
+        lowered.raise(label, k.saturating_sub(1));
+    }
+    lowered
+}
+
+/// Every block of `index` as its extent and similarity.
+fn blocks(index: &IndexGraph) -> BTreeSet<(&[NodeId], usize)> {
+    index.node_ids().map(|n| (index.extent(n), index.similarity(n))).collect()
+}
+
+/// Ablation E's row for `dk` after `updates` edge additions over `data`.
+fn demote_point(updates: usize, dk: &DkIndex, data: &DataGraph, w: &Workload) -> DemotePoint {
+    let target = lowered_by_one(dk.requirements());
+    let mut demoted = dk.clone();
+    demoted.demote(target.clone());
+    let rebuilt = DkIndex::build(data, target);
+    let (d, r) = (demoted.index(), rebuilt.index());
+    DemotePoint {
+        updates,
+        demoted: point("D(k) demoted", d, &query_costs(d, data, w)),
+        rebuilt: point("D(k) rebuilt", r, &query_costs(r, data, w)),
+        same_blocks: blocks(d) == blocks(r),
     }
 }
 
@@ -358,6 +424,7 @@ impl Record {
             }
         };
         let mut degradation = vec![measure(0, &dk, &g, &tuned, &rebuilt)];
+        let mut demote = vec![demote_point(0, &dk, &g, &w)];
         for (i, &(u, v)) in edges.iter().enumerate() {
             work += dk.add_edge(&mut g, u, v).index_nodes_touched;
             tuned.add_edge(&mut g_tuned, u, v);
@@ -374,6 +441,7 @@ impl Record {
         table1.push(UpdateRow { name: "D(k)", work, size_before, size_after: dk.size() });
         let degraded = point("D(k)", dk.index(), &query_costs(dk.index(), &g, &w));
         figure_after.push(degraded.clone());
+        demote.push(demote_point(UPDATE_EDGES, &dk, &g, &w));
         let fresh = DkIndex::build(&g, reqs);
         let rebuilt = point("D(k) rebuilt", fresh.index(), &query_costs(fresh.index(), &g, &w));
         let splits = dk.promote_to_requirements(&g);
@@ -390,6 +458,7 @@ impl Record {
             sizes,
             broadcast,
             promote: PromoteAblation { splits, degraded, promoted, rebuilt },
+            demote,
             degradation,
             length_sweep,
         }
@@ -425,6 +494,9 @@ impl Record {
                 vec![self.broadcast.rows()]),
             ("ablation_promote", format!("Ablation B on {name}: promoting after {n} updates"),
                 vec![self.promote.rows()]),
+            ("ablation_demote", format!("Ablation E on {name}: demoting to the mined requirements \
+                lowered by one, beside the rebuild, after 0 and {n} updates"),
+                all(&self.demote, DemotePoint::rows)),
             ("degradation", format!("Extension D1 on {name}: degradation under updates (promote every {})",
                 PROMOTE_EVERY), all(&self.degradation, DegradationPoint::rows)),
             ("length_sweep", format!("Extension D2 on {name}: avg cost by query length"),
@@ -441,7 +513,7 @@ impl Record {
         let (ak, dk) = (&self.figure_before[..=MAX_K], &self.figure_before[MAX_K + 1]);
         let (a0, a4) = (&ak[0], &ak[MAX_K]);
         let (a2_up, a4_up, dk_up) = (&self.table1[1], &self.table1[MAX_K - 1], &self.table1[MAX_K]);
-        let (p, b) = (&self.promote, &self.broadcast);
+        let (p, b, fresh_demote) = (&self.promote, &self.broadcast, &self.demote[0]);
         let size = |i: usize| self.sizes[i].size;
         let (d1_first, d1_last) = (&self.degradation[0], &self.degradation[self.degradation.len() - 1]);
         let d2 = &self.length_sweep[self.length_sweep.len() - 1];
@@ -480,6 +552,10 @@ impl Record {
                 "sizes order A(0) <= A(4) <= 1-index <= data graph, with D(k) <= A(4)",
             ),
             (b.size_without <= b.size_with, "D(k) without broadcast is no larger than with it"),
+            (
+                fresh_demote.updates == 0 && fresh_demote.same_blocks,
+                "with no updates, the demoted index equals the rebuild: same extents and similarities",
+            ),
             (
                 d1_last.cost_untuned > d1_first.cost_untuned && d1_last.cost_promoted <= d1_last.cost_untuned,
                 "D1: the untuned cost degrades, and periodic promotion holds it no higher",

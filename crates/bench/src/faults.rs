@@ -24,8 +24,10 @@
 //!   naming the rule.
 //! * [`wal_fault_sweep`] — flip one bit in every byte of a group-committed
 //!   WAL covering every record tag the serve layer logs (must decode as a
-//!   typed [`wal::WalError`] or replay to a well-formed index). Cutting the
-//!   same log at every byte is [`crate::crash::wal_tail_sweep`].
+//!   typed [`wal::WalError`] or replay to a well-formed index), and append
+//!   a resealed record under each of version 3's retired tags (must be a
+//!   typed unknown tag). Cutting the same log at every byte is
+//!   [`crate::crash::wal_tail_sweep`].
 //!
 //! Every probe runs under `catch_unwind`; a panic anywhere is a harness
 //! failure, reported with the exact byte offset that triggered it.
@@ -34,7 +36,7 @@ use dkindex_core::crc32::crc32;
 use dkindex_core::wal;
 use dkindex_core::{
     check_structure, load_with_recovery, read_snapshot, snapshot_bytes, DkIndex, Requirements,
-    SnapshotError,
+    ServeOp, SnapshotError,
 };
 use dkindex_graph::{DataGraph, NodeId};
 use dkindex_workload::generate_update_edges;
@@ -415,7 +417,11 @@ pub fn snapshot_column_sweep(dk: &DkIndex, data: &DataGraph) -> FaultReport {
 /// `updates`: [`crate::crash::torture_batches`] group-committed through a
 /// `WalWriter`, so every record tag the serve layer logs and its commit
 /// fences are under the sweep. Each damaged log must decode as a typed error
-/// or replay to a well-formed index.
+/// or replay to a well-formed index. Then two more probes: the log plus one
+/// fenced record under each tag DKWL v4 retired, its CRC resealed — 2
+/// (single-block promote) over an add-edge's two `u32`s, the layout it had
+/// in v3, and 4 (demote) over a set-requirements payload. Each must replay
+/// as a typed unknown tag.
 pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeId)]) -> FaultReport {
     let mut report = FaultReport::new("WAL bit-flips");
     let log = match crate::crash::healthy_log(&crate::crash::torture_batches(updates)) {
@@ -447,6 +453,33 @@ pub fn wal_fault_sweep(dk: &DkIndex, data: &DataGraph, updates: &[(NodeId, NodeI
                     Probe::Violation(format!("{context}: I/O error from in-memory bytes: {e}"))
                 }
                 Err(_) => Probe::TypedError,
+            }
+        });
+        record(&mut report, outcome);
+    }
+
+    let add_edge = ServeOp::AddEdge { from: NodeId::from_index(0), to: NodeId::from_index(0) };
+    let requirements = ServeOp::SetRequirements(dk.requirements().clone());
+    for (tag, op) in [(2u8, add_edge), (4, requirements)] {
+        let mut retired = wal::encode_record(&op);
+        let body_end = retired.len() - 4;
+        retired[4] = tag;
+        let crc = crc32(&retired[4..body_end]);
+        retired[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let mut damaged = log.clone();
+        damaged.extend_from_slice(&retired);
+        damaged.extend_from_slice(&wal::encode_commit(1));
+        let context = format!("WAL record under retired tag {tag}");
+        let outcome = probe(&context, || {
+            let (mut g, mut d) = (data.clone(), dk.clone());
+            match wal::replay(&mut d, &mut g, &damaged) {
+                Err(wal::WalError::CorruptRecord { reason, .. })
+                    if reason == format!("unknown record tag {tag}") =>
+                {
+                    Probe::TypedError
+                }
+                Err(e) => Probe::Violation(format!("{context}: rejected for another reason: {e}")),
+                Ok(_) => Probe::Violation(format!("{context}: replayed")),
             }
         });
         record(&mut report, outcome);
@@ -527,9 +560,10 @@ mod tests {
         ];
         let wal = wal_fault_sweep(&dk, &g, &updates);
         assert!(wal.passed(), "{:?}", wal.violations);
-        // One probe per byte of the log the crash sweeps cut.
+        // One probe per byte of the log the crash sweeps cut, and one per
+        // retired tag.
         let (log, _) = crate::crash::healthy_log(&crate::crash::torture_batches(&updates)).unwrap();
-        assert_eq!(wal.cases, log.len());
+        assert_eq!(wal.cases, log.len() + 2);
         assert!(wal.typed_errors > 0 && wal.recovered > 0, "{}", wal.summary());
     }
 }

@@ -13,7 +13,7 @@
 //!   worse than the p99 at the shift itself.
 //! * **Determinism** — the final live-tuned state is byte-identical to
 //!   [`apply_serial`] over the ops the run's WAL committed, which include
-//!   the tuner's own `SetRequirements`/`Demote` ops at their actual
+//!   the tuner's own `SetRequirements` ops at their actual
 //!   interleaved positions: the log is the run's op record.
 //! * **Durability** — replaying the committed log over the initial state
 //!   through WAL recovery reproduces the final state byte-identically,
@@ -96,7 +96,7 @@ pub struct TuningBenchResult {
     pub promotions: u64,
     /// Demotions the live tuner enqueued.
     pub demotions: u64,
-    /// `SetRequirements`/`Demote` ops in the committed log — the tuner's
+    /// `SetRequirements` ops in the committed log — the tuner's
     /// footprint in the oracle's input.
     pub tuning_ops: usize,
     /// Final state is byte-identical to [`apply_serial`] over the committed
@@ -283,7 +283,7 @@ pub fn bench_tuning(
     let (logged, _tail) = wal::decode_wal(&log).expect("the committed log decodes");
     let tuning_ops = logged
         .iter()
-        .filter(|op| matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_)))
+        .filter(|op| matches!(op, ServeOp::SetRequirements(_)))
         .count();
     let mut serial_dk = dk0.clone();
     let mut serial_g = data.clone();

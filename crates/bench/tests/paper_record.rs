@@ -46,7 +46,7 @@ fn cell<'a>(rows: &'a Rows, key: &str) -> &'a str {
 #[test]
 fn experiments_quotes_every_table_of_the_record() {
     let tables = record_tables();
-    assert_eq!(tables.len(), 18, "nine tables per dataset");
+    assert_eq!(tables.len(), 20, "ten tables per dataset");
     let lines: Vec<&str> = EXPERIMENTS.lines().collect();
     let mut quoted: Vec<&str> = Vec::new();
     for (i, line) in lines.iter().enumerate() {
@@ -101,6 +101,69 @@ fn experiments_quotes_the_rebuild_beside_the_promotion() {
     let costs = |rows: &Rows| format!("{} vs {}", cell(rows, "cost_after"), cell(rows, "cost_rebuilt"));
     let phrase = format!("({}; {})", costs(&xmark), costs(&nasa));
     assert!(EXPERIMENTS.contains(&phrase), "EXPERIMENTS.md must quote ablation B as \"{phrase}\"");
+}
+
+/// Ablation E, §5.4 beside the rebuild: every number EXPERIMENTS.md quotes
+/// from the two rows — the fresh index's size and cost, the updated one's
+/// costs and validated counts and their ratios — is the record's, and the
+/// record reads as the prose says (equal when fresh; after the updates
+/// smaller, costlier and validating more).
+#[test]
+fn experiments_quotes_the_demote_beside_the_rebuild() {
+    let tables = record_tables();
+    let rows = |dataset: &str| {
+        let name = format!("{dataset}.ablation_demote");
+        let rows = &tables.iter().find(|(n, _)| *n == name).expect("ablation E in the record").1;
+        let [fresh, updated] = &rows[..] else { panic!("{name}: two rows, 0 and 100 updates") };
+        (fresh.clone(), updated.clone())
+    };
+    let ((x0, x), (n0, n)) = (rows("xmark"), rows("nasa"));
+    let number = |rows: &Rows, key: &str| cell(rows, key).parse::<f64>().expect("a number");
+    for rows in [&x0, &n0] {
+        assert_eq!(cell(rows, "same_blocks"), "true");
+        assert_eq!(cell(rows, "cost_demoted"), cell(rows, "cost_rebuilt"));
+    }
+    for rows in [&x, &n] {
+        assert_eq!(cell(rows, "same_blocks"), "false");
+        assert!(number(rows, "size_demoted") < number(rows, "size_rebuilt"));
+        assert!(number(rows, "cost_demoted") > number(rows, "cost_rebuilt"));
+        assert!(number(rows, "validated_demoted") > number(rows, "validated_rebuilt"));
+    }
+    let fresh = format!(
+        "at {} blocks costing {} on Xmark and {} costing {} on Nasa",
+        cell(&x0, "size_rebuilt"),
+        cell(&x0, "cost_rebuilt"),
+        cell(&n0, "size_rebuilt"),
+        cell(&n0, "cost_rebuilt")
+    );
+    let ratio = |rows: &Rows, what: &str| {
+        let (demoted, rebuilt) = (format!("{what}_demoted"), format!("{what}_rebuilt"));
+        format!("{:.1}×", number(rows, &demoted) / number(rows, &rebuilt))
+    };
+    let ratios = format!(
+        "costs {} (Xmark) and {} (Nasa) as much per query and validates {} and {} as many queries",
+        ratio(&x, "cost"),
+        ratio(&n, "cost"),
+        ratio(&x, "validated"),
+        ratio(&n, "validated")
+    );
+    let pair = |rows: &Rows, what: &str| {
+        let (demoted, rebuilt) = (format!("{what}_demoted"), format!("{what}_rebuilt"));
+        format!("{} vs {}", cell(rows, &demoted), cell(rows, &rebuilt))
+    };
+    let updated = format!(
+        "({} and {} on Xmark; {} and {} on Nasa)",
+        pair(&x, "cost"),
+        pair(&x, "validated"),
+        pair(&n, "cost"),
+        pair(&n, "validated")
+    );
+    // The prose wraps anywhere: compare with every run of whitespace as one
+    // space.
+    let prose = EXPERIMENTS.split_whitespace().collect::<Vec<_>>().join(" ");
+    for phrase in [fresh, ratios, updated] {
+        assert!(prose.contains(&phrase), "EXPERIMENTS.md must quote ablation E as \"{phrase}\"");
+    }
 }
 
 #[test]

@@ -3,9 +3,9 @@
 use super::args::parse_args;
 use super::files::{load_index, load_xml, read_query_file, save_index};
 use super::CliError;
+use dkindex_core::tuner::lowers;
 use dkindex_core::{
-    apply_serial, mine_requirements, DkIndex, IndexEvaluator, Requirements, ServeOp, Tuner,
-    TunerConfig,
+    apply_serial, mine_requirements, DkIndex, IndexEvaluator, Requirements, Tuner, TunerConfig,
 };
 use dkindex_graph::LabeledGraph;
 
@@ -65,11 +65,11 @@ pub(super) fn cmd_tune(args: &[String]) -> Result<String, CliError> {
     for (q, out) in queries.iter().zip(&outcomes) {
         tuner.record(q, out.validated);
     }
-    let before = dk.size();
-    let report = match tuner.step(dk.requirements()) {
+    let (before, current) = (dk.size(), dk.requirements().clone());
+    let report = match tuner.step(&current) {
         Some(op) => {
-            let verb = if matches!(op, ServeOp::Demote(_)) { "demoted" } else { "promoted" };
             apply_serial(&mut dk, &mut g, &[op]);
+            let verb = if lowers(&current, dk.requirements()) { "demoted" } else { "promoted" };
             format!("{verb}: size {before} -> {}", dk.size())
         }
         None => format!("held: size {before}"),

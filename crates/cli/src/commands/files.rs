@@ -99,7 +99,7 @@ mod tests {
     use crate::commands::fixture::*;
 
     /// The rejection edge of the exit-code matrix: files in the formats
-    /// that predate `DKSN` v2 and `DKWL` v3 are corrupt input (exit 4) with
+    /// that predate `DKSN` v2 and `DKWL` v4 are corrupt input (exit 4) with
     /// a message naming what is unsupported — never a panic, never a
     /// partial load or replay.
     #[test]
@@ -137,28 +137,28 @@ mod tests {
             assert!(err.to_string().contains("unsupported snapshot version 1"), "{args:?}: {err}");
         }
 
-        // A complete, CRC-valid `DKWL\x01…` log with one add-edge record.
-        let v1 = dir.file("v1.wal");
-        fs::write(
-            &v1,
-            [
-                0x44, 0x4b, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00, // header
-                0x01, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x60, 0x41, 0xc7,
-            ],
-        )
-        .unwrap();
-        let v1_path = v1.to_str().unwrap();
-        let out = dir.file("out.dki");
-        for args in [
-            &["serve", idx, "--listen", "127.0.0.1:0", "--wal", v1_path, "--duration-ms", "10"][..],
-            &["snapshot", idx, "--wal", v1_path, "--out", out.to_str().unwrap()][..],
-            &["doctor", idx, "--wal", v1_path][..],
-        ] {
-            let err = run(args).unwrap_err();
-            assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
-            assert!(err.to_string().contains("unsupported WAL version 1"), "{args:?}: {err}");
+        // CRC-valid logs of older versions: `DKWL\x01…` with one unfenced
+        // add-edge record, `DKWL\x03…` with one fenced promote (tag 2).
+        let mut v1_log = b"DKWL\x01\0\0\0".to_vec();
+        v1_log.extend([0x01, 0x03, 0, 0, 0, 0x01, 0, 0, 0, 0x6b, 0x60, 0x41, 0xc7]);
+        let mut v3_log = b"DKWL\x03\0\0\0".to_vec();
+        v3_log.extend([0x09, 0, 0, 0, 0x02, 0x01, 0, 0, 0, 0x02, 0, 0, 0, 0x3d, 0xf4, 0x5c, 0xae]);
+        v3_log.extend([0x05, 0, 0, 0, 0x06, 0x01, 0, 0, 0, 0xd8, 0x65, 0xde, 0xf1]);
+        for (version, log) in [(1, v1_log), (3, v3_log)] {
+            let wal = dir.file(&format!("v{version}.wal")).to_str().unwrap().to_string();
+            fs::write(&wal, &log).unwrap();
+            let out = dir.file("out.dki");
+            for args in [
+                &["serve", idx, "--listen", "127.0.0.1:0", "--wal", &wal, "--duration-ms", "10"][..],
+                &["snapshot", idx, "--wal", &wal, "--out", out.to_str().unwrap()][..],
+                &["doctor", idx, "--wal", &wal][..],
+            ] {
+                let err = run(args).unwrap_err();
+                assert_eq!(err.exit_code(), 4, "{args:?}: {err}");
+                assert!(err.to_string().contains(&format!("WAL version {version}")), "{err}");
+            }
+            assert!(!out.exists(), "a rejected log must not produce a snapshot");
+            assert_eq!(fs::read(&wal).unwrap(), log, "a rejected log is left untouched");
         }
-        assert!(!out.exists(), "a rejected log must not produce a snapshot");
-        assert_eq!(fs::read(&v1).unwrap().len(), 21, "a rejected log is left untouched");
     }
 }

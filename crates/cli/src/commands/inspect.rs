@@ -268,7 +268,7 @@ mod tests {
             .unwrap();
         drop(writer);
         let out = run(&["doctor", idx, "--wal", wal_path.to_str().unwrap()]).unwrap();
-        assert!(out.contains("WAL v3, 1 committed record(s), 0 uncommitted"), "{out}");
+        assert!(out.contains("WAL v4, 1 committed record(s), 0 uncommitted"), "{out}");
         assert!(out.contains("tail: clean"), "{out}");
 
         // 0 + torn: a partial record after the last fence is the crash

@@ -156,7 +156,7 @@ mod tests {
 
         // The acknowledged update is on disk, fenced.
         let out = run(&["doctor", idx, "--wal", wal_path.to_str().unwrap()]).unwrap();
-        assert!(out.contains("WAL v3, 1 committed record(s), 0 uncommitted"), "{out}");
+        assert!(out.contains("WAL v4, 1 committed record(s), 0 uncommitted"), "{out}");
         assert!(out.contains("tail: clean"), "{out}");
 
         // A restart with the same --wal recovers the committed prefix and

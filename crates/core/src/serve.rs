@@ -24,8 +24,8 @@
 //!   keeps a fully consistent view until it drops it.
 //! * **Maintenance batching**: one thread owns the mutable index. It blocks
 //!   on an op channel, drains up to [`ServeConfig::max_batch`] queued ops,
-//!   applies them **in submission order** (edge updates, promotions,
-//!   demotions, tuning), then publishes a fresh epoch. Because application
+//!   applies them **in submission order** (edge updates and retargets,
+//!   the tuner's among them), then publishes a fresh epoch. Because application
 //!   order equals submission order, an N-thread serve run ends in exactly
 //!   the state of a serial run over the same op sequence — snapshot bytes
 //!   and all. The serial fold itself lives in [`crate::serve_ops`], kept
@@ -721,7 +721,7 @@ struct MaintenanceCtx {
 
 /// The maintenance thread's side of live tuning: the publish-cadence
 /// counter around [`Tuner::step`], and a sender clone through which the
-/// planned `SetRequirements`/`Demote` is enqueued as an ordinary
+/// planned `SetRequirements` retarget is enqueued as an ordinary
 /// [`Msg::Op`] — it interleaves with client ops at channel order and flows
 /// through the same WAL/batch/publish/ack path, which is what keeps an
 /// N-thread tuned run byte-identical under [`apply_serial`] replay of the
@@ -886,7 +886,7 @@ fn maintenance_loop(
                 let _ = ack.send(Ok(epoch_id));
             }
             // Live tuning rides published batches: step the tuner on
-            // cadence and self-enqueue the promote/demote work it plans. A
+            // cadence and self-enqueue the retarget it plans. A
             // poisoned server stops tuning with everything else — its
             // batches are dropped before this point.
             if let Some(tune) = ctx.tune.as_mut() {

@@ -28,7 +28,9 @@ use crate::requirements::Requirements;
 use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 
 /// A maintenance operation, applied by the single maintenance thread in
-/// submission order.
+/// submission order. Every requirement change is a *retarget*: the index
+/// becomes `DkIndex::build(data, requirements)`, whichever way the
+/// requirements moved.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeOp {
     /// The paper's edge-addition update (Algorithms 4–5).
@@ -38,29 +40,20 @@ pub enum ServeOp {
         /// Target data node.
         to: NodeId,
     },
-    /// Promote the block containing `node` to local similarity `k`
-    /// (Algorithm 6).
-    Promote {
-        /// A data node identifying the target block.
-        node: NodeId,
-        /// Requested local similarity.
-        k: usize,
-    },
     /// Retarget to the stored requirements: rebuild the index from the
     /// current data graph (Algorithm 2), which restores every block's local
     /// similarity after edge updates lowered it.
     PromoteToRequirements,
-    /// Demote the index to the given requirements.
-    Demote(Requirements),
-    /// Retarget to new requirements (the tuner's promotion action): the
-    /// index becomes `DkIndex::build(data, requirements)`.
+    /// Retarget to new requirements, raised or lowered (the tuner's
+    /// promoting and demoting action): the index becomes
+    /// `DkIndex::build(data, requirements)`.
     SetRequirements(Requirements),
 }
 
 /// Apply one op on the owned mutable state. An op [`is_applicable`]
-/// rejects — an edge or promote naming a node the data graph lacks — is
-/// skipped (deterministically — the serial oracle sees the same sequence),
-/// so a bad op cannot take the maintenance thread down.
+/// rejects — an edge naming a node the data graph lacks — is skipped
+/// (deterministically — the serial oracle sees the same sequence), so a bad
+/// op cannot take the maintenance thread down.
 pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
     if !is_applicable(&op, data) {
         return;
@@ -69,44 +62,36 @@ pub(crate) fn apply(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
         ServeOp::AddEdge { from, to } => {
             dk.add_edge(data, from, to);
         }
-        ServeOp::Promote { node, k } => {
-            dk.promote(data, node, k);
-        }
-        ServeOp::PromoteToRequirements => {
-            *dk = DkIndex::build(data, dk.requirements().clone());
-        }
-        ServeOp::Demote(reqs) => {
-            dk.demote(reqs);
-        }
-        ServeOp::SetRequirements(reqs) => {
-            *dk = DkIndex::build(data, reqs);
-        }
+        ServeOp::PromoteToRequirements => *dk = DkIndex::build(data, dk.requirements().clone()),
+        ServeOp::SetRequirements(reqs) => *dk = DkIndex::build(data, reqs),
     }
 }
 
-/// Does `op` rebuild the index from `(data graph, requirements)`? A
-/// retarget's result owes nothing to the index before it, so replay can
-/// skip the index work of every op a later retarget overwrites.
+/// Does `op` rebuild the index from `(data graph, requirements)`? Every op
+/// but `AddEdge` does. A retarget's result owes nothing to the index before
+/// it, so replay can skip the index work of every op a later retarget
+/// overwrites.
 pub(crate) fn is_retarget(op: &ServeOp) -> bool {
-    matches!(op, ServeOp::PromoteToRequirements | ServeOp::SetRequirements(_))
+    !matches!(op, ServeOp::AddEdge { .. })
 }
 
-/// Apply what of `op` outlives a later retarget: its data edge and its
-/// requirement change. The index is left stale; the retarget rebuilds it.
-/// The caller has checked that `op` [`is_applicable`].
+/// Apply what of `op` outlives a later retarget: the data edge of an
+/// `AddEdge` and the requirements of a `SetRequirements`. The index is left
+/// stale; the retarget rebuilds it. The caller has checked that `op`
+/// [`is_applicable`].
 pub(crate) fn apply_overwritten(dk: &mut DkIndex, data: &mut DataGraph, op: ServeOp) {
     match op {
         ServeOp::AddEdge { from, to } => {
             data.add_edge(from, to, EdgeKind::Reference);
         }
-        ServeOp::Demote(reqs) | ServeOp::SetRequirements(reqs) => dk.set_requirements(reqs),
-        ServeOp::Promote { .. } | ServeOp::PromoteToRequirements => {}
+        ServeOp::SetRequirements(reqs) => dk.set_requirements(reqs),
+        ServeOp::PromoteToRequirements => {}
     }
 }
 
-/// Would `apply` actually execute this op, or skip it? Edge and promote
-/// ops naming a node outside the data graph are deterministic no-ops; the
-/// WAL group-commit path uses this to keep no-ops out of the log, and WAL
+/// Would `apply` actually execute this op, or skip it? An edge naming a
+/// node outside the data graph is a deterministic no-op; the WAL
+/// group-commit path uses this to keep no-ops out of the log, and WAL
 /// replay uses it to reject a log that names nodes its snapshot lacks, so
 /// strict replay of the logged prefix reproduces the serve run exactly.
 pub fn is_applicable(op: &ServeOp, data: &DataGraph) -> bool {
@@ -114,8 +99,7 @@ pub fn is_applicable(op: &ServeOp, data: &DataGraph) -> bool {
         ServeOp::AddEdge { from, to } => {
             from.index() < data.node_count() && to.index() < data.node_count()
         }
-        ServeOp::Promote { node, .. } => node.index() < data.node_count(),
-        ServeOp::PromoteToRequirements | ServeOp::Demote(_) | ServeOp::SetRequirements(_) => true,
+        ServeOp::PromoteToRequirements | ServeOp::SetRequirements(_) => true,
     }
 }
 

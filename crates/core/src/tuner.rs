@@ -19,7 +19,8 @@
 //!    label actually received got shallower, the index is demoted — but
 //!    only for labels the window *observed*: a label that merely went
 //!    unqueried keeps its current requirement, so alternating workloads do
-//!    not thrash the index promote/demote every window.
+//!    not thrash the index promote/demote every window. Either way the
+//!    plan is the target requirements, and the index is rebuilt for them.
 //!
 //! What a query records: its maximum word length against each result label
 //! it can end at (the §6.1 attribution: a query of length `p` ending at
@@ -39,7 +40,7 @@
 //! each shard is a dense `label × length` matrix sized once.
 //!
 //! `step` never touches an index. It returns the decision as a
-//! [`ServeOp`] (`SetRequirements` or `Demote`) for the caller to apply:
+//! [`ServeOp::SetRequirements`] for the caller to apply:
 //! the serve maintenance thread enqueues it on its own op channel
 //! ([`crate::serve`]), offline callers — `dkindex tune`, the examples, the
 //! property tests — hand it to [`crate::serve_ops::apply_serial`]. One
@@ -97,6 +98,13 @@ const SHARDS: usize = 8;
 /// hovers around a boundary does not merge and re-split every window.
 const DEMOTE_SLACK: usize = 1;
 
+/// Does retargeting from `current` to `target` demote? A promotion never
+/// lowers the maximum requirement, and a demotion lowers it by more than
+/// `DEMOTE_SLACK`.
+pub fn lowers(current: &Requirements, target: &Requirements) -> bool {
+    target.max_requirement() < current.max_requirement()
+}
+
 /// Tuning policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TunerConfig {
@@ -126,21 +134,21 @@ impl Default for TunerConfig {
 pub struct TuneStats {
     /// Windows that were large enough to mine.
     pub windows: u64,
-    /// Steps that planned a promotion (`SetRequirements`).
+    /// Steps that planned a promotion: requirements that do not [`lowers`].
     pub promotions: u64,
-    /// Steps that planned a demotion (`Demote`).
+    /// Steps that planned a demotion: requirements that [`lowers`].
     pub demotions: u64,
 }
 
 /// The pure tuning policy behind [`Tuner::step`]: given the current
 /// requirements, the mined ones, and the result labels the window observed,
-/// decide promote / demote / hold.
+/// decide promote / demote / hold: the target requirements, or `None`.
 ///
-/// * **Promote** ([`ServeOp::SetRequirements`]) when some mined label
-///   requirement (or the mined floor) exceeds the current one. The
-///   promotion target is the current requirements with the rises merged in
-///   — existing guarantees are never given up by a promotion.
-/// * **Demote** ([`ServeOp::Demote`]) only on evidence of shrink: the
+/// * **Promote** when some mined label requirement (or the mined floor)
+///   exceeds the current one. The promotion target is the current
+///   requirements with the rises merged in — existing guarantees are never
+///   given up by a promotion, so it never [`lowers`].
+/// * **Demote** only on evidence of shrink: the
 ///   demotion target keeps every *unobserved* label at its current
 ///   requirement and lowers observed labels to their mined values (the
 ///   floor follows the mined floor, as blanket load is only attributable to
@@ -157,7 +165,7 @@ pub fn plan_tuning(
     current: &Requirements,
     mined: &Requirements,
     observed: &BTreeSet<String>,
-) -> Option<ServeOp> {
+) -> Option<Requirements> {
     let rises: Vec<(String, usize)> = {
         let mut rises: Vec<(String, usize)> = mined
             .iter()
@@ -177,7 +185,7 @@ pub fn plan_tuning(
         if mined_floor_rose {
             merged.raise_floor(mined.floor());
         }
-        return Some(ServeOp::SetRequirements(merged));
+        return Some(merged);
     }
 
     // Demotion target: observed labels decay to their mined requirement,
@@ -199,8 +207,7 @@ pub fn plan_tuning(
     }
 
     // Shrink only when the retained load clearly got shallower (hysteresis).
-    (target.max_requirement() + DEMOTE_SLACK < current.max_requirement())
-        .then_some(ServeOp::Demote(target))
+    (target.max_requirement() + DEMOTE_SLACK < current.max_requirement()).then_some(target)
 }
 
 /// One shard of recording cells. Which shard a thread lands on decides
@@ -416,8 +423,8 @@ impl Tuner {
     /// One tuning step against the index's `current` requirements: drain
     /// the cells into the pending window and, once it holds
     /// [`TunerConfig::window`] recorded queries, mine it and return the
-    /// planned action — `SetRequirements` to promote, `Demote` to shrink,
-    /// `None` to hold (or when the window is not full yet). An empty
+    /// planned action — `SetRequirements` to the promoted or demoted
+    /// target, `None` to hold (or when the window is not full yet). An empty
     /// window carries no evidence about the load and never plans anything,
     /// even under a degenerate `window` of zero.
     ///
@@ -436,8 +443,8 @@ impl Tuner {
         self.windows.fetch_add(1, Ordering::Relaxed);
         telemetry::metrics::TUNER_WINDOWS.incr();
         let mined = window.mine(self.config.min_support);
-        let op = plan_tuning(current, &mined, &window.observed())?;
-        if matches!(op, ServeOp::Demote(_)) {
+        let target = plan_tuning(current, &mined, &window.observed())?;
+        if lowers(current, &target) {
             self.demotions.fetch_add(1, Ordering::Relaxed);
             telemetry::metrics::TUNER_DEMOTIONS.incr();
         } else {
@@ -445,7 +452,7 @@ impl Tuner {
             telemetry::metrics::TUNER_PROMOTIONS.incr();
         }
         telemetry::metrics::TUNER_OPS.incr();
-        Some(op)
+        Some(ServeOp::SetRequirements(target))
     }
 }
 
@@ -548,7 +555,7 @@ mod tests {
         let mut t = Tuned::new(Requirements::uniform(3), 4, 1);
         let size_before = t.dk.size();
         t.serve("title", 4); // zero-requirement load
-        assert!(matches!(t.tune(), Some(ServeOp::Demote(_))));
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(r)) if r.max_requirement() == 0));
         assert!(t.dk.size() < size_before);
         assert_eq!(t.tuner.stats().demotions, 1);
     }
@@ -625,7 +632,8 @@ mod tests {
         // The *same* result label, now only ever reached by length-1
         // queries: observed shrinking, demote fires.
         t.serve("title", 4);
-        assert!(matches!(t.tune(), Some(ServeOp::Demote(_))));
+        assert!(matches!(t.tune(), Some(ServeOp::SetRequirements(_))));
+        assert_eq!(t.tuner.stats().demotions, 1);
         assert_eq!(t.dk.requirements().get("title"), 0);
     }
 

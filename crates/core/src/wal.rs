@@ -8,16 +8,14 @@
 //! suite, the crash-recovery torture harness and the robustness property
 //! tests.
 //!
-//! On-disk format, version 3 (all integers little-endian):
+//! On-disk format, version 4 (all integers little-endian):
 //!
 //! ```text
-//! header   b"DKWL", u32 version (= 3)
+//! header   b"DKWL", u32 version (= 4)
 //! record   u32 body_len, body, u32 CRC-32 of body
 //!          body = u8 tag, payload
 //!            tag 1  add-edge                u32 from, u32 to
-//!            tag 2  promote                 u32 node, u32 k
 //!            tag 3  promote-to-requirements (empty)
-//!            tag 4  demote                  requirements
 //!            tag 5  set-requirements        requirements
 //!            tag 6  commit fence            u32 ops since previous fence
 //!          requirements = u32 floor, u32 count,
@@ -27,12 +25,13 @@
 //!          `store`'s, the snapshot's `REQS` section)
 //! ```
 //!
-//! Version 3 keeps version 2's bytes record for record; what changed is the
-//! meaning of tags 3 and 5, which became *retargets* (a rebuild from the
-//! data graph, where version 2 ran the splitting Algorithm 6). A version 2
-//! log would replay to a different index than the run that wrote it, so any
-//! other header version — version 2, and the fence-less version 1 that
-//! predates group commit — is rejected with [`WalError::UnsupportedVersion`].
+//! Every record but add-edge is a *retarget* (`DkIndex::build` from the
+//! data graph and requirements), so replay runs only the last one. Version 4
+//! keeps version 3's bytes for tags 1, 3, 5 and 6 and retires its tags 2
+//! (Algorithm 6 on one block) and 4 (the §5.4 demote), neither a rebuild:
+//! in a version-4 body they are unknown tags. Any other header version — 3;
+//! 2, whose tags 3 and 5 ran Algorithm 6; the fence-less 1 — is rejected
+//! with [`WalError::UnsupportedVersion`].
 //!
 //! The **commit fence** (tag 6) is what makes a batch atomic: the
 //! group-commit writer stages a batch of op records plus one fence in a
@@ -88,12 +87,10 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"DKWL";
 /// The on-disk version this build reads and writes.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 const HEADER_LEN: usize = 8;
 const TAG_ADD_EDGE: u8 = 1;
-const TAG_PROMOTE: u8 = 2;
 const TAG_PROMOTE_TO_REQUIREMENTS: u8 = 3;
-const TAG_DEMOTE: u8 = 4;
 const TAG_SET_REQUIREMENTS: u8 = 5;
 const TAG_COMMIT: u8 = 6;
 /// Upper bound on one record body. A length prefix beyond this is
@@ -188,16 +185,7 @@ pub fn encode_record(op: &ServeOp) -> Vec<u8> {
             body.extend_from_slice(&(from.index() as u32).to_le_bytes());
             body.extend_from_slice(&(to.index() as u32).to_le_bytes());
         }
-        ServeOp::Promote { node, k } => {
-            body.push(TAG_PROMOTE);
-            body.extend_from_slice(&(node.index() as u32).to_le_bytes());
-            body.extend_from_slice(&(*k as u32).to_le_bytes());
-        }
         ServeOp::PromoteToRequirements => body.push(TAG_PROMOTE_TO_REQUIREMENTS),
-        ServeOp::Demote(reqs) => {
-            body.push(TAG_DEMOTE);
-            store::write_requirements(reqs, &mut body);
-        }
         ServeOp::SetRequirements(reqs) => {
             body.push(TAG_SET_REQUIREMENTS);
             store::write_requirements(reqs, &mut body);
@@ -338,17 +326,7 @@ fn decode_body(body: &[u8]) -> Result<DecodedBody, String> {
                 to: NodeId::from_index(to as usize),
             })
         }
-        TAG_PROMOTE => {
-            let (Some(node), Some(k)) = (cur.u32_le(), cur.u32_le()) else {
-                return Err("promote payload truncated".to_string());
-            };
-            DecodedBody::Op(ServeOp::Promote {
-                node: NodeId::from_index(node as usize),
-                k: k as usize,
-            })
-        }
         TAG_PROMOTE_TO_REQUIREMENTS => DecodedBody::Op(ServeOp::PromoteToRequirements),
-        TAG_DEMOTE => DecodedBody::Op(ServeOp::Demote(store::take_requirements(&mut cur)?)),
         TAG_SET_REQUIREMENTS => {
             DecodedBody::Op(ServeOp::SetRequirements(store::take_requirements(&mut cur)?))
         }
@@ -402,9 +380,8 @@ pub struct ReplayReport {
 }
 
 /// Decode `bytes` and replay the committed ops into `dk`/`data`. A
-/// retarget (`PromoteToRequirements`, `SetRequirements`) rebuilds the index
-/// from the data graph and the requirements alone, so only the *last* one
-/// in the log runs: each record before it applies just its data edge and
+/// retarget (every op but `AddEdge`) rebuilds the index from the data graph
+/// and the requirements alone, so only the *last* one in the log runs: each record before it applies just its data edge and
 /// its requirement change, and each record from it on applies exactly as
 /// [`crate::serve_ops`] applied it in the serve run that logged it. Replay
 /// of the committed prefix is byte-identical to that run. The group-commit
@@ -603,9 +580,8 @@ mod tests {
     fn mixed_records() -> Vec<ServeOp> {
         vec![
             add(3, 1),
-            ServeOp::Promote { node: NodeId::from_index(1), k: 2 },
             ServeOp::PromoteToRequirements,
-            ServeOp::Demote(Requirements::from_pairs([("a", 1), ("b", 2)])),
+            ServeOp::SetRequirements(Requirements::from_pairs([("a", 1), ("b", 2)])),
             ServeOp::SetRequirements({
                 let mut r = Requirements::from_pairs([("c", 3)]);
                 r.raise_floor(1);
@@ -615,11 +591,11 @@ mod tests {
     }
 
     /// The wire layout is a durable format and stays pinned: LE body length, body = tag +
-    /// payload, LE CRC of the body; header is magic + LE 3; the commit
+    /// payload, LE CRC of the body; header is magic + LE 4; the commit
     /// fence is tag 6 with an LE op count.
     #[test]
-    fn v3_wire_format_bytes_are_pinned() {
-        assert_eq!(encode_header(), *b"DKWL\x03\x00\x00\x00");
+    fn v4_wire_format_bytes_are_pinned() {
+        assert_eq!(encode_header(), *b"DKWL\x04\x00\x00\x00");
         let rec = encode_record(&add(0x0102, 3));
         assert_eq!(rec[..4], 9u32.to_le_bytes());
         assert_eq!(rec[4..13], [1, 0x02, 0x01, 0, 0, 3, 0, 0, 0]);
@@ -629,7 +605,7 @@ mod tests {
         assert_eq!(fence[4..9], [6, 7, 0, 0, 0]);
         assert_eq!(fence[9..], crc32(&fence[4..9]).to_le_bytes());
         // Requirements pairs are sorted by label name on the wire.
-        let reqs = ServeOp::Demote(Requirements::from_pairs([("zz", 1), ("aa", 2)]));
+        let reqs = ServeOp::SetRequirements(Requirements::from_pairs([("zz", 1), ("aa", 2)]));
         let body = &encode_record(&reqs)[4..];
         let aa = body.windows(2).position(|w| w == b"aa");
         let zz = body.windows(2).position(|w| w == b"zz");
@@ -637,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_round_trips_every_op_kind() {
+    fn v4_round_trips_every_op_kind() {
         let records = mixed_records();
         let (back, tail) = decode_wal(&log_bytes(&records)).unwrap();
         assert_eq!(back, records);
@@ -645,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_torn_record_yields_committed_prefix() {
+    fn v4_torn_record_yields_committed_prefix() {
         let records = vec![add(3, 1), add(0, 2)];
         let full = log_bytes(&records);
         let first_end = HEADER_LEN + encode_record(&records[0]).len() + encode_commit(1).len();
@@ -659,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_unfenced_records_are_dropped_as_torn_tail() {
+    fn v4_unfenced_records_are_dropped_as_torn_tail() {
         // A batch of two records whose fence never made it to disk: both
         // are complete, neither is committed.
         let mut bytes = encode_header().to_vec();
@@ -676,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_fence_count_mismatch_is_corrupt() {
+    fn v4_fence_count_mismatch_is_corrupt() {
         let mut bytes = encode_header().to_vec();
         bytes.extend_from_slice(&encode_record(&add(3, 1)));
         bytes.extend_from_slice(&encode_commit(2));
@@ -705,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_oversized_length_is_corrupt_not_torn() {
+    fn v4_oversized_length_is_corrupt_not_torn() {
         let mut bytes = encode_header().to_vec();
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = decode_wal(&bytes).unwrap_err();
@@ -723,12 +699,43 @@ mod tests {
         ));
     }
 
-    /// Complete, CRC-valid logs of the two older versions are outside input:
-    /// every entry point rejects them typed, and none replays a prefix. A
-    /// version-1 log is the fence-less format that predates group commit
-    /// (13-byte add-edge records); a version-2 log has version 3's bytes,
-    /// but its tag 3 and 5 records ran Algorithm 6, and replaying them as
-    /// retargets would reach a different index than the run that wrote them.
+    /// A fenced log under header `version` whose one record is `op`'s
+    /// payload under `tag`, resealed: tag 2 (version 3's single-block
+    /// promote: u32 node, u32 k) over an add-edge, tag 4 (its demote) over a
+    /// set-requirements.
+    fn retagged_log(version: u8, tag: u8, op: &ServeOp) -> Vec<u8> {
+        let record = encode_record(op);
+        let mut body = record[4..record.len() - 4].to_vec();
+        body[0] = tag;
+        let mut log = [*MAGIC, [version, 0, 0, 0]].concat();
+        log.extend_from_slice(&frame_body(&body));
+        log.extend_from_slice(&encode_commit(1));
+        log
+    }
+
+    /// Version 3's promote and demote records are unknown tags in a
+    /// version-4 log: a typed corrupt record before anything replays.
+    #[test]
+    fn retired_tags_are_unknown_in_v4() {
+        let reqs = ServeOp::SetRequirements(Requirements::uniform(1));
+        for (tag, op) in [(2, add(1, 2)), (4, reqs)] {
+            let log = retagged_log(4, tag, &op);
+            let (mut g, mut dk) = sample();
+            let before = crate::snapshot::snapshot_bytes(&dk, &g);
+            let err = replay(&mut dk, &mut g, &log).unwrap_err();
+            assert!(matches!(&err, WalError::CorruptRecord { index: 0, reason, .. }
+                if *reason == format!("unknown record tag {tag}")), "{err}");
+            assert_eq!(crate::snapshot::snapshot_bytes(&dk, &g), before, "nothing replayed");
+        }
+    }
+
+    /// Complete, CRC-valid logs of the three older versions are outside
+    /// input: every entry point rejects them typed, and none replays a
+    /// prefix. A version-1 log is the fence-less format that predates group
+    /// commit (13-byte add-edge records); a version-2 log has version 3's
+    /// bytes, but its tag 3 and 5 records ran Algorithm 6; a version-3 log
+    /// may hold a single-block promote (tag 2) or a demote (tag 4), neither
+    /// of which is a rebuild.
     #[test]
     fn older_versions_are_rejected_at_every_entry_point() {
         const V1: [u8; 21] = [
@@ -737,9 +744,10 @@ mod tests {
         ];
         let mut v2 = log_bytes(&[add(3, 1), ServeOp::PromoteToRequirements]);
         v2[4] = 2;
+        let v3 = retagged_log(3, 2, &add(1, 2));
         let dir = std::env::temp_dir().join(format!("dkindex-wal-old-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for (version, log) in [(1, V1.to_vec()), (2, v2)] {
+        for (version, log) in [(1, V1.to_vec()), (2, v2), (3, v3)] {
             let rejected = |r: Result<_, WalError>| matches!(r, Err(WalError::UnsupportedVersion(v)) if v == version);
             assert!(rejected(decode_wal(&log).map(|_| ())), "v{version}");
             assert!(rejected(inspect_wal(&log).map(|_| ())), "v{version}");
@@ -790,10 +798,10 @@ mod tests {
         let (mut g_replayed, mut dk_replayed) = sample();
         let records = vec![
             add(3, 1),
-            ServeOp::Promote { node: NodeId::from_index(1), k: 3 },
+            ServeOp::SetRequirements(Requirements::uniform(3)),
             add(0, 2),
-            ServeOp::Demote(Requirements::uniform(1)),
-            ServeOp::SetRequirements(Requirements::uniform(2)),
+            ServeOp::SetRequirements(Requirements::uniform(1)),
+            ServeOp::PromoteToRequirements,
             add(2, 3),
         ];
         serve_ops::apply_serial(&mut dk_direct, &mut g_direct, &records);
@@ -811,12 +819,6 @@ mod tests {
     fn replay_rejects_out_of_range_records() {
         let (mut g, mut dk) = sample();
         let bytes = log_bytes(&[add(99, 0)]);
-        assert!(matches!(
-            replay(&mut dk, &mut g, &bytes),
-            Err(WalError::RecordOutOfRange { index: 0 })
-        ));
-        let (mut g, mut dk) = sample();
-        let bytes = log_bytes(&[ServeOp::Promote { node: NodeId::from_index(77), k: 1 }]);
         assert!(matches!(
             replay(&mut dk, &mut g, &bytes),
             Err(WalError::RecordOutOfRange { index: 0 })
@@ -841,7 +843,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut w = WalWriter::open(&path).unwrap();
-        w.append_batch(&[ServeOp::Promote { node: NodeId::from_index(2), k: 1 }]).unwrap();
+        w.append_batch(&[ServeOp::PromoteToRequirements]).unwrap();
         drop(w);
 
         let bytes = std::fs::read(&path).unwrap();
@@ -849,7 +851,7 @@ mod tests {
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(
             records,
-            vec![add(3, 1), ServeOp::Promote { node: NodeId::from_index(2), k: 1 }],
+            vec![add(3, 1), ServeOp::PromoteToRequirements],
             "unfenced tail truncated, then one append"
         );
         #[expect(
@@ -867,8 +869,8 @@ mod tests {
         let path = dir.join("batch.wal");
         let ops = vec![
             ServeOp::AddEdge { from: NodeId::from_index(3), to: NodeId::from_index(1) },
-            ServeOp::Promote { node: NodeId::from_index(1), k: 2 },
             ServeOp::SetRequirements(Requirements::uniform(1)),
+            ServeOp::PromoteToRequirements,
         ];
         let mut w = WalWriter::create(&path).unwrap();
         w.append_batch(&ops).unwrap();

@@ -74,8 +74,8 @@ fn add_edges(updates: &[(usize, usize)]) -> Vec<ServeOp> {
 }
 
 /// Derive a mixed op stream from the scenario's update pairs: edge
-/// additions interleaved with promote / demote / set-requirements
-/// maintenance ops, all in-range for the scenario graph.
+/// additions interleaved with retargets — requirements lowered, raised on
+/// two labels, and promoted to — all in-range for the scenario graph.
 fn mixed_ops(s: &Scenario) -> Vec<ServeOp> {
     let mut records = Vec::new();
     for (i, &(f, t)) in s.updates.iter().enumerate() {
@@ -84,11 +84,8 @@ fn mixed_ops(s: &Scenario) -> Vec<ServeOp> {
             to: NodeId::from_index(t),
         });
         match i % 4 {
-            0 => records.push(ServeOp::Promote {
-                node: NodeId::from_index(f),
-                k: (s.k + i) % 4,
-            }),
-            1 => records.push(ServeOp::Demote(Requirements::uniform(s.k))),
+            0 => {}
+            1 => records.push(ServeOp::SetRequirements(Requirements::uniform(s.k.saturating_sub(1)))),
             2 => records.push(ServeOp::SetRequirements(Requirements::from_pairs([
                 ("l0", (i + 1) % 4),
                 ("l1", s.k),

@@ -12,6 +12,7 @@
 
 use dkindex_core::dk::{dk_partition, dk_partition_reference};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
+use dkindex_core::tuner::lowers;
 use dkindex_core::wal::{self, WalWriter};
 use dkindex_core::{
     check_structure, evaluate_on_data, snapshot_bytes, DkIndex, FailPlan, IndexEvaluator,
@@ -20,7 +21,7 @@ use dkindex_core::{
 use dkindex_datagen::{
     nasa_graph, random_graph, xmark_graph, NasaConfig, RandomGraphConfig, XmarkConfig,
 };
-use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, LabeledGraph};
 use dkindex_partition::bisimulation_fixpoint;
 use dkindex_pathexpr::parse;
 use dkindex_workload::generate_update_edges;
@@ -55,8 +56,9 @@ fn construction_matches_reference_on_nasa() {
 }
 
 /// A compact random graph plus a deterministic mixed op sequence: edge
-/// updates from the workload generator interleaved with promote / tune /
-/// demote actions.
+/// updates from the workload generator interleaved with retargets — a
+/// promote to the stored requirements, then a lowering and a raising
+/// set-requirements.
 fn serve_fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
     let g = random_graph(&RandomGraphConfig {
         nodes: 220,
@@ -71,12 +73,8 @@ fn serve_fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
     for (i, (from, to)) in edges.into_iter().enumerate() {
         ops.push(ServeOp::AddEdge { from, to });
         match i {
-            5 => ops.push(ServeOp::Promote {
-                node: NodeId::from_index(3),
-                k: 2,
-            }),
             11 => ops.push(ServeOp::PromoteToRequirements),
-            15 => ops.push(ServeOp::Demote(Requirements::uniform(1))),
+            15 => ops.push(ServeOp::SetRequirements(Requirements::uniform(1))),
             19 => ops.push(ServeOp::SetRequirements(Requirements::uniform(2))),
             _ => {}
         }
@@ -507,7 +505,7 @@ fn assert_log_reproduces(
 }
 
 fn is_tuner_op(op: &ServeOp) -> bool {
-    matches!(op, ServeOp::SetRequirements(_) | ServeOp::Demote(_))
+    matches!(op, ServeOp::SetRequirements(_))
 }
 
 /// Live tuning, end to end: readers feed the tuner, the maintenance thread
@@ -624,6 +622,7 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
     let (mut hand_dk, mut hand_g) = (dk.clone(), g.clone());
     let tuner = Tuner::new(hand_g.labels_shared(), config);
     let mut hand_ops = Vec::new();
+    let mut lowered = Vec::new();
     for (&(query, times), &(from, to)) in rounds.iter().zip(&edges) {
         let q = parse(query).unwrap();
         let validated = IndexEvaluator::new(hand_dk.index(), &hand_g).evaluate(&q).validated;
@@ -631,23 +630,21 @@ fn hand_stepped_tuner_matches_the_serve_loop_op_for_op() {
             tuner.record(&q, validated);
         }
         apply_serial(&mut hand_dk, &mut hand_g, &[ServeOp::AddEdge { from, to }]);
-        if let Some(op) = tuner.step(hand_dk.requirements()) {
+        let current = hand_dk.requirements().clone();
+        if let Some(op) = tuner.step(&current) {
             apply_serial(&mut hand_dk, &mut hand_g, std::slice::from_ref(&op));
+            lowered.push(lowers(&current, hand_dk.requirements()));
             hand_ops.push(op);
         }
     }
-    assert!(
-        matches!(
-            hand_ops[..],
-            [
-                ServeOp::SetRequirements(_),
-                ServeOp::SetRequirements(_),
-                ServeOp::Demote(_),
-                ServeOp::SetRequirements(_)
-            ]
-        ),
+    // Every tuner op is a retarget; its direction is in the requirements.
+    assert!(hand_ops.iter().all(is_tuner_op), "{hand_ops:?}");
+    assert_eq!(
+        lowered,
+        [false, false, true, false],
         "the rounds must exercise promote, hold, demote and a merged window: {hand_ops:?}"
     );
+    assert_eq!((tuner.stats().promotions, tuner.stats().demotions), (3, 1));
 
     // Served: the same windows through epoch readers, the update forcing
     // the publish the tuning step rides, a second flush draining its op.

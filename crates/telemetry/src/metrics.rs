@@ -147,9 +147,11 @@ pub static TUNER_QUERIES: Counter = Counter::new("tuner.queries");
 pub static TUNER_VALIDATIONS: Counter = Counter::new("tuner.validations");
 /// Windows large enough to mine (each ran one planning pass).
 pub static TUNER_WINDOWS: Counter = Counter::new("tuner.windows");
-/// Planning passes that planned a promotion (`SetRequirements` op).
+/// Planning passes that planned a promotion (a `SetRequirements` op that
+/// keeps the maximum requirement or raises it).
 pub static TUNER_PROMOTIONS: Counter = Counter::new("tuner.promotions");
-/// Planning passes that planned a demotion (`Demote` op).
+/// Planning passes that planned a demotion (a `SetRequirements` op that
+/// lowers the maximum requirement).
 pub static TUNER_DEMOTIONS: Counter = Counter::new("tuner.demotions");
 /// Tuning `ServeOp`s `Tuner::step` returned for its caller to apply.
 pub static TUNER_OPS: Counter = Counter::new("tuner.ops");

@@ -1,14 +1,13 @@
 //! The full adaptive lifecycle of a D(k)-index (paper §5): build → data
 //! updates degrade local similarities → the promoting process restores
 //! performance → a drifting query load is followed by the [`Tuner`], which
-//! demotes and promotes on its own — all without ever rebuilding from the
-//! data graph.
+//! demotes and promotes on its own, each time retargeting the index to the
+//! requirements it mined.
 //!
 //! Run with: `cargo run --release --example adaptive_tuning`
 
-use dkindex::core::{
-    apply_serial, check_structure, DkIndex, IndexEvaluator, ServeOp, Tuner, TunerConfig,
-};
+use dkindex::core::tuner::lowers;
+use dkindex::core::{apply_serial, check_structure, DkIndex, IndexEvaluator, Tuner, TunerConfig};
 use dkindex::datagen::{nasa_graph, NasaConfig};
 use dkindex::graph::DataGraph;
 use dkindex::pathexpr::PathExpr;
@@ -77,11 +76,11 @@ fn main() {
                 tuner.record(q, evaluator.evaluate(q).validated);
             }
         }
-        let before = dk.size();
-        let action = match tuner.step(dk.requirements()) {
+        let (before, current) = (dk.size(), dk.requirements().clone());
+        let action = match tuner.step(&current) {
             Some(op) => {
-                let verb = if matches!(op, ServeOp::Demote(_)) { "demoted" } else { "promoted" };
                 apply_serial(&mut dk, &mut data, &[op]);
+                let verb = if lowers(&current, dk.requirements()) { "demoted" } else { "promoted" };
                 format!("{verb}, size {before} -> {}", dk.size())
             }
             None => "held".to_string(),

@@ -1,7 +1,7 @@
 //! Property tests for the textual and binary formats: XML round-trips,
 //! path-expression printing and the `DKSN` v2 container with its graph
 //! (`DKG2`), index and requirements sections — plus byte-literal goldens of
-//! the two durable files (`DKSN` v2 snapshot, `DKWL` v3 log).
+//! the two durable files (`DKSN` v2 snapshot, `DKWL` v4 log).
 
 use dkindex::core::wal::{self, WalTail, WalWriter};
 use dkindex::core::{
@@ -411,21 +411,19 @@ const GOLDEN_DKSN: [u8; 276] = [
     0x00, 0x00, 0x00, 0x00,
 ];
 
-/// One complete two-batch `DKWL` version-3 file covering every record tag.
+/// One complete two-batch `DKWL` version-4 file covering every record tag.
 #[rustfmt::skip]
-const GOLDEN_DKWL: [u8; 129] = [
-    // header: magic, version 3
-    0x44, 0x4b, 0x57, 0x4c, 0x03, 0x00, 0x00, 0x00,
+const GOLDEN_DKWL: [u8; 112] = [
+    // header: magic, version 4
+    0x44, 0x4b, 0x57, 0x4c, 0x04, 0x00, 0x00, 0x00,
     // batch 1 — tag 1 add-edge 2→1: len 9, body, crc
     0x09, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xf5, 0x60, 0xeb, 0x0b,
-    //   tag 2 promote node 1 to k 2
-    0x09, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x3d, 0xf4, 0x5c, 0xae,
     //   tag 3 promote-to-requirements
     0x01, 0x00, 0x00, 0x00, 0x03, 0x37, 0xbe, 0x0b, 0x4b,
-    //   tag 6 commit fence over 3 ops
-    0x05, 0x00, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x00, 0x53, 0xad, 0xd7, 0x5b,
-    // batch 2 — tag 4 demote to (floor 0, no pairs)
-    0x09, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa2, 0x45, 0xe5, 0xbb,
+    //   tag 6 commit fence over 2 ops
+    0x05, 0x00, 0x00, 0x00, 0x06, 0x02, 0x00, 0x00, 0x00, 0x36, 0xca, 0x6b, 0xe3,
+    // batch 2 — tag 5 set-requirements, lowered to (floor 0, no pairs)
+    0x09, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe1, 0x51, 0x9e, 0xac,
     //   tag 5 set-requirements (floor 1; u32-len "a" = 1, "b" = 2, name-sorted)
     0x1b, 0x00, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
     0x01, 0x00, 0x00, 0x00, 0x61, 0x01, 0x00, 0x00, 0x00,
@@ -451,12 +449,8 @@ fn golden_batches() -> [Vec<ServeOp>; 2] {
     let mut reqs = Requirements::from_pairs([("b", 2), ("a", 1)]);
     reqs.raise_floor(1);
     [
-        vec![
-            ServeOp::AddEdge { from: n(2), to: n(1) },
-            ServeOp::Promote { node: n(1), k: 2 },
-            ServeOp::PromoteToRequirements,
-        ],
-        vec![ServeOp::Demote(Requirements::uniform(0)), ServeOp::SetRequirements(reqs)],
+        vec![ServeOp::AddEdge { from: n(2), to: n(1) }, ServeOp::PromoteToRequirements],
+        vec![ServeOp::SetRequirements(Requirements::uniform(0)), ServeOp::SetRequirements(reqs)],
     ]
 }
 
@@ -486,7 +480,7 @@ fn golden_dkwl_file_is_written_and_replayed_byte_for_byte() {
     // same ops directly.
     let (mut g, mut dk) = golden_state();
     let report = wal::replay(&mut dk, &mut g, &GOLDEN_DKWL).expect("golden log replays");
-    assert_eq!(report.applied, 5);
+    assert_eq!(report.applied, 4);
     let (mut g_direct, mut dk_direct) = golden_state();
     dkindex::core::apply_serial(&mut dk_direct, &mut g_direct, &ops);
     assert_eq!(snapshot_bytes(&dk, &g), snapshot_bytes(&dk_direct, &g_direct));

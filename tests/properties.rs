@@ -661,13 +661,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// WAL replay runs only the last retarget, and still reaches the serve
-    /// run's bytes: logs with no retarget, one, or several at random
-    /// positions, with one forced first and one forced last when drawn.
+    /// run's bytes: edge additions with no retarget, one, or several at
+    /// random positions, with one forced first and one forced last when
+    /// drawn.
     #[test]
     fn replay_with_retargets_equals_serial_application(
         spec in graph_spec(),
         req_k in 0usize..4,
-        ops in prop::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 0..10),
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..10),
         retargets in prop::collection::vec((any::<u8>(), any::<bool>(), any::<u8>()), 0..4),
         first in prop::option::of((any::<bool>(), any::<u8>())),
         last in prop::option::of((any::<bool>(), any::<u8>())),
@@ -676,14 +677,8 @@ proptest! {
         let g0 = build(&spec);
         let dk0 = DkIndex::build(&g0, Requirements::uniform(req_k));
         let node = |raw: u8| NodeId::from_index(raw as usize % g0.node_count());
-        let mut records: Vec<ServeOp> = ops
-            .into_iter()
-            .map(|(kind, a, b)| match kind {
-                0 => ServeOp::AddEdge { from: node(a), to: node(b) },
-                1 => ServeOp::Promote { node: node(a), k: b as usize % 4 },
-                _ => ServeOp::Demote(Requirements::uniform(b as usize % 3)),
-            })
-            .collect();
+        let mut records: Vec<ServeOp> =
+            edges.into_iter().map(|(a, b)| ServeOp::AddEdge { from: node(a), to: node(b) }).collect();
         for (at, set, raw) in retargets {
             let at = at as usize % (records.len() + 1);
             records.insert(at, retarget((set, raw)));
@@ -709,5 +704,78 @@ proptest! {
             snapshot_bytes(&dk_replayed, &g_replayed) == snapshot_bytes(&dk_direct, &g_direct),
             "replay of {:?} diverged from serial application", records
         );
+    }
+}
+
+/// The log a serve run writes for `ops`: the ops `serve_ops::is_applicable`
+/// accepts, as one fenced batch.
+fn served_log(ops: &[ServeOp], g: &DataGraph) -> Vec<u8> {
+    use dkindex::core::{serve_ops::is_applicable, wal};
+    let logged: Vec<&ServeOp> = ops.iter().filter(|op| is_applicable(op, g)).collect();
+    let mut log = wal::encode_header().to_vec();
+    for op in &logged {
+        log.extend_from_slice(&wal::encode_record(op));
+    }
+    log.extend_from_slice(&wal::encode_commit(logged.len() as u32));
+    log
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The served index is a function of the log: `DkIndex::build` over the
+    /// graph and requirements at the last retarget, then Algorithms 4–5 for
+    /// each later edge. The expected state is folded here without
+    /// `serve_ops::apply` — the data edges, the requirements, one build —
+    /// and both the serial application and the WAL replay of the log end on
+    /// its snapshot bytes. The log mixes the three ops, with edges that name
+    /// nodes past the graph's end (serve skips them and never logs them)
+    /// and requirements raised and lowered.
+    #[test]
+    fn the_served_index_is_a_function_of_the_log(
+        spec in graph_spec(),
+        req_k in 0usize..4,
+        draws in prop::collection::vec((0u8..5, any::<u8>(), any::<u8>()), 0..12),
+    ) {
+        use dkindex::core::wal;
+        let g0 = build(&spec);
+        let dk0 = DkIndex::build(&g0, Requirements::uniform(req_k));
+        let n = g0.node_count();
+        let node = |raw: u8| NodeId::from_index(raw as usize % (n + 2));
+        let ops: Vec<ServeOp> = draws
+            .into_iter()
+            .map(|(kind, a, b)| match kind {
+                0..=2 => ServeOp::AddEdge { from: node(a), to: node(b) },
+                _ => retarget((kind == 4, a)),
+            })
+            .collect();
+        let edge = |op: &ServeOp| match *op {
+            ServeOp::AddEdge { from, to } if from.index() < n && to.index() < n => Some((from, to)),
+            _ => None,
+        };
+
+        let last = ops.iter().rposition(|op| !matches!(op, ServeOp::AddEdge { .. }));
+        let (before, after) = ops.split_at(last.map_or(0, |at| at + 1));
+        let (mut g, mut reqs) = (g0.clone(), dk0.requirements().clone());
+        for op in before {
+            if let Some((from, to)) = edge(op) {
+                g.add_edge(from, to, EdgeKind::Reference);
+            } else if let ServeOp::SetRequirements(r) = op {
+                reqs = r.clone();
+            }
+        }
+        let mut dk = if last.is_some() { DkIndex::build(&g, reqs) } else { dk0.clone() };
+        for (from, to) in after.iter().filter_map(edge) {
+            dk.add_edge(&mut g, from, to);
+        }
+        let expected = snapshot_bytes(&dk, &g);
+
+        let (mut g_serial, mut dk_serial) = (g0.clone(), dk0.clone());
+        apply_serial(&mut dk_serial, &mut g_serial, &ops);
+        prop_assert!(snapshot_bytes(&dk_serial, &g_serial) == expected, "serial application of {:?}", ops);
+        let (mut g_replayed, mut dk_replayed) = (g0.clone(), dk0);
+        wal::replay(&mut dk_replayed, &mut g_replayed, &served_log(&ops, &g0))
+            .map_err(TestCaseError::fail)?;
+        prop_assert!(snapshot_bytes(&dk_replayed, &g_replayed) == expected, "replay of {:?}", ops);
     }
 }
