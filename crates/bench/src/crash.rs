@@ -23,7 +23,10 @@
 //!   partially.
 //! * [`kill_loop`] — the end-to-end run: a real [`DkServer`] with the WAL
 //!   on a [`SharedDisk`], a seeded fail point "killing" the disk at a
-//!   random group commit, acks collected per op. The ack stream must be
+//!   random group commit, acks collected per op. The op stream carries a
+//!   `SetRequirements` among the edge updates and ends with a
+//!   `PromoteToRequirements`, so kills land around retargets the real
+//!   maintenance thread batches and commits. The ack stream must be
 //!   an `Ok` prefix followed only by typed [`ServeError::WalFailed`], and
 //!   every crash view must recover all acked ops in submission order,
 //!   byte-identical to the serial oracle.
@@ -348,6 +351,19 @@ pub fn torn_write_sweep(dk: &DkIndex, data: &DataGraph, batches: &[Vec<ServeOp>]
     report
 }
 
+/// The op stream [`kill_loop`] submits: `updates` as `AddEdge`s with a
+/// `SetRequirements` after the first half and a `PromoteToRequirements` at
+/// the end, so a kill can land before, between and after two retargets.
+fn kill_ops(updates: &[(NodeId, NodeId)]) -> Vec<ServeOp> {
+    let add = |&(from, to): &(NodeId, NodeId)| ServeOp::AddEdge { from, to };
+    let (first, second) = updates.split_at(updates.len() / 2);
+    let mut ops: Vec<ServeOp> = first.iter().map(add).collect();
+    ops.push(ServeOp::SetRequirements(Requirements::uniform(3)));
+    ops.extend(second.iter().map(add));
+    ops.push(ServeOp::PromoteToRequirements);
+    ops
+}
+
 /// `splitmix64` — a tiny seeded generator: deterministic fail-plan
 /// selection for [`kill_loop`].
 fn splitmix64(state: &mut u64) -> u64 {
@@ -363,7 +379,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// verify the acknowledged-prefix contract through actual recovery — the
 /// ack stream is an `Ok` prefix followed only by typed
 /// [`ServeError::WalFailed`], and every crash view replays all acked ops
-/// in submission order, byte-identical to the serial oracle.
+/// in submission order, byte-identical to the serial oracle. A loop in
+/// which no round got a retarget submitted before the kill swept no
+/// retarget, and reports that as a violation.
 pub fn kill_loop(
     dk: &DkIndex,
     data: &DataGraph,
@@ -373,10 +391,8 @@ pub fn kill_loop(
 ) -> FaultReport {
     let mut report = FaultReport::new("kill-at-random-batch loop");
     let mut rng = seed;
-    let ops: Vec<ServeOp> = updates
-        .iter()
-        .map(|&(from, to)| ServeOp::AddEdge { from, to })
-        .collect();
+    let ops = kill_ops(updates);
+    let mut retargets_submitted = 0usize;
     for round in 0..rounds {
         // Worst case every op is its own batch: syncs 1..=ops.len() are
         // group commits (sync 0 is the header). Rolling past the last
@@ -427,6 +443,10 @@ pub fn kill_loop(
             .map(|a| a.and_then(|ack| ack.wait()))
             .collect();
         let _ = server.shutdown();
+        retargets_submitted += submitted
+            .iter()
+            .filter(|op| !matches!(op, ServeOp::AddEdge { .. }))
+            .count();
 
         let acked = results.iter().take_while(|r| r.is_ok()).count();
         for (i, result) in results.iter().enumerate().skip(acked) {
@@ -499,6 +519,11 @@ pub fn kill_loop(
             record(&mut report, outcome);
         }
     }
+    if rounds > 0 && retargets_submitted == 0 {
+        report
+            .violations
+            .push(format!("no round of {rounds} submitted a retarget before its kill"));
+    }
     report
 }
 
@@ -567,6 +592,14 @@ mod tests {
     #[test]
     fn kill_loop_holds_on_a_small_graph() {
         let (g, dk, updates) = tiny_fixture();
+        let ops = kill_ops(&updates);
+        let retargets: Vec<usize> = (0..ops.len())
+            .filter(|&i| !matches!(ops[i], ServeOp::AddEdge { .. }))
+            .collect();
+        assert_eq!(retargets, [2, 5], "a retarget between the edges and one at the end");
+        assert_eq!(ops[5], ServeOp::PromoteToRequirements);
+        // `passed` also holds that some round submitted a retarget before
+        // its kill: a loop that never did would report a violation.
         let report = kill_loop(&dk, &g, &updates, 4, 0xD15C_0C05);
         assert!(report.cases > 0);
         assert!(report.passed(), "{:?}", report.violations);

@@ -45,10 +45,12 @@
 //!   lists, which its first miss builds (a `OnceLock`; publishing and memo
 //!   hits never build them). The walk
 //!   scratch (`EvalArena`) is one per reader thread, kept in a thread-local
-//!   across misses, epochs and graphs; a thread drops it after a miss that
-//!   grew it past `MAX_RETAINED_MARKS_PER_NODE` mark slots per node of the
-//!   epoch, so one oversized query cannot pin hundreds of megabytes in a
-//!   worker.
+//!   across misses, epochs and graphs. Short walks dedup on their own
+//!   queue, so ordinary validation leaves the arena without a
+//!   `states × nodes` mark store; a thread drops the arena after a miss
+//!   that grew it past `MAX_RETAINED_MARKS_PER_NODE` mark slots per node of
+//!   the epoch, so one oversized query cannot pin hundreds of megabytes in
+//!   a worker.
 //! * **No panic paths**: this module denies clippy's panic lints
 //!   (`unwrap_used`, `indexing_slicing`, …). Lock poisoning is recovered
 //!   (`PoisonError::into_inner` — every critical section leaves the guarded
@@ -108,9 +110,11 @@ use std::thread::JoinHandle;
 
 /// A worker keeps its walk scratch between misses only while the scratch
 /// holds at most this many mark slots per node of the epoch it just served.
-/// Ordinary queries compile to a few dozen NFA states at most and stay
-/// under it; one oversized query (hundreds of states × every data node)
-/// would otherwise stay resident in its worker for the life of the thread.
+/// Short walks allocate no `states × nodes` store at all, and ordinary
+/// queries compile to a few dozen NFA states at most, so they stay under
+/// it; one oversized query with a long walk (hundreds of states × every
+/// data node) would otherwise stay resident in its worker for the life of
+/// the thread.
 const MAX_RETAINED_MARKS_PER_NODE: usize = 32;
 
 thread_local! {
@@ -1020,9 +1024,12 @@ mod tests {
     }
 
     /// A worker keeps its arena across ordinary misses but not the
-    /// `states × nodes` store of an oversized query: after a 200-label query
-    /// that validates on a label-split index, what the thread retains is
-    /// under the cap, and the next miss still answers exactly.
+    /// `states × nodes` store of an oversized query. An ordinary validating
+    /// miss walks few pairs, dedups on its queue and leaves the arena
+    /// holding fewer mark slots than the data graph has nodes; after a
+    /// 200-label query that validates on a label-split index, what the
+    /// thread retains is under the cap, and the next miss still answers
+    /// exactly.
     #[test]
     fn an_oversized_validating_query_does_not_stay_resident() {
         // A ring of `a` nodes under the root: every a-path of any length
@@ -1043,6 +1050,10 @@ mod tests {
         assert!(epoch.evaluate(&ordinary).validated);
         let kept = retained_marks();
         assert!(kept > 0 && kept <= cap, "an ordinary miss keeps its arena ({kept} slots)");
+        assert!(
+            kept < epoch.data().node_count(),
+            "short validation walks allocate no states × nodes store ({kept} slots)"
+        );
 
         let long = parse(&vec!["a"; 200].join(".")).unwrap();
         let states = Nfa::compile(&long, epoch.data().labels()).state_count();

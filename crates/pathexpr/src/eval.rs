@@ -58,10 +58,17 @@ pub struct EvalOutcome {
     pub visited: u64,
 }
 
+/// A walk answers "already activated?" by scanning its own queue while the
+/// queue holds fewer pairs than this; the next activation switches it to the
+/// arena's dense `states × nodes` marks. Validation walks average a handful
+/// of activations, so most never touch (or allocate) the dense store.
+const SCAN_LIMIT: usize = 32;
+
 /// Reusable scratch state for [`evaluate_bounded_with`] and
-/// [`matches_ending_at_bounded_with`]: epoch-stamped `(state, node)` activation
-/// marks, the matched set and the product-BFS queue. After warm-up, a batch of
-/// queries sharing one arena performs zero steady-state allocation.
+/// [`matches_ending_at_bounded_with`]: the product-BFS queue, epoch-stamped
+/// `(state, node)` activation marks for walks that outgrow a queue scan, and
+/// the matched set. After warm-up, a batch of queries sharing one arena
+/// performs zero steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     active: Marks,
@@ -76,12 +83,55 @@ impl EvalArena {
         EvalArena::default()
     }
 
-    /// Mark slots this arena retains: the `(state, node)` activation store
-    /// and the matched-node store, each as large as the largest walk since
-    /// the arena was created (the queue is bounded by the activations). A
+    /// Mark slots this arena retains: the `(state, node)` activation store,
+    /// as large as the largest `states × nodes` product of a walk that
+    /// outgrew its queue scan since the arena was created (zero if none
+    /// did), and the matched-node store, as large as the largest graph a
+    /// forward walk ran over (the queue is bounded by the activations). A
     /// long-lived owner reads it to bound what it keeps between walks.
     pub fn mark_capacity(&self) -> usize {
         self.active.capacity() + self.matched.capacity()
+    }
+}
+
+/// One walk's "is this pair new?" test. Every pair a walk activates is on its
+/// queue (a backward walk ends at the one accepting pair it does not push),
+/// so while the queue is shorter than [`SCAN_LIMIT`] the answer is a scan of
+/// it. The first test at that length resets the dense marks once and stamps
+/// every queued pair; from then on the marks answer, so a long walk still
+/// pays O(1) per test.
+struct Activations<'a> {
+    marks: &'a mut Marks,
+    states: usize,
+    nodes: usize,
+    dense: bool,
+}
+
+impl<'a> Activations<'a> {
+    fn new(marks: &'a mut Marks, states: usize, nodes: usize) -> Self {
+        Activations {
+            marks,
+            states,
+            nodes,
+            dense: false,
+        }
+    }
+
+    /// `true` iff `(state, node)` was not activated before in this walk;
+    /// on the dense side it is marked activated by this test.
+    #[inline]
+    fn first(&mut self, queue: &[(StateId, NodeId)], state: StateId, node: NodeId) -> bool {
+        if !self.dense {
+            if queue.len() < SCAN_LIMIT {
+                return !queue.contains(&(state, node));
+            }
+            self.marks.reset(self.states * self.nodes);
+            for &(s, n) in queue {
+                self.marks.mark(s.index() * self.nodes + n.index());
+            }
+            self.dense = true;
+        }
+        self.marks.mark(state.index() * self.nodes + node.index())
     }
 }
 
@@ -194,16 +244,16 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     let states = nfa.state_count();
     let nodes = g.node_count();
 
-    // active slot s * nodes + n: pair (s, n) already activated. `s` here is
-    // the post-consumption state *before* ε-closure; dedup on that pair
-    // bounds the work per node by the number of consuming transitions.
+    // Pair (s, n) already activated? `s` here is the post-consumption state
+    // *before* ε-closure; dedup on that pair bounds the work per node by the
+    // number of consuming transitions.
     let EvalArena {
         active,
         matched,
         matched_list,
         queue,
     } = arena;
-    active.reset(states * nodes);
+    let mut seen = Activations::new(active, states, nodes);
     matched.reset(nodes);
     matched_list.clear();
     queue.clear();
@@ -211,7 +261,7 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
 
     // Returns false exactly when the budget ran out.
     let mut activate = |state: StateId, node: NodeId, queue: &mut Vec<(StateId, NodeId)>| -> bool {
-        if !active.mark(state.index() * nodes + node.index()) {
+        if !seen.first(queue, state, node) {
             return true;
         }
         if !budget.try_charge() {
@@ -286,6 +336,12 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
 /// labels in reverse, and stops at the first witness; [`BudgetExhausted`]
 /// once the budget cannot cover the next activation.
 ///
+/// Until its queue holds 32 pairs (most validation walks end sooner), a
+/// walk dedups by scanning the queue and never touches the arena's
+/// `states × nodes` marks, so its memory traffic is proportional to its own
+/// size; a longer walk switches to the marks once, with the same
+/// activations in the same order.
+///
 /// Like the forward walk, an aborted walk records the activations it was
 /// charged for.
 pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
@@ -299,7 +355,7 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     let nodes = g.node_count();
 
     let EvalArena { active, queue, .. } = arena;
-    active.reset(states * nodes);
+    let mut seen = Activations::new(active, states, nodes);
     queue.clear();
     let mut visited: u64 = 0;
 
@@ -310,7 +366,7 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
         // oracle's boolean-set scan visits).
         let node_label = g.label_of(node);
         for &(step, target) in reversed.closure_steps_of(reversed.start()) {
-            if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
+            if step.matches(node_label) && seen.first(queue, target, node) {
                 if !budget.try_charge() {
                     break 'walk None;
                 }
@@ -329,9 +385,7 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
             let parents = g.parents_of(n);
             for &(step, target) in reversed.closure_steps_of(state) {
                 for &parent in parents {
-                    if step.matches(g.label_of(parent))
-                        && active.mark(target.index() * nodes + parent.index())
-                    {
+                    if step.matches(g.label_of(parent)) && seen.first(queue, target, parent) {
                         if !budget.try_charge() {
                             break 'walk None;
                         }
@@ -523,41 +577,96 @@ mod tests {
         }
     }
 
+    /// A ring of `a` nodes under the root, closed by an IDREF edge, and a
+    /// `b` leaf beside it: every `a`-path of any length exists, and walks of
+    /// `_*` over the ring run far past [`SCAN_LIMIT`] activations.
+    fn ring_graph(len: usize) -> (DataGraph, Vec<NodeId>) {
+        let mut g = DataGraph::new();
+        let ring: Vec<_> = (0..len).map(|_| g.add_labeled_node("a")).collect();
+        let r = g.root();
+        g.add_edge(r, ring[0], EdgeKind::Tree);
+        for pair in ring.windows(2) {
+            g.add_edge(pair[0], pair[1], EdgeKind::Tree);
+        }
+        g.add_edge(ring[len - 1], ring[0], EdgeKind::Reference);
+        let b = g.add_labeled_node("b");
+        g.add_edge(r, b, EdgeKind::Tree);
+        (g, ring)
+    }
+
     /// The one forward walk and the one backward walk against the oracle, at
     /// every budget. One arena serves queries of very different state/node
-    /// footprints, so reuse is covered too.
+    /// footprints, so reuse is covered too. On the ring, walks run short →
+    /// long → short on that arena: they cross the switch from queue scan to
+    /// dense marks at every budget, at and across the switch included.
     #[test]
     fn budget_sweep_matches_the_oracle_forward_and_backward() {
-        let (g, _) = movie_graph();
-        let idx = LabelIndex::build(&g);
+        let ring_a32 = vec!["a"; 32].join(".");
+        let ring_a33 = vec!["a"; 33].join(".");
+        let cases: [(DataGraph, Vec<&str>); 2] = [
+            (
+                movie_graph().0,
+                vec![
+                    "movie.title",
+                    "director.movie.title",
+                    "_._.title",
+                    "ghost.label",
+                    "ROOT.(_)?.director",
+                    "a.(b|c)",
+                    "_*.title",
+                    "movie.title", // repeat after the arena has been stretched
+                    "title",
+                ],
+            ),
+            (
+                ring_graph(40).0,
+                vec![
+                    "a.a.a.a.a.a",
+                    "_*.a",
+                    "b._*.a", // no witness: every backward walk exhausts the ring
+                    "a.a",
+                    "ROOT._*.a",
+                    &ring_a32,
+                    &ring_a33,
+                    "a.a.a.a.a.a",
+                ],
+            ),
+        ];
         let mut arena = EvalArena::new();
-        for expr in [
-            "movie.title",
-            "director.movie.title",
-            "_._.title",
-            "ghost.label",
-            "ROOT.(_)?.director",
-            "a.(b|c)",
-            "_*.title",
-            "movie.title", // repeat after the arena has been stretched
-            "title",
-        ] {
-            let e = parse(expr).unwrap();
-            let nfa = Nfa::compile(&e, g.labels());
-            let want = oracle::evaluate(&g, &nfa, &idx);
-            assert_eq!(evaluate(&g, &nfa, &idx), want, "expr {expr}");
-            sweep(expr, want.visited, want, |budget| {
-                evaluate_bounded_with(&g, &nfa, &idx, &mut arena, budget)
-            });
-
-            let rev = nfa.reverse();
-            for node in g.node_ids() {
-                let want = oracle::matches_ending_at(&g, &rev, node);
-                assert_eq!(matches_ending_at(&g, &rev, node), want, "expr {expr} node {node:?}");
-                sweep(&format!("{expr} at {node:?}"), want.1, want, |budget| {
-                    matches_ending_at_bounded_with(&g, &rev, node, &mut arena, budget)
+        for (g, exprs) in &cases {
+            let idx = LabelIndex::build(g);
+            for expr in exprs {
+                let e = parse(expr).unwrap();
+                let nfa = Nfa::compile(&e, g.labels());
+                let want = oracle::evaluate(g, &nfa, &idx);
+                assert_eq!(evaluate(g, &nfa, &idx), want, "expr {expr}");
+                sweep(expr, want.visited, want, |budget| {
+                    evaluate_bounded_with(g, &nfa, &idx, &mut arena, budget)
                 });
+
+                let rev = nfa.reverse();
+                for node in g.node_ids() {
+                    let want = oracle::matches_ending_at(g, &rev, node);
+                    assert_eq!(matches_ending_at(g, &rev, node), want, "expr {expr} node {node:?}");
+                    sweep(&format!("{expr} at {node:?}"), want.1, want, |budget| {
+                        matches_ending_at_bounded_with(g, &rev, node, &mut arena, budget)
+                    });
+                }
             }
+        }
+
+        // The switch sits at the bound. A backward `a^k` walk from a ring
+        // node charges k activations and queues all but the accepting last,
+        // so its last test sees k − 1 queued pairs: 31 keeps a fresh arena
+        // off the dense store, 32 allocates it.
+        let (g, ring) = ring_graph(40);
+        for (expr, dense) in [(&ring_a32, false), (&ring_a33, true)] {
+            let rev = Nfa::compile(&parse(expr).unwrap(), g.labels()).reverse();
+            let mut fresh = EvalArena::new();
+            let mut budget = VisitBudget::unlimited();
+            let hit = matches_ending_at_bounded_with(&g, &rev, ring[39], &mut fresh, &mut budget);
+            assert_eq!(hit, Ok((true, expr.split('.').count() as u64)), "{expr}");
+            assert_eq!(fresh.mark_capacity() > 0, dense, "{expr}");
         }
     }
 

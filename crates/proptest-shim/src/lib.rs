@@ -15,6 +15,9 @@
 //!
 //! * **No shrinking.** A failing case reports its case number and seed; the
 //!   deterministic per-test RNG makes every failure reproducible.
+//! * **No regression files.** A `*.proptest-regressions` file beside a test
+//!   is never read and its `cc` seeds re-run nothing; a case worth keeping
+//!   becomes a named deterministic test that calls the property's body.
 //! * **String strategies** support only the `[class]{m,n}` regex subset the
 //!   tests actually use (character classes with ranges, fixed repetition
 //!   counts, literal characters).
