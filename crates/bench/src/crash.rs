@@ -364,8 +364,8 @@ fn kill_ops(updates: &[(NodeId, NodeId)]) -> Vec<ServeOp> {
     ops
 }
 
-/// `splitmix64` — a tiny seeded generator: deterministic fail-plan
-/// selection for [`kill_loop`].
+/// `splitmix64` — a tiny seeded generator: the deterministic choice of
+/// the first commit [`kill_loop`] kills.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -375,13 +375,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// End-to-end kill loop: run a real [`DkServer`] with its WAL on a shared
-/// simulated disk, fail the disk at a seeded random group commit, and
-/// verify the acknowledged-prefix contract through actual recovery — the
-/// ack stream is an `Ok` prefix followed only by typed
-/// [`ServeError::WalFailed`], and every crash view replays all acked ops
-/// in submission order, byte-identical to the serial oracle. A loop in
-/// which no round got a retarget submitted before the kill swept no
-/// retarget, and reports that as a violation.
+/// simulated disk, fail the disk at one group commit, and verify the
+/// acknowledged-prefix contract through actual recovery — the ack stream
+/// is an `Ok` prefix followed only by typed [`ServeError::WalFailed`], and
+/// every crash view replays all acked ops in submission order,
+/// byte-identical to the serial oracle. Each op is acknowledged before the
+/// next is submitted, so each is its own group commit, and round `r` kills
+/// the commit of op `(start + r) mod ops` from a seeded `start`: as many
+/// rounds as ops kill every commit once. A loop in which no round's failed
+/// commit carried a retarget swept no retarget, and reports that as a
+/// violation.
 pub fn kill_loop(
     dk: &DkIndex,
     data: &DataGraph,
@@ -389,17 +392,15 @@ pub fn kill_loop(
     rounds: usize,
     seed: u64,
 ) -> FaultReport {
-    let mut report = FaultReport::new("kill-at-random-batch loop");
-    let mut rng = seed;
+    let mut report = FaultReport::new("kill-each-commit loop");
     let ops = kill_ops(updates);
-    let mut retargets_submitted = 0usize;
+    let start = splitmix64(&mut seed.clone()) as usize % ops.len();
+    let mut retargets_killed = 0usize;
     for round in 0..rounds {
-        // Worst case every op is its own batch: syncs 1..=ops.len() are
-        // group commits (sync 0 is the header). Rolling past the last
-        // commit is a round where the disk never fails — also a valid case.
-        let kill_sync = 1 + splitmix64(&mut rng) % (ops.len() as u64 + 1);
+        // Sync 0 is the header; sync i + 1 commits op i.
+        let killed = (start + round) % ops.len();
         let shared = SharedDisk::new(FailPlan {
-            fail_sync_at: Some(kill_sync),
+            fail_sync_at: Some(killed as u64 + 1),
             torn_write_at: None,
         });
         let writer = match WalWriter::with_store(shared.clone()) {
@@ -420,17 +421,17 @@ pub fn kill_loop(
             },
             Box::new(writer),
         );
-        let mut acks = Vec::with_capacity(ops.len());
+        let mut results: Vec<Result<u64, ServeError>> = Vec::with_capacity(ops.len());
         let mut submitted: Vec<ServeOp> = Vec::with_capacity(ops.len());
         for op in &ops {
             match server.submit_logged(op.clone()) {
                 Ok(ack) => {
                     submitted.push(op.clone());
-                    acks.push(Ok(ack));
+                    results.push(ack.wait());
                 }
                 // Once the failed commit has poisoned the server, a submit
                 // fails fast with the error its ack would have carried.
-                Err(ServeError::WalFailed) => acks.push(Err(ServeError::WalFailed)),
+                Err(ServeError::WalFailed) => results.push(Err(ServeError::WalFailed)),
                 Err(e) => {
                     report
                         .violations
@@ -438,17 +439,17 @@ pub fn kill_loop(
                 }
             }
         }
-        let results: Vec<Result<u64, ServeError>> = acks
-            .into_iter()
-            .map(|a| a.and_then(|ack| ack.wait()))
-            .collect();
         let _ = server.shutdown();
-        retargets_submitted += submitted
-            .iter()
-            .filter(|op| !matches!(op, ServeOp::AddEdge { .. }))
-            .count();
 
         let acked = results.iter().take_while(|r| r.is_ok()).count();
+        if acked != killed {
+            report.violations.push(format!(
+                "round {round}: the kill of op {killed}'s commit failed op {acked} first"
+            ));
+        }
+        if ops.get(acked).is_some_and(|op| !matches!(op, ServeOp::AddEdge { .. })) {
+            retargets_killed += 1;
+        }
         for (i, result) in results.iter().enumerate().skip(acked) {
             match result {
                 Ok(_) => report.violations.push(format!(
@@ -519,10 +520,10 @@ pub fn kill_loop(
             record(&mut report, outcome);
         }
     }
-    if rounds > 0 && retargets_submitted == 0 {
+    if rounds > 0 && retargets_killed == 0 {
         report
             .violations
-            .push(format!("no round of {rounds} submitted a retarget before its kill"));
+            .push(format!("no round of {rounds} killed the commit of a retarget"));
     }
     report
 }
@@ -598,10 +599,23 @@ mod tests {
             .collect();
         assert_eq!(retargets, [2, 5], "a retarget between the edges and one at the end");
         assert_eq!(ops[5], ServeOp::PromoteToRequirements);
-        // `passed` also holds that some round submitted a retarget before
-        // its kill: a loop that never did would report a violation.
-        let report = kill_loop(&dk, &g, &updates, 4, 0xD15C_0C05);
+        // `passed` also holds that each round's kill failed the commit it
+        // aimed at and that some round killed a retarget's commit: as many
+        // rounds as ops kill every commit.
+        let report = kill_loop(&dk, &g, &updates, ops.len(), 0xD15C_0C05);
         assert!(report.cases > 0);
         assert!(report.passed(), "{:?}", report.violations);
+        // One round kills one commit: a loop whose only kill lands on an
+        // `AddEdge` reports that no retarget was killed.
+        let mut unswept = 0;
+        for seed in 0..8 {
+            let killed = splitmix64(&mut seed.clone()) as usize % ops.len();
+            let report = kill_loop(&dk, &g, &updates, 1, seed);
+            let missed = report.violations.iter().any(|v| v.contains("killed the commit of a retarget"));
+            assert_eq!(missed, !retargets.contains(&killed), "seed {seed}: {:?}", report.violations);
+            assert_eq!(report.violations.len(), usize::from(missed), "{:?}", report.violations);
+            unswept += usize::from(missed);
+        }
+        assert!(unswept > 0, "some seed kills an AddEdge alone");
     }
 }

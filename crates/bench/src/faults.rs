@@ -367,7 +367,7 @@ fn column_cases() -> Vec<([u8; 4], Damage)> {
             let v = word(p, r.target_at(0));
             put_word(p, r.target_at(first_of_block_1), v);
         }),
-        damage("data node in no extent", "members for", move |p| {
+        damage("data node in no extent", "not covered by any extent", move |p| {
             let r = extents(p);
             let len = r.len(p);
             put_word(p, r.end_at(r.rows - 1), len - 1);

@@ -15,44 +15,46 @@
 //!
 //! ## Layout
 //!
-//! The walk reads one flat label column and an [`Adjacency`] — the data
-//! graph's adjacency type, so a query walks the index graph itself under
-//! the same row rule: child rows keep insertion order, parent rows ascend,
-//! so an index rebuilt from a snapshot (which stores child rows only) has
-//! the parent rows of the live one. The snapshot loader lays the adjacency
-//! out once from the stored child rows ([`Adjacency::from_child_rows`]),
-//! row for row as [`IndexGraph::add_index_edge`] would leave them; every
-//! later edge write is incremental. What the summary knows about one node
-//! besides — similarity and extent — is one block behind an [`Arc`].
+//! The index graph is its columns, in memory as in the snapshot's `INDX`
+//! section: labels, similarities and the data-node → index-node map are
+//! flat columns; extents are one [`SegCsr`] of ascending data-node rows;
+//! children and parents are an [`Adjacency`] — the data graph's adjacency
+//! type, so a query walks the index graph itself under the same row rule
+//! (child rows in insertion order, parent rows ascending; a snapshot stores
+//! child rows only, and the loader's transpose rebuilds the same parent
+//! rows). The loader lays extents and adjacency out once from the stored
+//! rows ([`SegCsr::from_rows`], [`Adjacency::from_child_rows`]); every
+//! later write is incremental.
 //!
 //! ## Copy-on-write
 //!
-//! Cloning an index (and therefore a `DkIndex`) bumps one refcount per block,
-//! per adjacency segment and per flat column instead of deep-copying
-//! extents, edges, labels or the node map. This is the index half of the
-//! delta-epoch publish path (the data half is the data graph's flat label
-//! column, its adjacency and its reference column):
+//! Cloning an index (and therefore a `DkIndex`) bumps one refcount per flat
+//! column and per segment of the extent, child and parent columns instead
+//! of deep-copying extents, edges, similarities, labels or the node map.
+//! This is the index half of the delta-epoch publish path (the data half is
+//! the data graph's flat label column, its adjacency and its reference
+//! column):
 //!
-//! 1. **Clone is shallow**: `clone()` copies block, segment and column
-//!    handles, never their contents.
-//! 2. **Mutation is per storage unit**: a similarity or extent write
-//!    deep-copies the addressed block alone, and an edge write the one
-//!    segment holding each row it changes, only while that unit is shared
-//!    with an older epoch. A write of what is already stored
-//!    ([`IndexGraph::set_similarity`] of the same `k`,
-//!    [`IndexGraph::add_index_edge`] of an existing edge) unshares nothing.
-//!    The two flat columns are copied whole, once per epoch that writes
-//!    them: the label column only by [`IndexGraph::push_node`] (labels
-//!    never change once written), the data-node → index-node map by
-//!    `push_node` (so also [`IndexGraph::split_extent`]) and by growing
-//!    it. [`IndexGraph::reindex`] builds both afresh; a similarity or edge
-//!    write copies neither.
-//! 3. **Sharing is observable**: [`IndexGraph::shared_blocks_with`],
-//!    [`IndexGraph::block_ptr_eq`] and [`IndexGraph::shared_segments_with`]
-//!    expose positional pointer identity, which `tests/cow.rs` and the
-//!    `serve.publish.blocks_*` counters are built on.
+//! 1. **Clone is shallow**: `clone()` copies column and segment handles,
+//!    never their contents.
+//! 2. **Mutation is per storage unit**: an extent or edge write deep-copies
+//!    the one segment holding each row it changes, only while that segment
+//!    is shared with an older epoch (the [`SegCsr`] rule). A flat column is
+//!    copied whole, once per epoch that writes it: similarities by an
+//!    [`IndexGraph::set_similarity`] that changes a value, labels only by
+//!    [`IndexGraph::push_node`], the node map by `push_node` (so also
+//!    [`IndexGraph::split_extent`]) and by growing it; `push_node` also
+//!    appends a similarity. A write of what is already stored copies
+//!    nothing, and an edge write copies no flat column and no extent
+//!    segment. [`IndexGraph::reindex`] builds every column afresh.
+//! 3. **Sharing is observable**: [`IndexGraph::shared_segments_with`]
+//!    counts pointer-shared extent, child and parent segments,
+//!    [`IndexGraph::shared_blocks_with`] the blocks whose extent row sits
+//!    in one, and [`IndexGraph::shares_similarities_with`] probes the
+//!    similarity column; `tests/cow.rs` and the `serve.publish.blocks_*`
+//!    counters are built on them.
 //! 4. **Representation never leaks into answers**: a query, snapshot, or
-//!    audit sees identical bytes whether its epoch shares every block and
+//!    audit sees identical bytes whether its epoch shares every column and
 //!    segment or none.
 
 use dkindex_graph::{Adjacency, DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId, SegCsr};
@@ -63,37 +65,22 @@ use std::sync::Arc;
 /// sound for a path expression of any length. Large but safe under `+ 1`.
 pub const SIM_EXACT: usize = usize::MAX / 4;
 
-/// The per-node state besides label and adjacency: one equivalence
-/// class's similarity and members.
-#[derive(Clone, Debug)]
-struct Block {
-    /// Local similarity `k` of the node (paper Definition 2).
-    similarity: usize,
-    /// Data nodes summarized by this index node, sorted ascending.
-    extent: Vec<NodeId>,
-}
-
-impl Block {
-    fn shared(extent: Vec<NodeId>, similarity: usize) -> Arc<Block> {
-        Arc::new(Block { similarity, extent })
-    }
-}
-
 /// A structural summary of a data graph.
 ///
-/// Labels are one flat column, children and parents an [`Adjacency`],
-/// similarity and extent one `Arc`-shared block per node, and the
-/// node→block map one flat column like the labels. Cloning an `IndexGraph`
-/// is therefore a copy-on-write snapshot (see the module docs): the clone
-/// shares every block, segment and column with the original until one of
-/// them writes it, which is what lets the serve layer publish a
-/// maintenance batch by rebuilding only what the batch touched.
+/// Labels, similarities and the node→block map are flat columns, extents
+/// one [`SegCsr`] and children and parents an [`Adjacency`]. Cloning an
+/// `IndexGraph` is therefore a copy-on-write snapshot (see the module docs):
+/// the clone shares every column and segment with the original until one of
+/// them writes it, which is what lets the serve layer publish a maintenance
+/// batch by rebuilding only what the batch touched.
 #[derive(Clone, Debug)]
 pub struct IndexGraph {
-    /// One block per index node, in id order.
-    blocks: Vec<Arc<Block>>,
     /// Label of each index node, in id order.
     labels: Arc<Vec<LabelId>>,
+    /// Local similarity `k` of each index node (paper Definition 2).
+    similarities: Arc<Vec<usize>>,
+    /// Each index node's extent: the data nodes it summarizes, ascending.
+    extents: SegCsr,
     adjacency: Adjacency,
     /// data node -> index node containing it.
     node_to_index: Arc<Vec<NodeId>>,
@@ -102,21 +89,21 @@ pub struct IndexGraph {
 }
 
 impl IndexGraph {
-    /// An index over `blocks` with the given labels and adjacency, one row
-    /// per block.
+    /// An index over the given columns, one row per block.
     fn from_columns(
-        blocks: Vec<Arc<Block>>,
         labels: Vec<LabelId>,
+        similarities: Vec<usize>,
+        extents: SegCsr,
         adjacency: Adjacency,
         node_to_index: Vec<NodeId>,
         interner: Arc<LabelInterner>,
         root: NodeId,
     ) -> Self {
-        assert_eq!(blocks.len(), labels.len());
-        assert_eq!(blocks.len(), adjacency.rows());
+        assert_eq!([similarities.len(), extents.rows(), adjacency.rows()], [labels.len(); 3]);
         IndexGraph {
-            blocks,
             labels: Arc::new(labels),
+            similarities: Arc::new(similarities),
+            extents,
             adjacency,
             node_to_index: Arc::new(node_to_index),
             interner,
@@ -128,36 +115,9 @@ impl IndexGraph {
     /// is the local similarity of block `b` (same indexing as the partition's
     /// blocks). Every extent is the block's member list.
     pub fn from_data_partition(g: &DataGraph, partition: &Partition, similarity: Vec<usize>) -> Self {
-        assert_eq!(partition.node_count(), g.node_count());
-        assert_eq!(similarity.len(), partition.block_count());
-        let nblocks = partition.block_count();
-
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut labels = Vec::with_capacity(nblocks);
-        for (b, k) in partition.block_ids().zip(similarity) {
-            let members = partition.members(b);
-            labels.push(g.label_of(members[0]));
-            blocks.push(Block::shared(members.to_vec(), k));
-        }
-
-        let node_to_index: Vec<NodeId> = (0..g.node_count())
-            .map(|i| NodeId::from_index(partition.block_of(NodeId::from_index(i)).index()))
-            .collect();
-        let root = NodeId::from_index(partition.block_of(g.root()).index());
-
+        let node_map = vec![NodeId::from_index(0); g.node_count()];
         let interner = g.labels_shared();
-        let unlinked = Adjacency::with_rows(nblocks);
-        let mut index =
-            IndexGraph::from_columns(blocks, labels, unlinked, node_to_index, interner, root);
-        // Each data edge, child row by child row, projected to its blocks.
-        for from in g.node_ids() {
-            let fi = index.index_of(from);
-            for &to in g.children_of(from) {
-                let ti = index.index_of(to);
-                index.add_index_edge(fi, ti);
-            }
-        }
-        index
+        Self::merge(g, partition, similarity, |n, extent| extent.push(n), node_map, interner)
     }
 
     /// Re-index: treat `base` itself as a data graph, partition *its* nodes,
@@ -165,108 +125,106 @@ impl IndexGraph {
     /// demoting process (paper Theorem 2: the D(k)-index of any refinement of
     /// a D(k)-index is the D(k)-index itself).
     pub fn reindex(base: &IndexGraph, partition: &Partition, similarity: Vec<usize>) -> Self {
-        assert_eq!(partition.node_count(), base.node_count());
-        assert_eq!(similarity.len(), partition.block_count());
-        let nblocks = partition.block_count();
+        // The node map starts as one copy of base's, rewritten by the merge.
+        let node_map = base.node_to_index.to_vec();
+        let interner = Arc::clone(&base.interner);
+        let extent_of = |i, extent: &mut Vec<NodeId>| extent.extend_from_slice(base.extent(i));
+        Self::merge(base, partition, similarity, extent_of, node_map, interner)
+    }
 
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut labels = Vec::with_capacity(nblocks);
-        // The node map starts as one copy of base's, rewritten below.
-        let mut node_to_index = base.node_to_index.to_vec();
-        for (b, k) in partition.block_ids().zip(similarity) {
-            let members = partition.members(b);
-            let mut extent = Vec::new();
-            for &inode in members {
-                extent.extend_from_slice(base.extent(inode));
+    /// The index over `partition`'s blocks of `g`'s nodes: a block's extent
+    /// is the union of its members' extents (`extent_of` appends one; they
+    /// are disjoint), ascending, its label its first member's, and its edges
+    /// `g`'s edges, child row by child row, projected to the blocks.
+    /// `node_map` is rewritten to map each extent's data nodes to its block.
+    fn merge<G: LabeledGraph>(
+        g: &G,
+        partition: &Partition,
+        similarity: Vec<usize>,
+        extent_of: impl Fn(NodeId, &mut Vec<NodeId>),
+        mut node_map: Vec<NodeId>,
+        interner: Arc<LabelInterner>,
+    ) -> Self {
+        assert_eq!(partition.node_count(), g.node_count());
+        assert_eq!(similarity.len(), partition.block_count());
+        let block = |n: NodeId| NodeId::from_index(partition.block_of(n).index());
+        let (mut labels, mut ends) = (Vec::new(), Vec::new());
+        let mut members = Vec::with_capacity(node_map.len());
+        for b in partition.block_ids() {
+            let start = members.len();
+            for &n in partition.members(b) {
+                extent_of(n, &mut members);
             }
+            let extent = &mut members[start..];
             extent.sort_unstable();
-            extent.dedup();
-            let bi = blocks.len();
-            for &d in &extent {
-                if let Some(slot) = node_to_index.get_mut(d.index()) {
-                    *slot = NodeId::from_index(bi);
+            for &d in &*extent {
+                if let Some(slot) = node_map.get_mut(d.index()) {
+                    *slot = NodeId::from_index(b.index());
                 }
             }
-            labels.push(base.label_of(members[0]));
-            blocks.push(Block::shared(extent, k));
+            labels.push(g.label_of(partition.members(b)[0]));
+            ends.push(members.len() as u32);
         }
-        let root = NodeId::from_index(partition.block_of(base.root()).index());
-
-        let interner = Arc::clone(&base.interner);
-        let unlinked = Adjacency::with_rows(nblocks);
-        let mut index =
-            IndexGraph::from_columns(blocks, labels, unlinked, node_to_index, interner, root);
-        // Edges: project base's edges through the partition.
-        for (from, to) in base.edges() {
-            let fi = NodeId::from_index(partition.block_of(from).index());
-            let ti = NodeId::from_index(partition.block_of(to).index());
-            index.add_index_edge(fi, ti);
+        let extents = SegCsr::from_rows(ends.into_iter(), members.into_iter());
+        let extents = extents.expect("extent ends ascend to the member count");
+        let mut adjacency = Adjacency::with_rows(partition.block_count());
+        for from in g.node_ids() {
+            for &to in g.children_of(from) {
+                adjacency.add(block(from), block(to));
+            }
         }
-        index
+        let root = block(g.root());
+        Self::from_columns(labels, similarity, extents, adjacency, node_map, interner, root)
     }
 
     /// Reassemble an index graph from its stored columns (the `store`
-    /// module's loader): per block a label and a similarity, the extents as
-    /// one column of runs (each block's run end, then the members, run by
-    /// run), the child rows, and the root. Validates what makes
-    /// the columns an index over `data_nodes` data nodes, in one pass per
-    /// column: each run ascends and the runs partition `0..data_nodes`
-    /// (filling the node map on the way), the child rows are an adjacency
-    /// ([`Adjacency::from_child_rows`]), the labels are in the interner and
-    /// the root is a block. Whether the index summarizes a given data graph
-    /// is [`crate::audit::check_structure`]'s verdict.
+    /// module's loader): per block a label and a similarity, the extents and
+    /// the child rows each one [`SegCsr`], and the root. Checks what the
+    /// columns must hold to be an index at all: one of each per block, the
+    /// labels in the interner, the root a block, each extent ascending and
+    /// the child rows an adjacency ([`Adjacency::from_child_rows`]). Fills
+    /// the map of `data_nodes` data nodes from the extents, skipping a
+    /// member out of range or already placed. Whether the extents partition
+    /// the data nodes and agree with that map, and whether the index
+    /// summarizes a given data graph, is [`crate::audit::check_structure`]'s
+    /// verdict, which the snapshot loader runs before anything uses it.
     pub(crate) fn from_stored_columns(
         interner: LabelInterner,
         labels: Vec<LabelId>,
         similarity: Vec<usize>,
-        extents: (impl ExactSizeIterator<Item = u32>, impl Iterator<Item = NodeId>),
+        extents: SegCsr,
         children: SegCsr,
         root: NodeId,
         data_nodes: usize,
     ) -> Result<IndexGraph, String> {
-        let (blocks, (extent_ends, mut members)) = (labels.len(), extents);
+        let blocks = labels.len();
         if labels.iter().any(|label| label.index() >= interner.len()) {
             return Err("a block label is out of range".to_string());
         }
         if root.index() >= blocks {
             return Err("root index node out of range".to_string());
         }
-        if extent_ends.len() != blocks || children.rows() != blocks {
-            return Err("the extents or child rows are not one per block".to_string());
+        if [similarity.len(), extents.rows(), children.rows()] != [blocks; 3] {
+            return Err("the similarities, extents or child rows are not one per block".to_string());
         }
         let unassigned = NodeId::from_index(u32::MAX as usize);
         let mut node_to_index = vec![unassigned; data_nodes];
-        let mut extents = Vec::with_capacity(blocks);
-        let mut start = 0;
-        for (b, end) in extent_ends.enumerate() {
-            let len = end.checked_sub(start).map(|len| len as usize);
-            let run: Vec<NodeId> = members.by_ref().take(len.unwrap_or(0)).collect();
-            if len != Some(run.len()) {
-                return Err("extent offsets do not ascend from 0 to the member count".to_string());
-            }
+        for b in 0..blocks {
+            let run = extents.row(b).unwrap_or_default();
             if run.windows(2).any(|pair| pair[0] >= pair[1]) {
                 return Err(format!("the extent of block {b} does not ascend"));
             }
-            for &d in &run {
+            // The first extent holding a data node keeps it, so the audit
+            // names a node held twice as the duplicate it is.
+            for &d in run {
                 match node_to_index.get_mut(d.index()) {
                     Some(slot) if *slot == unassigned => *slot = NodeId::from_index(b),
-                    Some(_) => return Err(format!("data node {d} is in two extents")),
-                    None => return Err(format!("extent member {d} is not a data node")),
+                    _ => {}
                 }
             }
-            extents.push(run);
-            start = end;
         }
-        if members.next().is_some() {
-            return Err("extent offsets do not ascend from 0 to the member count".to_string());
-        }
-        if start as usize != data_nodes {
-            return Err(format!("extents hold {start} members for {data_nodes} data nodes"));
-        }
-        let adjacency = Adjacency::from_child_rows(children)?;
-        let blocks = extents.into_iter().zip(similarity).map(|(run, k)| Block::shared(run, k));
-        let (blocks, interner) = (blocks.collect(), Arc::new(interner));
-        Ok(IndexGraph::from_columns(blocks, labels, adjacency, node_to_index, interner, root))
+        let (adjacency, interner) = (Adjacency::from_child_rows(children)?, Arc::new(interner));
+        Ok(Self::from_columns(labels, similarity, extents, adjacency, node_to_index, interner, root))
     }
 
     /// Move the root to `root`: the audit tests' way to corrupt an index.
@@ -276,22 +234,16 @@ impl IndexGraph {
         self.root = root;
     }
 
-    /// Shared view of `inode`'s block.
-    #[inline]
-    fn block(&self, inode: NodeId) -> &Block {
-        &self.blocks[inode.index()]
-    }
-
     /// Number of index nodes — the paper's "index size" (X axis of figs 4–7).
     #[inline]
     pub fn size(&self) -> usize {
-        self.blocks.len()
+        self.labels.len()
     }
 
     /// The extent of index node `inode` (sorted data node ids).
     #[inline]
     pub fn extent(&self, inode: NodeId) -> &[NodeId] {
-        &self.block(inode).extent
+        self.extents.row(inode.index()).expect("index node out of range")
     }
 
     /// The index node containing data node `data_node`.
@@ -311,51 +263,47 @@ impl IndexGraph {
     /// Local similarity of `inode`.
     #[inline]
     pub fn similarity(&self, inode: NodeId) -> usize {
-        self.block(inode).similarity
+        self.similarities[inode.index()]
     }
 
     /// Set the local similarity of `inode`. Writing the value already stored
-    /// is a true no-op, so it does not unshare the block from older epochs.
+    /// is a true no-op, so it does not unshare the column from older epochs.
     #[inline]
     pub fn set_similarity(&mut self, inode: NodeId, k: usize) {
-        if self.block(inode).similarity != k {
-            // Copies the block iff an older snapshot still shares it.
-            Arc::make_mut(&mut self.blocks[inode.index()]).similarity = k;
+        if self.similarity(inode) != k {
+            // Copies the column iff an older snapshot still shares it.
+            Arc::make_mut(&mut self.similarities)[inode.index()] = k;
         }
     }
 
     /// Structural-sharing census against an older snapshot of this index:
-    /// `(shared, rebuilt)` where `shared` counts blocks still
-    /// pointer-identical to `prev`'s and `rebuilt` is the remainder of this
-    /// index's blocks (copied-on-write or freshly pushed). Feeds the
+    /// `(shared, rebuilt)` where `shared` counts the blocks whose extent row
+    /// sits in a segment still pointer-identical to `prev`'s and `rebuilt`
+    /// is the remainder of this index's blocks (in a copied-on-write or
+    /// fresh segment, or pushed since). Feeds the
     /// `serve.publish.blocks_shared` / `blocks_rebuilt` counters.
     pub fn shared_blocks_with(&self, prev: &IndexGraph) -> (usize, usize) {
-        let shared = self
-            .blocks
-            .iter()
-            .zip(&prev.blocks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count();
+        let shared = self.extents.shared_rows_with(&prev.extents);
         (shared, self.size() - shared)
     }
 
-    /// True when `inode`'s block is the same allocation in both snapshots —
-    /// the per-block probe behind the sharing regression tests. False when
-    /// either snapshot has no such block.
-    pub fn block_ptr_eq(&self, prev: &IndexGraph, inode: NodeId) -> bool {
-        match (self.blocks.get(inode.index()), prev.blocks.get(inode.index())) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+    /// Segment-sharing census against another snapshot of this index:
+    /// `(shared, total)` segments over the extent, child and parent
+    /// columns, where a segment counts as shared when both snapshots still
+    /// reference the same allocation (as [`DataGraph::shared_segments_with`]
+    /// counts the data graph's). Diagnostics only — contents are never
+    /// affected by sharing.
+    pub fn shared_segments_with(&self, other: &IndexGraph) -> (usize, usize) {
+        let (shared, total) = self.adjacency.shared_segments_with(&other.adjacency);
+        let extents = self.extents.shared_segments_with(&other.extents);
+        (shared + extents, total + self.extents.segment_count())
     }
 
-    /// Adjacency-sharing census against another snapshot of this index:
-    /// `(shared, total)` segments over the child and parent columns, where a
-    /// segment counts as shared when both snapshots still reference the same
-    /// allocation (as [`DataGraph::shared_segments_with`] counts the data
-    /// graph's). Diagnostics only — contents are never affected by sharing.
-    pub fn shared_segments_with(&self, other: &IndexGraph) -> (usize, usize) {
-        self.adjacency.shared_segments_with(&other.adjacency)
+    /// True when both snapshots still hold the same similarity column
+    /// allocation (as [`DataGraph::shares_labels_with`] probes the data
+    /// graph's labels).
+    pub fn shares_similarities_with(&self, other: &IndexGraph) -> bool {
+        Arc::ptr_eq(&self.similarities, &other.similarities)
     }
 
     /// Approximate resident size in bytes (adjacency + extents + tables);
@@ -363,17 +311,13 @@ impl IndexGraph {
     pub fn approx_bytes(&self) -> usize {
         let per_node = std::mem::size_of::<LabelId>() + std::mem::size_of::<usize>();
         let adj = 2 * self.edge_count() * std::mem::size_of::<NodeId>();
-        let extents: usize = self
-            .blocks
-            .iter()
-            .map(|b| b.extent.len() * std::mem::size_of::<NodeId>())
-            .sum();
+        let extents = self.total_extent_size() * std::mem::size_of::<NodeId>();
         self.size() * per_node + adj + extents + self.node_to_index.len() * 4
     }
 
     /// Sum of extent sizes (must equal the data graph's node count).
     pub fn total_extent_size(&self) -> usize {
-        self.blocks.iter().map(|b| b.extent.len()).sum()
+        self.extents.target_count()
     }
 
     /// Every index edge `(from, to)`, child row by child row.
@@ -399,18 +343,21 @@ impl IndexGraph {
     /// Append a fresh index node with the given label, extent and similarity
     /// (edges must be added separately). Returns its id. The one write to
     /// the label column, and the node map's one write besides growing it:
-    /// each is copied here when an older snapshot shares it.
+    /// each flat column is copied here when an older snapshot shares it,
+    /// and the extent column's last segment when it is shared.
     pub fn push_node(&mut self, label: LabelId, mut extent: Vec<NodeId>, similarity: usize) -> NodeId {
         extent.sort_unstable();
-        let id = NodeId::from_index(self.blocks.len());
+        let id = NodeId::from_index(self.size());
         let map = Arc::make_mut(&mut self.node_to_index);
+        self.extents.push_row();
         for &d in &extent {
             if map.len() <= d.index() {
                 map.resize(d.index() + 1, NodeId::from_index(0));
             }
             map[d.index()] = id;
+            self.extents.push_to_row(id.index(), d);
         }
-        self.blocks.push(Block::shared(extent, similarity));
+        Arc::make_mut(&mut self.similarities).push(similarity);
         Arc::make_mut(&mut self.labels).push(label);
         self.adjacency.push_row();
         id
@@ -449,18 +396,12 @@ impl IndexGraph {
             moved.len() < self.extent(target).len(),
             "split must leave both fragments non-empty"
         );
-        // One merge walk: both lists ascend, so each extent member either
-        // is the next moved member or stays.
+        // One merge pass over the row: both lists ascend, so each extent
+        // member either is the next moved member or stays.
         let mut pending = moved.iter().peekable();
-        let kept: Vec<NodeId> = self
-            .extent(target)
-            .iter()
-            .copied()
-            .filter(|m| pending.next_if_eq(&m).is_none())
-            .collect();
+        self.extents.retain_row(target.index(), |m| pending.next_if_eq(&&m).is_none());
         assert!(pending.next().is_none(), "moved ⊄ extent, or not in extent order");
-        // A new block, not a write into the old one: nothing of it is kept.
-        self.blocks[target.index()] = Block::shared(kept, new_similarity);
+        self.set_similarity(target, new_similarity);
 
         let new_node = self.push_node(self.label_of(target), moved.to_vec(), new_similarity);
 
@@ -502,17 +443,16 @@ impl IndexGraph {
     /// adjacency. Cost is proportional to the extent size and degree — the
     /// locality that makes splits cheap.
     fn recompute_edges_from_data(&mut self, inode: NodeId, data: &DataGraph) {
-        // Edge writes never touch a block, so the extent is read through a
-        // handle of its own while the columns change.
-        let block = Arc::clone(&self.blocks[inode.index()]);
-        for &m in &block.extent {
+        // Edge writes touch the adjacency alone, so the extent and the node
+        // map are read in place while it changes.
+        let IndexGraph { extents, adjacency, node_to_index, .. } = self;
+        let index_of = |d: NodeId| node_to_index[d.index()];
+        for &m in extents.row(inode.index()).expect("index node out of range") {
             for &p in data.parents_of(m) {
-                let pi = self.index_of(p);
-                self.add_index_edge(pi, inode);
+                adjacency.add(index_of(p), inode);
             }
             for &c in data.children_of(m) {
-                let ci = self.index_of(c);
-                self.add_index_edge(inode, ci);
+                adjacency.add(inode, index_of(c));
             }
         }
     }
@@ -565,7 +505,7 @@ impl IndexGraph {
 impl LabeledGraph for IndexGraph {
     #[inline]
     fn node_count(&self) -> usize {
-        self.blocks.len()
+        self.size()
     }
 
     #[inline]
@@ -634,21 +574,36 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_shares_every_block_until_one_is_written() {
+    fn a_clone_shares_every_column_until_one_is_written() {
         let g = small();
         let p = Partition::by_label(&g);
         let idx = IndexGraph::from_data_partition(&g, &p, vec![0; p.block_count()]);
         let mut next = idx.clone();
         assert_eq!(next.shared_blocks_with(&idx), (3, 0));
-        let b = NodeId::from_index(2);
-        next.set_similarity(b, 0); // the stored value: unshares nothing
-        assert!(next.block_ptr_eq(&idx, b));
+        assert!(next.shares_similarities_with(&idx));
+        let (a, b) = (NodeId::from_index(1), NodeId::from_index(2));
+        next.set_similarity(b, 0); // the stored value: copies nothing
+        assert!(next.shares_similarities_with(&idx));
+        // The first changed value copies the column once, and no extent.
         next.set_similarity(b, 1);
-        assert_eq!(next.shared_blocks_with(&idx), (2, 1));
-        assert!(!next.block_ptr_eq(&idx, b));
+        assert!(!next.shares_similarities_with(&idx));
+        let copy = Arc::as_ptr(&next.similarities);
+        next.set_similarity(a, 1);
+        assert_eq!(Arc::as_ptr(&next.similarities), copy);
+        assert_eq!(next.shared_blocks_with(&idx), (3, 0));
         // The older snapshot never observes the write.
         assert_eq!((idx.similarity(b), next.similarity(b)), (0, 1));
-        assert!(!next.block_ptr_eq(&idx, NodeId::from_index(3)), "out of range");
+
+        // A split rewrites its row and pushes one: the extent segment is
+        // copied, and the original keeps its rows.
+        let b2 = NodeId::from_index(4);
+        let fresh = next.split_extent(b, &[b2], 1, &g);
+        assert_eq!(next.shared_blocks_with(&idx), (0, 4));
+        let (shared, total) = next.shared_segments_with(&idx);
+        assert_eq!(total - shared, 3, "the extent segment and both adjacency segments");
+        assert_eq!((next.extent(b), next.extent(fresh)), (&[NodeId::from_index(3)][..], &[b2][..]));
+        assert_eq!(idx.extent(b), [NodeId::from_index(3), b2]);
+        assert_eq!(idx.total_extent_size(), next.total_extent_size());
     }
 
     #[test]

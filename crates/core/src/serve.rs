@@ -65,13 +65,14 @@
 //!   `lock()`/`read()`/`write()` (ARCHITECTURE.md §6).
 //!
 //! * **Delta publish**: `DkIndex` and `DataGraph` are copy-on-write
-//!   snapshots (`Arc`-per-block index storage, segment-shared adjacency), so
-//!   the `dk.clone()`/`data.clone()` at publish time copies only the blocks
-//!   and segments the batch actually touched; everything else is shared
-//!   pointer-identically with the previous epoch. The
+//!   snapshots (`Arc`-shared flat columns, segment-shared row columns), so
+//!   the `dk.clone()`/`data.clone()` at publish time copies only the
+//!   columns and segments the batch actually wrote; everything else is
+//!   shared pointer-identically with the previous epoch. The
 //!   `serve.publish.blocks_shared` / `serve.publish.blocks_rebuilt` counters
-//!   record the split on every publish. See ARCHITECTURE.md §5 for the
-//!   delta-epoch diagram and the COW invariants.
+//!   record, on every publish, the blocks whose extent segment is shared
+//!   and the rest. See ARCHITECTURE.md §5 for the delta-epoch diagram and
+//!   the COW invariants.
 //!
 //! Telemetry: `serve.epoch_publishes`, `serve.batch_ops`, `serve.queries`,
 //! `serve.stale_epoch_reads`, `serve.cache_hits`/`serve.cache_misses`,
@@ -855,7 +856,7 @@ fn maintenance_loop(
                 }
             }
             epoch_id += 1;
-            // `dk`/`data` are COW snapshots (Arc-shared blocks and
+            // `dk`/`data` are COW snapshots (Arc-shared columns and
             // segments), so these clones copy only what the batch above
             // touched — the delta-epoch publish is O(touched), not O(index).
             let fresh = Arc::new(Epoch::new(

@@ -334,9 +334,9 @@ fn load_sections(bytes: &[u8]) -> Result<Sections, SnapshotError> {
     let index = frames.indx.and_then(|payload| {
         let index =
             store::read_index(payload, data.node_count()).map_err(|e| corrupt(TAG_INDX, e))?;
-        // `read_index` checks the columns; whether edges project the graph,
-        // labels match and the root is the root is decided here, before
-        // anything uses the index.
+        // `read_index` checks the columns; whether the extents partition
+        // the graph's nodes, edges project the graph, labels match and the
+        // root is the root is decided here, once, before anything uses it.
         audit::check_structure(&index, &data).map_err(|finding| SnapshotError::Section {
             tag: TAG_INDX,
             reason: format!("fails invariants: {finding}"),

@@ -44,11 +44,11 @@
 //! one pass per column: [`SegCsr::from_rows`] checks that row ends ascend
 //! and end at the column's length, [`DataGraph::from_rows`] and
 //! `IndexGraph::from_stored_columns` that labels and targets are in range,
-//! that no row repeats a target, and that the extent runs ascend and
-//! partition the data nodes. The verdict on an index (edges project the
-//! graph, the root is the root, …) is [`crate::audit::check_structure`]'s,
-//! which the snapshot loader runs against the graph it loads alongside
-//! before anything uses the index.
+//! that no row repeats a target, and that each extent ascends. The verdict
+//! on an index (extents partition the data nodes, edges project the graph,
+//! the root is the root, …) is [`crate::audit::check_structure`]'s, which
+//! the snapshot loader runs against the graph it loads alongside before
+//! anything uses the index.
 
 #![deny(
     clippy::unwrap_used,
@@ -183,23 +183,13 @@ fn take_words<'a>(
     Ok(bytes.as_chunks::<4>().0.iter().map(|word| u32::from_le_bytes(*word)))
 }
 
-/// A rows column over `rows` rows, as each row's end and the targets, row
-/// by row, read straight from the payload. Only that the bytes are there
-/// is checked here; the column's rules are its builder's.
-fn take_rows<'a>(
-    cur: &mut Cursor<'a>,
-    rows: usize,
-    what: &str,
-) -> Result<(impl ExactSizeIterator<Item = u32> + 'a, impl Iterator<Item = NodeId> + 'a), String> {
+/// A rows column over `rows` rows, read straight from the payload into a
+/// [`SegCsr`], which checks that the row ends ascend to the column's
+/// length; the rules of what the rows hold are their builder's.
+fn take_column(cur: &mut Cursor<'_>, rows: usize, what: &str) -> Result<SegCsr, String> {
     let len = take_count(cur, what, 4)?;
     let ends = take_words(cur, rows, what)?;
     let targets = take_words(cur, len, what)?.map(|target| NodeId::from_index(target as usize));
-    Ok((ends, targets))
-}
-
-/// A rows column laid out as a [`SegCsr`].
-fn take_column(cur: &mut Cursor<'_>, rows: usize, what: &str) -> Result<SegCsr, String> {
-    let (ends, targets) = take_rows(cur, rows, what)?;
     SegCsr::from_rows(ends, targets)
         .ok_or_else(|| format!("{what}: row offsets do not ascend from 0 to the target count"))
 }
@@ -285,7 +275,7 @@ pub(crate) fn read_index(payload: &[u8], data_nodes: usize) -> Result<IndexGraph
                 .ok_or_else(|| format!("similarity {k} out of range"))
         });
         let sims = sims.collect::<Result<_, _>>()?;
-        let extents = take_rows(cur, blocks, "the extent column")?;
+        let extents = take_column(cur, blocks, "the extent column")?;
         let children = take_column(cur, blocks, "the index child rows")?;
         let root = NodeId::from_index(take_u32(cur, "the root")?);
         IndexGraph::from_stored_columns(interner, labels, sims, extents, children, root, data_nodes)
@@ -317,7 +307,7 @@ mod tests {
     use super::*;
     use crate::audit::check_structure;
     use crate::dk::construct::DkIndex;
-    use crate::snapshot::snapshot_bytes;
+    use crate::snapshot::{read_snapshot, snapshot_bytes};
 
     fn sample() -> (DataGraph, DkIndex) {
         let mut g = DataGraph::new();
@@ -377,15 +367,27 @@ mod tests {
     #[test]
     fn corrupted_extent_is_rejected() {
         let (g, dk) = sample();
-        let bytes = index_bytes(&dk);
-        // Flip each late byte (extents, edges, root) — robustness: corruption
-        // must never produce a silently-wrong index.
+        let bytes = snapshot_bytes(&dk, &g);
+        // `INDX` is the container's last section: its payload ends the
+        // bytes, and its CRC is the word just before the payload.
+        let len = index_bytes(&dk).len();
+        let (head, payload) = bytes.split_at(bytes.len() - len);
+        // Flip each late byte (extents, edges, root) and reseal the CRC, so
+        // the damage reaches the loader — robustness: corruption must never
+        // produce a silently-wrong index.
+        let load = |payload: &[u8]| {
+            let mut container = head.to_vec();
+            let crc_at = container.len() - 4;
+            container[crc_at..].copy_from_slice(&crate::crc32::crc32(payload).to_le_bytes());
+            container.extend_from_slice(payload);
+            read_snapshot(&container)
+        };
+        load(payload).unwrap();
         let mut corrupted = 0;
-        for i in (bytes.len() - 40)..bytes.len() {
-            let mut copy = bytes.clone();
+        for i in (len - 40)..len {
+            let mut copy = payload.to_vec();
             copy[i] ^= 0xFF;
-            let loaded = read_index(&copy, g.node_count());
-            if loaded.map_or(true, |index| check_structure(&index, &g).is_err()) {
+            if load(&copy).is_err() {
                 corrupted += 1;
             }
         }

@@ -6,14 +6,15 @@
 //!   from-scratch serial replay of the same op prefix. Sharing is a
 //!   representation change, never an answer change.
 //! * **Sharing actually happens**, stated per storage unit of the index
-//!   graph: a block (similarity and extent) is pointer-shared with the
-//!   predecessor epoch iff the batch left its similarity and extent alone,
-//!   and an adjacency segment (64 child or parent rows) iff the batch left
-//!   its rows alone. A regression back to full deep clones fails these
-//!   tests. On the data graph, an edge update copies exactly the segments
-//!   of the rows it writes — `from`'s child row and `to`'s parent row, and
-//!   for a reference edge `from`'s reference row — never the label column,
-//!   which only `add_node` copies.
+//!   graph: a segment (64 rows) of the extent, child or parent column is
+//!   pointer-shared with the predecessor epoch iff the batch left its rows
+//!   alone, and the flat similarity column iff the batch changed no
+//!   similarity. An edge update copies no extent segment; a split copies
+//!   the segment of the split row and that of the new row. A regression
+//!   back to full deep clones fails these tests. On the data graph, an edge
+//!   update copies exactly the segments of the rows it writes — `from`'s
+//!   child row and `to`'s parent row, and for a reference edge `from`'s
+//!   reference row — never the label column, which only `add_node` copies.
 //! * Both properties hold through the real `DkServer` publish path, not
 //!   just hand-rolled clones.
 
@@ -42,30 +43,24 @@ fn fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
     (g, dk, ops)
 }
 
-/// Same block contents for one index node in two snapshots — similarity and
-/// extent — judged purely by contents (never by pointers).
-fn block_content_eq(a: &IndexGraph, b: &IndexGraph, i: NodeId) -> bool {
-    a.similarity(i) == b.similarity(i) && a.extent(i) == b.extent(i)
-}
+/// The extent, child and parent rows of an index graph.
+const COLUMNS: [fn(&IndexGraph, NodeId) -> &[NodeId]; 3] =
+    [IndexGraph::extent, IndexGraph::children_of, IndexGraph::parents_of];
 
-/// Adjacency segments (of the child and parent columns together) whose 64
-/// rows read the same in both snapshots; a row one snapshot lacks reads
-/// empty.
+/// Segments of the extent, child and parent columns whose 64 rows read the
+/// same in both snapshots; a row one snapshot lacks reads empty.
 fn unchanged_segments(a: &IndexGraph, b: &IndexGraph) -> usize {
-    let row = |g: &IndexGraph, r: usize, children: bool| -> Vec<NodeId> {
-        match (r < g.size(), children) {
-            (false, _) => Vec::new(),
-            (true, true) => g.children_of(NodeId::from_index(r)).to_vec(),
-            (true, false) => g.parents_of(NodeId::from_index(r)).to_vec(),
-        }
-    };
     let segments = a.size().min(b.size()).div_ceil(SEG_SIZE);
     let rows = a.size().max(b.size());
     let mut unchanged = 0;
-    for children in [true, false] {
+    for read in COLUMNS {
+        let row = |g: &IndexGraph, r: usize| match r < g.size() {
+            true => read(g, NodeId::from_index(r)).to_vec(),
+            false => Vec::new(),
+        };
         for seg in 0..segments {
             let mut span = seg * SEG_SIZE..((seg + 1) * SEG_SIZE).min(rows);
-            if span.all(|r| row(a, r, children) == row(b, r, children)) {
+            if span.all(|r| row(a, r) == row(b, r)) {
                 unchanged += 1;
             }
         }
@@ -74,26 +69,18 @@ fn unchanged_segments(a: &IndexGraph, b: &IndexGraph) -> usize {
 }
 
 /// The sharing contract between a predecessor snapshot and its successor,
-/// per storage unit: content-unchanged blocks and segments are
-/// pointer-identical (a full-clone regression breaks this), and
-/// pointer-identical ones are content-unchanged (COW soundness).
+/// per storage unit: a segment of each row column, and the similarity
+/// column, is pointer-shared exactly when its contents are unchanged —
+/// shared but changed is COW unsoundness, unchanged but copied a
+/// regression to full clones.
 fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
-    let common = prev.size().min(next.size());
-    for i in 0..common {
-        let inode = NodeId::from_index(i);
-        let same_content = block_content_eq(prev, next, inode);
-        let same_ptr = next.block_ptr_eq(prev, inode);
-        assert!(
-            !same_content || same_ptr,
-            "{what}: block {i} is content-identical but was deep-copied \
-             (COW regression to full clones)"
-        );
-        assert!(
-            !same_ptr || same_content,
-            "{what}: block {i} is pointer-shared but its contents diverged \
-             (COW unsoundness)"
-        );
-    }
+    let same_similarities = prev.size() == next.size()
+        && prev.node_ids().all(|i| prev.similarity(i) == next.similarity(i));
+    assert_eq!(
+        next.shares_similarities_with(prev),
+        same_similarities,
+        "{what}: the similarity column is shared iff no similarity changed"
+    );
     // A shared segment is one allocation, so it reads the same in both
     // snapshots: the count of shared ones can only reach the count of
     // unchanged ones by every unchanged segment being shared.
@@ -101,12 +88,12 @@ fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
     assert_eq!(
         shared,
         unchanged_segments(prev, next),
-        "{what}: an adjacency segment with unchanged rows was deep-copied"
+        "{what}: a segment with unchanged rows was deep-copied"
     );
 }
 
-/// A fresh clone shares every block and every adjacency segment; mutating
-/// the clone never disturbs the original.
+/// A fresh clone shares every column and every segment; mutating the clone
+/// never disturbs the original.
 #[test]
 fn clone_shares_everything_until_mutated() {
     let (g, dk, _) = fixture();
@@ -121,6 +108,7 @@ fn clone_shares_everything_until_mutated() {
     assert!(g2.shares_labels_with(&g));
     let (seg_shared, seg_total) = dk2.index().shared_segments_with(dk.index());
     assert_eq!(seg_shared, seg_total);
+    assert!(dk2.index().shares_similarities_with(dk.index()));
 
     assert_eq!(
         snapshot_bytes(&dk2, &g2),
@@ -129,12 +117,12 @@ fn clone_shares_everything_until_mutated() {
     );
 }
 
-/// One edge update touches O(1 + lowered) blocks: everything whose contents
-/// the update left alone stays pointer-shared with the pre-update snapshot,
-/// and the mutated clone serializes exactly like a serial application of
-/// the same op.
+/// One edge update writes similarities and edges alone: every extent
+/// segment stays pointer-shared with the pre-update snapshot, and so does
+/// everything else whose contents the update left alone; the mutated clone
+/// serializes exactly like a serial application of the same op.
 #[test]
-fn single_edge_update_shares_untouched_blocks() {
+fn single_edge_update_shares_untouched_storage() {
     let (g, dk, ops) = fixture();
     let op = &ops[..1];
 
@@ -143,11 +131,7 @@ fn single_edge_update_shares_untouched_blocks() {
     apply_serial(&mut next_dk, &mut next_g, op);
 
     let (shared, rebuilt) = next_dk.index().shared_blocks_with(dk.index());
-    assert!(shared > 0, "a single edge must not rebuild the whole store");
-    assert!(
-        rebuilt < dk.index().size(),
-        "a single edge must leave some blocks untouched"
-    );
+    assert_eq!((shared, rebuilt), (dk.index().size(), 0), "an edge update copies no extent");
     assert_sharing_contract(dk.index(), next_dk.index(), "single edge");
 
     // Byte identity against an independent replay from the same base.
@@ -252,9 +236,9 @@ fn add_node_on_a_clone_copies_the_label_column_and_leaves_the_original() {
 }
 
 /// An edge update that inserts an index edge writes one child row and one
-/// parent row: it copies at most those two adjacency segments, and no block
-/// whose similarity and extent it left alone (adjacency lives outside the
-/// blocks). An update whose index edge already exists copies no segment.
+/// parent row: it copies at most those two adjacency segments and no
+/// extent segment. An update whose index edge already exists copies no
+/// segment.
 #[test]
 fn an_index_edge_insert_copies_two_segments_and_no_untouched_block() {
     let (g, dk, ops) = fixture();
@@ -265,6 +249,7 @@ fn an_index_edge_insert_copies_two_segments_and_no_untouched_block() {
         apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
         let (prev, next) = (dk.index(), next_dk.index());
         assert_sharing_contract(prev, next, &format!("{op:?}"));
+        assert_eq!(next.shared_blocks_with(prev), (prev.size(), 0), "{op:?} copied an extent");
         let (shared, total) = next.shared_segments_with(prev);
         let copied = total - shared;
         if next.edge_count() > prev.edge_count() {
@@ -275,6 +260,35 @@ fn an_index_edge_insert_copies_two_segments_and_no_untouched_block() {
         }
     }
     assert!(inserted > 0, "the fixture must insert some index edge");
+}
+
+/// A split rewrites one extent row and pushes another: it copies the
+/// extent segment of each (one segment when they share it) and keeps every
+/// other extent segment shared, and the older snapshot keeps its rows.
+#[test]
+fn a_split_copies_the_extent_segments_of_its_two_rows() {
+    let (g, dk, _) = fixture();
+    let prev = dk.index();
+    let mut splits = 0;
+    for target in prev.node_ids().filter(|&i| prev.extent(i).len() > 1) {
+        let mut next = prev.clone();
+        let moved = &prev.extent(target)[1..];
+        let fresh = next.split_extent(target, moved, 0, &g);
+        let copied = [target.index() / SEG_SIZE, fresh.index() / SEG_SIZE];
+        // The new row's segment holds no row of `prev` when it is fresh.
+        let rows_of = |seg: usize| prev.size().saturating_sub(seg * SEG_SIZE).min(SEG_SIZE);
+        let lost = match copied[0] == copied[1] {
+            true => rows_of(copied[0]),
+            false => rows_of(copied[0]) + rows_of(copied[1]),
+        };
+        assert_eq!(next.shared_blocks_with(prev), (prev.size() - lost, lost + 1), "{target:?}");
+        assert_eq!(next.extent(fresh), moved);
+        assert_eq!(next.extent(target), &prev.extent(target)[..1]);
+        assert_sharing_contract(prev, &next, &format!("split of {target:?}"));
+        splits += 1;
+    }
+    assert!(splits > 1, "the fixture must have blocks to split");
+    check_structure(prev, &g).unwrap();
 }
 
 /// A chain of COW epochs — each built by cloning its predecessor and
@@ -306,7 +320,7 @@ fn cow_chain_is_byte_identical_to_serial_replay() {
 
         // (b) Sharing: the new link shares with its predecessor.
         let (shared, _) = chain_dk.index().shared_blocks_with(prev_dk.index());
-        assert!(shared > 0, "batch ending at {applied} rebuilt every block");
+        assert!(shared > 0, "batch ending at {applied} copied every extent segment");
         assert_sharing_contract(
             prev_dk.index(),
             chain_dk.index(),
@@ -317,7 +331,7 @@ fn cow_chain_is_byte_identical_to_serial_replay() {
 }
 
 /// The same two properties through the real publish path: epochs published
-/// by `DkServer` share untouched blocks with their predecessors (readers
+/// by `DkServer` share untouched storage with their predecessors (readers
 /// holding the old `Arc<Epoch>` keep their snapshot), and the final state
 /// is byte-identical to the serial oracle.
 #[test]

@@ -112,16 +112,11 @@ impl Adjacency {
     /// Remove the edge `from → to`; the rest of both rows keeps its order.
     /// Returns `false` (and changes nothing) when there is no such edge.
     pub fn remove(&mut self, from: NodeId, to: NodeId) -> bool {
-        let Some(Ok(in_parents)) = self.parents(to).map(|row| row.binary_search(&from)) else {
+        if !self.has(from, to) {
             return false;
-        };
-        let row = self.children(from).unwrap_or_default();
-        let Some(in_children) = row.iter().position(|&c| c == to) else {
-            return false;
-        };
-        self.children.remove_from_row(from.index(), in_children);
-        self.parents.remove_from_row(to.index(), in_parents);
-        true
+        }
+        self.children.retain_row(from.index(), |c| c != to);
+        self.parents.retain_row(to.index(), |p| p != from)
     }
 
     /// Every edge `(from, to)`, child row by child row in node order.

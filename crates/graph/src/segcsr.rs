@@ -1,8 +1,9 @@
-//! `SegCsr`: a persistent adjacency column — compressed sparse rows inside
-//! `Arc`-shared segments of `SEG_SIZE` rows. Two of them, children and
-//! parents, make an [`Adjacency`](crate::Adjacency), the adjacency of both
-//! `DataGraph` and the index graphs of `dkindex-core`; a third holds
-//! `DataGraph`'s reference children.
+//! `SegCsr`: a persistent column of node-id rows — compressed sparse rows
+//! inside `Arc`-shared segments of `SEG_SIZE` rows. Two of them, children
+//! and parents, make an [`Adjacency`](crate::Adjacency), the adjacency of
+//! both `DataGraph` and the index graphs of `dkindex-core`; a third holds
+//! `DataGraph`'s reference children, and an index graph's extents (each
+//! index node's data nodes, ascending) are one more.
 //!
 //! Each segment holds its rows as CSR: `offsets[r]..offsets[r + 1]` is row
 //! `r`'s slice of one `targets` array. Reading a row is one segment lookup
@@ -17,13 +18,13 @@
 //! 1. **Clone is shallow**: `clone()` never copies a row, only segment
 //!    handles.
 //! 2. **Mutation is localized**: [`SegCsr::push_to_row`],
-//!    [`SegCsr::insert_into_row`] and [`SegCsr::remove_from_row`]
-//!    deep-copy at most the one segment holding the row, only when that
-//!    segment is shared (`Arc` refcount > 1), and only when they change the
-//!    row. [`SegCsr::push_row`] copies nothing: a new row starts empty, and
+//!    [`SegCsr::insert_into_row`] and [`SegCsr::retain_row`] deep-copy at
+//!    most the one segment holding the row, only when that segment is
+//!    shared (`Arc` refcount > 1), and only when they change the row. [`SegCsr::push_row`] copies nothing: a new row starts empty, and
 //!    the unused tail of a segment already reads as empty rows.
 //! 3. **Sharing is observable**: [`SegCsr::shared_segments_with`] counts
-//!    positionally pointer-equal segments.
+//!    positionally pointer-equal segments, [`SegCsr::shared_rows_with`]
+//!    the rows in them.
 //! 4. **Representation never leaks into answers**: every row reads, in
 //!    order, exactly as a `Vec<Vec<NodeId>>` given the same writes.
 //!
@@ -257,21 +258,41 @@ impl SegCsr {
         true
     }
 
-    /// Remove and return the target at position `at` of `row`; the row's
-    /// later targets move up one place, so the rest of the row keeps its
-    /// order. Copies the row's segment first when it is shared. `None` (and
-    /// nothing changed) when `row` or `at` is out of range.
-    pub fn remove_from_row(&mut self, row: usize, at: usize) -> Option<NodeId> {
-        let (seg, local, range) = self.locate(row)?;
-        if at >= range.len() {
-            return None;
+    /// Keep the targets of `row` for which `keep` holds, in order, in one
+    /// pass that asks `keep` once per target. Copies the row's segment
+    /// first when it is shared, and only when the row loses a target: a
+    /// rewrite that keeps the whole row copies nothing. Returns `false`
+    /// (and changes nothing) when `row` is out of range.
+    pub fn retain_row(&mut self, row: usize, mut keep: impl FnMut(NodeId) -> bool) -> bool {
+        let Some((seg, local, range)) = self.locate(row) else {
+            return false;
+        };
+        let current = self.row(row).unwrap_or_default();
+        let Some(first) = current.iter().position(|&target| !keep(target)) else {
+            return true;
+        };
+        let Some(segment) = self.segment_mut(seg) else {
+            return false;
+        };
+        // Targets before `first` stay where they are; each later kept one
+        // moves down to `end`.
+        let mut end = range.start + first;
+        for at in end + 1..range.end {
+            let Some(&target) = segment.targets.get(at) else {
+                break;
+            };
+            if keep(target) {
+                if let Some(slot) = segment.targets.get_mut(end) {
+                    *slot = target;
+                }
+                end += 1;
+            }
         }
-        let segment = self.segment_mut(seg)?;
-        let removed = segment.targets.remove(range.start + at);
+        segment.targets.drain(end..range.end);
         for offset in segment.offsets.iter_mut().skip(local + 1) {
-            *offset -= 1;
+            *offset -= (range.end - end) as u32;
         }
-        Some(removed)
+        true
     }
 
     /// Total number of targets over all rows.
@@ -287,11 +308,21 @@ impl SegCsr {
     /// Count of segments positionally pointer-shared with `other`: slot `i`
     /// of both columns is the same allocation (`Arc::ptr_eq`).
     pub fn shared_segments_with(&self, other: &SegCsr) -> usize {
-        self.segments
-            .iter()
-            .zip(other.segments.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
+        self.shared_segments(other).count()
+    }
+
+    /// Count of the rows both columns have that sit in a segment
+    /// pointer-shared with `other`'s.
+    pub fn shared_rows_with(&self, other: &SegCsr) -> usize {
+        let rows = self.rows.min(other.rows);
+        let span = |seg: usize| rows.saturating_sub(seg * SEG_SIZE).min(SEG_SIZE);
+        self.shared_segments(other).map(span).sum()
+    }
+
+    /// The positions of the segments pointer-shared with `other`'s.
+    fn shared_segments<'a>(&'a self, other: &'a SegCsr) -> impl Iterator<Item = usize> + 'a {
+        let pairs = self.segments.iter().zip(other.segments.iter());
+        pairs.enumerate().filter(|(_, (a, b))| Arc::ptr_eq(a, b)).map(|(seg, _)| seg)
     }
 }
 
@@ -422,15 +453,27 @@ mod tests {
     }
 
     #[test]
-    fn remove_copies_only_its_segment_and_keeps_the_rows_order() {
-        let row = 2 * SEG_SIZE; // holds [0, 1]
-        for (at, removed, want) in [(0, n(0), n(1)), (1, n(1), n(0))] {
+    fn retain_copies_only_its_segment_and_keeps_the_rows_order() {
+        let row = SEG_SIZE + 4; // holds [0, 1]
+        for (dropped, want) in [(n(0), n(1)), (n(1), n(0))] {
             write_copies_only_its_segment(
                 row,
-                |d| assert_eq!(d.remove_from_row(row, at), Some(removed)),
+                |d| assert!(d.retain_row(row, |t| t != dropped)),
                 &[want],
             );
         }
+    }
+
+    #[test]
+    fn shared_rows_are_the_rows_of_both_columns_in_shared_segments() {
+        let c = filled(3 * SEG_SIZE + 7);
+        let mut d = c.clone();
+        d.push_row();
+        assert_eq!(d.shared_rows_with(&c), c.rows());
+        assert!(d.retain_row(SEG_SIZE + 4, |_| false));
+        assert_eq!(d.shared_rows_with(&c), c.rows() - SEG_SIZE);
+        assert!(d.push_to_row(3 * SEG_SIZE + 7, n(0)));
+        assert_eq!(d.shared_rows_with(&c), 2 * SEG_SIZE);
     }
 
     #[test]
@@ -439,8 +482,8 @@ mod tests {
         let mut d = c.clone();
         assert!(!d.insert_into_row(4, 3, n(0)), "past the row's end");
         assert!(!d.insert_into_row(2 * SEG_SIZE, 0, n(0)), "no such row");
-        assert_eq!(d.remove_from_row(4, 2), None);
-        assert_eq!(d.remove_from_row(2 * SEG_SIZE, 0), None);
+        assert!(d.retain_row(5, |_| true), "keeps the whole row");
+        assert!(!d.retain_row(2 * SEG_SIZE, |_| false), "no such row");
         assert_eq!(d.shared_segments_with(&c), c.segment_count());
         assert_eq!(as_vecs(&d), as_vecs(&c));
     }

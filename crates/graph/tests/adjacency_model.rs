@@ -11,9 +11,11 @@
 //!   the model's child rows and kinds equals the graph that added them
 //!   one edge at a time, parent rows included. The loaded graph then takes
 //!   later writes like a built one.
-//! * A bare `SegCsr` column under removals interleaved with appends and
-//!   positional inserts (the writes an index-graph split makes), built
-//!   either row by row or at once by `SegCsr::from_rows`.
+//! * A bare `SegCsr` column under one-pass row filters interleaved with
+//!   appends and positional inserts (the writes an index-graph split makes
+//!   to its adjacency and extents), built either row by row or at once by
+//!   `SegCsr::from_rows`. A filter copies the row's segment only when it
+//!   drops a target.
 //!
 //! In all of them, a snapshot taken by `clone` never sees a later write.
 
@@ -344,9 +346,9 @@ enum RowOp {
     Push(prop::sample::Index, u8),
     /// Insert a target at a position of a row (up to one past its end).
     Insert(prop::sample::Index, prop::sample::Index, u8),
-    /// Remove the target at a position of a row (out of range on an empty
-    /// row: must change nothing).
-    Remove(prop::sample::Index, prop::sample::Index),
+    /// Keep the targets of a row that are not a multiple of the divisor
+    /// (a divisor above every target keeps all but `0`).
+    Retain(prop::sample::Index, u8),
     /// Keep a clone of the column and model as they are now.
     Snapshot,
 }
@@ -358,8 +360,8 @@ fn row_op() -> impl Strategy<Value = RowOp> {
         (index(), any::<u8>()).prop_map(|(r, t)| RowOp::Push(r, t)),
         (index(), any::<u8>()).prop_map(|(r, t)| RowOp::Push(r, t)),
         (index(), index(), any::<u8>()).prop_map(|(r, a, t)| RowOp::Insert(r, a, t)),
-        (index(), index()).prop_map(|(r, a)| RowOp::Remove(r, a)),
-        (index(), index()).prop_map(|(r, a)| RowOp::Remove(r, a)),
+        (index(), 2u8..=255).prop_map(|(r, d)| RowOp::Retain(r, d)),
+        (index(), 2u8..=255).prop_map(|(r, d)| RowOp::Retain(r, d)),
         Just(RowOp::Snapshot),
     ]
 }
@@ -398,14 +400,14 @@ fn apply_row_op(
             prop_assert!(column.insert_into_row(r, at, target(t)));
             model[r].insert(at, target(t));
         }
-        RowOp::Remove(r, at) => {
+        RowOp::Retain(r, divisor) => {
             let r = r.index(model.len());
-            if model[r].is_empty() {
-                prop_assert_eq!(column.remove_from_row(r, 0), None);
-            } else {
-                let at = at.index(model[r].len());
-                prop_assert_eq!(column.remove_from_row(r, at), Some(model[r].remove(at)));
-            }
+            let keep = |t: NodeId| !t.index().is_multiple_of(usize::from(*divisor));
+            let (before, len) = (column.clone(), model[r].len());
+            prop_assert!(column.retain_row(r, keep));
+            model[r].retain(|&t| keep(t));
+            let copied = usize::from(model[r].len() != len);
+            prop_assert_eq!(column.shared_segments_with(&before), before.segment_count() - copied);
         }
         RowOp::Snapshot => {}
     }
@@ -416,7 +418,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn column_rows_equal_a_vec_of_vecs_model_under_removals(
+    fn column_rows_equal_a_vec_of_vecs_model_under_filters(
         start in 1usize..150,
         ops in prop::collection::vec(row_op(), 1..80),
     ) {

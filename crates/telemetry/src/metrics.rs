@@ -172,11 +172,13 @@ pub static SERVE_STALE_EPOCH_READS: Counter = Counter::new("serve.stale_epoch_re
 pub static SERVE_CACHE_HITS: Counter = Counter::new("serve.cache_hits");
 /// Per-epoch memo misses (query evaluated and cached).
 pub static SERVE_CACHE_MISSES: Counter = Counter::new("serve.cache_misses");
-/// Index blocks the published epoch still shares pointer-identically with
-/// its predecessor (summed over publishes; the COW delta-epoch win).
+/// Index blocks whose extent row the published epoch still holds in a
+/// segment pointer-shared with its predecessor's (summed over publishes;
+/// the COW delta-epoch win).
 pub static SERVE_PUBLISH_BLOCKS_SHARED: Counter = Counter::new("serve.publish.blocks_shared");
-/// Index blocks copied-on-write or freshly built for the published epoch
-/// (summed over publishes; the O(touched) publish cost).
+/// Index blocks whose extent row sits in a copied-on-write or fresh segment
+/// of the published epoch (summed over publishes; the O(touched) publish
+/// cost).
 pub static SERVE_PUBLISH_BLOCKS_REBUILT: Counter = Counter::new("serve.publish.blocks_rebuilt");
 /// Update acknowledgments released only after their batch's WAL group
 /// commit returned (the durable-ack path).
