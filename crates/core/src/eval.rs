@@ -9,9 +9,19 @@
 //! the data graph; validation visits are charged to the query — this is why
 //! the paper tunes requirements so the query load rarely validates.
 //!
+//! A validation walk hands off to the index mid-walk (Theorem 1 applied
+//! once more): at a pair (reversed-automaton state `t`, data node `p`)
+//! whose remaining words all fit within `k(B(p))`, the index graph answers
+//! for the rest of the path ([`dkindex_pathexpr::HandOff`]), once per
+//! `(B(p), t)` per query, and every candidate reaching that pair shares the
+//! verdict. The rule applies only to states whose longest remaining word is
+//! at most the index's largest similarity; a query with none (a label-split
+//! index, every star query) runs the plain walk.
+//!
 //! Cost accounting: `index_visits` counts `(state, node)` activations on the
-//! index graph; `data_visits` counts activations during validation walks.
-//! Extent members of sound matches are not counted (per §6.1).
+//! index graph, the hand-offs' included; `data_visits` counts activations
+//! during validation walks on the data graph. Extent members of sound
+//! matches are not counted (per §6.1).
 //!
 //! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
 //! borrowed parts — the two graphs, the index graph's by-label seed lists
@@ -19,12 +29,14 @@
 //! outlives a query: [`IndexEvaluator`] owns the seed lists and an arena for
 //! a batch, and `core::serve` lends per-epoch seed lists and a per-thread
 //! arena. Nothing is remembered between queries: every validation is walked
-//! and charged. The index phase walks the [`IndexGraph`]
-//! itself: a flat label column and segment-CSR adjacency (see
+//! and charged, and hand-off verdicts live for one query. The index phase
+//! walks the [`IndexGraph`] itself: a flat label column and segment-CSR
+//! adjacency (see
 //! [`crate::index_graph`]). The unbudgeted entry points are that
 //! loop with a budget nothing can exhaust. Every *completed* query feeds
 //! the `eval.*` telemetry metrics
-//! (queries, index/data visits, sound extents, validated queries,
+//! (queries, index/data visits, hand-offs and their index visits, sound
+//! extents, validated queries,
 //! per-query visit histogram); an aborted one bumps only
 //! `eval.aborted_queries`. The `eval.query_ns` span times both. The
 //! independent §6.1 oracle lives in [`crate::eval_oracle`] and is
@@ -34,8 +46,8 @@ use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
-    evaluate_bounded_with, matches_ending_at_bounded_with, EvalArena, LabelIndex, Nfa, PathExpr,
-    VisitBudget,
+    evaluate_bounded_with, matches_ending_at_bounded_with, EvalArena, HandOff, LabelIndex, Nfa,
+    PathExpr, VisitBudget,
 };
 
 /// Cost of one query under the paper's in-memory model.
@@ -150,8 +162,10 @@ impl Walk<'_> {
         // Tallied locally and recorded with the rest of `eval.*` on
         // completion, so an aborted query leaves no partial counts behind.
         let mut sound_extents = 0u64;
-        // Compile against the data interner lazily — only if we validate.
-        let mut reversed: Option<Nfa> = None;
+        // Only if we validate: the reversed automaton over the data labels
+        // and, when some state of it can hand off, the query's hand-off to
+        // this index (which reverses the forward automaton).
+        let mut validation: Option<(Nfa, Option<HandOff<'_, IndexGraph>>)> = None;
 
         for inode in on_index.matches {
             let sound = match required {
@@ -164,12 +178,21 @@ impl Walk<'_> {
                 continue;
             }
             validated = true;
-            let rev = reversed.get_or_insert_with(|| Nfa::compile(expr, data.labels()).reverse());
+            let (walked, handoff) = validation.get_or_insert_with(|| {
+                let walked = Nfa::compile(expr, data.labels()).reverse();
+                let (block_of, similarity) = (index.node_map(), index.similarities());
+                let handoff = HandOff::begin(&walked, &nfa, index, block_of, similarity, arena);
+                (walked, handoff)
+            });
             // Appended once per extent, so an answer with one validated
             // extent is allocated to size: the epoch memo keeps it.
             let mut hits: Vec<NodeId> = Vec::new();
             for &candidate in index.extent(inode) {
-                match matches_ending_at_bounded_with(data, rev, candidate, arena, &mut remaining) {
+                let walk = match handoff {
+                    Some(h) => h.matches_ending_at(data, walked, candidate, arena, &mut remaining),
+                    None => matches_ending_at_bounded_with(data, walked, candidate, arena, &mut remaining),
+                };
+                match walk {
                     Ok((hit, visited)) => {
                         cost.data_visits += visited;
                         if hit {
@@ -178,18 +201,24 @@ impl Walk<'_> {
                     }
                     Err(e) => {
                         cost.data_visits += e.visited;
+                        cost.index_visits += handoff.as_ref().map_or(0, HandOff::index_visits);
                         return Err(abort(cost));
                     }
                 }
             }
             matches.extend_from_slice(&hits);
         }
+        let handoff = validation.as_ref().and_then(|(_, handoff)| handoff.as_ref());
+        let (handoffs, handoff_visits) = handoff.map_or((0, 0), |h| (h.handoffs(), h.index_visits()));
+        cost.index_visits += handoff_visits;
         matches.sort_unstable();
         matches.dedup();
 
         telemetry::metrics::EVAL_QUERIES.incr();
         telemetry::metrics::EVAL_INDEX_VISITS.add(cost.index_visits);
         telemetry::metrics::EVAL_DATA_VISITS.add(cost.data_visits);
+        telemetry::metrics::EVAL_HANDOFFS.add(handoffs);
+        telemetry::metrics::EVAL_HANDOFF_INDEX_VISITS.add(handoff_visits);
         telemetry::metrics::EVAL_SOUND_EXTENTS.add(sound_extents);
         if validated {
             telemetry::metrics::EVAL_VALIDATED_QUERIES.incr();
@@ -409,11 +438,13 @@ mod tests {
     /// (matches, both visit counts, validated flag). A second, long-lived
     /// evaluator answers the query first and then takes every abort too:
     /// each must equal the fresh evaluator's, and it must still answer
-    /// exactly afterwards.
+    /// exactly afterwards. At k = 1 the long queries hand off to the index
+    /// mid-walk, so some limits cut inside a hand-off.
     #[test]
     fn budget_sweep_matches_the_oracle() {
         let data = movie_data();
-        for k in [0, 2] {
+        let mut handed_off = 0;
+        for k in [0, 1, 2] {
             let dk = DkIndex::build(&data, Requirements::uniform(k));
             let labels = LabelIndex::build(dk.index());
             for expr in [
@@ -422,10 +453,15 @@ mod tests {
                 "_*.title",
                 "title",
                 "ghost.label",
+                "ROOT._.movie.title",
+                "(director|actor).movie.(title|ghost)",
             ] {
                 let e = parse(expr).unwrap();
                 let want = eval_oracle::evaluate(dk.index(), &data, &labels, &e);
                 let total = want.cost.total();
+                let forward = Nfa::compile(&e, dk.index().labels());
+                let on_index = dkindex_pathexpr::oracle::evaluate(dk.index(), &forward, &labels);
+                handed_off += usize::from(want.cost.index_visits > on_index.visited);
                 let mut survivor = IndexEvaluator::new(dk.index(), &data);
                 assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
                 for limit in 0..total {
@@ -446,5 +482,6 @@ mod tests {
                 assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
             }
         }
+        assert!(handed_off >= 3, "only {handed_off} queries handed off");
     }
 }

@@ -16,7 +16,9 @@ use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_pathexpr::{oracle, LabelIndex, Nfa, PathExpr};
 
 /// Evaluate `expr` through `index` (a summary of `data`), validating every
-/// candidate of every unsound extent with a fresh backward walk.
+/// candidate of every unsound extent with a fresh backward walk that hands
+/// off to the index where Theorem 1 answers for the rest of the path, with
+/// one verdict per (block, state) per query.
 /// `index_labels` must have been built from `index`.
 pub fn evaluate(
     index: &IndexGraph,
@@ -35,7 +37,9 @@ pub fn evaluate(
         data_visits: 0,
     };
     let mut validated = false;
-    let mut reversed: Option<Nfa> = None;
+    let block_of = |d: NodeId| index.index_of(d);
+    let similarity = |b: NodeId| index.similarity(b);
+    let mut reversed: Option<(Nfa, oracle::IndexSide<'_, IndexGraph>)> = None;
 
     for inode in on_index.matches {
         let sound = match required {
@@ -46,15 +50,22 @@ pub fn evaluate(
             matches.extend_from_slice(index.extent(inode));
         } else {
             validated = true;
-            let rev = reversed.get_or_insert_with(|| Nfa::compile(expr, data.labels()).reverse());
+            let (rev, side) = reversed.get_or_insert_with(|| {
+                let rev = Nfa::compile(expr, data.labels()).reverse();
+                let on_index = Nfa::compile(expr, index.labels()).reverse();
+                (rev, oracle::IndexSide::new(index, on_index, &block_of, &similarity))
+            });
             for &candidate in index.extent(inode) {
-                let (hit, visited) = oracle::matches_ending_at(data, rev, candidate);
+                let (hit, visited) = oracle::matches_ending_at_with_index(data, rev, candidate, side);
                 cost.data_visits += visited;
                 if hit {
                     matches.push(candidate);
                 }
             }
         }
+    }
+    if let Some((_, side)) = &reversed {
+        cost.index_visits += side.index_visits;
     }
     matches.sort_unstable();
     matches.dedup();

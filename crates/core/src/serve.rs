@@ -1028,9 +1028,9 @@ mod tests {
     /// `states × nodes` store of an oversized query. An ordinary validating
     /// miss walks few pairs, dedups on its queue and leaves the arena
     /// holding fewer mark slots than the data graph has nodes; after a
-    /// 200-label query that validates on a label-split index, what the
-    /// thread retains is under the cap, and the next miss still answers
-    /// exactly.
+    /// 200-label query that validates on a label-split index, and after a
+    /// query whose many branches hand off to the index, what the thread
+    /// retains is under the cap, and the next miss still answers exactly.
     #[test]
     fn an_oversized_validating_query_does_not_stay_resident() {
         // A ring of `a` nodes under the root: every a-path of any length
@@ -1045,7 +1045,7 @@ mod tests {
         let b = data.add_labeled_node("b");
         data.add_edge(ring[3], b, EdgeKind::Tree);
         let cap = MAX_RETAINED_MARKS_PER_NODE * data.node_count();
-        let epoch = epoch_over(data, Requirements::new());
+        let epoch = epoch_over(data.clone(), Requirements::new());
 
         let ordinary = parse("a.a.b").unwrap();
         assert!(epoch.evaluate(&ordinary).validated);
@@ -1065,6 +1065,26 @@ mod tests {
 
         let labels = LabelIndex::build(epoch.index().index());
         for next in ["a.b", "a.a.a.a"] {
+            let q = parse(next).unwrap();
+            let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &q);
+            assert_eq!(*epoch.evaluate(&q), want, "{next}");
+        }
+
+        // The verdict store of a query that hands off to the index: on a
+        // similarity-1 index, every branch of an alternation of 80 copies of
+        // `a.a.a` hands off one label short of its end, each state with its
+        // own row of verdicts. It is released by the same rule, and the
+        // next hand-off still answers exactly.
+        let epoch = epoch_over(data, Requirements::uniform(1));
+        let labels = LabelIndex::build(epoch.index().index());
+        let many = parse(&vec!["(a.a.a)"; 80].join("|")).unwrap();
+        let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &many);
+        let forward = Nfa::compile(&many, epoch.index().index().labels());
+        let on_index = dkindex_pathexpr::oracle::evaluate(epoch.index().index(), &forward, &labels);
+        assert!(want.validated && want.cost.index_visits > on_index.visited, "it hands off");
+        assert_eq!(*epoch.evaluate(&many), want);
+        assert!(retained_marks() <= cap, "the oversized verdict store must be released");
+        for next in ["a.a.b", "a.a.a.a"] {
             let q = parse(next).unwrap();
             let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &q);
             assert_eq!(*epoch.evaluate(&q), want, "{next}");

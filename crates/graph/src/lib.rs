@@ -62,4 +62,4 @@ pub use adjacency::Adjacency;
 pub use graph::{DataGraph, EdgeKind, LabeledGraph, NodeId, NodeIds};
 pub use label::{LabelId, LabelInterner, ROOT_LABEL, VALUE_LABEL};
 pub use marks::Marks;
-pub use segcsr::SegCsr;
+pub use segcsr::{ColumnCensus, SegCsr};

@@ -16,7 +16,9 @@
 //!   [`dkindex_graph::LabeledGraph`], with the paper's node-visit cost model,
 //!   caller-owned [`EvalArena`] scratch (no steady-state allocation across a
 //!   batch) and a shared [`VisitBudget`] that aborts with a typed
-//!   [`BudgetExhausted`].
+//!   [`BudgetExhausted`]. A validation walk can hand off to an index
+//!   summary ([`HandOff`]: paper Theorem 1 applied mid-walk), running the
+//!   same walk on the index graph.
 //! * [`evaluate`] / [`matches_ending_at`] — the same walks with fresh scratch
 //!   and an unlimited budget, for one-off callers.
 //! * [`oracle`] — the independent allocator-per-call reference walks every
@@ -56,7 +58,7 @@ pub mod parse;
 pub use ast::{LastLabels, PathExpr};
 pub use eval::{
     evaluate, evaluate_bounded_with, matches_ending_at, matches_ending_at_bounded_with,
-    BudgetExhausted, EvalArena, EvalOutcome, LabelIndex, VisitBudget,
+    BudgetExhausted, EvalArena, EvalOutcome, HandOff, LabelIndex, VisitBudget,
 };
 pub use nfa::Nfa;
 pub use parse::{parse, ParseError, MAX_QUERY_NESTING, MAX_QUERY_NODES};

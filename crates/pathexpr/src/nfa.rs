@@ -64,11 +64,78 @@ pub struct Nfa {
     start: StateId,
     accept: StateId,
     // Precomputed at construction so the evaluation hot loops never allocate:
-    // per-state ε-closures, whether each state's closure contains accept, and
-    // each closure's consuming transitions flattened in closure order.
+    // per-state ε-closures, whether each state's closure contains accept,
+    // each closure's consuming transitions flattened in closure order, and
+    // each state's longest remaining word (`UNBOUNDED` when none is finite).
     closures: Vec<Vec<StateId>>,
     accepting: Vec<bool>,
     closure_steps: Vec<Vec<(Step, StateId)>>,
+    longest: Vec<u32>,
+}
+
+/// [`Nfa::longest_word`]'s "no finite bound": a cycle that consumes a label
+/// can reach acceptance, or no word is accepted at all.
+const UNBOUNDED: u32 = u32::MAX;
+
+/// The longest word each state accepts, over the graph whose edges are the
+/// closure steps (each consumes one label): Kahn's algorithm peels the live
+/// states (those some word takes to acceptance) from the ones whose live
+/// successors are all done, so a state is finished only after every live
+/// successor; live states never peeled reach a live cycle and stay
+/// [`UNBOUNDED`], as do dead ones.
+fn longest_words(accepting: &[bool], closure_steps: &[Vec<(Step, StateId)>]) -> Vec<u32> {
+    let n = accepting.len();
+    // Predecessors as one CSR: `preds[ends[t - 1]..ends[t]]` step into `t`.
+    let mut ends = vec![0usize; n + 1];
+    for &(_, t) in closure_steps.iter().flatten() {
+        ends[t.index() + 1] += 1;
+    }
+    for t in 0..n {
+        ends[t + 1] += ends[t];
+    }
+    let mut preds = vec![0usize; ends[n]];
+    let mut fill = ends.clone();
+    for (s, steps) in closure_steps.iter().enumerate() {
+        for &(_, t) in steps {
+            preds[fill[t.index()]] = s;
+            fill[t.index()] += 1;
+        }
+    }
+    let preds_of = |t: usize| &preds[ends[t]..ends[t + 1]];
+
+    let mut live = accepting.to_vec();
+    let mut stack: Vec<usize> = (0..n).filter(|&s| live[s]).collect();
+    while let Some(t) = stack.pop() {
+        for &s in preds_of(t) {
+            if !live[s] {
+                live[s] = true;
+                stack.push(s);
+            }
+        }
+    }
+    let mut pending: Vec<usize> = closure_steps
+        .iter()
+        .map(|steps| steps.iter().filter(|&&(_, t)| live[t.index()]).count())
+        .collect();
+    let mut longest = vec![UNBOUNDED; n];
+    stack.extend((0..n).filter(|&s| live[s] && pending[s] == 0));
+    while let Some(t) = stack.pop() {
+        let through = closure_steps[t]
+            .iter()
+            .filter(|&&(_, u)| live[u.index()])
+            .map(|&(_, u)| longest[u.index()].saturating_add(1));
+        // A live state either accepts or has a live successor.
+        longest[t] = through.chain(accepting[t].then_some(0)).max().unwrap_or(0);
+        for &s in preds_of(t) {
+            if live[s] {
+                pending[s] -= 1;
+                if pending[s] == 0 {
+                    stack.push(s);
+                }
+            }
+        }
+    }
+    longest
 }
 
 struct Fragment {
@@ -196,7 +263,7 @@ impl Nfa {
                     .collect()
             })
             .collect();
-        let accepting = closures.iter().map(|c| c.contains(&accept)).collect();
+        let accepting: Vec<bool> = closures.iter().map(|c| c.contains(&accept)).collect();
         let closure_steps = closures
             .iter()
             .map(|closure| {
@@ -205,7 +272,8 @@ impl Nfa {
                     .flat_map(|&q| steps[q.index()].iter().copied())
                     .collect()
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let longest = longest_words(&accepting, &closure_steps);
         Nfa {
             eps,
             steps,
@@ -214,6 +282,7 @@ impl Nfa {
             closures,
             accepting,
             closure_steps,
+            longest,
         }
     }
 
@@ -307,6 +376,17 @@ impl Nfa {
     #[inline]
     pub(crate) fn closure_steps_of(&self, state: StateId) -> &[(Step, StateId)] {
         &self.closure_steps[state.index()]
+    }
+
+    /// The most labels a word accepted from `state` can have: `None` when
+    /// there is no bound (a cycle that consumes a label can reach
+    /// acceptance) and when no word is accepted from it. Precomputed at
+    /// construction; validation hands a walk off to the index when it is at
+    /// most a block's local similarity (Theorem 1).
+    #[inline]
+    pub(crate) fn longest_word(&self, state: StateId) -> Option<usize> {
+        let longest = self.longest[state.index()];
+        (longest != UNBOUNDED).then_some(longest as usize)
     }
 
     /// Does the automaton accept the given word (sequence of labels)?
@@ -436,6 +516,53 @@ mod tests {
         }
         // Start of `a?*` reaches accept by epsilons alone.
         assert!(closures[nfa.start().index()].contains(&nfa.accept()));
+    }
+
+    /// The longest remaining word per state, against every word up to a
+    /// length past any finite bound: finite exactly when no longer word is
+    /// accepted, `None` for `*` over a label and for dead states.
+    #[test]
+    fn longest_words_bound_what_each_state_accepts() {
+        let i = interner_with(&["a", "b"]);
+        let [a, b] = [ids(&i, &["a"])[0], ids(&i, &["b"])[0]];
+        for (expr, start_bound) in [
+            ("a.b", Some(2)),
+            ("a.(b|a.a)", Some(3)),
+            ("a?.b?", Some(2)),
+            ("(a?)*", None),
+            ("ghost*", Some(0)),
+            ("a.b*", None),
+            ("ghost.a", None),
+            ("ghost|a.a", Some(2)),
+        ] {
+            let nfa = Nfa::compile(&parse(expr).unwrap(), &i);
+            for rev in [false, true] {
+                let nfa = if rev { nfa.reverse() } else { nfa.clone() };
+                let n = nfa.state_count();
+                for s in 0..n {
+                    let state = StateId::from_index(s);
+                    // Words accepted from `state`: a copy whose start is it.
+                    let from = Nfa::from_parts(nfa.eps.clone(), nfa.steps.clone(), state, nfa.accept);
+                    let mut words: Vec<Vec<LabelId>> = vec![vec![]];
+                    let mut longest: Option<usize> = None;
+                    for len in 0..=2 * n {
+                        if words.iter().any(|w| from.accepts(w)) {
+                            longest = Some(len);
+                        }
+                        words = words
+                            .iter()
+                            .flat_map(|w| [a, b].map(|l| [w.as_slice(), &[l]].concat()))
+                            .collect();
+                        words.truncate(1 << 10);
+                    }
+                    let want = longest.filter(|&l| l < n);
+                    assert_eq!(nfa.longest_word(state), want, "{expr} rev {rev} state {s}");
+                }
+                if !rev {
+                    assert_eq!(nfa.longest_word(nfa.start()), start_bound, "{expr}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub static EVAL_QUERIES: Counter = Counter::new("eval.queries");
 pub static EVAL_INDEX_VISITS: Counter = Counter::new("eval.index_visits");
 /// Data-graph activations charged during validation across all queries.
 pub static EVAL_DATA_VISITS: Counter = Counter::new("eval.data_visits");
+/// Validation pairs answered by the index instead of walking on (Theorem 1
+/// applied mid-walk), verdicts reused within a query included.
+pub static EVAL_HANDOFFS: Counter = Counter::new("eval.handoffs");
+/// The part of `eval.index_visits` the hand-offs' index-side walks charged.
+pub static EVAL_HANDOFF_INDEX_VISITS: Counter = Counter::new("eval.handoff_index_visits");
 /// Matched index nodes answered soundly (whole extent free, no validation).
 pub static EVAL_SOUND_EXTENTS: Counter = Counter::new("eval.sound_extents");
 /// Queries that needed the validation process for at least one match.
@@ -245,7 +250,7 @@ pub static PHASE_ADAPT_NS: Histogram = Histogram::new("phase.adapt_ns", Unit::Na
 
 /// Every registered counter, in reporting order.
 pub fn counters() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 61] = [
+    static ALL: [&Counter; 63] = [
         &PATHEXPR_EVALUATIONS,
         &PATHEXPR_ACTIVATIONS,
         &PATHEXPR_VALIDATION_WALKS,
@@ -257,6 +262,8 @@ pub fn counters() -> &'static [&'static Counter] {
         &EVAL_QUERIES,
         &EVAL_INDEX_VISITS,
         &EVAL_DATA_VISITS,
+        &EVAL_HANDOFFS,
+        &EVAL_HANDOFF_INDEX_VISITS,
         &EVAL_SOUND_EXTENTS,
         &EVAL_VALIDATED_QUERIES,
         &EVAL_ABORTED_QUERIES,

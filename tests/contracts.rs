@@ -33,6 +33,10 @@ const EVALUATOR: &[&str] = &[
     "evaluate_bounded_with",
     "matches_ending_at_bounded_with",
     "IndexEvaluator",
+    "HandOff",
+    "longest_word",
+    "node_map",
+    "similarities",
 ];
 /// What the size/soundness baselines must not name.
 const BASELINE: &[&str] = &["dkindex_telemetry", "RefineEngine"];

@@ -3,8 +3,8 @@
 //! oracles (pairwise k-bisimilarity, direct data-graph evaluation).
 
 use dkindex::core::{
-    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, read_snapshot,
-    snapshot_bytes, AkIndex, AuditConfig, DkIndex, DkServer, IndexEvaluator, IndexGraph,
+    apply_serial, audit, check_structure, eval_oracle, evaluate_on_data, mine_requirements,
+    read_snapshot, snapshot_bytes, AkIndex, AuditConfig, DkIndex, DkServer, IndexEvaluator, IndexGraph,
     Invariant, Requirements, ServeConfig, ServeOp,
 };
 use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
@@ -683,6 +683,57 @@ proptest! {
             maintain(&mut dk, &mut g, &h, step);
             structure_holds(dk.index(), &g)?;
             served_equals_oracle(&dk, &g, salt ^ (i as u64 + 1))?;
+        }
+    }
+}
+
+/// The requirements of the hand-off property, drawn as `(kind, k)`:
+/// label-split, uniform(1..=3), or mined from `queries`.
+fn handoff_requirements((kind, k): (u8, usize), queries: &[PathExpr]) -> Requirements {
+    match kind {
+        0 => Requirements::new(),
+        1 => Requirements::uniform(k),
+        _ => mine_requirements(queries),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Validation that hands off to the index (Theorem 1 applied mid-walk)
+    /// stays exact under edge updates: after every `AddEdge`, over a
+    /// label-split, uniform(1..=3) or mined D(k)-index, each answer equals
+    /// direct evaluation on the data graph, and the whole outcome — matches,
+    /// both visit counts and the validated flag — equals the oracle's, on
+    /// one warm evaluator and a fresh one alike.
+    #[test]
+    fn handing_off_to_the_index_stays_exact_under_edge_updates(
+        spec in graph_spec(),
+        salt in any::<u64>(),
+        reqs in (0u8..3, 1usize..4),
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+    ) {
+        let mut g = build(&spec);
+        let mut queries = queries_for(&g, salt);
+        queries.extend(["l0.(l1|l2).l3", "_._._", "l1.(_)?.l2", "_*.l4"].map(|q| parse(q).unwrap()));
+        let mut dk = DkIndex::build(&g, handoff_requirements(reqs, &queries));
+        for step in 0..=edges.len() {
+            if let Some(&(from, to)) = edges.get(step.wrapping_sub(1)) {
+                let u = NodeId::from_index(from as usize % g.node_count());
+                let v = NodeId::from_index(to as usize % g.node_count());
+                if u != v {
+                    dk.add_edge(&mut g, u, v);
+                }
+            }
+            let labels = LabelIndex::build(dk.index());
+            let mut warm = IndexEvaluator::new(dk.index(), &g);
+            for q in &queries {
+                let want = eval_oracle::evaluate(dk.index(), &g, &labels, q);
+                prop_assert_eq!(&want.matches, &evaluate_on_data(&g, q).0, "step {}: {}", step, q);
+                prop_assert_eq!(&warm.evaluate(q), &want, "step {}: warm evaluator on {}", step, q);
+                let fresh = IndexEvaluator::new(dk.index(), &g).evaluate(q);
+                prop_assert_eq!(fresh, want, "step {}: fresh evaluator on {}", step, q);
+            }
         }
     }
 }

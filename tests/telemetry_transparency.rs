@@ -147,9 +147,11 @@ fn recorder_on_actually_records_the_oracle_checked_work() {
     telemetry::enable();
     let dk = DkIndex::build(&g, reqs);
     // The mined index answers its own workload soundly; the label-split one
-    // (no requirements) has to validate it.
+    // (no requirements) has to validate it, and the uniform(1) one validates
+    // long queries handing off to the index.
     let label_split = DkIndex::build(&g, Requirements::new());
-    for index in [dk.index(), label_split.index()] {
+    let uniform = DkIndex::build(&g, Requirements::uniform(1));
+    for index in [dk.index(), label_split.index(), uniform.index()] {
         // Twice on one evaluator: the second pass answers queries it has seen.
         let mut evaluator = IndexEvaluator::new(index, &g);
         evaluator.evaluate_all(workload.queries());
@@ -159,12 +161,14 @@ fn recorder_on_actually_records_the_oracle_checked_work() {
     let snap = telemetry::snapshot();
     assert!(snap.counter("dk.constructions").unwrap_or(0) > 0);
     assert!(snap.counter("partition.rounds").unwrap_or(0) > 0);
-    assert_eq!(snap.counter("eval.queries"), Some(4 * workload.len() as u64));
+    assert_eq!(snap.counter("eval.queries"), Some(6 * workload.len() as u64));
     assert!(snap.histogram("eval.visits_per_query").is_some());
     // Every visit an answer is charged for is an activation walked: with
     // no aborts, the work counters and the §6.1 costs add up to one sum.
     let count = |name| snap.counter(name).unwrap_or(0);
     assert!(count("eval.data_visits") > 0, "the workload must validate");
+    assert!(count("eval.handoffs") > 0, "and hand some validation off to the index");
+    assert!(count("eval.handoff_index_visits") > 0);
     assert_eq!(
         count("pathexpr.activations") + count("pathexpr.validation_activations"),
         count("eval.index_visits") + count("eval.data_visits")
