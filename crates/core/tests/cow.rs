@@ -8,8 +8,8 @@
 //! * **Sharing actually happens**, stated per storage unit of the index
 //!   graph: a segment (64 rows) of the extent, child or parent column is
 //!   pointer-shared with the predecessor epoch iff the batch left its rows
-//!   alone, and the flat similarity column iff the batch changed no
-//!   similarity. An edge update copies no extent segment; a split copies
+//!   alone, and a flat column (labels, similarities, node map) iff the
+//!   batch changed none of its values. An edge update copies no extent segment; a split copies
 //!   the segment of the split row and that of the new row. A regression
 //!   back to full deep clones fails these tests. On the data graph, an edge
 //!   update copies exactly the segments of the rows it writes — `from`'s
@@ -22,6 +22,7 @@ use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
 use dkindex_core::{
     check_structure, read_snapshot, snapshot_bytes, DkIndex, IndexGraph, Requirements,
 };
+use dkindex_graph::ColumnCensus;
 use dkindex_datagen::{random_graph, RandomGraphConfig};
 use dkindex_graph::segcsr::SEG_SIZE;
 use dkindex_graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
@@ -43,53 +44,31 @@ fn fixture() -> (DataGraph, DkIndex, Vec<ServeOp>) {
     (g, dk, ops)
 }
 
-/// The extent, child and parent rows of an index graph.
-const COLUMNS: [fn(&IndexGraph, NodeId) -> &[NodeId]; 3] =
-    [IndexGraph::extent, IndexGraph::children_of, IndexGraph::parents_of];
-
-/// Segments of the extent, child and parent columns whose 64 rows read the
-/// same in both snapshots; a row one snapshot lacks reads empty.
-fn unchanged_segments(a: &IndexGraph, b: &IndexGraph) -> usize {
-    let segments = a.size().min(b.size()).div_ceil(SEG_SIZE);
-    let rows = a.size().max(b.size());
-    let mut unchanged = 0;
-    for read in COLUMNS {
-        let row = |g: &IndexGraph, r: usize| match r < g.size() {
-            true => read(g, NodeId::from_index(r)).to_vec(),
-            false => Vec::new(),
-        };
-        for seg in 0..segments {
-            let mut span = seg * SEG_SIZE..((seg + 1) * SEG_SIZE).min(rows);
-            if span.all(|r| row(a, r) == row(b, r)) {
-                unchanged += 1;
-            }
-        }
+/// The sharing contract between a predecessor snapshot and its successor,
+/// per storage unit: a segment of each row column, and each flat column,
+/// is pointer-shared exactly when its contents are unchanged — shared but
+/// changed is COW unsoundness, unchanged but copied a regression to full
+/// clones. A shared unit is one allocation, so it reads the same in both
+/// snapshots: the census's copies that changed nothing are the whole
+/// contract.
+fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
+    for (column, census) in IndexGraph::CENSUS_COLUMNS.iter().zip(next.census_with(prev)) {
+        assert_eq!(
+            census.copied_unchanged, 0,
+            "{what}: the {column} column copied storage whose rows did not change"
+        );
     }
-    unchanged
 }
 
-/// The sharing contract between a predecessor snapshot and its successor,
-/// per storage unit: a segment of each row column, and the similarity
-/// column, is pointer-shared exactly when its contents are unchanged —
-/// shared but changed is COW unsoundness, unchanged but copied a
-/// regression to full clones.
-fn assert_sharing_contract(prev: &IndexGraph, next: &IndexGraph, what: &str) {
-    let same_similarities = prev.size() == next.size()
-        && prev.node_ids().all(|i| prev.similarity(i) == next.similarity(i));
-    assert_eq!(
-        next.shares_similarities_with(prev),
-        same_similarities,
-        "{what}: the similarity column is shared iff no similarity changed"
-    );
-    // A shared segment is one allocation, so it reads the same in both
-    // snapshots: the count of shared ones can only reach the count of
-    // unchanged ones by every unchanged segment being shared.
-    let (shared, _) = next.shared_segments_with(prev);
-    assert_eq!(
-        shared,
-        unchanged_segments(prev, next),
-        "{what}: a segment with unchanged rows was deep-copied"
-    );
+/// True when every column of `census` is still wholly shared.
+fn shares_everything(census: &[ColumnCensus]) -> bool {
+    census.iter().all(|c| c.shared == c.rows)
+}
+
+/// True when both data graphs still hold one label column allocation.
+fn shares_labels(next: &DataGraph, prev: &DataGraph) -> bool {
+    let [labels, ..] = next.census_with(prev);
+    labels.shared == labels.rows
 }
 
 /// A fresh clone shares every column and every segment; mutating the clone
@@ -103,12 +82,8 @@ fn clone_shares_everything_until_mutated() {
     let (shared, rebuilt) = dk2.index().shared_blocks_with(dk.index());
     assert_eq!(shared, dk.index().size());
     assert_eq!(rebuilt, 0);
-    let (seg_shared, seg_total) = g2.shared_segments_with(&g);
-    assert_eq!(seg_shared, seg_total);
-    assert!(g2.shares_labels_with(&g));
-    let (seg_shared, seg_total) = dk2.index().shared_segments_with(dk.index());
-    assert_eq!(seg_shared, seg_total);
-    assert!(dk2.index().shares_similarities_with(dk.index()));
+    assert!(shares_everything(&g2.census_with(&g)));
+    assert!(shares_everything(&dk2.index().census_with(dk.index())));
 
     assert_eq!(
         snapshot_bytes(&dk2, &g2),
@@ -144,14 +119,18 @@ fn single_edge_update_shares_untouched_storage() {
     check_structure(dk.index(), &g).unwrap();
 }
 
-/// The data-graph segments an added edge of `kind` writes: `from`'s child
-/// row and `to`'s parent row, and for a reference edge `from`'s reference
-/// row. Each sits in its own column, so they never coincide.
-fn row_segments(kind: EdgeKind) -> usize {
-    match kind {
-        EdgeKind::Tree => 2,
-        EdgeKind::Reference => 3,
-    }
+/// The data-graph rows an added edge of `kind` copies, per column in
+/// [`DataGraph::CENSUS_COLUMNS`] order: the segment of `from`'s child row
+/// and of `to`'s parent row, and for a reference edge the segment of
+/// `from`'s reference row. Each sits in its own column, so they never
+/// coincide, and the label column is not written.
+fn copied_rows(g: &DataGraph, from: NodeId, to: NodeId, kind: EdgeKind) -> [usize; 4] {
+    let segment = |n: NodeId| (g.node_count() - n.index() / SEG_SIZE * SEG_SIZE).min(SEG_SIZE);
+    let references = match kind {
+        EdgeKind::Tree => 0,
+        EdgeKind::Reference => segment(from),
+    };
+    [0, segment(from), segment(to), references]
 }
 
 /// One edge update unshares exactly the data-graph segments of the rows it
@@ -169,16 +148,14 @@ fn an_edge_update_unshares_exactly_the_data_segments_of_its_rows() {
             for kind in [EdgeKind::Tree, EdgeKind::Reference] {
                 let mut next_g = g.clone();
                 assert!(next_g.add_edge(from, to, kind), "{op:?} is a new edge");
-                let (shared, total) = next_g.shared_segments_with(g);
-                assert_eq!(total - shared, row_segments(kind), "{state}: {kind:?} {op:?}");
-                assert!(next_g.shares_labels_with(g), "{state}: {op:?} copied the label column");
+                let copied = next_g.census_with(g).map(|c| c.copied());
+                assert_eq!(copied, copied_rows(g, from, to, kind), "{state}: {kind:?} {op:?}");
             }
             let mut next_dk = dk.clone();
             let mut next_g = g.clone();
             apply_serial(&mut next_dk, &mut next_g, std::slice::from_ref(op));
-            let (shared, total) = next_g.shared_segments_with(g);
-            assert_eq!(total - shared, row_segments(EdgeKind::Reference), "{state}: {op:?}");
-            assert!(next_g.shares_labels_with(g), "{state}: {op:?} copied the label column");
+            let copied = next_g.census_with(g).map(|c| c.copied());
+            assert_eq!(copied, copied_rows(g, from, to, EdgeKind::Reference), "{state}: {op:?}");
         }
     }
 }
@@ -186,8 +163,9 @@ fn an_edge_update_unshares_exactly_the_data_segments_of_its_rows() {
 /// The same contract through the publish path of a server started from a
 /// snapshot loaded by `read_snapshot`: each `AddEdge` publish keeps the
 /// data graph's label column shared, copies exactly the three data
-/// segments of the reference edge it adds and at most two adjacency
-/// segments of the index.
+/// segments of the reference edge it adds, at most one segment of each
+/// index adjacency column and no other index column but the similarities,
+/// and nothing whose rows did not change.
 #[test]
 fn an_edge_publish_on_a_loaded_state_copies_only_the_rows_it_writes() {
     let (g, dk, ops) = fixture();
@@ -195,19 +173,25 @@ fn an_edge_publish_on_a_loaded_state_copies_only_the_rows_it_writes() {
     let server = DkServer::start(g, dk, ServeConfig::default());
     let handle = server.handle();
     let mut prev = handle.epoch();
-    let copied = |(shared, total): (usize, usize)| total - shared;
     let mut wrote = 0;
     for op in &ops {
+        let ServeOp::AddEdge { from, to } = *op else { unreachable!() };
         server.submit(op.clone()).unwrap();
         server.flush().unwrap();
         let next = handle.epoch();
-        assert!(next.data().shares_labels_with(prev.data()), "{op:?} copied the label column");
         let added = next.data().edge_count() - prev.data().edge_count();
-        let data = copied(next.data().shared_segments_with(prev.data()));
-        let index = copied(next.index().index().shared_segments_with(prev.index().index()));
-        let want = added * row_segments(EdgeKind::Reference);
-        assert_eq!(data, want, "{op:?} copied {data} data segments");
-        assert!(data <= 3 && index <= 2, "{op:?} copied {data} data and {index} index segments");
+        let data = next.data().census_with(prev.data()).map(|c| c.copied());
+        let want = match added {
+            0 => [0; 4],
+            _ => copied_rows(prev.data(), from, to, EdgeKind::Reference),
+        };
+        assert_eq!(data, want, "{op:?} copied {data:?} data rows");
+        let (next_index, prev_index) = (next.index().index(), prev.index().index());
+        let index = next_index.census_with(prev_index).map(|c| c.copied());
+        let [labels, _, map, extents, children, parents] = index;
+        assert_eq!([labels, map, extents], [0; 3], "{op:?} copied {index:?} index rows");
+        assert!(children <= SEG_SIZE && parents <= SEG_SIZE, "{op:?} copied {index:?} index rows");
+        assert_sharing_contract(prev_index, next_index, &format!("{op:?}"));
         wrote += added;
         prev = next;
     }
@@ -223,16 +207,16 @@ fn add_node_on_a_clone_copies_the_label_column_and_leaves_the_original() {
     let mut h = g.clone();
     let (root, first) = (h.root(), NodeId::from_index(1));
     h.add_edge(first, root, EdgeKind::Reference);
-    assert!(h.shares_labels_with(&g), "an edge write copied the label column");
+    assert!(shares_labels(&h, &g), "an edge write copied the label column");
     let label = h.label_of(first);
     let added = h.add_node(label);
-    assert!(!h.shares_labels_with(&g));
+    assert!(!shares_labels(&h, &g));
     assert_eq!((g.node_count(), h.node_count()), (added.index(), added.index() + 1));
     assert_eq!(h.label_of(added), label);
     assert!(g.node_ids().all(|n| g.label_of(n) == h.label_of(n)));
     let copy = h.clone();
     h.add_edge(root, added, EdgeKind::Tree);
-    assert!(h.shares_labels_with(&copy), "only add_node copies the column");
+    assert!(shares_labels(&h, &copy), "only add_node copies the column");
 }
 
 /// An edge update that inserts an index edge writes one child row and one
@@ -250,13 +234,16 @@ fn an_index_edge_insert_copies_two_segments_and_no_untouched_block() {
         let (prev, next) = (dk.index(), next_dk.index());
         assert_sharing_contract(prev, next, &format!("{op:?}"));
         assert_eq!(next.shared_blocks_with(prev), (prev.size(), 0), "{op:?} copied an extent");
-        let (shared, total) = next.shared_segments_with(prev);
-        let copied = total - shared;
+        let [.., children, parents] = next.census_with(prev).map(|c| c.copied());
         if next.edge_count() > prev.edge_count() {
             inserted += 1;
-            assert!((1..=2).contains(&copied), "{op:?} copied {copied} segments");
+            let one_segment = 1..=SEG_SIZE;
+            assert!(
+                one_segment.contains(&children) && one_segment.contains(&parents),
+                "{op:?} copied {children} child and {parents} parent rows"
+            );
         } else {
-            assert_eq!(copied, 0, "{op:?} inserted no index edge");
+            assert_eq!([children, parents], [0, 0], "{op:?} inserted no index edge");
         }
     }
     assert!(inserted > 0, "the fixture must insert some index edge");
