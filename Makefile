@@ -112,16 +112,20 @@ verify-analysis:
 verify-bench-api:
 	CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-# Interleaved A/B pairs of the judged benchmark for a performance claim:
-# BASE's dkbench (default HEAD~1) against the working tree's, PAIRS pinned
-# `dkbench run --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace 0`
-# runs each (SEED defaults to 2003; repeat a claim on one seed the change
-# was not written against). Prints every pair's end-to-end lines, then per
-# metric the median head/base ratio, the base side's q1–q3 spread over its
-# median and the count of pairs where head read worse, then a table marked
-# not judged with head/base medians of the per-layer latency and recovery
-# lines; writes only under target/bench-pair. WORKLOAD=all runs every
-# workload BENCHMARK.json declares in one invocation, one pair of tables each.
+# Interleaved triples of the judged benchmark for a performance claim:
+# BASE's dkbench (default HEAD~1), the working tree's, and a byte-identical
+# copy of the working tree's at another path, PAIRS rotating triples of
+# pinned `dkbench run --workload $(WORKLOAD) --seed $(SEED) --seconds 15
+# --trace 0` runs (SEED defaults to 2003; repeat a claim on one seed the
+# change was not written against). Prints every triple's end-to-end lines,
+# then per metric the median head/base ratio, the base side's q1–q3 spread
+# over its median, the count of triples where head read worse, the A/A
+# band of the copy against head and a verdict (a timing is resolved only
+# outside that band with 8 of 10 triples agreeing; a count must be equal),
+# then a table marked not judged with head/base medians of the per-layer
+# latency and recovery lines; writes only under target/bench-pair.
+# WORKLOAD=all runs every workload BENCHMARK.json declares in one
+# invocation, one pair of tables each.
 PAIRS ?= 10
 BASE ?= HEAD~1
 SEED ?= 2003

@@ -65,21 +65,20 @@ pub struct EvalOutcome {
 const SCAN_LIMIT: usize = 32;
 
 /// Reusable scratch state for [`evaluate_bounded_with`] and
-/// [`matches_ending_at_bounded_with`]: the product-BFS queue, epoch-stamped
-/// `(state, node)` activation marks for walks that outgrow a queue scan, and
-/// the matched set; for walks that hand off to an index ([`HandOff`]), a
-/// second queue and mark store for the index side and the query's verdicts.
-/// After warm-up, a batch of queries sharing one arena performs zero
-/// steady-state allocation.
+/// [`matches_ending_at_bounded_with`]: the forward walk's queue, which holds
+/// its activated pairs until the next forward walk, a backward walk's queue,
+/// epoch-stamped `(state, node)` activation marks for walks that outgrow a
+/// queue scan, the matched set, and the reached rows of a query that hands
+/// off to an index ([`HandOff`]). After warm-up, a batch of queries sharing
+/// one arena performs zero steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     active: Marks,
     matched: Marks,
     matched_list: Vec<NodeId>,
+    forward: Vec<(StateId, NodeId)>,
     queue: Vec<(StateId, NodeId)>,
-    index_active: Marks,
-    index_queue: Vec<(StateId, NodeId)>,
-    verdicts: Verdicts,
+    reached: Reached,
 }
 
 impl EvalArena {
@@ -88,85 +87,82 @@ impl EvalArena {
         EvalArena::default()
     }
 
-    /// Mark slots this arena retains: the `(state, node)` activation stores
-    /// of the walks and of their index side, each as large as the largest
-    /// `states × nodes` product of a walk that outgrew its queue scan since
-    /// the arena was created (zero if none did), the matched-node store, as
-    /// large as the largest graph a forward walk ran over, and the verdict
-    /// store, as large as the most states that handed off in one query times
-    /// that query's blocks (the queues are bounded by the activations). A
-    /// long-lived owner reads it to bound what it keeps between walks.
+    /// Mark slots this arena retains: the `(state, node)` activation store,
+    /// as large as the largest `states × nodes` product of a walk that
+    /// outgrew its queue scan since the arena was created (zero if none
+    /// did), the matched-node store, as large as the largest graph a
+    /// forward walk ran over, and the reached rows, as many as the most
+    /// states that handed off in one query times that query's index nodes
+    /// (the queues are bounded by the activations). A long-lived owner reads
+    /// it to bound what it keeps between walks.
     pub fn mark_capacity(&self) -> usize {
-        self.active.capacity()
-            + self.matched.capacity()
-            + self.index_active.capacity()
-            + self.verdicts.slots.len()
+        self.active.capacity() + self.matched.capacity() + self.reached.slots.len()
     }
 }
 
-/// One query's index-side verdicts, flat and stamped: a row of `blocks`
-/// slots per automaton state that handed off in this query, given on its
-/// first hand-off, so a query holds rows only for the states that used
-/// them. A slot is `stamp << 1 | verdict`, current while its stamp is the
-/// query's; [`Verdicts::begin`] starts a query by bumping the stamp.
+/// One query's reached rows, flat and stamped: for each automaton state `t`
+/// that handed off in this query, a row over the index nodes, given and
+/// filled on `t`'s first hand-off, so a query holds rows only for the
+/// states that used them. The slot of index node `P` in `t`'s row holds the
+/// query's stamp iff the forward walk activated some `(u, P)` with `t` in
+/// `u`'s ε-closure; [`Reached::begin`] starts a query by bumping the stamp.
 #[derive(Clone, Debug, Default)]
-struct Verdicts {
+struct Reached {
     slots: Vec<u32>,
     stamp: u32,
     row_of: Vec<u32>,
     rows: usize,
-    blocks: usize,
+    nodes: usize,
 }
 
-impl Verdicts {
+impl Reached {
     const NO_ROW: u32 = u32::MAX;
 
-    /// Start a query over `states` automaton states and `blocks` blocks:
-    /// every verdict becomes unknown and no state has a row.
-    fn begin(&mut self, states: usize, blocks: usize) {
+    /// Start a query over `states` automaton states and `nodes` index
+    /// nodes: no state has a row.
+    fn begin(&mut self, states: usize, nodes: usize) {
         self.row_of.clear();
         self.row_of.resize(states, Self::NO_ROW);
         self.rows = 0;
-        self.blocks = blocks;
-        if self.stamp == u32::MAX >> 1 {
-            // Stamp wrapped: re-zero once every 2^31 - 1 queries.
+        self.nodes = nodes;
+        if self.stamp == u32::MAX {
+            // Stamp wrapped: re-zero once every 2^32 - 1 queries.
             self.slots.fill(0);
             self.stamp = 0;
         }
         self.stamp += 1;
     }
 
-    /// The slot of `(state, block)`, giving `state` its row if it has none.
-    fn slot(&mut self, state: StateId, block: NodeId) -> usize {
+    /// Is some node of `parents` in `state`'s row? The row is filled from
+    /// the forward walk's `pairs` over `forward` on `state`'s first call.
+    fn any(&mut self, state: StateId, forward: &Nfa, pairs: &[(StateId, NodeId)], parents: &[NodeId]) -> bool {
+        let nodes = self.nodes;
         let row = &mut self.row_of[state.index()];
         if *row == Self::NO_ROW {
             *row = self.rows as u32;
             self.rows += 1;
-            let need = self.rows * self.blocks;
+            let need = self.rows * nodes;
             if self.slots.len() < need {
                 self.slots.resize(need, 0);
             }
+            let slots = &mut self.slots[need - nodes..need];
+            for &(u, p) in pairs {
+                if forward.closures()[u.index()].contains(&state) {
+                    slots[p.index()] = self.stamp;
+                }
+            }
         }
-        *row as usize * self.blocks + block.index()
-    }
-
-    /// The verdict in `slot`, if this query stored one.
-    fn get(&self, slot: usize) -> Option<bool> {
-        let value = self.slots[slot];
-        (value >> 1 == self.stamp).then_some(value & 1 == 1)
-    }
-
-    fn set(&mut self, slot: usize, verdict: bool) {
-        self.slots[slot] = self.stamp << 1 | u32::from(verdict);
+        let slots = &self.slots[*row as usize * nodes..][..nodes];
+        parents.iter().any(|p| slots[p.index()] == self.stamp)
     }
 }
 
 /// One walk's "is this pair new?" test. Every pair a walk activates is on its
 /// queue (a backward walk ends at the one pair it does not push: the one
 /// that accepts, or hands off with "yes"), so while the queue is shorter
-/// than [`SCAN_LIMIT`] the answer is a scan of it. The first test at that length resets the dense marks once and stamps
-/// every queued pair; from then on the marks answer, so a long walk still
-/// pays O(1) per test.
+/// than [`SCAN_LIMIT`] the answer is a scan of it. The first test at that
+/// length resets the dense marks once and stamps every queued pair; from
+/// then on the marks answer, so a long walk still pays O(1) per test.
 struct Activations<'a> {
     marks: &'a mut Marks,
     states: usize,
@@ -299,6 +295,9 @@ pub fn matches_ending_at<G: LabeledGraph>(g: &G, reversed: &Nfa, node: NodeId) -
 /// while the budget holds and a typed [`BudgetExhausted`] once it doesn't.
 /// The budget is `&mut` so validation walks can share it.
 ///
+/// The walk's activated pairs stay in the arena until its next forward
+/// walk: a [`HandOff`] begun after it reads them.
+///
 /// The `pathexpr.*` telemetry counts work done, so an aborted walk records
 /// its charged activations exactly like a completed one.
 pub fn evaluate_bounded_with<G: LabeledGraph>(
@@ -318,7 +317,7 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
         active,
         matched,
         matched_list,
-        queue,
+        forward: queue,
         ..
     } = arena;
     let mut seen = Activations::new(active, states, nodes);
@@ -421,12 +420,12 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     budget: &mut VisitBudget,
 ) -> Result<(bool, u64), BudgetExhausted> {
     let EvalArena { active, queue, .. } = arena;
-    let walk = backward(g, reversed, Seed::Consume(node), active, queue, &mut Expand, budget);
+    let walk = backward(g, reversed, node, active, queue, &mut Expand, budget);
     record_validation(walk)
 }
 
-/// The `pathexpr.*` validation telemetry of one backward walk, from a
-/// candidate or the index side of a hand-off, completed or aborted.
+/// The `pathexpr.*` validation telemetry of one backward walk from a
+/// candidate, completed or aborted.
 fn record_validation(walk: Result<(bool, u64), BudgetExhausted>) -> Result<(bool, u64), BudgetExhausted> {
     let visited = match walk {
         Ok((_, visited)) | Err(BudgetExhausted { visited }) => visited,
@@ -441,38 +440,45 @@ fn record_validation(walk: Result<(bool, u64), BudgetExhausted>) -> Result<(bool
 /// A block of local similarity `k` shares every incoming label path of at
 /// most `k` edges with each member of its extent. So once a backward walk
 /// from a candidate reaches a pair (state `t`, data node `p`) where every
-/// word still accepted from `t` has at most `k(B(p))` labels, the rest of
-/// the walk can run on the index graph instead: is there an index path
-/// ending at `B(p)` that takes `t` to acceptance? That verdict is the same
-/// backward walk, started at `(t, B(p))` on the index graph; it is computed
-/// once per `(B(p), t)` per query, charged as index visits against the same
-/// budget, and shared with every later candidate that reaches the pair. A
-/// walk that stops there with a "no" does not expand `p`'s parents.
+/// word still accepted from `t` has at most `k(B(p))` labels, the index
+/// graph answers for the rest of the walk: is there an index path ending at
+/// `B(p)` that takes `t` to acceptance? The query's forward walk on the
+/// index has already walked that product: such a path exists iff some
+/// parent `P` of `B(p)` has an activated forward pair `(u, P)` with `t` in
+/// `u`'s ε-closure. (The empty path would need the forward start to
+/// ε-reach `t`, which is exactly when the walk accepts at `t`, and an
+/// accepting pair never hands off.) So a verdict is a lookup: per state
+/// that hands off, one pass over the forward pairs fills a row over the
+/// index nodes, and a verdict reads its block's parents in that row. It
+/// charges no index visits, because the forward walk already charged every
+/// pair it reads, and it cannot abort. A walk that stops with a "no" does
+/// not expand `p`'s parents.
 ///
 /// The verdict equals the data walk's only on an index that keeps
 /// Definition 3, `k(parent) ≥ k(child) − 1` on every index edge, over
 /// extents that are as bisimilar as their similarities say: then the index
 /// node `i` edges before `B(p)` has similarity at least `k(B(p)) − i`,
-/// which is Theorem 1's chain condition for every index path the index
-/// side walks. Knowing `k(B(p))` alone is not enough. On an index that
+/// which is Theorem 1's chain condition for every index path the verdict
+/// stands for. Knowing `k(B(p))` alone is not enough. On an index that
 /// breaks Definition 3 (ablation A's index without the broadcast step), an
 /// index path may carry a word no member of `B(p)` has, and a hand-off can
 /// answer "yes" where the data walk says "no".
 ///
-/// One `HandOff` lives for one query: [`HandOff::begin`] resets the arena's
-/// verdicts, so every walk of the query must run on that arena. The walk's
-/// automaton and the index side's are reversals of compilations of the
-/// same expression (against the data and the index labels), so their
-/// states correspond.
+/// One `HandOff` lives for one query, and [`HandOff::begin`] must follow
+/// that query's forward walk ([`evaluate_bounded_with`] of `forward` over
+/// `index`) on the same arena, with no other forward walk on it in
+/// between: the verdicts read the pairs that walk left in the arena. Every
+/// validation walk of the query must run on that arena too. The walk's
+/// automaton is the reversal of a compilation of the same expression
+/// against the data labels, so its states are `forward`'s.
 #[derive(Debug)]
 pub struct HandOff<'a, I> {
     index: &'a I,
-    reversed: Nfa,
+    forward: &'a Nfa,
     block_of: &'a [NodeId],
     similarity: &'a [usize],
     largest: usize,
     handoffs: u64,
-    index_visits: u64,
 }
 
 impl<'a, I: LabeledGraph> HandOff<'a, I> {
@@ -481,13 +487,13 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
     /// that does not accept and whose longest remaining word is at most the
     /// largest similarity may. Then the query runs the plain walk.
     ///
-    /// `forward` is the query compiled against `index`'s labels (reversed
-    /// here, so a query compiles no third automaton), `block_of` maps each
+    /// `forward` is the query compiled against `index`'s labels, whose
+    /// forward walk over `index` ran last on `arena`; `block_of` maps each
     /// data node to its block and `similarity` gives each block's local
-    /// similarity. Resets `arena`'s verdicts.
+    /// similarity. Clears `arena`'s reached rows.
     pub fn begin(
         walked: &Nfa,
-        forward: &Nfa,
+        forward: &'a Nfa,
         index: &'a I,
         block_of: &'a [NodeId],
         similarity: &'a [usize],
@@ -502,33 +508,25 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         if !(0..walked.state_count()).any(qualifies) {
             return None;
         }
-        arena.verdicts.begin(walked.state_count(), index.node_count());
+        arena.reached.begin(walked.state_count(), index.node_count());
         Some(HandOff {
             index,
-            reversed: forward.reverse(),
+            forward,
             block_of,
             similarity,
             largest,
             handoffs: 0,
-            index_visits: 0,
         })
     }
 
-    /// Pairs that handed off in this query, verdicts reused included.
+    /// Pairs that handed off in this query.
     pub fn handoffs(&self) -> u64 {
         self.handoffs
     }
 
-    /// Index activations the hand-offs of this query were charged, the
-    /// ones of a walk the budget cut included.
-    pub fn index_visits(&self) -> u64 {
-        self.index_visits
-    }
-
     /// [`matches_ending_at_bounded_with`] handing off to the index. The
-    /// returned count, and an abort's, are the walk's data activations; the
-    /// index side's are added to [`HandOff::index_visits`]. An abort inside
-    /// a hand-off aborts the walk and stores no verdict.
+    /// returned count, and an abort's, are the walk's data activations: a
+    /// hand-off charges nothing.
     pub fn matches_ending_at<G: LabeledGraph>(
         &mut self,
         g: &G,
@@ -539,46 +537,27 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
     ) -> Result<(bool, u64), BudgetExhausted> {
         let EvalArena {
             active,
+            forward,
             queue,
-            index_active,
-            index_queue,
-            verdicts,
+            reached,
             ..
         } = arena;
         let mut stop = ToIndex {
             handoff: self,
             walked,
-            verdicts,
-            active: index_active,
-            queue: index_queue,
+            reached,
+            pairs: forward,
         };
-        let walk = backward(g, walked, Seed::Consume(node), active, queue, &mut stop, budget);
+        let walk = backward(g, walked, node, active, queue, &mut stop, budget);
         record_validation(walk)
     }
-}
-
-/// Where a backward walk starts.
-#[derive(Clone, Copy)]
-enum Seed {
-    /// Consume the node's own label from the automaton's start: a
-    /// validation walk from a candidate.
-    Consume(NodeId),
-    /// At the pair, its node's label already consumed: the index side of a
-    /// hand-off.
-    At(StateId, NodeId),
 }
 
 /// What a backward walk asks of each pair it activates that does not
 /// accept: stop there with a verdict, or expand it.
 trait Stop {
-    /// `Some(verdict)` when `(state, node)` hands off, charging the verdict
-    /// to `budget`; `None` to expand the pair.
-    fn verdict(
-        &mut self,
-        state: StateId,
-        node: NodeId,
-        budget: &mut VisitBudget,
-    ) -> Result<Option<bool>, BudgetExhausted>;
+    /// `Some(verdict)` when `(state, node)` hands off; `None` to expand it.
+    fn verdict(&mut self, state: StateId, node: NodeId) -> Option<bool>;
 
     /// Did `(state, node)` hand off? Its parents are then not expanded.
     fn handed_off(&self, state: StateId, node: NodeId) -> bool;
@@ -589,8 +568,8 @@ struct Expand;
 
 impl Stop for Expand {
     #[inline(always)]
-    fn verdict(&mut self, _: StateId, _: NodeId, _: &mut VisitBudget) -> Result<Option<bool>, BudgetExhausted> {
-        Ok(None)
+    fn verdict(&mut self, _: StateId, _: NodeId) -> Option<bool> {
+        None
     }
 
     #[inline(always)]
@@ -600,13 +579,12 @@ impl Stop for Expand {
 }
 
 /// A data walk's hand-off to the index: the query's [`HandOff`], the
-/// arena's verdicts and the index side's scratch.
+/// arena's reached rows and the forward walk's pairs.
 struct ToIndex<'h, 'a, I> {
     handoff: &'h mut HandOff<'a, I>,
     walked: &'h Nfa,
-    verdicts: &'h mut Verdicts,
-    active: &'h mut Marks,
-    queue: &'h mut Vec<(StateId, NodeId)>,
+    reached: &'h mut Reached,
+    pairs: &'h [(StateId, NodeId)],
 }
 
 impl<I: LabeledGraph> ToIndex<'_, '_, I> {
@@ -622,34 +600,16 @@ impl<I: LabeledGraph> ToIndex<'_, '_, I> {
 }
 
 impl<I: LabeledGraph> Stop for ToIndex<'_, '_, I> {
-    fn verdict(
-        &mut self,
-        state: StateId,
-        node: NodeId,
-        budget: &mut VisitBudget,
-    ) -> Result<Option<bool>, BudgetExhausted> {
-        let Some(block) = self.block(state, node) else {
-            return Ok(None);
-        };
-        self.handoff.handoffs += 1;
-        let slot = self.verdicts.slot(state, block);
-        if let Some(known) = self.verdicts.get(slot) {
-            return Ok(Some(known));
-        }
+    fn verdict(&mut self, state: StateId, node: NodeId) -> Option<bool> {
+        let block = self.block(state, node)?;
         let h = &mut *self.handoff;
-        let seed = Seed::At(state, block);
-        let walk = backward(h.index, &h.reversed, seed, self.active, self.queue, &mut Expand, budget);
-        match record_validation(walk) {
-            Ok((hit, visited)) => {
-                h.index_visits += visited;
-                self.verdicts.set(slot, hit);
-                Ok(Some(hit))
-            }
-            Err(cut) => {
-                h.index_visits += cut.visited;
-                Err(cut)
-            }
-        }
+        h.handoffs += 1;
+        let forward = h.forward;
+        debug_assert!(
+            !forward.closures()[forward.start().index()].contains(&state),
+            "an accepting pair never hands off"
+        );
+        Some(self.reached.any(state, forward, self.pairs, h.index.parents_of(block)))
     }
 
     #[inline]
@@ -658,13 +618,12 @@ impl<I: LabeledGraph> Stop for ToIndex<'_, '_, I> {
     }
 }
 
-/// The one backward walk, over any graph, from `seed`, with `stop` asked
-/// at every pair it activates. Returns the verdict and the activations on
-/// `g`.
+/// The one backward walk, from candidate `node`, with `stop` asked at every
+/// pair it activates. Returns the verdict and the activations on `g`.
 fn backward<G: LabeledGraph, S: Stop>(
     g: &G,
     reversed: &Nfa,
-    seed: Seed,
+    node: NodeId,
     active: &mut Marks,
     queue: &mut Vec<(StateId, NodeId)>,
     stop: &mut S,
@@ -690,10 +649,9 @@ fn backward<G: LabeledGraph, S: Stop>(
                 if reversed.is_accepting(state) {
                     break $walk Some(true);
                 }
-                match stop.verdict(state, node, budget) {
-                    Ok(Some(true)) => break $walk Some(true),
-                    Ok(_) => queue.push((state, node)),
-                    Err(_) => break $walk None,
+                match stop.verdict(state, node) {
+                    Some(true) => break $walk Some(true),
+                    _ => queue.push((state, node)),
                 }
             }
         }};
@@ -701,20 +659,14 @@ fn backward<G: LabeledGraph, S: Stop>(
 
     // `None` exactly when the budget ran out.
     let verdict: Option<bool> = 'walk: {
-        match seed {
-            // A candidate's walk consumes its own label from the reversed
-            // start, using the precomputed start-closure transitions (same
-            // sequence the oracle's boolean-set scan visits).
-            Seed::Consume(node) => {
-                let node_label = g.label_of(node);
-                for &(step, target) in reversed.closure_steps_of(reversed.start()) {
-                    if step.matches(node_label) {
-                        activate!('walk, target, node);
-                    }
-                }
+        // The candidate consumes its own label from the reversed start,
+        // using the precomputed start-closure transitions (same sequence the
+        // oracle's boolean-set scan visits).
+        let node_label = g.label_of(node);
+        for &(step, target) in reversed.closure_steps_of(reversed.start()) {
+            if step.matches(node_label) {
+                activate!('walk, target, node);
             }
-            // An index side starts at its pair.
-            Seed::At(state, node) => activate!('walk, state, node),
         }
 
         let mut head = 0;
@@ -1006,11 +958,11 @@ mod tests {
     /// every budget. The "index" is the graph itself (each node its own
     /// block), so Theorem 1 holds for any similarities and every verdict
     /// must also equal the plain walk's; per-node similarities make the
-    /// hand-off depend on the block. One hand-off serves every candidate of
-    /// a query, so later candidates reuse verdicts; each limit below the
-    /// query's cost aborts having charged exactly the limit, data and index
-    /// visits together, and the hand-off it cut still answers every
-    /// candidate exactly when resumed under a fresh budget.
+    /// hand-off depend on the block. The query's forward walk on the index
+    /// runs first, because a hand-off reads its pairs; one hand-off then
+    /// serves every candidate, the same pairs as the oracle's hand off, and
+    /// each limit below the data walks' cost aborts having charged exactly
+    /// the limit: a verdict charges nothing.
     #[test]
     fn handoff_budget_sweep_matches_the_oracle() {
         let cases: [(DataGraph, Vec<&str>); 2] = [
@@ -1031,6 +983,7 @@ mod tests {
         let mut arena = EvalArena::new();
         let mut handed_off = 0;
         for (g, exprs) in &cases {
+            let labels = LabelIndex::build(g);
             let block_of: Vec<NodeId> = g.node_ids().collect();
             let similarity: Vec<usize> = (0..g.node_count()).map(|i| i % 3).collect();
             let (block, sim) = (|d: NodeId| d, |b: NodeId| similarity[b.index()]);
@@ -1045,10 +998,11 @@ mod tests {
                 for (n, &(hit, _)) in g.node_ids().zip(&want) {
                     assert_eq!(hit, matches_ending_at(g, &walked, n).0, "{expr} at {n:?}");
                 }
-                let cost = want.iter().map(|w| w.1).sum::<u64>() + side.index_visits;
-                handed_off += usize::from(side.index_visits > 0);
-                let hits: Vec<bool> = want.iter().map(|w| w.0).collect();
-                sweep(expr, cost, (want, side.index_visits), |budget| {
+                let cost = want.iter().map(|w| w.1).sum::<u64>();
+                handed_off += usize::from(side.handoffs > 0);
+                sweep(expr, cost, (want, side.handoffs), |budget| {
+                    evaluate_bounded_with(g, &forward, &labels, &mut arena, &mut VisitBudget::unlimited())
+                        .expect("an unlimited budget");
                     // `_*.title` has no state that can hand off: it runs the plain walk.
                     let mut h = HandOff::begin(&walked, &forward, g, &block_of, &similarity, &mut arena);
                     let mut walks = Vec::new();
@@ -1057,26 +1011,15 @@ mod tests {
                             Some(h) => h.matches_ending_at(g, &walked, n, &mut arena, budget),
                             None => matches_ending_at_bounded_with(g, &walked, n, &mut arena, budget),
                         };
-                        let index_visits = h.as_ref().map_or(0, HandOff::index_visits);
                         match walk {
                             Ok(walk) => walks.push(walk),
                             Err(cut) => {
                                 let data: u64 = walks.iter().map(|w| w.1).sum();
-                                let visited = data + cut.visited + index_visits;
-                                // A cut hand-off stored no verdict: the same
-                                // hand-off, resumed, still answers exactly.
-                                if let Some(h) = h.as_mut() {
-                                    for (m, &hit) in g.node_ids().zip(&hits) {
-                                        let mut fresh = VisitBudget::unlimited();
-                                        let again = h.matches_ending_at(g, &walked, m, &mut arena, &mut fresh);
-                                        assert_eq!(again.map(|w| w.0), Ok(hit), "{expr} resumed at {m:?}");
-                                    }
-                                }
-                                return Err(BudgetExhausted { visited });
+                                return Err(BudgetExhausted { visited: data + cut.visited });
                             }
                         }
                     }
-                    Ok((walks, h.as_ref().map_or(0, HandOff::index_visits)))
+                    Ok((walks, h.as_ref().map_or(0, HandOff::handoffs)))
                 });
             }
         }
@@ -1090,23 +1033,33 @@ mod tests {
         assert!(HandOff::begin(&forward.reverse(), &forward, &g, &block_of, &zero, &mut arena).is_none());
     }
 
-    /// The verdict store holds a row of blocks per state that handed off in
-    /// the query, not one per state of the automaton: a walk from a title
-    /// hands off once, at its movie, and leaves one row behind.
+    /// The reached rows hold a row of index nodes per state that handed off
+    /// in the query, not one per state of the automaton: a walk from a
+    /// title hands off once, at its movie, reads the director's row entry
+    /// and leaves one row behind; a second candidate handing off in the
+    /// same state reuses it.
     #[test]
-    fn the_verdict_store_grows_by_the_states_that_hand_off() {
+    fn the_reached_rows_grow_by_the_states_that_hand_off() {
         let (g, n) = movie_graph();
         let forward = Nfa::compile(&parse("director.movie.title").unwrap(), g.labels());
         let walked = forward.reverse();
         let block_of: Vec<NodeId> = g.node_ids().collect();
         let similarity = vec![1; g.node_count()];
         let mut arena = EvalArena::new();
+        let labels = LabelIndex::build(&g);
+        evaluate_bounded_with(&g, &forward, &labels, &mut arena, &mut VisitBudget::unlimited()).unwrap();
+        let before = arena.mark_capacity();
         let mut h = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena).unwrap();
-        let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut VisitBudget::unlimited());
+        let mut budget = VisitBudget::unlimited();
+        let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
         assert_eq!(walk, Ok((true, 2)), "title, then its movie hands off");
-        assert_eq!((h.handoffs(), h.index_visits()), (1, 2), "the movie's block, then the director's");
+        assert_eq!(h.handoffs(), 1);
         assert!(walked.state_count() > 1);
-        assert_eq!(arena.mark_capacity(), g.node_count(), "one row of verdicts");
+        assert_eq!(arena.mark_capacity() - before, g.node_count(), "one row");
+        let walk = h.matches_ending_at(&g, &walked, n[5], &mut arena, &mut budget);
+        assert_eq!(walk, Ok((true, 2)), "movie(2) is the director's through the reference");
+        assert_eq!(h.handoffs(), 2);
+        assert_eq!(arena.mark_capacity() - before, g.node_count(), "still one row");
     }
 
     #[test]

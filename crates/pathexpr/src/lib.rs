@@ -17,8 +17,8 @@
 //!   caller-owned [`EvalArena`] scratch (no steady-state allocation across a
 //!   batch) and a shared [`VisitBudget`] that aborts with a typed
 //!   [`BudgetExhausted`]. A validation walk can hand off to an index
-//!   summary ([`HandOff`]: paper Theorem 1 applied mid-walk), running the
-//!   same walk on the index graph.
+//!   summary ([`HandOff`]: paper Theorem 1 applied mid-walk), whose verdict
+//!   is a lookup in the pairs the forward walk on the index activated.
 //! * [`evaluate`] / [`matches_ending_at`] — the same walks with fresh scratch
 //!   and an unlimited budget, for one-off callers.
 //! * [`oracle`] — the independent allocator-per-call reference walks every

@@ -10,7 +10,9 @@
 //! `tests/contracts.rs` keeps it that way (ARCHITECTURE.md §6). The index
 //! hand-off is stated once more here too: which pairs hand off is decided
 //! by subset simulation over boolean state sets, not by the automaton's
-//! precomputed word lengths, and verdicts go to a per-query `HashMap`.
+//! precomputed word lengths, and a verdict is its definition, a backward
+//! walk on the index graph, not the evaluator's lookup in the forward
+//! walk's pairs; verdicts go to a per-query `HashMap`.
 
 use crate::eval::{EvalOutcome, LabelIndex};
 use crate::nfa::{Nfa, StateId, Step};
@@ -128,8 +130,8 @@ pub struct IndexSide<'a, I> {
     similarity: &'a dyn Fn(NodeId) -> usize,
     verdicts: HashMap<(NodeId, StateId), bool>,
     within: HashMap<(StateId, usize), bool>,
-    /// Index activations charged by this query's hand-offs.
-    pub index_visits: u64,
+    /// Pairs that handed off in this query.
+    pub handoffs: u64,
 }
 
 impl<'a, I: LabeledGraph> IndexSide<'a, I> {
@@ -148,7 +150,7 @@ impl<'a, I: LabeledGraph> IndexSide<'a, I> {
             similarity,
             verdicts: HashMap::new(),
             within: HashMap::new(),
-            index_visits: 0,
+            handoffs: 0,
         }
     }
 }
@@ -157,8 +159,10 @@ impl<'a, I: LabeledGraph> IndexSide<'a, I> {
 /// walk of [`matches_ending_at`], except that a pair `(t, p)` whose
 /// remaining words from `t` all have at most `k(B(p))` labels — and at
 /// least one exists — is answered by a walk on the index graph from
-/// `(t, B(p))`, once per `(B(p), t)` per query. Returns the verdict and the
-/// data activations; the index ones go to `side.index_visits`.
+/// `(t, B(p))`, once per `(B(p), t)` per query. That walk is the verdict's
+/// definition, not a cost: the query's forward phase on the index already
+/// charged every pair it could reach (§6.1), so a hand-off is charged
+/// nothing. Returns the verdict and the data activations.
 pub fn matches_ending_at_with_index<G: LabeledGraph, I: LabeledGraph>(
     g: &G,
     reversed: &Nfa,
@@ -175,11 +179,11 @@ pub fn matches_ending_at_with_index<G: LabeledGraph, I: LabeledGraph>(
         if !within {
             return None;
         }
+        side.handoffs += 1;
         if let Some(&known) = side.verdicts.get(&(block, state)) {
             return Some(known);
         }
-        let (hit, visited) = walk_back(side.index, &side.reversed, Start::At(state, block), &mut |_, _| None);
-        side.index_visits += visited;
+        let (hit, _) = walk_back(side.index, &side.reversed, Start::At(state, block), &mut |_, _| None);
         side.verdicts.insert((block, state), hit);
         Some(hit)
     };
