@@ -20,10 +20,10 @@
 //! every star query) runs the plain walk.
 //!
 //! Cost accounting: `index_visits` counts `(state, node)` activations of
-//! the forward walk on the index graph, which is everything a hand-off
-//! reads, so a hand-off adds nothing; `data_visits` counts activations
-//! during validation walks on the data graph. Extent members of sound
-//! matches are not counted (per §6.1).
+//! the forward walk on the index graph and the hand-off verdicts' charges
+//! (one or two visits per `(B(p), t)` per query); `data_visits` counts
+//! activations during validation walks on the data graph. Extent members
+//! of sound matches are not counted (per §6.1).
 //!
 //! `Walk::evaluate_bounded` is the one index→validate loop. It runs over
 //! borrowed parts — the two graphs, the index graph's by-label seed lists
@@ -201,16 +201,16 @@ impl Walk<'_> {
                     }
                     Err(e) => {
                         cost.data_visits += e.visited;
+                        cost.index_visits += handoff.as_ref().map_or(0, HandOff::index_visits);
                         return Err(abort(cost));
                     }
                 }
             }
             matches.extend_from_slice(&hits);
         }
-        let handoffs = validation
-            .as_ref()
-            .and_then(|(_, handoff)| handoff.as_ref())
-            .map_or(0, HandOff::handoffs);
+        let handoff = validation.as_ref().and_then(|(_, handoff)| handoff.as_ref());
+        let handoffs = handoff.map_or(0, HandOff::handoffs);
+        cost.index_visits += handoff.map_or(0, HandOff::index_visits);
         matches.sort_unstable();
         matches.dedup();
 
@@ -431,24 +431,6 @@ mod tests {
         );
     }
 
-    /// The data visits of the plain validation walks, with no hand-off,
-    /// from every candidate of every unsound extent `expr` matches on
-    /// `index`.
-    fn plain_validation_visits(index: &IndexGraph, data: &DataGraph, expr: &PathExpr) -> u64 {
-        let labels = LabelIndex::build(index);
-        let forward = Nfa::compile(expr, index.labels());
-        let on_index = dkindex_pathexpr::oracle::evaluate(index, &forward, &labels);
-        let required = expr.max_word_len().map(|labels| labels.saturating_sub(1));
-        let walked = Nfa::compile(expr, data.labels()).reverse();
-        on_index
-            .matches
-            .iter()
-            .filter(|&&b| required.is_none_or(|m| index.similarity(b) < m))
-            .flat_map(|&b| index.extent(b))
-            .map(|&c| dkindex_pathexpr::oracle::matches_ending_at(data, &walked, c).1)
-            .sum()
-    }
-
     /// The one index→validate loop against the oracle, at every budget:
     /// each `limit` below the oracle's total cost aborts having charged
     /// exactly `limit`, and `limit == cost` reproduces the oracle's outcome
@@ -456,9 +438,7 @@ mod tests {
     /// evaluator answers the query first and then takes every abort too:
     /// each must equal the fresh evaluator's, and it must still answer
     /// exactly afterwards. At k = 1 the long queries hand off to the index
-    /// mid-walk: a hand-off stops a walk early, so those queries are
-    /// charged fewer data visits than the plain walks from their
-    /// candidates take.
+    /// mid-walk, so some limits cut inside a verdict's charge.
     #[test]
     fn budget_sweep_matches_the_oracle() {
         let data = movie_data();
@@ -478,7 +458,9 @@ mod tests {
                 let e = parse(expr).unwrap();
                 let want = eval_oracle::evaluate(dk.index(), &data, &labels, &e);
                 let total = want.cost.total();
-                handed_off += usize::from(want.cost.data_visits < plain_validation_visits(dk.index(), &data, &e));
+                let forward = Nfa::compile(&e, dk.index().labels());
+                let on_index = dkindex_pathexpr::oracle::evaluate(dk.index(), &forward, &labels);
+                handed_off += usize::from(want.cost.index_visits > on_index.visited);
                 let mut survivor = IndexEvaluator::new(dk.index(), &data);
                 assert_eq!(survivor.evaluate(&e), want, "expr {expr} k {k}");
                 for limit in 0..total {

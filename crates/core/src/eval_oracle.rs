@@ -18,8 +18,8 @@ use dkindex_pathexpr::{oracle, LabelIndex, Nfa, PathExpr};
 /// Evaluate `expr` through `index` (a summary of `data`), validating every
 /// candidate of every unsound extent with a fresh backward walk that hands
 /// off to the index where Theorem 1 answers for the rest of the path, with
-/// one verdict per (block, state) per query. A verdict charges nothing: the
-/// forward phase on the index already charged what it reads.
+/// one verdict per (block, state) per query, charged as
+/// [`oracle::matches_ending_at_with_index`] says.
 /// `index_labels` must have been built from `index`.
 pub fn evaluate(
     index: &IndexGraph,
@@ -64,6 +64,9 @@ pub fn evaluate(
                 }
             }
         }
+    }
+    if let Some((_, side)) = &reversed {
+        cost.index_visits += side.index_visits;
     }
     matches.sort_unstable();
     matches.dedup();

@@ -79,6 +79,11 @@ pub struct EvalArena {
     forward: Vec<(StateId, NodeId)>,
     queue: Vec<(StateId, NodeId)>,
     reached: Reached,
+    /// Forward walks started on this arena.
+    forward_walks: u64,
+    /// `(states, nodes)` of the forward walk whose pairs `forward` holds,
+    /// once it has completed; `None` while one runs or after one aborted.
+    walked: Option<(usize, usize)>,
 }
 
 impl EvalArena {
@@ -91,40 +96,43 @@ impl EvalArena {
     /// as large as the largest `states × nodes` product of a walk that
     /// outgrew its queue scan since the arena was created (zero if none
     /// did), the matched-node store, as large as the largest graph a
-    /// forward walk ran over, and the reached rows, as many as the most
-    /// states that handed off in one query times that query's index nodes
-    /// (the queues are bounded by the activations). A long-lived owner reads
-    /// it to bound what it keeps between walks.
+    /// forward walk ran over, and the reached rows, two per state that can
+    /// hand off times the index nodes, for the largest such query that
+    /// handed off (the queues are bounded by the activations). A long-lived
+    /// owner reads it to bound what it keeps between walks.
     pub fn mark_capacity(&self) -> usize {
         self.active.capacity() + self.matched.capacity() + self.reached.slots.len()
     }
 }
 
-/// One query's reached rows, flat and stamped: for each automaton state `t`
-/// that handed off in this query, a row over the index nodes, given and
-/// filled on `t`'s first hand-off, so a query holds rows only for the
-/// states that used them. The slot of index node `P` in `t`'s row holds the
-/// query's stamp iff the forward walk activated some `(u, P)` with `t` in
-/// `u`'s ε-closure; [`Reached::begin`] starts a query by bumping the stamp.
+/// One query's reached rows, flat and stamped, two over the index nodes per
+/// state that can hand off: node `P`'s slot in a state's *reached* row
+/// holds the stamp iff the forward walk activated some `(u, P)` with the
+/// state in `u`'s ε-closure, block `B`'s in its *asked* row iff the query
+/// charged the verdict for `(state, B)`. A query that never hands off
+/// allocates none.
 #[derive(Clone, Debug, Default)]
 struct Reached {
     slots: Vec<u32>,
     stamp: u32,
-    row_of: Vec<u32>,
+    row_of: Vec<Option<usize>>,
     rows: usize,
     nodes: usize,
+    filled: bool,
 }
 
 impl Reached {
-    const NO_ROW: u32 = u32::MAX;
-
-    /// Start a query over `states` automaton states and `nodes` index
-    /// nodes: no state has a row.
-    fn begin(&mut self, states: usize, nodes: usize) {
+    /// Start a query over `nodes` index nodes: every state that `qualifies`
+    /// gets an unfilled row pair, and the stamp moves on.
+    fn begin(&mut self, states: usize, nodes: usize, qualifies: impl Fn(usize) -> bool) {
+        let mut rows = 0;
         self.row_of.clear();
-        self.row_of.resize(states, Self::NO_ROW);
-        self.rows = 0;
-        self.nodes = nodes;
+        self.row_of.extend((0..states).map(|s| {
+            let row = qualifies(s).then_some(rows);
+            rows += usize::from(row.is_some());
+            row
+        }));
+        (self.rows, self.nodes, self.filled) = (rows, nodes, false);
         if self.stamp == u32::MAX {
             // Stamp wrapped: re-zero once every 2^32 - 1 queries.
             self.slots.fill(0);
@@ -133,27 +141,35 @@ impl Reached {
         self.stamp += 1;
     }
 
-    /// Is some node of `parents` in `state`'s row? The row is filled from
-    /// the forward walk's `pairs` over `forward` on `state`'s first call.
-    fn any(&mut self, state: StateId, forward: &Nfa, pairs: &[(StateId, NodeId)], parents: &[NodeId]) -> bool {
-        let nodes = self.nodes;
-        let row = &mut self.row_of[state.index()];
-        if *row == Self::NO_ROW {
-            *row = self.rows as u32;
-            self.rows += 1;
-            let need = self.rows * nodes;
-            if self.slots.len() < need {
-                self.slots.resize(need, 0);
+    /// Is some node of `parents` in `state`'s reached row, and is this the
+    /// query's first verdict for `(state, block)`? The first call fills the
+    /// reached rows in one pass over the forward walk's `pairs` over
+    /// `forward`, reading each pair's ε-closure once.
+    fn answer(
+        &mut self,
+        (state, block): (StateId, NodeId),
+        parents: &[NodeId],
+        forward: &Nfa,
+        pairs: &[(StateId, NodeId)],
+    ) -> (bool, bool) {
+        let width = 2 * self.nodes;
+        if !self.filled {
+            self.filled = true;
+            if self.slots.len() < self.rows * width {
+                self.slots.resize(self.rows * width, 0);
             }
-            let slots = &mut self.slots[need - nodes..need];
             for &(u, p) in pairs {
-                if forward.closures()[u.index()].contains(&state) {
-                    slots[p.index()] = self.stamp;
+                for t in &forward.closures()[u.index()] {
+                    if let Some(row) = self.row_of[t.index()] {
+                        self.slots[row * width + p.index()] = self.stamp;
+                    }
                 }
             }
         }
-        let slots = &self.slots[*row as usize * nodes..][..nodes];
-        parents.iter().any(|p| slots[p.index()] == self.stamp)
+        let row = self.row_of[state.index()].expect("only a state that can hand off asks");
+        let (reached, asked) = self.slots[row * width..][..width].split_at_mut(self.nodes);
+        let first = std::mem::replace(&mut asked[block.index()], self.stamp) != self.stamp;
+        (parents.iter().any(|p| reached[p.index()] == self.stamp), first)
     }
 }
 
@@ -203,8 +219,10 @@ impl<'a> Activations<'a> {
 /// (adversarial star expressions over dense cyclic graphs).
 ///
 /// One budget is threaded through the index-graph evaluation *and* every
-/// validation walk of a query, so the cap bounds the query's total work, not
-/// each phase separately.
+/// validation walk of a query, so the cap bounds the query's charged
+/// activations, not each phase separately. Its uncharged work is bounded
+/// by the charged: a [`HandOff`] reads each forward pair's ε-closure once
+/// per query and its block's parents once per hand-off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VisitBudget {
     remaining: u64,
@@ -324,6 +342,8 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     matched.reset(nodes);
     matched_list.clear();
     queue.clear();
+    arena.forward_walks += 1;
+    arena.walked = None;
     let mut visited: u64 = 0;
 
     // Returns false exactly when the budget ran out.
@@ -393,6 +413,7 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     if !completed {
         return Err(BudgetExhausted { visited });
     }
+    arena.walked = Some((states, nodes));
     let mut matches = std::mem::take(matched_list);
     matches.sort_unstable();
     Ok(EvalOutcome { matches, visited })
@@ -420,7 +441,7 @@ pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
     budget: &mut VisitBudget,
 ) -> Result<(bool, u64), BudgetExhausted> {
     let EvalArena { active, queue, .. } = arena;
-    let walk = backward(g, reversed, node, active, queue, &mut Expand, budget);
+    let walk = backward::<G, G>(g, reversed, node, active, queue, None, budget);
     record_validation(walk)
 }
 
@@ -443,16 +464,19 @@ fn record_validation(walk: Result<(bool, u64), BudgetExhausted>) -> Result<(bool
 /// word still accepted from `t` has at most `k(B(p))` labels, the index
 /// graph answers for the rest of the walk: is there an index path ending at
 /// `B(p)` that takes `t` to acceptance? The query's forward walk on the
-/// index has already walked that product: such a path exists iff some
+/// index has walked that product already: such a path exists iff some
 /// parent `P` of `B(p)` has an activated forward pair `(u, P)` with `t` in
 /// `u`'s ε-closure. (The empty path would need the forward start to
 /// ε-reach `t`, which is exactly when the walk accepts at `t`, and an
-/// accepting pair never hands off.) So a verdict is a lookup: per state
-/// that hands off, one pass over the forward pairs fills a row over the
-/// index nodes, and a verdict reads its block's parents in that row. It
-/// charges no index visits, because the forward walk already charged every
-/// pair it reads, and it cannot abort. A walk that stops with a "no" does
-/// not expand `p`'s parents.
+/// accepting pair never hands off.) So a verdict is a lookup in the
+/// forward pairs (`Reached`). A walk that stops with a "no" does not
+/// expand `p`'s parents.
+///
+/// A verdict is charged once per `(B(p), t)` per query, the least the
+/// index walk it stands for can cost: a visit for `(t, B(p))` and, on a
+/// "yes", one for that walk's step onto a parent (`(t, B(p))` never
+/// accepts). Past that step the walk would run over pairs the forward walk
+/// visited and charged. The charges come out of the query's budget.
 ///
 /// The verdict equals the data walk's only on an index that keeps
 /// Definition 3, `k(parent) ≥ k(child) − 1` on every index edge, over
@@ -464,11 +488,11 @@ fn record_validation(walk: Result<(bool, u64), BudgetExhausted>) -> Result<(bool
 /// index path may carry a word no member of `B(p)` has, and a hand-off can
 /// answer "yes" where the data walk says "no".
 ///
-/// One `HandOff` lives for one query, and [`HandOff::begin`] must follow
-/// that query's forward walk ([`evaluate_bounded_with`] of `forward` over
-/// `index`) on the same arena, with no other forward walk on it in
-/// between: the verdicts read the pairs that walk left in the arena. Every
-/// validation walk of the query must run on that arena too. The walk's
+/// One `HandOff` lives for one query and reads the pairs its forward walk
+/// ([`evaluate_bounded_with`] of `forward` over `index`) left in the
+/// arena. [`HandOff::begin`] declines unless that walk is the last to have
+/// run on the arena and completed; a validation walk on an arena where
+/// another forward walk has started since runs the plain walk. The walk's
 /// automaton is the reversal of a compilation of the same expression
 /// against the data labels, so its states are `forward`'s.
 #[derive(Debug)]
@@ -478,7 +502,9 @@ pub struct HandOff<'a, I> {
     block_of: &'a [NodeId],
     similarity: &'a [usize],
     largest: usize,
+    forward_walk: u64,
     handoffs: u64,
+    index_visits: u64,
 }
 
 impl<'a, I: LabeledGraph> HandOff<'a, I> {
@@ -487,10 +513,9 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
     /// that does not accept and whose longest remaining word is at most the
     /// largest similarity may. Then the query runs the plain walk.
     ///
-    /// `forward` is the query compiled against `index`'s labels, whose
-    /// forward walk over `index` ran last on `arena`; `block_of` maps each
-    /// data node to its block and `similarity` gives each block's local
-    /// similarity. Clears `arena`'s reached rows.
+    /// `forward` is the query compiled against `index`'s labels (see the
+    /// type's doc for its walk); `block_of` maps each data node to its
+    /// block and `similarity` gives each block's local similarity.
     pub fn begin(
         walked: &Nfa,
         forward: &'a Nfa,
@@ -505,17 +530,20 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
             let state = StateId::from_index(s);
             !walked.is_accepting(state) && walked.longest_word(state).is_some_and(|l| l <= largest)
         };
-        if !(0..walked.state_count()).any(qualifies) {
+        let walk = Some((forward.state_count(), index.node_count()));
+        if arena.walked != walk || !(0..walked.state_count()).any(qualifies) {
             return None;
         }
-        arena.reached.begin(walked.state_count(), index.node_count());
+        arena.reached.begin(walked.state_count(), index.node_count(), qualifies);
         Some(HandOff {
             index,
             forward,
             block_of,
             similarity,
             largest,
+            forward_walk: arena.forward_walks,
             handoffs: 0,
+            index_visits: 0,
         })
     }
 
@@ -524,9 +552,15 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         self.handoffs
     }
 
+    /// Index visits this query's verdicts charged, an aborted walk's
+    /// included.
+    pub fn index_visits(&self) -> u64 {
+        self.index_visits
+    }
+
     /// [`matches_ending_at_bounded_with`] handing off to the index. The
-    /// returned count, and an abort's, are the walk's data activations: a
-    /// hand-off charges nothing.
+    /// returned count, and an abort's, are the walk's data activations;
+    /// its verdicts' charges go to [`HandOff::index_visits`].
     pub fn matches_ending_at<G: LabeledGraph>(
         &mut self,
         g: &G,
@@ -535,6 +569,9 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         arena: &mut EvalArena,
         budget: &mut VisitBudget,
     ) -> Result<(bool, u64), BudgetExhausted> {
+        if arena.forward_walks != self.forward_walk {
+            return matches_ending_at_bounded_with(g, walked, node, arena, budget);
+        }
         let EvalArena {
             active,
             forward,
@@ -542,39 +579,16 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
             reached,
             ..
         } = arena;
+        let before = self.index_visits;
         let mut stop = ToIndex {
             handoff: self,
             walked,
             reached,
             pairs: forward,
         };
-        let walk = backward(g, walked, node, active, queue, &mut stop, budget);
+        let walk = backward(g, walked, node, active, queue, Some(&mut stop), budget);
+        telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(self.index_visits - before);
         record_validation(walk)
-    }
-}
-
-/// What a backward walk asks of each pair it activates that does not
-/// accept: stop there with a verdict, or expand it.
-trait Stop {
-    /// `Some(verdict)` when `(state, node)` hands off; `None` to expand it.
-    fn verdict(&mut self, state: StateId, node: NodeId) -> Option<bool>;
-
-    /// Did `(state, node)` hand off? Its parents are then not expanded.
-    fn handed_off(&self, state: StateId, node: NodeId) -> bool;
-}
-
-/// The plain walk: every pair is expanded. Its checks compile away.
-struct Expand;
-
-impl Stop for Expand {
-    #[inline(always)]
-    fn verdict(&mut self, _: StateId, _: NodeId) -> Option<bool> {
-        None
-    }
-
-    #[inline(always)]
-    fn handed_off(&self, _: StateId, _: NodeId) -> bool {
-        false
     }
 }
 
@@ -590,6 +604,7 @@ struct ToIndex<'h, 'a, I> {
 impl<I: LabeledGraph> ToIndex<'_, '_, I> {
     /// `node`'s block when `(state, node)` hands off: every word still
     /// accepted from `state` has at most its block's similarity in labels.
+    /// Its parents are then not expanded.
     #[inline]
     fn block(&self, state: StateId, node: NodeId) -> Option<NodeId> {
         let longest = self.walked.longest_word(state).filter(|&l| l <= self.handoff.largest)?;
@@ -597,36 +612,44 @@ impl<I: LabeledGraph> ToIndex<'_, '_, I> {
         let k = *self.handoff.similarity.get(block.index())?;
         (longest <= k).then_some(block)
     }
-}
 
-impl<I: LabeledGraph> Stop for ToIndex<'_, '_, I> {
-    fn verdict(&mut self, state: StateId, node: NodeId) -> Option<bool> {
-        let block = self.block(state, node)?;
+    /// `Some(verdict)` when `(state, node)`, activated and not accepting,
+    /// hands off; `None` to expand it. An abort leaves `visited` to the walk.
+    fn verdict(
+        &mut self,
+        state: StateId,
+        node: NodeId,
+        budget: &mut VisitBudget,
+    ) -> Result<Option<bool>, BudgetExhausted> {
+        let Some(block) = self.block(state, node) else {
+            return Ok(None);
+        };
         let h = &mut *self.handoff;
         h.handoffs += 1;
         let forward = h.forward;
-        debug_assert!(
-            !forward.closures()[forward.start().index()].contains(&state),
-            "an accepting pair never hands off"
-        );
-        Some(self.reached.any(state, forward, self.pairs, h.index.parents_of(block)))
-    }
-
-    #[inline]
-    fn handed_off(&self, state: StateId, node: NodeId) -> bool {
-        self.block(state, node).is_some()
+        let start = &forward.closures()[forward.start().index()];
+        debug_assert!(!start.contains(&state), "an accepting pair never hands off");
+        let (hit, first) = self.reached.answer((state, block), h.index.parents_of(block), forward, self.pairs);
+        let charge = if first { 1 + u64::from(hit) } else { 0 };
+        for _ in 0..charge {
+            if !budget.try_charge() {
+                return Err(BudgetExhausted { visited: 0 });
+            }
+            h.index_visits += 1;
+        }
+        Ok(Some(hit))
     }
 }
 
-/// The one backward walk, from candidate `node`, with `stop` asked at every
-/// pair it activates. Returns the verdict and the activations on `g`.
-fn backward<G: LabeledGraph, S: Stop>(
+/// The one backward walk, from candidate `node`, handing off to an index
+/// where `stop` says so. Returns the verdict and the activations on `g`.
+fn backward<G: LabeledGraph, I: LabeledGraph>(
     g: &G,
     reversed: &Nfa,
     node: NodeId,
     active: &mut Marks,
     queue: &mut Vec<(StateId, NodeId)>,
-    stop: &mut S,
+    mut stop: Option<&mut ToIndex<'_, '_, I>>,
     budget: &mut VisitBudget,
 ) -> Result<(bool, u64), BudgetExhausted> {
     let mut seen = Activations::new(active, reversed.state_count(), g.node_count());
@@ -649,8 +672,9 @@ fn backward<G: LabeledGraph, S: Stop>(
                 if reversed.is_accepting(state) {
                     break $walk Some(true);
                 }
-                match stop.verdict(state, node) {
-                    Some(true) => break $walk Some(true),
+                match stop.as_mut().map(|stop| stop.verdict(state, node, budget)) {
+                    Some(Ok(Some(true))) => break $walk Some(true),
+                    Some(Err(_)) => break $walk None,
                     _ => queue.push((state, node)),
                 }
             }
@@ -673,7 +697,7 @@ fn backward<G: LabeledGraph, S: Stop>(
         while head < queue.len() {
             let (state, n) = queue[head];
             head += 1;
-            if stop.handed_off(state, n) {
+            if stop.as_ref().is_some_and(|stop| stop.block(state, n).is_some()) {
                 continue;
             }
             let parents = g.parents_of(n);
@@ -960,9 +984,9 @@ mod tests {
     /// must also equal the plain walk's; per-node similarities make the
     /// hand-off depend on the block. The query's forward walk on the index
     /// runs first, because a hand-off reads its pairs; one hand-off then
-    /// serves every candidate, the same pairs as the oracle's hand off, and
-    /// each limit below the data walks' cost aborts having charged exactly
-    /// the limit: a verdict charges nothing.
+    /// serves every candidate, hands off and charges as the oracle's does,
+    /// and each limit below the data and verdict visits together aborts
+    /// having charged exactly the limit, some inside a verdict's charge.
     #[test]
     fn handoff_budget_sweep_matches_the_oracle() {
         let cases: [(DataGraph, Vec<&str>); 2] = [
@@ -998,9 +1022,9 @@ mod tests {
                 for (n, &(hit, _)) in g.node_ids().zip(&want) {
                     assert_eq!(hit, matches_ending_at(g, &walked, n).0, "{expr} at {n:?}");
                 }
-                let cost = want.iter().map(|w| w.1).sum::<u64>();
+                let cost = want.iter().map(|w| w.1).sum::<u64>() + side.index_visits;
                 handed_off += usize::from(side.handoffs > 0);
-                sweep(expr, cost, (want, side.handoffs), |budget| {
+                sweep(expr, cost, (want, side.handoffs, side.index_visits), |budget| {
                     evaluate_bounded_with(g, &forward, &labels, &mut arena, &mut VisitBudget::unlimited())
                         .expect("an unlimited budget");
                     // `_*.title` has no state that can hand off: it runs the plain walk.
@@ -1015,11 +1039,13 @@ mod tests {
                             Ok(walk) => walks.push(walk),
                             Err(cut) => {
                                 let data: u64 = walks.iter().map(|w| w.1).sum();
-                                return Err(BudgetExhausted { visited: data + cut.visited });
+                                let index = h.as_ref().map_or(0, HandOff::index_visits);
+                                return Err(BudgetExhausted { visited: data + cut.visited + index });
                             }
                         }
                     }
-                    Ok((walks, h.as_ref().map_or(0, HandOff::handoffs)))
+                    let h = h.as_ref();
+                    Ok((walks, h.map_or(0, HandOff::handoffs), h.map_or(0, HandOff::index_visits)))
                 });
             }
         }
@@ -1033,33 +1059,45 @@ mod tests {
         assert!(HandOff::begin(&forward.reverse(), &forward, &g, &block_of, &zero, &mut arena).is_none());
     }
 
-    /// The reached rows hold a row of index nodes per state that handed off
-    /// in the query, not one per state of the automaton: a walk from a
-    /// title hands off once, at its movie, reads the director's row entry
-    /// and leaves one row behind; a second candidate handing off in the
-    /// same state reuses it.
+    /// The reached rows are two rows of index nodes per state that can
+    /// hand off, not per state of the automaton, allocated on the query's
+    /// first hand-off: a walk from a title hands off once, at its movie,
+    /// reading a "yes" from the director's slot, charged two index visits;
+    /// a second candidate reuses the rows and is charged for its own movie.
+    /// The rows are the forward walk's: `begin` declines before that walk,
+    /// and a walk after another forward walk runs the plain walk.
     #[test]
-    fn the_reached_rows_grow_by_the_states_that_hand_off() {
+    fn the_reached_rows_cover_the_states_that_can_hand_off() {
         let (g, n) = movie_graph();
         let forward = Nfa::compile(&parse("director.movie.title").unwrap(), g.labels());
-        let walked = forward.reverse();
+        let (walked, other) = (forward.reverse(), Nfa::compile(&parse("title").unwrap(), g.labels()));
         let block_of: Vec<NodeId> = g.node_ids().collect();
         let similarity = vec![1; g.node_count()];
-        let mut arena = EvalArena::new();
         let labels = LabelIndex::build(&g);
-        evaluate_bounded_with(&g, &forward, &labels, &mut arena, &mut VisitBudget::unlimited()).unwrap();
+        let walk_forward = |nfa: &Nfa, arena: &mut EvalArena| {
+            evaluate_bounded_with(&g, nfa, &labels, arena, &mut VisitBudget::unlimited()).unwrap()
+        };
+        let mut arena = EvalArena::new();
+        assert!(HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena).is_none());
+        walk_forward(&forward, &mut arena);
         let before = arena.mark_capacity();
         let mut h = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena).unwrap();
+        assert_eq!(arena.mark_capacity(), before, "no rows before a hand-off");
+        let can = (0..walked.state_count()).map(StateId::from_index);
+        let can = can.filter(|&s| !walked.is_accepting(s) && walked.longest_word(s).is_some_and(|l| l <= 1)).count();
+        assert!(0 < can && can < walked.state_count());
         let mut budget = VisitBudget::unlimited();
         let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
         assert_eq!(walk, Ok((true, 2)), "title, then its movie hands off");
-        assert_eq!(h.handoffs(), 1);
-        assert!(walked.state_count() > 1);
-        assert_eq!(arena.mark_capacity() - before, g.node_count(), "one row");
+        assert_eq!((h.handoffs(), h.index_visits()), (1, 2));
+        assert_eq!(arena.mark_capacity() - before, 2 * can * g.node_count(), "two rows per state that can");
         let walk = h.matches_ending_at(&g, &walked, n[5], &mut arena, &mut budget);
         assert_eq!(walk, Ok((true, 2)), "movie(2) is the director's through the reference");
-        assert_eq!(h.handoffs(), 2);
-        assert_eq!(arena.mark_capacity() - before, g.node_count(), "still one row");
+        assert_eq!((h.handoffs(), h.index_visits()), (2, 4));
+        assert_eq!(arena.mark_capacity() - before, 2 * can * g.node_count(), "the same rows");
+        walk_forward(&other, &mut arena);
+        let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
+        assert_eq!((walk, h.handoffs()), (Ok(matches_ending_at(&g, &walked, n[2])), 2));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! `tests/contracts.rs` keeps it that way (ARCHITECTURE.md §6). The index
 //! hand-off is stated once more here too: which pairs hand off is decided
 //! by subset simulation over boolean state sets, not by the automaton's
-//! precomputed word lengths, and a verdict is its definition, a backward
-//! walk on the index graph, not the evaluator's lookup in the forward
-//! walk's pairs; verdicts go to a per-query `HashMap`.
+//! precomputed word lengths, a verdict is its definition (a backward walk
+//! on the index graph), and verdicts go to a per-query `HashMap`.
 
 use crate::eval::{EvalOutcome, LabelIndex};
 use crate::nfa::{Nfa, StateId, Step};
@@ -132,6 +131,8 @@ pub struct IndexSide<'a, I> {
     within: HashMap<(StateId, usize), bool>,
     /// Pairs that handed off in this query.
     pub handoffs: u64,
+    /// Index visits charged by this query's verdicts.
+    pub index_visits: u64,
 }
 
 impl<'a, I: LabeledGraph> IndexSide<'a, I> {
@@ -151,6 +152,7 @@ impl<'a, I: LabeledGraph> IndexSide<'a, I> {
             verdicts: HashMap::new(),
             within: HashMap::new(),
             handoffs: 0,
+            index_visits: 0,
         }
     }
 }
@@ -159,10 +161,9 @@ impl<'a, I: LabeledGraph> IndexSide<'a, I> {
 /// walk of [`matches_ending_at`], except that a pair `(t, p)` whose
 /// remaining words from `t` all have at most `k(B(p))` labels — and at
 /// least one exists — is answered by a walk on the index graph from
-/// `(t, B(p))`, once per `(B(p), t)` per query. That walk is the verdict's
-/// definition, not a cost: the query's forward phase on the index already
-/// charged every pair it could reach (§6.1), so a hand-off is charged
-/// nothing. Returns the verdict and the data activations.
+/// `(t, B(p))`, once per `(B(p), t)` per query: the verdict's definition,
+/// charged to `side.index_visits` the least such a walk can cost, one visit
+/// and one more on a "yes". Returns the verdict and the data activations.
 pub fn matches_ending_at_with_index<G: LabeledGraph, I: LabeledGraph>(
     g: &G,
     reversed: &Nfa,
@@ -184,6 +185,7 @@ pub fn matches_ending_at_with_index<G: LabeledGraph, I: LabeledGraph>(
             return Some(known);
         }
         let (hit, _) = walk_back(side.index, &side.reversed, Start::At(state, block), &mut |_, _| None);
+        side.index_visits += 1 + u64::from(hit);
         side.verdicts.insert((block, state), hit);
         Some(hit)
     };
