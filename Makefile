@@ -13,9 +13,10 @@
 # run. It writes its record and metrics under target/ and fails when the
 # record, its `loc` object removed, differs from the checked-in
 # BENCH_eval.json with its `loc` object removed. After a change that moves a
-# count on purpose, refresh both checked-in files from the repo root with
-# `cargo run --release -p dkindex-bench --bin reproduce -- bench-smoke`
-# (it writes BENCH_eval.json and METRICS.json there). Timing belongs to the
+# count on purpose, refresh the checked-in BENCH_eval.json from the repo
+# root with `cargo run --release -p dkindex-bench --bin reproduce --
+# bench-smoke` (it also writes METRICS.json there, a local artifact that
+# .gitignore keeps out of the repository). Timing belongs to the
 # judged benchmark (benchmark/, BENCHMARK.json).
 # `verify-record` regenerates the paper record: it runs `reproduce all`
 # (Figures 4–7, Table 1's work column and the ablations, exiting non-zero on

@@ -101,8 +101,8 @@ pub struct IndexEvalOutcome {
 }
 
 /// The borrowed parts one index→validate walk runs over. `seeds` must have
-/// been built from `index`; the arena may come dirty from any graph,
-/// because every walk resets its epoch-stamped marks.
+/// been built from `index`; the arena may come from any graph, because
+/// every walk leaves its marks clear and resets them before it uses them.
 pub(crate) struct Walk<'a> {
     pub(crate) index: &'a IndexGraph,
     pub(crate) data: &'a DataGraph,

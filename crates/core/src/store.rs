@@ -31,7 +31,10 @@
 //! Parent rows are not stored: the loader rebuilds them ascending by one
 //! counting transpose of the child rows.
 //!
-//! Every encoder appends to a `Vec<u8>` and cannot fail. Every decoder reads
+//! Every encoder appends to a `Vec<u8>` and cannot fail, and each section
+//! has a length function that gives its encoder's byte count by arithmetic
+//! over the columns, so the container sizes its buffers exactly before it
+//! encodes into them. Every decoder reads
 //! one whole payload and returns its reason as a `String`, which the
 //! container wraps as a `SnapshotError::Section`; trailing bytes inside a
 //! payload are an error. Payloads reach the decoders only after their CRC
@@ -89,22 +92,37 @@ fn put_label_table(out: &mut Vec<u8>, labels: &LabelInterner) {
     }
 }
 
-/// A rows column: its length, each row's end, then every target.
-fn put_rows<'a>(out: &mut Vec<u8>, rows: impl Iterator<Item = &'a [NodeId]> + Clone) {
-    let len = rows.clone().map(<[NodeId]>::len).sum();
-    out.reserve(4 * (1 + rows.clone().count() + len));
+/// Bytes of a label table.
+fn label_table_len(labels: &LabelInterner) -> usize {
+    4 + labels.iter().map(|(_, name)| 4 + name.len()).sum::<usize>()
+}
+
+/// A rows column of `len` targets: its length, each row's end, then the
+/// `targets`, row by row.
+fn put_rows<'a>(
+    out: &mut Vec<u8>,
+    len: usize,
+    rows: impl Iterator<Item = &'a [NodeId]>,
+    targets: impl Iterator<Item = NodeId>,
+) {
     put_u32(out, len);
     let mut end = 0;
-    for row in rows.clone() {
+    for row in rows {
         end += row.len();
         put_u32(out, end);
     }
-    for &target in rows.flatten() {
+    for target in targets {
         put_u32(out, target.index());
     }
 }
 
-/// Append the `GRPH` payload of `g`.
+/// Bytes of a rows column of `len` targets over `rows` rows.
+fn rows_len(rows: usize, len: usize) -> usize {
+    4 * (1 + rows + len)
+}
+
+/// Append the `GRPH` payload of `g`. The kind bits are set as the targets
+/// are written.
 pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) {
     out.extend_from_slice(&GRAPH_MAGIC);
     put_label_table(out, g.labels());
@@ -112,14 +130,26 @@ pub(crate) fn write_graph(g: &DataGraph, out: &mut Vec<u8>) {
     for n in g.node_ids() {
         put_u32(out, g.label_of(n).index());
     }
-    put_rows(out, g.node_ids().map(|n| g.children_of(n)));
     let mut kinds = vec![0u8; g.edge_count().div_ceil(8)];
-    for (slot, (_, _, kind)) in g.edges().enumerate() {
+    let targets = g.edges().enumerate().map(|(slot, (_, to, kind))| {
         if let (EdgeKind::Reference, Some(byte)) = (kind, kinds.get_mut(slot / 8)) {
             *byte |= 1 << (slot % 8);
         }
-    }
+        to
+    });
+    put_rows(out, g.edge_count(), g.node_ids().map(|n| g.children_of(n)), targets);
     out.extend_from_slice(&kinds);
+}
+
+/// Bytes [`write_graph`] appends for `g`: magic, labels, the label
+/// column, the child rows and the kind bits.
+pub(crate) fn graph_len(g: &DataGraph) -> usize {
+    let (nodes, edges) = (g.node_count(), g.edge_count());
+    GRAPH_MAGIC.len()
+        + label_table_len(g.labels())
+        + 4 * (1 + nodes)
+        + rows_len(nodes, edges)
+        + edges.div_ceil(8)
 }
 
 /// Append the `INDX` payload of `index` (without its data graph).
@@ -132,9 +162,23 @@ pub(crate) fn write_index(index: &IndexGraph, out: &mut Vec<u8>) {
     for block in index.node_ids() {
         out.extend_from_slice(&(index.similarity(block) as u64).to_le_bytes());
     }
-    put_rows(out, index.node_ids().map(|block| index.extent(block)));
-    put_rows(out, index.node_ids().map(|block| index.children_of(block)));
+    let extents = index.node_ids().map(|block| index.extent(block));
+    put_rows(out, index.total_extent_size(), extents.clone(), extents.flatten().copied());
+    let children = index.node_ids().map(|block| index.children_of(block));
+    put_rows(out, index.edge_count(), children.clone(), children.flatten().copied());
     put_u32(out, index.root().index());
+}
+
+/// Bytes [`write_index`] appends for `index`: labels, similarities, the
+/// two columns and the root.
+pub(crate) fn index_len(index: &IndexGraph) -> usize {
+    let blocks = index.size();
+    label_table_len(index.labels())
+        + 4 * (1 + blocks)
+        + 8 * blocks
+        + rows_len(blocks, index.total_extent_size())
+        + rows_len(blocks, index.edge_count())
+        + 4
 }
 
 /// Append the requirements table `reqs`: the `REQS` payload, and the body
@@ -148,6 +192,11 @@ pub(crate) fn write_requirements(reqs: &Requirements, out: &mut Vec<u8>) {
         put_name(out, label);
         put_u32(out, k);
     }
+}
+
+/// Bytes [`write_requirements`] appends for `reqs`.
+pub(crate) fn requirements_len(reqs: &Requirements) -> usize {
+    8 + reqs.iter().map(|(label, _)| 4 + label.len() + 4).sum::<usize>()
 }
 
 // ---- decoding ------------------------------------------------------------

@@ -13,8 +13,10 @@
 //!   distinguished `ROOT` and `VALUE` labels.
 //! * [`traversal`] — depth maps and incoming-label-path enumeration (the
 //!   raw material of the k-bisimilarity properties).
-//! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
-//!   loop in the workspace (O(1) clear, zero steady-state allocation).
+//! * [`Marks`] — visited flags, one bit per slot, shared by every hot
+//!   traversal loop in the workspace: each traversal clears the bits it set,
+//!   so the next one starts on a clear set with no memset and zero
+//!   steady-state allocation.
 //! * [`Adjacency`] — a graph's edges, stored once per direction under one
 //!   row rule (child rows in insertion order, parent rows ascending): the
 //!   adjacency of [`DataGraph`] and of `dkindex-core`'s index graphs alike.
