@@ -46,8 +46,7 @@ use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
-    evaluate_bounded_with, matches_ending_at_bounded_with, EvalArena, HandOff, LabelIndex, Nfa,
-    PathExpr, VisitBudget,
+    evaluate_bounded_with, EvalArena, HandOff, LabelIndex, Nfa, PathExpr, VisitBudget,
 };
 
 /// Cost of one query under the paper's in-memory model.
@@ -163,9 +162,10 @@ impl Walk<'_> {
         // completion, so an aborted query leaves no partial counts behind.
         let mut sound_extents = 0u64;
         // Only if we validate: the reversed automaton over the data labels
-        // and, when some state of it can hand off, the query's hand-off to
-        // this index (which reads the forward walk's pairs in `arena`).
-        let mut validation: Option<(Nfa, Option<HandOff<'_, IndexGraph>>)> = None;
+        // and the query's hand-off to this index (which reads the forward
+        // walk's pairs in `arena`, and walks plainly when no state can hand
+        // off).
+        let mut validation: Option<(Nfa, HandOff<'_, IndexGraph>)> = None;
 
         for inode in on_index.matches {
             let sound = match required {
@@ -188,11 +188,7 @@ impl Walk<'_> {
             // extent is allocated to size: the epoch memo keeps it.
             let mut hits: Vec<NodeId> = Vec::new();
             for &candidate in index.extent(inode) {
-                let walk = match handoff {
-                    Some(h) => h.matches_ending_at(data, walked, candidate, arena, &mut remaining),
-                    None => matches_ending_at_bounded_with(data, walked, candidate, arena, &mut remaining),
-                };
-                match walk {
+                match handoff.matches_ending_at(data, walked, candidate, arena, &mut remaining) {
                     Ok((hit, visited)) => {
                         cost.data_visits += visited;
                         if hit {
@@ -201,16 +197,17 @@ impl Walk<'_> {
                     }
                     Err(e) => {
                         cost.data_visits += e.visited;
-                        cost.index_visits += handoff.as_ref().map_or(0, HandOff::index_visits);
+                        cost.index_visits += handoff.index_visits();
                         return Err(abort(cost));
                     }
                 }
             }
             matches.extend_from_slice(&hits);
         }
-        let handoff = validation.as_ref().and_then(|(_, handoff)| handoff.as_ref());
-        let handoffs = handoff.map_or(0, HandOff::handoffs);
-        cost.index_visits += handoff.map_or(0, HandOff::index_visits);
+        let (handoffs, handoff_visits) = validation.as_ref().map_or((0, 0), |(_, handoff)| {
+            (handoff.handoffs(), handoff.index_visits())
+        });
+        cost.index_visits += handoff_visits;
         matches.sort_unstable();
         matches.dedup();
 

@@ -111,13 +111,13 @@ use std::thread::JoinHandle;
 
 /// A worker keeps its walk scratch between misses only while its marks
 /// ([`EvalArena::mark_capacity`]) take at most this many bytes per node of
-/// the epoch it just served: 128 states' worth of activation bits, or the
-/// reached and asked rows of two hand-off states over an index as large as
-/// the data graph. Short walks allocate no `states × nodes` bitset at all,
-/// and ordinary queries compile to a few dozen NFA states at most, so they
-/// stay under it; one oversized query with a long walk (hundreds of states
-/// × every data node) would otherwise stay resident in its worker for the
-/// life of the thread.
+/// the epoch it just served, 128 bits: the activation bits of 128 states,
+/// or the reached and asked rows (two bits each) of 64 hand-off states over
+/// an index as large as the data graph. Short walks allocate no
+/// `states × nodes` bitset at all, and ordinary queries compile to a few
+/// dozen NFA states at most, so they stay under it; one oversized query
+/// with a long walk (hundreds of states × every data node) would otherwise
+/// stay resident in its worker for the life of the thread.
 const MAX_RETAINED_MARK_BYTES_PER_NODE: usize = 16;
 
 thread_local! {
@@ -1059,13 +1059,42 @@ mod tests {
         assert!(kept <= MAX_RETAINED_MARK_BYTES_PER_NODE * nodes);
     }
 
+    /// An ordinary query that hands off to the index keeps its arena, the
+    /// reached rows included: on a random tree whose `uniform(2)` index has
+    /// 328 blocks over 401 nodes, a 5-label path validates and hands off,
+    /// and its rows stay well within the cap.
+    #[test]
+    fn an_ordinary_handoff_query_keeps_its_arena() {
+        let data = random_graph(&RandomGraphConfig {
+            nodes: 400,
+            labels: 12,
+            reference_edges: 0,
+            max_fanout: 3,
+            seed: 7,
+        });
+        let epoch = epoch_over(data, Requirements::uniform(2));
+        let (index, nodes) = (epoch.index().index(), epoch.data().node_count());
+        assert_eq!((index.node_count(), nodes), (328, 401));
+
+        let query = parse("l9.l7.l7.l11.l3").unwrap();
+        let labels = LabelIndex::build(index);
+        let want = eval_oracle::evaluate(index, epoch.data(), &labels, &query);
+        let forward = Nfa::compile(&query, index.labels());
+        let on_index = dkindex_pathexpr::oracle::evaluate(index, &forward, &labels);
+        assert!(want.validated && want.cost.index_visits > on_index.visited, "it hands off");
+        assert_eq!(*epoch.evaluate(&query), want);
+        let kept = retained_marks();
+        assert!(kept > 0, "the worker keeps its arena, rows included");
+        assert!(kept <= MAX_RETAINED_MARK_BYTES_PER_NODE * nodes, "{kept} bytes");
+    }
+
     /// A worker keeps its arena across ordinary misses but not the
     /// `states × nodes` bitset of an oversized query. An ordinary validating
-    /// miss walks few pairs, dedups on its queue and leaves the arena
-    /// holding only the matched bits of its index walk; a 200-label query
-    /// that validates on a label-split index and a query whose many branches
-    /// hand off to the index each make the thread drop its arena, and the
-    /// next miss still answers exactly.
+    /// miss walks few pairs and dedups on its queue, so it leaves the arena
+    /// holding no marks; a 200-label query that validates on a label-split
+    /// index and a query whose many branches hand off to the index each
+    /// make the thread drop its arena, and the next miss still answers
+    /// exactly.
     #[test]
     fn an_oversized_validating_query_does_not_stay_resident() {
         // A ring of `a` nodes under the root: every a-path of any length
@@ -1083,11 +1112,7 @@ mod tests {
 
         let ordinary = parse("a.a.b").unwrap();
         assert!(epoch.evaluate(&ordinary).validated);
-        assert_eq!(
-            retained_marks(),
-            8 * epoch.index().index().node_count().div_ceil(64),
-            "short validation walks allocate no states × nodes bitset: the arena keeps the matched bits"
-        );
+        assert_eq!(retained_marks(), 0, "short validation walks allocate no states × nodes bitset");
 
         let long = parse(&vec!["a"; 200].join(".")).unwrap();
         let states = Nfa::compile(&long, epoch.data().labels()).state_count();
@@ -1103,11 +1128,13 @@ mod tests {
             assert_eq!(*epoch.evaluate(&q), want, "{next}");
         }
 
-        // The reached rows of a query that hands off to the index: on a
-        // similarity-1 index, every branch of an alternation of 80 copies of
-        // `a.a.a` hands off one label short of its end, each state with its
-        // own rows. They are released by the same rule, and the next
-        // hand-off still answers exactly.
+        // A query that hands off to the index: on a similarity-1 index,
+        // every branch of an alternation of 80 copies of `a.a.a` hands off
+        // one label short of its end, each state with its own rows. What
+        // outgrows the cap is the walk's activation bitset (638 states × 42
+        // nodes, 3 352 bytes against 672), not the rows (160 bytes as bits);
+        // the arena is released by the same rule, and the next hand-off
+        // still answers exactly.
         let epoch = epoch_over(data, Requirements::uniform(1));
         let labels = LabelIndex::build(epoch.index().index());
         let many = parse(&vec!["(a.a.a)"; 80].join("|")).unwrap();
@@ -1116,7 +1143,7 @@ mod tests {
         let on_index = dkindex_pathexpr::oracle::evaluate(epoch.index().index(), &forward, &labels);
         assert!(want.validated && want.cost.index_visits > on_index.visited, "it hands off");
         assert_eq!(*epoch.evaluate(&many), want);
-        assert_eq!(retained_marks(), 0, "the oversized reached rows must be released");
+        assert_eq!(retained_marks(), 0, "the oversized bitset must be released");
         for next in ["a.a.b", "a.a.a.a"] {
             let q = parse(next).unwrap();
             let want = eval_oracle::evaluate(epoch.index().index(), epoch.data(), &labels, &q);

@@ -67,16 +67,16 @@ const SCAN_LIMIT: usize = 32;
 /// Reusable scratch state for [`evaluate_bounded_with`] and
 /// [`matches_ending_at_bounded_with`]: the forward walk's queue, which holds
 /// its activated pairs until the next forward walk, a backward walk's queue,
-/// `(state, node)` activation bits for walks that outgrow a queue scan, the
-/// matched set, and the reached rows of a query that hands off to an index
-/// ([`HandOff`]). Both bitsets are clear between walks: each walk clears
-/// the bits it set from its own queue. After warm-up, a batch of queries
-/// sharing one arena performs zero steady-state allocation.
+/// `(state, node)` activation bits for walks that outgrow a queue scan, and
+/// the reached rows of a query that hands off to an index ([`HandOff`]).
+/// Every mark is cleared from a list its walk keeps: a walk unmarks its
+/// activation bits from its own queue as it ends, and the reached rows are
+/// unmarked at the forward pairs' nodes before the next forward walk
+/// replaces those pairs. After warm-up, a batch of queries sharing one arena
+/// performs zero steady-state allocation.
 #[derive(Clone, Debug, Default)]
 pub struct EvalArena {
     active: Marks,
-    matched: Marks,
-    matched_list: Vec<NodeId>,
     forward: Vec<(StateId, NodeId)>,
     queue: Vec<(StateId, NodeId)>,
     reached: Reached,
@@ -96,26 +96,32 @@ impl EvalArena {
     /// Bytes of marks this arena retains: the `(state, node)` activation
     /// bits, as many as the largest `states × nodes` product of a walk that
     /// outgrew its queue scan since the arena was created (none if none
-    /// did), the matched-node bits, one per node of the largest graph a
-    /// forward walk ran over, and the reached rows, two `u32` stamps per
-    /// state that can hand off times the index nodes, for the largest such
-    /// query that handed off (the queues are bounded by the activations). A
-    /// long-lived owner reads it to bound what it keeps between walks.
+    /// did), and the reached rows, two bits per state that can hand off
+    /// times the index nodes, for the largest such query that handed off
+    /// (the queues and the list of asked slots are bounded by the charged
+    /// visits). A long-lived owner reads it to bound what it keeps between
+    /// walks.
     pub fn mark_capacity(&self) -> usize {
-        self.active.bytes() + self.matched.bytes() + 4 * self.reached.slots.len()
+        self.active.bytes() + self.reached.bits.bytes()
     }
 }
 
-/// One query's reached rows, flat and stamped, two over the index nodes per
-/// state that can hand off: node `P`'s slot in a state's *reached* row
-/// holds the stamp iff the forward walk activated some `(u, P)` with the
-/// state in `u`'s ε-closure, block `B`'s in its *asked* row iff the query
-/// charged the verdict for `(state, B)`. A query that never hands off
-/// allocates none.
+/// One query's reached rows, two rows of bits over the index nodes per
+/// state that can hand off: node `P`'s bit in a state's *reached* row is
+/// set iff the forward walk activated some `(u, P)` with the state in `u`'s
+/// ε-closure, block `B`'s in its *asked* row iff the query charged the
+/// verdict for `(state, B)`. A query that never hands off allocates none.
+///
+/// The rows are cleared like every walk mark, from lists: every row at each
+/// forward pair's node, then the asked slots. That happens before the next
+/// forward walk replaces the pairs and when a new query restarts the rows
+/// over the same pairs; in between, the rows are only ever filled from
+/// those pairs.
 #[derive(Clone, Debug, Default)]
 struct Reached {
-    slots: Vec<u32>,
-    stamp: u32,
+    bits: Marks,
+    /// The asked slots set since the rows were filled.
+    asked: Vec<usize>,
     row_of: Vec<Option<usize>>,
     rows: usize,
     nodes: usize,
@@ -123,9 +129,17 @@ struct Reached {
 }
 
 impl Reached {
-    /// Start a query over `nodes` index nodes: every state that `qualifies`
-    /// gets an unfilled row pair, and the stamp moves on.
-    fn begin(&mut self, states: usize, nodes: usize, qualifies: impl Fn(usize) -> bool) {
+    /// Start a query over `nodes` index nodes: clear the last query's rows
+    /// over the forward `pairs` they were filled from, then every state
+    /// that `qualifies` gets an unfilled row pair.
+    fn begin(
+        &mut self,
+        pairs: &[(StateId, NodeId)],
+        states: usize,
+        nodes: usize,
+        qualifies: impl Fn(usize) -> bool,
+    ) {
+        self.clear(pairs);
         let mut rows = 0;
         self.row_of.clear();
         self.row_of.extend((0..states).map(|s| {
@@ -133,13 +147,25 @@ impl Reached {
             rows += usize::from(row.is_some());
             row
         }));
-        (self.rows, self.nodes, self.filled) = (rows, nodes, false);
-        if self.stamp == u32::MAX {
-            // Stamp wrapped: re-zero once every 2^32 - 1 queries.
-            self.slots.fill(0);
-            self.stamp = 0;
+        (self.rows, self.nodes) = (rows, nodes);
+    }
+
+    /// Unmark the rows filled from the forward `pairs`: every row at each
+    /// pair's node, then the asked slots. A no-op unless they were filled.
+    fn clear(&mut self, pairs: &[(StateId, NodeId)]) {
+        if !std::mem::take(&mut self.filled) {
+            return;
         }
-        self.stamp += 1;
+        let width = 2 * self.nodes;
+        for &(_, p) in pairs {
+            for row in 0..self.rows {
+                self.bits.unmark(row * width + p.index());
+            }
+        }
+        for slot in self.asked.drain(..) {
+            self.bits.unmark(slot);
+        }
+        self.bits.cleared();
     }
 
     /// Is some node of `parents` in `state`'s reached row, and is this the
@@ -156,21 +182,23 @@ impl Reached {
         let width = 2 * self.nodes;
         if !self.filled {
             self.filled = true;
-            if self.slots.len() < self.rows * width {
-                self.slots.resize(self.rows * width, 0);
-            }
+            self.bits.reset(self.rows * width);
             for &(u, p) in pairs {
                 for t in &forward.closures()[u.index()] {
                     if let Some(row) = self.row_of[t.index()] {
-                        self.slots[row * width + p.index()] = self.stamp;
+                        self.bits.mark(row * width + p.index());
                     }
                 }
             }
         }
-        let row = self.row_of[state.index()].expect("only a state that can hand off asks");
-        let (reached, asked) = self.slots[row * width..][..width].split_at_mut(self.nodes);
-        let first = std::mem::replace(&mut asked[block.index()], self.stamp) != self.stamp;
-        (parents.iter().any(|p| reached[p.index()] == self.stamp), first)
+        let reached = width * self.row_of[state.index()].expect("only a state that can hand off asks");
+        let asked = reached + self.nodes + block.index();
+        let first = self.bits.mark(asked);
+        if first {
+            self.asked.push(asked);
+        }
+        let hit = parents.iter().any(|p| self.bits.is_marked(reached + p.index()));
+        (hit, first)
     }
 }
 
@@ -243,7 +271,9 @@ impl<'a> Activations<'a> {
 /// validation walk of a query, so the cap bounds the query's charged
 /// activations, not each phase separately. Its uncharged work is bounded
 /// by the charged: a [`HandOff`] reads each forward pair's ε-closure once
-/// per query and its block's parents once per hand-off.
+/// per query and its block's parents once per hand-off, and clearing its
+/// reached rows touches each forward pair once per row and each charged
+/// verdict once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VisitBudget {
     remaining: u64,
@@ -335,7 +365,8 @@ pub fn matches_ending_at<G: LabeledGraph>(g: &G, reversed: &Nfa, node: NodeId) -
 /// The budget is `&mut` so validation walks can share it.
 ///
 /// The walk's activated pairs stay in the arena until its next forward
-/// walk: a [`HandOff`] begun after it reads them.
+/// walk: a [`HandOff`] begun after it reads them. Before replacing them,
+/// the walk clears the reached rows filled from them.
 ///
 /// The `pathexpr.*` telemetry counts work done, so an aborted walk records
 /// its charged activations exactly like a completed one.
@@ -354,14 +385,13 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     // number of consuming transitions.
     let EvalArena {
         active,
-        matched,
-        matched_list,
         forward: queue,
+        reached,
         ..
     } = arena;
+    reached.clear(queue);
     let mut seen = Activations::new(active, states, nodes);
-    matched.reset(nodes);
-    matched_list.clear();
+    let mut matches = Vec::new();
     queue.clear();
     arena.forward_walks += 1;
     arena.walked = None;
@@ -376,8 +406,8 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
             return false;
         }
         visited += 1;
-        if nfa.is_accepting(state) && matched.mark(node.index()) {
-            matched_list.push(node);
+        if nfa.is_accepting(state) {
+            matches.push(node);
         }
         queue.push((state, node));
         true
@@ -428,10 +458,6 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
     };
 
     seen.clear(queue);
-    for &node in matched_list.iter() {
-        matched.unmark(node.index());
-    }
-    matched.cleared();
     telemetry::metrics::PATHEXPR_EVALUATIONS.incr();
     telemetry::metrics::PATHEXPR_ACTIVATIONS.add(visited);
     telemetry::metrics::PATHEXPR_VISITS_PER_EVAL.record(visited);
@@ -440,8 +466,8 @@ pub fn evaluate_bounded_with<G: LabeledGraph>(
         return Err(BudgetExhausted { visited });
     }
     arena.walked = Some((states, nodes));
-    let mut matches = std::mem::take(matched_list);
     matches.sort_unstable();
+    matches.dedup();
     Ok(EvalOutcome { matches, visited })
 }
 
@@ -516,11 +542,11 @@ fn record_validation(walk: Result<(bool, u64), BudgetExhausted>) -> Result<(bool
 ///
 /// One `HandOff` lives for one query and reads the pairs its forward walk
 /// ([`evaluate_bounded_with`] of `forward` over `index`) left in the
-/// arena. [`HandOff::begin`] declines unless that walk is the last to have
-/// run on the arena and completed; a validation walk on an arena where
-/// another forward walk has started since runs the plain walk. The walk's
-/// automaton is the reversal of a compilation of the same expression
-/// against the data labels, so its states are `forward`'s.
+/// arena. It hands off only if that walk is the last to have run on the
+/// arena and completed, and only while no other forward walk has started
+/// there; otherwise its walks are the plain walk. The walk's automaton is
+/// the reversal of a compilation of the same expression against the data
+/// labels, so its states are `forward`'s.
 #[derive(Debug)]
 pub struct HandOff<'a, I> {
     index: &'a I,
@@ -528,16 +554,19 @@ pub struct HandOff<'a, I> {
     block_of: &'a [NodeId],
     similarity: &'a [usize],
     largest: usize,
-    forward_walk: u64,
+    /// The arena's forward walk this query hands off over; `None` when it
+    /// runs the plain walk throughout.
+    forward_walk: Option<u64>,
     handoffs: u64,
     index_visits: u64,
 }
 
 impl<'a, I: LabeledGraph> HandOff<'a, I> {
-    /// Start one query's hand-off, or `None` when no state of `walked` (the
-    /// validation walk's reversed automaton) can hand off: only a state
-    /// that does not accept and whose longest remaining word is at most the
-    /// largest similarity may. Then the query runs the plain walk.
+    /// Start one query's hand-off. Only a state of `walked` (the validation
+    /// walk's reversed automaton) that does not accept and whose longest
+    /// remaining word is at most the largest similarity can hand off; when
+    /// none can, or the arena's last forward walk is not a completed walk
+    /// of `forward` over `index`, every walk of the query is the plain walk.
     ///
     /// `forward` is the query compiled against `index`'s labels (see the
     /// type's doc for its walk); `block_of` maps each data node to its
@@ -549,28 +578,33 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         block_of: &'a [NodeId],
         similarity: &'a [usize],
         arena: &mut EvalArena,
-    ) -> Option<Self> {
+    ) -> Self {
         debug_assert_eq!(walked.state_count(), forward.state_count());
-        let largest = similarity.iter().copied().max()?;
+        let largest = similarity.iter().copied().max().unwrap_or(0);
         let qualifies = |s: usize| {
             let state = StateId::from_index(s);
             !walked.is_accepting(state) && walked.longest_word(state).is_some_and(|l| l <= largest)
         };
         let walk = Some((forward.state_count(), index.node_count()));
-        if arena.walked != walk || !(0..walked.state_count()).any(qualifies) {
-            return None;
+        let hands_off = arena.walked == walk && (0..walked.state_count()).any(qualifies);
+        if hands_off {
+            let EvalArena {
+                forward: pairs,
+                reached,
+                ..
+            } = arena;
+            reached.begin(pairs, walked.state_count(), index.node_count(), qualifies);
         }
-        arena.reached.begin(walked.state_count(), index.node_count(), qualifies);
-        Some(HandOff {
+        HandOff {
             index,
             forward,
             block_of,
             similarity,
             largest,
-            forward_walk: arena.forward_walks,
+            forward_walk: hands_off.then_some(arena.forward_walks),
             handoffs: 0,
             index_visits: 0,
-        })
+        }
     }
 
     /// Pairs that handed off in this query.
@@ -584,9 +618,11 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         self.index_visits
     }
 
-    /// [`matches_ending_at_bounded_with`] handing off to the index. The
-    /// returned count, and an abort's, are the walk's data activations;
-    /// its verdicts' charges go to [`HandOff::index_visits`].
+    /// [`matches_ending_at_bounded_with`] handing off to the index, or that
+    /// plain walk when this query does not hand off (see
+    /// [`HandOff::begin`]) or another forward walk has started on `arena`
+    /// since. The returned count, and an abort's, are the walk's data
+    /// activations; its verdicts' charges go to [`HandOff::index_visits`].
     pub fn matches_ending_at<G: LabeledGraph>(
         &mut self,
         g: &G,
@@ -595,7 +631,7 @@ impl<'a, I: LabeledGraph> HandOff<'a, I> {
         arena: &mut EvalArena,
         budget: &mut VisitBudget,
     ) -> Result<(bool, u64), BudgetExhausted> {
-        if arena.forward_walks != self.forward_walk {
+        if self.forward_walk != Some(arena.forward_walks) {
             return matches_ending_at_bounded_with(g, walked, node, arena, budget);
         }
         let EvalArena {
@@ -912,11 +948,11 @@ mod tests {
         }
     }
 
-    /// Run `walk` on `arena`, then hold both of the arena's bitsets clear,
+    /// Run `walk` on `arena`, then hold the arena's activation bits clear,
     /// however the walk ended.
     fn leaves_clear<T>(arena: &mut EvalArena, walk: impl FnOnce(&mut EvalArena) -> T) -> T {
         let out = walk(arena);
-        assert!(arena.active.is_clear() && arena.matched.is_clear(), "a walk left marks set");
+        assert!(arena.active.is_clear(), "a walk left marks set");
         out
     }
 
@@ -1026,7 +1062,9 @@ mod tests {
     /// On the 40-node ring the walks outgrow the queue scan: `a^34` ends on
     /// a hand-off "yes" or an accept, `b.a^33` on a "no" that exhausts its
     /// queue, and every limit cuts one of them. Every walk, at every limit,
-    /// leaves the arena's marks clear.
+    /// leaves the arena's activation bits clear, and every forward walk,
+    /// run after a hand-off that any limit may have cut, starts the next
+    /// query with the reached rows clear.
     #[test]
     fn handoff_budget_sweep_matches_the_oracle() {
         let ring_a34 = vec!["a"; 34].join(".");
@@ -1072,45 +1110,49 @@ mod tests {
                         evaluate_bounded_with(g, &forward, &labels, arena, &mut VisitBudget::unlimited())
                     })
                     .expect("an unlimited budget");
+                    assert!(arena.reached.bits.is_clear(), "{expr}: a forward walk left reached rows set");
                     // `_*.title` has no state that can hand off: it runs the plain walk.
                     let mut h = HandOff::begin(&walked, &forward, g, &block_of, &similarity, &mut arena);
                     let mut walks = Vec::new();
                     for n in g.node_ids() {
-                        let walk = leaves_clear(&mut arena, |arena| match h.as_mut() {
-                            Some(h) => h.matches_ending_at(g, &walked, n, arena, budget),
-                            None => matches_ending_at_bounded_with(g, &walked, n, arena, budget),
-                        });
-                        match walk {
+                        match leaves_clear(&mut arena, |arena| h.matches_ending_at(g, &walked, n, arena, budget)) {
                             Ok(walk) => walks.push(walk),
                             Err(cut) => {
                                 let data: u64 = walks.iter().map(|w| w.1).sum();
-                                let index = h.as_ref().map_or(0, HandOff::index_visits);
-                                return Err(BudgetExhausted { visited: data + cut.visited + index });
+                                return Err(BudgetExhausted { visited: data + cut.visited + h.index_visits() });
                             }
                         }
                     }
-                    let h = h.as_ref();
-                    Ok((walks, h.map_or(0, HandOff::handoffs), h.map_or(0, HandOff::index_visits)))
+                    Ok((walks, h.handoffs(), h.index_visits()))
                 });
             }
         }
         assert!(handed_off >= 6, "only {handed_off} queries handed off");
 
-        // No state can hand off under similarity 0: the plain walk runs.
-        let (g, _) = movie_graph();
+        // No state can hand off under similarity 0: the plain walk runs,
+        // charges no verdict and fills no rows.
+        let (g, n) = movie_graph();
         let forward = Nfa::compile(&parse("director.movie.title").unwrap(), g.labels());
+        let walked = forward.reverse();
         let block_of: Vec<NodeId> = g.node_ids().collect();
         let zero = vec![0; g.node_count()];
-        assert!(HandOff::begin(&forward.reverse(), &forward, &g, &block_of, &zero, &mut arena).is_none());
+        let mut arena = EvalArena::new();
+        evaluate_bounded_with(&g, &forward, &LabelIndex::build(&g), &mut arena, &mut VisitBudget::unlimited()).unwrap();
+        let mut h = HandOff::begin(&walked, &forward, &g, &block_of, &zero, &mut arena);
+        let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut VisitBudget::unlimited());
+        assert_eq!(walk, Ok(matches_ending_at(&g, &walked, n[2])));
+        assert_eq!((h.handoffs(), h.index_visits(), arena.reached.bits.bytes()), (0, 0, 0));
     }
 
-    /// The reached rows are two rows of index nodes per state that can
-    /// hand off, not per state of the automaton, allocated on the query's
-    /// first hand-off: a walk from a title hands off once, at its movie,
-    /// reading a "yes" from the director's slot, charged two index visits;
-    /// a second candidate reuses the rows and is charged for its own movie.
-    /// The rows are the forward walk's: `begin` declines before that walk,
-    /// and a walk after another forward walk runs the plain walk.
+    /// The reached rows are two rows of bits over the index nodes per state
+    /// that can hand off, not per state of the automaton, allocated on the
+    /// query's first hand-off: a walk from a title hands off once, at its
+    /// movie, reading a "yes" from the director's slot, charged two index
+    /// visits; a second candidate reuses the rows and is charged for its
+    /// own movie. A second query begun over the same forward walk restarts
+    /// the rows clear and is charged anew. The rows are the forward walk's:
+    /// a hand-off begun before that walk, or walking after another forward
+    /// walk, runs the plain walk.
     #[test]
     fn the_reached_rows_cover_the_states_that_can_hand_off() {
         let (g, n) = movie_graph();
@@ -1123,24 +1165,32 @@ mod tests {
             evaluate_bounded_with(&g, nfa, &labels, arena, &mut VisitBudget::unlimited()).unwrap()
         };
         let mut arena = EvalArena::new();
-        assert!(HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena).is_none());
+        let mut budget = VisitBudget::unlimited();
+        let mut early = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena);
+        let walk = early.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
+        assert_eq!((walk, early.handoffs()), (Ok(matches_ending_at(&g, &walked, n[2])), 0));
         walk_forward(&forward, &mut arena);
         let before = arena.mark_capacity();
-        let mut h = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena).unwrap();
+        let mut h = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena);
         assert_eq!(arena.mark_capacity(), before, "no rows before a hand-off");
         let can = (0..walked.state_count()).map(StateId::from_index);
         let can = can.filter(|&s| !walked.is_accepting(s) && walked.longest_word(s).is_some_and(|l| l <= 1)).count();
         assert!(0 < can && can < walked.state_count());
-        let mut budget = VisitBudget::unlimited();
+        let rows = 8 * (2 * can * g.node_count()).div_ceil(64);
         let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
         assert_eq!(walk, Ok((true, 2)), "title, then its movie hands off");
         assert_eq!((h.handoffs(), h.index_visits()), (1, 2));
-        assert_eq!(arena.mark_capacity() - before, 8 * can * g.node_count(), "two u32 rows per state that can");
+        assert_eq!(arena.mark_capacity() - before, rows, "two rows of bits per state that can");
         let walk = h.matches_ending_at(&g, &walked, n[5], &mut arena, &mut budget);
         assert_eq!(walk, Ok((true, 2)), "movie(2) is the director's through the reference");
         assert_eq!((h.handoffs(), h.index_visits()), (2, 4));
-        assert_eq!(arena.mark_capacity() - before, 8 * can * g.node_count(), "the same rows");
+        assert_eq!(arena.mark_capacity() - before, rows, "the same rows");
+        let mut again = HandOff::begin(&walked, &forward, &g, &block_of, &similarity, &mut arena);
+        assert!(arena.reached.bits.is_clear(), "a new query restarts the rows clear");
+        let walk = again.matches_ending_at(&g, &walked, n[5], &mut arena, &mut budget);
+        assert_eq!((walk, again.handoffs(), again.index_visits()), (Ok((true, 2)), 1, 2));
         walk_forward(&other, &mut arena);
+        assert!(arena.reached.bits.is_clear(), "the next forward walk clears the rows");
         let walk = h.matches_ending_at(&g, &walked, n[2], &mut arena, &mut budget);
         assert_eq!((walk, h.handoffs()), (Ok(matches_ending_at(&g, &walked, n[2])), 2));
     }
