@@ -18,7 +18,8 @@
 //!
 //! The `dkindex doctor` CLI verb runs this audit and exits non-zero exactly
 //! when a `Corruption` finding exists. [`check_structure`] is the
-//! linear-time subset — every check but stability and requirement coverage —
+//! near-linear subset — every check but stability and requirement coverage,
+//! O(E log d) for E data edges and index in-degree d —
 //! that both snapshot loaders run before they hand out an index, and the
 //! one invariant check the test suite uses after every construction and
 //! update.
@@ -203,7 +204,7 @@ impl Collector {
     }
 }
 
-/// The five linear-time checks, in audit order.
+/// The five near-linear checks, in audit order.
 fn check_linear(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
     check_extent_partition(index, data, c);
     check_label_homogeneity(index, data, c);
@@ -212,7 +213,7 @@ fn check_linear(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
     check_root_consistency(index, data, c);
 }
 
-/// The linear-time subset of [`audit`]: extent-partition,
+/// The near-linear subset of [`audit`] (O(E log d)): extent-partition,
 /// label-homogeneity, edge-projection, structural-constraint and
 /// root-consistency, returning the first finding. Every one of them is a
 /// `Corruption`; stability (exponential in `k`) and requirement coverage
@@ -327,15 +328,16 @@ fn check_label_homogeneity(index: &IndexGraph, data: &DataGraph, c: &mut Collect
 fn check_edge_projection(index: &IndexGraph, data: &DataGraph, c: &mut Collector) {
     let inv = Invariant::EdgeProjection;
     let sev = Severity::Corruption;
-    // `witnessed[first_edge[a] + i]`: some data edge lands on a's i-th index
-    // edge. One sequential pass over the data edges fills it, so the check
-    // is linear in the edges (times index out-degree) — it runs on every
-    // snapshot load, and builds a message only for a finding.
-    let mut first_edge = vec![0; index.size() + 1];
-    for a in index.node_ids() {
-        first_edge[a.index() + 1] = first_edge[a.index()] + index.children_of(a).len();
+    // `witnessed[first_parent[b] + i]`: some data edge lands on the index
+    // edge from b's i-th parent. One sequential pass over the data edges
+    // fills it, each edge a binary search of its target block's ascending
+    // parent row, so the check is O(E log d) for index in-degree d — it
+    // runs on every snapshot load, and builds a message only for a finding.
+    let mut first_parent = vec![0; index.size() + 1];
+    for b in index.node_ids() {
+        first_parent[b.index() + 1] = first_parent[b.index()] + index.parents_of(b).len();
     }
-    let mut witnessed = vec![false; first_edge[index.size()]];
+    let mut witnessed = vec![false; first_parent[index.size()]];
     // Every data edge, child row by child row, must appear as an index edge.
     for from in data.node_ids() {
         for &to in data.children_of(from) {
@@ -346,9 +348,11 @@ fn check_edge_projection(index: &IndexGraph, data: &DataGraph, c: &mut Collector
             if fi.index() >= index.size() {
                 continue; // the partition check's finding
             }
-            match index.children_of(fi).iter().position(|&b| b == ti) {
-                Some(i) => witnessed[first_edge[fi.index()] + i] = true,
-                None => {
+            // A target in no block has no index edge to land on.
+            let row = if ti.index() < index.size() { index.parents_of(ti) } else { &[] };
+            match row.binary_search(&fi) {
+                Ok(i) => witnessed[first_parent[ti.index()] + i] = true,
+                Err(_) => {
                     let msg =
                         format!("data edge {from:?}→{to:?} has no index edge {fi:?}→{ti:?}");
                     if !c.push(inv, sev, msg) {
@@ -359,9 +363,9 @@ fn check_edge_projection(index: &IndexGraph, data: &DataGraph, c: &mut Collector
         }
     }
     // Every index edge must be witnessed by a data edge.
-    for a in index.node_ids() {
-        for (i, &b) in index.children_of(a).iter().enumerate() {
-            if !witnessed[first_edge[a.index()] + i] {
+    for b in index.node_ids() {
+        for (i, &a) in index.parents_of(b).iter().enumerate() {
+            if !witnessed[first_parent[b.index()] + i] {
                 let msg = format!("dangling index edge {a:?}→{b:?} (no witnessing data edge)");
                 if !c.push(inv, sev, msg) {
                     return;

@@ -23,8 +23,9 @@
 //! (child rows in insertion order, parent rows ascending; a snapshot stores
 //! child rows only, and the loader's transpose rebuilds the same parent
 //! rows). The loader lays extents and adjacency out once from the stored
-//! rows ([`SegCsr::from_rows`], [`Adjacency::from_child_rows`]); every
-//! later write is incremental.
+//! rows ([`SegCsr::from_rows`], [`Adjacency::from_child_rows`]), and a
+//! build lays them out once from the partition's member column and the
+//! projected child rows; every later write is incremental.
 //!
 //! ## Copy-on-write
 //!
@@ -90,6 +91,11 @@ pub struct IndexGraph {
     root: NodeId,
 }
 
+/// The index node of `n`'s block in `partition`.
+fn block_node(partition: &Partition, n: NodeId) -> NodeId {
+    NodeId::from_index(partition.block_of(n).index())
+}
+
 impl IndexGraph {
     /// An index over the given columns, one row per block.
     fn from_columns(
@@ -115,47 +121,30 @@ impl IndexGraph {
 
     /// Build an index graph from a partition of `g`'s nodes. `similarity[b]`
     /// is the local similarity of block `b` (same indexing as the partition's
-    /// blocks). Every extent is the block's member list.
+    /// blocks). Every extent is the block's member list, taken straight from
+    /// the partition's ascending member column.
     pub fn from_data_partition(g: &DataGraph, partition: &Partition, similarity: Vec<usize>) -> Self {
-        let node_map = vec![NodeId::from_index(0); g.node_count()];
-        let interner = g.labels_shared();
-        Self::merge(g, partition, similarity, |n, extent| extent.push(n), node_map, interner)
+        let (ends, members) = partition.member_column();
+        let extents = SegCsr::from_rows(ends.iter().copied(), members.iter().copied());
+        let extents = extents.expect("a partition's member column is a layout");
+        let node_map = g.node_ids().map(|n| block_node(partition, n)).collect();
+        Self::merge(g, partition, similarity, extents, node_map, g.labels_shared())
     }
 
     /// Re-index: treat `base` itself as a data graph, partition *its* nodes,
     /// and merge extents. Used by the subgraph-addition update and the
     /// demoting process (paper Theorem 2: the D(k)-index of any refinement of
-    /// a D(k)-index is the D(k)-index itself).
+    /// a D(k)-index is the D(k)-index itself). A block's extent is the union
+    /// of its members' extents (they are disjoint), sorted.
     pub fn reindex(base: &IndexGraph, partition: &Partition, similarity: Vec<usize>) -> Self {
-        // The node map starts as one copy of base's, rewritten by the merge.
-        let node_map = base.node_to_index.to_vec();
-        let interner = Arc::clone(&base.interner);
-        let extent_of = |i, extent: &mut Vec<NodeId>| extent.extend_from_slice(base.extent(i));
-        Self::merge(base, partition, similarity, extent_of, node_map, interner)
-    }
-
-    /// The index over `partition`'s blocks of `g`'s nodes: a block's extent
-    /// is the union of its members' extents (`extent_of` appends one; they
-    /// are disjoint), ascending, its label its first member's, and its edges
-    /// `g`'s edges, child row by child row, projected to the blocks.
-    /// `node_map` is rewritten to map each extent's data nodes to its block.
-    fn merge<G: LabeledGraph>(
-        g: &G,
-        partition: &Partition,
-        similarity: Vec<usize>,
-        extent_of: impl Fn(NodeId, &mut Vec<NodeId>),
-        mut node_map: Vec<NodeId>,
-        interner: Arc<LabelInterner>,
-    ) -> Self {
-        assert_eq!(partition.node_count(), g.node_count());
-        assert_eq!(similarity.len(), partition.block_count());
-        let block = |n: NodeId| NodeId::from_index(partition.block_of(n).index());
-        let (mut labels, mut ends) = (Vec::new(), Vec::new());
+        // The node map starts as one copy of base's, rewritten per extent.
+        let mut node_map = base.node_to_index.to_vec();
+        let mut ends = Vec::with_capacity(partition.block_count());
         let mut members = Vec::with_capacity(node_map.len());
         for b in partition.block_ids() {
             let start = members.len();
             for &n in partition.members(b) {
-                extent_of(n, &mut members);
+                members.extend_from_slice(base.extent(n));
             }
             let extent = &mut members[start..];
             extent.sort_unstable();
@@ -164,18 +153,57 @@ impl IndexGraph {
                     *slot = NodeId::from_index(b.index());
                 }
             }
-            labels.push(g.label_of(partition.members(b)[0]));
             ends.push(members.len() as u32);
         }
         let extents = SegCsr::from_rows(ends.into_iter(), members.into_iter());
         let extents = extents.expect("extent ends ascend to the member count");
-        let mut adjacency = Adjacency::with_rows(partition.block_count());
-        for from in g.node_ids() {
-            for &to in g.children_of(from) {
-                adjacency.add(block(from), block(to));
+        Self::merge(base, partition, similarity, extents, node_map, Arc::clone(&base.interner))
+    }
+
+    /// The index over `partition`'s blocks of `g`'s nodes, given its extents
+    /// and node map: a block's label is its first member's, and its edges are
+    /// `g`'s edges projected to the blocks, laid out in one pass. Block by
+    /// block, in member order and then child order, a child's block is
+    /// appended to the row unless the row already holds it — a stamp per
+    /// block records the last row that took it. Members ascend, so each row
+    /// lists its targets in the order [`Adjacency::add`] over `g`'s child
+    /// rows in node order would, and [`Adjacency::from_child_rows`]'s
+    /// transpose leaves the parent rows ascending, as `add` does.
+    fn merge<G: LabeledGraph>(
+        g: &G,
+        partition: &Partition,
+        similarity: Vec<usize>,
+        extents: SegCsr,
+        node_map: Vec<NodeId>,
+        interner: Arc<LabelInterner>,
+    ) -> Self {
+        assert_eq!(partition.node_count(), g.node_count());
+        assert_eq!(similarity.len(), partition.block_count());
+        let blocks = partition.block_count();
+        let mut labels = Vec::with_capacity(blocks);
+        let (mut ends, mut targets) = (Vec::with_capacity(blocks), Vec::new());
+        let mut last_row = vec![u32::MAX; blocks];
+        for b in partition.block_ids() {
+            let row = b.index() as u32;
+            let members = partition.members(b);
+            labels.push(g.label_of(members[0]));
+            for &n in members {
+                for &to in g.children_of(n) {
+                    let to = block_node(partition, to);
+                    let stamp = &mut last_row[to.index()];
+                    if *stamp != row {
+                        *stamp = row;
+                        targets.push(to);
+                    }
+                }
             }
+            ends.push(targets.len() as u32);
         }
-        let root = block(g.root());
+        let children = SegCsr::from_rows(ends.into_iter(), targets.into_iter());
+        let children = children.expect("projected row ends ascend to the target count");
+        let adjacency = Adjacency::from_child_rows(children);
+        let adjacency = adjacency.expect("projected rows are an adjacency");
+        let root = block_node(partition, g.root());
         Self::from_columns(labels, similarity, extents, adjacency, node_map, interner, root)
     }
 
@@ -743,6 +771,52 @@ mod tests {
         let coarse = IndexGraph::reindex(&fine_idx, &relabel, vec![0; relabel.block_count()]);
         check_structure(&coarse, &g).unwrap();
         assert_eq!(coarse.size(), 3);
+    }
+
+    /// The oracle for `merge`'s bulk projection: the adjacency
+    /// [`Adjacency::add`] leaves over `g`'s child rows, in node order, each
+    /// edge mapped to its blocks.
+    fn projected_by_add<G: LabeledGraph>(g: &G, p: &Partition) -> Adjacency {
+        let mut adjacency = Adjacency::with_rows(p.block_count());
+        for from in g.node_ids() {
+            for &to in g.children_of(from) {
+                adjacency.add(block_node(p, from), block_node(p, to));
+            }
+        }
+        adjacency
+    }
+
+    /// Child rows equal in order, parent rows equal and ascending.
+    fn assert_rows_equal(index: &IndexGraph, oracle: &Adjacency) {
+        assert_eq!(index.size(), oracle.rows());
+        for b in index.node_ids() {
+            assert_eq!(Some(index.children_of(b)), oracle.children(b), "child row of {b:?}");
+            assert_eq!(Some(index.parents_of(b)), oracle.parents(b), "parent row of {b:?}");
+            assert!(index.parents_of(b).windows(2).all(|pair| pair[0] < pair[1]));
+        }
+    }
+
+    #[test]
+    fn the_bulk_projection_equals_the_incremental_one() {
+        use dkindex_datagen::{random_graph, RandomGraphConfig};
+        for seed in 0..6 {
+            let config =
+                RandomGraphConfig { nodes: 300, labels: 4, reference_edges: 90, max_fanout: 6, seed };
+            let mut g = random_graph(&config);
+            for n in (0..g.node_count()).step_by(13).map(NodeId::from_index) {
+                g.add_edge(n, n, EdgeKind::Reference);
+            }
+            for k in [0, 1, 3] {
+                let p = k_bisimulation(&g, k);
+                let idx = IndexGraph::from_data_partition(&g, &p, vec![k; p.block_count()]);
+                assert_rows_equal(&idx, &projected_by_add(&g, &p));
+                for merge in [Partition::by_label(&idx), k_bisimulation(&idx, 1)] {
+                    let merged = IndexGraph::reindex(&idx, &merge, vec![0; merge.block_count()]);
+                    assert_rows_equal(&merged, &projected_by_add(&idx, &merge));
+                    check_structure(&merged, &g).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

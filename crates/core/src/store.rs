@@ -550,6 +550,28 @@ mod tests {
         assert!(back.edges().eq(g.edges()));
     }
 
+    /// A root with 2¹⁸ children of distinct labels: the label-split root
+    /// block has out-degree 2¹⁸. Every snapshot load audits the edge
+    /// projection; finding each data edge by a scan of its source block's
+    /// child row would cost O(out-degree) per edge — here 2³⁵ steps in all.
+    /// The audit binary-searches the target block's ascending parent row
+    /// instead, so the load stays O(E log d).
+    #[test]
+    fn a_wide_index_row_audits_in_near_linear_time() {
+        const WIDE: usize = 1 << 18;
+        let mut names = LabelInterner::new();
+        let mut labels = vec![LabelInterner::ROOT];
+        labels.extend((0..WIDE).map(|i| names.intern(&format!("l{i}"))));
+        let ends = std::iter::repeat_n(WIDE as u32, WIDE + 1);
+        let children = SegCsr::from_rows(ends, (1..=WIDE).map(NodeId::from_index)).unwrap();
+        let g = DataGraph::from_rows(names, labels, children, |_| false).unwrap();
+        let dk = DkIndex::build(&g, Requirements::uniform(0));
+        assert_eq!(dk.index().children_of(dk.index().root()).len(), WIDE);
+
+        let (back, _) = crate::snapshot::read_snapshot(&snapshot_bytes(&dk, &g)).unwrap();
+        assert!(back.index().edges().eq(dk.index().edges()));
+    }
+
     /// XML names have no length cap, and a name is `u32`-length-prefixed:
     /// a label over 64 KiB round-trips in both tables and the requirements.
     #[test]

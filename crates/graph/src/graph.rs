@@ -196,22 +196,19 @@ impl DataGraph {
             return Err("the child rows are not one per node");
         }
         let adjacency = Adjacency::from_child_rows(children)?;
-        let rows = || {
-            let row = |n: usize| adjacency.children(NodeId(n as u32)).unwrap_or_default();
-            (0..labels.len()).map(row)
-        };
-        let (mut slot, mut end) = (0, 0);
-        let ends = rows().map(|row| {
-            end += (slot..slot + row.len()).filter(|&i| reference(i)).count() as u32;
-            slot += row.len();
-            end
-        });
-        let mut slot = 0;
-        let targets = rows().flatten().copied().filter(|_| {
-            slot += 1;
-            reference(slot - 1)
-        });
-        let references = SegCsr::from_rows(ends, targets);
+        // One loop over the child slots, row by row, picks the reference
+        // targets and each reference row's end.
+        let (mut ends, mut targets, mut slot) = (Vec::with_capacity(labels.len()), Vec::new(), 0);
+        for n in 0..labels.len() {
+            for &to in adjacency.children(NodeId(n as u32)).unwrap_or_default() {
+                if reference(slot) {
+                    targets.push(to);
+                }
+                slot += 1;
+            }
+            ends.push(targets.len() as u32);
+        }
+        let references = SegCsr::from_rows(ends.into_iter(), targets.into_iter());
         let references = references.expect("the rows' reference slots are a layout");
         Ok(DataGraph {
             labels: Arc::new(labels),

@@ -18,12 +18,20 @@
 //!   checks). Only the *distinct* signatures are kept, so the round holds no
 //!   per-node signature, digest or symbol: its per-node state is the output
 //!   partition alone.
+//! * **One-parent signatures by array**: a node with exactly one parent has
+//!   the one-block signature `[block_of(parent)]`, whose symbol the round
+//!   keeps in an array indexed by that block, so only the first such node
+//!   per parent block reaches the hash chains. That first lookup interns the
+//!   slice like any other, so a multi-parent node whose parents all fall in
+//!   one block (a deduplicated signature of length 1) meets the one-parent
+//!   nodes on the same symbol.
 //! * **Packed keys**: a refined node's new block is looked up by its
 //!   `(BlockId, symbol)` pair packed into a `u64`, so no variable-length
 //!   vector is ever hashed. A node of a block the round passes through takes
 //!   its new id from a per-block array instead.
-//! * **Exact-size extents**: the pass counts each new block's members, and
-//!   every extent is then allocated once at its final size.
+//! * **Counts, then one layout**: the pass counts each new block's members,
+//!   and `Partition::from_parts` lays the whole member column out from the
+//!   counts in one counting pass — no per-block vector is ever built.
 //!
 //! The produced [`Partition`]s are **identical** (same block ids, same member
 //! order) to those of [`crate::refine::refine_round`] /
@@ -67,6 +75,9 @@ pub struct RefineEngine {
     /// Old block → its new block index, for blocks the round passes
     /// through (or [`NONE`] before the block's first member).
     skip_ids: Vec<u32>,
+    /// Old block → the symbol of the one-block signature `[block]`, once a
+    /// node of the round has interned it (or [`NONE`]).
+    single_syms: Vec<u32>,
     /// New block → member count.
     counts: Vec<u32>,
 }
@@ -137,6 +148,8 @@ impl RefineEngine {
         self.pair_ids.clear();
         self.skip_ids.clear();
         self.skip_ids.resize(prev.block_count(), NONE);
+        self.single_syms.clear();
+        self.single_syms.resize(prev.block_count(), NONE);
         self.counts.clear();
 
         // The pass: each node's new block id, in node order, numbered by
@@ -149,11 +162,28 @@ impl RefineEngine {
             let fresh = self.counts.len() as u32;
             let id = if refine_block(block) {
                 refined += 1;
-                self.scratch.clear();
-                self.scratch.extend(g.parents_of(node).iter().map(|&p| prev.block_of(p)));
-                self.scratch.sort_unstable();
-                self.scratch.dedup();
-                let sym = self.intern();
+                let sym = match g.parents_of(node) {
+                    &[parent] => {
+                        let parent = prev.block_of(parent);
+                        match self.single_syms[parent.index()] {
+                            NONE => {
+                                self.scratch.clear();
+                                self.scratch.push(parent);
+                                let sym = self.intern();
+                                self.single_syms[parent.index()] = sym;
+                                sym
+                            }
+                            sym => sym,
+                        }
+                    }
+                    parents => {
+                        self.scratch.clear();
+                        self.scratch.extend(parents.iter().map(|&p| prev.block_of(p)));
+                        self.scratch.sort_unstable();
+                        self.scratch.dedup();
+                        self.intern()
+                    }
+                };
                 let key = ((block.index() as u64) << 32) | sym as u64;
                 *self.pair_ids.entry(key).or_insert(fresh)
             } else {
@@ -170,13 +200,8 @@ impl RefineEngine {
             block_of.push(BlockId::from_index(id as usize));
         }
 
-        let mut members: Vec<Vec<NodeId>> =
-            self.counts.iter().map(|&c| Vec::with_capacity(c as usize)).collect();
-        for (i, b) in block_of.iter().enumerate() {
-            members[b.index()].push(NodeId::from_index(i));
-        }
-        let changed = members.len() != prev.block_count();
-        let next = Partition::from_parts(block_of, members);
+        let changed = self.counts.len() != prev.block_count();
+        let next = Partition::from_parts(block_of, std::mem::take(&mut self.counts));
         drop(span);
         telemetry::metrics::PARTITION_ROUNDS.incr();
         if changed {
@@ -286,6 +311,8 @@ mod tests {
                 let (fast, fast_changed) = engine.refine_round(&g, &p);
                 assert_eq!(reference, fast, "seed {seed} round {round}");
                 assert_eq!(ref_changed, fast_changed, "seed {seed} round {round}");
+                // Also checks that every block's members ascend.
+                fast.check_consistency().unwrap();
                 p = fast;
             }
         }
@@ -327,6 +354,33 @@ mod tests {
             engine.k_bisimulation(&small, small.node_count()),
             refine::bisimulation_fixpoint(&small)
         );
+    }
+
+    /// A node whose two parents share a block has the deduplicated
+    /// signature `[block]`, the one-parent signature of that block: it lands
+    /// with a one-parent node of its label, whichever comes first.
+    #[test]
+    fn two_parents_in_one_block_meet_one_parent_on_one_symbol() {
+        for two_first in [true, false] {
+            let mut g = DataGraph::new();
+            let r = g.root();
+            let (a1, a2) = (g.add_labeled_node("a"), g.add_labeled_node("a"));
+            g.add_edge(r, a1, EdgeKind::Tree);
+            g.add_edge(r, a2, EdgeKind::Tree);
+            let mut b = [g.add_labeled_node("b"), g.add_labeled_node("b")];
+            if !two_first {
+                b.reverse();
+            }
+            let [two, one] = b;
+            g.add_edge(a1, two, EdgeKind::Tree);
+            g.add_edge(a2, two, EdgeKind::Reference);
+            g.add_edge(a2, one, EdgeKind::Tree);
+            let p = Partition::by_label(&g);
+            let (reference, _) = refine::refine_round_selective(&g, &p, |_| true);
+            let (fast, _) = RefineEngine::new().refine_round_selective(&g, &p, |_| true);
+            assert_eq!(reference, fast, "two-parent node first: {two_first}");
+            assert!(fast.same_block(two, one), "two-parent node first: {two_first}");
+        }
     }
 
     #[test]

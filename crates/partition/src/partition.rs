@@ -2,8 +2,11 @@
 //!
 //! Every structural summary in this reproduction — label-split, A(k), 1-index
 //! and D(k) — is "a collection of equivalence classes" (paper §1), i.e. a
-//! partition of the data nodes. This module provides the partition container;
-//! the refinement algorithms that produce bisimulation partitions live in
+//! partition of the data nodes. This module provides the partition container:
+//! a node → block column and a block → members column in compressed-sparse-row
+//! form, which every constructor lays out from per-block counts in one pass
+//! (`Partition::from_parts`), never through per-block vectors. The
+//! refinement algorithms that produce bisimulation partitions live in
 //! [`crate::refine`].
 
 use dkindex_graph::{LabeledGraph, NodeId};
@@ -37,46 +40,45 @@ impl fmt::Debug for BlockId {
 /// A partition of the nodes `0..n` into non-empty blocks.
 ///
 /// Maintains both directions of the mapping — node → block and block →
-/// members — because refinement reads the former and splitting rewrites the
-/// latter. Blocks are dense: ids `0..block_count()`, every block non-empty.
+/// members — because refinement reads the former and summaries read the
+/// latter. The members are one column in compressed-sparse-row form: block
+/// `b`'s members are `members[starts[b]..starts[b + 1]]`, ascending, laid
+/// out by one counting pass over the nodes (`Partition::from_parts`).
+/// Blocks are dense: ids `0..block_count()`, every block non-empty.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Partition {
     block_of: Vec<BlockId>,
-    members: Vec<Vec<NodeId>>,
+    /// Block `b`'s members start at `starts[b]`; the last entry is the
+    /// node count.
+    starts: Vec<u32>,
+    /// Every block's members, block by block, each block ascending.
+    members: Vec<NodeId>,
 }
 
 impl Partition {
     /// The trivial partition placing every node of `g` in one block.
     pub fn unit<G: LabeledGraph>(g: &G) -> Self {
         let n = g.node_count();
-        Partition {
-            block_of: vec![BlockId(0); n],
-            members: vec![(0..n).map(NodeId::from_index).collect()],
-        }
+        Partition::from_parts(vec![BlockId(0); n], vec![n as u32])
     }
 
     /// The 0-bisimulation partition of `g`: nodes grouped by label
     /// (the *label-split* graph of paper §4.1). Blocks are numbered in order
     /// of first appearance by node id, so the result is deterministic.
     pub fn by_label<G: LabeledGraph>(g: &G) -> Self {
-        let mut first_block_of_label: Vec<Option<BlockId>> = vec![None; g.labels().len()];
+        let mut block_of_label: Vec<Option<BlockId>> = vec![None; g.labels().len()];
         let mut block_of = Vec::with_capacity(g.node_count());
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         for node in g.node_ids() {
-            let label = g.label_of(node);
-            let block = match first_block_of_label[label.index()] {
-                Some(b) => b,
-                None => {
-                    let b = BlockId(members.len() as u32);
-                    first_block_of_label[label.index()] = Some(b);
-                    members.push(Vec::new());
-                    b
-                }
-            };
+            let slot = &mut block_of_label[g.label_of(node).index()];
+            let block = *slot.get_or_insert_with(|| {
+                counts.push(0);
+                BlockId(counts.len() as u32 - 1)
+            });
+            counts[block.index()] += 1;
             block_of.push(block);
-            members[block.index()].push(node);
         }
-        Partition { block_of, members }
+        Partition::from_parts(block_of, counts)
     }
 
     /// Build a partition directly from a node → block-index map.
@@ -90,15 +92,12 @@ impl Partition {
             .map(|b| b.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_blocks];
-        for (i, b) in block_of.iter().enumerate() {
-            members[b.index()].push(NodeId::from_index(i));
+        let mut counts = vec![0u32; num_blocks];
+        for b in &block_of {
+            counts[b.index()] += 1;
         }
-        assert!(
-            members.iter().all(|m| !m.is_empty()),
-            "blocks must be dense and non-empty"
-        );
-        Partition { block_of, members }
+        assert!(counts.iter().all(|&c| c > 0), "blocks must be dense and non-empty");
+        Partition::from_parts(block_of, counts)
     }
 
     /// Number of nodes covered by this partition.
@@ -110,7 +109,7 @@ impl Partition {
     /// Number of blocks.
     #[inline]
     pub fn block_count(&self) -> usize {
-        self.members.len()
+        self.starts.len() - 1
     }
 
     /// Block containing `node`.
@@ -122,12 +121,20 @@ impl Partition {
     /// Members of `block`, in ascending node order.
     #[inline]
     pub fn members(&self, block: BlockId) -> &[NodeId] {
-        &self.members[block.index()]
+        let b = block.index();
+        &self.members[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
+
+    /// The member column: each block's end in the second slice (block `b`
+    /// holds `members[ends[b - 1]..ends[b]]`, the first block starting at
+    /// 0), and every block's members, block by block, each ascending.
+    pub fn member_column(&self) -> (&[u32], &[NodeId]) {
+        (&self.starts[1..], &self.members)
     }
 
     /// Iterate over block ids.
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
-        (0..self.members.len() as u32).map(BlockId)
+        (0..self.block_count() as u32).map(BlockId)
     }
 
     /// True if two nodes share a block.
@@ -142,8 +149,8 @@ impl Partition {
         if self.node_count() != coarser.node_count() {
             return false;
         }
-        self.members.iter().all(|block| {
-            let mut it = block.iter();
+        self.block_ids().all(|b| {
+            let mut it = self.members(b).iter();
             let Some(&first) = it.next() else { return true };
             let target = coarser.block_of(first);
             it.all(|&n| coarser.block_of(n) == target)
@@ -157,12 +164,16 @@ impl Partition {
     }
 
     /// Verify internal consistency (every node in exactly one block, blocks
-    /// non-empty, maps agree). Debug/test helper.
+    /// non-empty and ascending, maps agree). Debug/test helper.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut seen = vec![false; self.node_count()];
-        for (bi, block) in self.members.iter().enumerate() {
+        for b in self.block_ids() {
+            let (bi, block) = (b.index(), self.members(b));
             if block.is_empty() {
                 return Err(format!("block {bi} is empty"));
+            }
+            if block.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(format!("block {bi}'s members do not ascend"));
             }
             for &n in block {
                 if seen[n.index()] {
@@ -180,18 +191,30 @@ impl Partition {
         Ok(())
     }
 
-    /// Assemble a partition from maps already known to be consistent
-    /// (node → block and block → members agree, blocks dense and non-empty).
-    /// Used by the refinement engine, which builds both sides in one pass.
-    pub(crate) fn from_parts(block_of: Vec<BlockId>, members: Vec<Vec<NodeId>>) -> Self {
-        debug_assert!({
-            let p = Partition {
-                block_of: block_of.clone(),
-                members: members.clone(),
-            };
-            p.check_consistency().is_ok()
-        });
-        Partition { block_of, members }
+    /// The partition whose node → block map is `block_of`, given each
+    /// block's member count (`counts[b]` nodes map to block `b`, every
+    /// count above 0). One counting pass lays the member column out: the
+    /// counts become each block's end, and the nodes, placed from the last
+    /// one down, move each block's cursor back to its start — so every
+    /// block's members come out ascending.
+    pub(crate) fn from_parts(block_of: Vec<BlockId>, counts: Vec<u32>) -> Self {
+        let mut starts = counts;
+        let mut end = 0;
+        for slot in &mut starts {
+            end += *slot;
+            *slot = end;
+        }
+        starts.push(end);
+        debug_assert_eq!(end as usize, block_of.len());
+        let mut members = vec![NodeId::from_index(0); block_of.len()];
+        for (i, b) in block_of.iter().enumerate().rev() {
+            let cursor = &mut starts[b.index()];
+            *cursor -= 1;
+            members[*cursor as usize] = NodeId::from_index(i);
+        }
+        let p = Partition { block_of, starts, members };
+        debug_assert_eq!(p.check_consistency(), Ok(()));
+        p
     }
 
     /// Replace this partition with one obtained by regrouping nodes by `key`:
@@ -206,20 +229,19 @@ impl Partition {
         use std::collections::HashMap;
         let mut ids: HashMap<(BlockId, K), BlockId> = HashMap::new();
         let mut block_of = Vec::with_capacity(self.node_count());
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         for i in 0..self.node_count() {
             let node = NodeId::from_index(i);
             let sig = (self.block_of(node), key(node));
             let block = *ids.entry(sig).or_insert_with(|| {
-                let b = BlockId(members.len() as u32);
-                members.push(Vec::new());
-                b
+                counts.push(0);
+                BlockId(counts.len() as u32 - 1)
             });
+            counts[block.index()] += 1;
             block_of.push(block);
-            members[block.index()].push(node);
         }
-        let changed = members.len() != self.block_count();
-        (Partition { block_of, members }, changed)
+        let changed = counts.len() != self.block_count();
+        (Partition::from_parts(block_of, counts), changed)
     }
 }
 

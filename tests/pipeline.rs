@@ -11,7 +11,7 @@ use dkindex::datagen::{
     nasa_events, nasa_graph, nasa_graph_options, xmark_events, xmark_graph, xmark_graph_options,
     NasaConfig, XmarkConfig,
 };
-use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph};
+use dkindex::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
 use dkindex::xml::{stream_to_graph, GraphBuilder, GraphOptions, XmlWriter};
 
@@ -84,6 +84,34 @@ fn generated_graphs_survive_xml_text_and_do_not_drift() {
     let nasa = nasa_via_xml_text(&NasaConfig::scale(RECORD_NASA_SCALE));
     assert_eq!(rows_hash(&nasa), 0x9ca9_caa0);
     assert_eq!(crc32(&label_split_bytes(&nasa)), 0x2536_b592);
+}
+
+/// The built and the re-indexed D(k)-index of a fixed graph, pinned by the
+/// CRC-32 of their `snapshot_bytes`: block ids, extents, child-row order and
+/// similarities all reach the bytes, so a construction change that moves
+/// any of them moves a pin. Covers Algorithm 2's selective rounds (mined
+/// requirements), uniform rounds (the A(k) case) and Theorem 2's re-index
+/// (a demote after edge updates).
+#[test]
+fn built_and_reindexed_snapshots_do_not_drift() {
+    let nasa = nasa_graph(&NasaConfig::scale(RECORD_NASA_SCALE));
+    let uniform = DkIndex::build(&nasa, Requirements::uniform(4));
+    assert_eq!(crc32(&snapshot_bytes(&uniform, &nasa)), 0xd6bf_483e);
+
+    let mut xmark = xmark_graph(&XmarkConfig::scale(RECORD_XMARK_SCALE));
+    let config = WorkloadConfig { count: 60, seed: 5, ..WorkloadConfig::default() };
+    let workload = generate_test_paths(&xmark, &config);
+    let dk = DkIndex::build(&xmark, workload.mine_requirements());
+    assert_eq!(crc32(&snapshot_bytes(&dk, &xmark)), 0x8aac_961f);
+    let mut dk = DkIndex::build(&xmark, Requirements::uniform(3));
+    let n = xmark.node_count();
+    for i in 0..40 {
+        let (u, v) = (n / 3 + 7 * i, 2 * n / 3 + 11 * i);
+        dk.add_edge(&mut xmark, NodeId::from_index(u), NodeId::from_index(v));
+    }
+    dk.demote(Requirements::uniform(1));
+    check_structure(dk.index(), &xmark).unwrap();
+    assert_eq!(crc32(&snapshot_bytes(&dk, &xmark)), 0xb64e_0c3f);
 }
 
 fn assert_all_indexes_exact(data: &DataGraph, seed: u64) {
